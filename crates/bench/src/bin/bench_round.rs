@@ -98,10 +98,33 @@ fn filled(len: usize, seed: u64) -> Vec<f32> {
         .collect()
 }
 
-/// Single-threaded `gemm_nt` GFLOP/s on a paper-shaped layer (batch 256 ×
-/// 256 outputs × 784 inputs), once per SIMD tier this machine supports.
-/// Returns the per-tier rows plus the detected-best-tier-over-scalar
-/// throughput ratio — the number the SIMD microkernels are accountable to.
+/// The vision model's layers at batch 32, as `(batch, out, in)`.
+const VISION_LAYERS: [(usize, usize, usize); 3] = [(32, 128, 64), (32, 64, 128), (32, 10, 64)];
+
+/// Best-of-three seconds per call of `f`, the iteration count calibrated
+/// to ~150 ms per rep to shave scheduler noise.
+fn seconds_per_call(mut f: impl FnMut()) -> f64 {
+    let t0 = Instant::now();
+    f();
+    let dt = t0.elapsed().as_secs_f64().max(1e-9);
+    let iters = ((0.15 / dt).ceil() as usize).clamp(1, 1_000_000);
+    let mut best = f64::INFINITY;
+    for _ in 0..3 {
+        let t0 = Instant::now();
+        for _ in 0..iters {
+            f();
+        }
+        best = best.min(t0.elapsed().as_secs_f64() / iters as f64);
+    }
+    best
+}
+
+/// Single-threaded GEMM GFLOP/s, once per SIMD tier this machine supports:
+/// `gemm_nt` on a paper-shaped layer (batch 256 × 256 outputs × 784
+/// inputs), and `gemm_nt`/`gemm_tn` time-weighted over the vision model's
+/// own three layers — the table the tier-pruning rule reads (a tier stays
+/// only if it is >= 1.15x the tier below on both). Returns the per-tier
+/// rows plus the detected-best-tier-over-scalar throughput ratio.
 fn gemm_gflops_per_tier() -> (Vec<serde_json::Value>, Option<f64>) {
     use gfl_tensor::simd;
     let (m, n, k) = (256usize, 256usize, 784usize);
@@ -109,31 +132,34 @@ fn gemm_gflops_per_tier() -> (Vec<serde_json::Value>, Option<f64>) {
     let b = filled(n * k, 2);
     let mut out = vec![0.0f32; m * n];
     let flops = (2 * m * n * k) as f64;
+    let vision_flops: f64 = VISION_LAYERS
+        .iter()
+        .map(|&(b, o, i)| (2 * b * o * i) as f64)
+        .sum();
     let active = simd::active_tier();
     let mut rows = Vec::new();
     let mut scalar_gflops = None;
     let mut active_gflops = None;
     for tier in simd::supported_tiers() {
         let prev = simd::set_tier(tier);
-        // Calibrate the iteration count to ~150 ms per rep, then take the
-        // best of three reps to shave scheduler noise.
-        let t0 = Instant::now();
-        simd::gemm_nt(&a, &b, &mut out, m, n, k);
-        let dt = t0.elapsed().as_secs_f64().max(1e-9);
-        let iters = ((0.15 / dt).ceil() as usize).clamp(1, 100_000);
-        let mut best = f64::INFINITY;
-        for _ in 0..3 {
-            let t0 = Instant::now();
-            for _ in 0..iters {
-                simd::gemm_nt(&a, &b, &mut out, m, n, k);
-            }
-            best = best.min(t0.elapsed().as_secs_f64() / iters as f64);
-        }
+        let best = seconds_per_call(|| simd::gemm_nt(&a, &b, &mut out, m, n, k));
         std::hint::black_box(&out);
+        let (mut nt_s, mut tn_s) = (0.0, 0.0);
+        for (l, &(batch, o, i)) in VISION_LAYERS.iter().enumerate() {
+            let acts = filled(batch * i, 1 + l as u64);
+            let weights = filled(o * i, 11 + l as u64);
+            let deltas = filled(batch * o, 21 + l as u64);
+            let mut out = vec![0.0f32; batch * o];
+            let mut grad = vec![0.0f32; o * i];
+            nt_s += seconds_per_call(|| simd::gemm_nt(&acts, &weights, &mut out, batch, o, i));
+            tn_s += seconds_per_call(|| simd::gemm_tn(&deltas, &acts, &mut grad, batch, o, i));
+            std::hint::black_box((&out, &grad));
+        }
         simd::set_tier(prev);
         let gflops = flops / best / 1e9;
+        let (nt_vision, tn_vision) = (vision_flops / nt_s / 1e9, vision_flops / tn_s / 1e9);
         eprintln!(
-            "gemm_nt 256x256x784 [{:>6}]: {gflops:6.2} GFLOP/s",
+            "[{:>6}] gemm_nt 256x256x784 {gflops:6.2}  vision b32: gemm_nt {nt_vision:6.2}  gemm_tn {tn_vision:6.2} GFLOP/s",
             tier.name()
         );
         if tier == simd::SimdTier::Scalar {
@@ -146,6 +172,8 @@ fn gemm_gflops_per_tier() -> (Vec<serde_json::Value>, Option<f64>) {
             "tier": tier.name(),
             "gemm_gflops": gflops,
             "seconds_per_gemm": best,
+            "vision_gemm_nt_gflops": nt_vision,
+            "vision_gemm_tn_gflops": tn_vision,
         }));
     }
     let ratio = match (scalar_gflops, active_gflops) {
@@ -297,7 +325,7 @@ fn main() {
             None
         },
         "simd": serde_json::json!({
-            "workload": "gemm_nt 256x256x784 f32, single thread",
+            "workload": "gemm_nt 256x256x784 f32 (gemm_gflops) and gemm_nt/gemm_tn over the vision model's layers at batch 32, single thread",
             "active_tier": gfl_tensor::simd::active_tier().name(),
             "tiers": simd_tiers,
             "speedup_vs_scalar": simd_speedup,

@@ -81,9 +81,18 @@ fn allocs_of(f: impl FnOnce()) -> u64 {
 /// must come from a pool and trips this gate if it regresses.
 const ROUND_ALLOC_BUDGET: u64 = 64;
 
+/// The one `#[test]` of this file, on purpose: the allocation counter and
+/// `set_default_parallelism` are process-wide, so a second test (or the
+/// harness reporting on it) would allocate inside this one's windows.
 #[test]
 fn steady_state_rounds_fit_the_alloc_budget() {
     gfl_parallel::set_default_parallelism(1);
+    warm_rounds_fit_the_budget();
+    disabled_tracing_adds_no_allocations_to_the_hot_loop();
+    gfl_parallel::set_default_parallelism(0);
+}
+
+fn warm_rounds_fit_the_budget() {
     let (trainer, groups) = tiny_world();
     let probs = vec![1.0 / groups.len() as f32; groups.len()];
     let mut params = trainer.model().init_params(&mut gfl_tensor::init::rng(5));
@@ -121,14 +130,11 @@ fn steady_state_rounds_fit_the_alloc_budget() {
         "steady-state rounds allocate too much: {per_round} allocs/round \
          ({allocs} over {MEASURED} rounds), budget {ROUND_ALLOC_BUDGET}"
     );
-    gfl_parallel::set_default_parallelism(0);
 }
 
-#[test]
+/// Single-threaded (set by the caller) so the worker pool does not allocate
+/// on its own schedule mid-measurement.
 fn disabled_tracing_adds_no_allocations_to_the_hot_loop() {
-    // Single-threaded so the worker pool does not allocate on its own
-    // schedule mid-measurement.
-    gfl_parallel::set_default_parallelism(1);
     let (trainer, groups) = tiny_world();
 
     // Warm-up populates lazily-initialized caches (datasets paged, scratch
@@ -159,5 +165,4 @@ fn disabled_tracing_adds_no_allocations_to_the_hot_loop() {
         traced < untraced_a * 2 + 10_000,
         "tracing overhead exploded: {traced} allocs vs {untraced_a} untraced"
     );
-    gfl_parallel::set_default_parallelism(0);
 }

@@ -230,10 +230,49 @@ pub fn summarize_regroups(events: &[RegroupEvent]) -> RegroupSummary {
 
 /// Health record of one group: its CoV at (re)formation and the recent
 /// survivor-quorum outcomes (`true` = missed) of rounds it was sampled.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GroupHealth {
     pub baseline_cov: Scalar,
     pub quorum_misses: Vec<bool>,
+}
+
+/// The derived layout, but for a non-finite `baseline_cov` (a group whose
+/// clients hold no samples has CoV `inf`): JSON has no such number —
+/// `serde_json` prints `null`, which does not read back — so it travels as
+/// the string `f32` itself prints and parses: `"inf"`, `"-inf"`, `"NaN"`.
+impl Serialize for GroupHealth {
+    fn to_value(&self) -> serde::Value {
+        let cov = if self.baseline_cov.is_finite() {
+            self.baseline_cov.to_value()
+        } else {
+            serde::Value::String(self.baseline_cov.to_string())
+        };
+        serde::Value::Object(vec![
+            ("baseline_cov".to_string(), cov),
+            ("quorum_misses".to_string(), self.quorum_misses.to_value()),
+        ])
+    }
+}
+
+impl Deserialize for GroupHealth {
+    fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
+        let field = |name: &str| {
+            v.get(name)
+                .ok_or_else(|| serde::DeError::custom(format!("missing field `{name}`")))
+        };
+        let baseline_cov = match field("baseline_cov")? {
+            serde::Value::String(s) => s
+                .parse::<Scalar>()
+                .ok()
+                .filter(|cov| !cov.is_finite())
+                .ok_or_else(|| serde::DeError::custom(format!("bad baseline_cov {s:?}")))?,
+            number => Scalar::from_value(number)?,
+        };
+        Ok(Self {
+            baseline_cov,
+            quorum_misses: Vec::from_value(field("quorum_misses")?)?,
+        })
+    }
 }
 
 impl GroupHealth {

@@ -286,13 +286,22 @@ fn self_healing_stays_close_to_clean_while_frozen_degrades() {
     );
 }
 
-#[test]
-fn faulted_churn_resume_from_post_regroup_checkpoint_is_bit_identical() {
-    // The hardest determinism contract: faults AND churn AND healing,
-    // interrupted after a regroup, checkpointed through the JSON
-    // round-trip (membership state included), resumed on a fresh trainer
-    // — everything must match the uninterrupted run exactly.
-    let (cfg, model, part, topo, train, test) = world(27);
+/// The hardest determinism contract: faults AND churn AND healing,
+/// interrupted after a regroup, checkpointed through the JSON round-trip
+/// (membership state included), resumed on a fresh trainer — everything
+/// must match the uninterrupted run exactly. Returns the membership state
+/// that went through the checkpoint.
+fn assert_resume_is_bit_identical(
+    (cfg, model, part, topo, train, test): (
+        GroupFelConfig,
+        gfl_nn::Network,
+        ClientPartition,
+        Topology,
+        gfl_data::Dataset,
+        gfl_data::Dataset,
+    ),
+    cooldown: usize,
+) -> MembershipState {
     let mut cfg = cfg;
     cfg.global_rounds = 10;
     let plan = ChurnPlan {
@@ -303,7 +312,7 @@ fn faulted_churn_resume_from_post_regroup_checkpoint_is_bit_identical() {
         flap_prob: 0.1,
     };
     let policy = RegroupPolicy {
-        cooldown: 1,
+        cooldown,
         ..RegroupPolicy::default()
     };
     let seed = cfg.seed;
@@ -401,4 +410,43 @@ fn faulted_churn_resume_from_post_regroup_checkpoint_is_bit_identical() {
     assert_eq!(p_resumed, p_straight, "resumed model diverged");
     assert_eq!(hist3, hist, "resumed trajectory diverged");
     assert_eq!(m_resumed, m_straight, "resumed membership diverged");
+    m_half
+}
+
+#[test]
+fn faulted_churn_resume_from_post_regroup_checkpoint_is_bit_identical() {
+    assert_resume_is_bit_identical(world(27), 1);
+}
+
+#[test]
+fn checkpoint_roundtrips_a_group_with_infinite_baseline_cov() {
+    // The CLI's larger runs exhaust the sample pool, so the last clients
+    // hold no data and a group of them has CoV `inf` — which JSON cannot
+    // spell as a number, and which used to make the checkpoint unloadable.
+    // Here the first edge's eight clients take all 480 samples, so every
+    // group the second edge ever forms is one of those.
+    let (cfg, model, _, _, train, test) = world(27);
+    let spec = PartitionSpec {
+        num_clients: 16,
+        alpha: 0.5,
+        min_size: 60,
+        max_size: 60,
+        seed: cfg.seed,
+    };
+    let part = ClientPartition::dirichlet(&train, &spec);
+    assert_eq!(part.sizes()[8..], [0; 8], "the pool must run dry");
+    let topo = Topology::even_split(2, part.sizes());
+    let saved = assert_resume_is_bit_identical((cfg, model, part, topo, train, test), 1);
+    assert!(
+        saved.health.iter().any(|h| h.baseline_cov.is_infinite()),
+        "no data-less group went through the checkpoint"
+    );
+
+    // A hostile `null` in its place is a typed error, not a panic.
+    let json = serde_json::to_string(&saved).unwrap();
+    assert!(json.contains("\"inf\""), "{json}");
+    let hostile = json.replace("\"inf\"", "null");
+    assert!(serde_json::from_str::<MembershipState>(&hostile).is_err());
+    let hostile = json.replace("\"inf\"", "\"1.5\"");
+    assert!(serde_json::from_str::<MembershipState>(&hostile).is_err());
 }

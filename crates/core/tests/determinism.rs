@@ -349,7 +349,7 @@ fn attacked_secure_aggregation_run_is_bit_identical_across_thread_counts() {
 
 #[test]
 fn simd_tiers_are_bit_identical_across_thread_counts() {
-    // Every SIMD dispatch tier this machine supports (scalar, SSE2, AVX2,
+    // Every SIMD dispatch tier this machine supports (scalar, AVX2,
     // AVX-512F, NEON — whatever is present) implements the same canonical
     // 16-chain summation order, so forcing any tier must reproduce the
     // scalar run bit-for-bit, at every thread count. This is the whole-run

@@ -10,7 +10,7 @@
 //! `Δ_L = (P − Y)/B`, then `∇W_l = Δ_{l+1}ᵀ · A_l`, `∇b_l = colsum(Δ_{l+1})`,
 //! `Δ_l = (Δ_{l+1} · W_l) ⊙ relu'(A_l)`.
 
-use gfl_tensor::{init, ops, Matrix, MatrixRef, Scalar};
+use gfl_tensor::{init, ops, simd, Matrix, MatrixRef, Scalar};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -33,6 +33,9 @@ pub struct Workspace {
     acts: Vec<Matrix>,
     /// Backprop deltas per non-input layer.
     deltas: Vec<Matrix>,
+    /// Every layer's weights in the panel layout `simd::gemm_nt_packed`
+    /// reads, back to back; filled by [`Mlp::pack_weights`].
+    packed: Vec<simd::PanelRow>,
     /// Live batch rows of the current pass.
     batch: usize,
     /// Allocated row capacity.
@@ -76,20 +79,6 @@ impl Mlp {
             .sum()
     }
 
-    /// Layer `l`'s `(weights, bias)` slices of the flat params.
-    ///
-    /// Computed from offsets on the fly — no per-call allocation, which
-    /// matters because backprop asks for a layer per hidden level on every
-    /// minibatch (this used to be the dominant steady-state alloc site).
-    fn layer<'a>(&self, params: &'a [Scalar], l: usize) -> (&'a [Scalar], &'a [Scalar]) {
-        let (o, i) = (self.dims[l + 1], self.dims[l]);
-        let off = self.layer_offset(l);
-        (
-            &params[off..off + o * i],
-            &params[off + o * i..off + o * i + o],
-        )
-    }
-
     /// He-initialized parameters (biases zero), deterministic in the RNG.
     pub fn init_params(&self, rng: &mut impl Rng) -> Params {
         let mut params = vec![0.0; self.param_len()];
@@ -121,31 +110,50 @@ impl Mlp {
         ws.batch = batch;
     }
 
+    /// Packs every layer's weights into `ws` for [`Mlp::forward_packed`].
+    /// Training repacks per step (the weights just moved); evaluation packs
+    /// once per worker and forwards every chunk against the same image.
+    pub(crate) fn pack_weights(&self, params: &[Scalar], ws: &mut Workspace) {
+        assert_eq!(params.len(), self.param_len(), "param length mismatch");
+        let total = self.dims.windows(2).map(|d| simd::packed_len(d[1], d[0]));
+        ws.packed.resize(total.sum(), simd::PanelRow::ZERO);
+        let (mut off, mut packed) = (0, ws.packed.as_mut_slice());
+        for d in self.dims.windows(2) {
+            let (o, i) = (d[1], d[0]);
+            let (image, rest) = packed.split_at_mut(simd::packed_len(o, i));
+            simd::pack_nt(&params[off..off + o * i], o, i, image);
+            off += o * i + o;
+            packed = rest;
+        }
+    }
+
     /// Runs the forward pass over a borrowed row view; afterwards the first
     /// `x.rows()` rows of `ws.acts.last()` hold the logits.
     fn forward_into(&self, params: &[Scalar], x: MatrixRef<'_>, ws: &mut Workspace) {
+        self.pack_weights(params, ws);
+        self.forward_packed(params, x, ws);
+    }
+
+    /// [`Mlp::forward_into`] against weights already packed into `ws` from
+    /// these same `params` (which still supply the biases).
+    fn forward_packed(&self, params: &[Scalar], x: MatrixRef<'_>, ws: &mut Workspace) {
         assert_eq!(x.cols(), self.input_dim(), "input dim mismatch");
         let batch = x.rows();
         self.prepare_workspace(ws, batch);
-        assert_eq!(params.len(), self.param_len(), "param length mismatch");
         ws.acts[0].as_mut_slice()[..batch * self.dims[0]].copy_from_slice(x.as_slice());
-        let mut off = 0;
+        let (mut off, mut packed) = (0, ws.packed.as_slice());
         for l in 0..self.num_layers() {
             let (o, i) = (self.dims[l + 1], self.dims[l]);
-            let w = &params[off..off + o * i];
             let b = &params[off + o * i..off + o * i + o];
             off += o * i + o;
+            let (image, rest) = packed.split_at(simd::packed_len(o, i));
+            packed = rest;
             // acts[l+1] = acts[l] · Wᵀ + b  (+ relu except last layer)
             let (before, after) = ws.acts.split_at_mut(l + 1);
             let input = &before[l].as_slice()[..batch * i];
             let out = &mut after[0].as_mut_slice()[..batch * o];
-            ops::gemm_nt(input, w, out, batch, o, i);
-            for r in 0..batch {
-                ops::add_assign(b, &mut out[r * o..(r + 1) * o]);
-            }
-            if l != self.num_layers() - 1 {
-                ops::relu(out);
-            }
+            let relu = l != self.num_layers() - 1;
+            simd::gemm_nt_packed(input, image, Some(b), relu, out, (batch, o, i));
         }
     }
 
@@ -213,22 +221,14 @@ impl Mlp {
 
             // Δ_l = (Δ_{l+1} · W_l) ⊙ relu'(A_l), skipped for the input.
             if l > 0 {
-                let w = self.layer(params, l).0;
-                let wview = MatrixRef::new(o, i, w);
                 let (lower, upper) = ws.deltas.split_at_mut(l);
-                let next_delta = &upper[0];
-                let this_delta = &mut lower[l - 1];
-                for r in 0..batch {
-                    let src = next_delta.row(r);
-                    let dst = this_delta.row_mut(r);
-                    dst.fill(0.0);
-                    for (j, &dj) in src.iter().enumerate() {
-                        if dj != 0.0 {
-                            ops::axpy(dj, wview.row(j), dst);
-                        }
-                    }
-                    ops::relu_backward(ws.acts[l].row(r), dst);
-                }
+                simd::backward_delta(
+                    &upper[0].as_slice()[..batch * o],
+                    &params[off..off + o * i],
+                    &act.as_slice()[..batch * i],
+                    &mut lower[l - 1].as_mut_slice()[..batch * i],
+                    (batch, o, i),
+                );
             }
         }
         loss
@@ -271,7 +271,11 @@ impl Mlp {
             .collect();
         let partials = gfl_parallel::par_map_init(
             &ranges,
-            || (self.workspace(), vec![0.0f32; self.num_classes()]),
+            || {
+                let mut ws = self.workspace();
+                self.pack_weights(params, &mut ws);
+                (ws, vec![0.0f32; self.num_classes()])
+            },
             |(ws, probs), &(s, e)| self.eval_chunk(params, features, labels, s, e, ws, probs),
         );
         let (loss_sum, correct) = partials
@@ -286,7 +290,8 @@ impl Mlp {
 
     /// Loss sum and correct count over rows `s..e` — the shared inner loop
     /// of [`Mlp::evaluate`] and the pooled
-    /// [`crate::network::Network::evaluate_pooled`] path.
+    /// [`crate::network::Network::evaluate_pooled`] path. `ws` must hold
+    /// [`Mlp::pack_weights`] of these `params`.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn eval_chunk(
         &self,
@@ -298,7 +303,7 @@ impl Mlp {
         ws: &mut Workspace,
         probs: &mut [Scalar],
     ) -> (Scalar, usize) {
-        self.forward_into(params, features.view_rows(s, e), ws);
+        self.forward_packed(params, features.view_rows(s, e), ws);
         let logits = ws.acts.last().unwrap();
         let mut loss = 0.0f32;
         let mut correct = 0usize;

@@ -150,7 +150,13 @@ impl Network {
             .collect();
         let partials = gfl_parallel::par_map_init(
             &ranges,
-            || pool.acquire(self),
+            || {
+                let mut guard = pool.acquire(self);
+                if let (Network::Mlp(m), NetworkWorkspace::Mlp(w)) = (self, guard.parts().0) {
+                    m.pack_weights(params, w);
+                }
+                guard
+            },
             |guard, &(s, e)| {
                 let (ws, probs) = guard.parts();
                 match (self, ws) {

@@ -5,7 +5,7 @@
 //! variates are two more axpys, and secure-aggregation masking is a slice
 //! add. None allocates. The four kernels that carry the training FLOPs —
 //! [`dot`], [`axpy`], [`gemm_nt`], [`gemm_tn`] — dispatch to explicit
-//! SIMD implementations in [`crate::simd`] (AVX-512F/AVX2/SSE2/NEON,
+//! SIMD implementations in [`crate::simd`] (AVX-512F/AVX2/NEON,
 //! runtime-detected, `GFL_SIMD` override); every tier is bit-identical to
 //! the scalar reference by construction.
 
@@ -175,22 +175,19 @@ pub fn weighted_sum_into(xs: &[&[Scalar]], weights: &[Scalar], out: &mut [Scalar
     }
 }
 
-/// Cache-block edge for the GEMM kernels below, in matrix rows per tile.
-///
-/// Chosen by microbenching `gemm_nt` on layer shapes from the paper workload
-/// (batch 32–512 × 256–784 features): 8/16/32/64 row tiles were within noise
-/// of each other and all ~1.3–2× faster than untiled traversal once the
-/// stationary operand overflows L2; 32 sits safely inside a 32 KiB L1
-/// (32 rows × 256 cols × 4 B = 32 KiB) while keeping loop overhead low.
+/// Cache-block edge of the scalar `gemm_tn` reference and the NEON
+/// `gemm_nt`, in matrix rows per tile: 32 rows × 256 cols × 4 B sits inside
+/// a 32 KiB L1 while keeping loop overhead low.
 pub const GEMM_TILE: usize = 32;
 
-/// Blocked `out = A · Bᵀ` over row-major slices: `a` is `m×k`, `b` is `n×k`,
-/// `out` is `m×n`, and `out[i][j] = dot(a.row(i), b.row(j))`.
+/// `out = A · Bᵀ` over row-major slices: `a` is `m×k`, `b` is `n×k`, `out`
+/// is `m×n`, and `out[i][j] = dot(a.row(i), b.row(j))`.
 ///
-/// Tiles the `i`/`j` loops so a block of `b` rows stays cache-resident while
-/// a block of `a` rows streams against it. Each output element is still one
+/// Packs `b` into 16-column panels and streams the rows of `a` past one
+/// cache-resident panel at a time, sixteen outputs per vector (see
+/// [`crate::simd::gemm_nt_packed`]). Each output element is still one
 /// full-`k` [`dot`] in the canonical order, so results are bit-identical
-/// across tilings and SIMD dispatch tiers.
+/// across SIMD dispatch tiers.
 pub fn gemm_nt(a: &[Scalar], b: &[Scalar], out: &mut [Scalar], m: usize, n: usize, k: usize) {
     crate::simd::gemm_nt(a, b, out, m, n, k);
 }

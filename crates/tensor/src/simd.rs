@@ -1,11 +1,12 @@
 //! Runtime-dispatched SIMD microkernels for the dense hot path.
 //!
-//! Four kernels carry essentially all training FLOPs: [`dot`], [`axpy`],
-//! [`gemm_nt`] (forward `A·Bᵀ`) and [`gemm_tn`] (backward `Aᵀ·B`). This
-//! module provides explicit `std::arch` implementations of each at every
-//! dispatch tier the build can target — AVX-512F / AVX2 / SSE2 on x86-64,
-//! NEON on aarch64 — plus a portable scalar reference, selected once at
-//! runtime from CPU feature detection.
+//! Five kernels carry essentially all training FLOPs: [`dot`], [`axpy`],
+//! [`gemm_nt`] (forward `A·Bᵀ`, as [`pack_nt`] + [`gemm_nt_packed`]),
+//! [`gemm_tn`] (backward `Aᵀ·B`) and [`backward_delta`] (backward
+//! `(Δ·W) ⊙ relu'`). This module provides explicit `std::arch`
+//! implementations at every dispatch tier the build can target — AVX-512F
+//! and AVX2 on x86-64, NEON on aarch64 — plus a portable scalar reference,
+//! selected once at runtime from CPU feature detection.
 //!
 //! # Bit-identity contract
 //!
@@ -13,25 +14,36 @@
 //! changes results. Instead, every tier implements the *same* summation
 //! DAG, defined by the scalar reference:
 //!
-//! - **dot**: 16 independent partial accumulators; chain `j` sums
-//!   `x[16c+j] * y[16c+j]` over ascending `c`; the chains are then combined
+//! - **dot**: 16 independent partial accumulators; chain `c` sums
+//!   `x[16q+c] * y[16q+c]` over ascending `q`; the chains are then combined
 //!   strictly left-to-right starting from `0.0`, followed by the remainder
-//!   elements in ascending order. A 512-bit lane *is* one chain; 256-bit
-//!   tiers run two vector accumulators, 128-bit tiers four, and the scalar
-//!   tier a 16-element array. All tiers spill to the same `[f32; 16]`
-//!   buffer and reduce it sequentially, so every tier produces the same
-//!   bits.
+//!   elements in ascending order. A 512-bit lane *is* one chain and 256-bit
+//!   tiers run two vector accumulators; all tiers spill to the same
+//!   `[f32; 16]` buffer and reduce it sequentially.
 //! - **axpy**: element-wise `y[i] + alpha * x[i]` — one multiply rounding
 //!   and one add rounding per element in every tier, so lanes are trivially
 //!   bit-identical.
 //! - **gemm_nt**: each output element is one full-`k` [`dot`] in the
-//!   canonical order; register-blocking over output columns only changes
-//!   *which* outputs are in flight, never the per-element order.
-//! - **gemm_tn**: each output element accumulates `a[t][i] * b[t][j]` over
-//!   strictly ascending `t`, skipping terms where `a[t][i] == 0.0` (the
-//!   ReLU zero-skip — an exact no-op to skip). Vector tiers keep a column
-//!   block of the output row in registers across the `t` sweep; the
-//!   per-element add sequence is unchanged.
+//!   canonical order, but a vector lane is an *output*, not a chain.
+//!   [`pack_nt`] transposes `B` into 16-column panels (`panel[kk][l] =
+//!   b[16p+l][kk]`, missing columns zero); per output row the kernel keeps
+//!   one vector accumulator per chain (`acc[c] += bcast(a[16q+c]) ·
+//!   panel[16q+c]`), then `0.0 + acc[0] + … + acc[15]` and the ascending
+//!   `k`-remainder are vector adds. Every lane performs exactly the
+//!   roundings of its own scalar dot, sixteen outputs at a time, and no
+//!   accumulator is ever reduced across lanes. The optional epilogue is the
+//!   layer's `+ bias[j]` then `x < 0.0 → 0.0` (so `−0.0` and NaN pass).
+//! - **gemm_tn** / **backward_delta**: each output element accumulates
+//!   `a(t,i) * b[t][j]` over strictly ascending `t`, skipping terms where
+//!   `a(t,i) == 0.0` (the ReLU zero-skip: `0·inf` must not poison the sum).
+//!   The two differ only in how `a` is strided and in the `relu'` gate that
+//!   `backward_delta` applies on the way out. Vector tiers hold a column
+//!   block of the output row in registers across the `t` sweep and skip
+//!   with a *mask*, not a branch — on real deltas the branch is a coin
+//!   flip. The mask is exact: AVX-512 leaves masked-off accumulator lanes
+//!   untouched; AVX2 adds `product & mask`, i.e. `+0.0`, and `x + 0.0` is
+//!   `x` for every `x` but `−0.0`, which an accumulator that starts at
+//!   `+0.0` can never hold.
 //!
 //! **No FMA, anywhere.** A fused multiply-add rounds once where
 //! mul-then-add rounds twice, so using FMA in any tier would break
@@ -43,10 +55,10 @@
 //! The active tier is a process-wide atomic, initialized lazily from the
 //! `GFL_SIMD` environment variable: `auto` (or unset) picks the best
 //! supported tier, `off`/`scalar` forces the scalar reference, and a tier
-//! name (`sse2`, `avx2`, `avx512`, `neon`) forces that tier (panicking if
-//! the CPU lacks it). [`set_tier`] switches tiers at runtime — the
-//! determinism suite uses it to prove `GFL_SIMD=off` vs `auto` equality
-//! in-process, and the bench harness uses it to measure per-tier GFLOP/s.
+//! name (`avx2`, `avx512`, `neon`) forces that tier (panicking if the CPU
+//! lacks it). [`set_tier`] switches tiers at runtime — the determinism
+//! suite uses it to prove `GFL_SIMD=off` vs `auto` equality in-process,
+//! and the bench harness uses it to measure per-tier GFLOP/s.
 
 use std::sync::atomic::{AtomicU8, Ordering};
 
@@ -59,14 +71,12 @@ use crate::Scalar;
 pub enum SimdTier {
     /// Portable scalar reference (the canonical summation order).
     Scalar = 0,
-    /// 128-bit `std::arch` kernels (x86-64 baseline).
-    Sse2 = 1,
     /// 128-bit NEON kernels (aarch64 baseline).
-    Neon = 2,
+    Neon = 1,
     /// 256-bit AVX2 kernels (no FMA — see module docs).
-    Avx2 = 3,
-    /// 512-bit AVX-512F kernels (one zmm lane per accumulator chain).
-    Avx512 = 4,
+    Avx2 = 2,
+    /// 512-bit AVX-512F kernels.
+    Avx512 = 3,
 }
 
 impl SimdTier {
@@ -74,7 +84,6 @@ impl SimdTier {
     pub fn name(self) -> &'static str {
         match self {
             SimdTier::Scalar => "scalar",
-            SimdTier::Sse2 => "sse2",
             SimdTier::Neon => "neon",
             SimdTier::Avx2 => "avx2",
             SimdTier::Avx512 => "avx512",
@@ -83,10 +92,9 @@ impl SimdTier {
 
     fn from_u8(v: u8) -> SimdTier {
         match v {
-            1 => SimdTier::Sse2,
-            2 => SimdTier::Neon,
-            3 => SimdTier::Avx2,
-            4 => SimdTier::Avx512,
+            1 => SimdTier::Neon,
+            2 => SimdTier::Avx2,
+            3 => SimdTier::Avx512,
             _ => SimdTier::Scalar,
         }
     }
@@ -97,9 +105,6 @@ pub fn supported_tiers() -> Vec<SimdTier> {
     let mut tiers = vec![SimdTier::Scalar];
     #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
     {
-        if is_x86_feature_detected!("sse2") {
-            tiers.push(SimdTier::Sse2);
-        }
         if is_x86_feature_detected!("avx2") {
             tiers.push(SimdTier::Avx2);
         }
@@ -181,54 +186,106 @@ pub fn set_tier(tier: SimdTier) -> SimdTier {
     prev
 }
 
+/// Calls the active tier's `$kernel` (on NEON the `$neon` call; a kernel
+/// NEON lacks falls through to the scalar reference there).
+///
+/// SAFETY: a tier is only ever active after `supported_tiers` detected its
+/// CPU feature (`set_tier` asserts it, `tier_from_env` picks from the
+/// detected list), and the asserts ahead of each use establish the slice
+/// lengths the kernels index by.
+macro_rules! dispatch {
+    ($kernel:ident $args:tt $(, neon: $neon:expr)?) => {
+        match active_tier() {
+            #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+            SimdTier::Avx2 => unsafe { x86::avx2::$kernel $args },
+            #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+            SimdTier::Avx512 => unsafe { x86::avx512::$kernel $args },
+            $(#[cfg(target_arch = "aarch64")]
+            SimdTier::Neon => unsafe { $neon },)?
+            _ => scalar::$kernel $args,
+        }
+    };
+}
+
 /// Dispatched dot product in the canonical 16-chain order.
 pub fn dot(x: &[Scalar], y: &[Scalar]) -> Scalar {
     assert_eq!(x.len(), y.len(), "dot: length mismatch");
-    match active_tier() {
-        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-        SimdTier::Sse2 => unsafe { x86::dot_sse2(x, y) },
-        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-        SimdTier::Avx2 => unsafe { x86::dot_avx2(x, y) },
-        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-        SimdTier::Avx512 => unsafe { x86::dot_avx512(x, y) },
-        #[cfg(target_arch = "aarch64")]
-        SimdTier::Neon => unsafe { neon::dot_neon(x, y) },
-        _ => scalar::dot(x, y),
-    }
+    dispatch!(dot(x, y), neon: neon::dot_neon(x, y))
 }
 
 /// Dispatched `y += alpha * x`.
 pub fn axpy(alpha: Scalar, x: &[Scalar], y: &mut [Scalar]) {
     assert_eq!(x.len(), y.len(), "axpy: length mismatch");
-    match active_tier() {
-        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-        SimdTier::Sse2 => unsafe { x86::axpy_sse2(alpha, x, y) },
-        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-        SimdTier::Avx2 => unsafe { x86::axpy_avx2(alpha, x, y) },
-        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-        SimdTier::Avx512 => unsafe { x86::axpy_avx512(alpha, x, y) },
-        #[cfg(target_arch = "aarch64")]
-        SimdTier::Neon => unsafe { neon::axpy_neon(alpha, x, y) },
-        _ => scalar::axpy(alpha, x, y),
-    }
+    dispatch!(axpy(alpha, x, y), neon: neon::axpy_neon(alpha, x, y))
 }
 
-/// Dispatched `out = A · Bᵀ` (see [`crate::ops::gemm_nt`] for shapes).
+/// Output columns per packed panel — the canonical chain count, so one
+/// 512-bit vector holds a panel row.
+pub const PANEL: usize = 16;
+
+/// The three extents of a GEMM, in the order its documentation names them.
+pub type Dims = (usize, usize, usize);
+
+/// One row of a packed panel: what sixteen adjacent outputs multiply by at
+/// one `k`. A cache line of its own, so no vector load of it splits — the
+/// split loads of a 4-byte-aligned image cost the kernel a third.
+#[derive(Debug, Clone, Copy, PartialEq)]
+#[repr(C, align(64))]
+pub struct PanelRow(pub [Scalar; PANEL]);
+
+impl PanelRow {
+    pub const ZERO: PanelRow = PanelRow([0.0; PANEL]);
+}
+
+/// Rows in the [`pack_nt`] image of an `n×k` matrix: `⌈n/16⌉` panels of
+/// `⌈k/16⌉·16` rows each (the rows past `k` are never read; they let the
+/// packers store whole 16×16 blocks).
+pub fn packed_len(n: usize, k: usize) -> usize {
+    n.div_ceil(PANEL) * k.next_multiple_of(PANEL)
+}
+
+/// Packs the row-major `n×k` matrix `b` into the panel layout
+/// [`gemm_nt_packed`] reads: `packed[p][kk][l] = b[16p+l][kk]`, zero where
+/// `16p+l >= n`. Every row of `packed` is overwritten.
+pub fn pack_nt(b: &[Scalar], n: usize, k: usize, packed: &mut [PanelRow]) {
+    assert_eq!(b.len(), n * k, "pack_nt: matrix size");
+    assert_eq!(packed.len(), packed_len(n, k), "pack_nt: packed size");
+    dispatch!(pack_nt(b, n, k, packed))
+}
+
+/// `out = A · Bᵀ` against a [`pack_nt`] image of `B` (`n×k`), with the
+/// layer epilogue folded in: `out[i][j] = dot(a.row(i), b.row(j))`, then
+/// `+ bias[j]` when a bias is given, then `x < 0.0 → 0.0` when `relu`.
+pub fn gemm_nt_packed(
+    a: &[Scalar],
+    packed: &[PanelRow],
+    bias: Option<&[Scalar]>,
+    relu: bool,
+    out: &mut [Scalar],
+    (m, n, k): Dims,
+) {
+    assert_eq!(a.len(), m * k, "gemm_nt: lhs size");
+    assert_eq!(packed.len(), packed_len(n, k), "gemm_nt: packed rhs size");
+    assert_eq!(out.len(), m * n, "gemm_nt: out size");
+    assert!(bias.is_none_or(|b| b.len() == n), "gemm_nt: bias size");
+    dispatch!(gemm_nt_packed(a, packed, bias, relu, out, (m, n, k)))
+}
+
+/// Dispatched `out = A · Bᵀ` (see [`crate::ops::gemm_nt`] for shapes):
+/// [`pack_nt`] into a scratch image, then [`gemm_nt_packed`]. Callers that
+/// reuse `B` across calls pack once and call the packed kernel themselves.
 pub fn gemm_nt(a: &[Scalar], b: &[Scalar], out: &mut [Scalar], m: usize, n: usize, k: usize) {
     assert_eq!(a.len(), m * k, "gemm_nt: lhs size");
     assert_eq!(b.len(), n * k, "gemm_nt: rhs size");
     assert_eq!(out.len(), m * n, "gemm_nt: out size");
-    match active_tier() {
-        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-        SimdTier::Sse2 => unsafe { x86::gemm_nt_sse2(a, b, out, m, n, k) },
-        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-        SimdTier::Avx2 => unsafe { x86::gemm_nt_avx2(a, b, out, m, n, k) },
-        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-        SimdTier::Avx512 => unsafe { x86::gemm_nt_avx512(a, b, out, m, n, k) },
-        #[cfg(target_arch = "aarch64")]
-        SimdTier::Neon => unsafe { neon::gemm_nt_neon(a, b, out, m, n, k) },
-        _ => scalar::gemm_nt(a, b, out, m, n, k),
+    #[cfg(target_arch = "aarch64")]
+    if active_tier() == SimdTier::Neon {
+        // SAFETY: as for `dispatch!`.
+        return unsafe { neon::gemm_nt_neon(a, b, out, m, n, k) };
     }
+    let mut packed = vec![PanelRow::ZERO; packed_len(n, k)];
+    pack_nt(b, n, k, &mut packed);
+    gemm_nt_packed(a, &packed, None, false, out, (m, n, k));
 }
 
 /// Dispatched `out = Aᵀ · B` (see [`crate::ops::gemm_tn`] for shapes).
@@ -236,21 +293,36 @@ pub fn gemm_tn(a: &[Scalar], b: &[Scalar], out: &mut [Scalar], r: usize, m: usiz
     assert_eq!(a.len(), r * m, "gemm_tn: lhs size");
     assert_eq!(b.len(), r * n, "gemm_tn: rhs size");
     assert_eq!(out.len(), m * n, "gemm_tn: out size");
-    match active_tier() {
-        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-        SimdTier::Sse2 => unsafe { x86::gemm_tn_sse2(a, b, out, r, m, n) },
-        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-        SimdTier::Avx2 => unsafe { x86::gemm_tn_avx2(a, b, out, r, m, n) },
-        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-        SimdTier::Avx512 => unsafe { x86::gemm_tn_avx512(a, b, out, r, m, n) },
-        #[cfg(target_arch = "aarch64")]
-        SimdTier::Neon => unsafe { neon::gemm_tn_neon(a, b, out, r, m, n) },
-        _ => scalar::gemm_tn(a, b, out, r, m, n),
-    }
+    dispatch!(
+        gemm_tn(a, b, out, (r, m, n)),
+        neon: neon::gemm_tn_neon(a, b, out, r, m, n)
+    )
+}
+
+/// Backprop through one dense ReLU layer: `out = (Δ · W) ⊙ relu'(A)`.
+///
+/// `delta` is `m×r` (the layer's output deltas), `w` the layer's `r×n`
+/// weights, `act` the `m×n` activations that fed the layer and `out` the
+/// `m×n` deltas below it: `out[i][j] = Σ_t delta[i][t] * w[t][j]` over
+/// ascending `t`, skipping `delta[i][t] == 0.0`, then `0.0` wherever
+/// `act[i][j] <= 0.0`.
+pub fn backward_delta(
+    delta: &[Scalar],
+    w: &[Scalar],
+    act: &[Scalar],
+    out: &mut [Scalar],
+    (m, r, n): Dims,
+) {
+    assert_eq!(delta.len(), m * r, "backward_delta: delta size");
+    assert_eq!(w.len(), r * n, "backward_delta: weight size");
+    assert_eq!(act.len(), m * n, "backward_delta: activation size");
+    assert_eq!(out.len(), m * n, "backward_delta: out size");
+    dispatch!(backward_delta(delta, w, act, out, (m, r, n)))
 }
 
 /// Portable reference kernels defining the canonical summation order.
 pub(crate) mod scalar {
+    use super::{Dims, PanelRow, PANEL};
     use crate::ops::GEMM_TILE;
     use crate::Scalar;
 
@@ -280,37 +352,63 @@ pub(crate) mod scalar {
         }
     }
 
-    pub(crate) fn gemm_nt(
-        a: &[Scalar],
-        b: &[Scalar],
-        out: &mut [Scalar],
-        m: usize,
-        n: usize,
-        k: usize,
-    ) {
-        for ib in (0..m).step_by(GEMM_TILE) {
-            let ie = (ib + GEMM_TILE).min(m);
-            for jb in (0..n).step_by(GEMM_TILE) {
-                let je = (jb + GEMM_TILE).min(n);
-                for i in ib..ie {
-                    let ai = &a[i * k..(i + 1) * k];
-                    let oi = &mut out[i * n..(i + 1) * n];
-                    for j in jb..je {
-                        oi[j] = dot(ai, &b[j * k..(j + 1) * k]);
-                    }
+    pub(crate) fn pack_nt(b: &[Scalar], n: usize, k: usize, packed: &mut [PanelRow]) {
+        let kpad = k.next_multiple_of(PANEL);
+        for (p, panel) in packed.chunks_exact_mut(kpad).enumerate() {
+            for (kk, row) in panel.iter_mut().enumerate() {
+                for (l, v) in row.0.iter_mut().enumerate() {
+                    let j = p * PANEL + l;
+                    *v = if j < n && kk < k { b[j * k + kk] } else { 0.0 };
                 }
             }
         }
     }
 
-    pub(crate) fn gemm_tn(
+    /// Lane `l` of `acc[c]` is chain `c` of output `16p+l`: the canonical
+    /// [`dot`] of sixteen outputs at once, one panel row per step.
+    pub(crate) fn gemm_nt_packed(
         a: &[Scalar],
-        b: &[Scalar],
+        packed: &[PanelRow],
+        bias: Option<&[Scalar]>,
+        relu: bool,
         out: &mut [Scalar],
-        r: usize,
-        m: usize,
-        n: usize,
+        (m, n, k): Dims,
     ) {
+        let full = k / PANEL * PANEL;
+        for (p, panel) in packed.chunks_exact(k.next_multiple_of(PANEL)).enumerate() {
+            for i in 0..m {
+                let ai = &a[i * k..(i + 1) * k];
+                let mut acc = [[0.0f32; PANEL]; PANEL];
+                for (kk, (&av, row)) in ai[..full].iter().zip(panel).enumerate() {
+                    for (s, &bv) in acc[kk % PANEL].iter_mut().zip(&row.0) {
+                        *s += av * bv;
+                    }
+                }
+                let mut sum = [0.0f32; PANEL];
+                for chain in &acc {
+                    for (s, &c) in sum.iter_mut().zip(chain) {
+                        *s += c;
+                    }
+                }
+                for (&av, row) in ai[full..].iter().zip(&panel[full..]) {
+                    for (s, &bv) in sum.iter_mut().zip(&row.0) {
+                        *s += av * bv;
+                    }
+                }
+                let j0 = p * PANEL;
+                for (l, o) in out[i * n + j0..(i + 1) * n]
+                    .iter_mut()
+                    .take(PANEL)
+                    .enumerate()
+                {
+                    let x = bias.map_or(sum[l], |b| sum[l] + b[j0 + l]);
+                    *o = if relu && x < 0.0 { 0.0 } else { x };
+                }
+            }
+        }
+    }
+
+    pub(crate) fn gemm_tn(a: &[Scalar], b: &[Scalar], out: &mut [Scalar], (r, m, n): Dims) {
         out.fill(0.0);
         for ib in (0..m).step_by(GEMM_TILE) {
             let ie = (ib + GEMM_TILE).min(m);
@@ -319,12 +417,36 @@ pub(crate) mod scalar {
                 let bt = &b[t * n..(t + 1) * n];
                 for i in ib..ie {
                     let av = at[i];
-                    // Zero-skip: ReLU deltas are sparse, and skipping
-                    // preserves the sum exactly (adding 0·bt is an exact
-                    // no-op in f32).
+                    // Zero-skip: ReLU deltas are sparse, and a skipped
+                    // term must not contribute even `0·inf = NaN`.
                     if av != 0.0 {
                         axpy(av, bt, &mut out[i * n..(i + 1) * n]);
                     }
+                }
+            }
+        }
+    }
+
+    /// The row loop `Mlp::loss_and_grad` used to run: per batch row, the
+    /// zero-skipping axpy sweep over ascending `t`, then the ReLU gate.
+    pub(crate) fn backward_delta(
+        delta: &[Scalar],
+        w: &[Scalar],
+        act: &[Scalar],
+        out: &mut [Scalar],
+        (m, r, n): Dims,
+    ) {
+        for i in 0..m {
+            let dst = &mut out[i * n..(i + 1) * n];
+            dst.fill(0.0);
+            for (t, &dt) in delta[i * r..(i + 1) * r].iter().enumerate() {
+                if dt != 0.0 {
+                    axpy(dt, &w[t * n..(t + 1) * n], dst);
+                }
+            }
+            for (g, &a) in dst.iter_mut().zip(&act[i * n..(i + 1) * n]) {
+                if a <= 0.0 {
+                    *g = 0.0;
                 }
             }
         }
@@ -333,9 +455,9 @@ pub(crate) mod scalar {
 
 #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
 mod x86 {
-    //! x86 kernels. All are `unsafe` because of `#[target_feature]`; the
-    //! dispatcher only calls them after runtime feature detection, and
-    //! slice lengths are validated by the dispatcher's asserts.
+    //! x86 kernels. All are `unsafe` because of `#[target_feature]` and raw
+    //! pointer indexing; the dispatcher only calls them after runtime
+    //! feature detection, with slice lengths validated by its asserts.
     #![allow(unsafe_op_in_unsafe_fn)]
 
     #[cfg(target_arch = "x86")]
@@ -343,594 +465,416 @@ mod x86 {
     #[cfg(target_arch = "x86_64")]
     use core::arch::x86_64::*;
 
-    use crate::ops::GEMM_TILE;
-    use crate::Scalar;
+    use super::{Dims, PanelRow, PANEL};
 
-    /// Sequential reduction of the 16 spilled accumulator chains plus the
-    /// ascending remainder — shared by every x86 tier so the combine order
-    /// is written exactly once.
-    #[inline(always)]
-    unsafe fn finish_dot(
-        buf: &[f32; 16],
-        x: *const f32,
-        y: *const f32,
-        done: usize,
-        len: usize,
-    ) -> f32 {
-        let mut sum = 0.0f32;
-        for &v in buf {
-            sum += v;
-        }
-        for i in done..len {
-            sum += *x.add(i) * *y.add(i);
-        }
-        sum
-    }
-
-    // ---------------------------------------------------------------- SSE2
-
-    #[target_feature(enable = "sse2")]
-    unsafe fn dot_sse2_raw(x: *const f32, y: *const f32, len: usize) -> f32 {
-        let chunks = len / 16;
-        let mut acc0 = _mm_setzero_ps();
-        let mut acc1 = _mm_setzero_ps();
-        let mut acc2 = _mm_setzero_ps();
-        let mut acc3 = _mm_setzero_ps();
-        for c in 0..chunks {
-            let i = c * 16;
-            acc0 = _mm_add_ps(
-                acc0,
-                _mm_mul_ps(_mm_loadu_ps(x.add(i)), _mm_loadu_ps(y.add(i))),
-            );
-            acc1 = _mm_add_ps(
-                acc1,
-                _mm_mul_ps(_mm_loadu_ps(x.add(i + 4)), _mm_loadu_ps(y.add(i + 4))),
-            );
-            acc2 = _mm_add_ps(
-                acc2,
-                _mm_mul_ps(_mm_loadu_ps(x.add(i + 8)), _mm_loadu_ps(y.add(i + 8))),
-            );
-            acc3 = _mm_add_ps(
-                acc3,
-                _mm_mul_ps(_mm_loadu_ps(x.add(i + 12)), _mm_loadu_ps(y.add(i + 12))),
-            );
-        }
-        let mut buf = [0.0f32; 16];
-        _mm_storeu_ps(buf.as_mut_ptr(), acc0);
-        _mm_storeu_ps(buf.as_mut_ptr().add(4), acc1);
-        _mm_storeu_ps(buf.as_mut_ptr().add(8), acc2);
-        _mm_storeu_ps(buf.as_mut_ptr().add(12), acc3);
-        finish_dot(&buf, x, y, chunks * 16, len)
-    }
-
-    #[target_feature(enable = "sse2")]
-    pub(super) unsafe fn dot_sse2(x: &[Scalar], y: &[Scalar]) -> Scalar {
-        dot_sse2_raw(x.as_ptr(), y.as_ptr(), x.len())
-    }
-
-    #[target_feature(enable = "sse2")]
-    pub(super) unsafe fn axpy_sse2(alpha: Scalar, x: &[Scalar], y: &mut [Scalar]) {
-        let len = x.len();
-        let xp = x.as_ptr();
-        let yp = y.as_mut_ptr();
-        let av = _mm_set1_ps(alpha);
-        let wide = (len / 16) * 16;
-        let mut i = 0;
-        while i < wide {
-            for q in 0..4 {
-                let o = i + q * 4;
-                let yv = _mm_add_ps(
-                    _mm_loadu_ps(yp.add(o)),
-                    _mm_mul_ps(av, _mm_loadu_ps(xp.add(o))),
-                );
-                _mm_storeu_ps(yp.add(o), yv);
+    /// The kernels of one tier, written once over the names the tier's
+    /// module binds: the vector width `L`; the plain intrinsics `load`,
+    /// `store`, `set1`, `zero`, `add`, `mul`, `max`; `load_head` and
+    /// `store_head`, which touch only the first `cols` lanes' memory; and
+    /// the masked steps `add_if` and `gate`.
+    ///
+    /// # Safety
+    /// Every function requires the CPU feature it is compiled for and the
+    /// slice lengths of the like-named dispatcher in the parent module.
+    macro_rules! tier_kernels {
+        ($feature:literal) => {
+            #[target_feature(enable = $feature)]
+            pub(in super::super) unsafe fn dot(x: &[f32], y: &[f32]) -> f32 {
+                let (xp, yp, chunks) = (x.as_ptr(), y.as_ptr(), x.len() / PANEL);
+                // `PANEL / L` vectors hold the 16 chains, lane = chain.
+                let mut acc = [zero(); PANEL / L];
+                for c in 0..chunks {
+                    for (h, s) in acc.iter_mut().enumerate() {
+                        let i = c * PANEL + h * L;
+                        *s = add(*s, mul(load(xp.add(i)), load(yp.add(i))));
+                    }
+                }
+                // Spill, then the canonical sequential reduction: chains left
+                // to right from `0.0`, then the ascending remainder.
+                let mut buf = [0.0f32; PANEL];
+                for (h, &s) in acc.iter().enumerate() {
+                    store(buf.as_mut_ptr().add(h * L), s);
+                }
+                let mut sum = 0.0f32;
+                for v in buf {
+                    sum += v;
+                }
+                for i in chunks * PANEL..x.len() {
+                    sum += *xp.add(i) * *yp.add(i);
+                }
+                sum
             }
-            i += 16;
-        }
-        while i < len {
-            *yp.add(i) += alpha * *xp.add(i);
-            i += 1;
-        }
-    }
 
-    #[target_feature(enable = "sse2")]
-    pub(super) unsafe fn gemm_nt_sse2(
-        a: &[Scalar],
-        b: &[Scalar],
-        out: &mut [Scalar],
-        m: usize,
-        n: usize,
-        k: usize,
-    ) {
-        let chunks = k / 16;
-        for ib in (0..m).step_by(GEMM_TILE) {
-            let ie = (ib + GEMM_TILE).min(m);
-            for jb in (0..n).step_by(GEMM_TILE) {
-                let je = (jb + GEMM_TILE).min(n);
-                for i in ib..ie {
-                    let ar = a.as_ptr().add(i * k);
-                    let orow = out.as_mut_ptr().add(i * n);
-                    let mut j = jb;
-                    // Two outputs at a time: 8 in-flight accumulator
-                    // vectors hide add latency while the `a` row loads are
-                    // shared between both columns.
-                    while j + 2 <= je {
-                        let b0 = b.as_ptr().add(j * k);
-                        let b1 = b.as_ptr().add((j + 1) * k);
-                        let mut p00 = _mm_setzero_ps();
-                        let mut p01 = _mm_setzero_ps();
-                        let mut p02 = _mm_setzero_ps();
-                        let mut p03 = _mm_setzero_ps();
-                        let mut p10 = _mm_setzero_ps();
-                        let mut p11 = _mm_setzero_ps();
-                        let mut p12 = _mm_setzero_ps();
-                        let mut p13 = _mm_setzero_ps();
-                        for c in 0..chunks {
-                            let i0 = c * 16;
-                            let x0 = _mm_loadu_ps(ar.add(i0));
-                            let x1 = _mm_loadu_ps(ar.add(i0 + 4));
-                            let x2 = _mm_loadu_ps(ar.add(i0 + 8));
-                            let x3 = _mm_loadu_ps(ar.add(i0 + 12));
-                            p00 = _mm_add_ps(p00, _mm_mul_ps(x0, _mm_loadu_ps(b0.add(i0))));
-                            p01 = _mm_add_ps(p01, _mm_mul_ps(x1, _mm_loadu_ps(b0.add(i0 + 4))));
-                            p02 = _mm_add_ps(p02, _mm_mul_ps(x2, _mm_loadu_ps(b0.add(i0 + 8))));
-                            p03 = _mm_add_ps(p03, _mm_mul_ps(x3, _mm_loadu_ps(b0.add(i0 + 12))));
-                            p10 = _mm_add_ps(p10, _mm_mul_ps(x0, _mm_loadu_ps(b1.add(i0))));
-                            p11 = _mm_add_ps(p11, _mm_mul_ps(x1, _mm_loadu_ps(b1.add(i0 + 4))));
-                            p12 = _mm_add_ps(p12, _mm_mul_ps(x2, _mm_loadu_ps(b1.add(i0 + 8))));
-                            p13 = _mm_add_ps(p13, _mm_mul_ps(x3, _mm_loadu_ps(b1.add(i0 + 12))));
+            #[target_feature(enable = $feature)]
+            pub(in super::super) unsafe fn axpy(alpha: f32, x: &[f32], y: &mut [f32]) {
+                let (xp, yp, len) = (x.as_ptr(), y.as_mut_ptr(), x.len());
+                let av = set1(alpha);
+                let mut i = 0;
+                while i + 2 * L <= len {
+                    let y0 = add(load(yp.add(i)), mul(av, load(xp.add(i))));
+                    let y1 = add(load(yp.add(i + L)), mul(av, load(xp.add(i + L))));
+                    store(yp.add(i), y0);
+                    store(yp.add(i + L), y1);
+                    i += 2 * L;
+                }
+                while i < len {
+                    *yp.add(i) += alpha * *xp.add(i);
+                    i += 1;
+                }
+            }
+
+            /// One vector of outputs at a time (`j0` walks the panels in
+            /// steps of `L` columns), panel outer and rows inner: a panel
+            /// stays cache-resident while the rows of `a` stream past it.
+            /// Eight of the sixteen chain accumulators are live at a time,
+            /// which fits either register file.
+            #[target_feature(enable = $feature)]
+            pub(in super::super) unsafe fn gemm_nt_packed(
+                a: &[f32],
+                packed: &[PanelRow],
+                bias: Option<&[f32]>,
+                relu: bool,
+                out: &mut [f32],
+                (m, n, k): Dims,
+            ) {
+                const CHAINS: usize = 8;
+                let kpad = k.next_multiple_of(PANEL);
+                let chunks = k / PANEL;
+                for j0 in (0..n).step_by(L) {
+                    let cols = (n - j0).min(L);
+                    let panel =
+                        (packed.as_ptr().add(j0 / PANEL * kpad) as *const f32).add(j0 % PANEL);
+                    let bias = bias.map(|b| load_head(b.as_ptr().add(j0), cols));
+                    for i in 0..m {
+                        let ar = a.as_ptr().add(i * k);
+                        let mut sum = zero();
+                        for first in (0..PANEL).step_by(CHAINS) {
+                            let mut acc = [zero(); CHAINS];
+                            for q in 0..chunks {
+                                for (c, s) in acc.iter_mut().enumerate() {
+                                    let kk = q * PANEL + first + c;
+                                    *s = add(
+                                        *s,
+                                        mul(set1(*ar.add(kk)), load(panel.add(kk * PANEL))),
+                                    );
+                                }
+                            }
+                            for s in acc {
+                                sum = add(sum, s);
+                            }
                         }
-                        let mut buf = [0.0f32; 16];
-                        _mm_storeu_ps(buf.as_mut_ptr(), p00);
-                        _mm_storeu_ps(buf.as_mut_ptr().add(4), p01);
-                        _mm_storeu_ps(buf.as_mut_ptr().add(8), p02);
-                        _mm_storeu_ps(buf.as_mut_ptr().add(12), p03);
-                        *orow.add(j) = finish_dot(&buf, ar, b0, chunks * 16, k);
-                        _mm_storeu_ps(buf.as_mut_ptr(), p10);
-                        _mm_storeu_ps(buf.as_mut_ptr().add(4), p11);
-                        _mm_storeu_ps(buf.as_mut_ptr().add(8), p12);
-                        _mm_storeu_ps(buf.as_mut_ptr().add(12), p13);
-                        *orow.add(j + 1) = finish_dot(&buf, ar, b1, chunks * 16, k);
-                        j += 2;
-                    }
-                    while j < je {
-                        *orow.add(j) = dot_sse2_raw(ar, b.as_ptr().add(j * k), k);
-                        j += 1;
-                    }
-                }
-            }
-        }
-    }
-
-    #[target_feature(enable = "sse2")]
-    pub(super) unsafe fn gemm_tn_sse2(
-        a: &[Scalar],
-        b: &[Scalar],
-        out: &mut [Scalar],
-        r: usize,
-        m: usize,
-        n: usize,
-    ) {
-        let ap = a.as_ptr();
-        let bp = b.as_ptr();
-        for i in 0..m {
-            let orow = out.as_mut_ptr().add(i * n);
-            let mut j = 0;
-            // A 16-column block of the output row lives in registers for
-            // the whole ascending-`t` sweep; each term is added exactly
-            // when the scalar kernel would add it (zero terms skipped).
-            while j + 16 <= n {
-                let mut s0 = _mm_setzero_ps();
-                let mut s1 = _mm_setzero_ps();
-                let mut s2 = _mm_setzero_ps();
-                let mut s3 = _mm_setzero_ps();
-                for t in 0..r {
-                    let av = *ap.add(t * m + i);
-                    if av != 0.0 {
-                        let avv = _mm_set1_ps(av);
-                        let bt = bp.add(t * n + j);
-                        s0 = _mm_add_ps(s0, _mm_mul_ps(avv, _mm_loadu_ps(bt)));
-                        s1 = _mm_add_ps(s1, _mm_mul_ps(avv, _mm_loadu_ps(bt.add(4))));
-                        s2 = _mm_add_ps(s2, _mm_mul_ps(avv, _mm_loadu_ps(bt.add(8))));
-                        s3 = _mm_add_ps(s3, _mm_mul_ps(avv, _mm_loadu_ps(bt.add(12))));
-                    }
-                }
-                _mm_storeu_ps(orow.add(j), s0);
-                _mm_storeu_ps(orow.add(j + 4), s1);
-                _mm_storeu_ps(orow.add(j + 8), s2);
-                _mm_storeu_ps(orow.add(j + 12), s3);
-                j += 16;
-            }
-            while j < n {
-                let mut s = 0.0f32;
-                for t in 0..r {
-                    let av = *ap.add(t * m + i);
-                    if av != 0.0 {
-                        s += av * *bp.add(t * n + j);
-                    }
-                }
-                *orow.add(j) = s;
-                j += 1;
-            }
-        }
-    }
-
-    // ---------------------------------------------------------------- AVX2
-
-    #[target_feature(enable = "avx2")]
-    unsafe fn dot_avx2_raw(x: *const f32, y: *const f32, len: usize) -> f32 {
-        let chunks = len / 16;
-        let mut lo = _mm256_setzero_ps();
-        let mut hi = _mm256_setzero_ps();
-        for c in 0..chunks {
-            let i = c * 16;
-            lo = _mm256_add_ps(
-                lo,
-                _mm256_mul_ps(_mm256_loadu_ps(x.add(i)), _mm256_loadu_ps(y.add(i))),
-            );
-            hi = _mm256_add_ps(
-                hi,
-                _mm256_mul_ps(_mm256_loadu_ps(x.add(i + 8)), _mm256_loadu_ps(y.add(i + 8))),
-            );
-        }
-        let mut buf = [0.0f32; 16];
-        _mm256_storeu_ps(buf.as_mut_ptr(), lo);
-        _mm256_storeu_ps(buf.as_mut_ptr().add(8), hi);
-        finish_dot(&buf, x, y, chunks * 16, len)
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn dot_avx2(x: &[Scalar], y: &[Scalar]) -> Scalar {
-        dot_avx2_raw(x.as_ptr(), y.as_ptr(), x.len())
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn axpy_avx2(alpha: Scalar, x: &[Scalar], y: &mut [Scalar]) {
-        let len = x.len();
-        let xp = x.as_ptr();
-        let yp = y.as_mut_ptr();
-        let av = _mm256_set1_ps(alpha);
-        let wide = (len / 16) * 16;
-        let mut i = 0;
-        while i < wide {
-            let y0 = _mm256_add_ps(
-                _mm256_loadu_ps(yp.add(i)),
-                _mm256_mul_ps(av, _mm256_loadu_ps(xp.add(i))),
-            );
-            let y1 = _mm256_add_ps(
-                _mm256_loadu_ps(yp.add(i + 8)),
-                _mm256_mul_ps(av, _mm256_loadu_ps(xp.add(i + 8))),
-            );
-            _mm256_storeu_ps(yp.add(i), y0);
-            _mm256_storeu_ps(yp.add(i + 8), y1);
-            i += 16;
-        }
-        while i < len {
-            *yp.add(i) += alpha * *xp.add(i);
-            i += 1;
-        }
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn gemm_nt_avx2(
-        a: &[Scalar],
-        b: &[Scalar],
-        out: &mut [Scalar],
-        m: usize,
-        n: usize,
-        k: usize,
-    ) {
-        let chunks = k / 16;
-        for ib in (0..m).step_by(GEMM_TILE) {
-            let ie = (ib + GEMM_TILE).min(m);
-            for jb in (0..n).step_by(GEMM_TILE) {
-                let je = (jb + GEMM_TILE).min(n);
-                for i in ib..ie {
-                    let ar = a.as_ptr().add(i * k);
-                    let orow = out.as_mut_ptr().add(i * n);
-                    let mut j = jb;
-                    // Four outputs at a time: 8 in-flight ymm accumulators,
-                    // `a` row loads shared across all four columns.
-                    while j + 4 <= je {
-                        let b0 = b.as_ptr().add(j * k);
-                        let b1 = b.as_ptr().add((j + 1) * k);
-                        let b2 = b.as_ptr().add((j + 2) * k);
-                        let b3 = b.as_ptr().add((j + 3) * k);
-                        let mut p0l = _mm256_setzero_ps();
-                        let mut p0h = _mm256_setzero_ps();
-                        let mut p1l = _mm256_setzero_ps();
-                        let mut p1h = _mm256_setzero_ps();
-                        let mut p2l = _mm256_setzero_ps();
-                        let mut p2h = _mm256_setzero_ps();
-                        let mut p3l = _mm256_setzero_ps();
-                        let mut p3h = _mm256_setzero_ps();
-                        for c in 0..chunks {
-                            let i0 = c * 16;
-                            let xl = _mm256_loadu_ps(ar.add(i0));
-                            let xh = _mm256_loadu_ps(ar.add(i0 + 8));
-                            p0l =
-                                _mm256_add_ps(p0l, _mm256_mul_ps(xl, _mm256_loadu_ps(b0.add(i0))));
-                            p0h = _mm256_add_ps(
-                                p0h,
-                                _mm256_mul_ps(xh, _mm256_loadu_ps(b0.add(i0 + 8))),
-                            );
-                            p1l =
-                                _mm256_add_ps(p1l, _mm256_mul_ps(xl, _mm256_loadu_ps(b1.add(i0))));
-                            p1h = _mm256_add_ps(
-                                p1h,
-                                _mm256_mul_ps(xh, _mm256_loadu_ps(b1.add(i0 + 8))),
-                            );
-                            p2l =
-                                _mm256_add_ps(p2l, _mm256_mul_ps(xl, _mm256_loadu_ps(b2.add(i0))));
-                            p2h = _mm256_add_ps(
-                                p2h,
-                                _mm256_mul_ps(xh, _mm256_loadu_ps(b2.add(i0 + 8))),
-                            );
-                            p3l =
-                                _mm256_add_ps(p3l, _mm256_mul_ps(xl, _mm256_loadu_ps(b3.add(i0))));
-                            p3h = _mm256_add_ps(
-                                p3h,
-                                _mm256_mul_ps(xh, _mm256_loadu_ps(b3.add(i0 + 8))),
-                            );
+                        for kk in chunks * PANEL..k {
+                            sum = add(sum, mul(set1(*ar.add(kk)), load(panel.add(kk * PANEL))));
                         }
-                        let done = chunks * 16;
-                        let mut buf = [0.0f32; 16];
-                        _mm256_storeu_ps(buf.as_mut_ptr(), p0l);
-                        _mm256_storeu_ps(buf.as_mut_ptr().add(8), p0h);
-                        *orow.add(j) = finish_dot(&buf, ar, b0, done, k);
-                        _mm256_storeu_ps(buf.as_mut_ptr(), p1l);
-                        _mm256_storeu_ps(buf.as_mut_ptr().add(8), p1h);
-                        *orow.add(j + 1) = finish_dot(&buf, ar, b1, done, k);
-                        _mm256_storeu_ps(buf.as_mut_ptr(), p2l);
-                        _mm256_storeu_ps(buf.as_mut_ptr().add(8), p2h);
-                        *orow.add(j + 2) = finish_dot(&buf, ar, b2, done, k);
-                        _mm256_storeu_ps(buf.as_mut_ptr(), p3l);
-                        _mm256_storeu_ps(buf.as_mut_ptr().add(8), p3h);
-                        *orow.add(j + 3) = finish_dot(&buf, ar, b3, done, k);
-                        j += 4;
-                    }
-                    while j < je {
-                        *orow.add(j) = dot_avx2_raw(ar, b.as_ptr().add(j * k), k);
-                        j += 1;
+                        if let Some(b) = bias {
+                            sum = add(sum, b);
+                        }
+                        if relu {
+                            // `maxps(0, x)` is `0 > x ? 0 : x`: −0.0 and NaN
+                            // fail the compare and pass through.
+                            sum = max(zero(), sum);
+                        }
+                        store_head(out.as_mut_ptr().add(i * n + j0), sum, cols);
                     }
                 }
             }
-        }
+
+            /// `R` adjacent output rows by `W` vectors, held in registers
+            /// across the whole `t` sweep; each `b` load feeds all `R` rows.
+            /// The last vector is `cols` wide.
+            #[inline]
+            #[target_feature(enable = $feature)]
+            unsafe fn skip_block<const R: usize, const W: usize>(
+                a: *const f32,
+                (sat, sai): (usize, usize),
+                b: *const f32,
+                act: Option<*const f32>,
+                out: *mut f32,
+                (r, n, cols): Dims,
+            ) {
+                let mut s = [[zero(); W]; R];
+                for t in 0..r {
+                    let mut bt = [zero(); W];
+                    for (h, v) in bt.iter_mut().enumerate() {
+                        let at = b.add(t * n + h * L);
+                        *v = if h + 1 < W {
+                            load(at)
+                        } else {
+                            load_head(at, cols)
+                        };
+                    }
+                    for (i, row) in s.iter_mut().enumerate() {
+                        let av = set1(*a.add(t * sat + i * sai));
+                        for (s, &bv) in row.iter_mut().zip(&bt) {
+                            *s = add_if(*s, av, bv);
+                        }
+                    }
+                }
+                for (i, row) in s.iter().enumerate() {
+                    for (h, &s) in row.iter().enumerate() {
+                        let (at, cols) = (i * n + h * L, if h + 1 < W { L } else { cols });
+                        let s = act.map_or(s, |g| gate(s, load_head(g.add(at), cols)));
+                        store_head(out.add(at), s, cols);
+                    }
+                }
+            }
+
+            /// `out[i][j] = Σ_t a(t,i)·b[t][j]` over ascending `t`, terms
+            /// with `a(t,i) == 0.0` skipped, where `a(t,i) = a[t*sat + i*sai]`;
+            /// then `0.0` wherever `act[i][j] <= 0.0`, when `act` is given.
+            #[target_feature(enable = $feature)]
+            unsafe fn gemm_skip(
+                a: &[f32],
+                strides: (usize, usize),
+                b: &[f32],
+                act: Option<&[f32]>,
+                out: &mut [f32],
+                (r, m, n): Dims,
+            ) {
+                for i in (0..m).step_by(2) {
+                    for j in (0..n).step_by(4 * L) {
+                        let vectors = (n - j).div_ceil(L).min(4);
+                        let cols = (n - j - (vectors - 1) * L).min(L);
+                        let a = a.as_ptr().add(i * strides.1);
+                        let b = b.as_ptr().add(j);
+                        let act = act.map(|g| g.as_ptr().add(i * n + j));
+                        let out = out.as_mut_ptr().add(i * n + j);
+                        let dims = (r, n, cols);
+                        match (m - i > 1, vectors) {
+                            (true, 4) => skip_block::<2, 4>(a, strides, b, act, out, dims),
+                            (true, 3) => skip_block::<2, 3>(a, strides, b, act, out, dims),
+                            (true, 2) => skip_block::<2, 2>(a, strides, b, act, out, dims),
+                            (true, _) => skip_block::<2, 1>(a, strides, b, act, out, dims),
+                            (false, 4) => skip_block::<1, 4>(a, strides, b, act, out, dims),
+                            (false, 3) => skip_block::<1, 3>(a, strides, b, act, out, dims),
+                            (false, 2) => skip_block::<1, 2>(a, strides, b, act, out, dims),
+                            (false, _) => skip_block::<1, 1>(a, strides, b, act, out, dims),
+                        }
+                    }
+                }
+            }
+
+            /// `a(t,i) = a[t][i]` of an `r×m` matrix.
+            #[target_feature(enable = $feature)]
+            pub(in super::super) unsafe fn gemm_tn(
+                a: &[f32],
+                b: &[f32],
+                out: &mut [f32],
+                dims: Dims,
+            ) {
+                gemm_skip(a, (dims.1, 1), b, None, out, dims)
+            }
+
+            /// `a(t,i) = delta[i][t]` of an `m×r` matrix, gated by `act`.
+            #[target_feature(enable = $feature)]
+            pub(in super::super) unsafe fn backward_delta(
+                delta: &[f32],
+                w: &[f32],
+                act: &[f32],
+                out: &mut [f32],
+                (m, r, n): Dims,
+            ) {
+                gemm_skip(delta, (1, r), w, Some(act), out, (r, m, n))
+            }
+        };
     }
 
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn gemm_tn_avx2(
-        a: &[Scalar],
-        b: &[Scalar],
-        out: &mut [Scalar],
-        r: usize,
-        m: usize,
-        n: usize,
-    ) {
-        let ap = a.as_ptr();
-        let bp = b.as_ptr();
-        for i in 0..m {
-            let orow = out.as_mut_ptr().add(i * n);
-            let mut j = 0;
-            while j + 32 <= n {
-                let mut s0 = _mm256_setzero_ps();
-                let mut s1 = _mm256_setzero_ps();
-                let mut s2 = _mm256_setzero_ps();
-                let mut s3 = _mm256_setzero_ps();
-                for t in 0..r {
-                    let av = *ap.add(t * m + i);
-                    if av != 0.0 {
-                        let avv = _mm256_set1_ps(av);
-                        let bt = bp.add(t * n + j);
-                        s0 = _mm256_add_ps(s0, _mm256_mul_ps(avv, _mm256_loadu_ps(bt)));
-                        s1 = _mm256_add_ps(s1, _mm256_mul_ps(avv, _mm256_loadu_ps(bt.add(8))));
-                        s2 = _mm256_add_ps(s2, _mm256_mul_ps(avv, _mm256_loadu_ps(bt.add(16))));
-                        s3 = _mm256_add_ps(s3, _mm256_mul_ps(avv, _mm256_loadu_ps(bt.add(24))));
+    pub(super) mod avx512 {
+        use super::*;
+        use {
+            _mm512_add_ps as add, _mm512_loadu_ps as load, _mm512_max_ps as max,
+            _mm512_mul_ps as mul, _mm512_set1_ps as set1, _mm512_setzero_ps as zero,
+            _mm512_storeu_ps as store,
+        };
+
+        const L: usize = 16;
+
+        #[inline]
+        #[target_feature(enable = "avx512f")]
+        unsafe fn load_head(p: *const f32, cols: usize) -> __m512 {
+            _mm512_maskz_loadu_ps(((1u32 << cols) - 1) as __mmask16, p)
+        }
+
+        #[inline]
+        #[target_feature(enable = "avx512f")]
+        unsafe fn store_head(p: *mut f32, v: __m512, cols: usize) {
+            _mm512_mask_storeu_ps(p, ((1u32 << cols) - 1) as __mmask16, v)
+        }
+
+        /// `acc + av·b` where `av != 0.0` (NaN included), else `acc`.
+        #[inline]
+        #[target_feature(enable = "avx512f")]
+        unsafe fn add_if(acc: __m512, av: __m512, b: __m512) -> __m512 {
+            let keep = _mm512_cmp_ps_mask::<_CMP_NEQ_UQ>(av, zero());
+            _mm512_mask_add_ps(acc, keep, acc, mul(av, b))
+        }
+
+        /// `s` where `!(act <= 0.0)` (NaN included), else `0.0`.
+        #[inline]
+        #[target_feature(enable = "avx512f")]
+        unsafe fn gate(s: __m512, act: __m512) -> __m512 {
+            _mm512_maskz_mov_ps(_mm512_cmp_ps_mask::<_CMP_NLE_UQ>(act, zero()), s)
+        }
+
+        tier_kernels!("avx512f");
+
+        /// Masked row loads (zero past `n` and past `k`), a 16×16 register
+        /// transpose, sixteen panel-row stores per block.
+        #[target_feature(enable = "avx512f")]
+        pub(in super::super) unsafe fn pack_nt(
+            b: &[f32],
+            n: usize,
+            k: usize,
+            packed: &mut [PanelRow],
+        ) {
+            let blocks = k.div_ceil(PANEL);
+            for p in 0..n.div_ceil(PANEL) {
+                let rows = (n - p * PANEL).min(PANEL);
+                for q in 0..blocks {
+                    let in_k = (k - q * PANEL).min(PANEL);
+                    let mut v = [zero(); PANEL];
+                    for (l, v) in v.iter_mut().enumerate() {
+                        // Rows past `n` load nothing, from a clamped address.
+                        let row = (p * PANEL + l).min(n - 1) * k;
+                        let cols = if l < rows { in_k } else { 0 };
+                        *v = load_head(b.as_ptr().add(row + q * PANEL), cols);
                     }
-                }
-                _mm256_storeu_ps(orow.add(j), s0);
-                _mm256_storeu_ps(orow.add(j + 8), s1);
-                _mm256_storeu_ps(orow.add(j + 16), s2);
-                _mm256_storeu_ps(orow.add(j + 24), s3);
-                j += 32;
-            }
-            while j + 8 <= n {
-                let mut s = _mm256_setzero_ps();
-                for t in 0..r {
-                    let av = *ap.add(t * m + i);
-                    if av != 0.0 {
-                        s = _mm256_add_ps(
-                            s,
-                            _mm256_mul_ps(_mm256_set1_ps(av), _mm256_loadu_ps(bp.add(t * n + j))),
+                    // 32-bit, then 64-bit interleave: `u[4g+c]` holds, per
+                    // 128-bit lane `x`, column `4x+c` of rows `4g..4g+4`.
+                    let mut t = [zero(); PANEL];
+                    for i in 0..8 {
+                        t[2 * i] = _mm512_unpacklo_ps(v[2 * i], v[2 * i + 1]);
+                        t[2 * i + 1] = _mm512_unpackhi_ps(v[2 * i], v[2 * i + 1]);
+                    }
+                    let mut u = [zero(); PANEL];
+                    for g in 0..4 {
+                        u[4 * g] = _mm512_shuffle_ps::<0x44>(t[4 * g], t[4 * g + 2]);
+                        u[4 * g + 1] = _mm512_shuffle_ps::<0xEE>(t[4 * g], t[4 * g + 2]);
+                        u[4 * g + 2] = _mm512_shuffle_ps::<0x44>(t[4 * g + 1], t[4 * g + 3]);
+                        u[4 * g + 3] = _mm512_shuffle_ps::<0xEE>(t[4 * g + 1], t[4 * g + 3]);
+                    }
+                    // Two rounds of 128-bit lane shuffles gather lane `x` of
+                    // the four row groups into panel row `4x+c`.
+                    let dst = packed.as_mut_ptr().add((p * blocks + q) * PANEL) as *mut f32;
+                    for c in 0..4 {
+                        let lo02 = _mm512_shuffle_f32x4::<0x88>(u[c], u[4 + c]);
+                        let lo13 = _mm512_shuffle_f32x4::<0xDD>(u[c], u[4 + c]);
+                        let hi02 = _mm512_shuffle_f32x4::<0x88>(u[8 + c], u[12 + c]);
+                        let hi13 = _mm512_shuffle_f32x4::<0xDD>(u[8 + c], u[12 + c]);
+                        store(dst.add(c * PANEL), _mm512_shuffle_f32x4::<0x88>(lo02, hi02));
+                        store(
+                            dst.add((4 + c) * PANEL),
+                            _mm512_shuffle_f32x4::<0x88>(lo13, hi13),
+                        );
+                        store(
+                            dst.add((8 + c) * PANEL),
+                            _mm512_shuffle_f32x4::<0xDD>(lo02, hi02),
+                        );
+                        store(
+                            dst.add((12 + c) * PANEL),
+                            _mm512_shuffle_f32x4::<0xDD>(lo13, hi13),
                         );
                     }
                 }
-                _mm256_storeu_ps(orow.add(j), s);
-                j += 8;
-            }
-            while j < n {
-                let mut s = 0.0f32;
-                for t in 0..r {
-                    let av = *ap.add(t * m + i);
-                    if av != 0.0 {
-                        s += av * *bp.add(t * n + j);
-                    }
-                }
-                *orow.add(j) = s;
-                j += 1;
             }
         }
     }
 
-    // -------------------------------------------------------------- AVX512
+    pub(super) mod avx2 {
+        use super::*;
+        use {
+            _mm256_add_ps as add, _mm256_loadu_ps as load, _mm256_max_ps as max,
+            _mm256_mul_ps as mul, _mm256_set1_ps as set1, _mm256_setzero_ps as zero,
+            _mm256_storeu_ps as store,
+        };
 
-    #[target_feature(enable = "avx512f")]
-    unsafe fn dot_avx512_raw(x: *const f32, y: *const f32, len: usize) -> f32 {
-        let chunks = len / 16;
-        // One zmm lane per canonical accumulator chain.
-        let mut acc = _mm512_setzero_ps();
-        for c in 0..chunks {
-            let i = c * 16;
-            acc = _mm512_add_ps(
-                acc,
-                _mm512_mul_ps(_mm512_loadu_ps(x.add(i)), _mm512_loadu_ps(y.add(i))),
-            );
+        const L: usize = 8;
+
+        /// All-ones in the first `cols` 32-bit lanes.
+        #[inline]
+        #[target_feature(enable = "avx2")]
+        unsafe fn head(cols: usize) -> __m256i {
+            let lane = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+            _mm256_cmpgt_epi32(_mm256_set1_epi32(cols as i32), lane)
         }
-        let mut buf = [0.0f32; 16];
-        _mm512_storeu_ps(buf.as_mut_ptr(), acc);
-        finish_dot(&buf, x, y, chunks * 16, len)
-    }
 
-    #[target_feature(enable = "avx512f")]
-    pub(super) unsafe fn dot_avx512(x: &[Scalar], y: &[Scalar]) -> Scalar {
-        dot_avx512_raw(x.as_ptr(), y.as_ptr(), x.len())
-    }
-
-    #[target_feature(enable = "avx512f")]
-    pub(super) unsafe fn axpy_avx512(alpha: Scalar, x: &[Scalar], y: &mut [Scalar]) {
-        let len = x.len();
-        let xp = x.as_ptr();
-        let yp = y.as_mut_ptr();
-        let av = _mm512_set1_ps(alpha);
-        let wide = (len / 32) * 32;
-        let mut i = 0;
-        while i < wide {
-            let y0 = _mm512_add_ps(
-                _mm512_loadu_ps(yp.add(i)),
-                _mm512_mul_ps(av, _mm512_loadu_ps(xp.add(i))),
-            );
-            let y1 = _mm512_add_ps(
-                _mm512_loadu_ps(yp.add(i + 16)),
-                _mm512_mul_ps(av, _mm512_loadu_ps(xp.add(i + 16))),
-            );
-            _mm512_storeu_ps(yp.add(i), y0);
-            _mm512_storeu_ps(yp.add(i + 16), y1);
-            i += 32;
+        #[inline]
+        #[target_feature(enable = "avx2")]
+        unsafe fn load_head(p: *const f32, cols: usize) -> __m256 {
+            _mm256_maskload_ps(p, head(cols))
         }
-        while i < len {
-            *yp.add(i) += alpha * *xp.add(i);
-            i += 1;
-        }
-    }
 
-    #[target_feature(enable = "avx512f")]
-    pub(super) unsafe fn gemm_nt_avx512(
-        a: &[Scalar],
-        b: &[Scalar],
-        out: &mut [Scalar],
-        m: usize,
-        n: usize,
-        k: usize,
-    ) {
-        let chunks = k / 16;
-        for ib in (0..m).step_by(GEMM_TILE) {
-            let ie = (ib + GEMM_TILE).min(m);
-            for jb in (0..n).step_by(GEMM_TILE) {
-                let je = (jb + GEMM_TILE).min(n);
-                for i in ib..ie {
-                    let ar = a.as_ptr().add(i * k);
-                    let orow = out.as_mut_ptr().add(i * n);
-                    let mut j = jb;
-                    // Four outputs at a time: one zmm accumulator each
-                    // (lane = canonical chain), shared `a` row loads.
-                    while j + 4 <= je {
-                        let b0 = b.as_ptr().add(j * k);
-                        let b1 = b.as_ptr().add((j + 1) * k);
-                        let b2 = b.as_ptr().add((j + 2) * k);
-                        let b3 = b.as_ptr().add((j + 3) * k);
-                        let mut p0 = _mm512_setzero_ps();
-                        let mut p1 = _mm512_setzero_ps();
-                        let mut p2 = _mm512_setzero_ps();
-                        let mut p3 = _mm512_setzero_ps();
-                        for c in 0..chunks {
-                            let i0 = c * 16;
-                            let xv = _mm512_loadu_ps(ar.add(i0));
-                            p0 = _mm512_add_ps(p0, _mm512_mul_ps(xv, _mm512_loadu_ps(b0.add(i0))));
-                            p1 = _mm512_add_ps(p1, _mm512_mul_ps(xv, _mm512_loadu_ps(b1.add(i0))));
-                            p2 = _mm512_add_ps(p2, _mm512_mul_ps(xv, _mm512_loadu_ps(b2.add(i0))));
-                            p3 = _mm512_add_ps(p3, _mm512_mul_ps(xv, _mm512_loadu_ps(b3.add(i0))));
-                        }
-                        let done = chunks * 16;
-                        let mut buf = [0.0f32; 16];
-                        _mm512_storeu_ps(buf.as_mut_ptr(), p0);
-                        *orow.add(j) = finish_dot(&buf, ar, b0, done, k);
-                        _mm512_storeu_ps(buf.as_mut_ptr(), p1);
-                        *orow.add(j + 1) = finish_dot(&buf, ar, b1, done, k);
-                        _mm512_storeu_ps(buf.as_mut_ptr(), p2);
-                        *orow.add(j + 2) = finish_dot(&buf, ar, b2, done, k);
-                        _mm512_storeu_ps(buf.as_mut_ptr(), p3);
-                        *orow.add(j + 3) = finish_dot(&buf, ar, b3, done, k);
-                        j += 4;
+        #[inline]
+        #[target_feature(enable = "avx2")]
+        unsafe fn store_head(p: *mut f32, v: __m256, cols: usize) {
+            _mm256_maskstore_ps(p, head(cols), v)
+        }
+
+        /// `acc + (av·b & mask)`: the skipped case adds `+0.0`, exact for an
+        /// accumulator that started at `+0.0` (see the module docs).
+        #[inline]
+        #[target_feature(enable = "avx2")]
+        unsafe fn add_if(acc: __m256, av: __m256, b: __m256) -> __m256 {
+            let keep = _mm256_cmp_ps::<_CMP_NEQ_UQ>(av, zero());
+            add(acc, _mm256_and_ps(mul(av, b), keep))
+        }
+
+        /// `s` where `!(act <= 0.0)` (NaN included), else `0.0`.
+        #[inline]
+        #[target_feature(enable = "avx2")]
+        unsafe fn gate(s: __m256, act: __m256) -> __m256 {
+            _mm256_and_ps(s, _mm256_cmp_ps::<_CMP_NLE_UQ>(act, zero()))
+        }
+
+        tier_kernels!("avx2");
+
+        /// As the AVX-512 packer, in 8×8 blocks: each fills eight rows of
+        /// one half of a 16-column panel.
+        #[target_feature(enable = "avx2")]
+        pub(in super::super) unsafe fn pack_nt(
+            b: &[f32],
+            n: usize,
+            k: usize,
+            packed: &mut [PanelRow],
+        ) {
+            let kpad = k.next_multiple_of(PANEL);
+            for j0 in (0..n.next_multiple_of(PANEL)).step_by(L) {
+                let rows = n.saturating_sub(j0).min(L);
+                let panel =
+                    (packed.as_mut_ptr().add(j0 / PANEL * kpad) as *mut f32).add(j0 % PANEL);
+                for k0 in (0..kpad).step_by(L) {
+                    let in_k = k.saturating_sub(k0).min(L);
+                    let mut v = [zero(); L];
+                    for (l, v) in v.iter_mut().enumerate() {
+                        // Rows past `n` load nothing, from a clamped address.
+                        let row = (j0 + l).min(n - 1) * k;
+                        let cols = if l < rows { in_k } else { 0 };
+                        *v = load_head(b.as_ptr().add(row + k0.min(k)), cols);
                     }
-                    while j < je {
-                        *orow.add(j) = dot_avx512_raw(ar, b.as_ptr().add(j * k), k);
-                        j += 1;
+                    let mut t = [zero(); L];
+                    for i in 0..4 {
+                        t[2 * i] = _mm256_unpacklo_ps(v[2 * i], v[2 * i + 1]);
+                        t[2 * i + 1] = _mm256_unpackhi_ps(v[2 * i], v[2 * i + 1]);
                     }
-                }
-            }
-        }
-    }
-
-    #[target_feature(enable = "avx512f")]
-    pub(super) unsafe fn gemm_tn_avx512(
-        a: &[Scalar],
-        b: &[Scalar],
-        out: &mut [Scalar],
-        r: usize,
-        m: usize,
-        n: usize,
-    ) {
-        let ap = a.as_ptr();
-        let bp = b.as_ptr();
-        for i in 0..m {
-            let orow = out.as_mut_ptr().add(i * n);
-            let mut j = 0;
-            while j + 64 <= n {
-                let mut s0 = _mm512_setzero_ps();
-                let mut s1 = _mm512_setzero_ps();
-                let mut s2 = _mm512_setzero_ps();
-                let mut s3 = _mm512_setzero_ps();
-                for t in 0..r {
-                    let av = *ap.add(t * m + i);
-                    if av != 0.0 {
-                        let avv = _mm512_set1_ps(av);
-                        let bt = bp.add(t * n + j);
-                        s0 = _mm512_add_ps(s0, _mm512_mul_ps(avv, _mm512_loadu_ps(bt)));
-                        s1 = _mm512_add_ps(s1, _mm512_mul_ps(avv, _mm512_loadu_ps(bt.add(16))));
-                        s2 = _mm512_add_ps(s2, _mm512_mul_ps(avv, _mm512_loadu_ps(bt.add(32))));
-                        s3 = _mm512_add_ps(s3, _mm512_mul_ps(avv, _mm512_loadu_ps(bt.add(48))));
+                    let mut u = [zero(); L];
+                    for g in 0..2 {
+                        u[4 * g] = _mm256_shuffle_ps::<0x44>(t[4 * g], t[4 * g + 2]);
+                        u[4 * g + 1] = _mm256_shuffle_ps::<0xEE>(t[4 * g], t[4 * g + 2]);
+                        u[4 * g + 2] = _mm256_shuffle_ps::<0x44>(t[4 * g + 1], t[4 * g + 3]);
+                        u[4 * g + 3] = _mm256_shuffle_ps::<0xEE>(t[4 * g + 1], t[4 * g + 3]);
                     }
-                }
-                _mm512_storeu_ps(orow.add(j), s0);
-                _mm512_storeu_ps(orow.add(j + 16), s1);
-                _mm512_storeu_ps(orow.add(j + 32), s2);
-                _mm512_storeu_ps(orow.add(j + 48), s3);
-                j += 64;
-            }
-            while j + 16 <= n {
-                let mut s = _mm512_setzero_ps();
-                for t in 0..r {
-                    let av = *ap.add(t * m + i);
-                    if av != 0.0 {
-                        s = _mm512_add_ps(
-                            s,
-                            _mm512_mul_ps(_mm512_set1_ps(av), _mm512_loadu_ps(bp.add(t * n + j))),
+                    let dst = panel.add(k0 * PANEL);
+                    for c in 0..4 {
+                        store(
+                            dst.add(c * PANEL),
+                            _mm256_permute2f128_ps::<0x20>(u[c], u[4 + c]),
+                        );
+                        store(
+                            dst.add((4 + c) * PANEL),
+                            _mm256_permute2f128_ps::<0x31>(u[c], u[4 + c]),
                         );
                     }
                 }
-                _mm512_storeu_ps(orow.add(j), s);
-                j += 16;
-            }
-            while j < n {
-                let mut s = 0.0f32;
-                for t in 0..r {
-                    let av = *ap.add(t * m + i);
-                    if av != 0.0 {
-                        s += av * *bp.add(t * n + j);
-                    }
-                }
-                *orow.add(j) = s;
-                j += 1;
             }
         }
     }
@@ -938,8 +882,8 @@ mod x86 {
 
 #[cfg(target_arch = "aarch64")]
 mod neon {
-    //! NEON kernels — same accumulator-chain layout as the SSE2 tier
-    //! (4 × 128-bit), so the canonical order carries over unchanged.
+    //! NEON kernels — four 128-bit vectors hold the 16 accumulator chains,
+    //! so the canonical order carries over unchanged.
     #![allow(unsafe_op_in_unsafe_fn)]
 
     use core::arch::aarch64::*;
@@ -1129,18 +1073,117 @@ mod tests {
             .collect()
     }
 
-    fn other_tiers() -> Vec<SimdTier> {
-        supported_tiers()
-            .into_iter()
-            .filter(|&t| t != SimdTier::Scalar)
-            .collect()
+    /// `lcg_vec` with a third of the entries replaced by what else a skip
+    /// operand can hold: mostly the two zeros (skipped), some subnormals,
+    /// and NaN and ±inf (not skipped) rarely enough that most outputs stay
+    /// finite — an all-NaN result would compare equal to anything.
+    fn hostile_vec(len: usize, seed: u64) -> Vec<f32> {
+        let pick = lcg_vec(len, seed ^ 0xabcd);
+        let mut v = lcg_vec(len, seed);
+        for (x, p) in v.iter_mut().zip(pick) {
+            *x = match (p * 50.0 + 50.0) as u32 {
+                0..=14 => 0.0,
+                15..=24 => -0.0,
+                25..=27 => 1e-40,
+                28..=29 => -3e-42,
+                30 => f32::NAN,
+                31 => f32::INFINITY,
+                32 => f32::NEG_INFINITY,
+                _ => *x,
+            };
+        }
+        v
     }
 
-    fn dot_with(tier: SimdTier, x: &[f32], y: &[f32]) -> f32 {
-        let prev = set_tier(tier);
-        let d = dot(x, y);
-        set_tier(prev);
-        d
+    /// The other operand of a skip kernel: finite but for a few ±inf, so a
+    /// term that must be skipped (`0·inf`) would poison its output if not.
+    fn mostly_finite_vec(len: usize, seed: u64) -> Vec<f32> {
+        let mut v = lcg_vec(len, seed);
+        for x in v.iter_mut().filter(|x| x.abs() < 0.02) {
+            *x = f32::INFINITY.copysign(*x);
+        }
+        v
+    }
+
+    /// Runs `kernel` under every supported tier and demands the reference's
+    /// bits from each. NaN payloads are outside the contract (LLVM may
+    /// commute the scalar operands), so two NaNs match.
+    fn assert_every_tier(what: &str, want: &[f32], mut kernel: impl FnMut(&mut [f32])) {
+        for tier in supported_tiers() {
+            let mut got = vec![f32::from_bits(0x7fc0_dead); want.len()];
+            let prev = set_tier(tier);
+            kernel(&mut got);
+            set_tier(prev);
+            for (idx, (g, w)) in got.iter().zip(want).enumerate() {
+                assert!(
+                    g.to_bits() == w.to_bits() || (g.is_nan() && w.is_nan()),
+                    "{what} tier={} idx={idx}: {g:e} vs reference {w:e}",
+                    tier.name()
+                );
+            }
+        }
+    }
+
+    /// `gemm_nt` plus epilogue, straight from its definition: one canonical
+    /// scalar dot per output, then bias, then ReLU.
+    fn gemm_nt_reference(
+        a: &[f32],
+        b: &[f32],
+        bias: Option<&[f32]>,
+        relu: bool,
+        (m, n, k): Dims,
+    ) -> Vec<f32> {
+        let mut out = vec![0.0f32; m * n];
+        for (idx, o) in out.iter_mut().enumerate() {
+            let (i, j) = (idx / n, idx % n);
+            let mut x = scalar::dot(&a[i * k..(i + 1) * k], &b[j * k..(j + 1) * k]);
+            if let Some(bias) = bias {
+                x += bias[j];
+            }
+            *o = if relu && x < 0.0 { 0.0 } else { x };
+        }
+        out
+    }
+
+    fn check_gemm_nt(shape: Dims, seed: u64, hostile: bool) {
+        let (m, n, k) = shape;
+        let fill = if hostile { hostile_vec } else { lcg_vec };
+        let a = fill(m * k, seed);
+        let b = lcg_vec(n * k, seed ^ 0x77);
+        let bias = fill(n, seed ^ 0x99);
+        let want = gemm_nt_reference(&a, &b, None, false, shape);
+        assert_every_tier(&format!("gemm_nt {shape:?}"), &want, |out| {
+            gemm_nt(&a, &b, out, m, n, k)
+        });
+        for relu in [false, true] {
+            let want = gemm_nt_reference(&a, &b, Some(&bias), relu, shape);
+            assert_every_tier(
+                &format!("gemm_nt+bias {shape:?} relu={relu}"),
+                &want,
+                |out| {
+                    let mut packed = vec![PanelRow([f32::NAN; PANEL]); packed_len(n, k)];
+                    pack_nt(&b, n, k, &mut packed);
+                    gemm_nt_packed(&a, &packed, Some(&bias), relu, out, shape);
+                },
+            );
+        }
+    }
+
+    /// `gemm_tn` (`r×m`ᵀ · `r×n`) and `backward_delta` (`m×r` · `r×n`, gated)
+    /// on one set of operands, the skip operand hostile.
+    fn check_skip_kernels((r, m, n): Dims, seed: u64) {
+        let a = hostile_vec(r * m, seed);
+        let b = mostly_finite_vec(r * n, seed ^ 0x55aa);
+        let act = hostile_vec(m * n, seed ^ 0x1234);
+        let mut want = vec![0.0f32; m * n];
+        scalar::gemm_tn(&a, &b, &mut want, (r, m, n));
+        assert_every_tier(&format!("gemm_tn ({r},{m},{n})"), &want, |out| {
+            gemm_tn(&a, &b, out, r, m, n)
+        });
+        scalar::backward_delta(&a, &b, &act, &mut want, (m, r, n));
+        assert_every_tier(&format!("backward_delta ({m},{r},{n})"), &want, |out| {
+            backward_delta(&a, &b, &act, out, (m, r, n))
+        });
     }
 
     #[test]
@@ -1167,16 +1210,8 @@ mod tests {
         for len in [0usize, 1, 5, 15, 16, 17, 31, 32, 100, 255, 256, 1000] {
             let x = lcg_vec(len, 17 + len as u64);
             let y = lcg_vec(len, 91 + len as u64);
-            let want = scalar::dot(&x, &y);
-            for tier in other_tiers() {
-                let got = dot_with(tier, &x, &y);
-                assert_eq!(
-                    got.to_bits(),
-                    want.to_bits(),
-                    "dot len={len} tier={} : {got} vs scalar {want}",
-                    tier.name()
-                );
-            }
+            let want = [scalar::dot(&x, &y)];
+            assert_every_tier(&format!("dot len={len}"), &want, |out| out[0] = dot(&x, &y));
         }
     }
 
@@ -1188,142 +1223,102 @@ mod tests {
             let base = lcg_vec(len, 7 + len as u64);
             let mut want = base.clone();
             scalar::axpy(0.37, &x, &mut want);
-            for tier in other_tiers() {
-                let mut got = base.clone();
-                let prev = set_tier(tier);
-                axpy(0.37, &x, &mut got);
-                set_tier(prev);
-                let same = got
-                    .iter()
-                    .zip(&want)
-                    .all(|(g, w)| g.to_bits() == w.to_bits());
-                assert!(same, "axpy len={len} tier={}", tier.name());
-            }
+            assert_every_tier(&format!("axpy len={len}"), &want, |out| {
+                out.copy_from_slice(&base);
+                axpy(0.37, &x, out);
+            });
         }
     }
 
     #[test]
-    fn gemm_nt_bitwise_identical_across_tiers() {
+    fn pack_nt_places_every_element_and_zero_pads() {
         let _g = tier_lock();
-        for (m, n, k) in [
+        for (n, k) in [(1, 1), (10, 64), (16, 16), (35, 40), (37, 70), (70, 10)] {
+            let b = lcg_vec(n * k, 29);
+            let pack = |pack_nt: fn(&[f32], usize, usize, &mut [PanelRow])| {
+                let mut image = vec![PanelRow([f32::NAN; PANEL]); packed_len(n, k)];
+                pack_nt(&b, n, k, &mut image);
+                image.iter().flat_map(|row| row.0).collect::<Vec<f32>>()
+            };
+            let want = pack(scalar::pack_nt);
+            let kpad = k.next_multiple_of(PANEL);
+            for (j, row) in b.chunks_exact(k).enumerate() {
+                for (kk, &v) in row.iter().enumerate() {
+                    assert_eq!(want[(j / PANEL * kpad + kk) * PANEL + j % PANEL], v);
+                }
+            }
+            assert_eq!(want.iter().filter(|v| **v != 0.0).count(), n * k);
+            assert_every_tier(&format!("pack_nt ({n},{k})"), &want, |out| {
+                out.copy_from_slice(&pack(pack_nt))
+            });
+        }
+    }
+
+    #[test]
+    fn gemm_kernels_bitwise_identical_across_tiers_on_edge_shapes() {
+        let _g = tier_lock();
+        for shape in [
             (1, 1, 1),
             (3, 5, 7),
             (8, 33, 17),
             (33, 31, 40),
             (40, 34, 129),
         ] {
-            let a = lcg_vec(m * k, 11);
-            let b = lcg_vec(n * k, 13);
-            let mut want = vec![0.0f32; m * n];
-            scalar::gemm_nt(&a, &b, &mut want, m, n, k);
-            for tier in other_tiers() {
-                let mut got = vec![0.0f32; m * n];
-                let prev = set_tier(tier);
-                gemm_nt(&a, &b, &mut got, m, n, k);
-                set_tier(prev);
-                for (idx, (g, w)) in got.iter().zip(&want).enumerate() {
-                    assert_eq!(
-                        g.to_bits(),
-                        w.to_bits(),
-                        "gemm_nt ({m},{n},{k}) tier={} idx={idx}",
-                        tier.name()
-                    );
-                }
+            check_gemm_nt(shape, 11, false);
+            check_skip_kernels(shape, 19);
+        }
+        // The models' own layers, full batch and epoch remainder.
+        for batch in [32, 4] {
+            for (o, i) in [(128, 64), (64, 128), (10, 64), (48, 40), (35, 48)] {
+                check_gemm_nt((batch, o, i), 5, false);
+                check_skip_kernels((batch, o, i), 7);
+                check_skip_kernels((o, batch, i), 9);
             }
         }
     }
 
-    #[test]
-    fn gemm_tn_bitwise_identical_across_tiers() {
-        let _g = tier_lock();
-        for (r, m, n) in [
-            (1, 1, 1),
-            (7, 5, 3),
-            (32, 10, 64),
-            (40, 33, 31),
-            (129, 34, 65),
-        ] {
-            let a = lcg_vec(r * m, 19);
-            let b = lcg_vec(r * n, 23);
-            let mut want = vec![0.0f32; m * n];
-            scalar::gemm_tn(&a, &b, &mut want, r, m, n);
-            for tier in other_tiers() {
-                let mut got = vec![0.0f32; m * n];
-                let prev = set_tier(tier);
-                gemm_tn(&a, &b, &mut got, r, m, n);
-                set_tier(prev);
-                for (idx, (g, w)) in got.iter().zip(&want).enumerate() {
-                    assert_eq!(
-                        g.to_bits(),
-                        w.to_bits(),
-                        "gemm_tn ({r},{m},{n}) tier={} idx={idx}",
-                        tier.name()
-                    );
-                }
-            }
-        }
-    }
+    /// Row counts and ragged widths the kernels' blockings must survive.
+    const ROWS: [usize; 5] = [1, 4, 19, 32, 33];
+    const WIDTHS: [usize; 5] = [10, 35, 37, 40, 70];
 
     proptest! {
-        /// Satellite: the ReLU zero-skip must survive vectorization —
-        /// sparse-delta inputs (many exact zeros, like backprop deltas
-        /// after ReLU masking) produce bit-identical `gemm_tn` results at
-        /// every tier.
+        /// The masked skip is the branch: hostile skip operands (±0.0, NaN,
+        /// ±inf, subnormals) through `gemm_tn` and `backward_delta` give the
+        /// scalar reference's bits at every tier.
         #[test]
-        fn prop_gemm_tn_sparse_delta_bitwise(
-            seed in 0u64..1000,
-            r in 1usize..24,
-            m in 1usize..12,
-            n in 1usize..80,
-            density in 0.0f64..1.0,
+        fn prop_skip_kernels_bitwise(
+            seed in 0u64..1000, r in 0usize..5, m in 0usize..5, n in 0usize..5,
         ) {
             let _g = tier_lock();
-            let mut a = lcg_vec(r * m, seed);
-            // Zero out entries like a ReLU mask would.
-            let gate = lcg_vec(r * m, seed ^ 0xabcd);
-            for (av, g) in a.iter_mut().zip(&gate) {
-                if f64::from(*g) * 0.5 + 0.5 > density {
-                    *av = 0.0;
-                }
-            }
-            let b = lcg_vec(r * n, seed ^ 0x55aa);
-            let mut want = vec![0.0f32; m * n];
-            scalar::gemm_tn(&a, &b, &mut want, r, m, n);
-            for tier in other_tiers() {
-                let mut got = vec![0.0f32; m * n];
-                let prev = set_tier(tier);
-                gemm_tn(&a, &b, &mut got, r, m, n);
-                set_tier(prev);
-                for (g, w) in got.iter().zip(&want) {
-                    prop_assert_eq!(g.to_bits(), w.to_bits(),
-                        "tier={} r={} m={} n={}", tier.name(), r, m, n);
-                }
-            }
+            check_skip_kernels((ROWS[r], WIDTHS[m], WIDTHS[n]), seed);
+            check_skip_kernels((WIDTHS[m], ROWS[r], WIDTHS[n]), seed);
         }
 
-        /// Sparse inputs through `gemm_nt` as well: zero-heavy rows must
-        /// not perturb the canonical dot order.
+        /// The same at arbitrary small shapes, every blocking remainder.
         #[test]
-        fn prop_gemm_nt_bitwise(
-            seed in 0u64..1000,
-            m in 1usize..10,
-            n in 1usize..10,
-            k in 1usize..96,
+        fn prop_skip_kernels_small_shapes_bitwise(
+            seed in 0u64..1000, r in 1usize..24, m in 1usize..12, n in 1usize..80,
         ) {
             let _g = tier_lock();
-            let a = lcg_vec(m * k, seed);
-            let b = lcg_vec(n * k, seed ^ 0x77);
-            let mut want = vec![0.0f32; m * n];
-            scalar::gemm_nt(&a, &b, &mut want, m, n, k);
-            for tier in other_tiers() {
-                let mut got = vec![0.0f32; m * n];
-                let prev = set_tier(tier);
-                gemm_nt(&a, &b, &mut got, m, n, k);
-                set_tier(prev);
-                for (g, w) in got.iter().zip(&want) {
-                    prop_assert_eq!(g.to_bits(), w.to_bits(), "tier={}", tier.name());
-                }
-            }
+            check_skip_kernels((r, m, n), seed);
+        }
+
+        /// Lanes-as-outputs `gemm_nt`, with and without the epilogue, equals
+        /// one canonical scalar dot per element at every tier.
+        #[test]
+        fn prop_gemm_nt_bitwise(
+            seed in 0u64..1000, m in 0usize..5, n in 0usize..5, k in 0usize..5, hostile in 0u8..2,
+        ) {
+            let _g = tier_lock();
+            check_gemm_nt((ROWS[m], WIDTHS[n], WIDTHS[k]), seed, hostile == 1);
+        }
+
+        #[test]
+        fn prop_gemm_nt_small_shapes_bitwise(
+            seed in 0u64..1000, m in 1usize..10, n in 1usize..40, k in 1usize..96,
+        ) {
+            let _g = tier_lock();
+            check_gemm_nt((m, n, k), seed, false);
         }
     }
 }
