@@ -4,8 +4,9 @@
 //! recovery adds O(dropped × survivors × d) on the server.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use gfl_bench::random_vectors;
-use gfl_secagg::{ExactSecAgg, SecAggSession};
+use gfl_bench::{fused_secagg_round, random_vectors, unit_survivors};
+use gfl_secagg::{ExactSecAgg, RangeScratch, SecAggSession};
+use rand::RngCore;
 use std::hint::black_box;
 
 fn bench_secagg(c: &mut Criterion) {
@@ -37,6 +38,30 @@ fn bench_secagg(c: &mut Criterion) {
             b.iter(|| black_box(session.unmask_sum(&survivors, &masked_surv)));
         });
     }
+    group.finish();
+
+    // One `secure-covg` session: the vision model, a group of ten. The
+    // keystream fill is the ceiling of a mask expansion; `full_round` is
+    // the protocol party by party, `fused_round` what the engine runs.
+    let (dim, g) = (17_226, 10);
+    let mut group = c.benchmark_group("secagg_vision_round");
+    group.sample_size(10);
+    let mut bytes = vec![0u8; 4 * dim];
+    group.throughput(Throughput::Bytes(bytes.len() as u64));
+    group.bench_function("pair_mask_fill", |b| {
+        b.iter(|| gfl_tensor::init::rng(7).fill_bytes(black_box(&mut bytes)));
+    });
+    let updates = random_vectors(g, dim, 3);
+    let session = SecAggSession::new((0..g as u32).collect(), dim, 7);
+    group.throughput(Throughput::Elements(g as u64));
+    group.bench_function("full_round", |b| {
+        b.iter(|| black_box(session.aggregate(&updates)));
+    });
+    let survivors = unit_survivors(&updates);
+    let (mut out, mut scratch) = (vec![0.0; dim], RangeScratch::default());
+    group.bench_function("fused_round", |b| {
+        b.iter(|| fused_secagg_round(&session, &survivors, black_box(&mut out), &mut scratch));
+    });
     group.finish();
 
     // The bit-exact fixed-point ring variant, for the float-vs-ring

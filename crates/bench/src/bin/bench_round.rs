@@ -24,7 +24,9 @@ use gfl_core::prelude::{FaultPlan, FaultPolicy};
 use gfl_core::sampling::SamplingStrategy;
 use gfl_core::semi_async::AsyncConfig;
 use gfl_data::{ClientPartition, PartitionSpec, SyntheticSpec};
+use gfl_secagg::{RangeScratch, SecAggSession};
 use gfl_sim::Topology;
+use rand::RngCore;
 
 /// Counts every allocation and reallocation on top of the system allocator.
 struct CountingAlloc;
@@ -183,6 +185,49 @@ fn gemm_gflops_per_tier() -> (Vec<serde_json::Value>, Option<f64>) {
     (rows, ratio)
 }
 
+/// Secure aggregation at the `secure-covg` shape (vision model, a group of
+/// ten, nobody dropped), single-threaded: the keystream fill of one mask
+/// against a plain copy of as many bytes, and one round party by party
+/// (`aggregate`) against the fused chunked pass the engine runs.
+fn secagg_section() -> serde_json::Value {
+    let (dim, g) = (gfl_nn::zoo::vision_model().param_len(), 10u32);
+    let mut bytes = vec![0u8; 4 * dim];
+    let fill_s = seconds_per_call(|| gfl_tensor::init::rng(7).fill_bytes(&mut bytes));
+    let source = bytes.clone();
+    let copy_s = seconds_per_call(|| {
+        bytes.copy_from_slice(std::hint::black_box(&source));
+        std::hint::black_box(&mut bytes);
+    });
+    let gbs = |s: f64| bytes.len() as f64 / s / 1e9;
+
+    let updates: Vec<Vec<f32>> = (0..g).map(|c| filled(dim, 31 + u64::from(c))).collect();
+    let session = SecAggSession::new((0..g).collect(), dim, 7);
+    let party_s = seconds_per_call(|| {
+        std::hint::black_box(session.aggregate(&updates));
+    });
+    let survivors = gfl_bench::unit_survivors(&updates);
+    let (mut out, mut scratch) = (vec![0.0; dim], RangeScratch::default());
+    let fused_s = seconds_per_call(|| {
+        gfl_bench::fused_secagg_round(&session, &survivors, &mut out, &mut scratch);
+        std::hint::black_box(&out);
+    });
+    assert_eq!(out, session.aggregate(&updates).0, "fused round diverged");
+    eprintln!(
+        "secagg d={dim} g={g}: mask fill {:.2} GB/s (copy {:.1} GB/s)  round {:.2} ms by party, {:.2} ms fused",
+        gbs(fill_s),
+        gbs(copy_s),
+        party_s * 1e3,
+        fused_s * 1e3
+    );
+    serde_json::json!({
+        "workload": "vision model, group of 10, no dropouts, single thread (docs/PERF.md, Secure aggregation)",
+        "mask_fill_gbs": gbs(fill_s),
+        "stream_copy_gbs": gbs(copy_s),
+        "round_by_party_ms": party_s * 1e3,
+        "round_fused_ms": fused_s * 1e3,
+    })
+}
+
 /// Runs the same workload through the event-driven scheduler under a
 /// straggler plan (a quarter of the fleet slowed 8×) and returns the
 /// final emulated clock — wait-for-all vs quorum-or-deadline
@@ -299,6 +344,8 @@ fn main() {
     // SIMD microkernel throughput, per dispatch tier, single-threaded.
     let (simd_tiers, simd_speedup) = gemm_gflops_per_tier();
 
+    let secagg = secagg_section();
+
     // Honest scaling summary: the 8-vs-1 speedup is only reported when the
     // 8-thread row was measured with 8 real cores behind it.
     let speedup_8_vs_1 = (cores >= 8).then(|| per_rounds[0] / per_rounds[3]);
@@ -330,6 +377,7 @@ fn main() {
             "tiers": simd_tiers,
             "speedup_vs_scalar": simd_speedup,
         }),
+        "secagg": secagg,
         "emulated_clock": serde_json::json!({
             "plan": "straggler_fraction 0.25, straggler_factor 8.0, jitter 0.25 (docs/ASYNC.md)",
             "sync_clock_s_per_round": clock_sync / rounds as f64,

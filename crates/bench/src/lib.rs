@@ -47,3 +47,30 @@ pub fn random_vectors(n: usize, dim: usize, seed: u64) -> Vec<Vec<f32>> {
         .map(|_| (0..dim).map(|_| rng.gen_range(-1.0..1.0)).collect())
         .collect()
 }
+
+/// Everybody survives, at weight one: `updates[i]` belongs to member `i`.
+pub fn unit_survivors(updates: &[Vec<f32>]) -> Vec<gfl_secagg::Survivor<'_>> {
+    let ids = 0..updates.len() as u32;
+    ids.zip(updates)
+        .map(|(id, update)| gfl_secagg::Survivor {
+            id,
+            weight: 1.0,
+            update,
+        })
+        .collect()
+}
+
+/// One secure-aggregation round the way the engine runs it — the fused
+/// range kernel over chunks of 1 024 coordinates, the engine's chunk
+/// length — on the calling thread.
+pub fn fused_secagg_round(
+    session: &gfl_secagg::SecAggSession,
+    survivors: &[gfl_secagg::Survivor<'_>],
+    out: &mut [f32],
+    scratch: &mut gfl_secagg::RangeScratch,
+) {
+    const CHUNK: usize = 1024;
+    for (i, chunk) in out.chunks_mut(CHUNK).enumerate() {
+        session.aggregate_range(i * CHUNK, survivors, chunk, scratch);
+    }
+}

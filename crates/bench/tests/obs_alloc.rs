@@ -41,7 +41,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-fn tiny_world() -> (Trainer, Vec<Vec<usize>>) {
+fn tiny_world(secure_aggregation: bool) -> (Trainer, Vec<Vec<usize>>) {
     let data = SyntheticSpec::tiny().generate(600, 5);
     let (train, test) = data.split_holdout(5);
     let partition = ClientPartition::dirichlet(&train, &PartitionSpec::tiny(0.5, 5));
@@ -57,6 +57,7 @@ fn tiny_world() -> (Trainer, Vec<Vec<usize>>) {
     );
     let mut config = GroupFelConfig::tiny();
     config.seed = 5;
+    config.secure_aggregation = secure_aggregation;
     (
         Trainer::new(config, gfl_nn::zoo::tiny(4, 3), train, partition, test),
         groups,
@@ -87,13 +88,16 @@ const ROUND_ALLOC_BUDGET: u64 = 64;
 #[test]
 fn steady_state_rounds_fit_the_alloc_budget() {
     gfl_parallel::set_default_parallelism(1);
-    warm_rounds_fit_the_budget();
+    warm_rounds_fit_the_budget(false);
+    // Secure group aggregation works in pooled per-worker rows: a session
+    // costs its roster, survivor and chunk lists, nothing of model size.
+    warm_rounds_fit_the_budget(true);
     disabled_tracing_adds_no_allocations_to_the_hot_loop();
     gfl_parallel::set_default_parallelism(0);
 }
 
-fn warm_rounds_fit_the_budget() {
-    let (trainer, groups) = tiny_world();
+fn warm_rounds_fit_the_budget(secure_aggregation: bool) {
+    let (trainer, groups) = tiny_world(secure_aggregation);
     let probs = vec![1.0 / groups.len() as f32; groups.len()];
     let mut params = trainer.model().init_params(&mut gfl_tensor::init::rng(5));
     let mut ledger = trainer.ledger_for(&FedAvg);
@@ -127,15 +131,15 @@ fn warm_rounds_fit_the_budget() {
     let per_round = allocs / MEASURED;
     assert!(
         per_round <= ROUND_ALLOC_BUDGET,
-        "steady-state rounds allocate too much: {per_round} allocs/round \
-         ({allocs} over {MEASURED} rounds), budget {ROUND_ALLOC_BUDGET}"
+        "steady-state rounds (secure: {secure_aggregation}) allocate too much: \
+         {per_round} allocs/round ({allocs} over {MEASURED} rounds), budget {ROUND_ALLOC_BUDGET}"
     );
 }
 
 /// Single-threaded (set by the caller) so the worker pool does not allocate
 /// on its own schedule mid-measurement.
 fn disabled_tracing_adds_no_allocations_to_the_hot_loop() {
-    let (trainer, groups) = tiny_world();
+    let (trainer, groups) = tiny_world(false);
 
     // Warm-up populates lazily-initialized caches (datasets paged, scratch
     // pools sized); afterwards the untraced loop is in steady state.
@@ -154,7 +158,7 @@ fn disabled_tracing_adds_no_allocations_to_the_hot_loop() {
     // With a collector attached the run allocates extra (span records, the
     // JSONL buffers are out of scope here) — but the overhead must stay
     // small relative to the workload itself.
-    let (t2, groups2) = tiny_world();
+    let (t2, groups2) = tiny_world(false);
     let obs = gfl_obs::TraceCollector::new();
     let traced_trainer = t2.with_observer(std::sync::Arc::clone(&obs));
     traced_trainer.run(&groups2, &FedAvg, SamplingStrategy::ESRCov);

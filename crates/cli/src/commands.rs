@@ -1651,6 +1651,42 @@ mod tests {
     }
 
     #[test]
+    fn secure_metrics_expose_the_protocols_counts_at_any_thread_count() {
+        let args = "--clients 12 --edges 2 --samples 900 --rounds 2 --k 2 --e 1 \
+             --sample 2 --min-gs 4 --alpha 0.5 --seed 3 --eval-every 1 \
+             --dropout 0.3 --metrics";
+        let secagg_rows = |out: &str| -> Vec<String> {
+            let rows = out.lines().filter(|l| l.starts_with("secagg."));
+            rows.map(String::from).collect()
+        };
+        let (r, plain) = run_cmd(simulate, args);
+        r.unwrap();
+        assert_eq!(secagg_rows(&plain), Vec::<String>::new(), "{plain}");
+        let (r1, out1) = run_cmd(simulate, &format!("{args} --secure --threads 1"));
+        r1.unwrap();
+        let (r2, out2) = run_cmd(simulate, &format!("{args} --secure --threads 2"));
+        r2.unwrap();
+        gfl_parallel::set_default_parallelism(0);
+        let rows = secagg_rows(&out1);
+        assert_eq!(
+            rows,
+            secagg_rows(&out2),
+            "counts moved with the thread count"
+        );
+        let value = |name: &str| -> u64 {
+            let row = rows.iter().find(|r| r.starts_with(name));
+            let row = row.unwrap_or_else(|| panic!("no {name} row in {out1}"));
+            row.split_whitespace().last().unwrap().parse().unwrap()
+        };
+        // At most one session per (round, sampled group, group round); a
+        // session of g ≥ 4 members with s ≥ 1 survivors expands
+        // s(g−1) + (g−s)s ≥ g−1 masks between its parties.
+        let sessions = value("secagg.sessions");
+        assert!((1..=2 * 2 * 2).contains(&sessions), "{out1}");
+        assert!(value("secagg.pair_masks") >= 3 * sessions, "{out1}");
+    }
+
+    #[test]
     fn simulate_zero_rounds_is_a_typed_error_not_a_panic() {
         let (r, _) = run_cmd(
             simulate,

@@ -157,7 +157,9 @@ pub struct Trainer {
     pub(crate) churn: Option<ChurnState>,
     pub(crate) adversary: Option<AdversaryState>,
     robust_agg: RobustAggRule,
-    scratch: ScratchPool,
+    scratch: ScratchPool<LocalScratch>,
+    /// Working rows of the secure group aggregation, one per worker.
+    secagg_scratch: ScratchPool<gfl_secagg::RangeScratch>,
     /// Parameter-length `Vec<Scalar>` buffers (group models, slot bufs,
     /// Line-15 weight/probability scratch), recycled across rounds.
     param_pool: BufPool<Scalar>,
@@ -327,6 +329,10 @@ pub(crate) struct GroupOutcome {
     pub(crate) attacks: Vec<AttackEvent>,
     /// Measured defense-filter work across the group's `K` group rounds.
     pub(crate) defense: DefenseCost,
+    /// Secure-aggregation sessions the group ran (one per group round with
+    /// a survivor) and the pairwise masks their parties expanded.
+    pub(crate) secagg_sessions: u64,
+    pub(crate) secagg_pair_masks: u64,
 }
 
 /// Precomputed time-domain straggler cuts for one group's `K` group
@@ -383,6 +389,8 @@ struct GroupCtx<'g> {
     events: Vec<FaultEvent>,
     attacks: Vec<AttackEvent>,
     defense: DefenseCost,
+    secagg_sessions: u64,
+    secagg_pair_masks: u64,
     n_g: usize,
 }
 
@@ -500,6 +508,7 @@ impl Trainer {
             adversary: None,
             robust_agg: RobustAggRule::Mean,
             scratch: ScratchPool::new(),
+            secagg_scratch: ScratchPool::new(),
             param_pool: BufPool::new(),
             member_pool: BufPool::new(),
             shard_pool: BufPool::new(),
@@ -1253,6 +1262,7 @@ impl Trainer {
                     m.counter("defense.similarity_evals").add(defense_sims);
                     m.counter("defense.norm_passes").add(defense_norms);
                 }
+                self.record_secagg_metrics(m, &outcomes);
                 let ms = |ns: u64| ns as f64 / 1e6;
                 let buckets = &gfl_obs::metrics::PHASE_MS_BUCKETS;
                 m.histogram("round.train_ms", buckets).observe(ms(train_ns));
@@ -1576,6 +1586,8 @@ impl Trainer {
                 events: Vec::new(),
                 attacks: Vec::new(),
                 defense: DefenseCost::default(),
+                secagg_sessions: 0,
+                secagg_pair_masks: 0,
                 n_g: self.group_samples(group).max(1),
             })
             .collect();
@@ -1612,7 +1624,7 @@ impl Trainer {
             }
             gfl_parallel::par_for_each_init(
                 &mut units,
-                || self.scratch.acquire(&self.model),
+                || self.scratch.acquire(|| LocalScratch::new(&self.model)),
                 |scratch, _i, unit| {
                     // Client-step spans are timed around the unit from the
                     // worker thread; the mutex push happens after the unit's
@@ -1668,21 +1680,16 @@ impl Trainer {
                     continue; // every client dropped: group model unchanged
                 }
                 if cfg.secure_aggregation {
-                    let weights: Vec<Scalar> = ctx
-                        .group
-                        .iter()
-                        .zip(ctx.slots.iter())
-                        .filter(|(_, s)| s.live)
-                        .map(|(&c, _)| self.data.client_size(c) as Scalar / n_surv as Scalar)
-                        .collect();
-                    self.secure_group_aggregate(
+                    let cost = self.secure_group_aggregate(
                         ctx.group,
                         &ctx.slots,
-                        &weights,
+                        n_surv,
                         &mut ctx.group_params,
                         t,
                         k,
                     );
+                    ctx.secagg_pair_masks += cost.prg_expansions;
+                    ctx.secagg_sessions += 1;
                 } else if !matches!(
                     self.robust_agg,
                     RobustAggRule::Mean | RobustAggRule::FlameFilter
@@ -1745,6 +1752,8 @@ impl Trainer {
                     events: ctx.events,
                     attacks: ctx.attacks,
                     defense: ctx.defense,
+                    secagg_sessions: ctx.secagg_sessions,
+                    secagg_pair_masks: ctx.secagg_pair_masks,
                 }
             })
             .collect()
@@ -2066,40 +2075,68 @@ impl Trainer {
         }
     }
 
+    /// Secure runs (and only they) report what the protocol's parties did:
+    /// sessions run, and pairwise masks expanded — `s(g−1)` by `s`
+    /// survivors of `g` members plus `(g−s)s` recovered by the server. The
+    /// simulator itself expands each pair once; the counters are the
+    /// protocol's, exact and independent of the thread count.
+    pub(crate) fn record_secagg_metrics(
+        &self,
+        m: &gfl_obs::MetricsRegistry,
+        outcomes: &[GroupOutcome],
+    ) {
+        if self.config.secure_aggregation {
+            m.counter("secagg.sessions")
+                .add(outcomes.iter().map(|o| o.secagg_sessions).sum());
+            m.counter("secagg.pair_masks")
+                .add(outcomes.iter().map(|o| o.secagg_pair_masks).sum());
+        }
+    }
+
     /// Group aggregation through the real pairwise-masking protocol:
-    /// every surviving client masks its *weighted* model, the server
-    /// unmasks the survivor sum — including mask recovery for clients that
-    /// dropped mid-round (`weights` aligns with the surviving members in
-    /// group order).
+    /// every surviving client masks its *weighted* model (weight `n_i` over
+    /// `n_surv`, the survivors' samples), the server unmasks the survivor
+    /// sum — including mask recovery for clients that dropped mid-round.
+    /// Runs as one fused pass per chunk of coordinates, chunks in parallel:
+    /// no step of the protocol combines two coordinates, so the result is
+    /// the same bits at any chunking and thread count. Returns what the
+    /// protocol's parties would have counted.
     fn secure_group_aggregate(
         &self,
         group: &[usize],
         slots: &[Slot],
-        weights: &[Scalar],
+        n_surv: usize,
         out: &mut Params,
         t: usize,
         k: usize,
-    ) {
-        let dim = out.len();
+    ) -> gfl_secagg::SecAggCost {
+        /// Coordinates per fused pass: a whole number of keystream blocks
+        /// at every lane width, and a working set (a row per survivor plus
+        /// the masks) that stays in L1/L2.
+        const CHUNK: usize = 1024;
         let members: Vec<u32> = group.iter().map(|&c| c as u32).collect();
         let session_seed =
             self.config.seed.wrapping_mul(0xA24B_AED4_963E_E407) ^ ((t as u64) << 20) ^ k as u64;
-        let session = gfl_secagg::SecAggSession::new(members, dim, session_seed);
-        let mut survivors = Vec::with_capacity(group.len());
-        let mut masked = Vec::with_capacity(group.len());
-        let mut w_iter = weights.iter();
-        for (&c, slot) in group.iter().zip(slots.iter()) {
-            if !slot.live {
-                continue;
-            }
-            let w = *w_iter.next().expect("one weight per survivor");
-            let mut scaled = slot.buf.clone();
-            ops::scale(w, &mut scaled);
-            masked.push(session.mask(c as u32, &scaled).0);
-            survivors.push(c as u32);
-        }
-        let (sum, _) = session.unmask_sum(&survivors, &masked);
-        out.copy_from_slice(&sum);
+        let session = gfl_secagg::SecAggSession::new(members, out.len(), session_seed);
+        let survivors: Vec<gfl_secagg::Survivor<'_>> = group
+            .iter()
+            .zip(slots.iter())
+            .filter(|(_, slot)| slot.live)
+            .map(|(&c, slot)| gfl_secagg::Survivor {
+                id: c as u32,
+                weight: self.data.client_size(c) as Scalar / n_surv as Scalar,
+                update: &slot.buf,
+            })
+            .collect();
+        let mut chunks: Vec<&mut [Scalar]> = out.chunks_mut(CHUNK).collect();
+        gfl_parallel::par_for_each_init(
+            &mut chunks,
+            || self.secagg_scratch.acquire(Default::default),
+            |scratch, i, chunk| {
+                session.aggregate_range(i * CHUNK, &survivors, chunk, scratch.get_mut());
+            },
+        );
+        session.round_cost(survivors.len())
     }
 }
 

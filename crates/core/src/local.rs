@@ -65,31 +65,33 @@ impl LocalScratch {
     }
 }
 
-/// A shared pool of [`LocalScratch`] buffers.
+/// A shared pool of per-worker scratch values ([`LocalScratch`] for
+/// training, the secure-aggregation working rows).
 ///
 /// Worker threads check a scratch out at the start of a parallel region and
 /// return it on drop, so a long run allocates at most one scratch per worker
 /// thread — not one per group per round. The pool lives on the `Trainer` and
 /// is warm across rounds.
-pub(crate) struct ScratchPool {
-    pool: std::sync::Mutex<Vec<LocalScratch>>,
+pub(crate) struct ScratchPool<T> {
+    pool: std::sync::Mutex<Vec<T>>,
 }
 
-impl ScratchPool {
+impl<T> ScratchPool<T> {
     pub(crate) fn new() -> Self {
         Self {
             pool: std::sync::Mutex::new(Vec::new()),
         }
     }
 
-    /// Checks out a scratch (allocating one only when the pool is dry).
-    pub(crate) fn acquire(&self, model: &Network) -> ScratchGuard<'_> {
+    /// Checks out a scratch (building one with `make` only when the pool is
+    /// dry).
+    pub(crate) fn acquire(&self, make: impl FnOnce() -> T) -> ScratchGuard<'_, T> {
         let scratch = self
             .pool
             .lock()
             .expect("scratch pool poisoned")
             .pop()
-            .unwrap_or_else(|| LocalScratch::new(model));
+            .unwrap_or_else(make);
         ScratchGuard {
             pool: self,
             scratch: Some(scratch),
@@ -97,19 +99,19 @@ impl ScratchPool {
     }
 }
 
-/// RAII check-out of one [`LocalScratch`]; returns it to the pool on drop.
-pub(crate) struct ScratchGuard<'a> {
-    pool: &'a ScratchPool,
-    scratch: Option<LocalScratch>,
+/// RAII check-out of one scratch; returns it to the pool on drop.
+pub(crate) struct ScratchGuard<'a, T> {
+    pool: &'a ScratchPool<T>,
+    scratch: Option<T>,
 }
 
-impl ScratchGuard<'_> {
-    pub(crate) fn get_mut(&mut self) -> &mut LocalScratch {
+impl<T> ScratchGuard<'_, T> {
+    pub(crate) fn get_mut(&mut self) -> &mut T {
         self.scratch.as_mut().expect("scratch taken")
     }
 }
 
-impl Drop for ScratchGuard<'_> {
+impl<T> Drop for ScratchGuard<'_, T> {
     fn drop(&mut self) {
         if let (Some(s), Ok(mut pool)) = (self.scratch.take(), self.pool.pool.lock()) {
             pool.push(s);

@@ -1028,6 +1028,7 @@ impl Trainer {
             m.counter("async.busy_skips").add(busy_skipped as u64);
             m.counter("async.stale.admitted").add(stale_admitted as u64);
             m.counter("async.stale.dropped").add(stale_dropped as u64);
+            self.record_secagg_metrics(m, &outcomes);
         }
 
         over_budget

@@ -315,3 +315,57 @@ fn faulted_checkpoint_resume_is_bit_identical() {
     assert_eq!(p_resumed, p_straight, "resumed model diverged");
     assert_eq!(hist3, hist, "resumed trajectory or fault log diverged");
 }
+
+#[test]
+fn hostile_checkpoint_bytes_are_typed_errors_never_panics() {
+    // The checkpoint of a secure, faulted run — fault log, dropouts and all
+    // — cut at every byte and corrupted at every byte: a torn or tampered
+    // file must come back as a `CheckpointError` (or, where the damage
+    // leaves well-formed JSON of the right shape, as a checkpoint), never
+    // as a panic.
+    let (cfg, model, part, topo, groups, train, test) = world(23);
+    let mut cfg = cfg;
+    cfg.secure_aggregation = true;
+    cfg.dropout_prob = 0.2;
+    let t = Trainer::new(cfg.clone(), model, train, part, test).with_faults(
+        FaultPlan::moderate(21),
+        FaultPolicy::default(),
+        &topo,
+    );
+    let (hist, params) = t.run_returning_params(&groups, &FedAvg, SamplingStrategy::Random);
+    assert!(!hist.fault_events().is_empty(), "need a fault log to tear");
+    let json = Checkpoint::new(params, cfg.global_rounds, hist, cfg, 1.0).to_json();
+    let json = json.trim_end();
+    Checkpoint::from_json(json).expect("the intact checkpoint loads");
+
+    for cut in (0..json.len()).filter(|&i| json.is_char_boundary(i)) {
+        let torn = Checkpoint::from_json(&json[..cut]);
+        assert!(torn.is_err(), "prefix of {cut} bytes loaded");
+    }
+
+    let path = std::env::temp_dir().join(format!("gfl_hostile_cp_{}.json", std::process::id()));
+    let mut bytes = json.as_bytes().to_vec();
+    for at in 0..bytes.len() {
+        let intact = bytes[at];
+        // A raw control byte is legal nowhere in JSON; the rest may or may
+        // not leave a loadable document, and must not panic either way.
+        for hostile in [0x00, b'"', b'\\', b'}', b'[', b',', b'e', b'-', b'9'] {
+            bytes[at] = hostile;
+            if let Ok(text) = std::str::from_utf8(&bytes) {
+                let loaded = Checkpoint::from_json(text);
+                assert!(
+                    hostile != 0x00 || loaded.is_err(),
+                    "NUL at byte {at} loaded"
+                );
+            }
+        }
+        // Invalid UTF-8 can only arrive through the file.
+        if at % 16 == 0 {
+            bytes[at] = 0xFF;
+            std::fs::write(&path, &bytes).unwrap();
+            assert!(Checkpoint::load(&path).is_err(), "0xFF at byte {at} loaded");
+        }
+        bytes[at] = intact;
+    }
+    std::fs::remove_file(&path).ok();
+}

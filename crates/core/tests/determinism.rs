@@ -408,3 +408,36 @@ fn secure_aggregation_run_is_bit_identical_across_thread_counts() {
         t.run_returning_params(&groups, &FedAvg, SamplingStrategy::Random)
     });
 }
+
+#[test]
+fn chunked_secure_aggregation_with_dropouts_is_bit_identical_across_thread_counts() {
+    // The tiny model is one chunk of the fused secure aggregation and never
+    // enters its parallel region. This one is three — two whole and a
+    // ragged one that ends inside a keystream block — and members drop, so
+    // mask recovery crosses chunks and workers as well.
+    let (cfg, _tiny, part, topo, _pairs, train, test) = world(35);
+    let groups = form_groups_per_edge(
+        &CovGrouping {
+            min_group_size: 5,
+            max_cov: 1.0,
+        },
+        &topo,
+        &part.label_matrix,
+        cfg.seed,
+    );
+    let model: gfl_nn::Network = gfl_nn::Mlp::new(vec![4, 64, 32, 3]).into();
+    assert!(model.param_len() > 2 * 1024 && !model.param_len().is_multiple_of(16));
+    let mut cfg = cfg;
+    cfg.secure_aggregation = true;
+    cfg.dropout_prob = 0.3;
+    assert_bit_identical(|| {
+        let t = Trainer::new(
+            cfg.clone(),
+            model.clone(),
+            train.clone(),
+            part.clone(),
+            test.clone(),
+        );
+        t.run_returning_params(&groups, &FedAvg, SamplingStrategy::Random)
+    });
+}
