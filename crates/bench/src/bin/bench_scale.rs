@@ -4,6 +4,13 @@
 //! `gfl-trace regress --max-formation-seconds` can *gate* the sub-second
 //! formation claim instead of asserting it in prose (docs/SCALE.md).
 //!
+//! One tick says little about a run: tick 1 has no heal due and a fresh
+//! partition, and extrapolating it over a horizon was off by 30× (see
+//! benchmark/README.md). So the section also carries `membership`: the
+//! whole 16-round horizon of the benchmark's `scale-churn` shape (90 000
+//! clients, moderate churn, default healing policy) — total tick time,
+//! the slowest heal, and the event count.
+//!
 //! Unlike `bench_round` (which owns the file and overwrites it), this
 //! binary read-modify-writes: every section `bench_round` produced is
 //! preserved, only `scale` is replaced. Run order in CI is therefore
@@ -49,8 +56,8 @@ fn main() {
     // 10⁶ clients a round sees ~2 000 departures and ~1 000 greedy
     // arrival placements, plus heal's full degradation sweep. A zero
     // cooldown lets heal repair immediately. This exercises the
-    // incremental GroupStats path (and the per-edge candidate index)
-    // end to end.
+    // membership index (per-edge candidate lists, the lane-per-group
+    // placement scan) end to end.
     let plan = ChurnPlan {
         seed: seed ^ 0x5CA1E,
         horizon: 50,
@@ -100,6 +107,7 @@ fn main() {
         "formation_seconds_1m": formation_s,
         "regroup_seconds_1m": regroup_s,
         "regroup_events": churn_events.len() + heal_events.len(),
+        "membership": membership_horizon(seed),
         "note": "formation_seconds_1m and regroup_seconds_1m are gated sub-second by `gfl-trace regress --max-formation-seconds` in CI's scale-smoke job",
     });
 
@@ -123,4 +131,76 @@ fn main() {
         groups.len(),
         churn_events.len() + heal_events.len()
     );
+}
+
+/// Every membership tick of the benchmark's `scale-churn` workload: forms
+/// the partition as the self-healing run does, then applies each round's
+/// churn, heal and probability refresh, timing the three apart.
+fn membership_horizon(seed: u64) -> serde_json::Value {
+    const CLIENTS: usize = 90_000;
+    const ROUNDS: usize = 16;
+    let pop = VirtualPopulation::new(VirtualSpec::paper_vision(CLIENTS, 0.1, seed));
+    let sizes: Vec<usize> = (0..pop.num_clients()).map(|c| pop.client_size(c)).collect();
+    let topo = Topology::even_split(8, sizes);
+    let labels = pop.label_matrix();
+    let algo = StreamGrouping { group_size: 8 };
+    let sampling = SamplingStrategy::Random;
+    let plan = ChurnPlan {
+        horizon: ROUNDS,
+        ..ChurnPlan::moderate(seed)
+    };
+
+    let t0 = Instant::now();
+    let mut membership = MembershipState::form(
+        &algo,
+        &topo,
+        labels,
+        Some(&plan),
+        RegroupPolicy::default(),
+        seed,
+        sampling,
+        0,
+    )
+    .expect("initial membership partition");
+    let form_s = t0.elapsed().as_secs_f64();
+    let groups_formed = membership.groups().len();
+
+    let (mut churn_s, mut heal_s, mut heal_max_s, mut refresh_s) = (0.0, 0.0, 0.0f64, 0.0);
+    let mut events = 0;
+    for t in 0..ROUNDS {
+        let t0 = Instant::now();
+        events += membership.apply_churn(&plan, t, labels, &topo).len();
+        churn_s += t0.elapsed().as_secs_f64();
+        let t0 = Instant::now();
+        events += membership
+            .heal(t, labels, &algo, &topo, seed, sampling)
+            .expect("heal pass")
+            .len();
+        let s = t0.elapsed().as_secs_f64();
+        heal_s += s;
+        heal_max_s = heal_max_s.max(s);
+        let t0 = Instant::now();
+        membership.refresh_probs(labels, sampling);
+        refresh_s += t0.elapsed().as_secs_f64();
+    }
+    let ticks_s = churn_s + heal_s + refresh_s;
+    println!(
+        "membership: {CLIENTS} clients × {ROUNDS} ticks — form {form_s:.3}s, ticks \
+         {ticks_s:.3}s (churn {churn_s:.3}s, heal {heal_s:.3}s, slowest heal \
+         {heal_max_s:.3}s), {events} events"
+    );
+    serde_json::json!({
+        "workload": "the benchmark's scale-churn shape: 8 edges, stream grouping (group_size 8), ChurnPlan::moderate over the horizon, RegroupPolicy::default, random sampling",
+        "clients": CLIENTS,
+        "rounds": ROUNDS,
+        "groups_formed": groups_formed,
+        "groups_final": membership.groups().len(),
+        "form_seconds": form_s,
+        "ticks_seconds_total": ticks_s,
+        "apply_churn_seconds_total": churn_s,
+        "heal_seconds_total": heal_s,
+        "heal_seconds_max": heal_max_s,
+        "refresh_probs_seconds_total": refresh_s,
+        "events": events,
+    })
 }

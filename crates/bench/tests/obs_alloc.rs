@@ -6,7 +6,9 @@
 //! global allocator: warm steady-state rounds with tracing disabled must
 //! allocate *exactly* the same number of times run over run (any hidden
 //! per-round growth or disabled-path bookkeeping would break equality),
-//! and the traced run's extra allocations must stay bounded.
+//! and the traced run's extra allocations must stay bounded. The same
+//! counter bounds a membership tick: its allocations follow its events,
+//! not the population.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -93,7 +95,78 @@ fn steady_state_rounds_fit_the_alloc_budget() {
     // costs its roster, survivor and chunk lists, nothing of model size.
     warm_rounds_fit_the_budget(true);
     disabled_tracing_adds_no_allocations_to_the_hot_loop();
+    steady_state_churn_ticks_fit_the_alloc_budget();
     gfl_parallel::set_default_parallelism(0);
+}
+
+/// Allocation budget of one membership tick, beyond its events.
+///
+/// A tick over an indexed state owes the heap its event list, the fresh
+/// probability vector, and — when groups dissolve — the marks, orphans and
+/// the partition check; nothing per client, per group or per label. (Before
+/// the index, a tick allocated a histogram per group and a filtered copy of
+/// every group: thousands.) Member lists grow by amortized doubling, which
+/// the per-event allowance covers.
+const TICK_ALLOC_BUDGET: u64 = 16;
+const ALLOCS_PER_EVENT: u64 = 1;
+
+fn steady_state_churn_ticks_fit_the_alloc_budget() {
+    use gfl_core::membership::{MembershipState, RegroupPolicy};
+    use gfl_faults::ChurnPlan;
+
+    let data = SyntheticSpec::tiny().generate(4_000, 5);
+    let partition = ClientPartition::dirichlet(
+        &data,
+        &PartitionSpec {
+            num_clients: 400,
+            alpha: 0.5,
+            min_size: 5,
+            max_size: 15,
+            seed: 5,
+        },
+    );
+    let topology = Topology::even_split(4, partition.sizes());
+    let labels = &partition.label_matrix;
+    let algo = gfl_core::grouping::StreamGrouping { group_size: 4 };
+    let sampling = SamplingStrategy::ESRCov;
+    let plan = ChurnPlan {
+        horizon: 12,
+        ..ChurnPlan::moderate(5)
+    };
+    let mut state = MembershipState::form(
+        &algo,
+        &topology,
+        labels,
+        Some(&plan),
+        RegroupPolicy::default(),
+        5,
+        sampling,
+        0,
+    )
+    .unwrap();
+    // The first ticks size the event list's and the member lists' capacity.
+    for t in 0..2 {
+        state
+            .tick(Some(&plan), t, labels, &topology, &algo, 5, sampling)
+            .unwrap();
+    }
+    let (mut ticks, mut events) = (0u64, 0u64);
+    let allocs = allocs_of(|| {
+        for t in 2..12 {
+            let ev = state
+                .tick(Some(&plan), t, labels, &topology, &algo, 5, sampling)
+                .unwrap();
+            ticks += 1;
+            events += ev.len() as u64;
+        }
+    });
+    assert!(events > 20, "the ticks must churn: {events} events");
+    let budget = ticks * TICK_ALLOC_BUDGET + events * ALLOCS_PER_EVENT;
+    assert!(
+        allocs <= budget,
+        "churn ticks allocate too much: {allocs} allocs over {ticks} ticks and \
+         {events} events, budget {budget}"
+    );
 }
 
 fn warm_rounds_fit_the_budget(secure_aggregation: bool) {

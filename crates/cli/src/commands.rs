@@ -455,7 +455,7 @@ pub fn simulate(argv: &[String], out: &mut dyn Write) -> CmdResult {
         writeln!(
             out,
             "final partition: {} groups over {} active clients",
-            m.groups.len(),
+            m.groups().len(),
             m.active_members()
         )?;
         let transitions = history.regroup_events();

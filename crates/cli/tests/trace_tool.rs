@@ -225,3 +225,75 @@ fn regress_with_no_overlap_is_an_error() {
     assert_eq!(code, 2, "{out}");
     assert!(out.contains("no comparable entries"), "{out}");
 }
+
+#[test]
+fn hostile_trace_bytes_are_typed_errors_never_panics() {
+    // The streamed trace of a churned run — regroup spans and all — cut at
+    // every byte and corrupted at every byte. `TraceReader` must answer
+    // with a trace or a `TraceError`, and `gfl-trace regress`, handed the
+    // wreck in place of a bench snapshot, with its usage-error exit; a
+    // panic in either fails the test.
+    let path = tmp("hostile.jsonl");
+    // One round of one sampled group keeps the file near 2 kB: the loops
+    // below parse it some thirty thousand times.
+    gfl(&format!(
+        "simulate --clients 8 --edges 2 --samples 900 --rounds 1 --k 1 --e 1 --sample 1 \
+         --min-gs 2 --alpha 0.5 --seed 3 --churn moderate --trace-out {}",
+        path.display()
+    ));
+    let text = std::fs::read_to_string(&path).unwrap();
+    let intact = gfl_obs::TraceReader::read(&path).expect("the intact trace loads");
+    assert!(
+        intact
+            .spans
+            .iter()
+            .any(|s| s.kind == gfl_obs::SpanKind::Regroup),
+        "need regroup spans to tear"
+    );
+
+    let regress_rejects = |bytes: &[u8], what: &str| {
+        std::fs::write(&path, bytes).unwrap();
+        let (code, out) = gfl_trace(&format!("regress {0} {0}", path.display()));
+        assert_eq!(code, 2, "regress accepted {what}:\n{out}");
+        assert!(out.contains("error:"), "{what}:\n{out}");
+    };
+
+    for cut in (0..text.len()).filter(|&i| text.is_char_boundary(i)) {
+        let torn = &text[..cut];
+        let loaded = gfl_obs::TraceReader::parse(torn);
+        // A cut on a record boundary (either side of its newline) leaves a
+        // shorter, well-formed trace; anywhere else the last record is torn.
+        let whole_records = cut > 0 && (torn.ends_with('\n') || text[cut..].starts_with('\n'));
+        assert_eq!(loaded.is_ok(), whole_records, "prefix of {cut} bytes");
+        regress_rejects(torn.as_bytes(), &format!("a prefix of {cut} bytes"));
+    }
+
+    let mut bytes = text.clone().into_bytes();
+    for at in 0..bytes.len() {
+        let intact = bytes[at];
+        // A raw control byte is legal nowhere in a JSON line; the rest may
+        // or may not leave a loadable trace, and must not panic either way.
+        for hostile in [0x00, b'"', b'\\', b'}', b',', b'e'] {
+            bytes[at] = hostile;
+            if let Ok(text) = std::str::from_utf8(&bytes) {
+                let loaded = gfl_obs::TraceReader::parse(text);
+                assert!(
+                    hostile != 0x00 || loaded.is_err(),
+                    "NUL at byte {at} loaded"
+                );
+            }
+        }
+        // Invalid UTF-8 can only arrive through the file, and the file is
+        // also what `regress` reads.
+        bytes[at] = 0xFF;
+        std::fs::write(&path, &bytes).unwrap();
+        assert!(
+            gfl_obs::TraceReader::read(&path).is_err(),
+            "0xFF at byte {at} loaded"
+        );
+        bytes[at] = b'9';
+        regress_rejects(&bytes, &format!("a '9' at byte {at}"));
+        bytes[at] = intact;
+    }
+    std::fs::remove_file(&path).ok();
+}

@@ -39,7 +39,7 @@ use crate::cov::group_cov;
 use crate::grouping::{GroupingAlgorithm, PartitionError};
 use crate::history::{AsrRecord, RoundRecord, RunHistory};
 use crate::local::{BufPool, LocalScratch, LocalTask, LocalUpdate, ScratchPool};
-use crate::membership::{MembershipState, RegroupPolicy};
+use crate::membership::{available_members, MembershipState, RegroupPolicy};
 use crate::sampling::{
     aggregation_weights_into, sample_without_replacement, AggregationWeighting, SamplingStrategy,
 };
@@ -883,7 +883,9 @@ impl Trainer {
         history.reserve_rounds(rounds.div_ceil(self.config.eval_every) + 1);
         for t in start_round..start_round + rounds {
             let last = t + 1 == start_round + rounds;
-            let report = self.round_once(t, groups, strategy, probs, params, ledger, history, last);
+            let report = self.round_once(
+                t, groups, None, strategy, probs, params, ledger, history, last,
+            );
             if report.over_budget {
                 break;
             }
@@ -894,12 +896,14 @@ impl Trainer {
     /// sampled groups, degrade gracefully, aggregate, charge costs, and
     /// evaluate on the cadence. Shared by the static partition loop
     /// ([`Trainer::run_resumable`]) and the self-healing loop, which
-    /// passes the *effective* (churn-filtered) groups of the round.
+    /// passes its churn plan: the sampled groups then train the members
+    /// available this round.
     #[allow(clippy::too_many_arguments)]
     fn round_once<S: LocalUpdate>(
         &self,
         t: usize,
         groups: &[Group],
+        churn: Option<&ChurnPlan>,
         strategy: &S,
         probs: &[Scalar],
         params: &mut Params,
@@ -931,17 +935,21 @@ impl Trainer {
             let sampled = sample_without_replacement(&mut rng, probs, s);
 
             // Edge outages: a dark edge server takes all of its sampled
-            // groups offline for this round. Empty groups (possible
-            // transiently under churn, before the next heal pass) sit out.
+            // groups offline for this round. Flapping clients sit the round
+            // out without leaving their group, and a group with nobody
+            // available (or nobody left, transiently under churn, before
+            // the next heal pass) sits out whole.
             let mut round_events: Vec<FaultEvent> = Vec::new();
             let mut quorum_missed: Vec<usize> = Vec::new();
-            let active: Vec<usize> = sampled
+            let members = available_members(churn, t, groups, &sampled);
+            let group_refs: Vec<(usize, &[usize])> = sampled
                 .iter()
-                .copied()
-                .filter(|&gi| !groups[gi].is_empty())
-                .filter(|&gi| match &self.faults {
+                .zip(&members)
+                .map(|(&gi, members)| (gi, &**members))
+                .filter(|(_, members)| !members.is_empty())
+                .filter(|&(gi, members)| match &self.faults {
                     Some(fs) => {
-                        let edge = fs.edge_of_client[groups[gi][0]];
+                        let edge = fs.edge_of_client[members[0]];
                         let down = fs.injector.edge_down(edge, t);
                         if down {
                             round_events.push(FaultEvent::EdgeOutage {
@@ -958,10 +966,6 @@ impl Trainer {
 
             // Lines 7–14: every (group × client) pair of this round trains
             // on one shared work-stealing queue, client-granular.
-            let group_refs: Vec<(usize, &[usize])> = active
-                .iter()
-                .map(|&gi| (gi, groups[gi].as_slice()))
-                .collect();
             let outcomes = self.train_groups(params, &group_refs, strategy, t, lr);
 
             let train_end = obs.map(|o| {
@@ -1366,18 +1370,8 @@ impl Trainer {
         history.reserve_rounds(rounds.div_ceil(self.config.eval_every) + 1);
         for t in start_round..start_round + rounds {
             let regroup_start = obs.map(|ob| ob.now_ns());
-            let mut events = Vec::new();
-            if let Some(plan) = plan {
-                events.extend(membership.apply_churn(plan, t, labels, topology));
-            }
-            events.extend(membership.heal(
-                t,
-                labels,
-                algo,
-                topology,
-                self.config.seed,
-                sampling,
-            )?);
+            let events =
+                membership.tick(plan, t, labels, topology, algo, self.config.seed, sampling)?;
             if let Some(ob) = obs {
                 ob.record_span(
                     SpanKind::Regroup,
@@ -1389,25 +1383,7 @@ impl Trainer {
                     .add(events.len() as u64);
             }
             history.record_regroups(events);
-            // CoVs shift with membership, so a healing policy refreshes
-            // sampling probabilities every round; a frozen policy keeps
-            // the formation-time values.
-            if membership.policy.enabled {
-                membership.refresh_probs(labels, sampling);
-            }
-            // Flapping clients sit out the round without leaving their
-            // group; the round trains each group's available members.
-            let effective: Vec<Group> = membership
-                .groups
-                .iter()
-                .map(|g| {
-                    g.iter()
-                        .copied()
-                        .filter(|&c| plan.is_none_or(|p| p.available(c, t)))
-                        .collect()
-                })
-                .collect();
-            if effective.iter().all(|g: &Group| g.is_empty()) {
+            if !membership.anyone_available(plan, t) {
                 // Nobody is reachable: hold the round outright.
                 let held_start = obs.map(|ob| ob.now_ns());
                 history.record_fault(FaultEvent::RoundHeld { round: t });
@@ -1446,10 +1422,17 @@ impl Trainer {
                 }
                 continue;
             }
-            let probs = membership.probs.clone();
             let last = t + 1 == start_round + rounds;
             let report = self.round_once(
-                t, &effective, strategy, &probs, params, ledger, history, last,
+                t,
+                membership.groups(),
+                plan,
+                strategy,
+                &membership.probs,
+                params,
+                ledger,
+                history,
+                last,
             );
             membership.observe_round(&report.sampled, &report.quorum_missed);
             if report.over_budget {
@@ -2397,7 +2380,7 @@ mod tests {
         let (h_heal, p_heal, membership) = trainer
             .run_self_healing(&algo, &topo, &FedAvg, SamplingStrategy::ESRCov)
             .unwrap();
-        assert_eq!(membership.groups, groups);
+        assert_eq!(membership.groups(), groups);
         assert_eq!(p_static, p_heal);
         assert_eq!(h_static, h_heal);
         assert!(h_heal.regroup_events().is_empty());

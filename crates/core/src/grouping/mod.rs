@@ -104,8 +104,8 @@ pub fn validate_partition(groups: &[Group], n: usize) -> Result<(), PartitionErr
 /// [`validate_partition`] restricted to a subset of clients: `members`
 /// lists the ids that must be covered exactly once (the self-healing
 /// path validates per-edge partitions of the currently-active clients).
-pub fn validate_partition_of(
-    groups: &[Group],
+pub fn validate_partition_of<'a>(
+    groups: impl IntoIterator<Item = &'a Group>,
     members: &[usize],
     n: usize,
 ) -> Result<(), PartitionError> {
@@ -117,7 +117,7 @@ pub fn validate_partition_of(
         expected[c] = true;
     }
     let mut seen = vec![false; n];
-    for (gi, g) in groups.iter().enumerate() {
+    for (gi, g) in groups.into_iter().enumerate() {
         if g.is_empty() {
             return Err(PartitionError::EmptyGroup { group: gi });
         }

@@ -28,6 +28,34 @@
 //! and re-formation derives its RNG from `(seed, round, edge)`. The whole
 //! [`MembershipState`] serializes through checkpoints, so a churned,
 //! faulted, healed run resumes bit-identically.
+//!
+//! # What a tick costs
+//!
+//! A tick ([`MembershipState::tick`]) pays for what changed, not for what
+//! exists. Beside the partition the state keeps a private, derived index
+//! (`index.rs`): client→group and client→edge maps, per-edge ascending
+//! lists of non-empty groups, every group's running label histogram in
+//! one label-major structure of arrays, its total, and its cached CoV —
+//! plus the churn plan's per-client arrival and departure rounds, hashed
+//! once. A departure, arrival or migration updates it in O(labels); a
+//! dissolve compacts it in O(groups · labels + clients); only formation,
+//! a full re-formation and the first pass after deserialization build it,
+//! in O(clients · labels). Per tick that leaves one pass over two `u32`
+//! arrays to find who moved, one pass over the cached CoVs to find who
+//! degraded, and — the bulk — one scan of the edge's candidate groups per
+//! arrival or orphan, run a block of groups at a time with one lane per
+//! group.
+//!
+//! The index changes no result: counts are exact integers (held as `f64`
+//! under the 2⁵² bound `index.rs` states and asserts), every CoV is
+//! computed by `cov::histogram_cov`'s or `cov::cov_with_candidate`'s
+//! operations in their order, and candidates are visited in the order a
+//! full sweep would visit them. It is never serialized and never
+//! compared: the wire format is the six fields the state has always had.
+//! Nothing outside this module can edit the partition, so nothing can
+//! leave the index stale.
+
+use std::borrow::Cow;
 
 use gfl_data::LabelMatrix;
 use gfl_faults::ChurnPlan;
@@ -35,10 +63,16 @@ use gfl_sim::Topology;
 use gfl_tensor::{init, Scalar};
 use serde::{Deserialize, Serialize};
 
-use crate::cov::{cov_with_candidate, group_cov};
-use crate::grouping::{validate_partition_of, GroupStats, GroupingAlgorithm, PartitionError};
+use crate::cov::group_cov;
+use crate::grouping::{validate_partition_of, GroupingAlgorithm, PartitionError};
 use crate::sampling::SamplingStrategy;
 use crate::Group;
+
+mod index;
+#[cfg(test)]
+mod proptests;
+
+use index::{retain_unmarked, Index, PlanMemo};
 
 /// When and how the engine heals a degraded partition.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -286,15 +320,17 @@ impl GroupHealth {
 
 /// The live membership of a self-healing run: the current partition, who
 /// is an active member, per-group health, and the sampling probabilities
-/// in force. Serialized whole through checkpoints.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// in force. Serialized whole through checkpoints — as its first six
+/// fields, in this order; the index and the plan memo are derived, never
+/// written and never compared.
+#[derive(Debug, Clone)]
 pub struct MembershipState {
     /// Current partition (global client ids). Index-stable between heals.
-    pub groups: Vec<Group>,
+    groups: Vec<Group>,
     /// `active[c]` ⇔ client `c` is currently a member of some group.
-    pub active: Vec<bool>,
+    active: Vec<bool>,
     /// Health records, index-aligned with `groups`.
-    pub health: Vec<GroupHealth>,
+    health: Vec<GroupHealth>,
     /// Sampling probabilities in force, index-aligned with `groups`.
     /// Refreshed on every structural change when the policy is enabled;
     /// frozen at formation otherwise.
@@ -303,17 +339,56 @@ pub struct MembershipState {
     pub last_heal: usize,
     /// The healing policy this state was formed under.
     pub policy: RegroupPolicy,
+    /// Derived from `groups` (see [`index`]). `None` only in a state fresh
+    /// from deserialization, which has neither labels nor topology; the
+    /// first churn or heal pass builds it.
+    index: Option<Index>,
+    /// Arrival and departure rounds of the plan last ticked with.
+    memo: Option<PlanMemo>,
 }
 
-/// Maps every client to its edge server.
-pub fn edge_map(topology: &Topology) -> Vec<usize> {
-    let mut edge_of = vec![0usize; topology.num_clients()];
-    for j in 0..topology.num_edges() {
-        for &c in topology.clients_of(j) {
-            edge_of[c] = j;
-        }
+impl PartialEq for MembershipState {
+    fn eq(&self, other: &Self) -> bool {
+        self.groups == other.groups
+            && self.active == other.active
+            && self.health == other.health
+            && self.probs == other.probs
+            && self.last_heal == other.last_heal
+            && self.policy == other.policy
     }
-    edge_of
+}
+
+/// The derived layout of the six serialized fields, written by hand
+/// because the vendored derive has no `skip` and the index and memo must
+/// stay off the wire.
+impl Serialize for MembershipState {
+    fn to_value(&self) -> serde::Value {
+        serde::Value::Object(vec![
+            ("groups".to_string(), self.groups.to_value()),
+            ("active".to_string(), self.active.to_value()),
+            ("health".to_string(), self.health.to_value()),
+            ("probs".to_string(), self.probs.to_value()),
+            ("last_heal".to_string(), self.last_heal.to_value()),
+            ("policy".to_string(), self.policy.to_value()),
+        ])
+    }
+}
+
+impl Deserialize for MembershipState {
+    fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
+        use serde::__private::{expect_object, field};
+        let obj = expect_object(v, "MembershipState")?;
+        Ok(Self {
+            groups: field(obj, "groups")?,
+            active: field(obj, "active")?,
+            health: field(obj, "health")?,
+            probs: field(obj, "probs")?,
+            last_heal: field(obj, "last_heal")?,
+            policy: field(obj, "policy")?,
+            index: None,
+            memo: None,
+        })
+    }
 }
 
 /// Runs the grouping algorithm per edge over the `active` clients only,
@@ -347,6 +422,30 @@ pub fn form_groups_active(
     groups
 }
 
+/// The members of each sampled group that can take part in round `t`, in
+/// `sampled`'s order: flapping clients sit a round out without leaving
+/// their group. Only the groups the sampler drew are filtered — a round
+/// trains a handful of the partition's thousands — and without a plan
+/// nothing is copied at all.
+pub(crate) fn available_members<'a>(
+    plan: Option<&ChurnPlan>,
+    t: usize,
+    groups: &'a [Group],
+    sampled: &[usize],
+) -> Vec<Cow<'a, [usize]>> {
+    sampled
+        .iter()
+        .map(|&gi| match plan {
+            None => Cow::Borrowed(groups[gi].as_slice()),
+            Some(p) => groups[gi]
+                .iter()
+                .copied()
+                .filter(|&c| p.available(c, t))
+                .collect(),
+        })
+        .collect()
+}
+
 impl MembershipState {
     /// Forms the initial partition over the clients present at
     /// `start_round` and computes its health baselines and sampling
@@ -363,37 +462,98 @@ impl MembershipState {
         start_round: usize,
     ) -> Result<Self, PartitionError> {
         let n = topology.num_clients();
+        let memo = plan.map(|p| PlanMemo::new(p, n));
         let active: Vec<bool> = (0..n)
-            .map(|c| plan.is_none_or(|p| p.present(c, start_round)))
+            .map(|c| memo.as_ref().is_none_or(|m| m.present(c, start_round)))
             .collect();
         let groups = form_groups_active(algo, topology, labels, &active, seed, 0);
         let members: Vec<usize> = (0..n).filter(|&c| active[c]).collect();
         validate_partition_of(&groups, &members, n)?;
-        let health = groups
-            .iter()
-            .map(|g| GroupHealth::fresh(group_cov(labels, g)))
-            .collect();
+        let index = Index::build(&groups, labels, topology);
         let mut state = Self {
+            health: fresh_health(&index),
             groups,
             active,
-            health,
             probs: Vec::new(),
             last_heal: start_round,
             policy,
+            index: Some(index),
+            memo,
         };
         state.refresh_probs(labels, sampling);
         Ok(state)
     }
 
-    /// Recomputes sampling probabilities from the current groups' CoVs.
+    /// Current partition (global client ids). Index-stable between heals.
+    pub fn groups(&self) -> &[Group] {
+        &self.groups
+    }
+
+    /// Health records, index-aligned with [`Self::groups`].
+    pub fn health(&self) -> &[GroupHealth] {
+        &self.health
+    }
+
+    /// Recomputes sampling probabilities from the current groups' CoVs —
+    /// the cached ones; `labels` is read only by a state fresh from a
+    /// checkpoint, which has no index yet and no topology to build one from.
     pub fn refresh_probs(&mut self, labels: &LabelMatrix, sampling: SamplingStrategy) {
-        let covs: Vec<Scalar> = self.groups.iter().map(|g| group_cov(labels, g)).collect();
-        self.probs = sampling.probabilities(&covs);
+        self.probs = match &self.index {
+            Some(index) => sampling.probabilities(index.covs()),
+            None => {
+                let covs: Vec<Scalar> = self.groups.iter().map(|g| group_cov(labels, g)).collect();
+                sampling.probabilities(&covs)
+            }
+        };
     }
 
     /// Number of currently active members.
     pub fn active_members(&self) -> usize {
         self.active.iter().filter(|&&a| a).count()
+    }
+
+    /// Whether any member of any group can take part in round `t`.
+    pub(crate) fn anyone_available(&self, plan: Option<&ChurnPlan>, t: usize) -> bool {
+        self.groups
+            .iter()
+            .flatten()
+            .any(|&c| plan.is_none_or(|p| p.available(c, t)))
+    }
+
+    /// One round's membership work, as both run loops do it: the plan's
+    /// departures and arrivals, the health check and repair, and — under a
+    /// healing policy, whose CoVs shift with membership — fresh sampling
+    /// probabilities (a frozen policy keeps its formation-time values).
+    /// Returns the round's transition events.
+    #[allow(clippy::too_many_arguments)]
+    pub fn tick(
+        &mut self,
+        plan: Option<&ChurnPlan>,
+        t: usize,
+        labels: &LabelMatrix,
+        topology: &Topology,
+        algo: &dyn GroupingAlgorithm,
+        seed: u64,
+        sampling: SamplingStrategy,
+    ) -> Result<Vec<RegroupEvent>, PartitionError> {
+        let mut events = match plan {
+            Some(plan) => self.apply_churn(plan, t, labels, topology),
+            None => Vec::new(),
+        };
+        events.extend(self.heal(t, labels, algo, topology, seed, sampling)?);
+        if self.policy.enabled {
+            self.refresh_probs(labels, sampling);
+        }
+        Ok(events)
+    }
+
+    /// Takes the index out of the state (building it if this is the first
+    /// pass since deserialization) so a pass can update it next to
+    /// `groups`; the pass puts it back.
+    fn take_index(&mut self, labels: &LabelMatrix, topology: &Topology) -> Index {
+        self.index
+            .take()
+            .unwrap_or_else(|| Index::build(&self.groups, labels, topology))
     }
 
     /// Applies round-`t` membership deltas from the churn plan: departed
@@ -408,20 +568,19 @@ impl MembershipState {
     ) -> Vec<RegroupEvent> {
         let mut events = Vec::new();
         let n = self.active.len();
+        let mut index = self.take_index(labels, topology);
+        // The memo answers for the plan it was computed from, no other.
+        let memo = self
+            .memo
+            .take()
+            .filter(|memo| memo.is_for(plan, n))
+            .unwrap_or_else(|| PlanMemo::new(plan, n));
         // Departures first, so an arrival can take a departed seat's group.
-        // A one-pass client→group index makes each departure O(|group|)
-        // instead of a scan over every group — the difference between a
-        // round and a coffee break at 10⁶ clients.
-        let mut group_of: Vec<usize> = vec![usize::MAX; n];
-        for (gi, g) in self.groups.iter().enumerate() {
-            for &m in g {
-                group_of[m] = gi;
-            }
-        }
-        for (c, &gi) in group_of.iter().enumerate() {
-            if self.active[c] && !plan.present(c, t) {
-                if gi != usize::MAX {
+        for c in 0..n {
+            if self.active[c] && !memo.present(c, t) {
+                if let Some(gi) = index.group_of(c) {
                     self.groups[gi].retain(|&m| m != c);
+                    index.remove(labels, c, gi, self.groups[gi].is_empty());
                     events.push(RegroupEvent::ClientDeparted {
                         round: t,
                         client: c,
@@ -431,32 +590,17 @@ impl MembershipState {
                 self.active[c] = false;
             }
         }
-        let edge_of = edge_map(topology);
-        // Arrival placement consults running per-group histograms
-        // ([`GroupStats`], exact u64 counts ⇒ bitwise-identical CoVs),
-        // built lazily on the first arrival and updated in O(labels) per
-        // placement.
-        let mut index: Option<(Vec<GroupStats>, Vec<Vec<usize>>)> = None;
         for c in 0..n {
-            if !self.active[c] && plan.present(c, t) {
+            if !self.active[c] && memo.present(c, t) {
                 if self.policy.enabled {
-                    let (stats, by_edge) = index.get_or_insert_with(|| {
-                        (
-                            self.groups
-                                .iter()
-                                .map(|g| GroupStats::from_members(labels, g))
-                                .collect(),
-                            self.groups_by_edge(&edge_of, topology.num_edges()),
-                        )
-                    });
-                    let gi = self.place_client(labels, &edge_of, stats, by_edge, c);
+                    let gi = self.place_client(labels, &mut index, c);
                     self.active[c] = true;
                     events.push(RegroupEvent::ClientArrived {
                         round: t,
                         client: c,
                         group: Some(gi),
                     });
-                } else if plan.arrival_round(c) == t {
+                } else if memo.arrives_at(c, t) {
                     // Frozen policy: the arrival is noted once, never placed.
                     events.push(RegroupEvent::ClientArrived {
                         round: t,
@@ -466,78 +610,33 @@ impl MembershipState {
                 }
             }
         }
+        self.index = Some(index);
+        self.memo = Some(memo);
         events
     }
 
     /// Greedy incremental placement: the group on `client`'s edge whose
     /// CoV-with-candidate is lowest (the Σ-CoV objective of
-    /// `grouping::optimal`, restricted to single-client moves). Opens a
-    /// new group when the edge has none. Placement counts as a
-    /// re-formation of the receiving group: its health baseline resets.
-    ///
-    /// `stats` carries one running histogram per group (aligned with
-    /// `self.groups`) and is updated in place; since the running counts
-    /// are exact `u64`s, every CoV here is bit-identical to recomputing
-    /// the candidate's histogram from the member list. `by_edge` narrows
-    /// the candidate scan to the client's own edge — at 10⁶ clients the
-    /// difference between O(groups-on-edge) and O(all-groups) per arrival
-    /// is the difference between a sub-second regroup tick and hours.
-    /// Both indices are built once per churn/heal pass.
-    fn place_client(
-        &mut self,
-        labels: &LabelMatrix,
-        edge_of: &[usize],
-        stats: &mut Vec<GroupStats>,
-        by_edge: &mut [Vec<usize>],
-        client: usize,
-    ) -> usize {
-        debug_assert_eq!(stats.len(), self.groups.len());
-        let e = edge_of[client];
-        let mut best: Option<(usize, Scalar)> = None;
-        // `by_edge[e]` holds this edge's group indices in ascending order,
-        // so the scan visits the same candidates in the same order as a
-        // full filtered sweep — the chosen group is bitwise-identical.
-        for &gi in &by_edge[e] {
-            if self.groups[gi].is_empty() {
-                continue;
-            }
-            let cov = cov_with_candidate(labels, stats[gi].hist(), client);
-            if best.is_none_or(|(_, b)| cov < b) {
-                best = Some((gi, cov));
-            }
-        }
-        match best {
-            Some((gi, _)) => {
+    /// `grouping::optimal`, restricted to single-client moves) — the first
+    /// strict minimum in ascending group index, empty groups skipped.
+    /// Opens a new group at the end of the partition when the edge has no
+    /// non-empty group. Placement counts as a re-formation of the receiving
+    /// group: its health baseline resets to its CoV with the client in it.
+    fn place_client(&mut self, labels: &LabelMatrix, index: &mut Index, client: usize) -> usize {
+        match index.best_group(labels, client) {
+            Some(gi) => {
                 self.groups[gi].push(client);
-                stats[gi].add(labels, client);
-                self.health[gi] = GroupHealth::fresh(stats[gi].cov());
+                index.add(labels, client, gi);
+                self.health[gi] = GroupHealth::fresh(index.covs()[gi]);
                 gi
             }
             None => {
                 self.groups.push(vec![client]);
-                let mut s = GroupStats::new(labels.num_labels());
-                s.add(labels, client);
-                self.health.push(GroupHealth::fresh(s.cov()));
-                stats.push(s);
-                let gi = self.groups.len() - 1;
-                by_edge[e].push(gi);
+                let gi = index.open_group(labels, client);
+                self.health.push(GroupHealth::fresh(index.covs()[gi]));
                 gi
             }
         }
-    }
-
-    /// Edge → ascending indices of the non-empty groups homed there
-    /// (a group's edge is its first member's edge — groups never span
-    /// edges). Built once per churn/heal pass and kept current by
-    /// [`Self::place_client`] when it opens a new group.
-    fn groups_by_edge(&self, edge_of: &[usize], num_edges: usize) -> Vec<Vec<usize>> {
-        let mut by_edge = vec![Vec::new(); num_edges];
-        for (gi, g) in self.groups.iter().enumerate() {
-            if let Some(&m) = g.first() {
-                by_edge[edge_of[m]].push(gi);
-            }
-        }
-        by_edge
     }
 
     /// Feeds one round's sampling outcome to the health monitor: every
@@ -563,7 +662,7 @@ impl MembershipState {
 
     /// The reason a group currently counts as degraded, if any (empty
     /// groups are handled separately and unconditionally).
-    fn degrade_reason(&self, labels: &LabelMatrix, gi: usize) -> Option<DegradeReason> {
+    fn degrade_reason(&self, index: &Index, gi: usize) -> Option<DegradeReason> {
         let g = &self.groups[gi];
         if g.is_empty() {
             return Some(DegradeReason::Empty);
@@ -571,7 +670,7 @@ impl MembershipState {
         if g.len() < self.policy.size_floor {
             return Some(DegradeReason::BelowSizeFloor);
         }
-        let cov = group_cov(labels, g);
+        let cov = index.covs()[gi];
         if cov.is_finite() && cov > self.health[gi].baseline_cov + self.policy.cov_drift {
             return Some(DegradeReason::CovDrift);
         }
@@ -603,115 +702,147 @@ impl MembershipState {
         if !self.policy.enabled {
             return Ok(Vec::new());
         }
-        let mut events = Vec::new();
 
         // Fallback: full re-formation on schedule.
         if let Some(period) = self.policy.full_reform_every {
             if period > 0 && t > 0 && t.is_multiple_of(period) && self.can_heal(t) {
                 let salt = (t as u64).wrapping_mul(0xC2B2_AE3D_27D4_EB4F);
                 self.groups = form_groups_active(algo, topology, labels, &self.active, seed, salt);
+                self.index = None;
                 self.validate(topology)?;
-                self.health = self
-                    .groups
-                    .iter()
-                    .map(|g| GroupHealth::fresh(group_cov(labels, g)))
-                    .collect();
+                let index = Index::build(&self.groups, labels, topology);
+                self.health = fresh_health(&index);
+                self.index = Some(index);
                 self.last_heal = t;
                 self.refresh_probs(labels, sampling);
-                events.push(RegroupEvent::PartitionReformed {
+                return Ok(vec![RegroupEvent::PartitionReformed {
                     round: t,
                     groups: self.groups.len(),
-                });
-                return Ok(events);
+                }]);
             }
         }
 
-        let edge_of = edge_map(topology);
+        let mut index = self.take_index(labels, topology);
+        let events = self.dissolve_degraded(t, labels, &mut index);
+        self.index = Some(index);
+        if !events.is_empty() {
+            self.validate(topology)?;
+            self.last_heal = t;
+            self.refresh_probs(labels, sampling);
+        }
+        Ok(events)
+    }
+
+    /// The incremental repair of [`Self::heal`]: marks, dissolves, migrates.
+    /// No event means nothing changed.
+    fn dissolve_degraded(
+        &mut self,
+        t: usize,
+        labels: &LabelMatrix,
+        index: &mut Index,
+    ) -> Vec<RegroupEvent> {
         // Mark doomed groups: empty ones always, degraded ones past
         // hysteresis. Indices refer to the current partition.
         let past_cooldown = self.can_heal(t);
         let mut doomed: Vec<(usize, DegradeReason)> = Vec::new();
         for gi in 0..self.groups.len() {
-            match self.degrade_reason(labels, gi) {
+            match self.degrade_reason(index, gi) {
                 Some(DegradeReason::Empty) => doomed.push((gi, DegradeReason::Empty)),
                 Some(reason) if past_cooldown => doomed.push((gi, reason)),
                 _ => {}
             }
         }
         if doomed.is_empty() {
-            return Ok(events);
+            return Vec::new();
         }
         // A non-empty doomed group needs a surviving sibling on its edge
-        // to absorb the orphans; otherwise it limps along.
-        let doomed_set: Vec<usize> = doomed.iter().map(|&(gi, _)| gi).collect();
-        doomed.retain(|&(gi, reason)| {
-            if reason == DegradeReason::Empty {
-                return true;
+        // to absorb the orphans; otherwise it limps along. Siblings are
+        // judged against the list as first marked: a group spared here for
+        // want of one still does not count as one.
+        let edge = |gi: usize| index.edge_of(self.groups[gi][0]);
+        let mut survivors = index.live_groups_by_edge();
+        for &(gi, reason) in &doomed {
+            if reason != DegradeReason::Empty {
+                survivors[edge(gi)] -= 1;
             }
-            let e = edge_of[self.groups[gi][0]];
-            self.groups
-                .iter()
-                .enumerate()
-                .any(|(gj, g)| !doomed_set.contains(&gj) && !g.is_empty() && edge_of[g[0]] == e)
-        });
-        if doomed.is_empty() {
-            return Ok(events);
         }
+        doomed.retain(|&(gi, reason)| reason == DegradeReason::Empty || survivors[edge(gi)] > 0);
 
-        // Dissolve: rebuild the partition without the doomed groups.
+        // Dissolve: compact the partition over the doomed groups.
+        let mut events = Vec::new();
+        let mut dissolved = vec![false; self.groups.len()];
         let mut orphans: Vec<usize> = Vec::new();
         for &(gi, reason) in &doomed {
+            dissolved[gi] = true;
             events.push(RegroupEvent::GroupDissolved {
                 round: t,
                 group: gi,
                 reason,
                 orphans: self.groups[gi].len(),
             });
-            orphans.extend(self.groups[gi].iter().copied());
+            orphans.append(&mut self.groups[gi]);
         }
-        let keep: Vec<usize> = (0..self.groups.len())
-            .filter(|gi| !doomed.iter().any(|&(d, _)| d == *gi))
-            .collect();
-        self.groups = keep.iter().map(|&gi| self.groups[gi].clone()).collect();
-        self.health = keep.iter().map(|&gi| self.health[gi].clone()).collect();
+        if events.is_empty() {
+            return events;
+        }
+        retain_unmarked(&mut self.groups, &dissolved);
+        retain_unmarked(&mut self.health, &dissolved);
+        index.compact(&dissolved);
 
         // Migrate orphans greedily, in client-id order for determinism.
-        // One histogram build over the surviving groups, then O(labels)
-        // incremental updates per migration (bitwise-exact u64 counts).
         orphans.sort_unstable();
-        let mut stats: Vec<GroupStats> = self
-            .groups
-            .iter()
-            .map(|g| GroupStats::from_members(labels, g))
-            .collect();
-        let mut by_edge = self.groups_by_edge(&edge_of, topology.num_edges());
         for c in orphans {
-            let gi = self.place_client(labels, &edge_of, &mut stats, &mut by_edge, c);
+            let gi = self.place_client(labels, index, c);
             events.push(RegroupEvent::ClientMigrated {
                 round: t,
                 client: c,
                 to_group: gi,
             });
         }
-        self.validate(topology)?;
-        self.last_heal = t;
-        self.refresh_probs(labels, sampling);
-        Ok(events)
+        events
     }
 
     /// Checks that the current groups partition the active members.
     pub fn validate(&self, topology: &Topology) -> Result<(), PartitionError> {
         let members: Vec<usize> = (0..self.active.len()).filter(|&c| self.active[c]).collect();
         // Empty groups are legal transiently (before the next heal pass
-        // dissolves them); filter them for the partition check.
-        let non_empty: Vec<Group> = self
-            .groups
-            .iter()
-            .filter(|g| !g.is_empty())
-            .cloned()
-            .collect();
-        validate_partition_of(&non_empty, &members, topology.num_clients())
+        // dissolves them); skip them for the partition check.
+        validate_partition_of(
+            self.groups.iter().filter(|g| !g.is_empty()),
+            &members,
+            topology.num_clients(),
+        )
     }
+
+    /// Hands a test the partition and the activity flags to edit in place,
+    /// then drops the index so the next pass rebuilds it from the result.
+    #[cfg(test)]
+    fn edit(&mut self, edit: impl FnOnce(&mut Vec<Group>, &mut Vec<bool>)) {
+        edit(&mut self.groups, &mut self.active);
+        self.index = None;
+    }
+}
+
+/// Fresh health records for a just-(re)formed partition: each group's
+/// baseline is its CoV now.
+fn fresh_health(index: &Index) -> Vec<GroupHealth> {
+    index
+        .covs()
+        .iter()
+        .map(|&cov| GroupHealth::fresh(cov))
+        .collect()
+}
+
+/// Maps every client to its edge server, the slow obvious way.
+#[cfg(test)]
+fn edge_map(topology: &Topology) -> Vec<usize> {
+    let mut edge_of = vec![0usize; topology.num_clients()];
+    for j in 0..topology.num_edges() {
+        for &c in topology.clients_of(j) {
+            edge_of[c] = j;
+        }
+    }
+    edge_of
 }
 
 #[cfg(test)]
@@ -821,10 +952,11 @@ mod tests {
         )
         .unwrap();
         // Force group 0 empty by hand (as if every member departed).
-        for c in state.groups[0].clone() {
-            state.active[c] = false;
-        }
-        state.groups[0].clear();
+        state.edit(|groups, active| {
+            for c in groups[0].drain(..) {
+                active[c] = false;
+            }
+        });
         let before = state.groups.len();
         let events = state
             .heal(1, &labels, &algo(), &topo, 3, SamplingStrategy::ESRCov)
@@ -860,11 +992,11 @@ mod tests {
         )
         .unwrap();
         // Shrink group 0 to a single member.
-        let victims: Vec<usize> = state.groups[0].iter().skip(1).copied().collect();
-        for c in victims {
-            state.groups[0].retain(|&m| m != c);
-            state.active[c] = false;
-        }
+        state.edit(|groups, active| {
+            for c in groups[0].drain(1..) {
+                active[c] = false;
+            }
+        });
         let events = state
             .heal(10, &labels, &algo(), &topo, 4, SamplingStrategy::ESRCov)
             .unwrap();
@@ -931,11 +1063,11 @@ mod tests {
         )
         .unwrap();
         // Undersize a group; inside the cooldown the monitor must not act.
-        let victims: Vec<usize> = state.groups[0].iter().skip(1).copied().collect();
-        for c in victims {
-            state.groups[0].retain(|&m| m != c);
-            state.active[c] = false;
-        }
+        state.edit(|groups, active| {
+            for c in groups[0].drain(1..) {
+                active[c] = false;
+            }
+        });
         let events = state
             .heal(10, &labels, &algo(), &topo, 6, SamplingStrategy::ESRCov)
             .unwrap();
@@ -989,10 +1121,11 @@ mod tests {
             0,
         )
         .unwrap();
-        for c in state.groups[0].clone() {
-            state.active[c] = false;
-        }
-        state.groups[0].clear();
+        state.edit(|groups, active| {
+            for c in groups[0].drain(..) {
+                active[c] = false;
+            }
+        });
         let events = state
             .heal(20, &labels, &algo(), &topo, 8, SamplingStrategy::ESRCov)
             .unwrap();

@@ -39,7 +39,7 @@
 //! in-flight edge state (busy map + parked stale uploads), since both are
 //! keyed by group indices the transition invalidates.
 
-use gfl_faults::{FaultEvent, FaultInjector, FaultPlan, FaultPolicy};
+use gfl_faults::{ChurnPlan, FaultEvent, FaultInjector, FaultPlan, FaultPolicy};
 use gfl_nn::Params;
 use gfl_obs::{RoundMetrics, SpanAttrs, SpanKind};
 use gfl_sim::{CommModel, CostLedger, CostModel, EventId, EventQueue, RetryOutcome, Topology};
@@ -52,7 +52,7 @@ use crate::engine::{GroupCuts, GroupOutcome, Trainer};
 use crate::grouping::{GroupingAlgorithm, PartitionError};
 use crate::history::{AsrRecord, RoundRecord, RunHistory, TimedEvent};
 use crate::local::LocalUpdate;
-use crate::membership::{MembershipState, RegroupPolicy};
+use crate::membership::{available_members, MembershipState, RegroupPolicy};
 use crate::sampling::{aggregation_weights, sample_without_replacement, SamplingStrategy};
 use crate::Group;
 
@@ -493,18 +493,8 @@ impl Trainer {
         let mut report = AsyncReport::default();
         let tc = self.timing_ctx();
         for t in 0..self.config.global_rounds {
-            let mut events = Vec::new();
-            if let Some(p) = plan {
-                events.extend(membership.apply_churn(p, t, labels, topology));
-            }
-            events.extend(membership.heal(
-                t,
-                labels,
-                algo,
-                topology,
-                self.config.seed,
-                sampling,
-            )?);
+            let events =
+                membership.tick(plan, t, labels, topology, algo, self.config.seed, sampling)?;
             if !events.is_empty() {
                 // The partition changed under the scheduler: busy-until
                 // entries and parked stale uploads reference group indices
@@ -513,30 +503,17 @@ impl Trainer {
                 sched.pending.clear();
             }
             history.record_regroups(events);
-            if membership.policy.enabled {
-                membership.refresh_probs(labels, sampling);
-            }
             // Flapping clients sit out the round without leaving their
-            // group; empty effective groups are dispatched to nobody and
-            // the round-held path inside `semi_async_round` covers the
-            // all-dark case.
-            let effective: Vec<Group> = membership
-                .groups
-                .iter()
-                .map(|g| {
-                    g.iter()
-                        .copied()
-                        .filter(|&c| plan.is_none_or(|p| p.available(c, t)))
-                        .collect()
-                })
-                .collect();
-            let probs = membership.probs.clone();
+            // group; a sampled group with nobody available is dispatched
+            // to nobody and the round-held path inside `semi_async_round`
+            // covers the all-dark case.
             let last = t + 1 == self.config.global_rounds;
             let over_budget = self.semi_async_round(
                 t,
-                &effective,
+                membership.groups(),
+                plan,
                 strategy,
-                &probs,
+                &membership.probs,
                 acfg,
                 &tc,
                 &mut params,
@@ -580,7 +557,8 @@ impl Trainer {
         for t in start_round..start_round + rounds {
             let last = t + 1 == start_round + rounds;
             let over_budget = self.semi_async_round(
-                t, groups, strategy, probs, acfg, &tc, params, ledger, history, sched, report, last,
+                t, groups, None, strategy, probs, acfg, &tc, params, ledger, history, sched,
+                report, last,
             );
             if over_budget {
                 break;
@@ -597,6 +575,7 @@ impl Trainer {
         &self,
         t: usize,
         groups: &[Group],
+        churn: Option<&ChurnPlan>,
         strategy: &S,
         probs: &[Scalar],
         acfg: &AsyncConfig,
@@ -625,13 +604,15 @@ impl Trainer {
         let mut round_events: Vec<FaultEvent> = Vec::new();
         let mut timed: Vec<TimedEvent> = Vec::new();
         let mut busy_skipped = 0usize;
-        let active: Vec<usize> = sampled
+        let members = available_members(churn, t, groups, &sampled);
+        let active: Vec<(usize, &[usize])> = sampled
             .iter()
-            .copied()
-            .filter(|&gi| !groups[gi].is_empty())
-            .filter(|&gi| match &self.faults {
+            .zip(&members)
+            .map(|(&gi, members)| (gi, &**members))
+            .filter(|(_, members)| !members.is_empty())
+            .filter(|&(gi, members)| match &self.faults {
                 Some(fs) => {
-                    let edge = fs.edge_of_client[groups[gi][0]];
+                    let edge = fs.edge_of_client[members[0]];
                     let down = fs.injector.edge_down(edge, t);
                     if down {
                         round_events.push(FaultEvent::EdgeOutage {
@@ -644,7 +625,7 @@ impl Trainer {
                 }
                 None => true,
             })
-            .filter(|&gi| {
+            .filter(|&(gi, _)| {
                 let busy_until = sched.busy_until(gi);
                 if busy_until > dispatch {
                     timed.push(TimedEvent::GroupBusySkipped {
@@ -663,10 +644,10 @@ impl Trainer {
         // Timing pass: resolve every dispatched group in emulated time.
         let timelines: Vec<GroupTimeline> = active
             .iter()
-            .map(|&gi| self.group_timeline(tc, t, gi, &groups[gi], params.len()))
+            .map(|&(gi, members)| self.group_timeline(tc, t, gi, members, params.len()))
             .collect();
         let mut cut_reports = 0usize;
-        for (tl, &gi) in timelines.iter().zip(active.iter()) {
+        for (tl, &(gi, _)) in timelines.iter().zip(active.iter()) {
             for (k, &(close_rel, reported, cut)) in tl.closes.iter().enumerate() {
                 if cut > 0 {
                     cut_reports += cut;
@@ -684,12 +665,7 @@ impl Trainer {
 
         // Compute pass: the lockstep parallel trainer, fed the cut sets.
         let cuts: Vec<GroupCuts> = timelines.iter().map(|tl| tl.cuts.clone()).collect();
-        let group_refs: Vec<(usize, &[usize])> = active
-            .iter()
-            .map(|&gi| (gi, groups[gi].as_slice()))
-            .collect();
-        let outcomes =
-            self.train_groups_with_cuts(params, &group_refs, strategy, t, lr, Some(&cuts));
+        let outcomes = self.train_groups_with_cuts(params, &active, strategy, t, lr, Some(&cuts));
         let train_end = obs.map(|o| {
             let end = o.now_ns();
             o.record_span_at(
@@ -991,7 +967,7 @@ impl Trainer {
             let train_ns = train_end.unwrap().saturating_sub(start);
             let agg_ns = agg_end.unwrap().saturating_sub(train_end.unwrap());
             let clients_trained: u64 = (0..trained)
-                .map(|i| (group_refs[i].1.len() * cfg.group_rounds) as u64)
+                .map(|i| (active[i].1.len() * cfg.group_rounds) as u64)
                 .sum();
             let ce_bytes = ledger.client_edge_bytes() - bytes_before.0;
             let ec_bytes = ledger.edge_cloud_bytes() - bytes_before.1;

@@ -285,7 +285,7 @@ fn adversary_composes_with_faults_and_churn() {
         let (h, p, m) = t
             .run_self_healing(&algo, &w.topo, &FedAvg, SamplingStrategy::ESRCov)
             .expect("self-healing attacked run failed");
-        (h, p, m.groups)
+        (h, p, m.groups().to_vec())
     };
     let (h1, p1, g1) = run();
     let (h2, p2, g2) = run();

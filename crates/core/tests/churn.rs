@@ -80,7 +80,7 @@ fn clean_churn_plan_is_bit_identical_to_static_run() {
         .run_self_healing(&algo(), &topo, &FedAvg, SamplingStrategy::ESRCov)
         .unwrap();
 
-    assert_eq!(membership.groups, static_groups);
+    assert_eq!(membership.groups(), static_groups);
     assert_eq!(p_static, p_churn);
     assert_eq!(h_static, h_churn);
     assert!(h_churn.regroup_events().is_empty());
@@ -136,7 +136,7 @@ fn zero_survivor_groups_are_dissolved_not_held_forever() {
         .run_self_healing(&algo(), &topo, &FedAvg, SamplingStrategy::ESRCov)
         .unwrap();
 
-    assert!(membership.groups.is_empty(), "{:?}", membership.groups);
+    assert!(membership.groups().is_empty(), "{:?}", membership.groups());
     assert_eq!(membership.active_members(), 0);
     let s = h.regroup_summary();
     assert_eq!(s.departures, n_clients);
@@ -175,7 +175,7 @@ fn arrivals_join_groups_on_their_own_edge() {
         };
         assert!(group.is_some(), "healing policy must place arrivals");
     }
-    for g in &membership.groups {
+    for g in membership.groups() {
         let on_first_edge = topo.clients_of(0).iter().any(|c| g.contains(c));
         let on_second_edge = topo.clients_of(1).iter().any(|c| g.contains(c));
         assert!(
@@ -220,7 +220,7 @@ fn frozen_policy_leaves_arrivals_unplaced() {
         t.config().seed,
         0,
     );
-    assert_eq!(membership.groups, founding_groups);
+    assert_eq!(membership.groups(), founding_groups);
 }
 
 #[test]
@@ -438,7 +438,7 @@ fn checkpoint_roundtrips_a_group_with_infinite_baseline_cov() {
     let topo = Topology::even_split(2, part.sizes());
     let saved = assert_resume_is_bit_identical((cfg, model, part, topo, train, test), 1);
     assert!(
-        saved.health.iter().any(|h| h.baseline_cov.is_infinite()),
+        saved.health().iter().any(|h| h.baseline_cov.is_infinite()),
         "no data-less group went through the checkpoint"
     );
 

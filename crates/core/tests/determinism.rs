@@ -191,7 +191,7 @@ fn churned_self_healing_run_is_bit_identical_across_thread_counts() {
         let (h, p, m) = t
             .run_self_healing(&algo, &topo, &FedAvg, SamplingStrategy::ESRCov)
             .expect("self-healing run failed");
-        (h, p, m.groups)
+        (h, p, m.groups().to_vec())
     });
 }
 

@@ -234,7 +234,7 @@ fn churned_self_healing_is_bitwise_equivalent() {
             !h.regroup_events().is_empty(),
             "seed {seed}: churn this heavy should regroup somebody"
         );
-        assert!(!membership.groups.is_empty());
+        assert!(!membership.groups().is_empty());
     }
 }
 

@@ -499,7 +499,11 @@ fn self_healing_no_churn_limit_is_bit_identical() {
                 &AsyncConfig::default(),
             )
             .unwrap();
-        assert_eq!(membership.groups, groups, "seed {seed}: formation diverged");
+        assert_eq!(
+            membership.groups(),
+            groups,
+            "seed {seed}: formation diverged"
+        );
         assert_eq!(h_heal, h_static, "seed {seed}: history diverged");
         assert_eq!(p_heal, p_static, "seed {seed}: params diverged");
         assert_eq!(rep_heal, rep_static, "seed {seed}: async report diverged");

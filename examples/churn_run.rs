@@ -121,7 +121,7 @@ fn main() {
     );
     println!(
         "\nfinal partition: {} groups over {} active clients",
-        membership.groups.len(),
+        membership.groups().len(),
         membership.active_members()
     );
     println!("membership transitions: {}", healed.regroup_summary());
