@@ -10,6 +10,7 @@
 use gfl_baselines::{FedNova, FedProx};
 use gfl_core::prelude::*;
 use gfl_data::{VirtualPopulation, VirtualSpec};
+use gfl_nn::Params;
 use gfl_sim::Topology;
 
 fn seed_offset() -> u64 {
@@ -43,10 +44,22 @@ fn baseline_strategies_are_bitwise_equivalent_on_virtual_populations() {
         let nova = FedNova::from_sizes(&sizes, cfg.local_rounds, cfg.batch_size);
         let prox = FedProx { mu: 0.1 };
 
-        let run_nova =
-            |t: Trainer| t.run_returning_params(&groups, &nova, SamplingStrategy::ESRCov);
-        let run_prox =
-            |t: Trainer| t.run_returning_params(&groups, &prox, SamplingStrategy::ESRCov);
+        fn run<S: LocalUpdate>(t: Trainer, groups: &[Group], strategy: &S) -> (RunHistory, Params) {
+            let probs = t.sampling_probs(groups, SamplingStrategy::ESRCov);
+            let plan = RunPlan {
+                clock: Clock::Lockstep,
+                membership: Membership::Static {
+                    groups,
+                    probs: &probs,
+                },
+            };
+            let mut state = t.start(strategy);
+            t.drive(strategy, &plan, &mut state, t.config().global_rounds)
+                .unwrap();
+            (state.history, state.params)
+        }
+        let run_nova = |t: Trainer| run(t, &groups, &nova);
+        let run_prox = |t: Trainer| run(t, &groups, &prox);
 
         let eager = |cfg: &GroupFelConfig| {
             Trainer::new(

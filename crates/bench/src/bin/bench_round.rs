@@ -17,6 +17,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
+use gfl_core::driver::{Clock, Membership, RunPlan};
 use gfl_core::engine::{form_groups_per_edge, GroupFelConfig, Trainer};
 use gfl_core::grouping::CovGrouping;
 use gfl_core::local::FedAvg;
@@ -242,12 +243,19 @@ fn emulated_clock_s(rounds: usize, policy: FaultPolicy) -> f64 {
         ..FaultPlan::none()
     };
     let trainer = trainer.with_faults(plan, policy, &topology);
-    let (_, _, report) = trainer.run_semi_async(
-        &groups,
-        &FedAvg,
-        SamplingStrategy::ESRCov,
-        &AsyncConfig::default(),
-    );
+    let probs = trainer.sampling_probs(&groups, SamplingStrategy::ESRCov);
+    let plan = RunPlan {
+        clock: Clock::EventDriven(AsyncConfig::default()),
+        membership: Membership::Static {
+            groups: &groups,
+            probs: &probs,
+        },
+    };
+    let mut state = trainer.start(&FedAvg);
+    trainer
+        .drive(&FedAvg, &plan, &mut state, rounds)
+        .expect("a static partition is never re-formed");
+    let (_, report) = state.scheduler.expect("event-clock runs carry a report");
     report.final_clock_s()
 }
 

@@ -13,6 +13,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use gfl_core::driver::{Clock, Membership, RunPlan};
 use gfl_core::engine::{form_groups_per_edge, GroupFelConfig, Trainer};
 use gfl_core::grouping::CovGrouping;
 use gfl_core::local::FedAvg;
@@ -76,7 +77,7 @@ fn allocs_of(f: impl FnOnce()) -> u64 {
 ///
 /// After a warm-up leg has seeded every pool (local-training scratch,
 /// group parameter/slot/member buffers, evaluation workspaces), a
-/// steady-state round of `run_resumable` — including its per-round
+/// steady-state round of `Trainer::drive` — including its per-round
 /// evaluation at `eval_every = 1` — must stay within this many heap
 /// allocations. The residue is small unavoidable per-round state
 /// (sampling draws, the round's context/outcome vectors, per-group-round
@@ -172,34 +173,23 @@ fn steady_state_churn_ticks_fit_the_alloc_budget() {
 fn warm_rounds_fit_the_budget(secure_aggregation: bool) {
     let (trainer, groups) = tiny_world(secure_aggregation);
     let probs = vec![1.0 / groups.len() as f32; groups.len()];
-    let mut params = trainer.model().init_params(&mut gfl_tensor::init::rng(5));
-    let mut ledger = trainer.ledger_for(&FedAvg);
-    let mut history = gfl_core::history::RunHistory::default();
+    let plan = RunPlan {
+        clock: Clock::Lockstep,
+        membership: Membership::Static {
+            groups: &groups,
+            probs: &probs,
+        },
+    };
+    let mut state = trainer.start(&FedAvg);
 
     // Warm-up rounds size every pool; they are excluded from the count.
-    trainer.run_resumable(
-        &groups,
-        &FedAvg,
-        &probs,
-        &mut params,
-        &mut ledger,
-        &mut history,
-        0,
-        3,
-    );
+    trainer.drive(&FedAvg, &plan, &mut state, 3).unwrap();
 
     const MEASURED: u64 = 8;
     let allocs = allocs_of(|| {
-        trainer.run_resumable(
-            &groups,
-            &FedAvg,
-            &probs,
-            &mut params,
-            &mut ledger,
-            &mut history,
-            3,
-            MEASURED as usize,
-        );
+        trainer
+            .drive(&FedAvg, &plan, &mut state, MEASURED as usize)
+            .unwrap();
     });
     let per_round = allocs / MEASURED;
     assert!(

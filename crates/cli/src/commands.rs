@@ -5,24 +5,22 @@ use std::io::Write;
 use gfl_baselines::{FedNova, FedProx, Scaffold};
 use gfl_core::checkpoint::Checkpoint;
 use gfl_core::cov::{group_cov, mean_group_cov};
+use gfl_core::driver::{Clock, Membership, RunPlan, RunState};
 use gfl_core::engine::{form_groups_per_edge, GroupFelConfig, RobustAggRule, Trainer};
 use gfl_core::grouping::{
     CdgGrouping, CovGrouping, GroupingAlgorithm, KldGrouping, RandomGrouping, StreamGrouping,
     VarianceGrouping,
 };
-use gfl_core::history::RunHistory;
 use gfl_core::local::{FedAvg, LocalUpdate};
-use gfl_core::membership::{MembershipState, RegroupPolicy};
+use gfl_core::membership::RegroupPolicy;
 use gfl_core::sampling::{AggregationWeighting, SamplingStrategy};
-use gfl_core::semi_async::{AsyncConfig, AsyncReport, SchedulerState, StalenessPolicy};
+use gfl_core::semi_async::{AsyncConfig, StalenessPolicy};
 use gfl_core::theory::{self, TheoremInputs};
-use gfl_core::Group;
 use gfl_data::{
     ClientPartition, Dataset, PartitionSpec, SyntheticSpec, VirtualPopulation, VirtualSpec,
 };
 use gfl_faults::{AdversaryPlan, ChurnPlan, FaultPlan, FaultPolicy, OutageWindow};
 use gfl_nn::sgd::LrSchedule;
-use gfl_nn::Params;
 use gfl_sim::{CostModel, GroupOpKind, Task, Topology};
 
 use crate::args::{Args, ParseError};
@@ -345,49 +343,30 @@ pub fn simulate(argv: &[String], out: &mut dyn Write) -> CmdResult {
         "training {method} on {} clients / {} edges ({param_count} params, {effective_threads} threads)",
         clients, edges
     )?;
-    let (history, final_params, membership, async_report, scheduler) = match method.as_str() {
-        "fedavg" => run_sim(
-            &trainer,
-            churn_on,
-            &groups,
-            grouping.as_ref(),
-            &topology,
-            &FedAvg,
-            sampling,
-            runtime.as_ref(),
-        )?,
-        "fedprox" => run_sim(
-            &trainer,
-            churn_on,
-            &groups,
-            grouping.as_ref(),
-            &topology,
-            &FedProx { mu },
-            sampling,
-            runtime.as_ref(),
-        )?,
-        "scaffold" => run_sim(
-            &trainer,
-            churn_on,
-            &groups,
-            grouping.as_ref(),
-            &topology,
-            &Scaffold::new(param_count, clients),
-            sampling,
-            runtime.as_ref(),
-        )?,
+    let probs;
+    let plan = RunPlan {
+        clock: runtime.map_or(Clock::Lockstep, Clock::EventDriven),
+        membership: if churn_on {
+            Membership::SelfHealing {
+                algo: grouping.as_ref(),
+                topology: &topology,
+                sampling,
+            }
+        } else {
+            probs = trainer.sampling_probs(&groups, sampling);
+            Membership::Static {
+                groups: &groups,
+                probs: &probs,
+            }
+        },
+    };
+    let state = match method.as_str() {
+        "fedavg" => drive_to_end(&trainer, &plan, &FedAvg)?,
+        "fedprox" => drive_to_end(&trainer, &plan, &FedProx { mu })?,
+        "scaffold" => drive_to_end(&trainer, &plan, &Scaffold::new(param_count, clients))?,
         "fednova" => {
             let s = FedNova::from_sizes(&sizes, config.local_rounds, config.batch_size);
-            run_sim(
-                &trainer,
-                churn_on,
-                &groups,
-                grouping.as_ref(),
-                &topology,
-                &s,
-                sampling,
-                runtime.as_ref(),
-            )?
+            drive_to_end(&trainer, &plan, &s)?
         }
         other => {
             return Err(CommandError::Invalid(format!(
@@ -395,6 +374,8 @@ pub fn simulate(argv: &[String], out: &mut dyn Write) -> CmdResult {
             )))
         }
     };
+    let history = &state.history;
+    let async_report = state.scheduler.as_ref().map(|(_, report)| report);
 
     writeln!(out, "\n round       cost  accuracy    loss")?;
     for r in history.records() {
@@ -405,7 +386,7 @@ pub fn simulate(argv: &[String], out: &mut dyn Write) -> CmdResult {
         )?;
     }
     writeln!(out, "\nbest accuracy: {:.4}", history.best_accuracy())?;
-    if let Some(rep) = &async_report {
+    if let Some(rep) = async_report {
         let sum = |f: fn(&gfl_core::semi_async::AsyncRoundRecord) -> usize| -> usize {
             rep.rounds.iter().map(f).sum()
         };
@@ -451,7 +432,10 @@ pub fn simulate(argv: &[String], out: &mut dyn Write) -> CmdResult {
     }
     if churn_on {
         writeln!(out, "regroups: {}", history.regroup_summary())?;
-        let m = membership.as_ref().expect("churned runs return membership");
+        let m = state
+            .membership
+            .as_ref()
+            .expect("self-healing runs carry their membership");
         writeln!(
             out,
             "final partition: {} groups over {} active clients",
@@ -471,25 +455,12 @@ pub fn simulate(argv: &[String], out: &mut dyn Write) -> CmdResult {
         std::fs::write(&path, history.to_csv())?;
         writeln!(out, "wrote {path}")?;
     }
-    if let (Some(path), Some(rep)) = (async_csv, &async_report) {
+    if let (Some(path), Some(rep)) = (async_csv, async_report) {
         std::fs::write(&path, rep.to_csv())?;
         writeln!(out, "wrote {path}")?;
     }
     if let Some(path) = checkpoint_path {
-        let last = history.records().last();
-        let mut cp = Checkpoint::new(
-            final_params,
-            last.map_or(0, |r| r.round + 1),
-            history.clone(),
-            config,
-            last.map_or(0.0, |r| r.cost),
-        );
-        if let Some(m) = membership {
-            cp = cp.with_membership(m);
-        }
-        if let Some(s) = scheduler {
-            cp = cp.with_scheduler(s);
-        }
+        let cp = Checkpoint::from_state(&state, config);
         cp.save(&path)
             .map_err(|e| CommandError::Invalid(e.to_string()))?;
         writeln!(out, "wrote {path}")?;
@@ -556,54 +527,18 @@ fn write_metrics_summary(out: &mut dyn Write, trace: &gfl_obs::Trace) -> std::io
     Ok(())
 }
 
-/// Everything one simulation run can produce: the trajectory and final
-/// params always; membership only from self-healing runs; the async
-/// report and scheduler state only from semi-async runs.
-type SimOutput = (
-    RunHistory,
-    Params,
-    Option<MembershipState>,
-    Option<AsyncReport>,
-    Option<SchedulerState>,
-);
-
-/// Dispatches one simulation run: static groups for fixed-membership runs,
-/// the self-healing engine when a churn plan is active.
-#[allow(clippy::too_many_arguments)]
-fn run_sim<S: LocalUpdate>(
+/// One whole run of `strategy` under `plan`: all configured rounds from a
+/// fresh state.
+fn drive_to_end<S: LocalUpdate>(
     trainer: &Trainer,
-    churned: bool,
-    groups: &[Group],
-    grouping: &dyn GroupingAlgorithm,
-    topology: &Topology,
+    plan: &RunPlan<'_>,
     strategy: &S,
-    sampling: SamplingStrategy,
-    runtime: Option<&AsyncConfig>,
-) -> Result<SimOutput, CommandError> {
-    if let Some(acfg) = runtime {
-        if churned {
-            // Online membership under the semi-async scheduler: churn and
-            // healing run on the round boundary, and any membership
-            // transition resets in-flight edge state (docs/ASYNC.md). No
-            // scheduler state is returned — a regroup would invalidate a
-            // resumed busy map anyway.
-            let (h, p, rep, m) = trainer
-                .run_semi_async_self_healing(grouping, topology, strategy, sampling, acfg)
-                .map_err(|e| CommandError::Invalid(format!("regrouping failed: {e}")))?;
-            return Ok((h, p, Some(m), Some(rep), None));
-        }
-        let (h, p, rep, sched) =
-            trainer.run_semi_async_with_scheduler(groups, strategy, sampling, acfg);
-        Ok((h, p, None, Some(rep), Some(sched)))
-    } else if churned {
-        let (h, p, m) = trainer
-            .run_self_healing(grouping, topology, strategy, sampling)
-            .map_err(|e| CommandError::Invalid(format!("regrouping failed: {e}")))?;
-        Ok((h, p, Some(m), None, None))
-    } else {
-        let (h, p) = trainer.run_returning_params(groups, strategy, sampling);
-        Ok((h, p, None, None, None))
-    }
+) -> Result<RunState, CommandError> {
+    let mut state = trainer.start(strategy);
+    trainer
+        .drive(strategy, plan, &mut state, trainer.config().global_rounds)
+        .map_err(|e| CommandError::Invalid(format!("regrouping failed: {e}")))?;
+    Ok(state)
 }
 
 const GROUP_HELP: &str = "\
@@ -1454,23 +1389,50 @@ mod tests {
 
     #[test]
     fn simulate_semi_async_checkpoint_carries_scheduler_state() {
-        let path = std::env::temp_dir().join(format!("gfl_async_cp_{}.json", std::process::id()));
-        let (r, _) = run_cmd(
-            simulate,
-            &format!(
-                "--clients 8 --edges 2 --samples 900 --rounds 2 --k 1 --e 1 \
-                 --sample 2 --min-gs 2 --alpha 0.5 --seed 3 --eval-every 1 \
-                 --runtime semi-async --checkpoint {}",
-                path.display()
-            ),
-        );
+        // With and without churn: the self-healing cell used to drop it.
+        for (i, churn) in ["", "--churn moderate --churn-seed 11"].iter().enumerate() {
+            let path =
+                std::env::temp_dir().join(format!("gfl_async_cp_{}_{i}.json", std::process::id()));
+            let (r, _) = run_cmd(
+                simulate,
+                &format!(
+                    "--clients 8 --edges 2 --samples 900 --rounds 2 --k 1 --e 1 \
+                     --sample 2 --min-gs 2 --alpha 0.5 --seed 3 --eval-every 1 \
+                     --runtime semi-async {churn} --checkpoint {}",
+                    path.display()
+                ),
+            );
+            r.unwrap();
+            let cp = Checkpoint::load(&path).unwrap();
+            std::fs::remove_file(&path).ok();
+            assert_eq!(cp.membership.is_some(), !churn.is_empty());
+            let sched = cp
+                .scheduler
+                .expect("semi-async checkpoint stores the scheduler");
+            assert!(sched.clock_s > 0.0, "emulated clock must have advanced");
+        }
+    }
+
+    #[test]
+    fn simulate_semi_async_survives_every_client_departing() {
+        // Every group dissolves by round 4; the event clock used to panic
+        // sampling from none. The rest of the run is held rounds.
+        let all_depart = "--clients 24 --edges 2 --samples 600 --rounds 10 --k 1 --e 1 \
+             --sample 2 --runtime semi-async --churn moderate --depart-frac 1.0 \
+             --arrive-frac 0 --flap-prob 0 --churn-horizon 5";
+        let (r, out) = run_cmd(simulate, all_depart);
         r.unwrap();
-        let cp = Checkpoint::load(&path).unwrap();
-        std::fs::remove_file(&path).ok();
-        let sched = cp
-            .scheduler
-            .expect("semi-async checkpoint stores the scheduler");
-        assert!(sched.clock_s > 0.0, "emulated clock must have advanced");
+        assert!(out.contains("final partition: 0 groups"), "{out}");
+        // The fault summary (printed for faulted runs) counts them.
+        let (r, out) = run_cmd(simulate, &format!("{all_depart} --faults moderate"));
+        r.unwrap();
+        let held = out
+            .lines()
+            .find(|l| l.starts_with("faults:"))
+            .and_then(|l| l.rsplit(", ").next())
+            .and_then(|cell| cell.strip_suffix(" rounds held"))
+            .and_then(|n| n.parse::<usize>().ok());
+        assert!(held.is_some_and(|n| n >= 5), "{out}");
     }
 
     #[test]

@@ -1,20 +1,23 @@
 //! Checkpointing: persist and resume a training session.
 //!
-//! Pairs with [`crate::engine::Trainer::run_resumable`]: a long federated
-//! run (or a §6.1 regrouping schedule) can snapshot the model, the
-//! trajectory, and the configuration after any global round and pick up
-//! where it left off — including across process restarts, since everything
-//! in the engine is deterministic given `(seed, round)`.
+//! A [`Checkpoint`] is the serialized form of a [`RunState`], the one
+//! thing [`crate::engine::Trainer::drive`] advances: a long federated run
+//! (or a §6.1 regrouping schedule) can snapshot it after any global round
+//! and pick up where it left off under any clock × membership plan —
+//! including across process restarts, since everything in the engine is
+//! deterministic given `(seed, round)`.
 
 use std::path::Path;
 
 use gfl_nn::Params;
+use gfl_sim::CostLedger;
 use serde::{Deserialize, Serialize};
 
+use crate::driver::RunState;
 use crate::engine::GroupFelConfig;
 use crate::history::RunHistory;
 use crate::membership::MembershipState;
-use crate::semi_async::SchedulerState;
+use crate::semi_async::{AsyncReport, SchedulerState};
 
 /// A resumable training snapshot.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -69,40 +72,37 @@ impl std::fmt::Display for CheckpointError {
 impl std::error::Error for CheckpointError {}
 
 impl Checkpoint {
-    /// Builds a snapshot for the state after `completed_rounds` rounds.
-    pub fn new(
-        params: Params,
-        completed_rounds: usize,
-        history: RunHistory,
-        config: GroupFelConfig,
-        cost_so_far: f64,
-    ) -> Self {
+    /// Snapshots a run between two [`crate::engine::Trainer::drive`]
+    /// calls, under the configuration it was started with.
+    pub fn from_state(state: &RunState, config: GroupFelConfig) -> Self {
         Self {
             version: CHECKPOINT_VERSION,
-            params,
-            round: completed_rounds,
-            history,
+            params: state.params.clone(),
+            round: state.next_round,
+            history: state.history.clone(),
             config,
-            cost_so_far,
-            membership: None,
-            scheduler: None,
+            cost_so_far: state.ledger.total(),
+            membership: state.membership.clone(),
+            scheduler: state.scheduler.as_ref().map(|(sched, _)| sched.clone()),
         }
     }
 
-    /// Attaches the membership state of a self-healing run, so a resumed
-    /// session continues from the healed partition rather than re-forming.
-    pub fn with_membership(mut self, membership: MembershipState) -> Self {
-        self.membership = Some(membership);
-        self
-    }
-
-    /// Attaches the scheduler state of a semi-async run, so a resumed
-    /// session continues from the same emulated clock, busy-edge map, and
-    /// parked stale uploads — the resume is bit-identical, not merely
-    /// approximate.
-    pub fn with_scheduler(mut self, scheduler: SchedulerState) -> Self {
-        self.scheduler = Some(scheduler);
-        self
+    /// The run to resume: a self-healing run continues from the healed
+    /// partition rather than re-forming, an event-clock run from the same
+    /// emulated clock, busy-edge map and parked stale uploads — the resume
+    /// is bit-identical, not merely approximate. The cost account is not
+    /// persisted beyond its total, so the caller supplies the `ledger` to
+    /// keep charging (the live one, or [`crate::engine::Trainer::ledger_for`]
+    /// after a restart); the emulated-time report restarts empty.
+    pub fn into_state(self, ledger: CostLedger) -> RunState {
+        RunState {
+            params: self.params,
+            ledger,
+            history: self.history,
+            next_round: self.round,
+            membership: self.membership,
+            scheduler: self.scheduler.map(|s| (s, AsyncReport::default())),
+        }
     }
 
     /// Serializes to pretty JSON.
@@ -145,13 +145,16 @@ mod tests {
             loss: 1.2,
             train_loss: 1.5,
         });
-        Checkpoint::new(
-            vec![0.25, -1.5, 3.0],
-            1,
+        Checkpoint {
+            version: CHECKPOINT_VERSION,
+            params: vec![0.25, -1.5, 3.0],
+            round: 1,
             history,
-            GroupFelConfig::tiny(),
-            12.5,
-        )
+            config: GroupFelConfig::tiny(),
+            cost_so_far: 12.5,
+            membership: None,
+            scheduler: None,
+        }
     }
 
     #[test]
@@ -222,7 +225,8 @@ mod tests {
                 params: vec![0.5, -1.25, 3.75],
             }],
         };
-        let cp = sample().with_scheduler(sched.clone());
+        let mut cp = sample();
+        cp.scheduler = Some(sched.clone());
         let back = Checkpoint::from_json(&cp.to_json()).unwrap();
         // Exact equality, including every f64: resume bit-identity hangs
         // on the JSON float round-trip being lossless.
@@ -251,7 +255,8 @@ mod tests {
     #[test]
     fn checkpointed_session_resumes_equivalently() {
         // Run 6 rounds straight vs 3 rounds → checkpoint → restore → 3
-        // more: the resumable engine must produce the same final model.
+        // more: the driver must produce the same final model.
+        use crate::driver::{Clock, Membership, RunPlan};
         use crate::engine::{form_groups_per_edge, Trainer};
         use crate::grouping::CovGrouping;
         use crate::local::FedAvg;
@@ -276,55 +281,28 @@ mod tests {
         cfg.global_rounds = 6;
         cfg.seed = 77;
         let trainer = Trainer::new(cfg.clone(), gfl_nn::zoo::tiny(4, 3), train, partition, test);
-        let covs: Vec<f32> = groups
-            .iter()
-            .map(|g| crate::cov::group_cov(&trainer.partition().label_matrix, g))
-            .collect();
-        let probs = SamplingStrategy::Random.probabilities(&covs);
+        let probs = trainer.sampling_probs(&groups, SamplingStrategy::Random);
+        let plan = RunPlan {
+            clock: Clock::Lockstep,
+            membership: Membership::Static {
+                groups: &groups,
+                probs: &probs,
+            },
+        };
 
         // Straight 6 rounds.
-        let mut p_straight = trainer.model().init_params(&mut gfl_tensor::init::rng(77));
-        let mut ledger = trainer.ledger_for(&FedAvg);
-        let mut hist = RunHistory::default();
-        trainer.run_resumable(
-            &groups,
-            &FedAvg,
-            &probs,
-            &mut p_straight,
-            &mut ledger,
-            &mut hist,
-            0,
-            6,
-        );
+        let mut straight = trainer.start(&FedAvg);
+        trainer.drive(&FedAvg, &plan, &mut straight, 6).unwrap();
 
         // 3 rounds, checkpoint to JSON, restore, 3 more.
-        let mut p_half = trainer.model().init_params(&mut gfl_tensor::init::rng(77));
-        let mut ledger2 = trainer.ledger_for(&FedAvg);
-        let mut hist2 = RunHistory::default();
-        trainer.run_resumable(
-            &groups,
-            &FedAvg,
-            &probs,
-            &mut p_half,
-            &mut ledger2,
-            &mut hist2,
-            0,
-            3,
-        );
-        let cp = Checkpoint::new(p_half, 3, hist2, cfg, ledger2.total());
+        let mut half = trainer.start(&FedAvg);
+        trainer.drive(&FedAvg, &plan, &mut half, 3).unwrap();
+        let cp = Checkpoint::from_state(&half, cfg);
         let restored = Checkpoint::from_json(&cp.to_json()).unwrap();
-        let mut p_resumed = restored.params.clone();
-        let mut hist3 = restored.history.clone();
-        trainer.run_resumable(
-            &groups,
-            &FedAvg,
-            &probs,
-            &mut p_resumed,
-            &mut ledger2,
-            &mut hist3,
-            restored.round,
-            3,
-        );
+        assert_eq!(restored.round, 3);
+        let mut resumed = restored.into_state(half.ledger);
+        trainer.drive(&FedAvg, &plan, &mut resumed, 3).unwrap();
+        let (p_straight, p_resumed) = (straight.params, resumed.params);
         for (a, b) in p_straight.iter().zip(p_resumed.iter()) {
             assert!((a - b).abs() < 1e-6, "resume diverged: {a} vs {b}");
         }

@@ -21,12 +21,12 @@ use gfl_data::poison::Trigger;
 use gfl_data::{ClientPartition, Dataset, FedData, LabelMatrix, VirtualPopulation};
 use gfl_defense::DefenseCost;
 use gfl_faults::{
-    summarize_attacks, AdversaryPlan, AttackEvent, AttackKind, ChurnPlan, DefenseStage, FaultEvent,
-    FaultInjector, FaultPlan, FaultPolicy,
+    AdversaryPlan, AttackEvent, AttackKind, ChurnPlan, DefenseStage, FaultEvent, FaultInjector,
+    FaultPlan, FaultPolicy,
 };
 use gfl_nn::sgd::LrSchedule;
 use gfl_nn::{Network, Params};
-use gfl_obs::{RoundMetrics, SpanAttrs, SpanKind, TraceCollector};
+use gfl_obs::{SpanAttrs, SpanKind, TraceCollector};
 use gfl_sim::{CommModel, CostLedger, CostModel, Task, Topology};
 use gfl_tensor::init;
 use gfl_tensor::{ops, Scalar};
@@ -36,13 +36,12 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use crate::cov::group_cov;
-use crate::grouping::{GroupingAlgorithm, PartitionError};
-use crate::history::{AsrRecord, RoundRecord, RunHistory};
+use crate::driver::{Clock, Membership, RunPlan};
+use crate::grouping::GroupingAlgorithm;
+use crate::history::RunHistory;
 use crate::local::{BufPool, LocalScratch, LocalTask, LocalUpdate, ScratchPool};
-use crate::membership::{available_members, MembershipState, RegroupPolicy};
-use crate::sampling::{
-    aggregation_weights_into, sample_without_replacement, AggregationWeighting, SamplingStrategy,
-};
+use crate::membership::RegroupPolicy;
+use crate::sampling::{AggregationWeighting, SamplingStrategy};
 use crate::Group;
 
 /// Hyperparameters of Algorithm 1 plus simulation knobs.
@@ -162,17 +161,17 @@ pub struct Trainer {
     secagg_scratch: ScratchPool<gfl_secagg::RangeScratch>,
     /// Parameter-length `Vec<Scalar>` buffers (group models, slot bufs,
     /// Line-15 weight/probability scratch), recycled across rounds.
-    param_pool: BufPool<Scalar>,
+    pub(crate) param_pool: BufPool<Scalar>,
     /// `Vec<usize>` buffers (outcome member lists, ledger size scratch,
     /// virtual-shard label and index vectors).
-    member_pool: BufPool<usize>,
+    pub(crate) member_pool: BufPool<usize>,
     /// Feature-row backing buffers for on-demand virtual shards, recycled
     /// so a steady-state round materializes into warm capacity.
     shard_pool: BufPool<Scalar>,
     /// Per-group slot-shell `Vec<Slot>` buffers.
     slot_pool: BufPool<Slot>,
     /// Evaluation workspaces for the per-round test/ASR evaluations.
-    eval_pool: gfl_nn::EvalPool,
+    pub(crate) eval_pool: gfl_nn::EvalPool,
     pub(crate) obs: Option<Arc<TraceCollector>>,
 }
 
@@ -310,13 +309,17 @@ pub(crate) struct AdversaryState {
     pub(crate) flip_eval: Option<Dataset>,
 }
 
-/// Result of one group's work within a global round.
-pub(crate) struct GroupOutcome {
+/// Result of one group's work within a global round. Baseline runners
+/// see the model, the volume and the loss ([`Trainer::train_group`]).
+pub struct GroupOutcome {
     /// Global group index (for fault attribution).
     pub(crate) group: usize,
-    pub(crate) params: Params,
-    pub(crate) samples: usize,
-    pub(crate) train_loss: Scalar,
+    /// The trained group model `x^g_{t,K−1}`.
+    pub params: Params,
+    /// Group data volume `n_g`.
+    pub samples: usize,
+    /// Mean local loss observed.
+    pub train_loss: Scalar,
     pub(crate) members: Vec<usize>,
     /// Surviving uploads across all `K` group rounds.
     pub(crate) uploads: usize,
@@ -407,16 +410,6 @@ struct Unit<'a> {
     /// already decided this client's report missed the group-round close.
     timed_cut: Option<f64>,
     slot: &'a mut Slot,
-}
-
-/// What one global round reports back to its driver loop.
-struct RoundReport {
-    /// The cost budget is exhausted; stop the run.
-    over_budget: bool,
-    /// Groups drawn this round (Line 6), before outage/empty filtering.
-    sampled: Vec<usize>,
-    /// Sampled groups whose survivor quorum failed (health-monitor feed).
-    quorum_missed: Vec<usize>,
 }
 
 impl Trainer {
@@ -574,8 +567,8 @@ impl Trainer {
         self
     }
 
-    /// Enables membership churn + self-healing for the
-    /// [`Trainer::run_self_healing`] entry points. Like fault injection,
+    /// Enables membership churn + self-healing for
+    /// [`Membership::SelfHealing`] plans. Like fault injection,
     /// churn decisions are pure hashes of the plan seed — a clean plan
     /// (or a disabled policy on a clean plan) leaves every run
     /// bit-identical to one without churn machinery.
@@ -790,656 +783,36 @@ impl Trainer {
         CostLedger::new(model, strategy.group_ops())
     }
 
+    /// Sampling probabilities `p` (Line 4) of a fixed partition: the
+    /// strategy applied to the groups' CoVs.
+    pub fn sampling_probs(&self, groups: &[Group], sampling: SamplingStrategy) -> Vec<Scalar> {
+        let labels = self.data.label_matrix();
+        let covs: Vec<Scalar> = groups.iter().map(|g| group_cov(labels, g)).collect();
+        sampling.probabilities(&covs)
+    }
+
     /// Runs Algorithm 1 with the given groups, local strategy, and sampling
-    /// strategy. Returns the evaluation trajectory.
+    /// strategy for the configured `T` rounds. Returns the evaluation
+    /// trajectory. The convenience form of [`Trainer::start`] +
+    /// [`Trainer::drive`] on a lockstep, static plan.
     pub fn run<S: LocalUpdate>(
         &self,
         groups: &[Group],
         strategy: &S,
         sampling: SamplingStrategy,
     ) -> RunHistory {
-        let covs: Vec<Scalar> = groups
-            .iter()
-            .map(|g| group_cov(self.data.label_matrix(), g))
-            .collect();
-        let probs = sampling.probabilities(&covs);
-        self.run_with_probabilities(groups, strategy, &probs)
-    }
-
-    /// [`Trainer::run`] that also returns the final global model — for
-    /// callers that deploy or checkpoint the trained parameters.
-    pub fn run_returning_params<S: LocalUpdate>(
-        &self,
-        groups: &[Group],
-        strategy: &S,
-        sampling: SamplingStrategy,
-    ) -> (RunHistory, Params) {
-        let covs: Vec<Scalar> = groups
-            .iter()
-            .map(|g| group_cov(self.data.label_matrix(), g))
-            .collect();
-        let probs = sampling.probabilities(&covs);
-        let mut rng = init::rng(self.config.seed);
-        let mut params = self.model.init_params(&mut rng);
-        let mut ledger = self.ledger_for(strategy);
-        let mut history = RunHistory::default();
-        self.run_resumable(
-            groups,
-            strategy,
-            &probs,
-            &mut params,
-            &mut ledger,
-            &mut history,
-            0,
-            self.config.global_rounds,
-        );
-        (history, params)
-    }
-
-    /// [`Trainer::run`] with an explicit probability vector (Line 4's `p`),
-    /// for experiments that construct `p` directly.
-    pub fn run_with_probabilities<S: LocalUpdate>(
-        &self,
-        groups: &[Group],
-        strategy: &S,
-        probs: &[Scalar],
-    ) -> RunHistory {
-        let mut rng = init::rng(self.config.seed);
-        let mut params = self.model.init_params(&mut rng);
-        let mut ledger = self.ledger_for(strategy);
-        let mut history = RunHistory::default();
-        self.run_resumable(
-            groups,
-            strategy,
-            probs,
-            &mut params,
-            &mut ledger,
-            &mut history,
-            0,
-            self.config.global_rounds,
-        );
-        history
-    }
-
-    /// Resumable core of Algorithm 1: runs `rounds` global rounds starting
-    /// at round index `start_round`, mutating `params`, `ledger`, and
-    /// `history` in place. Enables warm-started sessions — in particular
-    /// the §6.1 *regrouping* extension, where the caller re-forms groups
-    /// every few rounds and resumes training on the same model.
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_resumable<S: LocalUpdate>(
-        &self,
-        groups: &[Group],
-        strategy: &S,
-        probs: &[Scalar],
-        params: &mut Params,
-        ledger: &mut CostLedger,
-        history: &mut RunHistory,
-        start_round: usize,
-        rounds: usize,
-    ) {
-        assert_eq!(groups.len(), probs.len(), "one probability per group");
-        assert!(!groups.is_empty(), "need at least one group");
-        history.reserve_rounds(rounds.div_ceil(self.config.eval_every) + 1);
-        for t in start_round..start_round + rounds {
-            let last = t + 1 == start_round + rounds;
-            let report = self.round_once(
-                t, groups, None, strategy, probs, params, ledger, history, last,
-            );
-            if report.over_budget {
-                break;
-            }
-        }
-    }
-
-    /// One global round of Algorithm 1 (Lines 6–15): sample, train the
-    /// sampled groups, degrade gracefully, aggregate, charge costs, and
-    /// evaluate on the cadence. Shared by the static partition loop
-    /// ([`Trainer::run_resumable`]) and the self-healing loop, which
-    /// passes its churn plan: the sampled groups then train the members
-    /// available this round.
-    #[allow(clippy::too_many_arguments)]
-    fn round_once<S: LocalUpdate>(
-        &self,
-        t: usize,
-        groups: &[Group],
-        churn: Option<&ChurnPlan>,
-        strategy: &S,
-        probs: &[Scalar],
-        params: &mut Params,
-        ledger: &mut CostLedger,
-        history: &mut RunHistory,
-        last: bool,
-    ) -> RoundReport {
-        assert_eq!(groups.len(), probs.len(), "one probability per group");
-        let cfg = &self.config;
-        let total_samples = self.data.total_samples();
-        let s = cfg.sampled_groups.clamp(1, groups.len());
-        // Observation is read-only: timestamps and counter snapshots are
-        // taken around the simulation sections but never feed back into
-        // them, keeping traced runs bit-identical to untraced ones.
-        let obs = self.obs.as_deref();
-        let round_start = obs.map(|o| o.now_ns());
-        let pool_before = obs.map(|_| gfl_parallel::stats::snapshot());
-        let allocs_before = obs.map(|_| gfl_obs::alloc::current_allocs());
-        // Byte accounting is charged unconditionally (it is a deterministic
-        // function of the sampled groups, never of timing); the snapshot
-        // lets the round record report per-round deltas.
-        let bytes_before = (ledger.client_edge_bytes(), ledger.edge_cloud_bytes());
-        {
-            let lr = cfg.lr.at(t);
-            // Sampling randomness is a pure function of (seed, t) so that a
-            // checkpointed-and-resumed session draws exactly the same
-            // groups as an uninterrupted one.
-            let mut rng = init::rng(cfg.seed ^ (t as u64).wrapping_mul(0xA076_1D64_78BD_642F));
-            let sampled = sample_without_replacement(&mut rng, probs, s);
-
-            // Edge outages: a dark edge server takes all of its sampled
-            // groups offline for this round. Flapping clients sit the round
-            // out without leaving their group, and a group with nobody
-            // available (or nobody left, transiently under churn, before
-            // the next heal pass) sits out whole.
-            let mut round_events: Vec<FaultEvent> = Vec::new();
-            let mut quorum_missed: Vec<usize> = Vec::new();
-            let members = available_members(churn, t, groups, &sampled);
-            let group_refs: Vec<(usize, &[usize])> = sampled
-                .iter()
-                .zip(&members)
-                .map(|(&gi, members)| (gi, &**members))
-                .filter(|(_, members)| !members.is_empty())
-                .filter(|&(gi, members)| match &self.faults {
-                    Some(fs) => {
-                        let edge = fs.edge_of_client[members[0]];
-                        let down = fs.injector.edge_down(edge, t);
-                        if down {
-                            round_events.push(FaultEvent::EdgeOutage {
-                                round: t,
-                                edge,
-                                group: gi,
-                            });
-                        }
-                        !down
-                    }
-                    None => true,
-                })
-                .collect();
-
-            // Lines 7–14: every (group × client) pair of this round trains
-            // on one shared work-stealing queue, client-granular.
-            let outcomes = self.train_groups(params, &group_refs, strategy, t, lr);
-
-            let train_end = obs.map(|o| {
-                let end = o.now_ns();
-                o.record_span_at(
-                    SpanKind::Train,
-                    round_start.unwrap(),
-                    end,
-                    SpanAttrs::round(t),
-                );
-                end
-            });
-            let mut comm_ns = 0u64;
-            let mut comm_bytes = 0u64;
-
-            // Charge Eq. 5 for every group that attempted the round. One
-            // pooled size buffer serves every group (and Line 15 below).
-            let mut sizes = self.member_pool.take();
-            let comm = self.comm_model();
-            let client_bytes = comm.client_bytes_per_round(
-                params.len(),
-                cfg.group_rounds,
-                strategy.upload_payload_factor(),
-            );
-            for o in &outcomes {
-                sizes.clear();
-                sizes.extend(o.members.iter().map(|&c| self.data.client_size(c)));
-                ledger.charge_group(&sizes, cfg.group_rounds, cfg.local_rounds);
-                // Every member that attempted the round moved its downloads
-                // and uploads on the client↔edge link, whether or not the
-                // group's result later survives the cloud-side gates.
-                ledger.charge_client_edge_bytes(o.members.len() as u64 * client_bytes);
-            }
-            // Measured defense-filter work (FLAME-style cosine clustering)
-            // lands in the ledger alongside the emulated group ops, so a
-            // real defense shows up in the emulated round time.
-            let (defense_sims, defense_norms) = outcomes.iter().fold((0u64, 0u64), |acc, o| {
-                (
-                    acc.0 + o.defense.similarity_evals,
-                    acc.1 + o.defense.norm_passes,
-                )
-            });
-            if defense_sims > 0 || defense_norms > 0 {
-                ledger.charge_defense(defense_sims, defense_norms);
-            }
-            ledger.end_round();
-
-            // Graceful degradation: the survivor quorum, the non-finite
-            // gate, and edge→cloud upload retries decide which group
-            // models reach Line 15. Clean runs pass every outcome through.
-            let mut included: Vec<&GroupOutcome> = Vec::with_capacity(outcomes.len());
-            let mut round_attacks: Vec<AttackEvent> = Vec::new();
-            for o in &outcomes {
-                round_events.extend(o.events.iter().cloned());
-                round_attacks.extend(o.attacks.iter().cloned());
-                // Edge↔cloud bytes for this group's upload: first-try
-                // uploads move one payload; retried uploads move one per
-                // attempt (charged in the retry branch below, delivered or
-                // not — failed attempts still put bytes on the wire).
-                let mut upload_charged = false;
-                if let Some(fs) = &self.faults {
-                    let required = (fs.policy.quorum_fraction
-                        * (cfg.group_rounds * o.samples) as f64)
-                        .ceil() as usize;
-                    if o.upload_samples < required {
-                        round_events.push(FaultEvent::GroupSkipped {
-                            round: t,
-                            group: o.group,
-                            survivors: o.upload_samples,
-                            required,
-                        });
-                        quorum_missed.push(o.group);
-                        continue;
-                    }
-                    if fs.policy.reject_non_finite && !gfl_defense::is_update_finite(&o.params) {
-                        round_events.push(FaultEvent::CorruptGroupRejected {
-                            round: t,
-                            group: o.group,
-                        });
-                        continue;
-                    }
-                    let failures = fs
-                        .injector
-                        .upload_failures(t, o.group, fs.policy.max_retries);
-                    if failures > 0 {
-                        let retry_start = obs.map(|ob| ob.now_ns());
-                        let payload = fs.comm.group_cloud_bytes(params.len());
-                        let retry = fs.comm.upload_with_retries(
-                            payload,
-                            failures,
-                            fs.policy.max_retries,
-                            fs.policy.backoff_base_s,
-                            fs.policy.max_backoff_s,
-                        );
-                        round_events.push(FaultEvent::UploadRetry {
-                            round: t,
-                            group: o.group,
-                            attempts: retry.attempts,
-                            extra_seconds: retry.seconds,
-                            extra_bytes: retry.bytes,
-                        });
-                        ledger.charge_edge_cloud_bytes(retry.bytes);
-                        upload_charged = true;
-                        comm_bytes += retry.bytes;
-                        let delivered = retry.delivered;
-                        if let Some(ob) = obs {
-                            let start = retry_start.unwrap();
-                            let end = ob.now_ns();
-                            comm_ns += end.saturating_sub(start);
-                            ob.record_span_at(
-                                SpanKind::UploadRetry,
-                                start,
-                                end,
-                                SpanAttrs::group(t, o.group).with_bytes(retry.bytes),
-                            );
-                        }
-                        if !delivered {
-                            round_events.push(FaultEvent::UploadLost {
-                                round: t,
-                                group: o.group,
-                            });
-                            continue;
-                        }
-                    }
-                }
-                if !upload_charged {
-                    ledger.charge_edge_cloud_bytes(comm.group_cloud_bytes(params.len()));
-                }
-                included.push(o);
-            }
-
-            // Line 15: global aggregation — held (`x_{t+1} = x_t`, params
-            // stay finite) when no surviving update reached the cloud.
-            if included.iter().all(|o| o.uploads == 0) {
-                round_events.push(FaultEvent::RoundHeld { round: t });
-            } else {
-                sizes.clear();
-                sizes.extend(included.iter().map(|o| o.samples));
-                let mut sampled_probs = self.param_pool.take();
-                sampled_probs.extend(included.iter().map(|o| probs[o.group]));
-                let mut weights = self.param_pool.take();
-                aggregation_weights_into(
-                    cfg.weighting,
-                    &sizes,
-                    &sampled_probs,
-                    total_samples,
-                    &mut weights,
-                );
-                // The exact fill-then-axpy loop of `ops::weighted_sum_into`,
-                // inlined over `included` so no view vector is built.
-                params.fill(0.0);
-                for (o, &w) in included.iter().zip(weights.iter()) {
-                    ops::axpy(w, &o.params, params);
-                }
-                self.param_pool.put(sampled_probs);
-                self.param_pool.put(weights);
-            }
-            self.member_pool.put(sizes);
-
-            let participants: Vec<usize> = included
-                .iter()
-                .flat_map(|o| o.members.iter().copied())
-                .collect();
-            strategy.end_global_round(&participants);
-
-            // Aggregate phase = charge + degradation + Line 15, minus the
-            // upload-retry (comm) time carved out above, so the four phase
-            // durations stay disjoint.
-            let agg_end = obs.map(|ob| {
-                let end = ob.now_ns();
-                let start = train_end.unwrap();
-                let wall = end.saturating_sub(start);
-                ob.record_span_at(
-                    SpanKind::Aggregate,
-                    start,
-                    start + wall.saturating_sub(comm_ns),
-                    SpanAttrs::round(t),
-                );
-                if comm_ns > 0 {
-                    ob.record_span_at(
-                        SpanKind::Comm,
-                        start,
-                        start + comm_ns,
-                        SpanAttrs::round(t).with_bytes(comm_bytes),
-                    );
-                }
-                end
-            });
-
-            let train_loss = outcomes.iter().map(|o| o.train_loss).sum::<Scalar>()
-                / outcomes.len().max(1) as Scalar;
-
-            let fault_events = round_events.len() as u64;
-            history.record_faults(round_events);
-            let attack_summary = summarize_attacks(&round_attacks);
-            history.record_attacks(round_attacks);
-
-            let over_budget = cfg.cost_budget.is_some_and(|b| ledger.total() >= b);
-            let mut eval_ns = 0u64;
-            let mut asr: Option<AsrRecord> = None;
-            if t.is_multiple_of(cfg.eval_every) || last || over_budget {
-                let eval_start = obs.map(|ob| ob.now_ns());
-                let eval = self.evaluate(params);
-                // Attack-success rates, on the same cadence as accuracy:
-                // both eval sets carry the attacker's label, so plain
-                // accuracy on them *is* the success rate.
-                if let Some(adv) = &self.adversary {
-                    let rate = |d: &Dataset| {
-                        self.model
-                            .evaluate_pooled(params, d.features(), d.labels(), &self.eval_pool)
-                            .accuracy
-                    };
-                    let r = AsrRecord {
-                        round: t,
-                        trigger_asr: adv.trigger_eval.as_ref().map(&rate),
-                        flip_asr: adv.flip_eval.as_ref().map(&rate),
-                    };
-                    history.record_asr(r);
-                    asr = Some(r);
-                }
-                if let Some(ob) = obs {
-                    let start = eval_start.unwrap();
-                    let end = ob.now_ns();
-                    eval_ns = end.saturating_sub(start);
-                    ob.record_span_at(SpanKind::Eval, start, end, SpanAttrs::round(t));
-                }
-                history.push(RoundRecord {
-                    round: t,
-                    cost: ledger.total(),
-                    accuracy: eval.accuracy,
-                    loss: eval.loss,
-                    train_loss,
-                });
-            }
-
-            if let Some(ob) = obs {
-                let start = round_start.unwrap();
-                let end = ob.now_ns();
-                ob.record_span_at(SpanKind::Round, start, end, SpanAttrs::round(t));
-                let train_ns = train_end.unwrap().saturating_sub(start);
-                let agg_wall = agg_end.unwrap().saturating_sub(train_end.unwrap());
-                let pool = gfl_parallel::stats::snapshot().since(pool_before.unwrap());
-                let allocs =
-                    gfl_obs::alloc::current_allocs().saturating_sub(allocs_before.unwrap());
-                let clients_trained: u64 = outcomes
-                    .iter()
-                    .map(|o| (o.members.len() * cfg.group_rounds) as u64)
-                    .sum();
-                let ce_bytes = ledger.client_edge_bytes() - bytes_before.0;
-                let ec_bytes = ledger.edge_cloud_bytes() - bytes_before.1;
-                ob.record_round(RoundMetrics {
-                    round: t as u64,
-                    wall_ns: end.saturating_sub(start),
-                    train_ns,
-                    aggregate_ns: agg_wall.saturating_sub(comm_ns),
-                    comm_ns,
-                    eval_ns,
-                    groups_trained: outcomes.len() as u64,
-                    clients_trained,
-                    fault_events,
-                    cost_total: ledger.total(),
-                    pool_regions: pool.regions,
-                    pool_claims: pool.claims,
-                    pool_steals: pool.steals,
-                    pool_utilization: pool.utilization(),
-                    allocs,
-                    client_edge_bytes: Some(ce_bytes),
-                    edge_cloud_bytes: Some(ec_bytes),
-                });
-                let m = ob.metrics();
-                m.counter("rounds.total").inc();
-                m.counter("events.faults").add(fault_events);
-                m.counter("clients.trained").add(clients_trained);
-                m.counter("comm.bytes.client_edge").add(ce_bytes);
-                m.counter("comm.bytes.edge_cloud").add(ec_bytes);
-                m.gauge("cost.total").set(ledger.total());
-                m.gauge("pool.utilization").set(pool.utilization());
-                // Attack/defense telemetry only exists on runs that opted
-                // in, so clean traces are byte-identical to pre-adversary
-                // ones.
-                if self.adversary.is_some() {
-                    m.counter("attacks.injected")
-                        .add(attack_summary.injected() as u64);
-                    m.counter("attacks.filtered.flame")
-                        .add(attack_summary.filtered_flame as u64);
-                    m.counter("attacks.filtered.non_finite")
-                        .add(attack_summary.filtered_non_finite as u64);
-                    if let Some(r) = asr {
-                        if let Some(v) = r.trigger_asr {
-                            m.gauge("asr.trigger").set(v as f64);
-                        }
-                        if let Some(v) = r.flip_asr {
-                            m.gauge("asr.flip").set(v as f64);
-                        }
-                    }
-                }
-                if defense_sims > 0 || defense_norms > 0 {
-                    m.counter("defense.similarity_evals").add(defense_sims);
-                    m.counter("defense.norm_passes").add(defense_norms);
-                }
-                self.record_secagg_metrics(m, &outcomes);
-                let ms = |ns: u64| ns as f64 / 1e6;
-                let buckets = &gfl_obs::metrics::PHASE_MS_BUCKETS;
-                m.histogram("round.train_ms", buckets).observe(ms(train_ns));
-                m.histogram("round.aggregate_ms", buckets)
-                    .observe(ms(agg_wall.saturating_sub(comm_ns)));
-                m.histogram("round.comm_ms", buckets).observe(ms(comm_ns));
-                m.histogram("round.eval_ms", buckets).observe(ms(eval_ns));
-            }
-
-            // Hand the round's parameter and member buffers back to the
-            // pools so the next round's groups start from warm capacity.
-            for o in outcomes {
-                self.param_pool.put(o.params);
-                self.member_pool.put(o.members);
-            }
-
-            RoundReport {
-                over_budget,
-                sampled,
-                quorum_missed,
-            }
-        }
-    }
-
-    /// Runs Algorithm 1 under **online membership**: forms the initial
-    /// partition over the clients present at round 0, then every round
-    /// applies the churn plan (departures, arrivals, flaps), lets the
-    /// group-health monitor heal the partition per the configured
-    /// [`RegroupPolicy`], and trains on whoever is available. Model state
-    /// carries across regroups; every membership transition lands in the
-    /// history's regroup log.
-    ///
-    /// Without [`Trainer::with_churn`] this still runs — a churn-free
-    /// self-healing session that only reacts to fault-driven degradation —
-    /// and with a clean plan it is bit-identical to [`Trainer::run`] on
-    /// [`form_groups_per_edge`] groups.
-    pub fn run_self_healing<S: LocalUpdate>(
-        &self,
-        algo: &dyn GroupingAlgorithm,
-        topology: &Topology,
-        strategy: &S,
-        sampling: SamplingStrategy,
-    ) -> Result<(RunHistory, Params, MembershipState), PartitionError> {
-        let policy = self
-            .churn
-            .as_ref()
-            .map_or_else(RegroupPolicy::default, |c| c.policy.clone());
-        let plan = self.churn.as_ref().map(|c| &c.plan);
-        let mut membership = MembershipState::form(
-            algo,
-            topology,
-            self.data.label_matrix(),
-            plan,
-            policy,
-            self.config.seed,
-            sampling,
-            0,
-        )?;
-        let mut rng = init::rng(self.config.seed);
-        let mut params = self.model.init_params(&mut rng);
-        let mut ledger = self.ledger_for(strategy);
-        let mut history = RunHistory::default();
-        self.run_self_healing_resumable(
-            algo,
-            topology,
-            strategy,
-            sampling,
-            &mut membership,
-            &mut params,
-            &mut ledger,
-            &mut history,
-            0,
-            self.config.global_rounds,
-        )?;
-        Ok((history, params, membership))
-    }
-
-    /// Resumable core of the self-healing loop: runs `rounds` global
-    /// rounds from `start_round`, mutating the membership state, model,
-    /// ledger, and history in place. Checkpointing all five reproduces
-    /// the uninterrupted trajectory bit-for-bit — membership transitions
-    /// are pure functions of `(plan, round)` and repair is deterministic,
-    /// so a resumed session replays the same regroups and draws.
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_self_healing_resumable<S: LocalUpdate>(
-        &self,
-        algo: &dyn GroupingAlgorithm,
-        topology: &Topology,
-        strategy: &S,
-        sampling: SamplingStrategy,
-        membership: &mut MembershipState,
-        params: &mut Params,
-        ledger: &mut CostLedger,
-        history: &mut RunHistory,
-        start_round: usize,
-        rounds: usize,
-    ) -> Result<(), PartitionError> {
-        let labels = self.data.label_matrix();
-        let plan = self.churn.as_ref().map(|c| &c.plan);
-        let obs = self.obs.as_deref();
-        history.reserve_rounds(rounds.div_ceil(self.config.eval_every) + 1);
-        for t in start_round..start_round + rounds {
-            let regroup_start = obs.map(|ob| ob.now_ns());
-            let events =
-                membership.tick(plan, t, labels, topology, algo, self.config.seed, sampling)?;
-            if let Some(ob) = obs {
-                ob.record_span(
-                    SpanKind::Regroup,
-                    regroup_start.unwrap(),
-                    SpanAttrs::round(t),
-                );
-                ob.metrics()
-                    .counter("events.regroups")
-                    .add(events.len() as u64);
-            }
-            history.record_regroups(events);
-            if !membership.anyone_available(plan, t) {
-                // Nobody is reachable: hold the round outright.
-                let held_start = obs.map(|ob| ob.now_ns());
-                history.record_fault(FaultEvent::RoundHeld { round: t });
-                ledger.end_round();
-                let last = t + 1 == start_round + rounds;
-                let mut eval_ns = 0u64;
-                if t.is_multiple_of(self.config.eval_every) || last {
-                    let eval_start = obs.map(|ob| ob.now_ns());
-                    let eval = self.evaluate(params);
-                    if let Some(ob) = obs {
-                        let start = eval_start.unwrap();
-                        let end = ob.now_ns();
-                        eval_ns = end.saturating_sub(start);
-                        ob.record_span_at(SpanKind::Eval, start, end, SpanAttrs::round(t));
-                    }
-                    history.push(RoundRecord {
-                        round: t,
-                        cost: ledger.total(),
-                        accuracy: eval.accuracy,
-                        loss: eval.loss,
-                        train_loss: 0.0,
-                    });
-                }
-                if let Some(ob) = obs {
-                    let start = held_start.unwrap();
-                    let end = ob.now_ns();
-                    ob.record_span_at(SpanKind::Round, start, end, SpanAttrs::round(t));
-                    let mut m = RoundMetrics::empty(t);
-                    m.wall_ns = end.saturating_sub(start);
-                    m.eval_ns = eval_ns;
-                    m.fault_events = 1;
-                    m.cost_total = ledger.total();
-                    ob.record_round(m);
-                    ob.metrics().counter("rounds.total").inc();
-                    ob.metrics().counter("events.faults").inc();
-                }
-                continue;
-            }
-            let last = t + 1 == start_round + rounds;
-            let report = self.round_once(
-                t,
-                membership.groups(),
-                plan,
-                strategy,
-                &membership.probs,
-                params,
-                ledger,
-                history,
-                last,
-            );
-            membership.observe_round(&report.sampled, &report.quorum_missed);
-            if report.over_budget {
-                break;
-            }
-        }
-        Ok(())
+        let probs = self.sampling_probs(groups, sampling);
+        let plan = RunPlan {
+            clock: Clock::Lockstep,
+            membership: Membership::Static {
+                groups,
+                probs: &probs,
+            },
+        };
+        let mut state = self.start(strategy);
+        self.drive(strategy, &plan, &mut state, self.config.global_rounds)
+            .expect("a static partition is never re-formed");
+        state.history
     }
 
     /// Trains one group for `K` group rounds starting from `global` (Lines
@@ -1452,25 +825,8 @@ impl Trainer {
         strategy: &S,
         t: usize,
         lr: Scalar,
-    ) -> GroupOutcomePublic {
-        let o = self.train_group_impl(global, group, strategy, t, lr, 0);
-        GroupOutcomePublic {
-            params: o.params,
-            samples: o.samples,
-            train_loss: o.train_loss,
-        }
-    }
-
-    fn train_group_impl<S: LocalUpdate>(
-        &self,
-        global: &[Scalar],
-        group: &[usize],
-        strategy: &S,
-        t: usize,
-        lr: Scalar,
-        gi: usize,
     ) -> GroupOutcome {
-        self.train_groups(global, &[(gi, group)], strategy, t, lr)
+        self.train_groups_with_cuts(global, &[(0, group)], strategy, t, lr, None)
             .pop()
             .expect("one group in, one outcome out")
     }
@@ -1505,22 +861,12 @@ impl Trainer {
     /// [`Slot`], and slots are reduced sequentially in member order, so the
     /// result is bit-identical to the sequential engine for any thread
     /// count.
-    fn train_groups<S: LocalUpdate>(
-        &self,
-        global: &[Scalar],
-        groups: &[(usize, &[usize])],
-        strategy: &S,
-        t: usize,
-        lr: Scalar,
-    ) -> Vec<GroupOutcome> {
-        self.train_groups_with_cuts(global, groups, strategy, t, lr, None)
-    }
-
-    /// [`Trainer::train_groups`] with optional precomputed time-domain
-    /// straggler cuts (one [`GroupCuts`] per group, aligned with `groups`).
-    /// When cuts are supplied the lockstep in-unit deadline estimate is
-    /// disabled — the semi-async scheduler has already decided, in emulated
-    /// time, exactly which reports missed each group round's close.
+    ///
+    /// `cuts` are optional precomputed time-domain straggler cuts (one
+    /// [`GroupCuts`] per group, aligned with `groups`). When supplied, the
+    /// lockstep in-unit deadline estimate is disabled — the event clock has
+    /// already decided, in emulated time, exactly which reports missed each
+    /// group round's close.
     pub(crate) fn train_groups_with_cuts<S: LocalUpdate>(
         &self,
         global: &[Scalar],
@@ -1716,7 +1062,7 @@ impl Trainer {
             .map(|ctx| {
                 // Slot buffers and shells go straight back to the pools;
                 // the group model travels on inside the outcome and is
-                // recycled by `round_once` once aggregation is done.
+                // recycled by the round driver once aggregation is done.
                 let mut slots = ctx.slots;
                 for s in slots.drain(..) {
                     self.param_pool.put(s.buf);
@@ -2058,24 +1404,6 @@ impl Trainer {
         }
     }
 
-    /// Secure runs (and only they) report what the protocol's parties did:
-    /// sessions run, and pairwise masks expanded — `s(g−1)` by `s`
-    /// survivors of `g` members plus `(g−s)s` recovered by the server. The
-    /// simulator itself expands each pair once; the counters are the
-    /// protocol's, exact and independent of the thread count.
-    pub(crate) fn record_secagg_metrics(
-        &self,
-        m: &gfl_obs::MetricsRegistry,
-        outcomes: &[GroupOutcome],
-    ) {
-        if self.config.secure_aggregation {
-            m.counter("secagg.sessions")
-                .add(outcomes.iter().map(|o| o.secagg_sessions).sum());
-            m.counter("secagg.pair_masks")
-                .add(outcomes.iter().map(|o| o.secagg_pair_masks).sum());
-        }
-    }
-
     /// Group aggregation through the real pairwise-masking protocol:
     /// every surviving client masks its *weighted* model (weight `n_i` over
     /// `n_surv`, the survivors' samples), the server unmasks the survivor
@@ -2121,16 +1449,6 @@ impl Trainer {
         );
         session.round_cost(survivors.len())
     }
-}
-
-/// Public view of a group's training outcome (for baseline runners).
-pub struct GroupOutcomePublic {
-    /// The trained group model `x^g_{t,K−1}`.
-    pub params: Params,
-    /// Group data volume `n_g`.
-    pub samples: usize,
-    /// Mean local loss observed.
-    pub train_loss: Scalar,
 }
 
 #[cfg(test)]
@@ -2375,15 +1693,31 @@ mod tests {
             &trainer.partition().label_matrix,
             trainer.config.seed,
         );
-        let (h_static, p_static) =
-            trainer.run_returning_params(&groups, &FedAvg, SamplingStrategy::ESRCov);
-        let (h_heal, p_heal, membership) = trainer
-            .run_self_healing(&algo, &topo, &FedAvg, SamplingStrategy::ESRCov)
-            .unwrap();
-        assert_eq!(membership.groups(), groups);
-        assert_eq!(p_static, p_heal);
-        assert_eq!(h_static, h_heal);
-        assert!(h_heal.regroup_events().is_empty());
+        let sampling = SamplingStrategy::ESRCov;
+        let probs = trainer.sampling_probs(&groups, sampling);
+        let drive = |membership| {
+            let plan = RunPlan {
+                clock: Clock::Lockstep,
+                membership,
+            };
+            let mut state = trainer.start(&FedAvg);
+            let rounds = trainer.config.global_rounds;
+            trainer.drive(&FedAvg, &plan, &mut state, rounds).unwrap();
+            state
+        };
+        let fixed = drive(Membership::Static {
+            groups: &groups,
+            probs: &probs,
+        });
+        let healed = drive(Membership::SelfHealing {
+            algo: &algo,
+            topology: &topo,
+            sampling,
+        });
+        assert_eq!(healed.membership.unwrap().groups(), groups);
+        assert_eq!(fixed.params, healed.params);
+        assert_eq!(fixed.history, healed.history);
+        assert!(healed.history.regroup_events().is_empty());
     }
 
     #[test]
@@ -2406,10 +1740,20 @@ mod tests {
                 trainer.test.clone(),
             )
             .with_robust_agg(rule);
-            let (h, p) = t.run_returning_params(&groups, &FedAvg, SamplingStrategy::Random);
-            assert!(!h.is_empty(), "{rule:?} produced no records");
+            let probs = t.sampling_probs(&groups, SamplingStrategy::Random);
+            let plan = RunPlan {
+                clock: Clock::Lockstep,
+                membership: Membership::Static {
+                    groups: &groups,
+                    probs: &probs,
+                },
+            };
+            let mut state = t.start(&FedAvg);
+            t.drive(&FedAvg, &plan, &mut state, t.config.global_rounds)
+                .unwrap();
+            assert!(!state.history.is_empty(), "{rule:?} produced no records");
             assert!(
-                p.iter().all(|w| w.is_finite()),
+                state.params.iter().all(|w| w.is_finite()),
                 "{rule:?} produced non-finite weights"
             );
         }

@@ -139,7 +139,7 @@ impl RunHistory {
 
     /// Pre-reserves capacity for `n` upcoming round records so a run's
     /// steady-state rounds never pay an amortized regrow inside
-    /// `round_once` (the alloc-budget gate counts those).
+    /// the round driver (the alloc-budget gate counts those).
     pub fn reserve_rounds(&mut self, n: usize) {
         self.records.reserve(n);
     }

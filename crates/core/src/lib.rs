@@ -14,7 +14,17 @@
 //!    unbiased/stabilized aggregation corrections (Eq. 4, Eq. 35).
 //! 3. Every global round, sampled groups run `K` group rounds of `E` local
 //!    SGD epochs and aggregate hierarchically — [`engine`] implements
-//!    Algorithm 1, charging emulated cost per Eq. 5 through `gfl-sim`.
+//!    Algorithm 1's group mechanics and [`driver`] its one round loop,
+//!    charging emulated cost per Eq. 5 through `gfl-sim`.
+//!
+//! A run has three entry points, all on [`engine::Trainer`]:
+//! [`start`](engine::Trainer::start) makes a fresh [`driver::RunState`],
+//! [`drive`](engine::Trainer::drive) advances one by some rounds under a
+//! [`driver::RunPlan`] — a clock policy (lockstep | event-driven,
+//! [`semi_async`]) × a membership policy (static | self-healing,
+//! [`membership`]) chosen per call — and
+//! [`run`](engine::Trainer::run) is the lockstep × static one-liner.
+//! Resuming is driving a state restored from a [`checkpoint`].
 //!
 //! [`cov`] is the shared grouping criterion (Eq. 27), [`theory`] evaluates
 //! the constants of the convergence theorem (Theorem 1), and [`history`]
@@ -44,6 +54,7 @@
 
 pub mod checkpoint;
 pub mod cov;
+pub mod driver;
 pub mod engine;
 pub mod grouping;
 pub mod history;
@@ -59,12 +70,13 @@ pub type Group = Vec<usize>;
 /// Convenient re-exports of the full pipeline.
 pub mod prelude {
     pub use crate::cov::group_cov;
+    pub use crate::driver::{Clock, Membership, RunPlan, RunState};
     pub use crate::engine::{
         form_groups_per_edge, ConfigError, GroupFelConfig, RobustAggRule, Trainer,
     };
     pub use crate::grouping::{
-        CdgGrouping, CovGrouping, GroupStats, GroupingAlgorithm, KldGrouping, RandomGrouping,
-        StreamGrouping,
+        CdgGrouping, CovGrouping, GroupStats, GroupingAlgorithm, KldGrouping, PartitionError,
+        RandomGrouping, StreamGrouping,
     };
     pub use crate::history::{AsrRecord, RoundRecord, RunHistory, TimedEvent};
     pub use crate::local::{FedAvg, LocalTask, LocalUpdate};

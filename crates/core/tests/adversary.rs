@@ -13,7 +13,61 @@ use gfl_core::membership::RegroupPolicy;
 use gfl_core::prelude::*;
 use gfl_data::{ClientPartition, PartitionSpec, SyntheticSpec};
 use gfl_faults::{ChurnPlan, FaultPlan, FaultPolicy};
+use gfl_nn::Params;
 use gfl_sim::Topology;
+
+/// Whole FedAvg runs from a fresh state, one method per clock × membership
+/// cell this suite drives.
+trait Runs {
+    fn run_plan(
+        &self,
+        clock: Clock,
+        membership: Membership<'_>,
+    ) -> Result<RunState, PartitionError>;
+    fn run_static(&self, groups: &[Group], sampling: SamplingStrategy) -> (RunHistory, Params);
+    fn run_healing(
+        &self,
+        algo: &dyn GroupingAlgorithm,
+        topology: &Topology,
+        sampling: SamplingStrategy,
+    ) -> Result<(RunHistory, Params, MembershipState), PartitionError>;
+}
+
+impl Runs for Trainer {
+    fn run_plan(
+        &self,
+        clock: Clock,
+        membership: Membership<'_>,
+    ) -> Result<RunState, PartitionError> {
+        let mut state = self.start(&FedAvg);
+        let plan = RunPlan { clock, membership };
+        self.drive(&FedAvg, &plan, &mut state, self.config().global_rounds)?;
+        Ok(state)
+    }
+    fn run_static(&self, groups: &[Group], sampling: SamplingStrategy) -> (RunHistory, Params) {
+        let probs = self.sampling_probs(groups, sampling);
+        let membership = Membership::Static {
+            groups,
+            probs: &probs,
+        };
+        let s = self.run_plan(Clock::Lockstep, membership).unwrap();
+        (s.history, s.params)
+    }
+    fn run_healing(
+        &self,
+        algo: &dyn GroupingAlgorithm,
+        topology: &Topology,
+        sampling: SamplingStrategy,
+    ) -> Result<(RunHistory, Params, MembershipState), PartitionError> {
+        let membership = Membership::SelfHealing {
+            algo,
+            topology,
+            sampling,
+        };
+        let s = self.run_plan(Clock::Lockstep, membership)?;
+        Ok((s.history, s.params, s.membership.unwrap()))
+    }
+}
 
 /// CI seed shift: `GFL_SEED=n` offsets every seed in the suite.
 fn seed_offset() -> u64 {
@@ -107,13 +161,11 @@ fn clean_plan_is_bit_identical_to_no_adversary() {
     // zero-fraction plan must not move a single bit — no engine RNG stream
     // is consumed and no history field materializes.
     let w = world(41);
-    let (h_clean, p_clean) =
-        w.trainer()
-            .run_returning_params(&w.groups, &FedAvg, SamplingStrategy::ESRCov);
+    let (h_clean, p_clean) = w.trainer().run_static(&w.groups, SamplingStrategy::ESRCov);
     let (h_adv, p_adv) = w
         .trainer()
         .with_adversary(AdversaryPlan::none())
-        .run_returning_params(&w.groups, &FedAvg, SamplingStrategy::ESRCov);
+        .run_static(&w.groups, SamplingStrategy::ESRCov);
     assert_eq!(h_clean, h_adv);
     assert_eq!(p_clean, p_adv);
     assert_eq!(
@@ -131,7 +183,7 @@ fn attacked_run_is_deterministic_and_replayable() {
     let run = || {
         w.trainer()
             .with_adversary(heavy_plan(w.cfg.seed))
-            .run_returning_params(&w.groups, &FedAvg, SamplingStrategy::ESRCov)
+            .run_static(&w.groups, SamplingStrategy::ESRCov)
     };
     let (h1, p1) = run();
     let (h2, p2) = run();
@@ -181,13 +233,11 @@ fn attacked_run_perturbs_the_model() {
     // The campaigns must actually reach the global model: an attacked run
     // cannot coincide with the clean trajectory.
     let w = world(44);
-    let (_, p_clean) =
-        w.trainer()
-            .run_returning_params(&w.groups, &FedAvg, SamplingStrategy::ESRCov);
+    let (_, p_clean) = w.trainer().run_static(&w.groups, SamplingStrategy::ESRCov);
     let (_, p_adv) = w
         .trainer()
         .with_adversary(heavy_plan(w.cfg.seed))
-        .run_returning_params(&w.groups, &FedAvg, SamplingStrategy::ESRCov);
+        .run_static(&w.groups, SamplingStrategy::ESRCov);
     assert_ne!(p_clean, p_adv, "attacks never reached the global model");
 }
 
@@ -229,7 +279,7 @@ fn non_finite_gate_reclassifies_overflowed_poison() {
         .trainer()
         .with_faults(FaultPlan::none(), FaultPolicy::default(), &w.topo)
         .with_adversary(plan)
-        .run_returning_params(&w.groups, &FedAvg, SamplingStrategy::ESRCov);
+        .run_static(&w.groups, SamplingStrategy::ESRCov);
     let s = h.attack_summary();
     assert!(s.filtered_non_finite > 0, "gate never fired: {s}");
     assert_eq!(s.model_poison, 0, "overflowed poison still logged: {s}");
@@ -243,13 +293,11 @@ fn attacks_survive_secure_aggregation() {
     // from the clean secure one and still logs its campaign.
     let mut w = world(47);
     w.cfg.secure_aggregation = true;
-    let (h_clean, p_clean) =
-        w.trainer()
-            .run_returning_params(&w.groups, &FedAvg, SamplingStrategy::Random);
+    let (h_clean, p_clean) = w.trainer().run_static(&w.groups, SamplingStrategy::Random);
     let (h_adv, p_adv) = w
         .trainer()
         .with_adversary(heavy_plan(w.cfg.seed))
-        .run_returning_params(&w.groups, &FedAvg, SamplingStrategy::Random);
+        .run_static(&w.groups, SamplingStrategy::Random);
     assert!(h_adv.attack_summary().injected() > 0);
     assert!(!h_adv.asr_records().is_empty());
     assert_ne!(p_clean, p_adv, "SecAgg stripped the attack");
@@ -283,7 +331,7 @@ fn adversary_composes_with_faults_and_churn() {
             )
             .with_adversary(heavy_plan(w.cfg.seed ^ 0x53));
         let (h, p, m) = t
-            .run_self_healing(&algo, &w.topo, &FedAvg, SamplingStrategy::ESRCov)
+            .run_healing(&algo, &w.topo, SamplingStrategy::ESRCov)
             .expect("self-healing attacked run failed");
         (h, p, m.groups().to_vec())
     };
@@ -301,62 +349,30 @@ fn attacked_checkpoint_resume_is_bit_identical() {
     // split session must reproduce the straight run's history bit for bit.
     let w = world(49);
     let trainer = w.trainer().with_adversary(heavy_plan(w.cfg.seed));
-    let covs: Vec<f32> = w
-        .groups
-        .iter()
-        .map(|g| gfl_core::cov::group_cov(&trainer.partition().label_matrix, g))
-        .collect();
-    let probs = SamplingStrategy::ESRCov.probabilities(&covs);
+    let probs = trainer.sampling_probs(&w.groups, SamplingStrategy::ESRCov);
+    let plan = RunPlan {
+        clock: Clock::Lockstep,
+        membership: Membership::Static {
+            groups: &w.groups,
+            probs: &probs,
+        },
+    };
 
-    let mut p_straight = trainer
-        .model()
-        .init_params(&mut gfl_tensor::init::rng(w.cfg.seed));
-    let mut ledger = trainer.ledger_for(&FedAvg);
-    let mut h_straight = RunHistory::default();
-    trainer.run_resumable(
-        &w.groups,
-        &FedAvg,
-        &probs,
-        &mut p_straight,
-        &mut ledger,
-        &mut h_straight,
-        0,
-        6,
-    );
+    let mut straight = trainer.start(&FedAvg);
+    trainer.drive(&FedAvg, &plan, &mut straight, 6).unwrap();
 
-    let mut p_half = trainer
-        .model()
-        .init_params(&mut gfl_tensor::init::rng(w.cfg.seed));
-    let mut ledger2 = trainer.ledger_for(&FedAvg);
-    let mut h_half = RunHistory::default();
-    trainer.run_resumable(
-        &w.groups,
-        &FedAvg,
-        &probs,
-        &mut p_half,
-        &mut ledger2,
-        &mut h_half,
-        0,
-        3,
-    );
-    let cp = Checkpoint::new(p_half, 3, h_half, w.cfg.clone(), ledger2.total());
+    let mut half = trainer.start(&FedAvg);
+    trainer.drive(&FedAvg, &plan, &mut half, 3).unwrap();
+    let cp = Checkpoint::from_state(&half, w.cfg.clone());
     let restored = Checkpoint::from_json(&cp.to_json()).expect("checkpoint roundtrip");
     assert!(
         !restored.history.attack_events().is_empty(),
         "attack log lost in checkpoint"
     );
-    let mut p_resumed = restored.params.clone();
-    let mut h_resumed = restored.history.clone();
-    trainer.run_resumable(
-        &w.groups,
-        &FedAvg,
-        &probs,
-        &mut p_resumed,
-        &mut ledger2,
-        &mut h_resumed,
-        restored.round,
-        3,
-    );
+    let mut resumed = restored.into_state(half.ledger);
+    trainer.drive(&FedAvg, &plan, &mut resumed, 3).unwrap();
+    let (p_straight, h_straight) = (straight.params, straight.history);
+    let (p_resumed, h_resumed) = (resumed.params, resumed.history);
     assert_eq!(p_straight, p_resumed);
     assert_eq!(h_straight, h_resumed);
     assert_eq!(
@@ -370,36 +386,54 @@ fn attacked_checkpoint_resume_is_bit_identical() {
 fn attack_defense_telemetry_reaches_the_collector() {
     // gfl-obs surfaces the loop: injected vs filtered counters and ASR
     // gauges exist on attacked runs, and defense counters record the
-    // filter's measured work.
-    let w = world(50);
-    let obs = gfl_obs::TraceCollector::new();
-    let plan = AdversaryPlan {
-        model_poison_fraction: 0.25,
-        ..AdversaryPlan::moderate(w.cfg.seed)
-    };
-    let groups = w.big_groups();
-    let h = w
-        .trainer()
-        .with_adversary(plan)
-        .with_robust_agg(RobustAggRule::FlameFilter)
-        .with_observer(std::sync::Arc::clone(&obs))
-        .run(&groups, &FedAvg, SamplingStrategy::ESRCov);
-    let trace = obs.finish(1);
-    let metrics = &trace.summary.as_ref().expect("trace summary").metrics;
-    let get = |name: &str| metrics.counter(name).unwrap_or(0);
-    assert_eq!(
-        get("attacks.injected"),
-        h.attack_summary().injected() as u64
-    );
-    assert_eq!(
-        get("attacks.filtered.flame"),
-        h.attack_summary().filtered_flame as u64
-    );
-    assert!(
-        get("defense.similarity_evals") > 0,
-        "filter work not counted"
-    );
-    assert!(get("defense.norm_passes") > 0, "clip work not counted");
+    // filter's measured work — under either clock (the event clock's
+    // traced rounds used to carry none of this, and literal zeros for the
+    // pool and allocation fields).
+    for clock in [Clock::Lockstep, Clock::EventDriven(AsyncConfig::default())] {
+        let w = world(50);
+        let obs = gfl_obs::TraceCollector::new();
+        let plan = AdversaryPlan {
+            model_poison_fraction: 0.25,
+            ..AdversaryPlan::moderate(w.cfg.seed)
+        };
+        let groups = w.big_groups();
+        let t = w
+            .trainer()
+            .with_adversary(plan)
+            .with_robust_agg(RobustAggRule::FlameFilter)
+            .with_observer(std::sync::Arc::clone(&obs));
+        let probs = t.sampling_probs(&groups, SamplingStrategy::ESRCov);
+        let membership = Membership::Static {
+            groups: &groups,
+            probs: &probs,
+        };
+        let h = t.run_plan(clock, membership).unwrap().history;
+        let trace = obs.finish(1);
+        let metrics = &trace.summary.as_ref().expect("trace summary").metrics;
+        let get = |name: &str| metrics.counter(name).unwrap_or(0);
+        assert!(get("attacks.injected") > 0, "{clock:?}: nothing attacked");
+        assert_eq!(
+            get("attacks.injected"),
+            h.attack_summary().injected() as u64
+        );
+        assert_eq!(
+            get("attacks.filtered.flame"),
+            h.attack_summary().filtered_flame as u64
+        );
+        assert!(
+            get("defense.similarity_evals") > 0,
+            "filter work not counted"
+        );
+        assert!(get("defense.norm_passes") > 0, "clip work not counted");
+        assert!(metrics.gauge("asr.trigger").is_some(), "{clock:?}: no ASR");
+        assert!(
+            trace.rounds.iter().all(|r| r.pool_regions > 0),
+            "{clock:?}: pool deltas missing from the round records"
+        );
+        let phases = metrics.histograms.iter().map(|h| h.name.as_str());
+        assert!(phases.clone().any(|n| n == "round.train_ms"), "{clock:?}");
+        assert!(phases.clone().any(|n| n == "round.eval_ms"), "{clock:?}");
+    }
 }
 
 #[test]

@@ -14,8 +14,42 @@ use gfl_core::checkpoint::Checkpoint;
 use gfl_core::prelude::*;
 use gfl_data::{ClientPartition, PartitionSpec, SyntheticSpec};
 use gfl_faults::{FaultPlan, FaultPolicy, OutageWindow};
+use gfl_nn::Params;
 use gfl_sim::Topology;
 use gfl_tensor::init;
+
+/// Whole FedAvg runs from a fresh state, one method per clock × membership
+/// cell this suite drives.
+trait Runs {
+    fn run_plan(
+        &self,
+        clock: Clock,
+        membership: Membership<'_>,
+    ) -> Result<RunState, PartitionError>;
+    fn run_static(&self, groups: &[Group], sampling: SamplingStrategy) -> (RunHistory, Params);
+}
+
+impl Runs for Trainer {
+    fn run_plan(
+        &self,
+        clock: Clock,
+        membership: Membership<'_>,
+    ) -> Result<RunState, PartitionError> {
+        let mut state = self.start(&FedAvg);
+        let plan = RunPlan { clock, membership };
+        self.drive(&FedAvg, &plan, &mut state, self.config().global_rounds)?;
+        Ok(state)
+    }
+    fn run_static(&self, groups: &[Group], sampling: SamplingStrategy) -> (RunHistory, Params) {
+        let probs = self.sampling_probs(groups, sampling);
+        let membership = Membership::Static {
+            groups,
+            probs: &probs,
+        };
+        let s = self.run_plan(Clock::Lockstep, membership).unwrap();
+        (s.history, s.params)
+    }
+}
 
 /// CI seed shift: `GFL_SEED=n` offsets every seed in the suite.
 fn seed_offset() -> u64 {
@@ -112,7 +146,7 @@ fn total_dropout_holds_the_round() {
     let rounds = cfg.global_rounds;
     let t = Trainer::new(cfg, model, train, part, test);
     let initial = t.model().init_params(&mut init::rng(seed));
-    let (h, params) = t.run_returning_params(&groups, &FedAvg, SamplingStrategy::Random);
+    let (h, params) = t.run_static(&groups, SamplingStrategy::Random);
     assert_eq!(params, initial, "held rounds must not move the model");
     assert!(params.iter().all(|w| w.is_finite()));
     assert_eq!(h.fault_summary().rounds_held, rounds);
@@ -134,7 +168,7 @@ fn total_dropout_with_quorum_skips_every_group() {
         &topo,
     );
     let initial = t.model().init_params(&mut init::rng(seed));
-    let (h, params) = t.run_returning_params(&groups, &FedAvg, SamplingStrategy::Random);
+    let (h, params) = t.run_static(&groups, SamplingStrategy::Random);
     assert_eq!(params, initial);
     let s = h.fault_summary();
     assert_eq!(s.rounds_held, rounds);
@@ -153,7 +187,7 @@ fn corrupt_updates_never_reach_the_global_model() {
     let t = t.with_faults(plan, FaultPolicy::default(), &topo);
     let seed = t.config().seed;
     let initial = t.model().init_params(&mut init::rng(seed));
-    let (h, params) = t.run_returning_params(&groups, &FedAvg, SamplingStrategy::Random);
+    let (h, params) = t.run_static(&groups, SamplingStrategy::Random);
     assert!(params.iter().all(|w| w.is_finite()));
     assert_eq!(params, initial);
     let s = h.fault_summary();
@@ -224,7 +258,7 @@ fn moderate_faults_degrade_gracefully() {
         FaultPolicy::default(),
         &topo,
     );
-    let (h, params) = faulted.run_returning_params(&groups, &FedAvg, SamplingStrategy::ESRCov);
+    let (h, params) = faulted.run_static(&groups, SamplingStrategy::ESRCov);
     assert!(params.iter().all(|w| w.is_finite()));
     assert!(!h.fault_events().is_empty());
     let gap = baseline.best_accuracy() - h.best_accuracy();
@@ -244,7 +278,6 @@ fn faulted_checkpoint_resume_is_bit_identical() {
     let (cfg, model, part, topo, groups, train, test) = world(17);
     let mut cfg = cfg;
     cfg.global_rounds = 6;
-    let seed = cfg.seed;
     let make = || {
         Trainer::new(
             cfg.clone(),
@@ -256,62 +289,35 @@ fn faulted_checkpoint_resume_is_bit_identical() {
         .with_faults(FaultPlan::moderate(21), FaultPolicy::default(), &topo)
     };
     let t = make();
-    let covs: Vec<f32> = groups
-        .iter()
-        .map(|g| group_cov(&t.partition().label_matrix, g))
-        .collect();
-    let probs = SamplingStrategy::ESRCov.probabilities(&covs);
+    let probs = t.sampling_probs(&groups, SamplingStrategy::ESRCov);
+    let plan = RunPlan {
+        clock: Clock::Lockstep,
+        membership: Membership::Static {
+            groups: &groups,
+            probs: &probs,
+        },
+    };
 
     // Uninterrupted 6 rounds.
-    let mut p_straight = t.model().init_params(&mut init::rng(seed));
-    let mut ledger = t.ledger_for(&FedAvg);
-    let mut hist = RunHistory::default();
-    t.run_resumable(
-        &groups,
-        &FedAvg,
-        &probs,
-        &mut p_straight,
-        &mut ledger,
-        &mut hist,
-        0,
-        6,
-    );
+    let mut straight = t.start(&FedAvg);
+    t.drive(&FedAvg, &plan, &mut straight, 6).unwrap();
 
     // 3 rounds → checkpoint → JSON round-trip → fresh trainer → 3 more.
-    let mut p_half = t.model().init_params(&mut init::rng(seed));
-    let mut ledger2 = t.ledger_for(&FedAvg);
-    let mut hist2 = RunHistory::default();
-    t.run_resumable(
-        &groups,
-        &FedAvg,
-        &probs,
-        &mut p_half,
-        &mut ledger2,
-        &mut hist2,
-        0,
-        3,
-    );
+    let mut half = t.start(&FedAvg);
+    t.drive(&FedAvg, &plan, &mut half, 3).unwrap();
     assert!(
-        !hist2.fault_events().is_empty(),
+        !half.history.fault_events().is_empty(),
         "need faults before the cut for the test to mean anything"
     );
-    let cp = Checkpoint::new(p_half, 3, hist2, cfg.clone(), ledger2.total());
+    let cp = Checkpoint::from_state(&half, cfg.clone());
     let restored = Checkpoint::from_json(&cp.to_json()).unwrap();
     assert_eq!(restored.history.fault_events(), cp.history.fault_events());
 
     let t2 = make();
-    let mut p_resumed = restored.params.clone();
-    let mut hist3 = restored.history.clone();
-    t2.run_resumable(
-        &groups,
-        &FedAvg,
-        &probs,
-        &mut p_resumed,
-        &mut ledger2,
-        &mut hist3,
-        restored.round,
-        3,
-    );
+    let mut resumed = restored.into_state(half.ledger);
+    t2.drive(&FedAvg, &plan, &mut resumed, 3).unwrap();
+    let (p_straight, hist) = (straight.params, straight.history);
+    let (p_resumed, hist3) = (resumed.params, resumed.history);
     assert_eq!(p_resumed, p_straight, "resumed model diverged");
     assert_eq!(hist3, hist, "resumed trajectory or fault log diverged");
 }
@@ -332,9 +338,17 @@ fn hostile_checkpoint_bytes_are_typed_errors_never_panics() {
         FaultPolicy::default(),
         &topo,
     );
-    let (hist, params) = t.run_returning_params(&groups, &FedAvg, SamplingStrategy::Random);
-    assert!(!hist.fault_events().is_empty(), "need a fault log to tear");
-    let json = Checkpoint::new(params, cfg.global_rounds, hist, cfg, 1.0).to_json();
+    let probs = t.sampling_probs(&groups, SamplingStrategy::Random);
+    let membership = Membership::Static {
+        groups: &groups,
+        probs: &probs,
+    };
+    let state = t.run_plan(Clock::Lockstep, membership).unwrap();
+    assert!(
+        !state.history.fault_events().is_empty(),
+        "need a fault log to tear"
+    );
+    let json = Checkpoint::from_state(&state, cfg).to_json();
     let json = json.trim_end();
     Checkpoint::from_json(json).expect("the intact checkpoint loads");
 

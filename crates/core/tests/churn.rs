@@ -18,8 +18,61 @@ use gfl_core::membership::{MembershipState, RegroupEvent, RegroupPolicy};
 use gfl_core::prelude::*;
 use gfl_data::{ClientPartition, PartitionSpec, SyntheticSpec};
 use gfl_faults::{ChurnPlan, FaultPlan, FaultPolicy};
+use gfl_nn::Params;
 use gfl_sim::Topology;
-use gfl_tensor::init;
+
+/// Whole FedAvg runs from a fresh state, one method per clock × membership
+/// cell this suite drives.
+trait Runs {
+    fn run_plan(
+        &self,
+        clock: Clock,
+        membership: Membership<'_>,
+    ) -> Result<RunState, PartitionError>;
+    fn run_static(&self, groups: &[Group], sampling: SamplingStrategy) -> (RunHistory, Params);
+    fn run_healing(
+        &self,
+        algo: &dyn GroupingAlgorithm,
+        topology: &Topology,
+        sampling: SamplingStrategy,
+    ) -> Result<(RunHistory, Params, MembershipState), PartitionError>;
+}
+
+impl Runs for Trainer {
+    fn run_plan(
+        &self,
+        clock: Clock,
+        membership: Membership<'_>,
+    ) -> Result<RunState, PartitionError> {
+        let mut state = self.start(&FedAvg);
+        let plan = RunPlan { clock, membership };
+        self.drive(&FedAvg, &plan, &mut state, self.config().global_rounds)?;
+        Ok(state)
+    }
+    fn run_static(&self, groups: &[Group], sampling: SamplingStrategy) -> (RunHistory, Params) {
+        let probs = self.sampling_probs(groups, sampling);
+        let membership = Membership::Static {
+            groups,
+            probs: &probs,
+        };
+        let s = self.run_plan(Clock::Lockstep, membership).unwrap();
+        (s.history, s.params)
+    }
+    fn run_healing(
+        &self,
+        algo: &dyn GroupingAlgorithm,
+        topology: &Topology,
+        sampling: SamplingStrategy,
+    ) -> Result<(RunHistory, Params, MembershipState), PartitionError> {
+        let membership = Membership::SelfHealing {
+            algo,
+            topology,
+            sampling,
+        };
+        let s = self.run_plan(Clock::Lockstep, membership)?;
+        Ok((s.history, s.params, s.membership.unwrap()))
+    }
+}
 
 /// CI seed shift: `GFL_SEED=n` offsets every seed in the suite.
 fn seed_offset() -> u64 {
@@ -71,13 +124,12 @@ fn clean_churn_plan_is_bit_identical_to_static_run() {
         part.clone(),
         test.clone(),
     );
-    let (h_static, p_static) =
-        plain.run_returning_params(&static_groups, &FedAvg, SamplingStrategy::ESRCov);
+    let (h_static, p_static) = plain.run_static(&static_groups, SamplingStrategy::ESRCov);
 
     let churned = Trainer::new(cfg, model, train, part, test)
         .with_churn(ChurnPlan::none(), RegroupPolicy::default());
     let (h_churn, p_churn, membership) = churned
-        .run_self_healing(&algo(), &topo, &FedAvg, SamplingStrategy::ESRCov)
+        .run_healing(&algo(), &topo, SamplingStrategy::ESRCov)
         .unwrap();
 
     assert_eq!(membership.groups(), static_groups);
@@ -100,7 +152,7 @@ fn churned_run_is_deterministic_down_to_the_regroup_log() {
         let (cfg, model, part, topo, train, test) = world(22);
         let t = Trainer::new(cfg, model, train, part, test)
             .with_churn(plan.clone(), RegroupPolicy::default());
-        t.run_self_healing(&algo(), &topo, &FedAvg, SamplingStrategy::ESRCov)
+        t.run_healing(&algo(), &topo, SamplingStrategy::ESRCov)
             .unwrap()
     };
     let (h_a, p_a, m_a) = run();
@@ -119,31 +171,58 @@ fn churned_run_is_deterministic_down_to_the_regroup_log() {
 fn zero_survivor_groups_are_dissolved_not_held_forever() {
     // Every client departs within the horizon: every group must dissolve
     // (never lingering empty), later rounds are held safely, and the
-    // final partition is empty.
-    let (cfg, model, part, topo, train, test) = world(23);
-    let mut cfg = cfg;
-    cfg.global_rounds = 10;
-    let plan = ChurnPlan {
-        seed: 41 + seed_offset(),
-        horizon: 6,
-        departure_fraction: 1.0,
-        arrival_fraction: 0.0,
-        flap_prob: 0.0,
-    };
-    let n_clients = part.num_clients();
-    let t = Trainer::new(cfg, model, train, part, test).with_churn(plan, RegroupPolicy::default());
-    let (h, p, membership) = t
-        .run_self_healing(&algo(), &topo, &FedAvg, SamplingStrategy::ESRCov)
-        .unwrap();
+    // final partition is empty — under either clock (the event clock used
+    // to panic sampling from zero groups).
+    for clock in [Clock::Lockstep, Clock::EventDriven(AsyncConfig::default())] {
+        let (cfg, model, part, topo, train, test) = world(23);
+        let mut cfg = cfg;
+        cfg.global_rounds = 10;
+        let plan = ChurnPlan {
+            seed: 41 + seed_offset(),
+            horizon: 6,
+            departure_fraction: 1.0,
+            arrival_fraction: 0.0,
+            flap_prob: 0.0,
+        };
+        let n_clients = part.num_clients();
+        let t =
+            Trainer::new(cfg, model, train, part, test).with_churn(plan, RegroupPolicy::default());
+        let healing = Membership::SelfHealing {
+            algo: &algo(),
+            topology: &topo,
+            sampling: SamplingStrategy::ESRCov,
+        };
+        let state = t.run_plan(clock, healing).unwrap();
+        let (h, membership) = (&state.history, state.membership.as_ref().unwrap());
 
-    assert!(membership.groups().is_empty(), "{:?}", membership.groups());
-    assert_eq!(membership.active_members(), 0);
-    let s = h.regroup_summary();
-    assert_eq!(s.departures, n_clients);
-    assert!(s.dissolved > 0, "no group was ever dissolved: {s}");
-    // Emptied-out rounds are held, and the model stays finite throughout.
-    assert!(h.fault_summary().rounds_held > 0);
-    assert!(p.iter().all(|w| w.is_finite()));
+        assert!(membership.groups().is_empty(), "{:?}", membership.groups());
+        assert_eq!(membership.active_members(), 0);
+        let s = h.regroup_summary();
+        assert_eq!(s.departures, n_clients);
+        assert!(s.dissolved > 0, "no group was ever dissolved: {s}");
+        // Emptied-out rounds are held, and the model stays finite throughout.
+        let held = h.fault_summary().rounds_held;
+        assert!(held > 0);
+        assert!(state.params.iter().all(|w| w.is_finite()));
+        assert_eq!(state.next_round, 10, "{clock:?}: held rounds still count");
+        assert_eq!(
+            h.last_record().unwrap().round,
+            9,
+            "{clock:?}: eval on cadence"
+        );
+        // The event clock reports its held rounds too: nothing trained, and
+        // the emulated clock never runs backwards.
+        if let Some((sched, report)) = &state.scheduler {
+            assert_eq!(report.rounds.len(), 10);
+            let idle = report.rounds.iter().filter(|r| r.trained == 0);
+            assert!(idle.count() >= held, "{report:?}");
+            assert!(report
+                .rounds
+                .windows(2)
+                .all(|w| w[0].clock_s <= w[1].clock_s));
+            assert_eq!(sched.clock_s, report.final_clock_s());
+        }
+    }
 }
 
 #[test]
@@ -159,7 +238,7 @@ fn arrivals_join_groups_on_their_own_edge() {
     let t = Trainer::new(cfg, model, train, part, test)
         .with_churn(plan.clone(), RegroupPolicy::default());
     let (h, _, membership) = t
-        .run_self_healing(&algo(), &topo, &FedAvg, SamplingStrategy::ESRCov)
+        .run_healing(&algo(), &topo, SamplingStrategy::ESRCov)
         .unwrap();
     let arrivals: Vec<&RegroupEvent> = h
         .regroup_events()
@@ -198,7 +277,7 @@ fn frozen_policy_leaves_arrivals_unplaced() {
     let t = Trainer::new(cfg, model, train, part, test)
         .with_churn(plan.clone(), RegroupPolicy::frozen());
     let (h, _, membership) = t
-        .run_self_healing(&algo(), &topo, &FedAvg, SamplingStrategy::ESRCov)
+        .run_healing(&algo(), &topo, SamplingStrategy::ESRCov)
         .unwrap();
     let placed = h
         .regroup_events()
@@ -256,12 +335,12 @@ fn self_healing_stays_close_to_clean_while_frozen_degrades() {
 
     let healed_trainer = make().with_churn(plan.clone(), RegroupPolicy::default());
     let (healed, p_healed, _) = healed_trainer
-        .run_self_healing(&algo(), &topo, &FedAvg, SamplingStrategy::ESRCov)
+        .run_healing(&algo(), &topo, SamplingStrategy::ESRCov)
         .unwrap();
 
     let frozen_trainer = make().with_churn(plan, RegroupPolicy::frozen());
     let (frozen, p_frozen, _) = frozen_trainer
-        .run_self_healing(&algo(), &topo, &FedAvg, SamplingStrategy::ESRCov)
+        .run_healing(&algo(), &topo, SamplingStrategy::ESRCov)
         .unwrap();
 
     assert!(p_healed.iter().all(|w| w.is_finite()));
@@ -315,7 +394,6 @@ fn assert_resume_is_bit_identical(
         cooldown,
         ..RegroupPolicy::default()
     };
-    let seed = cfg.seed;
     let make = || {
         Trainer::new(
             cfg.clone(),
@@ -327,90 +405,50 @@ fn assert_resume_is_bit_identical(
         .with_faults(FaultPlan::moderate(5), FaultPolicy::default(), &topo)
         .with_churn(plan.clone(), policy.clone())
     };
-    let form = |t: &Trainer| {
-        MembershipState::form(
-            &algo(),
-            &topo,
-            &t.partition().label_matrix,
-            Some(&plan),
-            policy.clone(),
-            seed,
-            SamplingStrategy::ESRCov,
-            0,
-        )
-        .unwrap()
+    let algo = algo();
+    let run = RunPlan {
+        clock: Clock::Lockstep,
+        membership: Membership::SelfHealing {
+            algo: &algo,
+            topology: &topo,
+            sampling: SamplingStrategy::ESRCov,
+        },
     };
 
     // Uninterrupted 10 rounds.
     let t = make();
-    let mut m_straight = form(&t);
-    let mut p_straight = t.model().init_params(&mut init::rng(seed));
-    let mut ledger = t.ledger_for(&FedAvg);
-    let mut hist = RunHistory::default();
-    t.run_self_healing_resumable(
-        &algo(),
-        &topo,
-        &FedAvg,
-        SamplingStrategy::ESRCov,
-        &mut m_straight,
-        &mut p_straight,
-        &mut ledger,
-        &mut hist,
-        0,
-        10,
-    )
-    .unwrap();
+    let mut straight = t.start(&FedAvg);
+    t.drive(&FedAvg, &run, &mut straight, 10).unwrap();
 
     // 5 rounds → checkpoint (with membership) → JSON → fresh trainer → 5.
     let t1 = make();
-    let mut m_half = form(&t1);
-    let mut p_half = t1.model().init_params(&mut init::rng(seed));
-    let mut ledger2 = t1.ledger_for(&FedAvg);
-    let mut hist2 = RunHistory::default();
-    t1.run_self_healing_resumable(
-        &algo(),
-        &topo,
-        &FedAvg,
-        SamplingStrategy::ESRCov,
-        &mut m_half,
-        &mut p_half,
-        &mut ledger2,
-        &mut hist2,
-        0,
-        5,
-    )
-    .unwrap();
+    let mut half = t1.start(&FedAvg);
+    t1.drive(&FedAvg, &run, &mut half, 5).unwrap();
     assert!(
-        !hist2.regroup_events().is_empty(),
+        !half.history.regroup_events().is_empty(),
         "need a regroup before the cut for the test to mean anything"
     );
-    let cp = Checkpoint::new(p_half, 5, hist2, cfg.clone(), ledger2.total())
-        .with_membership(m_half.clone());
+    let cp = Checkpoint::from_state(&half, cfg.clone());
     let restored = Checkpoint::from_json(&cp.to_json()).unwrap();
-    let mut m_resumed = restored.membership.clone().unwrap();
-    assert_eq!(m_resumed, m_half, "membership state changed in transit");
+    assert_eq!(
+        restored.membership, half.membership,
+        "membership state changed in transit"
+    );
 
     let t2 = make();
-    let mut p_resumed = restored.params.clone();
-    let mut hist3 = restored.history.clone();
-    t2.run_self_healing_resumable(
-        &algo(),
-        &topo,
-        &FedAvg,
-        SamplingStrategy::ESRCov,
-        &mut m_resumed,
-        &mut p_resumed,
-        &mut ledger2,
-        &mut hist3,
-        restored.round,
-        5,
-    )
-    .unwrap();
+    let mut resumed = restored.into_state(half.ledger);
+    t2.drive(&FedAvg, &run, &mut resumed, 5).unwrap();
 
-    assert_eq!(p_resumed, p_straight, "resumed model diverged");
-    assert_eq!(hist3, hist, "resumed trajectory diverged");
-    assert_eq!(m_resumed, m_straight, "resumed membership diverged");
-    m_half
+    assert_eq!(resumed.params, straight.params, "resumed model diverged");
+    assert_eq!(
+        resumed.history, straight.history,
+        "resumed trajectory diverged"
+    );
+    assert_eq!(
+        resumed.membership, straight.membership,
+        "resumed membership diverged"
+    );
+    half.membership.expect("self-healing runs carry membership")
 }
 
 #[test]

@@ -18,6 +18,7 @@ use gfl_core::membership::RegroupPolicy;
 use gfl_core::prelude::*;
 use gfl_data::{ClientPartition, PartitionSpec, SyntheticSpec};
 use gfl_faults::{AdversaryPlan, ChurnPlan, FaultPlan, FaultPolicy};
+use gfl_nn::Params;
 use gfl_sim::Topology;
 
 /// Thread counts every path must agree across.
@@ -26,6 +27,59 @@ const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
 /// `set_default_parallelism` is process-global; tests in this binary run
 /// concurrently, so every pin happens under this lock.
 static THREAD_PIN: Mutex<()> = Mutex::new(());
+
+/// Whole FedAvg runs from a fresh state, one method per clock × membership
+/// cell this suite drives.
+trait Runs {
+    fn run_plan(
+        &self,
+        clock: Clock,
+        membership: Membership<'_>,
+    ) -> Result<RunState, PartitionError>;
+    fn run_static(&self, groups: &[Group], sampling: SamplingStrategy) -> (RunHistory, Params);
+    fn run_healing(
+        &self,
+        algo: &dyn GroupingAlgorithm,
+        topology: &Topology,
+        sampling: SamplingStrategy,
+    ) -> Result<(RunHistory, Params, MembershipState), PartitionError>;
+}
+
+impl Runs for Trainer {
+    fn run_plan(
+        &self,
+        clock: Clock,
+        membership: Membership<'_>,
+    ) -> Result<RunState, PartitionError> {
+        let mut state = self.start(&FedAvg);
+        let plan = RunPlan { clock, membership };
+        self.drive(&FedAvg, &plan, &mut state, self.config().global_rounds)?;
+        Ok(state)
+    }
+    fn run_static(&self, groups: &[Group], sampling: SamplingStrategy) -> (RunHistory, Params) {
+        let probs = self.sampling_probs(groups, sampling);
+        let membership = Membership::Static {
+            groups,
+            probs: &probs,
+        };
+        let s = self.run_plan(Clock::Lockstep, membership).unwrap();
+        (s.history, s.params)
+    }
+    fn run_healing(
+        &self,
+        algo: &dyn GroupingAlgorithm,
+        topology: &Topology,
+        sampling: SamplingStrategy,
+    ) -> Result<(RunHistory, Params, MembershipState), PartitionError> {
+        let membership = Membership::SelfHealing {
+            algo,
+            topology,
+            sampling,
+        };
+        let s = self.run_plan(Clock::Lockstep, membership)?;
+        Ok((s.history, s.params, s.membership.unwrap()))
+    }
+}
 
 /// CI seed shift: `GFL_SEED=n` offsets every seed in the suite.
 fn seed_offset() -> u64 {
@@ -104,7 +158,7 @@ fn clean_run_is_bit_identical_across_thread_counts() {
             part.clone(),
             test.clone(),
         );
-        t.run_returning_params(&groups, &FedAvg, SamplingStrategy::ESRCov)
+        t.run_static(&groups, SamplingStrategy::ESRCov)
     });
 }
 
@@ -134,7 +188,7 @@ fn virtual_population_run_is_bit_identical_across_thread_counts() {
             .map(|c| pop.label_matrix().client(c).to_vec())
             .collect();
         let t = Trainer::new_virtual(cfg, gfl_nn::zoo::vision_model(), pop, test);
-        let (h, p) = t.run_returning_params(&groups, &FedAvg, SamplingStrategy::ESRCov);
+        let (h, p) = t.run_static(&groups, SamplingStrategy::ESRCov);
         (h, p, groups, hists)
     });
 }
@@ -154,7 +208,7 @@ fn faulted_run_is_bit_identical_across_thread_counts() {
             test.clone(),
         )
         .with_faults(FaultPlan::moderate(99), FaultPolicy::default(), &topo);
-        let (h, p) = t.run_returning_params(&groups, &FedAvg, SamplingStrategy::ESRCov);
+        let (h, p) = t.run_static(&groups, SamplingStrategy::ESRCov);
         assert!(
             !h.fault_events().is_empty(),
             "plan should inject faults for this test to mean anything"
@@ -189,7 +243,7 @@ fn churned_self_healing_run_is_bit_identical_across_thread_counts() {
             RegroupPolicy::default(),
         );
         let (h, p, m) = t
-            .run_self_healing(&algo, &topo, &FedAvg, SamplingStrategy::ESRCov)
+            .run_healing(&algo, &topo, SamplingStrategy::ESRCov)
             .expect("self-healing run failed");
         (h, p, m.groups().to_vec())
     });
@@ -213,14 +267,14 @@ fn traced_run_is_bit_identical_to_untraced_run() {
     };
     let _guard = THREAD_PIN.lock().unwrap_or_else(|e| e.into_inner());
     gfl_parallel::set_default_parallelism(1);
-    let (base_h, base_p) = make().run_returning_params(&groups, &FedAvg, SamplingStrategy::ESRCov);
+    let (base_h, base_p) = make().run_static(&groups, SamplingStrategy::ESRCov);
     let base_h_bytes = serde_json::to_string(&base_h).expect("serialize history");
 
     for threads in [1usize, 8] {
         gfl_parallel::set_default_parallelism(threads);
         let obs = gfl_obs::TraceCollector::new();
         let traced = make().with_observer(std::sync::Arc::clone(&obs));
-        let (h, p) = traced.run_returning_params(&groups, &FedAvg, SamplingStrategy::ESRCov);
+        let (h, p) = traced.run_static(&groups, SamplingStrategy::ESRCov);
         let trace = obs.finish(threads);
 
         assert_eq!(
@@ -259,7 +313,7 @@ fn traced_run_is_bit_identical_to_untraced_run() {
             gfl_obs::StreamConfig::default(),
         );
         let traced = make().with_observer(std::sync::Arc::clone(&obs));
-        let (h, p) = traced.run_returning_params(&groups, &FedAvg, SamplingStrategy::ESRCov);
+        let (h, p) = traced.run_static(&groups, SamplingStrategy::ESRCov);
         let trace = obs.finish(threads);
         assert_eq!(
             base_h_bytes,
@@ -311,7 +365,7 @@ fn attacked_defended_run_is_bit_identical_across_thread_counts() {
         )
         .with_adversary(plan.clone())
         .with_robust_agg(RobustAggRule::FlameFilter);
-        let (h, p) = t.run_returning_params(&groups, &FedAvg, SamplingStrategy::ESRCov);
+        let (h, p) = t.run_static(&groups, SamplingStrategy::ESRCov);
         assert!(
             h.attack_summary().injected() > 0,
             "plan should attack for this test to mean anything"
@@ -341,7 +395,7 @@ fn attacked_secure_aggregation_run_is_bit_identical_across_thread_counts() {
             test.clone(),
         )
         .with_adversary(plan.clone());
-        let (h, p) = t.run_returning_params(&groups, &FedAvg, SamplingStrategy::Random);
+        let (h, p) = t.run_static(&groups, SamplingStrategy::Random);
         assert!(h.attack_summary().injected() > 0, "plan should attack");
         (h, p)
     });
@@ -365,7 +419,7 @@ fn simd_tiers_are_bit_identical_across_thread_counts() {
             part.clone(),
             test.clone(),
         );
-        t.run_returning_params(&groups, &FedAvg, SamplingStrategy::ESRCov)
+        t.run_static(&groups, SamplingStrategy::ESRCov)
     };
     let _guard = THREAD_PIN.lock().unwrap_or_else(|e| e.into_inner());
     let mut baseline: Option<(RunHistory, Vec<f32>)> = None;
@@ -405,7 +459,7 @@ fn secure_aggregation_run_is_bit_identical_across_thread_counts() {
             part.clone(),
             test.clone(),
         );
-        t.run_returning_params(&groups, &FedAvg, SamplingStrategy::Random)
+        t.run_static(&groups, SamplingStrategy::Random)
     });
 }
 
@@ -438,6 +492,6 @@ fn chunked_secure_aggregation_with_dropouts_is_bit_identical_across_thread_count
             part.clone(),
             test.clone(),
         );
-        t.run_returning_params(&groups, &FedAvg, SamplingStrategy::Random)
+        t.run_static(&groups, SamplingStrategy::Random)
     });
 }

@@ -20,7 +20,106 @@ use gfl_core::membership::RegroupPolicy;
 use gfl_core::prelude::*;
 use gfl_data::{ClientPartition, Dataset, VirtualPopulation, VirtualSpec};
 use gfl_faults::{AdversaryPlan, ChurnPlan, FaultPlan, FaultPolicy};
+use gfl_nn::Params;
 use gfl_sim::Topology;
+
+/// Whole FedAvg runs from a fresh state, one method per clock × membership
+/// cell this suite drives.
+trait Runs {
+    fn run_plan(
+        &self,
+        clock: Clock,
+        membership: Membership<'_>,
+    ) -> Result<RunState, PartitionError>;
+    fn run_static(&self, groups: &[Group], sampling: SamplingStrategy) -> (RunHistory, Params);
+    fn run_healing(
+        &self,
+        algo: &dyn GroupingAlgorithm,
+        topology: &Topology,
+        sampling: SamplingStrategy,
+    ) -> Result<(RunHistory, Params, MembershipState), PartitionError>;
+    fn run_event(
+        &self,
+        groups: &[Group],
+        sampling: SamplingStrategy,
+        acfg: &AsyncConfig,
+    ) -> (RunHistory, Params, AsyncReport);
+    fn run_event_healing(
+        &self,
+        algo: &dyn GroupingAlgorithm,
+        topology: &Topology,
+        sampling: SamplingStrategy,
+        acfg: &AsyncConfig,
+    ) -> Result<(RunHistory, Params, AsyncReport, MembershipState), PartitionError>;
+}
+
+impl Runs for Trainer {
+    fn run_plan(
+        &self,
+        clock: Clock,
+        membership: Membership<'_>,
+    ) -> Result<RunState, PartitionError> {
+        let mut state = self.start(&FedAvg);
+        let plan = RunPlan { clock, membership };
+        self.drive(&FedAvg, &plan, &mut state, self.config().global_rounds)?;
+        Ok(state)
+    }
+    fn run_static(&self, groups: &[Group], sampling: SamplingStrategy) -> (RunHistory, Params) {
+        let probs = self.sampling_probs(groups, sampling);
+        let membership = Membership::Static {
+            groups,
+            probs: &probs,
+        };
+        let s = self.run_plan(Clock::Lockstep, membership).unwrap();
+        (s.history, s.params)
+    }
+    fn run_healing(
+        &self,
+        algo: &dyn GroupingAlgorithm,
+        topology: &Topology,
+        sampling: SamplingStrategy,
+    ) -> Result<(RunHistory, Params, MembershipState), PartitionError> {
+        let membership = Membership::SelfHealing {
+            algo,
+            topology,
+            sampling,
+        };
+        let s = self.run_plan(Clock::Lockstep, membership)?;
+        Ok((s.history, s.params, s.membership.unwrap()))
+    }
+    fn run_event(
+        &self,
+        groups: &[Group],
+        sampling: SamplingStrategy,
+        acfg: &AsyncConfig,
+    ) -> (RunHistory, Params, AsyncReport) {
+        let probs = self.sampling_probs(groups, sampling);
+        let membership = Membership::Static {
+            groups,
+            probs: &probs,
+        };
+        let s = self
+            .run_plan(Clock::EventDriven(*acfg), membership)
+            .unwrap();
+        (s.history, s.params, s.scheduler.unwrap().1)
+    }
+    fn run_event_healing(
+        &self,
+        algo: &dyn GroupingAlgorithm,
+        topology: &Topology,
+        sampling: SamplingStrategy,
+        acfg: &AsyncConfig,
+    ) -> Result<(RunHistory, Params, AsyncReport, MembershipState), PartitionError> {
+        let membership = Membership::SelfHealing {
+            algo,
+            topology,
+            sampling,
+        };
+        let s = self.run_plan(Clock::EventDriven(*acfg), membership)?;
+        let report = s.scheduler.unwrap().1;
+        Ok((s.history, s.params, report, s.membership.unwrap()))
+    }
+}
 
 /// CI seed shift: `GFL_SEED=n` offsets every seed in the suite.
 fn seed_offset() -> u64 {
@@ -115,7 +214,7 @@ fn clean_lockstep_is_bitwise_equivalent() {
         let t = twins(seed);
         let groups = t.groups.clone();
         let (h, p) = assert_equivalent(seed, "clean", &t, |tr| {
-            tr.run_returning_params(&groups, &FedAvg, SamplingStrategy::ESRCov)
+            tr.run_static(&groups, SamplingStrategy::ESRCov)
         });
         assert!(p.iter().all(|w| w.is_finite()));
         // Serialized traces must match byte for byte too — nothing about
@@ -144,7 +243,7 @@ fn every_sampling_strategy_is_equivalent() {
     ] {
         let g = groups.clone();
         assert_equivalent(1, "sampling strategy", &t, move |tr| {
-            tr.run_returning_params(&g, &FedAvg, sampling)
+            tr.run_static(&g, sampling)
         });
     }
 }
@@ -157,7 +256,7 @@ fn faulted_runs_are_bitwise_equivalent() {
         let topo = t.topo.clone();
         let (h, _) = assert_equivalent(seed, "faulted", &t, |tr| {
             tr.with_faults(FaultPlan::moderate(5), FaultPolicy::default(), &topo)
-                .run_returning_params(&groups, &FedAvg, SamplingStrategy::ESRCov)
+                .run_static(&groups, SamplingStrategy::ESRCov)
         });
         assert!(
             !h.fault_events().is_empty(),
@@ -173,7 +272,7 @@ fn secure_aggregation_is_bitwise_equivalent() {
         t.cfg.secure_aggregation = true;
         let groups = t.groups.clone();
         assert_equivalent(seed, "secure", &t, |tr| {
-            tr.run_returning_params(&groups, &FedAvg, SamplingStrategy::ESRCov)
+            tr.run_static(&groups, SamplingStrategy::ESRCov)
         });
     }
 }
@@ -195,11 +294,8 @@ fn poisoning_campaigns_are_bitwise_equivalent() {
         };
         let p = plan.clone();
         let (h, _) = assert_equivalent(seed, "attacked", &t, move |tr| {
-            tr.with_adversary(p.clone()).run_returning_params(
-                &groups,
-                &FedAvg,
-                SamplingStrategy::ESRCov,
-            )
+            tr.with_adversary(p.clone())
+                .run_static(&groups, SamplingStrategy::ESRCov)
         });
         assert!(
             !h.attack_events().is_empty(),
@@ -227,7 +323,7 @@ fn churned_self_healing_is_bitwise_equivalent() {
         let p = plan.clone();
         let (h, _, membership) = assert_equivalent(seed, "churned", &t, move |tr| {
             tr.with_churn(p.clone(), RegroupPolicy::default())
-                .run_self_healing(&algo(), &topo, &FedAvg, SamplingStrategy::ESRCov)
+                .run_healing(&algo(), &topo, SamplingStrategy::ESRCov)
                 .unwrap()
         });
         assert!(
@@ -258,12 +354,7 @@ fn semi_async_runtime_is_bitwise_equivalent() {
                 },
                 &topo,
             )
-            .run_semi_async(
-                &groups,
-                &FedAvg,
-                SamplingStrategy::ESRCov,
-                &AsyncConfig::default(),
-            )
+            .run_event(&groups, SamplingStrategy::ESRCov, &AsyncConfig::default())
         });
         assert!(!report.rounds.is_empty());
         assert!(h.records().iter().all(|r| r.loss.is_finite()));
@@ -299,10 +390,9 @@ fn semi_async_with_churn_is_bitwise_equivalent() {
                     &topo,
                 )
                 .with_churn(p.clone(), RegroupPolicy::default())
-                .run_semi_async_self_healing(
+                .run_event_healing(
                     &algo(),
                     &topo,
-                    &FedAvg,
                     SamplingStrategy::ESRCov,
                     &AsyncConfig::default(),
                 )

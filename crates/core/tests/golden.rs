@@ -28,11 +28,55 @@ use gfl_core::membership::RegroupPolicy;
 use gfl_core::prelude::*;
 use gfl_data::{ClientPartition, PartitionSpec, SyntheticSpec};
 use gfl_faults::{AdversaryPlan, ChurnPlan, FaultPlan, FaultPolicy};
+use gfl_nn::Params;
 use gfl_obs::diff::first_divergence;
 use gfl_sim::Topology;
 use serde::Value;
 
 /// Fixed seeds every scenario is snapshotted at.
+/// Whole FedAvg runs from a fresh state, one method per clock × membership
+/// cell this suite drives.
+trait Runs {
+    fn run_plan(
+        &self,
+        clock: Clock,
+        membership: Membership<'_>,
+    ) -> Result<RunState, PartitionError>;
+    fn run_healing(
+        &self,
+        algo: &dyn GroupingAlgorithm,
+        topology: &Topology,
+        sampling: SamplingStrategy,
+    ) -> Result<(RunHistory, Params, MembershipState), PartitionError>;
+}
+
+impl Runs for Trainer {
+    fn run_plan(
+        &self,
+        clock: Clock,
+        membership: Membership<'_>,
+    ) -> Result<RunState, PartitionError> {
+        let mut state = self.start(&FedAvg);
+        let plan = RunPlan { clock, membership };
+        self.drive(&FedAvg, &plan, &mut state, self.config().global_rounds)?;
+        Ok(state)
+    }
+    fn run_healing(
+        &self,
+        algo: &dyn GroupingAlgorithm,
+        topology: &Topology,
+        sampling: SamplingStrategy,
+    ) -> Result<(RunHistory, Params, MembershipState), PartitionError> {
+        let membership = Membership::SelfHealing {
+            algo,
+            topology,
+            sampling,
+        };
+        let s = self.run_plan(Clock::Lockstep, membership)?;
+        Ok((s.history, s.params, s.membership.unwrap()))
+    }
+}
+
 const GOLDEN_SEEDS: [u64; 2] = [1, 2];
 
 fn golden_dir() -> std::path::PathBuf {
@@ -168,7 +212,7 @@ fn run_scenario_observed(
                 max_cov: 1.0,
             };
             let (h, _, _) = t
-                .run_self_healing(&algo, &topo, &FedAvg, SamplingStrategy::ESRCov)
+                .run_healing(&algo, &topo, SamplingStrategy::ESRCov)
                 .expect("self-healing run failed");
             h
         }

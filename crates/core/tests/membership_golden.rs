@@ -22,8 +22,51 @@ use gfl_core::prelude::*;
 use gfl_data::{SyntheticSpec, VirtualPopulation, VirtualSpec};
 use gfl_faults::ChurnPlan;
 use gfl_nn::sgd::LrSchedule;
+use gfl_nn::Params;
 use gfl_sim::{Task, Topology};
-use gfl_tensor::init;
+
+/// Whole FedAvg runs from a fresh state, one method per clock × membership
+/// cell this suite drives.
+trait Runs {
+    fn run_plan(
+        &self,
+        clock: Clock,
+        membership: Membership<'_>,
+    ) -> Result<RunState, PartitionError>;
+    fn run_healing(
+        &self,
+        algo: &dyn GroupingAlgorithm,
+        topology: &Topology,
+        sampling: SamplingStrategy,
+    ) -> Result<(RunHistory, Params, MembershipState), PartitionError>;
+}
+
+impl Runs for Trainer {
+    fn run_plan(
+        &self,
+        clock: Clock,
+        membership: Membership<'_>,
+    ) -> Result<RunState, PartitionError> {
+        let mut state = self.start(&FedAvg);
+        let plan = RunPlan { clock, membership };
+        self.drive(&FedAvg, &plan, &mut state, self.config().global_rounds)?;
+        Ok(state)
+    }
+    fn run_healing(
+        &self,
+        algo: &dyn GroupingAlgorithm,
+        topology: &Topology,
+        sampling: SamplingStrategy,
+    ) -> Result<(RunHistory, Params, MembershipState), PartitionError> {
+        let membership = Membership::SelfHealing {
+            algo,
+            topology,
+            sampling,
+        };
+        let s = self.run_plan(Clock::Lockstep, membership)?;
+        Ok((s.history, s.params, s.membership.unwrap()))
+    }
+}
 
 const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
@@ -124,7 +167,7 @@ fn run(clients: usize, rounds: usize, seed: u64) -> Fingerprint {
     let w = scale_churn(clients, rounds, seed);
     let (history, _, membership) = w
         .trainer
-        .run_self_healing(&w.algo, &w.topology, &FedAvg, SamplingStrategy::Random)
+        .run_healing(&w.algo, &w.topology, SamplingStrategy::Random)
         .expect("healing keeps a partition");
     fingerprint(&history, &membership)
 }
@@ -178,7 +221,7 @@ fn churned_resume_rebuilds_the_index_and_continues_bit_identically() {
     let w = scale_churn(clients, rounds, seed);
     let (hist_straight, p_straight, m_straight) = w
         .trainer
-        .run_self_healing(&w.algo, &w.topology, &FedAvg, sampling)
+        .run_healing(&w.algo, &w.topology, sampling)
         .unwrap();
     assert!(
         hist_straight
@@ -189,51 +232,18 @@ fn churned_resume_rebuilds_the_index_and_continues_bit_identically() {
     );
 
     let w = scale_churn(clients, rounds, seed);
-    let labels = w.trainer.fed_data().label_matrix();
-    let plan = ChurnPlan {
-        horizon: rounds,
-        ..ChurnPlan::moderate(seed)
-    };
-    let mut membership = MembershipState::form(
-        &w.algo,
-        &w.topology,
-        labels,
-        Some(&plan),
-        RegroupPolicy::default(),
-        seed,
-        sampling,
-        0,
-    )
-    .unwrap();
-    let mut params = w
-        .trainer
-        .model()
-        .init_params(&mut init::rng(w.trainer.config().seed));
-    let mut ledger = w.trainer.ledger_for(&FedAvg);
-    let mut history = RunHistory::default();
-    w.trainer
-        .run_self_healing_resumable(
-            &w.algo,
-            &w.topology,
-            &FedAvg,
+    let plan = RunPlan {
+        clock: Clock::Lockstep,
+        membership: Membership::SelfHealing {
+            algo: &w.algo,
+            topology: &w.topology,
             sampling,
-            &mut membership,
-            &mut params,
-            &mut ledger,
-            &mut history,
-            0,
-            cut,
-        )
-        .unwrap();
+        },
+    };
+    let mut half = w.trainer.start(&FedAvg);
+    w.trainer.drive(&FedAvg, &plan, &mut half, cut).unwrap();
 
-    let cp = Checkpoint::new(
-        params,
-        cut,
-        history,
-        w.trainer.config().clone(),
-        ledger.total(),
-    )
-    .with_membership(membership);
+    let cp = Checkpoint::from_state(&half, w.trainer.config().clone());
     let json = cp.to_json();
     let restored = Checkpoint::from_json(&json).unwrap();
     assert_eq!(
@@ -242,23 +252,14 @@ fn churned_resume_rebuilds_the_index_and_continues_bit_identically() {
         "a loaded, index-less state must serialize to the bytes it was read from"
     );
 
-    let mut m_resumed = restored.membership.clone().unwrap();
-    let mut p_resumed = restored.params.clone();
-    let mut h_resumed = restored.history.clone();
+    let mut resumed = restored.into_state(half.ledger);
     w.trainer
-        .run_self_healing_resumable(
-            &w.algo,
-            &w.topology,
-            &FedAvg,
-            sampling,
-            &mut m_resumed,
-            &mut p_resumed,
-            &mut ledger,
-            &mut h_resumed,
-            cut,
-            rounds - cut,
-        )
+        .drive(&FedAvg, &plan, &mut resumed, rounds - cut)
         .unwrap();
+    let (p_resumed, h_resumed) = (resumed.params, resumed.history);
+    let m_resumed = resumed
+        .membership
+        .expect("self-healing runs carry membership");
     assert_eq!(p_resumed, p_straight, "resumed model diverged");
     assert_eq!(h_resumed, hist_straight, "resumed trajectory diverged");
     assert_eq!(m_resumed, m_straight, "resumed membership diverged");

@@ -15,11 +15,90 @@ use std::sync::Mutex;
 use gfl_core::checkpoint::Checkpoint;
 use gfl_core::prelude::*;
 use gfl_data::{ClientPartition, PartitionSpec, SyntheticSpec};
-use gfl_faults::{FaultEvent, FaultPlan, FaultPolicy};
+use gfl_faults::{ChurnPlan, FaultEvent, FaultPlan, FaultPolicy};
+use gfl_nn::Params;
 use gfl_sim::Topology;
 
 /// `set_default_parallelism` is process-global; pins happen under a lock.
 static THREAD_PIN: Mutex<()> = Mutex::new(());
+
+/// Whole FedAvg runs from a fresh state, one method per clock × membership
+/// cell this suite drives.
+trait Runs {
+    fn run_plan(
+        &self,
+        clock: Clock,
+        membership: Membership<'_>,
+    ) -> Result<RunState, PartitionError>;
+    fn run_static(&self, groups: &[Group], sampling: SamplingStrategy) -> (RunHistory, Params);
+    fn run_event(
+        &self,
+        groups: &[Group],
+        sampling: SamplingStrategy,
+        acfg: &AsyncConfig,
+    ) -> (RunHistory, Params, AsyncReport);
+    fn run_event_healing(
+        &self,
+        algo: &dyn GroupingAlgorithm,
+        topology: &Topology,
+        sampling: SamplingStrategy,
+        acfg: &AsyncConfig,
+    ) -> Result<(RunHistory, Params, AsyncReport, MembershipState), PartitionError>;
+}
+
+impl Runs for Trainer {
+    fn run_plan(
+        &self,
+        clock: Clock,
+        membership: Membership<'_>,
+    ) -> Result<RunState, PartitionError> {
+        let mut state = self.start(&FedAvg);
+        let plan = RunPlan { clock, membership };
+        self.drive(&FedAvg, &plan, &mut state, self.config().global_rounds)?;
+        Ok(state)
+    }
+    fn run_static(&self, groups: &[Group], sampling: SamplingStrategy) -> (RunHistory, Params) {
+        let probs = self.sampling_probs(groups, sampling);
+        let membership = Membership::Static {
+            groups,
+            probs: &probs,
+        };
+        let s = self.run_plan(Clock::Lockstep, membership).unwrap();
+        (s.history, s.params)
+    }
+    fn run_event(
+        &self,
+        groups: &[Group],
+        sampling: SamplingStrategy,
+        acfg: &AsyncConfig,
+    ) -> (RunHistory, Params, AsyncReport) {
+        let probs = self.sampling_probs(groups, sampling);
+        let membership = Membership::Static {
+            groups,
+            probs: &probs,
+        };
+        let s = self
+            .run_plan(Clock::EventDriven(*acfg), membership)
+            .unwrap();
+        (s.history, s.params, s.scheduler.unwrap().1)
+    }
+    fn run_event_healing(
+        &self,
+        algo: &dyn GroupingAlgorithm,
+        topology: &Topology,
+        sampling: SamplingStrategy,
+        acfg: &AsyncConfig,
+    ) -> Result<(RunHistory, Params, AsyncReport, MembershipState), PartitionError> {
+        let membership = Membership::SelfHealing {
+            algo,
+            topology,
+            sampling,
+        };
+        let s = self.run_plan(Clock::EventDriven(*acfg), membership)?;
+        let report = s.scheduler.unwrap().1;
+        Ok((s.history, s.params, report, s.membership.unwrap()))
+    }
+}
 
 fn seed_offset() -> u64 {
     std::env::var("GFL_SEED")
@@ -88,8 +167,7 @@ fn degenerate_limit_reproduces_lockstep_bit_for_bit() {
             part.clone(),
             test.clone(),
         );
-        let (h_sync, p_sync) =
-            sync.run_returning_params(&groups, &FedAvg, SamplingStrategy::ESRCov);
+        let (h_sync, p_sync) = sync.run_static(&groups, SamplingStrategy::ESRCov);
 
         // Plain semi-async (no fault state): defaults to the limit.
         let (h_plain, p_plain, rep_plain) = Trainer::new(
@@ -99,12 +177,7 @@ fn degenerate_limit_reproduces_lockstep_bit_for_bit() {
             part.clone(),
             test.clone(),
         )
-        .run_semi_async(
-            &groups,
-            &FedAvg,
-            SamplingStrategy::ESRCov,
-            &AsyncConfig::default(),
-        );
+        .run_event(&groups, SamplingStrategy::ESRCov, &AsyncConfig::default());
         assert_eq!(
             h_plain, h_sync,
             "seed {seed}: plain semi-async history diverged"
@@ -124,12 +197,7 @@ fn degenerate_limit_reproduces_lockstep_bit_for_bit() {
             test.clone(),
         )
         .with_faults(FaultPlan::none(), lockstep_limit_policy(), &topo)
-        .run_semi_async(
-            &groups,
-            &FedAvg,
-            SamplingStrategy::ESRCov,
-            &AsyncConfig::default(),
-        );
+        .run_event(&groups, SamplingStrategy::ESRCov, &AsyncConfig::default());
         assert_eq!(h_lim, h_sync, "seed {seed}: limit-policy history diverged");
         assert_eq!(p_lim, p_sync, "seed {seed}: limit-policy params diverged");
 
@@ -175,12 +243,7 @@ fn semi_async_is_bit_identical_across_thread_counts() {
             },
             &topo,
         );
-        let result = t.run_semi_async(
-            &groups,
-            &FedAvg,
-            SamplingStrategy::ESRCov,
-            &AsyncConfig::default(),
-        );
+        let result = t.run_event(&groups, SamplingStrategy::ESRCov, &AsyncConfig::default());
         match &baseline {
             None => {
                 assert!(
@@ -195,11 +258,11 @@ fn semi_async_is_bit_identical_across_thread_counts() {
     gfl_parallel::set_default_parallelism(0);
 }
 
-#[test]
-fn semi_async_checkpoint_resume_is_bit_identical() {
-    // 6 rounds straight vs 3 → checkpoint (JSON round-trip, scheduler
-    // state included) → 3 more: history, params, report, and scheduler
-    // must all be exactly equal.
+/// 6 rounds straight vs 3 → checkpoint (JSON round-trip) → 3 more under
+/// the event clock, over a static partition or — with a churn plan — a
+/// self-healing one: params, history, scheduler state, emulated-time
+/// report and membership must all be exactly equal.
+fn assert_event_clock_resume_is_bit_identical(churn: Option<ChurnPlan>) {
     let (mut cfg, model, part, topo, groups, train, test) = world(45);
     cfg.global_rounds = 6;
     let plan = FaultPlan {
@@ -216,73 +279,54 @@ fn semi_async_checkpoint_resume_is_bit_identical() {
         staleness: StalenessPolicy::Weighted { decay: 1.0 },
         cloud_deadline_factor: 1.2,
     };
-    let trainer =
+    let mut trainer =
         Trainer::new(cfg.clone(), model, train, part, test).with_faults(plan, policy, &topo);
-    let covs: Vec<f32> = groups
-        .iter()
-        .map(|g| group_cov(&trainer.partition().label_matrix, g))
-        .collect();
-    let probs = SamplingStrategy::ESRCov.probabilities(&covs);
+    let probs = trainer.sampling_probs(&groups, SamplingStrategy::ESRCov);
+    let algo = CovGrouping {
+        min_group_size: 2,
+        max_cov: 1.0,
+    };
+    let healing = churn.is_some();
+    if let Some(churn) = churn {
+        trainer = trainer.with_churn(churn, RegroupPolicy::default());
+    }
+    let plan = RunPlan {
+        clock: Clock::EventDriven(acfg),
+        membership: if healing {
+            Membership::SelfHealing {
+                algo: &algo,
+                topology: &topo,
+                sampling: SamplingStrategy::ESRCov,
+            }
+        } else {
+            Membership::Static {
+                groups: &groups,
+                probs: &probs,
+            }
+        },
+    };
 
     let run = |split: Option<usize>| {
-        let mut params = trainer
-            .model()
-            .init_params(&mut gfl_tensor::init::rng(cfg.seed));
-        let mut ledger = trainer.ledger_for(&FedAvg);
-        let mut history = RunHistory::default();
-        let mut sched = SchedulerState::new();
+        let mut state = trainer.start(&FedAvg);
         let mut report = AsyncReport::default();
-        match split {
-            None => trainer.run_semi_async_resumable(
-                &groups,
-                &FedAvg,
-                &probs,
-                &acfg,
-                &mut params,
-                &mut ledger,
-                &mut history,
-                &mut sched,
-                &mut report,
-                0,
-                6,
-            ),
-            Some(at) => {
-                trainer.run_semi_async_resumable(
-                    &groups,
-                    &FedAvg,
-                    &probs,
-                    &acfg,
-                    &mut params,
-                    &mut ledger,
-                    &mut history,
-                    &mut sched,
-                    &mut report,
-                    0,
-                    at,
-                );
-                // Round-trip everything resumable through checkpoint JSON.
-                let cp = Checkpoint::new(params, at, history, cfg.clone(), ledger.total())
-                    .with_scheduler(sched);
-                let restored = Checkpoint::from_json(&cp.to_json()).unwrap();
-                params = restored.params;
-                history = restored.history;
-                sched = restored.scheduler.unwrap();
-                trainer.run_semi_async_resumable(
-                    &groups,
-                    &FedAvg,
-                    &probs,
-                    &acfg,
-                    &mut params,
-                    &mut ledger,
-                    &mut history,
-                    &mut sched,
-                    &mut report,
-                    at,
-                    6 - at,
-                );
+        if let Some(at) = split {
+            trainer.drive(&FedAvg, &plan, &mut state, at).unwrap();
+            if healing {
+                let moved = !state.history.regroup_events().is_empty();
+                assert!(moved, "need a regroup before the cut");
             }
+            // Round-trip everything resumable through checkpoint JSON.
+            let cp = Checkpoint::from_state(&state, cfg.clone());
+            let restored = Checkpoint::from_json(&cp.to_json()).unwrap();
+            assert_eq!(restored.membership.is_some(), healing);
+            report = state.scheduler.unwrap().1;
+            state = restored.into_state(state.ledger);
         }
-        (params, history, sched, report.rounds.len())
+        let rest = 6 - state.next_round;
+        trainer.drive(&FedAvg, &plan, &mut state, rest).unwrap();
+        let (sched, tail) = state.scheduler.unwrap();
+        report.rounds.extend(tail.rounds);
+        (state.params, state.history, sched, report, state.membership)
     };
 
     let straight = run(None);
@@ -290,7 +334,27 @@ fn semi_async_checkpoint_resume_is_bit_identical() {
     assert_eq!(straight.0, resumed.0, "params diverged across resume");
     assert_eq!(straight.1, resumed.1, "history diverged across resume");
     assert_eq!(straight.2, resumed.2, "scheduler diverged across resume");
-    assert_eq!(straight.3, resumed.3);
+    assert_eq!(straight.3, resumed.3, "report diverged across resume");
+    assert_eq!(straight.3.rounds.len(), 6);
+    assert_eq!(straight.4, resumed.4, "membership diverged across resume");
+    assert!(straight.2.clock_s > 0.0 && !straight.2.busy.is_empty());
+}
+
+#[test]
+fn semi_async_checkpoint_resume_is_bit_identical() {
+    assert_event_clock_resume_is_bit_identical(None);
+}
+
+#[test]
+fn semi_async_self_healing_checkpoint_resume_is_bit_identical() {
+    // The cell that had no resumable entry point: event clock × churn.
+    assert_event_clock_resume_is_bit_identical(Some(ChurnPlan {
+        seed: 45 + seed_offset(),
+        horizon: 4,
+        departure_fraction: 0.4,
+        arrival_fraction: 0.2,
+        flap_prob: 0.1,
+    }));
 }
 
 #[test]
@@ -309,12 +373,8 @@ fn partial_quorum_cuts_stragglers_as_timed_events() {
         },
         &topo,
     );
-    let (history, _, report) = trainer.run_semi_async(
-        &groups,
-        &FedAvg,
-        SamplingStrategy::ESRCov,
-        &AsyncConfig::default(),
-    );
+    let (history, _, report) =
+        trainer.run_event(&groups, SamplingStrategy::ESRCov, &AsyncConfig::default());
     assert!(report.total_cut_reports() > 0, "stragglers should get cut");
     let closes = history
         .timed_events()
@@ -364,9 +424,8 @@ fn cloud_deadline_strands_stale_results_per_policy() {
         .with_faults(plan.clone(), policy, &topo)
     };
 
-    let (h_drop, _, rep_drop) = mk().run_semi_async(
+    let (h_drop, _, rep_drop) = mk().run_event(
         &groups,
-        &FedAvg,
         SamplingStrategy::ESRCov,
         &AsyncConfig {
             staleness: StalenessPolicy::DropStale,
@@ -387,9 +446,8 @@ fn cloud_deadline_strands_stale_results_per_policy() {
         .iter()
         .any(|e| matches!(e, TimedEvent::CloudRoundClosed { .. })));
 
-    let (h_w, _, rep_w) = mk().run_semi_async(
+    let (h_w, _, rep_w) = mk().run_event(
         &groups,
-        &FedAvg,
         SamplingStrategy::ESRCov,
         &AsyncConfig {
             staleness: StalenessPolicy::Weighted { decay: 0.5 },
@@ -427,9 +485,8 @@ fn semi_async_cuts_emulated_wall_clock_under_stragglers() {
         )
         .with_faults(plan.clone(), policy, &topo)
     };
-    let (_, _, rep_wait) = mk(lockstep_limit_policy()).run_semi_async(
+    let (_, _, rep_wait) = mk(lockstep_limit_policy()).run_event(
         &groups,
-        &FedAvg,
         SamplingStrategy::ESRCov,
         &AsyncConfig::default(),
     );
@@ -438,12 +495,7 @@ fn semi_async_cuts_emulated_wall_clock_under_stragglers() {
         deadline_factor: 1.5,
         ..FaultPolicy::default()
     })
-    .run_semi_async(
-        &groups,
-        &FedAvg,
-        SamplingStrategy::ESRCov,
-        &AsyncConfig::default(),
-    );
+    .run_event(&groups, SamplingStrategy::ESRCov, &AsyncConfig::default());
     assert!(
         rep_cut.final_clock_s() < rep_wait.final_clock_s(),
         "quorum-or-deadline ({:.1}s) should beat wait-for-all ({:.1}s)",
@@ -455,7 +507,7 @@ fn semi_async_cuts_emulated_wall_clock_under_stragglers() {
 #[test]
 fn self_healing_no_churn_limit_is_bit_identical() {
     // Without `with_churn`, the self-healing semi-async loop must
-    // reproduce `run_semi_async` on the formation-time groups bit for
+    // reproduce the static event-clock run on the formation-time groups bit for
     // bit: same history, same params, same emulated-time report, and an
     // empty regroup log.
     let algo = CovGrouping {
@@ -484,17 +536,12 @@ fn self_healing_no_churn_limit_is_bit_identical() {
             )
             .with_faults(plan.clone(), policy, &topo)
         };
-        let (h_static, p_static, rep_static) = mk().run_semi_async(
-            &groups,
-            &FedAvg,
-            SamplingStrategy::ESRCov,
-            &AsyncConfig::default(),
-        );
+        let (h_static, p_static, rep_static) =
+            mk().run_event(&groups, SamplingStrategy::ESRCov, &AsyncConfig::default());
         let (h_heal, p_heal, rep_heal, membership) = mk()
-            .run_semi_async_self_healing(
+            .run_event_healing(
                 &algo,
                 &topo,
-                &FedAvg,
                 SamplingStrategy::ESRCov,
                 &AsyncConfig::default(),
             )
@@ -549,10 +596,9 @@ fn churned_semi_async_run_heals_deterministically() {
             )
             .with_churn(churn.clone(), RegroupPolicy::default());
         trainer
-            .run_semi_async_self_healing(
+            .run_event_healing(
                 &algo,
                 &topo,
-                &FedAvg,
                 SamplingStrategy::ESRCov,
                 &AsyncConfig::default(),
             )

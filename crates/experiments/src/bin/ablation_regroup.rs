@@ -4,16 +4,14 @@
 //! case, our design of randomly selecting the first client for each group
 //! becomes critical and useful").
 
-use gfl_core::cov::group_cov;
+use gfl_core::driver::{Clock, Membership, RunPlan};
 use gfl_core::engine::form_groups_per_edge;
 use gfl_core::grouping::CovGrouping;
-use gfl_core::history::RunHistory;
 use gfl_core::local::FedAvg;
 use gfl_core::sampling::AggregationWeighting;
 use gfl_core::sampling::SamplingStrategy;
 use gfl_experiments::emit::{f, print_series, to_csv, write_csv};
 use gfl_experiments::world::{ExpScale, World};
-use gfl_tensor::init;
 
 fn main() {
     let mut scale = ExpScale::from_env();
@@ -30,38 +28,32 @@ fn main() {
 
     for (name, regroup_every) in [("static", None), ("regroup_every_12", Some(12usize))] {
         let trainer = world.trainer(world.config(AggregationWeighting::Stabilized));
-        let mut params = world.model.init_params(&mut init::rng(world.seed));
-        let mut ledger = trainer.ledger_for(&FedAvg);
-        let mut history = RunHistory::default();
+        let mut state = trainer.start(&FedAvg);
         let chunk = regroup_every.unwrap_or(scale.global_rounds);
-        let mut t = 0;
         let mut epoch = 0u64;
-        while t < scale.global_rounds {
+        while state.next_round < scale.global_rounds {
             let groups = form_groups_per_edge(
                 &algo,
                 &world.topology,
                 &world.partition.label_matrix,
                 world.seed.wrapping_add(epoch * 7919),
             );
-            let covs: Vec<f32> = groups
-                .iter()
-                .map(|g| group_cov(&world.partition.label_matrix, g))
-                .collect();
-            let probs = SamplingStrategy::ESRCov.probabilities(&covs);
-            let rounds = chunk.min(scale.global_rounds - t);
-            trainer.run_resumable(
-                &groups,
-                &FedAvg,
-                &probs,
-                &mut params,
-                &mut ledger,
-                &mut history,
-                t,
-                rounds,
-            );
-            t += rounds;
+            let probs = trainer.sampling_probs(&groups, SamplingStrategy::ESRCov);
+            // §6.1: the same run carries on under a fresh static partition.
+            let plan = RunPlan {
+                clock: Clock::Lockstep,
+                membership: Membership::Static {
+                    groups: &groups,
+                    probs: &probs,
+                },
+            };
+            let rounds = chunk.min(scale.global_rounds - state.next_round);
+            trainer
+                .drive(&FedAvg, &plan, &mut state, rounds)
+                .expect("a static partition is never re-formed");
             epoch += 1;
         }
+        let history = &state.history;
         for r in history.records() {
             rows.push(vec![
                 name.to_string(),

@@ -113,12 +113,20 @@ fn main() {
         let trainer = world
             .trainer(world.config(AggregationWeighting::Standard))
             .with_faults(straggler_plan(seed), policy, &world.topology);
-        let (history, _, report) = trainer.run_semi_async(
-            &groups,
-            &FedAvg,
-            SamplingStrategy::ESRCov,
-            &AsyncConfig::default(),
-        );
+        let probs = trainer.sampling_probs(&groups, SamplingStrategy::ESRCov);
+        let plan = RunPlan {
+            clock: Clock::EventDriven(AsyncConfig::default()),
+            membership: Membership::Static {
+                groups: &groups,
+                probs: &probs,
+            },
+        };
+        let mut state = trainer.start(&FedAvg);
+        trainer
+            .drive(&FedAvg, &plan, &mut state, trainer.config().global_rounds)
+            .expect("a static partition is never re-formed");
+        let history = &state.history;
+        let (_, report) = state.scheduler.as_ref().expect("event-clock report");
         let last = history.records().last().expect("run produced records");
         let accuracy = f64::from(last.accuracy);
         let clock = report.final_clock_s();

@@ -193,10 +193,11 @@ impl TraceCollector {
     }
 
     /// Records a span that started at `start_ns` (from [`Self::now_ns`]) and
-    /// ends now.
-    pub fn record_span(&self, kind: SpanKind, start_ns: u64, attrs: SpanAttrs) {
+    /// ends now; returns that end timestamp.
+    pub fn record_span(&self, kind: SpanKind, start_ns: u64, attrs: SpanAttrs) -> u64 {
         let end = self.now_ns();
         self.record_span_at(kind, start_ns, end, attrs);
+        end
     }
 
     /// Records a span with explicit start and end timestamps.

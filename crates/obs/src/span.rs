@@ -23,7 +23,7 @@ use serde::{Deserialize, Serialize};
 /// What a span measured. Serialized as the variant name (e.g. `"Round"`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum SpanKind {
-    /// One global round `t` (whole `round_once` body).
+    /// One global round `t` (the whole round skeleton, `Trainer::drive`).
     Round,
     /// Synthetic phase span: sampling + outage filtering + local training.
     Train,

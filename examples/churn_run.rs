@@ -3,7 +3,7 @@
 //! under the same churn, side by side.
 //!
 //! Demonstrates the online-membership subsystem (`gfl_faults::ChurnPlan`
-//! with `Trainer::with_churn` and `Trainer::run_self_healing`): clients
+//! with `Trainer::with_churn` and a `Membership::SelfHealing` plan): clients
 //! permanently depart, late arrivals are placed into the CoV-best group
 //! on their edge, flapping clients miss single rounds, degraded groups
 //! are dissolved and their orphans migrated — all deterministically, so
@@ -83,17 +83,27 @@ fn main() {
 
     // Self-healing: the monitor dissolves degraded groups, migrates
     // orphans to the CoV-best group on their edge, and places arrivals.
-    let (healed, _, membership) = make_trainer()
-        .with_churn(plan.clone(), RegroupPolicy::default())
-        .run_self_healing(&grouping, &topology, &FedAvg, SamplingStrategy::ESRCov)
-        .expect("self-healing run");
+    let self_healing = RunPlan {
+        clock: Clock::Lockstep,
+        membership: Membership::SelfHealing {
+            algo: &grouping,
+            topology: &topology,
+            sampling: SamplingStrategy::ESRCov,
+        },
+    };
+    let run_healing = |trainer: Trainer| {
+        let mut state = trainer.start(&FedAvg);
+        trainer
+            .drive(&FedAvg, &self_healing, &mut state, config.global_rounds)
+            .expect("self-healing run");
+        state
+    };
+    let state = run_healing(make_trainer().with_churn(plan.clone(), RegroupPolicy::default()));
+    let (healed, membership) = (state.history, state.membership.expect("live partition"));
 
     // Frozen: the founding partition is kept as-is; departures just
     // shrink groups and arrivals are never placed.
-    let (frozen, _, _) = make_trainer()
-        .with_churn(plan, RegroupPolicy::frozen())
-        .run_self_healing(&grouping, &topology, &FedAvg, SamplingStrategy::ESRCov)
-        .expect("frozen run");
+    let frozen = run_healing(make_trainer().with_churn(plan, RegroupPolicy::frozen())).history;
 
     println!("round   clean-acc  healed-acc  frozen-acc");
     let at = |h: &RunHistory, round: usize| {

@@ -2,6 +2,7 @@
 //! → sampling → hierarchical training → history, across crate boundaries.
 
 use gfl_core::cov::group_cov;
+use gfl_core::driver::{Clock, Membership, RunPlan};
 use gfl_core::engine::{form_groups_per_edge, GroupFelConfig, Trainer};
 use gfl_core::grouping::{CovGrouping, GroupingAlgorithm, RandomGrouping};
 use gfl_core::local::FedAvg;
@@ -168,43 +169,27 @@ fn histories_are_reproducible_across_trainer_instances() {
 
 #[test]
 fn resumable_sessions_match_single_run() {
-    let (trainer, groups, labels) = build_world(5, 0.5);
-    let covs: Vec<f32> = groups.iter().map(|g| group_cov(&labels, g)).collect();
-    let probs = SamplingStrategy::Random.probabilities(&covs);
+    let (trainer, groups, _) = build_world(5, 0.5);
+    let probs = trainer.sampling_probs(&groups, SamplingStrategy::Random);
+    let plan = RunPlan {
+        clock: Clock::Lockstep,
+        membership: Membership::Static {
+            groups: &groups,
+            probs: &probs,
+        },
+    };
 
     // Two chunks of 5 rounds with the same groups, vs internals reused.
-    let mut params = trainer
-        .model()
-        .init_params(&mut gfl_tensor::init::rng(trainer.config().seed));
-    let mut ledger = trainer.ledger_for(&FedAvg);
-    let mut history = gfl_core::history::RunHistory::default();
-    trainer.run_resumable(
-        &groups,
-        &FedAvg,
-        &probs,
-        &mut params,
-        &mut ledger,
-        &mut history,
-        0,
-        5,
-    );
-    let mid_cost = ledger.total();
-    trainer.run_resumable(
-        &groups,
-        &FedAvg,
-        &probs,
-        &mut params,
-        &mut ledger,
-        &mut history,
-        5,
-        5,
-    );
-    assert!(ledger.total() > mid_cost);
+    let mut state = trainer.start(&FedAvg);
+    trainer.drive(&FedAvg, &plan, &mut state, 5).unwrap();
+    let mid_cost = state.ledger.total();
+    trainer.drive(&FedAvg, &plan, &mut state, 5).unwrap();
+    assert!(state.ledger.total() > mid_cost);
     assert_eq!(
-        history.records().last().unwrap().round,
+        state.history.records().last().unwrap().round,
         9,
         "resumed session must reach round 9"
     );
-    let eval = trainer.evaluate(&params);
+    let eval = trainer.evaluate(&state.params);
     assert!(eval.accuracy > 0.3, "resumed model should have learned");
 }
