@@ -4,7 +4,8 @@
 //! (full KL recomputation with `ln()` per candidate).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use gfl_bench::skewed_labels;
+use gfl_bench::{skewed_labels, virtual_world};
+use gfl_core::engine::form_groups_per_edge;
 use gfl_core::grouping::{
     CdgGrouping, CovGrouping, GroupingAlgorithm, KldGrouping, RandomGrouping,
 };
@@ -46,5 +47,21 @@ fn bench_grouping(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_grouping);
+/// Algorithm 2 per edge at the benchmark's `secure-covg` shape — the set-up
+/// that workload spends most of an invocation in.
+fn bench_secure_covg_formation(c: &mut Criterion) {
+    let (pop, topo) = virtual_world(12_000, 4, 1);
+    let algo = CovGrouping {
+        min_group_size: 10,
+        max_cov: 0.5,
+    };
+    let mut group = c.benchmark_group("secure_covg_formation");
+    group.sample_size(10);
+    group.bench_function("CoVG/12000x4", |b| {
+        b.iter(|| black_box(form_groups_per_edge(&algo, &topo, pop.label_matrix(), 1)));
+    });
+    group.finish();
+}
+
+criterion_group!(benches, bench_grouping, bench_secure_covg_formation);
 criterion_main!(benches);

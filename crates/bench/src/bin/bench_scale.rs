@@ -11,9 +11,15 @@
 //! clients, moderate churn, default healing policy) — total tick time,
 //! the slowest heal, and the event count.
 //!
+//! Set-up is most of a `secure-covg` invocation and Algorithm 2 is most of
+//! that set-up, so a third section, `formation`, times CoVG at that
+//! workload's shape (12 000 clients / 4 edges / MinGS 10) as clients/s at 1
+//! and 2 threads; `gfl-trace regress` holds each row to `--min-rps-ratio`
+//! of the baseline's.
+//!
 //! Unlike `bench_round` (which owns the file and overwrites it), this
 //! binary read-modify-writes: every section `bench_round` produced is
-//! preserved, only `scale` is replaced. Run order in CI is therefore
+//! preserved, only `scale` and `formation` are replaced. Run order in CI is therefore
 //! irrelevant as long as `bench_round` runs first when both run.
 //!
 //! `GFL_SCALE_CLIENTS` overrides the population size (default 1_000_000)
@@ -117,8 +123,9 @@ fn main() {
         .unwrap_or_else(|| serde_json::json!({}));
     match &mut report {
         serde_json::Value::Object(pairs) => {
-            pairs.retain(|(k, _)| k != "scale");
+            pairs.retain(|(k, _)| k != "scale" && k != "formation");
             pairs.push(("scale".to_string(), scale));
+            pairs.push(("formation".to_string(), covg_formation(seed)));
         }
         _ => panic!("BENCH_ROUND.json must hold a JSON object"),
     }
@@ -133,15 +140,56 @@ fn main() {
     );
 }
 
+/// Algorithm 2 at the benchmark's `secure-covg` shape, best of three per
+/// thread count (formation is a pure function of its inputs, so the runs
+/// differ only by what else the machine was doing).
+fn covg_formation(seed: u64) -> serde_json::Value {
+    const CLIENTS: usize = 12_000;
+    let (pop, topo) = gfl_bench::virtual_world(CLIENTS, 4, seed);
+    let algo = CovGrouping {
+        min_group_size: 10,
+        max_cov: 0.5,
+    };
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let mut groups_formed = 0;
+    let results: Vec<serde_json::Value> = [1usize, 2]
+        .iter()
+        .map(|&threads| {
+            gfl_parallel::set_default_parallelism(threads);
+            let seconds = (0..3)
+                .map(|_| {
+                    let t0 = Instant::now();
+                    let groups = form_groups_per_edge(&algo, &topo, pop.label_matrix(), seed);
+                    groups_formed = std::hint::black_box(groups).len();
+                    t0.elapsed().as_secs_f64()
+                })
+                .fold(f64::INFINITY, f64::min);
+            println!("formation: CoVG {CLIENTS} clients / 4 edges at {threads} thread(s) — {seconds:.3}s");
+            serde_json::json!({
+                "threads": threads,
+                "cores": cores,
+                "reliable": threads <= cores,
+                "seconds": seconds,
+                "clients_per_sec": CLIENTS as f64 / seconds,
+            })
+        })
+        .collect();
+    gfl_parallel::set_default_parallelism(0);
+    serde_json::json!({
+        "workload": "the benchmark's secure-covg shape: paper_vision-shaped virtual population, 4 edges, CoVG (MinGS 10, MaxCoV 0.5)",
+        "clients": CLIENTS,
+        "groups_formed": groups_formed,
+        "results": results,
+    })
+}
+
 /// Every membership tick of the benchmark's `scale-churn` workload: forms
 /// the partition as the self-healing run does, then applies each round's
 /// churn, heal and probability refresh, timing the three apart.
 fn membership_horizon(seed: u64) -> serde_json::Value {
     const CLIENTS: usize = 90_000;
     const ROUNDS: usize = 16;
-    let pop = VirtualPopulation::new(VirtualSpec::paper_vision(CLIENTS, 0.1, seed));
-    let sizes: Vec<usize> = (0..pop.num_clients()).map(|c| pop.client_size(c)).collect();
-    let topo = Topology::even_split(8, sizes);
+    let (pop, topo) = gfl_bench::virtual_world(CLIENTS, 8, seed);
     let labels = pop.label_matrix();
     let algo = StreamGrouping { group_size: 8 };
     let sampling = SamplingStrategy::Random;

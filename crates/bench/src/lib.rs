@@ -12,7 +12,8 @@
 //! * `training_round` — one full Algorithm-1 global round, the unit the
 //!   accuracy figures (2b, 9–12, Table 1) integrate over.
 
-use gfl_data::LabelMatrix;
+use gfl_data::{LabelMatrix, VirtualPopulation, VirtualSpec};
+use gfl_sim::Topology;
 use gfl_tensor::init;
 use rand::Rng;
 
@@ -38,6 +39,15 @@ pub fn skewed_labels(clients: usize, labels: usize, seed: u64) -> LabelMatrix {
             .collect(),
         labels,
     )
+}
+
+/// A `paper_vision`-shaped virtual population (α = 0.1) and its even split
+/// over `edges` edge servers — the benchmark workloads' set-up.
+pub fn virtual_world(clients: usize, edges: usize, seed: u64) -> (VirtualPopulation, Topology) {
+    let pop = VirtualPopulation::new(VirtualSpec::paper_vision(clients, 0.1, seed));
+    let sizes = (0..clients).map(|c| pop.client_size(c)).collect();
+    let topo = Topology::even_split(edges, sizes);
+    (pop, topo)
 }
 
 /// Random dense vectors for aggregation/masking benches.

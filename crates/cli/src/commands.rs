@@ -546,7 +546,7 @@ gfl group — form client groups and report their quality
 
   --data PATH | --task vision|speech --samples N   data source
   --alpha F --clients N --edges N --seed N         federation shape
-  --grouping covg|rg|cdg|kldg|varg                 algorithm [covg]
+  --grouping covg|rg|cdg|kldg|varg|stream          algorithm [covg]
   --min-gs N --max-cov F --group-size N            algorithm knobs
   --json             emit the groups as JSON instead of a table";
 
@@ -1165,6 +1165,34 @@ mod tests {
         );
         r.unwrap();
         assert!(out.contains("mean CoV"));
+    }
+
+    #[test]
+    fn every_grouping_the_parser_accepts_is_in_both_help_texts() {
+        // The parser's own error message is the list of names it accepts.
+        let (r, _) = run_cmd(group, "--grouping nonesuch");
+        let CommandError::Invalid(msg) = r.unwrap_err() else {
+            panic!("an unknown --grouping is an Invalid error");
+        };
+        let names = msg
+            .rsplit_once('(')
+            .and_then(|(_, list)| list.strip_suffix(')'))
+            .expect("the error lists the accepted names in parentheses");
+        assert!(names.split('|').count() >= 6, "{msg}");
+        for help in [SIMULATE_HELP, GROUP_HELP] {
+            let line = help
+                .lines()
+                .find(|l| l.trim_start().starts_with("--grouping "))
+                .expect("help documents --grouping");
+            let listed: Vec<&str> = line.split_whitespace().nth(1).unwrap().split('|').collect();
+            for name in names.split('|') {
+                assert!(listed.contains(&name), "'{name}' missing from: {line}");
+            }
+        }
+        for name in names.split('|') {
+            let args = format!("--grouping {name} --clients 8 --edges 2 --samples 800");
+            run_cmd(group, &args).0.unwrap();
+        }
     }
 
     #[test]

@@ -489,10 +489,27 @@ fn array<'a>(v: &'a Value, key: &str) -> &'a [Value] {
         .unwrap_or(&[])
 }
 
+/// Each `results` row of `current` that has a `threads` count, with the
+/// `baseline` row of the same count.
+fn rows_by_threads<'a>(
+    baseline: &'a Value,
+    current: &'a Value,
+) -> impl Iterator<Item = (f64, &'a Value, &'a Value)> {
+    array(current, "results").iter().filter_map(move |cur_row| {
+        let threads = num(cur_row, "threads")?;
+        let base_row = array(baseline, "results")
+            .iter()
+            .find(|r| num(r, "threads") == Some(threads))?;
+        Some((threads, base_row, cur_row))
+    })
+}
+
 /// Compares two `BENCH_ROUND.json` snapshots. Thresholds:
 ///
 /// * `rounds_per_sec` (per thread row): FAIL below `--min-rps-ratio`
 ///   (default 0.5) of baseline — generous, because CI hardware varies.
+/// * `formation.results[].clients_per_sec` (per thread row, when both
+///   snapshots carry `bench_scale`'s `formation` section): the same floor.
 /// * `allocs_per_round` (per thread row): FAIL above baseline +
 ///   `--max-alloc-delta` (default 32) — tight, because allocation counts
 ///   are machine-independent.
@@ -546,32 +563,28 @@ fn regress(paths: &[String], args: &Args, out: &mut dyn Write) -> Result<i32, St
         );
     };
 
-    for cur_row in array(&current, "results") {
-        let Some(threads) = num(cur_row, "threads") else {
-            continue;
-        };
-        let Some(base_row) = array(&baseline, "results")
-            .iter()
-            .find(|r| num(r, "threads") == Some(threads))
-        else {
-            continue;
-        };
-        let reliable = |row: &Value| row.get("reliable").and_then(Value::as_bool) != Some(false);
-        if let (Some(base), Some(cur)) = (
-            num(base_row, "rounds_per_sec"),
-            num(cur_row, "rounds_per_sec"),
-        ) {
-            if base > 0.0 && reliable(base_row) && reliable(cur_row) {
-                let ratio = cur / base;
-                check(
-                    out,
-                    format!("rounds_per_sec[threads={threads}]"),
-                    ratio >= min_rps,
-                    format!(
-                        "{cur:.2} vs baseline {base:.2} (ratio {ratio:.2}, floor {min_rps:.2})"
-                    ),
-                );
-            }
+    // Throughput of a row pair against `--min-rps-ratio`: `(ok, detail)`,
+    // or nothing where either side lacks the key or flags the row unreliable.
+    let reliable = |row: &Value| row.get("reliable").and_then(Value::as_bool) != Some(false);
+    let throughput = |key: &str, base_row: &Value, cur_row: &Value| {
+        let (base, cur) = (num(base_row, key)?, num(cur_row, key)?);
+        (base > 0.0 && reliable(base_row) && reliable(cur_row)).then(|| {
+            let ratio = cur / base;
+            (
+                ratio >= min_rps,
+                format!("{cur:.2} vs baseline {base:.2} (ratio {ratio:.2}, floor {min_rps:.2})"),
+            )
+        })
+    };
+
+    for (threads, base_row, cur_row) in rows_by_threads(&baseline, &current) {
+        if let Some((ok, detail)) = throughput("rounds_per_sec", base_row, cur_row) {
+            check(
+                out,
+                format!("rounds_per_sec[threads={threads}]"),
+                ok,
+                detail,
+            );
         }
         if let (Some(base), Some(cur)) = (
             num(base_row, "allocs_per_round"),
@@ -586,6 +599,18 @@ fn regress(paths: &[String], args: &Args, out: &mut dyn Write) -> Result<i32, St
                     "{cur:.0} vs baseline {base:.0} (delta {delta:+.0}, cap +{max_alloc_delta:.0})"
                 ),
             );
+        }
+    }
+
+    // CoVG formation at the `secure-covg` shape (bench_scale's `formation`
+    // section): set-up is most of that run, so its clients/s is held to the
+    // same floor.
+    if let (Some(base), Some(cur)) = (baseline.get("formation"), current.get("formation")) {
+        for (threads, base_row, cur_row) in rows_by_threads(base, cur) {
+            if let Some((ok, detail)) = throughput("clients_per_sec", base_row, cur_row) {
+                let label = format!("formation.covg_clients_per_sec[threads={threads}]");
+                check(out, label, ok, detail);
+            }
         }
     }
 

@@ -148,7 +148,15 @@ fn regress_fails_on_the_injected_regression_fixture() {
     assert!(out.contains("FAIL rounds_per_sec[threads=1]"), "{out}");
     assert!(out.contains("FAIL allocs_per_round[threads=8]"), "{out}");
     assert!(out.contains("FAIL gemm_gflops[avx2]"), "{out}");
+    assert!(
+        out.contains("FAIL formation.covg_clients_per_sec[threads=1]"),
+        "{out}"
+    );
     // Within-threshold drift still passes.
+    assert!(
+        out.contains("PASS formation.covg_clients_per_sec[threads=2]"),
+        "{out}"
+    );
     assert!(out.contains("PASS rounds_per_sec[threads=8]"), "{out}");
     assert!(out.contains("PASS gemm_gflops[scalar]"), "{out}");
     assert!(out.contains("REGRESSION"), "{out}");

@@ -81,6 +81,116 @@ pub fn cov_with_candidate(labels: &LabelMatrix, hist: &[u64], candidate: usize) 
     (sigma / mu) as Scalar
 }
 
+/// A grouping criterion — a function of a label histogram that a greedy
+/// formation minimizes — as the last step of [`cov_lanes`]. Named by type,
+/// not passed as a function value, so that the kernel inlines at both call
+/// sites of [`scan_lanes`] and the full-block one keeps a constant lane
+/// count (as an `impl Fn` argument it was left out of line and ran 1.5×
+/// slower).
+pub(crate) trait Criterion {
+    /// The criterion of a histogram over `m` labels, from its exact `total`,
+    /// its mean label mass `mu = total / m` and its sum `ss` of squared
+    /// deviations from `mu`.
+    fn finish(total: f64, mu: f64, ss: f64, m: f64) -> Scalar;
+}
+
+/// The criterion of §5.1: [`histogram_cov`].
+pub(crate) struct Cov;
+
+impl Criterion for Cov {
+    #[inline(always)]
+    fn finish(total: f64, mu: f64, ss: f64, m: f64) -> Scalar {
+        // A zero total is `inf`, as in `histogram_cov` (the lane itself
+        // computes 0/0).
+        if total == 0.0 {
+            Scalar::INFINITY
+        } else {
+            ((ss / m).sqrt() / mu) as Scalar
+        }
+    }
+}
+
+/// Lanes scored per block of [`cov_lanes`]: wide enough that a block's
+/// divisions and square roots pipeline, small enough to stay in registers.
+/// Chosen by measurement: formation at the `secure-covg` shape reads within
+/// 5 % at 4, 8 and 16, and 8 is the width the healer's scan was sized at
+/// (docs/PERF.md "Formation").
+pub(crate) const LANES: usize = 8;
+
+/// One lane per column entry: `out[k]` is criterion `C` of the histogram
+/// `cols[j][lo + k] + hist[j]` over labels `j`, whose total is
+/// `totals[lo + k] + hist_total`. With `C` = [`Cov`] that is
+/// [`cov_with_candidate`]'s operations in its order — exact total →
+/// `mu = total / m` → `ss += d·d` for ascending label from `0.0` →
+/// `(sqrt(ss / m) / mu) as f32` — with no value ever combined across lanes,
+/// so running lanes side by side changes no rounding. The healer's
+/// placement scan runs it with groups in the lanes and the arriving client
+/// as `hist`; Algorithm 2's Line 5 with the remaining candidates in the
+/// lanes and the growing group as `hist`.
+///
+/// Counts are held as `f64`. A count is exact as an `f64` below 2⁵³ and so
+/// is every sum of two that stays below it, so as long as the caller keeps
+/// `totals[i] + hist_total` there (both callers assert it), `h + c` and
+/// `total` are the exact integers the scalar function forms in `u64` and
+/// converts with `as f64`.
+#[inline(always)]
+pub(crate) fn cov_lanes<C: Criterion>(
+    cols: &[Vec<f64>],
+    totals: &[f64],
+    lo: usize,
+    hist: &[f64],
+    hist_total: f64,
+    out: &mut [Scalar],
+) {
+    let w = out.len();
+    debug_assert!(w <= LANES && cols.len() == hist.len());
+    let m = cols.len() as f64;
+    let mut total = [0.0f64; LANES];
+    let mut mu = [0.0f64; LANES];
+    let mut ss = [0.0f64; LANES];
+    for (k, &t) in totals[lo..lo + w].iter().enumerate() {
+        total[k] = t + hist_total;
+        mu[k] = total[k] / m;
+    }
+    for (col, &h) in cols.iter().zip(hist) {
+        for (k, &c) in col[lo..lo + w].iter().enumerate() {
+            let d = (c + h) - mu[k];
+            ss[k] += d * d;
+        }
+    }
+    for (k, o) in out.iter_mut().enumerate() {
+        *o = C::finish(total[k], mu[k], ss[k], m);
+    }
+}
+
+/// Calls `visit(i, cov_lanes' value for lane i)` for every `i` in `range`,
+/// ascending, a block of [`LANES`] at a time.
+pub(crate) fn scan_lanes<C: Criterion>(
+    cols: &[Vec<f64>],
+    totals: &[f64],
+    range: std::ops::Range<usize>,
+    hist: &[f64],
+    hist_total: f64,
+    mut visit: impl FnMut(usize, Scalar),
+) {
+    let mut out = [0.0; LANES];
+    let mut lo = range.start;
+    while lo + LANES <= range.end {
+        cov_lanes::<C>(cols, totals, lo, hist, hist_total, &mut out);
+        for (k, &v) in out.iter().enumerate() {
+            visit(lo + k, v);
+        }
+        lo += LANES;
+    }
+    if lo < range.end {
+        let tail = &mut out[..range.end - lo];
+        cov_lanes::<C>(cols, totals, lo, hist, hist_total, tail);
+        for (k, &v) in tail.iter().enumerate() {
+            visit(lo + k, v);
+        }
+    }
+}
+
 /// Mean CoV across a set of groups (reported in Table 1).
 pub fn mean_group_cov(labels: &LabelMatrix, groups: &[Vec<usize>]) -> Scalar {
     if groups.is_empty() {

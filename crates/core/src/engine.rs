@@ -123,23 +123,53 @@ impl GroupFelConfig {
 }
 
 /// Runs a grouping algorithm independently on every edge server's clients
-/// (Algorithm 1, Lines 2–3) and returns groups in *global* client ids.
+/// (Algorithm 1, Lines 2–3) and returns groups in *global* client ids:
+/// [`form_groups_active`] with everyone active.
 pub fn form_groups_per_edge(
     algo: &dyn GroupingAlgorithm,
     topology: &Topology,
     labels: &LabelMatrix,
     seed: u64,
 ) -> Vec<Group> {
-    let mut groups = Vec::new();
-    for j in 0..topology.num_edges() {
-        let members = topology.clients_of(j);
-        let local = labels.restrict(members);
-        let mut rng = init::rng(seed ^ (0x9E37_79B9 ^ (j as u64) << 32));
-        for group in algo.form_groups(&local, &mut rng) {
-            groups.push(group.into_iter().map(|i| members[i]).collect());
+    let everyone = vec![true; topology.num_clients()];
+    form_groups_active(algo, topology, labels, &everyone, seed, 0)
+}
+
+/// The one per-edge formation loop: runs the grouping algorithm per edge
+/// over the `active` clients only, returning groups in global ids, edge
+/// after edge. `salt` varies the partition between the healer's full
+/// re-formations; founding partitions use 0. Edges form independently —
+/// each from its own RNG, a pure function of `(seed, edge, salt)` — so they
+/// run on the pool and land by edge index: the partition is the same at
+/// every thread count.
+pub fn form_groups_active(
+    algo: &dyn GroupingAlgorithm,
+    topology: &Topology,
+    labels: &LabelMatrix,
+    active: &[bool],
+    seed: u64,
+    salt: u64,
+) -> Vec<Group> {
+    let edges: Vec<usize> = (0..topology.num_edges()).collect();
+    let per_edge = gfl_parallel::par_map(&edges, |&j| {
+        let members: Vec<usize> = topology
+            .clients_of(j)
+            .iter()
+            .copied()
+            .filter(|&c| active[c])
+            .collect();
+        if members.is_empty() {
+            return Vec::new();
         }
-    }
-    groups
+        let local = labels.restrict(&members);
+        let mut rng = init::rng(seed ^ (0x9E37_79B9 ^ (j as u64) << 32) ^ salt);
+        let mut groups = algo.form_groups(&local, &mut rng);
+        for id in groups.iter_mut().flatten() {
+            *id = members[*id];
+        }
+        groups
+    });
+    per_edge.into_iter().flatten().collect()
 }
 
 /// The Group-FEL trainer: owns the model, the federated data layout, and

@@ -1,30 +1,30 @@
 //! CoV-Grouping — Algorithm 2 of the paper.
 //!
-//! Greedy construction: seed a group with a random remaining client, then
-//! repeatedly add the client that minimizes the group's CoV, until the CoV
-//! target `MaxCoV` is met with at least `MinGS` members (or no candidate
-//! improves the CoV anymore). `MaxCoV` is soft: when no candidate can reach
-//! it, the group is finalized anyway (footnote 4). `MinGS` is hard during
-//! growth; the last group may fall below it only when the client pool runs
-//! dry (the paper's groups always absorb every client, Constraint 32).
+//! Greedy construction ([`super::greedy`]): seed a group with a random
+//! remaining client, then repeatedly add the client that minimizes the
+//! group's CoV, until the CoV target `MaxCoV` is met with at least `MinGS`
+//! members (or no candidate improves the CoV anymore). `MaxCoV` is soft:
+//! when no candidate can reach it, the group is finalized anyway
+//! (footnote 4). `MinGS` is hard during growth; the last group may fall
+//! below it only when the client pool runs dry (the paper's groups always
+//! absorb every client, Constraint 32).
 //!
 //! The random seed client is deliberate (§6.1): re-running the grouping
 //! after some rounds explores different partitions, enabling the paper's
 //! regrouping extension.
 //!
-//! Complexity: O(|K|³·|Y|) — Line 5 tries every remaining client, each
-//! trial is an O(|Y|) incremental CoV evaluation ([`cov_with_candidate`]),
-//! and O(|K|) clients are added in total across O(|K|) outer steps.
+//! Complexity: O(|K|²·|Y|) per edge — every client is added once, and each
+//! addition scores every remaining client (Line 5) with one O(|Y|) CoV
+//! evaluation, eight candidates a block (`cov::cov_lanes`): Fig. 5's quantity.
 
 use gfl_data::LabelMatrix;
 use gfl_tensor::init::GflRng;
 use gfl_tensor::Scalar;
-use rand::Rng;
 
-use crate::cov::{cov_with_candidate, histogram_cov};
+use crate::cov::Cov;
 use crate::Group;
 
-use super::GroupingAlgorithm;
+use super::{greedy, GroupingAlgorithm};
 
 /// Configuration of Algorithm 2.
 #[derive(Debug, Clone, Copy)]
@@ -43,47 +43,7 @@ impl GroupingAlgorithm for CovGrouping {
     }
 
     fn form_groups(&self, labels: &LabelMatrix, rng: &mut GflRng) -> Vec<Group> {
-        assert!(self.min_group_size >= 1, "MinGS must be at least 1");
-        let n = labels.num_clients();
-        let m = labels.num_labels();
-        let mut remaining: Vec<usize> = (0..n).collect();
-        let mut groups: Vec<Group> = Vec::new();
-
-        while !remaining.is_empty() {
-            // Line 3: seed with a random remaining client.
-            let seed_pos = rng.gen_range(0..remaining.len());
-            let seed = remaining.swap_remove(seed_pos);
-            let mut group = vec![seed];
-            let mut hist = vec![0u64; m];
-            labels.add_client_into(seed, &mut hist);
-            let mut cov = histogram_cov(&hist);
-
-            // Line 4: grow while the group misses either requirement.
-            while (cov > self.max_cov || group.len() < self.min_group_size) && !remaining.is_empty()
-            {
-                // Line 5: the candidate minimizing CoV(g ∪ c).
-                let (best_pos, best_cov) = remaining
-                    .iter()
-                    .enumerate()
-                    .map(|(pos, &c)| (pos, cov_with_candidate(labels, &hist, c)))
-                    .min_by(|a, b| a.1.partial_cmp(&b.1).unwrap())
-                    .expect("remaining is non-empty");
-
-                // Line 6: accept if it improves CoV or the group is still
-                // too small to finalize.
-                if best_cov < cov || group.len() < self.min_group_size {
-                    let c = remaining.swap_remove(best_pos);
-                    labels.add_client_into(c, &mut hist);
-                    group.push(c);
-                    cov = best_cov;
-                } else {
-                    // Line 9: no improving candidate and size satisfied.
-                    break;
-                }
-            }
-            groups.push(group);
-        }
-        groups
+        greedy::form_groups::<Cov>(labels, rng, self.min_group_size, self.max_cov, |_| {})
     }
 }
 

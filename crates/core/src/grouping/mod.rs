@@ -14,6 +14,7 @@
 
 mod cdg;
 mod cov_grouping;
+mod greedy;
 pub mod incremental;
 mod kldg;
 pub mod optimal;
@@ -76,34 +77,16 @@ impl std::fmt::Display for PartitionError {
 impl std::error::Error for PartitionError {}
 
 /// Checks that `groups` is a partition of `0..n`: every client in exactly
-/// one group, no empty groups. Used by tests and by the self-healing
-/// membership layer, which must surface a structured error instead of
-/// crashing a long-running session on a bad repair.
+/// one group, no empty groups — [`validate_partition_of`] with everyone a
+/// member.
 pub fn validate_partition(groups: &[Group], n: usize) -> Result<(), PartitionError> {
-    let mut seen = vec![false; n];
-    for (gi, g) in groups.iter().enumerate() {
-        if g.is_empty() {
-            return Err(PartitionError::EmptyGroup { group: gi });
-        }
-        for &c in g {
-            if c >= n {
-                return Err(PartitionError::OutOfRange { client: c });
-            }
-            if seen[c] {
-                return Err(PartitionError::Duplicate { client: c });
-            }
-            seen[c] = true;
-        }
-    }
-    if let Some(missing) = seen.iter().position(|&s| !s) {
-        return Err(PartitionError::Missing { client: missing });
-    }
-    Ok(())
+    validate_partition_of(groups, &(0..n).collect::<Vec<_>>(), n)
 }
 
-/// [`validate_partition`] restricted to a subset of clients: `members`
-/// lists the ids that must be covered exactly once (the self-healing
-/// path validates per-edge partitions of the currently-active clients).
+/// Checks that `groups` cover exactly `members` (ids below `n`), each once,
+/// with no empty group. The self-healing membership layer validates every
+/// repair of the active clients' partition with it, surfacing a structured
+/// error instead of crashing a long-running session.
 pub fn validate_partition_of<'a>(
     groups: impl IntoIterator<Item = &'a Group>,
     members: &[usize],

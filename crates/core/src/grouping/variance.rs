@@ -1,7 +1,7 @@
 //! Variance-criterion grouping — the alternative §5.1 argues *against*.
 //!
-//! Identical greedy skeleton to CoV-Grouping, but minimizing the label
-//! histogram's raw variance σ²(g) instead of its CoV. The paper's §5.1:
+//! The greedy skeleton of CoV-Grouping ([`super::greedy`]), but minimizing
+//! the label histogram's raw variance σ²(g) instead of its CoV. §5.1:
 //! "the variance is not suitable as the criterion [because] it is
 //! susceptible to the scale of data number ... a group with a smaller
 //! total data number but larger data distribution skew may have a smaller
@@ -14,11 +14,11 @@
 use gfl_data::LabelMatrix;
 use gfl_tensor::init::GflRng;
 use gfl_tensor::Scalar;
-use rand::Rng;
 
+use crate::cov::Criterion;
 use crate::Group;
 
-use super::GroupingAlgorithm;
+use super::{greedy, GroupingAlgorithm};
 
 /// Population variance of a label histogram.
 pub fn histogram_variance(hist: &[u64]) -> Scalar {
@@ -37,25 +37,6 @@ pub fn histogram_variance(hist: &[u64]) -> Scalar {
     (ss / m as f64) as Scalar
 }
 
-fn variance_with_candidate(labels: &LabelMatrix, hist: &[u64], candidate: usize) -> Scalar {
-    let cand = labels.client(candidate);
-    let m = hist.len();
-    if m == 0 {
-        return Scalar::INFINITY;
-    }
-    let mut total = 0u64;
-    for (&h, &c) in hist.iter().zip(cand.iter()) {
-        total += h + c as u64;
-    }
-    let mean = total as f64 / m as f64;
-    let mut ss = 0.0f64;
-    for (&h, &c) in hist.iter().zip(cand.iter()) {
-        let d = (h + c as u64) as f64 - mean;
-        ss += d * d;
-    }
-    (ss / m as f64) as Scalar
-}
-
 /// Greedy grouping minimizing raw label variance (Algorithm 2 with the
 /// criterion swapped).
 #[derive(Debug, Clone, Copy)]
@@ -66,45 +47,29 @@ pub struct VarianceGrouping {
     pub max_variance: Scalar,
 }
 
+/// [`histogram_variance`] as a lane criterion: `cov::cov_lanes`' moments,
+/// finished `(ss / m) as f32`.
+pub(super) struct Variance;
+
+impl Criterion for Variance {
+    #[inline(always)]
+    fn finish(_total: f64, _mu: f64, ss: f64, m: f64) -> Scalar {
+        if m == 0.0 {
+            Scalar::INFINITY
+        } else {
+            (ss / m) as Scalar
+        }
+    }
+}
+
 impl GroupingAlgorithm for VarianceGrouping {
     fn name(&self) -> &'static str {
         "VarG"
     }
 
     fn form_groups(&self, labels: &LabelMatrix, rng: &mut GflRng) -> Vec<Group> {
-        assert!(self.min_group_size >= 1);
-        let n = labels.num_clients();
-        let m = labels.num_labels();
-        let mut remaining: Vec<usize> = (0..n).collect();
-        let mut groups: Vec<Group> = Vec::new();
-        while !remaining.is_empty() {
-            let seed_pos = rng.gen_range(0..remaining.len());
-            let seed = remaining.swap_remove(seed_pos);
-            let mut group = vec![seed];
-            let mut hist = vec![0u64; m];
-            labels.add_client_into(seed, &mut hist);
-            let mut var = histogram_variance(&hist);
-            while (var > self.max_variance || group.len() < self.min_group_size)
-                && !remaining.is_empty()
-            {
-                let (best_pos, best_var) = remaining
-                    .iter()
-                    .enumerate()
-                    .map(|(pos, &c)| (pos, variance_with_candidate(labels, &hist, c)))
-                    .min_by(|a, b| a.1.partial_cmp(&b.1).unwrap())
-                    .expect("remaining non-empty");
-                if best_var < var || group.len() < self.min_group_size {
-                    let c = remaining.swap_remove(best_pos);
-                    labels.add_client_into(c, &mut hist);
-                    group.push(c);
-                    var = best_var;
-                } else {
-                    break;
-                }
-            }
-            groups.push(group);
-        }
-        groups
+        let (min, max) = (self.min_group_size, self.max_variance);
+        greedy::form_groups::<Variance>(labels, rng, min, max, |_| {})
     }
 }
 

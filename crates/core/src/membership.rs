@@ -60,10 +60,11 @@ use std::borrow::Cow;
 use gfl_data::LabelMatrix;
 use gfl_faults::ChurnPlan;
 use gfl_sim::Topology;
-use gfl_tensor::{init, Scalar};
+use gfl_tensor::Scalar;
 use serde::{Deserialize, Serialize};
 
 use crate::cov::group_cov;
+pub use crate::engine::form_groups_active;
 use crate::grouping::{validate_partition_of, GroupingAlgorithm, PartitionError};
 use crate::sampling::SamplingStrategy;
 use crate::Group;
@@ -389,37 +390,6 @@ impl Deserialize for MembershipState {
             memo: None,
         })
     }
-}
-
-/// Runs the grouping algorithm per edge over the `active` clients only,
-/// returning groups in global ids. With every client active and `salt == 0`
-/// this reproduces `engine::form_groups_per_edge` exactly.
-pub fn form_groups_active(
-    algo: &dyn GroupingAlgorithm,
-    topology: &Topology,
-    labels: &LabelMatrix,
-    active: &[bool],
-    seed: u64,
-    salt: u64,
-) -> Vec<Group> {
-    let mut groups = Vec::new();
-    for j in 0..topology.num_edges() {
-        let members: Vec<usize> = topology
-            .clients_of(j)
-            .iter()
-            .copied()
-            .filter(|&c| active[c])
-            .collect();
-        if members.is_empty() {
-            continue;
-        }
-        let local = labels.restrict(&members);
-        let mut rng = init::rng(seed ^ (0x9E37_79B9 ^ (j as u64) << 32) ^ salt);
-        for group in algo.form_groups(&local, &mut rng) {
-            groups.push(group.into_iter().map(|i| members[i]).collect());
-        }
-    }
-    groups
 }
 
 /// The members of each sampled group that can take part in round `t`, in

@@ -12,32 +12,26 @@
 //! neighbouring groups instead of chasing `m`-element rows through three
 //! levels of `Vec`.
 //!
-//! **Exactness.** The columns and totals hold *counts as `f64`*. A count is
-//! exact as an `f64` below 2⁵³, and so is every sum of two of them that
-//! stays below it. [`Index::add`] and [`Index::build`] assert each group's
-//! total stays at most 2⁵² ([`MAX_EXACT_TOTAL`]); a candidate row is `m`
-//! `u32`s, so with `m` < 2²⁰ (asserted in `build`) `group + candidate` is
-//! below 2⁵³ too. Hence every value the scan forms before its first
-//! division — `h + c`, `total` — is the exact integer
-//! `cov::cov_with_candidate` forms in `u64` and converts with `as f64`,
-//! and from there on each lane performs that function's operations in its
-//! order. A cached CoV is [`histogram_cov`] itself, applied to the group's
-//! column entries converted back to `u64`.
+//! **Exactness.** The columns and totals hold *counts as `f64`*, which is
+//! what lets the scan be `cov::cov_lanes` — `cov::cov_with_candidate`'s
+//! operations in its order, a lane per group (its docs say why no rounding
+//! moves). Its precondition is kept here: [`Index::add`] and
+//! [`Index::build`] assert each group's total stays at most 2⁵²
+//! ([`MAX_EXACT_TOTAL`]); a candidate row is `m` `u32`s, so with `m` < 2²⁰
+//! (asserted in `build`) `group + candidate` is below 2⁵³ too. A cached CoV
+//! is [`histogram_cov`] itself, applied to the group's column entries
+//! converted back to `u64`.
 
 use gfl_data::LabelMatrix;
 use gfl_faults::ChurnPlan;
 use gfl_sim::Topology;
 use gfl_tensor::Scalar;
 
-use crate::cov::histogram_cov;
+use crate::cov::{histogram_cov, scan_lanes, Cov};
 use crate::Group;
 
 /// "No group" in [`Index::group_of`].
 const NONE: u32 = u32::MAX;
-
-/// Groups scanned per block of [`cov_lanes`]: wide enough that the divisions
-/// and square roots of a block pipeline, small enough to stay in registers.
-const LANES: usize = 8;
 
 /// Largest total sample count a group may hold (see the module docs).
 const MAX_EXACT_TOTAL: f64 = (1u64 << 52) as f64;
@@ -243,50 +237,25 @@ impl Index {
             while i + len < list.len() && list[i + len] as usize == lo + len {
                 len += 1;
             }
-            self.scan(lo..lo + len, cand_total, |g, cov| {
-                if best.is_none_or(|(_, b)| cov < b) {
-                    best = Some((g as u32, cov));
-                }
-            });
+            let run = lo..lo + len;
+            scan_lanes::<Cov>(
+                &self.hist,
+                &self.totals,
+                run,
+                &self.cand,
+                cand_total,
+                |g, cov| {
+                    if best.is_none_or(|(_, b)| cov < b) {
+                        best = Some((g as u32, cov));
+                    }
+                },
+            );
             i += len;
         }
         best.map(|(g, _)| g as usize)
     }
 
-    /// Calls `visit(g, CoV of group g with the candidate in self.cand)` for
-    /// every `g` in `range`, ascending.
-    fn scan(
-        &self,
-        range: std::ops::Range<usize>,
-        cand_total: f64,
-        mut visit: impl FnMut(usize, Scalar),
-    ) {
-        let mut out = [0.0; LANES];
-        let mut lo = range.start;
-        while lo + LANES <= range.end {
-            cov_lanes(
-                &self.hist,
-                &self.totals,
-                lo,
-                &self.cand,
-                cand_total,
-                &mut out,
-            );
-            for (k, &cov) in out.iter().enumerate() {
-                visit(lo + k, cov);
-            }
-            lo += LANES;
-        }
-        if lo < range.end {
-            let tail = &mut out[..range.end - lo];
-            cov_lanes(&self.hist, &self.totals, lo, &self.cand, cand_total, tail);
-            for (k, &cov) in tail.iter().enumerate() {
-                visit(lo + k, cov);
-            }
-        }
-    }
-
-    /// [`Index::scan`]'s values for `client` over `range`, for the tests.
+    /// The placement scan's values for `client` over `range`, for the tests.
     #[cfg(test)]
     pub(super) fn covs_with_candidate(
         &mut self,
@@ -296,7 +265,14 @@ impl Index {
     ) -> Vec<Scalar> {
         let cand_total = self.load_candidate(labels, client);
         let mut covs = Vec::new();
-        self.scan(range, cand_total, |_, cov| covs.push(cov));
+        scan_lanes::<Cov>(
+            &self.hist,
+            &self.totals,
+            range,
+            &self.cand,
+            cand_total,
+            |_, cov| covs.push(cov),
+        );
         covs
     }
 }
@@ -306,46 +282,6 @@ pub(super) fn retain_unmarked<T>(column: &mut Vec<T>, marks: &[bool]) {
     debug_assert_eq!(column.len(), marks.len());
     let mut marks = marks.iter();
     column.retain(|_| !marks.next().expect("one mark per element"));
-}
-
-/// One lane per group: `out[k]` is the CoV group `lo + k` would have with
-/// the candidate added — `cov::cov_with_candidate`'s operations in its
-/// order (exact total → `mu = total / m` → `ss += d·d` for ascending label
-/// → `(sqrt(ss / m) / mu) as f32`), so running lanes side by side changes
-/// no rounding. A zero total is `inf`, as there (the lane itself computes
-/// 0/0).
-#[inline(always)]
-fn cov_lanes(
-    hist: &[Vec<f64>],
-    totals: &[f64],
-    lo: usize,
-    cand: &[f64],
-    cand_total: f64,
-    out: &mut [Scalar],
-) {
-    let w = out.len();
-    debug_assert!(w <= LANES);
-    let m = hist.len() as f64;
-    let mut total = [0.0f64; LANES];
-    let mut mu = [0.0f64; LANES];
-    let mut ss = [0.0f64; LANES];
-    for (k, &t) in totals[lo..lo + w].iter().enumerate() {
-        total[k] = t + cand_total;
-        mu[k] = total[k] / m;
-    }
-    for (col, &c) in hist.iter().zip(cand) {
-        for (k, &h) in col[lo..lo + w].iter().enumerate() {
-            let d = (h + c) - mu[k];
-            ss[k] += d * d;
-        }
-    }
-    for (k, o) in out.iter_mut().enumerate() {
-        *o = if total[k] == 0.0 {
-            Scalar::INFINITY
-        } else {
-            ((ss[k] / m).sqrt() / mu[k]) as Scalar
-        };
-    }
 }
 
 /// Equality of everything derived (the scratch rows are not), floats by

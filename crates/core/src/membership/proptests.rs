@@ -543,6 +543,17 @@ fn assert_lanes_match(
                 cand
             );
         }
+        // And the winner the healer places by — `cov::cov_lanes` reached
+        // through `scan_lanes` — is the scalar scan's: the first strict
+        // minimum over the edge's non-empty groups.
+        let mut want: Option<(usize, Scalar)> = None;
+        for (gi, g) in groups.iter().enumerate().filter(|(_, g)| !g.is_empty()) {
+            let cov = cov_with_candidate(&labels, &labels.group_histogram(g), cand);
+            if want.is_none_or(|(_, b)| cov < b) {
+                want = Some((gi, cov));
+            }
+        }
+        prop_assert_eq!(index.best_group(&labels, cand), want.map(|(g, _)| g));
     }
 }
 

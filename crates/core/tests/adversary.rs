@@ -426,8 +426,10 @@ fn attack_defense_telemetry_reaches_the_collector() {
         );
         assert!(get("defense.norm_passes") > 0, "clip work not counted");
         assert!(metrics.gauge("asr.trigger").is_some(), "{clock:?}: no ASR");
+        // One thread never fans out, so it has no region to count.
         assert!(
-            trace.rounds.iter().all(|r| r.pool_regions > 0),
+            gfl_parallel::default_parallelism() == 1
+                || trace.rounds.iter().all(|r| r.pool_regions > 0),
             "{clock:?}: pool deltas missing from the round records"
         );
         let phases = metrics.histograms.iter().map(|h| h.name.as_str());

@@ -122,9 +122,10 @@ impl SyntheticSpec {
     pub fn weighted_labels_into(&self, n: usize, weights: &[f64], seed: u64, out: &mut Vec<usize>) {
         assert_eq!(weights.len(), self.num_classes, "weight arity mismatch");
         let mut rng = init::rng(seed ^ LABEL_STREAM_SALT);
+        let total: f64 = weights.iter().sum();
         out.reserve(n);
         for _ in 0..n {
-            out.push(sample_categorical(&mut rng, weights));
+            out.push(sample_categorical(&mut rng, weights, total));
         }
     }
 
@@ -188,9 +189,9 @@ impl SyntheticSpec {
     }
 }
 
-/// Samples an index proportional to non-negative weights.
-fn sample_categorical(rng: &mut impl Rng, weights: &[f64]) -> usize {
-    let total: f64 = weights.iter().sum();
+/// Samples an index proportional to non-negative weights, whose sum the
+/// caller passes as `total` (one sum per client, not one per draw).
+fn sample_categorical(rng: &mut impl Rng, weights: &[f64], total: f64) -> usize {
     if total <= 0.0 {
         return rng.gen_range(0..weights.len());
     }
