@@ -1,4 +1,4 @@
-//! The `gfl-trace` binary: see [`gfl_cli::trace_cli::USAGE`].
+//! The `gfl-trace` binary: see [`gfl_cli::trace_cli::usage`].
 
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();

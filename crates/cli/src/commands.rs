@@ -1,29 +1,29 @@
-//! The four `gfl` subcommands.
+//! The four `gfl` subcommands. Each parses its argv against its table in
+//! [`crate::args`] into a config — all of it, before anything is built —
+//! and only then builds, drives and reports.
 
 use std::io::Write;
+use std::str::FromStr;
 
 use gfl_baselines::{FedNova, FedProx, Scaffold};
 use gfl_core::checkpoint::Checkpoint;
 use gfl_core::cov::{group_cov, mean_group_cov};
 use gfl_core::driver::{Clock, Membership, RunPlan, RunState};
 use gfl_core::engine::{form_groups_per_edge, GroupFelConfig, RobustAggRule, Trainer};
-use gfl_core::grouping::{
-    CdgGrouping, CovGrouping, GroupingAlgorithm, KldGrouping, RandomGrouping, StreamGrouping,
-    VarianceGrouping,
-};
+use gfl_core::grouping::GroupingAlgorithm;
 use gfl_core::local::{FedAvg, LocalUpdate};
 use gfl_core::membership::RegroupPolicy;
-use gfl_core::sampling::{AggregationWeighting, SamplingStrategy};
-use gfl_core::semi_async::{AsyncConfig, StalenessPolicy};
+use gfl_core::sampling::SamplingStrategy;
+use gfl_core::semi_async::AsyncConfig;
 use gfl_core::theory::{self, TheoremInputs};
 use gfl_data::{
-    ClientPartition, Dataset, PartitionSpec, SyntheticSpec, VirtualPopulation, VirtualSpec,
+    ClientPartition, Dataset, FedData, PartitionSpec, SyntheticSpec, VirtualPopulation, VirtualSpec,
 };
-use gfl_faults::{AdversaryPlan, ChurnPlan, FaultPlan, FaultPolicy, OutageWindow};
+use gfl_faults::{AdversaryPlan, ChurnPlan, FaultPlan, FaultPolicy};
 use gfl_nn::sgd::LrSchedule;
 use gfl_sim::{CostModel, GroupOpKind, Task, Topology};
 
-use crate::args::{Args, ParseError};
+use crate::args::{self, Args, Command, Method, ParseError};
 
 /// Command-level errors.
 #[derive(Debug)]
@@ -32,7 +32,7 @@ pub enum CommandError {
     Invalid(String),
     Io(std::io::Error),
     /// Not an error: `--help` was requested; payload is the help text.
-    Help(&'static str),
+    Help(String),
 }
 
 impl std::fmt::Display for CommandError {
@@ -60,323 +60,455 @@ impl From<std::io::Error> for CommandError {
 
 type CmdResult = Result<(), CommandError>;
 
-const SIMULATE_HELP: &str = "\
-gfl simulate — run a federated training session
+/// A typed error of the layer a flag feeds, as this layer's.
+fn invalid(e: impl std::fmt::Display) -> CommandError {
+    CommandError::Invalid(e.to_string())
+}
 
-DATA (synthetic unless --data is given):
-  --data PATH        CSV dataset, label in last column (see gfl-data::csv)
-  --task vision|speech   synthetic task preset          [vision]
-  --samples N        synthetic dataset size             [12000]
-  --alpha F          Dirichlet concentration            [0.1]
-  --clients N        number of clients                  [90]
-  --edges N          number of edge servers             [3]
-  --virtual          derive client shards on demand from (seed, id):
-                     memory stays O(sampled clients), so --clients scales
-                     to 10^6 and beyond (docs/SCALE.md); excludes --data
-                     and --method scaffold
-
-GROUPING & SAMPLING:
-  --grouping covg|rg|cdg|kldg|varg|stream               [covg]
-  --min-gs N         minimum group size                 [5]
-  --max-cov F        CoV target (covg)                  [0.5]
-  --group-size N     target size (rg/cdg/kldg/stream)   [6]
-  --sampling random|rcov|srcov|esrcov                   [esrcov]
-  --weighting standard|unbiased|stabilized              [standard]
-
-TRAINING:
-  --method fedavg|fedprox|scaffold|fednova              [fedavg]
-  --mu F             FedProx proximal strength          [0.1]
-  --rounds T  --k K  --e E  --sample S  --batch B       [40 5 2 4 32]
-  --lr F             learning rate                      [0.05]
-  --budget F         cost budget (emulated seconds)     [unlimited]
-  --seed N                                              [42]
-  --secure           route aggregation through real SecAgg
-  --dropout F        per-group-round client dropout     [0.0]
-  --threads N        worker threads (0 = GFL_THREADS env, else all cores);
-                     results are bit-identical for every N  [0]
-
-RUNTIME (deterministic semi-async rounds; see docs/ASYNC.md):
-  --runtime sync|semi-async   round engine               [sync]
-                     composes with --churn: membership heals on the round
-                     boundary and resets in-flight edge state
-  --staleness-policy drop|weighted   late-upload policy  [drop]
-  --staleness-decay F  weighted-staleness damping        [1.0]
-  --cloud-deadline F   cloud close factor (0 = wait-all) [0]
-  --async-csv PATH     write the per-round async report as CSV
-
-FAULT INJECTION (deterministic; see docs/FAULTS.md):
-  --faults none|moderate   preset fault plan            [none]
-  --fault-seed N     fault decision seed                [--seed]
-  --straggler-frac F --straggler-factor F               plan overrides
-  --crash-prob F --corrupt-prob F --upload-fail F       plan overrides
-  --outage E:FROM:UNTIL    edge E dark for rounds [FROM, UNTIL)
-  --quorum F         min surviving-upload fraction      [0.25]
-  --deadline-factor F      straggler cut threshold      [2.5]
-  --max-retries N    edge->cloud upload retries         [3]
-  --backoff-base F   upload retry backoff base (s)      [0.5]
-  --max-backoff F    per-wait backoff cap (s)           [60]
-
-CHURN & SELF-HEALING (deterministic; see docs/FAULTS.md):
-  --churn none|moderate    preset churn plan            [none]
-  --churn-seed N     churn decision seed                [--seed]
-  --churn-horizon N  rounds over which churn unfolds    [--rounds]
-  --depart-frac F --arrive-frac F --flap-prob F         plan overrides
-  --regroup-policy heal|frozen   online regrouping      [heal]
-  --size-floor N     dissolve groups smaller than this  [2]
-  --cov-drift F      CoV drift tolerance before repair  [0.5]
-  --regroup-cooldown N     rounds between group repairs [5]
-  --reform-every N   periodic full re-formation cadence [off]
-
-ADVERSARIES (deterministic campaigns; see docs/FAULTS.md):
-  --adversary none|moderate|backdoor   preset plan      [none]
-  --adversary-seed N attack decision seed               [--seed]
-  --backdoor-frac F --flip-frac F --poison-frac F       compromised fractions
-  --poison-rate F    per-row poison probability         plan override
-  --trigger-width N --trigger-target L                  backdoor trigger
-  --backdoor-boost F model-replacement amplification    [1.0]
-  --flip-from L --flip-to L                             label-flip campaign
-  --attack-scale F   model-poison amplification         plan override
-
-ROBUST AGGREGATION (group-level, Line 14):
-  --robust-agg mean|median|trimmed-mean|krum|multi-krum|flame [mean]
-  --robust-f N       assumed Byzantine count / trim     [1]
-  --robust-select N  multi-krum selection size          [2]
-
-OUTPUT:
-  --csv PATH         write the trajectory as CSV
-  --checkpoint PATH  write a resumable snapshot at the end
-  --trace-out PATH   stream a JSONL run trace (docs/OBSERVABILITY.md)
-  --trace-buffer N   max spans buffered before spilling to the trace file
-                     (default 65536; memory bound for --trace-out)
-  --metrics          print the end-of-run metrics summary table";
-
-/// `gfl simulate`.
-pub fn simulate(argv: &[String], out: &mut dyn Write) -> CmdResult {
-    let args = Args::parse(argv)?;
-    if args.wants_help() {
-        return Err(CommandError::Help(SIMULATE_HELP));
+/// Parses `argv` against `command`'s table; `--help` short-circuits with
+/// the text rendered from it.
+fn parse(command: &'static Command, argv: &[String]) -> Result<Args, CommandError> {
+    let args = Args::parse(command, argv)?;
+    match args.wants_help() {
+        Some(text) => Err(CommandError::Help(text)),
+        None => Ok(args),
     }
-    let seed: u64 = args.get("seed", 42, "int")?;
-    let task = parse_task(&args.get_str("task", "vision"))?;
+}
 
-    // --- parallelism: flag > GFL_THREADS env > autodetect ---
-    let threads: usize = args.get("threads", 0usize, "int")?;
-    if threads > 0 {
-        gfl_parallel::set_default_parallelism(threads);
+/// The DATA rows `simulate` and `group` share: where the samples come from
+/// and how they are spread over clients and edges.
+struct DataConfig {
+    task: Task,
+    path: Option<String>,
+    samples: usize,
+    alpha: f64,
+    clients: usize,
+    edges: usize,
+    seed: u64,
+}
+
+impl DataConfig {
+    fn from_args(a: &Args) -> Result<Self, ParseError> {
+        Ok(Self {
+            task: a.choice("task", &args::TASKS)?.1,
+            path: a.opt("data")?,
+            samples: a.get("samples")?,
+            alpha: a.get("alpha")?,
+            clients: a.get("clients")?,
+            edges: a.get("edges")?,
+            seed: a.get("seed")?,
+        })
     }
-    let effective_threads = gfl_parallel::default_parallelism();
 
-    // --- data ---
-    let clients: usize = args.get("clients", 90, "int")?;
-    let edges: usize = args.get("edges", 3, "int")?;
-    let alpha: f64 = args.get("alpha", 0.1, "float")?;
-    let is_virtual = args.get_flag("virtual")?;
-    // Virtual populations derive client shards on demand (O(sampled)
-    // memory); the materialized path pools one dataset and partitions it.
-    let (population, train, partition, test) = if is_virtual {
-        if args.get_opt("data").is_some() {
+    fn synthetic(&self) -> SyntheticSpec {
+        match self.task {
+            Task::Vision => SyntheticSpec::vision_like(),
+            Task::Speech => SyntheticSpec::speech_like(),
+        }
+    }
+
+    /// The pooled dataset: the `--data` CSV, else the task's synthetic one.
+    fn pooled(&self) -> Result<Dataset, CommandError> {
+        match &self.path {
+            Some(path) => gfl_data::load_dataset(path)
+                .map_err(|e| CommandError::Invalid(format!("--data {path}: {e}"))),
+            None => Ok(self.synthetic().generate(self.samples, self.seed)),
+        }
+    }
+
+    /// `train` spread over the clients by Dirichlet(`--alpha`).
+    fn partition(&self, train: Dataset) -> FedData {
+        let spec = PartitionSpec {
+            num_clients: self.clients,
+            alpha: self.alpha,
+            min_size: 20,
+            max_size: 200,
+            seed: self.seed,
+        };
+        let partition = ClientPartition::dirichlet(&train, &spec);
+        FedData::Materialized { train, partition }
+    }
+
+    /// The same spread with client shards derived on demand (O(sampled)
+    /// memory), and a holdout set of the proportion `split_holdout(6)`
+    /// gives the materialized path, generated independently of any shard.
+    fn virtual_population(&self) -> (FedData, Dataset) {
+        let population = VirtualPopulation::new(VirtualSpec {
+            data: self.synthetic(),
+            num_clients: self.clients,
+            alpha: self.alpha,
+            min_size: 20,
+            max_size: 200,
+            seed: self.seed,
+        });
+        let test = population.test_set((self.samples / 6).max(1));
+        (FedData::Virtual(population), test)
+    }
+}
+
+fn grouping(a: &Args) -> Result<Box<dyn GroupingAlgorithm>, ParseError> {
+    let make = a.choice("grouping", &args::GROUPINGS)?.1;
+    Ok(make(
+        a.get("min-gs")?,
+        a.get("max-cov")?,
+        a.get("group-size")?,
+    ))
+}
+
+/// Sets every plan field whose override flag was given; whether any was.
+/// A plan runs exactly when its preset is not `none` or this is true.
+fn apply_overrides<T: FromStr>(a: &Args, rows: &mut [(&str, &mut T)]) -> Result<bool, ParseError> {
+    let mut any = false;
+    for (flag, field) in rows {
+        if let Some(v) = a.opt(flag)? {
+            **field = v;
+            any = true;
+        }
+    }
+    Ok(any)
+}
+
+/// `--faults` and its overrides; `None` is a clean run at zero cost. The
+/// policy flags (`--quorum`, …) tune a faulted run but do not start one.
+fn faults(a: &Args) -> Result<Option<(FaultPlan, FaultPolicy)>, CommandError> {
+    let &(preset, make) = a.choice("faults", &args::FAULT_PLANS)?;
+    let mut plan = make(a.get("fault-seed")?);
+    plan.seed = a.get("fault-seed")?;
+    let mut on = apply_overrides(
+        a,
+        &mut [
+            ("straggler-frac", &mut plan.straggler_fraction),
+            ("straggler-factor", &mut plan.straggler_factor),
+            ("crash-prob", &mut plan.crash_prob),
+            ("corrupt-prob", &mut plan.corrupt_prob),
+            ("upload-fail", &mut plan.upload_fail_prob),
+        ],
+    )?;
+    if let Some(window) = a.opt("outage")? {
+        plan.edge_outages.push(window);
+        on = true;
+    }
+    plan.validate().map_err(invalid)?;
+    let policy = FaultPolicy {
+        deadline_factor: a.get("deadline-factor")?,
+        quorum_fraction: a.get("quorum")?,
+        max_retries: a.get("max-retries")?,
+        backoff_base_s: a.get("backoff-base")?,
+        max_backoff_s: a.get("max-backoff")?,
+        ..FaultPolicy::default()
+    };
+    policy.validate().map_err(invalid)?;
+    Ok((on || preset != "none").then_some((plan, policy)))
+}
+
+/// `--churn` and its overrides; `None` is static membership.
+fn churn(a: &Args) -> Result<Option<(ChurnPlan, RegroupPolicy)>, CommandError> {
+    let &(preset, make) = a.choice("churn", &args::CHURN_PLANS)?;
+    let mut plan = make(a.get("churn-seed")?);
+    plan.seed = a.get("churn-seed")?;
+    plan.horizon = a.get("churn-horizon")?;
+    let on = apply_overrides(
+        a,
+        &mut [
+            ("depart-frac", &mut plan.departure_fraction),
+            ("arrive-frac", &mut plan.arrival_fraction),
+            ("flap-prob", &mut plan.flap_prob),
+        ],
+    )?;
+    plan.validate().map_err(invalid)?;
+    let policy = RegroupPolicy {
+        enabled: a.choice("regroup-policy", &args::REGROUP_POLICIES)?.1,
+        size_floor: a.get("size-floor")?,
+        cov_drift: a.get("cov-drift")?,
+        cooldown: a.get("regroup-cooldown")?,
+        full_reform_every: a.opt("reform-every")?,
+        ..RegroupPolicy::default()
+    };
+    Ok((on || preset != "none").then_some((plan, policy)))
+}
+
+/// `--adversary` and its overrides; `None` is a clean run, bit-identical
+/// to no plan. The plan's own rules are checked by [`SimulateConfig`].
+fn adversary(a: &Args) -> Result<Option<AdversaryPlan>, ParseError> {
+    let &(preset, make) = a.choice("adversary", &args::ADVERSARIES)?;
+    let mut plan = make(a.get("adversary-seed")?);
+    plan.seed = a.get("adversary-seed")?;
+    let fractions = apply_overrides(
+        a,
+        &mut [
+            ("backdoor-frac", &mut plan.backdoor_fraction),
+            ("flip-frac", &mut plan.label_flip_fraction),
+            ("poison-frac", &mut plan.model_poison_fraction),
+            ("poison-rate", &mut plan.poison_rate),
+            ("attack-scale", &mut plan.scale_factor),
+            ("backdoor-boost", &mut plan.backdoor_boost),
+        ],
+    )?;
+    let labels = apply_overrides(
+        a,
+        &mut [
+            ("trigger-width", &mut plan.trigger_width),
+            ("trigger-target", &mut plan.trigger_target),
+            ("flip-from", &mut plan.flip_from),
+            ("flip-to", &mut plan.flip_to),
+        ],
+    )?;
+    Ok((fractions || labels || preset != "none").then_some(plan))
+}
+
+/// `--runtime` and the semi-async knobs; `None` is the lockstep engine.
+fn runtime(a: &Args) -> Result<Option<AsyncConfig>, ParseError> {
+    let staleness = a.choice("staleness-policy", &args::STALENESS)?.1;
+    let config = AsyncConfig {
+        staleness: staleness(a.get("staleness-decay")?),
+        cloud_deadline_factor: a.get("cloud-deadline")?,
+    };
+    Ok(a.choice("runtime", &args::RUNTIMES)?.1.then_some(config))
+}
+
+/// Everything `gfl simulate` was asked to do.
+pub struct SimulateConfig {
+    data: DataConfig,
+    is_virtual: bool,
+    grouping: Box<dyn GroupingAlgorithm>,
+    sampling: SamplingStrategy,
+    method: &'static (&'static str, Method),
+    mu: f32,
+    engine: GroupFelConfig,
+    threads: usize,
+    runtime: Option<AsyncConfig>,
+    faults: Option<(FaultPlan, FaultPolicy)>,
+    churn: Option<(ChurnPlan, RegroupPolicy)>,
+    adversary: Option<AdversaryPlan>,
+    robust: RobustAggRule,
+    csv: Option<String>,
+    async_csv: Option<String>,
+    checkpoint: Option<String>,
+    trace_out: Option<String>,
+    trace_buffer: usize,
+    metrics: bool,
+}
+
+impl SimulateConfig {
+    /// Reads every flag and checks every rule that needs no data — each
+    /// value against its row, each plan against its type, each pair of
+    /// flags that cannot go together — so a rejected command line has run
+    /// nothing and printed nothing.
+    pub fn from_args(a: &Args) -> Result<Self, CommandError> {
+        let data = DataConfig::from_args(a)?;
+        let engine = GroupFelConfig {
+            global_rounds: a.get("rounds")?,
+            group_rounds: a.get("k")?,
+            local_rounds: a.get("e")?,
+            sampled_groups: a.get("sample")?,
+            batch_size: a.get("batch")?,
+            lr: LrSchedule::Constant(a.get("lr")?),
+            weighting: a.choice("weighting", &args::WEIGHTINGS)?.1,
+            eval_every: a.get("eval-every")?,
+            seed: data.seed,
+            task: data.task,
+            cost_budget: a.opt("budget")?,
+            secure_aggregation: a.get("secure")?,
+            dropout_prob: a.get("dropout")?,
+        };
+        let robust = a.choice("robust-agg", &args::ROBUST_RULES)?.1;
+        let cfg = Self {
+            is_virtual: a.get("virtual")?,
+            grouping: grouping(a)?,
+            sampling: a.choice("sampling", &args::SAMPLINGS)?.1,
+            method: a.choice("method", &args::METHODS)?,
+            mu: a.get("mu")?,
+            threads: a.get("threads")?,
+            runtime: runtime(a)?,
+            faults: faults(a)?,
+            churn: churn(a)?,
+            adversary: adversary(a)?,
+            robust: robust(a.get("robust-f")?, a.get("robust-select")?),
+            csv: a.opt("csv")?,
+            async_csv: a.opt("async-csv")?,
+            checkpoint: a.opt("checkpoint")?,
+            trace_out: a.opt("trace-out")?,
+            trace_buffer: a.get("trace-buffer")?,
+            metrics: a.get("metrics")?,
+            data,
+            engine,
+        };
+        if cfg.is_virtual && cfg.data.path.is_some() {
             return Err(CommandError::Invalid(
                 "--virtual derives client shards on demand from (seed, id); \
                  a --data CSV cannot back a virtual population"
                     .into(),
             ));
         }
-        let samples: usize = args.get("samples", 12_000, "int")?;
-        let spec = VirtualSpec {
-            data: match task {
-                Task::Vision => SyntheticSpec::vision_like(),
-                Task::Speech => SyntheticSpec::speech_like(),
-            },
-            num_clients: clients,
-            alpha,
-            min_size: 20,
-            max_size: 200,
-            seed,
-        };
-        let pop = VirtualPopulation::new(spec);
-        // Same holdout proportion the materialized path gets from
-        // split_holdout(6), but generated independently of any shard.
-        let test = pop.test_set((samples / 6).max(1));
-        (Some(pop), None, None, test)
-    } else {
-        let dataset = load_or_generate(&args, task, seed)?;
-        let (train, test) = dataset.split_holdout(6);
-        let partition = ClientPartition::dirichlet(
-            &train,
-            &PartitionSpec {
-                num_clients: clients,
-                alpha,
-                min_size: 20,
-                max_size: 200,
-                seed,
-            },
-        );
-        (None, Some(train), Some(partition), test)
-    };
-    let sizes: Vec<usize> = match (&population, &partition) {
-        (Some(pop), _) => (0..pop.num_clients()).map(|c| pop.client_size(c)).collect(),
-        (None, Some(part)) => part.sizes(),
-        (None, None) => unreachable!("one data representation is always built"),
-    };
-    let topology = Topology::even_split(edges, sizes.clone());
+        if cfg.is_virtual && cfg.method.1 == Method::Scaffold {
+            return Err(CommandError::Invalid(
+                "--method scaffold cannot be combined with --virtual: SCAFFOLD \
+                 keeps O(clients × params) control-variate state, which defeats \
+                 the O(sampled) memory contract of virtual populations"
+                    .into(),
+            ));
+        }
+        if cfg.async_csv.is_some() && cfg.runtime.is_none() {
+            return Err(CommandError::Invalid(
+                "--async-csv requires --runtime semi-async".into(),
+            ));
+        }
+        if let Err(e) = cfg.robust.check_secure(cfg.engine.secure_aggregation) {
+            return Err(CommandError::Invalid(format!(
+                "--robust-agg with --secure: {e}"
+            )));
+        }
+        // A synthetic preset's shape is known without generating it; a
+        // CSV's only once it is loaded (`simulate` checks again then).
+        if let Some(plan) = &cfg.adversary {
+            match &cfg.data.path {
+                Some(_) => plan.validate(),
+                None => {
+                    let spec = cfg.data.synthetic();
+                    plan.validate_for(spec.num_classes, spec.feature_dim)
+                }
+            }
+            .map_err(invalid)?;
+        }
+        Ok(cfg)
+    }
+}
 
-    // --- grouping ---
-    let label_matrix = match (&population, &partition) {
-        (Some(pop), _) => pop.label_matrix(),
-        (None, Some(part)) => &part.label_matrix,
-        (None, None) => unreachable!("one data representation is always built"),
+/// `gfl simulate`: config, build, drive, report.
+pub fn simulate(argv: &[String], out: &mut dyn Write) -> CmdResult {
+    let cfg = SimulateConfig::from_args(&parse(&args::SIMULATE, argv)?)?;
+    // --- parallelism: flag > GFL_THREADS env > autodetect ---
+    if cfg.threads > 0 {
+        gfl_parallel::set_default_parallelism(cfg.threads);
+    }
+    let threads = gfl_parallel::default_parallelism();
+
+    // --- build: data, groups, trainer ---
+    let (fed, test) = if cfg.is_virtual {
+        cfg.data.virtual_population()
+    } else {
+        let (train, test) = cfg.data.pooled()?.split_holdout(6);
+        (cfg.data.partition(train), test)
     };
-    let grouping = parse_grouping(&args)?;
-    let groups = form_groups_per_edge(grouping.as_ref(), &topology, label_matrix, seed);
+    if let Some(plan) = &cfg.adversary {
+        plan.validate_for(fed.num_classes(), fed.feature_dim())
+            .map_err(invalid)?;
+    }
+    let sizes: Vec<usize> = (0..fed.num_clients()).map(|c| fed.client_size(c)).collect();
+    let topology = Topology::even_split(cfg.data.edges, sizes.clone());
+    let labels = fed.label_matrix();
+    let groups = form_groups_per_edge(cfg.grouping.as_ref(), &topology, labels, cfg.data.seed);
     writeln!(
         out,
         "formed {} groups (mean CoV {:.3})",
         groups.len(),
-        mean_group_cov(label_matrix, &groups)
+        mean_group_cov(labels, &groups)
     )?;
-
-    // --- config ---
-    let config = GroupFelConfig {
-        global_rounds: args.get("rounds", 40, "int")?,
-        group_rounds: args.get("k", 5, "int")?,
-        local_rounds: args.get("e", 2, "int")?,
-        sampled_groups: args.get("sample", 4, "int")?,
-        batch_size: args.get("batch", 32, "int")?,
-        lr: LrSchedule::Constant(args.get("lr", 0.05f32, "float")?),
-        weighting: parse_weighting(&args.get_str("weighting", "standard"))?,
-        eval_every: args.get("eval-every", 2, "int")?,
-        seed,
-        task,
-        cost_budget: args
-            .get_opt("budget")
-            .map(|b| b.parse())
-            .transpose()
-            .map_err(|_| ParseError::BadValue("budget".into(), "?".into(), "float"))?,
-        secure_aggregation: args.get_flag("secure")?,
-        dropout_prob: args.get("dropout", 0.0f64, "float")?,
-    };
-    let sampling = parse_sampling(&args.get_str("sampling", "esrcov"))?;
-    let method = args.get_str("method", "fedavg");
-    let mu: f32 = args.get("mu", 0.1, "float")?;
-    let csv_path = args.get_opt("csv");
-    let checkpoint_path = args.get_opt("checkpoint");
-    let trace_out = args.get_opt("trace-out");
-    let trace_buffer: usize = args.get("trace-buffer", 65_536, "int")?;
-    let show_metrics = args.get_flag("metrics")?;
-    let faults = parse_faults(&args, seed)?;
-    let churn = parse_churn(&args, seed, config.global_rounds)?;
-    let adversary = parse_adversary(&args, seed, test.num_classes(), test.feature_dim())?;
-    let robust = parse_robust_agg(&args)?;
-    let runtime = parse_runtime(&args)?;
-    let async_csv = args.get_opt("async-csv");
-    args.reject_unknown()?;
-    if is_virtual && method == "scaffold" {
-        return Err(CommandError::Invalid(
-            "--method scaffold cannot be combined with --virtual: SCAFFOLD \
-             keeps O(clients × params) control-variate state, which defeats \
-             the O(sampled) memory contract of virtual populations"
-                .into(),
-        ));
-    }
-    if async_csv.is_some() && runtime.is_none() {
-        return Err(CommandError::Invalid(
-            "--async-csv requires --runtime semi-async".into(),
-        ));
-    }
-    if robust != RobustAggRule::Mean && config.secure_aggregation {
-        return Err(CommandError::Invalid(
-            "--robust-agg cannot be combined with --secure: the masking \
-             protocol only computes linear functions of the updates"
-                .into(),
-        ));
-    }
-
-    // --- model: pick by feature dimensionality (the holdout set has the
-    // same shape as the training data in both representations) ---
-    let model = model_for(&test, task);
+    let model = model_for(&test, cfg.data.task);
     let param_count = model.param_len();
-    let mut trainer = match (population, train, partition) {
-        (Some(pop), _, _) => Trainer::try_new_virtual(config.clone(), model, pop, test),
-        (None, Some(train), Some(part)) => {
-            Trainer::try_new(config.clone(), model, train, part, test)
-        }
-        _ => unreachable!("one data representation is always built"),
-    }
-    .map_err(|e| CommandError::Invalid(e.to_string()))?;
+    let mut trainer =
+        Trainer::try_from_data(cfg.engine.clone(), model, fed, test).map_err(invalid)?;
     // Observation is one-way: attaching a collector never changes results
     // (asserted by crates/core/tests/determinism.rs). With --trace-out the
     // collector streams spans to the file at every round barrier, keeping
     // buffered-span memory bounded by --trace-buffer.
-    let observer = match &trace_out {
+    let observer = match &cfg.trace_out {
         Some(path) => Some(
             gfl_obs::TraceCollector::streaming_to(
                 std::path::Path::new(path),
-                effective_threads,
+                threads,
                 gfl_obs::StreamConfig {
-                    span_buffer_cap: trace_buffer,
+                    span_buffer_cap: cfg.trace_buffer,
                     ..gfl_obs::StreamConfig::default()
                 },
             )
             .map_err(|e| CommandError::Invalid(format!("cannot open trace file: {e}")))?,
         ),
-        None => show_metrics.then(gfl_obs::TraceCollector::new),
+        None => cfg.metrics.then(gfl_obs::TraceCollector::new),
     };
     if let Some(obs) = &observer {
         trainer = trainer.with_observer(std::sync::Arc::clone(obs));
     }
-    let faults_on = faults.is_some();
-    if let Some((plan, policy)) = faults {
+    if let Some((plan, policy)) = cfg.faults.clone() {
         trainer = trainer.with_faults(plan, policy, &topology);
     }
-    let churn_on = churn.is_some();
-    if let Some((plan, policy)) = churn {
+    if let Some((plan, policy)) = cfg.churn.clone() {
         trainer = trainer.with_churn(plan, policy);
     }
-    let adversary_on = adversary.is_some();
-    if let Some(plan) = adversary {
+    if let Some(plan) = cfg.adversary.clone() {
         trainer = trainer.with_adversary(plan);
     }
-    trainer = trainer.with_robust_agg(robust);
-
+    trainer = trainer.with_robust_agg(cfg.robust);
+    let &(method_name, method) = cfg.method;
     writeln!(
         out,
-        "training {method} on {} clients / {} edges ({param_count} params, {effective_threads} threads)",
-        clients, edges
+        "training {method_name} on {} clients / {} edges ({param_count} params, {threads} threads)",
+        cfg.data.clients, cfg.data.edges
     )?;
+
+    // --- drive ---
     let probs;
     let plan = RunPlan {
-        clock: runtime.map_or(Clock::Lockstep, Clock::EventDriven),
-        membership: if churn_on {
+        clock: cfg.runtime.map_or(Clock::Lockstep, Clock::EventDriven),
+        membership: if cfg.churn.is_some() {
             Membership::SelfHealing {
-                algo: grouping.as_ref(),
+                algo: cfg.grouping.as_ref(),
                 topology: &topology,
-                sampling,
+                sampling: cfg.sampling,
             }
         } else {
-            probs = trainer.sampling_probs(&groups, sampling);
+            probs = trainer.sampling_probs(&groups, cfg.sampling);
             Membership::Static {
                 groups: &groups,
                 probs: &probs,
             }
         },
     };
-    let state = match method.as_str() {
-        "fedavg" => drive_to_end(&trainer, &plan, &FedAvg)?,
-        "fedprox" => drive_to_end(&trainer, &plan, &FedProx { mu })?,
-        "scaffold" => drive_to_end(&trainer, &plan, &Scaffold::new(param_count, clients))?,
-        "fednova" => {
-            let s = FedNova::from_sizes(&sizes, config.local_rounds, config.batch_size);
+    let state = match method {
+        Method::FedAvg => drive_to_end(&trainer, &plan, &FedAvg)?,
+        Method::FedProx => drive_to_end(&trainer, &plan, &FedProx { mu: cfg.mu })?,
+        Method::Scaffold => {
+            drive_to_end(&trainer, &plan, &Scaffold::new(param_count, sizes.len()))?
+        }
+        Method::FedNova => {
+            let s = FedNova::from_sizes(&sizes, cfg.engine.local_rounds, cfg.engine.batch_size);
             drive_to_end(&trainer, &plan, &s)?
         }
-        other => {
-            return Err(CommandError::Invalid(format!(
-                "unknown --method '{other}' (fedavg|fedprox|scaffold|fednova)"
-            )))
-        }
     };
-    let history = &state.history;
-    let async_report = state.scheduler.as_ref().map(|(_, report)| report);
 
+    // --- report ---
+    write_report(out, &cfg, &state)?;
+    let async_report = state.scheduler.as_ref().map(|(_, report)| report);
+    if let Some(path) = &cfg.csv {
+        std::fs::write(path, state.history.to_csv())?;
+        writeln!(out, "wrote {path}")?;
+    }
+    if let (Some(path), Some(rep)) = (&cfg.async_csv, async_report) {
+        std::fs::write(path, rep.to_csv())?;
+        writeln!(out, "wrote {path}")?;
+    }
+    if let Some(path) = &cfg.checkpoint {
+        let cp = Checkpoint::from_state(&state, cfg.engine.clone());
+        cp.save(path).map_err(invalid)?;
+        writeln!(out, "wrote {path}")?;
+    }
+    if let Some(obs) = observer {
+        // A streaming collector has been writing the file all along;
+        // finish() appends the summary line and flushes it.
+        let trace = obs.finish(threads);
+        if cfg.metrics {
+            write_metrics_summary(out, &trace)?;
+        }
+        if let Some(path) = &cfg.trace_out {
+            writeln!(out, "wrote {path}")?;
+        }
+    }
+    Ok(())
+}
+
+/// The trajectory table and one summary block per subsystem that ran.
+fn write_report(out: &mut dyn Write, cfg: &SimulateConfig, state: &RunState) -> CmdResult {
+    let history = &state.history;
     writeln!(out, "\n round       cost  accuracy    loss")?;
     for r in history.records() {
         writeln!(
@@ -386,7 +518,7 @@ pub fn simulate(argv: &[String], out: &mut dyn Write) -> CmdResult {
         )?;
     }
     writeln!(out, "\nbest accuracy: {:.4}", history.best_accuracy())?;
-    if let Some(rep) = async_report {
+    if let Some((_, rep)) = &state.scheduler {
         let sum = |f: fn(&gfl_core::semi_async::AsyncRoundRecord) -> usize| -> usize {
             rep.rounds.iter().map(f).sum()
         };
@@ -401,10 +533,10 @@ pub fn simulate(argv: &[String], out: &mut dyn Write) -> CmdResult {
             sum(|r| r.busy_skipped),
         )?;
     }
-    if faults_on {
+    if cfg.faults.is_some() {
         writeln!(out, "faults: {}", history.fault_summary())?;
     }
-    if adversary_on {
+    if cfg.adversary.is_some() {
         let summary = history.attack_summary();
         writeln!(out, "attacks: {summary}")?;
         writeln!(
@@ -430,7 +562,7 @@ pub fn simulate(argv: &[String], out: &mut dyn Write) -> CmdResult {
             }
         }
     }
-    if churn_on {
+    if cfg.churn.is_some() {
         writeln!(out, "regroups: {}", history.regroup_summary())?;
         let m = state
             .membership
@@ -448,32 +580,6 @@ pub fn simulate(argv: &[String], out: &mut dyn Write) -> CmdResult {
             for e in transitions {
                 writeln!(out, "{:6}  {e}", e.round())?;
             }
-        }
-    }
-
-    if let Some(path) = csv_path {
-        std::fs::write(&path, history.to_csv())?;
-        writeln!(out, "wrote {path}")?;
-    }
-    if let (Some(path), Some(rep)) = (async_csv, async_report) {
-        std::fs::write(&path, rep.to_csv())?;
-        writeln!(out, "wrote {path}")?;
-    }
-    if let Some(path) = checkpoint_path {
-        let cp = Checkpoint::from_state(&state, config);
-        cp.save(&path)
-            .map_err(|e| CommandError::Invalid(e.to_string()))?;
-        writeln!(out, "wrote {path}")?;
-    }
-    if let Some(obs) = observer {
-        // A streaming collector has been writing the file all along;
-        // finish() appends the summary line and flushes it.
-        let trace = obs.finish(effective_threads);
-        if show_metrics {
-            write_metrics_summary(out, &trace)?;
-        }
-        if let Some(path) = trace_out {
-            writeln!(out, "wrote {path}")?;
         }
     }
     Ok(())
@@ -541,51 +647,28 @@ fn drive_to_end<S: LocalUpdate>(
     Ok(state)
 }
 
-const GROUP_HELP: &str = "\
-gfl group — form client groups and report their quality
-
-  --data PATH | --task vision|speech --samples N   data source
-  --alpha F --clients N --edges N --seed N         federation shape
-  --grouping covg|rg|cdg|kldg|varg|stream          algorithm [covg]
-  --min-gs N --max-cov F --group-size N            algorithm knobs
-  --json             emit the groups as JSON instead of a table";
+/// What `gfl group` was asked for: the data, the algorithm, `--json`.
+fn group_config(a: &Args) -> Result<(DataConfig, Box<dyn GroupingAlgorithm>, bool), ParseError> {
+    Ok((DataConfig::from_args(a)?, grouping(a)?, a.get("json")?))
+}
 
 /// `gfl group`.
 pub fn group(argv: &[String], out: &mut dyn Write) -> CmdResult {
-    let args = Args::parse(argv)?;
-    if args.wants_help() {
-        return Err(CommandError::Help(GROUP_HELP));
-    }
-    let seed: u64 = args.get("seed", 42, "int")?;
-    let task = parse_task(&args.get_str("task", "vision"))?;
-    let dataset = load_or_generate(&args, task, seed)?;
-    let clients: usize = args.get("clients", 90, "int")?;
-    let edges: usize = args.get("edges", 3, "int")?;
-    let alpha: f64 = args.get("alpha", 0.1, "float")?;
-    let partition = ClientPartition::dirichlet(
-        &dataset,
-        &PartitionSpec {
-            num_clients: clients,
-            alpha,
-            min_size: 20,
-            max_size: 200,
-            seed,
-        },
-    );
-    let topology = Topology::even_split(edges, partition.sizes());
-    let grouping = parse_grouping(&args)?;
-    let as_json = args.get_flag("json")?;
-    args.reject_unknown()?;
-
-    let groups = form_groups_per_edge(grouping.as_ref(), &topology, &partition.label_matrix, seed);
+    let (data, grouping, as_json) = group_config(&parse(&args::GROUP, argv)?)?;
+    let fed = data.partition(data.pooled()?);
+    let sizes = (0..fed.num_clients()).map(|c| fed.client_size(c)).collect();
+    let topology = Topology::even_split(data.edges, sizes);
+    let labels = fed.label_matrix();
+    let groups = form_groups_per_edge(grouping.as_ref(), &topology, labels, data.seed);
+    let samples = |g: &[usize]| g.iter().map(|&c| fed.client_size(c)).sum::<usize>();
     if as_json {
         let payload: Vec<serde_json::Value> = groups
             .iter()
             .map(|g| {
                 serde_json::json!({
                     "members": g,
-                    "cov": group_cov(&partition.label_matrix, g),
-                    "samples": g.iter().map(|&c| partition.indices[c].len()).sum::<usize>(),
+                    "cov": group_cov(labels, g),
+                    "samples": samples(g),
                 })
             })
             .collect();
@@ -593,41 +676,33 @@ pub fn group(argv: &[String], out: &mut dyn Write) -> CmdResult {
     } else {
         writeln!(out, "group  size  samples     cov")?;
         for (i, g) in groups.iter().enumerate() {
-            let samples: usize = g.iter().map(|&c| partition.indices[c].len()).sum();
             writeln!(
                 out,
                 "{:5} {:5} {:8} {:7.3}",
                 i,
                 g.len(),
-                samples,
-                group_cov(&partition.label_matrix, g)
+                samples(g),
+                group_cov(labels, g)
             )?;
         }
         writeln!(
             out,
             "\n{} groups, mean CoV {:.3}",
             groups.len(),
-            mean_group_cov(&partition.label_matrix, &groups)
+            mean_group_cov(labels, &groups)
         )?;
     }
     Ok(())
 }
 
-const COST_HELP: &str = "\
-gfl cost — print the calibrated RPi cost curves (Fig. 2a / Fig. 8)
-
-  --task vision|speech    which task's table [vision]
-  --max N                 largest x to print [50]";
+/// What `gfl cost` was asked for: the task's table, up to `--max`.
+fn cost_config(a: &Args) -> Result<(Task, usize), ParseError> {
+    Ok((a.choice("task", &args::TASKS)?.1, a.get("max")?))
+}
 
 /// `gfl cost`.
 pub fn cost(argv: &[String], out: &mut dyn Write) -> CmdResult {
-    let args = Args::parse(argv)?;
-    if args.wants_help() {
-        return Err(CommandError::Help(COST_HELP));
-    }
-    let task = parse_task(&args.get_str("task", "vision"))?;
-    let max: usize = args.get("max", 50, "int")?;
-    args.reject_unknown()?;
+    let (task, max) = cost_config(&parse(&args::COST, argv)?)?;
     let m = CostModel::for_task(task);
     writeln!(out, "  x  training  backdoor    secagg  scaffold_secagg")?;
     for x in (0..=max).step_by((max / 10).max(1)) {
@@ -644,38 +719,29 @@ pub fn cost(argv: &[String], out: &mut dyn Write) -> CmdResult {
     Ok(())
 }
 
-const THEORY_HELP: &str = "\
-gfl theory — evaluate the Theorem 1 convergence bound
-
-  --eta F --t N --k N --e N --sampled N   schedule      [0.01 200 5 2 12]
-  --l F --sigma2 F --zeta2 F --zetag2 F   constants     [1 1 1 0.5]
-  --gamma F --big-gamma F --gamma-p F     group stats   [1.2 1.3 120]
-  --group-size F                                        [6]";
+/// The Theorem 1 inputs `gfl theory` was given.
+fn theory_inputs(a: &Args) -> Result<TheoremInputs, ParseError> {
+    Ok(TheoremInputs {
+        initial_gap: a.get("gap")?,
+        eta: a.get("eta")?,
+        t: a.get("t")?,
+        k: a.get("k")?,
+        e: a.get("e")?,
+        l: a.get("l")?,
+        sigma_sq: a.get("sigma2")?,
+        zeta_sq: a.get("zeta2")?,
+        zeta_g_sq: a.get("zetag2")?,
+        gamma: a.get("gamma")?,
+        big_gamma: a.get("big-gamma")?,
+        gamma_p: a.get("gamma-p")?,
+        sampled: a.get("sampled")?,
+        group_size: a.get("group-size")?,
+    })
+}
 
 /// `gfl theory`.
 pub fn theory(argv: &[String], out: &mut dyn Write) -> CmdResult {
-    let args = Args::parse(argv)?;
-    if args.wants_help() {
-        return Err(CommandError::Help(THEORY_HELP));
-    }
-    let reference = TheoremInputs::reference();
-    let inputs = TheoremInputs {
-        initial_gap: args.get("gap", reference.initial_gap, "float")?,
-        eta: args.get("eta", reference.eta, "float")?,
-        t: args.get("t", reference.t, "int")?,
-        k: args.get("k", reference.k, "int")?,
-        e: args.get("e", reference.e, "int")?,
-        l: args.get("l", reference.l, "float")?,
-        sigma_sq: args.get("sigma2", reference.sigma_sq, "float")?,
-        zeta_sq: args.get("zeta2", reference.zeta_sq, "float")?,
-        zeta_g_sq: args.get("zetag2", reference.zeta_g_sq, "float")?,
-        gamma: args.get("gamma", reference.gamma, "float")?,
-        big_gamma: args.get("big-gamma", reference.big_gamma, "float")?,
-        gamma_p: args.get("gamma-p", reference.gamma_p, "float")?,
-        sampled: args.get("sampled", reference.sampled, "int")?,
-        group_size: args.get("group-size", reference.group_size, "float")?,
-    };
-    args.reject_unknown()?;
+    let inputs = theory_inputs(&parse(&args::THEORY, argv)?)?;
     match theory::theorem1_bound(&inputs) {
         Some(bound) => {
             writeln!(out, "optimization term:  {:.6}", bound.optimization)?;
@@ -692,405 +758,6 @@ pub fn theory(argv: &[String], out: &mut dyn Write) -> CmdResult {
         }
     }
     Ok(())
-}
-
-// --- shared parsing helpers ---
-
-fn parse_task(s: &str) -> Result<Task, CommandError> {
-    match s {
-        "vision" => Ok(Task::Vision),
-        "speech" => Ok(Task::Speech),
-        other => Err(CommandError::Invalid(format!(
-            "unknown --task '{other}' (vision|speech)"
-        ))),
-    }
-}
-
-fn parse_sampling(s: &str) -> Result<SamplingStrategy, CommandError> {
-    match s {
-        "random" => Ok(SamplingStrategy::Random),
-        "rcov" => Ok(SamplingStrategy::RCov),
-        "srcov" => Ok(SamplingStrategy::SRCov),
-        "esrcov" => Ok(SamplingStrategy::ESRCov),
-        other => Err(CommandError::Invalid(format!(
-            "unknown --sampling '{other}' (random|rcov|srcov|esrcov)"
-        ))),
-    }
-}
-
-fn parse_weighting(s: &str) -> Result<AggregationWeighting, CommandError> {
-    match s {
-        "standard" => Ok(AggregationWeighting::Standard),
-        "unbiased" => Ok(AggregationWeighting::Unbiased),
-        "stabilized" => Ok(AggregationWeighting::Stabilized),
-        other => Err(CommandError::Invalid(format!(
-            "unknown --weighting '{other}' (standard|unbiased|stabilized)"
-        ))),
-    }
-}
-
-fn parse_grouping(args: &Args) -> Result<Box<dyn GroupingAlgorithm>, CommandError> {
-    let min_gs: usize = args.get("min-gs", 5, "int")?;
-    let max_cov: f32 = args.get("max-cov", 0.5, "float")?;
-    let group_size: usize = args.get("group-size", 6, "int")?;
-    Ok(match args.get_str("grouping", "covg").as_str() {
-        "covg" => Box::new(CovGrouping {
-            min_group_size: min_gs,
-            max_cov,
-        }),
-        "rg" => Box::new(RandomGrouping { group_size }),
-        "cdg" => Box::new(CdgGrouping {
-            group_size,
-            kmeans_iters: 10,
-        }),
-        "kldg" => Box::new(KldGrouping { group_size }),
-        "varg" => Box::new(VarianceGrouping {
-            min_group_size: min_gs,
-            max_variance: 60.0,
-        }),
-        "stream" => Box::new(StreamGrouping { group_size }),
-        other => {
-            return Err(CommandError::Invalid(format!(
-                "unknown --grouping '{other}' (covg|rg|cdg|kldg|varg|stream)"
-            )))
-        }
-    })
-}
-
-/// Builds the fault plan + policy from `--faults` and its override flags.
-/// Returns `None` when no fault option was given (clean run, zero cost).
-fn parse_faults(args: &Args, seed: u64) -> Result<Option<(FaultPlan, FaultPolicy)>, CommandError> {
-    let preset = args.get_str("faults", "none");
-    let fault_seed: u64 = args.get("fault-seed", seed, "int")?;
-    let mut plan = match preset.as_str() {
-        "none" => FaultPlan::none(),
-        "moderate" => FaultPlan::moderate(fault_seed),
-        other => {
-            return Err(CommandError::Invalid(format!(
-                "unknown --faults '{other}' (none|moderate)"
-            )))
-        }
-    };
-    plan.seed = fault_seed;
-    let mut any = preset != "none";
-    {
-        let overrides: [(&str, &mut f64); 5] = [
-            ("straggler-frac", &mut plan.straggler_fraction),
-            ("straggler-factor", &mut plan.straggler_factor),
-            ("crash-prob", &mut plan.crash_prob),
-            ("corrupt-prob", &mut plan.corrupt_prob),
-            ("upload-fail", &mut plan.upload_fail_prob),
-        ];
-        for (key, field) in overrides {
-            if let Some(v) = args.get_opt(key) {
-                *field = v
-                    .parse()
-                    .map_err(|_| ParseError::BadValue(key.into(), v, "float"))?;
-                any = true;
-            }
-        }
-    }
-    if let Some(spec) = args.get_opt("outage") {
-        let parts: Vec<Option<usize>> = spec.split(':').map(|p| p.parse().ok()).collect();
-        match parts.as_slice() {
-            [Some(edge), Some(from), Some(until)] if from < until => {
-                plan.edge_outages.push(OutageWindow {
-                    edge: *edge,
-                    from_round: *from,
-                    until_round: *until,
-                });
-                any = true;
-            }
-            _ => return Err(ParseError::BadValue("outage".into(), spec, "edge:from:until").into()),
-        }
-    }
-    // Typed validation (gfl_faults::FaultConfigError): NaN, negative, and
-    // out-of-range knobs fail here at parse time, not as engine panics.
-    plan.validate()
-        .map_err(|e| CommandError::Invalid(e.to_string()))?;
-    let defaults = FaultPolicy::default();
-    let policy = FaultPolicy {
-        deadline_factor: args.get("deadline-factor", defaults.deadline_factor, "float")?,
-        quorum_fraction: args.get("quorum", defaults.quorum_fraction, "float")?,
-        max_retries: args.get("max-retries", defaults.max_retries, "int")?,
-        backoff_base_s: args.get("backoff-base", defaults.backoff_base_s, "float")?,
-        max_backoff_s: args.get("max-backoff", defaults.max_backoff_s, "float")?,
-        ..defaults
-    };
-    policy
-        .validate()
-        .map_err(|e| CommandError::Invalid(e.to_string()))?;
-    Ok(any.then_some((plan, policy)))
-}
-
-/// Parses `--runtime` and the semi-async knobs into an [`AsyncConfig`].
-/// Returns `None` for the default lockstep engine.
-fn parse_runtime(args: &Args) -> Result<Option<AsyncConfig>, CommandError> {
-    let runtime = args.get_str("runtime", "sync");
-    let decay: f64 = args.get("staleness-decay", 1.0, "float")?;
-    let cloud: f64 = args.get("cloud-deadline", 0.0, "float")?;
-    let policy = args.get_str("staleness-policy", "drop");
-    match runtime.as_str() {
-        "sync" => Ok(None),
-        "semi-async" => {
-            if !decay.is_finite() || decay < 0.0 {
-                return Err(CommandError::Invalid(format!(
-                    "--staleness-decay must be finite and >= 0, got {decay}"
-                )));
-            }
-            if !cloud.is_finite() || cloud < 0.0 {
-                return Err(CommandError::Invalid(format!(
-                    "--cloud-deadline must be finite and >= 0 (0 waits for all), got {cloud}"
-                )));
-            }
-            let staleness = match policy.as_str() {
-                "drop" => StalenessPolicy::DropStale,
-                "weighted" => StalenessPolicy::Weighted { decay },
-                other => {
-                    return Err(CommandError::Invalid(format!(
-                        "unknown --staleness-policy '{other}' (drop|weighted)"
-                    )))
-                }
-            };
-            Ok(Some(AsyncConfig {
-                staleness,
-                cloud_deadline_factor: cloud,
-            }))
-        }
-        other => Err(CommandError::Invalid(format!(
-            "unknown --runtime '{other}' (sync|semi-async)"
-        ))),
-    }
-}
-
-/// Builds the churn plan + regroup policy from `--churn` and its override
-/// flags. Returns `None` when no churn option was given (static membership).
-fn parse_churn(
-    args: &Args,
-    seed: u64,
-    rounds: usize,
-) -> Result<Option<(ChurnPlan, RegroupPolicy)>, CommandError> {
-    let preset = args.get_str("churn", "none");
-    let churn_seed: u64 = args.get("churn-seed", seed, "int")?;
-    let mut plan = match preset.as_str() {
-        "none" => ChurnPlan {
-            horizon: rounds.max(1),
-            ..ChurnPlan::none()
-        },
-        "moderate" => ChurnPlan {
-            horizon: rounds.max(1),
-            ..ChurnPlan::moderate(churn_seed)
-        },
-        other => {
-            return Err(CommandError::Invalid(format!(
-                "unknown --churn '{other}' (none|moderate)"
-            )))
-        }
-    };
-    plan.seed = churn_seed;
-    plan.horizon = args.get("churn-horizon", plan.horizon, "int")?;
-    let mut any = preset != "none";
-    {
-        let overrides: [(&str, &mut f64); 3] = [
-            ("depart-frac", &mut plan.departure_fraction),
-            ("arrive-frac", &mut plan.arrival_fraction),
-            ("flap-prob", &mut plan.flap_prob),
-        ];
-        for (key, field) in overrides {
-            if let Some(v) = args.get_opt(key) {
-                *field = v
-                    .parse()
-                    .map_err(|_| ParseError::BadValue(key.into(), v, "float"))?;
-                any = true;
-            }
-        }
-    }
-    for (key, p) in [
-        ("depart-frac", plan.departure_fraction),
-        ("arrive-frac", plan.arrival_fraction),
-        ("flap-prob", plan.flap_prob),
-    ] {
-        if !(0.0..=1.0).contains(&p) {
-            return Err(CommandError::Invalid(format!(
-                "--{key} must be a probability, got {p}"
-            )));
-        }
-    }
-    if plan.horizon == 0 {
-        return Err(CommandError::Invalid(
-            "--churn-horizon must be at least 1 round".into(),
-        ));
-    }
-    let defaults = RegroupPolicy::default();
-    let mut policy = match args.get_str("regroup-policy", "heal").as_str() {
-        "heal" => defaults.clone(),
-        "frozen" => RegroupPolicy::frozen(),
-        other => {
-            return Err(CommandError::Invalid(format!(
-                "unknown --regroup-policy '{other}' (heal|frozen)"
-            )))
-        }
-    };
-    policy.size_floor = args.get("size-floor", defaults.size_floor, "int")?;
-    policy.cov_drift = args.get("cov-drift", defaults.cov_drift, "float")?;
-    policy.cooldown = args.get("regroup-cooldown", defaults.cooldown, "int")?;
-    if let Some(v) = args.get_opt("reform-every") {
-        let every: usize = v
-            .parse()
-            .map_err(|_| ParseError::BadValue("reform-every".into(), v, "int"))?;
-        if every == 0 {
-            return Err(CommandError::Invalid(
-                "--reform-every must be at least 1 round".into(),
-            ));
-        }
-        policy.full_reform_every = Some(every);
-    }
-    Ok(any.then_some((plan, policy)))
-}
-
-/// Builds the adversary plan from `--adversary` and its override flags,
-/// checking labels and trigger width against the dataset's shape so bad
-/// campaigns fail as typed errors, not engine panics. Returns `None` when
-/// no adversary option was given (clean run, bit-identical to no plan).
-fn parse_adversary(
-    args: &Args,
-    seed: u64,
-    num_classes: usize,
-    feature_dim: usize,
-) -> Result<Option<AdversaryPlan>, CommandError> {
-    let preset = args.get_str("adversary", "none");
-    let adversary_seed: u64 = args.get("adversary-seed", seed, "int")?;
-    let mut plan = match preset.as_str() {
-        "none" => AdversaryPlan::none(),
-        "moderate" => AdversaryPlan::moderate(adversary_seed),
-        "backdoor" => AdversaryPlan::backdoor(adversary_seed, 0.2),
-        other => {
-            return Err(CommandError::Invalid(format!(
-                "unknown --adversary '{other}' (none|moderate|backdoor)"
-            )))
-        }
-    };
-    plan.seed = adversary_seed;
-    let mut any = preset != "none";
-    {
-        let overrides: [(&str, &mut f64); 6] = [
-            ("backdoor-frac", &mut plan.backdoor_fraction),
-            ("flip-frac", &mut plan.label_flip_fraction),
-            ("poison-frac", &mut plan.model_poison_fraction),
-            ("poison-rate", &mut plan.poison_rate),
-            ("attack-scale", &mut plan.scale_factor),
-            ("backdoor-boost", &mut plan.backdoor_boost),
-        ];
-        for (key, field) in overrides {
-            if let Some(v) = args.get_opt(key) {
-                *field = v
-                    .parse()
-                    .map_err(|_| ParseError::BadValue(key.into(), v, "float"))?;
-                any = true;
-            }
-        }
-    }
-    {
-        let overrides: [(&str, &mut usize); 4] = [
-            ("trigger-width", &mut plan.trigger_width),
-            ("trigger-target", &mut plan.trigger_target),
-            ("flip-from", &mut plan.flip_from),
-            ("flip-to", &mut plan.flip_to),
-        ];
-        for (key, field) in overrides {
-            if let Some(v) = args.get_opt(key) {
-                *field = v
-                    .parse()
-                    .map_err(|_| ParseError::BadValue(key.into(), v, "int"))?;
-                any = true;
-            }
-        }
-    }
-    for (key, p) in [
-        ("backdoor-frac", plan.backdoor_fraction),
-        ("flip-frac", plan.label_flip_fraction),
-        ("poison-frac", plan.model_poison_fraction),
-        ("poison-rate", plan.poison_rate),
-    ] {
-        if !(0.0..=1.0).contains(&p) {
-            return Err(CommandError::Invalid(format!(
-                "--{key} must be a probability, got {p}"
-            )));
-        }
-    }
-    if plan.backdoor_fraction + plan.label_flip_fraction + plan.model_poison_fraction > 1.0 {
-        return Err(CommandError::Invalid(
-            "adversary fractions must sum to at most 1".into(),
-        ));
-    }
-    if plan.backdoor_fraction > 0.0 {
-        if plan.trigger_width == 0 || plan.trigger_width > feature_dim {
-            return Err(CommandError::Invalid(format!(
-                "--trigger-width must be in 1..={feature_dim} for this dataset"
-            )));
-        }
-        if plan.trigger_target >= num_classes {
-            return Err(CommandError::Invalid(format!(
-                "--trigger-target must be < {num_classes} classes"
-            )));
-        }
-        if !plan.backdoor_boost.is_finite() || plan.backdoor_boost <= 0.0 {
-            return Err(CommandError::Invalid(
-                "--backdoor-boost must be a positive finite factor".into(),
-            ));
-        }
-    }
-    if plan.label_flip_fraction > 0.0 {
-        if plan.flip_from >= num_classes || plan.flip_to >= num_classes {
-            return Err(CommandError::Invalid(format!(
-                "--flip-from/--flip-to must be < {num_classes} classes"
-            )));
-        }
-        if plan.flip_from == plan.flip_to {
-            return Err(CommandError::Invalid(
-                "--flip-from and --flip-to must differ: a flip must change the label".into(),
-            ));
-        }
-    }
-    if plan.model_poison_fraction > 0.0 && plan.scale_factor == 1.0 && !plan.sign_flip {
-        return Err(CommandError::Invalid(
-            "--attack-scale 1.0 with no sign flip is a no-op model poison".into(),
-        ));
-    }
-    Ok(any.then_some(plan))
-}
-
-/// Parses `--robust-agg` into a group-level aggregation rule.
-fn parse_robust_agg(args: &Args) -> Result<RobustAggRule, CommandError> {
-    let f: usize = args.get("robust-f", 1, "int")?;
-    let select: usize = args.get("robust-select", 2, "int")?;
-    match args.get_str("robust-agg", "mean").as_str() {
-        "mean" => Ok(RobustAggRule::Mean),
-        "median" => Ok(RobustAggRule::CoordinateMedian),
-        "trimmed-mean" => Ok(RobustAggRule::TrimmedMean { trim: f }),
-        "krum" => Ok(RobustAggRule::Krum { byzantine: f }),
-        "multi-krum" => Ok(RobustAggRule::MultiKrum {
-            byzantine: f,
-            select,
-        }),
-        "flame" => Ok(RobustAggRule::FlameFilter),
-        other => Err(CommandError::Invalid(format!(
-            "unknown --robust-agg '{other}' (mean|median|trimmed-mean|krum|multi-krum|flame)"
-        ))),
-    }
-}
-
-fn load_or_generate(args: &Args, task: Task, seed: u64) -> Result<Dataset, CommandError> {
-    if let Some(path) = args.get_opt("data") {
-        return gfl_data::load_dataset(&path)
-            .map_err(|e| CommandError::Invalid(format!("--data {path}: {e}")));
-    }
-    let samples: usize = args.get("samples", 12_000, "int")?;
-    let spec = match task {
-        Task::Vision => SyntheticSpec::vision_like(),
-        Task::Speech => SyntheticSpec::speech_like(),
-    };
-    Ok(spec.generate(samples, seed))
 }
 
 fn model_for(train: &Dataset, task: Task) -> gfl_nn::Network {
@@ -1120,14 +787,43 @@ mod tests {
         s.split_whitespace().map(str::to_string).collect()
     }
 
-    fn run_cmd(
-        f: fn(&[String], &mut dyn Write) -> CmdResult,
-        args: &str,
-    ) -> (Result<(), CommandError>, String) {
+    type Cmd = fn(&[String], &mut dyn Write) -> CmdResult;
+
+    fn run_cmd(f: Cmd, args: &str) -> (Result<(), CommandError>, String) {
         let mut buf = Vec::new();
         let r = f(&argv(args), &mut buf);
         (r, String::from_utf8(buf).unwrap())
     }
+
+    /// Runs `simulate` on a command line it must refuse: with a typed
+    /// error, and before anything ran — not a byte on `out`.
+    fn rejected(flags: &str) -> CommandError {
+        let (r, out) = run_cmd(simulate, flags);
+        assert_eq!(out, "", "{flags}: printed before it was refused");
+        match r {
+            Err(e @ (CommandError::Parse(_) | CommandError::Invalid(_))) => e,
+            other => panic!("{flags} should be rejected, got {other:?}"),
+        }
+    }
+
+    /// Each command's table and its config builder: parsing only, no run.
+    type Build = fn(&Args) -> Result<(), CommandError>;
+    const COMMANDS: [(&Command, Build, Cmd); 4] = [
+        (
+            &args::SIMULATE,
+            |a| SimulateConfig::from_args(a).map(drop),
+            simulate,
+        ),
+        (&args::GROUP, |a| Ok(group_config(a).map(drop)?), group),
+        (&args::COST, |a| Ok(cost_config(a).map(drop)?), cost),
+        (&args::THEORY, |a| Ok(theory_inputs(a).map(drop)?), theory),
+    ];
+
+    fn build(command: &'static Command, config: Build, args: &[String]) -> CmdResult {
+        config(&parse(command, args)?)
+    }
+
+    const SMALL: &str = "--clients 8 --edges 2 --samples 900 --min-gs 2";
 
     #[test]
     fn cost_prints_table() {
@@ -1169,29 +865,29 @@ mod tests {
 
     #[test]
     fn every_grouping_the_parser_accepts_is_in_both_help_texts() {
-        // The parser's own error message is the list of names it accepts.
-        let (r, _) = run_cmd(group, "--grouping nonesuch");
-        let CommandError::Invalid(msg) = r.unwrap_err() else {
-            panic!("an unknown --grouping is an Invalid error");
-        };
-        let names = msg
-            .rsplit_once('(')
-            .and_then(|(_, list)| list.strip_suffix(')'))
-            .expect("the error lists the accepted names in parentheses");
-        assert!(names.split('|').count() >= 6, "{msg}");
-        for help in [SIMULATE_HELP, GROUP_HELP] {
-            let line = help
-                .lines()
-                .find(|l| l.trim_start().starts_with("--grouping "))
-                .expect("help documents --grouping");
-            let listed: Vec<&str> = line.split_whitespace().nth(1).unwrap().split('|').collect();
-            for name in names.split('|') {
-                assert!(listed.contains(&name), "'{name}' missing from: {line}");
+        // True by construction, and for every choice list: the parser, the
+        // `(a|b|c)` of its error and the help line read the one list. What
+        // is left to check is that every name the list accepts really runs.
+        let tiny = "--clients 8 --edges 2 --samples 800 --group-size 3";
+        let session = format!("{tiny} --rounds 1 --k 1 --e 1 --sample 2 --eval-every 1");
+        for (command, _, run) in COMMANDS {
+            let base = match command.name {
+                "gfl simulate" => session.as_str(),
+                "gfl group" => tiny,
+                _ => "",
+            };
+            let help = command.help();
+            for f in command.flags() {
+                let args::Kind::Choice(names) = f.kind else {
+                    continue;
+                };
+                assert!(help.contains(&format!("--{} <{}>", f.name, names.join("|"))));
+                for name in names {
+                    let line = format!("{base} --{} {name}", f.name);
+                    let (r, out) = run_cmd(run, &line);
+                    r.unwrap_or_else(|e| panic!("{} {line}: {e}\n{out}", command.name));
+                }
             }
-        }
-        for name in names.split('|') {
-            let args = format!("--grouping {name} --clients 8 --edges 2 --samples 800");
-            run_cmd(group, &args).0.unwrap();
         }
     }
 
@@ -1238,11 +934,7 @@ mod tests {
             "--straggler-frac 0.2 --straggler-factor 0.5",
             "--outage 0-1-2",
         ] {
-            let (r, _) = run_cmd(
-                simulate,
-                &format!("--clients 8 --edges 2 --samples 900 --min-gs 2 {flags}"),
-            );
-            assert!(r.is_err(), "{flags} should be rejected");
+            rejected(&format!("{SMALL} {flags}"));
         }
     }
 
@@ -1304,11 +996,7 @@ mod tests {
             "--churn moderate --reform-every 0",
             "--robust-agg sha256",
         ] {
-            let (r, _) = run_cmd(
-                simulate,
-                &format!("--clients 8 --edges 2 --samples 900 --min-gs 2 {flags}"),
-            );
-            assert!(r.is_err(), "{flags} should be rejected");
+            rejected(&format!("{SMALL} {flags}"));
         }
     }
 
@@ -1352,11 +1040,7 @@ mod tests {
             "--adversary backdoor --trigger-width 0",
             "--robust-agg flame --secure",
         ] {
-            let (r, _) = run_cmd(
-                simulate,
-                &format!("--clients 8 --edges 2 --samples 900 --min-gs 2 {flags}"),
-            );
-            assert!(r.is_err(), "{flags} should be rejected");
+            rejected(&format!("{SMALL} {flags}"));
         }
     }
 
@@ -1476,14 +1160,7 @@ mod tests {
             "--faults moderate --backoff-base -1",
             "--faults moderate --max-backoff 0",
         ] {
-            let (r, _) = run_cmd(
-                simulate,
-                &format!("--clients 8 --edges 2 --samples 900 --min-gs 2 {flags}"),
-            );
-            assert!(
-                matches!(r, Err(CommandError::Invalid(_))),
-                "{flags} should be rejected as invalid"
-            );
+            rejected(&format!("{SMALL} {flags}"));
         }
     }
 
@@ -1678,20 +1355,251 @@ mod tests {
 
     #[test]
     fn simulate_zero_rounds_is_a_typed_error_not_a_panic() {
-        let (r, _) = run_cmd(
-            simulate,
-            "--clients 8 --edges 2 --samples 900 --min-gs 2 --rounds 0",
-        );
-        assert!(matches!(r.unwrap_err(), CommandError::Invalid(_)));
+        let err = rejected(&format!("{SMALL} --rounds 0")).to_string();
+        assert_eq!(err, "--rounds: '0' is not a valid integer >= 1");
     }
 
     #[test]
     fn simulate_unknown_method_errors() {
-        let (r, _) = run_cmd(
-            simulate,
-            "--clients 8 --edges 2 --samples 900 --method sgd --min-gs 2",
+        let err = rejected(&format!("{SMALL} --method sgd")).to_string();
+        assert_eq!(
+            err,
+            "unknown --method 'sgd' (fedavg|fedprox|scaffold|fednova)"
         );
-        assert!(matches!(r.unwrap_err(), CommandError::Invalid(_)));
+    }
+
+    #[test]
+    fn nothing_runs_before_the_command_line_is_accepted() {
+        for (flags, message) in [
+            ("--typo 1", "unknown option --typo"),
+            ("--method sgd", "unknown --method 'sgd'"),
+            (
+                "--sampling nope",
+                "unknown --sampling 'nope' (random|rcov|srcov|esrcov)",
+            ),
+            ("--budget abc", "--budget: 'abc' is not a valid float"),
+            ("--async-csv x.csv", "--async-csv requires --runtime"),
+            (
+                "--virtual --method scaffold",
+                "--method scaffold cannot be combined with --virtual",
+            ),
+            ("--robust-agg krum --secure", "--robust-agg with --secure"),
+        ] {
+            let err = rejected(&format!("{SMALL} {flags}")).to_string();
+            assert!(err.contains(message), "{flags}: {err}");
+        }
+        // Nor is a population built: this one would take over a second.
+        rejected("--virtual --clients 300000 --grouping stream --typo 1");
+    }
+
+    #[test]
+    fn hostile_values_are_typed_errors_for_every_numeric_row_of_every_command() {
+        let hostile = ["0", "-1", "nan", "inf", "1e308", "18446744073709551616", ""];
+        for (command, config, _) in COMMANDS {
+            let numeric =
+                |f: &&args::Flag| matches!(f.kind, args::Kind::Int(_) | args::Kind::Float(_));
+            for f in command.flags().filter(numeric) {
+                for value in hostile {
+                    let line = [format!("--{}", f.name), value.to_string()];
+                    match build(command, config, &line) {
+                        // In range, or refused by the plan the flag feeds.
+                        Ok(()) | Err(CommandError::Invalid(_)) => {}
+                        Err(CommandError::Parse(ParseError::BadValue(key, v, _))) => {
+                            assert_eq!((key.as_str(), v.as_str()), (f.name, value));
+                        }
+                        Err(other) => panic!("{} {line:?}: {other:?}", command.name),
+                    }
+                }
+            }
+        }
+        // Exit 2, never exit 101: these tripped asserts deep in the data,
+        // topology and grouping crates, or ran to completion.
+        for (flags, range) in [
+            ("--clients 0", "integer >= 1"),
+            ("--virtual --clients 0", "integer >= 1"),
+            ("--edges 0", "integer >= 1"),
+            ("--min-gs 0", "integer >= 1"),
+            ("--grouping rg --group-size 0", "integer >= 1"),
+            ("--alpha 0", "finite float > 0"),
+            ("--alpha -1", "finite float > 0"),
+            ("--alpha nan", "finite float > 0"),
+            ("--alpha inf", "finite float > 0"),
+            ("--dropout 2", "probability in [0, 1]"),
+            ("--dropout -1", "probability in [0, 1]"),
+            ("--lr nan", "finite float > 0"),
+            ("--lr inf", "finite float > 0"),
+            ("--lr 0", "finite float > 0"),
+            ("--lr -0.1", "finite float > 0"),
+        ] {
+            let err = rejected(flags);
+            assert!(
+                matches!(&err, CommandError::Parse(ParseError::BadValue(_, _, r)) if r.to_string() == range),
+                "{flags}: {err}"
+            );
+        }
+    }
+
+    #[test]
+    fn every_row_is_read_and_every_read_has_a_row() {
+        for (command, config, _) in COMMANDS {
+            // Every read has a row: a getter whose key has none panics.
+            build(command, config, &[]).unwrap();
+            // Every row is read: a value no kind admits is refused by name
+            // (an unread row would swallow it).
+            for f in command.flags() {
+                if f.kind == args::Kind::Text("PATH") {
+                    continue;
+                }
+                let line = [format!("--{}", f.name), "@".to_string()];
+                let Err(CommandError::Parse(ParseError::BadValue(key, ..))) =
+                    build(command, config, &line)
+                else {
+                    panic!("{} swallowed {line:?}", command.name);
+                };
+                assert_eq!(key, f.name);
+            }
+        }
+        // Path rows admit anything; they are read into the config.
+        let line = "--data d --csv c --async-csv a --checkpoint k --trace-out t \
+                    --runtime semi-async";
+        let cfg = SimulateConfig::from_args(&parse(&args::SIMULATE, &argv(line)).unwrap());
+        let cfg = cfg.unwrap();
+        let paths = [
+            cfg.data.path,
+            cfg.csv,
+            cfg.async_csv,
+            cfg.checkpoint,
+            cfg.trace_out,
+        ];
+        assert_eq!(paths.map(Option::unwrap), ["d", "c", "a", "k", "t"]);
+        let (data, ..) = group_config(&parse(&args::GROUP, &argv("--data d")).unwrap()).unwrap();
+        assert_eq!(data.path.as_deref(), Some("d"));
+    }
+
+    #[test]
+    fn table_defaults_are_the_librarys_and_only_plan_flags_start_a_plan() {
+        let config = |line: &str| {
+            SimulateConfig::from_args(&parse(&args::SIMULATE, &argv(line)).unwrap()).unwrap()
+        };
+        let cfg = config("--faults moderate --churn moderate --rounds 100 --seed 9");
+        let (faults, churn) = (cfg.faults.unwrap(), cfg.churn.unwrap());
+        assert_eq!(faults, (FaultPlan::moderate(9), FaultPolicy::default()));
+        assert_eq!(churn, (ChurnPlan::moderate(9), RegroupPolicy::default()));
+        let inputs = theory_inputs(&parse(&args::THEORY, &[]).unwrap()).unwrap();
+        assert_eq!(
+            serde_json::to_string(&inputs).unwrap(),
+            serde_json::to_string(&TheoremInputs::reference()).unwrap()
+        );
+        // A plan runs when its preset or one of its overrides is given;
+        // a policy flag tunes a run that something else started.
+        let cfg = config("--quorum 0.5 --size-floor 3 --robust-f 2 --fault-seed 4");
+        assert!(cfg.faults.is_none() && cfg.churn.is_none() && cfg.adversary.is_none());
+        let cfg = config("--crash-prob 0.1 --flap-prob 0.1 --trigger-width 3 --seed 6");
+        assert_eq!(cfg.faults.unwrap().0.seed, 6);
+        assert_eq!(cfg.churn.unwrap().0.horizon, 40);
+        assert_eq!(cfg.adversary.unwrap().trigger_width, 3);
+    }
+
+    #[test]
+    fn every_pair_of_flags_composes_or_is_refused_by_a_rule_naming_both() {
+        // One setting per switch (on), per name of a choice list, per path
+        // row (a placeholder `from_args` never opens) and per numeric row
+        // that has a default (at it).
+        let defaults = parse(&args::SIMULATE, &[]).unwrap();
+        let mut settings: Vec<(&str, String)> = Vec::new();
+        for f in args::SIMULATE.flags() {
+            match f.kind {
+                args::Kind::Switch => settings.push((f.name, "true".into())),
+                args::Kind::Choice(names) => {
+                    settings.extend(names.iter().map(|n| (f.name, n.to_string())));
+                }
+                args::Kind::Text("PATH") => settings.push((f.name, "placeholder".into())),
+                args::Kind::Text(_) => settings.push((f.name, "0:1:2".into())),
+                args::Kind::Int(_) | args::Kind::Float(_) => {
+                    let default = defaults.opt::<String>(f.name).unwrap();
+                    settings.extend(default.map(|v| (f.name, v)));
+                }
+            }
+        }
+        assert!(settings.len() > 80, "{}", settings.len());
+        // The four cross-flag rules: the two flags a command line sets
+        // against each other, if it does.
+        let clash = |line: &[&(&str, String)]| -> Option<[&str; 2]> {
+            let has = |flag: &str| {
+                line.iter()
+                    .find(|(f, _)| *f == flag)
+                    .map(|(_, v)| v.as_str())
+            };
+            if has("virtual").is_some() && has("data").is_some() {
+                Some(["--virtual", "--data"])
+            } else if has("virtual").is_some() && has("method") == Some("scaffold") {
+                Some(["--virtual", "--method"])
+            } else if has("async-csv").is_some() && has("runtime") != Some("semi-async") {
+                Some(["--async-csv", "--runtime"])
+            } else if has("secure").is_some() && has("robust-agg").is_some_and(|r| r != "mean") {
+                Some(["--robust-agg", "--secure"])
+            } else {
+                None
+            }
+        };
+        let mut refused = 0;
+        for (i, x) in settings.iter().enumerate() {
+            for y in settings[i + 1..].iter().filter(|y| y.0 != x.0) {
+                let line = [x, y];
+                let words = line.map(|(f, v)| [format!("--{f}"), v.clone()]).concat();
+                let built = SimulateConfig::from_args(&parse(&args::SIMULATE, &words).unwrap());
+                match (built, clash(&line)) {
+                    (Ok(_), None) => {}
+                    (Err(CommandError::Invalid(message)), Some(flags)) => {
+                        assert!(flags.iter().all(|f| message.contains(f)), "{message}");
+                        refused += 1;
+                    }
+                    (built, rule) => panic!("{words:?}: {:?}, rule {rule:?}", built.err()),
+                }
+            }
+        }
+        assert!(refused > 80, "{refused}");
+    }
+
+    #[test]
+    fn every_command_line_in_the_docs_parses_against_its_table() {
+        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let mut files = vec![root.join("README.md")];
+        for entry in std::fs::read_dir(root.join("docs")).unwrap() {
+            files.push(entry.unwrap().path());
+        }
+        let mut checked = 0;
+        for file in files
+            .iter()
+            .filter(|f| f.extension().is_some_and(|e| e == "md"))
+        {
+            let text = std::fs::read_to_string(file).unwrap();
+            // Fenced blocks only; `\` continuations joined, `#` comments cut.
+            let (mut fenced, mut pending) = (false, String::new());
+            for raw in text.lines() {
+                if raw.trim_start().starts_with("```") {
+                    fenced = !fenced;
+                    continue;
+                }
+                let code = raw.split_once(" #").map_or(raw, |(code, _)| code).trim();
+                if let (true, Some(more)) = (fenced, code.strip_suffix('\\')) {
+                    pending = format!("{pending}{more} ");
+                    continue;
+                }
+                let full = std::mem::take(&mut pending) + code;
+                let words = argv(&full);
+                let table = COMMANDS.iter().find(|(c, ..)| {
+                    fenced && words.len() > 1 && c.name == format!("{} {}", words[0], words[1])
+                });
+                if let Some((command, config, _)) = table {
+                    match build(command, *config, &words[2..]) {
+                        Ok(()) | Err(CommandError::Help(_)) => checked += 1,
+                        Err(e) => panic!("{}: `{full}`: {e}", file.display()),
+                    }
+                }
+            }
+        }
+        assert!(checked >= 15, "only {checked} command lines found");
     }
 
     #[test]

@@ -3,7 +3,11 @@
 //! testable.
 //!
 //! The parser is deliberately small (the allowed dependency set has no
-//! clap): a subcommand followed by `--key value` / `--flag` pairs.
+//! clap): a subcommand followed by `--key value` / `--flag` pairs, each
+//! declared once as a row of the command's table in [`args`]. A command is
+//! table → config (`from_args`, which validates everything that needs no
+//! data) → build → drive → report; a new flag is one row plus the getter
+//! call that reads it into the config.
 
 pub mod args;
 pub mod commands;

@@ -26,35 +26,82 @@ use gfl_obs::trace::span_totals_of;
 use gfl_obs::{RoundMetrics, SpanKind, SpanRecord, Trace, TraceReader};
 use serde::Value;
 
-use crate::args::Args;
+use crate::args::Fallback::{Absent, Lit};
+use crate::args::Kind::{Choice, Float, Switch};
+use crate::args::{flag, names, Args, Command, Range::Any};
 
-/// Top-level usage text for the `gfl-trace` binary.
-pub const USAGE: &str = "\
-gfl-trace — analyze Group-FEL JSONL run traces and benchmark snapshots
+/// What a subcommand runs: its file arguments, its options, where to print.
+type Run = fn(&[String], &Args, &mut dyn Write) -> Result<i32, String>;
 
-USAGE:
-  gfl-trace <COMMAND> <FILES...> [--key value]...
+/// `flame`'s two clocks: emulated is per-round Eq. 5 cost deltas, for
+/// semi-async runs where wall time is meaningless.
+type Flame = fn(&Trace, &mut dyn Write) -> std::io::Result<()>;
+const CLOCKS: [(&str, Flame); 2] = [
+    ("wall", write_wall_flame),
+    ("emulated", write_emulated_flame),
+];
 
-COMMANDS:
-  summarize <trace>                per-phase time/byte table for one trace
-  diff <a> <b> [--exact]           first divergence between two traces
-                                   (deterministic fields only by default)
-  flame <trace> [--clock wall|emulated]
-                                   collapsed stacks for flamegraph tooling
-  regress <baseline> <current> [--min-rps-ratio R] [--max-alloc-delta N]
-          [--min-gflops-ratio R] [--max-formation-seconds S]
-                                   perf-regression gate over BENCH_ROUND.json
+/// The four subcommands: the word that selects each, its table, its code.
+#[rustfmt::skip]
+const COMMANDS: [(&str, Command, Run); 4] = [
+    ("summarize", Command {
+        name: "summarize <trace>",
+        about: "per-phase time/byte table for one trace",
+        sections: &[],
+    }, summarize),
+    ("diff", Command {
+        name: "diff <a> <b>",
+        about: "first divergence between two traces",
+        sections: &[("", &[
+            flag("exact", Switch, Absent, "compare every field, timings too (default: deterministic fields only)"),
+        ])],
+    }, diff),
+    ("flame", Command {
+        name: "flame <trace>",
+        about: "collapsed stacks for flamegraph tooling",
+        sections: &[("", &[
+            flag("clock", Choice(&names(&CLOCKS)), Lit("wall"), "which clock weighs the stacks"),
+        ])],
+    }, flame),
+    ("regress", Command {
+        name: "regress <baseline> <current>",
+        about: "perf-regression gate over BENCH_ROUND.json",
+        sections: &[("", &[
+            flag("min-rps-ratio",         Float(Any), Lit("0.5"), "throughput floor, as a ratio of the baseline's"),
+            flag("max-alloc-delta",       Float(Any), Lit("32"),  "allocations per round allowed above the baseline's"),
+            flag("min-gflops-ratio",      Float(Any), Lit("0.5"), "GEMM GFLOP/s floor per SIMD tier, as a ratio"),
+            flag("max-formation-seconds", Float(Any), Lit("1.0"), "cap (s) on the 10^6-client formation and regroup times"),
+        ])],
+    }, regress),
+];
 
-EXIT CODES:
-  0  success (diff: traces agree)
-  1  diff found a divergence
-  2  usage error, unreadable input, or regress found a regression";
+/// Top-level usage text for the `gfl-trace` binary; each subcommand's
+/// options are rendered from its table.
+pub fn usage() -> String {
+    let mut text = String::from(
+        "gfl-trace — analyze Group-FEL JSONL run traces and benchmark snapshots\n\n\
+         USAGE:\n  gfl-trace <COMMAND> <FILES...> [--key value]...\n\nCOMMANDS:\n",
+    );
+    for (_, command, _) in &COMMANDS {
+        text += &format!("  {}\n", command.help().replace('\n', "\n  "));
+    }
+    text + "\nEXIT CODES:\n  0  success (diff: traces agree)\n  1  diff found a divergence\n  \
+            2  usage error, unreadable input, or regress found a regression"
+}
 
 /// Entry point shared by the `gfl-trace` binary and tests. Returns the
 /// process exit code and prints to `out`.
 pub fn run(argv: &[String], out: &mut dyn Write) -> i32 {
-    let Some(command) = argv.first() else {
-        let _ = writeln!(out, "{USAGE}");
+    let Some(word) = argv.first() else {
+        let _ = writeln!(out, "{}", usage());
+        return 2;
+    };
+    let Some((_, command, run)) = COMMANDS.iter().find(|(name, ..)| name == word) else {
+        if matches!(word.as_str(), "help" | "--help" | "-h") {
+            let _ = writeln!(out, "{}", usage());
+            return 0;
+        }
+        let _ = writeln!(out, "unknown command '{word}'\n\n{}", usage());
         return 2;
     };
     // Leading bare tokens after the subcommand are positional file paths;
@@ -65,30 +112,13 @@ pub fn run(argv: &[String], out: &mut dyn Write) -> i32 {
         .position(|a| a.starts_with("--"))
         .unwrap_or(rest.len());
     let (paths, opts) = rest.split_at(split);
-    let args = match Args::parse(opts) {
-        Ok(a) => a,
-        Err(e) => {
-            let _ = writeln!(out, "error: {e}");
-            return 2;
-        }
-    };
-    if args.wants_help() {
-        let _ = writeln!(out, "{USAGE}");
-        return 0;
-    }
-    let result = match command.as_str() {
-        "summarize" => summarize(paths, &args, out),
-        "diff" => diff(paths, &args, out),
-        "flame" => flame(paths, &args, out),
-        "regress" => regress(paths, &args, out),
-        "help" | "--help" | "-h" => {
-            let _ = writeln!(out, "{USAGE}");
+    let result = match Args::parse(command, opts) {
+        Ok(args) if args.wants_help().is_some() => {
+            let _ = writeln!(out, "{}", usage());
             return 0;
         }
-        other => {
-            let _ = writeln!(out, "unknown command '{other}'\n\n{USAGE}");
-            return 2;
-        }
+        Ok(args) => run(paths, &args, out),
+        Err(e) => Err(e.to_string()),
     };
     match result {
         Ok(code) => code,
@@ -115,9 +145,8 @@ fn load_trace(path: &str) -> Result<Trace, String> {
 
 // ---------------------------------------------------------------- summarize
 
-fn summarize(paths: &[String], args: &Args, out: &mut dyn Write) -> Result<i32, String> {
+fn summarize(paths: &[String], _: &Args, out: &mut dyn Write) -> Result<i32, String> {
     let paths = expect_paths(paths, 1, "a trace file")?;
-    args.reject_unknown().map_err(|e| e.to_string())?;
     let trace = load_trace(&paths[0])?;
     write_summary(&trace, out).map_err(|e| e.to_string())?;
     Ok(0)
@@ -259,8 +288,7 @@ fn trace_as_value(trace: &Trace) -> Result<Value, String> {
 
 fn diff(paths: &[String], args: &Args, out: &mut dyn Write) -> Result<i32, String> {
     let paths = expect_paths(paths, 2, "two trace files")?;
-    let exact = args.get_flag("exact").map_err(|e| e.to_string())?;
-    args.reject_unknown().map_err(|e| e.to_string())?;
+    let exact = args.get("exact").map_err(|e| e.to_string())?;
     let a = load_trace(&paths[0])?;
     let b = load_trace(&paths[1])?;
 
@@ -390,18 +418,9 @@ fn deterministic_divergence(a: &Trace, b: &Trace) -> Option<String> {
 
 fn flame(paths: &[String], args: &Args, out: &mut dyn Write) -> Result<i32, String> {
     let paths = expect_paths(paths, 1, "a trace file")?;
-    let clock = args.get_str("clock", "wall");
-    args.reject_unknown().map_err(|e| e.to_string())?;
+    let write = args.choice("clock", &CLOCKS).map_err(|e| e.to_string())?.1;
     let trace = load_trace(&paths[0])?;
-    match clock.as_str() {
-        "wall" => write_wall_flame(&trace, out).map_err(|e| e.to_string())?,
-        "emulated" => write_emulated_flame(&trace, out).map_err(|e| e.to_string())?,
-        other => {
-            return Err(format!(
-                "--clock must be 'wall' or 'emulated', got '{other}'"
-            ))
-        }
-    }
+    write(&trace, out).map_err(|e| e.to_string())?;
     Ok(0)
 }
 
@@ -528,19 +547,9 @@ fn rows_by_threads<'a>(
 /// formation claim, checked rather than asserted.
 fn regress(paths: &[String], args: &Args, out: &mut dyn Write) -> Result<i32, String> {
     let paths = expect_paths(paths, 2, "baseline and current BENCH_ROUND.json")?;
-    let min_rps: f64 = args
-        .get("min-rps-ratio", 0.5, "float")
-        .map_err(|e| e.to_string())?;
-    let max_alloc_delta: f64 = args
-        .get("max-alloc-delta", 32.0, "float")
-        .map_err(|e| e.to_string())?;
-    let min_gflops: f64 = args
-        .get("min-gflops-ratio", 0.5, "float")
-        .map_err(|e| e.to_string())?;
-    let max_formation: f64 = args
-        .get("max-formation-seconds", 1.0, "float")
-        .map_err(|e| e.to_string())?;
-    args.reject_unknown().map_err(|e| e.to_string())?;
+    let knob = |key: &str| -> Result<f64, String> { args.get(key).map_err(|e| e.to_string()) };
+    let (min_rps, max_alloc_delta) = (knob("min-rps-ratio")?, knob("max-alloc-delta")?);
+    let (min_gflops, max_formation) = (knob("min-gflops-ratio")?, knob("max-formation-seconds")?);
 
     let read = |p: &str| -> Result<Value, String> {
         let text = std::fs::read_to_string(p).map_err(|e| format!("{p}: {e}"))?;
@@ -705,6 +714,42 @@ mod tests {
         assert!(out.contains("error:"), "{out}");
         let (code, _) = run_str("diff /nonexistent/a.jsonl /nonexistent/b.jsonl");
         assert_eq!(code, 2);
+    }
+
+    #[test]
+    fn help_lists_every_option_of_every_subcommand() {
+        for cmd in ["--help", "help", "diff --help", "regress a b --help"] {
+            let (code, out) = run_str(cmd);
+            assert_eq!(code, 0, "{cmd}");
+            for f in COMMANDS.iter().flat_map(|(_, command, _)| command.flags()) {
+                assert!(out.contains(&format!("--{}", f.name)), "{cmd}: {out}");
+            }
+        }
+    }
+
+    #[test]
+    fn options_are_checked_against_the_table_before_any_file_is_read() {
+        for (word, command, _) in &COMMANDS {
+            let files = if matches!(*word, "diff" | "regress") {
+                "/nonexistent/a /nonexistent/b"
+            } else {
+                "/nonexistent/a"
+            };
+            let (code, out) = run_str(&format!("{word} {files} --typo 1"));
+            assert_eq!((code, out.trim()), (2, "error: unknown option --typo"));
+            for f in command.flags() {
+                // Every row is read: a value no kind admits is refused by
+                // name (an unread row would swallow it)…
+                let (code, out) = run_str(&format!("{word} {files} --{} @", f.name));
+                assert_eq!(code, 2);
+                assert!(out.contains(&format!("--{}", f.name)), "{out}");
+                // … and hostile numbers are usage errors at worst.
+                for value in ["0", "-1", "nan", "inf", "1e308", "18446744073709551616"] {
+                    let (code, out) = run_str(&format!("{word} {files} --{} {value}", f.name));
+                    assert_eq!(code, 2, "{out}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -1,0 +1,140 @@
+//! Stdout goldens for `gfl simulate`: bytes this code did not produce.
+//!
+//! The five `BENCHMARK.json` workloads' flag sets (`benchmark/src/workloads.rs`,
+//! without `--metrics`, whose table carries wall-clock figures, and without
+//! `--threads`, so the suite runs at whatever `GFL_THREADS` says) at a shape
+//! small enough for a debug-profile test, at seeds 1 and 5. The files under
+//! `tests/golden/` were written by the release binary of the commit *before*
+//! the flag table existed; every later parser has to reproduce them, byte for
+//! byte, with `N threads` masked. `hostile-observed` also pins the bytes of
+//! its `--csv`, `--async-csv` and `--checkpoint` artifacts at seed 1.
+//!
+//! `GFL_BLESS=1 cargo test -p gfl-cli --test golden` rewrites the files; do
+//! that only with a change that means to move stdout, and commit the diff.
+
+use std::path::{Path, PathBuf};
+
+const HOSTILE: &str = "--task speech --samples 7200 --clients 72 --edges 6 --rounds 6 --k 3 \
+     --e 1 --sample 12 --eval-every 1 --runtime semi-async --faults moderate --churn moderate \
+     --adversary moderate --robust-agg flame";
+
+/// `(workload, flags after --seed)`.
+const WORKLOADS: [(&str, &str); 5] = [
+    (
+        "dense-train",
+        "--samples 900 --clients 12 --edges 3 --rounds 2 --k 5 --e 2 --sample 12 --batch 32 \
+         --eval-every 1",
+    ),
+    (
+        "secure-covg",
+        "--virtual --clients 240 --edges 4 --rounds 2 --k 2 --e 1 --sample 4 --grouping covg \
+         --min-gs 10 --secure --dropout 0.1 --faults moderate --eval-every 4",
+    ),
+    (
+        "scale-churn",
+        "--virtual --clients 1800 --edges 8 --rounds 4 --k 1 --e 1 --sample 2 --grouping stream \
+         --group-size 8 --alpha 0.1 --sampling random --churn moderate --eval-every 4",
+    ),
+    ("hostile-async", HOSTILE),
+    ("hostile-observed", HOSTILE),
+];
+
+/// The artifacts `hostile-observed` writes: `(flag, file name)`. The trace
+/// carries wall-clock timings, so it is written but not compared.
+const OUTPUTS: [(&str, &str); 4] = [
+    ("--trace-out", "trace.jsonl"),
+    ("--checkpoint", "checkpoint.json"),
+    ("--csv", "csv"),
+    ("--async-csv", "async.csv"),
+];
+
+fn golden(name: &str) -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/golden")
+        .join(name)
+}
+
+fn check(name: &str, actual: &[u8]) {
+    let path = golden(name);
+    if std::env::var_os("GFL_BLESS").is_some() {
+        std::fs::write(&path, actual).expect("write golden");
+    }
+    let expected = std::fs::read(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+    assert!(
+        actual == expected.as_slice(),
+        "{name} moved a byte:\n--- expected\n{}\n--- actual\n{}",
+        String::from_utf8_lossy(&expected),
+        String::from_utf8_lossy(actual)
+    );
+}
+
+/// `… (17226 params, 2 threads)` → `… (17226 params, N threads)`.
+fn mask_threads(stdout: &str) -> String {
+    let Some(end) = stdout.find(" threads)") else {
+        return stdout.to_string();
+    };
+    let start = stdout[..end].rfind(' ').map_or(0, |i| i + 1);
+    format!("{}N{}", &stdout[..start], &stdout[end..])
+}
+
+fn replay(workload: &str) {
+    let (_, flags) = WORKLOADS
+        .iter()
+        .find(|(name, _)| *name == workload)
+        .expect("a named workload");
+    for seed in [1u64, 5] {
+        let mut argv: Vec<String> = format!("simulate --seed {seed} {flags}")
+            .split_whitespace()
+            .map(str::to_string)
+            .collect();
+        let dir = std::env::temp_dir().join(format!("gfl_golden_{}_{seed}", std::process::id()));
+        let observed = workload == "hostile-observed";
+        if observed {
+            std::fs::create_dir_all(&dir).unwrap();
+            for (flag, file) in OUTPUTS {
+                argv.extend([flag.to_string(), dir.join(file).display().to_string()]);
+            }
+        }
+        let mut out = Vec::new();
+        let code = gfl_cli::run(&argv, &mut out);
+        let stdout = String::from_utf8(out).unwrap();
+        assert_eq!(code, 0, "{workload} seed {seed} failed:\n{stdout}");
+        // `wrote /tmp/…/csv` → `wrote csv`: the recording ran in its cwd.
+        let stdout = mask_threads(&stdout).replace(&format!("{}/", dir.display()), "");
+        check(&format!("{workload}.seed{seed}.txt"), stdout.as_bytes());
+        if observed {
+            if seed == 1 {
+                for (_, file) in &OUTPUTS[1..] {
+                    let bytes = std::fs::read(dir.join(file)).unwrap();
+                    check(&format!("{workload}.seed{seed}.{file}"), &bytes);
+                }
+            }
+            std::fs::remove_dir_all(&dir).ok();
+        }
+    }
+}
+
+#[test]
+fn dense_train_stdout_is_the_parents() {
+    replay("dense-train");
+}
+
+#[test]
+fn secure_covg_stdout_is_the_parents() {
+    replay("secure-covg");
+}
+
+#[test]
+fn scale_churn_stdout_is_the_parents() {
+    replay("scale-churn");
+}
+
+#[test]
+fn hostile_async_stdout_is_the_parents() {
+    replay("hostile-async");
+}
+
+#[test]
+fn hostile_observed_stdout_and_artifacts_are_the_parents() {
+    replay("hostile-observed");
+}

@@ -217,6 +217,9 @@ pub enum ConfigError {
     ZeroEvalCadence,
     /// The model's input width does not match the dataset's feature width.
     DimensionMismatch { model: usize, data: usize },
+    /// A robust (non-linear) group aggregation rule under secure
+    /// aggregation, whose masks only cancel in a sum.
+    RobustAggUnderSecure,
 }
 
 impl std::fmt::Display for ConfigError {
@@ -228,6 +231,11 @@ impl std::fmt::Display for ConfigError {
             ConfigError::DimensionMismatch { model, data } => write!(
                 f,
                 "model/data dimension mismatch: model expects {model} features, data has {data}"
+            ),
+            ConfigError::RobustAggUnderSecure => write!(
+                f,
+                "robust aggregation is incompatible with secure aggregation: \
+                 the masking protocol only computes linear functions of the updates"
             ),
         }
     }
@@ -272,6 +280,17 @@ pub enum RobustAggRule {
     /// accepted (clipped) deltas. The only rule that reports which clients
     /// it rejected, feeding the attack log's `AttackFiltered` events.
     FlameFilter,
+}
+
+impl RobustAggRule {
+    /// Every rule but [`RobustAggRule::Mean`] needs the plaintext updates,
+    /// which secure aggregation never reveals.
+    pub fn check_secure(self, secure_aggregation: bool) -> Result<(), ConfigError> {
+        if secure_aggregation && self != RobustAggRule::Mean {
+            return Err(ConfigError::RobustAggUnderSecure);
+        }
+        Ok(())
+    }
 }
 
 /// Applies a (non-Mean) robust rule to the survivors, clamping its
@@ -499,7 +518,8 @@ impl Trainer {
         Self::try_from_data(config, model, FedData::Virtual(population), test)
     }
 
-    fn try_from_data(
+    /// [`Trainer::try_new`] over either representation of the federation.
+    pub fn try_from_data(
         config: GroupFelConfig,
         model: Network,
         data: FedData,
@@ -603,7 +623,8 @@ impl Trainer {
     /// (or a disabled policy on a clean plan) leaves every run
     /// bit-identical to one without churn machinery.
     pub fn with_churn(mut self, plan: ChurnPlan, policy: RegroupPolicy) -> Self {
-        plan.validate();
+        plan.validate()
+            .unwrap_or_else(|e| panic!("invalid ChurnPlan: {e}"));
         self.churn = Some(ChurnState { plan, policy });
         self
     }
@@ -622,28 +643,15 @@ impl Trainer {
     /// running a defense inside the group).
     ///
     /// # Panics
-    /// Panics when the plan's knobs are out of range
-    /// ([`AdversaryPlan::validate`]) or a trigger/flip label is outside
-    /// the dataset's class range.
+    /// Panics when the plan's knobs are out of range or do not fit the
+    /// dataset's shape ([`AdversaryPlan::validate_for`]).
     pub fn with_adversary(mut self, plan: AdversaryPlan) -> Self {
-        plan.validate();
+        let classes = self.data.num_classes();
+        plan.validate_for(classes, self.data.feature_dim())
+            .unwrap_or_else(|e| panic!("invalid AdversaryPlan: {e}"));
         if plan.is_clean() {
             self.adversary = None;
             return self;
-        }
-        let classes = self.data.num_classes();
-        if plan.backdoor_fraction > 0.0 {
-            assert!(plan.trigger_target < classes, "trigger target out of range");
-            assert!(
-                plan.trigger_width <= self.data.feature_dim(),
-                "trigger wider than the feature space"
-            );
-        }
-        if plan.label_flip_fraction > 0.0 {
-            assert!(
-                plan.flip_from < classes && plan.flip_to < classes,
-                "flip labels out of range"
-            );
         }
         let trigger = Trigger::corner(plan.trigger_width, plan.trigger_target);
         // Materialized federations pre-poison their compromised shards
@@ -734,13 +742,11 @@ impl Trainer {
     /// rules trade its unbiasedness for Byzantine tolerance.
     ///
     /// # Panics
-    /// Panics when combined with `secure_aggregation`: the masking
-    /// protocol can only compute linear functions of the updates.
+    /// Panics when combined with `secure_aggregation`
+    /// ([`RobustAggRule::check_secure`]).
     pub fn with_robust_agg(mut self, rule: RobustAggRule) -> Self {
-        assert!(
-            rule == RobustAggRule::Mean || !self.config.secure_aggregation,
-            "robust aggregation is incompatible with secure aggregation"
-        );
+        rule.check_secure(self.config.secure_aggregation)
+            .unwrap_or_else(|e| panic!("invalid robust aggregation: {e}"));
         self.robust_agg = rule;
         self
     }

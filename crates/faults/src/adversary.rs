@@ -22,7 +22,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::mix;
+use crate::{mix, probabilities, FaultConfigError};
 
 // Purpose tags keep the adversary decision streams independent of each
 // other and of the fault/churn streams.
@@ -143,45 +143,69 @@ impl AdversaryPlan {
             && self.model_poison_fraction == 0.0
     }
 
-    /// Validates the plan's ranges (used by constructors downstream).
-    ///
-    /// # Panics
-    /// Panics when a fraction is outside `[0, 1]`, the fractions sum past
-    /// 1, the label flip is a no-op (`flip_from == flip_to` while
-    /// flipping), or the model-poison amplification cannot perturb
-    /// anything.
-    pub fn validate(&self) {
-        for (name, f) in [
+    /// Checks every rule that needs no dataset, returning the first
+    /// violation as a typed error: a fraction outside `[0, 1]`, fractions
+    /// summing past 1, a backdoor boost that is not a positive finite
+    /// factor, a label flip that changes nothing (`flip_from == flip_to`),
+    /// or a model poison that cannot perturb anything.
+    pub fn validate(&self) -> Result<(), FaultConfigError> {
+        probabilities(&[
             ("backdoor_fraction", self.backdoor_fraction),
             ("label_flip_fraction", self.label_flip_fraction),
             ("model_poison_fraction", self.model_poison_fraction),
             ("poison_rate", self.poison_rate),
+        ])?;
+        let sum = self.backdoor_fraction + self.label_flip_fraction + self.model_poison_fraction;
+        if sum > 1.0 {
+            return Err(FaultConfigError::FractionsOversubscribed { sum });
+        }
+        let boost = self.backdoor_boost;
+        if self.backdoor_fraction > 0.0 && !(boost.is_finite() && boost > 0.0) {
+            return Err(FaultConfigError::BadBackdoorBoost { value: boost });
+        }
+        if self.label_flip_fraction > 0.0 && self.flip_from == self.flip_to {
+            return Err(FaultConfigError::IdentityLabelFlip {
+                label: self.flip_to,
+            });
+        }
+        if self.model_poison_fraction > 0.0 && self.scale_factor == 1.0 && !self.sign_flip {
+            return Err(FaultConfigError::NoOpModelPoison);
+        }
+        Ok(())
+    }
+
+    /// [`AdversaryPlan::validate`], then the rules that need the dataset's
+    /// shape: a running backdoor's trigger covers `1..=feature_dim`
+    /// coordinates and targets an existing class; a running label flip's
+    /// two labels exist.
+    pub fn validate_for(
+        &self,
+        num_classes: usize,
+        feature_dim: usize,
+    ) -> Result<(), FaultConfigError> {
+        self.validate()?;
+        let backdoor = self.backdoor_fraction > 0.0;
+        let flip = self.label_flip_fraction > 0.0;
+        if backdoor && !(1..=feature_dim).contains(&self.trigger_width) {
+            return Err(FaultConfigError::BadTriggerWidth {
+                width: self.trigger_width,
+                feature_dim,
+            });
+        }
+        for (knob, label, live) in [
+            ("trigger_target", self.trigger_target, backdoor),
+            ("flip_from", self.flip_from, flip),
+            ("flip_to", self.flip_to, flip),
         ] {
-            assert!((0.0..=1.0).contains(&f), "{name} must be a probability");
+            if live && label >= num_classes {
+                return Err(FaultConfigError::LabelOutOfRange {
+                    knob,
+                    label,
+                    num_classes,
+                });
+            }
         }
-        assert!(
-            self.backdoor_fraction + self.label_flip_fraction + self.model_poison_fraction <= 1.0,
-            "adversary fractions must sum to at most 1"
-        );
-        if self.backdoor_fraction > 0.0 {
-            assert!(self.trigger_width > 0, "backdoor campaign needs a trigger");
-            assert!(
-                self.backdoor_boost.is_finite() && self.backdoor_boost > 0.0,
-                "backdoor boost must be a positive finite factor"
-            );
-        }
-        if self.label_flip_fraction > 0.0 {
-            assert_ne!(
-                self.flip_from, self.flip_to,
-                "label flip must change the label"
-            );
-        }
-        if self.model_poison_fraction > 0.0 {
-            assert!(
-                self.scale_factor != 1.0 || self.sign_flip,
-                "model poison must amplify or flip the update"
-            );
-        }
+        Ok(())
     }
 
     /// Uniform draw in [0, 1) from the (purpose, a, b) stream.
@@ -450,7 +474,8 @@ mod tests {
             label_flip_fraction: 0.6,
             ..AdversaryPlan::moderate(1)
         }
-        .validate();
+        .validate()
+        .unwrap_or_else(|e| panic!("{e}"));
     }
 
     #[test]
@@ -461,7 +486,80 @@ mod tests {
             flip_to: 2,
             ..AdversaryPlan::moderate(1)
         }
-        .validate();
+        .validate()
+        .unwrap_or_else(|e| panic!("{e}"));
+    }
+
+    #[test]
+    fn shape_rules_are_typed_errors_and_only_bind_running_campaigns() {
+        let plan = AdversaryPlan::moderate(1);
+        plan.validate_for(10, 64).unwrap();
+        let bad = |plan: AdversaryPlan| plan.validate_for(10, 64).unwrap_err();
+        for width in [0, 65] {
+            let err = bad(AdversaryPlan {
+                trigger_width: width,
+                ..plan.clone()
+            });
+            assert!(
+                matches!(err, FaultConfigError::BadTriggerWidth { .. }),
+                "{err}"
+            );
+        }
+        for (knob, plan) in [
+            (
+                "trigger_target",
+                AdversaryPlan {
+                    trigger_target: 10,
+                    ..plan.clone()
+                },
+            ),
+            (
+                "flip_from",
+                AdversaryPlan {
+                    flip_from: 99,
+                    ..plan.clone()
+                },
+            ),
+            (
+                "flip_to",
+                AdversaryPlan {
+                    flip_to: 10,
+                    ..plan.clone()
+                },
+            ),
+        ] {
+            let err = bad(plan);
+            assert!(
+                matches!(err, FaultConfigError::LabelOutOfRange { knob: k, .. } if k == knob),
+                "{err}"
+            );
+        }
+        // A campaign nobody runs binds nothing: the clean plan's zero-width
+        // trigger and a flip-free plan's equal labels are fine.
+        AdversaryPlan::none().validate_for(10, 64).unwrap();
+        AdversaryPlan {
+            flip_from: 99,
+            ..AdversaryPlan::backdoor(1, 0.2)
+        }
+        .validate_for(10, 64)
+        .unwrap();
+        let boost = AdversaryPlan {
+            backdoor_boost: f64::NAN,
+            ..plan.clone()
+        };
+        assert!(matches!(
+            boost.validate().unwrap_err(),
+            FaultConfigError::BadBackdoorBoost { .. }
+        ));
+        let honest = AdversaryPlan {
+            scale_factor: 1.0,
+            sign_flip: false,
+            ..plan
+        };
+        assert_eq!(
+            honest.validate().unwrap_err(),
+            FaultConfigError::NoOpModelPoison
+        );
     }
 
     #[test]

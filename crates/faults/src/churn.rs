@@ -26,7 +26,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::mix;
+use crate::{mix, probabilities, FaultConfigError};
 
 // Purpose tags keep churn decision streams independent of each other and
 // of the fault streams.
@@ -88,24 +88,17 @@ impl ChurnPlan {
         self.departure_fraction == 0.0 && self.arrival_fraction == 0.0 && self.flap_prob == 0.0
     }
 
-    /// Validates the plan's ranges (used by constructors downstream).
-    ///
-    /// # Panics
-    /// Panics when a fraction is outside `[0, 1]` or the horizon is zero.
-    pub fn validate(&self) {
-        assert!(self.horizon > 0, "churn horizon must be positive");
-        assert!(
-            (0.0..=1.0).contains(&self.departure_fraction),
-            "departure_fraction must be a probability"
-        );
-        assert!(
-            (0.0..=1.0).contains(&self.arrival_fraction),
-            "arrival_fraction must be a probability"
-        );
-        assert!(
-            (0.0..=1.0).contains(&self.flap_prob),
-            "flap_prob must be a probability"
-        );
+    /// Checks every knob, returning the first violation as a typed error:
+    /// a zero horizon, or a fraction outside `[0, 1]`.
+    pub fn validate(&self) -> Result<(), FaultConfigError> {
+        if self.horizon == 0 {
+            return Err(FaultConfigError::ZeroChurnHorizon);
+        }
+        probabilities(&[
+            ("departure_fraction", self.departure_fraction),
+            ("arrival_fraction", self.arrival_fraction),
+            ("flap_prob", self.flap_prob),
+        ])
     }
 
     /// Uniform draw in [0, 1) from the (purpose, a, b) stream.
@@ -278,6 +271,37 @@ mod tests {
         }
         let rate = flapped as f64 / trials as f64;
         assert!((rate - 0.05).abs() < 0.01, "flap rate {rate} far from 0.05");
+    }
+
+    #[test]
+    fn bad_knobs_are_typed_errors() {
+        let bad = |plan: ChurnPlan| plan.validate().unwrap_err();
+        ChurnPlan::none().validate().unwrap();
+        ChurnPlan::moderate(1).validate().unwrap();
+        let plan = ChurnPlan::moderate(1);
+        assert_eq!(
+            bad(ChurnPlan {
+                horizon: 0,
+                ..plan.clone()
+            }),
+            FaultConfigError::ZeroChurnHorizon
+        );
+        for value in [-0.1, 1.5, f64::NAN, f64::INFINITY] {
+            let err = bad(ChurnPlan {
+                flap_prob: value,
+                ..plan.clone()
+            });
+            assert!(
+                matches!(
+                    err,
+                    FaultConfigError::NotAProbability {
+                        knob: "flap_prob",
+                        ..
+                    }
+                ),
+                "{err}"
+            );
+        }
     }
 
     #[test]

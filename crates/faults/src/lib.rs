@@ -59,6 +59,24 @@ impl OutageWindow {
     }
 }
 
+/// `EDGE:FROM:UNTIL`, three integers — how `gfl simulate --outage` spells
+/// a window. Whether it covers any round is [`FaultPlan::validate`]'s rule.
+impl std::str::FromStr for OutageWindow {
+    type Err = ();
+
+    fn from_str(spec: &str) -> Result<Self, ()> {
+        let parts: Vec<Option<usize>> = spec.split(':').map(|p| p.parse().ok()).collect();
+        match parts[..] {
+            [Some(edge), Some(from_round), Some(until_round)] => Ok(Self {
+                edge,
+                from_round,
+                until_round,
+            }),
+            _ => Err(()),
+        }
+    }
+}
+
 /// What goes wrong, and how often. All probabilities are per decision
 /// point; see each field for the granularity.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -136,27 +154,18 @@ impl FaultPlan {
 
     /// Checks every knob, returning the first violation as a typed error.
     pub fn validate(&self) -> Result<(), FaultConfigError> {
-        for (knob, p) in [
+        probabilities(&[
             ("straggler_fraction", self.straggler_fraction),
             ("crash_prob", self.crash_prob),
             ("corrupt_prob", self.corrupt_prob),
             ("upload_fail_prob", self.upload_fail_prob),
-        ] {
-            if !p.is_finite() || !(0.0..=1.0).contains(&p) {
-                return Err(FaultConfigError::NotAProbability { knob, value: p });
-            }
-        }
+        ])?;
         if !self.straggler_factor.is_finite() || self.straggler_factor < 1.0 {
             return Err(FaultConfigError::SlowdownBelowOne {
                 value: self.straggler_factor,
             });
         }
-        if !self.straggler_jitter.is_finite() || !(0.0..=1.0).contains(&self.straggler_jitter) {
-            return Err(FaultConfigError::NotAProbability {
-                knob: "straggler_jitter",
-                value: self.straggler_jitter,
-            });
-        }
+        probabilities(&[("straggler_jitter", self.straggler_jitter)])?;
         for w in &self.edge_outages {
             if w.from_round >= w.until_round {
                 return Err(FaultConfigError::EmptyOutageWindow {
@@ -170,9 +179,19 @@ impl FaultPlan {
     }
 }
 
-/// Why a [`FaultPlan`] or [`FaultPolicy`] knob was rejected. NaN, negative,
-/// and out-of-range values fail *here* — at CLI parse or construction —
-/// instead of as asserts (or silent nonsense) deep inside a run.
+/// The one probability rule of every plan: each named knob lies in [0, 1]
+/// (NaN does not).
+pub(crate) fn probabilities(knobs: &[(&'static str, f64)]) -> Result<(), FaultConfigError> {
+    match knobs.iter().find(|(_, p)| !(0.0..=1.0).contains(p)) {
+        Some(&(knob, value)) => Err(FaultConfigError::NotAProbability { knob, value }),
+        None => Ok(()),
+    }
+}
+
+/// Why a [`FaultPlan`], [`FaultPolicy`], [`ChurnPlan`] or [`AdversaryPlan`]
+/// knob was rejected. NaN, negative, and out-of-range values fail *here* —
+/// at CLI parse or construction — instead of as asserts (or silent
+/// nonsense) deep inside a run.
 #[derive(Debug, Clone, PartialEq)]
 pub enum FaultConfigError {
     /// A knob that must lie in [0, 1] (probabilities, fractions) did not.
@@ -194,13 +213,31 @@ pub enum FaultConfigError {
         from_round: usize,
         until_round: usize,
     },
+    /// A churn plan whose departures and arrivals spread over zero rounds.
+    ZeroChurnHorizon,
+    /// The three compromised fractions of an adversary plan sum past 1.
+    FractionsOversubscribed { sum: f64 },
+    /// `backdoor_boost` must be finite and > 0 while a backdoor runs.
+    BadBackdoorBoost { value: f64 },
+    /// A label-flip campaign with `flip_from == flip_to` flips nothing.
+    IdentityLabelFlip { label: usize },
+    /// A model poison with `scale_factor == 1` and no sign flip is honest.
+    NoOpModelPoison,
+    /// The backdoor trigger must cover 1..=`feature_dim` coordinates.
+    BadTriggerWidth { width: usize, feature_dim: usize },
+    /// A trigger or flip label the dataset does not have.
+    LabelOutOfRange {
+        knob: &'static str,
+        label: usize,
+        num_classes: usize,
+    },
 }
 
 impl std::fmt::Display for FaultConfigError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             FaultConfigError::NotAProbability { knob, value } => {
-                write!(f, "{knob} must be in [0, 1], got {value}")
+                write!(f, "{knob} must be a probability in [0, 1], got {value}")
             }
             FaultConfigError::SlowdownBelowOne { value } => {
                 write!(
@@ -233,6 +270,45 @@ impl std::fmt::Display for FaultConfigError {
                     f,
                     "outage window for edge {edge} covers no rounds \
                      ([{from_round}, {until_round}) is empty)"
+                )
+            }
+            FaultConfigError::ZeroChurnHorizon => {
+                write!(f, "churn horizon must be at least 1 round")
+            }
+            FaultConfigError::FractionsOversubscribed { sum } => {
+                write!(f, "adversary fractions must sum to at most 1, got {sum}")
+            }
+            FaultConfigError::BadBackdoorBoost { value } => {
+                write!(f, "backdoor_boost must be finite and > 0, got {value}")
+            }
+            FaultConfigError::IdentityLabelFlip { label } => {
+                write!(
+                    f,
+                    "flip_from and flip_to must differ (both are {label}): \
+                     a label flip must change the label"
+                )
+            }
+            FaultConfigError::NoOpModelPoison => {
+                write!(
+                    f,
+                    "model poison must amplify or flip the update \
+                     (scale_factor 1 with no sign flip is honest)"
+                )
+            }
+            FaultConfigError::BadTriggerWidth { width, feature_dim } => {
+                write!(
+                    f,
+                    "trigger_width must be in 1..={feature_dim} for this dataset, got {width}"
+                )
+            }
+            FaultConfigError::LabelOutOfRange {
+                knob,
+                label,
+                num_classes,
+            } => {
+                write!(
+                    f,
+                    "{knob} must be < {num_classes} (the dataset's classes), got {label}"
                 )
             }
         }
@@ -863,6 +939,16 @@ mod tests {
             window.validate(),
             Err(FaultConfigError::EmptyOutageWindow { .. })
         ));
+        // A window is spelled EDGE:FROM:UNTIL; an empty one parses and is
+        // the plan's to refuse.
+        let window: OutageWindow = "0:4:2".parse().unwrap();
+        assert_eq!(
+            (window.edge, window.from_round, window.until_round),
+            (0, 4, 2)
+        );
+        for spec in ["", "0:1", "0:1:2:3", "0-1-2", "a:1:2", "0:1:-2"] {
+            assert!(spec.parse::<OutageWindow>().is_err(), "{spec}");
+        }
         // Errors render human-readably.
         let msg = FaultConfigError::BadQuorumFraction { value: 2.0 }.to_string();
         assert!(msg.contains("quorum_fraction"), "{msg}");

@@ -7,15 +7,14 @@
 //! persistent fork-join pool ([`fork`]) so regions cost channel sends rather
 //! than OS thread spawn/join cycles.
 //!
-//! Three execution styles are offered:
+//! Two execution styles are offered, both fork-join regions over slices,
+//! scheduled by atomic index stealing so uneven per-item work (clients with
+//! very different data sizes) balances automatically:
 //!
-//! * [`par_map`] / [`par_for_each_mut`] / [`par_reduce`]: fork-join regions
-//!   over slices, scheduled by atomic index stealing so uneven per-item work
-//!   (clients with very different data sizes) balances automatically.
-//! * [`par_map_init`] / [`par_for_each_init`]: the same, with worker-local
-//!   state built once per participating thread (scratch buffers, workspaces).
-//! * [`ThreadPool`]: a persistent pool for `'static` fire-and-forget jobs,
-//!   used by long-lived simulator services (e.g. background metric sinks).
+//! * [`par_map`]: one output per item, in input order.
+//! * [`par_map_init`] / [`par_for_each_init`]: the same (or in place), with
+//!   worker-local state built once per participating thread (scratch
+//!   buffers, workspaces).
 //!
 //! All entry points degrade gracefully to sequential execution when the
 //! requested parallelism is 1, the input is tiny, or the caller is already
@@ -23,15 +22,11 @@
 //! deterministic and nested parallelism cannot oversubscribe the machine.
 
 pub mod fork;
-mod pool;
 mod scope;
 pub mod stats;
 
 pub use fork::{in_region, region, worker_index};
-pub use pool::ThreadPool;
-pub use scope::{
-    par_for_each_init, par_for_each_mut, par_map, par_map_init, par_map_with, par_reduce, Chunking,
-};
+pub use scope::{par_for_each_init, par_map, par_map_init};
 
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicUsize, Ordering};

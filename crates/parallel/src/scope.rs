@@ -2,10 +2,10 @@
 //! [`crate::fork`].
 //!
 //! Scheduling is atomic index stealing: participants repeatedly claim the
-//! next unprocessed index (or run of indices) from a shared counter. This
-//! keeps load balanced when per-item cost is highly skewed — exactly the
-//! situation in federated simulation, where client dataset sizes span an
-//! order of magnitude (20–200 samples in the paper's setup).
+//! next unprocessed index from a shared counter. This keeps load balanced
+//! when per-item cost is highly skewed — exactly the situation in federated
+//! simulation, where client dataset sizes span an order of magnitude
+//! (20–200 samples in the paper's setup).
 //!
 //! Outputs are written into fixed per-index slots, so results are always in
 //! input order regardless of which participant processed which item.
@@ -14,34 +14,6 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use crate::default_parallelism;
 use crate::fork::region;
-
-/// Work-claiming granularity for the fork-join helpers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Chunking {
-    /// Workers claim one index at a time. Best for coarse, skewed tasks
-    /// (client training).
-    Single,
-    /// Workers claim fixed-size runs of indices. Best for fine-grained tasks
-    /// (vector arithmetic) where counter contention would dominate.
-    Fixed(usize),
-    /// Pick a run size automatically from `len` and thread count.
-    Auto,
-}
-
-impl Chunking {
-    fn run_len(self, len: usize, threads: usize) -> usize {
-        match self {
-            Chunking::Single => 1,
-            Chunking::Fixed(n) => n.max(1),
-            Chunking::Auto => {
-                // Aim for ~4 claims per worker to balance stealing overhead
-                // against skew tolerance.
-                let target = threads.saturating_mul(4).max(1);
-                (len / target).max(1)
-            }
-        }
-    }
-}
 
 /// Shared raw pointer used to hand out disjoint element writes to
 /// participants. Each index is claimed exactly once through an atomic
@@ -62,11 +34,12 @@ where
     U: Send,
     F: Fn(&T) -> U + Sync,
 {
-    par_map_with(items, default_parallelism(), Chunking::Single, f)
+    par_map_with(items, default_parallelism(), f)
 }
 
-/// [`par_map`] with explicit thread count and chunking policy.
-pub fn par_map_with<T, U, F>(items: &[T], threads: usize, chunking: Chunking, f: F) -> Vec<U>
+/// [`par_map`] with an explicit thread count, for tests that must stay off
+/// the process-global default.
+pub(crate) fn par_map_with<T, U, F>(items: &[T], threads: usize, f: F) -> Vec<U>
 where
     T: Sync,
     U: Send,
@@ -81,7 +54,6 @@ where
         return items.iter().map(f).collect();
     }
 
-    let run = chunking.run_len(len, threads);
     let mut out: Vec<U> = Vec::with_capacity(len);
     let out_ptr = SendPtr(out.as_mut_ptr());
     let cursor = AtomicUsize::new(0);
@@ -89,17 +61,14 @@ where
         let out_ptr = &out_ptr;
         let mut claimed = 0u64;
         loop {
-            let start = cursor.fetch_add(run, Ordering::Relaxed);
-            if start >= len {
+            let i = cursor.fetch_add(1, Ordering::Relaxed);
+            if i >= len {
                 break;
             }
-            let end = (start + run).min(len);
-            claimed += (end - start) as u64;
-            for (i, item) in items.iter().enumerate().take(end).skip(start) {
-                // SAFETY: slot `i` belongs to this claim alone, and the
-                // buffer has capacity `len`.
-                unsafe { out_ptr.0.add(i).write(f(item)) };
-            }
+            claimed += 1;
+            // SAFETY: slot `i` belongs to this claim alone, and the buffer
+            // has capacity `len`.
+            unsafe { out_ptr.0.add(i).write(f(&items[i])) };
         }
         crate::stats::record_claims(claimed, participant != 0);
     });
@@ -158,21 +127,12 @@ where
     out
 }
 
-/// Applies `f` to every element of `items` in place, in parallel.
+/// Applies `f` to every element of `items` in place, in parallel, with
+/// per-participant state built once per participating thread via `init`.
 ///
 /// Indices are claimed one at a time through an atomic cursor, so each
 /// `&mut T` is handed to exactly one participant and skewed per-item cost
 /// balances automatically.
-pub fn par_for_each_mut<T, F>(items: &mut [T], f: F)
-where
-    T: Send,
-    F: Fn(usize, &mut T) + Sync,
-{
-    par_for_each_init(items, || (), |(), i, item| f(i, item));
-}
-
-/// [`par_for_each_mut`] with per-participant state, built once per
-/// participating thread via `init`.
 ///
 /// This is the engine's client-training workhorse: `items` are per-client
 /// result slots, `init` borrows a pooled scratch buffer, and `f` runs one
@@ -216,60 +176,6 @@ where
     });
 }
 
-/// Parallel map-reduce: maps each item through `map` and folds the results
-/// with `reduce`, starting from `identity`.
-///
-/// `reduce` must be associative and commutative with respect to `identity`
-/// for the result to be deterministic (per-participant partials are combined
-/// in participant order, but items are assigned to participants dynamically).
-pub fn par_reduce<T, A, M, R>(items: &[T], identity: A, map: M, reduce: R) -> A
-where
-    T: Sync,
-    A: Send + Clone,
-    M: Fn(&T) -> A + Sync,
-    R: Fn(A, A) -> A + Sync,
-{
-    let len = items.len();
-    if len == 0 {
-        return identity;
-    }
-    let threads = default_parallelism().clamp(1, len);
-    if threads == 1 {
-        return items
-            .iter()
-            .fold(identity, |acc, item| reduce(acc, map(item)));
-    }
-    let cursor = AtomicUsize::new(0);
-    let run = Chunking::Auto.run_len(len, threads);
-    // Seed one accumulator per participant up front (the closure must not
-    // capture `identity` itself — that would demand `A: Sync`).
-    let mut partials: Vec<Option<A>> = (0..threads).map(|_| Some(identity.clone())).collect();
-    let partials_ptr = SendPtr(partials.as_mut_ptr());
-    region(threads, |participant| {
-        let partials_ptr = &partials_ptr;
-        // SAFETY: each participant id appears exactly once per region, so
-        // this is the only live `&mut` to slot `participant`.
-        let acc = unsafe { &mut *partials_ptr.0.add(participant) };
-        let mut acc = acc.take().expect("accumulator seeded above");
-        let mut claimed = 0u64;
-        loop {
-            let start = cursor.fetch_add(run, Ordering::Relaxed);
-            if start >= len {
-                break;
-            }
-            let end = (start + run).min(len);
-            claimed += (end - start) as u64;
-            for item in &items[start..end] {
-                acc = reduce(acc, map(item));
-            }
-        }
-        crate::stats::record_claims(claimed, participant != 0);
-        // SAFETY: same unique slot as above.
-        unsafe { partials_ptr.0.add(participant).write(Some(acc)) };
-    });
-    partials.into_iter().flatten().fold(identity, reduce)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -290,17 +196,15 @@ mod tests {
     }
 
     #[test]
-    fn par_map_with_every_chunking_matches_sequential() {
+    fn par_map_with_every_thread_count_matches_sequential() {
         let items: Vec<i64> = (0..101).map(|i| i * 3 - 50).collect();
         let expected: Vec<i64> = items.iter().map(|&x| x * x).collect();
-        for chunking in [Chunking::Single, Chunking::Fixed(7), Chunking::Auto] {
-            for threads in [1, 2, 5, 16] {
-                assert_eq!(
-                    par_map_with(&items, threads, chunking, |&x| x * x),
-                    expected,
-                    "chunking={chunking:?} threads={threads}"
-                );
-            }
+        for threads in [1, 2, 5, 16] {
+            assert_eq!(
+                par_map_with(&items, threads, |&x| x * x),
+                expected,
+                "threads={threads}"
+            );
         }
     }
 
@@ -322,18 +226,13 @@ mod tests {
     }
 
     #[test]
-    fn par_for_each_mut_touches_every_element_once() {
-        let mut items = vec![0u32; 1000];
-        par_for_each_mut(&mut items, |i, v| *v += i as u32 + 1);
-        for (i, &v) in items.iter().enumerate() {
-            assert_eq!(v, i as u32 + 1);
-        }
-    }
-
-    #[test]
-    fn par_for_each_mut_empty_is_noop() {
+    fn par_for_each_init_empty_is_noop() {
         let mut items: Vec<u8> = Vec::new();
-        par_for_each_mut(&mut items, |_, _| panic!("must not be called"));
+        par_for_each_init(
+            &mut items,
+            || panic!("must not build state"),
+            |(), _, _| panic!("must not be called"),
+        );
     }
 
     #[test]
@@ -347,20 +246,6 @@ mod tests {
             slot.1 = true;
         });
         assert!(items.iter().all(|&(_, seen)| seen));
-    }
-
-    #[test]
-    fn par_reduce_sums_like_sequential() {
-        let items: Vec<u64> = (1..=10_000).collect();
-        let total = par_reduce(&items, 0u64, |&x| x, |a, b| a + b);
-        assert_eq!(total, 10_000 * 10_001 / 2);
-    }
-
-    #[test]
-    fn par_reduce_with_nontrivial_identity() {
-        let items: Vec<u64> = (1..=100).collect();
-        let max = par_reduce(&items, u64::MIN, |&x| x, |a, b| a.max(b));
-        assert_eq!(max, 100);
     }
 
     #[test]

@@ -140,7 +140,7 @@ mod tests {
     fn claims_and_steals_are_flushed_by_scope_helpers() {
         let items: Vec<u64> = (0..512).collect();
         let before = snapshot();
-        let out = crate::par_map_with(&items, 4, crate::Chunking::Single, |&x| x + 1);
+        let out = crate::scope::par_map_with(&items, 4, |&x| x + 1);
         assert_eq!(out.len(), 512);
         let delta = snapshot().since(before);
         // Other tests may run concurrently against the same process-wide
