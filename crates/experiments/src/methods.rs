@@ -2,7 +2,6 @@
 //! local-update) combinations over the shared engine.
 
 use gfl_baselines::{FedClarConfig, FedClarRunner, FedProx, Scaffold};
-use gfl_core::engine::form_groups_per_edge;
 use gfl_core::grouping::{
     CdgGrouping, CovGrouping, GroupingAlgorithm, KldGrouping, RandomGrouping,
 };
@@ -11,6 +10,7 @@ use gfl_core::local::FedAvg;
 use gfl_core::sampling::{AggregationWeighting, SamplingStrategy};
 use gfl_core::Group;
 
+use crate::emit::{Cell, Table};
 use crate::world::World;
 
 /// A method from the paper's comparison (§7.1 "Baselines").
@@ -96,40 +96,40 @@ pub fn groups_for(method: Method, world: &World, knobs: GroupingKnobs) -> Vec<Gr
             group_size: knobs.target_size,
         }),
     };
-    form_groups_per_edge(
-        algo.as_ref(),
-        &world.topology,
-        &world.partition.label_matrix,
-        world.seed,
-    )
+    world.form(algo.as_ref())
+}
+
+/// The paper's default formation: CoV grouping at the default knobs.
+pub fn default_covg(world: &World) -> Vec<Group> {
+    groups_for(Method::GroupFel, world, GroupingKnobs::default())
 }
 
 /// Runs one method end to end and returns its trajectory.
 pub fn run_method(method: Method, world: &World, knobs: GroupingKnobs) -> RunHistory {
     let groups = groups_for(method, world, knobs);
+    let trainer = world.trainer(world.config(AggregationWeighting::Standard));
     match method {
-        Method::GroupFel => {
-            // The paper's default is *biased* prioritized sampling (Line 15
-            // weighting); Eq. 4/35 corrections are studied separately in
-            // the ablation_weighting binary.
-            let trainer = world.trainer(world.config(AggregationWeighting::Standard));
-            trainer.run(&groups, &FedAvg, SamplingStrategy::ESRCov)
-        }
+        // The paper's default is *biased* prioritized sampling (Line 15
+        // weighting); Eq. 4/35 corrections are studied separately in the
+        // `ablation_weighting` experiment.
+        Method::GroupFel => trainer.run(&groups, &FedAvg, SamplingStrategy::ESRCov),
         Method::FedAvg | Method::Ouea | Method::Share => {
-            let trainer = world.trainer(world.config(AggregationWeighting::Standard));
             trainer.run(&groups, &FedAvg, SamplingStrategy::Random)
         }
-        Method::FedProx => {
-            let trainer = world.trainer(world.config(AggregationWeighting::Standard));
-            trainer.run(&groups, &FedProx { mu: 0.1 }, SamplingStrategy::Random)
-        }
+        Method::FedProx => trainer.run(&groups, &FedProx { mu: 0.1 }, SamplingStrategy::Random),
         Method::Scaffold => {
-            let trainer = world.trainer(world.config(AggregationWeighting::Standard));
             let strategy = Scaffold::new(world.model.param_len(), world.partition.num_clients());
-            trainer.run(&groups, &strategy, SamplingStrategy::Random)
+            // `Scaffold` sums its clients' variate deltas into one shared
+            // vector in arrival order, so above one thread its last bits —
+            // and now and then an evaluation — depend on scheduling (ROADMAP
+            // item 1). One thread makes arrival order client order, which is
+            // what keeps these tables regenerable.
+            gfl_parallel::set_default_parallelism(1);
+            let history = trainer.run(&groups, &strategy, SamplingStrategy::Random);
+            gfl_parallel::set_default_parallelism(0);
+            history
         }
         Method::FedClar => {
-            let trainer = world.trainer(world.config(AggregationWeighting::Standard));
             let fc = FedClarConfig {
                 cluster_at_round: world.scale.global_rounds / 3,
                 num_clusters: 4,
@@ -137,6 +137,25 @@ pub fn run_method(method: Method, world: &World, knobs: GroupingKnobs) -> RunHis
             };
             FedClarRunner::run(&trainer, &groups, &fc)
         }
+    }
+}
+
+/// Appends one row per evaluated round: `lead`, then the record's field
+/// for each remaining column of the table's header (`round`, `cost`,
+/// `accuracy`, `loss`).
+pub fn trajectory_rows(table: &mut Table, lead: &[Cell], history: &RunHistory) {
+    for r in history.records() {
+        let mut row = lead.to_vec();
+        for column in table.spec.columns().skip(lead.len()) {
+            row.push(match column {
+                "round" => Cell::of(r.round),
+                "cost" => Cell::num(r.cost, 1),
+                "accuracy" => Cell::num(r.accuracy, 4),
+                "loss" => Cell::num(r.loss, 4),
+                other => panic!("no trajectory column `{other}`"),
+            });
+        }
+        table.push(row);
     }
 }
 

@@ -1,11 +1,20 @@
-//! Federation worlds mirroring the paper's experimental setups (§7.1–§7.2).
+//! Federation worlds mirroring the paper's experimental setups (§7.1–§7.2),
+//! and the two scales every experiment runs at.
 
-use gfl_core::engine::{GroupFelConfig, Trainer};
-use gfl_core::sampling::AggregationWeighting;
-use gfl_data::{ClientPartition, Dataset, PartitionSpec, SyntheticSpec};
+use std::ops::Range;
+
+use gfl_core::engine::{form_groups_per_edge, GroupFelConfig, Trainer};
+use gfl_core::grouping::GroupingAlgorithm;
+use gfl_core::history::RunHistory;
+use gfl_core::local::FedAvg;
+use gfl_core::sampling::{AggregationWeighting, SamplingStrategy};
+use gfl_core::Group;
+use gfl_data::{ClientPartition, Dataset, LabelMatrix, PartitionSpec, SyntheticSpec};
 use gfl_nn::sgd::LrSchedule;
 use gfl_nn::Network;
 use gfl_sim::{Task, Topology};
+use gfl_tensor::init;
+use rand::Rng;
 
 /// Experiment scale knobs.
 #[derive(Debug, Clone, Copy)]
@@ -28,7 +37,7 @@ pub struct ExpScale {
 
 impl ExpScale {
     /// Reduced scale: every qualitative shape in minutes.
-    pub fn small() -> Self {
+    pub const fn small() -> Self {
         Self {
             clients: 120,
             edges: 3,
@@ -44,7 +53,7 @@ impl ExpScale {
     /// paper's plots, it ends in the pre-saturation regime of our (easier)
     /// synthetic task — at 10⁶ every method saturates and the efficiency
     /// comparison degenerates.
-    pub fn paper() -> Self {
+    pub const fn paper() -> Self {
         Self {
             clients: 300,
             edges: 3,
@@ -55,14 +64,113 @@ impl ExpScale {
             budget: 4.0e5,
         }
     }
+}
 
-    /// Reads `GFL_SCALE` (`small` | `paper`), defaulting to small.
-    pub fn from_env() -> Self {
+/// The value of `GFL_SCALE`: which federation size a run uses and which
+/// directory holds its committed tables.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ScaleName {
+    /// `small` (default): `results/`.
+    Small,
+    /// `paper`: `results/paper/`.
+    Paper,
+}
+
+impl ScaleName {
+    /// Reads `GFL_SCALE`; unset means small, anything but `small` or
+    /// `paper` is an error.
+    pub fn from_env() -> Result<Self, String> {
         match std::env::var("GFL_SCALE").as_deref() {
-            Ok("paper") => Self::paper(),
-            _ => Self::small(),
+            Err(_) | Ok("small") => Ok(Self::Small),
+            Ok("paper") => Ok(Self::Paper),
+            Ok(other) => Err(format!("GFL_SCALE={other}: expected `small` or `paper`")),
         }
     }
+}
+
+/// How a registry row sizes its federation at each [`ScaleName`].
+#[derive(Debug, Clone, Copy)]
+pub enum ScaleRule {
+    /// [`ExpScale::small`] / [`ExpScale::paper`] with the horizon adjusted:
+    /// rounds multiplied then capped, budget multiplied.
+    Shared {
+        rounds_times: usize,
+        rounds_cap: usize,
+        budget_times: f64,
+    },
+    /// A federation of the row's own.
+    Own { small: ExpScale, paper: ExpScale },
+}
+
+impl ScaleRule {
+    /// The shared federation, unadjusted.
+    pub const SHARED: Self = Self::Shared {
+        rounds_times: 1,
+        rounds_cap: usize::MAX,
+        budget_times: 1.0,
+    };
+
+    /// The shared federation over at most `cap` rounds.
+    pub const fn capped(cap: usize) -> Self {
+        Self::Shared {
+            rounds_times: 1,
+            rounds_cap: cap,
+            budget_times: 1.0,
+        }
+    }
+
+    pub fn at(&self, name: ScaleName) -> ExpScale {
+        let pick = |small, paper| match name {
+            ScaleName::Small => small,
+            ScaleName::Paper => paper,
+        };
+        match *self {
+            Self::Own { small, paper } => pick(small, paper),
+            Self::Shared {
+                rounds_times,
+                rounds_cap,
+                budget_times,
+            } => {
+                let base = pick(ExpScale::small(), ExpScale::paper());
+                ExpScale {
+                    global_rounds: (base.global_rounds * rounds_times).min(rounds_cap),
+                    budget: base.budget * budget_times,
+                    ..base
+                }
+            }
+        }
+    }
+}
+
+/// A synthetic skewed label matrix: each client gets one hot label with a
+/// count drawn from `hot`; every other label draws from `minor` — always
+/// when `minor_prob` is `None` (no coin is drawn), else with that
+/// probability and 0 otherwise.
+pub fn skewed_labels(
+    (clients, labels): (usize, usize),
+    seed: u64,
+    hot: Range<u32>,
+    minor_prob: Option<f64>,
+    minor: Range<u32>,
+) -> LabelMatrix {
+    let mut rng = init::rng(seed);
+    let counts = (0..clients)
+        .map(|_| {
+            let hot_label = rng.gen_range(0..labels);
+            (0..labels)
+                .map(|l| {
+                    if l == hot_label {
+                        rng.gen_range(hot.clone())
+                    } else if minor_prob.is_some_and(|p| !rng.gen_bool(p)) {
+                        0
+                    } else {
+                        rng.gen_range(minor.clone())
+                    }
+                })
+                .collect()
+        })
+        .collect();
+    LabelMatrix::new(counts, labels)
 }
 
 /// A fully materialized federation: data, partition, topology, model.
@@ -78,17 +186,25 @@ pub struct World {
 }
 
 impl World {
-    /// The CIFAR-10-like world of §7.2: Dirichlet(α) skew, 20–200 samples
-    /// per client, vision model.
-    pub fn vision(alpha: f64, seed: u64, scale: ExpScale) -> Self {
-        let spec = SyntheticSpec::vision_like();
-        let data = spec.generate(scale.dataset, seed);
-        let (train, test) = data.split_holdout(6);
+    /// `task`'s synthetic dataset under Dirichlet(α) skew, `min_size` to
+    /// `max_size` samples per client, clients split evenly over the edges.
+    pub fn build(
+        task: Task,
+        alpha: f64,
+        seed: u64,
+        scale: ExpScale,
+        (min_size, max_size): (usize, usize),
+    ) -> Self {
+        let (spec, model) = match task {
+            Task::Vision => (SyntheticSpec::vision_like(), gfl_nn::zoo::vision_model()),
+            Task::Speech => (SyntheticSpec::speech_like(), gfl_nn::zoo::speech_model()),
+        };
+        let (train, test) = spec.generate(scale.dataset, seed).split_holdout(6);
         let pspec = PartitionSpec {
             num_clients: scale.clients,
             alpha,
-            min_size: 20,
-            max_size: 200,
+            min_size,
+            max_size,
             seed,
         };
         let partition = ClientPartition::dirichlet(&train, &pspec);
@@ -98,38 +214,23 @@ impl World {
             test,
             partition,
             topology,
-            model: gfl_nn::zoo::vision_model(),
-            task: Task::Vision,
+            model,
+            task,
             scale,
             seed,
         }
     }
 
+    /// The CIFAR-10-like world of §7.2: Dirichlet(α) skew, 20–200 samples
+    /// per client, vision model.
+    pub fn vision(alpha: f64, seed: u64, scale: ExpScale) -> Self {
+        Self::build(Task::Vision, alpha, seed, scale, (20, 200))
+    }
+
     /// The Speech-Commands-like world of §7.3.2: 35 classes, extreme skew
     /// (α=0.01 means each client holds ≤5 label types).
     pub fn speech(alpha: f64, seed: u64, scale: ExpScale) -> Self {
-        let spec = SyntheticSpec::speech_like();
-        let data = spec.generate(scale.dataset, seed);
-        let (train, test) = data.split_holdout(6);
-        let pspec = PartitionSpec {
-            num_clients: scale.clients,
-            alpha,
-            min_size: 20,
-            max_size: 200,
-            seed,
-        };
-        let partition = ClientPartition::dirichlet(&train, &pspec);
-        let topology = Topology::even_split(scale.edges, partition.sizes());
-        Self {
-            train,
-            test,
-            partition,
-            topology,
-            model: gfl_nn::zoo::speech_model(),
-            task: Task::Speech,
-            scale,
-            seed,
-        }
+        Self::build(Task::Speech, alpha, seed, scale, (20, 200))
     }
 
     /// The paper's training hyperparameters (K=5, E=2) at this world's
@@ -161,6 +262,23 @@ impl World {
             self.partition.clone(),
             self.test.clone(),
         )
+    }
+
+    /// Forms `algo`'s groups on every edge server, seeded by the world.
+    pub fn form(&self, algo: &dyn GroupingAlgorithm) -> Vec<Group> {
+        let labels = &self.partition.label_matrix;
+        form_groups_per_edge(algo, &self.topology, labels, self.seed)
+    }
+
+    /// One plain-FedAvg run over `groups` at the world's configuration.
+    pub fn fedavg(
+        &self,
+        groups: &[Group],
+        weighting: AggregationWeighting,
+        sampling: SamplingStrategy,
+    ) -> RunHistory {
+        self.trainer(self.config(weighting))
+            .run(groups, &FedAvg, sampling)
     }
 }
 
@@ -214,6 +332,25 @@ mod tests {
         let s = ExpScale::small();
         assert!(s.clients < ExpScale::paper().clients);
         assert!(s.budget < ExpScale::paper().budget + 1.0);
+    }
+
+    #[test]
+    fn scale_rules_adjust_the_shared_horizon() {
+        let stretched = ScaleRule::Shared {
+            rounds_times: 2,
+            rounds_cap: 100,
+            budget_times: 4.0,
+        };
+        let small = stretched.at(ScaleName::Small);
+        assert_eq!((small.global_rounds, small.budget), (100, 4.8e5));
+        assert_eq!(ScaleRule::capped(40).at(ScaleName::Paper).global_rounds, 40);
+        assert_eq!(ScaleRule::SHARED.at(ScaleName::Paper).clients, 300);
+        let own = ScaleRule::Own {
+            small: tiny_scale(),
+            paper: ExpScale::small(),
+        };
+        assert_eq!(own.at(ScaleName::Small).clients, 12);
+        assert_eq!(own.at(ScaleName::Paper).clients, 120);
     }
 
     #[test]

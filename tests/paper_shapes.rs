@@ -1,6 +1,6 @@
 //! Miniature versions of the paper's qualitative claims, kept fast enough
 //! for `cargo test --workspace`. Full-scale versions live in the
-//! `gfl-experiments` binaries; these guard the shapes against regressions.
+//! `gfl-experiments` registry; these guard the shapes against regressions.
 
 use gfl_core::cov::{group_cov, mean_group_cov};
 use gfl_core::engine::form_groups_per_edge;
@@ -9,31 +9,10 @@ use gfl_core::grouping::{
 };
 use gfl_core::sampling::SamplingStrategy;
 use gfl_core::theory::{self, TheoremInputs};
-use gfl_data::{ClientPartition, LabelMatrix, PartitionSpec, SyntheticSpec};
+use gfl_data::{ClientPartition, PartitionSpec, SyntheticSpec};
+use gfl_experiments::world::skewed_labels;
 use gfl_sim::{CostModel, GroupOpKind, Task, Topology};
 use gfl_tensor::init;
-use rand::Rng;
-
-fn skewed_labels(clients: usize, labels: usize, seed: u64) -> LabelMatrix {
-    let mut rng = init::rng(seed);
-    LabelMatrix::new(
-        (0..clients)
-            .map(|_| {
-                let hot = rng.gen_range(0..labels);
-                (0..labels)
-                    .map(|l| {
-                        if l == hot {
-                            rng.gen_range(20..80)
-                        } else {
-                            rng.gen_range(0..6)
-                        }
-                    })
-                    .collect()
-            })
-            .collect(),
-        labels,
-    )
-}
 
 /// Fig 2(a)/Fig 8: group-op cost overtakes training cost as groups grow,
 /// and the method-specific orderings hold for both tasks.
@@ -60,7 +39,7 @@ fn fig8_cost_orderings() {
 /// four algorithms at comparable group sizes.
 #[test]
 fn fig6_grouping_quality_ordering() {
-    let labels = skewed_labels(80, 10, 3);
+    let labels = skewed_labels((80, 10), 3, 20..80, None, 0..6);
     let mut results = Vec::new();
     let algos: Vec<(&str, Box<dyn GroupingAlgorithm>)> = vec![
         ("RG", Box::new(RandomGrouping { group_size: 6 })),
