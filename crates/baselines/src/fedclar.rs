@@ -321,26 +321,19 @@ fn kmeans_assign(points: &[Vec<Scalar>], k: usize, iters: usize, seed: u64) -> V
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gfl_core::engine::{form_groups_per_edge, GroupFelConfig};
+    use gfl_core::engine::GroupFelConfig;
     use gfl_core::grouping::RandomGrouping;
-    use gfl_data::{ClientPartition, PartitionSpec, SyntheticSpec};
-    use gfl_sim::Topology;
+    use gfl_data::PartitionSpec;
+    use gfl_test_support::TinyWorld;
 
     fn world() -> (Trainer, Vec<Group>) {
-        let data = SyntheticSpec::tiny().generate(600, 21);
-        let (train, test) = data.split_holdout(5);
-        let part = ClientPartition::dirichlet(&train, &PartitionSpec::tiny(0.3, 21));
-        let topo = Topology::even_split(2, part.sizes());
-        let groups = form_groups_per_edge(
-            &RandomGrouping { group_size: 3 },
-            &topo,
-            &part.label_matrix,
-            21,
-        );
-        let mut cfg = GroupFelConfig::tiny();
-        cfg.global_rounds = 8;
-        let trainer = Trainer::new(cfg, gfl_nn::zoo::tiny(4, 3), train, part, test);
-        (trainer, groups)
+        let cfg = GroupFelConfig {
+            global_rounds: 8,
+            ..GroupFelConfig::tiny()
+        };
+        let spec = PartitionSpec::tiny(0.3, 21);
+        let w = TinyWorld::build(600, &spec, &RandomGrouping { group_size: 3 }, cfg);
+        (w.trainer(), w.groups)
     }
 
     #[test]

@@ -26,8 +26,10 @@ pub struct Scaffold {
     num_clients: usize,
     server_c: Mutex<Vec<Scalar>>,
     client_c: Mutex<Vec<Option<Vec<Scalar>>>>,
-    /// Σ (c_i⁺ − c_i) accumulated this global round.
-    pending: Mutex<Vec<Scalar>>,
+    /// `c_i⁺ − c_i` accumulated this global round, one slot per client:
+    /// a client's own trainings are sequential, so each slot's bits do not
+    /// depend on how the pool schedules the others.
+    pending: Mutex<Vec<Option<Vec<Scalar>>>>,
 }
 
 impl Scaffold {
@@ -40,7 +42,7 @@ impl Scaffold {
             num_clients,
             server_c: Mutex::new(vec![0.0; dim]),
             client_c: Mutex::new(vec![None; num_clients]),
-            pending: Mutex::new(vec![0.0; dim]),
+            pending: Mutex::new(vec![None; num_clients]),
         }
     }
 
@@ -90,7 +92,8 @@ impl LocalUpdate for Scaffold {
 
         {
             let mut pending = self.pending.lock();
-            for ((p, &new), &old) in pending.iter_mut().zip(ci_new.iter()).zip(ci.iter()) {
+            let slot = pending[task.client].get_or_insert_with(|| vec![0.0; self.dim]);
+            for ((p, &new), &old) in slot.iter_mut().zip(ci_new.iter()).zip(ci.iter()) {
                 *p += new - old;
             }
         }
@@ -99,10 +102,16 @@ impl LocalUpdate for Scaffold {
     }
 
     fn end_global_round(&self, _participants: &[usize]) {
-        let mut pending = self.pending.lock();
+        // Ascending client id, not arrival order: `f32` addition is not
+        // associative, so the order is part of the result.
+        let mut total = vec![0.0; self.dim];
+        for slot in self.pending.lock().iter_mut() {
+            if let Some(delta) = slot.take() {
+                ops::add_assign(&delta, &mut total);
+            }
+        }
         let mut server = self.server_c.lock();
-        ops::axpy(1.0 / self.num_clients as Scalar, &pending, &mut server);
-        pending.fill(0.0);
+        ops::axpy(1.0 / self.num_clients as Scalar, &total, &mut server);
     }
 
     fn group_ops(&self) -> Vec<GroupOpKind> {

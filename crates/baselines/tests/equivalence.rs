@@ -1,88 +1,69 @@
-//! Baseline-method leg of the virtual ≡ materialized equivalence suite.
+//! Baseline-method leg of the equivalence and determinism suites.
 //!
 //! The core crate pins FedAvg across every engine scenario (see
-//! `crates/core/tests/equivalence.rs`); this file pins the baseline local
-//! updaters, whose strategies carry extra per-client state — FedNova's
-//! normalization constants are precomputed from client *sizes*, exactly
-//! the summary a [`VirtualPopulation`] keeps, so the virtual trainer must
-//! reproduce the eager FedNova run bit for bit.
+//! `crates/core/tests/equivalence.rs` and `determinism.rs`); this file pins
+//! the baseline local updaters, whose strategies carry extra per-client
+//! state — FedNova's normalization constants are precomputed from client
+//! *sizes*, exactly the summary a [`VirtualPopulation`] keeps, so the
+//! virtual trainer must reproduce the eager FedNova run bit for bit; and
+//! SCAFFOLD folds every client's variate delta into one server variate,
+//! which must not depend on the order the pool finished them in.
+//!
+//! [`VirtualPopulation`]: gfl_data::VirtualPopulation
 
-use gfl_baselines::{FedNova, FedProx};
+use gfl_baselines::{FedNova, FedProx, Scaffold};
 use gfl_core::prelude::*;
-use gfl_data::{VirtualPopulation, VirtualSpec};
 use gfl_nn::Params;
-use gfl_sim::Topology;
+use gfl_test_support::{assert_bit_identical, tiny_world, twins};
 
-fn seed_offset() -> u64 {
-    std::env::var("GFL_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0)
+/// Algorithm 1 under `strategy`: the trajectory and the final model.
+fn run<S: LocalUpdate>(t: Trainer, groups: &[Group], strategy: &S) -> (RunHistory, Params) {
+    let probs = t.sampling_probs(groups, SamplingStrategy::ESRCov);
+    let plan = RunPlan {
+        clock: Clock::Lockstep,
+        membership: Membership::Static {
+            groups,
+            probs: &probs,
+        },
+    };
+    let state = t.run_plan(strategy, &plan).unwrap();
+    (state.history, state.params)
 }
 
 #[test]
 fn baseline_strategies_are_bitwise_equivalent_on_virtual_populations() {
     for seed in 1..=3u64 {
-        let seed = seed + seed_offset();
-        let pop = VirtualPopulation::new(VirtualSpec::tiny(24, 0.5, seed));
-        let (train, part) = pop.materialize();
-        let test = pop.test_set(120);
-        let topo = Topology::even_split(2, part.sizes());
-        let groups = form_groups_per_edge(
-            &CovGrouping {
-                min_group_size: 2,
-                max_cov: 1.0,
-            },
-            &topo,
-            &part.label_matrix,
-            seed,
-        );
-        let mut cfg = GroupFelConfig::tiny();
-        cfg.seed = seed;
-        let model = gfl_nn::zoo::tiny(4, 3);
-        let sizes: Vec<usize> = (0..pop.num_clients()).map(|c| pop.client_size(c)).collect();
-        let nova = FedNova::from_sizes(&sizes, cfg.local_rounds, cfg.batch_size);
+        let t = twins(seed);
+        let sizes = t.part.sizes();
+        let nova = FedNova::from_sizes(&sizes, t.cfg.local_rounds, t.cfg.batch_size);
         let prox = FedProx { mu: 0.1 };
-
-        fn run<S: LocalUpdate>(t: Trainer, groups: &[Group], strategy: &S) -> (RunHistory, Params) {
-            let probs = t.sampling_probs(groups, SamplingStrategy::ESRCov);
-            let plan = RunPlan {
-                clock: Clock::Lockstep,
-                membership: Membership::Static {
-                    groups,
-                    probs: &probs,
-                },
-            };
-            let mut state = t.start(strategy);
-            t.drive(strategy, &plan, &mut state, t.config().global_rounds)
-                .unwrap();
-            (state.history, state.params)
-        }
-        let run_nova = |t: Trainer| run(t, &groups, &nova);
-        let run_prox = |t: Trainer| run(t, &groups, &prox);
-
-        let eager = |cfg: &GroupFelConfig| {
-            Trainer::new(
-                cfg.clone(),
-                model.clone(),
-                train.clone(),
-                part.clone(),
-                test.clone(),
-            )
-        };
-        let virt = |cfg: &GroupFelConfig| {
-            Trainer::new_virtual(cfg.clone(), model.clone(), pop.clone(), test.clone())
-        };
-
         assert_eq!(
-            run_nova(eager(&cfg)),
-            run_nova(virt(&cfg)),
+            run(t.eager(), &t.groups, &nova),
+            run(t.virt(), &t.groups, &nova),
             "seed {seed}: FedNova diverged between eager and virtual"
         );
         assert_eq!(
-            run_prox(eager(&cfg)),
-            run_prox(virt(&cfg)),
+            run(t.eager(), &t.groups, &prox),
+            run(t.virt(), &t.groups, &prox),
             "seed {seed}: FedProx diverged between eager and virtual"
         );
     }
+}
+
+#[test]
+fn scaffold_is_bit_identical_across_thread_counts() {
+    // K = 2 group rounds, so a client's slot accumulates twice before the
+    // server sums the slots; four groups a round, so several clients finish
+    // at once above one thread.
+    let mut w = tiny_world(71).rounds(6);
+    w.cfg.group_rounds = 2;
+    w.cfg.sampled_groups = 4;
+    assert_bit_identical(&[1, 2, 8], || {
+        let scaffold = Scaffold::new(w.model.param_len(), w.part.num_clients());
+        let (history, params) = run(w.trainer(), &w.groups, &scaffold);
+        let bits = |v: Vec<f32>| v.into_iter().map(f32::to_bits).collect::<Vec<u32>>();
+        let variate = bits(scaffold.server_variate());
+        assert!(variate.iter().any(|&b| b != 0), "the variate never moved");
+        (history, bits(params), variate)
+    });
 }

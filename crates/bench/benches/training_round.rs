@@ -52,10 +52,10 @@ fn build(secure: bool) -> (Trainer, Vec<Vec<usize>>) {
         secure_aggregation: secure,
         dropout_prob: 0.0,
     };
-    (
-        Trainer::new(config, gfl_nn::zoo::vision_model(), train, partition, test),
-        groups,
-    )
+    let data = (train, partition);
+    let trainer = Trainer::try_new(config, gfl_nn::zoo::vision_model(), data, test)
+        .expect("valid configuration");
+    (trainer, groups)
 }
 
 fn bench_round(c: &mut Criterion) {
@@ -117,10 +117,10 @@ fn build_paper_scale() -> (Trainer, Vec<Vec<usize>>) {
     config.cost_budget = None;
     config.eval_every = 1;
     config.seed = 1;
-    (
-        Trainer::new(config, gfl_nn::zoo::vision_model(), train, partition, test),
-        groups,
-    )
+    let data = (train, partition);
+    let trainer = Trainer::try_new(config, gfl_nn::zoo::vision_model(), data, test)
+        .expect("valid configuration");
+    (trainer, groups)
 }
 
 /// One paper-shaped global round across worker-thread counts. Results are

@@ -81,11 +81,10 @@ fn build_paper_scale(rounds: usize) -> (Trainer, Vec<Vec<usize>>, Topology) {
     config.cost_budget = None;
     config.eval_every = rounds; // evaluate once, not per round
     config.seed = 1;
-    (
-        Trainer::new(config, gfl_nn::zoo::vision_model(), train, partition, test),
-        groups,
-        topology,
-    )
+    let data = (train, partition);
+    let trainer = Trainer::try_new(config, gfl_nn::zoo::vision_model(), data, test)
+        .expect("valid configuration");
+    (trainer, groups, topology)
 }
 
 /// Deterministic non-zero fill for GEMM operands.
@@ -251,9 +250,8 @@ fn emulated_clock_s(rounds: usize, policy: FaultPolicy) -> f64 {
             probs: &probs,
         },
     };
-    let mut state = trainer.start(&FedAvg);
-    trainer
-        .drive(&FedAvg, &plan, &mut state, rounds)
+    let state = trainer
+        .run_plan(&FedAvg, &plan)
         .expect("a static partition is never re-formed");
     let (_, report) = state.scheduler.expect("event-clock runs carry a report");
     report.final_clock_s()

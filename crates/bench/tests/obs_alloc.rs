@@ -14,12 +14,12 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use gfl_core::driver::{Clock, Membership, RunPlan};
-use gfl_core::engine::{form_groups_per_edge, GroupFelConfig, Trainer};
-use gfl_core::grouping::CovGrouping;
+use gfl_core::engine::Trainer;
 use gfl_core::local::FedAvg;
 use gfl_core::sampling::SamplingStrategy;
 use gfl_data::{ClientPartition, PartitionSpec, SyntheticSpec};
 use gfl_sim::Topology;
+use gfl_test_support::TinyWorld;
 
 struct CountingAlloc;
 
@@ -45,26 +45,9 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static GLOBAL: CountingAlloc = CountingAlloc;
 
 fn tiny_world(secure_aggregation: bool) -> (Trainer, Vec<Vec<usize>>) {
-    let data = SyntheticSpec::tiny().generate(600, 5);
-    let (train, test) = data.split_holdout(5);
-    let partition = ClientPartition::dirichlet(&train, &PartitionSpec::tiny(0.5, 5));
-    let topology = Topology::even_split(2, partition.sizes());
-    let groups = form_groups_per_edge(
-        &CovGrouping {
-            min_group_size: 2,
-            max_cov: 1.0,
-        },
-        &topology,
-        &partition.label_matrix,
-        5,
-    );
-    let mut config = GroupFelConfig::tiny();
-    config.seed = 5;
-    config.secure_aggregation = secure_aggregation;
-    (
-        Trainer::new(config, gfl_nn::zoo::tiny(4, 3), train, partition, test),
-        groups,
-    )
+    let mut w = TinyWorld::at(5);
+    w.cfg.secure_aggregation = secure_aggregation;
+    (w.trainer(), w.groups)
 }
 
 fn allocs_of(f: impl FnOnce()) -> u64 {

@@ -11,7 +11,7 @@ use gfl_core::cov::{group_cov, mean_group_cov};
 use gfl_core::driver::{Clock, Membership, RunPlan, RunState};
 use gfl_core::engine::{form_groups_per_edge, GroupFelConfig, RobustAggRule, Trainer};
 use gfl_core::grouping::GroupingAlgorithm;
-use gfl_core::local::{FedAvg, LocalUpdate};
+use gfl_core::local::FedAvg;
 use gfl_core::membership::RegroupPolicy;
 use gfl_core::sampling::SamplingStrategy;
 use gfl_core::semi_async::AsyncConfig;
@@ -406,8 +406,7 @@ pub fn simulate(argv: &[String], out: &mut dyn Write) -> CmdResult {
     )?;
     let model = model_for(&test, cfg.data.task);
     let param_count = model.param_len();
-    let mut trainer =
-        Trainer::try_from_data(cfg.engine.clone(), model, fed, test).map_err(invalid)?;
+    let mut trainer = Trainer::try_new(cfg.engine.clone(), model, fed, test).map_err(invalid)?;
     // Observation is one-way: attaching a collector never changes results
     // (asserted by crates/core/tests/determinism.rs). With --trace-out the
     // collector streams spans to the file at every round barrier, keeping
@@ -465,16 +464,15 @@ pub fn simulate(argv: &[String], out: &mut dyn Write) -> CmdResult {
         },
     };
     let state = match method {
-        Method::FedAvg => drive_to_end(&trainer, &plan, &FedAvg)?,
-        Method::FedProx => drive_to_end(&trainer, &plan, &FedProx { mu: cfg.mu })?,
-        Method::Scaffold => {
-            drive_to_end(&trainer, &plan, &Scaffold::new(param_count, sizes.len()))?
-        }
+        Method::FedAvg => trainer.run_plan(&FedAvg, &plan),
+        Method::FedProx => trainer.run_plan(&FedProx { mu: cfg.mu }, &plan),
+        Method::Scaffold => trainer.run_plan(&Scaffold::new(param_count, sizes.len()), &plan),
         Method::FedNova => {
             let s = FedNova::from_sizes(&sizes, cfg.engine.local_rounds, cfg.engine.batch_size);
-            drive_to_end(&trainer, &plan, &s)?
+            trainer.run_plan(&s, &plan)
         }
-    };
+    }
+    .map_err(|e| CommandError::Invalid(format!("regrouping failed: {e}")))?;
 
     // --- report ---
     write_report(out, &cfg, &state)?;
@@ -631,20 +629,6 @@ fn write_metrics_summary(out: &mut dyn Write, trace: &gfl_obs::Trace) -> std::io
         }
     }
     Ok(())
-}
-
-/// One whole run of `strategy` under `plan`: all configured rounds from a
-/// fresh state.
-fn drive_to_end<S: LocalUpdate>(
-    trainer: &Trainer,
-    plan: &RunPlan<'_>,
-    strategy: &S,
-) -> Result<RunState, CommandError> {
-    let mut state = trainer.start(strategy);
-    trainer
-        .drive(strategy, plan, &mut state, trainer.config().global_rounds)
-        .map_err(|e| CommandError::Invalid(format!("regrouping failed: {e}")))?;
-    Ok(state)
 }
 
 /// What `gfl group` was asked for: the data, the algorithm, `--json`.

@@ -12,7 +12,7 @@
 //! `GFL_BLESS=1 cargo test -p gfl-cli --test golden` rewrites the files; do
 //! that only with a change that means to move stdout, and commit the diff.
 
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 const HOSTILE: &str = "--task speech --samples 7200 --clients 72 --edges 6 --rounds 6 --k 3 \
      --e 1 --sample 12 --eval-every 1 --runtime semi-async --faults moderate --churn moderate \
@@ -48,24 +48,9 @@ const OUTPUTS: [(&str, &str); 4] = [
     ("--async-csv", "async.csv"),
 ];
 
-fn golden(name: &str) -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("tests/golden")
-        .join(name)
-}
-
 fn check(name: &str, actual: &[u8]) {
-    let path = golden(name);
-    if std::env::var_os("GFL_BLESS").is_some() {
-        std::fs::write(&path, actual).expect("write golden");
-    }
-    let expected = std::fs::read(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
-    assert!(
-        actual == expected.as_slice(),
-        "{name} moved a byte:\n--- expected\n{}\n--- actual\n{}",
-        String::from_utf8_lossy(&expected),
-        String::from_utf8_lossy(actual)
-    );
+    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden");
+    gfl_test_support::golden::check(&path.join(name), actual);
 }
 
 /// `… (17226 params, 2 threads)` → `… (17226 params, N threads)`.

@@ -280,7 +280,13 @@ mod tests {
         let mut cfg = GroupFelConfig::tiny();
         cfg.global_rounds = 6;
         cfg.seed = 77;
-        let trainer = Trainer::new(cfg.clone(), gfl_nn::zoo::tiny(4, 3), train, partition, test);
+        let trainer = Trainer::try_new(
+            cfg.clone(),
+            gfl_nn::zoo::tiny(4, 3),
+            (train, partition),
+            test,
+        )
+        .unwrap();
         let probs = trainer.sampling_probs(&groups, SamplingStrategy::Random);
         let plan = RunPlan {
             clock: Clock::Lockstep,

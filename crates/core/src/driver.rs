@@ -119,6 +119,20 @@ impl Trainer {
         }
     }
 
+    /// A whole run: a fresh [`Trainer::start`] state driven through all the
+    /// configured `global_rounds` under `plan`. Callers that run a *part* of
+    /// a run (a resume, a warm-up leg, a regrouping span) call
+    /// [`Trainer::start`] and [`Trainer::drive`] themselves.
+    pub fn run_plan<S: LocalUpdate>(
+        &self,
+        strategy: &S,
+        plan: &RunPlan<'_>,
+    ) -> Result<RunState, PartitionError> {
+        let mut state = self.start(strategy);
+        self.drive(strategy, plan, &mut state, self.config.global_rounds)?;
+        Ok(state)
+    }
+
     /// Runs `rounds` global rounds of Algorithm 1 from `state.next_round`
     /// under `plan`, advancing `state` in place; stops early once the cost
     /// budget is exhausted. Fails only if a self-healing repair cannot

@@ -347,8 +347,8 @@ pub(crate) struct AdversaryState {
     pub(crate) plan: AdversaryPlan,
     shards: HashMap<usize, PoisonedShard>,
     /// The backdoor trigger pattern. Virtual populations have no prebuilt
-    /// shards, so `run_unit` re-applies the campaign to freshly derived
-    /// rows with this — bitwise what `with_adversary` would have baked in.
+    /// shards, so `run_unit` applies the campaign to freshly derived rows
+    /// with this, through the same [`poison_shard`] that built `shards`.
     trigger: Trigger,
     /// Triggered non-target test samples, relabelled to the trigger
     /// target: accuracy on this set *is* the backdoor attack success rate.
@@ -356,6 +356,37 @@ pub(crate) struct AdversaryState {
     /// Test samples of the flip source class, relabelled to the flip
     /// target: accuracy on this set is the label-flip success rate.
     pub(crate) flip_eval: Option<Dataset>,
+}
+
+/// Applies `plan`'s data-poisoning campaign to `client`'s shard in place:
+/// the rows [`AdversaryPlan::poisons_row`] picks get the trigger (backdoor)
+/// or the flipped label. Returns the campaign and how many rows it
+/// touched; `None` for an honest client, a model poisoner (whose rows stay
+/// honest) or a campaign that touched nothing. Every pick is a pure hash of
+/// the plan seed, so a shard poisoned ahead of time and one poisoned as it
+/// is derived are the same bits.
+fn poison_shard(
+    plan: &AdversaryPlan,
+    trigger: &Trigger,
+    client: usize,
+    features: &mut gfl_tensor::Matrix,
+    labels: &mut [usize],
+) -> Option<(AttackKind, usize)> {
+    let kind = plan.kind(client)?;
+    if matches!(kind, AttackKind::ModelPoison) {
+        return None;
+    }
+    let picked: Vec<usize> = (0..labels.len())
+        .filter(|&r| plan.poisons_row(client, r))
+        .collect();
+    let rows = match kind {
+        AttackKind::Backdoor => {
+            trigger.apply(features, labels, &picked);
+            picked.len()
+        }
+        _ => gfl_data::poison::label_flip(labels, &picked, plan.flip_from, plan.flip_to),
+    };
+    (rows > 0).then_some((kind, rows))
 }
 
 /// Result of one group's work within a global round. Baseline runners
@@ -462,69 +493,23 @@ struct Unit<'a> {
 }
 
 impl Trainer {
-    /// [`Trainer::try_new`] that panics on an invalid configuration.
-    pub fn new(
-        config: GroupFelConfig,
-        model: Network,
-        train: Dataset,
-        partition: ClientPartition,
-        test: Dataset,
-    ) -> Self {
-        Self::try_new(config, model, train, partition, test)
-            .unwrap_or_else(|e| panic!("invalid Group-FEL configuration: {e}"))
-    }
-
     /// Validates the configuration against the data and builds a trainer,
-    /// returning a typed [`ConfigError`] instead of panicking. Zero-round
-    /// configurations (`global_rounds = 0`) are rejected here: they would
-    /// otherwise produce an empty [`RunHistory`] that downstream consumers
-    /// (reports, checkpoints, golden traces) cannot interpret.
+    /// returning a typed [`ConfigError`] instead of panicking — the one
+    /// constructor. `data` is either representation of the federation: a
+    /// `(Dataset, ClientPartition)` pair, or a [`VirtualPopulation`], for
+    /// which no client rows exist up front; each round derives shards for
+    /// exactly the sampled clients and releases them afterwards, so
+    /// steady-state memory is O(sampled clients), not O(population).
+    /// Zero-round configurations (`global_rounds = 0`) are rejected here:
+    /// they would otherwise produce an empty [`RunHistory`] that downstream
+    /// consumers (reports, checkpoints, golden traces) cannot interpret.
     pub fn try_new(
         config: GroupFelConfig,
         model: Network,
-        train: Dataset,
-        partition: ClientPartition,
+        data: impl Into<FedData>,
         test: Dataset,
     ) -> Result<Self, ConfigError> {
-        Self::try_from_data(
-            config,
-            model,
-            FedData::Materialized { train, partition },
-            test,
-        )
-    }
-
-    /// [`Trainer::try_new_virtual`] that panics on an invalid configuration.
-    pub fn new_virtual(
-        config: GroupFelConfig,
-        model: Network,
-        population: VirtualPopulation,
-        test: Dataset,
-    ) -> Self {
-        Self::try_new_virtual(config, model, population, test)
-            .unwrap_or_else(|e| panic!("invalid Group-FEL configuration: {e}"))
-    }
-
-    /// [`Trainer::try_new`] over a [`VirtualPopulation`]: no client rows
-    /// exist up front; each round derives shards for exactly the sampled
-    /// clients and releases them afterwards, so steady-state memory is
-    /// O(sampled clients), not O(population).
-    pub fn try_new_virtual(
-        config: GroupFelConfig,
-        model: Network,
-        population: VirtualPopulation,
-        test: Dataset,
-    ) -> Result<Self, ConfigError> {
-        Self::try_from_data(config, model, FedData::Virtual(population), test)
-    }
-
-    /// [`Trainer::try_new`] over either representation of the federation.
-    pub fn try_from_data(
-        config: GroupFelConfig,
-        model: Network,
-        data: FedData,
-        test: Dataset,
-    ) -> Result<Self, ConfigError> {
+        let data = data.into();
         if model.input_dim() != data.feature_dim() {
             return Err(ConfigError::DimensionMismatch {
                 model: model.input_dim(),
@@ -656,40 +641,22 @@ impl Trainer {
         let trigger = Trigger::corner(plan.trigger_width, plan.trigger_target);
         // Materialized federations pre-poison their compromised shards
         // here; virtual ones poison on the fly in `run_unit`, where the
-        // shard is derived (same picks, same rows — `poisons_row` is a
-        // pure hash of the plan seed either way).
+        // shard is derived — both through `poison_shard`.
         let mut shards = HashMap::new();
         if let FedData::Materialized { train, partition } = &self.data {
             for (client, indices) in partition.indices.iter().enumerate() {
-                let kind = match plan.kind(client) {
-                    Some(k @ (AttackKind::Backdoor | AttackKind::LabelFlip)) => k,
-                    _ => continue,
-                };
-                if indices.is_empty() {
+                // Honest clients' rows are never copied.
+                if indices.is_empty() || plan.kind(client).is_none() {
                     continue;
                 }
                 let local = train.subset(indices);
                 let mut features = local.features().clone();
                 let mut labels = local.labels().to_vec();
-                let picked: Vec<usize> = (0..local.len())
-                    .filter(|&r| plan.poisons_row(client, r))
-                    .collect();
-                let rows = match kind {
-                    AttackKind::Backdoor => {
-                        trigger.apply(&mut features, &mut labels, &picked);
-                        picked.len()
-                    }
-                    AttackKind::LabelFlip => gfl_data::poison::label_flip(
-                        &mut labels,
-                        &picked,
-                        plan.flip_from,
-                        plan.flip_to,
-                    ),
-                    AttackKind::ModelPoison => unreachable!(),
+                let Some((kind, rows)) =
+                    poison_shard(&plan, &trigger, client, &mut features, &mut labels)
+                else {
+                    continue;
                 };
-                if rows == 0 {
-                    continue; // campaign touched nothing: the shard is honest
-                }
                 let len = labels.len();
                 shards.insert(
                     client,
@@ -829,8 +796,8 @@ impl Trainer {
 
     /// Runs Algorithm 1 with the given groups, local strategy, and sampling
     /// strategy for the configured `T` rounds. Returns the evaluation
-    /// trajectory. The convenience form of [`Trainer::start`] +
-    /// [`Trainer::drive`] on a lockstep, static plan.
+    /// trajectory. The convenience form of [`Trainer::run_plan`] on a
+    /// lockstep, static plan.
     pub fn run<S: LocalUpdate>(
         &self,
         groups: &[Group],
@@ -845,10 +812,9 @@ impl Trainer {
                 probs: &probs,
             },
         };
-        let mut state = self.start(strategy);
-        self.drive(strategy, &plan, &mut state, self.config.global_rounds)
-            .expect("a static partition is never re-formed");
-        state.history
+        self.run_plan(strategy, &plan)
+            .expect("a static partition is never re-formed")
+            .history
     }
 
     /// Trains one group for `K` group rounds starting from `global` (Lines
@@ -1280,8 +1246,7 @@ impl Trainer {
         // survive SecAgg exactly as they would in deployment. Materialized
         // federations use prebuilt shards; virtual ones derive the client's
         // rows on demand into pooled buffers (released below) and apply the
-        // campaign to the fresh rows — same picks, same rows, bitwise the
-        // shard `with_adversary` would have prebuilt.
+        // campaign to the fresh rows with the routine that prebuilt those.
         let adv = self.adversary.as_ref();
         let mut owned: Option<(Dataset, Vec<usize>)> = None;
         let mut poisoned: Option<(AttackKind, usize)> = None;
@@ -1299,32 +1264,11 @@ impl Trainer {
                 let features = self.shard_pool.take();
                 let labels = self.member_pool.take();
                 let mut ds = pop.shard_from_parts(client, features, labels);
-                let kind = adv.and_then(|a| match a.plan.kind(client) {
-                    Some(k @ (AttackKind::Backdoor | AttackKind::LabelFlip)) => Some(k),
-                    _ => None,
-                });
-                if let (Some(a), Some(kind)) = (adv, kind) {
+                if let Some(a) = adv.filter(|a| a.plan.kind(client).is_some()) {
                     let classes = ds.num_classes();
                     let (mut features, mut labels) = ds.into_parts();
-                    let picked: Vec<usize> = (0..labels.len())
-                        .filter(|&r| a.plan.poisons_row(client, r))
-                        .collect();
-                    let rows = match kind {
-                        AttackKind::Backdoor => {
-                            a.trigger.apply(&mut features, &mut labels, &picked);
-                            picked.len()
-                        }
-                        AttackKind::LabelFlip => gfl_data::poison::label_flip(
-                            &mut labels,
-                            &picked,
-                            a.plan.flip_from,
-                            a.plan.flip_to,
-                        ),
-                        AttackKind::ModelPoison => unreachable!(),
-                    };
-                    if rows > 0 {
-                        poisoned = Some((kind, rows));
-                    }
+                    poisoned =
+                        poison_shard(&a.plan, &a.trigger, client, &mut features, &mut labels);
                     ds = Dataset::new(features, labels, classes);
                 }
                 let mut idx = self.member_pool.take();
@@ -1509,8 +1453,14 @@ mod tests {
             seed,
         );
         let model = gfl_nn::zoo::tiny(4, 3);
-        let trainer = Trainer::new(GroupFelConfig::tiny(), model, train, part, test);
+        let trainer = Trainer::try_new(GroupFelConfig::tiny(), model, (train, part), test).unwrap();
         (trainer, groups)
+    }
+
+    /// `trainer`'s federation under another configuration.
+    fn with_config(trainer: &Trainer, cfg: GroupFelConfig) -> Trainer {
+        let data = (trainer.train_data().clone(), trainer.partition().clone());
+        Trainer::try_new(cfg, trainer.model.clone(), data, trainer.test.clone()).unwrap()
     }
 
     #[test]
@@ -1531,13 +1481,7 @@ mod tests {
         let mut cfg = GroupFelConfig::tiny();
         cfg.global_rounds = 12;
         cfg.lr = LrSchedule::Constant(0.2);
-        let trainer = Trainer::new(
-            cfg,
-            trainer.model.clone(),
-            trainer.train_data().clone(),
-            trainer.partition().clone(),
-            trainer.test.clone(),
-        );
+        let trainer = with_config(&trainer, cfg);
         let h = trainer.run(&groups, &FedAvg, SamplingStrategy::ESRCov);
         let first = h.first_record().expect("eval on cadence").accuracy;
         let best = h.best_accuracy();
@@ -1565,13 +1509,7 @@ mod tests {
         let plain = trainer.run(&groups, &FedAvg, SamplingStrategy::Random);
         let mut cfg = trainer.config.clone();
         cfg.secure_aggregation = true;
-        let secure_trainer = Trainer::new(
-            cfg,
-            trainer.model.clone(),
-            trainer.train_data().clone(),
-            trainer.partition().clone(),
-            trainer.test.clone(),
-        );
+        let secure_trainer = with_config(&trainer, cfg);
         let secure = secure_trainer.run(&groups, &FedAvg, SamplingStrategy::Random);
         // Same trajectory up to f32 mask-cancellation rounding.
         for (p, s) in plain.records().iter().zip(secure.records()) {
@@ -1591,13 +1529,7 @@ mod tests {
         cfg.global_rounds = 50;
         cfg.eval_every = 1;
         cfg.cost_budget = Some(1000.0);
-        let trainer = Trainer::new(
-            cfg,
-            trainer.model.clone(),
-            trainer.train_data().clone(),
-            trainer.partition().clone(),
-            trainer.test.clone(),
-        );
+        let trainer = with_config(&trainer, cfg);
         let h = trainer.run(&groups, &FedAvg, SamplingStrategy::Random);
         let last = h.last_record().expect("eval on cadence");
         assert!(last.round < 49, "budget should stop before round 50");
@@ -1605,59 +1537,58 @@ mod tests {
 
     #[test]
     fn zero_round_configs_are_typed_errors_not_panics() {
+        // Every refusal of the one constructor, over both representations
+        // of the federation it accepts.
         let (trainer, _groups) = tiny_world(8);
-        let build = |cfg: GroupFelConfig, model: Network| match Trainer::try_new(
-            cfg,
-            model,
-            trainer.train_data().clone(),
-            trainer.partition().clone(),
-            trainer.test.clone(),
-        ) {
-            Err(e) => e,
-            Ok(_) => panic!("invalid configuration must be rejected"),
-        };
-
-        let mut cfg = GroupFelConfig::tiny();
-        cfg.global_rounds = 0;
-        assert_eq!(
-            build(cfg, trainer.model.clone()),
-            ConfigError::ZeroGlobalRounds
-        );
-
-        let mut cfg = GroupFelConfig::tiny();
-        cfg.group_rounds = 0;
-        assert_eq!(
-            build(cfg, trainer.model.clone()),
-            ConfigError::ZeroGroupRounds
-        );
-
-        let mut cfg = GroupFelConfig::tiny();
-        cfg.eval_every = 0;
-        assert_eq!(
-            build(cfg, trainer.model.clone()),
-            ConfigError::ZeroEvalCadence
-        );
-
-        let err = build(GroupFelConfig::tiny(), gfl_nn::zoo::tiny(9, 3));
-        assert!(matches!(
-            err,
-            ConfigError::DimensionMismatch { model: 9, .. }
-        ));
+        let eager = (trainer.train_data().clone(), trainer.partition().clone());
+        let pop = VirtualPopulation::new(gfl_data::VirtualSpec::tiny(8, 0.5, 8));
+        let tiny = GroupFelConfig::tiny;
+        let cases = [
+            (
+                GroupFelConfig {
+                    global_rounds: 0,
+                    ..tiny()
+                },
+                gfl_nn::zoo::tiny(4, 3),
+                ConfigError::ZeroGlobalRounds,
+            ),
+            (
+                GroupFelConfig {
+                    group_rounds: 0,
+                    ..tiny()
+                },
+                gfl_nn::zoo::tiny(4, 3),
+                ConfigError::ZeroGroupRounds,
+            ),
+            (
+                GroupFelConfig {
+                    eval_every: 0,
+                    ..tiny()
+                },
+                gfl_nn::zoo::tiny(4, 3),
+                ConfigError::ZeroEvalCadence,
+            ),
+            (
+                tiny(),
+                gfl_nn::zoo::tiny(9, 3),
+                ConfigError::DimensionMismatch { model: 9, data: 4 },
+            ),
+        ];
+        for (cfg, model, want) in cases {
+            let refusal = |data: FedData| {
+                Trainer::try_new(cfg.clone(), model.clone(), data, trainer.test.clone()).err()
+            };
+            assert_eq!(refusal(eager.clone().into()), Some(want.clone()));
+            assert_eq!(refusal(pop.clone().into()), Some(want));
+        }
     }
 
     #[test]
     fn observer_records_rounds_and_phase_spans() {
         let (trainer, groups) = tiny_world(9);
         let obs = gfl_obs::TraceCollector::new();
-        let trainer = Trainer::try_new(
-            trainer.config.clone(),
-            trainer.model.clone(),
-            trainer.train_data().clone(),
-            trainer.partition().clone(),
-            trainer.test.clone(),
-        )
-        .unwrap()
-        .with_observer(std::sync::Arc::clone(&obs));
+        let trainer = with_config(&trainer, trainer.config.clone())
+            .with_observer(std::sync::Arc::clone(&obs));
         let h = trainer.run(&groups, &FedAvg, SamplingStrategy::ESRCov);
         let trace = obs.finish(gfl_parallel::default_parallelism());
         let rounds = trainer.config.global_rounds as u64;
@@ -1736,10 +1667,7 @@ mod tests {
                 clock: Clock::Lockstep,
                 membership,
             };
-            let mut state = trainer.start(&FedAvg);
-            let rounds = trainer.config.global_rounds;
-            trainer.drive(&FedAvg, &plan, &mut state, rounds).unwrap();
-            state
+            trainer.run_plan(&FedAvg, &plan).unwrap()
         };
         let fixed = drive(Membership::Static {
             groups: &groups,
@@ -1768,14 +1696,7 @@ mod tests {
                 select: 2,
             },
         ] {
-            let t = Trainer::new(
-                trainer.config.clone(),
-                trainer.model.clone(),
-                trainer.train_data().clone(),
-                trainer.partition().clone(),
-                trainer.test.clone(),
-            )
-            .with_robust_agg(rule);
+            let t = with_config(&trainer, trainer.config.clone()).with_robust_agg(rule);
             let probs = t.sampling_probs(&groups, SamplingStrategy::Random);
             let plan = RunPlan {
                 clock: Clock::Lockstep,
@@ -1784,9 +1705,7 @@ mod tests {
                     probs: &probs,
                 },
             };
-            let mut state = t.start(&FedAvg);
-            t.drive(&FedAvg, &plan, &mut state, t.config.global_rounds)
-                .unwrap();
+            let state = t.run_plan(&FedAvg, &plan).unwrap();
             assert!(!state.history.is_empty(), "{rule:?} produced no records");
             assert!(
                 state.params.iter().all(|w| w.is_finite()),
@@ -1800,17 +1719,12 @@ mod tests {
         // Breakdown parameters far beyond what tiny groups support must
         // clamp rather than panic inside gfl-defense.
         let (trainer, groups) = tiny_world(13);
-        let t = Trainer::new(
-            trainer.config.clone(),
-            trainer.model.clone(),
-            trainer.train_data().clone(),
-            trainer.partition().clone(),
-            trainer.test.clone(),
-        )
-        .with_robust_agg(RobustAggRule::MultiKrum {
-            byzantine: 50,
-            select: 50,
-        });
+        let t = with_config(&trainer, trainer.config.clone()).with_robust_agg(
+            RobustAggRule::MultiKrum {
+                byzantine: 50,
+                select: 50,
+            },
+        );
         let h = t.run(&groups, &FedAvg, SamplingStrategy::Random);
         assert!(!h.is_empty());
     }
@@ -1821,14 +1735,7 @@ mod tests {
         let (trainer, _) = tiny_world(14);
         let mut cfg = trainer.config.clone();
         cfg.secure_aggregation = true;
-        let _ = Trainer::new(
-            cfg,
-            trainer.model.clone(),
-            trainer.train_data().clone(),
-            trainer.partition().clone(),
-            trainer.test.clone(),
-        )
-        .with_robust_agg(RobustAggRule::CoordinateMedian);
+        let _ = with_config(&trainer, cfg).with_robust_agg(RobustAggRule::CoordinateMedian);
     }
 
     #[test]
@@ -1836,13 +1743,7 @@ mod tests {
         let (trainer, groups) = tiny_world(7);
         let mut cfg = GroupFelConfig::tiny();
         cfg.sampled_groups = 500; // more than exist
-        let trainer = Trainer::new(
-            cfg,
-            trainer.model.clone(),
-            trainer.train_data().clone(),
-            trainer.partition().clone(),
-            trainer.test.clone(),
-        );
+        let trainer = with_config(&trainer, cfg);
         let h = trainer.run(&groups, &FedAvg, SamplingStrategy::Random);
         assert!(!h.is_empty());
     }

@@ -47,9 +47,10 @@
 //!
 //! let config = GroupFelConfig::tiny();
 //! let model = gfl_nn::zoo::tiny(4, 3);
-//! let trainer = Trainer::new(config, model, train, part, test);
+//! let trainer = Trainer::try_new(config, model, (train, part), test)?;
 //! let history = trainer.run(&groups, &FedAvg, SamplingStrategy::ESRCov);
 //! assert!(history.records().len() > 0);
+//! # Ok::<(), ConfigError>(())
 //! ```
 
 pub mod checkpoint;

@@ -11,138 +11,8 @@
 use gfl_core::checkpoint::Checkpoint;
 use gfl_core::membership::RegroupPolicy;
 use gfl_core::prelude::*;
-use gfl_data::{ClientPartition, PartitionSpec, SyntheticSpec};
 use gfl_faults::{ChurnPlan, FaultPlan, FaultPolicy};
-use gfl_nn::Params;
-use gfl_sim::Topology;
-
-/// Whole FedAvg runs from a fresh state, one method per clock × membership
-/// cell this suite drives.
-trait Runs {
-    fn run_plan(
-        &self,
-        clock: Clock,
-        membership: Membership<'_>,
-    ) -> Result<RunState, PartitionError>;
-    fn run_static(&self, groups: &[Group], sampling: SamplingStrategy) -> (RunHistory, Params);
-    fn run_healing(
-        &self,
-        algo: &dyn GroupingAlgorithm,
-        topology: &Topology,
-        sampling: SamplingStrategy,
-    ) -> Result<(RunHistory, Params, MembershipState), PartitionError>;
-}
-
-impl Runs for Trainer {
-    fn run_plan(
-        &self,
-        clock: Clock,
-        membership: Membership<'_>,
-    ) -> Result<RunState, PartitionError> {
-        let mut state = self.start(&FedAvg);
-        let plan = RunPlan { clock, membership };
-        self.drive(&FedAvg, &plan, &mut state, self.config().global_rounds)?;
-        Ok(state)
-    }
-    fn run_static(&self, groups: &[Group], sampling: SamplingStrategy) -> (RunHistory, Params) {
-        let probs = self.sampling_probs(groups, sampling);
-        let membership = Membership::Static {
-            groups,
-            probs: &probs,
-        };
-        let s = self.run_plan(Clock::Lockstep, membership).unwrap();
-        (s.history, s.params)
-    }
-    fn run_healing(
-        &self,
-        algo: &dyn GroupingAlgorithm,
-        topology: &Topology,
-        sampling: SamplingStrategy,
-    ) -> Result<(RunHistory, Params, MembershipState), PartitionError> {
-        let membership = Membership::SelfHealing {
-            algo,
-            topology,
-            sampling,
-        };
-        let s = self.run_plan(Clock::Lockstep, membership)?;
-        Ok((s.history, s.params, s.membership.unwrap()))
-    }
-}
-
-/// CI seed shift: `GFL_SEED=n` offsets every seed in the suite.
-fn seed_offset() -> u64 {
-    std::env::var("GFL_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0)
-}
-
-struct World {
-    cfg: GroupFelConfig,
-    model: gfl_nn::Network,
-    part: ClientPartition,
-    topo: Topology,
-    groups: Vec<Group>,
-    train: gfl_data::Dataset,
-    test: gfl_data::Dataset,
-}
-
-/// Tiny two-edge federation shared by every adversarial test.
-fn world(seed: u64) -> World {
-    let seed = seed + seed_offset();
-    let data = SyntheticSpec::tiny().generate(600, seed);
-    let (train, test) = data.split_holdout(5);
-    let part = ClientPartition::dirichlet(&train, &PartitionSpec::tiny(0.5, seed));
-    let topo = Topology::even_split(2, part.sizes());
-    let groups = form_groups_per_edge(
-        &CovGrouping {
-            min_group_size: 2,
-            max_cov: 1.0,
-        },
-        &topo,
-        &part.label_matrix,
-        seed,
-    );
-    let mut cfg = GroupFelConfig::tiny();
-    cfg.global_rounds = 6;
-    cfg.seed = seed;
-    World {
-        cfg,
-        model: gfl_nn::zoo::tiny(4, 3),
-        part,
-        topo,
-        groups,
-        train,
-        test,
-    }
-}
-
-impl World {
-    /// Re-forms the partition into larger groups (≥ 4 members), so the
-    /// FLAME filter — which needs at least 3 live updates to cluster —
-    /// actually engages.
-    fn big_groups(&self) -> Vec<Group> {
-        form_groups_per_edge(
-            &CovGrouping {
-                min_group_size: 4,
-                max_cov: 10.0,
-            },
-            &self.topo,
-            &self.part.label_matrix,
-            self.cfg.seed,
-        )
-    }
-
-    fn trainer(&self) -> Trainer {
-        Trainer::new(
-            self.cfg.clone(),
-            self.model.clone(),
-            self.train.clone(),
-            self.part.clone(),
-            self.test.clone(),
-        )
-    }
-}
+use gfl_test_support::{covg, tiny_world, Runs};
 
 /// A plan aggressive enough that a tiny federation reliably contains
 /// adversaries of every kind.
@@ -160,7 +30,7 @@ fn clean_plan_is_bit_identical_to_no_adversary() {
     // Chaos-style guarantee: compiling the adversary machinery in with a
     // zero-fraction plan must not move a single bit — no engine RNG stream
     // is consumed and no history field materializes.
-    let w = world(41);
+    let w = tiny_world(41).rounds(6);
     let (h_clean, p_clean) = w.trainer().run_static(&w.groups, SamplingStrategy::ESRCov);
     let (h_adv, p_adv) = w
         .trainer()
@@ -179,7 +49,7 @@ fn clean_plan_is_bit_identical_to_no_adversary() {
 
 #[test]
 fn attacked_run_is_deterministic_and_replayable() {
-    let w = world(42);
+    let w = tiny_world(42).rounds(6);
     let run = || {
         w.trainer()
             .with_adversary(heavy_plan(w.cfg.seed))
@@ -198,7 +68,7 @@ fn every_campaign_kind_is_logged_and_measured() {
     // a campaign to zero members. Deterministically scan a few plan seeds
     // until one run exhibits all three campaigns — every assertion below
     // then checks that run.
-    let w = world(43);
+    let w = tiny_world(43).rounds(6);
     let h = (0..16)
         .map(|d| {
             w.trainer()
@@ -232,7 +102,7 @@ fn every_campaign_kind_is_logged_and_measured() {
 fn attacked_run_perturbs_the_model() {
     // The campaigns must actually reach the global model: an attacked run
     // cannot coincide with the clean trajectory.
-    let w = world(44);
+    let w = tiny_world(44).rounds(6);
     let (_, p_clean) = w.trainer().run_static(&w.groups, SamplingStrategy::ESRCov);
     let (_, p_adv) = w
         .trainer()
@@ -246,12 +116,12 @@ fn flame_filter_intercepts_model_poison() {
     // 5×, sign-flipped uploads point away from every honest update; the
     // cosine-clustering filter must cut at least some of them, and each
     // interception must land in the attack log.
-    let w = world(45);
+    let w = tiny_world(45).rounds(6);
     let plan = AdversaryPlan {
         model_poison_fraction: 0.25,
         ..AdversaryPlan::moderate(w.cfg.seed)
     };
-    let groups = w.big_groups();
+    let groups = w.groups_with(4, 10.0);
     let h = w
         .trainer()
         .with_adversary(plan)
@@ -267,7 +137,7 @@ fn non_finite_gate_reclassifies_overflowed_poison() {
     // An amplification factor beyond f32 range overflows the poisoned
     // update; the reject-non-finite gate catches it and the injection is
     // recorded as an interception instead.
-    let w = world(46);
+    let w = tiny_world(46).rounds(6);
     let plan = AdversaryPlan {
         backdoor_fraction: 0.0,
         label_flip_fraction: 0.0,
@@ -291,7 +161,7 @@ fn attacks_survive_secure_aggregation() {
     // Poison is applied before masking, so SecAgg must neither strip the
     // attack nor break the run: the attacked secure trajectory diverges
     // from the clean secure one and still logs its campaign.
-    let mut w = world(47);
+    let mut w = tiny_world(47).rounds(6);
     w.cfg.secure_aggregation = true;
     let (h_clean, p_clean) = w.trainer().run_static(&w.groups, SamplingStrategy::Random);
     let (h_adv, p_adv) = w
@@ -309,11 +179,8 @@ fn adversary_composes_with_faults_and_churn() {
     // The full gauntlet: churned self-healing + fault injection + a live
     // adversary, twice — completing without panicking and replaying
     // bit-identically.
-    let w = world(48);
-    let algo = CovGrouping {
-        min_group_size: 2,
-        max_cov: 1.0,
-    };
+    let w = tiny_world(48).rounds(6);
+    let algo = covg(2, 1.0);
     let run = || {
         let t = w
             .trainer()
@@ -347,7 +214,7 @@ fn adversary_composes_with_faults_and_churn() {
 fn attacked_checkpoint_resume_is_bit_identical() {
     // The attack log and ASR trajectory ride through checkpoint JSON: a
     // split session must reproduce the straight run's history bit for bit.
-    let w = world(49);
+    let w = tiny_world(49).rounds(6);
     let trainer = w.trainer().with_adversary(heavy_plan(w.cfg.seed));
     let probs = trainer.sampling_probs(&w.groups, SamplingStrategy::ESRCov);
     let plan = RunPlan {
@@ -390,13 +257,13 @@ fn attack_defense_telemetry_reaches_the_collector() {
     // traced rounds used to carry none of this, and literal zeros for the
     // pool and allocation fields).
     for clock in [Clock::Lockstep, Clock::EventDriven(AsyncConfig::default())] {
-        let w = world(50);
+        let w = tiny_world(50).rounds(6);
         let obs = gfl_obs::TraceCollector::new();
         let plan = AdversaryPlan {
             model_poison_fraction: 0.25,
             ..AdversaryPlan::moderate(w.cfg.seed)
         };
-        let groups = w.big_groups();
+        let groups = w.groups_with(4, 10.0);
         let t = w
             .trainer()
             .with_adversary(plan)
@@ -407,7 +274,8 @@ fn attack_defense_telemetry_reaches_the_collector() {
             groups: &groups,
             probs: &probs,
         };
-        let h = t.run_plan(clock, membership).unwrap().history;
+        let plan = RunPlan { clock, membership };
+        let h = t.run_plan(&FedAvg, &plan).unwrap().history;
         let trace = obs.finish(1);
         let metrics = &trace.summary.as_ref().expect("trace summary").metrics;
         let get = |name: &str| metrics.counter(name).unwrap_or(0);
@@ -443,9 +311,9 @@ fn defense_work_shows_up_in_the_cost_ledger() {
     // Satellite: DefenseCost flows into the emulated round time, so a
     // FLAME-defended run is strictly costlier than the same run without
     // the filter.
-    let w = world(51);
+    let w = tiny_world(51).rounds(6);
     let plan = heavy_plan(w.cfg.seed);
-    let groups = w.big_groups();
+    let groups = w.groups_with(4, 10.0);
     let run_cost = |rule: RobustAggRule| {
         let t = w
             .trainer()

@@ -12,106 +12,22 @@
 
 use gfl_core::checkpoint::Checkpoint;
 use gfl_core::prelude::*;
-use gfl_data::{ClientPartition, PartitionSpec, SyntheticSpec};
 use gfl_faults::{FaultPlan, FaultPolicy, OutageWindow};
-use gfl_nn::Params;
-use gfl_sim::Topology;
 use gfl_tensor::init;
-
-/// Whole FedAvg runs from a fresh state, one method per clock × membership
-/// cell this suite drives.
-trait Runs {
-    fn run_plan(
-        &self,
-        clock: Clock,
-        membership: Membership<'_>,
-    ) -> Result<RunState, PartitionError>;
-    fn run_static(&self, groups: &[Group], sampling: SamplingStrategy) -> (RunHistory, Params);
-}
-
-impl Runs for Trainer {
-    fn run_plan(
-        &self,
-        clock: Clock,
-        membership: Membership<'_>,
-    ) -> Result<RunState, PartitionError> {
-        let mut state = self.start(&FedAvg);
-        let plan = RunPlan { clock, membership };
-        self.drive(&FedAvg, &plan, &mut state, self.config().global_rounds)?;
-        Ok(state)
-    }
-    fn run_static(&self, groups: &[Group], sampling: SamplingStrategy) -> (RunHistory, Params) {
-        let probs = self.sampling_probs(groups, sampling);
-        let membership = Membership::Static {
-            groups,
-            probs: &probs,
-        };
-        let s = self.run_plan(Clock::Lockstep, membership).unwrap();
-        (s.history, s.params)
-    }
-}
-
-/// CI seed shift: `GFL_SEED=n` offsets every seed in the suite.
-fn seed_offset() -> u64 {
-    std::env::var("GFL_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0)
-}
-
-/// Tiny two-edge federation shared by every chaos test.
-fn world(
-    seed: u64,
-) -> (
-    GroupFelConfig,
-    gfl_nn::Network,
-    ClientPartition,
-    Topology,
-    Vec<Group>,
-    gfl_data::Dataset,
-    gfl_data::Dataset,
-) {
-    let seed = seed + seed_offset();
-    let data = SyntheticSpec::tiny().generate(600, seed);
-    let (train, test) = data.split_holdout(5);
-    let part = ClientPartition::dirichlet(&train, &PartitionSpec::tiny(0.5, seed));
-    let topo = Topology::even_split(2, part.sizes());
-    let groups = form_groups_per_edge(
-        &CovGrouping {
-            min_group_size: 2,
-            max_cov: 1.0,
-        },
-        &topo,
-        &part.label_matrix,
-        seed,
-    );
-    let mut cfg = GroupFelConfig::tiny();
-    cfg.seed = seed;
-    (
-        cfg,
-        gfl_nn::zoo::tiny(4, 3),
-        part,
-        topo,
-        groups,
-        train,
-        test,
-    )
-}
-
-fn trainer(seed: u64) -> (Trainer, Topology, Vec<Group>) {
-    let (cfg, model, part, topo, groups, train, test) = world(seed);
-    (Trainer::new(cfg, model, train, part, test), topo, groups)
-}
+use gfl_test_support::{tiny_world, Runs};
 
 #[test]
 fn empty_plan_is_bit_identical_to_no_faults() {
     // Compiling the fault machinery in must cost nothing behaviorally:
     // fault decisions are pure hashes, never draws from the engine RNG.
-    let (clean, _, groups) = trainer(11);
-    let (armed, topo, _) = trainer(11);
-    let armed = armed.with_faults(FaultPlan::none(), FaultPolicy::default(), &topo);
-    let a = clean.run(&groups, &FedAvg, SamplingStrategy::ESRCov);
-    let b = armed.run(&groups, &FedAvg, SamplingStrategy::ESRCov);
+    let w = tiny_world(11);
+    let armed = w
+        .trainer()
+        .with_faults(FaultPlan::none(), FaultPolicy::default(), &w.topo);
+    let a = w
+        .trainer()
+        .run(&w.groups, &FedAvg, SamplingStrategy::ESRCov);
+    let b = armed.run(&w.groups, &FedAvg, SamplingStrategy::ESRCov);
     assert_eq!(a, b);
     assert!(b.fault_events().is_empty());
 }
@@ -121,9 +37,11 @@ fn faulted_run_is_deterministic() {
     // Identical seeds + identical plan ⇒ bit-identical RunHistory,
     // fault log included.
     let run = || {
-        let (t, topo, groups) = trainer(12);
-        let t = t.with_faults(FaultPlan::moderate(99), FaultPolicy::default(), &topo);
-        t.run(&groups, &FedAvg, SamplingStrategy::ESRCov)
+        let w = tiny_world(12);
+        let t = w
+            .trainer()
+            .with_faults(FaultPlan::moderate(99), FaultPolicy::default(), &w.topo);
+        t.run(&w.groups, &FedAvg, SamplingStrategy::ESRCov)
     };
     let a = run();
     let b = run();
@@ -139,14 +57,12 @@ fn total_dropout_holds_the_round() {
     // dropout_prob = 1.0: every client drops every group round. The global
     // model must be held (x_{t+1} = x_t), stay finite, and each held round
     // must be recorded — even without a fault plan attached.
-    let (cfg, model, part, _topo, groups, train, test) = world(13);
-    let mut cfg = cfg;
-    cfg.dropout_prob = 1.0;
-    let seed = cfg.seed;
-    let rounds = cfg.global_rounds;
-    let t = Trainer::new(cfg, model, train, part, test);
-    let initial = t.model().init_params(&mut init::rng(seed));
-    let (h, params) = t.run_static(&groups, SamplingStrategy::Random);
+    let mut w = tiny_world(13);
+    w.cfg.dropout_prob = 1.0;
+    let rounds = w.cfg.global_rounds;
+    let t = w.trainer();
+    let initial = t.model().init_params(&mut init::rng(w.cfg.seed));
+    let (h, params) = t.run_static(&w.groups, SamplingStrategy::Random);
     assert_eq!(params, initial, "held rounds must not move the model");
     assert!(params.iter().all(|w| w.is_finite()));
     assert_eq!(h.fault_summary().rounds_held, rounds);
@@ -157,18 +73,14 @@ fn total_dropout_holds_the_round() {
 fn total_dropout_with_quorum_skips_every_group() {
     // Same zero-survivor storm, but with the fault policy armed: every
     // group misses quorum, is skipped, and the round is still held safely.
-    let (cfg, model, part, topo, groups, train, test) = world(13);
-    let mut cfg = cfg;
-    cfg.dropout_prob = 1.0;
-    let seed = cfg.seed;
-    let rounds = cfg.global_rounds;
-    let t = Trainer::new(cfg, model, train, part, test).with_faults(
-        FaultPlan::none(),
-        FaultPolicy::default(),
-        &topo,
-    );
-    let initial = t.model().init_params(&mut init::rng(seed));
-    let (h, params) = t.run_static(&groups, SamplingStrategy::Random);
+    let mut w = tiny_world(13);
+    w.cfg.dropout_prob = 1.0;
+    let rounds = w.cfg.global_rounds;
+    let t = w
+        .trainer()
+        .with_faults(FaultPlan::none(), FaultPolicy::default(), &w.topo);
+    let initial = t.model().init_params(&mut init::rng(w.cfg.seed));
+    let (h, params) = t.run_static(&w.groups, SamplingStrategy::Random);
     assert_eq!(params, initial);
     let s = h.fault_summary();
     assert_eq!(s.rounds_held, rounds);
@@ -183,16 +95,17 @@ fn corrupt_updates_never_reach_the_global_model() {
         corrupt_prob: 1.0,
         ..FaultPlan::none()
     };
-    let (t, topo, groups) = trainer(14);
-    let t = t.with_faults(plan, FaultPolicy::default(), &topo);
-    let seed = t.config().seed;
-    let initial = t.model().init_params(&mut init::rng(seed));
-    let (h, params) = t.run_static(&groups, SamplingStrategy::Random);
+    let w = tiny_world(14);
+    let t = w
+        .trainer()
+        .with_faults(plan, FaultPolicy::default(), &w.topo);
+    let initial = t.model().init_params(&mut init::rng(w.cfg.seed));
+    let (h, params) = t.run_static(&w.groups, SamplingStrategy::Random);
     assert!(params.iter().all(|w| w.is_finite()));
     assert_eq!(params, initial);
     let s = h.fault_summary();
     assert!(s.corrupt_rejected > 0);
-    assert_eq!(s.rounds_held, t.config().global_rounds);
+    assert_eq!(s.rounds_held, w.cfg.global_rounds);
 }
 
 #[test]
@@ -218,11 +131,9 @@ fn every_fault_kind_leaves_an_event() {
         max_retries: 1,
         ..FaultPolicy::default()
     };
-    let (cfg, model, part, topo, groups, train, test) = world(15);
-    let mut cfg = cfg;
-    cfg.global_rounds = 8;
-    let t = Trainer::new(cfg, model, train, part, test).with_faults(plan, policy, &topo);
-    let h = t.run(&groups, &FedAvg, SamplingStrategy::Random);
+    let w = tiny_world(15).rounds(8);
+    let t = w.trainer().with_faults(plan, policy, &w.topo);
+    let h = t.run(&w.groups, &FedAvg, SamplingStrategy::Random);
     let s = h.fault_summary();
     assert!(s.crashes > 0, "no crashes recorded: {s}");
     assert!(s.stragglers_cut > 0, "no straggler cuts recorded: {s}");
@@ -241,24 +152,15 @@ fn moderate_faults_degrade_gracefully() {
     // The headline contract: a moderate fault plan completes with finite
     // parameters, a populated fault log, and accuracy within 5 points of
     // the fault-free baseline.
-    let (cfg, model, part, topo, groups, train, test) = world(16);
-    let mut cfg = cfg;
-    cfg.global_rounds = 12;
-    cfg.lr = gfl_nn::sgd::LrSchedule::Constant(0.2);
-    let clean = Trainer::new(
-        cfg.clone(),
-        model.clone(),
-        train.clone(),
-        part.clone(),
-        test.clone(),
-    );
-    let baseline = clean.run(&groups, &FedAvg, SamplingStrategy::ESRCov);
-    let faulted = Trainer::new(cfg, model, train, part, test).with_faults(
-        FaultPlan::moderate(3),
-        FaultPolicy::default(),
-        &topo,
-    );
-    let (h, params) = faulted.run_static(&groups, SamplingStrategy::ESRCov);
+    let mut w = tiny_world(16).rounds(12);
+    w.cfg.lr = gfl_nn::sgd::LrSchedule::Constant(0.2);
+    let baseline = w
+        .trainer()
+        .run(&w.groups, &FedAvg, SamplingStrategy::ESRCov);
+    let faulted = w
+        .trainer()
+        .with_faults(FaultPlan::moderate(3), FaultPolicy::default(), &w.topo);
+    let (h, params) = faulted.run_static(&w.groups, SamplingStrategy::ESRCov);
     assert!(params.iter().all(|w| w.is_finite()));
     assert!(!h.fault_events().is_empty());
     let gap = baseline.best_accuracy() - h.best_accuracy();
@@ -275,25 +177,17 @@ fn faulted_checkpoint_resume_is_bit_identical() {
     // Satellite: interrupt a *faulted* run midway, checkpoint through the
     // JSON round-trip, resume — the trajectory (records AND fault log)
     // must match the uninterrupted run exactly.
-    let (cfg, model, part, topo, groups, train, test) = world(17);
-    let mut cfg = cfg;
-    cfg.global_rounds = 6;
+    let w = tiny_world(17).rounds(6);
     let make = || {
-        Trainer::new(
-            cfg.clone(),
-            model.clone(),
-            train.clone(),
-            part.clone(),
-            test.clone(),
-        )
-        .with_faults(FaultPlan::moderate(21), FaultPolicy::default(), &topo)
+        w.trainer()
+            .with_faults(FaultPlan::moderate(21), FaultPolicy::default(), &w.topo)
     };
     let t = make();
-    let probs = t.sampling_probs(&groups, SamplingStrategy::ESRCov);
+    let probs = t.sampling_probs(&w.groups, SamplingStrategy::ESRCov);
     let plan = RunPlan {
         clock: Clock::Lockstep,
         membership: Membership::Static {
-            groups: &groups,
+            groups: &w.groups,
             probs: &probs,
         },
     };
@@ -309,7 +203,7 @@ fn faulted_checkpoint_resume_is_bit_identical() {
         !half.history.fault_events().is_empty(),
         "need faults before the cut for the test to mean anything"
     );
-    let cp = Checkpoint::from_state(&half, cfg.clone());
+    let cp = Checkpoint::from_state(&half, w.cfg.clone());
     let restored = Checkpoint::from_json(&cp.to_json()).unwrap();
     assert_eq!(restored.history.fault_events(), cp.history.fault_events());
 
@@ -329,26 +223,26 @@ fn hostile_checkpoint_bytes_are_typed_errors_never_panics() {
     // file must come back as a `CheckpointError` (or, where the damage
     // leaves well-formed JSON of the right shape, as a checkpoint), never
     // as a panic.
-    let (cfg, model, part, topo, groups, train, test) = world(23);
-    let mut cfg = cfg;
-    cfg.secure_aggregation = true;
-    cfg.dropout_prob = 0.2;
-    let t = Trainer::new(cfg.clone(), model, train, part, test).with_faults(
-        FaultPlan::moderate(21),
-        FaultPolicy::default(),
-        &topo,
-    );
-    let probs = t.sampling_probs(&groups, SamplingStrategy::Random);
-    let membership = Membership::Static {
-        groups: &groups,
-        probs: &probs,
+    let mut w = tiny_world(23);
+    w.cfg.secure_aggregation = true;
+    w.cfg.dropout_prob = 0.2;
+    let t = w
+        .trainer()
+        .with_faults(FaultPlan::moderate(21), FaultPolicy::default(), &w.topo);
+    let probs = t.sampling_probs(&w.groups, SamplingStrategy::Random);
+    let plan = RunPlan {
+        clock: Clock::Lockstep,
+        membership: Membership::Static {
+            groups: &w.groups,
+            probs: &probs,
+        },
     };
-    let state = t.run_plan(Clock::Lockstep, membership).unwrap();
+    let state = t.run_plan(&FedAvg, &plan).unwrap();
     assert!(
         !state.history.fault_events().is_empty(),
         "need a fault log to tear"
     );
-    let json = Checkpoint::from_state(&state, cfg).to_json();
+    let json = Checkpoint::from_state(&state, w.cfg).to_json();
     let json = json.trim_end();
     Checkpoint::from_json(json).expect("the intact checkpoint loads");
 

@@ -16,123 +16,27 @@
 use gfl_core::checkpoint::Checkpoint;
 use gfl_core::membership::{MembershipState, RegroupEvent, RegroupPolicy};
 use gfl_core::prelude::*;
-use gfl_data::{ClientPartition, PartitionSpec, SyntheticSpec};
+use gfl_data::{ClientPartition, PartitionSpec};
 use gfl_faults::{ChurnPlan, FaultPlan, FaultPolicy};
-use gfl_nn::Params;
 use gfl_sim::Topology;
-
-/// Whole FedAvg runs from a fresh state, one method per clock × membership
-/// cell this suite drives.
-trait Runs {
-    fn run_plan(
-        &self,
-        clock: Clock,
-        membership: Membership<'_>,
-    ) -> Result<RunState, PartitionError>;
-    fn run_static(&self, groups: &[Group], sampling: SamplingStrategy) -> (RunHistory, Params);
-    fn run_healing(
-        &self,
-        algo: &dyn GroupingAlgorithm,
-        topology: &Topology,
-        sampling: SamplingStrategy,
-    ) -> Result<(RunHistory, Params, MembershipState), PartitionError>;
-}
-
-impl Runs for Trainer {
-    fn run_plan(
-        &self,
-        clock: Clock,
-        membership: Membership<'_>,
-    ) -> Result<RunState, PartitionError> {
-        let mut state = self.start(&FedAvg);
-        let plan = RunPlan { clock, membership };
-        self.drive(&FedAvg, &plan, &mut state, self.config().global_rounds)?;
-        Ok(state)
-    }
-    fn run_static(&self, groups: &[Group], sampling: SamplingStrategy) -> (RunHistory, Params) {
-        let probs = self.sampling_probs(groups, sampling);
-        let membership = Membership::Static {
-            groups,
-            probs: &probs,
-        };
-        let s = self.run_plan(Clock::Lockstep, membership).unwrap();
-        (s.history, s.params)
-    }
-    fn run_healing(
-        &self,
-        algo: &dyn GroupingAlgorithm,
-        topology: &Topology,
-        sampling: SamplingStrategy,
-    ) -> Result<(RunHistory, Params, MembershipState), PartitionError> {
-        let membership = Membership::SelfHealing {
-            algo,
-            topology,
-            sampling,
-        };
-        let s = self.run_plan(Clock::Lockstep, membership)?;
-        Ok((s.history, s.params, s.membership.unwrap()))
-    }
-}
-
-/// CI seed shift: `GFL_SEED=n` offsets every seed in the suite.
-fn seed_offset() -> u64 {
-    std::env::var("GFL_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0)
-}
-
-/// Tiny two-edge federation shared by every churn test.
-fn world(
-    seed: u64,
-) -> (
-    GroupFelConfig,
-    gfl_nn::Network,
-    ClientPartition,
-    Topology,
-    gfl_data::Dataset,
-    gfl_data::Dataset,
-) {
-    let seed = seed + seed_offset();
-    let data = SyntheticSpec::tiny().generate(600, seed);
-    let (train, test) = data.split_holdout(5);
-    let part = ClientPartition::dirichlet(&train, &PartitionSpec::tiny(0.5, seed));
-    let topo = Topology::even_split(2, part.sizes());
-    let mut cfg = GroupFelConfig::tiny();
-    cfg.seed = seed;
-    (cfg, gfl_nn::zoo::tiny(4, 3), part, topo, train, test)
-}
-
-fn algo() -> CovGrouping {
-    CovGrouping {
-        min_group_size: 2,
-        max_cov: 1.0,
-    }
-}
+use gfl_test_support::{covg, seed_offset, tiny_world, Runs, TinyWorld};
 
 #[test]
 fn clean_churn_plan_is_bit_identical_to_static_run() {
     // Compiling the churn machinery in must cost nothing behaviorally: a
     // clean plan through the self-healing loop reproduces the static
     // engine bit for bit.
-    let (cfg, model, part, topo, train, test) = world(21);
-    let static_groups = form_groups_per_edge(&algo(), &topo, &part.label_matrix, cfg.seed);
-    let plain = Trainer::new(
-        cfg.clone(),
-        model.clone(),
-        train.clone(),
-        part.clone(),
-        test.clone(),
-    );
-    let (h_static, p_static) = plain.run_static(&static_groups, SamplingStrategy::ESRCov);
+    let w = tiny_world(21);
+    let (h_static, p_static) = w.trainer().run_static(&w.groups, SamplingStrategy::ESRCov);
 
-    let churned = Trainer::new(cfg, model, train, part, test)
+    let churned = w
+        .trainer()
         .with_churn(ChurnPlan::none(), RegroupPolicy::default());
     let (h_churn, p_churn, membership) = churned
-        .run_healing(&algo(), &topo, SamplingStrategy::ESRCov)
+        .run_healing(&covg(2, 1.0), &w.topo, SamplingStrategy::ESRCov)
         .unwrap();
 
-    assert_eq!(membership.groups(), static_groups);
+    assert_eq!(membership.groups(), w.groups);
     assert_eq!(p_static, p_churn);
     assert_eq!(h_static, h_churn);
     assert!(h_churn.regroup_events().is_empty());
@@ -149,10 +53,11 @@ fn churned_run_is_deterministic_down_to_the_regroup_log() {
         flap_prob: 0.1,
     };
     let run = || {
-        let (cfg, model, part, topo, train, test) = world(22);
-        let t = Trainer::new(cfg, model, train, part, test)
+        let w = tiny_world(22);
+        let t = w
+            .trainer()
             .with_churn(plan.clone(), RegroupPolicy::default());
-        t.run_healing(&algo(), &topo, SamplingStrategy::ESRCov)
+        t.run_healing(&covg(2, 1.0), &w.topo, SamplingStrategy::ESRCov)
             .unwrap()
     };
     let (h_a, p_a, m_a) = run();
@@ -174,9 +79,7 @@ fn zero_survivor_groups_are_dissolved_not_held_forever() {
     // final partition is empty — under either clock (the event clock used
     // to panic sampling from zero groups).
     for clock in [Clock::Lockstep, Clock::EventDriven(AsyncConfig::default())] {
-        let (cfg, model, part, topo, train, test) = world(23);
-        let mut cfg = cfg;
-        cfg.global_rounds = 10;
+        let w = tiny_world(23).rounds(10);
         let plan = ChurnPlan {
             seed: 41 + seed_offset(),
             horizon: 6,
@@ -184,15 +87,14 @@ fn zero_survivor_groups_are_dissolved_not_held_forever() {
             arrival_fraction: 0.0,
             flap_prob: 0.0,
         };
-        let n_clients = part.num_clients();
-        let t =
-            Trainer::new(cfg, model, train, part, test).with_churn(plan, RegroupPolicy::default());
-        let healing = Membership::SelfHealing {
-            algo: &algo(),
-            topology: &topo,
+        let n_clients = w.part.num_clients();
+        let t = w.trainer().with_churn(plan, RegroupPolicy::default());
+        let membership = Membership::SelfHealing {
+            algo: &covg(2, 1.0),
+            topology: &w.topo,
             sampling: SamplingStrategy::ESRCov,
         };
-        let state = t.run_plan(clock, healing).unwrap();
+        let state = t.run_plan(&FedAvg, &RunPlan { clock, membership }).unwrap();
         let (h, membership) = (&state.history, state.membership.as_ref().unwrap());
 
         assert!(membership.groups().is_empty(), "{:?}", membership.groups());
@@ -234,11 +136,13 @@ fn arrivals_join_groups_on_their_own_edge() {
         arrival_fraction: 0.5,
         flap_prob: 0.0,
     };
-    let (cfg, model, part, topo, train, test) = world(24);
-    let t = Trainer::new(cfg, model, train, part, test)
+    let w = tiny_world(24);
+    let topo = &w.topo;
+    let t = w
+        .trainer()
         .with_churn(plan.clone(), RegroupPolicy::default());
     let (h, _, membership) = t
-        .run_healing(&algo(), &topo, SamplingStrategy::ESRCov)
+        .run_healing(&covg(2, 1.0), topo, SamplingStrategy::ESRCov)
         .unwrap();
     let arrivals: Vec<&RegroupEvent> = h
         .regroup_events()
@@ -273,11 +177,13 @@ fn frozen_policy_leaves_arrivals_unplaced() {
         arrival_fraction: 0.5,
         flap_prob: 0.0,
     };
-    let (cfg, model, part, topo, train, test) = world(25);
-    let t = Trainer::new(cfg, model, train, part, test)
+    let w = tiny_world(25);
+    let topo = &w.topo;
+    let t = w
+        .trainer()
         .with_churn(plan.clone(), RegroupPolicy::frozen());
     let (h, _, membership) = t
-        .run_healing(&algo(), &topo, SamplingStrategy::ESRCov)
+        .run_healing(&covg(2, 1.0), topo, SamplingStrategy::ESRCov)
         .unwrap();
     let placed = h
         .regroup_events()
@@ -292,8 +198,8 @@ fn frozen_policy_leaves_arrivals_unplaced() {
         .map(|c| plan.present(c, 0))
         .collect();
     let founding_groups = gfl_core::membership::form_groups_active(
-        &algo(),
-        &topo,
+        &covg(2, 1.0),
+        topo,
         &t.partition().label_matrix,
         &founders,
         t.config().seed,
@@ -308,11 +214,10 @@ fn self_healing_stays_close_to_clean_while_frozen_degrades() {
     // late arrivals) over 100 rounds. The healed run must finish within 5
     // accuracy points of the clean run; the same churn with regrouping
     // frozen must do no better than the healed run.
-    let (cfg, model, part, topo, train, test) = world(26);
-    let mut cfg = cfg;
-    cfg.global_rounds = 100;
-    cfg.eval_every = 20;
-    cfg.lr = gfl_nn::sgd::LrSchedule::Constant(0.2);
+    let mut w = tiny_world(26).rounds(100);
+    w.cfg.eval_every = 20;
+    w.cfg.lr = gfl_nn::sgd::LrSchedule::Constant(0.2);
+    let topo = &w.topo;
     let plan = ChurnPlan {
         seed: 53 + seed_offset(),
         horizon: 100,
@@ -320,27 +225,20 @@ fn self_healing_stays_close_to_clean_while_frozen_degrades() {
         arrival_fraction: 0.25,
         flap_prob: 0.02,
     };
-    let make = || {
-        Trainer::new(
-            cfg.clone(),
-            model.clone(),
-            train.clone(),
-            part.clone(),
-            test.clone(),
-        )
-    };
+    let clean = w
+        .trainer()
+        .run(&w.groups, &FedAvg, SamplingStrategy::ESRCov);
 
-    let static_groups = form_groups_per_edge(&algo(), &topo, &part.label_matrix, cfg.seed);
-    let clean = make().run(&static_groups, &FedAvg, SamplingStrategy::ESRCov);
-
-    let healed_trainer = make().with_churn(plan.clone(), RegroupPolicy::default());
+    let healed_trainer = w
+        .trainer()
+        .with_churn(plan.clone(), RegroupPolicy::default());
     let (healed, p_healed, _) = healed_trainer
-        .run_healing(&algo(), &topo, SamplingStrategy::ESRCov)
+        .run_healing(&covg(2, 1.0), topo, SamplingStrategy::ESRCov)
         .unwrap();
 
-    let frozen_trainer = make().with_churn(plan, RegroupPolicy::frozen());
+    let frozen_trainer = w.trainer().with_churn(plan, RegroupPolicy::frozen());
     let (frozen, p_frozen, _) = frozen_trainer
-        .run_healing(&algo(), &topo, SamplingStrategy::ESRCov)
+        .run_healing(&covg(2, 1.0), topo, SamplingStrategy::ESRCov)
         .unwrap();
 
     assert!(p_healed.iter().all(|w| w.is_finite()));
@@ -370,19 +268,9 @@ fn self_healing_stays_close_to_clean_while_frozen_degrades() {
 /// (membership state included), resumed on a fresh trainer — everything
 /// must match the uninterrupted run exactly. Returns the membership state
 /// that went through the checkpoint.
-fn assert_resume_is_bit_identical(
-    (cfg, model, part, topo, train, test): (
-        GroupFelConfig,
-        gfl_nn::Network,
-        ClientPartition,
-        Topology,
-        gfl_data::Dataset,
-        gfl_data::Dataset,
-    ),
-    cooldown: usize,
-) -> MembershipState {
-    let mut cfg = cfg;
-    cfg.global_rounds = 10;
+fn assert_resume_is_bit_identical(w: TinyWorld, cooldown: usize) -> MembershipState {
+    let w = w.rounds(10);
+    let topo = &w.topo;
     let plan = ChurnPlan {
         seed: 61 + seed_offset(),
         horizon: 5,
@@ -395,22 +283,16 @@ fn assert_resume_is_bit_identical(
         ..RegroupPolicy::default()
     };
     let make = || {
-        Trainer::new(
-            cfg.clone(),
-            model.clone(),
-            train.clone(),
-            part.clone(),
-            test.clone(),
-        )
-        .with_faults(FaultPlan::moderate(5), FaultPolicy::default(), &topo)
-        .with_churn(plan.clone(), policy.clone())
+        w.trainer()
+            .with_faults(FaultPlan::moderate(5), FaultPolicy::default(), topo)
+            .with_churn(plan.clone(), policy.clone())
     };
-    let algo = algo();
+    let algo = covg(2, 1.0);
     let run = RunPlan {
         clock: Clock::Lockstep,
         membership: Membership::SelfHealing {
             algo: &algo,
-            topology: &topo,
+            topology: topo,
             sampling: SamplingStrategy::ESRCov,
         },
     };
@@ -428,7 +310,7 @@ fn assert_resume_is_bit_identical(
         !half.history.regroup_events().is_empty(),
         "need a regroup before the cut for the test to mean anything"
     );
-    let cp = Checkpoint::from_state(&half, cfg.clone());
+    let cp = Checkpoint::from_state(&half, w.cfg.clone());
     let restored = Checkpoint::from_json(&cp.to_json()).unwrap();
     assert_eq!(
         restored.membership, half.membership,
@@ -453,7 +335,7 @@ fn assert_resume_is_bit_identical(
 
 #[test]
 fn faulted_churn_resume_from_post_regroup_checkpoint_is_bit_identical() {
-    assert_resume_is_bit_identical(world(27), 1);
+    assert_resume_is_bit_identical(tiny_world(27), 1);
 }
 
 #[test]
@@ -463,18 +345,18 @@ fn checkpoint_roundtrips_a_group_with_infinite_baseline_cov() {
     // spell as a number, and which used to make the checkpoint unloadable.
     // Here the first edge's eight clients take all 480 samples, so every
     // group the second edge ever forms is one of those.
-    let (cfg, model, _, _, train, test) = world(27);
+    let mut w = tiny_world(27);
     let spec = PartitionSpec {
         num_clients: 16,
         alpha: 0.5,
         min_size: 60,
         max_size: 60,
-        seed: cfg.seed,
+        seed: w.cfg.seed,
     };
-    let part = ClientPartition::dirichlet(&train, &spec);
-    assert_eq!(part.sizes()[8..], [0; 8], "the pool must run dry");
-    let topo = Topology::even_split(2, part.sizes());
-    let saved = assert_resume_is_bit_identical((cfg, model, part, topo, train, test), 1);
+    w.part = ClientPartition::dirichlet(&w.train, &spec);
+    assert_eq!(w.part.sizes()[8..], [0; 8], "the pool must run dry");
+    w.topo = Topology::even_split(2, w.part.sizes());
+    let saved = assert_resume_is_bit_identical(w, 1);
     assert!(
         saved.health().iter().any(|h| h.baseline_cov.is_infinite()),
         "no data-less group went through the checkpoint"

@@ -18,179 +18,8 @@
 
 use gfl_core::membership::RegroupPolicy;
 use gfl_core::prelude::*;
-use gfl_data::{ClientPartition, Dataset, VirtualPopulation, VirtualSpec};
 use gfl_faults::{AdversaryPlan, ChurnPlan, FaultPlan, FaultPolicy};
-use gfl_nn::Params;
-use gfl_sim::Topology;
-
-/// Whole FedAvg runs from a fresh state, one method per clock × membership
-/// cell this suite drives.
-trait Runs {
-    fn run_plan(
-        &self,
-        clock: Clock,
-        membership: Membership<'_>,
-    ) -> Result<RunState, PartitionError>;
-    fn run_static(&self, groups: &[Group], sampling: SamplingStrategy) -> (RunHistory, Params);
-    fn run_healing(
-        &self,
-        algo: &dyn GroupingAlgorithm,
-        topology: &Topology,
-        sampling: SamplingStrategy,
-    ) -> Result<(RunHistory, Params, MembershipState), PartitionError>;
-    fn run_event(
-        &self,
-        groups: &[Group],
-        sampling: SamplingStrategy,
-        acfg: &AsyncConfig,
-    ) -> (RunHistory, Params, AsyncReport);
-    fn run_event_healing(
-        &self,
-        algo: &dyn GroupingAlgorithm,
-        topology: &Topology,
-        sampling: SamplingStrategy,
-        acfg: &AsyncConfig,
-    ) -> Result<(RunHistory, Params, AsyncReport, MembershipState), PartitionError>;
-}
-
-impl Runs for Trainer {
-    fn run_plan(
-        &self,
-        clock: Clock,
-        membership: Membership<'_>,
-    ) -> Result<RunState, PartitionError> {
-        let mut state = self.start(&FedAvg);
-        let plan = RunPlan { clock, membership };
-        self.drive(&FedAvg, &plan, &mut state, self.config().global_rounds)?;
-        Ok(state)
-    }
-    fn run_static(&self, groups: &[Group], sampling: SamplingStrategy) -> (RunHistory, Params) {
-        let probs = self.sampling_probs(groups, sampling);
-        let membership = Membership::Static {
-            groups,
-            probs: &probs,
-        };
-        let s = self.run_plan(Clock::Lockstep, membership).unwrap();
-        (s.history, s.params)
-    }
-    fn run_healing(
-        &self,
-        algo: &dyn GroupingAlgorithm,
-        topology: &Topology,
-        sampling: SamplingStrategy,
-    ) -> Result<(RunHistory, Params, MembershipState), PartitionError> {
-        let membership = Membership::SelfHealing {
-            algo,
-            topology,
-            sampling,
-        };
-        let s = self.run_plan(Clock::Lockstep, membership)?;
-        Ok((s.history, s.params, s.membership.unwrap()))
-    }
-    fn run_event(
-        &self,
-        groups: &[Group],
-        sampling: SamplingStrategy,
-        acfg: &AsyncConfig,
-    ) -> (RunHistory, Params, AsyncReport) {
-        let probs = self.sampling_probs(groups, sampling);
-        let membership = Membership::Static {
-            groups,
-            probs: &probs,
-        };
-        let s = self
-            .run_plan(Clock::EventDriven(*acfg), membership)
-            .unwrap();
-        (s.history, s.params, s.scheduler.unwrap().1)
-    }
-    fn run_event_healing(
-        &self,
-        algo: &dyn GroupingAlgorithm,
-        topology: &Topology,
-        sampling: SamplingStrategy,
-        acfg: &AsyncConfig,
-    ) -> Result<(RunHistory, Params, AsyncReport, MembershipState), PartitionError> {
-        let membership = Membership::SelfHealing {
-            algo,
-            topology,
-            sampling,
-        };
-        let s = self.run_plan(Clock::EventDriven(*acfg), membership)?;
-        let report = s.scheduler.unwrap().1;
-        Ok((s.history, s.params, report, s.membership.unwrap()))
-    }
-}
-
-/// CI seed shift: `GFL_SEED=n` offsets every seed in the suite.
-fn seed_offset() -> u64 {
-    std::env::var("GFL_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0)
-}
-
-/// A virtual population and its eagerly materialized twin, sharing one
-/// test set, topology, and formed partition.
-struct Twins {
-    cfg: GroupFelConfig,
-    model: gfl_nn::Network,
-    pop: VirtualPopulation,
-    train: Dataset,
-    part: ClientPartition,
-    test: Dataset,
-    topo: Topology,
-    groups: Vec<Group>,
-}
-
-fn algo() -> CovGrouping {
-    CovGrouping {
-        min_group_size: 2,
-        max_cov: 1.0,
-    }
-}
-
-fn twins(seed: u64) -> Twins {
-    let seed = seed + seed_offset();
-    let pop = VirtualPopulation::new(VirtualSpec::tiny(24, 0.5, seed));
-    let (train, part) = pop.materialize();
-    assert_eq!(&part.label_matrix, pop.label_matrix());
-    let test = pop.test_set(120);
-    let topo = Topology::even_split(2, part.sizes());
-    let groups = form_groups_per_edge(&algo(), &topo, &part.label_matrix, seed);
-    let mut cfg = GroupFelConfig::tiny();
-    cfg.seed = seed;
-    Twins {
-        cfg,
-        model: gfl_nn::zoo::tiny(4, 3),
-        pop,
-        train,
-        part,
-        test,
-        topo,
-        groups,
-    }
-}
-
-impl Twins {
-    fn eager(&self) -> Trainer {
-        Trainer::new(
-            self.cfg.clone(),
-            self.model.clone(),
-            self.train.clone(),
-            self.part.clone(),
-            self.test.clone(),
-        )
-    }
-
-    fn virt(&self) -> Trainer {
-        Trainer::new_virtual(
-            self.cfg.clone(),
-            self.model.clone(),
-            self.pop.clone(),
-            self.test.clone(),
-        )
-    }
-}
+use gfl_test_support::{covg, twins, Runs, Twins};
 
 /// Run both trainers through `f` and demand bitwise-equal outcomes.
 fn assert_equivalent<R: PartialEq + std::fmt::Debug>(
@@ -323,7 +152,7 @@ fn churned_self_healing_is_bitwise_equivalent() {
         let p = plan.clone();
         let (h, _, membership) = assert_equivalent(seed, "churned", &t, move |tr| {
             tr.with_churn(p.clone(), RegroupPolicy::default())
-                .run_healing(&algo(), &topo, SamplingStrategy::ESRCov)
+                .run_healing(&covg(2, 1.0), &topo, SamplingStrategy::ESRCov)
                 .unwrap()
         });
         assert!(
@@ -391,7 +220,7 @@ fn semi_async_with_churn_is_bitwise_equivalent() {
                 )
                 .with_churn(p.clone(), RegroupPolicy::default())
                 .run_event_healing(
-                    &algo(),
+                    &covg(2, 1.0),
                     &topo,
                     SamplingStrategy::ESRCov,
                     &AsyncConfig::default(),

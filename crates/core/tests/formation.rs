@@ -17,6 +17,7 @@ use gfl_core::membership::form_groups_active;
 use gfl_core::prelude::*;
 use gfl_data::{SyntheticSpec, VirtualPopulation, VirtualSpec};
 use gfl_sim::Topology;
+use gfl_test_support::{assert_bit_identical, golden};
 
 fn population(data: SyntheticSpec, clients: usize, seed: u64) -> (VirtualPopulation, Vec<usize>) {
     let pop = VirtualPopulation::new(VirtualSpec {
@@ -101,11 +102,7 @@ fn partitions_match_the_digests_recorded_before_the_lane_kernel() {
         .collect();
     let path =
         std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/formation_digests.txt");
-    if std::env::var_os("GFL_BLESS").is_some() {
-        std::fs::write(&path, &rendered).expect("write digests");
-    }
-    let expected = std::fs::read_to_string(&path).expect("formation digests present");
-    assert_eq!(rendered, expected, "formation moved a bit");
+    golden::check(&path, rendered.as_bytes());
 }
 
 #[test]
@@ -130,8 +127,7 @@ fn partitions_are_equal_at_one_two_and_eight_threads() {
         },
         &StreamGrouping { group_size: 8 },
     ];
-    let form = |threads: usize| {
-        gfl_parallel::set_default_parallelism(threads);
+    let form = || {
         algos
             .iter()
             .map(|&algo| {
@@ -142,8 +138,7 @@ fn partitions_are_equal_at_one_two_and_eight_threads() {
             })
             .collect::<Vec<_>>()
     };
-    let one = form(1);
-    for (all, some) in &one {
+    for (all, some) in &form() {
         assert_eq!(all.iter().map(Vec::len).sum::<usize>(), 700);
         assert!(some.iter().flatten().all(|&c| active[c]));
         assert_eq!(
@@ -151,8 +146,5 @@ fn partitions_are_equal_at_one_two_and_eight_threads() {
             active.iter().filter(|&&a| a).count()
         );
     }
-    for threads in [2, 8] {
-        assert_eq!(form(threads), one, "{threads} threads");
-    }
-    gfl_parallel::set_default_parallelism(0);
+    assert_bit_identical(&[1, 2, 8], form);
 }

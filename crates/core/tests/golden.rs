@@ -1,12 +1,12 @@
 //! Golden-trace regression tests: canonical `RunHistory` snapshots.
 //!
 //! Each scenario (clean, faulted, churned/self-healing, secure, attacked)
-//! runs a
-//! small fixed federation at two fixed seeds and compares the serialized
-//! `RunHistory` — evaluation records, fault log, and regroup log — field
-//! by field against a committed JSON snapshot under `tests/golden/`. Any
-//! behavioral drift in sampling, training, aggregation, fault injection,
-//! or healing shows up as a precise first-divergence diff.
+//! runs a small fixed federation at two fixed seeds and compares the
+//! pretty-printed `RunHistory` — evaluation records, fault log, and regroup
+//! log, one field a line — byte for byte against a committed JSON snapshot
+//! under `tests/golden/`. Any behavioral drift in sampling, training,
+//! aggregation, fault injection, or healing shows up as the first line
+//! that differs.
 //!
 //! ## Regenerating snapshots (blessing)
 //!
@@ -26,111 +26,25 @@
 
 use gfl_core::membership::RegroupPolicy;
 use gfl_core::prelude::*;
-use gfl_data::{ClientPartition, PartitionSpec, SyntheticSpec};
 use gfl_faults::{AdversaryPlan, ChurnPlan, FaultPlan, FaultPolicy};
-use gfl_nn::Params;
 use gfl_obs::diff::first_divergence;
 use gfl_sim::Topology;
+use gfl_test_support::{covg, for_each_thread_count, golden, Runs, TinyWorld};
 use serde::Value;
 
 /// Fixed seeds every scenario is snapshotted at.
-/// Whole FedAvg runs from a fresh state, one method per clock × membership
-/// cell this suite drives.
-trait Runs {
-    fn run_plan(
-        &self,
-        clock: Clock,
-        membership: Membership<'_>,
-    ) -> Result<RunState, PartitionError>;
-    fn run_healing(
-        &self,
-        algo: &dyn GroupingAlgorithm,
-        topology: &Topology,
-        sampling: SamplingStrategy,
-    ) -> Result<(RunHistory, Params, MembershipState), PartitionError>;
-}
-
-impl Runs for Trainer {
-    fn run_plan(
-        &self,
-        clock: Clock,
-        membership: Membership<'_>,
-    ) -> Result<RunState, PartitionError> {
-        let mut state = self.start(&FedAvg);
-        let plan = RunPlan { clock, membership };
-        self.drive(&FedAvg, &plan, &mut state, self.config().global_rounds)?;
-        Ok(state)
-    }
-    fn run_healing(
-        &self,
-        algo: &dyn GroupingAlgorithm,
-        topology: &Topology,
-        sampling: SamplingStrategy,
-    ) -> Result<(RunHistory, Params, MembershipState), PartitionError> {
-        let membership = Membership::SelfHealing {
-            algo,
-            topology,
-            sampling,
-        };
-        let s = self.run_plan(Clock::Lockstep, membership)?;
-        Ok((s.history, s.params, s.membership.unwrap()))
-    }
-}
-
 const GOLDEN_SEEDS: [u64; 2] = [1, 2];
 
-fn golden_dir() -> std::path::PathBuf {
+fn golden_file(scenario: &str, seed: u64) -> std::path::PathBuf {
     std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("tests")
-        .join("golden")
-}
-
-/// Tiny two-edge federation, mirroring the determinism suite's world but
-/// with no seed shifting.
-fn world(
-    seed: u64,
-) -> (
-    GroupFelConfig,
-    gfl_nn::Network,
-    ClientPartition,
-    Topology,
-    Vec<Group>,
-    gfl_data::Dataset,
-    gfl_data::Dataset,
-) {
-    let data = SyntheticSpec::tiny().generate(600, seed);
-    let (train, test) = data.split_holdout(5);
-    let part = ClientPartition::dirichlet(&train, &PartitionSpec::tiny(0.5, seed));
-    let topo = Topology::even_split(2, part.sizes());
-    let groups = form_groups_per_edge(
-        &CovGrouping {
-            min_group_size: 2,
-            max_cov: 1.0,
-        },
-        &topo,
-        &part.label_matrix,
-        seed,
-    );
-    let mut cfg = GroupFelConfig::tiny();
-    cfg.seed = seed;
-    (
-        cfg,
-        gfl_nn::zoo::tiny(4, 3),
-        part,
-        topo,
-        groups,
-        train,
-        test,
-    )
+        .join("tests/golden")
+        .join(format!("{scenario}_seed{seed}.json"))
 }
 
 fn run_scenario(name: &str, seed: u64) -> RunHistory {
     run_scenario_observed(name, seed, None)
 }
 
-/// Like [`run_scenario`], with an optional trace collector attached to the
-/// trainer — used by the streaming byte-identity test to replay the golden
-/// scenarios under observation.
 /// Vision-shaped virtual federation (paper §7.2 client shape: 20–200
 /// rows, 10 classes, 64-dim features) at an arbitrary population size.
 /// Groups are stream-formed — the only formation that stays sub-second at
@@ -162,6 +76,9 @@ fn virtual_world(
     (cfg, gfl_nn::zoo::vision_model(), pop, groups, test)
 }
 
+/// Like [`run_scenario`], with an optional trace collector attached to the
+/// trainer — used by the streaming byte-identity test to replay the golden
+/// scenarios under observation.
 fn run_scenario_observed(
     name: &str,
     seed: u64,
@@ -180,62 +97,44 @@ fn run_scenario_observed(
     };
     if let Some(clients) = virtual_clients {
         let (cfg, model, pop, groups, test) = virtual_world(clients, seed);
-        let t = attach(Trainer::new_virtual(cfg, model, pop, test));
+        let t = attach(Trainer::try_new(cfg, model, pop, test).unwrap());
         return t.run(&groups, &FedAvg, SamplingStrategy::ESRCov);
     }
-    let (cfg, model, part, topo, groups, train, test) = world(seed);
+    // The determinism suite's world, with no seed shifting.
+    let mut w = TinyWorld::at(seed);
     match name {
-        "clean" => {
-            let t = attach(Trainer::new(cfg, model, train, part, test));
-            t.run(&groups, &FedAvg, SamplingStrategy::ESRCov)
-        }
+        "clean" => attach(w.trainer()).run(&w.groups, &FedAvg, SamplingStrategy::ESRCov),
         "faulted" => {
-            let t = attach(Trainer::new(cfg, model, train, part, test).with_faults(
+            let t = attach(w.trainer().with_faults(
                 FaultPlan::moderate(99 + seed),
                 FaultPolicy::default(),
-                &topo,
+                &w.topo,
             ));
-            t.run(&groups, &FedAvg, SamplingStrategy::ESRCov)
+            t.run(&w.groups, &FedAvg, SamplingStrategy::ESRCov)
         }
         "churned" => {
-            let horizon = cfg.global_rounds;
-            let churn_seed = cfg.seed;
-            let t = attach(Trainer::new(cfg, model, train, part, test).with_churn(
+            let t = attach(w.trainer().with_churn(
                 ChurnPlan {
-                    horizon,
-                    ..ChurnPlan::moderate(churn_seed)
+                    horizon: w.cfg.global_rounds,
+                    ..ChurnPlan::moderate(w.cfg.seed)
                 },
                 RegroupPolicy::default(),
             ));
-            let algo = CovGrouping {
-                min_group_size: 2,
-                max_cov: 1.0,
-            };
             let (h, _, _) = t
-                .run_healing(&algo, &topo, SamplingStrategy::ESRCov)
+                .run_healing(&covg(2, 1.0), &w.topo, SamplingStrategy::ESRCov)
                 .expect("self-healing run failed");
             h
         }
         "secure" => {
-            let mut cfg = cfg;
-            cfg.secure_aggregation = true;
-            let t = attach(Trainer::new(cfg, model, train, part, test));
-            t.run(&groups, &FedAvg, SamplingStrategy::Random)
+            w.cfg.secure_aggregation = true;
+            attach(w.trainer()).run(&w.groups, &FedAvg, SamplingStrategy::Random)
         }
         "attacked" => {
             // Attacked + defended: a mixed campaign against FLAME-filtered
             // aggregation. Groups are re-formed larger so the filter's
             // ≥3-live-member floor is met and interceptions actually land
             // in the snapshot.
-            let groups = form_groups_per_edge(
-                &CovGrouping {
-                    min_group_size: 4,
-                    max_cov: 10.0,
-                },
-                &topo,
-                &part.label_matrix,
-                seed,
-            );
+            let groups = w.groups_with(4, 10.0);
             let plan = AdversaryPlan {
                 backdoor_fraction: 0.2,
                 label_flip_fraction: 0.15,
@@ -243,7 +142,7 @@ fn run_scenario_observed(
                 ..AdversaryPlan::moderate(77 + seed)
             };
             let t = attach(
-                Trainer::new(cfg, model, train, part, test)
+                w.trainer()
                     .with_adversary(plan)
                     .with_robust_agg(RobustAggRule::FlameFilter),
             );
@@ -260,31 +159,8 @@ fn run_scenario_observed(
 
 fn check_golden(scenario: &str, seed: u64) {
     let history = run_scenario(scenario, seed);
-    let rendered = serde_json::to_string_pretty(&history).expect("serialize history");
-    let file = golden_dir().join(format!("{scenario}_seed{seed}.json"));
-
-    if std::env::var("GFL_BLESS").is_ok_and(|v| v == "1") {
-        std::fs::create_dir_all(golden_dir()).expect("create golden dir");
-        std::fs::write(&file, rendered + "\n").expect("write golden snapshot");
-        return;
-    }
-
-    let expected_text = std::fs::read_to_string(&file).unwrap_or_else(|e| {
-        panic!(
-            "missing golden snapshot {} ({e}); regenerate with \
-             GFL_BLESS=1 cargo test -p gfl-core --test golden",
-            file.display()
-        )
-    });
-    let expected: Value = serde_json::from_str(&expected_text).expect("parse golden snapshot");
-    let actual: Value = serde_json::from_str(&rendered).expect("parse current history");
-    if let Some(divergence) = first_divergence("history", &expected, &actual) {
-        panic!(
-            "golden trace {scenario} (seed {seed}) diverged.\n  first divergence: {divergence}\n\
-             If this change is intentional, re-bless with \
-             GFL_BLESS=1 cargo test -p gfl-core --test golden and commit the diff."
-        );
-    }
+    let rendered = serde_json::to_string_pretty(&history).expect("serialize history") + "\n";
+    golden::check(&golden_file(scenario, seed), rendered.as_bytes());
 }
 
 #[test]
@@ -375,8 +251,7 @@ fn streamed_golden_scenarios_are_byte_identical_to_in_memory_serialization() {
     // very same run (tee mode retains spans for the comparison), and the
     // run's history must still match its golden snapshot — observation
     // changed nothing.
-    for threads in [1usize, 8] {
-        gfl_parallel::set_default_parallelism(threads);
+    for_each_thread_count(&[1, 8], |threads| {
         for scenario in ["clean", "faulted", "churned", "secure"] {
             let buf = SharedBuf::default();
             let obs = gfl_obs::TraceCollector::streaming_tee(
@@ -397,16 +272,13 @@ fn streamed_golden_scenarios_are_byte_identical_to_in_memory_serialization() {
             assert!(back.summary.is_some(), "{scenario}: summary line missing");
 
             let rendered = serde_json::to_string_pretty(&history).expect("serialize history");
-            let expected = std::fs::read_to_string(
-                golden_dir().join(format!("{scenario}_seed{}.json", GOLDEN_SEEDS[0])),
-            )
-            .expect("golden snapshot present");
+            let expected = std::fs::read_to_string(golden_file(scenario, GOLDEN_SEEDS[0]))
+                .expect("golden snapshot present");
             assert_eq!(
                 rendered.trim(),
                 expected.trim(),
                 "{scenario} @ {threads} threads: streaming observation perturbed the run"
             );
         }
-    }
-    gfl_parallel::set_default_parallelism(0);
+    });
 }

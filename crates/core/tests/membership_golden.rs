@@ -22,51 +22,8 @@ use gfl_core::prelude::*;
 use gfl_data::{SyntheticSpec, VirtualPopulation, VirtualSpec};
 use gfl_faults::ChurnPlan;
 use gfl_nn::sgd::LrSchedule;
-use gfl_nn::Params;
 use gfl_sim::{Task, Topology};
-
-/// Whole FedAvg runs from a fresh state, one method per clock × membership
-/// cell this suite drives.
-trait Runs {
-    fn run_plan(
-        &self,
-        clock: Clock,
-        membership: Membership<'_>,
-    ) -> Result<RunState, PartitionError>;
-    fn run_healing(
-        &self,
-        algo: &dyn GroupingAlgorithm,
-        topology: &Topology,
-        sampling: SamplingStrategy,
-    ) -> Result<(RunHistory, Params, MembershipState), PartitionError>;
-}
-
-impl Runs for Trainer {
-    fn run_plan(
-        &self,
-        clock: Clock,
-        membership: Membership<'_>,
-    ) -> Result<RunState, PartitionError> {
-        let mut state = self.start(&FedAvg);
-        let plan = RunPlan { clock, membership };
-        self.drive(&FedAvg, &plan, &mut state, self.config().global_rounds)?;
-        Ok(state)
-    }
-    fn run_healing(
-        &self,
-        algo: &dyn GroupingAlgorithm,
-        topology: &Topology,
-        sampling: SamplingStrategy,
-    ) -> Result<(RunHistory, Params, MembershipState), PartitionError> {
-        let membership = Membership::SelfHealing {
-            algo,
-            topology,
-            sampling,
-        };
-        let s = self.run_plan(Clock::Lockstep, membership)?;
-        Ok((s.history, s.params, s.membership.unwrap()))
-    }
-}
+use gfl_test_support::Runs;
 
 const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
@@ -154,7 +111,8 @@ fn scale_churn(clients: usize, rounds: usize, seed: u64) -> World {
         horizon: rounds,
         ..ChurnPlan::moderate(seed)
     };
-    let trainer = Trainer::new_virtual(config, gfl_nn::zoo::vision_model(), pop, test)
+    let trainer = Trainer::try_new(config, gfl_nn::zoo::vision_model(), pop, test)
+        .unwrap()
         .with_churn(plan, RegroupPolicy::default());
     World {
         trainer,

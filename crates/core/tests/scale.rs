@@ -83,7 +83,7 @@ fn peak_bytes_for(clients: usize, seed: u64) -> (usize, usize) {
     let mut cfg = GroupFelConfig::tiny();
     cfg.seed = seed;
     cfg.global_rounds = 3;
-    let t = Trainer::new_virtual(cfg, gfl_nn::zoo::vision_model(), pop, test);
+    let t = Trainer::try_new(cfg, gfl_nn::zoo::vision_model(), pop, test).unwrap();
     let h = t.run(&groups, &FedAvg, SamplingStrategy::ESRCov);
     assert_eq!(h.records().len(), 3);
     drop(t);

@@ -10,140 +10,10 @@
 //!
 //! Set `GFL_SEED` (CI runs 1–3) to shift every seed in the suite.
 
-use std::sync::Mutex;
-
 use gfl_core::checkpoint::Checkpoint;
 use gfl_core::prelude::*;
-use gfl_data::{ClientPartition, PartitionSpec, SyntheticSpec};
 use gfl_faults::{ChurnPlan, FaultEvent, FaultPlan, FaultPolicy};
-use gfl_nn::Params;
-use gfl_sim::Topology;
-
-/// `set_default_parallelism` is process-global; pins happen under a lock.
-static THREAD_PIN: Mutex<()> = Mutex::new(());
-
-/// Whole FedAvg runs from a fresh state, one method per clock × membership
-/// cell this suite drives.
-trait Runs {
-    fn run_plan(
-        &self,
-        clock: Clock,
-        membership: Membership<'_>,
-    ) -> Result<RunState, PartitionError>;
-    fn run_static(&self, groups: &[Group], sampling: SamplingStrategy) -> (RunHistory, Params);
-    fn run_event(
-        &self,
-        groups: &[Group],
-        sampling: SamplingStrategy,
-        acfg: &AsyncConfig,
-    ) -> (RunHistory, Params, AsyncReport);
-    fn run_event_healing(
-        &self,
-        algo: &dyn GroupingAlgorithm,
-        topology: &Topology,
-        sampling: SamplingStrategy,
-        acfg: &AsyncConfig,
-    ) -> Result<(RunHistory, Params, AsyncReport, MembershipState), PartitionError>;
-}
-
-impl Runs for Trainer {
-    fn run_plan(
-        &self,
-        clock: Clock,
-        membership: Membership<'_>,
-    ) -> Result<RunState, PartitionError> {
-        let mut state = self.start(&FedAvg);
-        let plan = RunPlan { clock, membership };
-        self.drive(&FedAvg, &plan, &mut state, self.config().global_rounds)?;
-        Ok(state)
-    }
-    fn run_static(&self, groups: &[Group], sampling: SamplingStrategy) -> (RunHistory, Params) {
-        let probs = self.sampling_probs(groups, sampling);
-        let membership = Membership::Static {
-            groups,
-            probs: &probs,
-        };
-        let s = self.run_plan(Clock::Lockstep, membership).unwrap();
-        (s.history, s.params)
-    }
-    fn run_event(
-        &self,
-        groups: &[Group],
-        sampling: SamplingStrategy,
-        acfg: &AsyncConfig,
-    ) -> (RunHistory, Params, AsyncReport) {
-        let probs = self.sampling_probs(groups, sampling);
-        let membership = Membership::Static {
-            groups,
-            probs: &probs,
-        };
-        let s = self
-            .run_plan(Clock::EventDriven(*acfg), membership)
-            .unwrap();
-        (s.history, s.params, s.scheduler.unwrap().1)
-    }
-    fn run_event_healing(
-        &self,
-        algo: &dyn GroupingAlgorithm,
-        topology: &Topology,
-        sampling: SamplingStrategy,
-        acfg: &AsyncConfig,
-    ) -> Result<(RunHistory, Params, AsyncReport, MembershipState), PartitionError> {
-        let membership = Membership::SelfHealing {
-            algo,
-            topology,
-            sampling,
-        };
-        let s = self.run_plan(Clock::EventDriven(*acfg), membership)?;
-        let report = s.scheduler.unwrap().1;
-        Ok((s.history, s.params, report, s.membership.unwrap()))
-    }
-}
-
-fn seed_offset() -> u64 {
-    std::env::var("GFL_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0)
-}
-
-fn world(
-    seed: u64,
-) -> (
-    GroupFelConfig,
-    gfl_nn::Network,
-    ClientPartition,
-    Topology,
-    Vec<Group>,
-    gfl_data::Dataset,
-    gfl_data::Dataset,
-) {
-    let seed = seed + seed_offset();
-    let data = SyntheticSpec::tiny().generate(600, seed);
-    let (train, test) = data.split_holdout(5);
-    let part = ClientPartition::dirichlet(&train, &PartitionSpec::tiny(0.5, seed));
-    let topo = Topology::even_split(2, part.sizes());
-    let groups = form_groups_per_edge(
-        &CovGrouping {
-            min_group_size: 2,
-            max_cov: 1.0,
-        },
-        &topo,
-        &part.label_matrix,
-        seed,
-    );
-    let mut cfg = GroupFelConfig::tiny();
-    cfg.seed = seed;
-    (
-        cfg,
-        gfl_nn::zoo::tiny(4, 3),
-        part,
-        topo,
-        groups,
-        train,
-        test,
-    )
-}
+use gfl_test_support::{assert_bit_identical, covg, seed_offset, tiny_world, Runs};
 
 /// The degenerate-limit policy: wait for every report, never cut.
 fn lockstep_limit_policy() -> FaultPolicy {
@@ -159,25 +29,14 @@ fn degenerate_limit_reproduces_lockstep_bit_for_bit() {
     // Full quorum + no deadline + clean plan ⇒ identical RunHistory and
     // identical final parameters, with and without fault state attached.
     for seed in [41u64, 42, 43] {
-        let (cfg, model, part, topo, groups, train, test) = world(seed);
-        let sync = Trainer::new(
-            cfg.clone(),
-            model.clone(),
-            train.clone(),
-            part.clone(),
-            test.clone(),
-        );
-        let (h_sync, p_sync) = sync.run_static(&groups, SamplingStrategy::ESRCov);
+        let w = tiny_world(seed);
+        let groups = &w.groups;
+        let (h_sync, p_sync) = w.trainer().run_static(groups, SamplingStrategy::ESRCov);
 
         // Plain semi-async (no fault state): defaults to the limit.
-        let (h_plain, p_plain, rep_plain) = Trainer::new(
-            cfg.clone(),
-            model.clone(),
-            train.clone(),
-            part.clone(),
-            test.clone(),
-        )
-        .run_event(&groups, SamplingStrategy::ESRCov, &AsyncConfig::default());
+        let (h_plain, p_plain, rep_plain) =
+            w.trainer()
+                .run_event(groups, SamplingStrategy::ESRCov, &AsyncConfig::default());
         assert_eq!(
             h_plain, h_sync,
             "seed {seed}: plain semi-async history diverged"
@@ -189,21 +48,16 @@ fn degenerate_limit_reproduces_lockstep_bit_for_bit() {
         assert!(h_plain.timed_events().is_empty());
 
         // Semi-async with a clean plan and the limit policy attached.
-        let (h_lim, p_lim, rep_lim) = Trainer::new(
-            cfg.clone(),
-            model.clone(),
-            train.clone(),
-            part.clone(),
-            test.clone(),
-        )
-        .with_faults(FaultPlan::none(), lockstep_limit_policy(), &topo)
-        .run_event(&groups, SamplingStrategy::ESRCov, &AsyncConfig::default());
+        let (h_lim, p_lim, rep_lim) = w
+            .trainer()
+            .with_faults(FaultPlan::none(), lockstep_limit_policy(), &w.topo)
+            .run_event(groups, SamplingStrategy::ESRCov, &AsyncConfig::default());
         assert_eq!(h_lim, h_sync, "seed {seed}: limit-policy history diverged");
         assert_eq!(p_lim, p_sync, "seed {seed}: limit-policy params diverged");
 
         // The emulated clock advanced monotonically either way.
         for rep in [&rep_plain, &rep_lim] {
-            assert_eq!(rep.rounds.len(), cfg.global_rounds);
+            assert_eq!(rep.rounds.len(), w.cfg.global_rounds);
             let mut prev = 0.0;
             for r in &rep.rounds {
                 assert!(r.clock_s > prev, "clock must advance every round");
@@ -216,21 +70,11 @@ fn degenerate_limit_reproduces_lockstep_bit_for_bit() {
 
 #[test]
 fn semi_async_is_bit_identical_across_thread_counts() {
-    let (cfg, model, part, topo, groups, train, test) = world(44);
-    let _guard = THREAD_PIN.lock().unwrap_or_else(|e| e.into_inner());
-    let mut baseline = None;
-    for threads in [1usize, 8] {
-        gfl_parallel::set_default_parallelism(threads);
+    let w = tiny_world(44);
+    assert_bit_identical(&[1, 8], || {
         // A straggler-heavy plan with a partial quorum, so cuts and timed
         // events actually fire — the hard case for thread independence.
-        let t = Trainer::new(
-            cfg.clone(),
-            model.clone(),
-            train.clone(),
-            part.clone(),
-            test.clone(),
-        )
-        .with_faults(
+        let t = w.trainer().with_faults(
             FaultPlan {
                 straggler_fraction: 0.45,
                 straggler_factor: 8.0,
@@ -241,21 +85,15 @@ fn semi_async_is_bit_identical_across_thread_counts() {
                 deadline_factor: 1.5,
                 ..FaultPolicy::default()
             },
-            &topo,
+            &w.topo,
         );
-        let result = t.run_event(&groups, SamplingStrategy::ESRCov, &AsyncConfig::default());
-        match &baseline {
-            None => {
-                assert!(
-                    !result.0.timed_events().is_empty(),
-                    "the plan should produce timed events for this test to bite"
-                );
-                baseline = Some(result);
-            }
-            Some(b) => assert_eq!(*b, result, "semi-async run diverged at {threads} threads"),
-        }
-    }
-    gfl_parallel::set_default_parallelism(0);
+        let result = t.run_event(&w.groups, SamplingStrategy::ESRCov, &AsyncConfig::default());
+        assert!(
+            !result.0.timed_events().is_empty(),
+            "the plan should produce timed events for this test to bite"
+        );
+        result
+    });
 }
 
 /// 6 rounds straight vs 3 → checkpoint (JSON round-trip) → 3 more under
@@ -263,8 +101,8 @@ fn semi_async_is_bit_identical_across_thread_counts() {
 /// self-healing one: params, history, scheduler state, emulated-time
 /// report and membership must all be exactly equal.
 fn assert_event_clock_resume_is_bit_identical(churn: Option<ChurnPlan>) {
-    let (mut cfg, model, part, topo, groups, train, test) = world(45);
-    cfg.global_rounds = 6;
+    let w = tiny_world(45).rounds(6);
+    let (topo, groups) = (&w.topo, &w.groups);
     let plan = FaultPlan {
         straggler_fraction: 0.45,
         straggler_factor: 8.0,
@@ -279,13 +117,9 @@ fn assert_event_clock_resume_is_bit_identical(churn: Option<ChurnPlan>) {
         staleness: StalenessPolicy::Weighted { decay: 1.0 },
         cloud_deadline_factor: 1.2,
     };
-    let mut trainer =
-        Trainer::new(cfg.clone(), model, train, part, test).with_faults(plan, policy, &topo);
-    let probs = trainer.sampling_probs(&groups, SamplingStrategy::ESRCov);
-    let algo = CovGrouping {
-        min_group_size: 2,
-        max_cov: 1.0,
-    };
+    let mut trainer = w.trainer().with_faults(plan, policy, topo);
+    let probs = trainer.sampling_probs(groups, SamplingStrategy::ESRCov);
+    let algo = covg(2, 1.0);
     let healing = churn.is_some();
     if let Some(churn) = churn {
         trainer = trainer.with_churn(churn, RegroupPolicy::default());
@@ -295,12 +129,12 @@ fn assert_event_clock_resume_is_bit_identical(churn: Option<ChurnPlan>) {
         membership: if healing {
             Membership::SelfHealing {
                 algo: &algo,
-                topology: &topo,
+                topology: topo,
                 sampling: SamplingStrategy::ESRCov,
             }
         } else {
             Membership::Static {
-                groups: &groups,
+                groups,
                 probs: &probs,
             }
         },
@@ -316,7 +150,7 @@ fn assert_event_clock_resume_is_bit_identical(churn: Option<ChurnPlan>) {
                 assert!(moved, "need a regroup before the cut");
             }
             // Round-trip everything resumable through checkpoint JSON.
-            let cp = Checkpoint::from_state(&state, cfg.clone());
+            let cp = Checkpoint::from_state(&state, w.cfg.clone());
             let restored = Checkpoint::from_json(&cp.to_json()).unwrap();
             assert_eq!(restored.membership.is_some(), healing);
             report = state.scheduler.unwrap().1;
@@ -359,8 +193,8 @@ fn semi_async_self_healing_checkpoint_resume_is_bit_identical() {
 
 #[test]
 fn partial_quorum_cuts_stragglers_as_timed_events() {
-    let (cfg, model, part, topo, groups, train, test) = world(46);
-    let trainer = Trainer::new(cfg, model, train, part, test).with_faults(
+    let w = tiny_world(46);
+    let trainer = w.trainer().with_faults(
         FaultPlan {
             straggler_fraction: 0.4,
             straggler_factor: 8.0,
@@ -371,10 +205,10 @@ fn partial_quorum_cuts_stragglers_as_timed_events() {
             deadline_factor: 1.5,
             ..FaultPolicy::default()
         },
-        &topo,
+        &w.topo,
     );
     let (history, _, report) =
-        trainer.run_event(&groups, SamplingStrategy::ESRCov, &AsyncConfig::default());
+        trainer.run_event(&w.groups, SamplingStrategy::ESRCov, &AsyncConfig::default());
     assert!(report.total_cut_reports() > 0, "stragglers should get cut");
     let closes = history
         .timed_events()
@@ -401,8 +235,8 @@ fn cloud_deadline_strands_stale_results_per_policy() {
     // groups' uploads. DropStale discards them; Weighted folds them into
     // a later round. The factor is kept moderate (4×) and the horizon
     // long enough that a parked upload can actually mature.
-    let (mut cfg, model, part, topo, groups, train, test) = world(47);
-    cfg.global_rounds = 12;
+    let w = tiny_world(47).rounds(12);
+    let groups = &w.groups;
     let plan = FaultPlan {
         straggler_fraction: 0.45,
         straggler_factor: 4.0,
@@ -413,19 +247,10 @@ fn cloud_deadline_strands_stale_results_per_policy() {
         deadline_factor: 0.0,
         ..FaultPolicy::default()
     };
-    let mk = || {
-        Trainer::new(
-            cfg.clone(),
-            model.clone(),
-            train.clone(),
-            part.clone(),
-            test.clone(),
-        )
-        .with_faults(plan.clone(), policy, &topo)
-    };
+    let mk = || w.trainer().with_faults(plan.clone(), policy, &w.topo);
 
     let (h_drop, _, rep_drop) = mk().run_event(
-        &groups,
+        groups,
         SamplingStrategy::ESRCov,
         &AsyncConfig {
             staleness: StalenessPolicy::DropStale,
@@ -447,7 +272,7 @@ fn cloud_deadline_strands_stale_results_per_policy() {
         .any(|e| matches!(e, TimedEvent::CloudRoundClosed { .. })));
 
     let (h_w, _, rep_w) = mk().run_event(
-        &groups,
+        groups,
         SamplingStrategy::ESRCov,
         &AsyncConfig {
             staleness: StalenessPolicy::Weighted { decay: 0.5 },
@@ -469,24 +294,16 @@ fn cloud_deadline_strands_stale_results_per_policy() {
 fn semi_async_cuts_emulated_wall_clock_under_stragglers() {
     // The tentpole's point: with heavy stragglers, quorum-or-deadline
     // rounds finish in strictly less emulated time than wait-for-all.
-    let (cfg, model, part, topo, groups, train, test) = world(48);
+    let w = tiny_world(48);
+    let groups = &w.groups;
     let plan = FaultPlan {
         straggler_fraction: 0.25,
         straggler_factor: 8.0,
         ..FaultPlan::none()
     };
-    let mk = |policy: FaultPolicy| {
-        Trainer::new(
-            cfg.clone(),
-            model.clone(),
-            train.clone(),
-            part.clone(),
-            test.clone(),
-        )
-        .with_faults(plan.clone(), policy, &topo)
-    };
+    let mk = |policy: FaultPolicy| w.trainer().with_faults(plan.clone(), policy, &w.topo);
     let (_, _, rep_wait) = mk(lockstep_limit_policy()).run_event(
-        &groups,
+        groups,
         SamplingStrategy::ESRCov,
         &AsyncConfig::default(),
     );
@@ -495,7 +312,7 @@ fn semi_async_cuts_emulated_wall_clock_under_stragglers() {
         deadline_factor: 1.5,
         ..FaultPolicy::default()
     })
-    .run_event(&groups, SamplingStrategy::ESRCov, &AsyncConfig::default());
+    .run_event(groups, SamplingStrategy::ESRCov, &AsyncConfig::default());
     assert!(
         rep_cut.final_clock_s() < rep_wait.final_clock_s(),
         "quorum-or-deadline ({:.1}s) should beat wait-for-all ({:.1}s)",
@@ -510,12 +327,8 @@ fn self_healing_no_churn_limit_is_bit_identical() {
     // reproduce the static event-clock run on the formation-time groups bit for
     // bit: same history, same params, same emulated-time report, and an
     // empty regroup log.
-    let algo = CovGrouping {
-        min_group_size: 2,
-        max_cov: 1.0,
-    };
     for seed in [61u64, 62, 63] {
-        let (cfg, model, part, topo, groups, train, test) = world(seed);
+        let w = tiny_world(seed);
         let plan = FaultPlan {
             straggler_fraction: 0.4,
             straggler_factor: 8.0,
@@ -526,29 +339,20 @@ fn self_healing_no_churn_limit_is_bit_identical() {
             deadline_factor: 1.5,
             ..FaultPolicy::default()
         };
-        let mk = || {
-            Trainer::new(
-                cfg.clone(),
-                model.clone(),
-                train.clone(),
-                part.clone(),
-                test.clone(),
-            )
-            .with_faults(plan.clone(), policy, &topo)
-        };
+        let mk = || w.trainer().with_faults(plan.clone(), policy, &w.topo);
         let (h_static, p_static, rep_static) =
-            mk().run_event(&groups, SamplingStrategy::ESRCov, &AsyncConfig::default());
+            mk().run_event(&w.groups, SamplingStrategy::ESRCov, &AsyncConfig::default());
         let (h_heal, p_heal, rep_heal, membership) = mk()
             .run_event_healing(
-                &algo,
-                &topo,
+                &covg(2, 1.0),
+                &w.topo,
                 SamplingStrategy::ESRCov,
                 &AsyncConfig::default(),
             )
             .unwrap();
         assert_eq!(
             membership.groups(),
-            groups,
+            w.groups,
             "seed {seed}: formation diverged"
         );
         assert_eq!(h_heal, h_static, "seed {seed}: history diverged");
@@ -564,11 +368,7 @@ fn churned_semi_async_run_heals_deterministically() {
     // must complete, log membership transitions, keep the emulated clock
     // monotone (held rounds may freeze it, never rewind it), and be a
     // pure function of its seeds.
-    let algo = CovGrouping {
-        min_group_size: 2,
-        max_cov: 1.0,
-    };
-    let churn = gfl_faults::ChurnPlan {
+    let churn = ChurnPlan {
         seed: 71 + seed_offset(),
         horizon: 4,
         departure_fraction: 0.4,
@@ -576,11 +376,9 @@ fn churned_semi_async_run_heals_deterministically() {
         flap_prob: 0.1,
     };
     let run = || {
-        let (cfg, model, part, topo, train, _groups_unused, test) = {
-            let (cfg, model, part, topo, groups, train, test) = world(64);
-            (cfg, model, part, topo, train, groups, test)
-        };
-        let trainer = Trainer::new(cfg, model, train, part, test)
+        let w = tiny_world(64);
+        let trainer = w
+            .trainer()
             .with_faults(
                 FaultPlan {
                     straggler_fraction: 0.3,
@@ -592,13 +390,13 @@ fn churned_semi_async_run_heals_deterministically() {
                     deadline_factor: 1.5,
                     ..FaultPolicy::default()
                 },
-                &topo,
+                &w.topo,
             )
             .with_churn(churn.clone(), RegroupPolicy::default());
         trainer
             .run_event_healing(
-                &algo,
-                &topo,
+                &covg(2, 1.0),
+                &w.topo,
                 SamplingStrategy::ESRCov,
                 &AsyncConfig::default(),
             )

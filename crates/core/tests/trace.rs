@@ -42,7 +42,13 @@ fn paper_shaped() -> (Trainer, Vec<Group>, usize) {
     config.seed = 1;
     let rounds = config.global_rounds;
     (
-        Trainer::new(config, gfl_nn::zoo::vision_model(), train, partition, test),
+        Trainer::try_new(
+            config,
+            gfl_nn::zoo::vision_model(),
+            (train, partition),
+            test,
+        )
+        .unwrap(),
         groups,
         rounds,
     )

@@ -105,6 +105,18 @@ impl FedData {
     }
 }
 
+impl From<(Dataset, ClientPartition)> for FedData {
+    fn from((train, partition): (Dataset, ClientPartition)) -> Self {
+        FedData::Materialized { train, partition }
+    }
+}
+
+impl From<VirtualPopulation> for FedData {
+    fn from(population: VirtualPopulation) -> Self {
+        FedData::Virtual(population)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -115,10 +127,7 @@ mod tests {
         let data = SyntheticSpec::tiny().generate(300, 5);
         let part = ClientPartition::dirichlet(&data, &PartitionSpec::tiny(0.5, 5));
         let sizes = part.sizes();
-        let fed = FedData::Materialized {
-            train: data,
-            partition: part,
-        };
+        let fed = FedData::from((data, part));
         assert_eq!(fed.num_clients(), sizes.len());
         assert_eq!(fed.client_size(0), sizes[0]);
         assert_eq!(fed.total_samples(), 300);
@@ -133,7 +142,7 @@ mod tests {
     fn virtual_accessors_answer_from_summaries() {
         let pop = VirtualPopulation::new(VirtualSpec::tiny(25, 0.5, 9));
         let total = pop.total_samples();
-        let fed = FedData::Virtual(pop);
+        let fed = FedData::from(pop);
         assert_eq!(fed.num_clients(), 25);
         assert_eq!(fed.total_samples(), total);
         assert_eq!(fed.num_classes(), 3);

@@ -119,15 +119,7 @@ pub fn run_method(method: Method, world: &World, knobs: GroupingKnobs) -> RunHis
         Method::FedProx => trainer.run(&groups, &FedProx { mu: 0.1 }, SamplingStrategy::Random),
         Method::Scaffold => {
             let strategy = Scaffold::new(world.model.param_len(), world.partition.num_clients());
-            // `Scaffold` sums its clients' variate deltas into one shared
-            // vector in arrival order, so above one thread its last bits —
-            // and now and then an evaluation — depend on scheduling (ROADMAP
-            // item 1). One thread makes arrival order client order, which is
-            // what keeps these tables regenerable.
-            gfl_parallel::set_default_parallelism(1);
-            let history = trainer.run(&groups, &strategy, SamplingStrategy::Random);
-            gfl_parallel::set_default_parallelism(0);
-            history
+            trainer.run(&groups, &strategy, SamplingStrategy::Random)
         }
         Method::FedClar => {
             let fc = FedClarConfig {

@@ -491,13 +491,9 @@ fn cnn_run(ctx: &Ctx) -> Vec<Table> {
     ] {
         let mut config = world.config(AggregationWeighting::Standard);
         config.cost_budget = None;
-        let trainer = Trainer::new(
-            config,
-            model,
-            world.train.clone(),
-            world.partition.clone(),
-            world.test.clone(),
-        );
+        let data = (world.train.clone(), world.partition.clone());
+        let trainer = Trainer::try_new(config, model, data, world.test.clone())
+            .expect("every scale's configuration is valid");
         let history = trainer.run(&groups, &FedAvg, SamplingStrategy::ESRCov);
         trajectory_rows(&mut table, &[Cell::of(name)], &history);
     }

@@ -175,9 +175,8 @@ fn straggler_run(ctx: &Ctx) -> Vec<Table> {
                 probs: &probs,
             },
         };
-        let mut state = trainer.start(&FedAvg);
-        trainer
-            .drive(&FedAvg, &plan, &mut state, ctx.scale.global_rounds)
+        let state = trainer
+            .run_plan(&FedAvg, &plan)
             .expect("a static partition is never re-formed");
         let (_, report) = state.scheduler.as_ref().expect("event-clock report");
         let last = state.history.last_record().expect("run produced records");

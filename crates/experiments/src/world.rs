@@ -255,13 +255,9 @@ impl World {
 
     /// Builds a trainer over clones of this world's data.
     pub fn trainer(&self, config: GroupFelConfig) -> Trainer {
-        Trainer::new(
-            config,
-            self.model.clone(),
-            self.train.clone(),
-            self.partition.clone(),
-            self.test.clone(),
-        )
+        let data = (self.train.clone(), self.partition.clone());
+        Trainer::try_new(config, self.model.clone(), data, self.test.clone())
+            .expect("every scale's configuration is valid")
     }
 
     /// Forms `algo`'s groups on every edge server, seeded by the world.

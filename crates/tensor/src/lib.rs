@@ -11,7 +11,7 @@
 //!   norms, softmax).
 //! * [`simd`]: explicit `std::arch` microkernels behind the hot ops
 //!   (dot/axpy/gemm_nt/gemm_tn/backward_delta), runtime-dispatched across
-//!   AVX-512F / AVX2 / NEON / scalar tiers — all bit-identical, `GFL_SIMD`
+//!   AVX-512F / AVX2 / scalar tiers — all bit-identical, `GFL_SIMD`
 //!   override.
 //! * [`init`]: seeded He/Xavier/uniform initializers on top of ChaCha8, so
 //!   every experiment in the paper reproduction is bit-deterministic given

@@ -5,7 +5,7 @@
 //! variates are two more axpys, and secure-aggregation masking is a slice
 //! add. None allocates. The four kernels that carry the training FLOPs —
 //! [`dot`], [`axpy`], [`gemm_nt`], [`gemm_tn`] — dispatch to explicit
-//! SIMD implementations in [`crate::simd`] (AVX-512F/AVX2/NEON,
+//! SIMD implementations in [`crate::simd`] (AVX-512F/AVX2,
 //! runtime-detected, `GFL_SIMD` override); every tier is bit-identical to
 //! the scalar reference by construction.
 
@@ -175,9 +175,9 @@ pub fn weighted_sum_into(xs: &[&[Scalar]], weights: &[Scalar], out: &mut [Scalar
     }
 }
 
-/// Cache-block edge of the scalar `gemm_tn` reference and the NEON
-/// `gemm_nt`, in matrix rows per tile: 32 rows × 256 cols × 4 B sits inside
-/// a 32 KiB L1 while keeping loop overhead low.
+/// Cache-block edge of the scalar `gemm_tn` reference, in matrix rows per
+/// tile: 32 rows × 256 cols × 4 B sits inside a 32 KiB L1 while keeping
+/// loop overhead low.
 pub const GEMM_TILE: usize = 32;
 
 /// `out = A · Bᵀ` over row-major slices: `a` is `m×k`, `b` is `n×k`, `out`

@@ -5,8 +5,8 @@
 //! [`gemm_tn`] (backward `Aᵀ·B`) and [`backward_delta`] (backward
 //! `(Δ·W) ⊙ relu'`). This module provides explicit `std::arch`
 //! implementations at every dispatch tier the build can target — AVX-512F
-//! and AVX2 on x86-64, NEON on aarch64 — plus a portable scalar reference,
-//! selected once at runtime from CPU feature detection.
+//! and AVX2 on x86-64 — plus a portable scalar reference (what every other
+//! architecture runs), selected once at runtime from CPU feature detection.
 //!
 //! # Bit-identity contract
 //!
@@ -55,7 +55,7 @@
 //! The active tier is a process-wide atomic, initialized lazily from the
 //! `GFL_SIMD` environment variable: `auto` (or unset) picks the best
 //! supported tier, `off`/`scalar` forces the scalar reference, and a tier
-//! name (`avx2`, `avx512`, `neon`) forces that tier (panicking if the CPU
+//! name (`avx2`, `avx512`) forces that tier (panicking if the CPU
 //! lacks it). [`set_tier`] switches tiers at runtime — the determinism
 //! suite uses it to prove `GFL_SIMD=off` vs `auto` equality in-process,
 //! and the bench harness uses it to measure per-tier GFLOP/s.
@@ -71,8 +71,6 @@ use crate::Scalar;
 pub enum SimdTier {
     /// Portable scalar reference (the canonical summation order).
     Scalar = 0,
-    /// 128-bit NEON kernels (aarch64 baseline).
-    Neon = 1,
     /// 256-bit AVX2 kernels (no FMA — see module docs).
     Avx2 = 2,
     /// 512-bit AVX-512F kernels.
@@ -84,7 +82,6 @@ impl SimdTier {
     pub fn name(self) -> &'static str {
         match self {
             SimdTier::Scalar => "scalar",
-            SimdTier::Neon => "neon",
             SimdTier::Avx2 => "avx2",
             SimdTier::Avx512 => "avx512",
         }
@@ -92,7 +89,6 @@ impl SimdTier {
 
     fn from_u8(v: u8) -> SimdTier {
         match v {
-            1 => SimdTier::Neon,
             2 => SimdTier::Avx2,
             3 => SimdTier::Avx512,
             _ => SimdTier::Scalar,
@@ -112,12 +108,6 @@ pub fn supported_tiers() -> Vec<SimdTier> {
             tiers.push(SimdTier::Avx512);
         }
     }
-    #[cfg(target_arch = "aarch64")]
-    {
-        if std::arch::is_aarch64_feature_detected!("neon") {
-            tiers.push(SimdTier::Neon);
-        }
-    }
     tiers
 }
 
@@ -129,29 +119,24 @@ pub fn detect_best() -> SimdTier {
 const TIER_UNINIT: u8 = u8::MAX;
 static ACTIVE_TIER: AtomicU8 = AtomicU8::new(TIER_UNINIT);
 
-fn tier_from_env() -> SimdTier {
-    match std::env::var("GFL_SIMD") {
-        Err(_) => detect_best(),
-        Ok(v) => match v.as_str() {
-            "" | "auto" => detect_best(),
-            "off" | "scalar" => SimdTier::Scalar,
-            name => {
-                let tier = supported_tiers()
-                    .into_iter()
-                    .find(|t| t.name() == name)
-                    .unwrap_or_else(|| {
-                        panic!(
-                            "GFL_SIMD={name}: unknown or unsupported tier on this CPU \
-                             (supported: auto, off{})",
-                            supported_tiers()
-                                .iter()
-                                .map(|t| format!(", {}", t.name()))
-                                .collect::<String>()
-                        )
-                    });
-                tier
-            }
-        },
+/// The tier a `GFL_SIMD` value names (`None` = unset).
+fn tier_named(value: Option<&str>) -> SimdTier {
+    match value {
+        None | Some("" | "auto") => detect_best(),
+        Some("off" | "scalar") => SimdTier::Scalar,
+        Some(name) => supported_tiers()
+            .into_iter()
+            .find(|t| t.name() == name)
+            .unwrap_or_else(|| {
+                panic!(
+                    "GFL_SIMD={name}: unknown or unsupported tier on this CPU \
+                     (supported: auto, off{})",
+                    supported_tiers()
+                        .iter()
+                        .map(|t| format!(", {}", t.name()))
+                        .collect::<String>()
+                )
+            }),
     }
 }
 
@@ -164,7 +149,7 @@ pub fn active_tier() -> SimdTier {
     if v != TIER_UNINIT {
         return SimdTier::from_u8(v);
     }
-    let tier = tier_from_env();
+    let tier = tier_named(std::env::var("GFL_SIMD").ok().as_deref());
     ACTIVE_TIER.store(tier as u8, Ordering::Relaxed);
     tier
 }
@@ -186,22 +171,19 @@ pub fn set_tier(tier: SimdTier) -> SimdTier {
     prev
 }
 
-/// Calls the active tier's `$kernel` (on NEON the `$neon` call; a kernel
-/// NEON lacks falls through to the scalar reference there).
+/// Calls the active tier's `$kernel`.
 ///
 /// SAFETY: a tier is only ever active after `supported_tiers` detected its
-/// CPU feature (`set_tier` asserts it, `tier_from_env` picks from the
+/// CPU feature (`set_tier` asserts it, `tier_named` picks from the
 /// detected list), and the asserts ahead of each use establish the slice
 /// lengths the kernels index by.
 macro_rules! dispatch {
-    ($kernel:ident $args:tt $(, neon: $neon:expr)?) => {
+    ($kernel:ident $args:tt) => {
         match active_tier() {
             #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
             SimdTier::Avx2 => unsafe { x86::avx2::$kernel $args },
             #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
             SimdTier::Avx512 => unsafe { x86::avx512::$kernel $args },
-            $(#[cfg(target_arch = "aarch64")]
-            SimdTier::Neon => unsafe { $neon },)?
             _ => scalar::$kernel $args,
         }
     };
@@ -210,13 +192,13 @@ macro_rules! dispatch {
 /// Dispatched dot product in the canonical 16-chain order.
 pub fn dot(x: &[Scalar], y: &[Scalar]) -> Scalar {
     assert_eq!(x.len(), y.len(), "dot: length mismatch");
-    dispatch!(dot(x, y), neon: neon::dot_neon(x, y))
+    dispatch!(dot(x, y))
 }
 
 /// Dispatched `y += alpha * x`.
 pub fn axpy(alpha: Scalar, x: &[Scalar], y: &mut [Scalar]) {
     assert_eq!(x.len(), y.len(), "axpy: length mismatch");
-    dispatch!(axpy(alpha, x, y), neon: neon::axpy_neon(alpha, x, y))
+    dispatch!(axpy(alpha, x, y))
 }
 
 /// Output columns per packed panel — the canonical chain count, so one
@@ -278,11 +260,6 @@ pub fn gemm_nt(a: &[Scalar], b: &[Scalar], out: &mut [Scalar], m: usize, n: usiz
     assert_eq!(a.len(), m * k, "gemm_nt: lhs size");
     assert_eq!(b.len(), n * k, "gemm_nt: rhs size");
     assert_eq!(out.len(), m * n, "gemm_nt: out size");
-    #[cfg(target_arch = "aarch64")]
-    if active_tier() == SimdTier::Neon {
-        // SAFETY: as for `dispatch!`.
-        return unsafe { neon::gemm_nt_neon(a, b, out, m, n, k) };
-    }
     let mut packed = vec![PanelRow::ZERO; packed_len(n, k)];
     pack_nt(b, n, k, &mut packed);
     gemm_nt_packed(a, &packed, None, false, out, (m, n, k));
@@ -293,10 +270,7 @@ pub fn gemm_tn(a: &[Scalar], b: &[Scalar], out: &mut [Scalar], r: usize, m: usiz
     assert_eq!(a.len(), r * m, "gemm_tn: lhs size");
     assert_eq!(b.len(), r * n, "gemm_tn: rhs size");
     assert_eq!(out.len(), m * n, "gemm_tn: out size");
-    dispatch!(
-        gemm_tn(a, b, out, (r, m, n)),
-        neon: neon::gemm_tn_neon(a, b, out, r, m, n)
-    )
+    dispatch!(gemm_tn(a, b, out, (r, m, n)))
 }
 
 /// Backprop through one dense ReLU layer: `out = (Δ · W) ⊙ relu'(A)`.
@@ -880,170 +854,6 @@ mod x86 {
     }
 }
 
-#[cfg(target_arch = "aarch64")]
-mod neon {
-    //! NEON kernels — four 128-bit vectors hold the 16 accumulator chains,
-    //! so the canonical order carries over unchanged.
-    #![allow(unsafe_op_in_unsafe_fn)]
-
-    use core::arch::aarch64::*;
-
-    use crate::Scalar;
-
-    #[inline(always)]
-    unsafe fn finish_dot(
-        buf: &[f32; 16],
-        x: *const f32,
-        y: *const f32,
-        done: usize,
-        len: usize,
-    ) -> f32 {
-        let mut sum = 0.0f32;
-        for &v in buf {
-            sum += v;
-        }
-        for i in done..len {
-            sum += *x.add(i) * *y.add(i);
-        }
-        sum
-    }
-
-    #[target_feature(enable = "neon")]
-    unsafe fn dot_neon_raw(x: *const f32, y: *const f32, len: usize) -> f32 {
-        let chunks = len / 16;
-        let mut acc0 = vdupq_n_f32(0.0);
-        let mut acc1 = vdupq_n_f32(0.0);
-        let mut acc2 = vdupq_n_f32(0.0);
-        let mut acc3 = vdupq_n_f32(0.0);
-        for c in 0..chunks {
-            let i = c * 16;
-            acc0 = vaddq_f32(acc0, vmulq_f32(vld1q_f32(x.add(i)), vld1q_f32(y.add(i))));
-            acc1 = vaddq_f32(
-                acc1,
-                vmulq_f32(vld1q_f32(x.add(i + 4)), vld1q_f32(y.add(i + 4))),
-            );
-            acc2 = vaddq_f32(
-                acc2,
-                vmulq_f32(vld1q_f32(x.add(i + 8)), vld1q_f32(y.add(i + 8))),
-            );
-            acc3 = vaddq_f32(
-                acc3,
-                vmulq_f32(vld1q_f32(x.add(i + 12)), vld1q_f32(y.add(i + 12))),
-            );
-        }
-        let mut buf = [0.0f32; 16];
-        vst1q_f32(buf.as_mut_ptr(), acc0);
-        vst1q_f32(buf.as_mut_ptr().add(4), acc1);
-        vst1q_f32(buf.as_mut_ptr().add(8), acc2);
-        vst1q_f32(buf.as_mut_ptr().add(12), acc3);
-        finish_dot(&buf, x, y, chunks * 16, len)
-    }
-
-    #[target_feature(enable = "neon")]
-    pub(super) unsafe fn dot_neon(x: &[Scalar], y: &[Scalar]) -> Scalar {
-        dot_neon_raw(x.as_ptr(), y.as_ptr(), x.len())
-    }
-
-    #[target_feature(enable = "neon")]
-    pub(super) unsafe fn axpy_neon(alpha: Scalar, x: &[Scalar], y: &mut [Scalar]) {
-        let len = x.len();
-        let xp = x.as_ptr();
-        let yp = y.as_mut_ptr();
-        let av = vdupq_n_f32(alpha);
-        let wide = (len / 8) * 8;
-        let mut i = 0;
-        while i < wide {
-            let y0 = vaddq_f32(vld1q_f32(yp.add(i)), vmulq_f32(av, vld1q_f32(xp.add(i))));
-            let y1 = vaddq_f32(
-                vld1q_f32(yp.add(i + 4)),
-                vmulq_f32(av, vld1q_f32(xp.add(i + 4))),
-            );
-            vst1q_f32(yp.add(i), y0);
-            vst1q_f32(yp.add(i + 4), y1);
-            i += 8;
-        }
-        while i < len {
-            *yp.add(i) += alpha * *xp.add(i);
-            i += 1;
-        }
-    }
-
-    #[target_feature(enable = "neon")]
-    pub(super) unsafe fn gemm_nt_neon(
-        a: &[Scalar],
-        b: &[Scalar],
-        out: &mut [Scalar],
-        m: usize,
-        n: usize,
-        k: usize,
-    ) {
-        use crate::ops::GEMM_TILE;
-        for ib in (0..m).step_by(GEMM_TILE) {
-            let ie = (ib + GEMM_TILE).min(m);
-            for jb in (0..n).step_by(GEMM_TILE) {
-                let je = (jb + GEMM_TILE).min(n);
-                for i in ib..ie {
-                    let ar = a.as_ptr().add(i * k);
-                    let orow = out.as_mut_ptr().add(i * n);
-                    for j in jb..je {
-                        *orow.add(j) = dot_neon_raw(ar, b.as_ptr().add(j * k), k);
-                    }
-                }
-            }
-        }
-    }
-
-    #[target_feature(enable = "neon")]
-    pub(super) unsafe fn gemm_tn_neon(
-        a: &[Scalar],
-        b: &[Scalar],
-        out: &mut [Scalar],
-        r: usize,
-        m: usize,
-        n: usize,
-    ) {
-        let ap = a.as_ptr();
-        let bp = b.as_ptr();
-        for i in 0..m {
-            let orow = out.as_mut_ptr().add(i * n);
-            let mut j = 0;
-            while j + 16 <= n {
-                let mut s0 = vdupq_n_f32(0.0);
-                let mut s1 = vdupq_n_f32(0.0);
-                let mut s2 = vdupq_n_f32(0.0);
-                let mut s3 = vdupq_n_f32(0.0);
-                for t in 0..r {
-                    let av = *ap.add(t * m + i);
-                    if av != 0.0 {
-                        let avv = vdupq_n_f32(av);
-                        let bt = bp.add(t * n + j);
-                        s0 = vaddq_f32(s0, vmulq_f32(avv, vld1q_f32(bt)));
-                        s1 = vaddq_f32(s1, vmulq_f32(avv, vld1q_f32(bt.add(4))));
-                        s2 = vaddq_f32(s2, vmulq_f32(avv, vld1q_f32(bt.add(8))));
-                        s3 = vaddq_f32(s3, vmulq_f32(avv, vld1q_f32(bt.add(12))));
-                    }
-                }
-                vst1q_f32(orow.add(j), s0);
-                vst1q_f32(orow.add(j + 4), s1);
-                vst1q_f32(orow.add(j + 8), s2);
-                vst1q_f32(orow.add(j + 12), s3);
-                j += 16;
-            }
-            while j < n {
-                let mut s = 0.0f32;
-                for t in 0..r {
-                    let av = *ap.add(t * m + i);
-                    if av != 0.0 {
-                        s += av * *bp.add(t * n + j);
-                    }
-                }
-                *orow.add(j) = s;
-                j += 1;
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1191,6 +1001,12 @@ mod tests {
         let tiers = supported_tiers();
         assert_eq!(tiers[0], SimdTier::Scalar);
         assert_eq!(detect_best(), *tiers.last().unwrap());
+    }
+
+    #[test]
+    #[should_panic(expected = "GFL_SIMD=neon: unknown or unsupported tier")]
+    fn the_deleted_neon_tier_is_refused_by_name() {
+        tier_named(Some("neon"));
     }
 
     #[test]

@@ -55,13 +55,14 @@ fn main() {
     };
 
     let make_trainer = || {
-        Trainer::new(
+        let data = (train.clone(), partition.clone());
+        Trainer::try_new(
             config.clone(),
             gfl_nn::zoo::vision_model(),
-            train.clone(),
-            partition.clone(),
+            data,
             test.clone(),
         )
+        .expect("valid configuration")
     };
 
     // Clean baseline.

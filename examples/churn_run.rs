@@ -58,13 +58,14 @@ fn main() {
     };
 
     let make_trainer = || {
-        Trainer::new(
+        let data = (train.clone(), partition.clone());
+        Trainer::try_new(
             config.clone(),
             gfl_nn::zoo::vision_model(),
-            train.clone(),
-            partition.clone(),
+            data,
             test.clone(),
         )
+        .expect("valid configuration")
     };
 
     // Static baseline: nobody leaves, nobody joins.
@@ -92,11 +93,9 @@ fn main() {
         },
     };
     let run_healing = |trainer: Trainer| {
-        let mut state = trainer.start(&FedAvg);
         trainer
-            .drive(&FedAvg, &self_healing, &mut state, config.global_rounds)
-            .expect("self-healing run");
-        state
+            .run_plan(&FedAvg, &self_healing)
+            .expect("self-healing run")
     };
     let state = run_healing(make_trainer().with_churn(plan.clone(), RegroupPolicy::default()));
     let (healed, membership) = (state.history, state.membership.expect("live partition"));

@@ -113,13 +113,14 @@ fn main() {
     for algo in algos {
         let groups = form_groups_per_edge(algo.as_ref(), &topology, &partition.label_matrix, 3);
         let quality = mean_group_cov(&partition.label_matrix, &groups);
-        let trainer = Trainer::new(
+        let data = (train.clone(), partition.clone());
+        let trainer = Trainer::try_new(
             config.clone(),
             gfl_nn::zoo::vision_model(),
-            train.clone(),
-            partition.clone(),
+            data,
             test.clone(),
-        );
+        )
+        .expect("valid configuration");
         let history = trainer.run(&groups, &FedAvg, SamplingStrategy::ESRCov);
         println!(
             "{:10} groups={:3}  mean CoV {quality:.3}  best accuracy {:.4}",

@@ -84,13 +84,9 @@ fn main() {
     for (name, groups, sampling, weighting) in scenarios {
         let mut cfg = config.clone();
         cfg.weighting = weighting;
-        let trainer = Trainer::new(
-            cfg,
-            gfl_nn::zoo::speech_model(),
-            train.clone(),
-            partition.clone(),
-            test.clone(),
-        );
+        let data = (train.clone(), partition.clone());
+        let trainer = Trainer::try_new(cfg, gfl_nn::zoo::speech_model(), data, test.clone())
+            .expect("valid configuration");
         let history = trainer.run(&groups, &FedAvg, sampling);
         let final_cost = history.records().last().unwrap().cost;
         let best = history.best_accuracy();

@@ -71,7 +71,9 @@ fn main() {
         dropout_prob: 0.0,
     };
     let rounds = config.global_rounds;
-    let mut trainer = Trainer::new(config, gfl_nn::zoo::vision_model(), train, partition, test);
+    let model = gfl_nn::zoo::vision_model();
+    let mut trainer =
+        Trainer::try_new(config, model, (train, partition), test).expect("valid configuration");
     let trace_out = std::env::var("GFL_TRACE_OUT").ok();
     let observer = trace_out.as_ref().map(|path| {
         // Streaming mode: spans hit the file at every round barrier, so

@@ -53,21 +53,15 @@ fn main() {
         dropout_prob: 0.0,
     };
     let model = gfl_nn::zoo::tiny(4, 3);
-    let plain = Trainer::new(
-        config.clone(),
-        model.clone(),
-        train.clone(),
-        partition.clone(),
-        test.clone(),
-    )
-    .run(&groups, &FedAvg, SamplingStrategy::Random);
+    let data = (train.clone(), partition.clone());
+    let plain = Trainer::try_new(config.clone(), model.clone(), data, test.clone())
+        .expect("valid configuration")
+        .run(&groups, &FedAvg, SamplingStrategy::Random);
 
     config.secure_aggregation = true;
-    let secure = Trainer::new(config, model, train, partition, test).run(
-        &groups,
-        &FedAvg,
-        SamplingStrategy::Random,
-    );
+    let secure = Trainer::try_new(config, model, (train, partition), test)
+        .expect("valid configuration")
+        .run(&groups, &FedAvg, SamplingStrategy::Random);
 
     println!("round | plain acc | secagg acc");
     for (p, s) in plain.records().iter().zip(secure.records()) {

@@ -3,34 +3,23 @@
 //! formula, for every strategy's op mix.
 
 use gfl_baselines::{FedProx, Scaffold};
-use gfl_core::engine::{form_groups_per_edge, GroupFelConfig, Trainer};
+use gfl_core::engine::{GroupFelConfig, Trainer};
 use gfl_core::grouping::RandomGrouping;
 use gfl_core::local::{FedAvg, LocalUpdate};
 use gfl_core::sampling::{AggregationWeighting, SamplingStrategy};
-use gfl_data::{ClientPartition, PartitionSpec, SyntheticSpec};
+use gfl_data::PartitionSpec;
 use gfl_nn::sgd::LrSchedule;
-use gfl_sim::{CostModel, Task, Topology};
+use gfl_sim::{CostModel, Task};
+use gfl_test_support::TinyWorld;
 
-fn world(seed: u64) -> (Trainer, Vec<Vec<usize>>) {
-    let data = SyntheticSpec::tiny().generate(500, seed);
-    let (train, test) = data.split_holdout(5);
-    let partition = ClientPartition::dirichlet(
-        &train,
-        &PartitionSpec {
-            num_clients: 12,
-            alpha: 0.5,
-            min_size: 10,
-            max_size: 40,
-            seed,
-        },
-    );
-    let topology = Topology::even_split(2, partition.sizes());
-    let groups = form_groups_per_edge(
-        &RandomGrouping { group_size: 4 },
-        &topology,
-        &partition.label_matrix,
+fn world(seed: u64) -> TinyWorld {
+    let spec = PartitionSpec {
+        num_clients: 12,
+        alpha: 0.5,
+        min_size: 10,
+        max_size: 40,
         seed,
-    );
+    };
     let config = GroupFelConfig {
         global_rounds: 4,
         group_rounds: 3,
@@ -46,10 +35,7 @@ fn world(seed: u64) -> (Trainer, Vec<Vec<usize>>) {
         secure_aggregation: false,
         dropout_prob: 0.0,
     };
-    (
-        Trainer::new(config, gfl_nn::zoo::tiny(4, 3), train, partition, test),
-        groups,
-    )
+    TinyWorld::build(500, &spec, &RandomGrouping { group_size: 4 }, config)
 }
 
 /// Recomputes Eq. 5 by hand for a single group's participation in one
@@ -77,7 +63,8 @@ fn eq5_for_group(trainer: &Trainer, group: &[usize], strategy: &dyn LocalUpdate)
 
 #[test]
 fn ledger_matches_hand_computed_eq5_for_fedavg() {
-    let (trainer, groups) = world(1);
+    let w = world(1);
+    let (trainer, groups) = (w.trainer(), &w.groups);
     let mut ledger = trainer.ledger_for(&FedAvg);
     let group = &groups[0];
     let sizes: Vec<usize> = group
@@ -99,7 +86,8 @@ fn ledger_matches_hand_computed_eq5_for_fedavg() {
 
 #[test]
 fn strategy_cost_ordering_fedavg_fedprox_scaffold() {
-    let (trainer, groups) = world(2);
+    let w = world(2);
+    let (trainer, groups) = (w.trainer(), &w.groups);
     let group = &groups[0];
     let avg = eq5_for_group(&trainer, group, &FedAvg);
     let prox = eq5_for_group(&trainer, group, &FedProx { mu: 0.1 });
@@ -113,8 +101,9 @@ fn strategy_cost_ordering_fedavg_fedprox_scaffold() {
 
 #[test]
 fn run_total_cost_equals_sum_of_round_increments() {
-    let (trainer, groups) = world(3);
-    let h = trainer.run(&groups, &FedAvg, SamplingStrategy::Random);
+    let w = world(3);
+    let (trainer, groups) = (w.trainer(), &w.groups);
+    let h = trainer.run(groups, &FedAvg, SamplingStrategy::Random);
     // eval_every=1 so every round is recorded; increments must all be
     // positive and the final total equals the last record.
     let records = h.records();
@@ -128,18 +117,12 @@ fn run_total_cost_equals_sum_of_round_increments() {
 
 #[test]
 fn speech_task_is_cheaper_per_round_than_vision() {
-    let (trainer, groups) = world(4);
-    let run_cost = |task: Task| {
-        let mut cfg = trainer.config().clone();
-        cfg.task = task;
-        let t = Trainer::new(
-            cfg,
-            trainer.model().clone(),
-            trainer.train_data().clone(),
-            trainer.partition().clone(),
-            trainer.test_data().clone(),
-        );
-        let h = t.run(&groups, &FedAvg, SamplingStrategy::Random);
+    let mut w = world(4);
+    let mut run_cost = |task: Task| {
+        w.cfg.task = task;
+        let h = w
+            .trainer()
+            .run(&w.groups, &FedAvg, SamplingStrategy::Random);
         h.records().last().unwrap().cost
     };
     assert!(run_cost(Task::Speech) < run_cost(Task::Vision));

@@ -2,35 +2,25 @@
 //! a common tiny federation — the compatibility matrix backing Fig. 9–12.
 
 use gfl_baselines::{FedClarConfig, FedClarRunner, FedProx, Scaffold};
-use gfl_core::engine::{form_groups_per_edge, GroupFelConfig, Trainer};
+use gfl_core::engine::{form_groups_per_edge, GroupFelConfig};
 use gfl_core::grouping::{
     CdgGrouping, CovGrouping, GroupingAlgorithm, KldGrouping, RandomGrouping,
 };
 use gfl_core::local::{FedAvg, LocalUpdate};
 use gfl_core::sampling::{AggregationWeighting, SamplingStrategy};
-use gfl_data::{ClientPartition, PartitionSpec, SyntheticSpec};
+use gfl_data::PartitionSpec;
 use gfl_nn::sgd::LrSchedule;
-use gfl_sim::{Task, Topology};
+use gfl_sim::Task;
+use gfl_test_support::{covg, TinyWorld};
 
-struct World {
-    trainer: Trainer,
-    topology: Topology,
-}
-
-fn world(seed: u64) -> World {
-    let data = SyntheticSpec::tiny().generate(700, seed);
-    let (train, test) = data.split_holdout(5);
-    let partition = ClientPartition::dirichlet(
-        &train,
-        &PartitionSpec {
-            num_clients: 14,
-            alpha: 0.4,
-            min_size: 10,
-            max_size: 60,
-            seed,
-        },
-    );
-    let topology = Topology::even_split(2, partition.sizes());
+fn world(seed: u64) -> TinyWorld {
+    let spec = PartitionSpec {
+        num_clients: 14,
+        alpha: 0.4,
+        min_size: 10,
+        max_size: 60,
+        seed,
+    };
     let config = GroupFelConfig {
         global_rounds: 6,
         group_rounds: 2,
@@ -46,10 +36,8 @@ fn world(seed: u64) -> World {
         secure_aggregation: false,
         dropout_prob: 0.0,
     };
-    World {
-        trainer: Trainer::new(config, gfl_nn::zoo::tiny(4, 3), train, partition, test),
-        topology,
-    }
+    // Every test forms its own groups; the world's are unused.
+    TinyWorld::build(700, &spec, &RandomGrouping { group_size: 4 }, config)
 }
 
 fn groupings() -> Vec<Box<dyn GroupingAlgorithm>> {
@@ -71,20 +59,15 @@ fn groupings() -> Vec<Box<dyn GroupingAlgorithm>> {
 fn fedavg_and_fedprox_complete_on_all_groupings() {
     let w = world(1);
     for grouping in groupings() {
-        let groups = form_groups_per_edge(
-            grouping.as_ref(),
-            &w.topology,
-            &w.trainer.partition().label_matrix,
-            1,
-        );
+        let groups = form_groups_per_edge(grouping.as_ref(), &w.topo, &w.part.label_matrix, 1);
         for (name, strategy) in [
             ("FedAvg", &FedAvg as &dyn LocalUpdate),
             ("FedProx", &FedProx { mu: 0.1 } as &dyn LocalUpdate),
         ] {
             let h = match name {
-                "FedAvg" => w.trainer.run(&groups, &FedAvg, SamplingStrategy::Random),
+                "FedAvg" => w.trainer().run(&groups, &FedAvg, SamplingStrategy::Random),
                 _ => w
-                    .trainer
+                    .trainer()
                     .run(&groups, &FedProx { mu: 0.1 }, SamplingStrategy::Random),
             };
             let _ = strategy; // names drive dispatch above
@@ -103,16 +86,15 @@ fn scaffold_completes_and_uses_costlier_ops() {
     let w = world(2);
     let groups = form_groups_per_edge(
         &RandomGrouping { group_size: 4 },
-        &w.topology,
-        &w.trainer.partition().label_matrix,
+        &w.topo,
+        &w.part.label_matrix,
         2,
     );
-    let strategy = Scaffold::new(
-        w.trainer.model().param_len(),
-        w.trainer.partition().num_clients(),
-    );
-    let h_scaffold = w.trainer.run(&groups, &strategy, SamplingStrategy::Random);
-    let h_fedavg = w.trainer.run(&groups, &FedAvg, SamplingStrategy::Random);
+    let strategy = Scaffold::new(w.model.param_len(), w.part.num_clients());
+    let h_scaffold = w
+        .trainer()
+        .run(&groups, &strategy, SamplingStrategy::Random);
+    let h_fedavg = w.trainer().run(&groups, &FedAvg, SamplingStrategy::Random);
     assert!(h_scaffold.records().last().unwrap().accuracy.is_finite());
     // SCAFFOLD must be charged more per round (scaffold secagg + factor).
     let c_scaffold = h_scaffold.records().last().unwrap().cost;
@@ -128,12 +110,12 @@ fn fedclar_runs_both_phases_and_stays_finite() {
     let w = world(3);
     let groups = form_groups_per_edge(
         &RandomGrouping { group_size: 4 },
-        &w.topology,
-        &w.trainer.partition().label_matrix,
+        &w.topo,
+        &w.part.label_matrix,
         3,
     );
     let h = FedClarRunner::run(
-        &w.trainer,
+        &w.trainer(),
         &groups,
         &FedClarConfig {
             cluster_at_round: 2,
@@ -149,19 +131,13 @@ fn fedclar_runs_both_phases_and_stays_finite() {
 fn group_fel_configuration_beats_plain_fedavg_on_skewed_data() {
     // The paper's headline, at integration-test scale: CoVG+ESRCoV versus
     // RG+uniform on strongly non-IID data, same budget.
-    let data = SyntheticSpec::tiny().generate(1000, 9);
-    let (train, test) = data.split_holdout(5);
-    let partition = ClientPartition::dirichlet(
-        &train,
-        &PartitionSpec {
-            num_clients: 20,
-            alpha: 0.15,
-            min_size: 15,
-            max_size: 60,
-            seed: 9,
-        },
-    );
-    let topology = Topology::even_split(2, partition.sizes());
+    let spec = PartitionSpec {
+        num_clients: 20,
+        alpha: 0.15,
+        min_size: 15,
+        max_size: 60,
+        seed: 9,
+    };
     let config = GroupFelConfig {
         global_rounds: 15,
         group_rounds: 3,
@@ -177,40 +153,21 @@ fn group_fel_configuration_beats_plain_fedavg_on_skewed_data() {
         secure_aggregation: false,
         dropout_prob: 0.0,
     };
-    let trainer = Trainer::new(
-        config.clone(),
-        gfl_nn::zoo::tiny(4, 3),
-        train.clone(),
-        partition.clone(),
-        test.clone(),
-    );
-    let cov_groups = form_groups_per_edge(
-        &CovGrouping {
-            min_group_size: 4,
-            max_cov: 0.4,
-        },
-        &topology,
-        &partition.label_matrix,
-        9,
-    );
-    let h_fel = trainer.run(&cov_groups, &FedAvg, SamplingStrategy::ESRCov);
+    let mut w = TinyWorld::build(1000, &spec, &covg(4, 0.4), config);
+    let h_fel = w
+        .trainer()
+        .run(&w.groups, &FedAvg, SamplingStrategy::ESRCov);
 
-    let mut cfg2 = config;
-    cfg2.weighting = AggregationWeighting::Standard;
-    let trainer2 = Trainer::new(
-        cfg2,
-        gfl_nn::zoo::tiny(4, 3),
-        train,
-        partition.clone(),
-        test,
-    );
+    w.cfg.weighting = AggregationWeighting::Standard;
     let rand_groups = form_groups_per_edge(
         &RandomGrouping { group_size: 5 },
-        &topology,
-        &partition.label_matrix,
+        &w.topo,
+        &w.part.label_matrix,
         9,
     );
-    let h_avg = trainer2.run(&rand_groups, &FedAvg, SamplingStrategy::Random);
+    let h_avg = w
+        .trainer()
+        .run(&rand_groups, &FedAvg, SamplingStrategy::Random);
 
     assert!(
         h_fel.best_accuracy() >= h_avg.best_accuracy() - 0.05,

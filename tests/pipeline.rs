@@ -3,38 +3,23 @@
 
 use gfl_core::cov::group_cov;
 use gfl_core::driver::{Clock, Membership, RunPlan};
-use gfl_core::engine::{form_groups_per_edge, GroupFelConfig, Trainer};
-use gfl_core::grouping::{CovGrouping, GroupingAlgorithm, RandomGrouping};
+use gfl_core::engine::GroupFelConfig;
+use gfl_core::grouping::{GroupingAlgorithm, RandomGrouping};
 use gfl_core::local::FedAvg;
 use gfl_core::sampling::{AggregationWeighting, SamplingStrategy};
 use gfl_data::{ClientPartition, PartitionSpec, SyntheticSpec};
 use gfl_nn::sgd::LrSchedule;
-use gfl_sim::{Task, Topology};
+use gfl_sim::Task;
+use gfl_test_support::{covg, TinyWorld};
 
-fn build_world(seed: u64, alpha: f64) -> (Trainer, Vec<Vec<usize>>, gfl_data::LabelMatrix) {
-    let data = SyntheticSpec::tiny().generate(800, seed);
-    let (train, test) = data.split_holdout(5);
-    let partition = ClientPartition::dirichlet(
-        &train,
-        &PartitionSpec {
-            num_clients: 16,
-            alpha,
-            min_size: 10,
-            max_size: 60,
-            seed,
-        },
-    );
-    let labels = partition.label_matrix.clone();
-    let topology = Topology::even_split(2, partition.sizes());
-    let groups = form_groups_per_edge(
-        &CovGrouping {
-            min_group_size: 3,
-            max_cov: 0.8,
-        },
-        &topology,
-        &labels,
+fn build_world(seed: u64, alpha: f64) -> TinyWorld {
+    let spec = PartitionSpec {
+        num_clients: 16,
+        alpha,
+        min_size: 10,
+        max_size: 60,
         seed,
-    );
+    };
     let config = GroupFelConfig {
         global_rounds: 10,
         group_rounds: 3,
@@ -50,8 +35,7 @@ fn build_world(seed: u64, alpha: f64) -> (Trainer, Vec<Vec<usize>>, gfl_data::La
         secure_aggregation: false,
         dropout_prob: 0.0,
     };
-    let trainer = Trainer::new(config, gfl_nn::zoo::tiny(4, 3), train, partition, test);
-    (trainer, groups, labels)
+    TinyWorld::build(800, &spec, &covg(3, 0.8), config)
 }
 
 #[test]
@@ -59,8 +43,10 @@ fn full_pipeline_learns_and_accounts_costs() {
     // Seed chosen so the first evaluation is below ceiling — several seeds
     // solve the tiny task at round 0, leaving no headroom to demonstrate
     // improvement.
-    let (trainer, groups, _) = build_world(3, 0.5);
-    let history = trainer.run(&groups, &FedAvg, SamplingStrategy::ESRCov);
+    let w = build_world(3, 0.5);
+    let history = w
+        .trainer()
+        .run(&w.groups, &FedAvg, SamplingStrategy::ESRCov);
     assert!(history.records().len() >= 5);
     // Learning happened.
     let first = history.records().first().unwrap();
@@ -76,7 +62,7 @@ fn full_pipeline_learns_and_accounts_costs() {
 
 #[test]
 fn every_sampling_strategy_completes_on_every_weighting() {
-    let (trainer, groups, _) = build_world(2, 0.3);
+    let mut w = build_world(2, 0.3).rounds(3);
     for sampling in [
         SamplingStrategy::Random,
         SamplingStrategy::RCov,
@@ -88,17 +74,8 @@ fn every_sampling_strategy_completes_on_every_weighting() {
             AggregationWeighting::Unbiased,
             AggregationWeighting::Stabilized,
         ] {
-            let mut cfg = trainer.config().clone();
-            cfg.weighting = weighting;
-            cfg.global_rounds = 3;
-            let t = Trainer::new(
-                cfg,
-                trainer.model().clone(),
-                trainer.train_data().clone(),
-                trainer.partition().clone(),
-                trainer.test_data().clone(),
-            );
-            let h = t.run(&groups, &FedAvg, sampling);
+            w.cfg.weighting = weighting;
+            let h = w.trainer().run(&w.groups, &FedAvg, sampling);
             assert!(
                 !h.is_empty(),
                 "{sampling:?}/{weighting:?} produced no history"
@@ -129,10 +106,7 @@ fn grouping_quality_orders_cov_before_random() {
         },
     );
     let labels = partition.label_matrix.clone();
-    let covg = CovGrouping {
-        min_group_size: 4,
-        max_cov: 0.2,
-    };
+    let covg = covg(4, 0.2);
     let rg = RandomGrouping { group_size: 5 };
     let avg =
         |gs: &[Vec<usize>]| gs.iter().map(|g| group_cov(&labels, g)).sum::<f32>() / gs.len() as f32;
@@ -155,11 +129,14 @@ fn grouping_quality_orders_cov_before_random() {
 
 #[test]
 fn histories_are_reproducible_across_trainer_instances() {
-    let (t1, groups, _) = build_world(4, 0.5);
-    let (t2, groups2, _) = build_world(4, 0.5);
-    assert_eq!(groups, groups2, "grouping must be deterministic");
-    let h1 = t1.run(&groups, &FedAvg, SamplingStrategy::SRCov);
-    let h2 = t2.run(&groups2, &FedAvg, SamplingStrategy::SRCov);
+    let (w1, w2) = (build_world(4, 0.5), build_world(4, 0.5));
+    assert_eq!(w1.groups, w2.groups, "grouping must be deterministic");
+    let h1 = w1
+        .trainer()
+        .run(&w1.groups, &FedAvg, SamplingStrategy::SRCov);
+    let h2 = w2
+        .trainer()
+        .run(&w2.groups, &FedAvg, SamplingStrategy::SRCov);
     for (a, b) in h1.records().iter().zip(h2.records()) {
         assert_eq!(a.accuracy, b.accuracy);
         assert_eq!(a.cost, b.cost);
@@ -169,12 +146,13 @@ fn histories_are_reproducible_across_trainer_instances() {
 
 #[test]
 fn resumable_sessions_match_single_run() {
-    let (trainer, groups, _) = build_world(5, 0.5);
-    let probs = trainer.sampling_probs(&groups, SamplingStrategy::Random);
+    let w = build_world(5, 0.5);
+    let (trainer, groups) = (w.trainer(), &w.groups);
+    let probs = trainer.sampling_probs(groups, SamplingStrategy::Random);
     let plan = RunPlan {
         clock: Clock::Lockstep,
         membership: Membership::Static {
-            groups: &groups,
+            groups,
             probs: &probs,
         },
     };

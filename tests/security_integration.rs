@@ -2,33 +2,20 @@
 //! recovery under aggregation weights, and the defense pipeline sanitizing
 //! a poisoned federation.
 
-use gfl_core::engine::{form_groups_per_edge, GroupFelConfig, Trainer};
-use gfl_core::grouping::CovGrouping;
+use gfl_core::engine::GroupFelConfig;
 use gfl_core::local::FedAvg;
 use gfl_core::sampling::{AggregationWeighting, SamplingStrategy};
-use gfl_data::{ClientPartition, PartitionSpec, SyntheticSpec};
+use gfl_data::PartitionSpec;
 use gfl_defense::{filter_updates, scale_attack, sign_flip_attack, DefenseConfig};
 use gfl_nn::sgd::LrSchedule;
 use gfl_secagg::SecAggSession;
-use gfl_sim::{Task, Topology};
+use gfl_sim::Task;
 use gfl_tensor::ops;
+use gfl_test_support::{covg, TinyWorld};
 
 #[test]
 fn secure_aggregation_training_tracks_plain_training() {
-    let data = SyntheticSpec::tiny().generate(600, 31);
-    let (train, test) = data.split_holdout(5);
-    let partition = ClientPartition::dirichlet(&train, &PartitionSpec::tiny(0.5, 31));
-    let topology = Topology::even_split(2, partition.sizes());
-    let groups = form_groups_per_edge(
-        &CovGrouping {
-            min_group_size: 2,
-            max_cov: 1.0,
-        },
-        &topology,
-        &partition.label_matrix,
-        31,
-    );
-    let mut config = GroupFelConfig {
+    let config = GroupFelConfig {
         global_rounds: 6,
         group_rounds: 2,
         local_rounds: 1,
@@ -43,20 +30,14 @@ fn secure_aggregation_training_tracks_plain_training() {
         secure_aggregation: false,
         dropout_prob: 0.0,
     };
-    let plain = Trainer::new(
-        config.clone(),
-        gfl_nn::zoo::tiny(4, 3),
-        train.clone(),
-        partition.clone(),
-        test.clone(),
-    )
-    .run(&groups, &FedAvg, SamplingStrategy::Random);
-    config.secure_aggregation = true;
-    let secure = Trainer::new(config, gfl_nn::zoo::tiny(4, 3), train, partition, test).run(
-        &groups,
-        &FedAvg,
-        SamplingStrategy::Random,
-    );
+    let mut w = TinyWorld::build(600, &PartitionSpec::tiny(0.5, 31), &covg(2, 1.0), config);
+    let plain = w
+        .trainer()
+        .run(&w.groups, &FedAvg, SamplingStrategy::Random);
+    w.cfg.secure_aggregation = true;
+    let secure = w
+        .trainer()
+        .run(&w.groups, &FedAvg, SamplingStrategy::Random);
     for (p, s) in plain.records().iter().zip(secure.records()) {
         assert!(
             (p.accuracy - s.accuracy).abs() < 0.05,
@@ -178,19 +159,6 @@ fn dropout_during_secure_round_preserves_survivor_aggregate() {
 
 #[test]
 fn client_dropout_training_stays_stable_and_uses_recovery_path() {
-    let data = SyntheticSpec::tiny().generate(600, 41);
-    let (train, test) = data.split_holdout(5);
-    let partition = ClientPartition::dirichlet(&train, &PartitionSpec::tiny(0.5, 41));
-    let topology = Topology::even_split(2, partition.sizes());
-    let groups = form_groups_per_edge(
-        &CovGrouping {
-            min_group_size: 3,
-            max_cov: 1.0,
-        },
-        &topology,
-        &partition.label_matrix,
-        41,
-    );
     let base = GroupFelConfig {
         global_rounds: 8,
         group_rounds: 2,
@@ -208,18 +176,13 @@ fn client_dropout_training_stays_stable_and_uses_recovery_path() {
     };
     // 30% churn, both with plain and with secure aggregation (the latter
     // exercises SecAgg's orphaned-mask recovery inside training).
+    let mut w = TinyWorld::build(600, &PartitionSpec::tiny(0.5, 41), &covg(3, 1.0), base);
+    w.cfg.dropout_prob = 0.3;
     for secure in [false, true] {
-        let mut cfg = base.clone();
-        cfg.dropout_prob = 0.3;
-        cfg.secure_aggregation = secure;
-        let trainer = Trainer::new(
-            cfg,
-            gfl_nn::zoo::tiny(4, 3),
-            train.clone(),
-            partition.clone(),
-            test.clone(),
-        );
-        let h = trainer.run(&groups, &FedAvg, SamplingStrategy::Random);
+        w.cfg.secure_aggregation = secure;
+        let h = w
+            .trainer()
+            .run(&w.groups, &FedAvg, SamplingStrategy::Random);
         let last = h.records().last().unwrap();
         assert!(
             last.accuracy.is_finite() && last.accuracy > 0.3,
@@ -233,19 +196,6 @@ fn client_dropout_training_stays_stable_and_uses_recovery_path() {
 fn full_dropout_round_leaves_group_model_unchanged() {
     // With dropout probability 1.0 nobody ever reports; the global model
     // must stay exactly at initialization (aggregating unchanged copies).
-    let data = SyntheticSpec::tiny().generate(300, 43);
-    let (train, test) = data.split_holdout(5);
-    let partition = ClientPartition::dirichlet(&train, &PartitionSpec::tiny(0.5, 43));
-    let topology = Topology::even_split(2, partition.sizes());
-    let groups = form_groups_per_edge(
-        &CovGrouping {
-            min_group_size: 3,
-            max_cov: 1.0,
-        },
-        &topology,
-        &partition.label_matrix,
-        43,
-    );
     let cfg = GroupFelConfig {
         global_rounds: 3,
         group_rounds: 2,
@@ -261,8 +211,10 @@ fn full_dropout_round_leaves_group_model_unchanged() {
         secure_aggregation: false,
         dropout_prob: 1.0,
     };
-    let trainer = Trainer::new(cfg, gfl_nn::zoo::tiny(4, 3), train, partition, test);
-    let h = trainer.run(&groups, &FedAvg, SamplingStrategy::Random);
+    let w = TinyWorld::build(300, &PartitionSpec::tiny(0.5, 43), &covg(3, 1.0), cfg);
+    let h = w
+        .trainer()
+        .run(&w.groups, &FedAvg, SamplingStrategy::Random);
     let accs: Vec<f32> = h.records().iter().map(|r| r.accuracy).collect();
     assert!(
         accs.windows(2).all(|w| (w[0] - w[1]).abs() < 1e-6),
