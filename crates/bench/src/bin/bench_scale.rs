@@ -1,6 +1,6 @@
-//! Million-client scale harness: measures virtual-population build, stream
-//! group formation, and one churn regroup tick at 10⁶ paper_vision-shaped
-//! clients, then merges a `scale` section into `BENCH_ROUND.json` so
+//! Million-client scale harness: measures virtual-population build, on-demand
+//! shard derivation, stream group formation, and one churn regroup tick at
+//! 10⁶ paper_vision-shaped clients, then merges a `scale` section into `BENCH_ROUND.json` so
 //! `gfl-trace regress --max-formation-seconds` can *gate* the sub-second
 //! formation claim instead of asserting it in prose (docs/SCALE.md).
 //!
@@ -43,6 +43,20 @@ fn main() {
     let t0 = Instant::now();
     let pop = VirtualPopulation::new(VirtualSpec::paper_vision(clients, 0.1, seed));
     let build_s = t0.elapsed().as_secs_f64();
+
+    // On-demand shard derivation, the per-step cost a virtual run pays for
+    // not holding feature rows: mean over clients spread across the id
+    // range, best of three passes.
+    const SHARDS: usize = 2_000;
+    let shard_us = (0..3)
+        .map(|_| {
+            let t0 = Instant::now();
+            for i in 0..SHARDS {
+                std::hint::black_box(pop.shard(i * (clients / SHARDS).max(1) % clients));
+            }
+            t0.elapsed().as_secs_f64() * 1e6 / SHARDS as f64
+        })
+        .fold(f64::INFINITY, f64::min);
 
     let sizes: Vec<usize> = (0..pop.num_clients()).map(|c| pop.client_size(c)).collect();
     let topo = Topology::even_split(8, sizes);
@@ -112,9 +126,10 @@ fn main() {
         "population_build_seconds_1m": build_s,
         "formation_seconds_1m": formation_s,
         "regroup_seconds_1m": regroup_s,
+        "shard_us": shard_us,
         "regroup_events": churn_events.len() + heal_events.len(),
         "membership": membership_horizon(seed),
-        "note": "formation_seconds_1m and regroup_seconds_1m are gated sub-second by `gfl-trace regress --max-formation-seconds` in CI's scale-smoke job",
+        "note": "formation_seconds_1m and regroup_seconds_1m are gated sub-second by `gfl-trace regress --max-formation-seconds` in CI's scale-smoke job, which also holds clients / population_build_seconds_1m to `--min-rps-ratio` of the committed baseline's",
     });
 
     let mut report: serde_json::Value = std::fs::read_to_string("BENCH_ROUND.json")
@@ -133,8 +148,8 @@ fn main() {
     std::fs::write("BENCH_ROUND.json", format!("{pretty}\n")).expect("write BENCH_ROUND.json");
 
     println!(
-        "scale: {clients} clients — build {build_s:.3}s, formation {formation_s:.3}s \
-         ({} groups), regroup {regroup_s:.3}s ({} events)",
+        "scale: {clients} clients — build {build_s:.3}s, shard {shard_us:.0}us, formation \
+         {formation_s:.3}s ({} groups), regroup {regroup_s:.3}s ({} events)",
         groups.len(),
         churn_events.len() + heal_events.len()
     );

@@ -394,8 +394,8 @@ pub fn simulate(argv: &[String], out: &mut dyn Write) -> CmdResult {
         plan.validate_for(fed.num_classes(), fed.feature_dim())
             .map_err(invalid)?;
     }
-    let sizes: Vec<usize> = (0..fed.num_clients()).map(|c| fed.client_size(c)).collect();
-    let topology = Topology::even_split(cfg.data.edges, sizes.clone());
+    let sizes = (0..fed.num_clients()).map(|c| fed.client_size(c)).collect();
+    let topology = Topology::even_split(cfg.data.edges, sizes);
     let labels = fed.label_matrix();
     let groups = form_groups_per_edge(cfg.grouping.as_ref(), &topology, labels, cfg.data.seed);
     writeln!(
@@ -466,9 +466,13 @@ pub fn simulate(argv: &[String], out: &mut dyn Write) -> CmdResult {
     let state = match method {
         Method::FedAvg => trainer.run_plan(&FedAvg, &plan),
         Method::FedProx => trainer.run_plan(&FedProx { mu: cfg.mu }, &plan),
-        Method::Scaffold => trainer.run_plan(&Scaffold::new(param_count, sizes.len()), &plan),
+        Method::Scaffold => {
+            let s = Scaffold::new(param_count, topology.num_clients());
+            trainer.run_plan(&s, &plan)
+        }
         Method::FedNova => {
-            let s = FedNova::from_sizes(&sizes, cfg.engine.local_rounds, cfg.engine.batch_size);
+            let sizes = topology.all_samples();
+            let s = FedNova::from_sizes(sizes, cfg.engine.local_rounds, cfg.engine.batch_size);
             trainer.run_plan(&s, &plan)
         }
     }

@@ -529,6 +529,8 @@ fn rows_by_threads<'a>(
 ///   (default 0.5) of baseline — generous, because CI hardware varies.
 /// * `formation.results[].clients_per_sec` (per thread row, when both
 ///   snapshots carry `bench_scale`'s `formation` section): the same floor.
+/// * `scale.clients / scale.population_build_seconds_1m` (when both
+///   snapshots carry the key): the same floor.
 /// * `allocs_per_round` (per thread row): FAIL above baseline +
 ///   `--max-alloc-delta` (default 32) — tight, because allocation counts
 ///   are machine-independent.
@@ -575,15 +577,16 @@ fn regress(paths: &[String], args: &Args, out: &mut dyn Write) -> Result<i32, St
     // Throughput of a row pair against `--min-rps-ratio`: `(ok, detail)`,
     // or nothing where either side lacks the key or flags the row unreliable.
     let reliable = |row: &Value| row.get("reliable").and_then(Value::as_bool) != Some(false);
+    let against_floor = |base: f64, cur: f64| {
+        let ratio = cur / base;
+        (
+            ratio >= min_rps,
+            format!("{cur:.2} vs baseline {base:.2} (ratio {ratio:.2}, floor {min_rps:.2})"),
+        )
+    };
     let throughput = |key: &str, base_row: &Value, cur_row: &Value| {
         let (base, cur) = (num(base_row, key)?, num(cur_row, key)?);
-        (base > 0.0 && reliable(base_row) && reliable(cur_row)).then(|| {
-            let ratio = cur / base;
-            (
-                ratio >= min_rps,
-                format!("{cur:.2} vs baseline {base:.2} (ratio {ratio:.2}, floor {min_rps:.2})"),
-            )
-        })
+        (base > 0.0 && reliable(base_row) && reliable(cur_row)).then(|| against_floor(base, cur))
     };
 
     for (threads, base_row, cur_row) in rows_by_threads(&baseline, &current) {
@@ -620,6 +623,25 @@ fn regress(paths: &[String], args: &Args, out: &mut dyn Write) -> Result<i32, St
                 let label = format!("formation.covg_clients_per_sec[threads={threads}]");
                 check(out, label, ok, detail);
             }
+        }
+    }
+
+    // The population build (bench_scale's `scale` section) is what is left
+    // of a virtual run's set-up; as clients/s it compares across population
+    // sizes, and is held to the same floor.
+    if let (Some(base), Some(cur)) = (baseline.get("scale"), current.get("scale")) {
+        let rate = |scale: &Value| {
+            let seconds = num(scale, "population_build_seconds_1m")?;
+            (seconds > 0.0).then_some(num(scale, "clients")? / seconds)
+        };
+        if let (Some(base), Some(cur)) = (rate(base), rate(cur)) {
+            let (ok, detail) = against_floor(base, cur);
+            check(
+                out,
+                "scale.population_build_clients_per_sec".into(),
+                ok,
+                detail,
+            );
         }
     }
 

@@ -224,6 +224,62 @@ fn regress_gates_the_scale_section_sub_second() {
 }
 
 #[test]
+fn regress_holds_the_population_build_to_the_baselines_clients_per_second() {
+    let fixture_text = std::fs::read_to_string(fixture("bench_baseline.json")).unwrap();
+    // The fixture + a scale section; `build` absent = a snapshot that
+    // predates the key.
+    let with_build = |name: &str, clients: usize, build: Option<f64>| {
+        let mut v: serde_json::Value = serde_json::from_str(&fixture_text).unwrap();
+        let serde_json::Value::Object(pairs) = &mut v else {
+            panic!("fixture must be an object")
+        };
+        let mut scale = vec![("clients".to_string(), serde_json::json!(clients))];
+        if let Some(seconds) = build {
+            scale.push((
+                "population_build_seconds_1m".to_string(),
+                serde_json::json!(seconds),
+            ));
+        }
+        pairs.push(("scale".to_string(), serde_json::Value::Object(scale)));
+        let path = tmp(name);
+        std::fs::write(&path, serde_json::to_string(&v).unwrap()).unwrap();
+        path
+    };
+    let label = "scale.population_build_clients_per_sec";
+
+    let base = with_build("bench_build_base.json", 1_000_000, Some(1.0));
+    // A tenth of the clients in a tenth of the time is the same rate.
+    let same = with_build("bench_build_same.json", 100_000, Some(0.1));
+    let (code, out) = gfl_trace(&format!("regress {} {}", base.display(), same.display()));
+    assert_eq!(code, 0, "{out}");
+    assert!(out.contains(&format!("PASS {label}")), "{out}");
+
+    // 2.5x slower is under the default 0.5 floor; a looser floor admits it.
+    let slow = with_build("bench_build_slow.json", 1_000_000, Some(2.5));
+    let (code, out) = gfl_trace(&format!("regress {} {}", base.display(), slow.display()));
+    assert_eq!(code, 2, "{out}");
+    assert!(out.contains(&format!("FAIL {label}")), "{out}");
+    assert!(out.contains("ratio 0.40"), "{out}");
+    let (code, out) = gfl_trace(&format!(
+        "regress {} {} --min-rps-ratio 0.3",
+        base.display(),
+        slow.display()
+    ));
+    assert_eq!(code, 0, "{out}");
+
+    // A snapshot without the key on either side is skipped, not failed.
+    let old = with_build("bench_build_old.json", 1_000_000, None);
+    for (a, b) in [(&old, &slow), (&slow, &old)] {
+        let (code, out) = gfl_trace(&format!("regress {} {}", a.display(), b.display()));
+        assert_eq!(code, 0, "{out}");
+        assert!(!out.contains(label), "{out}");
+    }
+    for path in [base, same, slow, old] {
+        std::fs::remove_file(path).ok();
+    }
+}
+
+#[test]
 fn regress_with_no_overlap_is_an_error() {
     let base = fixture("bench_baseline.json");
     let empty = tmp("empty_bench.json");

@@ -198,6 +198,8 @@ pub struct Trainer {
     /// Feature-row backing buffers for on-demand virtual shards, recycled
     /// so a steady-state round materializes into warm capacity.
     shard_pool: BufPool<Scalar>,
+    /// Label-mix scratch of those shards, one class-count `Vec<f64>` each.
+    mix_pool: BufPool<f64>,
     /// Per-group slot-shell `Vec<Slot>` buffers.
     slot_pool: BufPool<Slot>,
     /// Evaluation workspaces for the per-round test/ASR evaluations.
@@ -540,6 +542,7 @@ impl Trainer {
             param_pool: BufPool::new(),
             member_pool: BufPool::new(),
             shard_pool: BufPool::new(),
+            mix_pool: BufPool::new(),
             slot_pool: BufPool::new(),
             eval_pool: gfl_nn::EvalPool::new(),
             obs: None,
@@ -1263,7 +1266,9 @@ impl Trainer {
             FedData::Virtual(pop) => {
                 let features = self.shard_pool.take();
                 let labels = self.member_pool.take();
-                let mut ds = pop.shard_from_parts(client, features, labels);
+                let mut mix = self.mix_pool.take();
+                let mut ds = pop.shard_from_parts(client, features, labels, &mut mix);
+                self.mix_pool.put(mix);
                 if let Some(a) = adv.filter(|a| a.plan.kind(client).is_some()) {
                     let classes = ds.num_classes();
                     let (mut features, mut labels) = ds.into_parts();

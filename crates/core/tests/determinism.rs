@@ -32,6 +32,25 @@ fn clean_run_is_bit_identical_across_thread_counts() {
 }
 
 #[test]
+fn virtual_population_build_is_bit_identical_across_thread_counts() {
+    // The build writes each chunk of clients into its own range of the
+    // final buffers; where the chunk boundaries fall must not show. 4 001
+    // does not divide by 2 or 8, and 5 clients are fewer than 8 workers.
+    let seed = 17 + seed_offset();
+    for clients in [4_001, 5] {
+        for alpha in [0.01, 0.5] {
+            assert_bit_identical(&THREAD_COUNTS, || {
+                let mut spec = gfl_data::VirtualSpec::paper_vision(clients, alpha, seed);
+                spec.data = gfl_data::SyntheticSpec::speech_like();
+                let pop = gfl_data::VirtualPopulation::new(spec);
+                let sizes: Vec<usize> = (0..clients).map(|c| pop.client_size(c)).collect();
+                (sizes, pop.total_samples(), pop.label_matrix().clone())
+            });
+        }
+    }
+}
+
+#[test]
 fn virtual_population_run_is_bit_identical_across_thread_counts() {
     // Virtual populations add two more thread-sensitive stages: the
     // chunked parallel population build (per-client summary statistics)

@@ -45,19 +45,19 @@ pub fn shard_partition(
 
     let m = dataset.num_classes();
     let mut indices: Vec<Vec<usize>> = vec![Vec::new(); num_clients];
-    let mut counts: Vec<Vec<u32>> = vec![vec![0; m]; num_clients];
+    let mut counts = vec![0u32; num_clients * m];
     for (k, &shard) in shard_ids.iter().enumerate() {
         let client = k / shards_per_client;
         let (s, e) = ranges[shard];
         for &sample in &order[s..e] {
             indices[client].push(sample);
-            counts[client][dataset.labels()[sample]] += 1;
+            counts[client * m + dataset.labels()[sample]] += 1;
         }
     }
 
     ClientPartition {
         indices,
-        label_matrix: LabelMatrix::new(counts, m),
+        label_matrix: LabelMatrix::from_flat(counts, num_clients, m),
     }
 }
 

@@ -6,7 +6,7 @@
 //! trivial, so federated training exhibits the gradual accuracy curves the
 //! paper's figures show rather than saturating in two rounds.
 
-use gfl_tensor::init::{self, GflRng};
+use gfl_tensor::init;
 use gfl_tensor::{Matrix, Scalar};
 use rand::Rng;
 
@@ -88,7 +88,7 @@ impl SyntheticSpec {
         assert!(self.num_classes > 0 && self.feature_dim > 0);
         match label_weights {
             None => {
-                let mut rng = init::rng(seed);
+                let mut rng = init::wide_rng(seed);
                 let means = self.class_means(&mut rng);
                 let mut features = Matrix::zeros(n, self.feature_dim);
                 let mut labels = Vec::with_capacity(n);
@@ -112,7 +112,7 @@ impl SyntheticSpec {
     /// The class-mean constellation for `seed` — identical to the means the
     /// uniform generator draws as its RNG-stream prefix.
     pub fn class_means_for(&self, seed: u64) -> Matrix {
-        self.class_means(&mut init::rng(seed))
+        self.class_means(&mut init::wide_rng(seed))
     }
 
     /// Appends `n` labels drawn from `weights` into `out` — exactly the
@@ -120,13 +120,29 @@ impl SyntheticSpec {
     /// same `(n, weights, seed)`. O(n) integer/f64 draws; never touches the
     /// feature stream, so per-client label histograms cost no feature work.
     pub fn weighted_labels_into(&self, n: usize, weights: &[f64], seed: u64, out: &mut Vec<usize>) {
-        assert_eq!(weights.len(), self.num_classes, "weight arity mismatch");
-        let mut rng = init::rng(seed ^ LABEL_STREAM_SALT);
-        let total: f64 = weights.iter().sum();
         out.reserve(n);
-        for _ in 0..n {
-            out.push(sample_categorical(&mut rng, weights, total));
-        }
+        self.weighted_labels(n, weights, seed, |label| out.push(label));
+    }
+
+    /// Adds the histogram of those same `n` labels into `counts` (one slot
+    /// per class) without storing them.
+    pub(crate) fn weighted_label_counts_into(
+        &self,
+        n: usize,
+        weights: &[f64],
+        seed: u64,
+        counts: &mut [u32],
+    ) {
+        assert_eq!(counts.len(), self.num_classes, "count arity mismatch");
+        self.weighted_labels(n, weights, seed, |label| counts[label] += 1);
+    }
+
+    /// The salted label stream of `seed`: `n` draws from `weights`, handed
+    /// to `sink` in draw order.
+    fn weighted_labels(&self, n: usize, weights: &[f64], seed: u64, sink: impl FnMut(usize)) {
+        assert_eq!(weights.len(), self.num_classes, "weight arity mismatch");
+        let mut rng = init::wide_rng(seed ^ LABEL_STREAM_SALT);
+        sample_categorical_lanes(&mut rng, n, weights, sink);
     }
 
     /// Split-stream weighted generation against a caller-supplied mean
@@ -161,7 +177,7 @@ impl SyntheticSpec {
     ) {
         debug_assert_eq!(features.rows(), labels.len());
         debug_assert_eq!(features.cols(), self.feature_dim);
-        let mut rng = init::rng(seed ^ FEATURE_STREAM_SALT);
+        let mut rng = init::wide_rng(seed ^ FEATURE_STREAM_SALT);
         for (i, &label) in labels.iter().enumerate() {
             let row = features.row_mut(i);
             for (j, v) in row.iter_mut().enumerate() {
@@ -175,7 +191,7 @@ impl SyntheticSpec {
     /// Means are sampled i.i.d. Gaussian then scaled to the separation
     /// radius, which keeps pairwise distances concentrated for moderate
     /// dimensions (Johnson–Lindenstrauss regime).
-    fn class_means(&self, rng: &mut GflRng) -> Matrix {
+    fn class_means(&self, rng: &mut init::WideRng) -> Matrix {
         let mut means = Matrix::zeros(self.num_classes, self.feature_dim);
         for c in 0..self.num_classes {
             let row = means.row_mut(c);
@@ -189,8 +205,60 @@ impl SyntheticSpec {
     }
 }
 
+/// Draws of one categorical distribution taken side by side.
+const LANES: usize = 8;
+
+/// `n` draws proportional to `weights`, handed to `sink` in draw order: the
+/// scalar chain of [`sample_categorical`] — `t = u · total`, then `t -= w[i]`
+/// until `t <= 0` — run on [`LANES`] uniforms at a time.
+///
+/// Every lane performs the scalar loop's subtractions in the scalar loop's
+/// order and takes its *first* `t <= 0`, so the labels equal the scalar
+/// loop's for any weights (zero, negative, NaN, infinite), and each draw
+/// reads the one `u64` the scalar draw reads. Plain Rust over fixed-width
+/// arrays, as `cov_lanes` is; the compiler vectorises the lane loops.
+fn sample_categorical_lanes(
+    rng: &mut impl Rng,
+    n: usize,
+    weights: &[f64],
+    mut sink: impl FnMut(usize),
+) {
+    let total: f64 = weights.iter().sum();
+    if total <= 0.0 {
+        for _ in 0..n {
+            sink(rng.gen_range(0..weights.len()));
+        }
+        return;
+    }
+    let last = weights.len() - 1;
+    for start in (0..n).step_by(LANES) {
+        let width = LANES.min(n - start);
+        let mut t = [0.0f64; LANES];
+        for lane in t.iter_mut().take(width) {
+            *lane = rng.gen::<f64>() * total;
+        }
+        // A lane's label is the number of weights it outlived: 1.0 is added
+        // per weight while no `t <= 0` has been seen, nothing after.
+        let mut alive = [1.0f64; LANES];
+        let mut outlived = [0.0f64; LANES];
+        for &w in weights {
+            for l in 0..LANES {
+                t[l] -= w;
+                alive[l] = if t[l] <= 0.0 { 0.0 } else { alive[l] };
+                outlived[l] += alive[l];
+            }
+        }
+        for &count in outlived.iter().take(width) {
+            // Never hit: the scalar loop falls through to the last index.
+            sink((count as usize).min(last));
+        }
+    }
+}
+
 /// Samples an index proportional to non-negative weights, whose sum the
-/// caller passes as `total` (one sum per client, not one per draw).
+/// caller passes as `total` — the scalar statement of
+/// [`sample_categorical_lanes`], kept as its oracle.
+#[cfg(test)]
 fn sample_categorical(rng: &mut impl Rng, weights: &[f64], total: f64) -> usize {
     if total <= 0.0 {
         return rng.gen_range(0..weights.len());
@@ -208,6 +276,100 @@ fn sample_categorical(rng: &mut impl Rng, weights: &[f64], total: f64) -> usize 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use rand::RngCore;
+
+    /// One weight: mostly ordinary, sometimes each thing a weight should
+    /// never be.
+    fn weight() -> impl Strategy<Value = f64> {
+        (0u8..16, 0.0f64..1.0).prop_map(|(kind, x)| match kind {
+            0 | 1 => 0.0,
+            2 => -x,
+            3 => f64::NAN,
+            4 => f64::INFINITY,
+            5 => f64::NEG_INFINITY,
+            6 => f64::MIN_POSITIVE * x,
+            7 => -0.0,
+            8 => x * 1e300,
+            _ => x,
+        })
+    }
+
+    /// Weight vectors of 1..=40 classes: as drawn, all zero, or zero but
+    /// for one class.
+    fn weights() -> impl Strategy<Value = Vec<f64>> {
+        (
+            proptest::collection::vec(weight(), 1..41),
+            0u8..6,
+            0usize..40,
+        )
+            .prop_map(|(mut w, shape, hot)| {
+                let hot = hot % w.len();
+                match shape {
+                    0 => w.fill(0.0),
+                    1 => {
+                        let keep = w[hot];
+                        w.fill(0.0);
+                        w[hot] = keep;
+                    }
+                    _ => {}
+                }
+                w
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The lane kernel is the scalar loop, draw for draw, for any
+        /// weights and every tail length, through both sinks — and leaves
+        /// the stream where `n` scalar draws leave it.
+        #[test]
+        fn categorical_lanes_equal_the_scalar_loop(
+            w in weights(),
+            n in 0usize..301,
+            seed in 0u64..u64::MAX,
+        ) {
+            let mut scalar_rng = init::rng(seed);
+            let total: f64 = w.iter().sum();
+            let want: Vec<usize> = (0..n)
+                .map(|_| sample_categorical(&mut scalar_rng, &w, total))
+                .collect();
+
+            let mut lane_rng = init::wide_rng(seed);
+            let mut got = Vec::new();
+            sample_categorical_lanes(&mut lane_rng, n, &w, |label| got.push(label));
+            prop_assert_eq!(&got, &want);
+            prop_assert_eq!(lane_rng.next_u64(), scalar_rng.next_u64());
+
+            let mut want_counts = vec![0u32; w.len()];
+            want.iter().for_each(|&label| want_counts[label] += 1);
+            let mut counts = vec![0u32; w.len()];
+            sample_categorical_lanes(&mut init::wide_rng(seed), n, &w, |label| {
+                counts[label] += 1
+            });
+            prop_assert_eq!(counts, want_counts);
+        }
+    }
+
+    #[test]
+    fn label_sinks_agree_through_the_public_entry_points() {
+        let spec = SyntheticSpec::vision_like();
+        let mut w = [0.0; 10];
+        w[3] = 0.25;
+        w[7] = 0.75;
+        for n in [0, 1, 7, 8, 9, 127, 128, 129, 200] {
+            let mut labels = Vec::new();
+            spec.weighted_labels_into(n, &w, 41, &mut labels);
+            assert_eq!(labels.len(), n);
+            let mut counts = [0u32; 10];
+            spec.weighted_label_counts_into(n, &w, 41, &mut counts);
+            let mut want = [0u32; 10];
+            labels.iter().for_each(|&l| want[l] += 1);
+            assert_eq!(counts, want, "n = {n}");
+            assert_eq!(counts[3] + counts[7], n as u32);
+        }
+    }
 
     #[test]
     fn generation_is_deterministic() {

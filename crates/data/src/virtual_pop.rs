@@ -123,37 +123,37 @@ impl VirtualPopulation {
         let m = spec.data.num_classes;
         let means = spec.data.class_means_for(spec.seed);
 
-        // Chunked parallel build. Each client is a pure function of its id,
-        // so per-chunk results concatenate to the same population regardless
-        // of thread count or chunk boundaries.
-        let chunks =
-            gfl_parallel::chunk_ranges(spec.num_clients, gfl_parallel::default_parallelism());
+        // Chunked parallel build, in place: each chunk of clients owns its
+        // range of the two final buffers. A client is a pure function of its
+        // id, so the population is the same at any thread count or chunk
+        // boundary.
+        let mut sizes = vec![0u32; spec.num_clients];
+        let mut counts = vec![0u32; spec.num_clients * m];
+        let per_chunk = spec
+            .num_clients
+            .div_ceil(gfl_parallel::default_parallelism());
+        let mut chunks: Vec<_> = sizes
+            .chunks_mut(per_chunk)
+            .zip(counts.chunks_mut(per_chunk * m))
+            .collect();
         let spec_ref = &spec;
-        let parts: Vec<(Vec<u32>, Vec<Vec<u32>>)> =
-            gfl_parallel::par_map(&chunks, |&(start, end)| {
-                let mut sizes = Vec::with_capacity(end - start);
-                let mut counts = Vec::with_capacity(end - start);
-                let mut labels = Vec::new();
-                for c in start..end {
-                    let (size, hist) = client_stats(spec_ref, c, &mut labels);
-                    sizes.push(size as u32);
-                    counts.push(hist);
+        gfl_parallel::par_for_each_init(
+            &mut chunks,
+            || vec![0.0f64; m],
+            |mix, chunk, (chunk_sizes, chunk_counts)| {
+                let rows = chunk_counts.chunks_exact_mut(m);
+                for (i, (size, row)) in chunk_sizes.iter_mut().zip(rows).enumerate() {
+                    *size = client_stats(spec_ref, chunk * per_chunk + i, mix, row) as u32;
                 }
-                (sizes, counts)
-            });
+            },
+        );
 
-        let mut sizes = Vec::with_capacity(spec.num_clients);
-        let mut counts = Vec::with_capacity(spec.num_clients);
-        for (s, c) in parts {
-            sizes.extend(s);
-            counts.extend(c);
-        }
         let total_samples = sizes.iter().map(|&s| s as usize).sum();
         Self {
+            label_matrix: LabelMatrix::from_flat(counts, spec.num_clients, m),
             spec,
             means,
             sizes,
-            label_matrix: LabelMatrix::new(counts, m),
             total_samples,
         }
     }
@@ -188,50 +188,49 @@ impl VirtualPopulation {
 
     /// The derivation seed for client `c`'s streams.
     pub fn client_seed(&self, c: usize) -> u64 {
-        splitmix(self.spec.seed ^ splitmix(c as u64 ^ CLIENT_SALT))
+        client_seed(&self.spec, c)
     }
 
     /// Client `c`'s Dirichlet(α) label mix, re-derived on demand.
     pub fn client_mix(&self, c: usize) -> Vec<f64> {
-        let mut rng = init::rng(self.client_seed(c) ^ MIX_SALT);
-        init::dirichlet_symmetric(&mut rng, self.spec.alpha, self.spec.data.num_classes)
+        let mut mix = vec![0.0; self.spec.data.num_classes];
+        client_mix_into(&self.spec, self.client_seed(c), &mut mix);
+        mix
     }
 
     /// Materializes client `c`'s shard: `client_size(c)` rows of
     /// `means[label] + N(0, noise²)`. Bitwise-deterministic in
     /// `(spec.seed, c)`.
     pub fn shard(&self, c: usize) -> Dataset {
-        self.shard_from_parts(c, Vec::new(), Vec::new())
+        self.shard_from_parts(c, Vec::new(), Vec::new(), &mut Vec::new())
     }
 
     /// [`Self::shard`] building into caller-supplied backing buffers, so
     /// the per-round materialization of sampled clients can recycle
     /// allocations through a [`BufPool`]-style pool. Pass the buffers back
     /// by destructuring the returned dataset with [`Dataset::into_parts`]
-    /// and [`Matrix::into_vec`].
+    /// and [`Matrix::into_vec`]; `mix` is scratch for the client's label
+    /// mix and holds nothing the caller needs afterwards.
     pub fn shard_from_parts(
         &self,
         c: usize,
         mut features: Vec<Scalar>,
         mut labels: Vec<usize>,
+        mix: &mut Vec<f64>,
     ) -> Dataset {
         let n = self.client_size(c);
-        let dim = self.spec.data.feature_dim;
-        let mix = self.client_mix(c);
+        let data = &self.spec.data;
+        let seed = self.client_seed(c);
+        mix.clear();
+        mix.resize(data.num_classes, 0.0);
+        client_mix_into(&self.spec, seed, mix);
         labels.clear();
-        self.spec
-            .data
-            .weighted_labels_into(n, &mix, self.client_seed(c), &mut labels);
+        data.weighted_labels_into(n, mix, seed, &mut labels);
         features.clear();
-        features.resize(n * dim, 0.0);
-        let mut matrix = Matrix::from_vec(n, dim, features);
-        self.spec.data.fill_weighted_features(
-            &labels,
-            &self.means,
-            self.client_seed(c),
-            &mut matrix,
-        );
-        Dataset::new(matrix, labels, self.spec.data.num_classes)
+        features.resize(n * data.feature_dim, 0.0);
+        let mut matrix = Matrix::from_vec(n, data.feature_dim, features);
+        data.fill_weighted_features(&labels, &self.means, seed, &mut matrix);
+        Dataset::new(matrix, labels, data.num_classes)
     }
 
     /// A held-out evaluation set from the population's data model, drawn
@@ -275,21 +274,27 @@ impl VirtualPopulation {
     }
 }
 
-/// One client's `(size, label histogram)` — the full summary derivation.
-/// `labels` is scratch reused across clients.
-fn client_stats(spec: &VirtualSpec, c: usize, labels: &mut Vec<usize>) -> (usize, Vec<u32>) {
-    let client_seed = splitmix(spec.seed ^ splitmix(c as u64 ^ CLIENT_SALT));
-    let size = draw_size(spec, client_seed);
-    let mut mix_rng = init::rng(client_seed ^ MIX_SALT);
-    let mix = init::dirichlet_symmetric(&mut mix_rng, spec.alpha, spec.data.num_classes);
-    labels.clear();
-    spec.data
-        .weighted_labels_into(size, &mix, client_seed, labels);
-    let mut hist = vec![0u32; spec.data.num_classes];
-    for &l in labels.iter() {
-        hist[l] += 1;
-    }
-    (size, hist)
+/// One client's summary derivation: returns its size and adds its label
+/// histogram into `row` (zeroed, one slot per class). `mix` is scratch of the
+/// same width, reused across clients.
+fn client_stats(spec: &VirtualSpec, c: usize, mix: &mut [f64], row: &mut [u32]) -> usize {
+    let seed = client_seed(spec, c);
+    let size = draw_size(spec, seed);
+    client_mix_into(spec, seed, mix);
+    spec.data.weighted_label_counts_into(size, mix, seed, row);
+    size
+}
+
+/// The seed of client `c`'s streams: a hash of `(population seed, c)`.
+fn client_seed(spec: &VirtualSpec, c: usize) -> u64 {
+    splitmix(spec.seed ^ splitmix(c as u64 ^ CLIENT_SALT))
+}
+
+/// The Dirichlet(α) label mix of the client with seed `client_seed`, into
+/// `mix` (one slot per class).
+fn client_mix_into(spec: &VirtualSpec, client_seed: u64, mix: &mut [f64]) {
+    let mut rng = init::rng(client_seed ^ MIX_SALT);
+    init::dirichlet_symmetric_into(&mut rng, spec.alpha, mix);
 }
 
 /// The `partition.rs` clipped-normal size draw, minus the finite-supply cap
@@ -348,7 +353,7 @@ mod tests {
     fn shard_from_parts_recycles_buffers() {
         let pop = VirtualPopulation::new(VirtualSpec::tiny(10, 0.5, 5));
         let eager = pop.shard(4);
-        let pooled = pop.shard_from_parts(4, vec![9.0; 1000], vec![7usize; 9]);
+        let pooled = pop.shard_from_parts(4, vec![9.0; 1000], vec![7usize; 9], &mut vec![0.5; 7]);
         assert_eq!(eager.labels(), pooled.labels());
         assert_eq!(eager.features().as_slice(), pooled.features().as_slice());
         let (m, l) = pooled.into_parts();

@@ -147,6 +147,7 @@ proptest! {
             c,
             vec![gfl_tensor::Scalar::NAN; junk_f],
             vec![usize::MAX; junk_l],
+            &mut vec![f64::NAN; junk_l % 50],
         );
         prop_assert_eq!(fresh.labels(), pooled.labels());
         prop_assert_eq!(fresh.features().as_slice(), pooled.features().as_slice());

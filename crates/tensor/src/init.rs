@@ -20,6 +20,86 @@ pub fn rng(seed: u64) -> GflRng {
     ChaCha8Rng::seed_from_u64(seed)
 }
 
+/// Bytes [`WideRng`] fetches at a time: sixteen ChaCha blocks, which is one
+/// 16-lane `fill_bytes` call under AVX-512 and four 4-lane calls otherwise.
+const WINDOW_BYTES: usize = 1024;
+
+/// The word stream of [`rng`]`(seed)`, fetched a [`WINDOW_BYTES`] window at a
+/// time through the generator's lane-wise `fill_bytes` instead of one block
+/// per refill.
+///
+/// It implements [`RngCore`] over the same words in the same order, so
+/// whatever consumes it — [`normal`] with its Box–Muller rejection,
+/// `gen_range`, [`fill_normal`] — draws what it would draw from [`rng`], bit
+/// for bit. Use it where a stream is known to be long (a dataset's features,
+/// a client's label draws); a stream that is asked for a handful of words
+/// and dropped stays on [`rng`], which computes one block, not sixteen.
+#[derive(Debug, Clone)]
+pub struct WideRng {
+    /// Positioned at the end of `window`.
+    inner: GflRng,
+    window: [u8; WINDOW_BYTES],
+    /// Byte offset of the next unread word; `WINDOW_BYTES` means empty.
+    pos: usize,
+}
+
+/// Opens the stream of [`rng`]`(seed)` behind the wide reader.
+pub fn wide_rng(seed: u64) -> WideRng {
+    WideRng {
+        inner: rng(seed),
+        window: [0; WINDOW_BYTES],
+        pos: WINDOW_BYTES,
+    }
+}
+
+impl WideRng {
+    fn refill(&mut self) {
+        self.inner.fill_bytes(&mut self.window);
+        self.pos = 0;
+    }
+}
+
+impl RngCore for WideRng {
+    #[inline]
+    fn next_u32(&mut self) -> u32 {
+        if self.pos >= WINDOW_BYTES {
+            self.refill();
+        }
+        let word = self.window[self.pos..self.pos + 4]
+            .try_into()
+            .expect("a four-byte slice");
+        self.pos += 4;
+        u32::from_le_bytes(word)
+    }
+
+    /// Two consecutive words, low half first — one little-endian load unless
+    /// the pair straddles a window.
+    #[inline]
+    fn next_u64(&mut self) -> u64 {
+        if self.pos + 8 > WINDOW_BYTES {
+            let lo = u64::from(self.next_u32());
+            let hi = u64::from(self.next_u32());
+            return (hi << 32) | lo;
+        }
+        let pair = self.window[self.pos..self.pos + 8]
+            .try_into()
+            .expect("an eight-byte slice");
+        self.pos += 8;
+        u64::from_le_bytes(pair)
+    }
+
+    fn fill_bytes(&mut self, dest: &mut [u8]) {
+        let mut words = dest.chunks_exact_mut(4);
+        for word in &mut words {
+            word.copy_from_slice(&self.next_u32().to_le_bytes());
+        }
+        let partial = words.into_remainder();
+        if !partial.is_empty() {
+            partial.copy_from_slice(&self.next_u32().to_le_bytes()[..partial.len()]);
+        }
+    }
+}
+
 /// Derives an independent child RNG stream; used to give each client its own
 /// reproducible stream regardless of scheduling order.
 pub fn child_rng(rng: &mut GflRng, stream: u64) -> GflRng {
@@ -83,19 +163,26 @@ pub fn gamma(rng: &mut impl Rng, shape: f64) -> f64 {
 /// Smaller `alpha` concentrates mass on few coordinates — exactly the
 /// label-skew behaviour the paper sweeps (α ∈ {0.01, 0.1, 0.5, 1.0}).
 pub fn dirichlet_symmetric(rng: &mut impl Rng, alpha: f64, dim: usize) -> Vec<f64> {
-    assert!(dim > 0, "dirichlet dimension must be positive");
-    let mut draws: Vec<f64> = (0..dim).map(|_| gamma(rng, alpha)).collect();
-    let sum: f64 = draws.iter().sum();
+    let mut draws = vec![0.0; dim];
+    dirichlet_symmetric_into(rng, alpha, &mut draws);
+    draws
+}
+
+/// [`dirichlet_symmetric`] of dimension `out.len()` into a caller-owned
+/// buffer — the same draws from the same words.
+pub fn dirichlet_symmetric_into(rng: &mut impl Rng, alpha: f64, out: &mut [f64]) {
+    assert!(!out.is_empty(), "dirichlet dimension must be positive");
+    out.iter_mut().for_each(|d| *d = gamma(rng, alpha));
+    let sum: f64 = out.iter().sum();
     if sum <= 0.0 || !sum.is_finite() {
         // Degenerate draw (possible for very small alpha in f64): put all
         // mass on a uniformly random coordinate, matching the alpha→0 limit.
-        let hot = rng.gen_range(0..dim);
-        draws.iter_mut().for_each(|d| *d = 0.0);
-        draws[hot] = 1.0;
-        return draws;
+        let hot = rng.gen_range(0..out.len());
+        out.fill(0.0);
+        out[hot] = 1.0;
+        return;
     }
-    draws.iter_mut().for_each(|d| *d /= sum);
-    draws
+    out.iter_mut().for_each(|d| *d /= sum);
 }
 
 /// He (Kaiming) initialization for a `fan_out × fan_in` weight matrix:
@@ -121,6 +208,7 @@ pub fn fill_normal(rng: &mut impl Rng, std: Scalar, out: &mut [Scalar]) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn rng_is_deterministic() {
@@ -140,6 +228,88 @@ mod tests {
         let mut c1 = child_rng(&mut parent2, 1);
         let same: usize = (0..64).filter(|_| c0.next_u64() == c1.next_u64()).count();
         assert!(same < 4, "child streams should diverge");
+    }
+
+    proptest! {
+        /// Any interleaving of draws reads the same words from the wide
+        /// reader as from `rng`, across window boundaries and with pairs
+        /// that straddle one (an odd number of `next_u32` first).
+        #[test]
+        fn wide_reader_equals_rng(
+            seed in 0u64..u64::MAX,
+            skip in 0usize..600,
+            ops in proptest::collection::vec(0u8..6, 0..700),
+        ) {
+            let mut narrow = rng(seed);
+            let mut wide = wide_rng(seed);
+            for _ in 0..skip {
+                prop_assert_eq!(wide.next_u32(), narrow.next_u32());
+            }
+            for op in ops {
+                match op {
+                    0 => prop_assert_eq!(wide.next_u32(), narrow.next_u32()),
+                    1 => prop_assert_eq!(wide.next_u64(), narrow.next_u64()),
+                    2 => prop_assert_eq!(
+                        wide.gen::<f64>().to_bits(),
+                        narrow.gen::<f64>().to_bits()
+                    ),
+                    3 => prop_assert_eq!(wide.gen_range(0..35usize), narrow.gen_range(0..35usize)),
+                    4 => prop_assert_eq!(
+                        normal(&mut wide, 0.5, 2.0).to_bits(),
+                        normal(&mut narrow, 0.5, 2.0).to_bits()
+                    ),
+                    _ => {
+                        let (mut a, mut b) = ([0u8; 7], [0u8; 7]);
+                        wide.fill_bytes(&mut a);
+                        narrow.fill_bytes(&mut b);
+                        prop_assert_eq!(a, b);
+                    }
+                }
+            }
+            prop_assert_eq!(wide.next_u64(), narrow.next_u64());
+        }
+    }
+
+    /// A reader over a hand-built window, followed by the stream of `rng(0)`.
+    fn reader_over(words: &[u64]) -> WideRng {
+        let mut reader = wide_rng(0);
+        reader.pos = WINDOW_BYTES - 8 * words.len();
+        for (slot, word) in reader.window[reader.pos..].chunks_exact_mut(8).zip(words) {
+            slot.copy_from_slice(&word.to_le_bytes());
+        }
+        reader
+    }
+
+    #[test]
+    fn box_muller_rejects_a_zero_uniform_from_the_wide_reader() {
+        // 2047 >> 11 == 0, so the first uniform is exactly 0.0 and must be
+        // drawn again; the sample comes from the second and third words.
+        let half = 1u64 << 63;
+        let quarter = 1u64 << 62;
+        let mut rejecting = reader_over(&[2047, half, quarter]);
+        let mut plain = reader_over(&[half, quarter]);
+        let got = standard_normal(&mut rejecting);
+        assert_eq!(got.to_bits(), standard_normal(&mut plain).to_bits());
+        let want = (-2.0 * 0.5f64.ln()).sqrt() * (2.0 * std::f64::consts::PI * 0.25).cos();
+        assert_eq!(got.to_bits(), (want as Scalar).to_bits());
+        // Both consumed their window and go on with the stream behind it.
+        let next = rng(0).next_u64();
+        assert_eq!((rejecting.next_u64(), plain.next_u64()), (next, next));
+    }
+
+    #[test]
+    fn dirichlet_into_draws_what_dirichlet_draws() {
+        for alpha in [0.001f64, 0.01, 0.1, 1.0] {
+            for seed in 0..50 {
+                let mut a = rng(seed);
+                let mut b = rng(seed);
+                let want = dirichlet_symmetric(&mut a, alpha, 10);
+                let mut got = [f64::NAN; 10];
+                dirichlet_symmetric_into(&mut b, alpha, &mut got);
+                assert_eq!(want, got);
+                assert_eq!(a.next_u64(), b.next_u64());
+            }
+        }
     }
 
     #[test]
