@@ -1,7 +1,7 @@
 //! Line 13 — the local-update kernel: one forward/backward pass per
 //! minibatch for both task models, plus evaluation throughput, plus the
-//! SIMD microkernels (dot/gemm) those passes bottleneck on, measured once
-//! per dispatch tier this machine supports.
+//! SIMD microkernels (dot/gemm, the softmax row kernels) those passes
+//! bottleneck on, measured once per dispatch tier this machine supports.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use gfl_data::SyntheticSpec;
@@ -84,6 +84,60 @@ fn bench_simd_kernels(c: &mut Criterion) {
     group.finish();
 }
 
+/// The lane-per-row softmax kernels at the two tasks' class counts, once
+/// per SIMD tier: `softmax_xent_rows` on a batch of 32 (the training tail,
+/// copy of the logits included) and `xent_argmax_rows` on an evaluation
+/// chunk of 256. `Throughput::Elements` is the row count, so the output
+/// reads as rows/s and the scalar row form is the `scalar` line.
+fn bench_softmax(c: &mut Criterion) {
+    let (batch, chunk) = (32usize, 256usize);
+    let mut group = c.benchmark_group("softmax");
+    for tier in simd::supported_tiers() {
+        let prev = simd::set_tier(tier);
+        for classes in [35usize, 10] {
+            let logits: Vec<f32> = filled(chunk * classes, 7)
+                .iter()
+                .map(|u| u * 16.0)
+                .collect();
+            let labels: Vec<usize> = (0..chunk).map(|r| r * 7 % classes).collect();
+            let mut block = Vec::new();
+            let mut delta = vec![0.0f32; batch * classes];
+            group.throughput(Throughput::Elements(batch as u64));
+            group.bench_function(
+                BenchmarkId::new(format!("softmax_xent_rows_{}", tier.name()), classes),
+                |bch| {
+                    bch.iter(|| {
+                        delta.copy_from_slice(&logits[..batch * classes]);
+                        black_box(simd::softmax_xent_rows(
+                            &mut delta,
+                            classes,
+                            &labels[..batch],
+                            1.0 / batch as f32,
+                            &mut block,
+                        ))
+                    })
+                },
+            );
+            group.throughput(Throughput::Elements(chunk as u64));
+            group.bench_function(
+                BenchmarkId::new(format!("xent_argmax_rows_{}", tier.name()), classes),
+                |bch| {
+                    bch.iter(|| {
+                        black_box(simd::xent_argmax_rows(
+                            black_box(&logits),
+                            classes,
+                            &labels,
+                            &mut block,
+                        ))
+                    })
+                },
+            );
+        }
+        simd::set_tier(prev);
+    }
+    group.finish();
+}
+
 fn bench_nn(c: &mut Criterion) {
     let mut group = c.benchmark_group("local_update_kernel");
     // The paper-faithful 5-layer CNN kernel (cnn_speech extension).
@@ -140,5 +194,5 @@ fn bench_nn(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_nn, bench_simd_kernels);
+criterion_group!(benches, bench_nn, bench_simd_kernels, bench_softmax);
 criterion_main!(benches);

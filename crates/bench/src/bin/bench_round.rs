@@ -121,6 +121,76 @@ fn seconds_per_call(mut f: impl FnMut()) -> f64 {
     best
 }
 
+/// Rows per second of the two lane-per-row softmax kernels at `classes`,
+/// at the shapes the light task calls them with: `softmax_xent_rows` on a
+/// batch of 32 (copy of the logits included, as in `loss_and_grad`),
+/// `xent_argmax_rows` on an evaluation chunk of 256.
+fn softmax_rows_per_s(classes: usize) -> (f64, f64) {
+    use gfl_tensor::simd;
+    let (batch, chunk) = (32usize, 256usize);
+    let logits: Vec<f32> = filled(chunk * classes, 3)
+        .iter()
+        .map(|u| u * 16.0)
+        .collect();
+    let labels: Vec<usize> = (0..chunk).map(|r| r * 7 % classes).collect();
+    let mut block = Vec::new();
+    let mut delta = vec![0.0f32; batch * classes];
+    let step_s = seconds_per_call(|| {
+        delta.copy_from_slice(&logits[..batch * classes]);
+        let loss = simd::softmax_xent_rows(
+            &mut delta,
+            classes,
+            &labels[..batch],
+            1.0 / 32.0,
+            &mut block,
+        );
+        std::hint::black_box((loss, &delta));
+    });
+    let eval_s = seconds_per_call(|| {
+        std::hint::black_box(simd::xent_argmax_rows(
+            std::hint::black_box(&logits),
+            classes,
+            &labels,
+            &mut block,
+        ));
+    });
+    (batch as f64 / step_s, chunk as f64 / eval_s)
+}
+
+/// The light task's two layer figures at the active tier and the default
+/// thread count: `Network::evaluate` over the 10 000-row speech test set
+/// (samples/s) and one batch-32 `loss_and_grad` (µs).
+fn speech_layer_section() -> serde_json::Value {
+    let model = gfl_nn::zoo::speech_model();
+    let data = SyntheticSpec::speech_like().generate(10_000, 1);
+    let params = model.init_params(&mut gfl_tensor::init::rng(1));
+    let eval_s = seconds_per_call(|| {
+        std::hint::black_box(model.evaluate(&params, data.features(), data.labels()));
+    });
+    let batch = data.subset(&(0..32).collect::<Vec<_>>());
+    let (mut grad, mut ws) = (vec![0.0; model.param_len()], model.workspace());
+    let step_s = seconds_per_call(|| {
+        std::hint::black_box(model.loss_and_grad(
+            &params,
+            batch.features(),
+            batch.labels(),
+            &mut grad,
+            &mut ws,
+        ));
+    });
+    eprintln!(
+        "speech model: evaluate {:.2} Msamples/s  loss_and_grad b32 {:.2} us",
+        10_000.0 / eval_s / 1e6,
+        step_s * 1e6
+    );
+    serde_json::json!({
+        "workload": "speech model (40-48-35): evaluate over 10 000 test rows on `threads` workers; one batch-32 loss_and_grad (docs/PERF.md, Softmax tails)",
+        "threads": gfl_parallel::default_parallelism(),
+        "evaluate_samples_per_s_speech": 10_000.0 / eval_s,
+        "loss_and_grad_us_speech_b32": step_s * 1e6,
+    })
+}
+
 /// Single-threaded GEMM GFLOP/s, once per SIMD tier this machine supports:
 /// `gemm_nt` on a paper-shaped layer (batch 256 × 256 outputs × 784
 /// inputs), and `gemm_nt`/`gemm_tn` time-weighted over the vision model's
@@ -157,12 +227,22 @@ fn gemm_gflops_per_tier() -> (Vec<serde_json::Value>, Option<f64>) {
             tn_s += seconds_per_call(|| simd::gemm_tn(&deltas, &acts, &mut grad, batch, o, i));
             std::hint::black_box((&out, &grad));
         }
+        let (xent_35, argmax_35) = softmax_rows_per_s(35);
+        let (xent_10, argmax_10) = softmax_rows_per_s(10);
         simd::set_tier(prev);
         let gflops = flops / best / 1e9;
         let (nt_vision, tn_vision) = (vision_flops / nt_s / 1e9, vision_flops / tn_s / 1e9);
         eprintln!(
             "[{:>6}] gemm_nt 256x256x784 {gflops:6.2}  vision b32: gemm_nt {nt_vision:6.2}  gemm_tn {tn_vision:6.2} GFLOP/s",
             tier.name()
+        );
+        eprintln!(
+            "[{:>6}] Mrows/s at 35 classes: softmax_xent {:6.2}  xent_argmax {:6.2}   at 10: {:6.2}  {:6.2}",
+            tier.name(),
+            xent_35 / 1e6,
+            argmax_35 / 1e6,
+            xent_10 / 1e6,
+            argmax_10 / 1e6
         );
         if tier == simd::SimdTier::Scalar {
             scalar_gflops = Some(gflops);
@@ -176,6 +256,10 @@ fn gemm_gflops_per_tier() -> (Vec<serde_json::Value>, Option<f64>) {
             "seconds_per_gemm": best,
             "vision_gemm_nt_gflops": nt_vision,
             "vision_gemm_tn_gflops": tn_vision,
+            "softmax_xent_rows_per_s": xent_35,
+            "xent_argmax_rows_per_s": argmax_35,
+            "softmax_xent_rows_per_s_10c": xent_10,
+            "xent_argmax_rows_per_s_10c": argmax_10,
         }));
     }
     let ratio = match (scalar_gflops, active_gflops) {
@@ -350,6 +434,8 @@ fn main() {
     // SIMD microkernel throughput, per dispatch tier, single-threaded.
     let (simd_tiers, simd_speedup) = gemm_gflops_per_tier();
 
+    let speech_layers = speech_layer_section();
+
     let secagg = secagg_section();
 
     // Honest scaling summary: the 8-vs-1 speedup is only reported when the
@@ -378,11 +464,12 @@ fn main() {
             None
         },
         "simd": serde_json::json!({
-            "workload": "gemm_nt 256x256x784 f32 (gemm_gflops) and gemm_nt/gemm_tn over the vision model's layers at batch 32, single thread",
+            "workload": "gemm_nt 256x256x784 f32 (gemm_gflops), gemm_nt/gemm_tn over the vision model's layers at batch 32, and the lane-per-row softmax kernels at 35 classes (the speech model's; `_10c`: the vision model's 10) — softmax_xent_rows on a batch of 32, xent_argmax_rows on an evaluation chunk of 256; single thread",
             "active_tier": gfl_tensor::simd::active_tier().name(),
             "tiers": simd_tiers,
             "speedup_vs_scalar": simd_speedup,
         }),
+        "nn": speech_layers,
         "secagg": secagg,
         "emulated_clock": serde_json::json!({
             "plan": "straggler_fraction 0.25, straggler_factor 8.0, jitter 0.25 (docs/ASYNC.md)",

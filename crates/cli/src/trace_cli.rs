@@ -536,6 +536,9 @@ fn rows_by_threads<'a>(
 ///   are machine-independent.
 /// * `gemm_gflops` (per SIMD tier): FAIL below `--min-gflops-ratio`
 ///   (default 0.5) of baseline.
+/// * `softmax_xent_rows_per_s` and `xent_argmax_rows_per_s` (the current
+///   snapshot's active tier, when both snapshots carry the keys): the
+///   `--min-rps-ratio` floor.
 ///
 /// Rows are matched by `threads`, tiers by `tier`; entries present only on
 /// one side are skipped (a new tier or thread count is not a regression),
@@ -669,6 +672,15 @@ fn regress(paths: &[String], args: &Args, out: &mut dyn Write) -> Result<i32, St
                             "{cur:.2} vs baseline {base:.2} (ratio {ratio:.2}, floor {min_gflops:.2})"
                         ),
                     );
+                }
+            }
+            // The lane-per-row softmax kernels set the light task's pace;
+            // only the tier the runs dispatch to is held.
+            if str_field(cur_simd, "active_tier") == Some(name) {
+                for key in ["softmax_xent_rows_per_s", "xent_argmax_rows_per_s"] {
+                    if let Some((ok, detail)) = throughput(key, base_tier, cur_tier) {
+                        check(out, format!("{key}[{name}]"), ok, detail);
+                    }
                 }
             }
         }

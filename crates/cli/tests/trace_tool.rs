@@ -280,6 +280,65 @@ fn regress_holds_the_population_build_to_the_baselines_clients_per_second() {
 }
 
 #[test]
+fn regress_holds_the_active_tiers_softmax_rows_to_the_baselines_rows_per_second() {
+    // The fixture's `simd` section with an active tier and, per tier, the
+    // two rows/s figures (`None` = a snapshot that predates the keys).
+    let with_rows = |name: &str, active: &str, rows: Option<[f64; 2]>| {
+        let [scalar, avx2] = rows.map_or([String::new(), String::new()], |[s, a]| {
+            [s, a].map(|r| {
+                format!(
+                    ", \"softmax_xent_rows_per_s\": {r}, \"xent_argmax_rows_per_s\": {}",
+                    r * 1.5
+                )
+            })
+        });
+        let simd = format!(
+            "{{\"simd\": {{\"active_tier\": \"{active}\", \"tiers\": [\
+             {{\"tier\": \"scalar\", \"gemm_gflops\": 20.0{scalar}}},\
+             {{\"tier\": \"avx2\", \"gemm_gflops\": 40.0{avx2}}}]}}}}"
+        );
+        let path = tmp(name);
+        std::fs::write(&path, simd).unwrap();
+        path
+    };
+    let regress = |a: &std::path::Path, b: &std::path::Path, extra: &str| {
+        gfl_trace(&format!("regress {} {}{extra}", a.display(), b.display()))
+    };
+
+    let base = with_rows("bench_rows_base.json", "avx2", Some([5e6, 15e6]));
+    // The scalar tier collapsing is not the active tier's business.
+    let same = with_rows("bench_rows_same.json", "avx2", Some([1e6, 15e6]));
+    let (code, out) = regress(&base, &same, "");
+    assert_eq!(code, 0, "{out}");
+    for key in ["softmax_xent_rows_per_s", "xent_argmax_rows_per_s"] {
+        assert!(out.contains(&format!("PASS {key}[avx2]")), "{out}");
+        assert!(!out.contains(&format!("{key}[scalar]")), "{out}");
+    }
+
+    // The active tier 2.5x slower is under the default 0.5 floor; a looser
+    // floor admits it.
+    let slow = with_rows("bench_rows_slow.json", "avx2", Some([5e6, 6e6]));
+    let (code, out) = regress(&base, &slow, "");
+    assert_eq!(code, 2, "{out}");
+    assert!(out.contains("FAIL softmax_xent_rows_per_s[avx2]"), "{out}");
+    assert!(out.contains("FAIL xent_argmax_rows_per_s[avx2]"), "{out}");
+    assert!(out.contains("ratio 0.40"), "{out}");
+    let (code, out) = regress(&base, &slow, " --min-rps-ratio 0.3");
+    assert_eq!(code, 0, "{out}");
+
+    // A snapshot without the keys on either side is skipped, not failed.
+    let old = with_rows("bench_rows_old.json", "avx2", None);
+    for (a, b) in [(&old, &slow), (&slow, &old)] {
+        let (code, out) = regress(a, b, "");
+        assert_eq!(code, 0, "{out}");
+        assert!(!out.contains("rows_per_s"), "{out}");
+    }
+    for path in [base, same, slow, old] {
+        std::fs::remove_file(path).ok();
+    }
+}
+
+#[test]
 fn regress_with_no_overlap_is_an_error() {
     let base = fixture("bench_baseline.json");
     let empty = tmp("empty_bench.json");

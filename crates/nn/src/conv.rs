@@ -18,7 +18,6 @@ use gfl_tensor::{init, ops, Matrix, Scalar};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-use crate::mlp::EvalResult;
 use crate::Params;
 
 /// Configuration of the 2-conv-block 1-D CNN.
@@ -53,6 +52,8 @@ pub struct CnnWorkspace {
     p2_idx: Vec<usize>,
     /// logits: `classes`.
     logits: Vec<Scalar>,
+    /// softmax of the logits, one sample at a time: `classes`.
+    probs: Vec<Scalar>,
     /// backprop deltas, same shapes as the activations.
     d_a1: Vec<Scalar>,
     d_p1: Vec<Scalar>,
@@ -154,6 +155,7 @@ impl Cnn1d {
         ws.p2.resize(self.c2 * l4, 0.0);
         ws.p2_idx.resize(self.c2 * l4, 0);
         ws.logits.resize(self.classes, 0.0);
+        ws.probs.resize(self.classes, 0.0);
         ws.d_a1.resize(self.c1 * l, 0.0);
         ws.d_p1.resize(self.c1 * l2, 0.0);
         ws.d_a2.resize(self.c2 * l2, 0.0);
@@ -255,7 +257,7 @@ impl Cnn1d {
         let fc_in = self.fc_in();
         let inv_b = 1.0 / batch as Scalar;
         let mut loss = 0.0;
-        let mut probs = vec![0.0; self.classes];
+        let mut probs = std::mem::take(&mut ws.probs);
 
         for (r, &label) in labels.iter().enumerate() {
             let x = features.row(r);
@@ -353,6 +355,7 @@ impl Cnn1d {
                 }
             }
         }
+        ws.probs = probs;
         loss / batch as Scalar
     }
 
@@ -372,66 +375,28 @@ impl Cnn1d {
             .collect()
     }
 
-    /// Mean loss and accuracy over a labeled set (parallel over fixed-size
-    /// chunks, so the f32 reduction order — and hence the result — is
-    /// bit-identical for any thread count; see [`crate::EVAL_CHUNK`]).
-    pub fn evaluate(&self, params: &[Scalar], features: &Matrix, labels: &[usize]) -> EvalResult {
-        assert_eq!(features.rows(), labels.len());
-        let n = labels.len();
-        if n == 0 {
-            return EvalResult {
-                loss: 0.0,
-                accuracy: 0.0,
-                examples: 0,
-            };
-        }
-        let ranges: Vec<(usize, usize)> = (0..n)
-            .step_by(crate::EVAL_CHUNK)
-            .map(|s| (s, (s + crate::EVAL_CHUNK).min(n)))
-            .collect();
-        let partials = gfl_parallel::par_map_init(
-            &ranges,
-            || {
-                let mut ws = self.workspace();
-                self.prepare(&mut ws);
-                (ws, vec![0.0; self.classes])
-            },
-            |(ws, probs), &(s, e)| self.eval_chunk(params, features, labels, s, e, ws, probs),
-        );
-        let (loss, correct) = partials
-            .into_iter()
-            .fold((0.0f32, 0usize), |(l, c), (pl, pc)| (l + pl, c + pc));
-        EvalResult {
-            loss: loss / n as Scalar,
-            accuracy: correct as Scalar / n as Scalar,
-            examples: n,
-        }
-    }
-
-    /// Loss sum and correct count over rows `s..e` — the shared inner loop
-    /// of [`Cnn1d::evaluate`] and the pooled
-    /// [`crate::network::Network::evaluate_pooled`] path. Re-`prepare`s the
-    /// workspace, which is free once it is sized (resize is a no-op).
-    #[allow(clippy::too_many_arguments)]
+    /// Loss sum and correct count over rows `s..e`, one chunk of
+    /// [`crate::network::Network::evaluate_pooled`], a sample at a time: the
+    /// row form of the MLP's lane-per-row tail, on the same `exp`.
+    /// Re-`prepare`s the workspace, which is free once it is sized (resize
+    /// is a no-op).
     pub(crate) fn eval_chunk(
         &self,
         params: &[Scalar],
         features: &Matrix,
         labels: &[usize],
-        s: usize,
-        e: usize,
+        (s, e): (usize, usize),
         ws: &mut CnnWorkspace,
-        probs: &mut [Scalar],
     ) -> (Scalar, usize) {
         self.prepare(ws);
         let mut loss = 0.0f32;
         let mut correct = 0usize;
         for (r, &label) in labels.iter().enumerate().take(e).skip(s) {
             self.forward_sample(params, features.row(r), ws);
-            probs.copy_from_slice(&ws.logits);
-            let pred = ops::argmax(probs);
-            ops::softmax(probs);
-            loss += ops::cross_entropy(probs, label);
+            let pred = ops::argmax(&ws.logits);
+            ws.probs.copy_from_slice(&ws.logits);
+            ops::softmax(&mut ws.probs);
+            loss += ops::cross_entropy(&ws.probs, label);
             correct += usize::from(pred == label);
         }
         (loss, correct)
@@ -441,6 +406,7 @@ impl Cnn1d {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Network;
     use gfl_tensor::init::rng;
 
     fn tiny_cnn() -> Cnn1d {
@@ -500,13 +466,14 @@ mod tests {
         let mut params = c.init_params(&mut r);
         let mut grad = vec![0.0; c.param_len()];
         let mut ws = c.workspace();
-        let before = c.evaluate(&params, data.features(), data.labels());
+        let net = Network::from(c.clone());
+        let before = net.evaluate(&params, data.features(), data.labels());
         for _ in 0..150 {
             let loss = c.loss_and_grad(&params, data.features(), data.labels(), &mut grad, &mut ws);
             assert!(loss.is_finite());
             ops::axpy(-0.1, &grad, &mut params);
         }
-        let after = c.evaluate(&params, data.features(), data.labels());
+        let after = net.evaluate(&params, data.features(), data.labels());
         assert!(
             after.accuracy > 0.8 && after.accuracy > before.accuracy,
             "cnn failed to learn: {} -> {}",
@@ -535,7 +502,7 @@ mod tests {
             .filter(|(p, l)| p == l)
             .count() as f32
             / 50.0;
-        let eval = c.evaluate(&params, data.features(), data.labels());
+        let eval = Network::from(c).evaluate(&params, data.features(), data.labels());
         assert!((manual - eval.accuracy).abs() < 1e-6);
     }
 

@@ -36,6 +36,9 @@ pub struct Workspace {
     /// Every layer's weights in the panel layout `simd::gemm_nt_packed`
     /// reads, back to back; filled by [`Mlp::pack_weights`].
     packed: Vec<simd::PanelRow>,
+    /// One transposed block of logit rows for the lane-per-row softmax
+    /// kernels, which size it.
+    block: Vec<Scalar>,
     /// Live batch rows of the current pass.
     batch: usize,
     /// Allocated row capacity.
@@ -178,21 +181,11 @@ impl Mlp {
         let num_layers = self.num_layers();
         let logits_idx = num_layers;
         let nc = self.num_classes();
-        let mut loss = 0.0;
-        {
-            let last_delta = ws.deltas.last_mut().unwrap();
-            last_delta.as_mut_slice()[..batch * nc]
-                .copy_from_slice(&ws.acts[logits_idx].as_slice()[..batch * nc]);
-            let inv_b = 1.0 / batch as Scalar;
-            for (r, &label) in labels.iter().enumerate() {
-                let row = last_delta.row_mut(r);
-                ops::softmax(row);
-                loss += ops::cross_entropy(row, label);
-                row[label] -= 1.0;
-                ops::scale(inv_b, row);
-            }
-            loss /= batch as Scalar;
-        }
+        let last_delta = &mut ws.deltas.last_mut().unwrap().as_mut_slice()[..batch * nc];
+        last_delta.copy_from_slice(&ws.acts[logits_idx].as_slice()[..batch * nc]);
+        let inv_b = 1.0 / batch as Scalar;
+        let loss =
+            simd::softmax_xent_rows(last_delta, nc, labels, inv_b, &mut ws.block) / batch as Scalar;
 
         grad.fill(0.0);
         // Walk layers backwards.
@@ -246,79 +239,27 @@ impl Mlp {
             .collect()
     }
 
-    /// Mean loss and accuracy over a labeled set. Parallelized over
-    /// fixed-size row chunks via `gfl-parallel`; each worker reuses one
-    /// workspace across all the chunks it processes.
-    ///
-    /// Chunk boundaries and the reduction order are independent of the
-    /// thread count (chunks are [`crate::EVAL_CHUNK`] rows and partial
-    /// losses are folded in chunk order), so the f32 result is bit-identical
-    /// for any parallelism degree. Each chunk is forwarded over a row-range
-    /// view of `features` — no index buffer, no gather copy.
-    pub fn evaluate(&self, params: &[Scalar], features: &Matrix, labels: &[usize]) -> EvalResult {
-        assert_eq!(features.rows(), labels.len());
-        let n = labels.len();
-        if n == 0 {
-            return EvalResult {
-                loss: 0.0,
-                accuracy: 0.0,
-                examples: 0,
-            };
-        }
-        let ranges: Vec<(usize, usize)> = (0..n)
-            .step_by(crate::EVAL_CHUNK)
-            .map(|s| (s, (s + crate::EVAL_CHUNK).min(n)))
-            .collect();
-        let partials = gfl_parallel::par_map_init(
-            &ranges,
-            || {
-                let mut ws = self.workspace();
-                self.pack_weights(params, &mut ws);
-                (ws, vec![0.0f32; self.num_classes()])
-            },
-            |(ws, probs), &(s, e)| self.eval_chunk(params, features, labels, s, e, ws, probs),
-        );
-        let (loss_sum, correct) = partials
-            .into_iter()
-            .fold((0.0f32, 0usize), |(l, c), (pl, pc)| (l + pl, c + pc));
-        EvalResult {
-            loss: loss_sum / n as Scalar,
-            accuracy: correct as Scalar / n as Scalar,
-            examples: n,
-        }
-    }
-
-    /// Loss sum and correct count over rows `s..e` — the shared inner loop
-    /// of [`Mlp::evaluate`] and the pooled
-    /// [`crate::network::Network::evaluate_pooled`] path. `ws` must hold
-    /// [`Mlp::pack_weights`] of these `params`.
-    #[allow(clippy::too_many_arguments)]
+    /// Loss sum and correct count over rows `s..e`, one chunk of
+    /// [`crate::network::Network::evaluate_pooled`]: the forward pass over a
+    /// row-range view of `features` (no index buffer, no gather copy), then
+    /// the lane-per-row tail. `ws` must hold [`Mlp::pack_weights`] of these
+    /// `params`.
     pub(crate) fn eval_chunk(
         &self,
         params: &[Scalar],
         features: &Matrix,
         labels: &[usize],
-        s: usize,
-        e: usize,
+        (s, e): (usize, usize),
         ws: &mut Workspace,
-        probs: &mut [Scalar],
     ) -> (Scalar, usize) {
         self.forward_packed(params, features.view_rows(s, e), ws);
-        let logits = ws.acts.last().unwrap();
-        let mut loss = 0.0f32;
-        let mut correct = 0usize;
-        for (r, &label) in labels[s..e].iter().enumerate() {
-            probs.copy_from_slice(logits.row(r));
-            let pred = ops::argmax(probs);
-            ops::softmax(probs);
-            loss += ops::cross_entropy(probs, label);
-            correct += usize::from(pred == label);
-        }
-        (loss, correct)
+        let nc = self.num_classes();
+        let logits = &ws.acts.last().unwrap().as_slice()[..(e - s) * nc];
+        simd::xent_argmax_rows(logits, nc, &labels[s..e], &mut ws.block)
     }
 }
 
-/// Result of [`Mlp::evaluate`].
+/// Result of [`crate::network::Network::evaluate`].
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct EvalResult {
     /// Mean cross-entropy loss.
@@ -332,6 +273,7 @@ pub struct EvalResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Network;
     use gfl_tensor::init::rng;
 
     fn finite_difference_check(mlp: &Mlp, batch: usize, seed: u64) -> (f32, f32) {
@@ -398,14 +340,15 @@ mod tests {
         let mut params = mlp.init_params(&mut r);
         let mut grad = vec![0.0; mlp.param_len()];
         let mut ws = mlp.workspace();
-        let initial = mlp.evaluate(&params, data.features(), data.labels()).loss;
+        let net = Network::from(mlp.clone());
+        let initial = net.evaluate(&params, data.features(), data.labels()).loss;
         for _ in 0..60 {
             let loss =
                 mlp.loss_and_grad(&params, data.features(), data.labels(), &mut grad, &mut ws);
             assert!(loss.is_finite());
             ops::axpy(-0.5, &grad, &mut params);
         }
-        let result = mlp.evaluate(&params, data.features(), data.labels());
+        let result = net.evaluate(&params, data.features(), data.labels());
         assert!(
             result.loss < initial * 0.5,
             "loss {initial} -> {}",
@@ -429,7 +372,7 @@ mod tests {
             .filter(|(p, l)| p == l)
             .count() as f32
             / data.len() as f32;
-        let eval = mlp.evaluate(&params, data.features(), data.labels());
+        let eval = Network::from(mlp).evaluate(&params, data.features(), data.labels());
         assert!((manual_acc - eval.accuracy).abs() < 1e-6);
     }
 
@@ -468,7 +411,7 @@ mod tests {
 
     #[test]
     fn evaluate_empty_set_is_safe() {
-        let mlp = Mlp::new(vec![2, 2]);
+        let mlp = Network::from(Mlp::new(vec![2, 2]));
         let params = vec![0.0; mlp.param_len()];
         let r = mlp.evaluate(&params, &Matrix::zeros(0, 2), &[]);
         assert_eq!(r.examples, 0);

@@ -117,17 +117,23 @@ impl Network {
         }
     }
 
+    /// Mean loss and accuracy over a labeled set:
+    /// [`Network::evaluate_pooled`] over scratch of its own.
     pub fn evaluate(&self, params: &[Scalar], features: &Matrix, labels: &[usize]) -> EvalResult {
-        match self {
-            Network::Mlp(m) => m.evaluate(params, features, labels),
-            Network::Cnn(c) => c.evaluate(params, features, labels),
-        }
+        self.evaluate_pooled(params, features, labels, &EvalPool::new())
     }
 
-    /// [`Network::evaluate`] with workspaces checked out of `pool` instead
-    /// of allocated per call — the steady-state path for the trainer's
-    /// per-round evaluation. Chunking and fold order are identical to
-    /// `evaluate`, so the f32 result is bit-identical.
+    /// Mean loss and accuracy over a labeled set, with workspaces checked
+    /// out of `pool` instead of allocated per call — the steady-state path
+    /// for the trainer's per-round evaluation. Parallelized over fixed-size
+    /// row chunks via `gfl-parallel`; each worker reuses one workspace (and,
+    /// for the MLP, one packed image of the weights) across all the chunks
+    /// it processes.
+    ///
+    /// Chunk boundaries and the reduction order are independent of the
+    /// thread count (chunks are [`crate::EVAL_CHUNK`] rows and partial
+    /// losses are folded in chunk order), so the f32 result is bit-identical
+    /// for any parallelism degree.
     pub fn evaluate_pooled(
         &self,
         params: &[Scalar],
@@ -152,22 +158,19 @@ impl Network {
             &ranges,
             || {
                 let mut guard = pool.acquire(self);
-                if let (Network::Mlp(m), NetworkWorkspace::Mlp(w)) = (self, guard.parts().0) {
+                if let (Network::Mlp(m), NetworkWorkspace::Mlp(w)) = (self, guard.workspace()) {
                     m.pack_weights(params, w);
                 }
                 guard
             },
-            |guard, &(s, e)| {
-                let (ws, probs) = guard.parts();
-                match (self, ws) {
-                    (Network::Mlp(m), NetworkWorkspace::Mlp(w)) => {
-                        m.eval_chunk(params, features, labels, s, e, w, probs)
-                    }
-                    (Network::Cnn(c), NetworkWorkspace::Cnn(w)) => {
-                        c.eval_chunk(params, features, labels, s, e, w, probs)
-                    }
-                    _ => panic!("eval pool does not match network variant"),
+            |guard, &range| match (self, guard.workspace()) {
+                (Network::Mlp(m), NetworkWorkspace::Mlp(w)) => {
+                    m.eval_chunk(params, features, labels, range, w)
                 }
+                (Network::Cnn(c), NetworkWorkspace::Cnn(w)) => {
+                    c.eval_chunk(params, features, labels, range, w)
+                }
+                _ => panic!("eval pool does not match network variant"),
             },
         );
         let (loss_sum, correct) = partials
@@ -181,13 +184,13 @@ impl Network {
     }
 }
 
-/// Pool of evaluation scratch — a [`NetworkWorkspace`] plus a probability
-/// buffer per worker. Buffers are checked out by
-/// [`Network::evaluate_pooled`] and returned on guard drop, so repeated
-/// evaluations stop allocating once every worker has been seeded.
+/// Pool of evaluation scratch — a [`NetworkWorkspace`] per worker.
+/// Workspaces are checked out by [`Network::evaluate_pooled`] and returned
+/// on guard drop, so repeated evaluations stop allocating once every worker
+/// has been seeded.
 #[derive(Debug, Default)]
 pub struct EvalPool {
-    pool: Mutex<Vec<(NetworkWorkspace, Vec<Scalar>)>>,
+    pool: Mutex<Vec<NetworkWorkspace>>,
 }
 
 impl EvalPool {
@@ -201,7 +204,7 @@ impl EvalPool {
             .lock()
             .expect("eval pool poisoned")
             .pop()
-            .unwrap_or_else(|| (net.workspace(), vec![0.0; net.num_classes()]));
+            .unwrap_or_else(|| net.workspace());
         EvalScratchGuard {
             pool: self,
             item: Some(item),
@@ -212,13 +215,12 @@ impl EvalPool {
 /// RAII checkout from an [`EvalPool`]; returns the scratch on drop.
 struct EvalScratchGuard<'p> {
     pool: &'p EvalPool,
-    item: Option<(NetworkWorkspace, Vec<Scalar>)>,
+    item: Option<NetworkWorkspace>,
 }
 
 impl EvalScratchGuard<'_> {
-    fn parts(&mut self) -> (&mut NetworkWorkspace, &mut [Scalar]) {
-        let (ws, probs) = self.item.as_mut().expect("guard holds scratch");
-        (ws, probs.as_mut_slice())
+    fn workspace(&mut self) -> &mut NetworkWorkspace {
+        self.item.as_mut().expect("guard holds scratch")
     }
 }
 
@@ -231,7 +233,7 @@ impl Drop for EvalScratchGuard<'_> {
 }
 
 impl EvalPool {
-    fn lock_put(&self, item: (NetworkWorkspace, Vec<Scalar>)) {
+    fn lock_put(&self, item: NetworkWorkspace) {
         // Poisoned on a panicking eval worker — drop the scratch instead
         // of double-panicking in a Drop impl.
         if let Ok(mut pool) = self.pool.lock() {

@@ -1,13 +1,14 @@
 //! `Mlp` against a straight-line reference, bit for bit.
 //!
-//! The kernels under `Mlp::loss_and_grad` and `Mlp::evaluate` pack
+//! The kernels under `Mlp::loss_and_grad` and `Network::evaluate` pack
 //! weights into panels, hold sixteen outputs per vector and skip with
 //! masks. None of that may show: this file restates the network as plain
 //! loops over the canonical 16-chain dot and the zero-skipping axpy sweep
-//! (the order `gfl_tensor::simd` documents), and demands the same bits
-//! from every SIMD tier on both model-zoo shapes.
+//! (the order `gfl_tensor::simd` documents) and softmax over libm's own
+//! `f32::exp`, and demands the same bits from every SIMD tier on both
+//! model-zoo shapes.
 
-use gfl_nn::Mlp;
+use gfl_nn::{Mlp, Network};
 use gfl_tensor::{init, ops, simd, Matrix};
 
 /// Rows per evaluation chunk (`gfl_nn::EVAL_CHUNK`).
@@ -29,6 +30,21 @@ fn dot(x: &[f32], y: &[f32]) -> f32 {
         sum += x[i] * y[i];
     }
     sum
+}
+
+/// Softmax on libm's `f32::exp` itself, not on `ops::exp`: the oracle
+/// stays independent of the exponential it checks.
+fn softmax(x: &mut [f32]) {
+    let max = x.iter().fold(f32::NEG_INFINITY, |m, &v| m.max(v));
+    let mut sum = 0.0;
+    for xi in x.iter_mut() {
+        *xi = (*xi - max).exp();
+        sum += *xi;
+    }
+    let inv = 1.0 / sum;
+    for xi in x.iter_mut() {
+        *xi *= inv;
+    }
 }
 
 /// `y += alpha * x`, unless `alpha` is zero (the ReLU skip).
@@ -87,7 +103,7 @@ fn loss_and_grad(dims: &[usize], params: &[f32], x: &Matrix, labels: &[usize]) -
         .zip(labels)
         .map(|(a, &label)| {
             let mut row = a.last().unwrap().clone();
-            ops::softmax(&mut row);
+            softmax(&mut row);
             loss += ops::cross_entropy(&row, label);
             row[label] -= 1.0;
             ops::scale(1.0 / batch as f32, &mut row);
@@ -134,7 +150,7 @@ fn evaluate(dims: &[usize], params: &[f32], x: &Matrix, labels: &[usize]) -> (f3
         for (r, &label) in chunk.iter().enumerate() {
             let mut probs = forward(dims, params, x.row(c * CHUNK + r)).pop().unwrap();
             correct += usize::from(ops::argmax(&probs) == label);
-            ops::softmax(&mut probs);
+            softmax(&mut probs);
             chunk_loss += ops::cross_entropy(&probs, label);
         }
         loss_sum += chunk_loss;
@@ -183,7 +199,7 @@ fn mlp_equals_the_straight_line_reference_at_every_tier() {
                 assert_same_bits(&format!("{what} b={batch} loss"), &[loss], &[want_loss]);
                 assert_same_bits(&format!("{what} b={batch} grad"), &grad, &want_grad);
             }
-            let eval = mlp.evaluate(&params, &x, &labels);
+            let eval = Network::from(mlp.clone()).evaluate(&params, &x, &labels);
             assert_same_bits(
                 &format!("{what} evaluate"),
                 &[eval.loss, eval.accuracy],

@@ -7,7 +7,8 @@
 //! [`dot`], [`axpy`], [`gemm_nt`], [`gemm_tn`] — dispatch to explicit
 //! SIMD implementations in [`crate::simd`] (AVX-512F/AVX2,
 //! runtime-detected, `GFL_SIMD` override); every tier is bit-identical to
-//! the scalar reference by construction.
+//! the scalar reference by construction. [`exp`] is the one f32
+//! exponential: libm-free, FMA-free, and equal to libm's on every input.
 
 use crate::Scalar;
 
@@ -113,6 +114,105 @@ pub fn relu_backward(activation: &[Scalar], grad: &mut [Scalar]) {
     }
 }
 
+/// Table size of [`exp`]: `2^(i/32)` for `i` in `0..32`.
+pub(crate) const EXP_N: u64 = 32;
+
+/// `EXP_TABLE[i] = bits(2^(i/32) correctly rounded) − (i << 47)`: adding
+/// `k << 47` puts `k / 32` into the exponent field and cancels the rest.
+pub(crate) const EXP_TABLE: [u64; EXP_N as usize] = [
+    0x3ff0000000000000,
+    0x3fefd9b0d3158574,
+    0x3fefb5586cf9890f,
+    0x3fef9301d0125b51,
+    0x3fef72b83c7d517b,
+    0x3fef54873168b9aa,
+    0x3fef387a6e756238,
+    0x3fef1e9df51fdee1,
+    0x3fef06fe0a31b715,
+    0x3feef1a7373aa9cb,
+    0x3feedea64c123422,
+    0x3feece086061892d,
+    0x3feebfdad5362a27,
+    0x3feeb42b569d4f82,
+    0x3feeab07dd485429,
+    0x3feea47eb03a5585,
+    0x3feea09e667f3bcd,
+    0x3fee9f75e8ec5f74,
+    0x3feea11473eb0187,
+    0x3feea589994cce13,
+    0x3feeace5422aa0db,
+    0x3feeb737b0cdc5e5,
+    0x3feec49182a3f090,
+    0x3feed503b23e255d,
+    0x3feee89f995ad3ad,
+    0x3feeff76f2fb5e47,
+    0x3fef199bdd85529c,
+    0x3fef3720dcef9069,
+    0x3fef5818dcfba487,
+    0x3fef7c97337b9b5f,
+    0x3fefa4afa2a490da,
+    0x3fefd0765b6e4540,
+];
+
+/// `0x1.8p52`: adding it rounds a double to an integer in its low bits.
+pub(crate) const EXP_SHIFT: f64 = f64::from_bits(0x4338_0000_0000_0000);
+/// `32 / ln 2`, and its split into a 26-bit head and the rest: `EXP_C_HI·x`
+/// and `EXP_C_LO·x` are exact for every `f32` `x` (26 + 24 and 27 + 24
+/// significant bits).
+pub(crate) const EXP_C: f64 = f64::from_bits(0x4047_1547_652b_82fe);
+pub(crate) const EXP_C_HI: f64 = f64::from_bits(0x4047_1547_6000_0000);
+pub(crate) const EXP_C_LO: f64 = EXP_C - EXP_C_HI;
+/// The cubic for `2^(r/32)` on `|r| <= 1/2`: `0x1.c6af84b912394p-5 / 32³`,
+/// `0x1.ebfce50fac4f3p-3 / 32²`, `0x1.62e42ff0c52d6p-1 / 32` (the
+/// divisions are exact).
+pub(crate) const EXP_POLY: [f64; 3] = [
+    f64::from_bits(0x3FAC_6AF8_4B91_2394) / 32768.0,
+    f64::from_bits(0x3FCE_BFCE_50FA_C4F3) / 1024.0,
+    f64::from_bits(0x3FE6_2E42_FF0C_52D6) / 32.0,
+];
+/// Above this (`0x1.62e42ep6`) the result overflows to `+∞`.
+pub(crate) const EXP_HI: Scalar = Scalar::from_bits(0x42b1_7217);
+/// Below this (`−0x1.9fe368p6`) the result underflows to `0`.
+pub(crate) const EXP_LO: Scalar = Scalar::from_bits(0xc2cf_f1b4);
+
+/// `e^x`, the one f32 exponential of this workspace.
+///
+/// A restatement of libm's table-driven `expf` in plain IEEE f64
+/// operations — no libm call and no FMA, so the result cannot depend on
+/// which libm (or which of its CPU-dispatched variants) the machine has,
+/// and the SIMD tiers in [`crate::simd`] run the same operation sequence
+/// lane by lane. It equals `f32::exp` on all 2³² bit patterns (NaN payloads
+/// included) on the platform the goldens were recorded on;
+/// `exp_equals_libm_on_every_f32` enumerates them.
+///
+/// `x·32/ln 2 = k + r` with `k` an integer and `|r| <= 1/2`; the result is
+/// `2^(k/32) · 2^(r/32)` = a table entry with `k / 32` added to its
+/// exponent, times a cubic in `r`. libm forms `r` with one fused
+/// `fma(C, x, −k)`; here it is `(C_hi·x − k) + C_lo·x`, the same value
+/// from two exact products and one rounded sum ([`crate::simd`]'s
+/// bit-identity contract says why, and which two inputs need it).
+pub fn exp(x: Scalar) -> Scalar {
+    if x.is_nan() {
+        return x + x;
+    }
+    if x > EXP_HI {
+        return Scalar::INFINITY;
+    }
+    if x < EXP_LO {
+        return 0.0;
+    }
+    let xd = f64::from(x);
+    let kd0 = EXP_C * xd + EXP_SHIFT;
+    let ki = kd0.to_bits();
+    let kd = kd0 - EXP_SHIFT;
+    let r = (EXP_C_HI * xd - kd) + EXP_C_LO * xd;
+    let s = f64::from_bits(EXP_TABLE[(ki % EXP_N) as usize].wrapping_add(ki << 47));
+    let [c0, c1, c2] = EXP_POLY;
+    let y = ((c0 * r + c1) * (r * r) + (c2 * r + 1.0)) * s;
+    // Subnormal results come out of this rounding.
+    y as Scalar
+}
+
 /// Numerically-stable in-place softmax over one logit vector.
 pub fn softmax(x: &mut [Scalar]) {
     if x.is_empty() {
@@ -121,7 +221,7 @@ pub fn softmax(x: &mut [Scalar]) {
     let max = x.iter().fold(Scalar::NEG_INFINITY, |m, &v| m.max(v));
     let mut sum = 0.0;
     for xi in x.iter_mut() {
-        *xi = (*xi - max).exp();
+        *xi = exp(*xi - max);
         sum += *xi;
     }
     let inv = 1.0 / sum;
@@ -148,7 +248,13 @@ pub fn argmax(x: &[Scalar]) -> usize {
 /// from zero for stability.
 pub fn cross_entropy(probs: &[Scalar], target: usize) -> Scalar {
     assert!(target < probs.len(), "target out of range");
-    -(probs[target].max(1e-12)).ln()
+    xent(probs[target])
+}
+
+/// `-ln(p)` of the target's probability, clamped away from zero (a NaN
+/// probability takes the clamp).
+pub fn xent(p: Scalar) -> Scalar {
+    -(p.max(1e-12)).ln()
 }
 
 /// Clips the vector to `max_norm` in place; returns the scaling applied

@@ -7,6 +7,10 @@
 //! implementations at every dispatch tier the build can target — AVX-512F
 //! and AVX2 on x86-64 — plus a portable scalar reference (what every other
 //! architecture runs), selected once at runtime from CPU feature detection.
+//! Two more carry what is left of a step on the light model once the GEMMs
+//! are fast, the per-row softmax tails: [`softmax_xent_rows`] (training:
+//! logits → `(P − Y)/B` and the loss) and [`xent_argmax_rows`] (evaluation:
+//! loss and correct count).
 //!
 //! # Bit-identity contract
 //!
@@ -44,6 +48,35 @@
 //!   untouched; AVX2 adds `product & mask`, i.e. `+0.0`, and `x + 0.0` is
 //!   `x` for every `x` but `−0.0`, which an accumulator that starts at
 //!   `+0.0` can never hold.
+//!
+//! - **exp**: [`crate::ops::exp`] is the reference — libm's table-driven
+//!   `expf` restated in plain f64 operations — and a vector tier runs that
+//!   operation sequence on every lane (two f64 halves per f32 vector), then
+//!   lays its three special cases (NaN → `x + x`, above
+//!   `0x1.62e42ep6` → `+∞`, below `−0x1.9fe368p6` → `0`) over the result by
+//!   mask. libm forms the reduced argument with one fused `fma(C, x, −k)`;
+//!   without FMA it is `r = (C_hi·x − k) + C_lo·x`, where `C_hi` is `C` with
+//!   its low 27 bits cleared: both products are exact (26 + 24 and 27 + 24
+//!   significant bits), the difference cancels exactly, and the one
+//!   rounding left is the fused one. That step is load-bearing: with
+//!   `r = C·x − k` from the rounded product, exactly two inputs in all of
+//!   f32 differ from libm, `32.564632` and `−63.09946`. With it, the
+//!   reference and every tier equal `f32::exp` on all 2³² bit patterns, NaN
+//!   payloads included (`exp_equals_libm_on_every_f32`), so the goldens
+//!   recorded over libm's `expf` stand.
+//! - **softmax_xent_rows** / **xent_argmax_rows**: a vector lane is a
+//!   *row*, not a chain. Per block of `L` rows (8 or 16) the rows are
+//!   transposed in, one strided gather per class (`block[c][l]` = class `c`
+//!   of row `l`). The NaN-ignoring maximum ([`crate::ops::softmax`]'s fold;
+//!   the sign of a zero maximum cannot reach a result: `x − ±0` feeds only
+//!   `exp`, and `exp(±0) = 1`) and the first-strict-maximum argmax are
+//!   lane-wise compares; `sum` is one vector add per class in ascending
+//!   class order, so each lane performs its row's scalar additions in its
+//!   row's order and the `classes`-deep dependent chain disappears without
+//!   a reassociation; the label's numerator is a mask select, `1/sum` a
+//!   vector divide, and only `ln`, one per row, stays scalar libm, added to
+//!   the running loss in row order. Rows past the last full block take the
+//!   scalar row form on the same running loss; no lane reads past its row.
 //!
 //! **No FMA, anywhere.** A fused multiply-add rounds once where
 //! mul-then-add rounds twice, so using FMA in any tier would break
@@ -294,11 +327,136 @@ pub fn backward_delta(
     dispatch!(backward_delta(delta, w, act, out, (m, r, n)))
 }
 
+/// Rows per block of the lane-per-row kernels: the widest tier's lanes.
+const ROW_BLOCK: usize = 16;
+
+/// What both row kernels demand of their arguments; sizes `block` for one
+/// transposed block of rows.
+fn check_rows(logits: &[Scalar], classes: usize, labels: &[usize], block: &mut Vec<Scalar>) {
+    assert_eq!(logits.len(), labels.len() * classes, "rows: logits size");
+    assert!(labels.iter().all(|&l| l < classes), "target out of range");
+    assert!(classes <= i32::MAX as usize / ROW_BLOCK, "rows: too wide");
+    block.resize(classes * ROW_BLOCK, 0.0);
+}
+
+/// Softmax cross-entropy over a batch of logit rows, in place: each
+/// `classes`-wide row of `logits` becomes `(softmax(row) − onehot(label)) ·
+/// inv_b`, and the rows' cross-entropies are returned summed in row order
+/// from `0.0` — per row [`crate::ops::softmax`], [`crate::ops::cross_entropy`],
+/// `row[label] -= 1.0`, [`crate::ops::scale`]. `block` is scratch, sized
+/// here.
+///
+/// # Panics
+/// Panics with "target out of range" if a label is `>= classes`.
+pub fn softmax_xent_rows(
+    logits: &mut [Scalar],
+    classes: usize,
+    labels: &[usize],
+    inv_b: Scalar,
+    block: &mut Vec<Scalar>,
+) -> Scalar {
+    check_rows(logits, classes, labels, block);
+    dispatch!(softmax_xent_rows(logits, classes, labels, inv_b, block))
+}
+
+/// Evaluation's tail over a batch of logit rows: the rows' cross-entropies
+/// summed in row order from `0.0`, and how many rows have their first
+/// strict maximum ([`crate::ops::argmax`]) at their label. The
+/// probabilities are never written out. `block` is scratch, sized here.
+///
+/// # Panics
+/// Panics with "target out of range" if a label is `>= classes`.
+pub fn xent_argmax_rows(
+    logits: &[Scalar],
+    classes: usize,
+    labels: &[usize],
+    block: &mut Vec<Scalar>,
+) -> (Scalar, usize) {
+    check_rows(logits, classes, labels, block);
+    dispatch!(xent_argmax_rows(logits, classes, labels, block))
+}
+
+/// Every tier's vector `exp` over a slice, for the tests that hold it to
+/// libm's bits.
+#[cfg(test)]
+fn exp_lanes(x: &[Scalar], out: &mut [Scalar]) {
+    assert_eq!(x.len(), out.len(), "exp_lanes: length mismatch");
+    dispatch!(exp_lanes(x, out))
+}
+
 /// Portable reference kernels defining the canonical summation order.
 pub(crate) mod scalar {
     use super::{Dims, PanelRow, PANEL};
-    use crate::ops::GEMM_TILE;
+    use crate::ops::{self, GEMM_TILE};
     use crate::Scalar;
+
+    /// The row loop `Mlp::loss_and_grad` used to run. Nothing is summed
+    /// across rows but the loss, and that in row order.
+    pub(crate) fn softmax_xent_rows(
+        logits: &mut [Scalar],
+        classes: usize,
+        labels: &[usize],
+        inv_b: Scalar,
+        _block: &mut [Scalar],
+    ) -> Scalar {
+        softmax_xent_tail(0.0, logits, classes, labels, inv_b)
+    }
+
+    /// [`softmax_xent_rows`] continuing a running `loss`: what a vector
+    /// tier hands the rows past its last full block.
+    pub(crate) fn softmax_xent_tail(
+        mut loss: Scalar,
+        logits: &mut [Scalar],
+        classes: usize,
+        labels: &[usize],
+        inv_b: Scalar,
+    ) -> Scalar {
+        // No classes means no rows, and `chunks_mut(0)` panics even then.
+        for (row, &label) in logits.chunks_mut(classes.max(1)).zip(labels) {
+            ops::softmax(row);
+            loss += ops::cross_entropy(row, label);
+            row[label] -= 1.0;
+            ops::scale(inv_b, row);
+        }
+        loss
+    }
+
+    /// The row loop `Mlp::eval_chunk` used to run, one row of
+    /// probabilities at a time in the head of `block`.
+    pub(crate) fn xent_argmax_rows(
+        logits: &[Scalar],
+        classes: usize,
+        labels: &[usize],
+        block: &mut [Scalar],
+    ) -> (Scalar, usize) {
+        xent_argmax_tail((0.0, 0), logits, classes, labels, block)
+    }
+
+    /// [`xent_argmax_rows`] continuing a running `(loss, correct)`.
+    pub(crate) fn xent_argmax_tail(
+        (mut loss, mut correct): (Scalar, usize),
+        logits: &[Scalar],
+        classes: usize,
+        labels: &[usize],
+        block: &mut [Scalar],
+    ) -> (Scalar, usize) {
+        let probs = &mut block[..classes];
+        for (row, &label) in logits.chunks(classes.max(1)).zip(labels) {
+            probs.copy_from_slice(row);
+            let pred = ops::argmax(probs);
+            ops::softmax(probs);
+            loss += ops::cross_entropy(probs, label);
+            correct += usize::from(pred == label);
+        }
+        (loss, correct)
+    }
+
+    #[cfg(test)]
+    pub(crate) fn exp_lanes(x: &[Scalar], out: &mut [Scalar]) {
+        for (o, &x) in out.iter_mut().zip(x) {
+            *o = ops::exp(x);
+        }
+    }
 
     /// Canonical dot: 16 stride-16 accumulator chains, reduced
     /// left-to-right from `0.0`, then the ascending remainder.
@@ -439,13 +597,21 @@ mod x86 {
     #[cfg(target_arch = "x86_64")]
     use core::arch::x86_64::*;
 
-    use super::{Dims, PanelRow, PANEL};
+    use super::{scalar, Dims, PanelRow, PANEL};
+    use crate::ops::{
+        self, EXP_C, EXP_C_HI, EXP_C_LO, EXP_HI, EXP_LO, EXP_N, EXP_POLY, EXP_SHIFT, EXP_TABLE,
+    };
 
     /// The kernels of one tier, written once over the names the tier's
     /// module binds: the vector width `L`; the plain intrinsics `load`,
-    /// `store`, `set1`, `zero`, `add`, `mul`, `max`; `load_head` and
-    /// `store_head`, which touch only the first `cols` lanes' memory; and
-    /// the masked steps `add_if` and `gate`.
+    /// `store`, `set1`, `zero`, `add`, `sub`, `mul`, `div`, `max`;
+    /// `load_head` and `store_head`, which touch only the first `cols`
+    /// lanes' memory; the masked steps `add_if` and `gate`; and for the row
+    /// kernels the types `V`/`VI`/`M` (f32 lanes, i32 lanes, a lane mask),
+    /// the compares `gt`, `is_nan`, `eq_i32`, the selects `select`,
+    /// `select_i32` (`mask ? yes : no`) and `count`, the strided `gather`
+    /// and `scatter`, `load_i32`, and `exp`'s f64 halves: `widen`,
+    /// `narrow`, `addd`, `subd`, `muld`, `set1d` and `exp_scale`.
     ///
     /// # Safety
     /// Every function requires the CPU feature it is compiled for and the
@@ -650,18 +816,284 @@ mod x86 {
             ) {
                 gemm_skip(delta, (1, r), w, Some(act), out, (r, m, n))
             }
+
+            /// [`ops::exp`] on every lane: the same f64 operations in the
+            /// same order, half the lanes at a time, then its three special
+            /// cases laid over the result by mask.
+            #[inline]
+            #[target_feature(enable = $feature)]
+            unsafe fn exp(x: V) -> V {
+                let [c0, c1, c2] = EXP_POLY;
+                let mut halves = widen(x);
+                for xd in halves.iter_mut() {
+                    let kd0 = addd(muld(set1d(EXP_C), *xd), set1d(EXP_SHIFT));
+                    let kd = subd(kd0, set1d(EXP_SHIFT));
+                    let r = addd(
+                        subd(muld(set1d(EXP_C_HI), *xd), kd),
+                        muld(set1d(EXP_C_LO), *xd),
+                    );
+                    let poly = addd(
+                        muld(addd(muld(set1d(c0), r), set1d(c1)), muld(r, r)),
+                        addd(muld(set1d(c2), r), set1d(1.0)),
+                    );
+                    *xd = muld(poly, exp_scale(kd0));
+                }
+                let y = narrow(halves);
+                let y = select(gt(x, set1(EXP_HI)), set1(f32::INFINITY), y);
+                let y = select(gt(set1(EXP_LO), x), zero(), y);
+                select(is_nan(x), add(x, x), y)
+            }
+
+            #[cfg(test)]
+            #[target_feature(enable = $feature)]
+            pub(in super::super) unsafe fn exp_lanes(x: &[f32], out: &mut [f32]) {
+                let full = x.len() / L * L;
+                for i in (0..full).step_by(L) {
+                    store(out.as_mut_ptr().add(i), exp(load(x.as_ptr().add(i))));
+                }
+                scalar::exp_lanes(&x[full..], &mut out[full..]);
+            }
+
+            /// `L` labels (checked `< classes <= i32::MAX`) as i32 lanes.
+            #[inline]
+            #[target_feature(enable = $feature)]
+            unsafe fn load_labels(labels: *const usize) -> VI {
+                let mut lanes = [0i32; L];
+                for (l, lane) in lanes.iter_mut().enumerate() {
+                    *lane = *labels.add(l) as i32;
+                }
+                load_i32(lanes.as_ptr() as *const _)
+            }
+
+            /// Transposes `L` rows starting at `base` into `block` (class
+            /// `c` of lane `l`'s row at `block[c·L + l]`) and returns each
+            /// lane's NaN-ignoring maximum, [`ops::softmax`]'s fold.
+            #[inline]
+            #[target_feature(enable = $feature)]
+            unsafe fn rows_in(base: *const f32, classes: usize, block: *mut f32) -> V {
+                let mut m = set1(f32::NEG_INFINITY);
+                for c in 0..classes {
+                    let v = gather(base.add(c), classes);
+                    store(block.add(c * L), v);
+                    // `maxps` returns its second operand when the first is NaN.
+                    m = max(v, m);
+                }
+                m
+            }
+
+            /// `block[c] = exp(block[c] − m)` for every class, ascending;
+            /// returns the lanes' sums (each row's additions in its row's
+            /// order, from `0.0`) and the lanes' numerators at their labels.
+            #[inline]
+            #[target_feature(enable = $feature)]
+            unsafe fn rows_exp(block: *mut f32, classes: usize, m: V, label: VI) -> (V, V) {
+                let (mut sum, mut num) = (zero(), zero());
+                for c in 0..classes {
+                    let e = exp(sub(load(block.add(c * L)), m));
+                    store(block.add(c * L), e);
+                    sum = add(sum, e);
+                    num = select(eq_i32(label, set1_i32(c as i32)), e, num);
+                }
+                (sum, num)
+            }
+
+            /// Adds the lanes' cross-entropies to `loss` in lane order; the
+            /// one `ln` per row stays libm's.
+            #[inline]
+            #[target_feature(enable = $feature)]
+            unsafe fn add_xent(mut loss: f32, p: V) -> f32 {
+                let mut lanes = [0.0f32; L];
+                store(lanes.as_mut_ptr(), p);
+                for p in lanes {
+                    loss += ops::xent(p);
+                }
+                loss
+            }
+
+            /// A lane is a row: full blocks of `L` rows here, the rows past
+            /// them through the scalar row form, one running loss.
+            #[target_feature(enable = $feature)]
+            pub(in super::super) unsafe fn softmax_xent_rows(
+                logits: &mut [f32],
+                classes: usize,
+                labels: &[usize],
+                inv_b: f32,
+                block: &mut [f32],
+            ) -> f32 {
+                let full = labels.len() / L * L;
+                let block = block.as_mut_ptr();
+                let mut loss = 0.0f32;
+                for r0 in (0..full).step_by(L) {
+                    let base = logits.as_mut_ptr().add(r0 * classes);
+                    let label = load_labels(labels.as_ptr().add(r0));
+                    let m = rows_in(base, classes, block);
+                    let (sum, num) = rows_exp(block, classes, m, label);
+                    let inv = div(set1(1.0), sum);
+                    loss = add_xent(loss, mul(num, inv));
+                    for c in 0..classes {
+                        let p = mul(load(block.add(c * L)), inv);
+                        let hit = eq_i32(label, set1_i32(c as i32));
+                        let p = select(hit, sub(p, set1(1.0)), p);
+                        scatter(base.add(c), classes, mul(p, set1(inv_b)));
+                    }
+                }
+                scalar::softmax_xent_tail(
+                    loss,
+                    &mut logits[full * classes..],
+                    classes,
+                    &labels[full..],
+                    inv_b,
+                )
+            }
+
+            #[target_feature(enable = $feature)]
+            pub(in super::super) unsafe fn xent_argmax_rows(
+                logits: &[f32],
+                classes: usize,
+                labels: &[usize],
+                block: &mut [f32],
+            ) -> (f32, usize) {
+                let full = labels.len() / L * L;
+                let (mut loss, mut correct) = (0.0f32, 0usize);
+                for r0 in (0..full).step_by(L) {
+                    let base = logits.as_ptr().add(r0 * classes);
+                    let label = load_labels(labels.as_ptr().add(r0));
+                    let m = rows_in(base, classes, block.as_mut_ptr());
+                    // First strict maximum: a later class wins only if
+                    // greater, and nothing is greater than a NaN.
+                    let (mut best, mut at) = (load(block.as_ptr()), set1_i32(0));
+                    for c in 1..classes {
+                        let v = load(block.as_ptr().add(c * L));
+                        let wins = gt(v, best);
+                        best = select(wins, v, best);
+                        at = select_i32(wins, set1_i32(c as i32), at);
+                    }
+                    correct += count(eq_i32(at, label));
+                    let (sum, num) = rows_exp(block.as_mut_ptr(), classes, m, label);
+                    loss = add_xent(loss, mul(num, div(set1(1.0), sum)));
+                }
+                scalar::xent_argmax_tail(
+                    (loss, correct),
+                    &logits[full * classes..],
+                    classes,
+                    &labels[full..],
+                    block,
+                )
+            }
         };
     }
 
     pub(super) mod avx512 {
         use super::*;
         use {
-            _mm512_add_ps as add, _mm512_loadu_ps as load, _mm512_max_ps as max,
-            _mm512_mul_ps as mul, _mm512_set1_ps as set1, _mm512_setzero_ps as zero,
-            _mm512_storeu_ps as store,
+            _mm512_add_pd as addd, _mm512_add_ps as add, _mm512_div_ps as div,
+            _mm512_loadu_ps as load, _mm512_loadu_si512 as load_i32, _mm512_max_ps as max,
+            _mm512_mul_pd as muld, _mm512_mul_ps as mul, _mm512_set1_epi32 as set1_i32,
+            _mm512_set1_pd as set1d, _mm512_set1_ps as set1, _mm512_setzero_ps as zero,
+            _mm512_storeu_ps as store, _mm512_sub_pd as subd, _mm512_sub_ps as sub,
         };
 
         const L: usize = 16;
+        type V = __m512;
+        type VI = __m512i;
+        type M = __mmask16;
+
+        #[inline]
+        #[target_feature(enable = "avx512f")]
+        unsafe fn gt(a: V, b: V) -> M {
+            _mm512_cmp_ps_mask::<_CMP_GT_OQ>(a, b)
+        }
+
+        #[inline]
+        #[target_feature(enable = "avx512f")]
+        unsafe fn is_nan(x: V) -> M {
+            _mm512_cmp_ps_mask::<_CMP_UNORD_Q>(x, x)
+        }
+
+        #[inline]
+        #[target_feature(enable = "avx512f")]
+        unsafe fn eq_i32(a: VI, b: VI) -> M {
+            _mm512_cmpeq_epi32_mask(a, b)
+        }
+
+        #[inline]
+        #[target_feature(enable = "avx512f")]
+        unsafe fn select(m: M, yes: V, no: V) -> V {
+            _mm512_mask_blend_ps(m, no, yes)
+        }
+
+        #[inline]
+        #[target_feature(enable = "avx512f")]
+        unsafe fn select_i32(m: M, yes: VI, no: VI) -> VI {
+            _mm512_mask_blend_epi32(m, no, yes)
+        }
+
+        fn count(m: M) -> usize {
+            m.count_ones() as usize
+        }
+
+        /// Lane `l`'s offset into a matrix of `classes`-wide rows.
+        #[inline]
+        #[target_feature(enable = "avx512f")]
+        unsafe fn row_offsets(classes: usize) -> VI {
+            let lane = _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15);
+            _mm512_mullo_epi32(lane, set1_i32(classes as i32))
+        }
+
+        /// Lane `l` = `base[l·classes]`.
+        #[inline]
+        #[target_feature(enable = "avx512f")]
+        unsafe fn gather(base: *const f32, classes: usize) -> V {
+            _mm512_i32gather_ps::<4>(row_offsets(classes), base)
+        }
+
+        /// `base[l·classes]` = lane `l`.
+        #[inline]
+        #[target_feature(enable = "avx512f")]
+        unsafe fn scatter(base: *mut f32, classes: usize, v: V) {
+            _mm512_i32scatter_ps::<4>(base, row_offsets(classes), v)
+        }
+
+        #[inline]
+        #[target_feature(enable = "avx512f")]
+        unsafe fn widen(x: V) -> [__m512d; 2] {
+            let hi = _mm512_extractf64x4_pd::<1>(_mm512_castps_pd(x));
+            [
+                _mm512_cvtps_pd(_mm512_castps512_ps256(x)),
+                _mm512_cvtps_pd(_mm256_castpd_ps(hi)),
+            ]
+        }
+
+        #[inline]
+        #[target_feature(enable = "avx512f")]
+        unsafe fn narrow([lo, hi]: [__m512d; 2]) -> V {
+            let lo = _mm512_castpd256_pd512(_mm256_castps_pd(_mm512_cvtpd_ps(lo)));
+            _mm512_castpd_ps(_mm512_insertf64x4::<1>(
+                lo,
+                _mm256_castps_pd(_mm512_cvtpd_ps(hi)),
+            ))
+        }
+
+        /// `2^(k/32)` for the `k` in `kd0`'s low bits: its table entry with
+        /// `k << 47` added to the bit pattern.
+        #[inline]
+        #[target_feature(enable = "avx512f")]
+        unsafe fn exp_scale(kd0: __m512d) -> __m512d {
+            let ki = _mm512_castpd_si512(kd0);
+            // The table is four registers: a two-source permute picks among
+            // sixteen entries by index bits 0..=3, bit 4 picks the pair.
+            let t = EXP_TABLE.as_ptr() as *const __m512i;
+            let low =
+                _mm512_permutex2var_epi64(_mm512_loadu_si512(t), ki, _mm512_loadu_si512(t.add(1)));
+            let high = _mm512_permutex2var_epi64(
+                _mm512_loadu_si512(t.add(2)),
+                ki,
+                _mm512_loadu_si512(t.add(3)),
+            );
+            let upper = _mm512_test_epi64_mask(ki, _mm512_set1_epi64(EXP_N as i64 / 2));
+            let entry = _mm512_mask_blend_epi64(upper, low, high);
+            _mm512_castsi512_pd(_mm512_add_epi64(entry, _mm512_slli_epi64::<47>(ki)))
+        }
 
         #[inline]
         #[target_feature(enable = "avx512f")]
@@ -757,12 +1189,99 @@ mod x86 {
     pub(super) mod avx2 {
         use super::*;
         use {
-            _mm256_add_ps as add, _mm256_loadu_ps as load, _mm256_max_ps as max,
-            _mm256_mul_ps as mul, _mm256_set1_ps as set1, _mm256_setzero_ps as zero,
-            _mm256_storeu_ps as store,
+            _mm256_add_pd as addd, _mm256_add_ps as add, _mm256_div_ps as div,
+            _mm256_loadu_ps as load, _mm256_loadu_si256 as load_i32, _mm256_max_ps as max,
+            _mm256_mul_pd as muld, _mm256_mul_ps as mul, _mm256_set1_epi32 as set1_i32,
+            _mm256_set1_pd as set1d, _mm256_set1_ps as set1, _mm256_setzero_ps as zero,
+            _mm256_storeu_ps as store, _mm256_sub_pd as subd, _mm256_sub_ps as sub,
         };
 
         const L: usize = 8;
+        type V = __m256;
+        type VI = __m256i;
+        /// All-ones lanes where the condition holds.
+        type M = __m256;
+
+        #[inline]
+        #[target_feature(enable = "avx2")]
+        unsafe fn gt(a: V, b: V) -> M {
+            _mm256_cmp_ps::<_CMP_GT_OQ>(a, b)
+        }
+
+        #[inline]
+        #[target_feature(enable = "avx2")]
+        unsafe fn is_nan(x: V) -> M {
+            _mm256_cmp_ps::<_CMP_UNORD_Q>(x, x)
+        }
+
+        #[inline]
+        #[target_feature(enable = "avx2")]
+        unsafe fn eq_i32(a: VI, b: VI) -> M {
+            _mm256_castsi256_ps(_mm256_cmpeq_epi32(a, b))
+        }
+
+        #[inline]
+        #[target_feature(enable = "avx2")]
+        unsafe fn select(m: M, yes: V, no: V) -> V {
+            _mm256_blendv_ps(no, yes, m)
+        }
+
+        #[inline]
+        #[target_feature(enable = "avx2")]
+        unsafe fn select_i32(m: M, yes: VI, no: VI) -> VI {
+            _mm256_castps_si256(select(m, _mm256_castsi256_ps(yes), _mm256_castsi256_ps(no)))
+        }
+
+        #[inline]
+        #[target_feature(enable = "avx2")]
+        unsafe fn count(m: M) -> usize {
+            _mm256_movemask_ps(m).count_ones() as usize
+        }
+
+        /// Lane `l` = `base[l·classes]`.
+        #[inline]
+        #[target_feature(enable = "avx2")]
+        unsafe fn gather(base: *const f32, classes: usize) -> V {
+            let lane = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+            _mm256_i32gather_ps::<4>(base, _mm256_mullo_epi32(lane, set1_i32(classes as i32)))
+        }
+
+        /// `base[l·classes]` = lane `l`; AVX2 has no scatter.
+        #[inline]
+        #[target_feature(enable = "avx2")]
+        unsafe fn scatter(base: *mut f32, classes: usize, v: V) {
+            let mut lanes = [0.0f32; L];
+            store(lanes.as_mut_ptr(), v);
+            for (l, x) in lanes.into_iter().enumerate() {
+                *base.add(l * classes) = x;
+            }
+        }
+
+        #[inline]
+        #[target_feature(enable = "avx2")]
+        unsafe fn widen(x: V) -> [__m256d; 2] {
+            [
+                _mm256_cvtps_pd(_mm256_castps256_ps128(x)),
+                _mm256_cvtps_pd(_mm256_extractf128_ps::<1>(x)),
+            ]
+        }
+
+        #[inline]
+        #[target_feature(enable = "avx2")]
+        unsafe fn narrow([lo, hi]: [__m256d; 2]) -> V {
+            _mm256_set_m128(_mm256_cvtpd_ps(hi), _mm256_cvtpd_ps(lo))
+        }
+
+        /// `2^(k/32)` for the `k` in `kd0`'s low bits: its table entry with
+        /// `k << 47` added to the bit pattern.
+        #[inline]
+        #[target_feature(enable = "avx2")]
+        unsafe fn exp_scale(kd0: __m256d) -> __m256d {
+            let ki = _mm256_castpd_si256(kd0);
+            let index = _mm256_and_si256(ki, _mm256_set1_epi64x(EXP_N as i64 - 1));
+            let entry = _mm256_i64gather_epi64::<8>(EXP_TABLE.as_ptr() as *const i64, index);
+            _mm256_castsi256_pd(_mm256_add_epi64(entry, _mm256_slli_epi64::<47>(ki)))
+        }
 
         /// All-ones in the first `cols` 32-bit lanes.
         #[inline]
@@ -996,6 +1515,184 @@ mod tests {
         });
     }
 
+    /// Holds `ops::exp` and every tier's vector `exp` to libm's bits — NaN
+    /// payloads included — on `patterns`, a buffer at a time. Returns how
+    /// many `(tier, input)` pairs differ, printing the first few.
+    fn exp_mismatches(patterns: impl Iterator<Item = u32>) -> usize {
+        let tiers = supported_tiers();
+        let mut patterns = patterns.peekable();
+        let (mut x, mut want, mut got) = (Vec::new(), Vec::new(), Vec::new());
+        let mut mismatches = 0usize;
+        while patterns.peek().is_some() {
+            x.clear();
+            x.extend(patterns.by_ref().take(1 << 16).map(f32::from_bits));
+            want.clear();
+            // libm's own: the oracle.
+            want.extend(x.iter().map(|&x| f32::exp(x).to_bits()));
+            got.resize(x.len(), 0.0);
+            let mut compare = |what: &str, got: &[f32]| {
+                for ((x, g), w) in x.iter().zip(got).zip(&want) {
+                    if g.to_bits() != *w {
+                        mismatches += 1;
+                        if mismatches <= 8 {
+                            eprintln!(
+                                "exp({x:e} = {:#010x}) {what}: {:#010x}, libm {w:#010x}",
+                                x.to_bits(),
+                                g.to_bits()
+                            );
+                        }
+                    }
+                }
+            };
+            for (g, &x) in got.iter_mut().zip(&x) {
+                *g = crate::ops::exp(x);
+            }
+            compare("ops::exp", &got);
+            for &tier in &tiers {
+                let prev = set_tier(tier);
+                exp_lanes(&x, &mut got);
+                set_tier(prev);
+                compare(tier.name(), &got);
+            }
+        }
+        mismatches
+    }
+
+    /// All 2³² inputs, about 20 s a tier in release:
+    /// `cargo test --release -p gfl-tensor -- --ignored exp_equals_libm_on_every_f32`.
+    #[test]
+    #[ignore = "enumerates all of f32; run in release"]
+    fn exp_equals_libm_on_every_f32() {
+        let _g = tier_lock();
+        assert_eq!(exp_mismatches(0..=u32::MAX), 0, "of 2^32 inputs");
+    }
+
+    #[test]
+    fn exp_equals_libm_on_a_stride() {
+        let _g = tier_lock();
+        let edges = [crate::ops::EXP_HI, crate::ops::EXP_LO]
+            .into_iter()
+            .flat_map(|t| [t.to_bits() - 1, t.to_bits(), t.to_bits() + 1]);
+        // exp(x) is subnormal for x in about (−103.97, −87.34).
+        let subnormal_results = ((-87.0f32).to_bits()..(-104.5f32).to_bits()).step_by(61);
+        let specials = [
+            0.0f32.to_bits(),
+            (-0.0f32).to_bits(),
+            f32::INFINITY.to_bits(),
+            f32::NEG_INFINITY.to_bits(),
+            0x7fc0_0000, // quiet NaNs, either sign, with and without payload
+            0xffc0_0000,
+            0x7fc0_dead,
+            0x7fff_ffff,
+            0x7f80_0001, // signalling NaNs
+            0xff80_0001,
+            0x7fa5_5aa5,
+            // The two inputs in all of f32 where `r = C·x − k`, formed from
+            // the rounded product, lands on the other side of a rounding.
+            32.564632f32.to_bits(),
+            (-63.09946f32).to_bits(),
+        ];
+        // Specials first: in full vectors, not in the scalar remainder.
+        let patterns = specials
+            .into_iter()
+            .chain(edges)
+            .chain(subnormal_results)
+            .chain((0..=u32::MAX).step_by(4093));
+        assert_eq!(exp_mismatches(patterns), 0);
+    }
+
+    /// Logit rows of every kind the row kernels must survive, one kind per
+    /// row: plain spreads, spreads past `exp`'s underflow bound (104),
+    /// huge magnitudes, rows salted with NaN, ±∞, ±0 and subnormals,
+    /// all-equal rows, all-NaN rows, and ties for the maximum (first, middle
+    /// and last positions among them).
+    fn hostile_rows(rows: usize, classes: usize, seed: u64) -> Vec<f32> {
+        let unit = lcg_vec(rows * classes, seed);
+        let kind = lcg_vec(rows, seed ^ 0x5eed);
+        let salt = hostile_vec(rows * classes, seed ^ 0xfeed);
+        let mut out = Vec::with_capacity(rows * classes);
+        for (r, k) in kind.iter().enumerate() {
+            let row = r * classes..(r + 1) * classes;
+            let at = out.len();
+            match (k * 6.0 + 6.0) as u32 {
+                0..=2 => out.extend(unit[row].iter().map(|u| u * 6.0)),
+                3 => out.extend(unit[row].iter().map(|u| u * 150.0)),
+                4 => out.extend(unit[row].iter().map(|u| u * 3e38)),
+                5..=6 => out.extend(unit[row.clone()].iter().zip(&salt[row]).map(|(u, s)| {
+                    if s.abs() < 0.5 || !s.is_finite() {
+                        *s
+                    } else {
+                        u * 4.0
+                    }
+                })),
+                7 => out.extend(std::iter::repeat_n(unit[row.start] * 9.0, classes)),
+                8 => out.extend(std::iter::repeat_n(f32::NAN, classes)),
+                _ => {
+                    out.extend(unit[row].iter().map(|u| u * 2.0));
+                    for tie in [0, classes / 2, classes - 1, (r * 7) % classes] {
+                        if (r + tie) % 3 != 0 {
+                            out[at + tie] = 2.5;
+                        }
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    /// Both row kernels at every tier against the scalar row loops: every
+    /// written element, the loss sum and the correct count.
+    fn check_row_kernels(rows: usize, classes: usize, inv_b: f32, seed: u64) {
+        let logits = hostile_rows(rows, classes, seed);
+        let labels: Vec<usize> = (0..rows)
+            .map(|r| (r * 11 + seed as usize) % classes)
+            .collect();
+        let mut block = Vec::new();
+
+        let mut want = logits.clone();
+        let loss = scalar::softmax_xent_tail(0.0, &mut want, classes, &labels, inv_b);
+        want.push(loss);
+        let what = format!("softmax_xent_rows rows={rows} classes={classes} seed={seed}");
+        assert_every_tier(&what, &want, |out| {
+            let (grad, loss) = out.split_at_mut(rows * classes);
+            grad.copy_from_slice(&logits);
+            loss[0] = softmax_xent_rows(grad, classes, &labels, inv_b, &mut block);
+        });
+
+        let mut probs = vec![0.0; classes];
+        let (loss, correct) =
+            scalar::xent_argmax_tail((0.0, 0), &logits, classes, &labels, &mut probs);
+        let what = format!("xent_argmax_rows rows={rows} classes={classes} seed={seed}");
+        assert_every_tier(&what, &[loss, correct as f32], |out| {
+            let (loss, correct) = xent_argmax_rows(&logits, classes, &labels, &mut block);
+            out.copy_from_slice(&[loss, correct as f32]);
+        });
+    }
+
+    #[test]
+    fn row_kernels_bitwise_identical_across_tiers_on_pinned_shapes() {
+        let _g = tier_lock();
+        // Every remainder mod 8 and mod 16 at the widths the models use and
+        // at the edges of one and two lanes' worth of classes.
+        for classes in [1, 2, 10, 35, 64, 65] {
+            for rows in 0..=33 {
+                check_row_kernels(rows, classes, 1.0 / rows.max(1) as f32, 41 + rows as u64);
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "target out of range")]
+    fn softmax_xent_rows_refuses_a_label_past_the_classes() {
+        softmax_xent_rows(&mut [0.0; 6], 3, &[0, 3], 0.5, &mut Vec::new());
+    }
+
+    #[test]
+    #[should_panic(expected = "target out of range")]
+    fn xent_argmax_rows_refuses_a_label_past_the_classes() {
+        xent_argmax_rows(&[0.0; 6], 3, &[3, 0], &mut Vec::new());
+    }
+
     #[test]
     fn detect_best_is_last_supported() {
         let tiers = supported_tiers();
@@ -1127,6 +1824,16 @@ mod tests {
         ) {
             let _g = tier_lock();
             check_gemm_nt((ROWS[m], WIDTHS[n], WIDTHS[k]), seed, hostile == 1);
+        }
+
+        /// A lane is a row: for any shape, any `inv_b` and hostile logits
+        /// the row kernels give the scalar row loops' bits at every tier.
+        #[test]
+        fn prop_row_kernels_bitwise(
+            seed in 0u64..1000, rows in 0usize..71, classes in 1usize..71, inv_b in -2.0f32..2.0,
+        ) {
+            let _g = tier_lock();
+            check_row_kernels(rows, classes, inv_b, seed);
         }
 
         #[test]
