@@ -410,7 +410,8 @@ pub fn simulate(argv: &[String], out: &mut dyn Write) -> CmdResult {
     // Observation is one-way: attaching a collector never changes results
     // (asserted by crates/core/tests/determinism.rs). With --trace-out the
     // collector streams spans to the file at every round barrier, keeping
-    // buffered-span memory bounded by --trace-buffer.
+    // buffered-span memory bounded by --trace-buffer; --metrics alone only
+    // counts them.
     let observer = match &cfg.trace_out {
         Some(path) => Some(
             gfl_obs::TraceCollector::streaming_to(
@@ -418,7 +419,6 @@ pub fn simulate(argv: &[String], out: &mut dyn Write) -> CmdResult {
                 threads,
                 gfl_obs::StreamConfig {
                     span_buffer_cap: cfg.trace_buffer,
-                    ..gfl_obs::StreamConfig::default()
                 },
             )
             .map_err(|e| CommandError::Invalid(format!("cannot open trace file: {e}")))?,

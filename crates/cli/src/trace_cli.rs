@@ -22,7 +22,6 @@
 
 use std::io::Write;
 
-use gfl_obs::trace::span_totals_of;
 use gfl_obs::{RoundMetrics, SpanKind, SpanRecord, Trace, TraceReader};
 use serde::Value;
 
@@ -104,15 +103,24 @@ pub fn run(argv: &[String], out: &mut dyn Write) -> i32 {
         let _ = writeln!(out, "unknown command '{word}'\n\n{}", usage());
         return 2;
     };
-    // Leading bare tokens after the subcommand are positional file paths;
+    // Leading bare tokens after the subcommand — and after any switches
+    // that precede them (`diff --exact a b`) — are positional file paths;
     // the remainder is `--key value` options.
-    let rest = &argv[1..];
+    let is_switch = |a: &String| {
+        let key = a.strip_prefix("--");
+        command
+            .flags()
+            .any(|f| Some(f.name) == key && f.kind == Switch)
+    };
+    let lead = argv[1..].iter().take_while(|a| is_switch(a)).count();
+    let (switches, rest) = argv[1..].split_at(lead);
     let split = rest
         .iter()
         .position(|a| a.starts_with("--"))
         .unwrap_or(rest.len());
     let (paths, opts) = rest.split_at(split);
-    let result = match Args::parse(command, opts) {
+    let opts: Vec<String> = switches.iter().chain(opts).cloned().collect();
+    let result = match Args::parse(command, &opts) {
         Ok(args) if args.wants_help().is_some() => {
             let _ = writeln!(out, "{}", usage());
             return 0;
@@ -161,18 +169,14 @@ fn write_summary(trace: &Trace, out: &mut dyn Write) -> std::io::Result<()> {
     )?;
     // A complete trace ends with a summary line; a truncated (crashed /
     // in-flight) one does not, so fall back to re-deriving totals from
-    // whatever spans survived.
-    let derived = span_totals_of(&trace.spans);
-    let (wall_ns, totals) = match &trace.summary {
-        Some(s) => (s.wall_ns, &s.span_totals),
-        None => (trace.rounds.iter().map(|r| r.wall_ns).sum(), &derived),
-    };
-    let coverage = match &trace.summary {
-        Some(s) => s.coverage,
-        None => {
-            let n = trace.rounds.len().max(1) as f64;
-            trace.rounds.iter().map(RoundMetrics::coverage).sum::<f64>() / n
-        }
+    // whatever spans and rounds survived — by the summary's own folds.
+    let (wall_ns, totals, coverage) = match &trace.summary {
+        Some(s) => (s.wall_ns, s.span_totals.clone(), s.coverage),
+        None => (
+            trace.rounds.iter().map(|r| r.wall_ns).sum(),
+            trace.span_totals(),
+            trace.round_coverage(),
+        ),
     };
     let secs = |ns: u64| ns as f64 / 1e9;
     writeln!(
@@ -183,7 +187,7 @@ fn write_summary(trace: &Trace, out: &mut dyn Write) -> std::io::Result<()> {
         coverage * 100.0
     )?;
     writeln!(out, "\nphase            count     total     % wall")?;
-    for t in totals {
+    for t in &totals {
         let pct = if wall_ns > 0 {
             100.0 * t.total_ns as f64 / wall_ns as f64
         } else {
@@ -275,15 +279,12 @@ fn round_projection(r: &RoundMetrics) -> Value {
     Value::Object(fields)
 }
 
-/// Parses every line of a trace file into a JSON array value, for `--exact`
-/// structural comparison.
-fn trace_as_value(trace: &Trace) -> Result<Value, String> {
-    let lines: Result<Vec<Value>, _> = trace
-        .to_jsonl()
-        .lines()
-        .map(serde_json::from_str::<Value>)
-        .collect();
-    lines.map(Value::Array).map_err(|e| e.to_string())
+/// Parses every line of a trace file, as it is on disk, into a JSON array
+/// value, for `--exact` structural comparison.
+fn lines_as_value(path: &str) -> Result<Value, String> {
+    let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
+    let lines: Result<Vec<Value>, _> = text.lines().map(serde_json::from_str::<Value>).collect();
+    lines.map(Value::Array).map_err(|e| format!("{path}: {e}"))
 }
 
 fn diff(paths: &[String], args: &Args, out: &mut dyn Write) -> Result<i32, String> {
@@ -293,7 +294,7 @@ fn diff(paths: &[String], args: &Args, out: &mut dyn Write) -> Result<i32, Strin
     let b = load_trace(&paths[1])?;
 
     if exact {
-        let (va, vb) = (trace_as_value(&a)?, trace_as_value(&b)?);
+        let (va, vb) = (lines_as_value(&paths[0])?, lines_as_value(&paths[1])?);
         return Ok(match gfl_obs::diff::first_divergence("trace", &va, &vb) {
             Some(d) => {
                 writeln!(out, "diverged: {d}").map_err(|e| e.to_string())?;
@@ -429,14 +430,7 @@ fn flame(paths: &[String], args: &Args, out: &mut dyn Write) -> Result<i32, Stri
 /// sum to total traced round time and feed straight into flamegraph
 /// tooling.
 fn write_wall_flame(trace: &Trace, out: &mut dyn Write) -> std::io::Result<()> {
-    let total = |kind: SpanKind| -> u64 {
-        trace
-            .spans
-            .iter()
-            .filter(|s| s.kind == kind)
-            .map(|s| s.dur_ns)
-            .sum()
-    };
+    let total = |kind| trace.span_total_ns(kind);
     let round = total(SpanKind::Round);
     let train = total(SpanKind::Train);
     let group_round = total(SpanKind::GroupRound);

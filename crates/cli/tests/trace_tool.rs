@@ -64,6 +64,43 @@ fn summarize_reports_phases_bytes_and_rounds() {
 }
 
 #[test]
+fn summarize_prints_the_same_coverage_for_a_trace_cut_before_its_summary() {
+    // A complete trace reports its summary line's coverage; the same bytes
+    // without that line re-derive it from the round records — by the same
+    // Σcovered / Σwall fold, so the two agree.
+    let (whole, cut) = (tmp("cov_whole.jsonl"), tmp("cov_cut.jsonl"));
+    traced_run(&whole);
+    let text = std::fs::read_to_string(&whole).unwrap();
+    let last = text.trim_end().rfind('\n').unwrap() + 1;
+    assert!(text[last..].starts_with("{\"type\":\"summary\""), "{text}");
+    std::fs::write(&cut, &text[..last]).unwrap();
+    let coverage = |path: &PathBuf| {
+        let (code, out) = gfl_trace(&format!("summarize {}", path.display()));
+        assert_eq!(code, 0, "{out}");
+        let at = out.find("phase coverage").expect("coverage line");
+        out[at..].lines().next().unwrap().to_string()
+    };
+    assert_eq!(coverage(&whole), coverage(&cut));
+    std::fs::remove_file(&whole).ok();
+    std::fs::remove_file(&cut).ok();
+}
+
+#[test]
+fn summarize_refuses_a_v1_trace_naming_its_version() {
+    let path = tmp("v1.jsonl");
+    std::fs::write(
+        &path,
+        "{\"type\":\"meta\",\"schema_version\":1,\"producer\":\"gfl-obs 0.1.0\",\"threads\":2}\n",
+    )
+    .unwrap();
+    let (code, out) = gfl_trace(&format!("summarize {}", path.display()));
+    std::fs::remove_file(&path).ok();
+    assert_eq!(code, 2, "{out}");
+    assert!(out.contains("error:"), "{out}");
+    assert!(out.contains("schema version 1"), "{out}");
+}
+
+#[test]
 fn diff_of_two_same_seed_runs_reports_zero_divergence() {
     let (a, b) = (tmp("diff_a.jsonl"), tmp("diff_b.jsonl"));
     traced_run(&a);
@@ -101,6 +138,11 @@ fn exact_diff_finds_timing_differences_between_same_seed_runs() {
     let (code, out) = gfl_trace(&format!("diff {} {} --exact", a.display(), b.display()));
     assert_eq!(code, 1, "{out}");
     assert!(out.contains("diverged:"), "{out}");
+    // A file against itself agrees line for line, as it is on disk (the
+    // switch may also come before the files).
+    let (code, out) = gfl_trace(&format!("diff --exact {0} {0}", a.display()));
+    assert_eq!(code, 0, "{out}");
+    assert!(out.contains("identical"), "{out}");
     std::fs::remove_file(&a).ok();
     std::fs::remove_file(&b).ok();
 }

@@ -319,7 +319,7 @@ impl Trainer {
         // also moved its downloads and uploads on the client↔edge link,
         // whether or not the group's result later reaches the cloud.
         let mut sizes = self.member_pool.take();
-        let client_bytes = self.comm_model().client_bytes_per_round(
+        let client_bytes = self.comm.client_bytes_per_round(
             params.len(),
             cfg.group_rounds,
             strategy.upload_payload_factor(),
@@ -433,23 +433,19 @@ impl Trainer {
 
         if let Some(ob) = obs {
             let end = ob.record_span(SpanKind::Round, round_start, SpanAttrs::round(t));
-            let train_ns = train_end.saturating_sub(round_start);
             let pool = gfl_parallel::stats::snapshot().since(pool_before.unwrap());
-            let clients_trained: u64 = outcomes
-                .iter()
-                .map(|o| (o.members.len() * cfg.group_rounds) as u64)
-                .sum();
-            let ce_bytes = ledger.client_edge_bytes() - bytes_before.0;
-            let ec_bytes = ledger.edge_cloud_bytes() - bytes_before.1;
             ob.record_round(RoundMetrics {
                 round: t as u64,
                 wall_ns: end.saturating_sub(round_start),
-                train_ns,
+                train_ns: train_end.saturating_sub(round_start),
                 aggregate_ns,
                 comm_ns: gate.comm_ns,
                 eval_ns,
                 groups_trained: outcomes.len() as u64,
-                clients_trained,
+                clients_trained: outcomes
+                    .iter()
+                    .map(|o| (o.members.len() * cfg.group_rounds) as u64)
+                    .sum(),
                 fault_events,
                 cost_total: ledger.total(),
                 pool_regions: pool.regions,
@@ -457,21 +453,14 @@ impl Trainer {
                 pool_steals: pool.steals,
                 pool_utilization: pool.utilization(),
                 allocs: gfl_obs::alloc::current_allocs().saturating_sub(allocs_before),
-                client_edge_bytes: Some(ce_bytes),
-                edge_cloud_bytes: Some(ec_bytes),
+                client_edge_bytes: Some(ledger.client_edge_bytes() - bytes_before.0),
+                edge_cloud_bytes: Some(ledger.edge_cloud_bytes() - bytes_before.1),
             });
+            // The round families come from the record; attack, defense and
+            // SecAgg telemetry only exists on runs that opted in, so clean
+            // traces are byte-identical to earlier ones.
             let m = ob.metrics();
-            let mut counters = vec![
-                ("rounds.total", 1),
-                ("events.faults", fault_events),
-                ("clients.trained", clients_trained),
-                ("comm.bytes.client_edge", ce_bytes),
-                ("comm.bytes.edge_cloud", ec_bytes),
-            ];
-            m.gauge("cost.total").set(ledger.total());
-            m.gauge("pool.utilization").set(pool.utilization());
-            // Attack, defense and SecAgg telemetry only exists on runs that
-            // opted in, so clean traces are byte-identical to earlier ones.
+            let mut counters = Vec::new();
             if self.adversary.is_some() {
                 counters.extend([
                     ("attacks.injected", attack_summary.injected() as u64),
@@ -508,16 +497,6 @@ impl Trainer {
             for (name, value) in counters {
                 m.counter(name).add(value);
             }
-            for (name, ns) in [
-                ("round.train_ms", train_ns),
-                ("round.aggregate_ms", aggregate_ns),
-                ("round.comm_ms", gate.comm_ns),
-                ("round.eval_ms", eval_ns),
-            ] {
-                let ms = ns as f64 / 1e6;
-                m.histogram(name, &gfl_obs::metrics::PHASE_MS_BUCKETS)
-                    .observe(ms);
-            }
         }
 
         // Hand the round's parameter and member buffers back to the pools
@@ -543,7 +522,7 @@ impl Trainer {
         round_events: &mut Vec<FaultEvent>,
     ) -> bool {
         let (round, group) = (t, o.group);
-        let payload = self.comm_model().group_cloud_bytes(o.params.len());
+        let payload = self.comm.group_cloud_bytes(o.params.len());
         let Some(fs) = &self.faults else {
             ledger.charge_edge_cloud_bytes(payload);
             return true;
@@ -572,7 +551,7 @@ impl Trainer {
         }
         let obs = self.obs.as_deref();
         let retry_start = obs.map_or(0, |ob| ob.now_ns());
-        let retry = fs.comm.upload_with_retries(
+        let retry = self.comm.upload_with_retries(
             payload,
             failures,
             policy.max_retries,

@@ -180,9 +180,11 @@ pub struct Trainer {
     pub(crate) data: FedData,
     pub(crate) test: Dataset,
     pub(crate) faults: Option<FaultState>,
-    /// Link model used for byte accounting on clean runs; faulted runs use
-    /// the fault state's (possibly customized) model instead.
-    comm: CommModel,
+    /// The link model: byte accounting, upload retries and transfer times.
+    pub(crate) comm: CommModel,
+    /// The task's Eq. 5 cost tables, for straggler deadlines and the event
+    /// clock's timing pass.
+    pub(crate) cost: CostModel,
     pub(crate) churn: Option<ChurnState>,
     pub(crate) adversary: Option<AdversaryState>,
     robust_agg: RobustAggRule,
@@ -246,13 +248,10 @@ impl std::fmt::Display for ConfigError {
 impl std::error::Error for ConfigError {}
 
 /// Fault-injection context of a faulted run: the decision oracle, the
-/// degradation policy, and the models needed to turn decisions into
-/// wall-clock estimates (straggler deadlines, retry accounting).
+/// degradation policy, and which edge server each client sits behind.
 pub(crate) struct FaultState {
     pub(crate) injector: FaultInjector,
     pub(crate) policy: FaultPolicy,
-    pub(crate) comm: CommModel,
-    pub(crate) cost: CostModel,
     pub(crate) edge_of_client: Vec<usize>,
 }
 
@@ -528,6 +527,7 @@ impl Trainer {
             return Err(ConfigError::ZeroEvalCadence);
         }
         Ok(Self {
+            cost: CostModel::for_task(config.task),
             config,
             model,
             data,
@@ -547,17 +547,6 @@ impl Trainer {
             eval_pool: gfl_nn::EvalPool::new(),
             obs: None,
         })
-    }
-
-    /// The link model charged for byte accounting: the fault state's when
-    /// faults are enabled (it also drives upload retries there), the
-    /// trainer's default otherwise, so clean and faulted runs price
-    /// traffic identically.
-    pub(crate) fn comm_model(&self) -> &CommModel {
-        match &self.faults {
-            Some(fs) => &fs.comm,
-            None => &self.comm,
-        }
     }
 
     /// Attaches a [`TraceCollector`]: every subsequent run records spans,
@@ -598,8 +587,6 @@ impl Trainer {
         self.faults = Some(FaultState {
             injector: FaultInjector::new(plan),
             policy,
-            comm: CommModel::edge_default(),
-            cost: CostModel::for_task(self.config.task),
             edge_of_client,
         });
         self
@@ -782,7 +769,7 @@ impl Trainer {
 
     /// Builds the cost ledger for a strategy (its op mix and train factor).
     pub fn ledger_for(&self, strategy: &dyn LocalUpdate) -> CostLedger {
-        let mut model = CostModel::for_task(self.config.task);
+        let mut model = self.cost;
         let f = strategy.training_cost_factor();
         model.training.a *= f;
         model.training.b *= f;
@@ -846,13 +833,14 @@ impl Trainer {
             return None;
         }
         let transfer = 2.0
-            * fs.comm
+            * self
+                .comm
                 .client_edge
                 .transfer_time(CommModel::model_bytes(param_len));
         let slowest = group
             .iter()
             .map(|&c| {
-                fs.cost.training(self.data.client_size(c)) * self.config.local_rounds as f64
+                self.cost.training(self.data.client_size(c)) * self.config.local_rounds as f64
                     + transfer
             })
             .fold(0.0f64, f64::max);
@@ -1212,7 +1200,7 @@ impl Trainer {
                 let slowdown = fs.injector.slowdown(t, k, client);
                 if slowdown > 1.0 {
                     let estimated =
-                        fs.cost.training(client_samples) * cfg.local_rounds as f64 * slowdown
+                        self.cost.training(client_samples) * cfg.local_rounds as f64 * slowdown
                             + transfer;
                     if estimated > deadline_s {
                         slot.event = Some(FaultEvent::StragglerCut {
@@ -1601,8 +1589,13 @@ mod tests {
         let summary = trace.summary.as_ref().unwrap();
         assert_eq!(summary.rounds, rounds);
         assert_eq!(summary.metrics.counter("rounds.total"), Some(rounds));
-        // One Round/Train/Aggregate span per round, K GroupRound spans each.
-        let per_kind = |k| trace.spans.iter().filter(|s| s.kind == k).count() as u64;
+        // One Round/Train/Aggregate span per round, K GroupRound spans each
+        // — counted by the collector, which keeps no spans.
+        assert!(trace.spans.is_empty());
+        let per_kind = |k| {
+            let total = summary.span_totals.iter().find(|t| t.kind == k);
+            total.map_or(0, |t| t.count)
+        };
         assert_eq!(per_kind(SpanKind::Round), rounds);
         assert_eq!(per_kind(SpanKind::Train), rounds);
         assert_eq!(per_kind(SpanKind::Aggregate), rounds);

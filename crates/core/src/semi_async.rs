@@ -45,7 +45,7 @@
 use gfl_faults::{FaultEvent, FaultInjector, FaultPlan, FaultPolicy};
 use gfl_nn::Params;
 use gfl_obs::TraceCollector;
-use gfl_sim::{CommModel, CostLedger, CostModel, EventId, EventQueue, RetryOutcome};
+use gfl_sim::{CommModel, CostLedger, EventId, EventQueue, RetryOutcome};
 use gfl_tensor::Scalar;
 use serde::{Deserialize, Serialize};
 
@@ -236,8 +236,6 @@ impl Trainer {
                 reject_non_finite: false,
                 ..FaultPolicy::default()
             },
-            comm: CommModel::edge_default(),
-            cost: CostModel::for_task(self.config.task),
             edge_of_client: Vec::new(),
         }
     }
@@ -256,12 +254,13 @@ impl Trainer {
         let m = members.len();
         let e = cfg.local_rounds as f64;
         let transfer = 2.0
-            * tc.comm
+            * self
+                .comm
                 .client_edge
                 .transfer_time(CommModel::model_bytes(param_len));
         let nominal_slowest = members
             .iter()
-            .map(|&c| tc.cost.training(self.data.client_size(c)) * e + transfer)
+            .map(|&c| self.cost.training(self.data.client_size(c)) * e + transfer)
             .fold(0.0f64, f64::max);
         let deadline_rel =
             if tc.policy.deadline_factor > 0.0 && tc.policy.deadline_factor.is_finite() {
@@ -283,7 +282,7 @@ impl Trainer {
                 .map(|&c| {
                     let slowdown = tc.injector.slowdown(t, k, c);
                     let elapsed =
-                        tc.cost.training(self.data.client_size(c)) * e * slowdown + transfer;
+                        self.cost.training(self.data.client_size(c)) * e * slowdown + transfer;
                     (start + elapsed, slowdown, tc.injector.crashes(t, k, c))
                 })
                 .collect();
@@ -332,8 +331,8 @@ impl Trainer {
         }
 
         let failures = tc.injector.upload_failures(t, gi, tc.policy.max_retries);
-        let payload = tc.comm.group_cloud_bytes(param_len);
-        let upload = tc.comm.upload_with_retries(
+        let payload = self.comm.group_cloud_bytes(param_len);
+        let upload = self.comm.upload_with_retries(
             payload,
             failures,
             tc.policy.max_retries,
@@ -342,7 +341,7 @@ impl Trainer {
         );
         let arrival_rel_s = start + upload.seconds;
         let nominal_rel_s =
-            cfg.group_rounds as f64 * nominal_slowest + tc.comm.edge_cloud.transfer_time(payload);
+            cfg.group_rounds as f64 * nominal_slowest + self.comm.edge_cloud.transfer_time(payload);
         GroupTimeline {
             cuts,
             closes,
@@ -359,7 +358,7 @@ impl Trainer {
 /// ([`crate::driver`]), which owns everything around these calls.
 pub(crate) struct EventRound<'a> {
     acfg: AsyncConfig,
-    /// The timing models: fault oracle, policy, cost and comm tables.
+    /// The fault oracle and policy the timing pass decides by.
     tc: &'a FaultState,
     sched: &'a mut SchedulerState,
     report: &'a mut AsyncReport,

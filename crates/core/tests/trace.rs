@@ -1,12 +1,13 @@
-//! End-to-end trace acceptance: a traced paper-shaped run must emit a
+//! End-to-end trace acceptance: a traced paper-shaped run must stream a
 //! JSONL trace that (a) round-trips through [`gfl_obs::TraceReader`]
-//! byte-faithfully and (b) accounts ≥ 95% of every round's wall-clock time
+//! faithfully and (b) accounts ≥ 95% of every round's wall-clock time
 //! across the four disjoint phase spans (train / aggregate / comm / eval).
 
 use gfl_core::prelude::*;
 use gfl_data::{ClientPartition, PartitionSpec, SyntheticSpec};
 use gfl_obs::{SpanKind, TraceCollector, TraceReader};
 use gfl_sim::Topology;
+use gfl_test_support::{tiny_world, Streamed};
 
 /// A paper_vision-shaped federation (§7.2: K=5, E=2, batch 32, vision
 /// model, CoV grouping, stabilized weighting), scaled down from 60 to 24
@@ -57,26 +58,28 @@ fn paper_shaped() -> (Trainer, Vec<Group>, usize) {
 #[test]
 fn paper_shaped_trace_round_trips_and_covers_rounds() {
     let (trainer, groups, rounds) = paper_shaped();
-    let obs = TraceCollector::new();
+    // --- File round-trip: stream JSONL to disk, read it back, compare
+    // with what the collector handed back faithfully.
+    let path = std::env::temp_dir().join(format!("gfl_trace_test_{}.jsonl", std::process::id()));
+    let obs = TraceCollector::streaming_to(&path, 1, gfl_obs::StreamConfig::default())
+        .expect("open trace sink");
     let trainer = trainer.with_observer(std::sync::Arc::clone(&obs));
     let history = trainer.run(&groups, &FedAvg, SamplingStrategy::ESRCov);
     assert_eq!(history.records().len(), rounds);
     let trace = obs.finish(1);
-
-    // --- File round-trip: save JSONL, read it back, compare faithfully.
-    let path = std::env::temp_dir().join(format!("gfl_trace_test_{}.jsonl", std::process::id()));
-    trace.save(&path).expect("write trace");
     let back = TraceReader::read(&path).expect("trace must parse");
     std::fs::remove_file(&path).ok();
 
+    assert_eq!(back.meta, trace.meta);
     assert_eq!(back.meta.schema_version, gfl_obs::SCHEMA_VERSION);
     assert_eq!(back.meta.threads, 1);
-    assert_eq!(back.spans, trace.spans, "spans must round-trip unchanged");
     assert_eq!(
         back.rounds, trace.rounds,
         "rounds must round-trip unchanged"
     );
+    assert_eq!(back.summary, trace.summary, "summary must round-trip");
     let summary = back.summary.as_ref().expect("summary record present");
+    assert_eq!(back.span_totals(), summary.span_totals, "every span landed");
     assert_eq!(summary.rounds, rounds as u64);
 
     // --- Structure: every round carries the full phase-span complement.
@@ -155,7 +158,6 @@ fn streaming_collector_keeps_span_memory_bounded_on_a_paper_shaped_run() {
         1,
         gfl_obs::StreamConfig {
             span_buffer_cap: 4 * gfl_obs::SHARDS,
-            ..gfl_obs::StreamConfig::default()
         },
     )
     .expect("open trace sink");
@@ -174,7 +176,7 @@ fn streaming_collector_keeps_span_memory_bounded_on_a_paper_shaped_run() {
     let trace = obs.finish(1);
     assert!(
         trace.spans.is_empty(),
-        "non-tee streaming must not retain spans in memory"
+        "streaming must not retain spans in memory"
     );
     let back = TraceReader::read(&path).expect("streamed trace parses");
     std::fs::remove_file(&path).ok();
@@ -188,4 +190,30 @@ fn streaming_collector_keeps_span_memory_bounded_on_a_paper_shaped_run() {
         "run produced {} spans, bound {bound}: cap never exercised",
         back.spans.len()
     );
+}
+
+#[test]
+fn counting_collector_buffers_no_span_and_counts_what_a_stream_writes() {
+    // `TraceCollector::new()` (what `--metrics` alone attaches) keeps no
+    // spans: over a whole run it never buffers one, yet its per-kind totals
+    // count exactly the spans a streaming collector writes for the same
+    // seed, kind by kind.
+    let w = tiny_world(12);
+    let counting = TraceCollector::new();
+    w.trainer()
+        .with_observer(std::sync::Arc::clone(&counting))
+        .run(&w.groups, &FedAvg, SamplingStrategy::ESRCov);
+    assert_eq!(counting.max_buffered_spans(), 0);
+    let counted = counting.finish(1).summary.expect("summary").span_totals;
+
+    let streamed = Streamed::new(1);
+    w.trainer()
+        .with_observer(std::sync::Arc::clone(&streamed.obs))
+        .run(&w.groups, &FedAvg, SamplingStrategy::ESRCov);
+    let written = streamed.finish().span_totals();
+    assert!(!written.is_empty());
+    let count = |totals: &[gfl_obs::SpanTotal]| -> Vec<(SpanKind, u64)> {
+        totals.iter().map(|t| (t.kind, t.count)).collect()
+    };
+    assert_eq!(count(&counted), count(&written));
 }

@@ -19,28 +19,25 @@
 //!   spans. Timestamps are nanoseconds relative to collector creation
 //!   (monotonic clock).
 //! * [`metrics::MetricsRegistry`] — named counters, gauges, and fixed-bucket
-//!   histograms. The engine records per-round phase times, pool utilization
-//!   and steal counts (from `gfl_parallel::stats`), allocations per round
-//!   (via [`alloc`]), fault/churn/regroup tallies, simulated cost, and
-//!   cumulative `comm.bytes.*` link traffic.
-//! * [`trace`] — a versioned JSONL sink ([`trace::Trace::save`]) and the
-//!   [`trace::TraceReader`] tests use to assert on runs structurally.
+//!   histograms. [`TraceCollector::record_round`] maps each round record
+//!   onto the round families (phase times, pool utilization, cost, fault
+//!   and client tallies, cumulative `comm.bytes.*` link traffic); opt-in
+//!   subsystems add their own.
+//! * [`trace`] — the versioned JSONL schema, written only by the
+//!   [`stream`] writer, and the [`trace::TraceReader`] that parses it back.
 //!
-//! # Collection modes
+//! # Two collectors
 //!
-//! Spans land in one of [`SHARDS`] mutex-guarded buffers keyed by
-//! [`gfl_parallel::worker_index`], so pool workers almost never contend on a
-//! shared lock. From there:
-//!
-//! * **In-memory** ([`TraceCollector::new`]): shards grow unbounded and
-//!   [`TraceCollector::finish`] freezes everything into a [`Trace`].
-//! * **Streaming** ([`TraceCollector::streaming_to`]): shards drain to a
-//!   JSONL v2 writer at every round barrier ([`TraceCollector::record_round`])
-//!   and spill early if a shard's slice of [`StreamConfig::span_buffer_cap`]
-//!   fills, so buffered-span memory stays bounded for arbitrarily long runs.
-//!   The streamed file is byte-identical to what the in-memory path would
-//!   have serialized for the same run (same barrier layout, same
-//!   deterministic [`span::SpanRecord::sort_key`] order within each round).
+//! * **Streaming** ([`TraceCollector::streaming_to`]): spans land in one of
+//!   [`SHARDS`] mutex-guarded buffers keyed by
+//!   [`gfl_parallel::worker_index`], drain to the JSONL writer at every
+//!   round barrier ([`TraceCollector::record_round`]) and spill early if a
+//!   shard's slice of [`StreamConfig::span_buffer_cap`] fills, so
+//!   buffered-span memory stays bounded for arbitrarily long runs.
+//! * **Counting** ([`TraceCollector::new`]): keeps no spans at all — it only
+//!   bumps the per-kind count and duration totals the [`RunSummary`] is
+//!   built from, with no lock and no buffer. `--metrics` without a trace
+//!   file runs on this.
 //!
 //! The collector is designed for a disabled-by-default world: when no
 //! collector is attached the instrumented code paths are `Option::None`
@@ -56,81 +53,48 @@ pub mod trace;
 use std::fs::File;
 use std::io::{self, Write};
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 pub use metrics::{Counter, Gauge, Histogram, MetricsError, MetricsRegistry, MetricsSnapshot};
 pub use span::{SpanAttrs, SpanKind, SpanRecord};
-pub use stream::StreamConfig;
+pub use stream::{StreamConfig, SHARDS};
 pub use trace::{
     RoundMetrics, RunSummary, SpanTotal, Trace, TraceError, TraceMeta, TraceReader, SCHEMA_VERSION,
-    SUPPORTED_VERSIONS,
 };
-
-/// Number of span-buffer shards. Pool worker `i` writes to shard
-/// `1 + i % (SHARDS - 1)`; every non-pool thread (the region caller,
-/// single-threaded runs) shares shard 0.
-pub const SHARDS: usize = 16;
-
-fn shard_index() -> usize {
-    match gfl_parallel::worker_index() {
-        Some(i) => 1 + i % (SHARDS - 1),
-        None => 0,
-    }
-}
-
-struct StreamState {
-    sink: stream::StreamSink,
-    /// Per-shard buffered-span cap (`span_buffer_cap / SHARDS`, min 1).
-    per_shard_cap: usize,
-    /// Thread count frozen into the meta line at construction.
-    threads: u64,
-    /// Retain streamed spans in memory too (tee mode, for byte-identity
-    /// proofs in tests). Defeats the memory bound; not for production runs.
-    retain: bool,
-}
 
 /// Collects spans, per-round metrics, and registry metrics for one run.
 ///
-/// Cheap to share (`Arc`), safe to record into from worker threads. Spans
-/// land in sharded mutex-guarded buffers (shard keyed by pool worker);
-/// round records and the lock-free [`MetricsRegistry`] complete the state.
+/// Cheap to share (`Arc`), safe to record into from worker threads. Every
+/// span bumps lock-free per-kind totals; a streaming collector also hands
+/// it to its writer. Round records and the lock-free [`MetricsRegistry`]
+/// complete the state.
 pub struct TraceCollector {
     start: Instant,
-    shards: Vec<Mutex<Vec<SpanRecord>>>,
     rounds: Mutex<Vec<RoundMetrics>>,
     metrics: MetricsRegistry,
     /// Running per-kind aggregates (indexed by `SpanKind as usize`), so the
-    /// summary never needs the retained span list.
+    /// summary never needs the spans themselves.
     kind_counts: [AtomicU64; SpanKind::ALL.len()],
     kind_total_ns: [AtomicU64; SpanKind::ALL.len()],
-    /// Spans currently buffered across all shards, and the high-water mark
-    /// (proves the streaming memory bound in tests).
-    buffered: AtomicUsize,
-    buffered_high_water: AtomicUsize,
-    stream: Option<StreamState>,
-    /// Tee-mode copy of everything handed to the stream.
-    retained: Mutex<Vec<SpanRecord>>,
+    stream: Option<stream::StreamSink>,
 }
 
 impl TraceCollector {
-    fn build(stream: Option<StreamState>) -> Arc<Self> {
+    fn build(stream: Option<stream::StreamSink>) -> Arc<Self> {
         Arc::new(TraceCollector {
             start: Instant::now(),
-            shards: (0..SHARDS).map(|_| Mutex::new(Vec::new())).collect(),
             rounds: Mutex::new(Vec::new()),
             metrics: MetricsRegistry::new(),
             kind_counts: std::array::from_fn(|_| AtomicU64::new(0)),
             kind_total_ns: std::array::from_fn(|_| AtomicU64::new(0)),
-            buffered: AtomicUsize::new(0),
-            buffered_high_water: AtomicUsize::new(0),
             stream,
-            retained: Mutex::new(Vec::new()),
         })
     }
 
-    /// Creates an in-memory collector; the monotonic clock starts now.
+    /// Creates a counting collector — per-kind span totals, round records
+    /// and metrics, no spans kept; the monotonic clock starts now.
     pub fn new() -> Arc<Self> {
         Self::build(None)
     }
@@ -153,38 +117,8 @@ impl TraceCollector {
         threads: usize,
         cfg: StreamConfig,
     ) -> Arc<Self> {
-        Self::build(Some(Self::stream_state(writer, threads, cfg, false)))
-    }
-
-    /// Streaming collector that *also* retains every span in memory, so
-    /// tests can compare the streamed bytes against the in-memory
-    /// serialization of the same run. Defeats the memory bound on purpose.
-    pub fn streaming_tee(
-        writer: Box<dyn Write + Send>,
-        threads: usize,
-        cfg: StreamConfig,
-    ) -> Arc<Self> {
-        Self::build(Some(Self::stream_state(writer, threads, cfg, true)))
-    }
-
-    fn stream_state(
-        writer: Box<dyn Write + Send>,
-        threads: usize,
-        cfg: StreamConfig,
-        retain: bool,
-    ) -> StreamState {
-        let threads = threads as u64;
-        let meta = TraceMeta {
-            schema_version: SCHEMA_VERSION,
-            producer: trace::producer(),
-            threads,
-        };
-        StreamState {
-            sink: stream::StreamSink::new(writer, &meta, &cfg),
-            per_shard_cap: (cfg.span_buffer_cap / SHARDS).max(1),
-            threads,
-            retain,
-        }
+        let meta = TraceMeta::new(threads as u64);
+        Self::build(Some(stream::StreamSink::new(writer, &meta, &cfg)))
     }
 
     /// Nanoseconds since the collector was created (monotonic).
@@ -202,70 +136,60 @@ impl TraceCollector {
 
     /// Records a span with explicit start and end timestamps.
     pub fn record_span_at(&self, kind: SpanKind, start_ns: u64, end_ns: u64, attrs: SpanAttrs) {
-        let rec = SpanRecord {
-            kind,
-            start_ns,
-            dur_ns: end_ns.saturating_sub(start_ns),
-            round: attrs.round,
-            group_round: attrs.group_round,
-            group: attrs.group,
-            client: attrs.client,
-            bytes: attrs.bytes,
-        };
-        let ki = rec.kind as usize;
-        self.kind_counts[ki].fetch_add(1, Ordering::Relaxed);
-        self.kind_total_ns[ki].fetch_add(rec.dur_ns, Ordering::Relaxed);
-
-        let shard = &self.shards[shard_index()];
-        let mut buf = shard.lock().unwrap();
+        let dur_ns = end_ns.saturating_sub(start_ns);
+        self.kind_counts[kind as usize].fetch_add(1, Ordering::Relaxed);
+        self.kind_total_ns[kind as usize].fetch_add(dur_ns, Ordering::Relaxed);
         if let Some(stream) = &self.stream {
-            if buf.len() >= stream.per_shard_cap {
-                // Mid-round overflow: spill this shard straight to the
-                // writer so buffered memory stays bounded. Spilled spans
-                // leave barrier order but remain schema-valid.
-                let mut spill = std::mem::take(&mut *buf);
-                self.buffered.fetch_sub(spill.len(), Ordering::Relaxed);
-                spill.sort_by_key(SpanRecord::sort_key);
-                if stream.retain {
-                    self.retained.lock().unwrap().extend(spill.iter().copied());
-                }
-                stream.sink.write_spans(&spill);
-                spill.clear();
-                *buf = spill;
-            }
+            stream.push(SpanRecord {
+                kind,
+                start_ns,
+                dur_ns,
+                round: attrs.round,
+                group_round: attrs.group_round,
+                group: attrs.group,
+                client: attrs.client,
+                bytes: attrs.bytes,
+            });
         }
-        buf.push(rec);
-        drop(buf);
-        let now = self.buffered.fetch_add(1, Ordering::Relaxed) + 1;
-        self.buffered_high_water.fetch_max(now, Ordering::Relaxed);
     }
 
-    /// Appends one round's phase breakdown and tallies.
+    /// Appends one round's phase breakdown and tallies, and folds it into
+    /// the round metric families: `rounds.total`, `events.faults`,
+    /// `clients.trained`, `comm.bytes.*`, the `cost.total` and
+    /// `pool.utilization` gauges and the `round.*_ms` phase histograms.
     ///
-    /// In streaming mode this is the flush barrier: all buffered spans drain
-    /// to the writer in [`SpanRecord::sort_key`] order ahead of the round
-    /// record, reproducing the canonical layout of [`Trace::write_jsonl`].
-    pub fn record_round(&self, metrics: RoundMetrics) {
+    /// For a streaming collector this is the flush barrier: all buffered
+    /// spans drain to the writer in [`SpanRecord::sort_key`] order ahead of
+    /// the round record.
+    pub fn record_round(&self, round: RoundMetrics) {
+        let m = &self.metrics;
+        for (name, value) in [
+            ("rounds.total", 1),
+            ("events.faults", round.fault_events),
+            ("clients.trained", round.clients_trained),
+            (
+                "comm.bytes.client_edge",
+                round.client_edge_bytes.unwrap_or(0),
+            ),
+            ("comm.bytes.edge_cloud", round.edge_cloud_bytes.unwrap_or(0)),
+        ] {
+            m.counter(name).add(value);
+        }
+        m.gauge("cost.total").set(round.cost_total);
+        m.gauge("pool.utilization").set(round.pool_utilization);
+        for (name, ns) in [
+            ("round.train_ms", round.train_ns),
+            ("round.aggregate_ms", round.aggregate_ns),
+            ("round.comm_ms", round.comm_ns),
+            ("round.eval_ms", round.eval_ns),
+        ] {
+            let ms = ns as f64 / 1e6;
+            m.histogram(name, &metrics::PHASE_MS_BUCKETS).observe(ms);
+        }
         if let Some(stream) = &self.stream {
-            let batch = self.drain_shards();
-            if stream.retain {
-                self.retained.lock().unwrap().extend(batch.iter().copied());
-            }
-            stream.sink.write_round(&batch, &metrics);
+            stream.barrier(&round);
         }
-        self.rounds.lock().unwrap().push(metrics);
-    }
-
-    /// Drains every shard, returning the batch sorted by
-    /// [`SpanRecord::sort_key`].
-    fn drain_shards(&self) -> Vec<SpanRecord> {
-        let mut batch = Vec::new();
-        for shard in &self.shards {
-            batch.append(&mut shard.lock().unwrap());
-        }
-        self.buffered.fetch_sub(batch.len(), Ordering::Relaxed);
-        batch.sort_by_key(SpanRecord::sort_key);
-        batch
+        self.rounds.lock().unwrap().push(round);
     }
 
     /// The named-metric registry (counters / gauges / histograms).
@@ -273,95 +197,55 @@ impl TraceCollector {
         &self.metrics
     }
 
-    /// Number of rounds recorded so far.
-    pub fn rounds_recorded(&self) -> usize {
-        self.rounds.lock().unwrap().len()
-    }
-
     /// Spans currently buffered in the shards (not yet streamed out).
     pub fn buffered_spans(&self) -> usize {
-        self.buffered.load(Ordering::Relaxed)
+        self.stream.as_ref().map_or(0, |s| s.buffered())
     }
 
     /// High-water mark of [`Self::buffered_spans`] over the collector's
-    /// lifetime. In streaming mode this never exceeds
-    /// [`Self::span_buffer_bound`].
+    /// lifetime; never above [`Self::span_buffer_bound`].
     pub fn max_buffered_spans(&self) -> usize {
-        self.buffered_high_water.load(Ordering::Relaxed)
+        self.stream.as_ref().map_or(0, |s| s.high_water())
     }
 
     /// The hard bound on buffered spans: `per-shard cap × SHARDS` when
     /// streaming (the configured [`StreamConfig::span_buffer_cap`] rounded
-    /// up to at least one span per shard), `usize::MAX` in-memory.
+    /// up to at least one span per shard), 0 for a counting collector.
     pub fn span_buffer_bound(&self) -> usize {
-        match &self.stream {
-            Some(s) => s.per_shard_cap * SHARDS,
-            None => usize::MAX,
-        }
+        self.stream.as_ref().map_or(0, |s| s.bound())
     }
 
-    fn span_totals(&self) -> Vec<SpanTotal> {
-        SpanKind::ALL
-            .iter()
-            .filter_map(|&kind| {
-                let count = self.kind_counts[kind as usize].load(Ordering::Relaxed);
-                if count == 0 {
-                    return None;
-                }
-                Some(SpanTotal {
-                    kind,
-                    count,
-                    total_ns: self.kind_total_ns[kind as usize].load(Ordering::Relaxed),
-                })
-            })
-            .collect()
-    }
-
-    /// Freezes the collector into a [`Trace`]: spans in canonical barrier
-    /// order, per-round metrics in round order, and a computed
-    /// [`RunSummary`].
+    /// Ends the run: per-round metrics in round order and a computed
+    /// [`RunSummary`], under a meta line. The returned [`Trace`] carries no
+    /// spans — a streaming collector has written them, and writes any
+    /// trailing spans plus the summary line and flushes here; a counting
+    /// collector never kept them.
     ///
-    /// `threads` is recorded in the trace meta line for reproducibility; a
-    /// streaming collector already froze its thread count at construction
-    /// and ignores the argument. In streaming mode this also writes any
-    /// trailing spans plus the summary line and flushes the file — the
-    /// returned `Trace` carries spans only in tee mode.
+    /// `threads` is recorded in the meta line; a streaming collector
+    /// already froze its thread count at construction and ignores it.
     pub fn finish(&self, threads: usize) -> Trace {
-        let wall_ns = self.now_ns();
         let rounds = self.rounds.lock().unwrap().clone();
-        let summary = trace::summarize_with_totals(
-            wall_ns,
-            self.span_totals(),
-            &rounds,
-            self.metrics.snapshot(),
-        );
-        let drained = self.drain_shards();
-        let (threads, spans) = match &self.stream {
+        let summary = RunSummary {
+            wall_ns: self.now_ns(),
+            rounds: rounds.len() as u64,
+            coverage: trace::phase_coverage(&rounds),
+            span_totals: trace::span_totals(|kind| {
+                let i = kind as usize;
+                let count = self.kind_counts[i].load(Ordering::Relaxed);
+                (count, self.kind_total_ns[i].load(Ordering::Relaxed))
+            }),
+            metrics: self.metrics.snapshot(),
+        };
+        let threads = match &self.stream {
             Some(stream) => {
-                stream.sink.finalize(&drained, &summary);
-                let spans = if stream.retain {
-                    let mut spans = std::mem::take(&mut *self.retained.lock().unwrap());
-                    spans.extend(drained);
-                    trace::canonical_order(&mut spans, &rounds);
-                    spans
-                } else {
-                    Vec::new()
-                };
-                (stream.threads, spans)
+                stream.finalize(&summary);
+                stream.threads
             }
-            None => {
-                let mut spans = drained;
-                trace::canonical_order(&mut spans, &rounds);
-                (threads as u64, spans)
-            }
+            None => threads as u64,
         };
         Trace {
-            meta: TraceMeta {
-                schema_version: SCHEMA_VERSION,
-                producer: trace::producer(),
-                threads,
-            },
-            spans,
+            meta: TraceMeta::new(threads),
+            spans: Vec::new(),
             rounds,
             summary: Some(summary),
         }
@@ -369,39 +253,8 @@ impl TraceCollector {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-
-    #[test]
-    fn collector_records_spans_and_rounds() {
-        let c = TraceCollector::new();
-        let t0 = c.now_ns();
-        c.record_span(SpanKind::Round, t0, SpanAttrs::round(3));
-        c.record_span_at(
-            SpanKind::ClientStep,
-            10,
-            25,
-            SpanAttrs::client_step(3, 1, 0, 7),
-        );
-        c.metrics().counter("events.faults").add(2);
-        c.record_round(RoundMetrics::empty(3));
-        let trace = c.finish(4);
-        assert_eq!(trace.meta.schema_version, SCHEMA_VERSION);
-        assert_eq!(trace.meta.threads, 4);
-        assert_eq!(trace.spans.len(), 2);
-        assert_eq!(trace.rounds.len(), 1);
-        let summary = trace.summary.as_ref().unwrap();
-        assert_eq!(summary.rounds, 1);
-        let faults = summary
-            .metrics
-            .counters
-            .iter()
-            .find(|c| c.name == "events.faults")
-            .unwrap();
-        assert_eq!(faults.value, 2);
-        // Spans sorted by start.
-        assert!(trace.spans[0].start_ns <= trace.spans[1].start_ns);
-    }
 
     /// Shared in-memory sink for asserting on streamed bytes.
     #[derive(Clone, Default)]
@@ -415,6 +268,26 @@ mod tests {
         fn flush(&mut self) -> io::Result<()> {
             Ok(())
         }
+    }
+
+    /// Streams what `record` records into a buffer at `threads` and `cfg`;
+    /// returns what [`TraceCollector::finish`] returned and the bytes.
+    pub(crate) fn streamed_with(
+        threads: usize,
+        cfg: StreamConfig,
+        record: impl FnOnce(&TraceCollector),
+    ) -> (Trace, String) {
+        let buf = SharedBuf::default();
+        let c = TraceCollector::streaming(Box::new(buf.clone()), threads, cfg);
+        record(&c);
+        let trace = c.finish(99);
+        let text = String::from_utf8(buf.0.lock().unwrap().clone()).unwrap();
+        (trace, text)
+    }
+
+    /// [`streamed_with`] at one thread and the default configuration.
+    pub(crate) fn streamed(record: impl FnOnce(&TraceCollector)) -> (Trace, String) {
+        streamed_with(1, StreamConfig::default(), record)
     }
 
     fn record_two_rounds(c: &TraceCollector) {
@@ -435,61 +308,77 @@ mod tests {
     }
 
     #[test]
-    fn streamed_bytes_match_the_in_memory_serialization() {
-        let buf = SharedBuf::default();
-        let c = TraceCollector::streaming_tee(Box::new(buf.clone()), 3, StreamConfig::default());
-        record_two_rounds(&c);
-        let trace = c.finish(99); // streaming froze threads=3 at creation
+    fn collector_records_spans_and_rounds() {
+        let record = |c: &TraceCollector| {
+            let t0 = c.now_ns();
+            c.record_span(SpanKind::Round, t0, SpanAttrs::round(3));
+            c.record_span_at(
+                SpanKind::ClientStep,
+                10,
+                25,
+                SpanAttrs::client_step(3, 1, 0, 7),
+            );
+            c.metrics().counter("events.faults").add(2);
+            c.record_round(RoundMetrics::empty(3));
+        };
+        let (trace, text) = streamed_with(3, StreamConfig::default(), record);
+        // Streaming froze threads = 3 at creation; finish(99) cannot move it.
         assert_eq!(trace.meta.threads, 3);
-        let streamed = String::from_utf8(buf.0.lock().unwrap().clone()).unwrap();
-        assert_eq!(streamed, trace.to_jsonl());
-        // And the file round-trips through the reader.
-        let parsed = TraceReader::parse(&streamed).unwrap();
-        assert_eq!(parsed, trace);
+        assert!(trace.spans.is_empty(), "the spans went to the writer");
+        let back = TraceReader::parse(&text).unwrap();
+        assert_eq!((&back.meta, &back.rounds), (&trace.meta, &trace.rounds));
+        assert_eq!(back.summary, trace.summary);
+        assert_eq!(back.spans.len(), 2);
+        assert!(back.spans[0].start_ns <= back.spans[1].start_ns);
+        let summary = trace.summary.as_ref().unwrap();
+        assert_eq!(summary.rounds, 1);
+        assert_eq!(summary.metrics.counter("events.faults"), Some(2));
+        assert_eq!(summary.metrics.counter("rounds.total"), Some(1));
+
+        let counting = TraceCollector::new();
+        record(&counting);
+        let trace = counting.finish(4);
+        assert_eq!(trace.meta.threads, 4);
+        assert!(trace.spans.is_empty());
+        assert_eq!(trace.summary.unwrap().span_totals.len(), 2);
     }
 
     #[test]
     fn streaming_buffered_spans_respect_the_configured_bound() {
-        let buf = SharedBuf::default();
         let cfg = StreamConfig {
             span_buffer_cap: SHARDS, // one span per shard
-            ..StreamConfig::default()
         };
-        let c = TraceCollector::streaming(Box::new(buf.clone()), 1, cfg);
-        // Everything lands on shard 0 (no pool workers here), so the second
-        // span already forces a spill.
-        for i in 0..100usize {
-            let t = i as u64;
-            c.record_span_at(
-                SpanKind::ClientStep,
-                t,
-                t + 1,
-                SpanAttrs::client_step(0, 0, 0, i),
-            );
-        }
-        c.record_round(RoundMetrics::empty(0));
-        assert!(c.max_buffered_spans() <= c.span_buffer_bound());
-        assert_eq!(c.buffered_spans(), 0, "barrier must drain all shards");
-        let trace = c.finish(1);
-        assert!(trace.spans.is_empty(), "non-tee streaming retains nothing");
-        let parsed =
-            TraceReader::parse(&String::from_utf8(buf.0.lock().unwrap().clone()).unwrap()).unwrap();
+        let (trace, text) = streamed_with(1, cfg, |c| {
+            // Everything lands on shard 0 (no pool workers here), so the
+            // second span already forces a spill.
+            for i in 0..100usize {
+                let t = i as u64;
+                c.record_span_at(
+                    SpanKind::ClientStep,
+                    t,
+                    t + 1,
+                    SpanAttrs::client_step(0, 0, 0, i),
+                );
+            }
+            c.record_round(RoundMetrics::empty(0));
+            assert!(c.max_buffered_spans() <= c.span_buffer_bound());
+            assert_eq!(c.buffered_spans(), 0, "barrier must drain all shards");
+        });
+        let parsed = TraceReader::parse(&text).unwrap();
         assert_eq!(parsed.spans.len(), 100, "no span lost to spills");
         assert_eq!(parsed.summary, trace.summary);
     }
 
     #[test]
     fn in_memory_and_streaming_summaries_agree_span_for_span() {
-        let mem = TraceCollector::new();
-        record_two_rounds(&mem);
-        let buf = SharedBuf::default();
-        let st = TraceCollector::streaming(Box::new(buf.clone()), 2, StreamConfig::default());
-        record_two_rounds(&st);
-        let mem_trace = mem.finish(2);
-        let st_trace = st.finish(2);
-        let mem_summary = mem_trace.summary.as_ref().unwrap();
-        let st_summary = st_trace.summary.as_ref().unwrap();
-        assert_eq!(mem_summary.span_totals, st_summary.span_totals);
-        assert_eq!(mem_summary.rounds, st_summary.rounds);
+        let counting = TraceCollector::new();
+        record_two_rounds(&counting);
+        assert_eq!(counting.max_buffered_spans(), 0, "counting buffers nothing");
+        let (st_trace, _) = streamed(record_two_rounds);
+        let counted = counting.finish(2).summary.unwrap();
+        let st_summary = st_trace.summary.unwrap();
+        assert_eq!(counted.span_totals, st_summary.span_totals);
+        assert_eq!(counted.rounds, st_summary.rounds);
+        assert_eq!(counted.metrics.counters, st_summary.metrics.counters);
     }
 }

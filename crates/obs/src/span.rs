@@ -87,8 +87,7 @@ pub struct SpanRecord {
     pub group: Option<u64>,
     /// Client id, for `client_step` spans.
     pub client: Option<u64>,
-    /// Bytes moved by this span, for `comm`/`upload_retry` spans (schema
-    /// v2; absent in v1 traces).
+    /// Bytes moved by this span, for `comm`/`upload_retry` spans.
     pub bytes: Option<u64>,
 }
 
@@ -106,11 +105,10 @@ pub type SpanSortKey = (
 );
 
 impl SpanRecord {
-    /// Total order used everywhere spans are merged: timestamps first, then
+    /// Total order the writer merges shards in: timestamps first, then
     /// every identity attribute. Two spans with identical timings from
     /// different workers (possible on coarse clocks) still land in one
-    /// deterministic order, so streamed shard merges and the in-memory
-    /// sort agree byte-for-byte.
+    /// deterministic order.
     pub fn sort_key(&self) -> SpanSortKey {
         (
             self.start_ns,

@@ -1,26 +1,34 @@
-//! Streaming JSONL trace sink: bounded-memory span collection.
+//! The one JSONL trace writer: bounded-memory span streaming.
 //!
-//! The in-memory collector keeps every span until `finish()`; at a million
-//! clients that is O(all spans) of heap and a trace that dies with the
-//! process. The streaming sink instead receives spans at deterministic
-//! *barriers* — round boundaries, where the engine records its
-//! [`crate::RoundMetrics`] — and appends them to the file ahead of the
-//! round record, already in [`crate::span::SpanRecord::sort_key`] order.
-//! The meta line is written at construction and the writer is flushed on a
-//! configurable round cadence, so a crash loses at most the rounds since
-//! the last flush, and the surviving prefix parses (the reader reports a
-//! cut final line as [`crate::trace::TraceError::Truncated`]).
-//!
-//! Because barriers replay the canonical layout of
-//! [`crate::Trace::write_jsonl`], a streamed file is **byte-identical** to
-//! serializing the equivalent in-memory trace of the same run — asserted
-//! end-to-end by the golden/determinism suites in `gfl-core`.
+//! A streaming collector buffers spans in per-worker shards and writes them
+//! at deterministic *barriers* — round boundaries, where the engine records
+//! its [`crate::RoundMetrics`] — ahead of the round record, in
+//! [`crate::span::SpanRecord::sort_key`] order. The meta line is written at
+//! construction and the writer is flushed at every barrier, so a crash loses
+//! at most the round in flight, and the surviving prefix parses (the reader
+//! reports a cut final line as [`crate::trace::TraceError::Truncated`]).
+//! This is the only code that writes a trace file.
 
 use std::io::{BufWriter, Write};
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, MutexGuard};
 
 use crate::span::SpanRecord;
 use crate::trace::{tagged_line, RoundMetrics, RunSummary, TraceMeta};
+
+type Writer = BufWriter<Box<dyn Write + Send>>;
+
+/// Number of span-buffer shards. Pool worker `i` writes to shard
+/// `1 + i % (SHARDS - 1)`; every non-pool thread (the region caller,
+/// single-threaded runs) shares shard 0.
+pub const SHARDS: usize = 16;
+
+fn shard_index() -> usize {
+    match gfl_parallel::worker_index() {
+        Some(i) => 1 + i % (SHARDS - 1),
+        None => 0,
+    }
+}
 
 /// Tuning for a streaming collector.
 #[derive(Debug, Clone, Copy)]
@@ -32,31 +40,30 @@ pub struct StreamConfig {
     /// [`crate::TraceCollector::span_buffer_bound`] for the effective
     /// bound.
     pub span_buffer_cap: usize,
-    /// Flush the writer every N round barriers (crash-safety cadence).
-    /// `1` (the default) flushes every round; `0` only flushes at finish.
-    pub flush_every_rounds: u64,
 }
 
 impl Default for StreamConfig {
     fn default() -> Self {
         StreamConfig {
             span_buffer_cap: 65_536,
-            flush_every_rounds: 1,
         }
     }
 }
 
-struct SinkState {
-    w: BufWriter<Box<dyn Write + Send>>,
-    rounds_since_flush: u64,
-}
-
-/// Serializes barrier flushes into one writer. All writes panic on I/O
+/// Sharded span buffers in front of one writer. All writes panic on I/O
 /// failure: a trace sink that stops accepting bytes mid-run has no
 /// recovery path, and silently dropping telemetry would defeat the point.
 pub(crate) struct StreamSink {
-    state: Mutex<SinkState>,
-    flush_every_rounds: u64,
+    shards: Vec<Mutex<Vec<SpanRecord>>>,
+    /// Per-shard buffered-span cap (`span_buffer_cap / SHARDS`, min 1).
+    per_shard_cap: usize,
+    /// Spans currently buffered across all shards, and the high-water mark
+    /// (proves the memory bound in tests).
+    buffered: AtomicUsize,
+    high_water: AtomicUsize,
+    /// Thread count frozen into the meta line at construction.
+    pub(crate) threads: u64,
+    w: Mutex<Writer>,
 }
 
 impl StreamSink {
@@ -67,47 +74,82 @@ impl StreamSink {
         writeln!(w, "{}", tagged_line("meta", meta)).expect("trace stream: write meta");
         w.flush().expect("trace stream: flush meta");
         StreamSink {
-            state: Mutex::new(SinkState {
-                w,
-                rounds_since_flush: 0,
-            }),
-            flush_every_rounds: cfg.flush_every_rounds,
+            shards: (0..SHARDS).map(|_| Mutex::new(Vec::new())).collect(),
+            per_shard_cap: (cfg.span_buffer_cap / SHARDS).max(1),
+            buffered: AtomicUsize::new(0),
+            high_water: AtomicUsize::new(0),
+            threads: meta.threads,
+            w: Mutex::new(w),
         }
     }
 
-    /// Appends already-sorted spans (overflow spill path — no round record
-    /// follows).
-    pub(crate) fn write_spans(&self, spans: &[SpanRecord]) {
-        let mut state = self.state.lock().unwrap();
-        for s in spans {
-            writeln!(state.w, "{}", tagged_line("span", s)).expect("trace stream: write span");
+    /// Buffers one span in the calling worker's shard. A full shard first
+    /// spills straight to the writer so buffered memory stays bounded;
+    /// spilled spans leave barrier order but remain schema-valid.
+    pub(crate) fn push(&self, rec: SpanRecord) {
+        let mut buf = self.shards[shard_index()].lock().unwrap();
+        if buf.len() >= self.per_shard_cap {
+            self.buffered.fetch_sub(buf.len(), Ordering::Relaxed);
+            buf.sort_by_key(SpanRecord::sort_key);
+            drop(self.write(&buf, None));
+            buf.clear();
         }
+        buf.push(rec);
+        drop(buf);
+        let now = self.buffered.fetch_add(1, Ordering::Relaxed) + 1;
+        self.high_water.fetch_max(now, Ordering::Relaxed);
     }
 
-    /// One round barrier: the round's sorted spans, then its record, then
-    /// a flush if the cadence says so.
-    pub(crate) fn write_round(&self, spans: &[SpanRecord], round: &RoundMetrics) {
-        let mut state = self.state.lock().unwrap();
-        for s in spans {
-            writeln!(state.w, "{}", tagged_line("span", s)).expect("trace stream: write span");
-        }
-        writeln!(state.w, "{}", tagged_line("round", round)).expect("trace stream: write round");
-        state.rounds_since_flush += 1;
-        if self.flush_every_rounds > 0 && state.rounds_since_flush >= self.flush_every_rounds {
-            state.w.flush().expect("trace stream: flush");
-            state.rounds_since_flush = 0;
-        }
+    /// One round barrier: every buffered span, sorted, then the round
+    /// record, then a flush.
+    pub(crate) fn barrier(&self, round: &RoundMetrics) {
+        let line = tagged_line("round", round);
+        let mut w = self.write(&self.drain(), Some(line));
+        w.flush().expect("trace stream: flush");
     }
 
     /// End of run: trailing spans that belong to no barrier, the summary
     /// line, and a final flush.
-    pub(crate) fn finalize(&self, trailing: &[SpanRecord], summary: &RunSummary) {
-        let mut state = self.state.lock().unwrap();
-        for s in trailing {
-            writeln!(state.w, "{}", tagged_line("span", s)).expect("trace stream: write span");
+    pub(crate) fn finalize(&self, summary: &RunSummary) {
+        let line = tagged_line("summary", summary);
+        let mut w = self.write(&self.drain(), Some(line));
+        w.flush().expect("trace stream: final flush");
+    }
+
+    /// Drains every shard, returning the batch sorted by
+    /// [`SpanRecord::sort_key`].
+    fn drain(&self) -> Vec<SpanRecord> {
+        let mut batch = Vec::new();
+        for shard in &self.shards {
+            batch.append(&mut shard.lock().unwrap());
         }
-        writeln!(state.w, "{}", tagged_line("summary", summary))
-            .expect("trace stream: write summary");
-        state.w.flush().expect("trace stream: final flush");
+        self.buffered.fetch_sub(batch.len(), Ordering::Relaxed);
+        batch.sort_by_key(SpanRecord::sort_key);
+        batch
+    }
+
+    /// Appends `spans`, then the already-rendered `tail` line, and hands
+    /// back the still-locked writer.
+    fn write(&self, spans: &[SpanRecord], tail: Option<String>) -> MutexGuard<'_, Writer> {
+        let mut w = self.w.lock().unwrap();
+        for s in spans {
+            writeln!(w, "{}", tagged_line("span", s)).expect("trace stream: write span");
+        }
+        if let Some(line) = tail {
+            writeln!(w, "{line}").expect("trace stream: write record");
+        }
+        w
+    }
+
+    pub(crate) fn buffered(&self) -> usize {
+        self.buffered.load(Ordering::Relaxed)
+    }
+
+    pub(crate) fn high_water(&self) -> usize {
+        self.high_water.load(Ordering::Relaxed)
+    }
+
+    pub(crate) fn bound(&self) -> usize {
+        self.per_shard_cap * SHARDS
     }
 }

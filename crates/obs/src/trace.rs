@@ -1,4 +1,5 @@
-//! Versioned JSONL trace format: writer, reader, and summary computation.
+//! Versioned JSONL trace format: the records, the reader, and the phase
+//! coverage fold. The one writer is [`crate::stream`].
 //!
 //! A trace file is newline-delimited JSON. Every line is an object with a
 //! `type` field; the first line is always the `meta` record:
@@ -12,36 +13,27 @@
 //!
 //! ## Schema v2: streaming barrier layout and byte accounting
 //!
-//! v2 traces are written in *barrier order*: each round's spans (sorted by
+//! Traces are written in *barrier order*: each round's spans (sorted by
 //! [`SpanRecord::sort_key`]) immediately precede that round's `round`
 //! record, because the streaming collector flushes its shard buffers at
-//! exactly that boundary. Spans belonging to no recorded round trail the
-//! last round, before the `summary`. v2 also adds wire-byte accounting:
-//! `bytes` on spans and `client_edge_bytes` / `edge_cloud_bytes` on round
-//! records — all optional, so v1 traces (which lack them) still parse.
+//! exactly that boundary (a shard that fills mid-round spills early).
+//! Spans belonging to no recorded round trail the last round, before the
+//! `summary`. v2 carries wire-byte accounting: `bytes` on spans and
+//! `client_edge_bytes` / `edge_cloud_bytes` on round records.
 //!
 //! Readers must ignore unknown record types and unknown fields (forward
 //! compatibility); writers bump [`SCHEMA_VERSION`] on breaking changes.
-//! [`TraceReader`] rejects traces whose major version it does not know.
+//! [`TraceReader`] reads [`SCHEMA_VERSION`] only and rejects every other
+//! version with [`TraceError::UnsupportedVersion`].
 
 use crate::metrics::MetricsSnapshot;
 use crate::span::{SpanKind, SpanRecord};
 use serde::{Deserialize, Serialize, Value};
 use std::fmt;
-use std::io::{BufWriter, Write};
 use std::path::Path;
 
-/// Version of the JSONL schema emitted by this crate.
+/// Version of the JSONL schema emitted (and read) by this crate.
 pub const SCHEMA_VERSION: u32 = 2;
-
-/// Schema versions [`TraceReader`] accepts: v1 (buffered, no byte fields)
-/// parses because every v2 addition is optional.
-pub const SUPPORTED_VERSIONS: [u32; 2] = [1, 2];
-
-/// The `producer` string this build stamps into trace meta lines.
-pub(crate) fn producer() -> String {
-    format!("gfl-obs {}", env!("CARGO_PKG_VERSION"))
-}
 
 /// First line of every trace file.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -51,6 +43,18 @@ pub struct TraceMeta {
     pub producer: String,
     /// Parallelism degree the run used (0 = unknown).
     pub threads: u64,
+}
+
+impl TraceMeta {
+    /// The meta line this build writes: [`SCHEMA_VERSION`], this crate as
+    /// producer, and `threads`.
+    pub(crate) fn new(threads: u64) -> Self {
+        TraceMeta {
+            schema_version: SCHEMA_VERSION,
+            producer: format!("gfl-obs {}", env!("CARGO_PKG_VERSION")),
+            threads,
+        }
+    }
 }
 
 /// One round's phase breakdown and event tallies.
@@ -92,11 +96,11 @@ pub struct RoundMetrics {
     /// Heap allocations during this round (0 unless a counting allocator is
     /// registered via [`crate::alloc::register_alloc_counter`]).
     pub allocs: u64,
-    /// Simulated client↔edge wire bytes this round (schema v2; `None` in
-    /// v1 traces and on paths that do not model communication).
+    /// Simulated client↔edge wire bytes this round (`None` on paths that
+    /// do not model communication).
     pub client_edge_bytes: Option<u64>,
     /// Simulated edge↔cloud wire bytes this round, including failed upload
-    /// attempts (schema v2).
+    /// attempts.
     pub edge_cloud_bytes: Option<u64>,
 }
 
@@ -126,11 +130,25 @@ impl RoundMetrics {
 
     /// Fraction of this round's wall time covered by the four phase spans.
     pub fn coverage(&self) -> f64 {
-        if self.wall_ns == 0 {
-            return 1.0;
-        }
-        let covered = self.train_ns + self.aggregate_ns + self.comm_ns + self.eval_ns;
-        covered as f64 / self.wall_ns as f64
+        phase_coverage(std::slice::from_ref(self))
+    }
+}
+
+/// Phase coverage of `rounds`: Σ(train + aggregate + comm + eval) / Σwall,
+/// so long rounds weigh what they cost; 1.0 when no wall time was recorded.
+/// The one coverage fold — the summary line, [`Trace::round_coverage`] and
+/// [`RoundMetrics::coverage`] all use it.
+pub fn phase_coverage(rounds: &[RoundMetrics]) -> f64 {
+    let (covered, wall): (u64, u64) = rounds.iter().fold((0, 0), |(c, w), r| {
+        (
+            c + r.train_ns + r.aggregate_ns + r.comm_ns + r.eval_ns,
+            w + r.wall_ns,
+        )
+    });
+    if wall == 0 {
+        1.0
+    } else {
+        covered as f64 / wall as f64
     }
 }
 
@@ -149,8 +167,7 @@ pub struct RunSummary {
     pub wall_ns: u64,
     /// Rounds with a `round` record.
     pub rounds: u64,
-    /// Aggregate phase coverage across all rounds (see
-    /// [`RoundMetrics::coverage`]); 1.0 when no rounds were recorded.
+    /// Aggregate phase coverage across all rounds ([`phase_coverage`]).
     pub coverage: f64,
     /// Per-kind span totals, in [`SpanKind::ALL`] order (kinds with no
     /// recorded span are omitted).
@@ -159,86 +176,25 @@ pub struct RunSummary {
     pub metrics: MetricsSnapshot,
 }
 
-/// Computes the [`RunSummary`] from per-kind totals already accumulated —
-/// the streaming collector's path, where the spans themselves are long
-/// gone to disk. `span_totals` must be in [`SpanKind::ALL`] order with
-/// zero-count kinds omitted (what [`span_totals_of`] produces).
-pub(crate) fn summarize_with_totals(
-    wall_ns: u64,
-    span_totals: Vec<SpanTotal>,
-    rounds: &[RoundMetrics],
-    metrics: MetricsSnapshot,
-) -> RunSummary {
-    let (covered, wall): (u64, u64) = rounds.iter().fold((0, 0), |(c, w), r| {
-        (
-            c + r.train_ns + r.aggregate_ns + r.comm_ns + r.eval_ns,
-            w + r.wall_ns,
-        )
-    });
-    let coverage = if wall == 0 {
-        1.0
-    } else {
-        covered as f64 / wall as f64
-    };
-    RunSummary {
-        wall_ns,
-        rounds: rounds.len() as u64,
-        coverage,
-        span_totals,
-        metrics,
-    }
-}
-
 /// Per-kind span totals in [`SpanKind::ALL`] order, zero-count kinds
-/// omitted. Useful for re-deriving summary aggregates from a parsed trace
-/// (e.g. the `gfl-trace summarize` command).
-pub fn span_totals_of(spans: &[SpanRecord]) -> Vec<SpanTotal> {
-    let mut span_totals = Vec::new();
-    for kind in SpanKind::ALL {
-        let (mut count, mut total_ns) = (0u64, 0u64);
-        for s in spans.iter().filter(|s| s.kind == kind) {
-            count += 1;
-            total_ns += s.dur_ns;
-        }
-        if count > 0 {
-            span_totals.push(SpanTotal {
+/// omitted, from `of(kind) = (count, total_ns)`.
+pub(crate) fn span_totals(of: impl Fn(SpanKind) -> (u64, u64)) -> Vec<SpanTotal> {
+    SpanKind::ALL
+        .into_iter()
+        .map(|kind| {
+            let (count, total_ns) = of(kind);
+            SpanTotal {
                 kind,
                 count,
                 total_ns,
-            });
-        }
-    }
-    span_totals
-}
-
-/// Reorders `spans` into the canonical v2 barrier layout: for each entry of
-/// `rounds` (in recorded order), that round's spans sorted by
-/// [`SpanRecord::sort_key`]; spans matching no recorded round trail, also
-/// sorted. This is exactly the order the streaming collector writes spans
-/// to disk in, so an in-memory trace serializes byte-identically to a
-/// streamed one.
-pub(crate) fn canonical_order(spans: &mut Vec<SpanRecord>, rounds: &[RoundMetrics]) {
-    let mut out = Vec::with_capacity(spans.len());
-    let mut scratch: Vec<SpanRecord> = Vec::new();
-    for r in rounds {
-        let mut i = 0;
-        while i < spans.len() {
-            if spans[i].round == Some(r.round) {
-                scratch.push(spans.swap_remove(i));
-            } else {
-                i += 1;
             }
-        }
-        scratch.sort_by_key(|s| s.sort_key());
-        out.append(&mut scratch);
-    }
-    spans.sort_by_key(|s| s.sort_key());
-    out.append(spans);
-    *spans = out;
+        })
+        .filter(|t| t.count > 0)
+        .collect()
 }
 
-/// A complete trace: what [`crate::TraceCollector::finish`] produces and
-/// what [`TraceReader`] parses back.
+/// A parsed trace: what [`TraceReader`] reads back from a file, and — with
+/// no spans — what [`crate::TraceCollector::finish`] returns.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Trace {
     pub meta: TraceMeta,
@@ -248,48 +204,6 @@ pub struct Trace {
 }
 
 impl Trace {
-    /// Serializes the trace as JSONL into `w` (buffered internally), in the
-    /// canonical v2 barrier layout: each round's spans (sorted by
-    /// [`SpanRecord::sort_key`]) immediately before that round's record,
-    /// unmatched spans after the last round, then the summary. The
-    /// streaming collector emits this exact byte sequence incrementally, so
-    /// a streamed file and an in-memory trace of the same run compare
-    /// equal byte-for-byte.
-    pub fn write_jsonl<W: Write>(&self, w: W) -> std::io::Result<()> {
-        let mut w = BufWriter::new(w);
-        writeln!(w, "{}", tagged_line("meta", &self.meta))?;
-        let mut ordered = self.spans.clone();
-        canonical_order(&mut ordered, &self.rounds);
-        let mut next = 0usize;
-        for round in &self.rounds {
-            while next < ordered.len() && ordered[next].round == Some(round.round) {
-                writeln!(w, "{}", tagged_line("span", &ordered[next]))?;
-                next += 1;
-            }
-            writeln!(w, "{}", tagged_line("round", round))?;
-        }
-        for span in &ordered[next..] {
-            writeln!(w, "{}", tagged_line("span", span))?;
-        }
-        if let Some(summary) = &self.summary {
-            writeln!(w, "{}", tagged_line("summary", summary))?;
-        }
-        w.flush()
-    }
-
-    /// Writes the trace to `path` as JSONL.
-    pub fn save(&self, path: impl AsRef<Path>) -> std::io::Result<()> {
-        let file = std::fs::File::create(path)?;
-        self.write_jsonl(file)
-    }
-
-    /// Renders the trace as a single JSONL string.
-    pub fn to_jsonl(&self) -> String {
-        let mut buf = Vec::new();
-        self.write_jsonl(&mut buf).expect("in-memory write");
-        String::from_utf8(buf).expect("JSON is UTF-8")
-    }
-
     /// Total recorded duration for one span kind (ns).
     pub fn span_total_ns(&self, kind: SpanKind) -> u64 {
         self.spans
@@ -304,20 +218,16 @@ impl Trace {
         self.spans.iter().filter(|s| s.kind == kind).count()
     }
 
-    /// Aggregate phase coverage across all recorded rounds: the fraction of
-    /// round wall time accounted for by train/aggregate/comm/eval.
+    /// The summary line's per-kind totals, re-derived from the spans (for
+    /// a trace cut off before its summary).
+    pub fn span_totals(&self) -> Vec<SpanTotal> {
+        span_totals(|kind| (self.span_count(kind) as u64, self.span_total_ns(kind)))
+    }
+
+    /// Aggregate phase coverage across all recorded rounds
+    /// ([`phase_coverage`]).
     pub fn round_coverage(&self) -> f64 {
-        let (covered, wall): (u64, u64) = self.rounds.iter().fold((0, 0), |(c, w), r| {
-            (
-                c + r.train_ns + r.aggregate_ns + r.comm_ns + r.eval_ns,
-                w + r.wall_ns,
-            )
-        });
-        if wall == 0 {
-            1.0
-        } else {
-            covered as f64 / wall as f64
-        }
+        phase_coverage(&self.rounds)
     }
 }
 
@@ -370,7 +280,7 @@ impl fmt::Display for TraceError {
             TraceError::UnsupportedVersion(v) => {
                 write!(
                     f,
-                    "unsupported trace schema version {v} (reader supports {SUPPORTED_VERSIONS:?})"
+                    "unsupported trace schema version {v} (this reader reads v{SCHEMA_VERSION})"
                 )
             }
         }
@@ -419,7 +329,7 @@ impl TraceReader {
             .filter(|(_, l)| !l.trim().is_empty());
         let (first_no, first) = lines.next().ok_or(TraceError::MissingMeta)?;
         let meta: TraceMeta = parse_record(first_no + 1, first, "meta")?;
-        if !SUPPORTED_VERSIONS.contains(&meta.schema_version) {
+        if meta.schema_version != SCHEMA_VERSION {
             return Err(TraceError::UnsupportedVersion(meta.schema_version));
         }
         let mut trace = Trace {
@@ -486,36 +396,41 @@ impl<T: Deserialize> DeserializeOwned for T {}
 mod tests {
     use super::*;
     use crate::span::SpanAttrs;
+    use crate::tests::streamed;
     use crate::TraceCollector;
 
-    fn sample_trace() -> Trace {
-        let c = TraceCollector::new();
+    fn record_sample(c: &TraceCollector) {
         let t0 = c.now_ns();
         c.record_span_at(SpanKind::Train, t0, t0 + 80, SpanAttrs::round(0));
         c.record_span_at(SpanKind::Round, t0, t0 + 100, SpanAttrs::round(0));
         c.metrics().counter("events.faults").add(3);
-        c.metrics().gauge("pool.utilization").set(0.75);
         let mut rm = RoundMetrics::empty(0);
         rm.wall_ns = 100;
         rm.train_ns = 80;
         rm.aggregate_ns = 15;
         rm.eval_ns = 5;
         c.record_round(rm);
-        c.finish(2)
+    }
+
+    /// The streamed JSONL of a one-round sample run.
+    fn sample_jsonl() -> String {
+        streamed(record_sample).1
     }
 
     #[test]
     fn trace_round_trips_through_jsonl() {
-        let trace = sample_trace();
-        let text = trace.to_jsonl();
+        let (trace, text) = streamed(record_sample);
         let back = TraceReader::parse(&text).expect("parse");
-        assert_eq!(trace, back);
+        assert_eq!(back.meta, trace.meta);
+        assert_eq!(back.rounds, trace.rounds);
+        assert_eq!(back.summary, trace.summary);
+        let kinds: Vec<SpanKind> = back.spans.iter().map(|s| s.kind).collect();
+        assert_eq!(kinds, [SpanKind::Train, SpanKind::Round], "sort_key order");
     }
 
     #[test]
     fn first_line_is_versioned_meta() {
-        let trace = sample_trace();
-        let text = trace.to_jsonl();
+        let text = sample_jsonl();
         let first = text.lines().next().unwrap();
         let v: Value = serde_json::from_str(first).unwrap();
         assert_eq!(v.get("type").and_then(Value::as_str), Some("meta"));
@@ -539,30 +454,22 @@ mod tests {
     }
 
     #[test]
-    fn reader_accepts_v1_traces_with_missing_byte_fields() {
-        // A trace written by the v1 (pre-byte-accounting) writer: no
-        // `bytes` on spans, no `client_edge_bytes`/`edge_cloud_bytes` on
-        // rounds. All v2 additions are optional, so it must still parse.
+    fn reader_refuses_v1_traces_with_a_typed_version_error() {
+        // Nothing writes v1 (the pre-byte-accounting schema) any more, so
+        // its meta line is refused up front, naming the version.
         let v1 = concat!(
             "{\"type\":\"meta\",\"schema_version\":1,\"producer\":\"gfl-obs 0.1.0\",\"threads\":2}\n",
             "{\"type\":\"span\",\"kind\":\"Round\",\"start_ns\":0,\"dur_ns\":100,\"round\":0,\
              \"group_round\":null,\"group\":null,\"client\":null}\n",
-            "{\"type\":\"round\",\"round\":0,\"wall_ns\":100,\"train_ns\":80,\"aggregate_ns\":15,\
-             \"comm_ns\":0,\"eval_ns\":5,\"groups_trained\":2,\"clients_trained\":8,\
-             \"fault_events\":0,\"cost_total\":1.5,\"pool_regions\":1,\"pool_claims\":8,\
-             \"pool_steals\":3,\"pool_utilization\":0.9,\"allocs\":12}\n",
         );
-        let back = TraceReader::parse(v1).expect("v1 traces still parse");
-        assert_eq!(back.meta.schema_version, 1);
-        assert_eq!(back.spans[0].bytes, None);
-        assert_eq!(back.rounds[0].client_edge_bytes, None);
-        assert_eq!(back.rounds[0].edge_cloud_bytes, None);
+        let err = TraceReader::parse(v1).expect_err("v1 is not read");
+        assert!(matches!(err, TraceError::UnsupportedVersion(1)), "{err:?}");
+        assert!(err.to_string().contains("version 1"), "{err}");
     }
 
     #[test]
     fn mid_line_truncation_is_a_typed_error_with_the_line_number() {
-        let trace = sample_trace();
-        let text = trace.to_jsonl();
+        let text = sample_jsonl();
         // Cut the file mid-way through its 3rd line (a span or round
         // record), like a crashed writer would leave it.
         let line_starts: Vec<usize> = std::iter::once(0)
@@ -588,14 +495,14 @@ mod tests {
 
     #[test]
     fn jsonl_layout_interleaves_round_spans_before_their_round_record() {
-        let c = TraceCollector::new();
-        for t in 0..2usize {
-            let t0 = c.now_ns();
-            c.record_span_at(SpanKind::Train, t0, t0 + 10, SpanAttrs::round(t));
-            c.record_span_at(SpanKind::Round, t0, t0 + 12, SpanAttrs::round(t));
-            c.record_round(RoundMetrics::empty(t));
-        }
-        let text = c.finish(1).to_jsonl();
+        let (_, text) = streamed(|c| {
+            for t in 0..2usize {
+                let t0 = c.now_ns();
+                c.record_span_at(SpanKind::Train, t0, t0 + 10, SpanAttrs::round(t));
+                c.record_span_at(SpanKind::Round, t0, t0 + 12, SpanAttrs::round(t));
+                c.record_round(RoundMetrics::empty(t));
+            }
+        });
         let types: Vec<String> = text
             .lines()
             .map(|l| {
@@ -614,8 +521,7 @@ mod tests {
 
     #[test]
     fn reader_skips_unknown_record_types() {
-        let trace = sample_trace();
-        let mut text = trace.to_jsonl();
+        let mut text = sample_jsonl();
         text.push_str("{\"type\":\"future-record\",\"x\":1}\n");
         let back = TraceReader::parse(&text).expect("unknown types are skipped");
         assert_eq!(back.rounds.len(), 1);
@@ -623,12 +529,25 @@ mod tests {
 
     #[test]
     fn coverage_accounts_phases_against_wall() {
-        let trace = sample_trace();
-        let cov = trace.round_coverage();
+        let (trace, text) = streamed(record_sample);
+        let back = TraceReader::parse(&text).unwrap();
+        let cov = back.round_coverage();
         assert!(
             (cov - 1.0).abs() < 1e-9,
             "80+15+5 of 100 ns = 1.0, got {cov}"
         );
-        assert_eq!(trace.span_total_ns(SpanKind::Train), 80);
+        assert_eq!(back.span_total_ns(SpanKind::Train), 80);
+        assert_eq!(back.span_totals(), trace.summary.unwrap().span_totals);
+        // One fold: a long round weighs what it costs, so two rounds of
+        // 100% and 0% coverage average to their wall-weighted 10%, not 50%.
+        let round = |wall_ns, train_ns| RoundMetrics {
+            wall_ns,
+            train_ns,
+            ..RoundMetrics::empty(0)
+        };
+        let rounds = [round(10, 10), round(90, 0)];
+        assert_eq!(phase_coverage(&rounds), 0.1);
+        assert_eq!(rounds[0].coverage(), 1.0);
+        assert_eq!(phase_coverage(&[]), 1.0);
     }
 }

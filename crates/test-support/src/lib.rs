@@ -5,21 +5,24 @@
 //! materialized. They all need the same few things to do it: a small
 //! federation to run on ([`TinyWorld`], [`Twins`]), a way to run one cell
 //! of the driver's table to the end ([`Runs`]), the process-wide thread pin
-//! ([`for_each_thread_count`]), CI's seed shift ([`seed_offset`]) and a
-//! golden-file comparison that can re-record ([`golden::check`]).
+//! ([`for_each_thread_count`]), CI's seed shift ([`seed_offset`]), a
+//! streaming trace collector whose bytes they can read back ([`Streamed`])
+//! and a golden-file comparison that can re-record ([`golden::check`]).
 //!
 //! A `[dev-dependencies]` entry only, and only for integration tests under
 //! `tests/`: a `#[cfg(test)]` module inside `gfl-core` is compiled against
 //! a different `gfl_core` than the one this crate links, so those keep
 //! their own fixtures.
 
-use std::sync::Mutex;
+use std::io::Write;
+use std::sync::{Arc, Mutex};
 
 use gfl_core::prelude::*;
 use gfl_data::{
     ClientPartition, Dataset, FedData, PartitionSpec, SyntheticSpec, VirtualPopulation, VirtualSpec,
 };
 use gfl_nn::{Network, Params};
+use gfl_obs::{StreamConfig, Trace, TraceCollector, TraceReader};
 use gfl_sim::Topology;
 
 pub mod golden;
@@ -63,6 +66,52 @@ pub fn assert_bit_identical<R: PartialEq + std::fmt::Debug>(counts: &[usize], f:
             ),
         }
     });
+}
+
+/// A `Write` target shared between a streaming collector and the test that
+/// reads its bytes back.
+#[derive(Clone, Default)]
+pub struct SharedBuf(Arc<Mutex<Vec<u8>>>);
+
+impl SharedBuf {
+    /// Everything written so far.
+    pub fn text(&self) -> String {
+        String::from_utf8(self.0.lock().unwrap().clone()).expect("JSONL is UTF-8")
+    }
+}
+
+impl Write for SharedBuf {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.0.lock().unwrap().extend_from_slice(buf);
+        Ok(buf.len())
+    }
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+/// A streaming collector over a [`SharedBuf`]: attach `obs` to a trainer,
+/// run, then [`Streamed::finish`] to check the bytes a user would get.
+pub struct Streamed {
+    pub obs: Arc<TraceCollector>,
+    buf: SharedBuf,
+}
+
+impl Streamed {
+    /// A collector streaming at the default configuration, recording
+    /// `threads` in its meta line.
+    pub fn new(threads: usize) -> Self {
+        let buf = SharedBuf::default();
+        let obs =
+            TraceCollector::streaming(Box::new(buf.clone()), threads, StreamConfig::default());
+        Streamed { obs, buf }
+    }
+
+    /// Ends the run (the summary line) and parses everything it streamed.
+    pub fn finish(&self) -> Trace {
+        self.obs.finish(0);
+        TraceReader::parse(&self.buf.text()).expect("the streamed trace parses")
+    }
 }
 
 /// Whole FedAvg runs from a fresh state, one method per clock × membership
