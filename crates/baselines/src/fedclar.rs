@@ -134,6 +134,8 @@ impl FedClarRunner {
                     accuracy,
                     loss,
                     train_loss: 0.0,
+                    trigger_asr: None,
+                    flip_asr: None,
                 });
             }
             if over_budget {

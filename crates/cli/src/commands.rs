@@ -11,15 +11,16 @@ use gfl_core::cov::{group_cov, mean_group_cov};
 use gfl_core::driver::{Clock, Membership, RunPlan, RunState};
 use gfl_core::engine::{form_groups_per_edge, GroupFelConfig, RobustAggRule, Trainer};
 use gfl_core::grouping::GroupingAlgorithm;
+use gfl_core::history::{Event, RoundRecord};
 use gfl_core::local::FedAvg;
-use gfl_core::membership::RegroupPolicy;
+use gfl_core::membership::{summarize_regroups, RegroupPolicy};
 use gfl_core::sampling::SamplingStrategy;
 use gfl_core::semi_async::AsyncConfig;
 use gfl_core::theory::{self, TheoremInputs};
 use gfl_data::{
     ClientPartition, Dataset, FedData, PartitionSpec, SyntheticSpec, VirtualPopulation, VirtualSpec,
 };
-use gfl_faults::{AdversaryPlan, ChurnPlan, FaultPlan, FaultPolicy};
+use gfl_faults::{summarize, summarize_attacks, AdversaryPlan, ChurnPlan, FaultPlan, FaultPolicy};
 use gfl_nn::sgd::LrSchedule;
 use gfl_sim::{CostModel, GroupOpKind, Task, Topology};
 
@@ -480,13 +481,12 @@ pub fn simulate(argv: &[String], out: &mut dyn Write) -> CmdResult {
 
     // --- report ---
     write_report(out, &cfg, &state)?;
-    let async_report = state.scheduler.as_ref().map(|(_, report)| report);
     if let Some(path) = &cfg.csv {
         std::fs::write(path, state.history.to_csv())?;
         writeln!(out, "wrote {path}")?;
     }
-    if let (Some(path), Some(rep)) = (&cfg.async_csv, async_report) {
-        std::fs::write(path, rep.to_csv())?;
+    if let (Some(path), Some(sched)) = (&cfg.async_csv, &state.scheduler) {
+        std::fs::write(path, sched.to_csv())?;
         writeln!(out, "wrote {path}")?;
     }
     if let Some(path) = &cfg.checkpoint {
@@ -520,26 +520,28 @@ fn write_report(out: &mut dyn Write, cfg: &SimulateConfig, state: &RunState) -> 
         )?;
     }
     writeln!(out, "\nbest accuracy: {:.4}", history.best_accuracy())?;
-    if let Some((_, rep)) = &state.scheduler {
+    if let Some(sched) = &state.scheduler {
         let sum = |f: fn(&gfl_core::semi_async::AsyncRoundRecord) -> usize| -> usize {
-            rep.rounds.iter().map(f).sum()
+            sched.rounds.iter().map(f).sum()
         };
         writeln!(
             out,
             "semi-async: emulated clock {:.1} s, {} straggler cuts, \
              {} stale admitted, {} stale dropped, {} busy skips",
-            rep.final_clock_s(),
-            rep.total_cut_reports(),
+            sched.clock_s,
+            sched.total_cut_reports(),
             sum(|r| r.stale_admitted),
             sum(|r| r.stale_dropped),
             sum(|r| r.busy_skipped),
         )?;
     }
+    let events = history.events();
     if cfg.faults.is_some() {
-        writeln!(out, "faults: {}", history.fault_summary())?;
+        let summary = summarize(events.iter().filter_map(Event::fault));
+        writeln!(out, "faults: {summary}")?;
     }
     if cfg.adversary.is_some() {
-        let summary = history.attack_summary();
+        let summary = summarize_attacks(events.iter().filter_map(Event::attack));
         writeln!(out, "attacks: {summary}")?;
         writeln!(
             out,
@@ -549,8 +551,9 @@ fn write_report(out: &mut dyn Write, cfg: &SimulateConfig, state: &RunState) -> 
             summary.filtered_flame,
             summary.filtered_non_finite
         )?;
-        let asr = history.asr_records();
-        if !asr.is_empty() {
+        let measured = |r: &&RoundRecord| r.trigger_asr.is_some() || r.flip_asr.is_some();
+        let mut asr = history.records().iter().filter(measured).peekable();
+        if asr.peek().is_some() {
             let cell = |v: Option<f32>| v.map_or("      -".into(), |x| format!("{x:7.4}"));
             writeln!(out, "\n round  trigger-asr  flip-asr")?;
             for r in asr {
@@ -565,7 +568,8 @@ fn write_report(out: &mut dyn Write, cfg: &SimulateConfig, state: &RunState) -> 
         }
     }
     if cfg.churn.is_some() {
-        writeln!(out, "regroups: {}", history.regroup_summary())?;
+        let summary = summarize_regroups(events.iter().filter_map(Event::regroup));
+        writeln!(out, "regroups: {summary}")?;
         let m = state
             .membership
             .as_ref()
@@ -576,8 +580,8 @@ fn write_report(out: &mut dyn Write, cfg: &SimulateConfig, state: &RunState) -> 
             m.groups().len(),
             m.active_members()
         )?;
-        let transitions = history.regroup_events();
-        if !transitions.is_empty() {
+        let mut transitions = events.iter().filter_map(Event::regroup).peekable();
+        if transitions.peek().is_some() {
             writeln!(out, "\n round  transition")?;
             for e in transitions {
                 writeln!(out, "{:6}  {e}", e.round())?;
@@ -1110,6 +1114,7 @@ mod tests {
                 .scheduler
                 .expect("semi-async checkpoint stores the scheduler");
             assert!(sched.clock_s > 0.0, "emulated clock must have advanced");
+            assert_eq!(sched.rounds.len(), 2, "the checkpoint carries the report");
         }
     }
 

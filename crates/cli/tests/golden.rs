@@ -7,12 +7,19 @@
 //! `tests/golden/` were written by the release binary of the commit *before*
 //! the flag table existed; every later parser has to reproduce them, byte for
 //! byte, with `N threads` masked. `hostile-observed` also pins the bytes of
-//! its `--csv`, `--async-csv` and `--checkpoint` artifacts at seed 1.
+//! its `--csv` and `--async-csv` artifacts at seed 1, and its `--checkpoint`
+//! section by section: one FNV-1a digest per top-level key and one per event
+//! kind, so a moved byte names the section it moved in.
 //!
 //! `GFL_BLESS=1 cargo test -p gfl-cli --test golden` rewrites the files; do
 //! that only with a change that means to move stdout, and commit the diff.
 
 use std::path::Path;
+
+use gfl_core::checkpoint::Checkpoint;
+use gfl_core::history::Event;
+use serde::Serialize;
+use serde_json::Value;
 
 const HOSTILE: &str = "--task speech --samples 7200 --clients 72 --edges 6 --rounds 6 --k 3 \
      --e 1 --sample 12 --eval-every 1 --runtime semi-async --faults moderate --churn moderate \
@@ -47,6 +54,35 @@ const OUTPUTS: [(&str, &str); 4] = [
     ("--csv", "csv"),
     ("--async-csv", "async.csv"),
 ];
+
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xCBF2_9CE4_8422_2325, |hash, &b| {
+        (hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
+    })
+}
+
+/// `key digest` per top-level checkpoint key, then `events.kind count
+/// digest` per event kind, each over compact JSON.
+fn checkpoint_digests(json: &str) -> String {
+    let value: Value = serde_json::from_str(json).expect("checkpoint JSON");
+    let mut out = String::new();
+    for (key, section) in value.as_object().expect("a checkpoint object") {
+        let json = serde_json::to_string(section).unwrap();
+        out += &format!("{key} {:#018x}\n", fnv1a(json.as_bytes()));
+    }
+    let cp = Checkpoint::from_json(json).expect("a loadable checkpoint");
+    let events = cp.history.events();
+    fn kind<'a, T: Serialize + 'a>(name: &str, of_kind: impl Iterator<Item = &'a T>) -> String {
+        let lines: Vec<String> = of_kind.map(|e| serde_json::to_string(e).unwrap()).collect();
+        let digest = fnv1a(lines.join("\n").as_bytes());
+        format!("events.{name} {} {digest:#018x}\n", lines.len())
+    }
+    out += &kind("fault", events.iter().filter_map(Event::fault));
+    out += &kind("attack", events.iter().filter_map(Event::attack));
+    out += &kind("regroup", events.iter().filter_map(Event::regroup));
+    out += &kind("timed", events.iter().filter_map(Event::timed));
+    out
+}
 
 fn check(name: &str, actual: &[u8]) {
     let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden");
@@ -90,8 +126,15 @@ fn replay(workload: &str) {
         if observed {
             if seed == 1 {
                 for (_, file) in &OUTPUTS[1..] {
-                    let bytes = std::fs::read(dir.join(file)).unwrap();
-                    check(&format!("{workload}.seed{seed}.{file}"), &bytes);
+                    let text = std::fs::read_to_string(dir.join(file)).unwrap();
+                    let name = format!("{workload}.seed{seed}");
+                    match *file {
+                        "checkpoint.json" => check(
+                            &format!("{name}.checkpoint.digests"),
+                            checkpoint_digests(&text).as_bytes(),
+                        ),
+                        _ => check(&format!("{name}.{file}"), text.as_bytes()),
+                    }
                 }
             }
             std::fs::remove_dir_all(&dir).ok();

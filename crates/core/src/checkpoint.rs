@@ -11,13 +11,13 @@ use std::path::Path;
 
 use gfl_nn::Params;
 use gfl_sim::CostLedger;
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 
 use crate::driver::RunState;
 use crate::engine::GroupFelConfig;
 use crate::history::RunHistory;
 use crate::membership::MembershipState;
-use crate::semi_async::{AsyncReport, SchedulerState};
+use crate::semi_async::SchedulerState;
 
 /// A resumable training snapshot.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -28,7 +28,7 @@ pub struct Checkpoint {
     pub params: Params,
     /// Next global round to run (rounds `0..round` are complete).
     pub round: usize,
-    /// Evaluation trajectory so far.
+    /// Evaluation trajectory and event log so far.
     pub history: RunHistory,
     /// The configuration the run was started with.
     pub config: GroupFelConfig,
@@ -36,17 +36,17 @@ pub struct Checkpoint {
     pub cost_so_far: f64,
     /// Live membership of a self-healing run (current partition, activity
     /// mask, group health, sampling probabilities) — `None` for static
-    /// runs. `Option` keeps pre-churn checkpoints (which lack the field)
-    /// loadable without a version bump.
+    /// runs.
     pub membership: Option<MembershipState>,
     /// Scheduler state of a semi-async run (emulated clock, busy edges,
-    /// parked stale uploads) — `None` for lockstep runs. `Option` keeps
-    /// pre-semi-async checkpoints loadable without a version bump.
+    /// parked stale uploads, the per-round report) — `None` for lockstep
+    /// runs.
     pub scheduler: Option<SchedulerState>,
 }
 
-/// Current checkpoint format version.
-pub const CHECKPOINT_VERSION: u32 = 1;
+/// Current checkpoint format version. Version 2 carries the history as one
+/// event log and the semi-async report inside the scheduler state.
+pub const CHECKPOINT_VERSION: u32 = 2;
 
 /// Errors from checkpoint IO.
 #[derive(Debug)]
@@ -83,17 +83,17 @@ impl Checkpoint {
             config,
             cost_so_far: state.ledger.total(),
             membership: state.membership.clone(),
-            scheduler: state.scheduler.as_ref().map(|(sched, _)| sched.clone()),
+            scheduler: state.scheduler.clone(),
         }
     }
 
     /// The run to resume: a self-healing run continues from the healed
     /// partition rather than re-forming, an event-clock run from the same
-    /// emulated clock, busy-edge map and parked stale uploads — the resume
-    /// is bit-identical, not merely approximate. The cost account is not
-    /// persisted beyond its total, so the caller supplies the `ledger` to
-    /// keep charging (the live one, or [`crate::engine::Trainer::ledger_for`]
-    /// after a restart); the emulated-time report restarts empty.
+    /// emulated clock, busy-edge map, parked stale uploads and report — the
+    /// resume is bit-identical, not merely approximate. The cost account is
+    /// not persisted beyond its total, so the caller supplies the `ledger`
+    /// to keep charging (the live one, or
+    /// [`crate::engine::Trainer::ledger_for`] after a restart).
     pub fn into_state(self, ledger: CostLedger) -> RunState {
         RunState {
             params: self.params,
@@ -101,7 +101,7 @@ impl Checkpoint {
             history: self.history,
             next_round: self.round,
             membership: self.membership,
-            scheduler: self.scheduler.map(|s| (s, AsyncReport::default())),
+            scheduler: self.scheduler,
         }
     }
 
@@ -110,13 +110,17 @@ impl Checkpoint {
         serde_json::to_string_pretty(self).expect("checkpoint serialization cannot fail")
     }
 
-    /// Parses from JSON, validating the version.
+    /// Parses from JSON. The version is read first, so a checkpoint of
+    /// another version is refused by its number, not by whatever field its
+    /// shape lacks.
     pub fn from_json(json: &str) -> Result<Self, CheckpointError> {
-        let cp: Checkpoint = serde_json::from_str(json).map_err(CheckpointError::Format)?;
-        if cp.version != CHECKPOINT_VERSION {
-            return Err(CheckpointError::Version(cp.version, CHECKPOINT_VERSION));
+        let value: Value = serde_json::from_str(json).map_err(CheckpointError::Format)?;
+        let version = value.get("version").and_then(Value::as_u64);
+        let version = version.and_then(|v| u32::try_from(v).ok());
+        if let Some(found) = version.filter(|&v| v != CHECKPOINT_VERSION) {
+            return Err(CheckpointError::Version(found, CHECKPOINT_VERSION));
         }
-        Ok(cp)
+        serde_json::from_value(value).map_err(CheckpointError::Format)
     }
 
     /// Writes the checkpoint to a file.
@@ -144,6 +148,8 @@ mod tests {
             accuracy: 0.4,
             loss: 1.2,
             train_loss: 1.5,
+            trigger_asr: None,
+            flip_asr: None,
         });
         Checkpoint {
             version: CHECKPOINT_VERSION,
@@ -185,32 +191,25 @@ mod tests {
     }
 
     #[test]
-    fn legacy_checkpoint_without_membership_field_loads() {
-        // A checkpoint serialized before the self-healing work has no
-        // `membership` key; it must still parse at the same version.
-        let json = sample().to_json();
-        assert!(json.contains("\"membership\""));
-        let legacy = json.replace(",\n  \"membership\": null", "");
-        assert!(!legacy.contains("membership"), "{legacy}");
-        let back = Checkpoint::from_json(&legacy).unwrap();
-        assert!(back.membership.is_none());
-    }
-
-    #[test]
-    fn legacy_checkpoint_without_scheduler_field_loads() {
-        // A checkpoint serialized before the semi-async runtime has no
-        // `scheduler` key; it must still parse at the same version.
-        let json = sample().to_json();
-        assert!(json.contains("\"scheduler\""));
-        let legacy = json.replace(",\n  \"scheduler\": null", "");
-        assert!(!legacy.contains("scheduler"), "{legacy}");
-        let back = Checkpoint::from_json(&legacy).unwrap();
-        assert!(back.scheduler.is_none());
+    fn v1_checkpoint_is_refused_by_its_version() {
+        // A v1 history had one key per log and no `events`; read whole, it
+        // would fail on the missing field before its version was looked at.
+        let json = sample().to_json().replace(
+            "\"events\": []",
+            "\"faults\": [],\n    \"regroups\": null,\n    \"asr\": null",
+        );
+        let v1 = json.replace("\"version\": 2", "\"version\": 1");
+        assert!(v1.contains("\"faults\"") && v1 != json);
+        assert!(serde_json::from_str::<Checkpoint>(&v1).is_err());
+        assert!(matches!(
+            Checkpoint::from_json(&v1).unwrap_err(),
+            CheckpointError::Version(1, 2)
+        ));
     }
 
     #[test]
     fn scheduler_state_roundtrips_exactly() {
-        use crate::semi_async::PendingUpload;
+        use crate::semi_async::{AsyncRoundRecord, PendingUpload};
         let sched = SchedulerState {
             clock_s: 1_234.562_500_001,
             busy: vec![(3, 1300.25), (0, 1250.125)],
@@ -223,6 +222,16 @@ mod tests {
                 uploads: 9,
                 members: vec![1, 4, 6],
                 params: vec![0.5, -1.25, 3.75],
+            }],
+            rounds: vec![AsyncRoundRecord {
+                round: 0,
+                clock_s: 1_234.562_500_001,
+                trained: 2,
+                admitted: 1,
+                stale_admitted: 0,
+                stale_dropped: 0,
+                busy_skipped: 1,
+                cut_reports: 3,
             }],
         };
         let mut cp = sample();

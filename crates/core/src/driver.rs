@@ -18,7 +18,7 @@
 //! Resuming is not a second API: a run advances a [`RunState`], and a
 //! [`crate::checkpoint::Checkpoint`] round-trips one.
 
-use gfl_faults::{summarize_attacks, AttackEvent, FaultEvent};
+use gfl_faults::{summarize_attacks, FaultEvent};
 use gfl_nn::Params;
 use gfl_obs::{RoundMetrics, SpanAttrs, SpanKind};
 use gfl_sim::{CostLedger, Topology};
@@ -26,11 +26,11 @@ use gfl_tensor::{init, ops, Scalar};
 
 use crate::engine::{FaultState, GroupOutcome, Trainer};
 use crate::grouping::{GroupingAlgorithm, PartitionError};
-use crate::history::{AsrRecord, RoundRecord, RunHistory};
+use crate::history::{Event, RoundRecord, RunHistory};
 use crate::local::LocalUpdate;
 use crate::membership::{available_members, MembershipState};
 use crate::sampling::{aggregation_weights_into, sample_without_replacement, SamplingStrategy};
-use crate::semi_async::{AsyncConfig, AsyncReport, EventRound, SchedulerState};
+use crate::semi_async::{AsyncConfig, EventRound, SchedulerState};
 use crate::Group;
 
 /// When a global round closes.
@@ -84,14 +84,14 @@ pub struct RunState {
     pub params: Params,
     /// The Eq. 5 cost account.
     pub ledger: CostLedger,
-    /// Evaluation trajectory and event logs so far.
+    /// Evaluation trajectory and event log so far.
     pub history: RunHistory,
     /// Next global round to run (rounds `0..next_round` are complete).
     pub next_round: usize,
     /// The live partition of a self-healing run.
     pub membership: Option<MembershipState>,
-    /// The event clock's scheduler state and emulated-time report.
-    pub scheduler: Option<(SchedulerState, AsyncReport)>,
+    /// The event clock's scheduler state and per-round report.
+    pub scheduler: Option<SchedulerState>,
 }
 
 /// Lockstep's per-round gate state.
@@ -193,14 +193,14 @@ impl Trainer {
                     let regroups = ob.metrics().counter("events.regroups");
                     regroups.add(events.len() as u64);
                 }
-                if let Some((sched, _)) = state.scheduler.as_mut().filter(|_| !events.is_empty()) {
+                if let Some(sched) = state.scheduler.as_mut().filter(|_| !events.is_empty()) {
                     // The partition changed under the scheduler: busy-until
                     // entries and parked stale uploads reference group
                     // indices that may now mean a different member set.
                     sched.busy.clear();
                     sched.pending.clear();
                 }
-                state.history.record_regroups(events);
+                state.history.record(events.into_iter().map(Event::Regroup));
             }
             let over_budget = self.round(strategy, plan, timing, state, t, t + 1 == end);
             state.next_round = t + 1;
@@ -244,8 +244,8 @@ impl Trainer {
             }
         };
         let mut event = timing.map(|timing| {
-            let (sched, report) = scheduler.as_mut().expect("drive starts the scheduler");
-            EventRound::new(timing, sched, report, t)
+            let sched = scheduler.as_mut().expect("drive starts the scheduler");
+            EventRound::new(timing, sched, t)
         });
         let mut gate = LockstepGate::default();
         // Observation is read-only: timestamps (0 when untraced) and
@@ -278,7 +278,8 @@ impl Trainer {
         // a group with nobody available (or nobody left, transiently under
         // churn, before the next heal pass) sits out whole, and a dark edge
         // server takes all of its sampled groups offline for this round.
-        let mut round_events: Vec<FaultEvent> = Vec::new();
+        // Every producer below appends to the round's one event list.
+        let mut events: Vec<Event> = Vec::new();
         let members = available_members(churn, t, groups, &sampled);
         let mut active: Vec<(usize, &[usize])> = sampled
             .iter()
@@ -290,11 +291,11 @@ impl Trainer {
                 let edge = fs.edge_of_client[members[0]];
                 let down = fs.injector.edge_down(edge, t);
                 if down {
-                    round_events.push(FaultEvent::EdgeOutage {
+                    events.push(Event::Fault(FaultEvent::EdgeOutage {
                         round: t,
                         edge,
                         group,
-                    });
+                    }));
                 }
                 !down
             })
@@ -302,7 +303,7 @@ impl Trainer {
         // Event clock: busy edges sit out too, and the timing pass decides,
         // in emulated time, which reports miss which group-round close.
         if let Some(ev) = &mut event {
-            ev.dispatch(self, &mut active, params.len());
+            ev.dispatch(self, &mut active, params.len(), &mut events);
         }
 
         // Lines 7–14: every (group × client) pair of this round trains on
@@ -344,27 +345,25 @@ impl Trainer {
         // order. Clean lockstep runs pass every outcome through; the event
         // clock may also fold in `matured` stale results parked earlier.
         let mut admitted: Vec<&GroupOutcome> = Vec::with_capacity(outcomes.len());
-        let mut round_attacks: Vec<AttackEvent> = Vec::new();
         for o in &outcomes {
-            round_events.extend(o.events.iter().cloned());
-            round_attacks.extend(o.attacks.iter().cloned());
+            events.extend(o.events.iter().cloned());
             let passes = match &mut event {
-                Some(ev) => ev.resolve_arrival(o, ledger, &mut round_events),
-                None => self.lockstep_admits(&mut gate, t, o, ledger, &mut round_events),
+                Some(ev) => ev.resolve_arrival(o, ledger, &mut events),
+                None => self.lockstep_admits(&mut gate, t, o, ledger, &mut events),
             };
             if passes {
                 admitted.push(o);
             }
         }
         let matured = match &mut event {
-            Some(ev) => ev.cloud_close(probs, &mut admitted),
+            Some(ev) => ev.cloud_close(probs, &mut admitted, &mut events),
             None => Vec::new(),
         };
 
         // Line 15: global aggregation — held (`x_{t+1} = x_t`, params stay
         // finite) when no surviving update reached the cloud.
         if admitted.iter().all(|o| o.uploads == 0) && matured.iter().all(|p| p.uploads == 0) {
-            round_events.push(FaultEvent::RoundHeld { round: t });
+            events.push(Event::Fault(FaultEvent::RoundHeld { round: t }));
         } else {
             sizes.clear();
             sizes.extend(admitted.iter().map(|o| o.samples));
@@ -414,15 +413,12 @@ impl Trainer {
 
         let train_loss =
             outcomes.iter().map(|o| o.train_loss).sum::<Scalar>() / outcomes.len().max(1) as Scalar;
-        let fault_events = round_events.len() as u64;
-        history.record_faults(round_events);
-        let attack_summary = summarize_attacks(&round_attacks);
-        history.record_attacks(round_attacks);
-        let (over_budget, eval_ns, asr) =
+        history.record(events);
+        let (over_budget, eval_ns) =
             self.evaluate_round(t, last, params, train_loss, ledger, history);
         match event {
             // Advance the emulated clock to the close and report the round.
-            Some(ev) => ev.finish(history, obs),
+            Some(ev) => ev.finish(obs),
             // Feed the health monitor: which sampled groups missed quorum.
             None if healing => membership
                 .as_mut()
@@ -432,6 +428,7 @@ impl Trainer {
         }
 
         if let Some(ob) = obs {
+            let logged = history.events_in_round(t);
             let end = ob.record_span(SpanKind::Round, round_start, SpanAttrs::round(t));
             let pool = gfl_parallel::stats::snapshot().since(pool_before.unwrap());
             ob.record_round(RoundMetrics {
@@ -446,7 +443,7 @@ impl Trainer {
                     .iter()
                     .map(|o| (o.members.len() * cfg.group_rounds) as u64)
                     .sum(),
-                fault_events,
+                fault_events: logged.iter().filter(|e| e.fault().is_some()).count() as u64,
                 cost_total: ledger.total(),
                 pool_regions: pool.regions,
                 pool_claims: pool.claims,
@@ -462,6 +459,7 @@ impl Trainer {
             let m = ob.metrics();
             let mut counters = Vec::new();
             if self.adversary.is_some() {
+                let attack_summary = summarize_attacks(logged.iter().filter_map(Event::attack));
                 counters.extend([
                     ("attacks.injected", attack_summary.injected() as u64),
                     (
@@ -473,10 +471,12 @@ impl Trainer {
                         attack_summary.filtered_non_finite as u64,
                     ),
                 ]);
-                if let Some(v) = asr.and_then(|r| r.trigger_asr) {
+                // The record is this round's only when it was evaluated.
+                let evaluated = history.last_record().filter(|r| r.round == t);
+                if let Some(v) = evaluated.and_then(|r| r.trigger_asr) {
                     m.gauge("asr.trigger").set(v as f64);
                 }
-                if let Some(v) = asr.and_then(|r| r.flip_asr) {
+                if let Some(v) = evaluated.and_then(|r| r.flip_asr) {
                     m.gauge("asr.flip").set(v as f64);
                 }
             }
@@ -519,7 +519,7 @@ impl Trainer {
         t: usize,
         o: &GroupOutcome,
         ledger: &mut CostLedger,
-        round_events: &mut Vec<FaultEvent>,
+        events: &mut Vec<Event>,
     ) -> bool {
         let (round, group) = (t, o.group);
         let payload = self.comm.group_cloud_bytes(o.params.len());
@@ -531,17 +531,20 @@ impl Trainer {
         let quorum = policy.quorum_fraction * (self.config.group_rounds * o.samples) as f64;
         let required = quorum.ceil() as usize;
         if o.upload_samples < required {
-            round_events.push(FaultEvent::GroupSkipped {
+            events.push(Event::Fault(FaultEvent::GroupSkipped {
                 round,
                 group,
                 survivors: o.upload_samples,
                 required,
-            });
+            }));
             gate.quorum_missed.push(group);
             return false;
         }
         if policy.reject_non_finite && !gfl_defense::is_update_finite(&o.params) {
-            round_events.push(FaultEvent::CorruptGroupRejected { round, group });
+            events.push(Event::Fault(FaultEvent::CorruptGroupRejected {
+                round,
+                group,
+            }));
             return false;
         }
         let failures = fs.injector.upload_failures(t, group, policy.max_retries);
@@ -558,13 +561,13 @@ impl Trainer {
             policy.backoff_base_s,
             policy.max_backoff_s,
         );
-        round_events.push(FaultEvent::UploadRetry {
+        events.push(Event::Fault(FaultEvent::UploadRetry {
             round,
             group,
             attempts: retry.attempts,
             extra_seconds: retry.seconds,
             extra_bytes: retry.bytes,
-        });
+        }));
         ledger.charge_edge_cloud_bytes(retry.bytes);
         gate.comm_bytes += retry.bytes;
         if let Some(ob) = obs {
@@ -573,16 +576,15 @@ impl Trainer {
             gate.comm_ns += end.saturating_sub(retry_start);
         }
         if !retry.delivered {
-            round_events.push(FaultEvent::UploadLost { round, group });
+            events.push(Event::Fault(FaultEvent::UploadLost { round, group }));
         }
         retry.delivered
     }
 
     /// Evaluates the global model when round `t` is on the cadence (or is
-    /// the drive's last, or exhausted the budget): test accuracy and loss
-    /// into a [`RoundRecord`], attack-success rates beside it. Returns
-    /// whether the budget is exhausted, the evaluation's wall time, and
-    /// the ASR record (for the telemetry tail).
+    /// the drive's last, or exhausted the budget): test accuracy, loss and
+    /// attack-success rates into a [`RoundRecord`]. Returns whether the
+    /// budget is exhausted and the evaluation's wall time.
     fn evaluate_round(
         &self,
         t: usize,
@@ -591,11 +593,11 @@ impl Trainer {
         train_loss: Scalar,
         ledger: &CostLedger,
         history: &mut RunHistory,
-    ) -> (bool, u64, Option<AsrRecord>) {
+    ) -> (bool, u64) {
         let cfg = &self.config;
         let over_budget = cfg.cost_budget.is_some_and(|b| ledger.total() >= b);
         if !(t.is_multiple_of(cfg.eval_every) || last || over_budget) {
-            return (over_budget, 0, None);
+            return (over_budget, 0);
         }
         let obs = self.obs.as_deref();
         let eval_start = obs.map_or(0, |ob| ob.now_ns());
@@ -603,23 +605,16 @@ impl Trainer {
         // Attack-success rates, on the same cadence as accuracy: both eval
         // sets carry the attacker's label, so plain accuracy on them *is*
         // the success rate.
-        let asr = self.adversary.as_ref().map(|adv| {
-            let pool = &self.eval_pool;
-            let rate = |d: &gfl_data::Dataset| {
-                let eval = self
-                    .model
-                    .evaluate_pooled(params, d.features(), d.labels(), pool);
-                eval.accuracy
-            };
-            AsrRecord {
-                round: t,
-                trigger_asr: adv.trigger_eval.as_ref().map(&rate),
-                flip_asr: adv.flip_eval.as_ref().map(&rate),
-            }
-        });
-        if let Some(r) = asr {
-            history.record_asr(r);
-        }
+        let pool = &self.eval_pool;
+        let rate = |d: &gfl_data::Dataset| {
+            let eval = self
+                .model
+                .evaluate_pooled(params, d.features(), d.labels(), pool);
+            eval.accuracy
+        };
+        let adv = self.adversary.as_ref();
+        let trigger_asr = adv.and_then(|a| a.trigger_eval.as_ref()).map(&rate);
+        let flip_asr = adv.and_then(|a| a.flip_eval.as_ref()).map(&rate);
         let eval_end = obs.map_or(0, |ob| {
             ob.record_span(SpanKind::Eval, eval_start, SpanAttrs::round(t))
         });
@@ -629,7 +624,9 @@ impl Trainer {
             accuracy: eval.accuracy,
             loss: eval.loss,
             train_loss,
+            trigger_asr,
+            flip_asr,
         });
-        (over_budget, eval_end.saturating_sub(eval_start), asr)
+        (over_budget, eval_end.saturating_sub(eval_start))
     }
 }

@@ -38,7 +38,7 @@ use std::sync::Arc;
 use crate::cov::group_cov;
 use crate::driver::{Clock, Membership, RunPlan};
 use crate::grouping::GroupingAlgorithm;
-use crate::history::RunHistory;
+use crate::history::{Event, RunHistory};
 use crate::local::{BufPool, LocalScratch, LocalTask, LocalUpdate, ScratchPool};
 use crate::membership::RegroupPolicy;
 use crate::sampling::{AggregationWeighting, SamplingStrategy};
@@ -407,10 +407,9 @@ pub struct GroupOutcome {
     /// Sample-weighted surviving uploads across all `K` group rounds
     /// (out of `K · n_g`); the quorum test's numerator.
     pub(crate) upload_samples: usize,
-    /// Faults that hit this group, in deterministic (k, member) order.
-    pub(crate) events: Vec<FaultEvent>,
-    /// Attacks injected (and filtered) in this group, same ordering.
-    pub(crate) attacks: Vec<AttackEvent>,
+    /// Faults and attacks (injected or filtered) in this group, in
+    /// deterministic (k, member) order.
+    pub(crate) events: Vec<Event>,
     /// Measured defense-filter work across the group's `K` group rounds.
     pub(crate) defense: DefenseCost,
     /// Secure-aggregation sessions the group ran (one per group round with
@@ -470,8 +469,7 @@ struct GroupCtx<'g> {
     loss_n: u32,
     uploads: usize,
     upload_samples: usize,
-    events: Vec<FaultEvent>,
-    attacks: Vec<AttackEvent>,
+    events: Vec<Event>,
     defense: DefenseCost,
     secagg_sessions: u64,
     secagg_pair_masks: u64,
@@ -906,7 +904,6 @@ impl Trainer {
                 uploads: 0,
                 upload_samples: 0,
                 events: Vec::new(),
-                attacks: Vec::new(),
                 defense: DefenseCost::default(),
                 secagg_sessions: 0,
                 secagg_pair_masks: 0,
@@ -967,14 +964,15 @@ impl Trainer {
 
             // Sequential reduction, group by group, slots in member order —
             // the exact event/loss/aggregation order of the old per-group
-            // loop.
+            // loop. A client's attack precedes its fault: the gate that
+            // rejects a poisoned update runs after the injection.
             for ctx in ctxs.iter_mut() {
                 for slot in ctx.slots.iter_mut() {
-                    if let Some(ev) = slot.event.take() {
-                        ctx.events.push(ev);
-                    }
                     if let Some(at) = slot.attack.take() {
-                        ctx.attacks.push(at);
+                        ctx.events.push(Event::Attack(at));
+                    }
+                    if let Some(ev) = slot.event.take() {
+                        ctx.events.push(Event::Fault(ev));
                     }
                     if let Some(loss) = slot.loss.take() {
                         ctx.loss_acc += loss;
@@ -1072,7 +1070,6 @@ impl Trainer {
                     uploads: ctx.uploads,
                     upload_samples: ctx.upload_samples,
                     events: ctx.events,
-                    attacks: ctx.attacks,
                     defense: ctx.defense,
                     secagg_sessions: ctx.secagg_sessions,
                     secagg_pair_masks: ctx.secagg_pair_masks,
@@ -1120,13 +1117,13 @@ impl Trainer {
                     .as_ref()
                     .is_some_and(|a| a.plan.is_adversary(client))
                 {
-                    ctx.attacks.push(AttackEvent::AttackFiltered {
+                    ctx.events.push(Event::Attack(AttackEvent::AttackFiltered {
                         round: t,
                         group_round: k,
                         group: ctx.gi,
                         client,
                         stage: DefenseStage::FlameFilter,
-                    });
+                    }));
                 }
             } else {
                 // Write the clipped delta back so the weighted-mean path
@@ -1679,7 +1676,7 @@ mod tests {
         assert_eq!(healed.membership.unwrap().groups(), groups);
         assert_eq!(fixed.params, healed.params);
         assert_eq!(fixed.history, healed.history);
-        assert!(healed.history.regroup_events().is_empty());
+        assert!(healed.history.events().is_empty());
     }
 
     #[test]

@@ -1,31 +1,13 @@
 //! Training-run telemetry: the accuracy-vs-round and accuracy-vs-cost
-//! trajectories that every figure in §7 plots, plus the structured fault
-//! log a degraded run leaves behind (who was cut, which groups were
-//! skipped, what was retried or rejected).
+//! trajectories that every figure in §7 plots, plus the one event log a
+//! degraded run leaves behind — every fault, attack, membership transition
+//! and emulated-clock incident, in the order the rounds produced them.
 
-use gfl_faults::{
-    summarize, summarize_attacks, AttackEvent, AttackSummary, FaultEvent, FaultSummary,
-};
+use gfl_faults::{AttackEvent, FaultEvent};
 use gfl_tensor::Scalar;
-use serde::{Deserialize, Serialize};
+use serde::{DeError, Deserialize, Serialize, Value};
 
-use crate::membership::{summarize_regroups, RegroupEvent, RegroupSummary};
-
-/// One attack-success-rate measurement, taken at the same cadence as the
-/// accuracy evaluations of an adversarial run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct AsrRecord {
-    /// Global round index `t` (0-based, recorded after the round).
-    pub round: usize,
-    /// Fraction of the held-out *trigger set* (non-target test samples
-    /// stamped with the backdoor trigger) the global model classifies as
-    /// the attacker's target label. `None` when no backdoor campaign runs.
-    pub trigger_asr: Option<Scalar>,
-    /// Fraction of the held-out *flip set* (test samples whose true label
-    /// is the flip source) the model classifies as the flip target.
-    /// `None` when no label-flip campaign runs.
-    pub flip_asr: Option<Scalar>,
-}
+use crate::membership::RegroupEvent;
 
 /// One emulated-clock incident of a semi-async run. Only *incidents* are
 /// logged — quorum closes that cut nobody, on-time arrivals, and idle
@@ -93,6 +75,104 @@ impl TimedEvent {
     }
 }
 
+/// One incident of a run, at any level of the hierarchy: a client, group
+/// or upload fault, an attack or its interception, a membership
+/// transition, or an emulated-clock incident of the event clock.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Event {
+    Fault(FaultEvent),
+    Attack(AttackEvent),
+    Regroup(RegroupEvent),
+    Timed(TimedEvent),
+}
+
+impl Event {
+    /// The global round the event belongs to.
+    pub fn round(&self) -> usize {
+        match self {
+            Event::Fault(e) => e.round(),
+            Event::Attack(e) => e.round(),
+            Event::Regroup(e) => e.round(),
+            Event::Timed(e) => e.round(),
+        }
+    }
+
+    pub fn fault(&self) -> Option<&FaultEvent> {
+        match self {
+            Event::Fault(e) => Some(e),
+            _ => None,
+        }
+    }
+
+    pub fn attack(&self) -> Option<&AttackEvent> {
+        match self {
+            Event::Attack(e) => Some(e),
+            _ => None,
+        }
+    }
+
+    pub fn regroup(&self) -> Option<&RegroupEvent> {
+        match self {
+            Event::Regroup(e) => Some(e),
+            _ => None,
+        }
+    }
+
+    pub fn timed(&self) -> Option<&TimedEvent> {
+        match self {
+            Event::Timed(e) => Some(e),
+            _ => None,
+        }
+    }
+}
+
+/// An event travels as its inner event, unwrapped (`{"RoundHeld": {..}}`):
+/// the four kinds' variant names are disjoint, so the tag alone names the
+/// kind.
+impl Serialize for Event {
+    fn to_value(&self) -> Value {
+        match self {
+            Event::Fault(e) => e.to_value(),
+            Event::Attack(e) => e.to_value(),
+            Event::Regroup(e) => e.to_value(),
+            Event::Timed(e) => e.to_value(),
+        }
+    }
+}
+
+impl Deserialize for Event {
+    fn from_value(v: &Value) -> Result<Self, DeError> {
+        let tag = v
+            .as_object()
+            .and_then(|o| o.first())
+            .map(|(tag, _)| tag.as_str());
+        match tag {
+            Some(
+                "ClientCrash"
+                | "StragglerCut"
+                | "CorruptRejected"
+                | "EdgeOutage"
+                | "GroupSkipped"
+                | "CorruptGroupRejected"
+                | "UploadRetry"
+                | "UploadLost"
+                | "RoundHeld",
+            ) => FaultEvent::from_value(v).map(Event::Fault),
+            Some("BackdoorInjected" | "LabelsFlipped" | "UpdatePoisoned" | "AttackFiltered") => {
+                AttackEvent::from_value(v).map(Event::Attack)
+            }
+            Some(
+                "ClientDeparted" | "ClientArrived" | "GroupDissolved" | "ClientMigrated"
+                | "PartitionReformed",
+            ) => RegroupEvent::from_value(v).map(Event::Regroup),
+            Some("GroupRoundClosed" | "StaleArrival" | "GroupBusySkipped" | "CloudRoundClosed") => {
+                TimedEvent::from_value(v).map(Event::Timed)
+            }
+            _ => Err(DeError::custom(format!("no event kind matches {v:?}"))),
+        }
+    }
+}
+
 /// One evaluated point of a training run.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct RoundRecord {
@@ -106,30 +186,25 @@ pub struct RoundRecord {
     pub loss: Scalar,
     /// Mean local training loss over this round's participants.
     pub train_loss: Scalar,
+    /// Fraction of the held-out *trigger set* (non-target test samples
+    /// stamped with the backdoor trigger) the global model classifies as
+    /// the attacker's target label. `None` when no backdoor campaign runs.
+    pub trigger_asr: Option<Scalar>,
+    /// Fraction of the held-out *flip set* (test samples whose true label
+    /// is the flip source) the model classifies as the flip target.
+    /// `None` when no label-flip campaign runs.
+    pub flip_asr: Option<Scalar>,
 }
 
-/// The full trajectory of one run: evaluation records plus the per-round
-/// fault log (empty for clean runs). Both are serialized through
-/// checkpoints, so a resumed session carries its complete audit trail.
+/// The full trajectory of one run: evaluation records plus the event log
+/// (empty for clean runs). Both are serialized through checkpoints, so a
+/// resumed session carries its complete audit trail.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct RunHistory {
     records: Vec<RoundRecord>,
-    faults: Vec<FaultEvent>,
-    /// Membership transitions of a self-healing run. `Option` (rather
-    /// than a bare `Vec`) so pre-churn serialized histories, which lack
-    /// the field entirely, still deserialize; static runs leave it `None`.
-    regroups: Option<Vec<RegroupEvent>>,
-    /// Attack log of an adversarial run (injections and defense filters).
-    /// `Option` for the same legacy-tolerance reason as `regroups`; clean
-    /// runs leave it `None`.
-    attacks: Option<Vec<AttackEvent>>,
-    /// Attack-success-rate trajectory, one entry per evaluation round of
-    /// an adversarial run. `None` for clean runs.
-    asr: Option<Vec<AsrRecord>>,
-    /// Emulated-clock incident log of a semi-async run. `Option` for the
-    /// same legacy-tolerance reason as `regroups`; synchronous runs — and
-    /// semi-async runs in the degenerate lockstep limit — leave it `None`.
-    timed: Option<Vec<TimedEvent>>,
+    /// Every event of round `t` is recorded during round `t`, in the order
+    /// the round produced it, so the log is sorted by round.
+    events: Vec<Event>,
 }
 
 impl RunHistory {
@@ -148,125 +223,27 @@ impl RunHistory {
         &self.records
     }
 
-    /// Appends one fault event to the log.
-    pub fn record_fault(&mut self, e: FaultEvent) {
-        self.faults.push(e);
+    /// Appends events of the round being run, in the order it produced
+    /// them.
+    pub fn record(&mut self, events: impl IntoIterator<Item = Event>) {
+        let from = self.events.len().saturating_sub(1);
+        self.events.extend(events);
+        debug_assert!(
+            self.events[from..].is_sorted_by_key(Event::round),
+            "events are recorded round by round"
+        );
     }
 
-    /// Appends a batch of fault events (one round's worth, in order).
-    pub fn record_faults(&mut self, events: impl IntoIterator<Item = FaultEvent>) {
-        self.faults.extend(events);
+    /// The whole event log, in round order.
+    pub fn events(&self) -> &[Event] {
+        &self.events
     }
 
-    /// The full fault log, in injection order.
-    pub fn fault_events(&self) -> &[FaultEvent] {
-        &self.faults
-    }
-
-    /// Event counts by kind.
-    pub fn fault_summary(&self) -> FaultSummary {
-        summarize(&self.faults)
-    }
-
-    /// Fault events of one global round.
-    pub fn faults_in_round(&self, round: usize) -> impl Iterator<Item = &FaultEvent> {
-        self.faults.iter().filter(move |e| e.round() == round)
-    }
-
-    /// Appends a batch of membership/regroup events (one round's worth).
-    /// An empty batch is a no-op, so clean self-healing runs stay equal
-    /// (`PartialEq`) to static runs of the same trajectory.
-    pub fn record_regroups(&mut self, events: impl IntoIterator<Item = RegroupEvent>) {
-        let mut it = events.into_iter().peekable();
-        if it.peek().is_some() {
-            self.regroups.get_or_insert_with(Vec::new).extend(it);
-        }
-    }
-
-    /// The full membership-transition log, in order.
-    pub fn regroup_events(&self) -> &[RegroupEvent] {
-        self.regroups.as_deref().unwrap_or(&[])
-    }
-
-    /// Membership-event counts by kind.
-    pub fn regroup_summary(&self) -> RegroupSummary {
-        summarize_regroups(self.regroup_events())
-    }
-
-    /// Membership events of one global round.
-    pub fn regroups_in_round(&self, round: usize) -> impl Iterator<Item = &RegroupEvent> {
-        self.regroup_events()
-            .iter()
-            .filter(move |e| e.round() == round)
-    }
-
-    /// Appends a batch of attack events (one round's worth, in order).
-    /// An empty batch is a no-op, so clean runs stay equal (`PartialEq`)
-    /// to runs with no adversary plan at all.
-    pub fn record_attacks(&mut self, events: impl IntoIterator<Item = AttackEvent>) {
-        let mut it = events.into_iter().peekable();
-        if it.peek().is_some() {
-            self.attacks.get_or_insert_with(Vec::new).extend(it);
-        }
-    }
-
-    /// The full attack log, in injection order.
-    pub fn attack_events(&self) -> &[AttackEvent] {
-        self.attacks.as_deref().unwrap_or(&[])
-    }
-
-    /// Attack-event counts by kind.
-    pub fn attack_summary(&self) -> AttackSummary {
-        summarize_attacks(self.attack_events())
-    }
-
-    /// Attack events of one global round.
-    pub fn attacks_in_round(&self, round: usize) -> impl Iterator<Item = &AttackEvent> {
-        self.attack_events()
-            .iter()
-            .filter(move |e| e.round() == round)
-    }
-
-    /// Appends a batch of emulated-clock events (one round's worth, in
-    /// order). An empty batch is a no-op, so a semi-async run that never
-    /// cut, skipped, or dropped anything stays equal (`PartialEq`) to a
-    /// synchronous run of the same trajectory.
-    pub fn record_timed(&mut self, events: impl IntoIterator<Item = TimedEvent>) {
-        let mut it = events.into_iter().peekable();
-        if it.peek().is_some() {
-            self.timed.get_or_insert_with(Vec::new).extend(it);
-        }
-    }
-
-    /// The full emulated-clock incident log, in recording order.
-    pub fn timed_events(&self) -> &[TimedEvent] {
-        self.timed.as_deref().unwrap_or(&[])
-    }
-
-    /// Emulated-clock events of one global round.
-    pub fn timed_in_round(&self, round: usize) -> impl Iterator<Item = &TimedEvent> {
-        self.timed_events()
-            .iter()
-            .filter(move |e| e.round() == round)
-    }
-
-    /// Appends one attack-success-rate measurement. A record with neither
-    /// rate present is dropped, so runs without an adversary stay equal
-    /// (`PartialEq`) to clean runs.
-    pub fn record_asr(&mut self, r: AsrRecord) {
-        if r.trigger_asr.is_some() || r.flip_asr.is_some() {
-            self.asr.get_or_insert_with(Vec::new).push(r);
-        }
-    }
-
-    /// The attack-success-rate trajectory, in evaluation order.
-    pub fn asr_records(&self) -> &[AsrRecord] {
-        self.asr.as_deref().unwrap_or(&[])
-    }
-
-    /// The latest attack-success-rate measurement, if any.
-    pub fn last_asr(&self) -> Option<&AsrRecord> {
-        self.asr_records().last()
+    /// The events of one global round, in the order it produced them.
+    pub fn events_in_round(&self, round: usize) -> &[Event] {
+        let from = self.events.partition_point(|e| e.round() < round);
+        let to = self.events.partition_point(|e| e.round() <= round);
+        &self.events[from..to]
     }
 
     pub fn is_empty(&self) -> bool {
@@ -354,6 +331,8 @@ mod tests {
                 accuracy: *acc,
                 loss: 1.0 - acc,
                 train_loss: 1.0,
+                trigger_asr: None,
+                flip_asr: None,
             });
         }
         h
@@ -391,148 +370,269 @@ mod tests {
     #[test]
     fn fault_log_accumulates_and_summarizes() {
         let mut h = hist();
-        assert!(h.fault_events().is_empty());
-        assert_eq!(h.fault_summary().total(), 0);
-        h.record_fault(FaultEvent::RoundHeld { round: 1 });
-        h.record_faults(vec![
-            FaultEvent::ClientCrash {
-                round: 2,
-                group_round: 0,
-                group: 1,
-                client: 4,
-            },
-            FaultEvent::ClientCrash {
-                round: 2,
-                group_round: 1,
-                group: 1,
-                client: 5,
-            },
-        ]);
-        assert_eq!(h.fault_events().len(), 3);
-        let s = h.fault_summary();
+        assert!(h.events().is_empty());
+        h.record([Event::Fault(FaultEvent::RoundHeld { round: 1 })]);
+        h.record(
+            [
+                FaultEvent::ClientCrash {
+                    round: 2,
+                    group_round: 0,
+                    group: 1,
+                    client: 4,
+                },
+                FaultEvent::ClientCrash {
+                    round: 2,
+                    group_round: 1,
+                    group: 1,
+                    client: 5,
+                },
+            ]
+            .map(Event::Fault),
+        );
+        assert_eq!(h.events().len(), 3);
+        let s = gfl_faults::summarize(h.events().iter().filter_map(Event::fault));
         assert_eq!(s.rounds_held, 1);
         assert_eq!(s.crashes, 2);
-        assert_eq!(h.faults_in_round(2).count(), 2);
-        assert_eq!(h.faults_in_round(0).count(), 0);
+        assert_eq!(h.events_in_round(2).len(), 2);
+        assert!(h.events_in_round(0).is_empty());
+        assert!(h.events_in_round(3).is_empty());
     }
 
     #[test]
     fn regroup_log_accumulates_and_summarizes() {
         let mut h = hist();
-        assert!(h.regroup_events().is_empty());
-        assert_eq!(h.regroup_summary().total(), 0);
-        h.record_regroups(vec![
-            RegroupEvent::ClientDeparted {
+        h.record([
+            Event::Regroup(RegroupEvent::ClientDeparted {
                 round: 1,
                 client: 3,
                 group: 0,
-            },
-            RegroupEvent::ClientMigrated {
+            }),
+            Event::Fault(FaultEvent::RoundHeld { round: 1 }),
+            Event::Regroup(RegroupEvent::ClientMigrated {
                 round: 2,
                 client: 3,
                 to_group: 1,
-            },
+            }),
         ]);
-        assert_eq!(h.regroup_events().len(), 2);
-        assert_eq!(h.regroup_summary().departures, 1);
-        assert_eq!(h.regroups_in_round(2).count(), 1);
-        // A pre-churn serialized history (no `regroups` field) still loads.
-        let legacy = r#"{"records":[],"faults":[]}"#;
-        let back: RunHistory = serde_json::from_str(legacy).unwrap();
-        assert!(back.regroup_events().is_empty());
+        let s = crate::membership::summarize_regroups(h.events().iter().filter_map(Event::regroup));
+        assert_eq!((s.total(), s.departures), (2, 1));
+        assert_eq!(h.events_in_round(1).len(), 2);
+        assert!(
+            h.events_in_round(1)[1].fault().is_some(),
+            "recording order kept"
+        );
+        assert!(h.events_in_round(2)[0].regroup().is_some());
     }
 
     #[test]
     fn attack_log_and_asr_accumulate_and_summarize() {
         let mut h = hist();
-        assert!(h.attack_events().is_empty());
-        assert_eq!(h.attack_summary().injected(), 0);
-        assert!(h.asr_records().is_empty());
-        h.record_attacks(vec![
-            AttackEvent::BackdoorInjected {
-                round: 1,
-                group_round: 0,
-                group: 0,
-                client: 2,
-                rows: 7,
-            },
-            AttackEvent::UpdatePoisoned {
-                round: 2,
-                group_round: 1,
-                group: 1,
-                client: 9,
-            },
-        ]);
-        // Empty batches and all-`None` ASR records must not materialize
-        // the optional fields.
-        h.record_attacks(Vec::new());
-        h.record_asr(AsrRecord {
-            round: 0,
-            trigger_asr: None,
-            flip_asr: None,
-        });
-        h.record_asr(AsrRecord {
-            round: 2,
+        h.record(
+            [
+                AttackEvent::BackdoorInjected {
+                    round: 1,
+                    group_round: 0,
+                    group: 0,
+                    client: 2,
+                    rows: 7,
+                },
+                AttackEvent::UpdatePoisoned {
+                    round: 2,
+                    group_round: 1,
+                    group: 1,
+                    client: 9,
+                },
+            ]
+            .map(Event::Attack),
+        );
+        h.push(RoundRecord {
+            round: 4,
             trigger_asr: Some(0.8),
-            flip_asr: None,
+            ..hist().records()[0]
         });
-        assert_eq!(h.attack_events().len(), 2);
-        assert_eq!(h.attack_summary().backdoor, 1);
-        assert_eq!(h.attack_summary().model_poison, 1);
-        assert_eq!(h.attacks_in_round(2).count(), 1);
-        assert_eq!(h.asr_records().len(), 1);
-        assert_eq!(h.last_asr().unwrap().trigger_asr, Some(0.8));
-        // A pre-adversary serialized history still loads.
-        let legacy = r#"{"records":[],"faults":[]}"#;
-        let back: RunHistory = serde_json::from_str(legacy).unwrap();
-        assert!(back.attack_events().is_empty());
-        assert!(back.asr_records().is_empty());
+        let s = gfl_faults::summarize_attacks(h.events().iter().filter_map(Event::attack));
+        assert_eq!((s.backdoor, s.model_poison, s.injected()), (1, 1, 2));
+        assert_eq!(h.events_in_round(2).len(), 1);
+        let last = h.last_record().unwrap();
+        assert_eq!((last.trigger_asr, last.flip_asr), (Some(0.8), None));
     }
 
     #[test]
-    fn timed_log_accumulates_and_tolerates_legacy_json() {
+    fn timed_log_accumulates() {
         let mut h = hist();
-        assert!(h.timed_events().is_empty());
-        // An empty batch must not materialize the field: semi-async runs
-        // in the lockstep limit stay equal to synchronous histories.
-        h.record_timed(Vec::new());
-        assert_eq!(h, hist());
-        h.record_timed(vec![
-            TimedEvent::GroupRoundClosed {
-                round: 1,
-                group: 0,
-                group_round: 2,
-                close_s: 14.5,
-                reported: 3,
-                cut: 1,
-            },
-            TimedEvent::StaleArrival {
-                round: 2,
-                group: 1,
-                dispatch_round: 1,
-                arrival_s: 30.0,
-                admitted: true,
-            },
-        ]);
-        assert_eq!(h.timed_events().len(), 2);
-        assert_eq!(h.timed_in_round(2).count(), 1);
-        assert_eq!(h.timed_events()[0].round(), 1);
-        // A pre-semi-async serialized history still loads.
-        let legacy = r#"{"records":[],"faults":[]}"#;
-        let back: RunHistory = serde_json::from_str(legacy).unwrap();
-        assert!(back.timed_events().is_empty());
+        h.record(
+            [
+                TimedEvent::GroupRoundClosed {
+                    round: 1,
+                    group: 0,
+                    group_round: 2,
+                    close_s: 14.5,
+                    reported: 3,
+                    cut: 1,
+                },
+                TimedEvent::StaleArrival {
+                    round: 2,
+                    group: 1,
+                    dispatch_round: 1,
+                    arrival_s: 30.0,
+                    admitted: true,
+                },
+            ]
+            .map(Event::Timed),
+        );
+        assert_eq!(h.events().iter().filter_map(Event::timed).count(), 2);
+        assert_eq!(h.events_in_round(2).len(), 1);
+        assert_eq!(h.events()[0].round(), 1);
     }
 
     #[test]
     fn clean_history_with_no_attacks_stays_equal_to_default_shape() {
         let mut h = RunHistory::default();
-        h.record_attacks(Vec::new());
-        h.record_asr(AsrRecord {
-            round: 0,
-            trigger_asr: None,
-            flip_asr: None,
-        });
+        h.record(Vec::new());
         assert_eq!(h, RunHistory::default());
+        let json = serde_json::to_string(&h).unwrap();
+        assert_eq!(json, r#"{"records":[],"events":[]}"#);
+    }
+
+    #[test]
+    fn every_event_serializes_as_its_inner_event() {
+        use crate::membership::DegradeReason;
+        use gfl_faults::DefenseStage;
+        let (round, group, client) = (3, 1, 7);
+        let gr = 0;
+        let events = [
+            Event::Fault(FaultEvent::ClientCrash {
+                round,
+                group_round: gr,
+                group,
+                client,
+            }),
+            Event::Fault(FaultEvent::StragglerCut {
+                round,
+                group_round: gr,
+                group,
+                client,
+                slowdown: 4.5,
+            }),
+            Event::Fault(FaultEvent::CorruptRejected {
+                round,
+                group_round: gr,
+                group,
+                client,
+            }),
+            Event::Fault(FaultEvent::EdgeOutage {
+                round,
+                edge: 0,
+                group,
+            }),
+            Event::Fault(FaultEvent::GroupSkipped {
+                round,
+                group,
+                survivors: 1,
+                required: 2,
+            }),
+            Event::Fault(FaultEvent::CorruptGroupRejected { round, group }),
+            Event::Fault(FaultEvent::UploadRetry {
+                round,
+                group,
+                attempts: 2,
+                extra_seconds: 0.25,
+                extra_bytes: 64,
+            }),
+            Event::Fault(FaultEvent::UploadLost { round, group }),
+            Event::Fault(FaultEvent::RoundHeld { round }),
+            Event::Attack(AttackEvent::BackdoorInjected {
+                round,
+                group_round: gr,
+                group,
+                client,
+                rows: 5,
+            }),
+            Event::Attack(AttackEvent::LabelsFlipped {
+                round,
+                group_round: gr,
+                group,
+                client,
+                rows: 5,
+            }),
+            Event::Attack(AttackEvent::UpdatePoisoned {
+                round,
+                group_round: gr,
+                group,
+                client,
+            }),
+            Event::Attack(AttackEvent::AttackFiltered {
+                round,
+                group_round: gr,
+                group,
+                client,
+                stage: DefenseStage::FlameFilter,
+            }),
+            Event::Regroup(RegroupEvent::ClientDeparted {
+                round,
+                client,
+                group,
+            }),
+            Event::Regroup(RegroupEvent::ClientArrived {
+                round,
+                client,
+                group: None,
+            }),
+            Event::Regroup(RegroupEvent::GroupDissolved {
+                round,
+                group,
+                reason: DegradeReason::CovDrift,
+                orphans: 2,
+            }),
+            Event::Regroup(RegroupEvent::ClientMigrated {
+                round,
+                client,
+                to_group: group,
+            }),
+            Event::Regroup(RegroupEvent::PartitionReformed { round, groups: 4 }),
+            Event::Timed(TimedEvent::GroupRoundClosed {
+                round,
+                group,
+                group_round: gr,
+                close_s: 1.5,
+                reported: 2,
+                cut: 1,
+            }),
+            Event::Timed(TimedEvent::StaleArrival {
+                round,
+                group,
+                dispatch_round: 2,
+                arrival_s: 2.5,
+                admitted: false,
+            }),
+            Event::Timed(TimedEvent::GroupBusySkipped {
+                round,
+                group,
+                busy_until_s: 3.5,
+            }),
+            Event::Timed(TimedEvent::CloudRoundClosed {
+                round,
+                close_s: 4.5,
+                admitted: 1,
+                late: 1,
+            }),
+        ];
+        for e in &events {
+            let inner = match e {
+                Event::Fault(x) => x.to_value(),
+                Event::Attack(x) => x.to_value(),
+                Event::Regroup(x) => x.to_value(),
+                Event::Timed(x) => x.to_value(),
+            };
+            assert_eq!(e.to_value(), inner, "no wrapper around {e:?}");
+            assert_eq!(Event::from_value(&inner).unwrap(), *e);
+            assert_eq!(e.round(), round);
+        }
+        let json = serde_json::to_string(&events.to_vec()).unwrap();
+        let back: Vec<Event> = serde_json::from_str(&json).unwrap();
+        assert_eq!(back, events);
+        assert!(serde_json::from_str::<Event>(r#"{"Meteor":{"round":1}}"#).is_err());
+        assert!(serde_json::from_str::<Event>(r#"{"RoundHeld":{}}"#).is_err());
     }
 
     #[test]

@@ -28,7 +28,8 @@
 //!
 //! [`cov`] is the shared grouping criterion (Eq. 27), [`theory`] evaluates
 //! the constants of the convergence theorem (Theorem 1), and [`history`]
-//! records the accuracy-vs-cost trajectories every figure plots.
+//! records the accuracy-vs-cost trajectories every figure plots, beside
+//! the run's one event log.
 //!
 //! ## Quick example
 //!
@@ -79,15 +80,13 @@ pub mod prelude {
         CdgGrouping, CovGrouping, GroupStats, GroupingAlgorithm, KldGrouping, PartitionError,
         RandomGrouping, StreamGrouping,
     };
-    pub use crate::history::{AsrRecord, RoundRecord, RunHistory, TimedEvent};
+    pub use crate::history::{Event, RoundRecord, RunHistory, TimedEvent};
     pub use crate::local::{FedAvg, LocalTask, LocalUpdate};
     pub use crate::membership::{
         summarize_regroups, MembershipState, RegroupEvent, RegroupPolicy, RegroupSummary,
     };
     pub use crate::sampling::{AggregationWeighting, SamplingStrategy};
-    pub use crate::semi_async::{
-        AsyncConfig, AsyncReport, AsyncRoundRecord, SchedulerState, StalenessPolicy,
-    };
+    pub use crate::semi_async::{AsyncConfig, AsyncRoundRecord, SchedulerState, StalenessPolicy};
     pub use crate::Group;
     pub use gfl_faults::{
         summarize_attacks, AdversaryPlan, AttackEvent, AttackKind, AttackSummary, DefenseStage,

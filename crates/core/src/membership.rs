@@ -249,7 +249,9 @@ impl std::fmt::Display for RegroupSummary {
 }
 
 /// Tallies a regroup log into per-kind counts.
-pub fn summarize_regroups(events: &[RegroupEvent]) -> RegroupSummary {
+pub fn summarize_regroups<'a>(
+    events: impl IntoIterator<Item = &'a RegroupEvent>,
+) -> RegroupSummary {
     let mut s = RegroupSummary::default();
     for e in events {
         match e {

@@ -30,8 +30,9 @@
 //! client-granular parallel trainer, fed the precomputed cut sets. Neural
 //! results therefore stay bit-identical across thread counts and across
 //! checkpoint resume, and the degenerate limit — full quorum, disabled
-//! deadlines, clean fault plan — reproduces the lockstep [`RunHistory`]
-//! bit for bit (asserted by `tests/semi_async.rs`).
+//! deadlines, clean fault plan — reproduces the lockstep
+//! [`crate::history::RunHistory`] bit for bit (asserted by
+//! `tests/semi_async.rs`).
 //!
 //! Two knowing simplifications, both documented in `docs/ASYNC.md`: client
 //! dropout (`dropout_prob`) drops the *payload*, not the timing — a
@@ -50,7 +51,7 @@ use gfl_tensor::Scalar;
 use serde::{Deserialize, Serialize};
 
 use crate::engine::{FaultState, GroupCuts, GroupOutcome, Trainer};
-use crate::history::{RunHistory, TimedEvent};
+use crate::history::{Event, TimedEvent};
 
 /// What the cloud does with an edge result that arrives after its round
 /// already closed.
@@ -113,7 +114,7 @@ pub struct PendingUpload {
 
 /// Persistent scheduler state of a semi-async run: everything the event
 /// loop needs beyond `(params, ledger, history)` to resume bit-identically
-/// from a checkpoint.
+/// from a checkpoint, and the emulated-time report of every round so far.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct SchedulerState {
     /// The emulated clock, seconds: the close time of the last round.
@@ -123,6 +124,8 @@ pub struct SchedulerState {
     pub busy: Vec<(usize, f64)>,
     /// Stale results awaiting admission under [`StalenessPolicy::Weighted`].
     pub pending: Vec<PendingUpload>,
+    /// One report row per round run on the event clock.
+    pub rounds: Vec<AsyncRoundRecord>,
 }
 
 impl SchedulerState {
@@ -138,42 +141,6 @@ impl SchedulerState {
             Some(entry) => entry.1 = until_s,
             None => self.busy.push((group, until_s)),
         }
-    }
-}
-
-/// Per-round emulated-clock accounting of a semi-async run. This is the
-/// runtime's own report — deliberately *not* part of [`RunHistory`], so
-/// the degenerate-limit bit-identity of histories is never at stake.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
-pub struct AsyncRoundRecord {
-    /// Global round index `t`.
-    pub round: usize,
-    /// Absolute emulated close time of the round, seconds.
-    pub clock_s: f64,
-    /// Groups dispatched and trained this round.
-    pub trained: usize,
-    /// Fresh (on-time) results admitted at the close.
-    pub admitted: usize,
-    /// Parked stale results folded in this round (weighted policy).
-    pub stale_admitted: usize,
-    /// Stale results discarded this round (drop policy).
-    pub stale_dropped: usize,
-    /// Sampled groups skipped because their edge was still busy.
-    pub busy_skipped: usize,
-    /// Member reports cut at group-round closes this round.
-    pub cut_reports: usize,
-}
-
-/// The emulated-time trajectory of a semi-async run.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct AsyncReport {
-    pub rounds: Vec<AsyncRoundRecord>,
-}
-
-impl AsyncReport {
-    /// The emulated clock at the end of the run, seconds.
-    pub fn final_clock_s(&self) -> f64 {
-        self.rounds.last().map_or(0.0, |r| r.clock_s)
     }
 
     /// Total member reports cut across the run.
@@ -202,6 +169,30 @@ impl AsyncReport {
         }
         out
     }
+}
+
+/// Per-round emulated-clock accounting of a semi-async run. This is the
+/// runtime's own report — deliberately *not* part of the
+/// [`crate::history::RunHistory`], so the degenerate-limit bit-identity of
+/// histories is never at stake.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+pub struct AsyncRoundRecord {
+    /// Global round index `t`.
+    pub round: usize,
+    /// Absolute emulated close time of the round, seconds.
+    pub clock_s: f64,
+    /// Groups dispatched and trained this round.
+    pub trained: usize,
+    /// Fresh (on-time) results admitted at the close.
+    pub admitted: usize,
+    /// Parked stale results folded in this round (weighted policy).
+    pub stale_admitted: usize,
+    /// Stale results discarded this round (drop policy).
+    pub stale_dropped: usize,
+    /// Sampled groups skipped because their edge was still busy.
+    pub busy_skipped: usize,
+    /// Member reports cut at group-round closes this round.
+    pub cut_reports: usize,
 }
 
 /// One group's fully-resolved round in the time domain: when each of its
@@ -361,7 +352,6 @@ pub(crate) struct EventRound<'a> {
     /// The fault oracle and policy the timing pass decides by.
     tc: &'a FaultState,
     sched: &'a mut SchedulerState,
-    report: &'a mut AsyncReport,
     /// Emulated dispatch time: the close of the previous round.
     dispatch: f64,
     /// One per dispatched group, aligned with the round's outcomes.
@@ -374,7 +364,6 @@ pub(crate) struct EventRound<'a> {
     resolved: usize,
     /// When the last dispatched upload resolves (lands or is known lost).
     expected_end: f64,
-    timed: Vec<TimedEvent>,
     /// This round's report row, filled in as the round unfolds.
     record: AsyncRoundRecord,
 }
@@ -383,7 +372,6 @@ impl<'a> EventRound<'a> {
     pub(crate) fn new(
         (acfg, tc): (AsyncConfig, &'a FaultState),
         sched: &'a mut SchedulerState,
-        report: &'a mut AsyncReport,
         t: usize,
     ) -> Self {
         let dispatch = sched.clock_s;
@@ -391,14 +379,12 @@ impl<'a> EventRound<'a> {
             acfg,
             tc,
             sched,
-            report,
             dispatch,
             timelines: Vec::new(),
             cuts: Vec::new(),
             arrivals: Vec::new(),
             resolved: 0,
             expected_end: dispatch,
-            timed: Vec::new(),
             record: AsyncRoundRecord {
                 round: t,
                 clock_s: dispatch,
@@ -414,16 +400,17 @@ impl<'a> EventRound<'a> {
         trainer: &Trainer,
         active: &mut Vec<(usize, &[usize])>,
         param_len: usize,
+        events: &mut Vec<Event>,
     ) {
         let round = self.record.round;
         active.retain(|&(group, _)| {
             let busy_until_s = self.sched.busy_until(group);
             if busy_until_s > self.dispatch {
-                self.timed.push(TimedEvent::GroupBusySkipped {
+                events.push(Event::Timed(TimedEvent::GroupBusySkipped {
                     round,
                     group,
                     busy_until_s,
-                });
+                }));
                 self.record.busy_skipped += 1;
             }
             busy_until_s <= self.dispatch
@@ -434,14 +421,14 @@ impl<'a> EventRound<'a> {
             for (group_round, &(close_rel, reported, cut)) in tl.closes.iter().enumerate() {
                 if cut > 0 {
                     self.record.cut_reports += cut;
-                    self.timed.push(TimedEvent::GroupRoundClosed {
+                    events.push(Event::Timed(TimedEvent::GroupRoundClosed {
                         round,
                         group,
                         group_round,
                         close_s: self.dispatch + close_rel,
                         reported,
                         cut,
-                    });
+                    }));
                 }
             }
             self.cuts.push(std::mem::take(&mut tl.cuts));
@@ -457,7 +444,7 @@ impl<'a> EventRound<'a> {
         &mut self,
         o: &GroupOutcome,
         ledger: &mut CostLedger,
-        round_events: &mut Vec<FaultEvent>,
+        events: &mut Vec<Event>,
     ) -> bool {
         let (round, group) = (self.record.round, o.group);
         let tl = &self.timelines[self.resolved];
@@ -469,20 +456,23 @@ impl<'a> EventRound<'a> {
         self.sched.set_busy(group, resolved);
         self.expected_end = self.expected_end.max(resolved);
         if self.tc.policy.reject_non_finite && !gfl_defense::is_update_finite(&o.params) {
-            round_events.push(FaultEvent::CorruptGroupRejected { round, group });
+            events.push(Event::Fault(FaultEvent::CorruptGroupRejected {
+                round,
+                group,
+            }));
             return false;
         }
         if upload.attempts > 1 {
-            round_events.push(FaultEvent::UploadRetry {
+            events.push(Event::Fault(FaultEvent::UploadRetry {
                 round,
                 group,
                 attempts: upload.attempts,
                 extra_seconds: upload.seconds,
                 extra_bytes: upload.bytes,
-            });
+            }));
         }
         if !upload.delivered {
-            round_events.push(FaultEvent::UploadLost { round, group });
+            events.push(Event::Fault(FaultEvent::UploadLost { round, group }));
             return false;
         }
         self.arrivals.push(resolved);
@@ -530,6 +520,7 @@ impl<'a> EventRound<'a> {
         &mut self,
         probs: &[Scalar],
         admitted: &mut Vec<&GroupOutcome>,
+        events: &mut Vec<Event>,
     ) -> Vec<PendingUpload> {
         let t = self.record.round;
         let close = self.close_time();
@@ -543,13 +534,13 @@ impl<'a> EventRound<'a> {
             match self.acfg.staleness {
                 StalenessPolicy::DropStale => {
                     self.record.stale_dropped += 1;
-                    self.timed.push(TimedEvent::StaleArrival {
+                    events.push(Event::Timed(TimedEvent::StaleArrival {
                         round: t,
                         group: o.group,
                         dispatch_round: t,
                         arrival_s: arrival,
                         admitted: false,
-                    });
+                    }));
                 }
                 StalenessPolicy::Weighted { .. } => self.sched.pending.push(PendingUpload {
                     group: o.group,
@@ -566,25 +557,25 @@ impl<'a> EventRound<'a> {
         });
         let late = landed - admitted.len();
         if late > 0 {
-            self.timed.push(TimedEvent::CloudRoundClosed {
+            events.push(Event::Timed(TimedEvent::CloudRoundClosed {
                 round: t,
                 close_s: close,
                 admitted: admitted.len(),
                 late,
-            });
+            }));
         }
         let (matured, parked): (Vec<_>, Vec<_>) = std::mem::take(&mut self.sched.pending)
             .into_iter()
             .partition(|p| p.arrival_s <= close && p.dispatch_round < t);
         self.sched.pending = parked;
         for p in &matured {
-            self.timed.push(TimedEvent::StaleArrival {
+            events.push(Event::Timed(TimedEvent::StaleArrival {
                 round: t,
                 group: p.group,
                 dispatch_round: p.dispatch_round,
                 arrival_s: p.arrival_s,
                 admitted: true,
-            });
+            }));
         }
         self.record.clock_s = close;
         self.record.admitted = admitted.len();
@@ -620,11 +611,10 @@ impl<'a> EventRound<'a> {
 
     /// Advances the emulated clock to the close — the next round
     /// dispatches from there — and reports the round.
-    pub(crate) fn finish(self, history: &mut RunHistory, obs: Option<&TraceCollector>) {
+    pub(crate) fn finish(self, obs: Option<&TraceCollector>) {
         let r = self.record;
         self.sched.clock_s = r.clock_s;
-        self.report.rounds.push(r);
-        history.record_timed(self.timed);
+        self.sched.rounds.push(r);
         if let Some(ob) = obs {
             // Event-clock telemetry only exists on event-clock runs, so
             // lockstep traces stay byte-identical to pre-async ones.

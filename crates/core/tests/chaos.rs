@@ -29,7 +29,7 @@ fn empty_plan_is_bit_identical_to_no_faults() {
         .run(&w.groups, &FedAvg, SamplingStrategy::ESRCov);
     let b = armed.run(&w.groups, &FedAvg, SamplingStrategy::ESRCov);
     assert_eq!(a, b);
-    assert!(b.fault_events().is_empty());
+    assert!(b.events().iter().all(|e| e.fault().is_none()));
 }
 
 #[test]
@@ -47,7 +47,7 @@ fn faulted_run_is_deterministic() {
     let b = run();
     assert_eq!(a, b);
     assert!(
-        !a.fault_events().is_empty(),
+        a.events().iter().any(|e| e.fault().is_some()),
         "moderate plan should inject something over 4 rounds"
     );
 }
@@ -65,8 +65,11 @@ fn total_dropout_holds_the_round() {
     let (h, params) = t.run_static(&w.groups, SamplingStrategy::Random);
     assert_eq!(params, initial, "held rounds must not move the model");
     assert!(params.iter().all(|w| w.is_finite()));
-    assert_eq!(h.fault_summary().rounds_held, rounds);
-    assert!((0..rounds).all(|r| h.faults_in_round(r).count() == 1));
+    assert_eq!(
+        gfl_faults::summarize(h.events().iter().filter_map(Event::fault)).rounds_held,
+        rounds
+    );
+    assert!((0..rounds).all(|r| h.events_in_round(r).len() == 1));
 }
 
 #[test]
@@ -82,7 +85,7 @@ fn total_dropout_with_quorum_skips_every_group() {
     let initial = t.model().init_params(&mut init::rng(w.cfg.seed));
     let (h, params) = t.run_static(&w.groups, SamplingStrategy::Random);
     assert_eq!(params, initial);
-    let s = h.fault_summary();
+    let s = gfl_faults::summarize(h.events().iter().filter_map(Event::fault));
     assert_eq!(s.rounds_held, rounds);
     assert!(s.groups_skipped > 0, "quorum should reject empty groups");
 }
@@ -103,7 +106,7 @@ fn corrupt_updates_never_reach_the_global_model() {
     let (h, params) = t.run_static(&w.groups, SamplingStrategy::Random);
     assert!(params.iter().all(|w| w.is_finite()));
     assert_eq!(params, initial);
-    let s = h.fault_summary();
+    let s = gfl_faults::summarize(h.events().iter().filter_map(Event::fault));
     assert!(s.corrupt_rejected > 0);
     assert_eq!(s.rounds_held, w.cfg.global_rounds);
 }
@@ -134,7 +137,7 @@ fn every_fault_kind_leaves_an_event() {
     let w = tiny_world(15).rounds(8);
     let t = w.trainer().with_faults(plan, policy, &w.topo);
     let h = t.run(&w.groups, &FedAvg, SamplingStrategy::Random);
-    let s = h.fault_summary();
+    let s = gfl_faults::summarize(h.events().iter().filter_map(Event::fault));
     assert!(s.crashes > 0, "no crashes recorded: {s}");
     assert!(s.stragglers_cut > 0, "no straggler cuts recorded: {s}");
     assert!(
@@ -162,7 +165,7 @@ fn moderate_faults_degrade_gracefully() {
         .with_faults(FaultPlan::moderate(3), FaultPolicy::default(), &w.topo);
     let (h, params) = faulted.run_static(&w.groups, SamplingStrategy::ESRCov);
     assert!(params.iter().all(|w| w.is_finite()));
-    assert!(!h.fault_events().is_empty());
+    assert!(h.events().iter().any(|e| e.fault().is_some()));
     let gap = baseline.best_accuracy() - h.best_accuracy();
     assert!(
         gap <= 0.05,
@@ -200,12 +203,12 @@ fn faulted_checkpoint_resume_is_bit_identical() {
     let mut half = t.start(&FedAvg);
     t.drive(&FedAvg, &plan, &mut half, 3).unwrap();
     assert!(
-        !half.history.fault_events().is_empty(),
+        half.history.events().iter().any(|e| e.fault().is_some()),
         "need faults before the cut for the test to mean anything"
     );
     let cp = Checkpoint::from_state(&half, w.cfg.clone());
     let restored = Checkpoint::from_json(&cp.to_json()).unwrap();
-    assert_eq!(restored.history.fault_events(), cp.history.fault_events());
+    assert_eq!(restored.history.events(), cp.history.events());
 
     let t2 = make();
     let mut resumed = restored.into_state(half.ledger);
@@ -239,7 +242,7 @@ fn hostile_checkpoint_bytes_are_typed_errors_never_panics() {
     };
     let state = t.run_plan(&FedAvg, &plan).unwrap();
     assert!(
-        !state.history.fault_events().is_empty(),
+        state.history.events().iter().any(|e| e.fault().is_some()),
         "need a fault log to tear"
     );
     let json = Checkpoint::from_state(&state, w.cfg).to_json();

@@ -39,7 +39,7 @@ fn clean_churn_plan_is_bit_identical_to_static_run() {
     assert_eq!(membership.groups(), w.groups);
     assert_eq!(p_static, p_churn);
     assert_eq!(h_static, h_churn);
-    assert!(h_churn.regroup_events().is_empty());
+    assert!(h_churn.events().iter().all(|e| e.regroup().is_none()));
 }
 
 #[test]
@@ -65,9 +65,8 @@ fn churned_run_is_deterministic_down_to_the_regroup_log() {
     assert_eq!(h_a, h_b, "trajectories diverged");
     assert_eq!(p_a, p_b, "models diverged");
     assert_eq!(m_a, m_b, "membership state diverged");
-    assert_eq!(h_a.regroup_events(), h_b.regroup_events());
     assert!(
-        !h_a.regroup_events().is_empty(),
+        h_a.events().iter().any(|e| e.regroup().is_some()),
         "a 40%-departure plan over 4 rounds should move somebody"
     );
 }
@@ -99,11 +98,11 @@ fn zero_survivor_groups_are_dissolved_not_held_forever() {
 
         assert!(membership.groups().is_empty(), "{:?}", membership.groups());
         assert_eq!(membership.active_members(), 0);
-        let s = h.regroup_summary();
+        let s = summarize_regroups(h.events().iter().filter_map(Event::regroup));
         assert_eq!(s.departures, n_clients);
         assert!(s.dissolved > 0, "no group was ever dissolved: {s}");
         // Emptied-out rounds are held, and the model stays finite throughout.
-        let held = h.fault_summary().rounds_held;
+        let held = gfl_faults::summarize(h.events().iter().filter_map(Event::fault)).rounds_held;
         assert!(held > 0);
         assert!(state.params.iter().all(|w| w.is_finite()));
         assert_eq!(state.next_round, 10, "{clock:?}: held rounds still count");
@@ -114,15 +113,15 @@ fn zero_survivor_groups_are_dissolved_not_held_forever() {
         );
         // The event clock reports its held rounds too: nothing trained, and
         // the emulated clock never runs backwards.
-        if let Some((sched, report)) = &state.scheduler {
-            assert_eq!(report.rounds.len(), 10);
-            let idle = report.rounds.iter().filter(|r| r.trained == 0);
-            assert!(idle.count() >= held, "{report:?}");
-            assert!(report
+        if let Some(sched) = &state.scheduler {
+            assert_eq!(sched.rounds.len(), 10);
+            let idle = sched.rounds.iter().filter(|r| r.trained == 0);
+            assert!(idle.count() >= held, "{sched:?}");
+            assert!(sched
                 .rounds
                 .windows(2)
                 .all(|w| w[0].clock_s <= w[1].clock_s));
-            assert_eq!(sched.clock_s, report.final_clock_s());
+            assert_eq!(Some(sched.clock_s), sched.rounds.last().map(|r| r.clock_s));
         }
     }
 }
@@ -145,8 +144,9 @@ fn arrivals_join_groups_on_their_own_edge() {
         .run_healing(&covg(2, 1.0), topo, SamplingStrategy::ESRCov)
         .unwrap();
     let arrivals: Vec<&RegroupEvent> = h
-        .regroup_events()
+        .events()
         .iter()
+        .filter_map(Event::regroup)
         .filter(|e| matches!(e, RegroupEvent::ClientArrived { .. }))
         .collect();
     assert!(!arrivals.is_empty(), "half the clients should arrive late");
@@ -185,13 +185,15 @@ fn frozen_policy_leaves_arrivals_unplaced() {
     let (h, _, membership) = t
         .run_healing(&covg(2, 1.0), topo, SamplingStrategy::ESRCov)
         .unwrap();
-    let placed = h
-        .regroup_events()
-        .iter()
-        .any(|e| matches!(e, RegroupEvent::ClientArrived { group: Some(_), .. }));
+    let placed = h.events().iter().any(|e| {
+        matches!(
+            e,
+            Event::Regroup(RegroupEvent::ClientArrived { group: Some(_), .. })
+        )
+    });
     assert!(!placed, "frozen policy must never place arrivals");
-    assert!(h.regroup_summary().dissolved == 0);
-    assert!(h.regroup_summary().migrations == 0);
+    let s = summarize_regroups(h.events().iter().filter_map(Event::regroup));
+    assert!(s.dissolved == 0 && s.migrations == 0);
     // The partition is exactly the round-0 formation over the founding
     // cohort (clients already present at round 0) — nobody joins after.
     let founders: Vec<bool> = (0..t.partition().num_clients())
@@ -244,7 +246,7 @@ fn self_healing_stays_close_to_clean_while_frozen_degrades() {
     assert!(p_healed.iter().all(|w| w.is_finite()));
     assert!(p_frozen.iter().all(|w| w.is_finite()));
     assert!(
-        !healed.regroup_events().is_empty(),
+        healed.events().iter().any(|e| e.regroup().is_some()),
         "the healed run should have membership transitions"
     );
 
@@ -307,7 +309,7 @@ fn assert_resume_is_bit_identical(w: TinyWorld, cooldown: usize) -> MembershipSt
     let mut half = t1.start(&FedAvg);
     t1.drive(&FedAvg, &run, &mut half, 5).unwrap();
     assert!(
-        !half.history.regroup_events().is_empty(),
+        half.history.events().iter().any(|e| e.regroup().is_some()),
         "need a regroup before the cut for the test to mean anything"
     );
     let cp = Checkpoint::from_state(&half, w.cfg.clone());

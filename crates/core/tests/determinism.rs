@@ -93,7 +93,7 @@ fn faulted_run_is_bit_identical_across_thread_counts() {
             .with_faults(FaultPlan::moderate(99), FaultPolicy::default(), &w.topo);
         let (h, p) = t.run_static(&w.groups, SamplingStrategy::ESRCov);
         assert!(
-            !h.fault_events().is_empty(),
+            h.events().iter().any(|e| e.fault().is_some()),
             "plan should inject faults for this test to mean anything"
         );
         (h, p)
@@ -198,7 +198,7 @@ fn attacked_defended_run_is_bit_identical_across_thread_counts() {
             .with_robust_agg(RobustAggRule::FlameFilter);
         let (h, p) = t.run_static(&groups, SamplingStrategy::ESRCov);
         assert!(
-            h.attack_summary().injected() > 0,
+            summarize_attacks(h.events().iter().filter_map(Event::attack)).injected() > 0,
             "plan should attack for this test to mean anything"
         );
         (h, p)
@@ -219,7 +219,10 @@ fn attacked_secure_aggregation_run_is_bit_identical_across_thread_counts() {
     assert_bit_identical(&THREAD_COUNTS, || {
         let t = w.trainer().with_adversary(plan.clone());
         let (h, p) = t.run_static(&w.groups, SamplingStrategy::Random);
-        assert!(h.attack_summary().injected() > 0, "plan should attack");
+        assert!(
+            summarize_attacks(h.events().iter().filter_map(Event::attack)).injected() > 0,
+            "plan should attack"
+        );
         (h, p)
     });
 }

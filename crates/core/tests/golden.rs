@@ -24,12 +24,8 @@
 //! hold in every CI shard. Thread count is also irrelevant — the
 //! determinism suite proves trajectories are thread-count invariant.
 
-use gfl_core::membership::RegroupPolicy;
-use gfl_core::prelude::*;
-use gfl_faults::{AdversaryPlan, ChurnPlan, FaultPlan, FaultPolicy};
 use gfl_obs::diff::first_divergence;
-use gfl_sim::Topology;
-use gfl_test_support::{covg, for_each_thread_count, golden, Runs, Streamed, TinyWorld};
+use gfl_test_support::{for_each_thread_count, golden, golden_scenario, Streamed};
 use serde::Value;
 
 /// Fixed seeds every scenario is snapshotted at.
@@ -41,123 +37,8 @@ fn golden_file(scenario: &str, seed: u64) -> std::path::PathBuf {
         .join(format!("{scenario}_seed{seed}.json"))
 }
 
-fn run_scenario(name: &str, seed: u64) -> RunHistory {
-    run_scenario_observed(name, seed, None)
-}
-
-/// Vision-shaped virtual federation (paper §7.2 client shape: 20–200
-/// rows, 10 classes, 64-dim features) at an arbitrary population size.
-/// Groups are stream-formed — the only formation that stays sub-second at
-/// 10⁶ clients — and only `cfg.sampled_groups` of them train per round.
-fn virtual_world(
-    clients: usize,
-    seed: u64,
-) -> (
-    GroupFelConfig,
-    gfl_nn::Network,
-    gfl_data::VirtualPopulation,
-    Vec<Group>,
-    gfl_data::Dataset,
-) {
-    let pop =
-        gfl_data::VirtualPopulation::new(gfl_data::VirtualSpec::paper_vision(clients, 0.1, seed));
-    let sizes: Vec<usize> = (0..pop.num_clients()).map(|c| pop.client_size(c)).collect();
-    let topo = Topology::even_split(8, sizes);
-    let groups = form_groups_per_edge(
-        &StreamGrouping { group_size: 8 },
-        &topo,
-        pop.label_matrix(),
-        seed,
-    );
-    let test = pop.test_set(512);
-    let mut cfg = GroupFelConfig::tiny();
-    cfg.seed = seed;
-    cfg.global_rounds = 3;
-    (cfg, gfl_nn::zoo::vision_model(), pop, groups, test)
-}
-
-/// Like [`run_scenario`], with an optional trace collector attached to the
-/// trainer — used to replay the golden scenarios under observation.
-fn run_scenario_observed(
-    name: &str,
-    seed: u64,
-    obs: Option<std::sync::Arc<gfl_obs::TraceCollector>>,
-) -> RunHistory {
-    let attach = |t: Trainer| match &obs {
-        Some(o) => t.with_observer(std::sync::Arc::clone(o)),
-        None => t,
-    };
-    // Virtual scenarios derive their population instead of materializing
-    // one; they never touch the eager world.
-    let virtual_clients = match name {
-        "virtual" => Some(20_000),
-        "virtual-1m" => Some(1_000_000),
-        _ => None,
-    };
-    if let Some(clients) = virtual_clients {
-        let (cfg, model, pop, groups, test) = virtual_world(clients, seed);
-        let t = attach(Trainer::try_new(cfg, model, pop, test).unwrap());
-        return t.run(&groups, &FedAvg, SamplingStrategy::ESRCov);
-    }
-    // The determinism suite's world, with no seed shifting.
-    let mut w = TinyWorld::at(seed);
-    match name {
-        "clean" => attach(w.trainer()).run(&w.groups, &FedAvg, SamplingStrategy::ESRCov),
-        "faulted" => {
-            let t = attach(w.trainer().with_faults(
-                FaultPlan::moderate(99 + seed),
-                FaultPolicy::default(),
-                &w.topo,
-            ));
-            t.run(&w.groups, &FedAvg, SamplingStrategy::ESRCov)
-        }
-        "churned" => {
-            let t = attach(w.trainer().with_churn(
-                ChurnPlan {
-                    horizon: w.cfg.global_rounds,
-                    ..ChurnPlan::moderate(w.cfg.seed)
-                },
-                RegroupPolicy::default(),
-            ));
-            let (h, _, _) = t
-                .run_healing(&covg(2, 1.0), &w.topo, SamplingStrategy::ESRCov)
-                .expect("self-healing run failed");
-            h
-        }
-        "secure" => {
-            w.cfg.secure_aggregation = true;
-            attach(w.trainer()).run(&w.groups, &FedAvg, SamplingStrategy::Random)
-        }
-        "attacked" => {
-            // Attacked + defended: a mixed campaign against FLAME-filtered
-            // aggregation. Groups are re-formed larger so the filter's
-            // ≥3-live-member floor is met and interceptions actually land
-            // in the snapshot.
-            let groups = w.groups_with(4, 10.0);
-            let plan = AdversaryPlan {
-                backdoor_fraction: 0.2,
-                label_flip_fraction: 0.15,
-                model_poison_fraction: 0.15,
-                ..AdversaryPlan::moderate(77 + seed)
-            };
-            let t = attach(
-                w.trainer()
-                    .with_adversary(plan)
-                    .with_robust_agg(RobustAggRule::FlameFilter),
-            );
-            let h = t.run(&groups, &FedAvg, SamplingStrategy::ESRCov);
-            assert!(
-                h.attack_summary().injected() > 0,
-                "attacked snapshot must contain injections"
-            );
-            h
-        }
-        other => panic!("unknown scenario {other}"),
-    }
-}
-
 fn check_golden(scenario: &str, seed: u64) {
-    let history = run_scenario(scenario, seed);
+    let history = golden_scenario(scenario, seed, None);
     let rendered = serde_json::to_string_pretty(&history).expect("serialize history") + "\n";
     golden::check(&golden_file(scenario, seed), rendered.as_bytes());
 }
@@ -237,7 +118,7 @@ fn streamed_golden_scenarios_are_unperturbed_by_observation() {
         for scenario in ["clean", "faulted", "churned", "secure"] {
             let streamed = Streamed::new(threads);
             let obs = std::sync::Arc::clone(&streamed.obs);
-            let history = run_scenario_observed(scenario, GOLDEN_SEEDS[0], Some(obs));
+            let history = golden_scenario(scenario, GOLDEN_SEEDS[0], Some(obs));
             let back = streamed.finish();
             assert!(back.summary.is_some(), "{scenario}: summary line missing");
 

@@ -45,7 +45,7 @@ fn degenerate_limit_reproduces_lockstep_bit_for_bit() {
             p_plain, p_sync,
             "seed {seed}: plain semi-async params diverged"
         );
-        assert!(h_plain.timed_events().is_empty());
+        assert!(h_plain.events().iter().all(|e| e.timed().is_none()));
 
         // Semi-async with a clean plan and the limit policy attached.
         let (h_lim, p_lim, rep_lim) = w
@@ -89,7 +89,7 @@ fn semi_async_is_bit_identical_across_thread_counts() {
         );
         let result = t.run_event(&w.groups, SamplingStrategy::ESRCov, &AsyncConfig::default());
         assert!(
-            !result.0.timed_events().is_empty(),
+            result.0.events().iter().any(|e| e.timed().is_some()),
             "the plan should produce timed events for this test to bite"
         );
         result
@@ -98,8 +98,9 @@ fn semi_async_is_bit_identical_across_thread_counts() {
 
 /// 6 rounds straight vs 3 → checkpoint (JSON round-trip) → 3 more under
 /// the event clock, over a static partition or — with a churn plan — a
-/// self-healing one: params, history, scheduler state, emulated-time
-/// report and membership must all be exactly equal.
+/// self-healing one: params, history, scheduler state (with its
+/// emulated-time report, carried by the checkpoint) and membership must
+/// all be exactly equal.
 fn assert_event_clock_resume_is_bit_identical(churn: Option<ChurnPlan>) {
     let w = tiny_world(45).rounds(6);
     let (topo, groups) = (&w.topo, &w.groups);
@@ -142,35 +143,39 @@ fn assert_event_clock_resume_is_bit_identical(churn: Option<ChurnPlan>) {
 
     let run = |split: Option<usize>| {
         let mut state = trainer.start(&FedAvg);
-        let mut report = AsyncReport::default();
         if let Some(at) = split {
             trainer.drive(&FedAvg, &plan, &mut state, at).unwrap();
             if healing {
-                let moved = !state.history.regroup_events().is_empty();
+                let moved = state.history.events().iter().any(|e| e.regroup().is_some());
                 assert!(moved, "need a regroup before the cut");
             }
             // Round-trip everything resumable through checkpoint JSON.
             let cp = Checkpoint::from_state(&state, w.cfg.clone());
             let restored = Checkpoint::from_json(&cp.to_json()).unwrap();
             assert_eq!(restored.membership.is_some(), healing);
-            report = state.scheduler.unwrap().1;
             state = restored.into_state(state.ledger);
         }
         let rest = 6 - state.next_round;
         trainer.drive(&FedAvg, &plan, &mut state, rest).unwrap();
-        let (sched, tail) = state.scheduler.unwrap();
-        report.rounds.extend(tail.rounds);
-        (state.params, state.history, sched, report, state.membership)
+        (
+            state.params,
+            state.history,
+            state.scheduler.unwrap(),
+            state.membership,
+        )
     };
 
     let straight = run(None);
     let resumed = run(Some(3));
     assert_eq!(straight.0, resumed.0, "params diverged across resume");
     assert_eq!(straight.1, resumed.1, "history diverged across resume");
+    assert_eq!(
+        straight.2.rounds, resumed.2.rounds,
+        "report diverged across resume"
+    );
     assert_eq!(straight.2, resumed.2, "scheduler diverged across resume");
-    assert_eq!(straight.3, resumed.3, "report diverged across resume");
-    assert_eq!(straight.3.rounds.len(), 6);
-    assert_eq!(straight.4, resumed.4, "membership diverged across resume");
+    assert_eq!(straight.2.rounds.len(), 6);
+    assert_eq!(straight.3, resumed.3, "membership diverged across resume");
     assert!(straight.2.clock_s > 0.0 && !straight.2.busy.is_empty());
 }
 
@@ -210,16 +215,15 @@ fn partial_quorum_cuts_stragglers_as_timed_events() {
     let (history, _, report) =
         trainer.run_event(&w.groups, SamplingStrategy::ESRCov, &AsyncConfig::default());
     assert!(report.total_cut_reports() > 0, "stragglers should get cut");
-    let closes = history
-        .timed_events()
+    let events = history.events();
+    let closes = events
         .iter()
-        .filter(|e| matches!(e, TimedEvent::GroupRoundClosed { .. }))
+        .filter(|e| matches!(e, Event::Timed(TimedEvent::GroupRoundClosed { .. })))
         .count();
     assert!(closes > 0, "cut-bearing closes should be logged");
-    let cuts = history
-        .fault_events()
+    let cuts = events
         .iter()
-        .filter(|e| matches!(e, FaultEvent::StragglerCut { .. }))
+        .filter(|e| matches!(e, Event::Fault(FaultEvent::StragglerCut { .. })))
         .count();
     assert_eq!(
         cuts,
@@ -259,15 +263,22 @@ fn cloud_deadline_strands_stale_results_per_policy() {
     );
     let dropped: usize = rep_drop.rounds.iter().map(|r| r.stale_dropped).sum();
     assert!(dropped > 0, "tight cloud deadline should strand uploads");
-    assert!(h_drop.timed_events().iter().any(|e| matches!(
+    let timed = |h: &RunHistory| {
+        h.events()
+            .iter()
+            .filter_map(Event::timed)
+            .copied()
+            .collect()
+    };
+    let drop_timed: Vec<TimedEvent> = timed(&h_drop);
+    assert!(drop_timed.iter().any(|e| matches!(
         e,
         TimedEvent::StaleArrival {
             admitted: false,
             ..
         }
     )));
-    assert!(h_drop
-        .timed_events()
+    assert!(drop_timed
         .iter()
         .any(|e| matches!(e, TimedEvent::CloudRoundClosed { .. })));
 
@@ -281,8 +292,8 @@ fn cloud_deadline_strands_stale_results_per_policy() {
     );
     let admitted: usize = rep_w.rounds.iter().map(|r| r.stale_admitted).sum();
     assert!(admitted > 0, "weighted policy should admit parked results");
-    assert!(h_w
-        .timed_events()
+    let weighted_timed: Vec<TimedEvent> = timed(&h_w);
+    assert!(weighted_timed
         .iter()
         .any(|e| matches!(e, TimedEvent::StaleArrival { admitted: true, .. })));
     // A busy edge sampled again before its upload resolves sits out.
@@ -314,10 +325,10 @@ fn semi_async_cuts_emulated_wall_clock_under_stragglers() {
     })
     .run_event(groups, SamplingStrategy::ESRCov, &AsyncConfig::default());
     assert!(
-        rep_cut.final_clock_s() < rep_wait.final_clock_s(),
+        rep_cut.clock_s < rep_wait.clock_s,
         "quorum-or-deadline ({:.1}s) should beat wait-for-all ({:.1}s)",
-        rep_cut.final_clock_s(),
-        rep_wait.final_clock_s()
+        rep_cut.clock_s,
+        rep_wait.clock_s
     );
 }
 
@@ -358,7 +369,7 @@ fn self_healing_no_churn_limit_is_bit_identical() {
         assert_eq!(h_heal, h_static, "seed {seed}: history diverged");
         assert_eq!(p_heal, p_static, "seed {seed}: params diverged");
         assert_eq!(rep_heal, rep_static, "seed {seed}: async report diverged");
-        assert!(h_heal.regroup_events().is_empty());
+        assert!(h_heal.events().iter().all(|e| e.regroup().is_none()));
     }
 }
 
@@ -409,7 +420,7 @@ fn churned_semi_async_run_heals_deterministically() {
     assert_eq!(rep_a, rep_b, "async reports diverged");
     assert_eq!(m_a, m_b, "membership diverged");
     assert!(
-        !h_a.regroup_events().is_empty(),
+        h_a.events().iter().any(|e| e.regroup().is_some()),
         "a 40%-departure plan over 4 rounds should move somebody"
     );
     let mut prev = 0.0f64;

@@ -178,15 +178,14 @@ fn straggler_run(ctx: &Ctx) -> Vec<Table> {
         let state = trainer
             .run_plan(&FedAvg, &plan)
             .expect("a static partition is never re-formed");
-        let (_, report) = state.scheduler.as_ref().expect("event-clock report");
+        let sched = state.scheduler.as_ref().expect("event-clock report");
         let last = state.history.last_record().expect("run produced records");
-        let sum =
-            |g: fn(&AsyncRoundRecord) -> usize| -> usize { report.rounds.iter().map(g).sum() };
+        let sum = |g: fn(&AsyncRoundRecord) -> usize| -> usize { sched.rounds.iter().map(g).sum() };
         table.push(vec![
             Cell::of(name),
             Cell::num(last.accuracy, 4),
-            Cell::num(report.final_clock_s(), 1),
-            Cell::of(report.total_cut_reports()),
+            Cell::num(sched.clock_s, 1),
+            Cell::of(sched.total_cut_reports()),
             Cell::of(sum(|r| r.stale_admitted)),
             Cell::of(sum(|r| r.busy_skipped)),
             Cell::num(last.cost, 0),
@@ -272,12 +271,8 @@ fn attack_run(ctx: &Ctx) -> Vec<Table> {
                 .with_adversary(plan.clone())
                 .with_robust_agg(rule);
             let history = trainer.run(&groups, &FedAvg, SamplingStrategy::ESRCov);
-            let asr = history
-                .asr_records()
-                .iter()
-                .rev()
-                .find_map(|r| r.trigger_asr);
-            let summary = history.attack_summary();
+            let asr = history.records().iter().rev().find_map(|r| r.trigger_asr);
+            let summary = summarize_attacks(history.events().iter().filter_map(Event::attack));
             table.push(vec![
                 Cell::of(group_size),
                 Cell::of(name),

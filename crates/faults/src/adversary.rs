@@ -361,7 +361,7 @@ impl std::fmt::Display for AttackSummary {
 }
 
 /// Tallies an attack log into per-kind counts.
-pub fn summarize_attacks(events: &[AttackEvent]) -> AttackSummary {
+pub fn summarize_attacks<'a>(events: impl IntoIterator<Item = &'a AttackEvent>) -> AttackSummary {
     let mut s = AttackSummary::default();
     for e in events {
         match e {

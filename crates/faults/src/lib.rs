@@ -620,7 +620,7 @@ impl std::fmt::Display for FaultSummary {
 }
 
 /// Tallies a fault log into per-kind counts.
-pub fn summarize(events: &[FaultEvent]) -> FaultSummary {
+pub fn summarize<'a>(events: impl IntoIterator<Item = &'a FaultEvent>) -> FaultSummary {
     let mut s = FaultSummary::default();
     for e in events {
         match e {

@@ -6,8 +6,9 @@
 //! federation to run on ([`TinyWorld`], [`Twins`]), a way to run one cell
 //! of the driver's table to the end ([`Runs`]), the process-wide thread pin
 //! ([`for_each_thread_count`]), CI's seed shift ([`seed_offset`]), a
-//! streaming trace collector whose bytes they can read back ([`Streamed`])
-//! and a golden-file comparison that can re-record ([`golden::check`]).
+//! streaming trace collector whose bytes they can read back ([`Streamed`]),
+//! a golden-file comparison that can re-record ([`golden::check`]) and the
+//! history goldens' scenarios ([`golden_scenario`]).
 //!
 //! A `[dev-dependencies]` entry only, and only for integration tests under
 //! `tests/`: a `#[cfg(test)]` module inside `gfl-core` is compiled against
@@ -26,6 +27,9 @@ use gfl_obs::{StreamConfig, Trace, TraceCollector, TraceReader};
 use gfl_sim::Topology;
 
 pub mod golden;
+mod scenarios;
+
+pub use scenarios::{golden_scenario, GOLDEN_SCENARIOS};
 
 /// CI's seed shift: `GFL_SEED=n` offsets every seed the seed-shifted
 /// suites use, to shake out seed-sensitive nondeterminism.
@@ -133,7 +137,7 @@ pub trait Runs {
         groups: &[Group],
         sampling: SamplingStrategy,
         acfg: &AsyncConfig,
-    ) -> (RunHistory, Params, AsyncReport);
+    ) -> (RunHistory, Params, SchedulerState);
     /// Event clock × self-healing.
     fn run_event_healing(
         &self,
@@ -141,7 +145,7 @@ pub trait Runs {
         topology: &Topology,
         sampling: SamplingStrategy,
         acfg: &AsyncConfig,
-    ) -> Result<(RunHistory, Params, AsyncReport, MembershipState), PartitionError>;
+    ) -> Result<(RunHistory, Params, SchedulerState, MembershipState), PartitionError>;
 }
 
 fn static_run(t: &Trainer, clock: Clock, groups: &[Group], sampling: SamplingStrategy) -> RunState {
@@ -190,9 +194,9 @@ impl Runs for Trainer {
         groups: &[Group],
         sampling: SamplingStrategy,
         acfg: &AsyncConfig,
-    ) -> (RunHistory, Params, AsyncReport) {
+    ) -> (RunHistory, Params, SchedulerState) {
         let s = static_run(self, Clock::EventDriven(*acfg), groups, sampling);
-        (s.history, s.params, s.scheduler.unwrap().1)
+        (s.history, s.params, s.scheduler.unwrap())
     }
 
     fn run_event_healing(
@@ -201,10 +205,10 @@ impl Runs for Trainer {
         topology: &Topology,
         sampling: SamplingStrategy,
         acfg: &AsyncConfig,
-    ) -> Result<(RunHistory, Params, AsyncReport, MembershipState), PartitionError> {
+    ) -> Result<(RunHistory, Params, SchedulerState, MembershipState), PartitionError> {
         let s = healing_run(self, Clock::EventDriven(*acfg), algo, topology, sampling)?;
-        let report = s.scheduler.unwrap().1;
-        Ok((s.history, s.params, report, s.membership.unwrap()))
+        let membership = s.membership.unwrap();
+        Ok((s.history, s.params, s.scheduler.unwrap(), membership))
     }
 }
 

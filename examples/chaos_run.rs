@@ -96,12 +96,16 @@ fn main() {
         faulted.best_accuracy(),
         clean.best_accuracy() - faulted.best_accuracy()
     );
-    println!("\ninjected faults: {}", faulted.fault_summary());
-    for e in faulted.fault_events().iter().take(8) {
+    let faults: Vec<_> = faulted.events().iter().filter_map(Event::fault).collect();
+    println!(
+        "\ninjected faults: {}",
+        gfl_faults::summarize(faults.iter().copied())
+    );
+    for e in faults.iter().take(8) {
         println!("  {e:?}");
     }
-    let more = faulted.fault_events().len().saturating_sub(8);
+    let more = faults.len().saturating_sub(8);
     if more > 0 {
-        println!("  ... and {more} more (see RunHistory::fault_events)");
+        println!("  ... and {more} more (see RunHistory::events)");
     }
 }

@@ -133,12 +133,14 @@ fn main() {
         membership.groups().len(),
         membership.active_members()
     );
-    println!("membership transitions: {}", healed.regroup_summary());
-    for e in healed.regroup_events().iter().take(10) {
+    let transitions: Vec<_> = healed.events().iter().filter_map(Event::regroup).collect();
+    let summary = summarize_regroups(transitions.iter().copied());
+    println!("membership transitions: {summary}");
+    for e in transitions.iter().take(10) {
         println!("  round {:3}: {e}", e.round());
     }
-    let more = healed.regroup_events().len().saturating_sub(10);
+    let more = transitions.len().saturating_sub(10);
     if more > 0 {
-        println!("  ... and {more} more (see RunHistory::regroup_events)");
+        println!("  ... and {more} more (see RunHistory::events)");
     }
 }
