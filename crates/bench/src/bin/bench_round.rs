@@ -312,6 +312,51 @@ fn secagg_section() -> serde_json::Value {
     })
 }
 
+/// The two writers of an observed run: one span line through the stream
+/// writer (a barrier of 1 000 `client_step` spans into a discarding sink,
+/// per line), and `Checkpoint::save` of a `hostile-observed`-shaped state
+/// (18 536 events) to a file in the temp directory.
+fn serialize_section() -> serde_json::Value {
+    use gfl_obs::{RoundMetrics, SpanAttrs, SpanKind, StreamConfig, TraceCollector};
+    const SPANS: usize = 1_000;
+    let obs = TraceCollector::streaming(Box::new(std::io::sink()), 1, StreamConfig::default());
+    let mut round = 0;
+    let mut barrier_s = || {
+        for i in 0..SPANS {
+            let attrs = SpanAttrs::client_step(round, i % 3, i % 59, i);
+            let start = (round * SPANS + i) as u64 * 1_000;
+            obs.record_span_at(SpanKind::ClientStep, start, start + 16_384, attrs);
+        }
+        let t0 = Instant::now();
+        obs.record_round(RoundMetrics::empty(round));
+        round += 1;
+        t0.elapsed().as_secs_f64()
+    };
+    let per_barrier = (0..3)
+        .map(|_| (0..50).map(|_| barrier_s()).sum::<f64>() / 50.0)
+        .fold(f64::INFINITY, f64::min);
+    let span_line_ns = per_barrier / SPANS as f64 * 1e9;
+
+    let cp = gfl_test_support::hostile_checkpoint(18_536);
+    let path = std::env::temp_dir().join(format!("bench_round_{}.json", std::process::id()));
+    let save_s = seconds_per_call(|| cp.save(&path).expect("save the checkpoint"));
+    let bytes = std::fs::metadata(&path).map_or(0, |m| m.len());
+    let _ = std::fs::remove_file(&path);
+    let save_mb_per_s = bytes as f64 / save_s / 1e6;
+    eprintln!(
+        "serialize: span line {span_line_ns:.0} ns through the stream writer; \
+         Checkpoint::save {save_mb_per_s:.0} MB/s ({:.2} MB, {:.2} ms)",
+        bytes as f64 / 1e6,
+        save_s * 1e3
+    );
+    serde_json::json!({
+        "workload": "a streamed barrier of 1 000 client_step spans into a discarding sink (per line); Checkpoint::save of gfl_test_support::hostile_checkpoint(18 536) to the temp directory; single thread (docs/PERF.md, Writers)",
+        "span_line_ns": span_line_ns,
+        "checkpoint_bytes": bytes,
+        "checkpoint_save_mb_per_s": save_mb_per_s,
+    })
+}
+
 /// Runs the same workload through the event-driven scheduler under a
 /// straggler plan (a quarter of the fleet slowed 8×) and returns the
 /// final emulated clock — wait-for-all vs quorum-or-deadline
@@ -440,6 +485,8 @@ fn main() {
 
     let secagg = secagg_section();
 
+    let serialize = serialize_section();
+
     // Honest scaling summary: the 8-vs-1 speedup is only reported when the
     // 8-thread row was measured with 8 real cores behind it.
     let speedup_8_vs_1 = (cores >= 8).then(|| per_rounds[0] / per_rounds[3]);
@@ -473,6 +520,7 @@ fn main() {
         }),
         "nn": speech_layers,
         "secagg": secagg,
+        "serialize": serialize,
         "emulated_clock": serde_json::json!({
             "plan": "straggler_fraction 0.25, straggler_factor 8.0, jitter 0.25 (docs/ASYNC.md)",
             "sync_clock_s_per_round": clock_sync / rounds as f64,

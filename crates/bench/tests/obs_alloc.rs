@@ -8,7 +8,8 @@
 //! per-round growth or disabled-path bookkeeping would break equality),
 //! and the traced run's extra allocations must stay bounded. The same
 //! counter bounds a membership tick: its allocations follow its events,
-//! not the population.
+//! not the population; and a streamed trace barrier: its allocations do not
+//! follow its spans.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -80,7 +81,37 @@ fn steady_state_rounds_fit_the_alloc_budget() {
     warm_rounds_fit_the_budget(true);
     disabled_tracing_adds_no_allocations_to_the_hot_loop();
     steady_state_churn_ticks_fit_the_alloc_budget();
+    streamed_barrier_allocates_o1_times();
     gfl_parallel::set_default_parallelism(0);
+}
+
+/// Allocation budget of one streamed round barrier, whatever its span
+/// count: the drained batch and the sort's scratch. Every line is printed
+/// into the writer's one reused buffer, so a barrier of 1 000 spans
+/// allocates twice, one of 10 once. (Printing each line through a `Value`
+/// tree and a `String` cost 37 066 allocations for the 1 000.)
+const BARRIER_ALLOC_BUDGET: u64 = 4;
+
+fn streamed_barrier_allocates_o1_times() {
+    use gfl_obs::{RoundMetrics, SpanAttrs, SpanKind, StreamConfig, TraceCollector};
+
+    let obs = TraceCollector::streaming(Box::new(std::io::sink()), 1, StreamConfig::default());
+    let barrier = |round: usize, spans: usize| {
+        for i in 0..spans {
+            let attrs = SpanAttrs::client_step(round, 0, i % 12, i);
+            obs.record_span_at(SpanKind::ClientStep, i as u64, i as u64 + 7, attrs);
+        }
+        allocs_of(|| obs.record_round(RoundMetrics::empty(round)))
+    };
+    // The first barrier sizes the shard, the line buffer and the metric
+    // families.
+    barrier(0, 1_000);
+    let (few, many) = (barrier(1, 10), barrier(2, 1_000));
+    assert!(
+        many <= BARRIER_ALLOC_BUDGET,
+        "a barrier of 1 000 spans allocated {many} times (10 spans: {few}), \
+         budget {BARRIER_ALLOC_BUDGET}"
+    );
 }
 
 /// Allocation budget of one membership tick, beyond its events.

@@ -7,6 +7,8 @@
 //! including across process restarts, since everything in the engine is
 //! deterministic given `(seed, round)`.
 
+use std::fs::File;
+use std::io;
 use std::path::Path;
 
 use gfl_nn::Params;
@@ -123,9 +125,15 @@ impl Checkpoint {
         serde_json::from_value(value).map_err(CheckpointError::Format)
     }
 
-    /// Writes the checkpoint to a file.
+    /// Writes the checkpoint to a file, the bytes of [`Self::to_json`]
+    /// streamed through a bounded buffer. The write is atomic: it goes to a
+    /// temporary file beside `path` that then replaces `path`, so a failed
+    /// or interrupted save leaves whatever was at `path` untouched.
     pub fn save(&self, path: impl AsRef<Path>) -> Result<(), CheckpointError> {
-        std::fs::write(path, self.to_json()).map_err(CheckpointError::Io)
+        write_atomically(path.as_ref(), |file| {
+            serde_json::to_writer_pretty(file, self).map_err(io::Error::from)
+        })
+        .map_err(CheckpointError::Io)
     }
 
     /// Reads a checkpoint from a file.
@@ -135,10 +143,70 @@ impl Checkpoint {
     }
 }
 
+/// Fills a temporary file beside `path` through `write`, then renames it
+/// over `path`. If either step fails the temporary file is removed.
+fn write_atomically(
+    path: &Path,
+    write: impl FnOnce(&mut File) -> io::Result<()>,
+) -> io::Result<()> {
+    let mut name = path
+        .file_name()
+        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "path names no file"))?
+        .to_os_string();
+    name.push(format!(".{}.tmp", std::process::id()));
+    let tmp = path.with_file_name(name);
+    let written = File::create(&tmp)
+        .and_then(|mut file| write(&mut file))
+        .and_then(|()| std::fs::rename(&tmp, path));
+    if written.is_err() {
+        let _ = std::fs::remove_file(&tmp);
+    }
+    written
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::history::RoundRecord;
+    use std::io::Write;
+
+    /// A sink that takes `left` bytes, then fails every write.
+    struct FailAfter<W> {
+        inner: W,
+        left: usize,
+    }
+
+    impl<W: Write> Write for FailAfter<W> {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            if self.left == 0 {
+                return Err(io::Error::other("device full"));
+            }
+            let n = self.inner.write(&buf[..buf.len().min(self.left)])?;
+            self.left -= n;
+            Ok(n)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            self.inner.flush()
+        }
+    }
+
+    /// A fresh, empty directory of this process's own.
+    fn fresh_dir(tag: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("gfl_checkpoint_{tag}_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
+    fn entries(dir: &Path) -> Vec<std::ffi::OsString> {
+        let mut names: Vec<_> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        names.sort();
+        names
+    }
 
     fn sample() -> Checkpoint {
         let mut history = RunHistory::default();
@@ -188,6 +256,85 @@ mod tests {
         let back = Checkpoint::load(&path).unwrap();
         assert_eq!(back.params, cp.params);
         let _ = std::fs::remove_file(path);
+    }
+
+    /// A checkpoint whose pretty JSON spans several spills of the printer's
+    /// buffer.
+    fn large() -> Checkpoint {
+        let mut cp = sample();
+        cp.params = (0..40_000).map(|i| i as f32 * 0.37 - 99.5).collect();
+        cp
+    }
+
+    #[test]
+    fn save_writes_the_bytes_of_to_json_and_leaves_no_temp_file() {
+        let dir = fresh_dir("bytes");
+        let cp = large();
+        let path = dir.join("cp.json");
+        cp.save(&path).unwrap();
+        let json = cp.to_json();
+        assert!(
+            json.len() > 4 * serde_json::SPILL_BYTES,
+            "{} bytes",
+            json.len()
+        );
+        assert_eq!(std::fs::read(&path).unwrap(), json.as_bytes());
+        assert_eq!(entries(&dir), ["cp.json"]);
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn failed_save_keeps_the_old_checkpoint_and_no_temp_file() {
+        let dir = fresh_dir("full");
+        let path = dir.join("cp.json");
+        sample().save(&path).unwrap();
+        let old = std::fs::read(&path).unwrap();
+        // The disk fills 70 kB into the new checkpoint's bytes.
+        let err = write_atomically(&path, |file| {
+            let sink = FailAfter {
+                inner: file,
+                left: 70_000,
+            };
+            serde_json::to_writer_pretty(sink, &large()).map_err(io::Error::from)
+        })
+        .unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::Other);
+        assert_eq!(std::fs::read(&path).unwrap(), old, "old checkpoint moved");
+        assert_eq!(entries(&dir), ["cp.json"], "temp file left behind");
+
+        // A save whose rename fails (a non-empty directory sits at the
+        // path) is an I/O error and cleans up after itself too.
+        let blocked = dir.join("blocked");
+        std::fs::create_dir(&blocked).unwrap();
+        std::fs::write(blocked.join("keep"), b"x").unwrap();
+        let err = sample().save(&blocked).unwrap_err();
+        assert!(matches!(err, CheckpointError::Io(_)), "{err}");
+        assert_eq!(
+            entries(&dir),
+            ["blocked", "cp.json"],
+            "temp file left behind"
+        );
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn writer_failing_after_n_bytes_is_an_error_not_a_panic() {
+        let cp = large();
+        let json = cp.to_json();
+        for left in [0, 1, 70_000, json.len() - 1, json.len()] {
+            let mut sink = FailAfter {
+                inner: Vec::new(),
+                left,
+            };
+            let result = serde_json::to_writer_pretty(&mut sink, &cp);
+            assert_eq!(sink.inner, json.as_bytes()[..left], "prefix at {left}");
+            if left < json.len() {
+                let err = result.expect_err("a short sink is an error");
+                assert_eq!(err.io_error_kind(), Some(io::ErrorKind::Other));
+            } else {
+                result.unwrap();
+            }
+        }
     }
 
     #[test]

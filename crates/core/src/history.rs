@@ -5,7 +5,7 @@
 
 use gfl_faults::{AttackEvent, FaultEvent};
 use gfl_tensor::Scalar;
-use serde::{DeError, Deserialize, Serialize, Value};
+use serde::{DeError, Deserialize, JsonWriter, Serialize, Value};
 
 use crate::membership::RegroupEvent;
 
@@ -131,11 +131,22 @@ impl Event {
 /// kind.
 impl Serialize for Event {
     fn to_value(&self) -> Value {
+        self.inner().to_value()
+    }
+
+    fn write_json(&self, w: &mut JsonWriter<'_>) {
+        self.inner().write_json(w)
+    }
+}
+
+impl Event {
+    /// The inner event, which is what travels.
+    fn inner(&self) -> &dyn Serialize {
         match self {
-            Event::Fault(e) => e.to_value(),
-            Event::Attack(e) => e.to_value(),
-            Event::Regroup(e) => e.to_value(),
-            Event::Timed(e) => e.to_value(),
+            Event::Fault(e) => e,
+            Event::Attack(e) => e,
+            Event::Regroup(e) => e,
+            Event::Timed(e) => e,
         }
     }
 }

@@ -289,6 +289,17 @@ impl Serialize for GroupHealth {
             ("quorum_misses".to_string(), self.quorum_misses.to_value()),
         ])
     }
+
+    fn write_json(&self, w: &mut serde::JsonWriter<'_>) {
+        w.begin_object();
+        if self.baseline_cov.is_finite() {
+            w.field("baseline_cov", &self.baseline_cov);
+        } else {
+            w.field("baseline_cov", &self.baseline_cov.to_string());
+        }
+        w.field("quorum_misses", &self.quorum_misses);
+        w.end_object();
+    }
 }
 
 impl Deserialize for GroupHealth {
@@ -374,6 +385,17 @@ impl Serialize for MembershipState {
             ("last_heal".to_string(), self.last_heal.to_value()),
             ("policy".to_string(), self.policy.to_value()),
         ])
+    }
+
+    fn write_json(&self, w: &mut serde::JsonWriter<'_>) {
+        w.begin_object();
+        w.field("groups", &self.groups);
+        w.field("active", &self.active);
+        w.field("health", &self.health);
+        w.field("probs", &self.probs);
+        w.field("last_heal", &self.last_heal);
+        w.field("policy", &self.policy);
+        w.end_object();
     }
 }
 

@@ -14,6 +14,9 @@
 //! if materialized). `GFL_SCALE=1` adds the acceptance-criteria run: 10⁶
 //! clients (~28 GB if materialized) — wired into CI's scale-smoke job in
 //! release mode.
+//!
+//! The same allocator bounds what saving a benchmark-sized checkpoint adds
+//! to the heap: the printer streams, so the file's size never is.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -73,35 +76,39 @@ fn peak_bytes_for(clients: usize, seed: u64) -> (usize, usize) {
     measured
 }
 
-fn measure(clients: usize, seed: u64) -> (usize, usize) {
-    // Baseline from the current live count, not zero: the harness itself
-    // owns memory.
-    PEAK.store(LIVE.load(Ordering::Relaxed), Ordering::Relaxed);
+/// Runs `f`, returning its result and the heap high-water mark it added
+/// over what was live when it started (the harness itself owns memory).
+fn peak_added<R>(f: impl FnOnce() -> R) -> (R, usize) {
     let before = LIVE.load(Ordering::Relaxed);
+    PEAK.store(before, Ordering::Relaxed);
+    let result = f();
+    (result, PEAK.load(Ordering::Relaxed).saturating_sub(before))
+}
 
-    let pop = VirtualPopulation::new(VirtualSpec::paper_vision(clients, 0.1, seed));
-    let dim = pop.spec().data.feature_dim;
-    let materialized_floor = pop.total_samples() * dim * std::mem::size_of::<gfl_tensor::Scalar>();
+fn measure(clients: usize, seed: u64) -> (usize, usize) {
+    let (materialized_floor, peak) = peak_added(|| {
+        let pop = VirtualPopulation::new(VirtualSpec::paper_vision(clients, 0.1, seed));
+        let dim = pop.spec().data.feature_dim;
+        let floor = pop.total_samples() * dim * std::mem::size_of::<gfl_tensor::Scalar>();
 
-    let sizes: Vec<usize> = (0..pop.num_clients()).map(|c| pop.client_size(c)).collect();
-    let topo = Topology::even_split(8, sizes);
-    let groups = form_groups_per_edge(
-        &StreamGrouping { group_size: 8 },
-        &topo,
-        pop.label_matrix(),
-        seed,
-    );
-    assert!(groups.len() >= clients / 16, "stream formation collapsed");
-    let test = pop.test_set(512);
-    let mut cfg = GroupFelConfig::tiny();
-    cfg.seed = seed;
-    cfg.global_rounds = 3;
-    let t = Trainer::try_new(cfg, gfl_nn::zoo::vision_model(), pop, test).unwrap();
-    let h = t.run(&groups, &FedAvg, SamplingStrategy::ESRCov);
-    assert_eq!(h.records().len(), 3);
-    drop(t);
-
-    let peak = PEAK.load(Ordering::Relaxed).saturating_sub(before);
+        let sizes: Vec<usize> = (0..pop.num_clients()).map(|c| pop.client_size(c)).collect();
+        let topo = Topology::even_split(8, sizes);
+        let groups = form_groups_per_edge(
+            &StreamGrouping { group_size: 8 },
+            &topo,
+            pop.label_matrix(),
+            seed,
+        );
+        assert!(groups.len() >= clients / 16, "stream formation collapsed");
+        let test = pop.test_set(512);
+        let mut cfg = GroupFelConfig::tiny();
+        cfg.seed = seed;
+        cfg.global_rounds = 3;
+        let t = Trainer::try_new(cfg, gfl_nn::zoo::vision_model(), pop, test).unwrap();
+        let h = t.run(&groups, &FedAvg, SamplingStrategy::ESRCov);
+        assert_eq!(h.records().len(), 3);
+        floor
+    });
     (peak, materialized_floor)
 }
 
@@ -120,6 +127,34 @@ fn ten_thousand_client_run_is_o_sampled_memory() {
     );
     // Absolute backstop so the relative bound cannot rot silently.
     assert!(peak < 96 << 20, "peak heap {peak} B exceeds 96 MiB");
+}
+
+/// `Checkpoint::save` prints into a bounded buffer in front of the file, so
+/// a save adds next to nothing over the state it saves. The parent of the
+/// streaming printer built the whole `Value` tree and its pretty `String`
+/// first (`to_json`, then `std::fs::write`): on this same state that added
+/// 11.4 MiB, 3.2× the 3.6 MB file; this save adds about 128 KiB.
+#[test]
+fn checkpoint_save_streams_in_bounded_memory() {
+    let cp = gfl_test_support::hostile_checkpoint(18_536);
+    assert!(cp.history.events().len() >= 10_000);
+    let path = std::env::temp_dir().join(format!("gfl_scale_save_{}.json", std::process::id()));
+    let mut added = 0;
+    // Under the thread pin's lock, so no other test of this binary moves
+    // `PEAK` inside the window.
+    gfl_test_support::for_each_thread_count(&[1], |_| {
+        added = peak_added(|| cp.save(&path).unwrap()).1;
+    });
+    let bytes = std::fs::metadata(&path).unwrap().len();
+    let _ = std::fs::remove_file(&path);
+    eprintln!(
+        "save of {} events ({:.1} MB): peak heap +{:.1} KiB",
+        cp.history.events().len(),
+        bytes as f64 / 1e6,
+        added as f64 / 1024.0
+    );
+    assert!(bytes > 3_000_000, "{bytes} B is not the benchmark's shape");
+    assert!(added < 1 << 20, "checkpoint save added {added} B of heap");
 }
 
 /// Peak heap of the 10⁶-client run on two workers as last recorded, in MiB

@@ -8,15 +8,47 @@
 //! at most the round in flight, and the surviving prefix parses (the reader
 //! reports a cut final line as [`crate::trace::TraceError::Truncated`]).
 //! This is the only code that writes a trace file.
+//!
+//! Every line is printed straight into one reused buffer in front of the
+//! writer ([`crate::trace::tagged_line`]): no `Value` tree and no `String`
+//! per line.
 
-use std::io::{BufWriter, Write};
+use std::io::Write;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard};
+
+use serde::Serialize;
 
 use crate::span::SpanRecord;
 use crate::trace::{tagged_line, RoundMetrics, RunSummary, TraceMeta};
 
-type Writer = BufWriter<Box<dyn Write + Send>>;
+/// The writer and the buffer every line is rendered into; the buffer is
+/// handed to the writer once it holds [`serde_json::SPILL_BYTES`], and at
+/// every flush.
+struct Lines {
+    sink: Box<dyn Write + Send>,
+    buf: Vec<u8>,
+}
+
+impl Lines {
+    fn line<T: Serialize>(&mut self, tag: &str, record: &T) {
+        tagged_line(tag, record, &mut self.buf);
+        self.buf.push(b'\n');
+        if self.buf.len() >= serde_json::SPILL_BYTES {
+            self.spill();
+        }
+    }
+
+    fn spill(&mut self) {
+        self.sink.write_all(&self.buf).expect("trace stream: write");
+        self.buf.clear();
+    }
+
+    fn flush(&mut self) {
+        self.spill();
+        self.sink.flush().expect("trace stream: flush");
+    }
+}
 
 /// Number of span-buffer shards. Pool worker `i` writes to shard
 /// `1 + i % (SHARDS - 1)`; every non-pool thread (the region caller,
@@ -63,16 +95,19 @@ pub(crate) struct StreamSink {
     high_water: AtomicUsize,
     /// Thread count frozen into the meta line at construction.
     pub(crate) threads: u64,
-    w: Mutex<Writer>,
+    w: Mutex<Lines>,
 }
 
 impl StreamSink {
     /// Wraps `writer` and immediately writes (and flushes) the meta line,
     /// so even a run that crashes in round 0 leaves a parseable header.
     pub(crate) fn new(writer: Box<dyn Write + Send>, meta: &TraceMeta, cfg: &StreamConfig) -> Self {
-        let mut w = BufWriter::new(writer);
-        writeln!(w, "{}", tagged_line("meta", meta)).expect("trace stream: write meta");
-        w.flush().expect("trace stream: flush meta");
+        let mut w = Lines {
+            sink: writer,
+            buf: Vec::new(),
+        };
+        w.line("meta", meta);
+        w.flush();
         StreamSink {
             shards: (0..SHARDS).map(|_| Mutex::new(Vec::new())).collect(),
             per_shard_cap: (cfg.span_buffer_cap / SHARDS).max(1),
@@ -91,7 +126,7 @@ impl StreamSink {
         if buf.len() >= self.per_shard_cap {
             self.buffered.fetch_sub(buf.len(), Ordering::Relaxed);
             buf.sort_by_key(SpanRecord::sort_key);
-            drop(self.write(&buf, None));
+            drop(self.write(&buf));
             buf.clear();
         }
         buf.push(rec);
@@ -103,17 +138,17 @@ impl StreamSink {
     /// One round barrier: every buffered span, sorted, then the round
     /// record, then a flush.
     pub(crate) fn barrier(&self, round: &RoundMetrics) {
-        let line = tagged_line("round", round);
-        let mut w = self.write(&self.drain(), Some(line));
-        w.flush().expect("trace stream: flush");
+        let mut w = self.write(&self.drain());
+        w.line("round", round);
+        w.flush();
     }
 
     /// End of run: trailing spans that belong to no barrier, the summary
     /// line, and a final flush.
     pub(crate) fn finalize(&self, summary: &RunSummary) {
-        let line = tagged_line("summary", summary);
-        let mut w = self.write(&self.drain(), Some(line));
-        w.flush().expect("trace stream: final flush");
+        let mut w = self.write(&self.drain());
+        w.line("summary", summary);
+        w.flush();
     }
 
     /// Drains every shard, returning the batch sorted by
@@ -128,15 +163,11 @@ impl StreamSink {
         batch
     }
 
-    /// Appends `spans`, then the already-rendered `tail` line, and hands
-    /// back the still-locked writer.
-    fn write(&self, spans: &[SpanRecord], tail: Option<String>) -> MutexGuard<'_, Writer> {
+    /// Appends `spans` and hands back the still-locked writer.
+    fn write(&self, spans: &[SpanRecord]) -> MutexGuard<'_, Lines> {
         let mut w = self.w.lock().unwrap();
         for s in spans {
-            writeln!(w, "{}", tagged_line("span", s)).expect("trace stream: write span");
-        }
-        if let Some(line) = tail {
-            writeln!(w, "{line}").expect("trace stream: write record");
+            w.line("span", s);
         }
         w
     }

@@ -28,7 +28,7 @@
 
 use crate::metrics::MetricsSnapshot;
 use crate::span::{SpanKind, SpanRecord};
-use serde::{Deserialize, Serialize, Value};
+use serde::{Deserialize, JsonWriter, Serialize, Value};
 use std::fmt;
 use std::path::Path;
 
@@ -231,15 +231,27 @@ impl Trace {
     }
 }
 
-/// Serializes `record` and injects `"type": tag` as the first field.
-pub(crate) fn tagged_line<T: Serialize>(tag: &str, record: &T) -> String {
-    let value = serde_json::to_value(record).expect("trace records are serializable");
-    let mut fields = vec![("type".to_string(), Value::String(tag.to_string()))];
-    match value {
-        Value::Object(obj) => fields.extend(obj),
-        other => fields.push(("data".to_string(), other)),
+/// Appends `record` to `out` as one compact JSON object with `"type": tag`
+/// injected as its first field (a record that is not an object travels
+/// under `"data"`). No newline.
+pub(crate) fn tagged_line<T: Serialize>(tag: &str, record: &T, out: &mut Vec<u8>) {
+    out.extend_from_slice(b"{\"type\":");
+    JsonWriter::new(out, false).str(tag);
+    let start = out.len();
+    record.write_json(&mut JsonWriter::new(out, false));
+    match &out[start..] {
+        b"{}" => {
+            out.truncate(start);
+            out.push(b'}');
+        }
+        // The record's own `{` becomes the comma after the tag; its `}`
+        // closes the line.
+        [b'{', ..] => out[start] = b',',
+        _ => {
+            out.splice(start..start, *b",\"data\":");
+            out.push(b'}');
+        }
     }
-    serde_json::to_string(&Value::Object(fields)).expect("JSON rendering")
 }
 
 /// Errors surfaced when parsing a trace file.

@@ -7,13 +7,15 @@
 //! of the driver's table to the end ([`Runs`]), the process-wide thread pin
 //! ([`for_each_thread_count`]), CI's seed shift ([`seed_offset`]), a
 //! streaming trace collector whose bytes they can read back ([`Streamed`]),
-//! a golden-file comparison that can re-record ([`golden::check`]) and the
-//! history goldens' scenarios ([`golden_scenario`]).
+//! a golden-file comparison that can re-record ([`golden::check`]), the
+//! history goldens' scenarios ([`golden_scenario`]) and a benchmark-shaped
+//! checkpoint ([`hostile_checkpoint`]).
 //!
-//! A `[dev-dependencies]` entry only, and only for integration tests under
-//! `tests/`: a `#[cfg(test)]` module inside `gfl-core` is compiled against
-//! a different `gfl_core` than the one this crate links, so those keep
-//! their own fixtures.
+//! A `[dev-dependencies]` entry for integration tests under `tests/` (and
+//! a dependency of `gfl-bench`, whose `bench_round` times the writers on
+//! [`hostile_checkpoint`]): a `#[cfg(test)]` module inside `gfl-core` is
+//! compiled against a different `gfl_core` than the one this crate links,
+//! so those keep their own fixtures.
 
 use std::io::Write;
 use std::sync::{Arc, Mutex};
@@ -27,8 +29,10 @@ use gfl_obs::{StreamConfig, Trace, TraceCollector, TraceReader};
 use gfl_sim::Topology;
 
 pub mod golden;
+mod hostile;
 mod scenarios;
 
+pub use hostile::hostile_checkpoint;
 pub use scenarios::{golden_scenario, GOLDEN_SCENARIOS};
 
 /// CI's seed shift: `GFL_SEED=n` offsets every seed the seed-shifted
