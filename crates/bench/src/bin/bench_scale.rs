@@ -9,7 +9,8 @@
 //! benchmark/README.md). So the section also carries `membership`: the
 //! whole 16-round horizon of the benchmark's `scale-churn` shape (90 000
 //! clients, moderate churn, default healing policy) — total tick time,
-//! the slowest heal, and the event count.
+//! the slowest heal, and the event count at 2 threads, and the total tick
+//! time at 1 and 2 threads.
 //!
 //! Set-up is most of a `secure-covg` invocation and Algorithm 2 is most of
 //! that set-up, so a third section, `formation`, times CoVG at that
@@ -200,7 +201,9 @@ fn covg_formation(seed: u64) -> serde_json::Value {
 
 /// Every membership tick of the benchmark's `scale-churn` workload: forms
 /// the partition as the self-healing run does, then applies each round's
-/// churn, heal and probability refresh, timing the three apart.
+/// churn, heal and probability refresh, timing the three apart. The horizon
+/// runs once per worker count — arrivals and orphans are placed an edge per
+/// pool task — and the breakdown is the last, widest run's.
 fn membership_horizon(seed: u64) -> serde_json::Value {
     const CLIENTS: usize = 90_000;
     const ROUNDS: usize = 16;
@@ -212,58 +215,76 @@ fn membership_horizon(seed: u64) -> serde_json::Value {
         horizon: ROUNDS,
         ..ChurnPlan::moderate(seed)
     };
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
 
-    let t0 = Instant::now();
-    let mut membership = MembershipState::form(
-        &algo,
-        &topo,
-        labels,
-        Some(&plan),
-        RegroupPolicy::default(),
-        seed,
-        sampling,
-        0,
-    )
-    .expect("initial membership partition");
-    let form_s = t0.elapsed().as_secs_f64();
-    let groups_formed = membership.groups().len();
+    let mut results = Vec::new();
+    let mut breakdown = serde_json::Value::Null;
+    for threads in [1usize, 2] {
+        gfl_parallel::set_default_parallelism(threads);
+        let t0 = Instant::now();
+        let mut membership = MembershipState::form(
+            &algo,
+            &topo,
+            labels,
+            Some(&plan),
+            RegroupPolicy::default(),
+            seed,
+            sampling,
+            0,
+        )
+        .expect("initial membership partition");
+        let form_s = t0.elapsed().as_secs_f64();
+        let groups_formed = membership.groups().len();
 
-    let (mut churn_s, mut heal_s, mut heal_max_s, mut refresh_s) = (0.0, 0.0, 0.0f64, 0.0);
-    let mut events = 0;
-    for t in 0..ROUNDS {
-        let t0 = Instant::now();
-        events += membership.apply_churn(&plan, t, labels, &topo).len();
-        churn_s += t0.elapsed().as_secs_f64();
-        let t0 = Instant::now();
-        events += membership
-            .heal(t, labels, &algo, &topo, seed, sampling)
-            .expect("heal pass")
-            .len();
-        let s = t0.elapsed().as_secs_f64();
-        heal_s += s;
-        heal_max_s = heal_max_s.max(s);
-        let t0 = Instant::now();
-        membership.refresh_probs(labels, sampling);
-        refresh_s += t0.elapsed().as_secs_f64();
+        let (mut churn_s, mut heal_s, mut heal_max_s, mut refresh_s) = (0.0, 0.0, 0.0f64, 0.0);
+        let mut events = 0;
+        for t in 0..ROUNDS {
+            let t0 = Instant::now();
+            events += membership.apply_churn(&plan, t, labels, &topo).len();
+            churn_s += t0.elapsed().as_secs_f64();
+            let t0 = Instant::now();
+            events += membership
+                .heal(t, labels, &algo, &topo, seed, sampling)
+                .expect("heal pass")
+                .len();
+            let s = t0.elapsed().as_secs_f64();
+            heal_s += s;
+            heal_max_s = heal_max_s.max(s);
+            let t0 = Instant::now();
+            membership.refresh_probs(labels, sampling);
+            refresh_s += t0.elapsed().as_secs_f64();
+        }
+        let ticks_s = churn_s + heal_s + refresh_s;
+        println!(
+            "membership: {CLIENTS} clients × {ROUNDS} ticks at {threads} thread(s) — form \
+             {form_s:.3}s, ticks {ticks_s:.3}s (churn {churn_s:.3}s, heal {heal_s:.3}s, slowest \
+             heal {heal_max_s:.3}s), {events} events"
+        );
+        results.push(serde_json::json!({
+            "threads": threads,
+            "cores": cores,
+            "reliable": threads <= cores,
+            "ticks_seconds_total": ticks_s,
+        }));
+        breakdown = serde_json::json!({
+            "workload": "the benchmark's scale-churn shape: 8 edges, stream grouping (group_size 8), ChurnPlan::moderate over the horizon, RegroupPolicy::default, random sampling",
+            "clients": CLIENTS,
+            "rounds": ROUNDS,
+            "threads": threads,
+            "groups_formed": groups_formed,
+            "groups_final": membership.groups().len(),
+            "form_seconds": form_s,
+            "ticks_seconds_total": ticks_s,
+            "apply_churn_seconds_total": churn_s,
+            "heal_seconds_total": heal_s,
+            "heal_seconds_max": heal_max_s,
+            "refresh_probs_seconds_total": refresh_s,
+            "events": events,
+        });
     }
-    let ticks_s = churn_s + heal_s + refresh_s;
-    println!(
-        "membership: {CLIENTS} clients × {ROUNDS} ticks — form {form_s:.3}s, ticks \
-         {ticks_s:.3}s (churn {churn_s:.3}s, heal {heal_s:.3}s, slowest heal \
-         {heal_max_s:.3}s), {events} events"
-    );
-    serde_json::json!({
-        "workload": "the benchmark's scale-churn shape: 8 edges, stream grouping (group_size 8), ChurnPlan::moderate over the horizon, RegroupPolicy::default, random sampling",
-        "clients": CLIENTS,
-        "rounds": ROUNDS,
-        "groups_formed": groups_formed,
-        "groups_final": membership.groups().len(),
-        "form_seconds": form_s,
-        "ticks_seconds_total": ticks_s,
-        "apply_churn_seconds_total": churn_s,
-        "heal_seconds_total": heal_s,
-        "heal_seconds_max": heal_max_s,
-        "refresh_probs_seconds_total": refresh_s,
-        "events": events,
-    })
+    gfl_parallel::set_default_parallelism(0);
+    if let serde_json::Value::Object(pairs) = &mut breakdown {
+        pairs.push(("results".to_string(), serde_json::Value::Array(results)));
+    }
+    breakdown
 }

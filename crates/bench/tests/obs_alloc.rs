@@ -116,9 +116,11 @@ fn streamed_barrier_allocates_o1_times() {
 
 /// Allocation budget of one membership tick, beyond its events.
 ///
-/// A tick over an indexed state owes the heap its event list, the fresh
-/// probability vector, and — when groups dissolve — the marks, orphans and
-/// the partition check; nothing per client, per group or per label. (Before
+/// A tick over an indexed state owes the heap its event list, its arrival
+/// list and each placement batch's list of groups, the fresh probability
+/// vector, and — when groups dissolve — the marks, orphans and the
+/// partition check; nothing per client, per group or per label, and nothing
+/// per edge: a placement pass reuses its edge's buffers. (Before
 /// the index, a tick allocated a histogram per group and a filtered copy of
 /// every group: thousands.) Member lists grow by amortized doubling, which
 /// the per-event allowance covers.

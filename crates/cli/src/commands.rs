@@ -511,7 +511,13 @@ pub fn simulate(argv: &[String], out: &mut dyn Write) -> CmdResult {
 /// The trajectory table and one summary block per subsystem that ran.
 fn write_report(out: &mut dyn Write, cfg: &SimulateConfig, state: &RunState) -> CmdResult {
     let history = &state.history;
+    // The table's header marks the end of the rounds to whoever reads
+    // stdout as it arrives, so it goes out at once. The rest — about 30 000
+    // lines for a churned run at scale — goes through one buffer, not one
+    // write per line.
     writeln!(out, "\n round       cost  accuracy    loss")?;
+    out.flush()?;
+    let mut out = std::io::BufWriter::new(out);
     for r in history.records() {
         writeln!(
             out,
@@ -588,6 +594,7 @@ fn write_report(out: &mut dyn Write, cfg: &SimulateConfig, state: &RunState) -> 
             }
         }
     }
+    out.flush()?;
     Ok(())
 }
 

@@ -33,24 +33,27 @@
 //!
 //! A tick ([`MembershipState::tick`]) pays for what changed, not for what
 //! exists. Beside the partition the state keeps a private, derived index
-//! (`index.rs`): client→group and client→edge maps, per-edge ascending
-//! lists of non-empty groups, every group's running label histogram in
-//! one label-major structure of arrays, its total, and its cached CoV —
-//! plus the churn plan's per-client arrival and departure rounds, hashed
-//! once. A departure, arrival or migration updates it in O(labels); a
-//! dissolve compacts it in O(groups · labels + clients); only formation,
-//! a full re-formation and the first pass after deserialization build it,
-//! in O(clients · labels). Per tick that leaves one pass over two `u32`
-//! arrays to find who moved, one pass over the cached CoVs to find who
-//! degraded, and — the bulk — one scan of the edge's candidate groups per
-//! arrival or orphan, run a block of groups at a time with one lane per
-//! group.
+//! (`index.rs`): client→group and client→edge maps, and per edge its
+//! non-empty groups in ascending order with their running label
+//! histograms in one label-major structure of arrays and their totals;
+//! per group its cached CoV — plus the churn plan's per-client arrival and
+//! departure rounds, hashed once. A departure or a placement updates it in
+//! O(labels); a group emptied or dissolved is compacted out of its edge in
+//! O(edge groups · labels); only formation, a full re-formation and the
+//! first pass after deserialization build it, in O(clients · labels). Per
+//! tick that leaves one pass over two `u32` arrays to find who moved, one
+//! pass over the cached CoVs to find who degraded, and — the bulk — one
+//! scan of the edge's groups per arrival or orphan, run a block of groups
+//! at a time with one lane per group. A tick's arrivals, and a heal's
+//! orphans, are placed in one batch whose edges run on the pool.
 //!
 //! The index changes no result: counts are exact integers (held as `f64`
 //! under the 2⁵² bound `index.rs` states and asserts), every CoV is
 //! computed by `cov::histogram_cov`'s or `cov::cov_with_candidate`'s
-//! operations in their order, and candidates are visited in the order a
-//! full sweep would visit them. It is never serialized and never
+//! operations in their order, candidates are visited in the order a full
+//! sweep would visit them, and a batch places its clients in the order,
+//! and numbers the groups it opens in the order, one client at a time
+//! would — on any number of workers. It is never serialized and never
 //! compared: the wire format is the six fields the state has always had.
 //! Nothing outside this module can edit the partition, so nothing can
 //! leave the index stale.
@@ -569,68 +572,80 @@ impl MembershipState {
             .take()
             .filter(|memo| memo.is_for(plan, n))
             .unwrap_or_else(|| PlanMemo::new(plan, n));
-        // Departures first, so an arrival can take a departed seat's group.
+        // Departures leave at once; arrivals are placed after the last of
+        // them, so an arrival can take a departed seat's group.
+        let mut arrivals = Vec::new();
         for c in 0..n {
-            if self.active[c] && !memo.present(c, t) {
-                if let Some(gi) = index.group_of(c) {
-                    self.groups[gi].retain(|&m| m != c);
-                    index.remove(labels, c, gi, self.groups[gi].is_empty());
-                    events.push(RegroupEvent::ClientDeparted {
-                        round: t,
-                        client: c,
-                        group: gi,
-                    });
+            match (self.active[c], memo.present(c, t)) {
+                (true, false) => {
+                    if let Some(gi) = index.group_of(c) {
+                        self.groups[gi].retain(|&m| m != c);
+                        index.remove(labels, c, gi, self.groups[gi].is_empty());
+                        events.push(RegroupEvent::ClientDeparted {
+                            round: t,
+                            client: c,
+                            group: gi,
+                        });
+                    }
+                    self.active[c] = false;
                 }
-                self.active[c] = false;
+                (false, true) => arrivals.push(c),
+                _ => {}
             }
         }
-        for c in 0..n {
-            if !self.active[c] && memo.present(c, t) {
-                if self.policy.enabled {
-                    let gi = self.place_client(labels, &mut index, c);
-                    self.active[c] = true;
-                    events.push(RegroupEvent::ClientArrived {
-                        round: t,
-                        client: c,
-                        group: Some(gi),
-                    });
-                } else if memo.arrives_at(c, t) {
-                    // Frozen policy: the arrival is noted once, never placed.
-                    events.push(RegroupEvent::ClientArrived {
+        if self.policy.enabled {
+            let placed = self.place_clients(labels, &mut index, &arrivals);
+            for (&c, gi) in arrivals.iter().zip(placed) {
+                self.active[c] = true;
+                events.push(RegroupEvent::ClientArrived {
+                    round: t,
+                    client: c,
+                    group: Some(gi),
+                });
+            }
+        } else {
+            // Frozen policy: an arrival is noted once, never placed.
+            events.extend(
+                arrivals
+                    .into_iter()
+                    .filter(|&c| memo.arrives_at(c, t))
+                    .map(|c| RegroupEvent::ClientArrived {
                         round: t,
                         client: c,
                         group: None,
-                    });
-                }
-            }
+                    }),
+            );
         }
         self.index = Some(index);
         self.memo = Some(memo);
         events
     }
 
-    /// Greedy incremental placement: the group on `client`'s edge whose
-    /// CoV-with-candidate is lowest (the Σ-CoV objective of
-    /// `grouping::optimal`, restricted to single-client moves) — the first
-    /// strict minimum in ascending group index, empty groups skipped.
-    /// Opens a new group at the end of the partition when the edge has no
-    /// non-empty group. Placement counts as a re-formation of the receiving
-    /// group: its health baseline resets to its CoV with the client in it.
-    fn place_client(&mut self, labels: &LabelMatrix, index: &mut Index, client: usize) -> usize {
-        match index.best_group(labels, client) {
-            Some(gi) => {
-                self.groups[gi].push(client);
-                index.add(labels, client, gi);
-                self.health[gi] = GroupHealth::fresh(index.covs()[gi]);
-                gi
-            }
-            None => {
-                self.groups.push(vec![client]);
-                let gi = index.open_group(labels, client);
-                self.health.push(GroupHealth::fresh(index.covs()[gi]));
-                gi
-            }
+    /// Greedy incremental placement of `clients`, one after another: each
+    /// joins the group on its edge whose CoV-with-candidate is lowest (the
+    /// Σ-CoV objective of `grouping::optimal`, restricted to single-client
+    /// moves) — the first strict minimum in ascending group index, empty
+    /// groups skipped — or opens a new group at the end of the partition
+    /// when its edge has no non-empty group. Edges run on the pool
+    /// ([`Index::place`]). Placement counts as a re-formation of the
+    /// receiving group: its health baseline resets to its CoV with the
+    /// newcomers in it. Returns each client's group.
+    fn place_clients(
+        &mut self,
+        labels: &LabelMatrix,
+        index: &mut Index,
+        clients: &[usize],
+    ) -> Vec<usize> {
+        let placed = index.place(labels, clients);
+        let covs = index.covs();
+        self.groups.resize_with(covs.len(), Vec::new);
+        self.health
+            .resize_with(covs.len(), || GroupHealth::fresh(Scalar::INFINITY));
+        for (&c, &gi) in clients.iter().zip(&placed) {
+            self.groups[gi].push(c);
+            self.health[gi] = GroupHealth::fresh(covs[gi]);
         }
+        placed
     }
 
     /// Feeds one round's sampling outcome to the health monitor: every
@@ -785,14 +800,14 @@ impl MembershipState {
 
         // Migrate orphans greedily, in client-id order for determinism.
         orphans.sort_unstable();
-        for c in orphans {
-            let gi = self.place_client(labels, index, c);
-            events.push(RegroupEvent::ClientMigrated {
+        let placed = self.place_clients(labels, index, &orphans);
+        events.extend(orphans.into_iter().zip(placed).map(|(client, to_group)| {
+            RegroupEvent::ClientMigrated {
                 round: t,
-                client: c,
-                to_group: gi,
-            });
-        }
+                client,
+                to_group,
+            }
+        }));
         events
     }
 

@@ -6,21 +6,33 @@
 //! must stay equal to (pinned, field by field and bit by bit, by the
 //! property suite in `proptests.rs`).
 //!
-//! **Layout.** Per-group label histograms live in one label-major
-//! structure of arrays — `hist[j][g]` is group `g`'s count of label `j` —
-//! so the placement scan reads `m` contiguous columns for a block of
-//! neighbouring groups instead of chasing `m`-element rows through three
-//! levels of `Vec`.
+//! **Layout: by edge.** A group's edge is its members' edge — groups never
+//! span edges — and a client is only ever scored against, and placed into,
+//! its own edge's groups. So each edge keeps its non-empty groups as
+//! *slots*, in ascending group index, with their label histograms in one
+//! label-major structure of arrays: `hist[j][slot]` is the slot's count of
+//! label `j`. The placement scan reads `m` contiguous columns for a block
+//! of neighbouring slots instead of chasing `m`-element rows through three
+//! levels of `Vec`, and every edge's columns can be placed into by its own
+//! worker. Per group the index keeps only its slot and its cached CoV.
 //!
 //! **Exactness.** The columns and totals hold *counts as `f64`*, which is
 //! what lets the scan be `cov::cov_lanes` — `cov::cov_with_candidate`'s
 //! operations in its order, a lane per group (its docs say why no rounding
-//! moves). Its precondition is kept here: [`Index::add`] and
-//! [`Index::build`] assert each group's total stays at most 2⁵²
-//! ([`MAX_EXACT_TOTAL`]); a candidate row is `m` `u32`s, so with `m` < 2²⁰
-//! (asserted in `build`) `group + candidate` is below 2⁵³ too. A cached CoV
-//! is [`histogram_cov`] itself, applied to the group's column entries
-//! converted back to `u64`.
+//! moves). Its precondition is kept here: a placement and [`Index::build`]
+//! assert each group's total stays at most 2⁵² ([`MAX_EXACT_TOTAL`]); a
+//! candidate row is `m` `u32`s, so with `m` < 2²⁰ (asserted in `build`)
+//! `group + candidate` is below 2⁵³ too. A cached CoV is [`histogram_cov`]
+//! itself, applied to the group's column entries converted back to `u64`.
+//!
+//! **Placement: one pass per edge, on the pool.** [`Index::place`] splits a
+//! batch of newcomers by edge and runs each edge's share — its clients
+//! landing one after another in its slots, exactly as they would one at a
+//! time — as one pool task. The one thing edges share is the partition's
+//! length: a client whose edge has no non-empty group opens one at the end
+//! of it. Its pass marks the slot, and the serial merge numbers the group
+//! when it reaches the client that opened it in batch order — the index one
+//! client at a time would have given it.
 
 use gfl_data::LabelMatrix;
 use gfl_faults::ChurnPlan;
@@ -30,7 +42,9 @@ use gfl_tensor::Scalar;
 use crate::cov::{histogram_cov, scan_lanes, Cov};
 use crate::Group;
 
-/// "No group" in [`Index::group_of`].
+/// "No group" in [`Index::group_of`], "no slot" in [`Index::slot_of`], and a
+/// group a pass opened but the merge has yet to number in
+/// [`EdgeGroups::groups`].
 const NONE: u32 = u32::MAX;
 
 /// Largest total sample count a group may hold (see the module docs).
@@ -42,19 +56,14 @@ pub(super) struct Index {
     group_of: Vec<u32>,
     /// Client → its edge server.
     edge_of: Vec<u32>,
-    /// Edge → ascending indices of the non-empty groups homed there (a
-    /// group's edge is its members' edge — groups never span edges).
-    by_edge: Vec<Vec<u32>>,
-    /// `hist[j][g]`: samples of label `j` in group `g`.
-    hist: Vec<Vec<f64>>,
-    /// Group → its total sample count.
-    totals: Vec<f64>,
+    /// Group → its slot on its edge, [`NONE`] for an empty group.
+    slot_of: Vec<u32>,
     /// Group → `histogram_cov` of its histogram (`inf` for an empty one).
     covs: Vec<Scalar>,
+    /// Edge → its non-empty groups' histograms.
+    edges: Vec<EdgeGroups>,
     /// Scratch: one histogram row, for [`Index::refresh_cov`].
     row: Vec<u64>,
-    /// Scratch: the candidate's label counts, for [`Index::best_group`].
-    cand: Vec<f64>,
 }
 
 impl Index {
@@ -72,15 +81,26 @@ impl Index {
                 edge_of[c] = e as u32;
             }
         }
+        let mut homed = vec![0usize; topology.num_edges()];
+        for &first in groups.iter().filter_map(|g| g.first()) {
+            homed[edge_of[first] as usize] += 1;
+        }
         let mut ix = Self {
             group_of: vec![NONE; n],
             edge_of,
-            by_edge: vec![Vec::new(); topology.num_edges()],
-            hist: (0..m).map(|_| Vec::with_capacity(g)).collect(),
-            totals: Vec::with_capacity(g),
+            slot_of: Vec::with_capacity(g),
             covs: Vec::with_capacity(g),
+            edges: homed
+                .into_iter()
+                .map(|slots| EdgeGroups {
+                    groups: Vec::with_capacity(slots),
+                    hist: (0..m).map(|_| Vec::with_capacity(slots)).collect(),
+                    totals: Vec::with_capacity(slots),
+                    cand: vec![0.0; m],
+                    ..EdgeGroups::default()
+                })
+                .collect(),
             row: vec![0; m],
-            cand: vec![0.0; m],
         };
         for (gi, group) in groups.iter().enumerate() {
             ix.row.fill(0);
@@ -88,23 +108,14 @@ impl Index {
                 labels.add_client_into(c, &mut ix.row);
                 ix.group_of[c] = gi as u32;
             }
-            ix.push_row();
-            if let Some(&first) = group.first() {
-                ix.by_edge[ix.edge_of[first] as usize].push(gi as u32);
-            }
+            let slot = match group.first() {
+                Some(&first) => ix.edges[ix.edge_of[first] as usize].push_slot(gi as u32, &ix.row),
+                None => NONE,
+            };
+            ix.slot_of.push(slot);
+            ix.covs.push(histogram_cov(&ix.row));
         }
         ix
-    }
-
-    /// Appends `self.row` as a new group's histogram, total and CoV.
-    fn push_row(&mut self) {
-        for (col, &h) in self.hist.iter_mut().zip(&self.row) {
-            col.push(h as f64);
-        }
-        let total = self.row.iter().sum::<u64>() as f64;
-        assert!(total <= MAX_EXACT_TOTAL, "group total {total} is not exact");
-        self.totals.push(total);
-        self.covs.push(histogram_cov(&self.row));
     }
 
     /// Per-group CoVs, index-aligned with the partition.
@@ -124,60 +135,92 @@ impl Index {
 
     /// Per edge, how many non-empty groups it homes.
     pub(super) fn live_groups_by_edge(&self) -> Vec<usize> {
-        self.by_edge.iter().map(Vec::len).collect()
+        self.edges.iter().map(|e| e.groups.len()).collect()
     }
 
-    /// Recomputes group `gi`'s cached CoV from its column entries.
-    fn refresh_cov(&mut self, gi: usize) {
-        for (h, col) in self.row.iter_mut().zip(&self.hist) {
-            *h = col[gi] as u64;
+    /// Recomputes group `gi`'s cached CoV from its column entries, at `slot`
+    /// on `edge`.
+    fn refresh_cov(&mut self, edge: usize, slot: usize, gi: usize) {
+        for (h, col) in self.row.iter_mut().zip(&self.edges[edge].hist) {
+            *h = col[slot] as u64;
         }
         self.covs[gi] = histogram_cov(&self.row);
     }
 
     /// `client` left group `gi`; `emptied` says it was the last member.
     pub(super) fn remove(&mut self, labels: &LabelMatrix, client: usize, gi: usize, emptied: bool) {
-        for (col, &c) in self.hist.iter_mut().zip(labels.client(client)) {
-            col[gi] -= f64::from(c);
+        let (e, slot) = (self.edge_of[client] as usize, self.slot_of[gi] as usize);
+        let edge = &mut self.edges[e];
+        for (col, &c) in edge.hist.iter_mut().zip(labels.client(client)) {
+            col[slot] -= f64::from(c);
         }
-        self.totals[gi] -= labels.client_total(client) as f64;
-        self.refresh_cov(gi);
+        edge.totals[slot] -= labels.client_total(client) as f64;
+        self.refresh_cov(e, slot, gi);
         self.group_of[client] = NONE;
         if emptied {
-            let list = &mut self.by_edge[self.edge_of[client] as usize];
-            let at = list
-                .binary_search(&(gi as u32))
-                .expect("a non-empty group is listed on its edge");
-            list.remove(at);
+            let edge = &mut self.edges[e];
+            edge.groups.remove(slot);
+            for col in &mut edge.hist {
+                col.remove(slot);
+            }
+            edge.totals.remove(slot);
+            for &g in &edge.groups[slot..] {
+                self.slot_of[g as usize] -= 1;
+            }
+            self.slot_of[gi] = NONE;
         }
     }
 
-    /// `client` joined the non-empty group `gi`.
-    pub(super) fn add(&mut self, labels: &LabelMatrix, client: usize, gi: usize) {
-        for (col, &c) in self.hist.iter_mut().zip(labels.client(client)) {
-            col[gi] += f64::from(c);
+    /// Places `clients`, in order, each into the group on its edge whose
+    /// CoV with the client added is lowest — the first strict minimum in
+    /// ascending group index over the edge's non-empty groups, with the
+    /// clients before it already placed — or, when the edge has none, into
+    /// a new group opened at the end of the partition. Returns each client's
+    /// group. None of `clients` may be in a group.
+    pub(super) fn place(&mut self, labels: &LabelMatrix, clients: &[usize]) -> Vec<usize> {
+        if clients.is_empty() {
+            return Vec::new();
         }
-        self.totals[gi] += labels.client_total(client) as f64;
-        assert!(
-            self.totals[gi] <= MAX_EXACT_TOTAL,
-            "group {gi}'s total {} is not exact",
-            self.totals[gi]
-        );
-        self.refresh_cov(gi);
-        self.group_of[client] = gi as u32;
-    }
+        for edge in &mut self.edges {
+            edge.clients.clear();
+        }
+        for &c in clients {
+            debug_assert_eq!(self.group_of[c], NONE, "client {c} is already placed");
+            self.edges[self.edge_of[c] as usize].clients.push(c);
+        }
+        // Sized here, so a pass allocates on its worker only to open a slot.
+        for edge in &mut self.edges {
+            edge.landed.clear();
+            edge.landed.reserve(edge.clients.len());
+            edge.merged = 0;
+        }
+        gfl_parallel::par_for_each_init(&mut self.edges, || (), |(), _, edge| edge.place(labels));
 
-    /// `client` opened a new group at the end of the partition; returns its
-    /// index.
-    pub(super) fn open_group(&mut self, labels: &LabelMatrix, client: usize) -> usize {
-        let gi = self.totals.len();
-        assert!(gi < NONE as usize, "group indices are held as u32");
-        self.row.fill(0);
-        labels.add_client_into(client, &mut self.row);
-        self.push_row();
-        self.group_of[client] = gi as u32;
-        self.by_edge[self.edge_of[client] as usize].push(gi as u32);
-        gi
+        // Merge in batch order: number each opened group when its opener
+        // comes up, as placing one client at a time would have.
+        let mut placed = Vec::with_capacity(clients.len());
+        for &c in clients {
+            let edge = &mut self.edges[self.edge_of[c] as usize];
+            let slot = edge.landed[edge.merged] as usize;
+            edge.merged += 1;
+            if edge.groups[slot] == NONE {
+                let gi = self.covs.len();
+                assert!(gi < NONE as usize, "group indices are held as u32");
+                edge.groups[slot] = gi as u32;
+                self.slot_of.push(slot as u32);
+                self.covs.push(Scalar::INFINITY);
+            }
+            self.group_of[c] = edge.groups[slot];
+            placed.push(edge.groups[slot] as usize);
+        }
+        for e in 0..self.edges.len() {
+            for i in 0..self.edges[e].landed.len() {
+                let slot = self.edges[e].landed[i] as usize;
+                let gi = self.edges[e].groups[slot] as usize;
+                self.refresh_cov(e, slot, gi);
+            }
+        }
+        placed
     }
 
     /// Drops every group `doomed[g]` marks and renumbers the rest in order.
@@ -198,82 +241,152 @@ impl Index {
         for g in self.group_of.iter_mut().filter(|g| **g != NONE) {
             *g = remap[*g as usize];
         }
-        for list in &mut self.by_edge {
-            list.retain_mut(|g| {
-                *g = remap[*g as usize];
-                *g != NONE
-            });
-        }
-        for col in &mut self.hist {
-            retain_unmarked(col, doomed);
-        }
-        retain_unmarked(&mut self.totals, doomed);
         retain_unmarked(&mut self.covs, doomed);
-    }
-
-    /// Loads `client`'s label counts into the candidate scratch row and
-    /// returns their total.
-    fn load_candidate(&mut self, labels: &LabelMatrix, client: usize) -> f64 {
-        for (c, &r) in self.cand.iter_mut().zip(labels.client(client)) {
-            *c = f64::from(r);
-        }
-        labels.client_total(client) as f64
-    }
-
-    /// The group on `client`'s edge whose CoV with `client` added is lowest:
-    /// the first strict minimum in ascending group index over the edge's
-    /// non-empty groups. `None` when the edge has none.
-    pub(super) fn best_group(&mut self, labels: &LabelMatrix, client: usize) -> Option<usize> {
-        let cand_total = self.load_candidate(labels, client);
-        let list = &self.by_edge[self.edge_of[client] as usize];
-        let mut best: Option<(u32, Scalar)> = None;
-        // The list is scanned as its maximal runs of consecutive indices —
-        // formation lays an edge's groups out contiguously, so this is one
-        // run plus whatever churn has split off.
-        let mut i = 0;
-        while i < list.len() {
-            let lo = list[i] as usize;
-            let mut len = 1;
-            while i + len < list.len() && list[i + len] as usize == lo + len {
-                len += 1;
-            }
-            let run = lo..lo + len;
-            scan_lanes::<Cov>(
-                &self.hist,
-                &self.totals,
-                run,
-                &self.cand,
-                cand_total,
-                |g, cov| {
-                    if best.is_none_or(|(_, b)| cov < b) {
-                        best = Some((g as u32, cov));
+        self.slot_of = vec![NONE; kept as usize];
+        for edge in &mut self.edges {
+            let mut kept = 0;
+            for slot in 0..edge.groups.len() {
+                let g = remap[edge.groups[slot] as usize];
+                if g != NONE {
+                    edge.groups[kept] = g;
+                    for col in &mut edge.hist {
+                        col[kept] = col[slot];
                     }
-                },
-            );
-            i += len;
+                    edge.totals[kept] = edge.totals[slot];
+                    self.slot_of[g as usize] = kept as u32;
+                    kept += 1;
+                }
+            }
+            edge.groups.truncate(kept);
+            for col in &mut edge.hist {
+                col.truncate(kept);
+            }
+            edge.totals.truncate(kept);
         }
-        best.map(|(g, _)| g as usize)
     }
 
-    /// The placement scan's values for `client` over `range`, for the tests.
+    /// Where a placement scan for `client` over `edge` lands: the winning
+    /// group, `None` when the edge has no non-empty group. For the tests.
+    #[cfg(test)]
+    pub(super) fn best_group(
+        &self,
+        labels: &LabelMatrix,
+        edge: usize,
+        client: usize,
+    ) -> Option<usize> {
+        let mut edge = self.edges[edge].clone();
+        edge.best(labels, client)
+            .map(|slot| edge.groups[slot] as usize)
+    }
+
+    /// The placement scan's values for `client` over `edge`'s groups, in
+    /// ascending group index. For the tests.
     #[cfg(test)]
     pub(super) fn covs_with_candidate(
-        &mut self,
+        &self,
         labels: &LabelMatrix,
+        edge: usize,
         client: usize,
-        range: std::ops::Range<usize>,
     ) -> Vec<Scalar> {
-        let cand_total = self.load_candidate(labels, client);
+        let edge = &self.edges[edge];
+        let cand: Vec<f64> = labels
+            .client(client)
+            .iter()
+            .map(|&c| f64::from(c))
+            .collect();
         let mut covs = Vec::new();
         scan_lanes::<Cov>(
-            &self.hist,
-            &self.totals,
-            range,
-            &self.cand,
-            cand_total,
+            &edge.hist,
+            &edge.totals,
+            0..edge.totals.len(),
+            &cand,
+            labels.client_total(client) as f64,
             |_, cov| covs.push(cov),
         );
         covs
+    }
+}
+
+/// The non-empty groups homed on one edge, as slots in ascending group
+/// index, and the edge's share of a placement batch.
+#[derive(Debug, Clone, Default)]
+struct EdgeGroups {
+    /// Slot → group index; [`NONE`] for a group this edge's pass opened and
+    /// the merge has yet to number.
+    groups: Vec<u32>,
+    /// `hist[j][slot]`: the slot's samples of label `j`.
+    hist: Vec<Vec<f64>>,
+    /// Slot → its total sample count.
+    totals: Vec<f64>,
+    /// Scratch for [`Index::place`]: this edge's clients in the batch, in
+    /// batch order …
+    clients: Vec<usize>,
+    /// … the slot each landed in …
+    landed: Vec<u32>,
+    /// … and how many of those the merge has read.
+    merged: usize,
+    /// Scratch: the candidate's label counts, one per label.
+    cand: Vec<f64>,
+}
+
+impl EdgeGroups {
+    /// Appends group `gi`, whose histogram is `row`, as the last slot.
+    fn push_slot(&mut self, gi: u32, row: &[u64]) -> u32 {
+        for (col, &h) in self.hist.iter_mut().zip(row) {
+            col.push(h as f64);
+        }
+        let total = row.iter().sum::<u64>() as f64;
+        assert!(total <= MAX_EXACT_TOTAL, "group total {total} is not exact");
+        self.totals.push(total);
+        self.groups.push(gi);
+        (self.groups.len() - 1) as u32
+    }
+
+    /// Places this edge's clients, one after another.
+    fn place(&mut self, labels: &LabelMatrix) {
+        for i in 0..self.clients.len() {
+            let client = self.clients[i];
+            let slot = self.best(labels, client).unwrap_or_else(|| {
+                for col in &mut self.hist {
+                    col.push(0.0);
+                }
+                self.totals.push(0.0);
+                self.groups.push(NONE);
+                self.groups.len() - 1
+            });
+            for (col, &c) in self.hist.iter_mut().zip(&self.cand) {
+                col[slot] += c;
+            }
+            self.totals[slot] += labels.client_total(client) as f64;
+            assert!(
+                self.totals[slot] <= MAX_EXACT_TOTAL,
+                "a group's total {} is not exact",
+                self.totals[slot]
+            );
+            self.landed.push(slot as u32);
+        }
+    }
+
+    /// The slot whose CoV with `client` added is lowest, the first strict
+    /// minimum in slot order; loads the client's counts into `cand`.
+    fn best(&mut self, labels: &LabelMatrix, client: usize) -> Option<usize> {
+        for (c, &r) in self.cand.iter_mut().zip(labels.client(client)) {
+            *c = f64::from(r);
+        }
+        let mut best: Option<(usize, Scalar)> = None;
+        scan_lanes::<Cov>(
+            &self.hist,
+            &self.totals,
+            0..self.totals.len(),
+            &self.cand,
+            labels.client_total(client) as f64,
+            |slot, cov| {
+                if best.is_none_or(|(_, b)| cov < b) {
+                    best = Some((slot, cov));
+                }
+            },
+        );
+        best.map(|(slot, _)| slot)
     }
 }
 
@@ -284,22 +397,27 @@ pub(super) fn retain_unmarked<T>(column: &mut Vec<T>, marks: &[bool]) {
     column.retain(|_| !marks.next().expect("one mark per element"));
 }
 
-/// Equality of everything derived (the scratch rows are not), floats by
-/// bit pattern: what "the incremental index equals a rebuild" means.
+/// Equality of everything derived (the scratch is not), floats by bit
+/// pattern: what "the incremental index equals a rebuild" means.
 #[cfg(test)]
 impl PartialEq for Index {
     fn eq(&self, other: &Self) -> bool {
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let same_edge = |a: &EdgeGroups, b: &EdgeGroups| {
+            a.groups == b.groups
+                && a.hist.len() == b.hist.len()
+                && a.hist.iter().zip(&b.hist).all(|(a, b)| bits(a) == bits(b))
+                && bits(&a.totals) == bits(&b.totals)
+        };
         self.group_of == other.group_of
             && self.edge_of == other.edge_of
-            && self.by_edge == other.by_edge
-            && self.hist.len() == other.hist.len()
+            && self.slot_of == other.slot_of
+            && self.edges.len() == other.edges.len()
             && self
-                .hist
+                .edges
                 .iter()
-                .zip(&other.hist)
-                .all(|(a, b)| bits(a) == bits(b))
-            && bits(&self.totals) == bits(&other.totals)
+                .zip(&other.edges)
+                .all(|(a, b)| same_edge(a, b))
             && self.covs.iter().map(|c| c.to_bits()).collect::<Vec<_>>()
                 == other.covs.iter().map(|c| c.to_bits()).collect::<Vec<_>>()
     }

@@ -523,16 +523,17 @@ fn kernel_world(m: usize) -> impl Strategy<Value = (LabelMatrix, Topology, Vec<G
 
 fn assert_lanes_match(
     (labels, topology, groups): (LabelMatrix, Topology, Vec<Group>),
-    picks: Vec<(usize, usize, usize)>,
+    picks: Vec<usize>,
 ) {
-    let mut index = Index::build(&groups, &labels, &topology);
-    for (cand, a, b) in picks {
+    let index = Index::build(&groups, &labels, &topology);
+    let live: Vec<usize> = (0..groups.len())
+        .filter(|&g| !groups[g].is_empty())
+        .collect();
+    for cand in picks {
         let cand = cand % labels.num_clients();
-        let (a, b) = (a % (groups.len() + 1), b % (groups.len() + 1));
-        let range = a.min(b)..a.max(b);
-        let lanes = index.covs_with_candidate(&labels, cand, range.clone());
-        prop_assert_eq!(lanes.len(), range.len());
-        for (gi, lane) in range.zip(lanes) {
+        let lanes = index.covs_with_candidate(&labels, 0, cand);
+        prop_assert_eq!(lanes.len(), live.len());
+        for (&gi, lane) in live.iter().zip(lanes) {
             let hist = labels.group_histogram(&groups[gi]);
             let want = cov_with_candidate(&labels, &hist, cand);
             prop_assert_eq!(
@@ -547,18 +548,18 @@ fn assert_lanes_match(
         // through `scan_lanes` — is the scalar scan's: the first strict
         // minimum over the edge's non-empty groups.
         let mut want: Option<(usize, Scalar)> = None;
-        for (gi, g) in groups.iter().enumerate().filter(|(_, g)| !g.is_empty()) {
-            let cov = cov_with_candidate(&labels, &labels.group_histogram(g), cand);
+        for &gi in &live {
+            let cov = cov_with_candidate(&labels, &labels.group_histogram(&groups[gi]), cand);
             if want.is_none_or(|(_, b)| cov < b) {
                 want = Some((gi, cov));
             }
         }
-        prop_assert_eq!(index.best_group(&labels, cand), want.map(|(g, _)| g));
+        prop_assert_eq!(index.best_group(&labels, 0, cand), want.map(|(g, _)| g));
     }
 }
 
-fn picks_strategy() -> impl Strategy<Value = Vec<(usize, usize, usize)>> {
-    proptest::collection::vec((0usize..1 << 16, 0usize..1 << 16, 0usize..1 << 16), 1..8)
+fn picks_strategy() -> impl Strategy<Value = Vec<usize>> {
+    proptest::collection::vec(0usize..1 << 16, 1..8)
 }
 
 proptest! {
@@ -665,9 +666,8 @@ fn an_edge_with_no_live_group_opens_one_at_the_global_end() {
         }
     });
     let mut index = state.take_index(&labels, &topology);
-    assert_eq!(index.best_group(&labels, 0), None);
-    let gi = state.place_client(&labels, &mut index, 0);
-    assert_eq!(gi, 4);
+    assert_eq!(index.best_group(&labels, 0, 0), None);
+    assert_eq!(state.place_clients(&labels, &mut index, &[0]), vec![4]);
     assert_eq!(state.groups[4], vec![0]);
     assert!(index == Index::build(&state.groups, &labels, &topology));
 }
@@ -687,8 +687,8 @@ fn placement_takes_the_first_strict_minimum_and_resets_the_baseline() {
         active[3] = false;
     });
     let mut index = state.take_index(&labels, &topology);
-    assert_eq!(index.best_group(&labels, 0), Some(0));
-    assert_eq!(state.place_client(&labels, &mut index, 0), 0);
+    assert_eq!(index.best_group(&labels, 0, 0), Some(0));
+    assert_eq!(state.place_clients(&labels, &mut index, &[0]), vec![0]);
     assert_eq!(state.groups[0], vec![1, 0]);
     let cov = group_cov(&labels, &[1, 0]);
     assert!(cov.is_finite() && cov > 0.0);
@@ -696,14 +696,47 @@ fn placement_takes_the_first_strict_minimum_and_resets_the_baseline() {
 }
 
 #[test]
+fn a_batch_numbers_the_groups_it_opens_in_the_order_their_openers_come() {
+    // Two edges whose clients interleave — edge 0 holds the odd ids — and
+    // whose groups are both husks. Client 0 opens a group on edge 1 before
+    // client 1 opens one on edge 0, although edge 0's pass is the first
+    // task; 2 and 3 then join their edge's one group.
+    let counts = vec![vec![1, 2]; 4];
+    let sizes = vec![3; 4];
+    let labels = LabelMatrix::new(counts, 2);
+    let topology = Topology::new(vec![vec![1, 3], vec![0, 2]], sizes);
+    let mut state = MembershipState {
+        groups: vec![Vec::new(), Vec::new()],
+        active: vec![false; 4],
+        health: vec![GroupHealth::fresh(Scalar::INFINITY); 2],
+        probs: Vec::new(),
+        last_heal: 0,
+        policy: RegroupPolicy::default(),
+        index: None,
+        memo: None,
+    };
+    let mut index = state.take_index(&labels, &topology);
+    assert_eq!(
+        state.place_clients(&labels, &mut index, &[0, 1, 2, 3]),
+        vec![2, 3, 2, 3]
+    );
+    assert_eq!(state.groups[2..], [vec![0, 2], vec![1, 3]]);
+    let cov = group_cov(&labels, &[0, 2]);
+    assert!(state.health[2..]
+        .iter()
+        .all(|h| h.baseline_cov.to_bits() == cov.to_bits()));
+    assert!(index == Index::build(&state.groups, &labels, &topology));
+}
+
+#[test]
 fn a_dry_candidate_on_a_dry_group_is_infinitely_bad_not_nan() {
     let (labels, topology) = two_edges(vec![vec![0, 0]; 8]);
     let mut state = form_pairs(&labels, &topology, RegroupPolicy::default());
-    let mut index = state.take_index(&labels, &topology);
-    let lanes = index.covs_with_candidate(&labels, 0, 0..4);
+    let index = state.take_index(&labels, &topology);
+    let lanes = index.covs_with_candidate(&labels, 0, 0);
     assert!(lanes.iter().all(|c| *c == Scalar::INFINITY), "{lanes:?}");
     // First candidate wins an all-infinite field.
-    assert_eq!(index.best_group(&labels, 1), Some(0));
+    assert_eq!(index.best_group(&labels, 0, 1), Some(0));
 }
 
 #[test]
@@ -791,4 +824,95 @@ fn the_memo_answers_only_for_the_plan_it_was_computed_from() {
         fresh.apply_churn(&plan_a, 3, &labels, &topology)
     );
     assert!(state.active_members() < 8);
+}
+
+/// Up to four edges whose clients interleave by id, each edge homing up to
+/// five groups that interleave by index with the other edges' (some empty,
+/// some edges with none), and a share of clients in no group — the batch.
+fn batch_world() -> impl Strategy<Value = (LabelMatrix, Topology, Vec<Group>)> {
+    (1usize..5, 1usize..6, 2usize..50, 1usize..12).prop_flat_map(|(edges, per_edge, n, m)| {
+        proptest::collection::vec(
+            (
+                0..edges,
+                0..per_edge + 2,
+                0u8..4,
+                proptest::collection::vec(0u32..500, m),
+            ),
+            n,
+        )
+        .prop_map(move |clients| {
+            let mut edge_clients = vec![Vec::new(); edges];
+            let mut groups = vec![Vec::new(); edges * per_edge];
+            let mut counts = Vec::new();
+            for (c, (edge, home, dry, row)) in clients.into_iter().enumerate() {
+                edge_clients[edge].push(c);
+                if home < per_edge {
+                    groups[home * edges + edge].push(c);
+                }
+                counts.push(if dry == 0 { vec![0; m] } else { row });
+            }
+            let sizes = counts
+                .iter()
+                .map(|r| r.iter().sum::<u32>() as usize)
+                .collect();
+            (
+                LabelMatrix::new(counts, m),
+                Topology::new(edge_clients, sizes),
+                groups,
+            )
+        })
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn a_batch_places_as_the_reference_does_one_client_at_a_time_at_any_thread_count(
+        (labels, topology, groups) in batch_world(),
+    ) {
+        let mut active = vec![false; labels.num_clients()];
+        for &c in groups.iter().flatten() {
+            active[c] = true;
+        }
+        let batch: Vec<usize> = (0..active.len()).filter(|&c| !active[c]).collect();
+        let health: Vec<GroupHealth> =
+            groups.iter().map(|g| GroupHealth::fresh(group_cov(&labels, g))).collect();
+        let state = MembershipState {
+            groups,
+            active,
+            health,
+            probs: Vec::new(),
+            last_heal: 0,
+            policy: RegroupPolicy::default(),
+            index: None,
+            memo: None,
+        };
+
+        let mut reference = Reference::of(&state);
+        let edge_of = edge_map(&topology);
+        let mut stats: Vec<GroupStats> = reference
+            .groups
+            .iter()
+            .map(|g| GroupStats::from_members(&labels, g))
+            .collect();
+        let want: Vec<usize> = batch
+            .iter()
+            .map(|&c| reference.place_client(&labels, &edge_of, &mut stats, c))
+            .collect();
+
+        gfl_test_support::for_each_thread_count(&[1, 2, 8], |threads| {
+            let mut state = state.clone();
+            let mut index = state.take_index(&labels, &topology);
+            let placed = state.place_clients(&labels, &mut index, &batch);
+            assert_eq!(placed, want, "{threads} threads");
+            assert_eq!(state.groups, reference.groups, "{threads} threads");
+            let health = |h: &[GroupHealth]| h.iter().map(|h| h.baseline_cov.to_bits()).collect::<Vec<_>>();
+            assert_eq!(health(&state.health), health(&reference.health), "{threads} threads");
+            assert!(
+                index == Index::build(&state.groups, &labels, &topology),
+                "{threads} threads: index drifted from a rebuild"
+            );
+        });
+    }
 }

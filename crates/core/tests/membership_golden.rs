@@ -12,7 +12,8 @@
 //! rebuild-per-tick code they replaced: one different placement anywhere
 //! in the 29 k events changes every hash after it.
 //!
-//! The smoke size (18 000 clients × 4 rounds) runs in tier-1; `GFL_SCALE=1`
+//! The smoke size (18 000 clients × 4 rounds) runs in tier-1, at the
+//! default worker count and again at one and at eight; `GFL_SCALE=1`
 //! adds the benchmark's full size (90 000 × 16), whose event counts are the
 //! ones `gfl simulate` prints for the workload at seed 1.
 
@@ -131,19 +132,29 @@ fn run(clients: usize, rounds: usize, seed: u64) -> Fingerprint {
     fingerprint(&history, &membership)
 }
 
+/// The smoke size's recording.
+const SMOKE: Fingerprint = Fingerprint {
+    events: 5193,
+    groups: 2032,
+    active: 14515,
+    log: 1315389086103369355,
+    partition: 8146491469969143512,
+    probs: 5943257321608300261,
+};
+
 #[test]
 fn scale_churn_smoke_event_log_matches_the_rebuild_per_tick_recording() {
-    assert_eq!(
-        run(18_000, 4, 1),
-        Fingerprint {
-            events: 5193,
-            groups: 2032,
-            active: 14515,
-            log: 1315389086103369355,
-            partition: 8146491469969143512,
-            probs: 5943257321608300261,
-        }
-    );
+    assert_eq!(run(18_000, 4, 1), SMOKE);
+}
+
+#[test]
+fn scale_churn_smoke_event_log_is_the_recording_at_one_and_eight_threads() {
+    // Arrivals and orphans are placed an edge per pool task, and the
+    // recording was taken one client at a time on one thread: neither a
+    // lone worker nor more workers than edges may move an event.
+    gfl_test_support::for_each_thread_count(&[1, 8], |threads| {
+        assert_eq!(run(18_000, 4, 1), SMOKE, "{threads} threads");
+    });
 }
 
 #[test]
