@@ -491,6 +491,17 @@ struct Unit<'a> {
     slot: &'a mut Slot,
 }
 
+/// What every unit of one group round shares: global round `t`, group
+/// round `k`, the step size, the global model the round started from and
+/// the local update rule.
+struct GroupRound<'a, S> {
+    t: usize,
+    k: usize,
+    lr: Scalar,
+    global: &'a [Scalar],
+    strategy: &'a S,
+}
+
 impl Trainer {
     /// Validates the configuration against the data and builds a trainer,
     /// returning a typed [`ConfigError`] instead of panicking — the one
@@ -915,6 +926,13 @@ impl Trainer {
 
         for k in 0..cfg.group_rounds {
             let k_start = obs.map(|ob| ob.now_ns());
+            let round = GroupRound {
+                t,
+                k,
+                lr,
+                global,
+                strategy,
+            };
             // Flatten this group round into per-client units. Splitting a
             // ctx into its fields lets each unit hold the group model
             // immutably alongside a mutable borrow of its own slot.
@@ -950,7 +968,7 @@ impl Trainer {
                     // simulation work is complete and touches no shared
                     // simulation state.
                     let step_start = obs.map(|ob| ob.now_ns());
-                    self.run_unit(t, k, lr, global, strategy, unit, scratch.get_mut());
+                    self.run_unit(&round, unit, scratch.get_mut());
                     if let Some(ob) = obs {
                         ob.record_span(
                             SpanKind::ClientStep,
@@ -1143,17 +1161,19 @@ impl Trainer {
     /// the fault gates around it). Writes only `unit.slot`; every decision
     /// is a pure function of `(seed, t, k, client)`, so the outcome does
     /// not depend on which worker thread runs the unit or when.
-    #[allow(clippy::too_many_arguments)]
     fn run_unit<S: LocalUpdate>(
         &self,
-        t: usize,
-        k: usize,
-        lr: Scalar,
-        global: &[Scalar],
-        strategy: &S,
+        round: &GroupRound<'_, S>,
         unit: &mut Unit<'_>,
         scratch: &mut LocalScratch,
     ) {
+        let GroupRound {
+            t,
+            k,
+            lr,
+            global,
+            strategy,
+        } = *round;
         let cfg = &self.config;
         let fs = self.faults.as_ref();
         let client = unit.client;

@@ -281,18 +281,6 @@ pub struct GroupHealth {
 /// `serde_json` prints `null`, which does not read back — so it travels as
 /// the string `f32` itself prints and parses: `"inf"`, `"-inf"`, `"NaN"`.
 impl Serialize for GroupHealth {
-    fn to_value(&self) -> serde::Value {
-        let cov = if self.baseline_cov.is_finite() {
-            self.baseline_cov.to_value()
-        } else {
-            serde::Value::String(self.baseline_cov.to_string())
-        };
-        serde::Value::Object(vec![
-            ("baseline_cov".to_string(), cov),
-            ("quorum_misses".to_string(), self.quorum_misses.to_value()),
-        ])
-    }
-
     fn write_json(&self, w: &mut serde::JsonWriter<'_>) {
         w.begin_object();
         if self.baseline_cov.is_finite() {
@@ -379,17 +367,6 @@ impl PartialEq for MembershipState {
 /// because the vendored derive has no `skip` and the index and memo must
 /// stay off the wire.
 impl Serialize for MembershipState {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Object(vec![
-            ("groups".to_string(), self.groups.to_value()),
-            ("active".to_string(), self.active.to_value()),
-            ("health".to_string(), self.health.to_value()),
-            ("probs".to_string(), self.probs.to_value()),
-            ("last_heal".to_string(), self.last_heal.to_value()),
-            ("policy".to_string(), self.policy.to_value()),
-        ])
-    }
-
     fn write_json(&self, w: &mut serde::JsonWriter<'_>) {
         w.begin_object();
         w.field("groups", &self.groups);

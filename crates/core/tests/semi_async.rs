@@ -197,6 +197,60 @@ fn semi_async_self_healing_checkpoint_resume_is_bit_identical() {
 }
 
 #[test]
+fn hostile_checkpoint_loads_back_to_its_own_bytes() {
+    // Event clock × churn × adversary × faults: every optional section of
+    // the checkpoint and every event kind is filled, and what `load` reads
+    // prints the bytes `save` wrote.
+    let w = tiny_world(46).rounds(6);
+    let seed = 46 + seed_offset();
+    let trainer = w
+        .trainer()
+        .with_faults(
+            FaultPlan::moderate(seed),
+            FaultPolicy {
+                quorum_fraction: 0.7,
+                ..FaultPolicy::default()
+            },
+            &w.topo,
+        )
+        .with_adversary(AdversaryPlan::moderate(seed))
+        .with_churn(
+            ChurnPlan {
+                seed,
+                horizon: 4,
+                departure_fraction: 0.4,
+                arrival_fraction: 0.2,
+                flap_prob: 0.1,
+            },
+            RegroupPolicy::default(),
+        );
+    let algo = covg(2, 1.0);
+    let plan = RunPlan {
+        clock: Clock::EventDriven(AsyncConfig::default()),
+        membership: Membership::SelfHealing {
+            algo: &algo,
+            topology: &w.topo,
+            sampling: SamplingStrategy::ESRCov,
+        },
+    };
+    let state = trainer.run_plan(&FedAvg, &plan).unwrap();
+    let events = state.history.events();
+    assert!(events.iter().any(|e| e.fault().is_some()), "no fault");
+    assert!(events.iter().any(|e| e.attack().is_some()), "no attack");
+    assert!(events.iter().any(|e| e.regroup().is_some()), "no regroup");
+    assert!(events.iter().any(|e| e.timed().is_some()), "no timed event");
+
+    let cp = Checkpoint::from_state(&state, w.cfg.clone());
+    assert!(cp.membership.is_some() && cp.scheduler.is_some());
+    let path = std::env::temp_dir().join(format!("gfl_hostile_bytes_{}.json", std::process::id()));
+    cp.save(&path).unwrap();
+    let bytes = std::fs::read_to_string(&path).unwrap();
+    let loaded = Checkpoint::load(&path).unwrap();
+    let _ = std::fs::remove_file(&path);
+    assert_eq!(loaded.to_json(), bytes);
+}
+
+#[test]
 fn partial_quorum_cuts_stragglers_as_timed_events() {
     let w = tiny_world(46);
     let trainer = w.trainer().with_faults(

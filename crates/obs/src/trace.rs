@@ -375,7 +375,7 @@ impl TraceReader {
 }
 
 /// Parses one line expecting a specific record type tag.
-fn parse_record<T: DeserializeOwned>(no: usize, line: &str, expect: &str) -> Result<T, TraceError> {
+fn parse_record<T: Deserialize>(no: usize, line: &str, expect: &str) -> Result<T, TraceError> {
     let value: Value = serde_json::from_str(line).map_err(|e| TraceError::Malformed {
         line: no,
         message: e.to_string(),
@@ -392,17 +392,12 @@ fn parse_record<T: DeserializeOwned>(no: usize, line: &str, expect: &str) -> Res
 
 /// Deserializes a record from an already-parsed line value (the extra
 /// `type` field is ignored by the derived deserializers).
-fn from_line<T: DeserializeOwned>(no: usize, value: &Value) -> Result<T, TraceError> {
-    let json = serde_json::to_string(value).expect("re-render parsed value");
-    serde_json::from_str(&json).map_err(|e| TraceError::Malformed {
+fn from_line<T: Deserialize>(no: usize, value: &Value) -> Result<T, TraceError> {
+    T::from_value(value).map_err(|e| TraceError::Malformed {
         line: no,
         message: e.to_string(),
     })
 }
-
-/// Local stand-in for upstream serde's `DeserializeOwned` bound.
-trait DeserializeOwned: Deserialize {}
-impl<T: Deserialize> DeserializeOwned for T {}
 
 #[cfg(test)]
 mod tests {

@@ -34,50 +34,19 @@ where
     U: Send,
     F: Fn(&T) -> U + Sync,
 {
-    par_map_with(items, default_parallelism(), f)
+    map_on(items, default_parallelism(), || (), |(), item| f(item))
 }
 
 /// [`par_map`] with an explicit thread count, for tests that must stay off
 /// the process-global default.
+#[cfg(test)]
 pub(crate) fn par_map_with<T, U, F>(items: &[T], threads: usize, f: F) -> Vec<U>
 where
     T: Sync,
     U: Send,
     F: Fn(&T) -> U + Sync,
 {
-    let len = items.len();
-    if len == 0 {
-        return Vec::new();
-    }
-    let threads = threads.clamp(1, len);
-    if threads == 1 {
-        return items.iter().map(f).collect();
-    }
-
-    let mut out: Vec<U> = Vec::with_capacity(len);
-    let out_ptr = SendPtr(out.as_mut_ptr());
-    let cursor = AtomicUsize::new(0);
-    region(threads, |participant| {
-        let out_ptr = &out_ptr;
-        let mut claimed = 0u64;
-        loop {
-            let i = cursor.fetch_add(1, Ordering::Relaxed);
-            if i >= len {
-                break;
-            }
-            claimed += 1;
-            // SAFETY: slot `i` belongs to this claim alone, and the buffer
-            // has capacity `len`.
-            unsafe { out_ptr.0.add(i).write(f(&items[i])) };
-        }
-        crate::stats::record_claims(claimed, participant != 0);
-    });
-    // SAFETY: the cursor handed out every index in 0..len exactly once and
-    // `region` returned normally, so all slots are initialized. (If a worker
-    // panics, `region` unwinds before this point and the written elements
-    // leak — safe, and acceptable on the panic path.)
-    unsafe { out.set_len(len) };
-    out
+    map_on(items, threads, || (), |(), item| f(item))
 }
 
 /// Like [`par_map`], but each participant first builds private state with
@@ -94,11 +63,22 @@ where
     I: Fn() -> S + Sync,
     F: Fn(&mut S, &T) -> U + Sync,
 {
+    map_on(items, default_parallelism(), init, f)
+}
+
+/// The one map body: [`par_map_init`] on up to `threads` participants.
+fn map_on<T, U, S, I, F>(items: &[T], threads: usize, init: I, f: F) -> Vec<U>
+where
+    T: Sync,
+    U: Send,
+    I: Fn() -> S + Sync,
+    F: Fn(&mut S, &T) -> U + Sync,
+{
     let len = items.len();
     if len == 0 {
         return Vec::new();
     }
-    let threads = default_parallelism().clamp(1, len);
+    let threads = threads.clamp(1, len);
     if threads == 1 {
         let mut state = init();
         return items.iter().map(|item| f(&mut state, item)).collect();
@@ -117,12 +97,16 @@ where
                 break;
             }
             claimed += 1;
-            // SAFETY: slot `i` was claimed exactly once (see par_map_with).
+            // SAFETY: slot `i` belongs to this claim alone, and the buffer
+            // has capacity `len`.
             unsafe { out_ptr.0.add(i).write(f(&mut state, &items[i])) };
         }
         crate::stats::record_claims(claimed, participant != 0);
     });
-    // SAFETY: every slot initialized; see par_map_with.
+    // SAFETY: the cursor handed out every index in 0..len exactly once and
+    // `region` returned normally, so all slots are initialized. (If a worker
+    // panics, `region` unwinds before this point and the written elements
+    // leak — safe, and acceptable on the panic path.)
     unsafe { out.set_len(len) };
     out
 }
