@@ -101,6 +101,24 @@ fn summarize_refuses_a_v1_trace_naming_its_version() {
 }
 
 #[test]
+fn summarize_of_deeply_nested_json_exits_with_an_error_naming_the_file() {
+    // Run as its own process: a parser that recursed without limit would
+    // overflow the stack and abort (exit 134) rather than answer.
+    let path = tmp("deep.jsonl");
+    std::fs::write(&path, "[".repeat(200_000)).unwrap();
+    let run = std::process::Command::new(env!("CARGO_BIN_EXE_gfl-trace"))
+        .arg("summarize")
+        .arg(&path)
+        .output()
+        .unwrap();
+    std::fs::remove_file(&path).ok();
+    let out = String::from_utf8_lossy(&run.stdout);
+    assert_eq!(run.status.code(), Some(2), "{out}");
+    assert!(out.contains(&format!("error: {}", path.display())), "{out}");
+    assert!(out.contains("recursion limit exceeded"), "{out}");
+}
+
+#[test]
 fn diff_of_two_same_seed_runs_reports_zero_divergence() {
     let (a, b) = (tmp("diff_a.jsonl"), tmp("diff_b.jsonl"));
     traced_run(&a);

@@ -409,6 +409,16 @@ mod tests {
     }
 
     #[test]
+    fn deep_nesting_is_a_format_error_not_a_stack_overflow() {
+        let err = Checkpoint::from_json(&"[".repeat(200_000)).unwrap_err();
+        assert!(matches!(err, CheckpointError::Format(_)), "{err:?}");
+        assert!(
+            err.to_string().contains("recursion limit exceeded"),
+            "{err}"
+        );
+    }
+
+    #[test]
     fn checkpointed_session_resumes_equivalently() {
         // Run 6 rounds straight vs 3 rounds → checkpoint → restore → 3
         // more: the driver must produce the same final model.

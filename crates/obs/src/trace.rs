@@ -461,6 +461,23 @@ mod tests {
     }
 
     #[test]
+    fn deep_nesting_is_a_malformed_line_not_a_stack_overflow() {
+        let deep = "[".repeat(200_000);
+        match TraceReader::parse(&deep) {
+            Err(TraceError::Malformed { line: 1, message }) => {
+                assert!(message.contains("recursion limit exceeded"), "{message}")
+            }
+            other => panic!("expected Malformed error, got {other:?}"),
+        }
+        let interior = format!("{}{deep}\n", sample_jsonl());
+        let lines = interior.lines().count();
+        match TraceReader::parse(&interior) {
+            Err(TraceError::Malformed { line, .. }) => assert_eq!(line, lines),
+            other => panic!("expected Malformed error, got {other:?}"),
+        }
+    }
+
+    #[test]
     fn reader_refuses_v1_traces_with_a_typed_version_error() {
         // Nothing writes v1 (the pre-byte-accounting schema) any more, so
         // its meta line is refused up front, naming the version.

@@ -3,10 +3,11 @@
 //! Five kernels carry essentially all training FLOPs: [`dot`], [`axpy`],
 //! [`gemm_nt`] (forward `A·Bᵀ`, as [`pack_nt`] + [`gemm_nt_packed`]),
 //! [`gemm_tn`] (backward `Aᵀ·B`) and [`backward_delta`] (backward
-//! `(Δ·W) ⊙ relu'`). This module provides explicit `std::arch`
-//! implementations at every dispatch tier the build can target — AVX-512F
-//! and AVX2 on x86-64 — plus a portable scalar reference (what every other
-//! architecture runs), selected once at runtime from CPU feature detection.
+//! `(Δ·W) ⊙ relu'`). This module provides a build of each at every
+//! dispatch tier the build can target — AVX-512F and AVX2 on x86-64,
+//! explicit `std::arch` code for all but `dot` and `axpy` — plus a portable
+//! scalar reference (what every other architecture runs), selected once at
+//! runtime from CPU feature detection.
 //! Two more carry what is left of a step on the light model once the GEMMs
 //! are fast, the per-row softmax tails: [`softmax_xent_rows`] (training:
 //! logits → `(P − Y)/B` and the loss) and [`xent_argmax_rows`] (evaluation:
@@ -21,12 +22,14 @@
 //! - **dot**: 16 independent partial accumulators; chain `c` sums
 //!   `x[16q+c] * y[16q+c]` over ascending `q`; the chains are then combined
 //!   strictly left-to-right starting from `0.0`, followed by the remainder
-//!   elements in ascending order. A 512-bit lane *is* one chain and 256-bit
-//!   tiers run two vector accumulators; all tiers spill to the same
-//!   `[f32; 16]` buffer and reduce it sequentially.
+//!   elements in ascending order. Every tier runs the scalar reference
+//!   itself, inlined into a function compiled for the tier's features:
+//!   LLVM lays the sixteen chains across vector lanes and, f32 addition
+//!   not being associative, never reorders them.
 //! - **axpy**: element-wise `y[i] + alpha * x[i]` — one multiply rounding
 //!   and one add rounding per element in every tier, so lanes are trivially
-//!   bit-identical.
+//!   bit-identical; like **dot**, each tier is the scalar reference
+//!   compiled with the tier's features.
 //! - **gemm_nt**: each output element is one full-`k` [`dot`] in the
 //!   canonical order, but a vector lane is an *output*, not a chain.
 //!   [`pack_nt`] transposes `B` into 16-column panels (`panel[kk][l] =
@@ -460,6 +463,7 @@ pub(crate) mod scalar {
 
     /// Canonical dot: 16 stride-16 accumulator chains, reduced
     /// left-to-right from `0.0`, then the ascending remainder.
+    #[inline(always)]
     pub(crate) fn dot(x: &[Scalar], y: &[Scalar]) -> Scalar {
         let mut acc = [0.0f32; 16];
         for (cx, cy) in x.chunks_exact(16).zip(y.chunks_exact(16)) {
@@ -478,6 +482,7 @@ pub(crate) mod scalar {
         sum
     }
 
+    #[inline(always)]
     pub(crate) fn axpy(alpha: Scalar, x: &[Scalar], y: &mut [Scalar]) {
         for (yi, &xi) in y.iter_mut().zip(x.iter()) {
             *yi += alpha * xi;
@@ -618,49 +623,17 @@ mod x86 {
     /// slice lengths of the like-named dispatcher in the parent module.
     macro_rules! tier_kernels {
         ($feature:literal) => {
+            /// The scalar reference, inlined: compiled under the tier's
+            /// features it vectorizes as well as explicit intrinsics do
+            /// (docs/PERF.md, "SIMD kernels"), with the same roundings.
             #[target_feature(enable = $feature)]
             pub(in super::super) unsafe fn dot(x: &[f32], y: &[f32]) -> f32 {
-                let (xp, yp, chunks) = (x.as_ptr(), y.as_ptr(), x.len() / PANEL);
-                // `PANEL / L` vectors hold the 16 chains, lane = chain.
-                let mut acc = [zero(); PANEL / L];
-                for c in 0..chunks {
-                    for (h, s) in acc.iter_mut().enumerate() {
-                        let i = c * PANEL + h * L;
-                        *s = add(*s, mul(load(xp.add(i)), load(yp.add(i))));
-                    }
-                }
-                // Spill, then the canonical sequential reduction: chains left
-                // to right from `0.0`, then the ascending remainder.
-                let mut buf = [0.0f32; PANEL];
-                for (h, &s) in acc.iter().enumerate() {
-                    store(buf.as_mut_ptr().add(h * L), s);
-                }
-                let mut sum = 0.0f32;
-                for v in buf {
-                    sum += v;
-                }
-                for i in chunks * PANEL..x.len() {
-                    sum += *xp.add(i) * *yp.add(i);
-                }
-                sum
+                scalar::dot(x, y)
             }
 
             #[target_feature(enable = $feature)]
             pub(in super::super) unsafe fn axpy(alpha: f32, x: &[f32], y: &mut [f32]) {
-                let (xp, yp, len) = (x.as_ptr(), y.as_mut_ptr(), x.len());
-                let av = set1(alpha);
-                let mut i = 0;
-                while i + 2 * L <= len {
-                    let y0 = add(load(yp.add(i)), mul(av, load(xp.add(i))));
-                    let y1 = add(load(yp.add(i + L)), mul(av, load(xp.add(i + L))));
-                    store(yp.add(i), y0);
-                    store(yp.add(i + L), y1);
-                    i += 2 * L;
-                }
-                while i < len {
-                    *yp.add(i) += alpha * *xp.add(i);
-                    i += 1;
-                }
+                scalar::axpy(alpha, x, y)
             }
 
             /// One vector of outputs at a time (`j0` walks the panels in
