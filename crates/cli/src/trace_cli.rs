@@ -173,7 +173,11 @@ fn write_summary(trace: &Trace, out: &mut dyn Write) -> std::io::Result<()> {
     let (wall_ns, totals, coverage) = match &trace.summary {
         Some(s) => (s.wall_ns, s.span_totals.clone(), s.coverage),
         None => (
-            trace.rounds.iter().map(|r| r.wall_ns).sum(),
+            trace
+                .rounds
+                .iter()
+                .map(|r| r.wall_ns)
+                .fold(0, u64::saturating_add),
             trace.span_totals(),
             trace.round_coverage(),
         ),
@@ -202,12 +206,13 @@ fn write_summary(trace: &Trace, out: &mut dyn Write) -> std::io::Result<()> {
             pct
         )?;
     }
-    let ce: u64 = trace
-        .rounds
-        .iter()
-        .filter_map(|r| r.client_edge_bytes)
-        .sum();
-    let ec: u64 = trace.rounds.iter().filter_map(|r| r.edge_cloud_bytes).sum();
+    // Saturating, like every fold over a parsed (possibly hostile) trace.
+    let link = |bytes: fn(&RoundMetrics) -> Option<u64>| {
+        let counts = trace.rounds.iter().filter_map(bytes);
+        counts.fold(0, u64::saturating_add)
+    };
+    let ce = link(|r| r.client_edge_bytes);
+    let ec = link(|r| r.edge_cloud_bytes);
     writeln!(out, "\nlink              bytes")?;
     writeln!(out, "client<->edge  {ce:>10}")?;
     writeln!(out, "edge<->cloud   {ec:>10}")?;
@@ -442,7 +447,8 @@ fn write_wall_flame(trace: &Trace, out: &mut dyn Write) -> std::io::Result<()> {
     let regroup = total(SpanKind::Regroup);
 
     let us = |ns: u64| ns / 1_000;
-    let round_self = round.saturating_sub(train + aggregate + comm + eval);
+    let phases = [train, aggregate, comm, eval].into_iter();
+    let round_self = round.saturating_sub(phases.fold(0, u64::saturating_add));
     let stacks = [
         ("round", round_self),
         ("round;train", train.saturating_sub(group_round)),

@@ -119,6 +119,78 @@ fn summarize_of_deeply_nested_json_exits_with_an_error_naming_the_file() {
 }
 
 #[test]
+fn summarize_and_flame_saturate_durations_that_sum_past_u64_max() {
+    // A summary-less trace whose spans, phases, walls and bytes each sum
+    // past u64::MAX. Run as its own process: an unchecked `+` panics in a
+    // debug build and wraps silently in release.
+    let path = tmp("overflow.jsonl");
+    let max = u64::MAX;
+    let span = |kind: &str, dur: u64, round: u64| {
+        format!(
+            "{{\"type\":\"span\",\"kind\":\"{kind}\",\"start_ns\":0,\"dur_ns\":{dur},\
+             \"round\":{round},\"group_round\":null,\"group\":null,\"client\":null,\
+             \"bytes\":null}}\n"
+        )
+    };
+    let round = |round: u64, wall: u64, train: u64, bytes: u64| {
+        format!(
+            "{{\"type\":\"round\",\"round\":{round},\"wall_ns\":{wall},\"train_ns\":{train},\
+             \"aggregate_ns\":0,\"comm_ns\":0,\"eval_ns\":5,\"groups_trained\":1,\
+             \"clients_trained\":1,\"fault_events\":0,\"cost_total\":1.0,\"pool_regions\":0,\
+             \"pool_claims\":0,\"pool_steals\":0,\"pool_utilization\":0.0,\"allocs\":0,\
+             \"client_edge_bytes\":{bytes},\"edge_cloud_bytes\":{bytes}}}\n"
+        )
+    };
+    let text = [
+        "{\"type\":\"meta\",\"schema_version\":2,\"producer\":\"gfl-obs 0.1.0\",\"threads\":1}\n"
+            .to_string(),
+        span("Round", max, 0),
+        span("Round", 1_000_000, 1),
+        span("Train", max, 0),
+        span("Eval", 2_000_000, 1),
+        round(0, max, max, max),
+        round(1, 1_000_000, 400_000, 7),
+    ]
+    .concat();
+    std::fs::write(&path, text).unwrap();
+    let run = |args: &[&str]| {
+        let run = std::process::Command::new(env!("CARGO_BIN_EXE_gfl-trace"))
+            .args(args)
+            .arg(&path)
+            .output()
+            .unwrap();
+        let out = String::from_utf8_lossy(&run.stdout).into_owned();
+        let err = String::from_utf8_lossy(&run.stderr);
+        assert_eq!(
+            run.status.code(),
+            Some(0),
+            "gfl-trace {args:?}:\n{out}{err}"
+        );
+        out
+    };
+    let summary = run(&["summarize"]);
+    let flame = run(&["flame"]);
+    std::fs::remove_file(&path).ok();
+    // u64::MAX ns, not a wrapped 0.001 s.
+    let saturated = "18446744073.710 s";
+    assert!(summary.contains(&format!("wall: {saturated}")), "{summary}");
+    assert!(summary.contains("phase coverage: 100.0%"), "{summary}");
+    let round_row = summary.lines().find(|l| l.starts_with("round ")).unwrap();
+    assert!(round_row.contains(saturated), "{summary}");
+    assert!(
+        summary.contains(&format!("client<->edge  {max:>10}")),
+        "{summary}"
+    );
+    // Train saturates the round's children, so the round has no self time.
+    assert!(
+        flame.contains(&format!("round;train {}", max / 1_000)),
+        "{flame}"
+    );
+    assert!(flame.contains("round;eval 2000\n"), "{flame}");
+    assert!(!flame.lines().any(|l| l.starts_with("round ")), "{flame}");
+}
+
+#[test]
 fn diff_of_two_same_seed_runs_reports_zero_divergence() {
     let (a, b) = (tmp("diff_a.jsonl"), tmp("diff_b.jsonl"));
     traced_run(&a);

@@ -319,7 +319,7 @@ impl Trainer {
         // group (and Line 15 below). Every member that attempted the round
         // also moved its downloads and uploads on the client↔edge link,
         // whether or not the group's result later reaches the cloud.
-        let mut sizes = self.member_pool.take();
+        let mut sizes = self.members.take_empty();
         let client_bytes = self.comm.client_bytes_per_round(
             params.len(),
             cfg.group_rounds,
@@ -368,10 +368,10 @@ impl Trainer {
             sizes.clear();
             sizes.extend(admitted.iter().map(|o| o.samples));
             sizes.extend(matured.iter().map(|p| p.samples));
-            let mut sampled_probs = self.param_pool.take();
+            let mut sampled_probs = self.params.take_empty();
             sampled_probs.extend(admitted.iter().map(|o| probs[o.group]));
             sampled_probs.extend(matured.iter().map(|p| p.prob));
-            let mut weights = self.param_pool.take();
+            let mut weights = self.params.take_empty();
             let total = self.data.total_samples();
             aggregation_weights_into(cfg.weighting, &sizes, &sampled_probs, total, &mut weights);
             if let Some(ev) = &event {
@@ -385,10 +385,10 @@ impl Trainer {
             for (x, &w) in updates.zip(weights.iter()) {
                 ops::axpy(w, x, params);
             }
-            self.param_pool.put(sampled_probs);
-            self.param_pool.put(weights);
+            self.params.put(sampled_probs);
+            self.params.put(weights);
         }
-        self.member_pool.put(sizes);
+        self.members.put(sizes);
 
         let fresh = admitted.iter().map(|o| &o.members);
         let stale = matured.iter().map(|p| &p.members);
@@ -502,8 +502,8 @@ impl Trainer {
         // Hand the round's parameter and member buffers back to the pools
         // so the next round's groups start from warm capacity.
         for o in outcomes {
-            self.param_pool.put(o.params);
-            self.member_pool.put(o.members);
+            self.params.put(o.params);
+            self.members.put(o.members);
         }
         over_budget
     }
@@ -605,12 +605,11 @@ impl Trainer {
         // Attack-success rates, on the same cadence as accuracy: both eval
         // sets carry the attacker's label, so plain accuracy on them *is*
         // the success rate.
-        let pool = &self.eval_pool;
         let rate = |d: &gfl_data::Dataset| {
-            let eval = self
-                .model
-                .evaluate_pooled(params, d.features(), d.labels(), pool);
-            eval.accuracy
+            let (x, y) = (d.features(), d.labels());
+            self.model
+                .evaluate_pooled(params, x, y, &self.eval)
+                .accuracy
         };
         let adv = self.adversary.as_ref();
         let trigger_asr = adv.and_then(|a| a.trigger_eval.as_ref()).map(&rate);

@@ -27,6 +27,7 @@ use gfl_faults::{
 use gfl_nn::sgd::LrSchedule;
 use gfl_nn::{Network, Params};
 use gfl_obs::{SpanAttrs, SpanKind, TraceCollector};
+use gfl_parallel::Pool;
 use gfl_sim::{CommModel, CostLedger, CostModel, Task, Topology};
 use gfl_tensor::init;
 use gfl_tensor::{ops, Scalar};
@@ -39,7 +40,7 @@ use crate::cov::group_cov;
 use crate::driver::{Clock, Membership, RunPlan};
 use crate::grouping::GroupingAlgorithm;
 use crate::history::{Event, RunHistory};
-use crate::local::{BufPool, LocalScratch, LocalTask, LocalUpdate, ScratchPool};
+use crate::local::{LocalScratch, LocalTask, LocalUpdate};
 use crate::membership::RegroupPolicy;
 use crate::sampling::{AggregationWeighting, SamplingStrategy};
 use crate::Group;
@@ -172,6 +173,30 @@ pub fn form_groups_active(
     per_edge.into_iter().flatten().collect()
 }
 
+/// What one pool worker reuses from unit to unit (training scratch, virtual
+/// shard buffers, SecAgg rows), each cleared or overwritten before a read.
+struct WorkerScratch {
+    local: LocalScratch,
+    features: Vec<Scalar>,
+    labels: Vec<usize>,
+    indices: Vec<usize>,
+    mix: Vec<f64>,
+    secagg: gfl_secagg::RangeScratch,
+}
+
+impl WorkerScratch {
+    fn new(model: &Network) -> Self {
+        Self {
+            local: LocalScratch::new(model),
+            features: Vec::new(),
+            labels: Vec::new(),
+            indices: Vec::new(),
+            mix: Vec::new(),
+            secagg: Default::default(),
+        }
+    }
+}
+
 /// The Group-FEL trainer: owns the model, the federated data layout, and
 /// the test set.
 pub struct Trainer {
@@ -188,24 +213,16 @@ pub struct Trainer {
     pub(crate) churn: Option<ChurnState>,
     pub(crate) adversary: Option<AdversaryState>,
     robust_agg: RobustAggRule,
-    scratch: ScratchPool<LocalScratch>,
-    /// Working rows of the secure group aggregation, one per worker.
-    secagg_scratch: ScratchPool<gfl_secagg::RangeScratch>,
-    /// Parameter-length `Vec<Scalar>` buffers (group models, slot bufs,
-    /// Line-15 weight/probability scratch), recycled across rounds.
-    pub(crate) param_pool: BufPool<Scalar>,
-    /// `Vec<usize>` buffers (outcome member lists, ledger size scratch,
-    /// virtual-shard label and index vectors).
-    pub(crate) member_pool: BufPool<usize>,
-    /// Feature-row backing buffers for on-demand virtual shards, recycled
-    /// so a steady-state round materializes into warm capacity.
-    shard_pool: BufPool<Scalar>,
-    /// Label-mix scratch of those shards, one class-count `Vec<f64>` each.
-    mix_pool: BufPool<f64>,
-    /// Per-group slot-shell `Vec<Slot>` buffers.
-    slot_pool: BufPool<Slot>,
+    /// One [`WorkerScratch`] per pool worker, checked out per region.
+    workers: Pool<WorkerScratch>,
     /// Evaluation workspaces for the per-round test/ASR evaluations.
-    pub(crate) eval_pool: gfl_nn::EvalPool,
+    pub(crate) eval: Pool<gfl_nn::NetworkWorkspace>,
+    /// Group models, slot buffers and Line-15 probability/weight scratch.
+    pub(crate) params: Pool<Vec<Scalar>>,
+    /// Member lists of outcomes and the ledger's size scratch.
+    pub(crate) members: Pool<Vec<usize>>,
+    /// Per-group slot shells.
+    slots: Pool<Vec<Slot>>,
     pub(crate) obs: Option<Arc<TraceCollector>>,
 }
 
@@ -546,14 +563,11 @@ impl Trainer {
             churn: None,
             adversary: None,
             robust_agg: RobustAggRule::Mean,
-            scratch: ScratchPool::new(),
-            secagg_scratch: ScratchPool::new(),
-            param_pool: BufPool::new(),
-            member_pool: BufPool::new(),
-            shard_pool: BufPool::new(),
-            mix_pool: BufPool::new(),
-            slot_pool: BufPool::new(),
-            eval_pool: gfl_nn::EvalPool::new(),
+            workers: Pool::default(),
+            eval: Pool::default(),
+            params: Pool::default(),
+            members: Pool::default(),
+            slots: Pool::default(),
             obs: None,
         })
     }
@@ -697,12 +711,6 @@ impl Trainer {
         self
     }
 
-    /// The adversary plan attached via [`Trainer::with_adversary`], if the
-    /// plan was not clean.
-    pub fn adversary_plan(&self) -> Option<&AdversaryPlan> {
-        self.adversary.as_ref().map(|a| &a.plan)
-    }
-
     /// Selects the group-level aggregation rule for Line 14. The default
     /// [`RobustAggRule::Mean`] is the paper's weighted average; robust
     /// rules trade its unbiasedness for Byzantine tolerance.
@@ -749,16 +757,6 @@ impl Trainer {
         self.data.as_virtual()
     }
 
-    /// The federated data layout (materialized or virtual).
-    pub fn fed_data(&self) -> &FedData {
-        &self.data
-    }
-
-    /// The held-out test dataset.
-    pub fn test_data(&self) -> &Dataset {
-        &self.test
-    }
-
     /// Number of samples held by a set of clients.
     pub fn group_samples(&self, group: &[usize]) -> usize {
         group.iter().map(|&c| self.data.client_size(c)).sum()
@@ -768,12 +766,8 @@ impl Trainer {
     /// evaluation workspaces — bit-identical to [`Network::evaluate`],
     /// allocation-free once the pool is warm.
     pub fn evaluate(&self, params: &[Scalar]) -> gfl_nn::mlp::EvalResult {
-        self.model.evaluate_pooled(
-            params,
-            self.test.features(),
-            self.test.labels(),
-            &self.eval_pool,
-        )
+        self.model
+            .evaluate_pooled(params, self.test.features(), self.test.labels(), &self.eval)
     }
 
     /// Builds the cost ledger for a strategy (its op mix and train factor).
@@ -890,14 +884,14 @@ impl Trainer {
                 // Pooled: the group model and every slot buffer come back
                 // with warm parameter-length capacity after round one.
                 group_params: {
-                    let mut gp = self.param_pool.take();
+                    let mut gp = self.params.take_empty();
                     gp.extend_from_slice(global);
                     gp
                 },
                 slots: {
-                    let mut slots = self.slot_pool.take();
+                    let mut slots = self.slots.take_empty();
                     slots.extend(group.iter().map(|_| Slot {
-                        buf: self.param_pool.take(),
+                        buf: self.params.take_empty(),
                         live: false,
                         event: None,
                         attack: None,
@@ -961,14 +955,14 @@ impl Trainer {
             }
             gfl_parallel::par_for_each_init(
                 &mut units,
-                || self.scratch.acquire(|| LocalScratch::new(&self.model)),
+                || self.workers.checkout(|| WorkerScratch::new(&self.model)),
                 |scratch, _i, unit| {
                     // Client-step spans are timed around the unit from the
                     // worker thread; the mutex push happens after the unit's
                     // simulation work is complete and touches no shared
                     // simulation state.
                     let step_start = obs.map(|ob| ob.now_ns());
-                    self.run_unit(&round, unit, scratch.get_mut());
+                    self.run_unit(&round, unit, scratch);
                     if let Some(ob) = obs {
                         ob.record_span(
                             SpanKind::ClientStep,
@@ -1074,10 +1068,10 @@ impl Trainer {
                 // recycled by the round driver once aggregation is done.
                 let mut slots = ctx.slots;
                 for s in slots.drain(..) {
-                    self.param_pool.put(s.buf);
+                    self.params.put(s.buf);
                 }
-                self.slot_pool.put(slots);
-                let mut members = self.member_pool.take();
+                self.slots.put(slots);
+                let mut members = self.members.take_empty();
                 members.extend_from_slice(ctx.group);
                 GroupOutcome {
                     group: ctx.gi,
@@ -1165,7 +1159,7 @@ impl Trainer {
         &self,
         round: &GroupRound<'_, S>,
         unit: &mut Unit<'_>,
-        scratch: &mut LocalScratch,
+        scratch: &mut WorkerScratch,
     ) {
         let GroupRound {
             t,
@@ -1253,10 +1247,10 @@ impl Trainer {
         // baked in *before* any masking or robust aggregation, so attacks
         // survive SecAgg exactly as they would in deployment. Materialized
         // federations use prebuilt shards; virtual ones derive the client's
-        // rows on demand into pooled buffers (released below) and apply the
+        // rows into the worker's buffers (handed back below) and apply the
         // campaign to the fresh rows with the routine that prebuilt those.
         let adv = self.adversary.as_ref();
-        let mut owned: Option<(Dataset, Vec<usize>)> = None;
+        let mut owned: Option<Dataset> = None;
         let mut poisoned: Option<(AttackKind, usize)> = None;
         let (data, indices): (&Dataset, &[usize]) = match &self.data {
             FedData::Materialized { train, partition } => {
@@ -1269,11 +1263,9 @@ impl Trainer {
                 }
             }
             FedData::Virtual(pop) => {
-                let features = self.shard_pool.take();
-                let labels = self.member_pool.take();
-                let mut mix = self.mix_pool.take();
-                let mut ds = pop.shard_from_parts(client, features, labels, &mut mix);
-                self.mix_pool.put(mix);
+                let features = std::mem::take(&mut scratch.features);
+                let labels = std::mem::take(&mut scratch.labels);
+                let mut ds = pop.shard_from_parts(client, features, labels, &mut scratch.mix);
                 if let Some(a) = adv.filter(|a| a.plan.kind(client).is_some()) {
                     let classes = ds.num_classes();
                     let (mut features, mut labels) = ds.into_parts();
@@ -1281,11 +1273,9 @@ impl Trainer {
                         poison_shard(&a.plan, &a.trigger, client, &mut features, &mut labels);
                     ds = Dataset::new(features, labels, classes);
                 }
-                let mut idx = self.member_pool.take();
-                idx.extend(0..ds.len());
-                owned = Some((ds, idx));
-                let (d, i) = owned.as_ref().expect("just set");
-                (d, i.as_slice())
+                scratch.indices.clear();
+                scratch.indices.extend(0..ds.len());
+                (owned.insert(ds), scratch.indices.as_slice())
             }
         };
         if let Some((kind, rows)) = poisoned {
@@ -1319,7 +1309,7 @@ impl Trainer {
             lr,
             round: t,
         };
-        let loss = strategy.train(&task, &mut slot.buf, scratch, &mut crng);
+        let loss = strategy.train(&task, &mut slot.buf, &mut scratch.local, &mut crng);
         if !indices.is_empty() {
             slot.loss = Some(loss);
         }
@@ -1384,13 +1374,9 @@ impl Trainer {
             slot.live = true;
         }
         // Virtual shards live exactly as long as the unit that trained on
-        // them: hand the feature/label/index buffers back for the next
-        // sampled client, on every exit path past materialization.
-        if let Some((ds, idx)) = owned {
-            let (features, labels) = ds.into_parts();
-            self.shard_pool.put(features.into_vec());
-            self.member_pool.put(labels);
-            self.member_pool.put(idx);
+        // them: the worker keeps their buffers for its next client.
+        if let Some((features, labels)) = owned.map(Dataset::into_parts) {
+            (scratch.features, scratch.labels) = (features.into_vec(), labels);
         }
     }
 
@@ -1432,9 +1418,9 @@ impl Trainer {
         let mut chunks: Vec<&mut [Scalar]> = out.chunks_mut(CHUNK).collect();
         gfl_parallel::par_for_each_init(
             &mut chunks,
-            || self.secagg_scratch.acquire(Default::default),
+            || self.workers.checkout(|| WorkerScratch::new(&self.model)),
             |scratch, i, chunk| {
-                session.aggregate_range(i * CHUNK, &survivors, chunk, scratch.get_mut());
+                session.aggregate_range(i * CHUNK, &survivors, chunk, &mut scratch.secagg);
             },
         );
         session.round_cost(survivors.len())

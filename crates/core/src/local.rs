@@ -44,9 +44,9 @@ pub struct LocalTask<'a> {
 
 /// Per-thread reusable buffers for local training.
 ///
-/// One instance serves many clients in sequence: the engine keeps a pool of
-/// these (one per worker thread) so the workspace, gradient, shuffle, and
-/// minibatch buffers are allocated once per run instead of once per client.
+/// One instance serves many clients in sequence: each engine worker holds
+/// one, so the workspace, gradient, shuffle, and minibatch buffers are
+/// allocated once per worker per run instead of once per client.
 pub struct LocalScratch {
     pub workspace: NetworkWorkspace,
     pub grad: Vec<Scalar>,
@@ -61,103 +61,6 @@ impl LocalScratch {
             grad: vec![0.0; model.param_len()],
             shuffled: Vec::new(),
             batch: Batch::empty(),
-        }
-    }
-}
-
-/// A shared pool of per-worker scratch values ([`LocalScratch`] for
-/// training, the secure-aggregation working rows).
-///
-/// Worker threads check a scratch out at the start of a parallel region and
-/// return it on drop, so a long run allocates at most one scratch per worker
-/// thread — not one per group per round. The pool lives on the `Trainer` and
-/// is warm across rounds.
-pub(crate) struct ScratchPool<T> {
-    pool: std::sync::Mutex<Vec<T>>,
-}
-
-impl<T> ScratchPool<T> {
-    pub(crate) fn new() -> Self {
-        Self {
-            pool: std::sync::Mutex::new(Vec::new()),
-        }
-    }
-
-    /// Checks out a scratch (building one with `make` only when the pool is
-    /// dry).
-    pub(crate) fn acquire(&self, make: impl FnOnce() -> T) -> ScratchGuard<'_, T> {
-        let scratch = self
-            .pool
-            .lock()
-            .expect("scratch pool poisoned")
-            .pop()
-            .unwrap_or_else(make);
-        ScratchGuard {
-            pool: self,
-            scratch: Some(scratch),
-        }
-    }
-}
-
-/// RAII check-out of one scratch; returns it to the pool on drop.
-pub(crate) struct ScratchGuard<'a, T> {
-    pool: &'a ScratchPool<T>,
-    scratch: Option<T>,
-}
-
-impl<T> ScratchGuard<'_, T> {
-    pub(crate) fn get_mut(&mut self) -> &mut T {
-        self.scratch.as_mut().expect("scratch taken")
-    }
-}
-
-impl<T> Drop for ScratchGuard<'_, T> {
-    fn drop(&mut self) {
-        if let (Some(s), Ok(mut pool)) = (self.scratch.take(), self.pool.pool.lock()) {
-            pool.push(s);
-        }
-    }
-}
-
-/// A pool of reusable `Vec<T>` buffers.
-///
-/// The steady-state companion to [`ScratchPool`]: per-round buffers whose
-/// sizes repeat across rounds (group parameter vectors, member lists, slot
-/// shells) are checked out with [`BufPool::take`] and handed back with
-/// [`BufPool::put`] once the round is done, so after warm-up the engine
-/// reuses capacity instead of reallocating it.
-pub(crate) struct BufPool<T> {
-    pool: std::sync::Mutex<Vec<Vec<T>>>,
-}
-
-impl<T> BufPool<T> {
-    pub(crate) fn new() -> Self {
-        Self {
-            pool: std::sync::Mutex::new(Vec::new()),
-        }
-    }
-
-    /// Checks out an empty buffer, retaining the capacity it grew in
-    /// earlier rounds. Allocates a fresh (zero-capacity) `Vec` only when
-    /// the pool is dry.
-    pub(crate) fn take(&self) -> Vec<T> {
-        let mut buf = self
-            .pool
-            .lock()
-            .expect("buffer pool poisoned")
-            .pop()
-            .unwrap_or_default();
-        buf.clear();
-        buf
-    }
-
-    /// Returns a buffer to the pool. Contents are discarded on the next
-    /// [`BufPool::take`]; capacity is what the pool preserves.
-    pub(crate) fn put(&self, buf: Vec<T>) {
-        // A poisoned lock means a worker panicked mid-round; dropping the
-        // buffer is strictly better than double-panicking here.
-        if let Ok(mut pool) = self.pool.lock() {
-            pool.push(buf);
         }
     }
 }

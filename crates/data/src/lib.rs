@@ -20,7 +20,6 @@ pub mod feddata;
 pub mod label_matrix;
 pub mod partition;
 pub mod poison;
-pub mod shards;
 pub mod synthetic;
 pub mod virtual_pop;
 
@@ -30,6 +29,5 @@ pub use feddata::FedData;
 pub use label_matrix::LabelMatrix;
 pub use partition::{ClientPartition, PartitionSpec};
 pub use poison::Trigger;
-pub use shards::shard_partition;
 pub use synthetic::SyntheticSpec;
 pub use virtual_pop::{VirtualPopulation, VirtualSpec};

@@ -206,11 +206,11 @@ impl VirtualPopulation {
     }
 
     /// [`Self::shard`] building into caller-supplied backing buffers, so
-    /// the per-round materialization of sampled clients can recycle
-    /// allocations through a [`BufPool`]-style pool. Pass the buffers back
-    /// by destructuring the returned dataset with [`Dataset::into_parts`]
-    /// and [`Matrix::into_vec`]; `mix` is scratch for the client's label
-    /// mix and holds nothing the caller needs afterwards.
+    /// the per-round materialization of sampled clients can recycle the
+    /// allocations of a worker's scratch. Pass the buffers back by
+    /// destructuring the returned dataset with [`Dataset::into_parts`] and
+    /// [`Matrix::into_vec`]; `mix` is scratch for the client's label mix
+    /// and holds nothing the caller needs afterwards.
     pub fn shard_from_parts(
         &self,
         c: usize,

@@ -24,7 +24,7 @@ pub mod zoo;
 
 pub use conv::Cnn1d;
 pub use mlp::{Mlp, Workspace};
-pub use network::{EvalPool, Network, NetworkWorkspace};
+pub use network::{Network, NetworkWorkspace};
 
 /// Flat model parameters. All federated aggregation operates on this.
 pub type Params = Vec<f32>;

@@ -7,8 +7,7 @@
 //! SecAgg masking, SCAFFOLD variates, and defenses are oblivious to which
 //! architecture is inside.
 
-use std::sync::Mutex;
-
+use gfl_parallel::Pool;
 use gfl_tensor::{Matrix, Scalar};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -120,7 +119,7 @@ impl Network {
     /// Mean loss and accuracy over a labeled set:
     /// [`Network::evaluate_pooled`] over scratch of its own.
     pub fn evaluate(&self, params: &[Scalar], features: &Matrix, labels: &[usize]) -> EvalResult {
-        self.evaluate_pooled(params, features, labels, &EvalPool::new())
+        self.evaluate_pooled(params, features, labels, &Pool::default())
     }
 
     /// Mean loss and accuracy over a labeled set, with workspaces checked
@@ -139,7 +138,7 @@ impl Network {
         params: &[Scalar],
         features: &Matrix,
         labels: &[usize],
-        pool: &EvalPool,
+        pool: &Pool<NetworkWorkspace>,
     ) -> EvalResult {
         assert_eq!(features.rows(), labels.len());
         let n = labels.len();
@@ -157,13 +156,13 @@ impl Network {
         let partials = gfl_parallel::par_map_init(
             &ranges,
             || {
-                let mut guard = pool.acquire(self);
-                if let (Network::Mlp(m), NetworkWorkspace::Mlp(w)) = (self, guard.workspace()) {
+                let mut ws = pool.checkout(|| self.workspace());
+                if let (Network::Mlp(m), NetworkWorkspace::Mlp(w)) = (self, &mut *ws) {
                     m.pack_weights(params, w);
                 }
-                guard
+                ws
             },
-            |guard, &range| match (self, guard.workspace()) {
+            |ws, &range| match (self, &mut **ws) {
                 (Network::Mlp(m), NetworkWorkspace::Mlp(w)) => {
                     m.eval_chunk(params, features, labels, range, w)
                 }
@@ -180,64 +179,6 @@ impl Network {
             loss: loss_sum / n as Scalar,
             accuracy: correct as Scalar / n as Scalar,
             examples: n,
-        }
-    }
-}
-
-/// Pool of evaluation scratch — a [`NetworkWorkspace`] per worker.
-/// Workspaces are checked out by [`Network::evaluate_pooled`] and returned
-/// on guard drop, so repeated evaluations stop allocating once every worker
-/// has been seeded.
-#[derive(Debug, Default)]
-pub struct EvalPool {
-    pool: Mutex<Vec<NetworkWorkspace>>,
-}
-
-impl EvalPool {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    fn acquire(&self, net: &Network) -> EvalScratchGuard<'_> {
-        let item = self
-            .pool
-            .lock()
-            .expect("eval pool poisoned")
-            .pop()
-            .unwrap_or_else(|| net.workspace());
-        EvalScratchGuard {
-            pool: self,
-            item: Some(item),
-        }
-    }
-}
-
-/// RAII checkout from an [`EvalPool`]; returns the scratch on drop.
-struct EvalScratchGuard<'p> {
-    pool: &'p EvalPool,
-    item: Option<NetworkWorkspace>,
-}
-
-impl EvalScratchGuard<'_> {
-    fn workspace(&mut self) -> &mut NetworkWorkspace {
-        self.item.as_mut().expect("guard holds scratch")
-    }
-}
-
-impl Drop for EvalScratchGuard<'_> {
-    fn drop(&mut self) {
-        if let Some(item) = self.item.take() {
-            self.pool.lock_put(item);
-        }
-    }
-}
-
-impl EvalPool {
-    fn lock_put(&self, item: NetworkWorkspace) {
-        // Poisoned on a panicking eval worker — drop the scratch instead
-        // of double-panicking in a Drop impl.
-        if let Ok(mut pool) = self.pool.lock() {
-            pool.push(item);
         }
     }
 }
@@ -288,7 +229,7 @@ mod tests {
             let features = Matrix::from_fn(rows, dim, |r, c| ((r * dim + c) % 17) as f32 * 0.1);
             let labels: Vec<usize> = (0..rows).map(|i| i % net.num_classes()).collect();
             let want = net.evaluate(&p, &features, &labels);
-            let pool = EvalPool::new();
+            let pool = Pool::default();
             // Twice through the pool: first seeds the scratch, second reuses it.
             for pass in 0..2 {
                 let got = net.evaluate_pooled(&p, &features, &labels, &pool);

@@ -139,10 +139,12 @@ impl RoundMetrics {
 /// The one coverage fold — the summary line, [`Trace::round_coverage`] and
 /// [`RoundMetrics::coverage`] all use it.
 pub fn phase_coverage(rounds: &[RoundMetrics]) -> f64 {
+    // Saturating: the values come from parsed (possibly hostile) traces.
     let (covered, wall): (u64, u64) = rounds.iter().fold((0, 0), |(c, w), r| {
+        let phases = [r.train_ns, r.aggregate_ns, r.comm_ns, r.eval_ns];
         (
-            c + r.train_ns + r.aggregate_ns + r.comm_ns + r.eval_ns,
-            w + r.wall_ns,
+            phases.into_iter().fold(c, u64::saturating_add),
+            w.saturating_add(r.wall_ns),
         )
     });
     if wall == 0 {
@@ -204,13 +206,13 @@ pub struct Trace {
 }
 
 impl Trace {
-    /// Total recorded duration for one span kind (ns).
+    /// Total recorded duration for one span kind (ns), saturating at
+    /// `u64::MAX` on a hostile trace.
     pub fn span_total_ns(&self, kind: SpanKind) -> u64 {
         self.spans
             .iter()
             .filter(|s| s.kind == kind)
-            .map(|s| s.dur_ns)
-            .sum()
+            .fold(0, |total, s| total.saturating_add(s.dur_ns))
     }
 
     /// Number of recorded spans of `kind`.

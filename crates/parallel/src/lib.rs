@@ -22,10 +22,12 @@
 //! deterministic and nested parallelism cannot oversubscribe the machine.
 
 pub mod fork;
+mod pool;
 mod scope;
 pub mod stats;
 
 pub use fork::{in_region, region, worker_index};
+pub use pool::{Checkout, Pool};
 pub use scope::{par_for_each_init, par_map, par_map_init};
 
 use std::num::NonZeroUsize;

@@ -5,8 +5,8 @@
 //! from-scratch dense math library. Everything the network layer
 //! (`gfl-nn`) needs lives here:
 //!
-//! * [`Matrix`]: row-major `f32` matrix with blocked GEMM, GEMV, and
-//!   transpose-aware products.
+//! * [`Matrix`]: row-major `f32` matrix and borrowed row views — the
+//!   container the kernels below run over.
 //! * [`ops`]: BLAS-1 style kernels over plain slices (axpy, dot, scale,
 //!   norms, softmax).
 //! * [`simd`]: explicit `std::arch` microkernels behind the hot ops

@@ -3,8 +3,9 @@
 //! These are the innermost loops of local SGD: parameter updates are axpy,
 //! FedProx's proximal term is axpy against the anchor, SCAFFOLD's control
 //! variates are two more axpys, and secure-aggregation masking is a slice
-//! add. None allocates. The four kernels that carry the training FLOPs —
-//! [`dot`], [`axpy`], [`gemm_nt`], [`gemm_tn`] — dispatch to explicit
+//! add. None allocates. The kernels that carry the training FLOPs —
+//! [`dot`], [`axpy`], [`gemm_tn`] here and the forward
+//! [`crate::simd::gemm_nt`] — dispatch to explicit
 //! SIMD implementations in [`crate::simd`] (AVX-512F/AVX2,
 //! runtime-detected, `GFL_SIMD` override); every tier is bit-identical to
 //! the scalar reference by construction. [`exp`] is the one f32
@@ -286,18 +287,6 @@ pub fn weighted_sum_into(xs: &[&[Scalar]], weights: &[Scalar], out: &mut [Scalar
 /// loop overhead low.
 pub const GEMM_TILE: usize = 32;
 
-/// `out = A · Bᵀ` over row-major slices: `a` is `m×k`, `b` is `n×k`, `out`
-/// is `m×n`, and `out[i][j] = dot(a.row(i), b.row(j))`.
-///
-/// Packs `b` into 16-column panels and streams the rows of `a` past one
-/// cache-resident panel at a time, sixteen outputs per vector (see
-/// [`crate::simd::gemm_nt_packed`]). Each output element is still one
-/// full-`k` [`dot`] in the canonical order, so results are bit-identical
-/// across SIMD dispatch tiers.
-pub fn gemm_nt(a: &[Scalar], b: &[Scalar], out: &mut [Scalar], m: usize, n: usize, k: usize) {
-    crate::simd::gemm_nt(a, b, out, m, n, k);
-}
-
 /// Blocked `out = Aᵀ · B` over row-major slices: `a` is `r×m`, `b` is `r×n`,
 /// `out` is `m×n`, and `out[i][j] = Σ_t a[t][i] * b[t][j]`.
 ///
@@ -417,7 +406,7 @@ mod tests {
                 .map(|i| ((i * 5 + 1) % 13) as f32 * 0.25)
                 .collect();
             let mut out = vec![0.0f32; m * n];
-            gemm_nt(&a, &b, &mut out, m, n, k);
+            crate::simd::gemm_nt(&a, &b, &mut out, m, n, k);
             for i in 0..m {
                 for j in 0..n {
                     let want = dot(&a[i * k..(i + 1) * k], &b[j * k..(j + 1) * k]);

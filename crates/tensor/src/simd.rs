@@ -289,7 +289,8 @@ pub fn gemm_nt_packed(
     dispatch!(gemm_nt_packed(a, packed, bias, relu, out, (m, n, k)))
 }
 
-/// Dispatched `out = A · Bᵀ` (see [`crate::ops::gemm_nt`] for shapes):
+/// Dispatched `out = A · Bᵀ` over row-major slices: `a` is `m×k`, `b` is
+/// `n×k`, `out` is `m×n`, and `out[i][j] = dot(a.row(i), b.row(j))`.
 /// [`pack_nt`] into a scratch image, then [`gemm_nt_packed`]. Callers that
 /// reuse `B` across calls pack once and call the packed kernel themselves.
 pub fn gemm_nt(a: &[Scalar], b: &[Scalar], out: &mut [Scalar], m: usize, n: usize, k: usize) {
