@@ -465,8 +465,8 @@ pub const SIMULATE: Command = Command {
             flag("rounds",     Int(1),             Lit("40"),   "global rounds T"),
             flag("k",          Int(1),             Lit("5"),    "group rounds K per global round"),
             flag("e",          Int(0),             Lit("2"),    "local epochs E per group round"),
-            flag("sample",     Int(0),             Lit("4"),    "groups sampled per global round S"),
-            flag("batch",      Int(0),             Lit("32"),   "minibatch size"),
+            flag("sample",     Int(1),             Lit("4"),    "groups sampled per global round S"),
+            flag("batch",      Int(1),             Lit("32"),   "minibatch size"),
             flag("lr",         Float(Positive),    Lit("0.05"), "learning rate"),
             flag("eval-every", Int(1),             Lit("2"),    "evaluate the global model every N rounds"),
             flag("budget",     Float(Any),         Absent,      "cost budget in emulated seconds (unlimited when absent)"),

@@ -1360,6 +1360,15 @@ mod tests {
     }
 
     #[test]
+    fn simulate_zero_sample_or_batch_is_a_usage_error_not_a_silent_one() {
+        // Both used to parse and run as 1.
+        for flag in ["sample", "batch"] {
+            let err = rejected(&format!("{SMALL} --{flag} 0")).to_string();
+            assert_eq!(err, format!("--{flag}: '0' is not a valid integer >= 1"));
+        }
+    }
+
+    #[test]
     fn simulate_unknown_method_errors() {
         let err = rejected(&format!("{SMALL} --method sgd")).to_string();
         assert_eq!(

@@ -27,13 +27,15 @@ use gfl_faults::{
 use gfl_nn::sgd::LrSchedule;
 use gfl_nn::{Network, Params};
 use gfl_obs::{SpanAttrs, SpanKind, TraceCollector};
-use gfl_parallel::Pool;
+use gfl_parallel::{Pool, Pusher, TaskQueue};
 use gfl_sim::{CommModel, CostLedger, CostModel, Task, Topology};
 use gfl_tensor::init;
 use gfl_tensor::{ops, Scalar};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
+use std::cell::UnsafeCell;
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use crate::cov::group_cov;
@@ -173,14 +175,17 @@ pub fn form_groups_active(
     per_edge.into_iter().flatten().collect()
 }
 
-/// What one pool worker reuses from unit to unit (training scratch, virtual
-/// shard buffers, SecAgg rows), each cleared or overwritten before a read.
+/// What one pool worker reuses from task to task (training scratch,
+/// virtual shard buffers, the FLAME filter's live list and delta rows,
+/// SecAgg rows), each cleared or overwritten before a read.
 struct WorkerScratch {
     local: LocalScratch,
     features: Vec<Scalar>,
     labels: Vec<usize>,
     indices: Vec<usize>,
     mix: Vec<f64>,
+    live: Vec<usize>,
+    deltas: Vec<Vec<Scalar>>,
     secagg: gfl_secagg::RangeScratch,
 }
 
@@ -192,6 +197,8 @@ impl WorkerScratch {
             labels: Vec::new(),
             indices: Vec::new(),
             mix: Vec::new(),
+            live: Vec::new(),
+            deltas: Vec::new(),
             secagg: Default::default(),
         }
     }
@@ -222,7 +229,9 @@ pub struct Trainer {
     /// Member lists of outcomes and the ledger's size scratch.
     pub(crate) members: Pool<Vec<usize>>,
     /// Per-group slot shells.
-    slots: Pool<Vec<Slot>>,
+    slots: Pool<Vec<Handoff<Slot>>>,
+    /// The queue each global round's task graph runs on.
+    tasks: TaskQueue<RoundTask>,
     pub(crate) obs: Option<Arc<TraceCollector>>,
 }
 
@@ -455,9 +464,14 @@ impl GroupCuts {
     }
 }
 
-/// One client's fixed result slot within a group round. Workers write
-/// their slot and nothing else; the sequential reducer drains slots in
-/// member order, so the aggregate is independent of execution order.
+/// Coordinates per SecAgg chunk task: a whole number of keystream blocks
+/// at every lane width, and a working set (a row per survivor plus the
+/// masks) that stays in L1/L2.
+const SECAGG_CHUNK: usize = 1024;
+
+/// One client's fixed result slot within a group round. Its step writes
+/// the slot and nothing else; the group's drain reads slots in member
+/// order, so the aggregate is independent of execution order.
 struct Slot {
     /// The trained local model. Reused across group rounds — a client's
     /// parameter buffer is allocated once per (group, round), not once per
@@ -475,13 +489,55 @@ struct Slot {
     loss: Option<Scalar>,
 }
 
-/// Per-group mutable state threaded through the `K` group rounds.
-struct GroupCtx<'g> {
-    gi: usize,
-    group: &'g [usize],
-    group_params: Params,
-    slots: Vec<Slot>,
-    deadline: Option<(f64, f64)>,
+/// A value a round's task graph hands from task to task without a lock.
+/// The graph orders every access: a step owns its member's slot and reads
+/// the group model, a drain (or the last SecAgg chunk) owns its whole
+/// group, and chunks share the session and write disjoint ranges. Each
+/// hand-over is a release/acquire pair — a group's countdown, or the
+/// queue's mutex between a push and its pop — so every write is seen by
+/// the next task that reads it.
+#[repr(transparent)]
+struct Handoff<T>(UnsafeCell<T>);
+
+// SAFETY: tasks on other threads read a value through `&` (so `T: Sync`)
+// or own it while they write (so `T: Send`); the graph above keeps those
+// two apart.
+unsafe impl<T: Send + Sync> Sync for Handoff<T> {}
+
+impl<T> Handoff<T> {
+    fn new(value: T) -> Self {
+        Self(UnsafeCell::new(value))
+    }
+
+    fn get(&self) -> *mut T {
+        self.0.get()
+    }
+
+    fn into_inner(self) -> T {
+        self.0.into_inner()
+    }
+
+    /// # Safety
+    /// No task may write any of the values while the view is alive.
+    unsafe fn view(cells: &[Self]) -> &[T] {
+        // SAFETY: `Handoff<T>` and `UnsafeCell<T>` have `T`'s layout, and
+        // the caller rules out writers.
+        std::slice::from_raw_parts(cells.as_ptr().cast(), cells.len())
+    }
+
+    /// # Safety
+    /// No other task may touch any of the values while the view is alive.
+    #[allow(clippy::mut_from_ref)] // the cells are what make this sound
+    unsafe fn view_mut(cells: &[Self]) -> &mut [T] {
+        // SAFETY: as in `view`; writing through the cells is what
+        // `UnsafeCell` permits, and the caller rules out every other user.
+        std::slice::from_raw_parts_mut(UnsafeCell::raw_get(cells.as_ptr().cast()), cells.len())
+    }
+}
+
+/// What a group's drain accumulates over its `K` group rounds.
+#[derive(Default)]
+struct GroupTally {
     loss_acc: Scalar,
     loss_n: u32,
     uploads: usize,
@@ -490,15 +546,70 @@ struct GroupCtx<'g> {
     defense: DefenseCost,
     secagg_sessions: u64,
     secagg_pair_masks: u64,
-    n_g: usize,
 }
 
-/// One schedulable work unit: a single client's local training within one
-/// group round. Units across *all* groups go onto one work-stealing queue,
-/// so a straggling large group no longer serializes the round.
+/// One sampled group's chain of `K` group rounds within a global round:
+/// round k's member steps, then its drain (Line 14), which releases round
+/// k + 1. Nothing crosses chains before Line 15.
+struct GroupChain<'g> {
+    gi: usize,
+    group: &'g [usize],
+    /// The event clock's straggler cuts, when it decided them.
+    cuts: Option<&'g GroupCuts>,
+    deadline: Option<(f64, f64)>,
+    n_g: usize,
+    /// Tasks of the open group round still running — its members' steps,
+    /// then its SecAgg chunks. The task that takes it to zero moves on.
+    pending: AtomicUsize,
+    /// The group model `x^g_{t,k}`: read by round k's steps, rewritten by
+    /// its drain.
+    model: Handoff<Params>,
+    slots: Vec<Handoff<Slot>>,
+    tally: Handoff<GroupTally>,
+}
+
+/// One task of a global round's graph.
+#[derive(Debug, Clone, Copy)]
+enum RoundTask {
+    /// A member's local training in group round `k` (Line 13). The last
+    /// member of the round to finish runs the group's drain.
+    Step {
+        group: usize,
+        k: usize,
+        member: usize,
+    },
+    /// One [`SECAGG_CHUNK`]-coordinate range of the group's secure
+    /// aggregation in group round `k`; the last chunk closes the round.
+    SecAggChunk {
+        group: usize,
+        k: usize,
+        chunk: usize,
+    },
+}
+
+/// A group round's open secure aggregation, shared by its chunk tasks.
+struct SecureRound<'a> {
+    session: gfl_secagg::SecAggSession,
+    survivors: Vec<gfl_secagg::Survivor<'a>>,
+    /// The group model's chunks, one per [`RoundTask::SecAggChunk`].
+    chunks: Vec<Handoff<&'a mut [Scalar]>>,
+}
+
+/// A traced run's `GroupRound` span of one group round: from the first
+/// release of the round in any group to the last group's drain.
+struct RoundSpan {
+    /// Read once `left` reaches zero, which every release's `fetch_min`
+    /// happens-before (through its group's countdown and `left`'s AcqRel).
+    start: AtomicU64,
+    /// Groups whose drain of this round has not finished.
+    left: AtomicUsize,
+}
+
+/// One client's local training within group round `k`.
 struct Unit<'a> {
     gi: usize,
     client: usize,
+    k: usize,
     /// The group model this client starts from (`x^g_{t,k}`).
     start: &'a [Scalar],
     deadline: Option<(f64, f64)>,
@@ -508,15 +619,205 @@ struct Unit<'a> {
     slot: &'a mut Slot,
 }
 
-/// What every unit of one group round shares: global round `t`, group
-/// round `k`, the step size, the global model the round started from and
-/// the local update rule.
-struct GroupRound<'a, S> {
-    t: usize,
-    k: usize,
-    lr: Scalar,
-    global: &'a [Scalar],
+/// One global round's task graph: every sampled group's chain, and what
+/// all its units share — global round `t`, the step size, the global model
+/// the round started from and the local update rule.
+struct RoundGraph<'r, 'a, S> {
+    trainer: &'a Trainer,
     strategy: &'a S,
+    global: &'a [Scalar],
+    t: usize,
+    lr: Scalar,
+    chains: &'a [GroupChain<'a>],
+    /// Under secure aggregation, each chain's open session (else empty).
+    sessions: &'r [Handoff<Option<SecureRound<'a>>>],
+    /// Traced runs: each group round's span (else empty).
+    spans: &'r [RoundSpan],
+}
+
+impl<'a, S: LocalUpdate> RoundGraph<'_, 'a, S> {
+    fn run(&self, scratch: &mut WorkerScratch, task: RoundTask, push: &Pusher<'_, RoundTask>) {
+        match task {
+            RoundTask::Step { group, k, member } => {
+                let chain = &self.chains[group];
+                self.step(chain, k, member, scratch);
+                if chain.pending.fetch_sub(1, Ordering::AcqRel) == 1 {
+                    self.drain(group, k, scratch, push);
+                }
+            }
+            RoundTask::SecAggChunk { group, k, chunk } => {
+                let cell = &self.sessions[group];
+                {
+                    // SAFETY: the drain stored the session before it pushed
+                    // its chunks, and only the last chunk clears it; this
+                    // chunk's range is this task's alone.
+                    let round = unsafe { (*cell.get()).as_ref() }.expect("pushed with its session");
+                    let out = unsafe { &mut **round.chunks[chunk].get() };
+                    let lo = chunk * SECAGG_CHUNK;
+                    round
+                        .session
+                        .aggregate_range(lo, &round.survivors, out, &mut scratch.secagg);
+                }
+                if self.chains[group].pending.fetch_sub(1, Ordering::AcqRel) == 1 {
+                    // SAFETY: every chunk has finished: the group is ours.
+                    unsafe { *cell.get() = None };
+                    self.close(group, k, push);
+                }
+            }
+        }
+    }
+
+    /// Line 13 for one member, plus the fault gates around it.
+    fn step(&self, chain: &GroupChain<'_>, k: usize, member: usize, scratch: &mut WorkerScratch) {
+        let obs = self.trainer.obs.as_deref();
+        let client = chain.group[member];
+        // Client-step spans are timed around the unit from the worker
+        // thread; the push happens after the unit's simulation work is
+        // complete and touches no shared simulation state.
+        let step_start = obs.map(|ob| ob.now_ns());
+        // SAFETY: of group round k's tasks, only this step touches the
+        // member's slot, and the group model is rewritten only by the
+        // drain, which runs after every step of the round.
+        let mut unit = Unit {
+            gi: chain.gi,
+            client,
+            k,
+            start: unsafe { &*chain.model.get() },
+            deadline: chain.deadline,
+            timed_cut: chain.cuts.and_then(|c| c.cut_for(k, member)),
+            slot: unsafe { &mut *chain.slots[member].get() },
+        };
+        self.trainer.run_unit(self, &mut unit, scratch);
+        if let Some(ob) = obs {
+            ob.record_span(
+                SpanKind::ClientStep,
+                step_start.unwrap(),
+                SpanAttrs::client_step(self.t, k, chain.gi, client),
+            );
+        }
+    }
+
+    /// Line 14 for one group round, run by its last step: slots in member
+    /// order — the exact event/loss/aggregation order of a sequential
+    /// loop. A client's attack precedes its fault: the gate that rejects a
+    /// poisoned update runs after the injection.
+    fn drain(
+        &self,
+        group: usize,
+        k: usize,
+        scratch: &mut WorkerScratch,
+        push: &Pusher<'_, RoundTask>,
+    ) {
+        let trainer = self.trainer;
+        let chain: &'a GroupChain<'a> = &self.chains[group];
+        // SAFETY: every step of group round k has finished and none of
+        // round k + 1 is released: this task owns the group.
+        let (model, tally, slots) = unsafe {
+            (
+                &mut *chain.model.get(),
+                &mut *chain.tally.get(),
+                Handoff::view_mut(&chain.slots),
+            )
+        };
+        for slot in slots.iter_mut() {
+            if let Some(at) = slot.attack.take() {
+                tally.events.push(Event::Attack(at));
+            }
+            if let Some(ev) = slot.event.take() {
+                tally.events.push(Event::Fault(ev));
+            }
+            if let Some(loss) = slot.loss.take() {
+                tally.loss_acc += loss;
+                tally.loss_n += 1;
+            }
+        }
+        // The FLAME-style filter runs before the survivor tally so
+        // rejected updates neither count as uploads nor reach the group
+        // aggregate; accepted updates are clipped in place.
+        if trainer.robust_agg == RobustAggRule::FlameFilter {
+            trainer.flame_filter(chain, slots, model, tally, (self.t, k), scratch);
+        }
+        // Line 14: group aggregation, weighted by n_i over this round's
+        // survivors.
+        let n_surv: usize = chain
+            .group
+            .iter()
+            .zip(slots.iter())
+            .filter(|(_, s)| s.live)
+            .map(|(&c, _)| trainer.data.client_size(c))
+            .sum();
+        tally.uploads += slots.iter().filter(|s| s.live).count();
+        tally.upload_samples += n_surv;
+        if n_surv == 0 {
+            // Every client dropped: the group model is unchanged.
+        } else if trainer.config.secure_aggregation {
+            // SAFETY: as above; the chunks only read the slots.
+            let slots = unsafe { Handoff::view(&chain.slots) };
+            let (round, cost) =
+                trainer.open_secure_aggregate(chain.group, slots, n_surv, model, self.t, k);
+            tally.secagg_pair_masks += cost.prg_expansions;
+            tally.secagg_sessions += 1;
+            let chunks = round.chunks.len();
+            // Relaxed: published to the chunks by the push below, as in
+            // `release`.
+            chain.pending.store(chunks, Ordering::Relaxed);
+            // SAFETY: no chunk of this group runs before the push below.
+            unsafe { *self.sessions[group].get() = Some(round) };
+            push.extend((0..chunks).map(|chunk| RoundTask::SecAggChunk { group, k, chunk }));
+            return;
+        } else if !matches!(
+            trainer.robust_agg,
+            RobustAggRule::Mean | RobustAggRule::FlameFilter
+        ) && slots.iter().filter(|s| s.live).count() >= 3
+        {
+            let survivors: Vec<Vec<Scalar>> = slots
+                .iter()
+                .filter(|s| s.live)
+                .map(|s| s.buf.clone())
+                .collect();
+            *model = robust_aggregate(trainer.robust_agg, &survivors);
+        } else {
+            // The exact fill-then-axpy loop of `ops::weighted_sum_into`
+            // over the live slots in member order — bit-identical, without
+            // building the per-(group, k) weight and view vectors.
+            model.fill(0.0);
+            for (&c, s) in chain.group.iter().zip(slots.iter()).filter(|(_, s)| s.live) {
+                let w = trainer.data.client_size(c) as Scalar / n_surv as Scalar;
+                ops::axpy(w, &s.buf, model);
+            }
+        }
+        self.close(group, k, push);
+    }
+
+    /// Group round `k` of `group` is aggregated: end the round's span if
+    /// this was its last group, and release the group's next round.
+    fn close(&self, group: usize, k: usize, push: &Pusher<'_, RoundTask>) {
+        if let (Some(ob), Some(span)) = (self.trainer.obs.as_deref(), self.spans.get(k)) {
+            if span.left.fetch_sub(1, Ordering::AcqRel) == 1 {
+                let start = span.start.load(Ordering::Relaxed);
+                ob.record_span(
+                    SpanKind::GroupRound,
+                    start,
+                    SpanAttrs::group_round(self.t, k),
+                );
+            }
+        }
+        if k + 1 < self.trainer.config.group_rounds {
+            self.release(group, k + 1, push);
+        }
+    }
+
+    /// Queues every member step of `group`'s round `k`.
+    fn release(&self, group: usize, k: usize, push: &Pusher<'_, RoundTask>) {
+        if let (Some(ob), Some(span)) = (self.trainer.obs.as_deref(), self.spans.get(k)) {
+            span.start.fetch_min(ob.now_ns(), Ordering::Relaxed);
+        }
+        let members = self.chains[group].group.len();
+        // Relaxed: the steps see it through the queue's mutex (this push's
+        // unlock, their pop's lock).
+        self.chains[group].pending.store(members, Ordering::Relaxed);
+        push.extend((0..members).map(|member| RoundTask::Step { group, k, member }));
+    }
 }
 
 impl Trainer {
@@ -568,6 +869,7 @@ impl Trainer {
             params: Pool::default(),
             members: Pool::default(),
             slots: Pool::default(),
+            tasks: TaskQueue::default(),
             obs: None,
         })
     }
@@ -850,13 +1152,15 @@ impl Trainer {
         Some((fs.policy.deadline_factor * slowest, transfer))
     }
 
-    /// Trains a batch of groups for `K` group rounds each (Lines 8–14),
-    /// flattening every group round's (group × client) pairs into one
-    /// work-stealing queue. Client-granular scheduling keeps all workers
-    /// busy even when group sizes are skewed; each unit writes only its own
-    /// [`Slot`], and slots are reduced sequentially in member order, so the
-    /// result is bit-identical to the sequential engine for any thread
-    /// count.
+    /// Trains a batch of groups for `K` group rounds each (Lines 8–14) as
+    /// one task graph on the pool. Each group is a chain: group round k's
+    /// member steps are tasks, the last of them to finish runs the group's
+    /// Line-14 drain (slots in member order), and the drain releases round
+    /// k + 1. Under secure aggregation the drain instead pushes one task per
+    /// [`SECAGG_CHUNK`] coordinates, and the last chunk releases the next
+    /// round. Groups never wait for each other, steps of every group share
+    /// the queue, and a step writes only its own [`Slot`], so the result is
+    /// bit-identical to the sequential engine for any thread count.
     ///
     /// `cuts` are optional precomputed time-domain straggler cuts (one
     /// [`GroupCuts`] per group, aligned with `groups`). When supplied, the
@@ -876,215 +1180,121 @@ impl Trainer {
             assert_eq!(c.len(), groups.len(), "one cut set per group");
         }
         let cfg = &self.config;
-        let mut ctxs: Vec<GroupCtx<'_>> = groups
+        let chains: Vec<GroupChain<'_>> = groups
             .iter()
-            .map(|&(gi, group)| GroupCtx {
+            .enumerate()
+            .map(|(ci, &(gi, group))| GroupChain {
                 gi,
                 group,
-                // Pooled: the group model and every slot buffer come back
-                // with warm parameter-length capacity after round one.
-                group_params: {
-                    let mut gp = self.params.take_empty();
-                    gp.extend_from_slice(global);
-                    gp
-                },
-                slots: {
-                    let mut slots = self.slots.take_empty();
-                    slots.extend(group.iter().map(|_| Slot {
-                        buf: self.params.take_empty(),
-                        live: false,
-                        event: None,
-                        attack: None,
-                        loss: None,
-                    }));
-                    slots
-                },
+                cuts: cuts.map(|c| &c[ci]),
                 deadline: if cuts.is_some() {
                     None
                 } else {
                     self.group_deadline(group, global.len())
                 },
-                loss_acc: 0.0,
-                loss_n: 0,
-                uploads: 0,
-                upload_samples: 0,
-                events: Vec::new(),
-                defense: DefenseCost::default(),
-                secagg_sessions: 0,
-                secagg_pair_masks: 0,
                 n_g: self.group_samples(group).max(1),
+                pending: AtomicUsize::new(group.len()),
+                // Pooled: the group model and every slot buffer come back
+                // with warm parameter-length capacity after round one.
+                model: Handoff::new({
+                    let mut gp = self.params.take_empty();
+                    gp.extend_from_slice(global);
+                    gp
+                }),
+                slots: {
+                    let mut slots = self.slots.take_empty();
+                    slots.extend(group.iter().map(|_| {
+                        Handoff::new(Slot {
+                            buf: self.params.take_empty(),
+                            live: false,
+                            event: None,
+                            attack: None,
+                            loss: None,
+                        })
+                    }));
+                    slots
+                },
+                tally: Handoff::new(GroupTally::default()),
             })
             .collect();
-        let total_units: usize = groups.iter().map(|&(_, g)| g.len()).sum();
         let obs = self.obs.as_deref();
-
-        for k in 0..cfg.group_rounds {
-            let k_start = obs.map(|ob| ob.now_ns());
-            let round = GroupRound {
-                t,
-                k,
-                lr,
-                global,
-                strategy,
-            };
-            // Flatten this group round into per-client units. Splitting a
-            // ctx into its fields lets each unit hold the group model
-            // immutably alongside a mutable borrow of its own slot.
-            let mut units: Vec<Unit<'_>> = Vec::with_capacity(total_units);
-            for (ci, ctx) in ctxs.iter_mut().enumerate() {
-                let group_cuts = cuts.map(|c| &c[ci]);
-                let GroupCtx {
-                    gi,
-                    group,
-                    group_params,
-                    slots,
-                    deadline,
-                    ..
-                } = ctx;
-                let start: &[Scalar] = group_params.as_slice();
-                for (mi, (slot, &client)) in slots.iter_mut().zip(group.iter()).enumerate() {
-                    units.push(Unit {
-                        gi: *gi,
-                        client,
-                        start,
-                        deadline: *deadline,
-                        timed_cut: group_cuts.and_then(|g| g.cut_for(k, mi)),
-                        slot,
-                    });
-                }
-            }
-            gfl_parallel::par_for_each_init(
-                &mut units,
-                || self.workers.checkout(|| WorkerScratch::new(&self.model)),
-                |scratch, _i, unit| {
-                    // Client-step spans are timed around the unit from the
-                    // worker thread; the mutex push happens after the unit's
-                    // simulation work is complete and touches no shared
-                    // simulation state.
-                    let step_start = obs.map(|ob| ob.now_ns());
-                    self.run_unit(&round, unit, scratch);
-                    if let Some(ob) = obs {
-                        ob.record_span(
-                            SpanKind::ClientStep,
-                            step_start.unwrap(),
-                            SpanAttrs::client_step(t, k, unit.gi, unit.client),
-                        );
-                    }
-                },
-            );
-            drop(units);
-
-            // Sequential reduction, group by group, slots in member order —
-            // the exact event/loss/aggregation order of the old per-group
-            // loop. A client's attack precedes its fault: the gate that
-            // rejects a poisoned update runs after the injection.
-            for ctx in ctxs.iter_mut() {
-                for slot in ctx.slots.iter_mut() {
-                    if let Some(at) = slot.attack.take() {
-                        ctx.events.push(Event::Attack(at));
-                    }
-                    if let Some(ev) = slot.event.take() {
-                        ctx.events.push(Event::Fault(ev));
-                    }
-                    if let Some(loss) = slot.loss.take() {
-                        ctx.loss_acc += loss;
-                        ctx.loss_n += 1;
-                    }
-                }
-                // The FLAME-style filter runs before the survivor tally so
-                // rejected updates neither count as uploads nor reach the
-                // group aggregate; accepted updates are clipped in place.
-                if self.robust_agg == RobustAggRule::FlameFilter {
-                    self.flame_filter(ctx, t, k);
-                }
-                // Line 14: group aggregation, weighted by n_i over this
-                // round's survivors.
-                let n_surv: usize = ctx
-                    .group
-                    .iter()
-                    .zip(ctx.slots.iter())
-                    .filter(|(_, s)| s.live)
-                    .map(|(&c, _)| self.data.client_size(c))
-                    .sum();
-                ctx.uploads += ctx.slots.iter().filter(|s| s.live).count();
-                ctx.upload_samples += n_surv;
-                if n_surv == 0 {
-                    continue; // every client dropped: group model unchanged
-                }
-                if cfg.secure_aggregation {
-                    let cost = self.secure_group_aggregate(
-                        ctx.group,
-                        &ctx.slots,
-                        n_surv,
-                        &mut ctx.group_params,
-                        t,
-                        k,
-                    );
-                    ctx.secagg_pair_masks += cost.prg_expansions;
-                    ctx.secagg_sessions += 1;
-                } else if !matches!(
-                    self.robust_agg,
-                    RobustAggRule::Mean | RobustAggRule::FlameFilter
-                ) && ctx.slots.iter().filter(|s| s.live).count() >= 3
-                {
-                    let survivors: Vec<Vec<Scalar>> = ctx
-                        .slots
-                        .iter()
-                        .filter(|s| s.live)
-                        .map(|s| s.buf.clone())
-                        .collect();
-                    ctx.group_params = robust_aggregate(self.robust_agg, &survivors);
-                } else {
-                    // The exact fill-then-axpy loop of
-                    // `ops::weighted_sum_into` over the live slots in
-                    // member order — bit-identical, without building the
-                    // per-(group, k) weight and view vectors.
-                    ctx.group_params.fill(0.0);
-                    for (&c, s) in ctx
-                        .group
-                        .iter()
-                        .zip(ctx.slots.iter())
-                        .filter(|(_, s)| s.live)
-                    {
-                        let w = self.data.client_size(c) as Scalar / n_surv as Scalar;
-                        ops::axpy(w, &s.buf, &mut ctx.group_params);
-                    }
-                }
-            }
-
-            if let Some(ob) = obs {
+        // A group with no member has nothing to train or aggregate: its
+        // model stays `global` and it runs no task.
+        let running = chains.iter().filter(|c| !c.group.is_empty()).count();
+        let spans: Vec<RoundSpan> = match obs {
+            Some(ob) => (0..cfg.group_rounds)
+                .map(|k| RoundSpan {
+                    start: AtomicU64::new(if k == 0 { ob.now_ns() } else { u64::MAX }),
+                    left: AtomicUsize::new(running),
+                })
+                .collect(),
+            None => Vec::new(),
+        };
+        let sessions: Vec<Handoff<Option<SecureRound<'_>>>> = if cfg.secure_aggregation {
+            chains.iter().map(|_| Handoff::new(None)).collect()
+        } else {
+            Vec::new()
+        };
+        let graph = RoundGraph {
+            trainer: self,
+            strategy,
+            global,
+            t,
+            lr,
+            chains: &chains,
+            sessions: &sessions,
+            spans: &spans,
+        };
+        let seed = chains.iter().enumerate().flat_map(|(group, chain)| {
+            (0..chain.group.len()).map(move |member| RoundTask::Step {
+                group,
+                k: 0,
+                member,
+            })
+        });
+        self.tasks.run(
+            seed,
+            || self.workers.checkout(|| WorkerScratch::new(&self.model)),
+            |scratch, task, push| graph.run(scratch, task, push),
+        );
+        drop(sessions);
+        if let (Some(ob), 0) = (obs, running) {
+            // No group trained: each group round is an empty span.
+            for k in 0..cfg.group_rounds {
                 ob.record_span(
                     SpanKind::GroupRound,
-                    k_start.unwrap(),
+                    ob.now_ns(),
                     SpanAttrs::group_round(t, k),
                 );
             }
         }
 
-        ctxs.into_iter()
-            .map(|ctx| {
+        chains
+            .into_iter()
+            .map(|chain| {
                 // Slot buffers and shells go straight back to the pools;
                 // the group model travels on inside the outcome and is
                 // recycled by the round driver once aggregation is done.
-                let mut slots = ctx.slots;
+                let mut slots = chain.slots;
                 for s in slots.drain(..) {
-                    self.params.put(s.buf);
+                    self.params.put(s.into_inner().buf);
                 }
                 self.slots.put(slots);
                 let mut members = self.members.take_empty();
-                members.extend_from_slice(ctx.group);
+                members.extend_from_slice(chain.group);
+                let tally = chain.tally.into_inner();
                 GroupOutcome {
-                    group: ctx.gi,
-                    params: ctx.group_params,
-                    samples: ctx.n_g,
-                    train_loss: ctx.loss_acc / ctx.loss_n.max(1) as Scalar,
+                    group: chain.gi,
+                    params: chain.model.into_inner(),
+                    samples: chain.n_g,
+                    train_loss: tally.loss_acc / tally.loss_n.max(1) as Scalar,
                     members,
-                    uploads: ctx.uploads,
-                    upload_samples: ctx.upload_samples,
-                    events: ctx.events,
-                    defense: ctx.defense,
-                    secagg_sessions: ctx.secagg_sessions,
-                    secagg_pair_masks: ctx.secagg_pair_masks,
+                    uploads: tally.uploads,
+                    upload_samples: tally.upload_samples,
+                    events: tally.events,
+                    defense: tally.defense,
+                    secagg_sessions: tally.secagg_sessions,
+                    secagg_pair_masks: tally.secagg_pair_masks,
                 }
             })
             .collect()
@@ -1096,54 +1306,61 @@ impl Trainer {
     /// slots are marked dead — they never reach the survivor tally or the
     /// aggregate — and rejected *adversaries* are logged as
     /// [`AttackEvent::AttackFiltered`]. Honest clients the filter cuts are
-    /// collateral damage, not attacks, so they are not logged.
-    fn flame_filter(&self, ctx: &mut GroupCtx<'_>, t: usize, k: usize) {
-        let live: Vec<usize> = (0..ctx.slots.len())
-            .filter(|&i| ctx.slots[i].live)
-            .collect();
+    /// collateral damage, not attacks, so they are not logged. The live
+    /// list and delta rows are the drain's worker scratch.
+    fn flame_filter(
+        &self,
+        chain: &GroupChain<'_>,
+        slots: &mut [Slot],
+        model: &[Scalar],
+        tally: &mut GroupTally,
+        (t, k): (usize, usize),
+        scratch: &mut WorkerScratch,
+    ) {
+        let WorkerScratch { live, deltas, .. } = scratch;
+        live.clear();
+        live.extend((0..slots.len()).filter(|&i| slots[i].live));
         if live.len() < 3 {
             return; // too few survivors to cluster: pass everyone through
         }
-        let mut deltas: Vec<Vec<Scalar>> = live
-            .iter()
-            .map(|&i| {
-                ctx.slots[i]
-                    .buf
-                    .iter()
-                    .zip(ctx.group_params.iter())
-                    .map(|(&w, &s)| w - s)
-                    .collect()
-            })
-            .collect();
-        let report =
-            gfl_defense::filter_updates(&mut deltas, &gfl_defense::DefenseConfig::default());
-        ctx.defense.similarity_evals += report.cost.similarity_evals;
-        ctx.defense.norm_passes += report.cost.norm_passes;
+        if deltas.len() < live.len() {
+            deltas.resize_with(live.len(), Vec::new);
+        }
+        let deltas = &mut deltas[..live.len()];
+        for (delta, &i) in deltas.iter_mut().zip(live.iter()) {
+            delta.clear();
+            delta.extend(slots[i].buf.iter().zip(model).map(|(&w, &s)| w - s));
+        }
+        let report = gfl_defense::filter_updates(deltas, &gfl_defense::DefenseConfig::default());
+        tally.defense.similarity_evals += report.cost.similarity_evals;
+        tally.defense.norm_passes += report.cost.norm_passes;
         for (pos, delta) in deltas.iter().enumerate() {
             let slot_idx = live[pos];
             if report.rejected.contains(&pos) {
-                ctx.slots[slot_idx].live = false;
-                let client = ctx.group[slot_idx];
+                slots[slot_idx].live = false;
+                let client = chain.group[slot_idx];
                 if self
                     .adversary
                     .as_ref()
                     .is_some_and(|a| a.plan.is_adversary(client))
                 {
-                    ctx.events.push(Event::Attack(AttackEvent::AttackFiltered {
-                        round: t,
-                        group_round: k,
-                        group: ctx.gi,
-                        client,
-                        stage: DefenseStage::FlameFilter,
-                    }));
+                    tally
+                        .events
+                        .push(Event::Attack(AttackEvent::AttackFiltered {
+                            round: t,
+                            group_round: k,
+                            group: chain.gi,
+                            client,
+                            stage: DefenseStage::FlameFilter,
+                        }));
                 }
             } else {
                 // Write the clipped delta back so the weighted-mean path
                 // aggregates exactly what the defense admitted.
-                for (w, (&d, &s)) in ctx.slots[slot_idx]
+                for (w, (&d, &s)) in slots[slot_idx]
                     .buf
                     .iter_mut()
-                    .zip(delta.iter().zip(ctx.group_params.iter()))
+                    .zip(delta.iter().zip(model.iter()))
                 {
                     *w = s + d;
                 }
@@ -1157,17 +1374,18 @@ impl Trainer {
     /// not depend on which worker thread runs the unit or when.
     fn run_unit<S: LocalUpdate>(
         &self,
-        round: &GroupRound<'_, S>,
+        round: &RoundGraph<'_, '_, S>,
         unit: &mut Unit<'_>,
         scratch: &mut WorkerScratch,
     ) {
-        let GroupRound {
+        let RoundGraph {
             t,
-            k,
             lr,
             global,
             strategy,
+            ..
         } = *round;
+        let k = unit.k;
         let cfg = &self.config;
         let fs = self.faults.as_ref();
         let client = unit.client;
@@ -1380,32 +1598,29 @@ impl Trainer {
         }
     }
 
-    /// Group aggregation through the real pairwise-masking protocol:
+    /// Opens group aggregation through the real pairwise-masking protocol:
     /// every surviving client masks its *weighted* model (weight `n_i` over
     /// `n_surv`, the survivors' samples), the server unmasks the survivor
     /// sum — including mask recovery for clients that dropped mid-round.
-    /// Runs as one fused pass per chunk of coordinates, chunks in parallel:
-    /// no step of the protocol combines two coordinates, so the result is
-    /// the same bits at any chunking and thread count. Returns what the
+    /// The round runs as one fused pass per [`SECAGG_CHUNK`] of `out`, each
+    /// a task of its own: no step of the protocol combines two coordinates,
+    /// so the result is the same bits at any chunking and thread count.
+    /// Returns the session, its survivors and chunks, and what the
     /// protocol's parties would have counted.
-    fn secure_group_aggregate(
+    fn open_secure_aggregate<'a>(
         &self,
         group: &[usize],
-        slots: &[Slot],
+        slots: &'a [Slot],
         n_surv: usize,
-        out: &mut Params,
+        out: &'a mut Params,
         t: usize,
         k: usize,
-    ) -> gfl_secagg::SecAggCost {
-        /// Coordinates per fused pass: a whole number of keystream blocks
-        /// at every lane width, and a working set (a row per survivor plus
-        /// the masks) that stays in L1/L2.
-        const CHUNK: usize = 1024;
+    ) -> (SecureRound<'a>, gfl_secagg::SecAggCost) {
         let members: Vec<u32> = group.iter().map(|&c| c as u32).collect();
         let session_seed =
             self.config.seed.wrapping_mul(0xA24B_AED4_963E_E407) ^ ((t as u64) << 20) ^ k as u64;
         let session = gfl_secagg::SecAggSession::new(members, out.len(), session_seed);
-        let survivors: Vec<gfl_secagg::Survivor<'_>> = group
+        let survivors: Vec<gfl_secagg::Survivor<'a>> = group
             .iter()
             .zip(slots.iter())
             .filter(|(_, slot)| slot.live)
@@ -1415,15 +1630,14 @@ impl Trainer {
                 update: &slot.buf,
             })
             .collect();
-        let mut chunks: Vec<&mut [Scalar]> = out.chunks_mut(CHUNK).collect();
-        gfl_parallel::par_for_each_init(
-            &mut chunks,
-            || self.workers.checkout(|| WorkerScratch::new(&self.model)),
-            |scratch, i, chunk| {
-                session.aggregate_range(i * CHUNK, &survivors, chunk, &mut scratch.secagg);
-            },
-        );
-        session.round_cost(survivors.len())
+        let cost = session.round_cost(survivors.len());
+        let chunks = out.chunks_mut(SECAGG_CHUNK).map(Handoff::new).collect();
+        let round = SecureRound {
+            session,
+            survivors,
+            chunks,
+        };
+        (round, cost)
     }
 }
 

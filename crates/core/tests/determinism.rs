@@ -1,8 +1,9 @@
 //! Determinism suite: bit-identical results across worker-thread counts.
 //!
-//! The engine schedules each global round's (group × client) work units on
-//! a work-stealing queue, so *which* thread runs a client — and in what
-//! order — varies freely with the parallelism degree. This suite pins the
+//! The engine runs each global round as one task graph on the pool — every
+//! sampled group's chain of member steps, drains and SecAgg chunks — so
+//! *which* thread runs a client or a drain, and in what order, varies
+//! freely with the parallelism degree. This suite pins the
 //! process-wide thread count to 1, 2, and 8 in turn and asserts that the
 //! full [`RunHistory`] (records, fault log, regroup log) and the final
 //! model parameters are bit-for-bit identical in every configuration the
@@ -118,6 +119,81 @@ fn churned_self_healing_run_is_bit_identical_across_thread_counts() {
             .run_healing(&covg(2, 1.0), &w.topo, SamplingStrategy::ESRCov)
             .expect("self-healing run failed");
         (h, p, m.groups().to_vec())
+    });
+}
+
+#[test]
+fn hostile_event_clock_chains_are_bit_identical_across_thread_counts() {
+    // The shape each global round's task graph is hardest on: K = 3 group
+    // rounds per chain, drains (the FLAME filter, then the axpy) on
+    // whichever worker finishes a round, event-clock cuts, faults,
+    // poisoning and a self-healing partition under churn, all at once.
+    let seed = 39 + seed_offset();
+    let spec = gfl_data::PartitionSpec {
+        num_clients: 40,
+        ..gfl_data::PartitionSpec::tiny(0.5, seed)
+    };
+    let cfg = GroupFelConfig {
+        seed,
+        global_rounds: 8,
+        group_rounds: 3,
+        sampled_groups: 3,
+        ..GroupFelConfig::tiny()
+    };
+    let w = gfl_test_support::TinyWorld::build(2_000, &spec, &covg(6, 10.0), cfg);
+    assert_bit_identical(&THREAD_COUNTS, || {
+        let t = w
+            .trainer()
+            // A group round closes once 70 % of its reports are in, so
+            // enough survive for the filter to cluster.
+            .with_faults(
+                FaultPlan::moderate(seed),
+                FaultPolicy {
+                    quorum_fraction: 0.7,
+                    ..FaultPolicy::default()
+                },
+                &w.topo,
+            )
+            .with_churn(
+                ChurnPlan {
+                    horizon: w.cfg.global_rounds,
+                    ..ChurnPlan::moderate(seed)
+                },
+                RegroupPolicy::default(),
+            )
+            .with_adversary(AdversaryPlan::moderate(seed))
+            .with_robust_agg(RobustAggRule::FlameFilter);
+        let (h, p, _, m) = t
+            .run_event_healing(
+                &covg(6, 10.0),
+                &w.topo,
+                SamplingStrategy::ESRCov,
+                &AsyncConfig::default(),
+            )
+            .expect("the hostile world keeps a partition");
+        let defended = h.events().iter().filter_map(Event::attack);
+        assert!(
+            summarize_attacks(defended).filtered_flame > 0,
+            "the filter should reject someone for this test to mean anything"
+        );
+        assert!(h.events().iter().any(|e| e.fault().is_some()));
+        (h, p, m.groups().to_vec())
+    });
+}
+
+#[test]
+fn secure_chains_with_dropout_are_bit_identical_across_thread_counts() {
+    // Secure aggregation at K = 3: each group round's drain opens a session
+    // and pushes its chunks as tasks, and the last chunk releases the next
+    // round — with members dropping, so recovery runs in every chunk.
+    let mut w = tiny_world(40);
+    let groups = w.groups_with(4, 10.0);
+    w.model = gfl_nn::Mlp::new(vec![4, 64, 32, 3]).into();
+    w.cfg.group_rounds = 3;
+    w.cfg.secure_aggregation = true;
+    w.cfg.dropout_prob = 0.3;
+    assert_bit_identical(&THREAD_COUNTS, || {
+        w.trainer().run_static(&groups, SamplingStrategy::Random)
     });
 }
 

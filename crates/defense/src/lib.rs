@@ -83,13 +83,21 @@ pub fn filter_updates(updates: &mut [Vec<Scalar>], config: &DefenseConfig) -> De
 
     let mut accepted: Vec<usize> = (0..n).collect();
     let mut rejected: Vec<usize> = Vec::new();
+    // Each update's norm, taken once: the cosine of every pair and the
+    // clip threshold below both read it.
+    let norms: Vec<Scalar> = updates.iter().map(|u| ops::norm(u)).collect();
 
     if n >= 3 {
         // 1. Pairwise cosine distance matrix (condensed storage).
         let mut dist = vec![0.0f32; n * n];
         for i in 0..n {
             for j in (i + 1)..n {
-                let sim = ops::cosine_similarity(&updates[i], &updates[j]);
+                // `ops::cosine_similarity` over the norms above.
+                let sim = if norms[i] == 0.0 || norms[j] == 0.0 {
+                    0.0
+                } else {
+                    (ops::dot(&updates[i], &updates[j]) / (norms[i] * norms[j])).clamp(-1.0, 1.0)
+                };
                 cost.similarity_evals += 1;
                 let d = 1.0 - sim;
                 dist[i * n + j] = d;
@@ -115,14 +123,14 @@ pub fn filter_updates(updates: &mut [Vec<Scalar>], config: &DefenseConfig) -> De
     }
 
     // 3. Norm clipping to the median accepted norm.
-    let mut norms: Vec<Scalar> = accepted
+    let mut kept: Vec<Scalar> = accepted
         .iter()
         .map(|&i| {
             cost.norm_passes += 1;
-            ops::norm(&updates[i])
+            norms[i]
         })
         .collect();
-    let clip = median(&mut norms);
+    let clip = median(&mut kept);
     if clip > 0.0 {
         for &i in &accepted {
             ops::clip_norm(&mut updates[i], clip);
@@ -240,8 +248,103 @@ pub fn sign_flip_attack(update: &mut [Scalar]) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rand::{Rng, SeedableRng};
     use rand_chacha::ChaCha8Rng;
+
+    /// [`filter_updates`] as it read before it took each norm once: every
+    /// pair through `ops::cosine_similarity`, which recomputes both norms,
+    /// and the clip threshold from fresh norms of the accepted updates.
+    fn filter_updates_pairwise(
+        updates: &mut [Vec<Scalar>],
+        config: &DefenseConfig,
+    ) -> DefenseReport {
+        let n = updates.len();
+        let mut cost = DefenseCost::default();
+        let mut accepted: Vec<usize> = (0..n).collect();
+        let mut rejected: Vec<usize> = Vec::new();
+        if n >= 3 {
+            let mut dist = vec![0.0f32; n * n];
+            for i in 0..n {
+                for j in (i + 1)..n {
+                    let d = 1.0 - ops::cosine_similarity(&updates[i], &updates[j]);
+                    cost.similarity_evals += 1;
+                    dist[i * n + j] = d;
+                    dist[j * n + i] = d;
+                }
+            }
+            let (a, b) = single_linkage_two_clusters(n, &dist);
+            let (minority, majority) = if a.len() <= b.len() { (a, b) } else { (b, a) };
+            let frac = minority.len() as f64 / n as f64;
+            let sep = cluster_separation(&minority, &majority, &dist, n);
+            if !minority.is_empty()
+                && frac <= config.max_reject_fraction
+                && sep >= config.min_separation
+            {
+                rejected = minority;
+                rejected.sort_unstable();
+                accepted = majority;
+                accepted.sort_unstable();
+            }
+        }
+        let mut norms: Vec<Scalar> = accepted
+            .iter()
+            .map(|&i| {
+                cost.norm_passes += 1;
+                ops::norm(&updates[i])
+            })
+            .collect();
+        let clip = if n == 0 { 0.0 } else { median(&mut norms) };
+        if clip > 0.0 {
+            for &i in &accepted {
+                ops::clip_norm(&mut updates[i], clip);
+                cost.norm_passes += 1;
+            }
+        }
+        DefenseReport {
+            accepted,
+            rejected,
+            clip_norm: clip,
+            cost,
+        }
+    }
+
+    proptest! {
+        /// The filter against the pairwise reference, bit for bit: the
+        /// report (clip threshold by its bits) and every clipped row, over
+        /// groups of 0 to 9 updates where some are zero and some repeat an
+        /// earlier one.
+        #[test]
+        fn filter_equals_the_pairwise_cosine_reference(
+            d in 1usize..48,
+            rows in proptest::collection::vec(
+                (0u8..4, proptest::collection::vec(-4.0f32..4.0, 48), 0usize..9),
+                0..10,
+            ),
+        ) {
+            let mut updates: Vec<Vec<Scalar>> = Vec::new();
+            for (kind, values, source) in rows {
+                let row = match kind {
+                    0 => vec![0.0; d],
+                    1 if !updates.is_empty() => updates[source % updates.len()].clone(),
+                    _ => values[..d].to_vec(),
+                };
+                updates.push(row);
+            }
+            let config = DefenseConfig::default();
+            let mut reference = updates.clone();
+            let want = filter_updates_pairwise(&mut reference, &config);
+            let got = filter_updates(&mut updates, &config);
+            prop_assert_eq!(&got.accepted, &want.accepted);
+            prop_assert_eq!(&got.rejected, &want.rejected);
+            prop_assert_eq!(got.cost, want.cost);
+            prop_assert_eq!(got.clip_norm.to_bits(), want.clip_norm.to_bits());
+            let bits = |rows: &[Vec<Scalar>]| -> Vec<Vec<u32>> {
+                rows.iter().map(|r| r.iter().map(|w| w.to_bits()).collect()).collect()
+            };
+            prop_assert_eq!(bits(&updates), bits(&reference));
+        }
+    }
 
     /// Benign updates share a direction plus noise; attackers point elsewhere.
     fn benign_and_attacked(benign: usize, attackers: usize, d: usize, seed: u64) -> Vec<Vec<f32>> {

@@ -16,6 +16,11 @@
 //!   worker-local state built once per participating thread (scratch
 //!   buffers, workspaces).
 //!
+//! Work whose items become runnable only as earlier ones finish runs on a
+//! [`TaskQueue`] instead: one region over a task graph, where tasks push
+//! the tasks they release and the call returns once none is queued or
+//! running.
+//!
 //! All entry points degrade gracefully to sequential execution when the
 //! requested parallelism is 1, the input is tiny, or the caller is already
 //! inside a parallel region (see [`fork::in_region`]), so unit tests remain
@@ -23,11 +28,13 @@
 
 pub mod fork;
 mod pool;
+mod queue;
 mod scope;
 pub mod stats;
 
 pub use fork::{in_region, region, worker_index};
 pub use pool::{Checkout, Pool};
+pub use queue::{Pusher, TaskQueue};
 pub use scope::{par_for_each_init, par_map, par_map_init};
 
 use std::num::NonZeroUsize;
