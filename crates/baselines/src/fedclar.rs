@@ -82,9 +82,9 @@ impl FedClarRunner {
             if !clustered {
                 // Plain hierarchical FedAvg phase, reusing the engine's
                 // group mechanics.
-                let outcomes: Vec<_> = gfl_parallel::par_map(&sampled, |&gi| {
-                    trainer.train_group(&global, &groups[gi], &FedAvg, t, lr)
-                });
+                let batch: Vec<(usize, &[usize])> =
+                    sampled.iter().map(|&gi| (gi, &groups[gi][..])).collect();
+                let outcomes = trainer.train_groups(&global, &batch, &FedAvg, t, lr);
                 for (&gi, _) in sampled.iter().zip(outcomes.iter()) {
                     let sizes: Vec<usize> = groups[gi]
                         .iter()

@@ -417,7 +417,7 @@ fn poison_shard(
 }
 
 /// Result of one group's work within a global round. Baseline runners
-/// see the model, the volume and the loss ([`Trainer::train_group`]).
+/// see the model, the volume and the loss ([`Trainer::train_groups`]).
 pub struct GroupOutcome {
     /// Global group index (for fault attribution).
     pub(crate) group: usize,
@@ -1112,20 +1112,19 @@ impl Trainer {
             .history
     }
 
-    /// Trains one group for `K` group rounds starting from `global` (Lines
-    /// 8–14). Public so baseline runners (FedCLAR) can reuse the exact same
-    /// group mechanics.
-    pub fn train_group<S: LocalUpdate>(
+    /// Trains `groups` (global index, members) for `K` group rounds each,
+    /// starting from `global` (Lines 8–14), as one task graph; outcomes
+    /// come back in the order of `groups`. Public so baseline runners
+    /// (FedCLAR) can reuse the exact same group mechanics.
+    pub fn train_groups<S: LocalUpdate>(
         &self,
         global: &[Scalar],
-        group: &[usize],
+        groups: &[(usize, &[usize])],
         strategy: &S,
         t: usize,
         lr: Scalar,
-    ) -> GroupOutcome {
-        self.train_groups_with_cuts(global, &[(0, group)], strategy, t, lr, None)
-            .pop()
-            .expect("one group in, one outcome out")
+    ) -> Vec<GroupOutcome> {
+        self.train_groups_with_cuts(global, groups, strategy, t, lr, None)
     }
 
     /// Straggler deadline for a group: `deadline_factor ×` the slowest

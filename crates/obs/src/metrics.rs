@@ -385,14 +385,19 @@ mod tests {
         let c = reg.counter("pool.hits");
         const PARTICIPANTS: usize = 8;
         const ADDS_PER_PARTICIPANT: u64 = 10_000;
-        gfl_parallel::region(PARTICIPANTS, |p| {
-            for i in 0..ADDS_PER_PARTICIPANT {
-                // Mix inc() and add() so both entry points are exercised.
-                if i % 2 == 0 {
-                    c.inc();
-                } else {
-                    c.add(1 + (p as u64 % 2));
-                }
+        std::thread::scope(|s| {
+            for p in 0..PARTICIPANTS {
+                let c = &c;
+                s.spawn(move || {
+                    for i in 0..ADDS_PER_PARTICIPANT {
+                        // Mix inc() and add() so both entry points are exercised.
+                        if i % 2 == 0 {
+                            c.inc();
+                        } else {
+                            c.add(1 + (p as u64 % 2));
+                        }
+                    }
+                });
             }
         });
         // Participant p adds 10k/2 ones plus 10k/2 of (1 + p%2):

@@ -86,7 +86,7 @@ pub struct RoundMetrics {
     pub cost_total: f64,
     /// Fork-join regions entered during this round.
     pub pool_regions: u64,
-    /// Work items claimed via the pool's atomic cursor this round.
+    /// Pool tasks run this round (one per item of a slice helper).
     pub pool_claims: u64,
     /// Claims made by helper workers (not the region caller): "steals".
     pub pool_steals: u64,

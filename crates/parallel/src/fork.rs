@@ -1,9 +1,9 @@
-//! A persistent fork-join pool for borrowed parallel regions.
+//! A persistent fork-join pool for borrowed parallel regions, the ground
+//! under [`crate::TaskQueue`].
 //!
-//! The scope helpers used to spawn fresh OS threads through crossbeam scoped
-//! threads on every call; at one region per group round that is thousands of
-//! spawn/join cycles per simulation run. This module keeps one process-wide
-//! set of workers alive and broadcasts the region body to them, so entering a
+//! Spawning fresh OS threads per region would cost thousands of spawn/join
+//! cycles per simulation run. This module keeps one process-wide set of
+//! workers alive and broadcasts the region body to them, so entering a
 //! region costs a few channel sends and a latch wait instead of thread
 //! creation.
 //!
@@ -21,7 +21,7 @@
 //! Each thread tracks whether it is already executing inside a region via a
 //! thread-local flag. Nested [`region`] calls run the body sequentially on
 //! the current thread, so inner parallelism (e.g. `Network::evaluate` called
-//! from a parallel client-training region) cannot oversubscribe the machine.
+//! from a client-training task) cannot oversubscribe the machine.
 
 use std::cell::Cell;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -48,12 +48,9 @@ pub fn worker_index() -> Option<usize> {
 }
 
 /// Returns true when the current thread is already executing inside a
-/// parallel region (as the caller or as a pool worker).
-///
-/// Code that would otherwise fan out (evaluation, vector kernels) can use
-/// this to stay sequential and avoid oversubscription; [`region`] itself
-/// already does so.
-pub fn in_region() -> bool {
+/// parallel region (as the caller or as a pool worker), where [`region`]
+/// runs inline.
+pub(crate) fn in_region() -> bool {
     IN_REGION.with(Cell::get)
 }
 
@@ -171,11 +168,9 @@ fn worker_loop(rx: Receiver<Job>) {
         // SAFETY: `region` waits on the latch before returning, so the
         // pointee outlives this call; we count down only after it finishes.
         let body = unsafe { &*job.task.0 };
-        let started = std::time::Instant::now();
         if catch_unwind(AssertUnwindSafe(|| body(job.participant))).is_err() {
             job.latch.panicked.store(true, Ordering::SeqCst);
         }
-        crate::stats::record_busy(started.elapsed().as_nanos() as u64);
         job.latch.count_down();
     }
 }
@@ -184,13 +179,14 @@ fn worker_loop(rx: Receiver<Job>) {
 /// thread is participant 0 and pool workers take 1..`width`. Returns once
 /// every participant has finished.
 ///
-/// Participants coordinate work among themselves (typically with an atomic
-/// index cursor over a shared slice). `width <= 1` and nested calls (from
-/// inside another region) degrade to `body(0)` on the current thread.
+/// Participants coordinate work among themselves (through a
+/// [`crate::TaskQueue`]'s shared queue, which also records their busy
+/// time). `width <= 1` and nested calls (from inside another region)
+/// degrade to `body(0)` on the current thread.
 ///
 /// Panics in any participant are propagated to the caller after all
 /// participants have stopped.
-pub fn region<F>(width: usize, body: F)
+pub(crate) fn region<F>(width: usize, body: F)
 where
     F: Fn(usize) + Sync,
 {
@@ -225,10 +221,7 @@ where
 
     let caller = {
         let _guard = RegionGuard::enter();
-        let started = std::time::Instant::now();
-        let result = catch_unwind(AssertUnwindSafe(|| body(0)));
-        crate::stats::record_busy(started.elapsed().as_nanos() as u64);
-        result
+        catch_unwind(AssertUnwindSafe(|| body(0)))
     };
     // Must not unwind past here before the workers are done with `body`.
     latch.wait();

@@ -1,21 +1,24 @@
 //! A task queue run as one pool region: a task graph whose tasks may push
 //! further tasks.
 //!
-//! [`crate::par_for_each_init`] suits work whose units are all known when
-//! the region opens. A computation whose later units become runnable only
-//! as earlier ones finish (a chain of rounds, each closed by a reduction)
-//! would otherwise open one region per stage and wait at each barrier. A
-//! [`TaskQueue`] instead runs the whole graph in one region: every
-//! participant pops the oldest queued task, runs it, and the tasks it pushes
-//! join the back of the queue. The call returns once the queue is empty and
-//! no task is in flight.
+//! It is the one scheduler of the crate. The slice helpers
+//! ([`crate::par_map_init`], [`crate::par_for_each_init`]) are flat runs
+//! whose tasks push nothing. A computation whose later units become
+//! runnable only as earlier ones finish (a chain of rounds, each closed by
+//! a reduction) pushes them as it goes instead of opening one region per
+//! stage and waiting at each barrier: every participant pops the oldest
+//! queued task, runs it, and the tasks it pushes join the back of the
+//! queue. The call returns once the queue is empty and no task is in
+//! flight.
 
 use std::any::Any;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
+use std::time::{Duration, Instant};
 
-use crate::{default_parallelism, region, Pool};
+use crate::fork::{in_region, region};
+use crate::{default_parallelism, Pool};
 
 /// A typed task queue. It keeps nothing between runs but its pooled queue
 /// buffer, so a warm one-thread run allocates nothing.
@@ -80,9 +83,9 @@ impl<T> Shared<T> {
 impl<T: Send> TaskQueue<T> {
     /// Runs `seed` and every task they push, on up to
     /// [`default_parallelism`] participants of one region, each with state
-    /// built once by `init`. A task gets that state, itself and a
-    /// [`Pusher`]. Participants with nothing to pop block until a task is
-    /// pushed or the last one in flight finishes.
+    /// built by `init` before its first task. A task gets that state,
+    /// itself and a [`Pusher`]. Participants with nothing to pop block
+    /// until a task is pushed or the last one in flight finishes.
     ///
     /// At width 1, or when called from inside a region, the tasks run
     /// inline in push order. A panicking task does not stop the others:
@@ -95,74 +98,103 @@ impl<T: Send> TaskQueue<T> {
         self.run_on(default_parallelism(), seed, init, task);
     }
 
-    /// [`TaskQueue::run`] on at most `threads` participants, and never on
-    /// more than there are seed tasks.
-    fn run_on<S, I, F>(&self, threads: usize, seed: impl IntoIterator<Item = T>, init: I, task: F)
-    where
+    /// [`TaskQueue::run`] on at most `threads` participants.
+    pub(crate) fn run_on<S, I, F>(
+        &self,
+        threads: usize,
+        seed: impl IntoIterator<Item = T>,
+        init: I,
+        task: F,
+    ) where
         I: Fn() -> S + Sync,
         F: Fn(&mut S, T, &Pusher<'_, T>) + Sync,
     {
         let mut queue = self.buffers.take(VecDeque::new);
         queue.clear();
         queue.extend(seed);
-        if queue.is_empty() {
-            self.buffers.put(queue);
-            return;
-        }
-        let width = threads.clamp(1, queue.len());
-        let shared = Shared {
-            state: Mutex::new(State {
-                queue,
-                in_flight: 0,
-                sleepers: 0,
-                panic: None,
-            }),
-            ready: Condvar::new(),
-        };
-        region(width, |participant| {
-            let pusher = Pusher(&shared);
-            let mut local = init();
-            let mut ran = 0u64;
-            let mut state = shared.lock();
-            loop {
-                if let Some(next) = state.queue.pop_front() {
-                    state.in_flight += 1;
-                    drop(state);
-                    let outcome =
-                        catch_unwind(AssertUnwindSafe(|| task(&mut local, next, &pusher)));
-                    ran += 1;
-                    state = shared.lock();
-                    state.in_flight -= 1;
-                    if let Err(payload) = outcome {
-                        state.panic.get_or_insert(payload);
-                    }
-                } else if state.in_flight == 0 {
-                    // Drained: wake the sleepers so they see it too.
-                    if state.sleepers > 0 {
-                        shared.ready.notify_all();
-                    }
-                    break;
-                } else {
-                    state.sleepers += 1;
-                    state = shared
-                        .ready
-                        .wait(state)
-                        .unwrap_or_else(PoisonError::into_inner);
-                    state.sleepers -= 1;
-                }
-            }
-            drop(state);
-            crate::stats::record_claims(ran, participant != 0);
-        });
-        let State { queue, panic, .. } = shared
-            .state
-            .into_inner()
-            .unwrap_or_else(PoisonError::into_inner);
-        self.buffers.put(queue);
-        if let Some(payload) = panic {
-            resume_unwind(payload);
-        }
+        self.buffers.put(drain(threads, queue, init, task));
     }
+}
+
+/// Runs the tasks of `queue` and every task they push, as
+/// [`TaskQueue::run`] does, on at most `threads` participants and never on
+/// more than there are queued tasks. Returns the emptied buffer; the slice
+/// helpers, which build theirs per call, drop it.
+pub(crate) fn drain<T, S, I, F>(threads: usize, queue: VecDeque<T>, init: I, task: F) -> VecDeque<T>
+where
+    T: Send,
+    I: Fn() -> S + Sync,
+    F: Fn(&mut S, T, &Pusher<'_, T>) + Sync,
+{
+    if queue.is_empty() {
+        return queue;
+    }
+    let width = threads.clamp(1, queue.len());
+    let shared = Shared {
+        state: Mutex::new(State {
+            queue,
+            in_flight: 0,
+            sleepers: 0,
+            panic: None,
+        }),
+        ready: Condvar::new(),
+    };
+    // An inline run's time is its caller's: only a fanned-out region has
+    // capacity to be busy against.
+    let fanned = width > 1 && !in_region();
+    region(width, |participant| {
+        let started = Instant::now();
+        let mut parked = Duration::ZERO;
+        let pusher = Pusher(&shared);
+        // Built at the first pop: a participant that finds nothing to run
+        // holds no state while it waits.
+        let mut local = None;
+        let mut ran = 0u64;
+        let mut state = shared.lock();
+        loop {
+            if let Some(next) = state.queue.pop_front() {
+                state.in_flight += 1;
+                drop(state);
+                let outcome = catch_unwind(AssertUnwindSafe(|| {
+                    task(local.get_or_insert_with(&init), next, &pusher)
+                }));
+                ran += 1;
+                state = shared.lock();
+                state.in_flight -= 1;
+                if let Err(payload) = outcome {
+                    state.panic.get_or_insert(payload);
+                }
+            } else if state.in_flight == 0 {
+                // Drained: wake the sleepers so they see it too.
+                if state.sleepers > 0 {
+                    shared.ready.notify_all();
+                }
+                break;
+            } else {
+                state.sleepers += 1;
+                let park = Instant::now();
+                state = shared
+                    .ready
+                    .wait(state)
+                    .unwrap_or_else(PoisonError::into_inner);
+                parked += park.elapsed();
+                state.sleepers -= 1;
+            }
+        }
+        drop(state);
+        crate::stats::record_claims(ran, participant != 0);
+        if fanned {
+            crate::stats::record_busy(started.elapsed().saturating_sub(parked).as_nanos() as u64);
+        }
+    });
+    let State { queue, panic, .. } = shared
+        .state
+        .into_inner()
+        .unwrap_or_else(PoisonError::into_inner);
+    if let Some(payload) = panic {
+        resume_unwind(payload);
+    }
+    queue
 }
 
 #[cfg(test)]
@@ -249,7 +281,7 @@ mod tests {
             assert_eq!(payload.downcast_ref::<&str>(), Some(&"task 3"));
             // Every task but the panicking one's push still ran.
             assert_eq!(ran.load(Ordering::Relaxed), 127, "width {width}");
-            assert!(!crate::in_region());
+            assert!(!in_region());
         }
         // The pool (and the queue) stay usable.
         let total = AtomicUsize::new(0);
@@ -287,6 +319,24 @@ mod tests {
         let queue = TaskQueue::default();
         assert_eq!(order_of(&queue, 1), fifo);
         region(4, |_| assert_eq!(order_of(&queue, 4), fifo));
+    }
+
+    #[test]
+    fn a_panicking_init_propagates_after_the_queue_drains() {
+        // State is built at a participant's first pop, inside the task's
+        // unwind guard: a panic there must not leave the task in flight.
+        let queue = TaskQueue::default();
+        for width in [1, 2, 8] {
+            let result = catch_unwind(AssertUnwindSafe(|| {
+                queue.run_on(width, 0..16u32, || -> u32 { panic!("init") }, |_, _, _| {});
+            }));
+            let payload = result.expect_err("the panic must propagate");
+            assert_eq!(
+                payload.downcast_ref::<&str>(),
+                Some(&"init"),
+                "width {width}"
+            );
+        }
     }
 
     #[test]

@@ -1,28 +1,16 @@
-//! Fork-join helpers over slices, running on the persistent pool in
-//! [`crate::fork`].
+//! Fork-join helpers over slices: each call is one flat
+//! [`crate::TaskQueue`] run whose tasks are the slice's items, seeded in
+//! index order into a queue buffer of its own.
 //!
-//! Scheduling is atomic index stealing: participants repeatedly claim the
-//! next unprocessed index from a shared counter. This keeps load balanced
-//! when per-item cost is highly skewed — exactly the situation in federated
+//! Participants pop the oldest unclaimed item, so load balances when
+//! per-item cost is highly skewed — exactly the situation in federated
 //! simulation, where client dataset sizes span an order of magnitude
-//! (20–200 samples in the paper's setup).
-//!
-//! Outputs are written into fixed per-index slots, so results are always in
-//! input order regardless of which participant processed which item.
-
-use std::sync::atomic::{AtomicUsize, Ordering};
+//! (20–200 samples in the paper's setup). Every task writes only its own
+//! slot, so results are in input order whichever participant ran which
+//! item, and nested or width-1 calls run inline in index order.
 
 use crate::default_parallelism;
-use crate::fork::region;
-
-/// Shared raw pointer used to hand out disjoint element writes to
-/// participants. Each index is claimed exactly once through an atomic
-/// cursor, so no two threads ever touch the same element.
-struct SendPtr<T>(*mut T);
-
-// SAFETY: access is partitioned by the unique-claim protocol described above.
-unsafe impl<T: Send> Send for SendPtr<T> {}
-unsafe impl<T: Send> Sync for SendPtr<T> {}
+use crate::queue::drain;
 
 /// Applies `f` to every item of `items`, returning outputs in input order.
 ///
@@ -34,19 +22,7 @@ where
     U: Send,
     F: Fn(&T) -> U + Sync,
 {
-    map_on(items, default_parallelism(), || (), |(), item| f(item))
-}
-
-/// [`par_map`] with an explicit thread count, for tests that must stay off
-/// the process-global default.
-#[cfg(test)]
-pub(crate) fn par_map_with<T, U, F>(items: &[T], threads: usize, f: F) -> Vec<U>
-where
-    T: Sync,
-    U: Send,
-    F: Fn(&T) -> U + Sync,
-{
-    map_on(items, threads, || (), |(), item| f(item))
+    par_map_init(items, || (), |(), item| f(item))
 }
 
 /// Like [`par_map`], but each participant first builds private state with
@@ -63,106 +39,53 @@ where
     I: Fn() -> S + Sync,
     F: Fn(&mut S, &T) -> U + Sync,
 {
-    map_on(items, default_parallelism(), init, f)
-}
-
-/// The one map body: [`par_map_init`] on up to `threads` participants.
-fn map_on<T, U, S, I, F>(items: &[T], threads: usize, init: I, f: F) -> Vec<U>
-where
-    T: Sync,
-    U: Send,
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, &T) -> U + Sync,
-{
-    let len = items.len();
-    if len == 0 {
-        return Vec::new();
-    }
-    let threads = threads.clamp(1, len);
-    if threads == 1 {
-        let mut state = init();
-        return items.iter().map(|item| f(&mut state, item)).collect();
-    }
-
-    let mut out: Vec<U> = Vec::with_capacity(len);
-    let out_ptr = SendPtr(out.as_mut_ptr());
-    let cursor = AtomicUsize::new(0);
-    region(threads, |participant| {
-        let out_ptr = &out_ptr;
-        let mut state = init();
-        let mut claimed = 0u64;
-        loop {
-            let i = cursor.fetch_add(1, Ordering::Relaxed);
-            if i >= len {
-                break;
-            }
-            claimed += 1;
-            // SAFETY: slot `i` belongs to this claim alone, and the buffer
-            // has capacity `len`.
-            unsafe { out_ptr.0.add(i).write(f(&mut state, &items[i])) };
-        }
-        crate::stats::record_claims(claimed, participant != 0);
-    });
-    // SAFETY: the cursor handed out every index in 0..len exactly once and
-    // `region` returned normally, so all slots are initialized. (If a worker
-    // panics, `region` unwinds before this point and the written elements
-    // leak — safe, and acceptable on the panic path.)
-    unsafe { out.set_len(len) };
+    let mut out = Vec::with_capacity(items.len());
+    drain(
+        default_parallelism(),
+        items.iter().zip(out.spare_capacity_mut()).collect(),
+        init,
+        |state, (item, slot), _| {
+            slot.write(f(state, item));
+        },
+    );
+    // SAFETY: the run returned normally, so it ran every seeded task and
+    // each wrote its slot of the first `items.len()`. (A panicking item
+    // re-raises before this point and the written outputs leak.)
+    unsafe { out.set_len(items.len()) };
     out
 }
 
 /// Applies `f` to every element of `items` in place, in parallel, with
 /// per-participant state built once per participating thread via `init`.
 ///
-/// Indices are claimed one at a time through an atomic cursor, so each
-/// `&mut T` is handed to exactly one participant and skewed per-item cost
-/// balances automatically.
+/// Each `&mut T` is one task, so it goes to exactly one participant and
+/// skewed per-item cost balances automatically.
 ///
-/// This is the engine's client-training workhorse: `items` are per-client
-/// result slots, `init` borrows a pooled scratch buffer, and `f` runs one
-/// client's local SGD into its slot.
+/// The population build and membership placement fan out through here:
+/// `items` are per-unit result slots, `init` builds scratch, and `f` fills
+/// one slot.
 pub fn par_for_each_init<T, S, I, F>(items: &mut [T], init: I, f: F)
 where
     T: Send,
     I: Fn() -> S + Sync,
     F: Fn(&mut S, usize, &mut T) + Sync,
 {
-    let len = items.len();
-    if len == 0 {
-        return;
-    }
-    let threads = default_parallelism().clamp(1, len);
-    if threads == 1 {
-        let mut state = init();
-        for (i, item) in items.iter_mut().enumerate() {
-            f(&mut state, i, item);
-        }
-        return;
-    }
-    let base = SendPtr(items.as_mut_ptr());
-    let cursor = AtomicUsize::new(0);
-    region(threads, |participant| {
-        let base = &base;
-        let mut state = init();
-        let mut claimed = 0u64;
-        loop {
-            let i = cursor.fetch_add(1, Ordering::Relaxed);
-            if i >= len {
-                break;
-            }
-            claimed += 1;
-            // SAFETY: index `i` is claimed exactly once, so this is the only
-            // live `&mut` to the element.
-            let item = unsafe { &mut *base.0.add(i) };
-            f(&mut state, i, item);
-        }
-        crate::stats::record_claims(claimed, participant != 0);
-    });
+    drain(
+        default_parallelism(),
+        items.iter_mut().enumerate().collect(),
+        init,
+        |state, (i, item), _| f(state, i, item),
+    );
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tests::at_width;
+    use crate::TaskQueue;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Mutex;
 
     #[test]
     fn par_map_preserves_order() {
@@ -185,7 +108,7 @@ mod tests {
         let expected: Vec<i64> = items.iter().map(|&x| x * x).collect();
         for threads in [1, 2, 5, 16] {
             assert_eq!(
-                par_map_with(&items, threads, |&x| x * x),
+                at_width(threads, || par_map(&items, |&x| x * x)),
                 expected,
                 "threads={threads}"
             );
@@ -221,20 +144,24 @@ mod tests {
 
     #[test]
     fn par_for_each_init_writes_every_slot() {
-        let mut items: Vec<(usize, bool)> = (0..500).map(|i| (i, false)).collect();
-        par_for_each_init(&mut items, Vec::<u8>::new, |scratch, i, slot| {
-            scratch.clear();
-            scratch.extend_from_slice(&[1, 2, 3]);
-            assert_eq!(slot.0, i);
-            assert!(!slot.1, "slot {i} visited twice");
-            slot.1 = true;
-        });
-        assert!(items.iter().all(|&(_, seen)| seen));
+        for width in [1, 2, 8] {
+            let mut items: Vec<(usize, bool)> = (0..500).map(|i| (i, false)).collect();
+            at_width(width, || {
+                par_for_each_init(&mut items, Vec::<u8>::new, |scratch, i, slot| {
+                    scratch.clear();
+                    scratch.extend_from_slice(&[1, 2, 3]);
+                    assert_eq!(slot.0, i);
+                    assert!(!slot.1, "slot {i} visited twice");
+                    slot.1 = true;
+                })
+            });
+            assert!(items.iter().all(|&(_, seen)| seen), "width {width}");
+        }
     }
 
     #[test]
     fn uneven_work_is_balanced() {
-        // Items where the first item is vastly more expensive; index stealing
+        // Items where the first item is vastly more expensive; the queue
         // should still finish (this is a smoke test for deadlock/livelock).
         let items: Vec<u64> = (0..64).collect();
         let out = par_map(&items, |&x| {
@@ -260,5 +187,84 @@ mod tests {
             .map(|&x| (0..8).map(|y| x * 100 + y).sum::<u64>())
             .collect();
         assert_eq!(out, expected);
+    }
+
+    #[test]
+    fn helpers_called_from_a_task_run_inline_in_index_order() {
+        let queue = TaskQueue::default();
+        queue.run_on(
+            4,
+            0..4u64,
+            || (),
+            |(), seed, _| {
+                let caller = std::thread::current().id();
+                let order = Mutex::new(Vec::new());
+                let visit = |i: usize| {
+                    assert_eq!(std::thread::current().id(), caller, "ran off the task");
+                    order.lock().unwrap().push(i);
+                };
+                let items: Vec<u64> = (0..16).map(|i| seed * 100 + i).collect();
+                let mapped = par_map(&items, |&x| {
+                    visit((x - seed * 100) as usize);
+                    x + 1
+                });
+                assert_eq!(mapped, items.iter().map(|&x| x + 1).collect::<Vec<_>>());
+                let inited = par_map_init(&items, Vec::<u64>::new, |seen, &x| {
+                    visit((x - seed * 100) as usize);
+                    seen.push(x);
+                    seen.len()
+                });
+                // One state threaded through every item, in index order.
+                assert_eq!(inited, (1..=16).collect::<Vec<usize>>());
+                let mut slots = items.clone();
+                par_for_each_init(
+                    &mut slots,
+                    || (),
+                    |(), i, slot| {
+                        visit(i);
+                        *slot += 1;
+                    },
+                );
+                let once: Vec<usize> = (0..16).collect();
+                let expected: Vec<usize> = once.iter().chain(&once).chain(&once).copied().collect();
+                assert_eq!(order.into_inner().unwrap(), expected, "seed {seed}");
+            },
+        );
+    }
+
+    #[test]
+    fn a_panicking_item_re_raises_after_the_run() {
+        for width in [1, 2, 8] {
+            let visits: Vec<AtomicUsize> = (0..64).map(|_| AtomicUsize::new(0)).collect();
+            let mut items: Vec<usize> = (0..64).collect();
+            let result = catch_unwind(AssertUnwindSafe(|| {
+                at_width(width, || {
+                    par_for_each_init(
+                        &mut items,
+                        || (),
+                        |(), i, _| {
+                            visits[i].fetch_add(1, Ordering::Relaxed);
+                            if i == 5 {
+                                panic!("item 5");
+                            }
+                        },
+                    )
+                })
+            }));
+            let payload = result.expect_err("the panic must propagate");
+            assert_eq!(payload.downcast_ref::<&str>(), Some(&"item 5"));
+            // The run went on past the panic: every item was visited once.
+            assert!(
+                visits.iter().all(|v| v.load(Ordering::Relaxed) == 1),
+                "width {width}"
+            );
+            assert!(!crate::fork::in_region());
+            // The pool stays usable.
+            let mut again = vec![0u8; 64];
+            at_width(width, || {
+                par_for_each_init(&mut again, || (), |(), _, s| *s = 1)
+            });
+            assert!(again.iter().all(|&s| s == 1), "width {width}");
+        }
     }
 }

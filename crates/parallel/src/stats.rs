@@ -4,21 +4,23 @@
 //! observability layer report how well the pool is utilized without touching
 //! simulation state:
 //!
-//! * **regions** — parallel broadcast regions entered ([`crate::region`]
-//!   calls that actually fanned out; sequential degradations are not
-//!   counted).
-//! * **claims** — work items claimed through the helpers' atomic cursors.
+//! * **regions** — parallel broadcast regions entered (runs that actually
+//!   fanned out; sequential degradations are not counted).
+//! * **claims** — tasks run by [`crate::TaskQueue`] runs, the slice
+//!   helpers' included (one task per item).
 //! * **steals** — the subset of claims made by helper workers rather than
 //!   the region caller (participant 0). With perfect static balance this is
 //!   `claims × (width-1)/width`; skew shows up as deviation.
-//! * **busy_ns / capacity_ns** — summed participant body time vs. region
-//!   wall time × width. Their ratio is pool utilization: 1.0 means no
+//! * **busy_ns / capacity_ns** — summed participant time in a fanned-out
+//!   run, less the time it spent parked waiting for a task, vs. region wall
+//!   time × width. Their ratio is pool utilization: 1.0 means no
 //!   participant ever idled waiting for stragglers.
 //!
 //! Counters are cumulative for the process; consumers take a [`snapshot`]
 //! before and after the interval of interest and diff with
-//! [`PoolStats::since`]. Claim counts are accumulated per participant and
-//! flushed once per region, so the per-item hot path pays nothing.
+//! [`PoolStats::since`]. Claim counts and busy time are accumulated per
+//! participant and flushed once per run, so the per-task hot path pays
+//! nothing.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -79,7 +81,8 @@ pub(crate) fn record_region(wall_ns: u64, width: usize) {
     CAPACITY_NS.fetch_add(wall_ns.saturating_mul(width as u64), Ordering::Relaxed);
 }
 
-/// Records one participant's total body execution time within a region.
+/// Records one participant's busy time within a region: its body time less
+/// the time it spent parked.
 pub(crate) fn record_busy(ns: u64) {
     BUSY_NS.fetch_add(ns, Ordering::Relaxed);
 }
@@ -127,9 +130,14 @@ mod tests {
     #[test]
     fn parallel_region_moves_the_counters() {
         let before = snapshot();
-        crate::region(4, |_| {
-            std::hint::black_box((0..10_000u64).sum::<u64>());
-        });
+        crate::TaskQueue::default().run_on(
+            4,
+            0..4u64,
+            || (),
+            |(), n, _| {
+                std::hint::black_box((0..10_000 + n).sum::<u64>());
+            },
+        );
         let delta = snapshot().since(before);
         assert!(delta.regions >= 1);
         assert!(delta.capacity_ns > 0);
@@ -140,14 +148,14 @@ mod tests {
     fn claims_and_steals_are_flushed_by_scope_helpers() {
         let items: Vec<u64> = (0..512).collect();
         let before = snapshot();
-        let out = crate::scope::par_map_with(&items, 4, |&x| x + 1);
+        let out = crate::tests::at_width(4, || crate::par_map(&items, |&x| x + 1));
         assert_eq!(out.len(), 512);
         let delta = snapshot().since(before);
         // Other tests may run concurrently against the same process-wide
         // counters, so assert a lower bound rather than an exact count.
         assert!(
             delta.claims >= 512,
-            "Single chunking claims one item each (saw {})",
+            "every item is one task (saw {})",
             delta.claims
         );
         assert!(delta.steals <= delta.claims);
