@@ -4,7 +4,10 @@
 //! batch 32, vision model) for a few global rounds at each worker-thread
 //! count, measuring rounds/sec and heap allocations per round via a
 //! counting global allocator, then writes the results to
-//! `BENCH_ROUND.json` (and stdout).
+//! `BENCH_ROUND.json` (and stdout). Each thread count runs one warm-up
+//! round, reported as `warmup_allocs`, before the `N` rounds it measures,
+//! so `allocs_per_round` counts warm rounds only and does not depend on
+//! `N`.
 //!
 //! Usage: `cargo run --release -p gfl-bench --bin bench_round [-- --rounds N]`
 //!
@@ -17,7 +20,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
-use gfl_core::driver::{Clock, Membership, RunPlan};
+use gfl_core::driver::{Clock, Membership, RunPlan, RunState};
 use gfl_core::engine::{form_groups_per_edge, GroupFelConfig, Trainer};
 use gfl_core::grouping::CovGrouping;
 use gfl_core::local::FedAvg;
@@ -408,32 +411,62 @@ fn main() {
     gfl_obs::alloc::register_alloc_counter(|| ALLOCS.load(Ordering::Relaxed));
     let (trainer, groups, _) = build_paper_scale(rounds);
     let param_count = trainer.model().param_len();
+    let probs = trainer.sampling_probs(&groups, SamplingStrategy::ESRCov);
+    let plan = RunPlan {
+        clock: Clock::Lockstep,
+        membership: Membership::Static {
+            groups: &groups,
+            probs: &probs,
+        },
+    };
+    // One warm-up round, then the `rounds` measured ones, each driven on
+    // its own and evaluated: every measured round does the same work, so
+    // the per-round figures do not depend on `--rounds`.
+    let leg = |state: &mut RunState| {
+        trainer
+            .drive(&FedAvg, &plan, state, 1)
+            .expect("a static partition is never re-formed");
+    };
+    let allocs_of = |f: &mut dyn FnMut()| {
+        let before = ALLOCS.load(Ordering::Relaxed);
+        f();
+        ALLOCS.load(Ordering::Relaxed) - before
+    };
 
-    // Warm-up: populate scratch pools, page in the dataset.
+    // Warm-up at one thread: the whole run once, so every pool is sized
+    // for the groups it samples. Its history is the reference.
     gfl_parallel::set_default_parallelism(1);
-    let reference = trainer.run(&groups, &FedAvg, SamplingStrategy::ESRCov);
+    let mut reference = trainer.start(&FedAvg);
+    (0..=rounds).for_each(|_| leg(&mut reference));
 
     let mut results = Vec::new();
     let mut per_rounds: Vec<f64> = Vec::new();
     for threads in [1usize, 2, 4, 8] {
         gfl_parallel::set_default_parallelism(threads);
-        let alloc_start = ALLOCS.load(Ordering::Relaxed);
+        let mut state = trainer.start(&FedAvg);
+        // No measured round regrows the history.
+        state.history.reserve_rounds(rounds + 1);
+        // Worker spawn and per-worker scratch at this width.
+        let warmup_allocs = allocs_of(&mut || leg(&mut state));
         let pool_start = gfl_parallel::stats::snapshot();
         let t0 = Instant::now();
-        let h = trainer.run(&groups, &FedAvg, SamplingStrategy::ESRCov);
+        let allocs = allocs_of(&mut || (0..rounds).for_each(|_| leg(&mut state)));
         let secs = t0.elapsed().as_secs_f64();
-        let allocs = ALLOCS.load(Ordering::Relaxed) - alloc_start;
         let pool = gfl_parallel::stats::snapshot().since(pool_start);
-        assert_eq!(h, reference, "thread count changed the result");
+        assert_eq!(
+            state.history, reference.history,
+            "thread count changed the result"
+        );
         let per_round = secs / rounds as f64;
         // A timing row is only an honest scaling datum when the machine
         // actually has a core per worker thread.
         let reliable = cores >= threads;
         eprintln!(
-            "threads={threads:2}  {:7.3} s/round  {:9.4} rounds/s  {:8} allocs/round  pool util {:5.1}%  steals {}{}",
+            "threads={threads:2}  {:7.3} s/round  {:9.4} rounds/s  {:8} allocs/round  {:6} warm-up allocs  pool util {:5.1}%  steals {}{}",
             per_round,
             1.0 / per_round,
             allocs / rounds as u64,
+            warmup_allocs,
             pool.utilization() * 100.0,
             pool.steals,
             if reliable { "" } else { "  [unreliable: threads > cores]" }
@@ -445,6 +478,7 @@ fn main() {
             "seconds_per_round": per_round,
             "rounds_per_sec": 1.0 / per_round,
             "allocs_per_round": allocs / rounds as u64,
+            "warmup_allocs": warmup_allocs,
             "pool_utilization": pool.utilization(),
             "pool_regions": pool.regions,
             "pool_claims": pool.claims,

@@ -117,6 +117,17 @@ impl DataConfig {
         }
     }
 
+    /// The pooled dataset's `split_holdout(6)` halves; the synthetic one is
+    /// drawn straight into them.
+    fn holdout(&self) -> Result<(Dataset, Dataset), CommandError> {
+        match &self.path {
+            Some(_) => Ok(self.pooled()?.split_holdout(6)),
+            None => Ok(self
+                .synthetic()
+                .generate_holdout(self.samples, 6, self.seed)),
+        }
+    }
+
     /// `train` spread over the clients by Dirichlet(`--alpha`).
     fn partition(&self, train: Dataset) -> FedData {
         let spec = PartitionSpec {
@@ -388,7 +399,7 @@ pub fn simulate(argv: &[String], out: &mut dyn Write) -> CmdResult {
     let (fed, test) = if cfg.is_virtual {
         cfg.data.virtual_population()
     } else {
-        let (train, test) = cfg.data.pooled()?.split_holdout(6);
+        let (train, test) = cfg.data.holdout()?;
         (cfg.data.partition(train), test)
     };
     if let Some(plan) = &cfg.adversary {

@@ -523,7 +523,12 @@ fn rows_by_threads<'a>(
     })
 }
 
-/// Compares two `BENCH_ROUND.json` snapshots. Thresholds:
+/// The keys that say which run a `BENCH_ROUND.json` snapshot measured.
+const SNAPSHOT_IDENTITY: [&str; 3] = ["workload", "rounds_measured", "param_count"];
+
+/// Compares two `BENCH_ROUND.json` snapshots of the same run: a snapshot
+/// pair whose [`SNAPSHOT_IDENTITY`] keys differ is an error (exit 2), not a
+/// comparison. Thresholds:
 ///
 /// * `rounds_per_sec` (per thread row): FAIL below `--min-rps-ratio`
 ///   (default 0.5) of baseline — generous, because CI hardware varies.
@@ -562,6 +567,19 @@ fn regress(paths: &[String], args: &Args, out: &mut dyn Write) -> Result<i32, St
     };
     let baseline = read(&paths[0])?;
     let current = read(&paths[1])?;
+    // Snapshots of different runs do not compare: their per-round figures
+    // differ for reasons no code change made.
+    for key in SNAPSHOT_IDENTITY {
+        if let (Some(base), Some(cur)) = (baseline.get(key), current.get(key)) {
+            if base != cur {
+                let [base, cur] = [base, cur].map(|v| serde_json::to_string(v).unwrap_or_default());
+                return Err(format!(
+                    "the snapshots measure different runs: `{key}` is {base} in the \
+                     baseline and {cur} in the current one"
+                ));
+            }
+        }
+    }
 
     let mut failures = 0usize;
     let mut checks = 0usize;

@@ -471,6 +471,47 @@ fn regress_holds_the_active_tiers_softmax_rows_to_the_baselines_rows_per_second(
 }
 
 #[test]
+fn regress_refuses_snapshots_of_different_runs() {
+    let base = fixture("bench_baseline.json");
+    let fixture_text = std::fs::read_to_string(&base).unwrap();
+    // The baseline fixture with one identity key set to `value` (or
+    // removed, for `None`).
+    let with = |name: &str, key: &str, value: Option<serde_json::Value>| {
+        let mut v: serde_json::Value = serde_json::from_str(&fixture_text).unwrap();
+        let serde_json::Value::Object(pairs) = &mut v else {
+            panic!("fixture must be an object")
+        };
+        pairs.retain(|(k, _)| k != key);
+        pairs.extend(value.map(|value| (key.to_string(), value)));
+        let path = tmp(name);
+        std::fs::write(&path, serde_json::to_string(&v).unwrap()).unwrap();
+        path
+    };
+    for (key, other) in [
+        ("rounds_measured", serde_json::json!(1)),
+        ("param_count", serde_json::json!(4_096)),
+        ("workload", serde_json::json!("another run")),
+    ] {
+        let changed = with(&format!("bench_other_{key}.json"), key, Some(other));
+        // Either way round: an error naming the key, and no verdicts.
+        for (a, b) in [(&base, &changed), (&changed, &base)] {
+            let (code, out) = gfl_trace(&format!("regress {} {}", a.display(), b.display()));
+            assert_eq!(code, 2, "{out}");
+            assert!(out.starts_with("error: "), "{out}");
+            assert!(out.contains(&format!("`{key}`")), "{out}");
+            assert!(!out.contains("PASS") && !out.contains("FAIL"), "{out}");
+        }
+        // A snapshot that lacks the key is compared as before.
+        let missing = with(&format!("bench_without_{key}.json"), key, None);
+        let (code, out) = gfl_trace(&format!("regress {} {}", base.display(), missing.display()));
+        assert_eq!(code, 0, "{out}");
+        for path in [changed, missing] {
+            std::fs::remove_file(path).ok();
+        }
+    }
+}
+
+#[test]
 fn regress_with_no_overlap_is_an_error() {
     let base = fixture("bench_baseline.json");
     let empty = tmp("empty_bench.json");

@@ -100,6 +100,8 @@ impl Dataset {
 
     /// Splits into (train, test) by taking every `k`-th sample into the test
     /// set (deterministic, label-stratified enough for synthetic data).
+    /// Synthetic data skips it: `SyntheticSpec::generate_holdout` draws the
+    /// two halves directly.
     pub fn split_holdout(&self, every_k: usize) -> (Dataset, Dataset) {
         assert!(every_k >= 2, "every_k must be at least 2");
         let mut train_idx = Vec::new();

@@ -12,7 +12,7 @@
 //!    (CIFAR-10's finite per-class supply forces the same compromise the
 //!    paper alludes to with "restricted by the available data").
 
-use gfl_tensor::init::{self, GflRng};
+use gfl_tensor::init;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -73,7 +73,8 @@ impl ClientPartition {
         assert!(spec.min_size <= spec.max_size, "size bounds inverted");
         assert!(spec.alpha > 0.0, "alpha must be positive");
         let m = dataset.num_classes();
-        let mut rng = init::rng(spec.seed);
+        // About a shuffle draw and a label draw per sample: a long stream.
+        let mut rng = init::wide_rng(spec.seed);
 
         // Per-label pools of sample indices, shuffled for unbiased draws.
         let mut pools: Vec<Vec<usize>> = vec![Vec::new(); m];
@@ -121,7 +122,7 @@ impl ClientPartition {
 
 /// Draws client sizes from a clipped normal centered between the bounds,
 /// additionally capped so the sum does not exceed the available data.
-fn client_sizes(rng: &mut GflRng, spec: &PartitionSpec, available: usize) -> Vec<usize> {
+fn client_sizes(rng: &mut impl Rng, spec: &PartitionSpec, available: usize) -> Vec<usize> {
     let mean = (spec.min_size + spec.max_size) as f32 / 2.0;
     let std = (spec.max_size - spec.min_size).max(1) as f32 / 4.0;
     let mut sizes = Vec::with_capacity(spec.num_clients);

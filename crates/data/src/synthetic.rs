@@ -6,7 +6,9 @@
 //! trivial, so federated training exhibits the gradual accuracy curves the
 //! paper's figures show rather than saturating in two rounds.
 
-use gfl_tensor::init;
+use std::ops::Range;
+
+use gfl_tensor::init::{self, WideRng};
 use gfl_tensor::{Matrix, Scalar};
 use rand::Rng;
 
@@ -18,6 +20,11 @@ use crate::Dataset;
 /// (much wider) feature stream — the property `VirtualPopulation` builds on.
 const LABEL_STREAM_SALT: u64 = 0x4C41_4245_4C53_3031; // "LABELS01"
 const FEATURE_STREAM_SALT: u64 = 0x4645_4154_5352_3031; // "FEATSR01"
+
+/// Rows one task of the uniform generator draws: 32 tasks for the speech
+/// task's 60 000 rows. 1 920 = 2⁷ · 15 is a multiple of the holdout strides
+/// 5 and 6, so every chunk but the last gives each half as many rows.
+const CHUNK_ROWS: usize = 1_920;
 
 /// Specification of a synthetic class-conditional Gaussian dataset.
 #[derive(Debug, Clone, PartialEq)]
@@ -76,10 +83,18 @@ impl SyntheticSpec {
         self.generate_weighted(n, None, seed)
     }
 
+    /// `generate(n, seed).split_holdout(every_k)`, bit for bit, drawn
+    /// straight into the two halves: the pooled dataset is never built.
+    pub fn generate_holdout(&self, n: usize, every_k: usize, seed: u64) -> (Dataset, Dataset) {
+        assert!(every_k >= 2, "every_k must be at least 2");
+        self.uniform(n, seed, Some(every_k))
+    }
+
     /// Generates `n` samples whose labels follow `label_weights`.
     ///
     /// The uniform (`None`) path is the historical interleaved-stream
-    /// generator and stays byte-stable (golden datasets depend on it). The
+    /// generator and stays byte-stable (golden datasets depend on it); it
+    /// runs as chunks on the pool, each seeked to its word offset. The
     /// weighted path is split-stream: means, labels, and features each come
     /// from their own seeded stream, which makes label histograms and shard
     /// contents independently derivable — see [`Self::weighted_labels_into`]
@@ -87,26 +102,121 @@ impl SyntheticSpec {
     pub fn generate_weighted(&self, n: usize, label_weights: Option<&[f64]>, seed: u64) -> Dataset {
         assert!(self.num_classes > 0 && self.feature_dim > 0);
         match label_weights {
-            None => {
-                let mut rng = init::wide_rng(seed);
-                let means = self.class_means(&mut rng);
-                let mut features = Matrix::zeros(n, self.feature_dim);
-                let mut labels = Vec::with_capacity(n);
-                for i in 0..n {
-                    let label = rng.gen_range(0..self.num_classes);
-                    labels.push(label);
-                    let row = features.row_mut(i);
-                    for (j, v) in row.iter_mut().enumerate() {
-                        *v = means.get(label, j) + init::normal(&mut rng, 0.0, self.noise);
-                    }
-                }
-                Dataset::new(features, labels, self.num_classes)
-            }
+            None => self.uniform(n, seed, None).0,
             Some(w) => {
                 let means = self.class_means_for(seed);
                 self.generate_weighted_with_means(n, w, &means, seed)
             }
         }
+    }
+
+    /// The uniform stream's `n` rows as `(train, test)`: row `r` is a test
+    /// row when `holdout` is `Some(k)` and `k` divides `r`, so `None` puts
+    /// every row in `train`.
+    ///
+    /// The stream is the class means, then per row one `gen_range` (one
+    /// `u64`) and `feature_dim` Box–Muller normals (two `u64` each, unless
+    /// a uniform is exactly zero and is drawn again, p = 2⁻⁵³). Row `r`
+    /// therefore starts [`Self::row_words`]` · r` words after the means, and
+    /// [`CHUNK_ROWS`]-row chunks are drawn as tasks on the pool, each from
+    /// that predicted offset; see [`Self::uniform_speculated`].
+    fn uniform(&self, n: usize, seed: u64, holdout: Option<usize>) -> (Dataset, Dataset) {
+        let row_words = self.row_words();
+        self.uniform_speculated(n, seed, holdout, |means_end, row| {
+            means_end + row_words * row as u128
+        })
+    }
+
+    /// 32-bit words a row of the uniform stream draws when no uniform is
+    /// drawn again.
+    fn row_words(&self) -> u128 {
+        2 * (1 + 2 * self.feature_dim as u128)
+    }
+
+    /// [`Self::uniform`] with chunk starts from `predict(means_end,
+    /// first_row)`. Each chunk records the word where it ended; a serial
+    /// stitch then redraws, in row order, every chunk whose start differs
+    /// from its predecessor's end. The output is the serial stream's for any
+    /// `predict`; a right one leaves the stitch nothing to do.
+    fn uniform_speculated(
+        &self,
+        n: usize,
+        seed: u64,
+        holdout: Option<usize>,
+        predict: impl Fn(u128, usize) -> u128,
+    ) -> (Dataset, Dataset) {
+        assert!(self.num_classes > 0 && self.feature_dim > 0);
+        let dim = self.feature_dim;
+        let mut rng = init::wide_rng(seed);
+        let means = self.class_means(&mut rng);
+        let means_end = rng.word_pos();
+        // Rows `0..r` hold this many test rows.
+        let held = |r: usize| holdout.map_or(0, |k| r.div_ceil(k));
+        let (n_train, n_test) = (n - held(n), held(n));
+        let mut train = (vec![0.0; n_train * dim], vec![0; n_train]);
+        let mut test = (vec![0.0; n_test * dim], vec![0; n_test]);
+
+        let mut chunks = Vec::with_capacity(n.div_ceil(CHUNK_ROWS));
+        let (mut train_rest, mut test_rest) = (
+            (&mut train.0[..], &mut train.1[..]),
+            (&mut test.0[..], &mut test.1[..]),
+        );
+        for first in (0..n).step_by(CHUNK_ROWS) {
+            let rows = first..(first + CHUNK_ROWS).min(n);
+            let tests = held(rows.end) - held(first);
+            let trains = rows.len() - tests;
+            chunks.push(RowChunk {
+                start: predict(means_end, first),
+                end: 0,
+                train: take_rows(&mut train_rest, trains, dim),
+                test: take_rows(&mut test_rest, tests, dim),
+                rows,
+            });
+        }
+        let draw = |chunk: &mut RowChunk| self.draw_rows(seed, &means, holdout, chunk);
+        gfl_parallel::par_for_each_init(&mut chunks, || (), |_, _, chunk| draw(chunk));
+        let mut end = means_end;
+        for chunk in &mut chunks {
+            if chunk.start != end {
+                chunk.start = end;
+                draw(chunk);
+            }
+            end = chunk.end;
+        }
+
+        let half = |(features, labels): (Vec<Scalar>, Vec<usize>)| {
+            let rows = labels.len();
+            Dataset::new(
+                Matrix::from_vec(rows, dim, features),
+                labels,
+                self.num_classes,
+            )
+        };
+        (half(train), half(test))
+    }
+
+    /// Draws `chunk`'s rows from word `chunk.start` of `seed`'s stream into
+    /// its slices and records the word after its last row.
+    fn draw_rows(&self, seed: u64, means: &Matrix, holdout: Option<usize>, chunk: &mut RowChunk) {
+        let dim = self.feature_dim;
+        let mut rng = WideRng::at_word_pos(seed, chunk.start);
+        let (mut train, mut test) = (0, 0);
+        for r in chunk.rows.clone() {
+            let label = rng.gen_range(0..self.num_classes);
+            let (half, slot) = if holdout.is_some_and(|k| r % k == 0) {
+                test += 1;
+                (&mut chunk.test, test - 1)
+            } else {
+                train += 1;
+                (&mut chunk.train, train - 1)
+            };
+            half.1[slot] = label;
+            let row = &mut half.0[slot * dim..(slot + 1) * dim];
+            for (v, &mean) in row.iter_mut().zip(means.row(label)) {
+                *v = mean + init::normal(&mut rng, 0.0, self.noise);
+            }
+        }
+        chunk.end = rng.word_pos();
     }
 
     /// The class-mean constellation for `seed` — identical to the means the
@@ -205,6 +315,28 @@ impl SyntheticSpec {
     }
 }
 
+/// Feature rows (row-major, `feature_dim` wide) and their labels.
+type Rows<'a> = (&'a mut [Scalar], &'a mut [usize]);
+
+/// One task of the uniform generator: stream rows `rows`, drawn from word
+/// `start` into the slices of the two halves they land in.
+struct RowChunk<'a> {
+    rows: Range<usize>,
+    start: u128,
+    /// The word after the last row, once drawn.
+    end: u128,
+    train: Rows<'a>,
+    test: Rows<'a>,
+}
+
+/// Splits the first `rows` rows off `rest`.
+fn take_rows<'a>(rest: &mut Rows<'a>, rows: usize, dim: usize) -> Rows<'a> {
+    let (features, more_features) = std::mem::take(&mut rest.0).split_at_mut(rows * dim);
+    let (labels, more_labels) = std::mem::take(&mut rest.1).split_at_mut(rows);
+    *rest = (more_features, more_labels);
+    (features, labels)
+}
+
 /// Draws of one categorical distribution taken side by side.
 const LANES: usize = 8;
 
@@ -273,11 +405,125 @@ fn sample_categorical(rng: &mut impl Rng, weights: &[f64], total: f64) -> usize 
     weights.len() - 1
 }
 
+/// The uniform generator as one serial stream — the loop the chunked
+/// [`SyntheticSpec::uniform`] replaced, kept as its oracle.
+#[cfg(test)]
+fn generate_serial(spec: &SyntheticSpec, n: usize, seed: u64) -> Dataset {
+    let mut rng = init::wide_rng(seed);
+    let means = spec.class_means(&mut rng);
+    let mut features = Matrix::zeros(n, spec.feature_dim);
+    let mut labels = Vec::with_capacity(n);
+    for i in 0..n {
+        let label = rng.gen_range(0..spec.num_classes);
+        labels.push(label);
+        let row = features.row_mut(i);
+        for (j, v) in row.iter_mut().enumerate() {
+            *v = means.get(label, j) + init::normal(&mut rng, 0.0, spec.noise);
+        }
+    }
+    Dataset::new(features, labels, spec.num_classes)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
     use rand::RngCore;
+
+    /// The pool width is process-wide: the tests that set it take turns.
+    static WIDTH: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+    fn assert_same(got: &Dataset, want: &Dataset, what: &str) {
+        assert_eq!(got.labels(), want.labels(), "{what}: labels");
+        let bits = |d: &Dataset| {
+            d.features()
+                .as_slice()
+                .iter()
+                .map(|x| x.to_bits())
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(bits(got), bits(want), "{what}: features");
+        assert_eq!(got.feature_dim(), want.feature_dim(), "{what}: width");
+    }
+
+    /// Row counts around the chunk boundaries.
+    const EDGE_ROWS: [usize; 7] = [
+        0,
+        1,
+        CHUNK_ROWS - 1,
+        CHUNK_ROWS,
+        CHUNK_ROWS + 1,
+        2 * CHUNK_ROWS + 6,
+        3 * CHUNK_ROWS + 7,
+    ];
+
+    #[test]
+    fn chunked_generation_is_the_serial_stream_at_any_width() {
+        let _turn = WIDTH.lock().unwrap_or_else(|e| e.into_inner());
+        // Rows of 18 and 30 words: chunks start at every alignment to the
+        // reader's blocks and windows. The speech task's 162-word rows are
+        // pinned by the multi-chunk digests in `tests/streams.rs`.
+        let odd = SyntheticSpec {
+            num_classes: 5,
+            feature_dim: 7,
+            ..SyntheticSpec::tiny()
+        };
+        let specs = [SyntheticSpec::tiny(), odd];
+        let oracles: Vec<Vec<Dataset>> = specs
+            .iter()
+            .map(|spec| EDGE_ROWS.map(|n| generate_serial(spec, n, 13)).to_vec())
+            .collect();
+        for threads in [1, 2, 8] {
+            gfl_parallel::set_default_parallelism(threads);
+            for (spec, oracles) in specs.iter().zip(&oracles) {
+                for (n, want) in EDGE_ROWS.into_iter().zip(oracles) {
+                    let what = format!("{threads} threads, {n} rows, dim {}", spec.feature_dim);
+                    assert_same(&spec.generate(n, 13), want, &what);
+                    for every_k in [2, 5, 6, 7] {
+                        let (train, test) = spec.generate_holdout(n, every_k, 13);
+                        let (want_train, want_test) = want.split_holdout(every_k);
+                        assert_same(&train, &want_train, &format!("{what}, train of {every_k}"));
+                        assert_same(&test, &want_test, &format!("{what}, test of {every_k}"));
+                    }
+                }
+            }
+        }
+        gfl_parallel::set_default_parallelism(0);
+    }
+
+    #[test]
+    fn the_stitch_redraws_chunks_after_a_wrong_prediction() {
+        let _turn = WIDTH.lock().unwrap_or_else(|e| e.into_inner());
+        gfl_parallel::set_default_parallelism(2);
+        let spec = SyntheticSpec::tiny();
+        let n = 4 * CHUNK_ROWS + 11;
+        let want = generate_serial(&spec, n, 29);
+        let (want_train, want_test) = want.split_holdout(6);
+        let row_words = spec.row_words();
+        // What a rejection in chunk 1 does to the prediction of every later
+        // chunk (its start is two words late), what a mistake confined to
+        // chunk 2 does, and no prediction at all.
+        let rejection = |means_end: u128, row: usize| {
+            means_end + row_words * row as u128 + 2 * u128::from(row > CHUNK_ROWS)
+        };
+        let one_off = |means_end: u128, row: usize| {
+            means_end + row_words * row as u128 + u128::from(row == 2 * CHUNK_ROWS)
+        };
+        let none = |_: u128, _: usize| 0;
+        for (name, predict) in [
+            ("rejection", &rejection as &dyn Fn(u128, usize) -> u128),
+            ("one chunk off", &one_off),
+            ("no prediction", &none),
+        ] {
+            let (pooled, empty) = spec.uniform_speculated(n, 29, None, predict);
+            assert_same(&pooled, &want, name);
+            assert!(empty.is_empty(), "{name}");
+            let (train, test) = spec.uniform_speculated(n, 29, Some(6), predict);
+            assert_same(&train, &want_train, &format!("{name}, train"));
+            assert_same(&test, &want_test, &format!("{name}, test"));
+        }
+        gfl_parallel::set_default_parallelism(0);
+    }
 
     /// One weight: mostly ordinary, sometimes each thing a weight should
     /// never be.

@@ -164,3 +164,65 @@ fn uniform_generator_output_is_the_parents() {
         "the interleaved generate stream moved; computed now:\n{table}"
     );
 }
+
+/// `(seed, digests of generate(60 000, seed) and of its split_holdout(6)
+/// train and test halves)` for the speech task, recorded by running this
+/// test on `6604efa`, the parent of the change that generates the uniform
+/// stream in chunks. 60 000 rows span many chunks.
+const GENERATED_MULTI_CHUNK: [(u64, u64, u64, u64); 3] = [
+    (
+        1,
+        0xa49d52092296908e,
+        0x494316cdffd353ff,
+        0x10e32b22862a8958,
+    ),
+    (
+        5,
+        0x4417b5648d820fa6,
+        0x63414c9a2f385d86,
+        0xa535fe05c870a021,
+    ),
+    (
+        9,
+        0x3c67eac8efbabfcf,
+        0xc260caed313f5856,
+        0x2cf7100382e2b574,
+    ),
+];
+
+#[test]
+fn multi_chunk_generator_output_is_the_parents() {
+    let spec = SyntheticSpec::speech_like();
+    let digest = |d: &Dataset| {
+        let mut hash = FNV_OFFSET;
+        dataset_digest(&mut hash, d);
+        hash
+    };
+    let fresh: Vec<_> = SEEDS
+        .iter()
+        .map(|&seed| {
+            let pooled = spec.generate(60_000, seed);
+            let (train, test) = pooled.split_holdout(6);
+            (seed, digest(&pooled), digest(&train), digest(&test))
+        })
+        .collect();
+    let table: String = fresh
+        .iter()
+        .map(|(seed, pooled, train, test)| {
+            format!("    ({seed}, {pooled:#018x}, {train:#018x}, {test:#018x}),\n")
+        })
+        .collect();
+    assert!(
+        fresh == GENERATED_MULTI_CHUNK,
+        "the multi-chunk generate stream moved; computed now:\n{table}"
+    );
+    // The halves drawn straight from the stream are the same ones.
+    for &(seed, _, train_digest, test_digest) in &GENERATED_MULTI_CHUNK {
+        let (train, test) = spec.generate_holdout(60_000, 6, seed);
+        assert_eq!(
+            (digest(&train), digest(&test)),
+            (train_digest, test_digest),
+            "generate_holdout(60 000, 6, {seed})"
+        );
+    }
+}

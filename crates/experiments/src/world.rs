@@ -199,7 +199,7 @@ impl World {
             Task::Vision => (SyntheticSpec::vision_like(), gfl_nn::zoo::vision_model()),
             Task::Speech => (SyntheticSpec::speech_like(), gfl_nn::zoo::speech_model()),
         };
-        let (train, test) = spec.generate(scale.dataset, seed).split_holdout(6);
+        let (train, test) = spec.generate_holdout(scale.dataset, 6, seed);
         let pspec = PartitionSpec {
             num_clients: scale.clients,
             alpha,

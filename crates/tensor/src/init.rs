@@ -53,6 +53,21 @@ pub fn wide_rng(seed: u64) -> WideRng {
 }
 
 impl WideRng {
+    /// The stream of [`rng`]`(seed)` from its `word`-th 32-bit word on:
+    /// what [`wide_rng`] yields after `word` words, without drawing them.
+    pub fn at_word_pos(seed: u64, word: u128) -> Self {
+        let mut reader = wide_rng(seed);
+        reader.inner.set_word_pos(word);
+        reader
+    }
+
+    /// The offset, in 32-bit words from the start of the stream, of the
+    /// next word this reader yields — `get_word_pos` of an [`rng`] that has
+    /// drawn what this reader has.
+    pub fn word_pos(&self) -> u128 {
+        self.inner.get_word_pos() - ((WINDOW_BYTES - self.pos) / 4) as u128
+    }
+
     fn refill(&mut self) {
         self.inner.fill_bytes(&mut self.window);
         self.pos = 0;
@@ -265,8 +280,53 @@ mod tests {
                         prop_assert_eq!(a, b);
                     }
                 }
+                prop_assert_eq!(wide.word_pos(), narrow.get_word_pos());
             }
             prop_assert_eq!(wide.next_u64(), narrow.next_u64());
+        }
+    }
+
+    /// Word offsets a seek must handle: block boundaries, window
+    /// boundaries, a window's last word, and anywhere in the first sixteen
+    /// windows (mid-block, mid-window, across windows).
+    fn word_offsets() -> impl Strategy<Value = u128> {
+        let window = (WINDOW_BYTES / 4) as u64;
+        (0u8..4, 0u64..40, 0u64..16 * window).prop_map(move |(kind, k, word)| {
+            u128::from(match kind {
+                0 => 16 * k,
+                1 => window * k,
+                2 => window * (k + 1) - 1,
+                _ => word,
+            })
+        })
+    }
+
+    proptest! {
+        /// A reader opened at word `w` yields what `rng` yields after `w`
+        /// words, and `word_pos` is `get_word_pos` after any mix of draws.
+        #[test]
+        fn seeked_reader_equals_rng_after_skipping(
+            seed in 0u64..u64::MAX,
+            word in word_offsets(),
+            ops in proptest::collection::vec(0u8..3, 0..700),
+        ) {
+            let mut narrow = rng(seed);
+            for _ in 0..word {
+                narrow.next_u32();
+            }
+            let mut wide = WideRng::at_word_pos(seed, word);
+            prop_assert_eq!(wide.word_pos(), word);
+            for op in ops {
+                match op {
+                    0 => prop_assert_eq!(wide.next_u32(), narrow.next_u32()),
+                    1 => prop_assert_eq!(wide.next_u64(), narrow.next_u64()),
+                    _ => prop_assert_eq!(
+                        normal(&mut wide, 0.5, 2.0).to_bits(),
+                        normal(&mut narrow, 0.5, 2.0).to_bits()
+                    ),
+                }
+                prop_assert_eq!(wide.word_pos(), narrow.get_word_pos());
+            }
         }
     }
 
