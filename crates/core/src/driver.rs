@@ -18,6 +18,7 @@
 //! Resuming is not a second API: a run advances a [`RunState`], and a
 //! [`crate::checkpoint::Checkpoint`] round-trips one.
 
+use gfl_data::FedData;
 use gfl_faults::{summarize_attacks, FaultEvent};
 use gfl_nn::Params;
 use gfl_obs::{RoundMetrics, SpanAttrs, SpanKind};
@@ -493,6 +494,13 @@ impl Trainer {
                 let sum = |f: fn(&GroupOutcome) -> u64| outcomes.iter().map(f).sum();
                 counters.push(("secagg.sessions", sum(|o| o.secagg_sessions)));
                 counters.push(("secagg.pair_masks", sum(|o| o.secagg_pair_masks)));
+            }
+            if matches!(self.data, FedData::Virtual(_)) {
+                // One derivation per (round, member that trained in any of
+                // the K group rounds): summed per group, so exact at any
+                // thread count.
+                let derived = outcomes.iter().map(|o| o.shards_derived).sum();
+                counters.push(("data.shards_derived", derived));
             }
             for (name, value) in counters {
                 m.counter(name).add(value);

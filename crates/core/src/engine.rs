@@ -177,7 +177,10 @@ pub fn form_groups_active(
 
 /// What one pool worker reuses from task to task (training scratch,
 /// virtual shard buffers, the FLAME filter's live list and delta rows,
-/// SecAgg rows), each cleared or overwritten before a read.
+/// SecAgg rows), each cleared or overwritten before a read. The shard
+/// buffers (`features`, `labels`) back only shards no later group round
+/// can use; a shard kept in a [`Slot`] owns exact-size buffers, so the
+/// worker's are never pinned by one.
 struct WorkerScratch {
     local: LocalScratch,
     features: Vec<Scalar>,
@@ -442,6 +445,9 @@ pub struct GroupOutcome {
     /// a survivor) and the pairwise masks their parties expanded.
     pub(crate) secagg_sessions: u64,
     pub(crate) secagg_pair_masks: u64,
+    /// Virtual shards the group's members derived: one per member that
+    /// trained in at least one of the `K` group rounds.
+    pub(crate) shards_derived: u64,
 }
 
 /// Precomputed time-domain straggler cuts for one group's `K` group
@@ -487,6 +493,14 @@ struct Slot {
     /// even when the update is later rejected as corrupt, matching the
     /// sequential engine).
     loss: Option<Scalar>,
+    /// A virtual member's shard and its poisoning outcome. A shard is a
+    /// pure function of the client, so the member's first trained group
+    /// round derives it and the chain's later rounds reuse it; it is
+    /// dropped after round `K − 1`, or with the slot at chain end.
+    /// Always `None` in materialized runs.
+    shard: Option<(Dataset, Option<(AttackKind, usize)>)>,
+    /// Whether this member derived its shard in the chain.
+    derived: bool,
 }
 
 /// A value a round's task graph hands from task to task without a lock.
@@ -825,9 +839,11 @@ impl Trainer {
     /// returning a typed [`ConfigError`] instead of panicking — the one
     /// constructor. `data` is either representation of the federation: a
     /// `(Dataset, ClientPartition)` pair, or a [`VirtualPopulation`], for
-    /// which no client rows exist up front; each round derives shards for
-    /// exactly the sampled clients and releases them afterwards, so
-    /// steady-state memory is O(sampled clients), not O(population).
+    /// which no client rows exist up front; each global round derives one
+    /// shard per sampled member that trains, keeps it in the member's slot
+    /// across the group's `K` group rounds, and releases it after its last
+    /// use, so steady-state memory is O(sampled clients), not
+    /// O(population).
     /// Zero-round configurations (`global_rounds = 0`) are rejected here:
     /// they would otherwise produce an empty [`RunHistory`] that downstream
     /// consumers (reports, checkpoints, golden traces) cannot interpret.
@@ -1209,6 +1225,8 @@ impl Trainer {
                             event: None,
                             attack: None,
                             loss: None,
+                            shard: None,
+                            derived: false,
                         })
                     }));
                     slots
@@ -1274,9 +1292,14 @@ impl Trainer {
                 // Slot buffers and shells go straight back to the pools;
                 // the group model travels on inside the outcome and is
                 // recycled by the round driver once aggregation is done.
+                // A shard still kept here (its member missed round K − 1)
+                // is dropped with its slot.
                 let mut slots = chain.slots;
+                let mut shards_derived = 0;
                 for s in slots.drain(..) {
-                    self.params.put(s.into_inner().buf);
+                    let slot = s.into_inner();
+                    shards_derived += u64::from(slot.derived);
+                    self.params.put(slot.buf);
                 }
                 self.slots.put(slots);
                 let mut members = self.members.take_empty();
@@ -1294,6 +1317,7 @@ impl Trainer {
                     defense: tally.defense,
                     secagg_sessions: tally.secagg_sessions,
                     secagg_pair_masks: tally.secagg_pair_masks,
+                    shards_derived,
                 }
             })
             .collect()
@@ -1464,35 +1488,48 @@ impl Trainer {
         // baked in *before* any masking or robust aggregation, so attacks
         // survive SecAgg exactly as they would in deployment. Materialized
         // federations use prebuilt shards; virtual ones derive the client's
-        // rows into the worker's buffers (handed back below) and apply the
-        // campaign to the fresh rows with the routine that prebuilt those.
+        // rows at its first trained group round, apply the campaign to them
+        // with the routine that prebuilt those, and keep them in the slot.
+        // A shard no later round of the chain can use is built into the
+        // worker's buffers (handed back below); a kept one gets exact-size
+        // buffers of its own and is dropped at its last use.
         let adv = self.adversary.as_ref();
-        let mut owned: Option<Dataset> = None;
-        let mut poisoned: Option<(AttackKind, usize)> = None;
-        let (data, indices): (&Dataset, &[usize]) = match &self.data {
+        let later = k + 1 < cfg.group_rounds;
+        let mut borrowed = false;
+        let (data, indices, poisoned): (&Dataset, &[usize], _) = match &self.data {
             FedData::Materialized { train, partition } => {
                 match adv.and_then(|a| a.shards.get(&client)) {
-                    Some(s) => {
-                        poisoned = Some((s.kind, s.rows));
-                        (&s.data, s.indices.as_slice())
-                    }
-                    None => (train, partition.indices[client].as_slice()),
+                    Some(s) => (&s.data, s.indices.as_slice(), Some((s.kind, s.rows))),
+                    None => (train, partition.indices[client].as_slice(), None),
                 }
             }
             FedData::Virtual(pop) => {
-                let features = std::mem::take(&mut scratch.features);
-                let labels = std::mem::take(&mut scratch.labels);
-                let mut ds = pop.shard_from_parts(client, features, labels, &mut scratch.mix);
-                if let Some(a) = adv.filter(|a| a.plan.kind(client).is_some()) {
-                    let classes = ds.num_classes();
-                    let (mut features, mut labels) = ds.into_parts();
-                    poisoned =
-                        poison_shard(&a.plan, &a.trigger, client, &mut features, &mut labels);
-                    ds = Dataset::new(features, labels, classes);
+                if slot.shard.is_none() {
+                    borrowed = !later;
+                    let (features, labels) = if borrowed {
+                        let WorkerScratch {
+                            features, labels, ..
+                        } = scratch;
+                        (std::mem::take(features), std::mem::take(labels))
+                    } else {
+                        Default::default()
+                    };
+                    let mut ds = pop.shard_from_parts(client, features, labels, &mut scratch.mix);
+                    let mut poisoned = None;
+                    if let Some(a) = adv.filter(|a| a.plan.kind(client).is_some()) {
+                        let classes = ds.num_classes();
+                        let (mut features, mut labels) = ds.into_parts();
+                        poisoned =
+                            poison_shard(&a.plan, &a.trigger, client, &mut features, &mut labels);
+                        ds = Dataset::new(features, labels, classes);
+                    }
+                    slot.shard = Some((ds, poisoned));
+                    slot.derived = true;
                 }
+                let (ds, poisoned) = slot.shard.as_ref().expect("derived above");
                 scratch.indices.clear();
                 scratch.indices.extend(0..ds.len());
-                (owned.insert(ds), scratch.indices.as_slice())
+                (ds, scratch.indices.as_slice(), *poisoned)
             }
         };
         if let Some((kind, rows)) = poisoned {
@@ -1590,10 +1627,13 @@ impl Trainer {
         if !rejected {
             slot.live = true;
         }
-        // Virtual shards live exactly as long as the unit that trained on
-        // them: the worker keeps their buffers for its next client.
-        if let Some((features, labels)) = owned.map(Dataset::into_parts) {
-            (scratch.features, scratch.labels) = (features.into_vec(), labels);
+        // Past its last use a kept shard is dropped, and one built into the
+        // worker's buffers hands them back for its next client.
+        if !later {
+            if let Some((ds, _)) = slot.shard.take().filter(|_| borrowed) {
+                let (features, labels) = ds.into_parts();
+                (scratch.features, scratch.labels) = (features.into_vec(), labels);
+            }
         }
     }
 

@@ -15,11 +15,17 @@
 //! accuracies, fault/attack/regroup events, ASR records) and the final
 //! parameter vector must match exactly — `assert_eq!` on floats, no
 //! tolerances.
+//!
+//! A virtual member derives its shard at its first trained group round and
+//! keeps it for the chain's later rounds; the `K = 3` cases at the end pin
+//! that cache's edge cases at 1, 2 and 8 threads.
+
+use std::collections::{BTreeMap, BTreeSet};
 
 use gfl_core::membership::RegroupPolicy;
 use gfl_core::prelude::*;
-use gfl_faults::{AdversaryPlan, ChurnPlan, FaultPlan, FaultPolicy};
-use gfl_test_support::{covg, twins, Runs, Twins};
+use gfl_faults::{AdversaryPlan, ChurnPlan, FaultEvent, FaultPlan, FaultPolicy};
+use gfl_test_support::{assert_bit_identical, covg, twins, Runs, Twins};
 
 /// Run both trainers through `f` and demand bitwise-equal outcomes.
 fn assert_equivalent<R: PartialEq + std::fmt::Debug>(
@@ -234,4 +240,166 @@ fn semi_async_with_churn_is_bitwise_equivalent() {
         );
         let _ = membership;
     }
+}
+
+/// A campaign of both data poisoners: their injection events witness
+/// which group rounds trained on a kept shard.
+fn data_poisoners(seed: u64) -> AdversaryPlan {
+    AdversaryPlan {
+        backdoor_fraction: 0.4,
+        label_flip_fraction: 0.4,
+        model_poison_fraction: 0.0,
+        ..AdversaryPlan::moderate(seed)
+    }
+}
+
+/// The shard cache's edge cases a run reached, read off its events: per
+/// (round, poisoner), the group rounds it trained in (its injections) and
+/// the ones it missed (crashed or cut).
+#[derive(Debug, Default)]
+struct Reached {
+    backdoor: bool,
+    label_flip: bool,
+    /// A poisoned shard served two group rounds.
+    reused: bool,
+    /// A member missed group round 0 and derived its shard later.
+    derived_late: bool,
+    /// A member trained at k = 0, missed k = 1 and trained at k = 2.
+    kept_across_miss: bool,
+}
+
+impl Reached {
+    fn add(&mut self, h: &RunHistory) {
+        let mut trained: BTreeMap<(usize, usize), BTreeSet<usize>> = BTreeMap::new();
+        let mut missed: BTreeMap<(usize, usize), BTreeSet<usize>> = BTreeMap::new();
+        for e in h.events() {
+            let (map, round, k, client) = match *e {
+                Event::Attack(AttackEvent::BackdoorInjected {
+                    round,
+                    group_round,
+                    client,
+                    ..
+                }) => {
+                    self.backdoor = true;
+                    (&mut trained, round, group_round, client)
+                }
+                Event::Attack(AttackEvent::LabelsFlipped {
+                    round,
+                    group_round,
+                    client,
+                    ..
+                }) => {
+                    self.label_flip = true;
+                    (&mut trained, round, group_round, client)
+                }
+                Event::Fault(
+                    FaultEvent::ClientCrash {
+                        round,
+                        group_round,
+                        client,
+                        ..
+                    }
+                    | FaultEvent::StragglerCut {
+                        round,
+                        group_round,
+                        client,
+                        ..
+                    },
+                ) => (&mut missed, round, group_round, client),
+                _ => continue,
+            };
+            map.entry((round, client)).or_default().insert(k);
+        }
+        for (key, ks) in &trained {
+            let missed_at = |k| missed.get(key).is_some_and(|m| m.contains(&k));
+            self.reused |= ks.len() > 1;
+            self.derived_late |= missed_at(0);
+            self.kept_across_miss |= ks.contains(&0) && missed_at(1) && ks.contains(&2);
+        }
+    }
+}
+
+/// Runs `run` on both twins at `K = 3`, sampling every group for 8
+/// rounds, at seeds 1–3 and 1, 2 and 8 threads, demanding the same bits
+/// everywhere; returns the shard cache's edge cases the runs reached.
+fn kept_shard_cases<R: PartialEq + std::fmt::Debug>(
+    scenario: &str,
+    setup: impl Fn(&mut Twins),
+    run: impl Fn(&Twins, Trainer) -> (RunHistory, R),
+) -> Reached {
+    let mut reached = Reached::default();
+    for seed in 1..=3u64 {
+        let mut t = twins(seed);
+        t.cfg.group_rounds = 3;
+        t.cfg.global_rounds = 8;
+        t.cfg.sampled_groups = t.groups.len();
+        setup(&mut t);
+        assert_bit_identical(&[1, 2, 8], || {
+            assert_equivalent(seed, scenario, &t, |tr| run(&t, tr))
+        });
+        reached.add(&run(&t, t.virt()).0);
+    }
+    reached
+}
+
+#[test]
+fn kept_shards_are_equivalent_under_dropout_crashes_and_secure_aggregation() {
+    let secure_dropout = |t: &mut Twins| {
+        t.cfg.secure_aggregation = true;
+        t.cfg.dropout_prob = 0.3;
+    };
+    let r = kept_shard_cases(
+        "K = 3 secure + dropout + crashes",
+        secure_dropout,
+        |t, tr| {
+            let crashes = FaultPlan {
+                crash_prob: 0.3,
+                ..FaultPlan::none()
+            };
+            tr.with_faults(crashes, FaultPolicy::default(), &t.topo)
+                .with_adversary(data_poisoners(t.cfg.seed))
+                .run_static(&t.groups, SamplingStrategy::ESRCov)
+        },
+    );
+    assert!(r.reused && r.derived_late && r.kept_across_miss, "{r:?}");
+}
+
+#[test]
+fn kept_poisoned_shards_are_equivalent() {
+    let r = kept_shard_cases(
+        "K = 3 backdoor + label flip",
+        |_| {},
+        |t, tr| {
+            tr.with_adversary(data_poisoners(t.cfg.seed))
+                .run_static(&t.groups, SamplingStrategy::ESRCov)
+        },
+    );
+    assert!(r.backdoor && r.label_flip && r.reused, "{r:?}");
+}
+
+#[test]
+fn kept_shards_are_equivalent_across_timed_cuts() {
+    let r = kept_shard_cases(
+        "K = 3 semi-async cuts",
+        |_| {},
+        |t, tr| {
+            let stragglers = FaultPlan {
+                straggler_fraction: 0.5,
+                straggler_factor: 2.0,
+                straggler_jitter: 0.9,
+                ..FaultPlan::none()
+            };
+            let policy = FaultPolicy {
+                quorum_fraction: 0.6,
+                deadline_factor: 1.5,
+                ..FaultPolicy::default()
+            };
+            let (h, p, report) = tr
+                .with_faults(stragglers, policy, &t.topo)
+                .with_adversary(data_poisoners(t.cfg.seed))
+                .run_event(&t.groups, SamplingStrategy::ESRCov, &AsyncConfig::default());
+            (h, (p, report))
+        },
+    );
+    assert!(r.reused && r.derived_late && r.kept_across_miss, "{r:?}");
 }

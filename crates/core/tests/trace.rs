@@ -3,11 +3,18 @@
 //! faithfully and (b) accounts ≥ 95% of every round's wall-clock time
 //! across the four disjoint phase spans (train / aggregate / comm / eval).
 
+use std::collections::BTreeSet;
+use std::sync::Mutex;
+
+use gfl_core::local::LocalScratch;
 use gfl_core::prelude::*;
 use gfl_data::{ClientPartition, PartitionSpec, SyntheticSpec};
+use gfl_nn::Params;
 use gfl_obs::{SpanKind, TraceCollector, TraceReader};
 use gfl_sim::Topology;
-use gfl_test_support::{tiny_world, Streamed};
+use gfl_tensor::init::GflRng;
+use gfl_tensor::Scalar;
+use gfl_test_support::{for_each_thread_count, tiny_world, twins, Streamed};
 
 /// A paper_vision-shaped federation (§7.2: K=5, E=2, batch 32, vision
 /// model, CoV grouping, stabilized weighting), scaled down from 60 to 24
@@ -216,4 +223,65 @@ fn counting_collector_buffers_no_span_and_counts_what_a_stream_writes() {
         totals.iter().map(|t| (t.kind, t.count)).collect()
     };
     assert_eq!(count(&counted), count(&written));
+}
+
+/// FedAvg that records the (global round, client) pair of every step
+/// reaching local training.
+#[derive(Default)]
+struct Recording(Mutex<Vec<(usize, usize)>>);
+
+impl LocalUpdate for Recording {
+    fn name(&self) -> &'static str {
+        "recording"
+    }
+
+    fn train(
+        &self,
+        task: &LocalTask<'_>,
+        params: &mut Params,
+        scratch: &mut LocalScratch,
+        rng: &mut GflRng,
+    ) -> Scalar {
+        self.0.lock().unwrap().push((task.round, task.client));
+        FedAvg.train(task, params, scratch, rng)
+    }
+}
+
+#[test]
+fn shards_derived_counts_each_member_that_trained_once_per_round() {
+    // A virtual member derives its shard at its first trained group round
+    // and keeps it for the chain's later ones, so `data.shards_derived` is
+    // the number of (global round, member) pairs that trained at all —
+    // with dropouts and crashes, fewer than the trained steps, and not a
+    // function of the thread count.
+    let mut t = twins(4);
+    t.cfg.group_rounds = 3;
+    t.cfg.dropout_prob = 0.3;
+    let faults = FaultPlan {
+        crash_prob: 0.2,
+        ..FaultPlan::none()
+    };
+    let counted = |trainer: Trainer, threads: usize| {
+        let obs = TraceCollector::new();
+        let recording = Recording::default();
+        trainer
+            .with_faults(faults.clone(), FaultPolicy::default(), &t.topo)
+            .with_observer(std::sync::Arc::clone(&obs))
+            .run(&t.groups, &recording, SamplingStrategy::ESRCov);
+        let metrics = obs.finish(threads).summary.expect("summary").metrics;
+        let steps = recording.0.into_inner().unwrap();
+        let pairs = steps.iter().collect::<BTreeSet<_>>().len() as u64;
+        (
+            metrics.counter("data.shards_derived"),
+            pairs,
+            steps.len() as u64,
+        )
+    };
+    for_each_thread_count(&[1, 2, 8], |threads| {
+        let (derived, pairs, steps) = counted(t.virt(), threads);
+        assert_eq!(derived, Some(pairs), "{threads} threads");
+        assert!(0 < pairs && pairs < steps, "{pairs} pairs of {steps} steps");
+        let (derived, ..) = counted(t.eager(), threads);
+        assert_eq!(derived, None, "materialized runs derive no shard");
+    });
 }

@@ -26,7 +26,7 @@
 use std::cell::Cell;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
 
 use crossbeam_channel::{unbounded, Receiver, Sender};
 use parking_lot::{Condvar, Mutex};
@@ -34,6 +34,11 @@ use parking_lot::{Condvar, Mutex};
 thread_local! {
     static IN_REGION: Cell<bool> = const { Cell::new(false) };
     static WORKER_INDEX: Cell<Option<usize>> = const { Cell::new(None) };
+    /// The completion latch of every region this thread calls, leaked once
+    /// per calling thread and reset at each region's start, so entering a
+    /// region allocates nothing. A thread is in at most one region it
+    /// called at a time, and a region returns only once its latch is zero.
+    static LATCH: &'static Latch = Box::leak(Box::default());
 }
 
 /// Returns the stable pool index of the current thread when it is a
@@ -74,6 +79,7 @@ impl Drop for RegionGuard {
 }
 
 /// Completion latch counting outstanding broadcast jobs of one region.
+#[derive(Default)]
 struct Latch {
     remaining: Mutex<usize>,
     done: Condvar,
@@ -81,12 +87,12 @@ struct Latch {
 }
 
 impl Latch {
-    fn new(jobs: usize) -> Self {
-        Self {
-            remaining: Mutex::new(jobs),
-            done: Condvar::new(),
-            panicked: AtomicBool::new(false),
-        }
+    /// Arms the latch for a region of `jobs` broadcast jobs. The previous
+    /// region's last `count_down` released the lock before its `wait`
+    /// returned, so no job of it touches the latch any more.
+    fn reset(&self, jobs: usize) {
+        *self.remaining.lock() = jobs;
+        self.panicked.store(false, Ordering::SeqCst);
     }
 
     fn count_down(&self) {
@@ -116,7 +122,7 @@ unsafe impl Send for TaskPtr {}
 struct Job {
     task: TaskPtr,
     participant: usize,
-    latch: Arc<Latch>,
+    latch: &'static Latch,
 }
 
 struct ForkPool {
@@ -199,7 +205,8 @@ where
     let pool = pool();
     let helpers = width - 1;
     pool.ensure_workers(helpers);
-    let latch = Arc::new(Latch::new(helpers));
+    let latch = LATCH.with(|latch| *latch);
+    latch.reset(helpers);
     let region_started = std::time::Instant::now();
 
     let wide: &(dyn Fn(usize) + Sync) = &body;
@@ -214,7 +221,7 @@ where
             .send(Job {
                 task,
                 participant,
-                latch: Arc::clone(&latch),
+                latch,
             })
             .expect("fork-pool workers exited");
     }
