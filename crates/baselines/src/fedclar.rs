@@ -84,7 +84,7 @@ impl FedClarRunner {
                 // group mechanics.
                 let batch: Vec<(usize, &[usize])> =
                     sampled.iter().map(|&gi| (gi, &groups[gi][..])).collect();
-                let outcomes = trainer.train_groups(&global, &batch, &FedAvg, t, lr);
+                let outcomes = trainer.train_groups(&global, &batch, &FedAvg, t, lr, None);
                 for (&gi, _) in sampled.iter().zip(outcomes.iter()) {
                     let sizes: Vec<usize> = groups[gi]
                         .iter()

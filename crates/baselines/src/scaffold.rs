@@ -18,7 +18,14 @@ use gfl_nn::Params;
 use gfl_sim::GroupOpKind;
 use gfl_tensor::init::GflRng;
 use gfl_tensor::{ops, Scalar};
-use parking_lot::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+/// Locks `m` even after a panicking holder poisoned it: every update under
+/// these locks is a clone, a slot assignment or an element-wise add, so the
+/// variates a poisoned lock guards are still whole vectors.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// SCAFFOLD local updater with persistent control-variate state.
 pub struct Scaffold {
@@ -48,7 +55,7 @@ impl Scaffold {
 
     /// Current server control variate (for tests/diagnostics).
     pub fn server_variate(&self) -> Vec<Scalar> {
-        self.server_c.lock().clone()
+        lock(&self.server_c).clone()
     }
 }
 
@@ -69,8 +76,8 @@ impl LocalUpdate for Scaffold {
         if n == 0 {
             return 0.0;
         }
-        let c = self.server_c.lock().clone();
-        let ci = self.client_c.lock()[task.client]
+        let c = lock(&self.server_c).clone();
+        let ci = lock(&self.client_c)[task.client]
             .clone()
             .unwrap_or_else(|| vec![0.0; self.dim]);
 
@@ -91,13 +98,13 @@ impl LocalUpdate for Scaffold {
         }
 
         {
-            let mut pending = self.pending.lock();
+            let mut pending = lock(&self.pending);
             let slot = pending[task.client].get_or_insert_with(|| vec![0.0; self.dim]);
             for ((p, &new), &old) in slot.iter_mut().zip(ci_new.iter()).zip(ci.iter()) {
                 *p += new - old;
             }
         }
-        self.client_c.lock()[task.client] = Some(ci_new);
+        lock(&self.client_c)[task.client] = Some(ci_new);
         loss
     }
 
@@ -105,12 +112,12 @@ impl LocalUpdate for Scaffold {
         // Ascending client id, not arrival order: `f32` addition is not
         // associative, so the order is part of the result.
         let mut total = vec![0.0; self.dim];
-        for slot in self.pending.lock().iter_mut() {
+        for slot in lock(&self.pending).iter_mut() {
             if let Some(delta) = slot.take() {
                 ops::add_assign(&delta, &mut total);
             }
         }
-        let mut server = self.server_c.lock();
+        let mut server = lock(&self.server_c);
         ops::axpy(1.0 / self.num_clients as Scalar, &total, &mut server);
     }
 
@@ -203,7 +210,7 @@ mod tests {
             &mut scratch,
             &mut init::rng(6),
         );
-        let ci = scaffold.client_c.lock()[1].clone().unwrap();
+        let ci = lock(&scaffold.client_c)[1].clone().unwrap();
         assert!(ops::norm(&ci) > 0.0, "variate must move after training");
     }
 
@@ -256,6 +263,6 @@ mod tests {
         );
         assert_eq!(loss, 0.0);
         assert_eq!(p, start);
-        assert!(scaffold.client_c.lock()[0].is_none());
+        assert!(lock(&scaffold.client_c)[0].is_none());
     }
 }

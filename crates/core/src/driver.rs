@@ -310,7 +310,7 @@ impl Trainer {
         // Lines 7–14: every (group × client) pair of this round trains on
         // one shared work-stealing queue, client-granular.
         let cuts = event.as_ref().map(|ev| ev.cuts.as_slice());
-        let outcomes = self.train_groups_with_cuts(params, &active, strategy, t, lr, cuts);
+        let outcomes = self.train_groups(params, &active, strategy, t, lr, cuts);
         let train_end = obs.map_or(0, |ob| {
             ob.record_span(SpanKind::Train, round_start, SpanAttrs::round(t))
         });

@@ -34,7 +34,6 @@ use gfl_tensor::{ops, Scalar};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 use std::cell::UnsafeCell;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -176,7 +175,7 @@ pub fn form_groups_active(
 }
 
 /// What one pool worker reuses from task to task (training scratch,
-/// virtual shard buffers, the FLAME filter's live list and delta rows,
+/// derived shard buffers, the FLAME filter's live list and delta rows,
 /// SecAgg rows), each cleared or overwritten before a read. The shard
 /// buffers (`features`, `labels`) back only shards no later group round
 /// can use; a shard kept in a [`Slot`] owns exact-size buffers, so the
@@ -354,31 +353,14 @@ pub(crate) struct ChurnState {
     pub(crate) policy: RegroupPolicy,
 }
 
-/// A compromised client's pre-poisoned local shard. Materialized once at
-/// [`Trainer::with_adversary`] time — the poisoned subset is a pure
-/// function of the plan, so poisoning at build time (rather than per
-/// round) changes nothing about the campaign and keeps `run_unit` cheap.
-struct PoisonedShard {
-    /// The client's local data with the campaign applied in place.
-    data: Dataset,
-    /// Row indices into `data` (always `0..data.len()`), standing in for
-    /// the honest client's `partition.indices`.
-    indices: Vec<usize>,
-    /// How many rows the campaign actually touched.
-    rows: usize,
-    kind: AttackKind,
-}
-
-/// Adversary context of an attacked run: the campaign plan, every data
-/// poisoner's pre-built shard, and the held-out attack-success evaluation
-/// sets. All of it derives from the plan seed alone — no engine RNG stream
-/// is consumed, so a clean plan leaves runs bit-identical.
+/// Adversary context of an attacked run: the campaign plan, its trigger
+/// pattern and the held-out attack-success evaluation sets. All of it
+/// derives from the plan seed alone — no engine RNG stream is consumed, so
+/// a clean plan leaves runs bit-identical.
 pub(crate) struct AdversaryState {
     pub(crate) plan: AdversaryPlan,
-    shards: HashMap<usize, PoisonedShard>,
-    /// The backdoor trigger pattern. Virtual populations have no prebuilt
-    /// shards, so `run_unit` applies the campaign to freshly derived rows
-    /// with this, through the same [`poison_shard`] that built `shards`.
+    /// The backdoor trigger pattern, which `run_unit` applies to a data
+    /// poisoner's shard as it derives it ([`poison_shard`]).
     trigger: Trigger,
     /// Triggered non-target test samples, relabelled to the trigger
     /// target: accuracy on this set *is* the backdoor attack success rate.
@@ -393,8 +375,8 @@ pub(crate) struct AdversaryState {
 /// or the flipped label. Returns the campaign and how many rows it
 /// touched; `None` for an honest client, a model poisoner (whose rows stay
 /// honest) or a campaign that touched nothing. Every pick is a pure hash of
-/// the plan seed, so a shard poisoned ahead of time and one poisoned as it
-/// is derived are the same bits.
+/// the plan seed, so the shard is the same bits in every round that derives
+/// it.
 fn poison_shard(
     plan: &AdversaryPlan,
     trigger: &Trigger,
@@ -445,18 +427,20 @@ pub struct GroupOutcome {
     /// a survivor) and the pairwise masks their parties expanded.
     pub(crate) secagg_sessions: u64,
     pub(crate) secagg_pair_masks: u64,
-    /// Virtual shards the group's members derived: one per member that
-    /// trained in at least one of the `K` group rounds.
+    /// Shards the group's members derived: one per member with a derived
+    /// shard that trained in at least one of the `K` group rounds. Virtual
+    /// runs report it; in materialized ones only data poisoners derive.
     pub(crate) shards_derived: u64,
 }
 
-/// Precomputed time-domain straggler cuts for one group's `K` group
-/// rounds: `by_round[k]` lists `(member_index, slowdown)` pairs whose
-/// reports missed group round `k`'s quorum-or-deadline close. Produced by
-/// the semi-async scheduler's timing pass and applied verbatim inside
-/// `run_unit`, replacing the lockstep path's in-unit deadline estimate.
+/// Straggler cuts for one group's `K` group rounds, decided before the
+/// round's graph runs: `by_round[k]` lists `(member_index, slowdown)` pairs
+/// whose reports miss group round `k`'s close. The event clock's timing
+/// pass produces them in emulated time; under lockstep,
+/// [`Trainer::train_groups`] derives them from the straggler deadline.
+/// `run_unit` applies them verbatim.
 #[derive(Debug, Clone, Default)]
-pub(crate) struct GroupCuts {
+pub struct GroupCuts {
     pub(crate) by_round: Vec<Vec<(usize, f64)>>,
 }
 
@@ -493,11 +477,12 @@ struct Slot {
     /// even when the update is later rejected as corrupt, matching the
     /// sequential engine).
     loss: Option<Scalar>,
-    /// A virtual member's shard and its poisoning outcome. A shard is a
-    /// pure function of the client, so the member's first trained group
-    /// round derives it and the chain's later rounds reuse it; it is
-    /// dropped after round `K − 1`, or with the slot at chain end.
-    /// Always `None` in materialized runs.
+    /// A derived shard and its poisoning outcome: a virtual member's, or
+    /// a materialized data poisoner's. A shard is a pure function of the
+    /// client, so the member's first trained group round derives it and
+    /// the chain's later rounds reuse it; it is dropped after round
+    /// `K − 1`, or with the slot at chain end. Honest materialized members
+    /// read their rows in place and never fill it.
     shard: Option<(Dataset, Option<(AttackKind, usize)>)>,
     /// Whether this member derived its shard in the chain.
     derived: bool,
@@ -568,9 +553,8 @@ struct GroupTally {
 struct GroupChain<'g> {
     gi: usize,
     group: &'g [usize],
-    /// The event clock's straggler cuts, when it decided them.
+    /// The round's straggler cuts, when a clock decided any.
     cuts: Option<&'g GroupCuts>,
-    deadline: Option<(f64, f64)>,
     n_g: usize,
     /// Tasks of the open group round still running — its members' steps,
     /// then its SecAgg chunks. The task that takes it to zero moves on.
@@ -626,10 +610,9 @@ struct Unit<'a> {
     k: usize,
     /// The group model this client starts from (`x^g_{t,k}`).
     start: &'a [Scalar],
-    deadline: Option<(f64, f64)>,
-    /// Semi-async only: `Some(slowdown)` when the event-driven timing pass
-    /// already decided this client's report missed the group-round close.
-    timed_cut: Option<f64>,
+    /// `Some(slowdown)` when the clock already decided this client's
+    /// report misses the group-round close.
+    cut: Option<f64>,
     slot: &'a mut Slot,
 }
 
@@ -697,8 +680,7 @@ impl<'a, S: LocalUpdate> RoundGraph<'_, 'a, S> {
             client,
             k,
             start: unsafe { &*chain.model.get() },
-            deadline: chain.deadline,
-            timed_cut: chain.cuts.and_then(|c| c.cut_for(k, member)),
+            cut: chain.cuts.and_then(|c| c.cut_for(k, member)),
             slot: unsafe { &mut *chain.slots[member].get() },
         };
         self.trainer.run_unit(self, &mut unit, scratch);
@@ -947,9 +929,10 @@ impl Trainer {
 
     /// Enables a deterministic poisoning campaign for every subsequent
     /// run. Compromised clients and their poisoned rows are pure hashes of
-    /// the plan seed, so shards and attack-success evaluation sets are
-    /// materialized once, here; training then swaps them in at the client
-    /// update boundary. No engine RNG stream is consumed — a run with
+    /// the plan seed: the attack-success evaluation sets are built once,
+    /// here, and a data poisoner's shard is derived and poisoned at the
+    /// client update boundary of each chain it trains in. No engine RNG
+    /// stream is consumed — a run with
     /// [`AdversaryPlan::none`] is bit-identical to one without this call,
     /// and attacked runs replay bit-identically at any thread count.
     ///
@@ -970,36 +953,6 @@ impl Trainer {
             return self;
         }
         let trigger = Trigger::corner(plan.trigger_width, plan.trigger_target);
-        // Materialized federations pre-poison their compromised shards
-        // here; virtual ones poison on the fly in `run_unit`, where the
-        // shard is derived — both through `poison_shard`.
-        let mut shards = HashMap::new();
-        if let FedData::Materialized { train, partition } = &self.data {
-            for (client, indices) in partition.indices.iter().enumerate() {
-                // Honest clients' rows are never copied.
-                if indices.is_empty() || plan.kind(client).is_none() {
-                    continue;
-                }
-                let local = train.subset(indices);
-                let mut features = local.features().clone();
-                let mut labels = local.labels().to_vec();
-                let Some((kind, rows)) =
-                    poison_shard(&plan, &trigger, client, &mut features, &mut labels)
-                else {
-                    continue;
-                };
-                let len = labels.len();
-                shards.insert(
-                    client,
-                    PoisonedShard {
-                        data: Dataset::new(features, labels, classes),
-                        indices: (0..len).collect(),
-                        rows,
-                        kind,
-                    },
-                );
-            }
-        }
         let trigger_eval = (plan.backdoor_fraction > 0.0).then(|| {
             let n = self.test.len().clamp(1, 256);
             // Plan-seeded stream: independent of every engine stream.
@@ -1021,7 +974,6 @@ impl Trainer {
             .flatten();
         self.adversary = Some(AdversaryState {
             plan,
-            shards,
             trigger,
             trigger_eval,
             flip_eval,
@@ -1128,48 +1080,75 @@ impl Trainer {
             .history
     }
 
-    /// Trains `groups` (global index, members) for `K` group rounds each,
-    /// starting from `global` (Lines 8–14), as one task graph; outcomes
-    /// come back in the order of `groups`. Public so baseline runners
-    /// (FedCLAR) can reuse the exact same group mechanics.
-    pub fn train_groups<S: LocalUpdate>(
-        &self,
-        global: &[Scalar],
-        groups: &[(usize, &[usize])],
-        strategy: &S,
-        t: usize,
-        lr: Scalar,
-    ) -> Vec<GroupOutcome> {
-        self.train_groups_with_cuts(global, groups, strategy, t, lr, None)
+    /// Both client↔edge transfers of a model with `param_len` parameters,
+    /// in seconds.
+    pub(crate) fn transfer_s(&self, param_len: usize) -> f64 {
+        2.0 * self
+            .comm
+            .client_edge
+            .transfer_time(CommModel::model_bytes(param_len))
     }
 
-    /// Straggler deadline for a group: `deadline_factor ×` the slowest
-    /// *nominal* client's wall-clock estimate (compute per Eq. 5's training
-    /// cost, plus both client↔edge transfers). Returns `(deadline_s,
-    /// transfer_s)`.
-    pub(crate) fn group_deadline(&self, group: &[usize], param_len: usize) -> Option<(f64, f64)> {
+    /// `client`'s wall-clock estimate for one group round: its `E` epochs
+    /// at Eq. 5's training cost, `slowdown` times slower, plus `transfer`.
+    /// At `slowdown = 1.0` it is the client's *nominal* time.
+    pub(crate) fn report_s(&self, client: usize, slowdown: f64, transfer: f64) -> f64 {
+        self.cost.training(self.data.client_size(client))
+            * self.config.local_rounds as f64
+            * slowdown
+            + transfer
+    }
+
+    /// The slowest nominal member's [`Trainer::report_s`].
+    pub(crate) fn nominal_slowest(&self, members: &[usize], transfer: f64) -> f64 {
+        members
+            .iter()
+            .map(|&c| self.report_s(c, 1.0, transfer))
+            .fold(0.0f64, f64::max)
+    }
+
+    /// Lockstep's straggler cuts, one [`GroupCuts`] per group: member `m`
+    /// misses group round `k` when it does not crash, runs slow
+    /// (`slowdown > 1.0`), and its [`Trainer::report_s`] passes the
+    /// deadline, `deadline_factor ×` the group's slowest nominal member.
+    /// `None` when the run has no deadline.
+    fn lockstep_cuts(
+        &self,
+        groups: &[(usize, &[usize])],
+        t: usize,
+        param_len: usize,
+    ) -> Option<Vec<GroupCuts>> {
         let fs = self.faults.as_ref()?;
         if fs.policy.deadline_factor <= 0.0 {
             return None;
         }
-        let transfer = 2.0
-            * self
-                .comm
-                .client_edge
-                .transfer_time(CommModel::model_bytes(param_len));
-        let slowest = group
-            .iter()
-            .map(|&c| {
-                self.cost.training(self.data.client_size(c)) * self.config.local_rounds as f64
-                    + transfer
-            })
-            .fold(0.0f64, f64::max);
-        Some((fs.policy.deadline_factor * slowest, transfer))
+        let transfer = self.transfer_s(param_len);
+        let cuts = groups.iter().map(|&(_, group)| {
+            let deadline_s = fs.policy.deadline_factor * self.nominal_slowest(group, transfer);
+            let by_round = (0..self.config.group_rounds).map(|k| {
+                let cut = group.iter().enumerate().filter_map(|(m, &c)| {
+                    if fs.injector.crashes(t, k, c) {
+                        return None;
+                    }
+                    let slowdown = fs.injector.slowdown(t, k, c);
+                    let late = slowdown > 1.0 && self.report_s(c, slowdown, transfer) > deadline_s;
+                    late.then_some((m, slowdown))
+                });
+                cut.collect()
+            });
+            GroupCuts {
+                by_round: by_round.collect(),
+            }
+        });
+        Some(cuts.collect())
     }
 
-    /// Trains a batch of groups for `K` group rounds each (Lines 8–14) as
-    /// one task graph on the pool. Each group is a chain: group round k's
-    /// member steps are tasks, the last of them to finish runs the group's
+    /// Trains `groups` (global index, members) for `K` group rounds each,
+    /// starting from `global` (Lines 8–14), as one task graph on the pool;
+    /// outcomes come back in the order of `groups`. Public so baseline
+    /// runners (FedCLAR) can reuse the exact same group mechanics. Each
+    /// group is a chain: group round k's member steps are tasks, the last
+    /// of them to finish runs the group's
     /// Line-14 drain (slots in member order), and the drain releases round
     /// k + 1. Under secure aggregation the drain instead pushes one task per
     /// [`SECAGG_CHUNK`] coordinates, and the last chunk releases the next
@@ -1177,12 +1156,10 @@ impl Trainer {
     /// the queue, and a step writes only its own [`Slot`], so the result is
     /// bit-identical to the sequential engine for any thread count.
     ///
-    /// `cuts` are optional precomputed time-domain straggler cuts (one
-    /// [`GroupCuts`] per group, aligned with `groups`). When supplied, the
-    /// lockstep in-unit deadline estimate is disabled — the event clock has
-    /// already decided, in emulated time, exactly which reports missed each
-    /// group round's close.
-    pub(crate) fn train_groups_with_cuts<S: LocalUpdate>(
+    /// `cuts` are the event clock's straggler cuts (one [`GroupCuts`] per
+    /// group, aligned with `groups`), decided in emulated time. Without
+    /// them the round's cuts are lockstep's ([`Trainer::lockstep_cuts`]).
+    pub fn train_groups<S: LocalUpdate>(
         &self,
         global: &[Scalar],
         groups: &[(usize, &[usize])],
@@ -1191,6 +1168,11 @@ impl Trainer {
         lr: Scalar,
         cuts: Option<&[GroupCuts]>,
     ) -> Vec<GroupOutcome> {
+        let lockstep = match cuts {
+            Some(_) => None,
+            None => self.lockstep_cuts(groups, t, global.len()),
+        };
+        let cuts = cuts.or(lockstep.as_deref());
         if let Some(c) = cuts {
             assert_eq!(c.len(), groups.len(), "one cut set per group");
         }
@@ -1202,11 +1184,6 @@ impl Trainer {
                 gi,
                 group,
                 cuts: cuts.map(|c| &c[ci]),
-                deadline: if cuts.is_some() {
-                    None
-                } else {
-                    self.group_deadline(group, global.len())
-                },
                 n_g: self.group_samples(group).max(1),
                 pending: AtomicUsize::new(group.len()),
                 // Pooled: the group model and every slot buffer come back
@@ -1417,9 +1394,8 @@ impl Trainer {
         slot.event = None;
         slot.attack = None;
         slot.loss = None;
-        let client_samples = self.data.client_size(client);
-        // Injected faults: crashes vanish mid-round, stragglers past the
-        // deadline are cut. Decisions are pure hashes — they never touch
+        // Injected faults: crashes vanish mid-round, stragglers the clock
+        // cut never report. Decisions are pure hashes — they never touch
         // `crng`, so the clean path is bit-identical with faults compiled
         // in but disabled.
         if let Some(fs) = fs {
@@ -1433,11 +1409,12 @@ impl Trainer {
                 return;
             }
         }
-        // Semi-async: the scheduler's timing pass already placed this
-        // client's report after the group-round close (quorum filled or
-        // deadline fired first). Clean clients can be cut here too — with
-        // `slowdown = 1.0` — when a partial quorum closes the round early.
-        if let Some(slowdown) = unit.timed_cut {
+        // The clock already placed this client's report after the
+        // group-round close: past lockstep's deadline, or, on the event
+        // clock, after the quorum filled or the deadline fired. Clean
+        // clients can be cut there too — with `slowdown = 1.0` — when a
+        // partial quorum closes the round early.
+        if let Some(slowdown) = unit.cut {
             slot.event = Some(FaultEvent::StragglerCut {
                 round: t,
                 group_round: k,
@@ -1446,26 +1423,6 @@ impl Trainer {
                 slowdown,
             });
             return;
-        }
-        if let Some(fs) = fs {
-            if let Some((deadline_s, transfer)) = unit.deadline {
-                let slowdown = fs.injector.slowdown(t, k, client);
-                if slowdown > 1.0 {
-                    let estimated =
-                        self.cost.training(client_samples) * cfg.local_rounds as f64 * slowdown
-                            + transfer;
-                    if estimated > deadline_s {
-                        slot.event = Some(FaultEvent::StragglerCut {
-                            round: t,
-                            group_round: k,
-                            group: unit.gi,
-                            client,
-                            slowdown,
-                        });
-                        return;
-                    }
-                }
-            }
         }
         // Independent, reproducible stream per (seed, t, k, client).
         let mut crng = init::rng(
@@ -1483,27 +1440,28 @@ impl Trainer {
         slot.buf.clear();
         slot.buf.extend_from_slice(unit.start);
         // Compromised data poisoners train on a poisoned shard; everyone
-        // else trains on their honest rows. Swapping the shard here —
+        // else trains on their honest rows. Poisoning the shard here —
         // inside the client update boundary — means the poison is already
         // baked in *before* any masking or robust aggregation, so attacks
-        // survive SecAgg exactly as they would in deployment. Materialized
-        // federations use prebuilt shards; virtual ones derive the client's
-        // rows at its first trained group round, apply the campaign to them
-        // with the routine that prebuilt those, and keep them in the slot.
-        // A shard no later round of the chain can use is built into the
-        // worker's buffers (handed back below); a kept one gets exact-size
-        // buffers of its own and is dropped at its last use.
+        // survive SecAgg exactly as they would in deployment. Honest
+        // materialized clients read their rows in place. Everyone else — a
+        // virtual client, or a materialized data poisoner — derives its
+        // rows at its first trained group round, has the campaign applied
+        // to them, and keeps them in the slot. A shard no later round of
+        // the chain can use is built into the worker's buffers (handed back
+        // below); a kept one gets exact-size buffers of its own and is
+        // dropped at its last use.
         let adv = self.adversary.as_ref();
+        let kind = adv.and_then(|a| a.plan.kind(client));
         let later = k + 1 < cfg.group_rounds;
         let mut borrowed = false;
         let (data, indices, poisoned): (&Dataset, &[usize], _) = match &self.data {
-            FedData::Materialized { train, partition } => {
-                match adv.and_then(|a| a.shards.get(&client)) {
-                    Some(s) => (&s.data, s.indices.as_slice(), Some((s.kind, s.rows))),
-                    None => (train, partition.indices[client].as_slice(), None),
-                }
+            FedData::Materialized { train, partition }
+                if matches!(kind, None | Some(AttackKind::ModelPoison)) =>
+            {
+                (train, partition.indices[client].as_slice(), None)
             }
-            FedData::Virtual(pop) => {
+            fed => {
                 if slot.shard.is_none() {
                     borrowed = !later;
                     let (features, labels) = if borrowed {
@@ -1514,9 +1472,9 @@ impl Trainer {
                     } else {
                         Default::default()
                     };
-                    let mut ds = pop.shard_from_parts(client, features, labels, &mut scratch.mix);
+                    let mut ds = fed.shard_from_parts(client, features, labels, &mut scratch.mix);
                     let mut poisoned = None;
-                    if let Some(a) = adv.filter(|a| a.plan.kind(client).is_some()) {
+                    if let Some(a) = adv.filter(|_| kind.is_some()) {
                         let classes = ds.num_classes();
                         let (mut features, mut labels) = ds.into_parts();
                         poisoned =
@@ -1572,7 +1530,7 @@ impl Trainer {
         // Boosted backdoor clients amplify their poison-trained delta the
         // same way, keeping the BackdoorInjected classification.
         if let Some(a) = adv {
-            match a.plan.kind(client) {
+            match kind {
                 Some(AttackKind::ModelPoison) => {
                     let factor =
                         a.plan.scale_factor as Scalar * if a.plan.sign_flip { -1.0 } else { 1.0 };
@@ -1990,6 +1948,101 @@ mod tests {
         let mut cfg = trainer.config.clone();
         cfg.secure_aggregation = true;
         let _ = with_config(&trainer, cfg).with_robust_agg(RobustAggRule::CoordinateMedian);
+    }
+
+    /// The oracle: the deadline rule `run_unit` applied inside each unit
+    /// before lockstep's cuts were decided ahead of the round, verbatim —
+    /// past the crash gate, the group's deadline, then the unit's slowdown
+    /// estimate against it.
+    fn in_unit_cut(
+        trainer: &Trainer,
+        group: &[usize],
+        t: usize,
+        k: usize,
+        client: usize,
+    ) -> Option<f64> {
+        let fs = trainer.faults.as_ref()?;
+        if fs.injector.crashes(t, k, client) {
+            return None;
+        }
+        // The group's deadline.
+        if fs.policy.deadline_factor <= 0.0 {
+            return None;
+        }
+        let transfer = 2.0
+            * trainer
+                .comm
+                .client_edge
+                .transfer_time(CommModel::model_bytes(trainer.model.param_len()));
+        let slowest = group
+            .iter()
+            .map(|&c| {
+                trainer.cost.training(trainer.data.client_size(c))
+                    * trainer.config.local_rounds as f64
+                    + transfer
+            })
+            .fold(0.0f64, f64::max);
+        let deadline_s = fs.policy.deadline_factor * slowest;
+        // The unit's estimate against it.
+        let slowdown = fs.injector.slowdown(t, k, client);
+        if slowdown > 1.0 {
+            let estimated = trainer.cost.training(trainer.data.client_size(client))
+                * trainer.config.local_rounds as f64
+                * slowdown
+                + transfer;
+            if estimated > deadline_s {
+                return Some(slowdown);
+            }
+        }
+        None
+    }
+
+    #[test]
+    fn lockstep_cuts_match_the_in_unit_deadline_rule() {
+        let (trainer, groups) = tiny_world(15);
+        let topo = Topology::even_split(2, trainer.partition().sizes());
+        let active: Vec<(usize, &[usize])> = groups
+            .iter()
+            .enumerate()
+            .map(|(gi, g)| (gi, g.as_slice()))
+            .collect();
+        let mut cut = 0;
+        for deadline_factor in [0.0, 0.5, 1.0, 2.5, f64::INFINITY] {
+            for seed in [1, 2, 3] {
+                let plan = FaultPlan {
+                    seed,
+                    straggler_fraction: 0.5,
+                    straggler_factor: 2.0,
+                    straggler_jitter: 0.9,
+                    crash_prob: 0.3,
+                    ..FaultPlan::none()
+                };
+                let policy = FaultPolicy {
+                    deadline_factor,
+                    ..FaultPolicy::default()
+                };
+                let trainer =
+                    with_config(&trainer, trainer.config.clone()).with_faults(plan, policy, &topo);
+                for t in 0..4 {
+                    let cuts = trainer.lockstep_cuts(&active, t, trainer.model.param_len());
+                    for (ci, &(_, group)) in active.iter().enumerate() {
+                        for k in 0..trainer.config.group_rounds {
+                            for (m, &client) in group.iter().enumerate() {
+                                let want = in_unit_cut(&trainer, group, t, k, client);
+                                let got = cuts.as_ref().and_then(|c| c[ci].cut_for(k, m));
+                                assert_eq!(
+                                    got.map(f64::to_bits),
+                                    want.map(f64::to_bits),
+                                    "factor {deadline_factor}, seed {seed}, t {t}, k {k}, client {client}"
+                                );
+                                cut += usize::from(got.is_some());
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(cut > 0, "no case cut anyone");
     }
 
     #[test]

@@ -46,7 +46,7 @@
 use gfl_faults::{FaultEvent, FaultInjector, FaultPlan, FaultPolicy};
 use gfl_nn::Params;
 use gfl_obs::TraceCollector;
-use gfl_sim::{CommModel, CostLedger, EventId, EventQueue, RetryOutcome};
+use gfl_sim::{CostLedger, EventId, EventQueue, RetryOutcome};
 use gfl_tensor::Scalar;
 use serde::{Deserialize, Serialize};
 
@@ -243,16 +243,8 @@ impl Trainer {
     ) -> GroupTimeline {
         let cfg = &self.config;
         let m = members.len();
-        let e = cfg.local_rounds as f64;
-        let transfer = 2.0
-            * self
-                .comm
-                .client_edge
-                .transfer_time(CommModel::model_bytes(param_len));
-        let nominal_slowest = members
-            .iter()
-            .map(|&c| self.cost.training(self.data.client_size(c)) * e + transfer)
-            .fold(0.0f64, f64::max);
+        let transfer = self.transfer_s(param_len);
+        let nominal_slowest = self.nominal_slowest(members, transfer);
         let deadline_rel =
             if tc.policy.deadline_factor > 0.0 && tc.policy.deadline_factor.is_finite() {
                 tc.policy.deadline_factor * nominal_slowest
@@ -272,8 +264,7 @@ impl Trainer {
                 .iter()
                 .map(|&c| {
                     let slowdown = tc.injector.slowdown(t, k, c);
-                    let elapsed =
-                        self.cost.training(self.data.client_size(c)) * e * slowdown + transfer;
+                    let elapsed = self.report_s(c, slowdown, transfer);
                     (start + elapsed, slowdown, tc.injector.crashes(t, k, c))
                 })
                 .collect();

@@ -16,9 +16,10 @@
 //! parameter vector must match exactly — `assert_eq!` on floats, no
 //! tolerances.
 //!
-//! A virtual member derives its shard at its first trained group round and
-//! keeps it for the chain's later rounds; the `K = 3` cases at the end pin
-//! that cache's edge cases at 1, 2 and 8 threads.
+//! A virtual member, or a materialized data poisoner, derives its shard at
+//! its first trained group round and keeps it for the chain's later rounds;
+//! the `K = 3` cases at the end pin that cache's edge cases at 1, 2 and 8
+//! threads, under both clocks' straggler cuts.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -114,9 +115,9 @@ fn secure_aggregation_is_bitwise_equivalent() {
 
 #[test]
 fn poisoning_campaigns_are_bitwise_equivalent() {
-    // The materialized path prebuilds poisoned shards in `with_adversary`;
-    // the virtual path re-derives rows and applies the campaign on the
-    // fly. Same picks, same rows, same ASR records — or the on-demand
+    // A materialized poisoner gathers its rows from the pooled dataset, a
+    // virtual one re-derives them; both apply the campaign as the shard is
+    // derived. Same picks, same rows, same ASR records — or the on-demand
     // poisoning is a different attack than the one we benchmarked.
     for seed in 1..=3u64 {
         let t = twins(seed);
@@ -399,6 +400,32 @@ fn kept_shards_are_equivalent_across_timed_cuts() {
                 .with_adversary(data_poisoners(t.cfg.seed))
                 .run_event(&t.groups, SamplingStrategy::ESRCov, &AsyncConfig::default());
             (h, (p, report))
+        },
+    );
+    assert!(r.reused && r.derived_late && r.kept_across_miss, "{r:?}");
+}
+
+#[test]
+fn kept_shards_are_equivalent_across_lockstep_deadline_cuts() {
+    // No crashes: every group round a poisoner misses, the lockstep
+    // deadline cut it.
+    let r = kept_shard_cases(
+        "K = 3 lockstep deadline cuts",
+        |_| {},
+        |t, tr| {
+            let stragglers = FaultPlan {
+                straggler_fraction: 0.5,
+                straggler_factor: 2.0,
+                straggler_jitter: 0.9,
+                ..FaultPlan::none()
+            };
+            let policy = FaultPolicy {
+                deadline_factor: 1.5,
+                ..FaultPolicy::default()
+            };
+            tr.with_faults(stragglers, policy, &t.topo)
+                .with_adversary(data_poisoners(t.cfg.seed))
+                .run_static(&t.groups, SamplingStrategy::ESRCov)
         },
     );
     assert!(r.reused && r.derived_late && r.kept_across_miss, "{r:?}");

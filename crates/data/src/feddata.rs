@@ -9,7 +9,8 @@
 //! statistics in both representations; only the client-update boundary ever
 //! touches feature rows.
 
-use crate::{ClientPartition, Dataset, LabelMatrix, VirtualPopulation};
+use crate::{Batch, ClientPartition, Dataset, LabelMatrix, VirtualPopulation};
+use gfl_tensor::{Matrix, Scalar};
 
 /// Either an eagerly materialized federation or a virtual population.
 pub enum FedData {
@@ -71,6 +72,30 @@ impl FedData {
         match self {
             FedData::Materialized { train, .. } => train.num_classes(),
             FedData::Virtual(pop) => pop.spec().data.num_classes,
+        }
+    }
+
+    /// Client `c`'s rows as a dataset of their own, built into the given
+    /// backing buffers: the materialized rows gathered from the pooled
+    /// dataset in partition order, or the virtual shard derived
+    /// ([`VirtualPopulation::shard_from_parts`], whose buffer contract this
+    /// shares; `mix` is scratch).
+    pub fn shard_from_parts(
+        &self,
+        c: usize,
+        mut features: Vec<Scalar>,
+        labels: Vec<usize>,
+        mix: &mut Vec<f64>,
+    ) -> Dataset {
+        match self {
+            FedData::Materialized { train, partition } => {
+                features.clear();
+                let features = Matrix::from_vec(0, 0, features);
+                let mut rows = Batch { features, labels };
+                train.batch_into(&partition.indices[c], &mut rows);
+                Dataset::new(rows.features, rows.labels, train.num_classes())
+            }
+            FedData::Virtual(pop) => pop.shard_from_parts(c, features, labels, mix),
         }
     }
 
@@ -136,6 +161,20 @@ mod tests {
         assert!(fed.as_virtual().is_none());
         assert_eq!(fed.partition().num_clients(), sizes.len());
         assert_eq!(fed.train().len(), 300);
+    }
+
+    #[test]
+    fn materialized_shard_is_the_clients_rows_in_partition_order() {
+        let data = SyntheticSpec::tiny().generate(300, 5);
+        let part = ClientPartition::dirichlet(&data, &PartitionSpec::tiny(0.5, 5));
+        let fed = FedData::from((data.clone(), part.clone()));
+        // Dirty, oversized buffers are cleared before the gather.
+        let (features, labels) = (vec![7.0; 999], vec![2; 5]);
+        let shard = fed.shard_from_parts(1, features, labels, &mut Vec::new());
+        let want = data.subset(&part.indices[1]);
+        assert_eq!(shard.features(), want.features());
+        assert_eq!(shard.labels(), want.labels());
+        assert_eq!(shard.num_classes(), want.num_classes());
     }
 
     #[test]

@@ -219,22 +219,6 @@ pub fn is_update_finite(update: &[Scalar]) -> bool {
     update.iter().all(|w| w.is_finite())
 }
 
-/// Partitions update indices into `(finite, non_finite)`, preserving
-/// order — the batch form of [`is_update_finite`] for aggregators that
-/// need both the survivors and an audit trail of what was rejected.
-pub fn split_non_finite(updates: &[Vec<Scalar>]) -> (Vec<usize>, Vec<usize>) {
-    let mut finite = Vec::with_capacity(updates.len());
-    let mut non_finite = Vec::new();
-    for (i, u) in updates.iter().enumerate() {
-        if is_update_finite(u) {
-            finite.push(i);
-        } else {
-            non_finite.push(i);
-        }
-    }
-    (finite, non_finite)
-}
-
 /// Attacker: scales an update by `factor` (model-replacement style boost).
 pub fn scale_attack(update: &mut [Scalar], factor: Scalar) {
     ops::scale(factor, update);
@@ -460,22 +444,6 @@ mod tests {
         assert!(!is_update_finite(&[1.0, f32::NAN, 2.0]));
         assert!(!is_update_finite(&[f32::INFINITY]));
         assert!(!is_update_finite(&[0.0, f32::NEG_INFINITY]));
-    }
-
-    #[test]
-    fn split_non_finite_partitions_in_order() {
-        let updates = vec![
-            vec![1.0, 2.0],
-            vec![f32::NAN, 0.0],
-            vec![3.0],
-            vec![f32::INFINITY],
-            vec![-1.0],
-        ];
-        let (finite, bad) = split_non_finite(&updates);
-        assert_eq!(finite, vec![0, 2, 4]);
-        assert_eq!(bad, vec![1, 3]);
-        let (all, none) = split_non_finite(&[]);
-        assert!(all.is_empty() && none.is_empty());
     }
 
     #[test]

@@ -22,7 +22,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::{mix, probabilities, FaultConfigError};
+use crate::{probabilities, unit, FaultConfigError};
 
 // Purpose tags keep the adversary decision streams independent of each
 // other and of the fault/churn streams.
@@ -208,15 +208,6 @@ impl AdversaryPlan {
         Ok(())
     }
 
-    /// Uniform draw in [0, 1) from the (purpose, a, b) stream.
-    fn unit(&self, purpose: u64, a: u64, b: u64) -> f64 {
-        let h = mix(self.seed.wrapping_mul(0xA076_1D64_78BD_642F)
-            ^ purpose
-            ^ a.wrapping_mul(0x9E37_79B9_7F4A_7C15)
-            ^ b.wrapping_mul(0xD1B5_4A32_D192_ED03));
-        (h >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
-    }
-
     /// The campaign `client` runs, if compromised. One uniform draw is
     /// split over the three fractions, so assignments are disjoint and the
     /// compromised population is exactly the fraction sum in expectation.
@@ -224,7 +215,7 @@ impl AdversaryPlan {
         if self.is_clean() {
             return None;
         }
-        let u = self.unit(P_ADV_SELECT, client as u64, 0);
+        let u = unit(self.seed, P_ADV_SELECT, client as u64, 0, 0);
         if u < self.backdoor_fraction {
             Some(AttackKind::Backdoor)
         } else if u < self.backdoor_fraction + self.label_flip_fraction {
@@ -247,7 +238,7 @@ impl AdversaryPlan {
     /// is fixed for the whole run.
     pub fn poisons_row(&self, client: usize, row: usize) -> bool {
         self.poison_rate > 0.0
-            && self.unit(P_POISON_ROW, client as u64, row as u64) < self.poison_rate
+            && unit(self.seed, P_POISON_ROW, client as u64, row as u64, 0) < self.poison_rate
     }
 }
 

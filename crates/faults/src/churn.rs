@@ -26,7 +26,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::{mix, probabilities, FaultConfigError};
+use crate::{probabilities, unit, FaultConfigError};
 
 // Purpose tags keep churn decision streams independent of each other and
 // of the fault streams.
@@ -101,24 +101,15 @@ impl ChurnPlan {
         ])
     }
 
-    /// Uniform draw in [0, 1) from the (purpose, a, b) stream.
-    fn unit(&self, purpose: u64, a: u64, b: u64) -> f64 {
-        let h = mix(self.seed.wrapping_mul(0xA076_1D64_78BD_642F)
-            ^ purpose
-            ^ a.wrapping_mul(0x9E37_79B9_7F4A_7C15)
-            ^ b.wrapping_mul(0xD1B5_4A32_D192_ED03));
-        (h >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
-    }
-
     /// The round at which `client` first becomes a member: 0 for founding
     /// members, a round in `[1, horizon)` for late arrivals.
     pub fn arrival_round(&self, client: usize) -> usize {
         if self.arrival_fraction == 0.0
-            || self.unit(P_ARRIVE_SELECT, client as u64, 0) >= self.arrival_fraction
+            || unit(self.seed, P_ARRIVE_SELECT, client as u64, 0, 0) >= self.arrival_fraction
         {
             return 0;
         }
-        let u = self.unit(P_ARRIVE_ROUND, client as u64, 0);
+        let u = unit(self.seed, P_ARRIVE_ROUND, client as u64, 0, 0);
         1 + (u * (self.horizon.saturating_sub(1)) as f64) as usize
     }
 
@@ -127,12 +118,12 @@ impl ChurnPlan {
     /// for at least one round.
     pub fn departure_round(&self, client: usize) -> Option<usize> {
         if self.departure_fraction == 0.0
-            || self.unit(P_DEPART_SELECT, client as u64, 0) >= self.departure_fraction
+            || unit(self.seed, P_DEPART_SELECT, client as u64, 0, 0) >= self.departure_fraction
         {
             return None;
         }
         let arrive = self.arrival_round(client);
-        let u = self.unit(P_DEPART_ROUND, client as u64, 0);
+        let u = unit(self.seed, P_DEPART_ROUND, client as u64, 0, 0);
         let span = self.horizon.saturating_sub(arrive + 1).max(1);
         Some(arrive + 1 + (u * span as f64) as usize)
     }
@@ -146,7 +137,7 @@ impl ChurnPlan {
     /// Whether `client` is transiently unreachable at round `t`. Only
     /// meaningful for present clients.
     pub fn flaps(&self, client: usize, t: usize) -> bool {
-        self.flap_prob > 0.0 && self.unit(P_FLAP, client as u64, t as u64) < self.flap_prob
+        self.flap_prob > 0.0 && unit(self.seed, P_FLAP, client as u64, t as u64, 0) < self.flap_prob
     }
 
     /// Whether `client` can actually participate in round `t`: present and

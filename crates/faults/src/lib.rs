@@ -396,11 +396,23 @@ const P_CORRUPT: u64 = 0x434F_5252_5550_5401;
 const P_UPLOAD: u64 = 0x5550_4C4F_4144_0001;
 
 /// SplitMix64 finalizer: a high-quality 64-bit mix.
-pub(crate) fn mix(mut z: u64) -> u64 {
+fn mix(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
+}
+
+/// Uniform draw in [0, 1) from `seed`'s (purpose, a, b, c) stream: the one
+/// hash behind every fault, churn and adversary decision. Plans keyed by
+/// two values pass `c = 0`, which leaves the hash unchanged.
+pub(crate) fn unit(seed: u64, purpose: u64, a: u64, b: u64, c: u64) -> f64 {
+    let h = mix(seed.wrapping_mul(0xA076_1D64_78BD_642F)
+        ^ purpose
+        ^ a.wrapping_mul(0x9E37_79B9_7F4A_7C15)
+        ^ b.wrapping_mul(0xD1B5_4A32_D192_ED03)
+        ^ c.wrapping_mul(0x2545_F491_4F6C_DD1D));
+    (h >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
 }
 
 /// The stateless decision oracle: every method is a pure function of the
@@ -428,14 +440,9 @@ impl FaultInjector {
         &self.plan
     }
 
-    /// Uniform draw in [0, 1) from the (purpose, a, b, c) stream.
+    /// Uniform draw in [0, 1) from the plan's (purpose, a, b, c) stream.
     fn unit(&self, purpose: u64, a: u64, b: u64, c: u64) -> f64 {
-        let h = mix(self.plan.seed.wrapping_mul(0xA076_1D64_78BD_642F)
-            ^ purpose
-            ^ a.wrapping_mul(0x9E37_79B9_7F4A_7C15)
-            ^ b.wrapping_mul(0xD1B5_4A32_D192_ED03)
-            ^ c.wrapping_mul(0x2545_F491_4F6C_DD1D));
-        (h >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+        unit(self.plan.seed, purpose, a, b, c)
     }
 
     /// Whether `client` belongs to the persistent straggler population.

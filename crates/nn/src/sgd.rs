@@ -13,17 +13,6 @@ pub fn sgd_step(params: &mut [Scalar], grad: &[Scalar], lr: Scalar) {
     ops::axpy(-lr, grad, params);
 }
 
-/// Applies SGD with optional weight decay: `params -= lr*(grad + wd*params)`.
-pub fn sgd_step_decayed(params: &mut [Scalar], grad: &[Scalar], lr: Scalar, weight_decay: Scalar) {
-    assert_eq!(params.len(), grad.len());
-    if weight_decay == 0.0 {
-        return sgd_step(params, grad, lr);
-    }
-    for (p, &g) in params.iter_mut().zip(grad.iter()) {
-        *p -= lr * (g + weight_decay * *p);
-    }
-}
-
 /// Learning-rate schedule over global rounds.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum LrSchedule {
@@ -66,23 +55,6 @@ mod tests {
     }
 
     #[test]
-    fn weight_decay_shrinks_params() {
-        let mut p = vec![1.0];
-        sgd_step_decayed(&mut p, &[0.0], 0.1, 0.5);
-        assert!((p[0] - 0.95).abs() < 1e-6);
-    }
-
-    #[test]
-    fn zero_decay_matches_plain() {
-        let mut a = vec![1.0, -2.0];
-        let mut b = a.clone();
-        let g = [0.3, 0.4];
-        sgd_step(&mut a, &g, 0.2);
-        sgd_step_decayed(&mut b, &g, 0.2, 0.0);
-        assert_eq!(a, b);
-    }
-
-    #[test]
     fn schedules() {
         assert_eq!(LrSchedule::Constant(0.1).at(100), 0.1);
         let inv = LrSchedule::InverseTime {
@@ -122,99 +94,5 @@ mod tests {
                 prev = lr;
             }
         }
-    }
-}
-
-/// SGD with classical momentum: `v = β·v + g; params -= lr·v`.
-///
-/// Owns its velocity buffer; create one per optimization stream (per
-/// client when used federatedly — velocity must not leak across clients).
-#[derive(Debug, Clone)]
-pub struct Momentum {
-    beta: Scalar,
-    velocity: Vec<Scalar>,
-}
-
-impl Momentum {
-    /// Creates a momentum state for `dim` parameters.
-    pub fn new(dim: usize, beta: Scalar) -> Self {
-        assert!((0.0..1.0).contains(&beta), "beta must be in [0, 1)");
-        Self {
-            beta,
-            velocity: vec![0.0; dim],
-        }
-    }
-
-    /// Applies one update.
-    pub fn step(&mut self, params: &mut [Scalar], grad: &[Scalar], lr: Scalar) {
-        assert_eq!(params.len(), self.velocity.len());
-        assert_eq!(grad.len(), self.velocity.len());
-        for ((v, &g), p) in self
-            .velocity
-            .iter_mut()
-            .zip(grad.iter())
-            .zip(params.iter_mut())
-        {
-            *v = self.beta * *v + g;
-            *p -= lr * *v;
-        }
-    }
-
-    /// Resets the velocity (e.g. when a client receives a fresh model).
-    pub fn reset(&mut self) {
-        self.velocity.fill(0.0);
-    }
-}
-
-#[cfg(test)]
-mod momentum_tests {
-    use super::*;
-
-    #[test]
-    fn zero_beta_matches_plain_sgd() {
-        let mut a = vec![1.0, -1.0];
-        let mut b = a.clone();
-        let g = [0.5, 0.25];
-        let mut m = Momentum::new(2, 0.0);
-        m.step(&mut a, &g, 0.1);
-        sgd_step(&mut b, &g, 0.1);
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn momentum_accumulates_along_constant_gradient() {
-        let mut p_plain = vec![0.0f32];
-        let mut p_mom = vec![0.0f32];
-        let mut m = Momentum::new(1, 0.9);
-        for _ in 0..10 {
-            sgd_step(&mut p_plain, &[1.0], 0.1);
-            m.step(&mut p_mom, &[1.0], 0.1);
-        }
-        assert!(
-            p_mom[0] < p_plain[0] - 0.5,
-            "momentum must travel further: {} vs {}",
-            p_mom[0],
-            p_plain[0]
-        );
-    }
-
-    #[test]
-    fn reset_clears_velocity() {
-        let mut m = Momentum::new(1, 0.9);
-        let mut p = vec![0.0f32];
-        m.step(&mut p, &[1.0], 0.1);
-        m.reset();
-        let mut q = vec![0.0f32];
-        let mut fresh = Momentum::new(1, 0.9);
-        fresh.step(&mut q, &[1.0], 0.1);
-        let before = p[0];
-        m.step(&mut p, &[1.0], 0.1);
-        assert!((p[0] - before - (q[0])).abs() < 1e-7);
-    }
-
-    #[test]
-    #[should_panic(expected = "beta must be in")]
-    fn invalid_beta_panics() {
-        Momentum::new(1, 1.0);
     }
 }

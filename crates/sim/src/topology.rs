@@ -76,11 +76,6 @@ impl Topology {
         &self.edge_clients[j]
     }
 
-    /// Sample count `n_i` of client `i`.
-    pub fn samples_of(&self, i: ClientId) -> usize {
-        self.samples[i]
-    }
-
     /// Total samples across all clients (`n`).
     pub fn total_samples(&self) -> usize {
         self.samples.iter().sum()
@@ -119,7 +114,6 @@ mod tests {
     fn totals() {
         let t = Topology::even_split(2, vec![5, 10, 15, 20]);
         assert_eq!(t.total_samples(), 50);
-        assert_eq!(t.samples_of(2), 15);
     }
 
     #[test]

@@ -43,15 +43,6 @@ pub fn coefficient_of_variation(xs: &[Scalar]) -> Scalar {
     std_dev(xs) / m
 }
 
-/// Min and max of a slice; `None` for empty input.
-pub fn min_max(xs: &[Scalar]) -> Option<(Scalar, Scalar)> {
-    let first = *xs.first()?;
-    Some(
-        xs.iter()
-            .fold((first, first), |(lo, hi), &x| (lo.min(x), hi.max(x))),
-    )
-}
-
 /// Kullback–Leibler divergence `KL(p ‖ q)` over probability vectors, with
 /// the usual conventions: terms with `p_i = 0` contribute 0; terms with
 /// `p_i > 0, q_i = 0` are smoothed by `eps` rather than returning ∞ (SHARE's
@@ -96,7 +87,6 @@ mod tests {
         assert_eq!(mean(&[]), 0.0);
         assert_eq!(variance(&[]), 0.0);
         assert_eq!(coefficient_of_variation(&[]), 0.0);
-        assert_eq!(min_max(&[]), None);
     }
 
     #[test]
