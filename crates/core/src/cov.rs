@@ -92,6 +92,12 @@ pub(crate) trait Criterion {
     /// its mean label mass `mu = total / m` and its sum `ss` of squared
     /// deviations from `mu`.
     fn finish(total: f64, mu: f64, ss: f64, m: f64) -> Scalar;
+
+    /// A key that orders histograms as the criterion does, from the exact
+    /// integer `n = m·Σ h_j² − total²` (= m²·σ²) and `total`: one division
+    /// at most, no square root. Formation screens candidates by it and
+    /// scores only those near the smallest key (`grouping/greedy.rs`).
+    fn key(n: f64, total: f64) -> f64;
 }
 
 /// The criterion of §5.1: [`histogram_cov`].
@@ -108,13 +114,26 @@ impl Criterion for Cov {
             ((ss / m).sqrt() / mu) as Scalar
         }
     }
+
+    /// CoV² = n / total², `inf` for a zero total as in `finish`.
+    #[inline(always)]
+    fn key(n: f64, total: f64) -> f64 {
+        if total == 0.0 {
+            f64::INFINITY
+        } else {
+            n / (total * total)
+        }
+    }
 }
 
 /// Lanes scored per block of [`cov_lanes`]: wide enough that a block's
 /// divisions and square roots pipeline, small enough to stay in registers.
-/// Chosen by measurement: formation at the `secure-covg` shape reads within
-/// 5 % at 4, 8 and 16, and 8 is the width the healer's scan was sized at
-/// (docs/PERF.md "Formation").
+/// Chosen by measurement on the healer's placement scan, which scores every
+/// group; formation at the `secure-covg` shape read within 5 % at 4, 8 and
+/// 16 when it still scored every candidate. Formation now scores exactly
+/// only the few candidates its integer key leaves in contention, one lane
+/// a call, and uses the width as the block of its key passes (docs/PERF.md
+/// "Formation").
 pub(crate) const LANES: usize = 8;
 
 /// One lane per column entry: `out[k]` is criterion `C` of the histogram
@@ -125,8 +144,8 @@ pub(crate) const LANES: usize = 8;
 /// `(sqrt(ss / m) / mu) as f32` — with no value ever combined across lanes,
 /// so running lanes side by side changes no rounding. The healer's
 /// placement scan runs it with groups in the lanes and the arriving client
-/// as `hist`; Algorithm 2's Line 5 with the remaining candidates in the
-/// lanes and the growing group as `hist`.
+/// as `hist`; Algorithm 2's Line 5 with each candidate its key leaves in
+/// contention in a lane and the growing group as `hist`.
 ///
 /// Counts are held as `f64`. A count is exact as an `f64` below 2⁵³ and so
 /// is every sum of two that stays below it, so as long as the caller keeps

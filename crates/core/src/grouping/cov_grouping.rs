@@ -14,8 +14,12 @@
 //! regrouping extension.
 //!
 //! Complexity: O(|K|²·|Y|) per edge — every client is added once, and each
-//! addition scores every remaining client (Line 5) with one O(|Y|) CoV
-//! evaluation, eight candidates a block (`cov::cov_lanes`): Fig. 5's quantity.
+//! addition looks at every remaining client (Line 5): Fig. 5's quantity.
+//! The |Y| factor is now paid by the clients that join, not by every
+//! candidate: a candidate is keyed in O(1) from two sums the pool keeps
+//! (the join updates one of them over the joining client's nonzero labels),
+//! and only the few whose key is within a proven margin of the smallest get
+//! the O(|Y|) CoV evaluation (`cov::cov_lanes`; `greedy.rs`).
 
 use gfl_data::LabelMatrix;
 use gfl_tensor::init::GflRng;

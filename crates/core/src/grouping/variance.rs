@@ -60,6 +60,12 @@ impl Criterion for Variance {
             (ss / m) as Scalar
         }
     }
+
+    /// σ² = n / m², and `m` is the same for every candidate.
+    #[inline(always)]
+    fn key(n: f64, _total: f64) -> f64 {
+        n
+    }
 }
 
 impl GroupingAlgorithm for VarianceGrouping {
