@@ -69,9 +69,9 @@ fn allocs_of(f: impl FnOnce()) -> u64 {
 /// must come from a pool and trips this gate if it regresses.
 const ROUND_ALLOC_BUDGET: u64 = 64;
 
-/// The one `#[test]` of this file, on purpose: the allocation counter and
-/// `set_default_parallelism` are process-wide, so a second test (or the
-/// harness reporting on it) would allocate inside this one's windows.
+/// The one `#[test]` of this file, on purpose: the allocation counter is
+/// process-wide, so a second test (or the harness reporting on it) would
+/// allocate inside this one's windows.
 #[test]
 fn steady_state_rounds_fit_the_alloc_budget() {
     gfl_parallel::set_default_parallelism(1);
@@ -82,7 +82,6 @@ fn steady_state_rounds_fit_the_alloc_budget() {
     disabled_tracing_adds_no_allocations_to_the_hot_loop();
     steady_state_churn_ticks_fit_the_alloc_budget();
     streamed_barrier_allocates_o1_times();
-    gfl_parallel::set_default_parallelism(0);
 }
 
 /// Allocation budget of one streamed round barrier, whatever its span

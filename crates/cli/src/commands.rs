@@ -1266,7 +1266,6 @@ mod tests {
                 .join("\n")
         };
         assert_eq!(tail(&out1), tail(&out2));
-        gfl_parallel::set_default_parallelism(0);
     }
 
     #[test]
@@ -1344,7 +1343,6 @@ mod tests {
         r1.unwrap();
         let (r2, out2) = run_cmd(simulate, &format!("{args} --secure --threads 2"));
         r2.unwrap();
-        gfl_parallel::set_default_parallelism(0);
         let rows = secagg_rows(&out1);
         assert_eq!(
             rows,

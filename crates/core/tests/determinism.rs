@@ -3,8 +3,8 @@
 //! The engine runs each global round as one task graph on the pool — every
 //! sampled group's chain of member steps, drains and SecAgg chunks — so
 //! *which* thread runs a client or a drain, and in what order, varies
-//! freely with the parallelism degree. This suite pins the
-//! process-wide thread count to 1, 2, and 8 in turn and asserts that the
+//! freely with the parallelism degree. This suite pins each test thread's
+//! worker count to 1, 2, and 8 in turn and asserts that the
 //! full [`RunHistory`] (records, fault log, regroup log) and the final
 //! model parameters are bit-for-bit identical in every configuration the
 //! engine supports: clean, fault-injected, churned/self-healing, and
@@ -13,10 +13,17 @@
 //! Set `GFL_SEED` (CI runs 1 and 2) to shift every seed in the suite and
 //! shake out seed-sensitive nondeterminism.
 
+use std::sync::{Barrier, Mutex};
+
+use gfl_core::local::LocalScratch;
 use gfl_core::membership::RegroupPolicy;
 use gfl_core::prelude::*;
 use gfl_faults::{AdversaryPlan, ChurnPlan, FaultPlan, FaultPolicy};
+use gfl_nn::Params;
 use gfl_sim::Topology;
+use gfl_tensor::init::GflRng;
+use gfl_tensor::simd::{self, SimdTier};
+use gfl_tensor::Scalar;
 use gfl_test_support::{
     assert_bit_identical, covg, for_each_thread_count, seed_offset, tiny_world, Runs, Streamed,
 };
@@ -329,6 +336,85 @@ fn simd_tiers_are_bit_identical_across_thread_counts() {
             }
         });
         gfl_tensor::simd::set_tier(prev);
+    }
+}
+
+/// FedAvg that records the width and SIMD tier each client step ran at.
+#[derive(Default)]
+struct SettingsSeen(Mutex<Vec<(usize, SimdTier)>>);
+
+impl LocalUpdate for SettingsSeen {
+    fn name(&self) -> &'static str {
+        "settings-seen"
+    }
+
+    fn train(
+        &self,
+        task: &LocalTask<'_>,
+        params: &mut Params,
+        scratch: &mut LocalScratch,
+        rng: &mut GflRng,
+    ) -> Scalar {
+        let seen = (gfl_parallel::default_parallelism(), simd::active_tier());
+        self.0.lock().unwrap().push(seen);
+        FedAvg.train(task, params, scratch, rng)
+    }
+}
+
+#[test]
+fn two_trainers_at_once_each_keep_their_width_and_tier() {
+    // One trainer at width 1 on the scalar tier and one at width 8 on
+    // `auto` run at the same time on two threads. Every client step of
+    // each, on whichever pool worker, must run under its own trainer's
+    // settings, and each must reach the bits it reaches alone.
+    let w = tiny_world(39);
+    let probs = w
+        .trainer()
+        .sampling_probs(&w.groups, SamplingStrategy::ESRCov);
+    let run = |width: usize, tier: SimdTier, meet: Option<&Barrier>| {
+        gfl_parallel::set_default_parallelism(width);
+        simd::set_tier(tier);
+        if let Some(meet) = meet {
+            meet.wait();
+        }
+        let seen = SettingsSeen::default();
+        let plan = RunPlan {
+            clock: Clock::Lockstep,
+            membership: Membership::Static {
+                groups: &w.groups,
+                probs: &probs,
+            },
+        };
+        let state = w.trainer().run_plan(&seen, &plan).unwrap();
+        let bits: Vec<u32> = state.params.iter().map(|p| p.to_bits()).collect();
+        (state.history, bits, seen.0.into_inner().unwrap())
+    };
+    let configs = [(1, SimdTier::Scalar), (8, simd::detect_best())];
+    let alone = configs.map(|(width, tier)| {
+        std::thread::scope(|s| s.spawn(|| run(width, tier, None)).join().unwrap())
+    });
+    let (run, meet) = (&run, &Barrier::new(2));
+    let together = std::thread::scope(|s| {
+        let runs = configs.map(|(width, tier)| s.spawn(move || run(width, tier, Some(meet))));
+        runs.map(|r| r.join().unwrap())
+    });
+    for (((width, tier), alone), together) in configs.iter().zip(alone).zip(together) {
+        let what = format!("width {width}, tier {}", tier.name());
+        let (history, bits, seen) = together;
+        assert_eq!(alone.0, history, "{what}: history");
+        assert_eq!(
+            serde_json::to_string(&alone.0).unwrap(),
+            serde_json::to_string(&history).unwrap(),
+            "{what}: history bits"
+        );
+        assert_eq!(alone.1, bits, "{what}: final params");
+        assert!(!seen.is_empty(), "{what}: no client step ran");
+        for steps in [&alone.2, &seen] {
+            assert!(
+                steps.iter().all(|&step| step == (*width, *tier)),
+                "{what}: a step ran under another trainer's settings: {steps:?}"
+            );
+        }
     }
 }
 

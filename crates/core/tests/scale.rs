@@ -20,6 +20,7 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, MutexGuard};
 
 use gfl_core::prelude::*;
 use gfl_data::{VirtualPopulation, VirtualSpec};
@@ -60,6 +61,13 @@ unsafe impl GlobalAlloc for PeakAlloc {
 #[global_allocator]
 static GLOBAL: PeakAlloc = PeakAlloc;
 
+/// Held across every measured window: the tests of this binary share
+/// `LIVE` and `PEAK`, and the default harness runs them concurrently.
+fn measuring() -> MutexGuard<'static, ()> {
+    static WINDOW: Mutex<()> = Mutex::new(());
+    WINDOW.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 /// Runs the full virtual pipeline at `clients` on two workers and returns
 /// `(peak heap bytes over the run, bytes a materialized twin's feature
 /// matrix alone would occupy)`.
@@ -68,9 +76,10 @@ static GLOBAL: PeakAlloc = PeakAlloc;
 /// `LIVE` and `PEAK` and the default harness runs them concurrently (which
 /// put the 10⁶-client run's ~100 MiB inside the 10⁴-client test's window),
 /// and per-edge formation holds one restricted label matrix per worker, so
-/// the peak grows with the count. The thread pin's lock does both; it is
-/// taken before `PEAK` is reset and held to the last read.
+/// the peak grows with the count. The [`measuring`] lock is taken before
+/// `PEAK` is reset and held to the last read.
 fn peak_bytes_for(clients: usize, seed: u64) -> (usize, usize) {
+    let _window = measuring();
     let mut measured = (0, 0);
     gfl_test_support::for_each_thread_count(&[2], |_| measured = measure(clients, seed));
     measured
@@ -140,11 +149,13 @@ fn checkpoint_save_streams_in_bounded_memory() {
     assert!(cp.history.events().len() >= 10_000);
     let path = std::env::temp_dir().join(format!("gfl_scale_save_{}.json", std::process::id()));
     let mut added = 0;
-    // Under the thread pin's lock, so no other test of this binary moves
+    // Under the [`measuring`] lock, so no other test of this binary moves
     // `PEAK` inside the window.
+    let window = measuring();
     gfl_test_support::for_each_thread_count(&[1], |_| {
         added = peak_added(|| cp.save(&path).unwrap()).1;
     });
+    drop(window);
     let bytes = std::fs::metadata(&path).unwrap().len();
     let _ = std::fs::remove_file(&path);
     eprintln!(

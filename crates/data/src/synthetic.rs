@@ -430,9 +430,6 @@ mod tests {
     use proptest::prelude::*;
     use rand::RngCore;
 
-    /// The pool width is process-wide: the tests that set it take turns.
-    static WIDTH: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
     fn assert_same(got: &Dataset, want: &Dataset, what: &str) {
         assert_eq!(got.labels(), want.labels(), "{what}: labels");
         let bits = |d: &Dataset| {
@@ -459,7 +456,6 @@ mod tests {
 
     #[test]
     fn chunked_generation_is_the_serial_stream_at_any_width() {
-        let _turn = WIDTH.lock().unwrap_or_else(|e| e.into_inner());
         // Rows of 18 and 30 words: chunks start at every alignment to the
         // reader's blocks and windows. The speech task's 162-word rows are
         // pinned by the multi-chunk digests in `tests/streams.rs`.
@@ -488,12 +484,10 @@ mod tests {
                 }
             }
         }
-        gfl_parallel::set_default_parallelism(0);
     }
 
     #[test]
     fn the_stitch_redraws_chunks_after_a_wrong_prediction() {
-        let _turn = WIDTH.lock().unwrap_or_else(|e| e.into_inner());
         gfl_parallel::set_default_parallelism(2);
         let spec = SyntheticSpec::tiny();
         let n = 4 * CHUNK_ROWS + 11;
@@ -522,7 +516,6 @@ mod tests {
             assert_same(&train, &want_train, &format!("{name}, train"));
             assert_same(&test, &want_test, &format!("{name}, test"));
         }
-        gfl_parallel::set_default_parallelism(0);
     }
 
     /// One weight: mostly ordinary, sometimes each thing a weight should

@@ -219,6 +219,7 @@ pub fn main(args: &[String], results: &Path) -> u8 {
 /// usage error.
 fn dispatch(args: &[String], results: &Path) -> Result<Vec<String>, String> {
     let usage = "usage: gfl-experiments list | run <id>...|all | check <id>...|all";
+    gfl_tensor::check_env().map_err(|e| e.to_string())?;
     let name = ScaleName::from_env()?;
     match args.split_first() {
         Some((list, [])) if list == "list" => {

@@ -6,13 +6,8 @@
 //! a sequential per-row reference folded the same way, and the result
 //! must not move with the worker-thread count.
 
-use std::sync::Mutex;
-
 use gfl_nn::{Cnn1d, Mlp, Network};
 use gfl_tensor::Matrix;
-
-/// `set_default_parallelism` is process-global; serialize pinning tests.
-static THREAD_PIN: Mutex<()> = Mutex::new(());
 
 const CHUNK: usize = 256;
 
@@ -61,7 +56,6 @@ fn chunked_reference_loss(
 }
 
 fn assert_chunked_fold_matches(net: Network, seed: u64) {
-    let _guard = THREAD_PIN.lock().unwrap_or_else(|e| e.into_inner());
     // 600 rows → chunks of 256, 256, 88: two full chunks plus a remainder.
     let (features, labels) = synthetic(600, &net, seed);
     let params = net.init_params(&mut gfl_tensor::init::rng(seed + 1));
@@ -79,7 +73,6 @@ fn assert_chunked_fold_matches(net: Network, seed: u64) {
             reference
         );
     }
-    gfl_parallel::set_default_parallelism(0);
 }
 
 #[test]
@@ -94,7 +87,6 @@ fn cnn_chunked_evaluate_equals_per_row_fold_bitwise() {
 
 #[test]
 fn evaluate_is_thread_count_invariant_bitwise() {
-    let _guard = THREAD_PIN.lock().unwrap_or_else(|e| e.into_inner());
     for (net, seed) in [
         (Network::from(Mlp::new(vec![4, 8, 3])), 23u64),
         (Network::from(Cnn1d::new(8, 3, 4, 3, 3, 3)), 24),
@@ -110,5 +102,4 @@ fn evaluate_is_thread_count_invariant_bitwise() {
             assert_eq!(base.accuracy.to_bits(), eval.accuracy.to_bits());
         }
     }
-    gfl_parallel::set_default_parallelism(0);
 }

@@ -170,7 +170,7 @@ fn assert_same_bits(what: &str, got: &[f32], want: &[f32]) {
     }
 }
 
-/// One test, because `set_tier` is process-wide.
+/// Every tier in turn, each set on this test's thread alone.
 #[test]
 fn mlp_equals_the_straight_line_reference_at_every_tier() {
     for dims in [vec![64, 128, 64, 10], vec![40, 48, 35]] {

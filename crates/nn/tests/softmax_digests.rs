@@ -259,7 +259,8 @@ const HOSTILE_DIGESTS: &[Hostile] = &[
     ),
 ];
 
-/// One test, because `set_tier` is process-wide.
+/// Every tier in turn, each set on this test's thread alone; a mismatch
+/// prints that tier's fresh table.
 #[test]
 fn softmax_tails_are_the_parents_at_every_tier() {
     for tier in simd::supported_tiers() {

@@ -22,6 +22,10 @@
 //! thread-local flag. Nested [`region`] calls run the body sequentially on
 //! the current thread, so inner parallelism (e.g. `Network::evaluate` called
 //! from a client-training task) cannot oversubscribe the machine.
+//!
+//! Each job carries its caller's width pin and SIMD tier for the worker to
+//! run under, and what the worker counts while serving it goes back on the
+//! region's latch to the caller's pool counters.
 
 use std::cell::Cell;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -31,9 +35,18 @@ use std::sync::OnceLock;
 use crossbeam_channel::{unbounded, Receiver, Sender};
 use parking_lot::{Condvar, Mutex};
 
+use crate::stats::PoolStats;
+
 thread_local! {
     static IN_REGION: Cell<bool> = const { Cell::new(false) };
     static WORKER_INDEX: Cell<Option<usize>> = const { Cell::new(None) };
+    /// This thread's width pin (0 = none), or on a worker that of the
+    /// region it serves.
+    pub(crate) static WIDTH: Cell<usize> = const { Cell::new(0) };
+    /// The calling thread's SIMD tier in `gfl_tensor::simd`'s encoding
+    /// (`None` = the process default), or on a worker that of the region it
+    /// serves. It lives beside the width because a region copies both.
+    pub static SIMD_TIER: Cell<Option<u8>> = const { Cell::new(None) };
     /// The completion latch of every region this thread calls, leaked once
     /// per calling thread and reset at each region's start, so entering a
     /// region allocates nothing. A thread is in at most one region it
@@ -78,10 +91,11 @@ impl Drop for RegionGuard {
     }
 }
 
-/// Completion latch counting outstanding broadcast jobs of one region.
+/// Completion latch counting outstanding broadcast jobs of one region,
+/// and summing the pool counters they tallied.
 #[derive(Default)]
 struct Latch {
-    remaining: Mutex<usize>,
+    state: Mutex<(usize, PoolStats)>,
     done: Condvar,
     panicked: AtomicBool,
 }
@@ -91,23 +105,26 @@ impl Latch {
     /// region's last `count_down` released the lock before its `wait`
     /// returned, so no job of it touches the latch any more.
     fn reset(&self, jobs: usize) {
-        *self.remaining.lock() = jobs;
+        *self.state.lock() = (jobs, PoolStats::default());
         self.panicked.store(false, Ordering::SeqCst);
     }
 
-    fn count_down(&self) {
-        let mut remaining = self.remaining.lock();
-        *remaining -= 1;
-        if *remaining == 0 {
+    fn count_down(&self, tally: PoolStats) {
+        let mut state = self.state.lock();
+        state.0 -= 1;
+        state.1.add(tally);
+        if state.0 == 0 {
             self.done.notify_all();
         }
     }
 
-    fn wait(&self) {
-        let mut remaining = self.remaining.lock();
-        while *remaining > 0 {
-            self.done.wait(&mut remaining);
+    /// Returns once every job has counted down, with their summed tallies.
+    fn wait(&self) -> PoolStats {
+        let mut state = self.state.lock();
+        while state.0 > 0 {
+            self.done.wait(&mut state);
         }
+        state.1
     }
 }
 
@@ -123,6 +140,7 @@ struct Job {
     task: TaskPtr,
     participant: usize,
     latch: &'static Latch,
+    pin: (usize, Option<u8>),
 }
 
 struct ForkPool {
@@ -171,13 +189,16 @@ impl ForkPool {
 fn worker_loop(rx: Receiver<Job>) {
     while let Ok(job) = rx.recv() {
         let _guard = RegionGuard::enter();
+        WIDTH.set(job.pin.0);
+        SIMD_TIER.set(job.pin.1);
         // SAFETY: `region` waits on the latch before returning, so the
         // pointee outlives this call; we count down only after it finishes.
         let body = unsafe { &*job.task.0 };
         if catch_unwind(AssertUnwindSafe(|| body(job.participant))).is_err() {
             job.latch.panicked.store(true, Ordering::SeqCst);
         }
-        job.latch.count_down();
+        // A worker counts only while serving, so this is the job's tally.
+        job.latch.count_down(crate::stats::take());
     }
 }
 
@@ -207,6 +228,7 @@ where
     pool.ensure_workers(helpers);
     let latch = LATCH.with(|latch| *latch);
     latch.reset(helpers);
+    let pin = (WIDTH.get(), SIMD_TIER.get());
     let region_started = std::time::Instant::now();
 
     let wide: &(dyn Fn(usize) + Sync) = &body;
@@ -222,6 +244,7 @@ where
                 task,
                 participant,
                 latch,
+                pin,
             })
             .expect("fork-pool workers exited");
     }
@@ -231,8 +254,10 @@ where
         catch_unwind(AssertUnwindSafe(|| body(0)))
     };
     // Must not unwind past here before the workers are done with `body`.
-    latch.wait();
-    crate::stats::record_region(region_started.elapsed().as_nanos() as u64, width);
+    let mut tally = latch.wait();
+    tally.regions += 1;
+    tally.capacity_ns += region_started.elapsed().as_nanos() as u64 * width as u64;
+    crate::stats::record(tally);
     if let Err(payload) = caller {
         resume_unwind(payload);
     }

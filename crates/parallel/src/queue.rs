@@ -18,6 +18,7 @@ use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use crate::fork::{in_region, region};
+use crate::stats::PoolStats;
 use crate::{default_parallelism, Pool};
 
 /// A typed task queue. It keeps nothing between runs but its pooled queue
@@ -143,7 +144,7 @@ where
     // capacity to be busy against.
     let fanned = width > 1 && !in_region();
     region(width, |participant| {
-        let started = Instant::now();
+        let started = fanned.then(Instant::now);
         let mut parked = Duration::ZERO;
         let pusher = Pusher(&shared);
         // Built at the first pop: a participant that finds nothing to run
@@ -182,10 +183,12 @@ where
             }
         }
         drop(state);
-        crate::stats::record_claims(ran, participant != 0);
-        if fanned {
-            crate::stats::record_busy(started.elapsed().saturating_sub(parked).as_nanos() as u64);
-        }
+        crate::stats::record(PoolStats {
+            claims: ran,
+            steals: if participant == 0 { 0 } else { ran },
+            busy_ns: started.map_or(0, |t| t.elapsed().saturating_sub(parked).as_nanos() as u64),
+            ..PoolStats::default()
+        });
     });
     let State { queue, panic, .. } = shared
         .state
@@ -374,8 +377,7 @@ mod tests {
             },
         );
         let delta = crate::stats::snapshot().since(before);
-        // Other tests share the process-wide counters: lower bounds only.
-        assert!(delta.regions >= 1);
-        assert!(delta.claims >= 204);
+        assert_eq!(delta.regions, 1);
+        assert_eq!(delta.claims, 204);
     }
 }

@@ -81,8 +81,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tests::at_width;
-    use crate::TaskQueue;
+    use crate::{set_default_parallelism, TaskQueue};
     use std::panic::{catch_unwind, AssertUnwindSafe};
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Mutex;
@@ -107,11 +106,8 @@ mod tests {
         let items: Vec<i64> = (0..101).map(|i| i * 3 - 50).collect();
         let expected: Vec<i64> = items.iter().map(|&x| x * x).collect();
         for threads in [1, 2, 5, 16] {
-            assert_eq!(
-                at_width(threads, || par_map(&items, |&x| x * x)),
-                expected,
-                "threads={threads}"
-            );
+            set_default_parallelism(threads);
+            assert_eq!(par_map(&items, |&x| x * x), expected, "threads={threads}");
         }
     }
 
@@ -146,14 +142,13 @@ mod tests {
     fn par_for_each_init_writes_every_slot() {
         for width in [1, 2, 8] {
             let mut items: Vec<(usize, bool)> = (0..500).map(|i| (i, false)).collect();
-            at_width(width, || {
-                par_for_each_init(&mut items, Vec::<u8>::new, |scratch, i, slot| {
-                    scratch.clear();
-                    scratch.extend_from_slice(&[1, 2, 3]);
-                    assert_eq!(slot.0, i);
-                    assert!(!slot.1, "slot {i} visited twice");
-                    slot.1 = true;
-                })
+            set_default_parallelism(width);
+            par_for_each_init(&mut items, Vec::<u8>::new, |scratch, i, slot| {
+                scratch.clear();
+                scratch.extend_from_slice(&[1, 2, 3]);
+                assert_eq!(slot.0, i);
+                assert!(!slot.1, "slot {i} visited twice");
+                slot.1 = true;
             });
             assert!(items.iter().all(|&(_, seen)| seen), "width {width}");
         }
@@ -237,19 +232,18 @@ mod tests {
         for width in [1, 2, 8] {
             let visits: Vec<AtomicUsize> = (0..64).map(|_| AtomicUsize::new(0)).collect();
             let mut items: Vec<usize> = (0..64).collect();
+            set_default_parallelism(width);
             let result = catch_unwind(AssertUnwindSafe(|| {
-                at_width(width, || {
-                    par_for_each_init(
-                        &mut items,
-                        || (),
-                        |(), i, _| {
-                            visits[i].fetch_add(1, Ordering::Relaxed);
-                            if i == 5 {
-                                panic!("item 5");
-                            }
-                        },
-                    )
-                })
+                par_for_each_init(
+                    &mut items,
+                    || (),
+                    |(), i, _| {
+                        visits[i].fetch_add(1, Ordering::Relaxed);
+                        if i == 5 {
+                            panic!("item 5");
+                        }
+                    },
+                )
             }));
             let payload = result.expect_err("the panic must propagate");
             assert_eq!(payload.downcast_ref::<&str>(), Some(&"item 5"));
@@ -261,9 +255,7 @@ mod tests {
             assert!(!crate::fork::in_region());
             // The pool stays usable.
             let mut again = vec![0u8; 64];
-            at_width(width, || {
-                par_for_each_init(&mut again, || (), |(), _, s| *s = 1)
-            });
+            par_for_each_init(&mut again, || (), |(), _, s| *s = 1);
             assert!(again.iter().all(|&s| s == 1), "width {width}");
         }
     }

@@ -1,6 +1,6 @@
-//! Process-wide fork-join pool statistics.
+//! Fork-join pool statistics, per calling thread.
 //!
-//! Cheap always-on counters (relaxed atomics, no allocation) that let the
+//! Cheap always-on counters (thread-local cells, no allocation) that let the
 //! observability layer report how well the pool is utilized without touching
 //! simulation state:
 //!
@@ -16,19 +16,20 @@
 //!   time × width. Their ratio is pool utilization: 1.0 means no
 //!   participant ever idled waiting for stragglers.
 //!
-//! Counters are cumulative for the process; consumers take a [`snapshot`]
-//! before and after the interval of interest and diff with
+//! Counters are cumulative for the calling thread: a region's helpers
+//! hand what they counted back to its caller when the region ends, so a
+//! thread's counters hold exactly the regions and runs it called, and a
+//! run on another thread never shows in them. Consumers take a
+//! [`snapshot`] before and after the interval of interest and diff with
 //! [`PoolStats::since`]. Claim counts and busy time are accumulated per
 //! participant and flushed once per run, so the per-task hot path pays
 //! nothing.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
-static REGIONS: AtomicU64 = AtomicU64::new(0);
-static CLAIMS: AtomicU64 = AtomicU64::new(0);
-static STEALS: AtomicU64 = AtomicU64::new(0);
-static BUSY_NS: AtomicU64 = AtomicU64::new(0);
-static CAPACITY_NS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    static TOTALS: Cell<PoolStats> = Cell::default();
+}
 
 /// Point-in-time (or, after [`PoolStats::since`], per-interval) pool
 /// counters. See the module docs for field semantics.
@@ -53,6 +54,14 @@ impl PoolStats {
         }
     }
 
+    pub(crate) fn add(&mut self, other: PoolStats) {
+        self.regions += other.regions;
+        self.claims += other.claims;
+        self.steals += other.steals;
+        self.busy_ns += other.busy_ns;
+        self.capacity_ns += other.capacity_ns;
+    }
+
     /// Busy time over capacity, clamped to `0.0..=1.0`. Returns 0.0 when no
     /// parallel region ran in the interval (capacity 0).
     pub fn utilization(&self) -> f64 {
@@ -64,39 +73,21 @@ impl PoolStats {
     }
 }
 
-/// Reads the current cumulative counters.
+/// Reads the calling thread's cumulative counters.
 pub fn snapshot() -> PoolStats {
-    PoolStats {
-        regions: REGIONS.load(Ordering::Relaxed),
-        claims: CLAIMS.load(Ordering::Relaxed),
-        steals: STEALS.load(Ordering::Relaxed),
-        busy_ns: BUSY_NS.load(Ordering::Relaxed),
-        capacity_ns: CAPACITY_NS.load(Ordering::Relaxed),
-    }
+    TOTALS.get()
 }
 
-/// Records one completed parallel region: wall time and participant width.
-pub(crate) fn record_region(wall_ns: u64, width: usize) {
-    REGIONS.fetch_add(1, Ordering::Relaxed);
-    CAPACITY_NS.fetch_add(wall_ns.saturating_mul(width as u64), Ordering::Relaxed);
+/// Takes the calling thread's counters, leaving zeros.
+pub(crate) fn take() -> PoolStats {
+    TOTALS.take()
 }
 
-/// Records one participant's busy time within a region: its body time less
-/// the time it spent parked.
-pub(crate) fn record_busy(ns: u64) {
-    BUSY_NS.fetch_add(ns, Ordering::Relaxed);
-}
-
-/// Flushes one participant's claim tally for a region. `steal` marks claims
-/// made by a helper worker rather than the region caller.
-pub(crate) fn record_claims(claims: u64, steal: bool) {
-    if claims == 0 {
-        return;
-    }
-    CLAIMS.fetch_add(claims, Ordering::Relaxed);
-    if steal {
-        STEALS.fetch_add(claims, Ordering::Relaxed);
-    }
+/// Adds `delta` to the calling thread's counters.
+pub(crate) fn record(delta: PoolStats) {
+    let mut totals = TOTALS.get();
+    totals.add(delta);
+    TOTALS.set(totals);
 }
 
 #[cfg(test)]
@@ -139,7 +130,8 @@ mod tests {
             },
         );
         let delta = snapshot().since(before);
-        assert!(delta.regions >= 1);
+        assert_eq!(delta.regions, 1);
+        assert_eq!(delta.claims, 4);
         assert!(delta.capacity_ns > 0);
         assert!(delta.busy_ns > 0);
     }
@@ -147,17 +139,13 @@ mod tests {
     #[test]
     fn claims_and_steals_are_flushed_by_scope_helpers() {
         let items: Vec<u64> = (0..512).collect();
+        crate::set_default_parallelism(4);
         let before = snapshot();
-        let out = crate::tests::at_width(4, || crate::par_map(&items, |&x| x + 1));
+        let out = crate::par_map(&items, |&x| x + 1);
         assert_eq!(out.len(), 512);
         let delta = snapshot().since(before);
-        // Other tests may run concurrently against the same process-wide
-        // counters, so assert a lower bound rather than an exact count.
-        assert!(
-            delta.claims >= 512,
-            "every item is one task (saw {})",
-            delta.claims
-        );
+        assert_eq!(delta.claims, 512, "every item is one task");
+        assert_eq!(delta.regions, 1);
         assert!(delta.steals <= delta.claims);
     }
 }

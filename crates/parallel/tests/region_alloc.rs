@@ -1,8 +1,8 @@
 //! Entering a pool region allocates nothing once the pool is warm.
 //!
-//! The one `#[test]` of this binary, on purpose: the allocation counter and
-//! `set_default_parallelism` are process-wide, so a concurrent test (or the
-//! harness reporting on it) would allocate inside the measured window.
+//! The one `#[test]` of this binary, on purpose: the allocation counter is
+//! process-wide, so a concurrent test (or the harness reporting on it)
+//! would allocate inside the measured window.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -61,7 +61,6 @@ fn warm_regions_allocate_nothing() {
         region();
     }
     let allocs = ALLOCS.load(Ordering::Relaxed) - before;
-    set_default_parallelism(0);
     assert_eq!(ran.load(Ordering::Relaxed), 110 * 4);
     assert_eq!(allocs, 0, "100 warm regions allocated {allocs} times");
 }

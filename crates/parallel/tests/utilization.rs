@@ -1,8 +1,7 @@
 //! Pool utilization counts a participant parked on an empty queue as idle.
 //!
-//! The one `#[test]` of this binary, on purpose: the pool counters and
-//! `set_default_parallelism` are process-wide, so a concurrent test would
-//! pollute the window measured here.
+//! The width pin and the pool counters are the test thread's own, so the
+//! window measured here holds only this test's regions.
 
 use std::time::Duration;
 
@@ -28,7 +27,6 @@ fn a_parked_participant_is_not_busy() {
     let before = stats::snapshot();
     par_for_each_init(&mut items, || (), |(), _, long| work(*long));
     let on_helper = stats::snapshot().since(before);
-    set_default_parallelism(0);
 
     for (run, delta) in [
         ("TaskQueue::run", on_queue),

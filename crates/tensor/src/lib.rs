@@ -34,6 +34,17 @@ pub use matrix::{Matrix, MatrixRef};
 /// Crate-wide floating point type. The paper's workloads are f32 end-to-end.
 pub type Scalar = f32;
 
+/// Checks the two environment values every run reads, `GFL_THREADS`
+/// ([`gfl_parallel::parse_threads`]) and `GFL_SIMD`
+/// ([`simd::parse_tier`]), as the binaries do at start-up: the first that
+/// names nothing valid is the error.
+pub fn check_env() -> Result<(), gfl_parallel::EnvError> {
+    let var = |name| std::env::var(name).ok();
+    gfl_parallel::parse_threads(var("GFL_THREADS").as_deref())?;
+    simd::parse_tier(var("GFL_SIMD").as_deref())?;
+    Ok(())
+}
+
 #[cfg(test)]
 pub(crate) mod test_util {
     /// Asserts two slices are element-wise close.

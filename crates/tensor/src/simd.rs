@@ -88,15 +88,20 @@
 //!
 //! # Dispatch
 //!
-//! The active tier is a process-wide atomic, initialized lazily from the
-//! `GFL_SIMD` environment variable: `auto` (or unset) picks the best
-//! supported tier, `off`/`scalar` forces the scalar reference, and a tier
-//! name (`avx2`, `avx512`) forces that tier (panicking if the CPU
-//! lacks it). [`set_tier`] switches tiers at runtime — the determinism
-//! suite uses it to prove `GFL_SIMD=off` vs `auto` equality in-process,
-//! and the bench harness uses it to measure per-tier GFLOP/s.
+//! The active tier is a setting of the calling thread, and a pool region
+//! copies it to its participants for the region's duration (see
+//! `gfl_parallel`). A thread that set none runs the process default, read
+//! once from the `GFL_SIMD` environment variable by [`parse_tier`]:
+//! `auto` (or unset) picks the best supported tier, `off`/`scalar` forces
+//! the scalar reference, and a tier name (`avx2`, `avx512`) forces that
+//! tier; a name this CPU lacks is an error. [`set_tier`] switches the
+//! calling thread's tier — the determinism suite uses it to prove
+//! `GFL_SIMD=off` vs `auto` equality in-process, and the bench harness
+//! uses it to measure per-tier GFLOP/s — and no other thread sees it.
 
-use std::sync::atomic::{AtomicU8, Ordering};
+use std::sync::OnceLock;
+
+use gfl_parallel::EnvError;
 
 use crate::Scalar;
 
@@ -123,28 +128,33 @@ impl SimdTier {
         }
     }
 
-    fn from_u8(v: u8) -> SimdTier {
-        match v {
-            2 => SimdTier::Avx2,
-            3 => SimdTier::Avx512,
-            _ => SimdTier::Scalar,
+    /// Whether this CPU runs the tier.
+    fn is_supported(self) -> bool {
+        match self {
+            SimdTier::Scalar => true,
+            #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+            SimdTier::Avx2 => is_x86_feature_detected!("avx2"),
+            #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+            SimdTier::Avx512 => is_x86_feature_detected!("avx512f"),
+            #[cfg(not(any(target_arch = "x86", target_arch = "x86_64")))]
+            _ => false,
         }
+    }
+
+    /// The tier [`set_tier`] stored as `v`, if this CPU runs it: safe code
+    /// can write the public cell, so what reaches a kernel is checked here.
+    fn from_u8(v: u8) -> Option<SimdTier> {
+        ALL_TIERS
+            .into_iter()
+            .find(|&t| t as u8 == v && t.is_supported())
     }
 }
 
+const ALL_TIERS: [SimdTier; 3] = [SimdTier::Scalar, SimdTier::Avx2, SimdTier::Avx512];
+
 /// Tiers usable on this CPU, ascending (always starts with `Scalar`).
 pub fn supported_tiers() -> Vec<SimdTier> {
-    let mut tiers = vec![SimdTier::Scalar];
-    #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-    {
-        if is_x86_feature_detected!("avx2") {
-            tiers.push(SimdTier::Avx2);
-        }
-        if is_x86_feature_detected!("avx512f") {
-            tiers.push(SimdTier::Avx512);
-        }
-    }
-    tiers
+    ALL_TIERS.into_iter().filter(|t| t.is_supported()).collect()
 }
 
 /// The widest tier this CPU supports.
@@ -152,50 +162,57 @@ pub fn detect_best() -> SimdTier {
     *supported_tiers().last().expect("scalar always supported")
 }
 
-const TIER_UNINIT: u8 = u8::MAX;
-static ACTIVE_TIER: AtomicU8 = AtomicU8::new(TIER_UNINIT);
-
-/// The tier a `GFL_SIMD` value names (`None` = unset).
-fn tier_named(value: Option<&str>) -> SimdTier {
+/// The tier a `GFL_SIMD` value names (`None` = unset), or an error naming
+/// the value when it is no tier this CPU supports.
+pub fn parse_tier(value: Option<&str>) -> Result<SimdTier, EnvError> {
     match value {
-        None | Some("" | "auto") => detect_best(),
-        Some("off" | "scalar") => SimdTier::Scalar,
+        None | Some("" | "auto") => Ok(detect_best()),
+        Some("off" | "scalar") => Ok(SimdTier::Scalar),
         Some(name) => supported_tiers()
             .into_iter()
             .find(|t| t.name() == name)
-            .unwrap_or_else(|| {
-                panic!(
-                    "GFL_SIMD={name}: unknown or unsupported tier on this CPU \
-                     (supported: auto, off{})",
+            .ok_or_else(|| EnvError {
+                var: "GFL_SIMD",
+                value: name.to_string(),
+                expected: format!(
+                    "unknown or unsupported tier on this CPU (supported: auto, off{})",
                     supported_tiers()
                         .iter()
                         .map(|t| format!(", {}", t.name()))
                         .collect::<String>()
-                )
+                ),
             }),
     }
 }
 
-/// The tier the kernels currently dispatch to.
-///
-/// Initialized on first use from `GFL_SIMD` (see module docs); later
-/// changed only through [`set_tier`].
-pub fn active_tier() -> SimdTier {
-    let v = ACTIVE_TIER.load(Ordering::Relaxed);
-    if v != TIER_UNINIT {
-        return SimdTier::from_u8(v);
-    }
-    let tier = tier_named(std::env::var("GFL_SIMD").ok().as_deref());
-    ACTIVE_TIER.store(tier as u8, Ordering::Relaxed);
-    tier
+/// The tier a `GFL_SIMD` value names, panicking with [`parse_tier`]'s
+/// error when it names none.
+fn tier_named(value: Option<&str>) -> SimdTier {
+    parse_tier(value).unwrap_or_else(|e| panic!("{e}"))
 }
 
-/// Forces the dispatch tier at runtime, returning the previous tier.
+/// The process default tier: `GFL_SIMD`, read once.
+fn default_tier() -> SimdTier {
+    static DEFAULT: OnceLock<SimdTier> = OnceLock::new();
+    *DEFAULT.get_or_init(|| tier_named(std::env::var("GFL_SIMD").ok().as_deref()))
+}
+
+/// The tier the kernels dispatch to on the calling thread: its own
+/// [`set_tier`], the one its region's caller set, or the process default
+/// (see module docs).
+pub fn active_tier() -> SimdTier {
+    gfl_parallel::SIMD_TIER
+        .get()
+        .and_then(SimdTier::from_u8)
+        .unwrap_or_else(default_tier)
+}
+
+/// Forces the calling thread's dispatch tier, and so that of every region
+/// it opens, returning the previous tier.
 ///
 /// # Panics
 /// Panics if this CPU does not support `tier`. Results are bit-identical
-/// across tiers, so switching mid-run changes timing only — still, callers
-/// that compare tiers (tests, benches) should serialize around this.
+/// across tiers, so switching mid-run changes timing only.
 pub fn set_tier(tier: SimdTier) -> SimdTier {
     assert!(
         supported_tiers().contains(&tier),
@@ -203,16 +220,17 @@ pub fn set_tier(tier: SimdTier) -> SimdTier {
         tier.name()
     );
     let prev = active_tier();
-    ACTIVE_TIER.store(tier as u8, Ordering::Relaxed);
+    gfl_parallel::SIMD_TIER.set(Some(tier as u8));
     prev
 }
 
 /// Calls the active tier's `$kernel`.
 ///
-/// SAFETY: a tier is only ever active after `supported_tiers` detected its
-/// CPU feature (`set_tier` asserts it, `tier_named` picks from the
-/// detected list), and the asserts ahead of each use establish the slice
-/// lengths the kernels index by.
+/// SAFETY: a tier is only ever active after its CPU feature was detected
+/// (`active_tier` returns a stored tier only through
+/// `SimdTier::from_u8`'s check, else the default `parse_tier` picked from
+/// `supported_tiers`), and the asserts ahead of each use establish the
+/// slice lengths the kernels index by.
 macro_rules! dispatch {
     ($kernel:ident $args:tt) => {
         match active_tier() {
@@ -1351,16 +1369,6 @@ mod x86 {
 mod tests {
     use super::*;
     use proptest::prelude::*;
-    use std::sync::{Mutex, MutexGuard};
-
-    /// Serializes tests that flip the process-wide tier. Results are
-    /// tier-independent, so racing would only break assertions *about*
-    /// the active tier — but serialize anyway for determinism.
-    static TIER_LOCK: Mutex<()> = Mutex::new(());
-
-    fn tier_lock() -> MutexGuard<'static, ()> {
-        TIER_LOCK.lock().unwrap_or_else(|e| e.into_inner())
-    }
 
     /// Deterministic pseudo-random fill that exercises non-representable
     /// sums (so any associativity drift actually flips bits).
@@ -1537,13 +1545,11 @@ mod tests {
     #[test]
     #[ignore = "enumerates all of f32; run in release"]
     fn exp_equals_libm_on_every_f32() {
-        let _g = tier_lock();
         assert_eq!(exp_mismatches(0..=u32::MAX), 0, "of 2^32 inputs");
     }
 
     #[test]
     fn exp_equals_libm_on_a_stride() {
-        let _g = tier_lock();
         let edges = [crate::ops::EXP_HI, crate::ops::EXP_LO]
             .into_iter()
             .flat_map(|t| [t.to_bits() - 1, t.to_bits(), t.to_bits() + 1]);
@@ -1645,7 +1651,6 @@ mod tests {
 
     #[test]
     fn row_kernels_bitwise_identical_across_tiers_on_pinned_shapes() {
-        let _g = tier_lock();
         // Every remainder mod 8 and mod 16 at the widths the models use and
         // at the edges of one and two lanes' worth of classes.
         for classes in [1, 2, 10, 35, 64, 65] {
@@ -1681,8 +1686,32 @@ mod tests {
     }
 
     #[test]
+    fn tier_names_parse_or_name_the_bad_value() {
+        let best = detect_best();
+        for (value, want) in [
+            (None, best),
+            (Some(""), best),
+            (Some("auto"), best),
+            (Some("off"), SimdTier::Scalar),
+            (Some("scalar"), SimdTier::Scalar),
+        ] {
+            assert_eq!(parse_tier(value), Ok(want), "{value:?}");
+        }
+        for tier in supported_tiers() {
+            assert_eq!(parse_tier(Some(tier.name())), Ok(tier));
+        }
+        for bad in ["neon", "avx9", "AVX2", "neon ", "1"] {
+            let err = parse_tier(Some(bad)).expect_err(bad);
+            assert_eq!(err.var, "GFL_SIMD");
+            assert!(
+                err.to_string().starts_with(&format!("GFL_SIMD={bad}: ")),
+                "{err}"
+            );
+        }
+    }
+
+    #[test]
     fn set_tier_roundtrips() {
-        let _g = tier_lock();
         let initial = active_tier();
         let prev = set_tier(SimdTier::Scalar);
         assert_eq!(prev, initial);
@@ -1692,8 +1721,15 @@ mod tests {
     }
 
     #[test]
+    fn a_tier_byte_that_names_no_tier_dispatches_to_the_default() {
+        for byte in [1, 4, u8::MAX] {
+            gfl_parallel::SIMD_TIER.set(Some(byte));
+            assert_eq!(active_tier(), default_tier(), "byte {byte}");
+        }
+    }
+
+    #[test]
     fn dot_bitwise_identical_across_tiers() {
-        let _g = tier_lock();
         for len in [0usize, 1, 5, 15, 16, 17, 31, 32, 100, 255, 256, 1000] {
             let x = lcg_vec(len, 17 + len as u64);
             let y = lcg_vec(len, 91 + len as u64);
@@ -1704,7 +1740,6 @@ mod tests {
 
     #[test]
     fn axpy_bitwise_identical_across_tiers() {
-        let _g = tier_lock();
         for len in [0usize, 1, 7, 16, 33, 64, 100, 257] {
             let x = lcg_vec(len, 3 + len as u64);
             let base = lcg_vec(len, 7 + len as u64);
@@ -1719,7 +1754,6 @@ mod tests {
 
     #[test]
     fn pack_nt_places_every_element_and_zero_pads() {
-        let _g = tier_lock();
         for (n, k) in [(1, 1), (10, 64), (16, 16), (35, 40), (37, 70), (70, 10)] {
             let b = lcg_vec(n * k, 29);
             let pack = |pack_nt: fn(&[f32], usize, usize, &mut [PanelRow])| {
@@ -1743,7 +1777,6 @@ mod tests {
 
     #[test]
     fn gemm_kernels_bitwise_identical_across_tiers_on_edge_shapes() {
-        let _g = tier_lock();
         for shape in [
             (1, 1, 1),
             (3, 5, 7),
@@ -1776,7 +1809,6 @@ mod tests {
         fn prop_skip_kernels_bitwise(
             seed in 0u64..1000, r in 0usize..5, m in 0usize..5, n in 0usize..5,
         ) {
-            let _g = tier_lock();
             check_skip_kernels((ROWS[r], WIDTHS[m], WIDTHS[n]), seed);
             check_skip_kernels((WIDTHS[m], ROWS[r], WIDTHS[n]), seed);
         }
@@ -1786,7 +1818,6 @@ mod tests {
         fn prop_skip_kernels_small_shapes_bitwise(
             seed in 0u64..1000, r in 1usize..24, m in 1usize..12, n in 1usize..80,
         ) {
-            let _g = tier_lock();
             check_skip_kernels((r, m, n), seed);
         }
 
@@ -1796,7 +1827,6 @@ mod tests {
         fn prop_gemm_nt_bitwise(
             seed in 0u64..1000, m in 0usize..5, n in 0usize..5, k in 0usize..5, hostile in 0u8..2,
         ) {
-            let _g = tier_lock();
             check_gemm_nt((ROWS[m], WIDTHS[n], WIDTHS[k]), seed, hostile == 1);
         }
 
@@ -1806,7 +1836,6 @@ mod tests {
         fn prop_row_kernels_bitwise(
             seed in 0u64..1000, rows in 0usize..71, classes in 1usize..71, inv_b in -2.0f32..2.0,
         ) {
-            let _g = tier_lock();
             check_row_kernels(rows, classes, inv_b, seed);
         }
 
@@ -1814,7 +1843,6 @@ mod tests {
         fn prop_gemm_nt_small_shapes_bitwise(
             seed in 0u64..1000, m in 1usize..10, n in 1usize..40, k in 1usize..96,
         ) {
-            let _g = tier_lock();
             check_gemm_nt((m, n, k), seed, false);
         }
     }

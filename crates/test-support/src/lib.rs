@@ -4,8 +4,8 @@
 //! membership, thread counts, SIMD tiers, resume and virtual ≡
 //! materialized. They all need the same few things to do it: a small
 //! federation to run on ([`TinyWorld`], [`Twins`]), a way to run one cell
-//! of the driver's table to the end ([`Runs`]), the process-wide thread pin
-//! ([`for_each_thread_count`]), CI's seed shift ([`seed_offset`]), a
+//! of the driver's table to the end ([`Runs`]), the calling thread's width
+//! pin ([`for_each_thread_count`]), CI's seed shift ([`seed_offset`]), a
 //! streaming trace collector whose bytes they can read back ([`Streamed`]),
 //! a golden-file comparison that can re-record ([`golden::check`]), the
 //! history goldens' scenarios ([`golden_scenario`]) and a benchmark-shaped
@@ -44,14 +44,10 @@ pub fn seed_offset() -> u64 {
         .unwrap_or(0)
 }
 
-/// `set_default_parallelism` is process-global and the tests of a binary
-/// run concurrently, so every pin happens under this lock.
-static THREAD_PIN: Mutex<()> = Mutex::new(());
-
-/// Calls `f(threads)` with the process-wide worker count pinned to each of
-/// `counts` in turn, then restores the default.
+/// Calls `f(threads)` with the calling thread's worker count pinned to
+/// each of `counts` in turn, then restores the default. The pin is the
+/// thread's own, so tests running beside this one keep theirs.
 pub fn for_each_thread_count(counts: &[usize], mut f: impl FnMut(usize)) {
-    let _guard = THREAD_PIN.lock().unwrap_or_else(|e| e.into_inner());
     for &threads in counts {
         gfl_parallel::set_default_parallelism(threads);
         f(threads);
