@@ -392,6 +392,7 @@ fn emulated_clock_s(rounds: usize, policy: FaultPolicy) -> f64 {
 }
 
 fn main() {
+    gfl_bench::check_env_or_exit();
     let mut rounds = 3usize;
     let mut argv = std::env::args().skip(1);
     while let Some(arg) = argv.next() {

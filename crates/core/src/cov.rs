@@ -95,8 +95,8 @@ pub(crate) trait Criterion {
 
     /// A key that orders histograms as the criterion does, from the exact
     /// integer `n = m·Σ h_j² − total²` (= m²·σ²) and `total`: one division
-    /// at most, no square root. Formation screens candidates by it and
-    /// scores only those near the smallest key (`grouping/greedy.rs`).
+    /// at most, no square root. A [`Screen`] ranks positions by it and
+    /// scores only those near the smallest key.
     fn key(n: f64, total: f64) -> f64;
 }
 
@@ -115,25 +115,29 @@ impl Criterion for Cov {
         }
     }
 
-    /// CoV² = n / total², `inf` for a zero total as in `finish`.
+    /// CoV² = n / total², `inf` for a zero total as in `finish`: every
+    /// count is then 0, so `n` is too and the quotient is 0/0, the one NaN.
+    /// Tested on the quotient, not on `total`, the division is never moved
+    /// into a branch, and a block of keys vectorises.
     #[inline(always)]
     fn key(n: f64, total: f64) -> f64 {
-        if total == 0.0 {
+        let key = n / (total * total);
+        if key.is_nan() {
             f64::INFINITY
         } else {
-            n / (total * total)
+            key
         }
     }
 }
 
-/// Lanes scored per block of [`cov_lanes`]: wide enough that a block's
-/// divisions and square roots pipeline, small enough to stay in registers.
-/// Chosen by measurement on the healer's placement scan, which scores every
-/// group; formation at the `secure-covg` shape read within 5 % at 4, 8 and
-/// 16 when it still scored every candidate. Formation now scores exactly
-/// only the few candidates its integer key leaves in contention, one lane
-/// a call, and uses the width as the block of its key passes (docs/PERF.md
-/// "Formation").
+/// Lanes scored per block of [`cov_lanes`], and the block of the key passes
+/// in front of it: wide enough that a block's divisions and square roots
+/// pipeline, small enough to stay in registers. Chosen by measurement on
+/// the healer's placement scan when it scored every group; formation at the
+/// `secure-covg` shape read within 5 % at 4, 8 and 16 when it still scored
+/// every candidate. Both now key every position and score exactly only the
+/// few their [`Screen`] leaves in contention, one lane a call
+/// (docs/PERF.md "One exact integer key per candidate").
 pub(crate) const LANES: usize = 8;
 
 /// One lane per column entry: `out[k]` is criterion `C` of the histogram
@@ -143,9 +147,9 @@ pub(crate) const LANES: usize = 8;
 /// `mu = total / m` → `ss += d·d` for ascending label from `0.0` →
 /// `(sqrt(ss / m) / mu) as f32` — with no value ever combined across lanes,
 /// so running lanes side by side changes no rounding. The healer's
-/// placement scan runs it with groups in the lanes and the arriving client
-/// as `hist`; Algorithm 2's Line 5 with each candidate its key leaves in
-/// contention in a lane and the growing group as `hist`.
+/// placement runs it with each group its key leaves in contention in a lane
+/// and the arriving client as `hist`; Algorithm 2's Line 5 with each such
+/// candidate in a lane and the growing group as `hist` ([`Screen::best`]).
 ///
 /// Counts are held as `f64`. A count is exact as an `f64` below 2⁵³ and so
 /// is every sum of two that stays below it, so as long as the caller keeps
@@ -208,6 +212,126 @@ pub(crate) fn scan_lanes<C: Criterion>(
             visit(lo + k, v);
         }
     }
+}
+
+/// Relative margin of the key screen, 2⁻¹⁶: the exact score of a position
+/// whose key exceeds the smallest by more than this (plus [`KEY_DELTA`]) is
+/// larger than the score of the position with the smallest key. The
+/// rounding it must cover is below 2⁻²¹ (docs/PERF.md "One exact integer
+/// key per candidate").
+const KEY_EPSILON: f64 = 1.0 / (1u64 << 16) as f64;
+
+/// Absolute margin of the key screen, 2⁻⁴⁰: covers the shift of a score
+/// near 0, where `x − mu` loses relative accuracy (below 2⁻⁵³ in key units).
+const KEY_DELTA: f64 = 1.0 / (1u64 << 40) as f64;
+
+/// Line 5's question — which union of a histogram with one of many lowest
+/// scores criterion `C`? — answered by scoring exactly only the positions
+/// whose [`Criterion::key`] is near the smallest. Formation asks it of one
+/// group against many candidates (`grouping/greedy.rs`), the healer's
+/// placement of one client against many groups (`membership/index.rs`).
+/// The caller keys every position from exact integers (`n = m·Σx_j² − T²`
+/// of the union `x`); [`Screen::best`] keeps those within
+/// `kmin·(1 + ε) + δ` and scores them with [`cov_lanes`]. The margin
+/// exceeds every rounding between a key and a score, so a position it drops
+/// scores more than the best; where the keys could stop being exact
+/// integers `δ` is infinite and every position is scored. The screen holds
+/// nothing but, in the tests, its tally.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Screen {
+    /// Positions keyed and positions scored exactly.
+    #[cfg(test)]
+    pub(crate) tally: (usize, usize),
+}
+
+/// The absolute margin δ for keys of unions over `m` labels whose totals
+/// are at most `t_max`: [`KEY_DELTA`] while every integer a key is built
+/// from — at most `(m + 1)·t_max²` — is exact in `f64` (below 2⁵³) and the
+/// margin's error bound holds (up to 2²⁰ labels); `inf` otherwise, so that
+/// every position is scored.
+fn key_delta(m: usize, t_max: f64) -> f64 {
+    // A whole number of samples below 2^53: exact as `u128`, and so is its
+    // square.
+    let t = t_max as u128;
+    let exact = m <= 1 << 20 && (m as u128 + 1).saturating_mul(t * t) < 1 << 53;
+    if exact {
+        KEY_DELTA
+    } else {
+        f64::INFINITY
+    }
+}
+
+impl Screen {
+    /// The first strict minimum of criterion `C` over positions
+    /// `lo..lo + keys.len()` of `cols` unioned with `hist`, and its score:
+    /// `keys[i]` is position `lo + i`'s key, and only the positions within
+    /// the margin of the smallest key are scored, ascending, one lane a
+    /// call. `t_max` bounds the total of every union keyed. `None` for no
+    /// position.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn best<C: Criterion>(
+        &mut self,
+        cols: &[Vec<f64>],
+        totals: &[f64],
+        lo: usize,
+        keys: &[f64],
+        hist: &[f64],
+        hist_total: f64,
+        t_max: f64,
+    ) -> Option<(usize, Scalar)> {
+        let delta = key_delta(cols.len(), t_max);
+        let bound = smallest(keys) * (1.0 + KEY_EPSILON) + delta;
+        #[cfg(test)]
+        {
+            self.tally.0 += keys.len();
+        }
+        let mut best: Option<(usize, Scalar)> = None;
+        let mut contenders = |first: usize, block: &[f64]| {
+            for (i, &key) in block.iter().enumerate() {
+                if key <= bound {
+                    #[cfg(test)]
+                    {
+                        self.tally.1 += 1;
+                    }
+                    let pos = lo + first + i;
+                    scan_lanes::<C>(cols, totals, pos..pos + 1, hist, hist_total, |pos, v| {
+                        if best.is_none_or(|(_, b)| v < b) {
+                            best = Some((pos, v));
+                        }
+                    });
+                }
+            }
+        };
+        // Whole blocks as arrays, so that the test of a block is one vector
+        // comparison.
+        let mut blocks = keys.chunks_exact(LANES);
+        for (b, block) in (&mut blocks).enumerate() {
+            let block: &[f64; LANES] = block.try_into().expect("a whole block");
+            if block.iter().fold(false, |any, &key| any | (key <= bound)) {
+                contenders(b * LANES, block);
+            }
+        }
+        contenders(keys.len() - blocks.remainder().len(), blocks.remainder());
+        best
+    }
+}
+
+/// The smallest of `keys`, a block of [`LANES`] at a time so that the
+/// comparisons run side by side.
+fn smallest(keys: &[f64]) -> f64 {
+    let min = |a: f64, b: f64| if b < a { b } else { a };
+    let mut lanes = [f64::INFINITY; LANES];
+    let mut blocks = keys.chunks_exact(LANES);
+    for block in &mut blocks {
+        for (lane, &key) in lanes.iter_mut().zip(block) {
+            *lane = min(*lane, key);
+        }
+    }
+    blocks
+        .remainder()
+        .iter()
+        .chain(&lanes)
+        .fold(f64::INFINITY, |a, &b| min(a, b))
 }
 
 /// Mean CoV across a set of groups (reported in Table 1).

@@ -10,33 +10,25 @@
 //! `2·Σ h_j·c_j` plus `Σ c_j²`, and the pool keeps the last two sums per
 //! candidate (the cross term is updated as clients join the group).
 //! `Criterion::key` turns `n` into CoV² or a multiple of σ² with one
-//! division at most. Only the candidates whose key lies within a proven
-//! margin of the smallest are scored with `cov::cov_lanes` — the scalar
-//! `*_with_candidate` arithmetic — and the winner is the first strict
-//! minimum of those scores in position order, which is what
+//! division at most. The screen over those keys is `cov::Screen`, shared
+//! with the healer's placement (`membership/index.rs`, the same question
+//! with one client against many groups): only the candidates whose key lies
+//! within a proven margin of the smallest are scored with `cov::cov_lanes`
+//! — the scalar `*_with_candidate` arithmetic — and the winner is the first
+//! strict minimum of those scores in position order, which is what
 //! `Iterator::min_by` returned when every candidate was scored. The margin
-//! exceeds every rounding between the key and the score (docs/PERF.md
-//! "Formation"), so a candidate it drops scores more than the best; where
-//! the sums could stop being exact integers the margin is infinite and
-//! every candidate is scored.
+//! exceeds every rounding between the key and the score (docs/PERF.md "One
+//! exact integer key per candidate"), so a candidate it drops scores more
+//! than the best; where the sums could stop being exact integers the margin
+//! is infinite and every candidate is scored.
 
 use gfl_data::LabelMatrix;
 use gfl_tensor::init::GflRng;
 use gfl_tensor::Scalar;
 use rand::Rng;
 
-use crate::cov::{scan_lanes, Criterion, LANES};
+use crate::cov::{Criterion, Screen};
 use crate::Group;
-
-/// Relative margin of the key screen, 2⁻¹⁶: the exact score of a candidate
-/// whose key exceeds the smallest by more than this (plus [`KEY_DELTA`]) is
-/// larger than the score of the candidate with the smallest key. The
-/// rounding it must cover is below 2⁻²¹ (docs/PERF.md "Formation").
-const KEY_EPSILON: f64 = 1.0 / (1u64 << 16) as f64;
-
-/// Absolute margin of the key screen, 2⁻⁴⁰: covers the shift of a score
-/// near 0, where `x − mu` loses relative accuracy (below 2⁻⁵³ in key units).
-const KEY_DELTA: f64 = 1.0 / (1u64 << 40) as f64;
 
 /// The clients not yet grouped, and the histogram of the group being grown.
 struct Pool {
@@ -58,11 +50,10 @@ struct Pool {
     hist: Vec<f64>,
     /// `Σ_j hist[j]²`.
     hist_squares: f64,
-    /// [`KEY_DELTA`] while every key is an exact integer, `inf` otherwise.
-    key_delta: f64,
-    /// Candidates keyed and candidates scored exactly.
-    #[cfg(test)]
-    tally: (usize, usize),
+    /// Everyone's samples: no group plus candidate holds more.
+    t_max: f64,
+    /// Line 5's key screen over this pool.
+    screen: Screen,
 }
 
 impl Pool {
@@ -71,14 +62,11 @@ impl Pool {
         let m = labels.num_labels();
         let totals: Vec<f64> = (0..n).map(|c| labels.client_total(c) as f64).collect();
         // Any group plus any candidate is at most everyone: exact in `f64`.
+        let t_max = totals.iter().sum::<f64>();
         assert!(
-            totals.iter().sum::<f64>() <= (1u64 << 52) as f64,
+            t_max <= (1u64 << 52) as f64,
             "more than 2^52 samples: counts are not exact as f64"
         );
-        // `m·Σ x_j² ≤ m·T²` and `T²` are exact below 2⁵³, and the margin's
-        // error bound holds up to 2²⁰ labels; past either, score everyone.
-        let total = u128::from(labels.total());
-        let exact = m <= 1 << 20 && (m as u128 + 1).saturating_mul(total * total) < 1 << 53;
         let squares = (0..n)
             .map(|c| {
                 labels
@@ -100,9 +88,8 @@ impl Pool {
             joined: Vec::with_capacity(m),
             hist: vec![0.0; m],
             hist_squares: 0.0,
-            key_delta: if exact { KEY_DELTA } else { f64::INFINITY },
-            #[cfg(test)]
-            tally: (0, 0),
+            t_max,
+            screen: Screen::default(),
         }
     }
 
@@ -161,59 +148,11 @@ impl Pool {
             let t = t + total;
             *key = C::key(m * (self.hist_squares + 2.0 * g + cc) - t * t, t);
         }
-        let bound = smallest(keys) * (1.0 + KEY_EPSILON) + self.key_delta;
-        #[cfg(test)]
-        {
-            self.tally.0 += range.len();
-        }
-
-        let mut best = (range.start, Scalar::INFINITY);
-        for (b, block) in keys.chunks(LANES).enumerate() {
-            if !block.iter().fold(false, |any, &key| any | (key <= bound)) {
-                continue;
-            }
-            for (i, &key) in block.iter().enumerate() {
-                if key <= bound {
-                    #[cfg(test)]
-                    {
-                        self.tally.1 += 1;
-                    }
-                    let pos = range.start + b * LANES + i;
-                    scan_lanes::<C>(
-                        &self.cols,
-                        &self.totals,
-                        pos..pos + 1,
-                        &self.hist,
-                        total,
-                        |pos, v| {
-                            if v < best.1 {
-                                best = (pos, v);
-                            }
-                        },
-                    );
-                }
-            }
-        }
-        best
+        let (cols, totals, hist) = (&self.cols, &self.totals, &self.hist);
+        self.screen
+            .best::<C>(cols, totals, range.start, keys, hist, total, self.t_max)
+            .expect("a non-empty range")
     }
-}
-
-/// The smallest of `keys`, a block of [`LANES`] at a time so that the
-/// comparisons run side by side.
-fn smallest(keys: &[f64]) -> f64 {
-    let min = |a: f64, b: f64| if b < a { b } else { a };
-    let mut lanes = [f64::INFINITY; LANES];
-    let mut blocks = keys.chunks_exact(LANES);
-    for block in &mut blocks {
-        for (lane, &key) in lanes.iter_mut().zip(block) {
-            *lane = min(*lane, key);
-        }
-    }
-    blocks
-        .remainder()
-        .iter()
-        .chain(&lanes)
-        .fold(f64::INFINITY, |a, &b| min(a, b))
 }
 
 /// Groups of at least `min_group_size` (the last may fall short when the
@@ -498,9 +437,9 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(2000))]
 
-        /// The property above at depth, for CI's release run:
-        /// `cargo test --release -p gfl-core -- --ignored
-        /// prop_screened_formation_is_the_scalar_formation_deep`.
+        /// The property above at depth, for CI's release run (with the
+        /// placement screen's):
+        /// `cargo test --release -p gfl-core -- --ignored prop_screened_`.
         #[test]
         #[ignore]
         fn prop_screened_formation_is_the_scalar_formation_deep(
@@ -558,9 +497,11 @@ mod tests {
             .collect();
         let labels = LabelMatrix::new(counts, 10);
         let mut pool = Pool::new(&labels);
-        assert_eq!(pool.key_delta, f64::INFINITY);
         grow_groups::<Cov>(&mut pool, &mut init::rng(9), 3, 0.0, |_| {});
-        assert_eq!(pool.tally.0, pool.tally.1, "every candidate scored");
+        assert_eq!(
+            pool.screen.tally.0, pool.screen.tally.1,
+            "every candidate scored"
+        );
         assert_matches_oracle(&labels, 9);
     }
 
@@ -578,10 +519,9 @@ mod tests {
         for edge in 0..4 {
             let local = pop.label_matrix().restrict(topology.clients_of(edge));
             let mut pool = Pool::new(&local);
-            assert_eq!(pool.key_delta, KEY_DELTA);
             grow_groups::<Cov>(&mut pool, &mut init::rng(edge as u64), 10, 0.5, |_| {});
-            keyed += pool.tally.0;
-            scored += pool.tally.1;
+            keyed += pool.screen.tally.0;
+            scored += pool.screen.tally.1;
         }
         assert!(keyed > 100_000, "{keyed} candidates keyed");
         assert!(scored * 100 < keyed, "{scored} of {keyed} scored exactly");

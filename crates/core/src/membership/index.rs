@@ -11,18 +11,37 @@
 //! its own edge's groups. So each edge keeps its non-empty groups as
 //! *slots*, in ascending group index, with their label histograms in one
 //! label-major structure of arrays: `hist[j][slot]` is the slot's count of
-//! label `j`. The placement scan reads `m` contiguous columns for a block
-//! of neighbouring slots instead of chasing `m`-element rows through three
-//! levels of `Vec`, and every edge's columns can be placed into by its own
-//! worker. Per group the index keeps only its slot and its cached CoV.
+//! label `j`, beside each slot's total and its sum of squared counts. A
+//! placement reads contiguous columns for a block of neighbouring slots
+//! instead of chasing `m`-element rows through three levels of `Vec`, and
+//! every edge's columns can be placed into by its own worker. Per group the
+//! index keeps only its slot and its cached CoV.
 //!
-//! **Exactness.** The columns and totals hold *counts as `f64`*, which is
-//! what lets the scan be `cov::cov_lanes` — `cov::cov_with_candidate`'s
-//! operations in its order, a lane per group (its docs say why no rounding
-//! moves). Its precondition is kept here: a placement and [`Index::build`]
-//! assert each group's total stays at most 2⁵² ([`MAX_EXACT_TOTAL`]); a
-//! candidate row is `m` `u32`s, so with `m` < 2²⁰ (asserted in `build`)
-//! `group + candidate` is below 2⁵³ too. A cached CoV is [`histogram_cov`]
+//! **Placement: one exact integer key per slot.** Which group's CoV is
+//! lowest with the client added is Algorithm 2's Line 5 with the roles
+//! swapped — one client against many groups — and it is answered by the
+//! same `cov::Screen`. With the slot's counts `h`, the client's `c` and
+//! `x = h + c`, `m·Σx_j² − T²` is `m·(S + 2·X + C) − T²`: `S = Σh_j²` is
+//! the slot's `squares`, `C = Σc_j²` the client's, and the cross term
+//! `X = Σh_j·c_j` runs over the client's non-zero labels only (about four
+//! of ten at α = 0.1). A block of [`LANES`] slots is keyed at a time, and
+//! only the slots whose key is within the screen's proven margin of the
+//! smallest are scored with `cov::cov_lanes`, one lane a call; the winner
+//! is the first strict minimum of those scores in slot order, the slot the
+//! full scan picked. The key pass also finds the largest union total `T`
+//! it keyed, and the screen drops slots only while `(m + 1)·T²` is below
+//! 2⁵³, where every key is an exact integer; past that every slot is
+//! scored.
+//!
+//! **Exactness.** The columns, totals and squares hold *whole numbers as
+//! `f64`*, which is what lets a scored lane be `cov::cov_lanes` —
+//! `cov::cov_with_candidate`'s operations in its order, a lane per group
+//! (its docs say why no rounding moves). Its precondition is kept here: a
+//! placement and [`Index::build`] assert each group's total stays at most
+//! 2⁵² ([`MAX_EXACT_TOTAL`]); a candidate row is `m` `u32`s, so with `m` <
+//! 2²⁰ (asserted in `build`) `group + candidate` is below 2⁵³ too. A slot's
+//! squares are summed from its column entries in label order whenever they
+//! change, so they are a rebuild's bits. A cached CoV is [`histogram_cov`]
 //! itself, applied to the group's column entries converted back to `u64`.
 //!
 //! **Placement: one pass per edge, on the pool.** [`Index::place`] splits a
@@ -39,7 +58,7 @@ use gfl_faults::ChurnPlan;
 use gfl_sim::Topology;
 use gfl_tensor::Scalar;
 
-use crate::cov::{histogram_cov, scan_lanes, Cov};
+use crate::cov::{histogram_cov, Cov, Criterion, Screen, LANES};
 use crate::Group;
 
 /// "No group" in [`Index::group_of`], "no slot" in [`Index::slot_of`], and a
@@ -96,7 +115,10 @@ impl Index {
                     groups: Vec::with_capacity(slots),
                     hist: (0..m).map(|_| Vec::with_capacity(slots)).collect(),
                     totals: Vec::with_capacity(slots),
+                    squares: Vec::with_capacity(slots),
                     cand: vec![0.0; m],
+                    nonzero: Vec::with_capacity(m),
+                    keys: Vec::with_capacity(slots),
                     ..EdgeGroups::default()
                 })
                 .collect(),
@@ -155,6 +177,7 @@ impl Index {
             col[slot] -= f64::from(c);
         }
         edge.totals[slot] -= labels.client_total(client) as f64;
+        edge.squares[slot] = edge.slot_squares(slot);
         self.refresh_cov(e, slot, gi);
         self.group_of[client] = NONE;
         if emptied {
@@ -164,6 +187,7 @@ impl Index {
                 col.remove(slot);
             }
             edge.totals.remove(slot);
+            edge.squares.remove(slot);
             for &g in &edge.groups[slot..] {
                 self.slot_of[g as usize] -= 1;
             }
@@ -253,6 +277,7 @@ impl Index {
                         col[kept] = col[slot];
                     }
                     edge.totals[kept] = edge.totals[slot];
+                    edge.squares[kept] = edge.squares[slot];
                     self.slot_of[g as usize] = kept as u32;
                     kept += 1;
                 }
@@ -262,6 +287,7 @@ impl Index {
                 col.truncate(kept);
             }
             edge.totals.truncate(kept);
+            edge.squares.truncate(kept);
         }
     }
 
@@ -277,6 +303,13 @@ impl Index {
         let mut edge = self.edges[edge].clone();
         edge.best(labels, client)
             .map(|slot| edge.groups[slot] as usize)
+    }
+
+    /// `edge`'s key screen, with its tally of slots keyed and scored by
+    /// placements. For the tests.
+    #[cfg(test)]
+    pub(super) fn screen(&self, edge: usize) -> &Screen {
+        &self.edges[edge].screen
     }
 
     /// The placement scan's values for `client` over `edge`'s groups, in
@@ -295,7 +328,7 @@ impl Index {
             .map(|&c| f64::from(c))
             .collect();
         let mut covs = Vec::new();
-        scan_lanes::<Cov>(
+        crate::cov::scan_lanes::<Cov>(
             &edge.hist,
             &edge.totals,
             0..edge.totals.len(),
@@ -318,6 +351,8 @@ struct EdgeGroups {
     hist: Vec<Vec<f64>>,
     /// Slot → its total sample count.
     totals: Vec<f64>,
+    /// Slot → `Σ_j hist[j][slot]²`, summed in label order.
+    squares: Vec<f64>,
     /// Scratch for [`Index::place`]: this edge's clients in the batch, in
     /// batch order …
     clients: Vec<usize>,
@@ -325,8 +360,14 @@ struct EdgeGroups {
     landed: Vec<u32>,
     /// … and how many of those the merge has read.
     merged: usize,
-    /// Scratch: the candidate's label counts, one per label.
+    /// Scratch: the candidate's label counts, one per label …
     cand: Vec<f64>,
+    /// … its non-zero ones as `(label, count)` …
+    nonzero: Vec<(usize, f64)>,
+    /// … and each slot's key for it.
+    keys: Vec<f64>,
+    /// The key screen over this edge's slots.
+    screen: Screen,
 }
 
 impl EdgeGroups {
@@ -339,7 +380,15 @@ impl EdgeGroups {
         assert!(total <= MAX_EXACT_TOTAL, "group total {total} is not exact");
         self.totals.push(total);
         self.groups.push(gi);
-        (self.groups.len() - 1) as u32
+        let slot = self.groups.len() - 1;
+        self.squares.push(self.slot_squares(slot));
+        slot as u32
+    }
+
+    /// `Σ_j hist[j][slot]²`, in label order: the same bits however the
+    /// slot's counts were reached.
+    fn slot_squares(&self, slot: usize) -> f64 {
+        self.hist.iter().map(|col| col[slot] * col[slot]).sum()
     }
 
     /// Places this edge's clients, one after another.
@@ -351,6 +400,7 @@ impl EdgeGroups {
                     col.push(0.0);
                 }
                 self.totals.push(0.0);
+                self.squares.push(0.0);
                 self.groups.push(NONE);
                 self.groups.len() - 1
             });
@@ -358,6 +408,7 @@ impl EdgeGroups {
                 col[slot] += c;
             }
             self.totals[slot] += labels.client_total(client) as f64;
+            self.squares[slot] = self.slot_squares(slot);
             assert!(
                 self.totals[slot] <= MAX_EXACT_TOTAL,
                 "a group's total {} is not exact",
@@ -368,26 +419,92 @@ impl EdgeGroups {
     }
 
     /// The slot whose CoV with `client` added is lowest, the first strict
-    /// minimum in slot order; loads the client's counts into `cand`.
+    /// minimum in slot order; loads the client's counts into `cand`. Every
+    /// slot is keyed, a block of [`LANES`] at a time, and the screen scores
+    /// only those near the smallest key.
     fn best(&mut self, labels: &LabelMatrix, client: usize) -> Option<usize> {
-        for (c, &r) in self.cand.iter_mut().zip(labels.client(client)) {
+        self.nonzero.clear();
+        for (j, (c, &r)) in self.cand.iter_mut().zip(labels.client(client)).enumerate() {
             *c = f64::from(r);
+            if r != 0 {
+                self.nonzero.push((j, *c));
+            }
         }
-        let mut best: Option<(usize, Scalar)> = None;
-        scan_lanes::<Cov>(
+        let total = labels.client_total(client) as f64;
+        // Whole numbers the screen's exactness test covers (or it scores
+        // every slot): the sum is exact in any order.
+        let squares = self.nonzero.iter().map(|&(_, c)| c * c).sum();
+        let newcomer = (self.nonzero.as_slice(), squares, total);
+        // Each lane's largest union total, for the screen's exactness test.
+        let mut top = [0.0f64; LANES];
+        let slots = (
+            self.hist.as_slice(),
+            self.squares.as_slice(),
+            self.totals.as_slice(),
+        );
+        self.keys.resize(self.totals.len(), 0.0);
+        let mut blocks = self.keys.chunks_exact_mut(LANES);
+        for (b, out) in (&mut blocks).enumerate() {
+            let out: &mut [f64; LANES] = out.try_into().expect("a whole block");
+            key_lanes(slots, b * LANES, newcomer, &mut top, out);
+        }
+        let tail = blocks.into_remainder();
+        key_lanes(
+            slots,
+            self.totals.len() - tail.len(),
+            newcomer,
+            &mut top,
+            tail,
+        );
+        let t_max = top.iter().fold(0.0, |a, &t| if t > a { t } else { a });
+        let best = self.screen.best::<Cov>(
             &self.hist,
             &self.totals,
-            0..self.totals.len(),
+            0,
+            &self.keys,
             &self.cand,
-            labels.client_total(client) as f64,
-            |slot, cov| {
-                if best.is_none_or(|(_, b)| cov < b) {
-                    best = Some((slot, cov));
-                }
-            },
+            total,
+            t_max,
         );
         best.map(|(slot, _)| slot)
     }
+}
+
+/// One lane per slot: `out[k]` is the key of slot `lo + k` of `(hist,
+/// squares, totals)` joined by a client of `(nonzero, squares, total)` —
+/// its non-zero `(label, count)` pairs, `Σ c_j²` and its total —
+/// `Cov::key(m·(S + 2·X + C) − T², T)` with the slot's `S = Σ h_j²`, the
+/// cross term `X = Σ h_j·c_j` over the client's non-zero labels only, and
+/// `T` the two totals summed; `top[k]`
+/// keeps the largest such `T` lane `k` has seen. Every term is a whole
+/// number, exact while the screen's test on `top` passes, so the order of
+/// the sums changes no bit. The keys are formed in a local block and copied
+/// out, so that the lanes vectorise.
+#[inline(always)]
+fn key_lanes(
+    (hist, squares, totals): (&[Vec<f64>], &[f64], &[f64]),
+    lo: usize,
+    (nonzero, client_squares, client_total): (&[(usize, f64)], f64, f64),
+    top: &mut [f64; LANES],
+    out: &mut [f64],
+) {
+    let w = out.len();
+    let m = hist.len() as f64;
+    let mut cross = [0.0f64; LANES];
+    for &(j, c) in nonzero {
+        for (x, &h) in cross.iter_mut().zip(&hist[j][lo..lo + w]) {
+            *x += h * c;
+        }
+    }
+    let mut keys = [0.0f64; LANES];
+    let slots = squares[lo..lo + w].iter().zip(&totals[lo..lo + w]);
+    let lanes = keys.iter_mut().zip(top.iter_mut()).zip(&cross);
+    for (((key, top), &x), (&s, &t)) in lanes.zip(slots) {
+        let t = t + client_total;
+        *top = if t > *top { t } else { *top };
+        *key = Cov::key(m * (s + 2.0 * x + client_squares) - t * t, t);
+    }
+    out.copy_from_slice(&keys[..w]);
 }
 
 /// Drops the elements of `column` whose mark is set; one mark per element.
@@ -408,6 +525,7 @@ impl PartialEq for Index {
                 && a.hist.len() == b.hist.len()
                 && a.hist.iter().zip(&b.hist).all(|(a, b)| bits(a) == bits(b))
                 && bits(&a.totals) == bits(&b.totals)
+                && bits(&a.squares) == bits(&b.squares)
         };
         self.group_of == other.group_of
             && self.edge_of == other.edge_of

@@ -586,6 +586,267 @@ proptest! {
     }
 }
 
+/// One edge of `groups` groups of one to three clients over `m` ∈ {1, 2,
+/// 10, 35} labels, and eight clients in no group to place. Rows are about
+/// half zeros (as under α = 0.1), with near-ties planted around a small
+/// palette: label-rotated copies (the same key, a different `ss` order),
+/// multiples `k·r`, complements `400 − r`, balanced rows, and all-zero rows
+/// (a tenth of the groups hold nothing). The newcomers are an all-zero row,
+/// the complement of a group's histogram (a union of CoV 0), a rotated copy
+/// of one, a palette row and fresh rows. `huge` maps every count `x` to
+/// `2²⁷ + 4096·x`, past where the keys are exact.
+fn screen_world(
+    mi: usize,
+    groups: usize,
+    seed: u64,
+    huge: bool,
+) -> (LabelMatrix, Topology, Vec<Group>, Vec<usize>) {
+    use gfl_tensor::init;
+    use rand::Rng;
+    let m = [1, 2, 10, 35][mi];
+    let rng = &mut init::rng(seed);
+    let sparse = |rng: &mut init::GflRng| -> Vec<u32> {
+        (0..m)
+            .map(|_| {
+                if rng.gen_bool(0.5) {
+                    rng.gen_range(0..400)
+                } else {
+                    0
+                }
+            })
+            .collect()
+    };
+    let palette: Vec<Vec<u32>> = (0..4).map(|_| sparse(rng)).collect();
+    let mut counts: Vec<Vec<u32>> = Vec::new();
+    let mut partition = Vec::new();
+    for _ in 0..groups {
+        let mut group = Vec::new();
+        for _ in 0..rng.gen_range(1..4) {
+            let row = &palette[rng.gen_range(0..palette.len())];
+            let row = match rng.gen_range(0..10) {
+                0 => {
+                    let mut rotated = row.clone();
+                    rotated.rotate_left(rng.gen_range(0..m));
+                    rotated
+                }
+                1 => {
+                    let k: u32 = rng.gen_range(1..4);
+                    row.iter().map(|&x| k * x).collect()
+                }
+                2 => row.iter().map(|&x| 400 - x).collect(),
+                3 => vec![rng.gen_range(1..50); m],
+                4 => vec![0; m],
+                _ => sparse(rng),
+            };
+            group.push(counts.len());
+            counts.push(row);
+        }
+        if rng.gen_range(0..10) == 0 {
+            for &c in &group {
+                counts[c] = vec![0; m];
+            }
+        }
+        partition.push(group);
+    }
+    let hist = |counts: &[Vec<u32>], g: &Group| -> Vec<u32> {
+        (0..m)
+            .map(|j| g.iter().map(|&c| counts[c][j]).sum())
+            .collect()
+    };
+    let mut newcomers = Vec::new();
+    for kind in 0..8 {
+        let g = &partition[rng.gen_range(0..groups)];
+        let row = match kind {
+            0 => vec![0; m],
+            1 | 2 => {
+                let h = hist(&counts, g);
+                let top = h.iter().copied().max().unwrap_or(0);
+                h.iter().map(|&x| top - x).collect()
+            }
+            3 => {
+                let mut rotated = hist(&counts, g);
+                rotated.rotate_left(rng.gen_range(0..m));
+                rotated
+            }
+            4 => palette[rng.gen_range(0..palette.len())].clone(),
+            _ => sparse(rng),
+        };
+        newcomers.push(counts.len());
+        counts.push(row);
+    }
+    if huge {
+        for row in &mut counts {
+            for x in row.iter_mut() {
+                *x = (1 << 27) + 4096 * *x;
+            }
+        }
+    }
+    let sizes = counts
+        .iter()
+        .map(|r| r.iter().map(|&x| x as usize).sum())
+        .collect();
+    let n = counts.len();
+    (
+        LabelMatrix::new(counts, m),
+        Topology::new(vec![(0..n).collect()], sizes),
+        partition,
+        newcomers,
+    )
+}
+
+/// The screened placement against the lanes that score every group: each
+/// newcomer lands in the first strict minimum of `covs_with_candidate`
+/// (which `every_lane_is_cov_with_candidate_*` hold to the scalar function).
+/// Then the whole batch is placed, and the index must equal a rebuild;
+/// with `huge` counts every slot keyed was scored.
+fn assert_screened_placement(mi: usize, groups: usize, seed: u64, huge: bool) {
+    let (labels, topology, mut partition, newcomers) = screen_world(mi, groups, seed, huge);
+    let mut index = Index::build(&partition, &labels, &topology);
+    for &c in &newcomers {
+        let mut want: Option<(usize, Scalar)> = None;
+        for (g, cov) in index
+            .covs_with_candidate(&labels, 0, c)
+            .into_iter()
+            .enumerate()
+        {
+            if want.is_none_or(|(_, b)| cov < b) {
+                want = Some((g, cov));
+            }
+        }
+        assert_eq!(
+            index.best_group(&labels, 0, c),
+            want.map(|(g, _)| g),
+            "newcomer {c}"
+        );
+    }
+    for (&c, g) in newcomers.iter().zip(index.place(&labels, &newcomers)) {
+        partition[g].push(c);
+    }
+    assert!(index == Index::build(&partition, &labels, &topology));
+    if huge {
+        let (keyed, scored) = index.screen(0).tally;
+        assert_eq!(keyed, scored, "2^27 counts: every slot scored");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn prop_screened_placement_is_the_scalar_placement(
+        mi in 0usize..4,
+        groups in 64usize..301,
+        seed in 0u64..1 << 20,
+        huge in 0u8..8,
+    ) {
+        assert_screened_placement(mi, groups, seed, huge == 0);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2000))]
+
+    /// The property above at depth, for CI's release run:
+    /// `cargo test --release -p gfl-core -- --ignored prop_screened_`.
+    #[test]
+    #[ignore]
+    fn prop_screened_placement_is_the_scalar_placement_deep(
+        mi in 0usize..4,
+        groups in 64usize..301,
+        seed in 0u64..1 << 20,
+        huge in 0u8..8,
+    ) {
+        assert_screened_placement(mi, groups, seed, huge == 0);
+    }
+}
+
+#[test]
+fn scores_that_tie_in_f32_go_to_the_first_slot_whatever_their_keys() {
+    // Group 0 is group 1 with one sample moved between two labels of equal
+    // count: with the sample-free newcomer added, its key is larger by 2m
+    // (in units of T²), far below one f32 step of either score, so both
+    // scores narrow to the same f32 and slot 0 must win — the margin keeps
+    // it in contention. Groups 2 and 3 hold one label only.
+    let mut tied: Vec<u32> = vec![1 << 20, 1 << 20, 300_000, 300_007, 250_000];
+    tied.extend([200_003, 150_000, 100_001, 60_000, 9]);
+    let mut moved = tied.clone();
+    moved[0] += 1;
+    moved[1] -= 1;
+    let mut filler = vec![0; 10];
+    filler[3] = 3_000_000;
+    let counts = vec![moved, tied, filler.clone(), filler, vec![0; 10]];
+    let sizes = counts
+        .iter()
+        .map(|r| r.iter().map(|&x| x as usize).sum())
+        .collect();
+    let labels = LabelMatrix::new(counts, 10);
+    let topology = Topology::new(vec![(0..5).collect()], sizes);
+    let groups: Vec<Group> = (0..4).map(|c| vec![c]).collect();
+    let mut index = Index::build(&groups, &labels, &topology);
+
+    let score = |g: usize| cov_with_candidate(&labels, &labels.group_histogram(&[g]), 4);
+    assert_eq!(
+        score(0).to_bits(),
+        score(1).to_bits(),
+        "the premise: an f32 tie"
+    );
+    // Equal totals, so the keys order as `m·Σx²`.
+    let squares =
+        |g: usize| -> u128 { labels.client(g).iter().map(|&x| u128::from(x).pow(2)).sum() };
+    assert_eq!(labels.client_total(0), labels.client_total(1));
+    assert_eq!(squares(0), squares(1) + 2, "the premise: keys differ");
+    assert_eq!(index.best_group(&labels, 0, 4), Some(0));
+    // The keys are exact here, so the screen drops the one-label groups.
+    assert_eq!(index.place(&labels, &[4]), vec![0]);
+    assert_eq!(index.screen(0).tally, (4, 2));
+}
+
+#[test]
+fn the_key_screen_scores_under_one_percent_of_slots_at_the_scale_churn_shape() {
+    // `scale-churn`'s smoke shape: 18 000 virtual clients (α = 0.1) on 8
+    // edges, stream groups of 8, moderate churn over 16 rounds with the
+    // default healing policy; every arrival and orphan is keyed against its
+    // edge's groups.
+    const CLIENTS: usize = 18_000;
+    let pop =
+        gfl_data::VirtualPopulation::new(gfl_data::VirtualSpec::paper_vision(CLIENTS, 0.1, 7));
+    let sizes = (0..CLIENTS).map(|c| pop.client_size(c)).collect();
+    let topology = Topology::even_split(8, sizes);
+    let labels = pop.label_matrix();
+    let algo = StreamGrouping { group_size: 8 };
+    let plan = ChurnPlan {
+        horizon: 16,
+        ..ChurnPlan::moderate(7)
+    };
+    let sampling = SamplingStrategy::Random;
+    let policy = RegroupPolicy::default();
+    let mut state = MembershipState::form(
+        &algo,
+        &topology,
+        labels,
+        Some(&plan),
+        policy,
+        7,
+        sampling,
+        0,
+    )
+    .unwrap();
+    for t in 0..16 {
+        state.apply_churn(&plan, t, labels, &topology);
+        state
+            .heal(t, labels, &algo, &topology, 7, sampling)
+            .unwrap();
+    }
+    let index = state.take_index(labels, &topology);
+    let (mut keyed, mut scored) = (0, 0);
+    for edge in 0..8 {
+        keyed += index.screen(edge).tally.0;
+        scored += index.screen(edge).tally.1;
+    }
+    assert!(keyed > 100_000, "{keyed} slots keyed");
+    assert!(scored * 100 < keyed, "{scored} of {keyed} scored exactly");
+}
+
 /// Eight clients with the given label counts, four to an edge.
 fn two_edges(counts: Vec<Vec<u32>>) -> (LabelMatrix, Topology) {
     let sizes = counts

@@ -41,6 +41,11 @@ use std::sync::OnceLock;
 /// `GFL_THREADS` environment override, read once (0 = unset).
 static ENV_THREADS: OnceLock<usize> = OnceLock::new();
 
+/// [`std::thread::available_parallelism`], asked once: std does not cache
+/// it, and each call redoes its affinity and cgroup-quota lookups (tens of
+/// microseconds, against nanoseconds for a pinned width).
+static DETECTED_THREADS: OnceLock<usize> = OnceLock::new();
+
 fn env_threads() -> usize {
     *ENV_THREADS.get_or_init(|| {
         parse_threads(std::env::var("GFL_THREADS").ok().as_deref())
@@ -84,8 +89,9 @@ pub fn parse_threads(value: Option<&str>) -> Result<usize, EnvError> {
 /// Resolution order: the calling thread's [`set_default_parallelism`] pin
 /// (e.g. the CLI `--threads` flag; a region's participants inherit their
 /// caller's), then the `GFL_THREADS` environment variable, then
-/// [`std::thread::available_parallelism`]. Pinning keeps benchmarks
-/// comparable across machines and forces sequential execution in tests.
+/// [`std::thread::available_parallelism`] as it read on the first unpinned
+/// call. Pinning keeps benchmarks comparable across machines and forces
+/// sequential execution in tests.
 pub fn default_parallelism() -> usize {
     let pinned = fork::WIDTH.get();
     if pinned > 0 {
@@ -95,9 +101,11 @@ pub fn default_parallelism() -> usize {
     if env > 0 {
         return env;
     }
-    std::thread::available_parallelism()
-        .map(NonZeroUsize::get)
-        .unwrap_or(1)
+    *DETECTED_THREADS.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(NonZeroUsize::get)
+            .unwrap_or(1)
+    })
 }
 
 /// Pins the default parallelism degree of the calling thread, and so of
@@ -120,6 +128,19 @@ mod tests {
         assert_eq!(default_parallelism(), 3);
         set_default_parallelism(0);
         assert!(default_parallelism() >= 1);
+    }
+
+    #[test]
+    fn an_unpinned_width_is_the_detected_one_every_call() {
+        // This test's thread pins nothing; a `GFL_THREADS` the run was
+        // started with comes first.
+        let want = match env_threads() {
+            0 => std::thread::available_parallelism().map_or(1, NonZeroUsize::get),
+            env => env,
+        };
+        for _ in 0..3 {
+            assert_eq!(default_parallelism(), want);
+        }
     }
 
     #[test]
