@@ -35,7 +35,7 @@ use gfl_faults::ChurnPlan;
 use gfl_sim::Topology;
 
 fn main() {
-    gfl_bench::check_env_or_exit();
+    gfl_tensor::check_env_or_exit();
     let clients: usize = std::env::var("GFL_SCALE_CLIENTS")
         .ok()
         .and_then(|v| v.parse().ok())

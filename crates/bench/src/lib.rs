@@ -3,16 +3,6 @@
 use gfl_data::{VirtualPopulation, VirtualSpec};
 use gfl_sim::Topology;
 
-/// Checks `GFL_THREADS` and `GFL_SIMD` as `gfl` and `gfl-experiments` do
-/// at start-up: on a value that names nothing valid, prints the parser's
-/// message and exits 2 before anything is measured.
-pub fn check_env_or_exit() {
-    if let Err(e) = gfl_tensor::check_env() {
-        eprintln!("error: {e}");
-        std::process::exit(2);
-    }
-}
-
 /// A `paper_vision`-shaped virtual population (α = 0.1) and its even split
 /// over `edges` edge servers — the benchmark workloads' set-up.
 pub fn virtual_world(clients: usize, edges: usize, seed: u64) -> (VirtualPopulation, Topology) {

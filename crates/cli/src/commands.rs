@@ -806,8 +806,14 @@ mod tests {
     }
 
     /// Runs `simulate` on a command line it must refuse: with a typed
-    /// error, and before anything ran — not a byte on `out`.
+    /// error, and before anything ran — not a byte on `out`; through the
+    /// entry point, exit 2 and one `error:` line.
     fn rejected(flags: &str) -> CommandError {
+        let mut entry = Vec::new();
+        let code = crate::run(&argv(&format!("simulate {flags}")), &mut entry);
+        let entry = String::from_utf8(entry).unwrap();
+        let one_error = entry.starts_with("error: ") && entry.lines().count() == 1;
+        assert!(code == 2 && one_error, "{flags}: exit {code}, {entry}");
         let (r, out) = run_cmd(simulate, flags);
         assert_eq!(out, "", "{flags}: printed before it was refused");
         match r {
@@ -1622,9 +1628,15 @@ mod tests {
 
     #[test]
     fn help_short_circuits() {
-        for f in [simulate, group, cost, theory] {
+        for (command, _, f) in COMMANDS {
             let (r, _) = run_cmd(f, "--help");
             assert!(matches!(r.unwrap_err(), CommandError::Help(_)));
+            // Exit 0; every workload passes --eval-every, so it is listed.
+            let line = format!("{} --help", command.name.strip_prefix("gfl ").unwrap());
+            let mut out = Vec::new();
+            assert_eq!(crate::run(&argv(&line), &mut out), 0, "{line}");
+            let text = String::from_utf8(out).unwrap();
+            assert!(!line.starts_with("simulate") || text.contains("--eval-every"));
         }
     }
 }

@@ -1,23 +1,29 @@
-//! Stdout goldens for `gfl simulate`: bytes this code did not produce.
+//! Stdout goldens for `gfl`, and its determinism table: every row runs
+//! in-process at widths 1, 2 and 8 (`set_default_parallelism` on the calling
+//! thread) and must print the same stdout, write the same checkpoint and CSV
+//! bytes, and a trace that `gfl-trace diff` finds clean at every width.
 //!
 //! The five `BENCHMARK.json` workloads' flag sets (`benchmark/src/workloads.rs`,
-//! without `--metrics`, whose table carries wall-clock figures, and without
-//! `--threads`, so the suite runs at whatever `GFL_THREADS` says) at a shape
-//! small enough for a debug-profile test, at seeds 1 and 5. The files under
+//! without `--metrics`, whose table carries wall-clock figures) at a shape
+//! small enough for a debug-profile test, at seeds 1 and 5 (5 at one width). The files under
 //! `tests/golden/` were written by the release binary of the commit *before*
 //! the flag table existed; every later parser has to reproduce them, byte for
 //! byte, with `N threads` masked. `hostile-observed` also pins the bytes of
 //! its `--csv` and `--async-csv` artifacts at seed 1, and its `--checkpoint`
 //! section by section: one FNV-1a digest per top-level key and one per event
-//! kind, so a moved byte names the section it moved in.
+//! kind, so a moved byte names the section it moved in. Each other row
+//! asserts from its own artifacts that it reached its path.
 //!
 //! `GFL_BLESS=1 cargo test -p gfl-cli --test golden` rewrites the files; do
 //! that only with a change that means to move stdout, and commit the diff.
 
+use std::collections::BTreeSet;
 use std::path::Path;
 
 use gfl_core::checkpoint::Checkpoint;
 use gfl_core::history::Event;
+use gfl_faults::{AttackEvent, FaultEvent};
+use gfl_test_support::golden::first_divergence;
 use serde::Serialize;
 use serde_json::Value;
 
@@ -46,8 +52,9 @@ const WORKLOADS: [(&str, &str); 5] = [
     ("hostile-observed", HOSTILE),
 ];
 
-/// The artifacts `hostile-observed` writes: `(flag, file name)`. The trace
-/// carries wall-clock timings, so it is written but not compared.
+const WIDTHS: [usize; 3] = [1, 2, 8];
+
+/// The artifacts `hostile-observed` writes: `(flag, file name)`.
 const OUTPUTS: [(&str, &str); 4] = [
     ("--trace-out", "trace.jsonl"),
     ("--checkpoint", "checkpoint.json"),
@@ -103,31 +110,25 @@ fn replay(workload: &str) {
         .iter()
         .find(|(name, _)| *name == workload)
         .expect("a named workload");
-    for seed in [1u64, 5] {
-        let mut argv: Vec<String> = format!("simulate --seed {seed} {flags}")
-            .split_whitespace()
-            .map(str::to_string)
-            .collect();
-        let dir = std::env::temp_dir().join(format!("gfl_golden_{}_{seed}", std::process::id()));
-        let observed = workload == "hostile-observed";
-        if observed {
-            std::fs::create_dir_all(&dir).unwrap();
-            for (flag, file) in OUTPUTS {
-                argv.extend([flag.to_string(), dir.join(file).display().to_string()]);
+    let observed = workload == "hostile-observed";
+    let outputs: &[_] = if observed { &OUTPUTS } else { &[] };
+    // Membership places an edge per task: also more workers than edges.
+    let widths: &[usize] = match workload {
+        "scale-churn" => &[1, 2, 8, 16],
+        _ => &WIDTHS,
+    };
+    for (seed, widths) in [(1u64, widths), (5, &[2][..])] {
+        let name = format!("{workload}.seed{seed}");
+        let line = format!("simulate --seed {seed} {flags}");
+        table(&name, &line, outputs, widths, &|stdout, dir| {
+            check(&format!("{name}.txt"), stdout.as_bytes());
+            if workload.starts_with("hostile") {
+                let flame = stdout.split("filtered (flame ").nth(1).unwrap_or("0");
+                assert!(!flame.starts_with('0'), "{name}: no FLAME rejection");
             }
-        }
-        let mut out = Vec::new();
-        let code = gfl_cli::run(&argv, &mut out);
-        let stdout = String::from_utf8(out).unwrap();
-        assert_eq!(code, 0, "{workload} seed {seed} failed:\n{stdout}");
-        // `wrote /tmp/…/csv` → `wrote csv`: the recording ran in its cwd.
-        let stdout = mask_threads(&stdout).replace(&format!("{}/", dir.display()), "");
-        check(&format!("{workload}.seed{seed}.txt"), stdout.as_bytes());
-        if observed {
-            if seed == 1 {
+            if observed && seed == 1 {
                 for (_, file) in &OUTPUTS[1..] {
                     let text = std::fs::read_to_string(dir.join(file)).unwrap();
-                    let name = format!("{workload}.seed{seed}");
                     match *file {
                         "checkpoint.json" => check(
                             &format!("{name}.checkpoint.digests"),
@@ -137,8 +138,7 @@ fn replay(workload: &str) {
                     }
                 }
             }
-            std::fs::remove_dir_all(&dir).ok();
-        }
+        });
     }
 }
 
@@ -165,4 +165,144 @@ fn hostile_async_stdout_is_the_parents() {
 #[test]
 fn hostile_observed_stdout_and_artifacts_are_the_parents() {
     replay("hostile-observed");
+}
+
+/// Runs `gfl <line>` at each of `widths`, and asserts that each printed and
+/// wrote what the first did; then runs the row's checks on the first's
+/// stdout (thread count and directory masked) and `outputs` directory.
+fn table(name: &str, line: &str, outputs: &[(&str, &str)], widths: &[usize], first: Check) {
+    let run = |width: usize| {
+        let dir = std::env::temp_dir().join(format!("gfl_{}_{name}_{width}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let mut argv: Vec<String> = line.split_whitespace().map(str::to_string).collect();
+        for (flag, file) in outputs {
+            argv.extend([flag.to_string(), dir.join(file).display().to_string()]);
+        }
+        gfl_parallel::set_default_parallelism(width);
+        let mut out = Vec::new();
+        let code = gfl_cli::run(&argv, &mut out);
+        let stdout = String::from_utf8(out).unwrap();
+        assert_eq!(code, 0, "{name} at width {width} failed:\n{stdout}");
+        // `wrote /tmp/…/csv` → `wrote csv`: the recording ran in its cwd.
+        let stdout = mask_threads(&stdout).replace(&format!("{}/", dir.display()), "");
+        (stdout, dir)
+    };
+    let (stdout, dir) = run(widths[0]);
+    for &width in &widths[1..] {
+        let (other_stdout, other) = run(width);
+        let same = |what: &str, a: &[u8], b: &[u8]| {
+            if let Some(at) = first_divergence(a, b) {
+                panic!("{name}: {what} at width {width}: {at}");
+            }
+        };
+        same("stdout", stdout.as_bytes(), other_stdout.as_bytes());
+        for (_, file) in outputs {
+            let (a, b) = (dir.join(file), other.join(file));
+            if file.ends_with(".jsonl") {
+                let argv = ["diff", a.to_str().unwrap(), b.to_str().unwrap()].map(String::from);
+                let code = gfl_cli::trace_cli::run(&argv, &mut Vec::new());
+                assert_eq!(code, 0, "{name} trace, width {width}");
+            } else {
+                same(file, &std::fs::read(a).unwrap(), &std::fs::read(b).unwrap());
+            }
+        }
+        std::fs::remove_dir_all(&other).ok();
+    }
+    first(&stdout, &dir);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+type Check<'a> = &'a dyn Fn(&str, &Path);
+
+/// The edges `Topology::even_split` puts `clients` on under `line`.
+fn edges(line: &str, clients: impl Iterator<Item = usize>) -> BTreeSet<usize> {
+    let flag = |name: &str| {
+        let value = line.split_whitespace().skip_while(|w| *w != name).nth(1);
+        value.unwrap().parse::<usize>().unwrap()
+    };
+    let (edges, n) = (flag("--edges"), flag("--clients"));
+    clients.map(|c| c * edges / n).collect()
+}
+
+fn events(dir: &Path) -> Vec<Event> {
+    let text = std::fs::read_to_string(dir.join("checkpoint.json")).unwrap();
+    let cp = Checkpoint::from_json(&text).unwrap();
+    cp.history.events().to_vec()
+}
+
+fn cut(_: &str, dir: &Path) {
+    let cut = |e: &Event| matches!(e.fault(), Some(FaultEvent::StragglerCut { .. }));
+    assert!(events(dir).iter().any(cut), "no straggler cut");
+}
+
+/// Edges form on the pool: CoVG, VarG, and the materialized set-up (7 200
+/// speech rows span several 1 920-row chunks).
+#[test]
+fn formation_is_width_independent() {
+    for line in [
+        "group --grouping covg --clients 60 --edges 2 --samples 7200 --min-gs 10 --seed 1 --json",
+        "group --grouping varg --clients 60 --edges 2 --samples 7200 --min-gs 10 --seed 1 --json",
+        "group --task speech --clients 72 --edges 6 --samples 7200 --seed 1 --json",
+    ] {
+        let name = line.split_whitespace().nth(2).unwrap();
+        table(name, line, &[], &WIDTHS, &|stdout, _| {
+            let groups: Vec<Value> = serde_json::from_str(stdout).unwrap();
+            let members = groups
+                .iter()
+                .flat_map(|g| g.get("members").unwrap().as_array());
+            let members = members.flatten().map(|m| m.as_u64().unwrap() as usize);
+            assert!(edges(line, members).len() >= 2, "groups on one edge");
+        });
+    }
+}
+
+/// A virtual member keeps its shard for its group's K = 3 rounds through
+/// dropout, crashes and poisoners; secure sessions recover missed members.
+#[test]
+fn kept_virtual_shards_are_width_independent() {
+    let line = "simulate --seed 1 --virtual --clients 120 --edges 2 --rounds 1 --k 3 --e 1 \
+         --sample 2 --grouping covg --min-gs 4 --secure --dropout 0.2 --faults moderate \
+         --adversary moderate --eval-every 1";
+    table("kept-shards", line, &OUTPUTS[..2], &WIDTHS, &|_, dir| {
+        let trace = gfl_obs::TraceReader::read(dir.join("trace.jsonl")).unwrap();
+        let metrics = &trace.summary.as_ref().unwrap().metrics;
+        let counter = |name| metrics.counter(name).unwrap();
+        assert!(counter("data.shards_derived") < counter("clients.trained"));
+        let crash = |e: &Event| matches!(e.fault(), Some(FaultEvent::ClientCrash { .. }));
+        assert!(counter("secagg.sessions") > 0 && events(dir).iter().any(crash));
+    });
+}
+
+/// Lockstep decides its straggler cuts before a round's graph runs, and a
+/// materialized data poisoner derives its shard in its chain.
+#[test]
+fn lockstep_cuts_are_width_independent() {
+    let line = "simulate --seed 1 --clients 12 --edges 3 --samples 600 --rounds 2 --k 3 --e 1 \
+         --sample 4 --eval-every 1 --runtime sync --faults moderate --adversary moderate \
+         --dropout 0.2";
+    table("lockstep", line, &OUTPUTS[1..2], &WIDTHS, &|stdout, dir| {
+        cut(stdout, dir);
+        let poisoned = |e: &Event| matches!(e.attack(), Some(AttackEvent::BackdoorInjected { .. }));
+        assert!(events(dir).iter().any(poisoned));
+    });
+}
+
+/// The driver cells no row above runs faulted with a checkpoint: lockstep with
+/// churn (arrivals placed an edge per task), the event clock without churn.
+#[test]
+fn driver_cells_are_width_independent() {
+    let cell = "simulate --seed 1 --samples 600 --edges 3 --k 2 --e 1 --sample 4 \
+         --eval-every 1 --faults moderate --rounds 4";
+    let churn = format!("{cell} --clients 24 --runtime sync --churn moderate");
+    let placed = |stdout: &str, _: &Path| {
+        // `     3  client 16 arrived, placed in group 4`, `… migrated to …`.
+        let lines = stdout
+            .lines()
+            .filter(|l| l.contains(" placed in ") || l.contains(" migrated to "));
+        let clients = lines.map(|l| l.split_whitespace().nth(2).unwrap().parse().unwrap());
+        assert!(edges(&churn, clients).len() >= 2, "placed on one edge");
+    };
+    table("sync-churn", &churn, &OUTPUTS[1..2], &WIDTHS, &placed);
+    let event = format!("{cell} --clients 12 --runtime semi-async --churn none");
+    table("event-static", &event, &OUTPUTS[1..2], &WIDTHS, &cut);
 }

@@ -142,6 +142,15 @@ fn an_unknown_id_and_a_bad_scale_exit_2() {
     assert_eq!(exit(Some("smoke"), &["run", "fig2a"]), Some(2));
     assert_eq!(exit(None, &["run"]), Some(2));
     assert_eq!(exit(None, &["regenerate", "all"]), Some(2));
+    // A GFL_SIMD or GFL_THREADS value that names nothing, as in `gfl`.
+    for env in
+        "GFL_SIMD=neon GFL_SIMD=avx9 GFL_THREADS=abc GFL_THREADS=-1 GFL_THREADS=1.5".split(' ')
+    {
+        let (var, value) = env.split_once('=').unwrap();
+        let mut list = Command::new(env!("CARGO_BIN_EXE_gfl-experiments"));
+        list.arg("list").env(var, value);
+        assert_eq!(list.output().unwrap().status.code(), Some(2), "{env}");
+    }
 }
 
 /// The `<!-- measured: <id> <scale> -->` blocks of EXPERIMENTS.md, as

@@ -45,6 +45,16 @@ pub fn check_env() -> Result<(), gfl_parallel::EnvError> {
     Ok(())
 }
 
+/// [`check_env`] for a binary's `main`: on a value that names nothing
+/// valid, prints the parser's message and exits 2 before anything runs,
+/// as `gfl` and `gfl-experiments` do.
+pub fn check_env_or_exit() {
+    if let Err(e) = check_env() {
+        eprintln!("error: {e}");
+        std::process::exit(2);
+    }
+}
+
 #[cfg(test)]
 pub(crate) mod test_util {
     /// Asserts two slices are element-wise close.

@@ -37,7 +37,7 @@ pub fn check(path: &Path, actual: &[u8]) {
 
 /// Where `actual` first differs from `expected` — byte offset, line number
 /// and that line on each side — or `None` when they are equal.
-fn first_divergence(expected: &[u8], actual: &[u8]) -> Option<String> {
+pub fn first_divergence(expected: &[u8], actual: &[u8]) -> Option<String> {
     if expected == actual {
         return None;
     }

@@ -18,6 +18,7 @@ use gfl_nn::sgd::LrSchedule;
 use gfl_sim::{Task, Topology};
 
 fn main() {
+    gfl_tensor::check_env_or_exit();
     // A small non-IID federation: 24 clients on 2 edge servers.
     let data = SyntheticSpec::vision_like().generate(6_000, 11);
     let (train, test) = data.split_holdout(6);

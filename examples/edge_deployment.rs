@@ -17,6 +17,7 @@ use gfl_nn::sgd::LrSchedule;
 use gfl_sim::{Task, Topology};
 
 fn main() {
+    gfl_tensor::check_env_or_exit();
     // A speech-command fleet: 35 intents, 90 devices, extreme label skew
     // (every household uses a handful of commands).
     let data = SyntheticSpec::speech_like().generate(9_000, 5);

@@ -21,6 +21,7 @@ use gfl_nn::sgd::LrSchedule;
 use gfl_sim::{Task, Topology};
 
 fn main() {
+    gfl_tensor::check_env_or_exit();
     // 1. A synthetic 10-class dataset, split train/test, partitioned across
     //    60 clients with Dirichlet(0.1) label skew — heavily non-IID.
     let data = SyntheticSpec::vision_like().generate(8_000, 1);

@@ -23,6 +23,7 @@ use gfl_sim::{Task, Topology};
 use gfl_tensor::ops;
 
 fn main() {
+    gfl_tensor::check_env_or_exit();
     // --- Part 1: SecAgg inside training --------------------------------
     let data = SyntheticSpec::tiny().generate(900, 9);
     let (train, test) = data.split_holdout(5);
