@@ -118,7 +118,6 @@ impl FedClarRunner {
                     ledger.charge_group(&sizes, cfg.group_rounds, cfg.local_rounds);
                 }
             }
-            ledger.end_round();
 
             let over_budget = cfg.cost_budget.is_some_and(|b| ledger.total() >= b);
             if t % cfg.eval_every == 0 || t + 1 == cfg.global_rounds || over_budget {

@@ -16,8 +16,6 @@
 //! and allocation pressure. The report records the machine's core count —
 //! thread-scaling numbers are only meaningful when cores >= threads.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 use gfl_core::driver::{Clock, Membership, RunPlan, RunState};
@@ -28,33 +26,13 @@ use gfl_core::prelude::{FaultPlan, FaultPolicy};
 use gfl_core::sampling::SamplingStrategy;
 use gfl_core::semi_async::AsyncConfig;
 use gfl_data::{ClientPartition, PartitionSpec, SyntheticSpec};
+use gfl_obs::alloc::current_allocs;
 use gfl_secagg::{RangeScratch, SecAggSession};
 use gfl_sim::Topology;
 use rand::RngCore;
 
-/// Counts every allocation and reallocation on top of the system allocator.
-struct CountingAlloc;
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
 #[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
+static GLOBAL: gfl_obs::alloc::Counting = gfl_obs::alloc::Counting;
 
 fn build_paper_scale(rounds: usize) -> (Trainer, Vec<Vec<usize>>, Topology) {
     let data = SyntheticSpec::vision_like().generate(6_000, 1);
@@ -407,9 +385,6 @@ fn main() {
         }
     }
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    // Expose the counting allocator to the observability layer so traced
-    // runs report allocs/round from the same counter this harness uses.
-    gfl_obs::alloc::register_alloc_counter(|| ALLOCS.load(Ordering::Relaxed));
     let (trainer, groups, _) = build_paper_scale(rounds);
     let param_count = trainer.model().param_len();
     let probs = trainer.sampling_probs(&groups, SamplingStrategy::ESRCov);
@@ -429,9 +404,9 @@ fn main() {
             .expect("a static partition is never re-formed");
     };
     let allocs_of = |f: &mut dyn FnMut()| {
-        let before = ALLOCS.load(Ordering::Relaxed);
+        let before = current_allocs();
         f();
-        ALLOCS.load(Ordering::Relaxed) - before
+        current_allocs() - before
     };
 
     // Warm-up at one thread: the whole run once, so every pool is sized

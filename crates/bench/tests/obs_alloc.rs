@@ -11,39 +11,17 @@
 //! not the population; and a streamed trace barrier: its allocations do not
 //! follow its spans.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-
 use gfl_core::driver::{Clock, Membership, RunPlan};
 use gfl_core::engine::Trainer;
 use gfl_core::local::FedAvg;
 use gfl_core::sampling::SamplingStrategy;
 use gfl_data::{ClientPartition, PartitionSpec, SyntheticSpec};
+use gfl_obs::alloc::{current_allocs, Counting};
 use gfl_sim::Topology;
 use gfl_test_support::TinyWorld;
 
-struct CountingAlloc;
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
 #[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
+static GLOBAL: Counting = Counting;
 
 fn tiny_world(secure_aggregation: bool) -> (Trainer, Vec<Vec<usize>>) {
     let mut w = TinyWorld::at(5);
@@ -52,9 +30,9 @@ fn tiny_world(secure_aggregation: bool) -> (Trainer, Vec<Vec<usize>>) {
 }
 
 fn allocs_of(f: impl FnOnce()) -> u64 {
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = current_allocs();
     f();
-    ALLOCS.load(Ordering::Relaxed) - before
+    current_allocs() - before
 }
 
 /// Hard per-round allocation budget for the warm engine.
@@ -74,6 +52,8 @@ const ROUND_ALLOC_BUDGET: u64 = 64;
 /// allocate inside this one's windows.
 #[test]
 fn steady_state_rounds_fit_the_alloc_budget() {
+    // A counter that read 0 would pass every gate below without measuring.
+    assert!(allocs_of(|| drop(std::hint::black_box(Vec::<u8>::with_capacity(16)))) >= 1);
     gfl_parallel::set_default_parallelism(1);
     warm_rounds_fit_the_budget(false);
     // Secure group aggregation works in pooled per-worker rows: a session

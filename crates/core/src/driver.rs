@@ -340,7 +340,6 @@ impl Trainer {
         if defense_sims > 0 || defense_norms > 0 {
             ledger.charge_defense(defense_sims, defense_norms);
         }
-        ledger.end_round();
 
         // The clock decides which group results reach Line 15, in sampled
         // order. Clean lockstep runs pass every outcome through; the event

@@ -18,7 +18,7 @@
 //! factor (§7.1: "different quadratic cost functions for each method").
 
 use gfl_data::poison::Trigger;
-use gfl_data::{ClientPartition, Dataset, FedData, LabelMatrix, VirtualPopulation};
+use gfl_data::{ClientPartition, Dataset, FedData, LabelMatrix};
 use gfl_defense::DefenseCost;
 use gfl_faults::{
     AdversaryPlan, AttackEvent, AttackKind, ChurnPlan, DefenseStage, FaultEvent, FaultInjector,
@@ -1006,9 +1006,7 @@ impl Trainer {
     /// The materialized client partition.
     ///
     /// # Panics
-    /// Panics for virtual populations, which have no row-index partition;
-    /// check [`Trainer::virtual_population`] first when the representation
-    /// is not known statically.
+    /// Panics for virtual populations, which have no row-index partition.
     pub fn partition(&self) -> &ClientPartition {
         self.data.partition()
     }
@@ -1020,11 +1018,6 @@ impl Trainer {
     /// dataset.
     pub fn train_data(&self) -> &Dataset {
         self.data.train()
-    }
-
-    /// The virtual population, when this trainer runs over one.
-    pub fn virtual_population(&self) -> Option<&VirtualPopulation> {
-        self.data.as_virtual()
     }
 
     /// Number of samples held by a set of clients.
@@ -1643,7 +1636,7 @@ mod tests {
     use super::*;
     use crate::grouping::{CovGrouping, RandomGrouping};
     use crate::local::FedAvg;
-    use gfl_data::{PartitionSpec, SyntheticSpec};
+    use gfl_data::{PartitionSpec, SyntheticSpec, VirtualPopulation};
 
     fn tiny_world(seed: u64) -> (Trainer, Vec<Group>) {
         let data = SyntheticSpec::tiny().generate(600, seed);
@@ -1690,7 +1683,7 @@ mod tests {
         cfg.lr = LrSchedule::Constant(0.2);
         let trainer = with_config(&trainer, cfg);
         let h = trainer.run(&groups, &FedAvg, SamplingStrategy::ESRCov);
-        let first = h.first_record().expect("eval on cadence").accuracy;
+        let first = h.records().first().expect("eval on cadence").accuracy;
         let best = h.best_accuracy();
         assert!(
             best > first + 0.1 || best > 0.8,

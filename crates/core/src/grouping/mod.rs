@@ -15,7 +15,6 @@
 mod cdg;
 mod cov_grouping;
 mod greedy;
-pub mod incremental;
 mod kldg;
 pub mod optimal;
 mod random;
@@ -24,7 +23,6 @@ mod variance;
 
 pub use cdg::CdgGrouping;
 pub use cov_grouping::CovGrouping;
-pub use incremental::GroupStats;
 pub use kldg::KldGrouping;
 pub use optimal::optimal_grouping;
 pub use random::RandomGrouping;

@@ -4,8 +4,8 @@
 //! (Eq. 29–33); CoV-Grouping is a greedy approximation. For *tiny*
 //! instances the optimum is computable by enumerating all partitions of
 //! the client set (Bell-number growth — practical to ~10 clients), which
-//! gives tests and the `ablation_criterion` experiment a ground truth to
-//! measure the greedy's approximation quality against.
+//! gives the tests below a ground truth to measure `CovGrouping`'s
+//! approximation quality against. No experiment calls it.
 
 use gfl_data::LabelMatrix;
 use gfl_tensor::Scalar;

@@ -11,8 +11,8 @@
 //! 2. shuffle each bucket once (seeded, for unbiased tie-breaking),
 //! 3. build each group by repeatedly admitting a client from the bucket of
 //!    the group's currently most-deficient label (the label with the
-//!    smallest running count that still has candidates), using
-//!    [`GroupStats`] for O(m) bookkeeping per admission,
+//!    smallest running count that still has candidates), keeping the
+//!    group's running label counts for O(m) bookkeeping per admission,
 //! 4. fold an undersized tail group into its predecessor.
 //!
 //! Step 3 is the CoV-greedy intuition — the candidate that fills the
@@ -27,7 +27,6 @@ use rand::Rng;
 
 use crate::Group;
 
-use super::incremental::GroupStats;
 use super::GroupingAlgorithm;
 
 /// Single-pass bucket-and-fill grouping.
@@ -75,11 +74,11 @@ impl GroupingAlgorithm for StreamGrouping {
         // 3. Fill groups from the most-deficient label's bucket.
         let mut groups: Vec<Group> = Vec::new();
         let mut placed = 0usize;
+        let mut hist = vec![0u64; m];
         while placed < n {
             let mut group = Vec::with_capacity(self.group_size);
-            let mut stats = GroupStats::new(m);
+            hist.fill(0);
             while group.len() < self.group_size && placed < n {
-                let hist = stats.hist();
                 let mut pick: Option<usize> = None;
                 for l in 0..m {
                     if buckets[l].is_empty() {
@@ -93,7 +92,7 @@ impl GroupingAlgorithm for StreamGrouping {
                 }
                 let bucket = pick.expect("placed < n implies a non-empty bucket");
                 let c = buckets[bucket].pop().expect("bucket checked non-empty");
-                stats.add(labels, c);
+                labels.add_client_into(c, &mut hist);
                 group.push(c);
                 placed += 1;
             }

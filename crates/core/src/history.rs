@@ -257,13 +257,6 @@ impl RunHistory {
         self.records.is_empty()
     }
 
-    /// The earliest evaluation record, if any round was evaluated. Prefer
-    /// this over `records().first().unwrap()` — a zero-round or fully-held
-    /// run produces an empty trajectory.
-    pub fn first_record(&self) -> Option<&RoundRecord> {
-        self.records.first()
-    }
-
     /// The latest evaluation record, if any round was evaluated.
     pub fn last_record(&self) -> Option<&RoundRecord> {
         self.records.last()
@@ -290,23 +283,6 @@ impl RunHistory {
             .filter(|r| r.cost <= budget)
             .map(|r| r.accuracy)
             .fold(0.0, Scalar::max)
-    }
-
-    /// Cost needed to first reach `target` accuracy; `None` if never
-    /// reached.
-    pub fn cost_to_accuracy(&self, target: Scalar) -> Option<f64> {
-        self.records
-            .iter()
-            .find(|r| r.accuracy >= target)
-            .map(|r| r.cost)
-    }
-
-    /// Rounds needed to first reach `target` accuracy.
-    pub fn rounds_to_accuracy(&self, target: Scalar) -> Option<usize> {
-        self.records
-            .iter()
-            .find(|r| r.accuracy >= target)
-            .map(|r| r.round)
     }
 
     /// CSV rows (`round,cost,accuracy,loss,train_loss`) with a header.
@@ -352,9 +328,6 @@ mod tests {
         assert_eq!(h.best_accuracy(), 0.6);
         assert_eq!(h.accuracy_within_cost(25.0), 0.5);
         assert_eq!(h.accuracy_within_cost(5.0), 0.0);
-        assert_eq!(h.cost_to_accuracy(0.5), Some(20.0));
-        assert_eq!(h.cost_to_accuracy(0.99), None);
-        assert_eq!(h.rounds_to_accuracy(0.45), Some(1));
     }
 
     #[test]
@@ -362,15 +335,13 @@ mod tests {
         let h = RunHistory::default();
         assert_eq!(h.final_accuracy(), 0.0);
         assert_eq!(h.best_accuracy(), 0.0);
-        assert!(h.cost_to_accuracy(0.1).is_none());
-        assert!(h.first_record().is_none());
         assert!(h.last_record().is_none());
     }
 
     #[test]
     fn first_and_last_record_bracket_the_trajectory() {
         let h = hist();
-        assert_eq!(h.first_record().unwrap().round, 0);
+        assert_eq!(h.records().first().unwrap().round, 0);
         assert_eq!(h.last_record().unwrap().round, 3);
     }
 

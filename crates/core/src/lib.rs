@@ -77,8 +77,8 @@ pub mod prelude {
         form_groups_per_edge, ConfigError, GroupFelConfig, RobustAggRule, Trainer,
     };
     pub use crate::grouping::{
-        CdgGrouping, CovGrouping, GroupStats, GroupingAlgorithm, KldGrouping, PartitionError,
-        RandomGrouping, StreamGrouping,
+        CdgGrouping, CovGrouping, GroupingAlgorithm, KldGrouping, PartitionError, RandomGrouping,
+        StreamGrouping,
     };
     pub use crate::history::{Event, RoundRecord, RunHistory, TimedEvent};
     pub use crate::local::{FedAvg, LocalTask, LocalUpdate};

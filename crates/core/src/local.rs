@@ -14,7 +14,7 @@ use gfl_data::{Batch, Dataset};
 use gfl_nn::{Network, NetworkWorkspace, Params};
 use gfl_sim::GroupOpKind;
 use gfl_tensor::init::GflRng;
-use gfl_tensor::{ops, Scalar};
+use gfl_tensor::Scalar;
 use rand::Rng;
 
 /// Everything a client sees during one stint of local training
@@ -173,11 +173,6 @@ impl LocalUpdate for FedAvg {
     }
 }
 
-/// Computes a model delta `trained − start` into `out`.
-pub fn delta_into(trained: &[Scalar], start: &[Scalar], out: &mut [Scalar]) {
-    ops::sub_into(trained, start, out);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -274,12 +269,5 @@ mod tests {
         assert!(ops.contains(&GroupOpKind::SecureAggregation));
         assert!(ops.contains(&GroupOpKind::BackdoorDetection));
         assert_eq!(FedAvg.training_cost_factor(), 1.0);
-    }
-
-    #[test]
-    fn delta_computes_difference() {
-        let mut out = vec![0.0; 2];
-        delta_into(&[3.0, 5.0], &[1.0, 10.0], &mut out);
-        assert_eq!(out, vec![2.0, -5.0]);
     }
 }

@@ -16,8 +16,13 @@ use gfl_tensor::Scalar;
 use proptest::prelude::*;
 
 use super::*;
-use crate::cov::cov_with_candidate;
-use crate::grouping::{CovGrouping, GroupStats, StreamGrouping};
+use crate::cov::{cov_with_candidate, histogram_cov};
+use crate::grouping::{CovGrouping, StreamGrouping};
+
+/// Every group's label histogram, recounted from its member list.
+fn histograms(labels: &LabelMatrix, groups: &[Group]) -> Vec<Vec<u64>> {
+    groups.iter().map(|g| labels.group_histogram(g)).collect()
+}
 
 /// The rebuild-per-tick membership pass, kept as the oracle.
 #[derive(Debug, Clone)]
@@ -79,12 +84,8 @@ impl Reference {
         for c in 0..n {
             if !self.active[c] && plan.present(c, t) {
                 if self.policy.enabled {
-                    let mut stats: Vec<GroupStats> = self
-                        .groups
-                        .iter()
-                        .map(|g| GroupStats::from_members(labels, g))
-                        .collect();
-                    let gi = self.place_client(labels, &edge_of, &mut stats, c);
+                    let mut hists = histograms(labels, &self.groups);
+                    let gi = self.place_client(labels, &edge_of, &mut hists, c);
                     self.active[c] = true;
                     events.push(RegroupEvent::ClientArrived {
                         round: t,
@@ -107,7 +108,7 @@ impl Reference {
         &mut self,
         labels: &LabelMatrix,
         edge_of: &[usize],
-        stats: &mut Vec<GroupStats>,
+        hists: &mut Vec<Vec<u64>>,
         client: usize,
     ) -> usize {
         let mut best: Option<(usize, Scalar)> = None;
@@ -115,7 +116,7 @@ impl Reference {
             if g.is_empty() || edge_of[g[0]] != edge_of[client] {
                 continue;
             }
-            let cov = cov_with_candidate(labels, stats[gi].hist(), client);
+            let cov = cov_with_candidate(labels, &hists[gi], client);
             if best.is_none_or(|(_, b)| cov < b) {
                 best = Some((gi, cov));
             }
@@ -123,16 +124,15 @@ impl Reference {
         match best {
             Some((gi, _)) => {
                 self.groups[gi].push(client);
-                stats[gi].add(labels, client);
-                self.health[gi] = GroupHealth::fresh(stats[gi].cov());
+                labels.add_client_into(client, &mut hists[gi]);
+                self.health[gi] = GroupHealth::fresh(histogram_cov(&hists[gi]));
                 gi
             }
             None => {
                 self.groups.push(vec![client]);
-                let mut s = GroupStats::new(labels.num_labels());
-                s.add(labels, client);
-                self.health.push(GroupHealth::fresh(s.cov()));
-                stats.push(s);
+                let hist = labels.group_histogram(&[client]);
+                self.health.push(GroupHealth::fresh(histogram_cov(&hist)));
+                hists.push(hist);
                 self.groups.len() - 1
             }
         }
@@ -242,13 +242,9 @@ impl Reference {
         self.groups = keep.iter().map(|&gi| self.groups[gi].clone()).collect();
         self.health = keep.iter().map(|&gi| self.health[gi].clone()).collect();
         orphans.sort_unstable();
-        let mut stats: Vec<GroupStats> = self
-            .groups
-            .iter()
-            .map(|g| GroupStats::from_members(labels, g))
-            .collect();
+        let mut hists = histograms(labels, &self.groups);
         for c in orphans {
-            let gi = self.place_client(labels, &edge_of, &mut stats, c);
+            let gi = self.place_client(labels, &edge_of, &mut hists, c);
             events.push(RegroupEvent::ClientMigrated {
                 round: t,
                 client: c,
@@ -1152,14 +1148,10 @@ proptest! {
 
         let mut reference = Reference::of(&state);
         let edge_of = edge_map(&topology);
-        let mut stats: Vec<GroupStats> = reference
-            .groups
-            .iter()
-            .map(|g| GroupStats::from_members(&labels, g))
-            .collect();
+        let mut hists = histograms(&labels, &reference.groups);
         let want: Vec<usize> = batch
             .iter()
-            .map(|&c| reference.place_client(&labels, &edge_of, &mut stats, c))
+            .map(|&c| reference.place_client(&labels, &edge_of, &mut hists, c))
             .collect();
 
         gfl_test_support::for_each_thread_count(&[1, 2, 8], |threads| {

@@ -135,27 +135,13 @@ pub enum AggregationWeighting {
     Stabilized,
 }
 
-/// Computes the global-aggregation weight of every *sampled* group.
+/// Computes the global-aggregation weight of every *sampled* group into
+/// `out`, which is cleared first. The trainer reuses one pooled `Vec`
+/// across rounds.
 ///
 /// * `group_sizes[k]` — `n_g` of sampled group `k`.
 /// * `probs[k]` — sampling probability `p_g` of sampled group `k`.
 /// * `total_samples` — `n`, the population data volume.
-pub fn aggregation_weights(
-    weighting: AggregationWeighting,
-    group_sizes: &[usize],
-    probs: &[Scalar],
-    total_samples: usize,
-) -> Vec<Scalar> {
-    let mut out = Vec::new();
-    aggregation_weights_into(weighting, group_sizes, probs, total_samples, &mut out);
-    out
-}
-
-/// [`aggregation_weights`] into a caller-provided buffer — the trainer's
-/// steady-state path, which reuses one pooled `Vec` across rounds instead
-/// of allocating a weight vector per round. `out` is cleared first; the
-/// arithmetic (and hence every f32 result) is identical to the allocating
-/// form.
 pub fn aggregation_weights_into(
     weighting: AggregationWeighting,
     group_sizes: &[usize],
@@ -209,6 +195,17 @@ pub fn aggregation_weights_into(
 mod tests {
     use super::*;
     use gfl_tensor::init;
+
+    fn weights(
+        w: AggregationWeighting,
+        sizes: &[usize],
+        probs: &[Scalar],
+        n: usize,
+    ) -> Vec<Scalar> {
+        let mut out = Vec::new();
+        aggregation_weights_into(w, sizes, probs, n, &mut out);
+        out
+    }
 
     #[test]
     fn probabilities_sum_to_one() {
@@ -313,7 +310,7 @@ mod tests {
 
     #[test]
     fn standard_weights_sum_to_one() {
-        let w = aggregation_weights(
+        let w = weights(
             AggregationWeighting::Standard,
             &[100, 300],
             &[0.5, 0.5],
@@ -326,7 +323,7 @@ mod tests {
     #[test]
     fn unbiased_weights_correct_for_sampling_probability() {
         // A group sampled twice as often gets half the weight per Eq. 4.
-        let w = aggregation_weights(
+        let w = weights(
             AggregationWeighting::Unbiased,
             &[100, 100],
             &[0.6, 0.3],
@@ -345,8 +342,7 @@ mod tests {
         let n: usize = 60;
         let mut expectation = 0.0f64;
         for g in 0..3 {
-            let w =
-                aggregation_weights(AggregationWeighting::Unbiased, &[sizes[g]], &[probs[g]], n)[0];
+            let w = weights(AggregationWeighting::Unbiased, &[sizes[g]], &[probs[g]], n)[0];
             expectation += f64::from(probs[g]) * f64::from(w) * values[g];
         }
         let want: f64 = sizes
@@ -359,7 +355,7 @@ mod tests {
 
     #[test]
     fn stabilized_weights_sum_to_one_even_with_tiny_probs() {
-        let w = aggregation_weights(
+        let w = weights(
             AggregationWeighting::Stabilized,
             &[50, 50, 50],
             &[1e-6, 0.5, 0.5],
@@ -376,6 +372,6 @@ mod tests {
     #[test]
     fn empty_inputs_are_safe() {
         assert!(SamplingStrategy::ESRCov.probabilities(&[]).is_empty());
-        assert!(aggregation_weights(AggregationWeighting::Standard, &[], &[], 0).is_empty());
+        assert!(weights(AggregationWeighting::Standard, &[], &[], 0).is_empty());
     }
 }

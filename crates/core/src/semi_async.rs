@@ -576,7 +576,7 @@ impl<'a> EventRound<'a> {
 
     /// Line 15, event-clock flavor: damps the trailing `matured` weights
     /// by `(1 + s)^{-decay}` (`s` = staleness in global rounds), then
-    /// rescales so the total mass `aggregation_weights` assigned is
+    /// rescales so the total mass `aggregation_weights_into` assigned is
     /// preserved — the update never shrinks toward zero.
     pub(crate) fn damp_stale(&self, weights: &mut [Scalar], matured: &[PendingUpload]) {
         let StalenessPolicy::Weighted { decay } = self.acfg.staleness else {

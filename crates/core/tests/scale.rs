@@ -3,9 +3,9 @@
 //! The tentpole claim is that a virtual federation's working set is
 //! O(sampled clients), not O(population): feature rows exist only for the
 //! clients a round actually trains, inside pooled buffers. This binary
-//! installs a peak-tracking counting allocator and runs the full pipeline
-//! — population build, stream formation, training — asserting the peak
-//! heap stays a small fraction of what eagerly materializing the
+//! installs `gfl_obs::alloc::Counting`, which tracks the heap's high-water
+//! mark, and runs the full pipeline — population build, stream formation,
+//! training — asserting the peak heap stays a small fraction of what eagerly materializing the
 //! population's features would require. The bound is self-calibrating:
 //! it is derived from `total_samples × feature_dim`, so growing the
 //! population makes the assertion *stronger*, not stale.
@@ -18,51 +18,19 @@
 //! The same allocator bounds what saving a benchmark-sized checkpoint adds
 //! to the heap: the printer streams, so the file's size never is.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
 use gfl_core::prelude::*;
 use gfl_data::{VirtualPopulation, VirtualSpec};
+use gfl_obs::alloc::{peak_added, Counting};
 use gfl_sim::Topology;
 
-/// System allocator wrapper tracking live bytes and the high-water mark.
-struct PeakAlloc;
-
-static LIVE: AtomicUsize = AtomicUsize::new(0);
-static PEAK: AtomicUsize = AtomicUsize::new(0);
-
-fn note_alloc(size: usize) {
-    let live = LIVE.fetch_add(size, Ordering::Relaxed) + size;
-    PEAK.fetch_max(live, Ordering::Relaxed);
-}
-
-unsafe impl GlobalAlloc for PeakAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        note_alloc(layout.size());
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if new_size > layout.size() {
-            note_alloc(new_size - layout.size());
-        } else {
-            LIVE.fetch_sub(layout.size() - new_size, Ordering::Relaxed);
-        }
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
 #[global_allocator]
-static GLOBAL: PeakAlloc = PeakAlloc;
+static GLOBAL: Counting = Counting;
 
-/// Held across every measured window: the tests of this binary share
-/// `LIVE` and `PEAK`, and the default harness runs them concurrently.
+/// Held across every measured window: the tests of this binary share the
+/// allocator's high-water mark, and the default harness runs them
+/// concurrently.
 fn measuring() -> MutexGuard<'static, ()> {
     static WINDOW: Mutex<()> = Mutex::new(());
     WINDOW.lock().unwrap_or_else(|e| e.into_inner())
@@ -73,25 +41,16 @@ fn measuring() -> MutexGuard<'static, ()> {
 /// matrix alone would occupy)`.
 ///
 /// One measured run at a time, at a fixed worker count: the two tests share
-/// `LIVE` and `PEAK` and the default harness runs them concurrently (which
+/// the allocator's counters and the default harness runs them concurrently (which
 /// put the 10⁶-client run's ~100 MiB inside the 10⁴-client test's window),
 /// and per-edge formation holds one restricted label matrix per worker, so
 /// the peak grows with the count. The [`measuring`] lock is taken before
-/// `PEAK` is reset and held to the last read.
+/// [`peak_added`] resets the mark and held to its last read.
 fn peak_bytes_for(clients: usize, seed: u64) -> (usize, usize) {
     let _window = measuring();
     let mut measured = (0, 0);
     gfl_test_support::for_each_thread_count(&[2], |_| measured = measure(clients, seed));
     measured
-}
-
-/// Runs `f`, returning its result and the heap high-water mark it added
-/// over what was live when it started (the harness itself owns memory).
-fn peak_added<R>(f: impl FnOnce() -> R) -> (R, usize) {
-    let before = LIVE.load(Ordering::Relaxed);
-    PEAK.store(before, Ordering::Relaxed);
-    let result = f();
-    (result, PEAK.load(Ordering::Relaxed).saturating_sub(before))
 }
 
 fn measure(clients: usize, seed: u64) -> (usize, usize) {
@@ -150,7 +109,7 @@ fn checkpoint_save_streams_in_bounded_memory() {
     let path = std::env::temp_dir().join(format!("gfl_scale_save_{}.json", std::process::id()));
     let mut added = 0;
     // Under the [`measuring`] lock, so no other test of this binary moves
-    // `PEAK` inside the window.
+    // the high-water mark inside the window.
     let window = measuring();
     gfl_test_support::for_each_thread_count(&[1], |_| {
         added = peak_added(|| cp.save(&path).unwrap()).1;

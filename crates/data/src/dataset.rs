@@ -1,6 +1,6 @@
 //! In-memory labeled dataset and minibatch views.
 
-use gfl_tensor::{Matrix, Scalar};
+use gfl_tensor::Matrix;
 use serde::{Deserialize, Serialize};
 
 /// A dense classification dataset: one feature row per sample.
@@ -73,15 +73,6 @@ impl Dataset {
         &self.labels
     }
 
-    /// Label histogram of the whole dataset.
-    pub fn label_histogram(&self) -> Vec<u32> {
-        let mut hist = vec![0u32; self.num_classes];
-        for &l in &self.labels {
-            hist[l] += 1;
-        }
-        hist
-    }
-
     /// Gathers the given sample indices into a minibatch.
     pub fn batch(&self, indices: &[usize]) -> Batch {
         let mut out = Batch::empty();
@@ -139,19 +130,6 @@ impl Batch {
     pub fn is_empty(&self) -> bool {
         self.labels.is_empty()
     }
-
-    /// Mean feature vector of the batch (used by tests and defenses).
-    pub fn mean_feature(&self) -> Vec<Scalar> {
-        let mut mean = vec![0.0; self.features.cols()];
-        if self.is_empty() {
-            return mean;
-        }
-        for r in 0..self.features.rows() {
-            gfl_tensor::ops::add_assign(self.features.row(r), &mut mean);
-        }
-        gfl_tensor::ops::scale(1.0 / self.len() as Scalar, &mut mean);
-        mean
-    }
 }
 
 #[cfg(test)]
@@ -161,11 +139,6 @@ mod tests {
     fn toy() -> Dataset {
         let features = Matrix::from_fn(6, 2, |r, c| (r * 2 + c) as f32);
         Dataset::new(features, vec![0, 1, 2, 0, 1, 2], 3)
-    }
-
-    #[test]
-    fn histogram_counts_labels() {
-        assert_eq!(toy().label_histogram(), vec![2, 2, 2]);
     }
 
     #[test]
@@ -215,17 +188,10 @@ mod tests {
     }
 
     #[test]
-    fn mean_feature_of_batch() {
-        let d = toy();
-        let b = d.batch(&[0, 1]);
-        assert_eq!(b.mean_feature(), vec![1.0, 2.0]);
-    }
-
-    #[test]
     fn empty_batch_is_safe() {
         let d = toy();
         let b = d.batch(&[]);
         assert!(b.is_empty());
-        assert_eq!(b.mean_feature(), vec![0.0, 0.0]);
+        assert_eq!(b.features.rows(), 0);
     }
 }

@@ -99,14 +99,6 @@ impl FedData {
         }
     }
 
-    /// The virtual population, when this is the virtual representation.
-    pub fn as_virtual(&self) -> Option<&VirtualPopulation> {
-        match self {
-            FedData::Virtual(pop) => Some(pop),
-            FedData::Materialized { .. } => None,
-        }
-    }
-
     /// The eager partition. Panics for virtual populations, whose row
     /// indices do not exist — callers that need per-client rows should go
     /// through [`FedData::client_size`] / the shard derivation instead.
@@ -158,7 +150,6 @@ mod tests {
         assert_eq!(fed.total_samples(), 300);
         assert_eq!(fed.num_classes(), 3);
         assert_eq!(fed.feature_dim(), 4);
-        assert!(fed.as_virtual().is_none());
         assert_eq!(fed.partition().num_clients(), sizes.len());
         assert_eq!(fed.train().len(), 300);
     }
@@ -189,7 +180,6 @@ mod tests {
         assert_eq!(fed.label_matrix().num_clients(), 25);
         let per_client: usize = (0..25).map(|c| fed.client_size(c)).sum();
         assert_eq!(per_client, total);
-        assert!(fed.as_virtual().is_some());
     }
 
     #[test]

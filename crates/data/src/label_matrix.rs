@@ -100,14 +100,6 @@ impl LabelMatrix {
         }
     }
 
-    /// Removes client `i`'s histogram from an accumulator.
-    pub fn remove_client_from(&self, i: usize, hist: &mut [u64]) {
-        assert_eq!(hist.len(), self.num_labels);
-        for (h, &c) in hist.iter_mut().zip(self.client(i)) {
-            *h -= c as u64;
-        }
-    }
-
     /// The global label distribution as probabilities.
     pub fn global_distribution(&self) -> Vec<Scalar> {
         let mut hist = vec![0u64; self.num_labels];
@@ -168,13 +160,11 @@ mod tests {
     }
 
     #[test]
-    fn incremental_add_remove_roundtrip() {
+    fn add_client_into_accumulates_the_group_histogram() {
         let m = toy();
         let mut hist = m.group_histogram(&[0, 3]);
         m.add_client_into(1, &mut hist);
         assert_eq!(hist, m.group_histogram(&[0, 1, 3]));
-        m.remove_client_from(0, &mut hist);
-        assert_eq!(hist, m.group_histogram(&[1, 3]));
     }
 
     #[test]

@@ -34,17 +34,6 @@ pub struct PartitionSpec {
 }
 
 impl PartitionSpec {
-    /// The paper's CIFAR-10 experiment shape with a chosen α.
-    pub fn paper_vision(alpha: f64, seed: u64) -> Self {
-        Self {
-            num_clients: 300,
-            alpha,
-            min_size: 20,
-            max_size: 200,
-            seed,
-        }
-    }
-
     /// Small partition for tests.
     pub fn tiny(alpha: f64, seed: u64) -> Self {
         Self {

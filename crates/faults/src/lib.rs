@@ -436,10 +436,6 @@ impl FaultInjector {
         Self::try_new(plan).expect("invalid FaultPlan")
     }
 
-    pub fn plan(&self) -> &FaultPlan {
-        &self.plan
-    }
-
     /// Uniform draw in [0, 1) from the plan's (purpose, a, b, c) stream.
     fn unit(&self, purpose: u64, a: u64, b: u64, c: u64) -> f64 {
         unit(self.plan.seed, purpose, a, b, c)

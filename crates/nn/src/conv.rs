@@ -359,22 +359,6 @@ impl Cnn1d {
         loss / batch as Scalar
     }
 
-    /// Predicted labels for a feature matrix.
-    pub fn predict(
-        &self,
-        params: &[Scalar],
-        features: &Matrix,
-        ws: &mut CnnWorkspace,
-    ) -> Vec<usize> {
-        self.prepare(ws);
-        (0..features.rows())
-            .map(|r| {
-                self.forward_sample(params, features.row(r), ws);
-                ops::argmax(&ws.logits)
-            })
-            .collect()
-    }
-
     /// Loss sum and correct count over rows `s..e`, one chunk of
     /// [`crate::network::Network::evaluate_pooled`], a sample at a time: the
     /// row form of the MLP's lane-per-row tail, on the same `exp`.
@@ -495,11 +479,15 @@ mod tests {
         let c = tiny_cnn();
         let params = c.init_params(&mut rng(6));
         let mut ws = c.workspace();
-        let preds = c.predict(&params, data.features(), &mut ws);
-        let manual = preds
+        c.prepare(&mut ws);
+        let manual = data
+            .labels()
             .iter()
-            .zip(data.labels())
-            .filter(|(p, l)| p == l)
+            .enumerate()
+            .filter(|&(r, &l)| {
+                c.forward_sample(&params, data.features().row(r), &mut ws);
+                ops::argmax(&ws.logits) == l
+            })
             .count() as f32
             / 50.0;
         let eval = Network::from(c).evaluate(&params, data.features(), data.labels());

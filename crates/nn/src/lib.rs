@@ -14,7 +14,7 @@
 //! * [`Workspace`] — caller-owned activation buffers so concurrent clients
 //!   never contend and the hot loop never allocates.
 //! * [`sgd`] — SGD step and learning-rate schedules.
-//! * [`zoo`] — the paper's two task models plus a logistic-regression probe.
+//! * [`zoo`] — the paper's two task models and a tiny test model.
 
 pub mod conv;
 pub mod mlp;

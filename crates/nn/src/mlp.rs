@@ -227,18 +227,6 @@ impl Mlp {
         loss
     }
 
-    /// Predicts class labels for a feature matrix.
-    pub fn predict(&self, params: &[Scalar], features: &Matrix, ws: &mut Workspace) -> Vec<usize> {
-        if features.rows() == 0 {
-            return Vec::new();
-        }
-        self.forward_into(params, features.as_view(), ws);
-        let logits = ws.acts.last().unwrap();
-        (0..features.rows())
-            .map(|r| ops::argmax(logits.row(r)))
-            .collect()
-    }
-
     /// Loss sum and correct count over rows `s..e`, one chunk of
     /// [`crate::network::Network::evaluate_pooled`]: the forward pass over a
     /// row-range view of `features` (no index buffer, no gather copy), then
@@ -365,11 +353,13 @@ mod tests {
         let mut r = rng(5);
         let params = mlp.init_params(&mut r);
         let mut ws = mlp.workspace();
-        let preds = mlp.predict(&params, data.features(), &mut ws);
-        let manual_acc = preds
+        mlp.forward_into(&params, data.features().as_view(), &mut ws);
+        let logits = ws.acts.last().unwrap();
+        let manual_acc = data
+            .labels()
             .iter()
-            .zip(data.labels())
-            .filter(|(p, l)| p == l)
+            .enumerate()
+            .filter(|&(r, &l)| ops::argmax(logits.row(r)) == l)
             .count() as f32
             / data.len() as f32;
         let eval = Network::from(mlp).evaluate(&params, data.features(), data.labels());

@@ -103,19 +103,6 @@ impl Network {
         }
     }
 
-    pub fn predict(
-        &self,
-        params: &[Scalar],
-        features: &Matrix,
-        ws: &mut NetworkWorkspace,
-    ) -> Vec<usize> {
-        match (self, ws) {
-            (Network::Mlp(m), NetworkWorkspace::Mlp(w)) => m.predict(params, features, w),
-            (Network::Cnn(c), NetworkWorkspace::Cnn(w)) => c.predict(params, features, w),
-            _ => panic!("workspace does not match network variant"),
-        }
-    }
-
     /// Mean loss and accuracy over a labeled set:
     /// [`Network::evaluate_pooled`] over scratch of its own.
     pub fn evaluate(&self, params: &[Scalar], features: &Matrix, labels: &[usize]) -> EvalResult {
@@ -200,7 +187,7 @@ mod tests {
         let mut grad = vec![0.0; net.param_len()];
         let loss = net.loss_and_grad(&p, &features, &[0, 1], &mut grad, &mut ws);
         assert!(loss.is_finite());
-        assert_eq!(net.predict(&p, &features, &mut ws).len(), 2);
+        assert_eq!(net.evaluate(&p, &features, &[0, 1]).examples, 2);
     }
 
     #[test]

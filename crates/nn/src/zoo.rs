@@ -31,11 +31,6 @@ pub fn speech_cnn() -> Network {
     Cnn1d::new(40, 8, 16, 5, 3, 35).into()
 }
 
-/// Multinomial logistic regression probe for fast tests and examples.
-pub fn logistic(input_dim: usize, classes: usize) -> Network {
-    Mlp::new(vec![input_dim, classes]).into()
-}
-
 /// A deliberately tiny model for unit tests.
 pub fn tiny(input_dim: usize, classes: usize) -> Network {
     Mlp::new(vec![input_dim, 8, classes]).into()
@@ -63,12 +58,6 @@ mod tests {
         assert_eq!(speech_model().num_classes(), 35);
         assert_eq!(speech_cnn().input_dim(), 40);
         assert_eq!(speech_cnn().num_classes(), 35);
-    }
-
-    #[test]
-    fn logistic_has_single_layer() {
-        let m = logistic(5, 3);
-        assert_eq!(m.param_len(), 5 * 3 + 3);
     }
 
     #[test]

@@ -71,10 +71,6 @@ fn validate_bounds(name: &str, bounds: &[f64]) -> Result<(), MetricsError> {
 pub struct Counter(AtomicU64);
 
 impl Counter {
-    pub fn inc(&self) {
-        self.add(1);
-    }
-
     pub fn add(&self, n: u64) {
         self.0.fetch_add(n, Ordering::Relaxed);
     }
@@ -331,7 +327,7 @@ mod tests {
     fn counter_and_gauge_roundtrip() {
         let reg = MetricsRegistry::new();
         let c = reg.counter("a.b");
-        c.inc();
+        c.add(1);
         c.add(4);
         assert_eq!(reg.counter("a.b").get(), 5, "same instrument on reuse");
         reg.gauge("g").set(2.5);
@@ -392,7 +388,7 @@ mod tests {
                     for i in 0..ADDS_PER_PARTICIPANT {
                         // Mix inc() and add() so both entry points are exercised.
                         if i % 2 == 0 {
-                            c.inc();
+                            c.add(1);
                         } else {
                             c.add(1 + (p as u64 % 2));
                         }

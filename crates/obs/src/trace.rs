@@ -78,7 +78,8 @@ pub struct RoundMetrics {
     pub eval_ns: u64,
     /// Groups that produced an update this round.
     pub groups_trained: u64,
-    /// Client training units executed (clients × group rounds).
+    /// Scheduled client units (members × group rounds of every sampled
+    /// group), including crashed, cut and dropped ones.
     pub clients_trained: u64,
     /// Fault events recorded this round.
     pub fault_events: u64,
@@ -93,8 +94,8 @@ pub struct RoundMetrics {
     /// Pool busy-time / capacity over this round's regions (0..=1; 0 when no
     /// parallel region ran).
     pub pool_utilization: f64,
-    /// Heap allocations during this round (0 unless a counting allocator is
-    /// registered via [`crate::alloc::register_alloc_counter`]).
+    /// Heap allocations during this round (0 unless the binary installs
+    /// [`crate::alloc::Counting`] as its global allocator).
     pub allocs: u64,
     /// Simulated client↔edge wire bytes this round (`None` on paths that
     /// do not model communication).

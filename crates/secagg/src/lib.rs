@@ -119,14 +119,6 @@ impl SecAggSession {
         }
     }
 
-    pub fn members(&self) -> &[ClientId] {
-        &self.members
-    }
-
-    pub fn dim(&self) -> usize {
-        self.dim
-    }
-
     /// The pairwise seed for the unordered pair `{a, b}`.
     fn pair_seed(&self, a: ClientId, b: ClientId) -> u64 {
         let (lo, hi) = if a < b { (a, b) } else { (b, a) };
@@ -263,7 +255,7 @@ impl SecAggSession {
 
     /// Runs the whole round for convenience: masks every member's update and
     /// unmasks the sum, returning `(sum, total_cost)`. `updates[k]` belongs
-    /// to `self.members()[k]`.
+    /// to the session's `k`-th member.
     pub fn aggregate(&self, updates: &[Vec<Scalar>]) -> (Vec<Scalar>, SecAggCost) {
         assert_eq!(updates.len(), self.members.len(), "one update per member");
         let mut total = SecAggCost::default();

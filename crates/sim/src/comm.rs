@@ -170,13 +170,6 @@ pub struct StragglerModel {
 }
 
 impl StragglerModel {
-    /// No heterogeneity: every client at 1.0×.
-    pub fn uniform(clients: usize) -> Self {
-        Self {
-            slowdowns: vec![1.0; clients],
-        }
-    }
-
     /// Deterministic heavy-tailed slowdowns: a `fraction` of clients run at
     /// `factor`× (e.g. 10% of devices 4× slower — the classic straggler
     /// profile). Client assignment is seeded.
@@ -330,8 +323,6 @@ mod tests {
         let s = StragglerModel::heavy_tail(100, 0.1, 4.0, 7);
         let slow = (0..100).filter(|&c| s.slowdown(c) > 1.0).count();
         assert_eq!(slow, 10);
-        let u = StragglerModel::uniform(5);
-        assert!((0..5).all(|c| u.slowdown(c) == 1.0));
     }
 
     #[test]

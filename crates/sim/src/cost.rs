@@ -111,23 +111,6 @@ impl CostModel {
     pub fn defense_seconds(&self, similarity_evals: u64, norm_passes: u64) -> f64 {
         8.0 * self.backdoor.c2 * similarity_evals as f64 + self.backdoor.c1 * norm_passes as f64
     }
-
-    /// Cost charged to one *group round* for one group (the inner term of
-    /// Eq. 5): `Σ_{c_i∈g} (O_g(|g|) + E·H_i(n_i))`, where `ops` lists the
-    /// group operations performed each group round.
-    pub fn group_round_cost(
-        &self,
-        client_samples: &[usize],
-        local_rounds: usize,
-        ops: &[GroupOpKind],
-    ) -> f64 {
-        let g = client_samples.len();
-        let per_client_ops: f64 = ops.iter().map(|&k| self.group_op(k, g)).sum();
-        client_samples
-            .iter()
-            .map(|&n_i| per_client_ops + local_rounds as f64 * self.training(n_i))
-            .sum()
-    }
 }
 
 /// Raspberry-Pi-4 calibrated coefficient tables (Fig. 8 shapes).
@@ -185,6 +168,7 @@ pub mod rpi {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::CostLedger;
 
     #[test]
     fn curves_keep_paper_ordering_over_fig8_range() {
@@ -223,25 +207,26 @@ mod tests {
         }
     }
 
+    /// One group round (K = 1) of the ledger's charge is Eq. 5's inner
+    /// term: `Σ_{c_i∈g} (O_g(|g|) + E·H_i(n_i))`.
     #[test]
     fn group_round_cost_implements_eq5_inner_term() {
         let m = CostModel::for_task(Task::Vision);
         let samples = [10usize, 20, 30];
         let e = 2;
-        let ops = [GroupOpKind::SecureAggregation];
-        let got = m.group_round_cost(&samples, e, &ops);
+        let mut ledger = CostLedger::new(m, vec![GroupOpKind::SecureAggregation]);
+        ledger.charge_group(&samples, 1, e);
         let og = m.group_op(GroupOpKind::SecureAggregation, 3);
         let want: f64 = samples.iter().map(|&n| og + e as f64 * m.training(n)).sum();
-        assert!((got - want).abs() < 1e-9);
+        assert!((ledger.total() - want).abs() < 1e-9);
     }
 
     #[test]
     fn empty_group_costs_nothing() {
         let m = CostModel::for_task(Task::Speech);
-        assert_eq!(
-            m.group_round_cost(&[], 5, &[GroupOpKind::SecureAggregation]),
-            0.0
-        );
+        let mut ledger = CostLedger::new(m, vec![GroupOpKind::SecureAggregation]);
+        ledger.charge_group(&[], 1, 5);
+        assert_eq!(ledger.total(), 0.0);
     }
 
     #[test]

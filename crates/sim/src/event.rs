@@ -108,26 +108,12 @@ impl<T> EventQueue<T> {
         self.heap.pop()
     }
 
-    /// The time of the earliest pending event, if any.
-    pub fn peek_time(&self) -> Option<f64> {
-        self.heap.peek().map(|e| e.time)
-    }
-
     pub fn len(&self) -> usize {
         self.heap.len()
     }
 
     pub fn is_empty(&self) -> bool {
         self.heap.is_empty()
-    }
-
-    /// Drains every pending event in pop order.
-    pub fn drain_ordered(&mut self) -> Vec<ScheduledEvent<T>> {
-        let mut out = Vec::with_capacity(self.heap.len());
-        while let Some(e) = self.heap.pop() {
-            out.push(e);
-        }
-        out
     }
 }
 
@@ -139,13 +125,18 @@ mod tests {
         EventId::new(round, actor, client)
     }
 
+    /// Pops every pending event, in pop order.
+    fn popped<T>(q: &mut EventQueue<T>) -> Vec<ScheduledEvent<T>> {
+        std::iter::from_fn(|| q.pop()).collect()
+    }
+
     #[test]
     fn pops_in_time_order() {
         let mut q = EventQueue::new();
         q.push(3.0, id(0, 0, 0), "c");
         q.push(1.0, id(0, 0, 1), "a");
         q.push(2.0, id(0, 0, 2), "b");
-        let order: Vec<_> = q.drain_ordered().iter().map(|e| e.payload).collect();
+        let order: Vec<_> = popped(&mut q).iter().map(|e| e.payload).collect();
         assert_eq!(order, vec!["a", "b", "c"]);
     }
 
@@ -158,7 +149,7 @@ mod tests {
         q.push(5.0, id(0, 2, 0), "actor2");
         q.push(5.0, id(0, 0, 7), "client7");
         q.push(5.0, id(0, 0, 3), "client3");
-        let order: Vec<_> = q.drain_ordered().iter().map(|e| e.payload).collect();
+        let order: Vec<_> = popped(&mut q).iter().map(|e| e.payload).collect();
         assert_eq!(order, vec!["client3", "client7", "actor2", "round1"]);
     }
 
@@ -177,7 +168,7 @@ mod tests {
             for (i, &(t, eid)) in events.iter().enumerate() {
                 q.push(t, eid, i);
             }
-            q.drain_ordered().iter().map(|e| (e.time, e.id)).collect()
+            popped(&mut q).iter().map(|e| (e.time, e.id)).collect()
         };
         for rot in 1..events.len() {
             let mut q = EventQueue::new();
@@ -187,22 +178,21 @@ mod tests {
             for (i, &(t, eid)) in events.iter().enumerate().take(rot) {
                 q.push(t, eid, i);
             }
-            let got: Vec<_> = q.drain_ordered().iter().map(|e| (e.time, e.id)).collect();
+            let got: Vec<_> = popped(&mut q).iter().map(|e| (e.time, e.id)).collect();
             assert_eq!(got, reference, "rotation {rot} changed pop order");
         }
     }
 
     #[test]
-    fn peek_time_matches_next_pop() {
+    fn pop_takes_the_earliest_and_len_counts_the_rest() {
         let mut q = EventQueue::new();
-        assert!(q.peek_time().is_none());
+        assert!(q.is_empty() && q.pop().is_none());
         q.push(4.0, id(0, 0, 0), ());
         q.push(2.0, id(0, 0, 1), ());
-        assert_eq!(q.peek_time(), Some(2.0));
-        q.pop();
-        assert_eq!(q.peek_time(), Some(4.0));
+        assert_eq!(q.pop().map(|e| e.time), Some(2.0));
         assert_eq!(q.len(), 1);
         assert!(!q.is_empty());
+        assert_eq!(q.pop().map(|e| e.time), Some(4.0));
     }
 
     #[test]
@@ -214,7 +204,7 @@ mod tests {
         q.push(f64::INFINITY, id(0, 0, 0), "inf");
         q.push(1.0, id(0, 0, 1), "one");
         q.push(0.0, id(0, 0, 2), "zero");
-        let order: Vec<_> = q.drain_ordered().iter().map(|e| e.payload).collect();
+        let order: Vec<_> = popped(&mut q).iter().map(|e| e.payload).collect();
         assert_eq!(order, vec!["zero", "one", "inf"]);
     }
 }

@@ -36,8 +36,6 @@ pub struct CostLedger {
     /// Group operations performed in every group round.
     ops: Vec<GroupOpKind>,
     breakdown: CostBreakdown,
-    /// Total after each completed global round (for accuracy-vs-cost plots).
-    round_totals: Vec<f64>,
     /// Bytes moved on client↔edge links (model downloads plus client
     /// uploads within groups), from `CommModel::client_bytes_per_round`.
     client_edge_bytes: u64,
@@ -54,7 +52,6 @@ impl CostLedger {
             model,
             ops,
             breakdown: CostBreakdown::default(),
-            round_totals: Vec::new(),
             client_edge_bytes: 0,
             edge_cloud_bytes: 0,
         }
@@ -112,11 +109,6 @@ impl CostLedger {
         self.edge_cloud_bytes
     }
 
-    /// Marks the end of a global round, snapshotting the running total.
-    pub fn end_round(&mut self) {
-        self.round_totals.push(self.total());
-    }
-
     /// Total emulated seconds so far.
     pub fn total(&self) -> f64 {
         self.breakdown.total()
@@ -125,21 +117,6 @@ impl CostLedger {
     /// The training/group-op split.
     pub fn breakdown(&self) -> CostBreakdown {
         self.breakdown
-    }
-
-    /// Cumulative cost after each completed global round.
-    pub fn round_totals(&self) -> &[f64] {
-        &self.round_totals
-    }
-
-    /// The cost model in use.
-    pub fn model(&self) -> &CostModel {
-        &self.model
-    }
-
-    /// The group operations charged per group round.
-    pub fn ops(&self) -> &[GroupOpKind] {
-        &self.ops
     }
 }
 
@@ -188,12 +165,12 @@ mod tests {
             CostModel::for_task(Task::Vision),
             vec![GroupOpKind::SecureAggregation],
         );
-        for r in 0..5 {
-            ledger.charge_group(&[10 + r, 20], 2, 1);
-            ledger.end_round();
-        }
-        let totals = ledger.round_totals();
-        assert_eq!(totals.len(), 5);
+        let totals: Vec<f64> = (0..5)
+            .map(|r| {
+                ledger.charge_group(&[10 + r, 20], 2, 1);
+                ledger.total()
+            })
+            .collect();
         for w in totals.windows(2) {
             assert!(w[1] >= w[0]);
         }

@@ -115,19 +115,6 @@ impl RngCore for WideRng {
     }
 }
 
-/// Derives an independent child RNG stream; used to give each client its own
-/// reproducible stream regardless of scheduling order.
-pub fn child_rng(rng: &mut GflRng, stream: u64) -> GflRng {
-    let mut seed = [0u8; 32];
-    rng.fill_bytes(&mut seed);
-    // Mix the stream id into the seed so children with the same parent state
-    // but different ids diverge.
-    for (i, b) in stream.to_le_bytes().iter().enumerate() {
-        seed[i] ^= b;
-    }
-    ChaCha8Rng::from_seed(seed)
-}
-
 /// Samples a standard normal via Box–Muller.
 pub fn standard_normal(rng: &mut impl Rng) -> Scalar {
     loop {
@@ -207,12 +194,6 @@ pub fn he_matrix(rng: &mut impl Rng, fan_out: usize, fan_in: usize) -> Matrix {
     Matrix::from_fn(fan_out, fan_in, |_, _| normal(rng, 0.0, std))
 }
 
-/// Xavier/Glorot uniform initialization: `U(-l, l)`, `l = sqrt(6/(in+out))`.
-pub fn xavier_matrix(rng: &mut impl Rng, fan_out: usize, fan_in: usize) -> Matrix {
-    let limit = (6.0 / (fan_in + fan_out).max(1) as Scalar).sqrt();
-    Matrix::from_fn(fan_out, fan_in, |_, _| rng.gen_range(-limit..limit))
-}
-
 /// Fills a slice with `N(0, std²)` samples.
 pub fn fill_normal(rng: &mut impl Rng, std: Scalar, out: &mut [Scalar]) {
     for o in out.iter_mut() {
@@ -232,17 +213,6 @@ mod tests {
         for _ in 0..16 {
             assert_eq!(a.next_u64(), b.next_u64());
         }
-    }
-
-    #[test]
-    fn child_streams_differ() {
-        let mut parent1 = rng(7);
-        let mut parent2 = rng(7);
-        let mut c0 = child_rng(&mut parent1, 0);
-        // Same parent state, different stream id → different stream.
-        let mut c1 = child_rng(&mut parent2, 1);
-        let same: usize = (0..64).filter(|_| c0.next_u64() == c1.next_u64()).count();
-        assert!(same < 4, "child streams should diverge");
     }
 
     proptest! {
@@ -434,13 +404,5 @@ mod tests {
             (var - expected).abs() < expected * 0.3,
             "var {var}, expected {expected}"
         );
-    }
-
-    #[test]
-    fn xavier_matrix_respects_limits() {
-        let mut r = rng(5);
-        let m = xavier_matrix(&mut r, 16, 8);
-        let limit = (6.0f32 / 24.0).sqrt();
-        assert!(m.as_slice().iter().all(|&x| x.abs() <= limit));
     }
 }

@@ -8,7 +8,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::{ops, Scalar};
+use crate::Scalar;
 
 /// A dense row-major `f32` matrix.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -91,25 +91,6 @@ impl Matrix {
         self.data[r * self.cols + c]
     }
 
-    /// Element setter.
-    #[inline]
-    pub fn set(&mut self, r: usize, c: usize, v: Scalar) {
-        debug_assert!(r < self.rows && c < self.cols);
-        self.data[r * self.cols + c] = v;
-    }
-
-    /// Adds `other` element-wise.
-    pub fn add_assign(&mut self, other: &Matrix) {
-        assert_eq!(self.rows, other.rows);
-        assert_eq!(self.cols, other.cols);
-        ops::add_assign(&other.data, &mut self.data);
-    }
-
-    /// Scales every element.
-    pub fn scale(&mut self, alpha: Scalar) {
-        ops::scale(alpha, &mut self.data);
-    }
-
     /// Selects the given rows (gathers a minibatch) into a caller-owned
     /// matrix, reshaped to `indices.len() × self.cols` while reusing its
     /// backing buffer. This is the zero-allocation minibatch gather for the
@@ -170,12 +151,6 @@ pub struct MatrixRef<'a> {
 }
 
 impl<'a> MatrixRef<'a> {
-    /// Wraps a slice. Panics if `data.len() != rows * cols`.
-    pub fn new(rows: usize, cols: usize, data: &'a [Scalar]) -> Self {
-        assert_eq!(data.len(), rows * cols, "view size mismatch");
-        Self { rows, cols, data }
-    }
-
     pub fn rows(&self) -> usize {
         self.rows
     }

@@ -25,14 +25,6 @@ pub fn axpy(alpha: Scalar, x: &[Scalar], y: &mut [Scalar]) {
     crate::simd::axpy(alpha, x, y);
 }
 
-/// `y = alpha * x + beta * y`.
-pub fn axpby(alpha: Scalar, x: &[Scalar], beta: Scalar, y: &mut [Scalar]) {
-    assert_eq!(x.len(), y.len(), "axpby: length mismatch");
-    for (yi, &xi) in y.iter_mut().zip(x.iter()) {
-        *yi = alpha * xi + beta * *yi;
-    }
-}
-
 /// Dot product in the canonical 16-chain summation order.
 ///
 /// The order is fixed so every SIMD dispatch tier can reproduce it
@@ -62,15 +54,6 @@ pub fn sub_assign(x: &[Scalar], y: &mut [Scalar]) {
     axpy(-1.0, x, y);
 }
 
-/// Fills `out` with `a - b`.
-pub fn sub_into(a: &[Scalar], b: &[Scalar], out: &mut [Scalar]) {
-    assert_eq!(a.len(), b.len(), "sub_into: length mismatch");
-    assert_eq!(a.len(), out.len(), "sub_into: output length mismatch");
-    for ((o, &ai), &bi) in out.iter_mut().zip(a.iter()).zip(b.iter()) {
-        *o = ai - bi;
-    }
-}
-
 /// Squared L2 norm.
 pub fn norm_sq(x: &[Scalar]) -> Scalar {
     dot(x, x)
@@ -89,30 +72,6 @@ pub fn cosine_similarity(x: &[Scalar], y: &[Scalar]) -> Scalar {
         return 0.0;
     }
     (dot(x, y) / (nx * ny)).clamp(-1.0, 1.0)
-}
-
-/// In-place ReLU.
-pub fn relu(x: &mut [Scalar]) {
-    for xi in x.iter_mut() {
-        if *xi < 0.0 {
-            *xi = 0.0;
-        }
-    }
-}
-
-/// Backprop through ReLU: zeroes gradient entries where the forward
-/// activation was non-positive.
-pub fn relu_backward(activation: &[Scalar], grad: &mut [Scalar]) {
-    assert_eq!(
-        activation.len(),
-        grad.len(),
-        "relu_backward: length mismatch"
-    );
-    for (g, &a) in grad.iter_mut().zip(activation.iter()) {
-        if a <= 0.0 {
-            *g = 0.0;
-        }
-    }
 }
 
 /// Table size of [`exp`]: `2^(i/32)` for `i` in `0..32`.
@@ -314,14 +273,6 @@ mod tests {
     }
 
     #[test]
-    fn axpby_matches_manual() {
-        let x = [1.0, -2.0];
-        let mut y = [3.0, 4.0];
-        axpby(0.5, &x, 2.0, &mut y);
-        assert_eq!(y, [6.5, 7.0]);
-    }
-
-    #[test]
     #[should_panic(expected = "axpy: length mismatch")]
     fn axpy_length_mismatch_panics() {
         let mut y = [0.0];
@@ -355,16 +306,6 @@ mod tests {
     #[test]
     fn argmax_first_on_ties() {
         assert_eq!(argmax(&[1.0, 5.0, 5.0, 2.0]), 1);
-    }
-
-    #[test]
-    fn relu_and_backward() {
-        let mut a = vec![-1.0, 0.0, 2.0];
-        relu(&mut a);
-        assert_eq!(a, vec![0.0, 0.0, 2.0]);
-        let mut g = vec![1.0, 1.0, 1.0];
-        relu_backward(&a, &mut g);
-        assert_eq!(g, vec![0.0, 0.0, 1.0]);
     }
 
     #[test]
