@@ -250,6 +250,61 @@ fn gemm_gflops_per_tier() -> (Vec<serde_json::Value>, Option<f64>) {
     (rows, ratio)
 }
 
+/// Box–Muller normals, single-threaded, in rows of the speech task's 40
+/// features (docs/PERF.md, "Normals"): ns per normal of the libm draw
+/// `init::standard_normal` and of the lane kernel `init::standard_normals`
+/// side by side at every tier, and the share of the kernel's lanes that
+/// took libm over 2²⁴ draws of seed 7's stream.
+fn normals_section() -> serde_json::Value {
+    use gfl_tensor::{init, simd};
+    const ROWS: usize = 1024;
+    let mut row = [0.0f32; 40];
+    let per_call = (ROWS * row.len()) as f64;
+    let mut tiers = Vec::new();
+    for tier in simd::supported_tiers() {
+        let prev = simd::set_tier(tier);
+        let mut reader = init::wide_rng(7);
+        let libm_s = seconds_per_call(|| {
+            for _ in 0..ROWS {
+                row.iter_mut()
+                    .for_each(|v| *v = init::standard_normal(&mut reader));
+            }
+            std::hint::black_box(&row);
+        });
+        let mut reader = init::wide_rng(7);
+        let kernel_s = seconds_per_call(|| {
+            for _ in 0..ROWS {
+                init::standard_normals(&mut reader, &mut row);
+            }
+            std::hint::black_box(&row);
+        });
+        simd::set_tier(prev);
+        let (libm_ns, kernel_ns) = (libm_s / per_call * 1e9, kernel_s / per_call * 1e9);
+        eprintln!(
+            "[{:>6}] normals: libm {libm_ns:6.2} ns  kernel {kernel_ns:6.2} ns  ({:.2}x)",
+            tier.name(),
+            libm_ns / kernel_ns
+        );
+        tiers.push(serde_json::json!({
+            "tier": tier.name(),
+            "libm_ns_per_normal": libm_ns,
+            "kernel_ns_per_normal": kernel_ns,
+        }));
+    }
+    let mut reader = init::wide_rng(7);
+    let draws = 1usize << 24;
+    let fallbacks: usize = (0..draws / row.len())
+        .map(|_| init::standard_normals(&mut reader, &mut row))
+        .sum();
+    let fraction = fallbacks as f64 / (draws / row.len() * row.len()) as f64;
+    eprintln!("normals: {:.4} % of lanes took libm", fraction * 100.0);
+    serde_json::json!({
+        "workload": "Box–Muller normals in rows of 40 from one wide reader, single thread: libm (`standard_normal`) and the screened lane kernel (`standard_normals`) per tier; the fallback fraction over 2^24 draws of seed 7",
+        "tiers": tiers,
+        "fallback_fraction": fraction,
+    })
+}
+
 /// Secure aggregation at the `secure-covg` shape (vision model, a group of
 /// ten, nobody dropped), single-threaded: the keystream fill of one mask
 /// against a plain copy of as many bytes, and one round party by party
@@ -495,6 +550,8 @@ fn main() {
 
     let secagg = secagg_section();
 
+    let normals = normals_section();
+
     let serialize = serialize_section();
 
     // Honest scaling summary: the 8-vs-1 speedup is only reported when the
@@ -530,6 +587,7 @@ fn main() {
         }),
         "nn": speech_layers,
         "secagg": secagg,
+        "normals": normals,
         "serialize": serialize,
         "emulated_clock": serde_json::json!({
             "plan": "straggler_fraction 0.25, straggler_factor 8.0, jitter 0.25 (docs/ASYNC.md)",

@@ -267,7 +267,9 @@ fn kept_virtual_shards_are_width_independent() {
         let trace = gfl_obs::TraceReader::read(dir.join("trace.jsonl")).unwrap();
         let metrics = &trace.summary.as_ref().unwrap().metrics;
         let counter = |name| metrics.counter(name).unwrap();
-        assert!(counter("data.shards_derived") < counter("clients.trained"));
+        // Fewer derivations than steps trained on a shard: some member
+        // trained on a kept one.
+        assert!(counter("data.shards_derived") < counter("data.shard_steps"));
         let crash = |e: &Event| matches!(e.fault(), Some(FaultEvent::ClientCrash { .. }));
         assert!(counter("secagg.sessions") > 0 && events(dir).iter().any(crash));
     });

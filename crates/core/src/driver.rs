@@ -496,10 +496,13 @@ impl Trainer {
             }
             if matches!(self.data, FedData::Virtual(_)) {
                 // One derivation per (round, member that trained in any of
-                // the K group rounds): summed per group, so exact at any
+                // the K group rounds), and one step per group round a
+                // member trained on it: summed per group, so exact at any
                 // thread count.
                 let derived = outcomes.iter().map(|o| o.shards_derived).sum();
                 counters.push(("data.shards_derived", derived));
+                let steps = outcomes.iter().map(|o| o.shard_steps).sum();
+                counters.push(("data.shard_steps", steps));
             }
             for (name, value) in counters {
                 m.counter(name).add(value);

@@ -428,9 +428,13 @@ pub struct GroupOutcome {
     pub(crate) secagg_sessions: u64,
     pub(crate) secagg_pair_masks: u64,
     /// Shards the group's members derived: one per member with a derived
-    /// shard that trained in at least one of the `K` group rounds. Virtual
+    /// shard that trained in at least one of the `K` group rounds (a count
+    /// of derivations, so a shard derived twice would count twice). Virtual
     /// runs report it; in materialized ones only data poisoners derive.
     pub(crate) shards_derived: u64,
+    /// Client steps the group's members trained on a derived shard, across
+    /// the `K` group rounds: `shards_derived` plus the steps that reused one.
+    pub(crate) shard_steps: u64,
 }
 
 /// Straggler cuts for one group's `K` group rounds, decided before the
@@ -484,8 +488,11 @@ struct Slot {
     /// `K − 1`, or with the slot at chain end. Honest materialized members
     /// read their rows in place and never fill it.
     shard: Option<(Dataset, Option<(AttackKind, usize)>)>,
-    /// Whether this member derived its shard in the chain.
-    derived: bool,
+    /// The member's shard derivations in the chain: one, at its first
+    /// trained group round, or none.
+    derived: u64,
+    /// The member's steps that trained on its derived shard.
+    shard_steps: u64,
 }
 
 /// A value a round's task graph hands from task to task without a lock.
@@ -1196,7 +1203,8 @@ impl Trainer {
                             attack: None,
                             loss: None,
                             shard: None,
-                            derived: false,
+                            derived: 0,
+                            shard_steps: 0,
                         })
                     }));
                     slots
@@ -1265,10 +1273,11 @@ impl Trainer {
                 // A shard still kept here (its member missed round K − 1)
                 // is dropped with its slot.
                 let mut slots = chain.slots;
-                let mut shards_derived = 0;
+                let (mut shards_derived, mut shard_steps) = (0, 0);
                 for s in slots.drain(..) {
                     let slot = s.into_inner();
-                    shards_derived += u64::from(slot.derived);
+                    shards_derived += slot.derived;
+                    shard_steps += slot.shard_steps;
                     self.params.put(slot.buf);
                 }
                 self.slots.put(slots);
@@ -1288,6 +1297,7 @@ impl Trainer {
                     secagg_sessions: tally.secagg_sessions,
                     secagg_pair_masks: tally.secagg_pair_masks,
                     shards_derived,
+                    shard_steps,
                 }
             })
             .collect()
@@ -1475,8 +1485,9 @@ impl Trainer {
                         ds = Dataset::new(features, labels, classes);
                     }
                     slot.shard = Some((ds, poisoned));
-                    slot.derived = true;
+                    slot.derived += 1;
                 }
+                slot.shard_steps += 1;
                 let (ds, poisoned) = slot.shard.as_ref().expect("derived above");
                 scratch.indices.clear();
                 scratch.indices.extend(0..ds.len());

@@ -16,7 +16,8 @@ mod cdg;
 mod cov_grouping;
 mod greedy;
 mod kldg;
-pub mod optimal;
+#[cfg(test)]
+mod optimal;
 mod random;
 mod stream;
 mod variance;
@@ -24,7 +25,6 @@ mod variance;
 pub use cdg::CdgGrouping;
 pub use cov_grouping::CovGrouping;
 pub use kldg::KldGrouping;
-pub use optimal::optimal_grouping;
 pub use random::RandomGrouping;
 pub use stream::StreamGrouping;
 pub use variance::{histogram_variance, VarianceGrouping};

@@ -8,7 +8,7 @@
 //!
 //! * **Departures** remove the client from its group immediately.
 //! * **Arrivals** are migrated greedily into the CoV-best existing group
-//!   on their edge (the Σ-CoV objective of `grouping::optimal`), or open
+//!   on their edge (the Σ-CoV objective of §5.2's formation program), or open
 //!   a new group when their edge has none.
 //! * A **group-health monitor** tracks, per group: the CoV drift since the
 //!   group was (re)formed, a size floor, and a sliding window of
@@ -600,7 +600,7 @@ impl MembershipState {
 
     /// Greedy incremental placement of `clients`, one after another: each
     /// joins the group on its edge whose CoV-with-candidate is lowest (the
-    /// Σ-CoV objective of `grouping::optimal`, restricted to single-client
+    /// Σ-CoV objective of §5.2's formation program, restricted to single-client
     /// moves) — the first strict minimum in ascending group index, empty
     /// groups skipped — or opens a new group at the end of the partition
     /// when its edge has no non-empty group. Edges run on the pool

@@ -273,15 +273,18 @@ fn shards_derived_counts_each_member_that_trained_once_per_round() {
         let pairs = steps.iter().collect::<BTreeSet<_>>().len() as u64;
         (
             metrics.counter("data.shards_derived"),
+            metrics.counter("data.shard_steps"),
             pairs,
             steps.len() as u64,
         )
     };
     for_each_thread_count(&[1, 2, 8], |threads| {
-        let (derived, pairs, steps) = counted(t.virt(), threads);
+        let (derived, shard_steps, pairs, steps) = counted(t.virt(), threads);
         assert_eq!(derived, Some(pairs), "{threads} threads");
+        assert_eq!(shard_steps, Some(steps), "{threads} threads");
         assert!(0 < pairs && pairs < steps, "{pairs} pairs of {steps} steps");
-        let (derived, ..) = counted(t.eager(), threads);
+        let (derived, shard_steps, ..) = counted(t.eager(), threads);
         assert_eq!(derived, None, "materialized runs derive no shard");
+        assert_eq!(shard_steps, None, "materialized runs count no shard step");
     });
 }

@@ -212,9 +212,7 @@ impl SyntheticSpec {
             };
             half.1[slot] = label;
             let row = &mut half.0[slot * dim..(slot + 1) * dim];
-            for (v, &mean) in row.iter_mut().zip(means.row(label)) {
-                *v = mean + init::normal(&mut rng, 0.0, self.noise);
-            }
+            self.add_noise(&mut rng, means.row(label), row);
         }
         chunk.end = rng.word_pos();
     }
@@ -289,10 +287,17 @@ impl SyntheticSpec {
         debug_assert_eq!(features.cols(), self.feature_dim);
         let mut rng = init::wide_rng(seed ^ FEATURE_STREAM_SALT);
         for (i, &label) in labels.iter().enumerate() {
-            let row = features.row_mut(i);
-            for (j, v) in row.iter_mut().enumerate() {
-                *v = means.get(label, j) + init::normal(&mut rng, 0.0, self.noise);
-            }
+            self.add_noise(&mut rng, means.row(label), features.row_mut(i));
+        }
+    }
+
+    /// Writes `mean + N(0, noise²)` into `row`, one normal per entry:
+    /// `mean + `[`init::normal`]`(rng, 0.0, noise)` each, the normals drawn
+    /// by the lane kernel.
+    fn add_noise(&self, rng: &mut WideRng, mean: &[Scalar], row: &mut [Scalar]) {
+        init::standard_normals(rng, row);
+        for (v, &mean) in row.iter_mut().zip(mean) {
+            *v = mean + (0.0 + self.noise * *v);
         }
     }
 

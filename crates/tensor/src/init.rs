@@ -68,6 +68,18 @@ impl WideRng {
         self.inner.get_word_pos() - ((WINDOW_BYTES - self.pos) / 4) as u128
     }
 
+    /// A reader whose window ends in the hand-built `words`, followed by
+    /// the stream of `rng(0)`.
+    #[cfg(test)]
+    pub(crate) fn over_words(words: &[u64]) -> Self {
+        let mut reader = wide_rng(0);
+        reader.pos = WINDOW_BYTES - 8 * words.len();
+        for (slot, word) in reader.window[reader.pos..].chunks_exact_mut(8).zip(words) {
+            slot.copy_from_slice(&word.to_le_bytes());
+        }
+        reader
+    }
+
     fn refill(&mut self) {
         self.inner.fill_bytes(&mut self.window);
         self.pos = 0;
@@ -103,14 +115,26 @@ impl RngCore for WideRng {
         u64::from_le_bytes(pair)
     }
 
-    fn fill_bytes(&mut self, dest: &mut [u8]) {
-        let mut words = dest.chunks_exact_mut(4);
-        for word in &mut words {
-            word.copy_from_slice(&self.next_u32().to_le_bytes());
+    /// The window's bytes, copied; a request that ends inside a word
+    /// consumes that word. A request the window holds is one copy, which
+    /// inlines to a few vector moves where its length is a constant (the
+    /// normals kernel's blocks).
+    #[inline]
+    fn fill_bytes(&mut self, mut dest: &mut [u8]) {
+        if let Some(window) = self.window.get(self.pos..self.pos + dest.len()) {
+            dest.copy_from_slice(window);
+            self.pos += dest.len().next_multiple_of(4);
+            return;
         }
-        let partial = words.into_remainder();
-        if !partial.is_empty() {
-            partial.copy_from_slice(&self.next_u32().to_le_bytes()[..partial.len()]);
+        while !dest.is_empty() {
+            if self.pos >= WINDOW_BYTES {
+                self.refill();
+            }
+            let take = dest.len().min(WINDOW_BYTES - self.pos);
+            let (head, rest) = std::mem::take(&mut dest).split_at_mut(take);
+            head.copy_from_slice(&self.window[self.pos..self.pos + take]);
+            self.pos += take.next_multiple_of(4);
+            dest = rest;
         }
     }
 }
@@ -122,11 +146,27 @@ pub fn standard_normal(rng: &mut impl Rng) -> Scalar {
         if u1 <= f64::MIN_POSITIVE {
             continue;
         }
-        let u2: f64 = rng.gen::<f64>();
-        let r = (-2.0 * u1.ln()).sqrt();
-        let theta = 2.0 * std::f64::consts::PI * u2;
-        return (r * theta.cos()) as Scalar;
+        return box_muller(u1, rng.gen::<f64>());
     }
+}
+
+/// Box–Muller's libm expression for the uniforms `u1 > 0` and `u2`: the
+/// body of [`standard_normal`], and the fallback of [`standard_normals`].
+#[inline]
+pub(crate) fn box_muller(u1: f64, u2: f64) -> Scalar {
+    let r = (-2.0 * u1.ln()).sqrt();
+    let theta = 2.0 * std::f64::consts::PI * u2;
+    (r * theta.cos()) as Scalar
+}
+
+/// Fills `out` with the next `out.len()` draws of [`standard_normal`]
+/// from `rng` — the same words, the same bits — through the active SIMD
+/// tier's lane kernel, which computes each normal without libm wherever
+/// it can prove that libm would round to the same `f32`. Returns how many
+/// normals took libm. `rng`'s `fill_bytes` must yield the bytes of its
+/// `next_u64` words in order, as [`GflRng`] and [`WideRng`] do.
+pub fn standard_normals(rng: &mut impl RngCore, out: &mut [Scalar]) -> usize {
+    crate::simd::standard_normals(rng, out)
 }
 
 /// Samples `N(mean, std²)`.
@@ -191,13 +231,17 @@ pub fn dirichlet_symmetric_into(rng: &mut impl Rng, alpha: f64, out: &mut [f64])
 /// `N(0, 2/fan_in)`. Appropriate for ReLU networks.
 pub fn he_matrix(rng: &mut impl Rng, fan_out: usize, fan_in: usize) -> Matrix {
     let std = (2.0 / fan_in.max(1) as Scalar).sqrt();
-    Matrix::from_fn(fan_out, fan_in, |_, _| normal(rng, 0.0, std))
+    let mut m = Matrix::zeros(fan_out, fan_in);
+    fill_normal(rng, std, m.as_mut_slice());
+    m
 }
 
-/// Fills a slice with `N(0, std²)` samples.
+/// Fills a slice with `N(0, std²)` samples: [`normal`]`(rng, 0.0, std)`
+/// each, drawn by [`standard_normals`].
 pub fn fill_normal(rng: &mut impl Rng, std: Scalar, out: &mut [Scalar]) {
+    standard_normals(rng, out);
     for o in out.iter_mut() {
-        *o = normal(rng, 0.0, std);
+        *o = 0.0 + std * *o;
     }
 }
 
@@ -300,24 +344,14 @@ mod tests {
         }
     }
 
-    /// A reader over a hand-built window, followed by the stream of `rng(0)`.
-    fn reader_over(words: &[u64]) -> WideRng {
-        let mut reader = wide_rng(0);
-        reader.pos = WINDOW_BYTES - 8 * words.len();
-        for (slot, word) in reader.window[reader.pos..].chunks_exact_mut(8).zip(words) {
-            slot.copy_from_slice(&word.to_le_bytes());
-        }
-        reader
-    }
-
     #[test]
     fn box_muller_rejects_a_zero_uniform_from_the_wide_reader() {
         // 2047 >> 11 == 0, so the first uniform is exactly 0.0 and must be
         // drawn again; the sample comes from the second and third words.
         let half = 1u64 << 63;
         let quarter = 1u64 << 62;
-        let mut rejecting = reader_over(&[2047, half, quarter]);
-        let mut plain = reader_over(&[half, quarter]);
+        let mut rejecting = WideRng::over_words(&[2047, half, quarter]);
+        let mut plain = WideRng::over_words(&[half, quarter]);
         let got = standard_normal(&mut rejecting);
         assert_eq!(got.to_bits(), standard_normal(&mut plain).to_bits());
         let want = (-2.0 * 0.5f64.ln()).sqrt() * (2.0 * std::f64::consts::PI * 0.25).cos();

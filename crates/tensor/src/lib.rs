@@ -10,9 +10,9 @@
 //! * [`ops`]: BLAS-1 style kernels over plain slices (axpy, dot, scale,
 //!   norms, softmax).
 //! * [`simd`]: explicit `std::arch` microkernels behind the hot ops
-//!   (dot/axpy/gemm_nt/gemm_tn/backward_delta), runtime-dispatched across
-//!   AVX-512F / AVX2 / scalar tiers — all bit-identical, `GFL_SIMD`
-//!   override.
+//!   (dot/axpy/gemm_nt/gemm_tn/backward_delta), the softmax row tails and
+//!   the Box–Muller normals kernel, runtime-dispatched across AVX-512F /
+//!   AVX2 / scalar tiers — all bit-identical, `GFL_SIMD` override.
 //! * [`init`]: seeded He/Xavier/uniform initializers on top of ChaCha8, so
 //!   every experiment in the paper reproduction is bit-deterministic given
 //!   its seed.

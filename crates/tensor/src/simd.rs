@@ -12,6 +12,8 @@
 //! are fast, the per-row softmax tails: [`softmax_xent_rows`] (training:
 //! logits → `(P − Y)/B` and the loss) and [`xent_argmax_rows`] (evaluation:
 //! loss and correct count).
+//! One more carries the set-up's synthetic data: [`standard_normals`],
+//! Box–Muller normals eight lanes a block.
 //!
 //! # Bit-identity contract
 //!
@@ -80,6 +82,23 @@
 //!   vector divide, and only `ln`, one per row, stays scalar libm, added to
 //!   the running loss in row order. Rows past the last full block take the
 //!   scalar row form on the same running loss; no lane reads past its row.
+//! - **normals**: exact by a *screen*, not by restatement. The reference is
+//!   [`crate::init::standard_normal`]: `(sqrt(−2·ln u1)·cos(2π·u2)) as
+//!   f32` with libm's f64 `ln` and `cos`. Per block of eight lanes each
+//!   lane reads its `u1` then its `u2` in stream order and computes `x`
+//!   from f64 polynomials for `ln` and `cos` in plain lane code, which
+//!   every tier compiles for its own features, as it does **dot** (each
+//!   operation one IEEE rounding, so the tiers agree on every `x`). A lane
+//!   keeps `x as f32` only if `x − B` and `x + B` round to the same f32,
+//!   where `B = 2⁻³⁷·|x| + 2⁻⁴⁰·sqrt(−2·ln u1)` is the kernel's proven
+//!   error bound plus libm's documented ≤ 1 ulp, times 2¹⁰ (the proof is
+//!   in `simd/normals.rs`); f32 rounding is monotone, so libm's `x` rounds
+//!   there too. Every other lane is recomputed by libm's own expression
+//!   (`init::box_muller`, the one fallback body), and from a zero `u1` on
+//!   (Box–Muller draws it again, which shifts the words) the rest of the
+//!   block is drawn serially. `normals_equal_standard_normal` holds every
+//!   tier to the reference's bits, and its `_deep` copy does so on 10⁸
+//!   draws.
 //!
 //! **No FMA, anywhere.** A fused multiply-add rounds once where
 //! mul-then-add rounds twice, so using FMA in any tier would break
@@ -102,8 +121,11 @@
 use std::sync::OnceLock;
 
 use gfl_parallel::EnvError;
+use rand::RngCore;
 
 use crate::Scalar;
+
+mod normals;
 
 /// One SIMD dispatch tier. Ordering is by capability: later tiers are
 /// wider. Every tier computes bit-identical results (see module docs).
@@ -398,6 +420,14 @@ pub fn xent_argmax_rows(
     dispatch!(xent_argmax_rows(logits, classes, labels, block))
 }
 
+/// Fills `out` with the next `out.len()` draws of
+/// [`crate::init::standard_normal`] from `rng`, eight lanes a block (see
+/// the `normals` bullet of the module docs), and returns how many lanes
+/// took the libm fallback.
+pub(crate) fn standard_normals<R: RngCore + ?Sized>(rng: &mut R, out: &mut [Scalar]) -> usize {
+    dispatch!(standard_normals(rng, out))
+}
+
 /// Every tier's vector `exp` over a slice, for the tests that hold it to
 /// libm's bits.
 #[cfg(test)]
@@ -411,6 +441,8 @@ pub(crate) mod scalar {
     use super::{Dims, PanelRow, PANEL};
     use crate::ops::{self, GEMM_TILE};
     use crate::Scalar;
+
+    pub(crate) use super::normals::fill as standard_normals;
 
     /// The row loop `Mlp::loss_and_grad` used to run. Nothing is summed
     /// across rows but the loss, and that in row order.
@@ -653,6 +685,15 @@ mod x86 {
             #[target_feature(enable = $feature)]
             pub(in super::super) unsafe fn axpy(alpha: f32, x: &[f32], y: &mut [f32]) {
                 scalar::axpy(alpha, x, y)
+            }
+
+            /// The normals kernel's plain lane code, compiled for the tier.
+            #[target_feature(enable = $feature)]
+            pub(in super::super) unsafe fn standard_normals<R: rand::RngCore + ?Sized>(
+                rng: &mut R,
+                out: &mut [f32],
+            ) -> usize {
+                scalar::standard_normals(rng, out)
             }
 
             /// One vector of outputs at a time (`j0` walks the panels in
