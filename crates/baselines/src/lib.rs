@@ -17,6 +17,8 @@
 //! paper evaluates every baseline "modified to a hierarchical version ...
 //! with uniform group sampling".
 
+#![forbid(unsafe_code)]
+
 pub mod fedclar;
 pub mod fednova;
 pub mod fedprox;

@@ -16,6 +16,8 @@
 //! and allocation pressure. The report records the machine's core count —
 //! thread-scaling numbers are only meaningful when cores >= threads.
 
+#![forbid(unsafe_code)]
+
 use std::time::Instant;
 
 use gfl_core::driver::{Clock, Membership, RunPlan, RunState};

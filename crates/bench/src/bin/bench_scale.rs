@@ -27,6 +27,8 @@
 //! for quick local iteration; the emitted key names stay `*_1m` because
 //! the regress gate keys on them — the actual size is recorded alongside.
 
+#![forbid(unsafe_code)]
+
 use std::time::Instant;
 
 use gfl_core::prelude::*;

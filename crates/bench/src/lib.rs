@@ -1,5 +1,7 @@
 //! Shared fixtures for the `bench_round` and `bench_scale` binaries.
 
+#![forbid(unsafe_code)]
+
 use gfl_data::{VirtualPopulation, VirtualSpec};
 use gfl_sim::Topology;
 

@@ -9,6 +9,8 @@
 //! data) → build → drive → report; a new flag is one row plus the getter
 //! call that reads it into the config.
 
+#![forbid(unsafe_code)]
+
 pub mod args;
 pub mod commands;
 pub mod trace_cli;

@@ -1,5 +1,7 @@
 //! The `gfl` binary: see [`gfl_cli::USAGE`].
 
+#![forbid(unsafe_code)]
+
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let mut out = std::io::stdout();

@@ -28,14 +28,14 @@ use gfl_nn::sgd::LrSchedule;
 use gfl_nn::{Network, Params};
 use gfl_obs::{SpanAttrs, SpanKind, TraceCollector};
 use gfl_parallel::{Pool, Pusher, TaskQueue};
+use gfl_secagg::Survivor;
 use gfl_sim::{CommModel, CostLedger, CostModel, Task, Topology};
 use gfl_tensor::init;
 use gfl_tensor::{ops, Scalar};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
-use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, RwLock, TryLockResult};
 
 use crate::cov::group_cov;
 use crate::driver::{Clock, Membership, RunPlan};
@@ -176,10 +176,10 @@ pub fn form_groups_active(
 
 /// What one pool worker reuses from task to task (training scratch,
 /// derived shard buffers, the FLAME filter's live list and delta rows,
-/// SecAgg rows), each cleared or overwritten before a read. The shard
-/// buffers (`features`, `labels`) back only shards no later group round
-/// can use; a shard kept in a [`Slot`] owns exact-size buffers, so the
-/// worker's are never pinned by one.
+/// SecAgg rows and survivor views), each cleared or overwritten before a
+/// read. The shard buffers (`features`, `labels`) back only shards no
+/// later group round can use; a shard kept in a [`Slot`] owns exact-size
+/// buffers, so the worker's are never pinned by one.
 struct WorkerScratch {
     local: LocalScratch,
     features: Vec<Scalar>,
@@ -189,6 +189,7 @@ struct WorkerScratch {
     live: Vec<usize>,
     deltas: Vec<Vec<Scalar>>,
     secagg: gfl_secagg::RangeScratch,
+    survivors: Vec<Survivor<'static>>,
 }
 
 impl WorkerScratch {
@@ -202,8 +203,17 @@ impl WorkerScratch {
             live: Vec::new(),
             deltas: Vec::new(),
             secagg: Default::default(),
+            survivors: Vec::new(),
         }
     }
+}
+
+/// `views`' allocation as an empty vector of views of another lifetime:
+/// std collects a vector's own `IntoIter` in place, so a worker's survivor
+/// list stays warm from chunk to chunk.
+fn recycle<'b>(mut views: Vec<Survivor<'_>>) -> Vec<Survivor<'b>> {
+    views.clear();
+    views.into_iter().map(|_| unreachable!("cleared")).collect()
 }
 
 /// The Group-FEL trainer: owns the model, the federated data layout, and
@@ -231,7 +241,7 @@ pub struct Trainer {
     /// Member lists of outcomes and the ledger's size scratch.
     pub(crate) members: Pool<Vec<usize>>,
     /// Per-group slot shells.
-    slots: Pool<Vec<Handoff<Slot>>>,
+    slots: Pool<Vec<Mutex<Slot>>>,
     /// The queue each global round's task graph runs on.
     tasks: TaskQueue<RoundTask>,
     pub(crate) obs: Option<Arc<TraceCollector>>,
@@ -466,6 +476,7 @@ const SECAGG_CHUNK: usize = 1024;
 /// One client's fixed result slot within a group round. Its step writes
 /// the slot and nothing else; the group's drain reads slots in member
 /// order, so the aggregate is independent of execution order.
+#[derive(Default)]
 struct Slot {
     /// The trained local model. Reused across group rounds — a client's
     /// parameter buffer is allocated once per (group, round), not once per
@@ -495,50 +506,15 @@ struct Slot {
     shard_steps: u64,
 }
 
-/// A value a round's task graph hands from task to task without a lock.
-/// The graph orders every access: a step owns its member's slot and reads
-/// the group model, a drain (or the last SecAgg chunk) owns its whole
-/// group, and chunks share the session and write disjoint ranges. Each
-/// hand-over is a release/acquire pair — a group's countdown, or the
-/// queue's mutex between a push and its pop — so every write is seen by
-/// the next task that reads it.
-#[repr(transparent)]
-struct Handoff<T>(UnsafeCell<T>);
-
-// SAFETY: tasks on other threads read a value through `&` (so `T: Sync`)
-// or own it while they write (so `T: Send`); the graph above keeps those
-// two apart.
-unsafe impl<T: Send + Sync> Sync for Handoff<T> {}
-
-impl<T> Handoff<T> {
-    fn new(value: T) -> Self {
-        Self(UnsafeCell::new(value))
-    }
-
-    fn get(&self) -> *mut T {
-        self.0.get()
-    }
-
-    fn into_inner(self) -> T {
-        self.0.into_inner()
-    }
-
-    /// # Safety
-    /// No task may write any of the values while the view is alive.
-    unsafe fn view(cells: &[Self]) -> &[T] {
-        // SAFETY: `Handoff<T>` and `UnsafeCell<T>` have `T`'s layout, and
-        // the caller rules out writers.
-        std::slice::from_raw_parts(cells.as_ptr().cast(), cells.len())
-    }
-
-    /// # Safety
-    /// No other task may touch any of the values while the view is alive.
-    #[allow(clippy::mut_from_ref)] // the cells are what make this sound
-    unsafe fn view_mut(cells: &[Self]) -> &mut [T] {
-        // SAFETY: as in `view`; writing through the cells is what
-        // `UnsafeCell` permits, and the caller rules out every other user.
-        std::slice::from_raw_parts_mut(UnsafeCell::raw_get(cells.as_ptr().cast()), cells.len())
-    }
+/// Takes a lock the round graph hands to the calling task. The graph
+/// orders every access: a step holds its member's slot and reads the group
+/// model, a drain (or the last SecAgg chunk) holds its whole group, and
+/// chunks read the session and each write its own output. Every task drops
+/// its guards before its group's countdown or its push, so the next task
+/// finds the lock free: a held one means the graph released a task too
+/// early, and the task panics rather than wait.
+fn claim<G>(lock: TryLockResult<G>) -> G {
+    lock.unwrap_or_else(|e| panic!("round-graph bug: {e}"))
 }
 
 /// What a group's drain accumulates over its `K` group rounds.
@@ -568,9 +544,15 @@ struct GroupChain<'g> {
     pending: AtomicUsize,
     /// The group model `x^g_{t,k}`: read by round k's steps, rewritten by
     /// its drain.
-    model: Handoff<Params>,
-    slots: Vec<Handoff<Slot>>,
-    tally: Handoff<GroupTally>,
+    model: RwLock<Params>,
+    slots: Vec<Mutex<Slot>>,
+    tally: Mutex<GroupTally>,
+}
+
+impl GroupChain<'_> {
+    fn slot(&self, member: usize) -> MutexGuard<'_, Slot> {
+        claim(self.slots[member].try_lock())
+    }
 }
 
 /// One task of a global round's graph.
@@ -593,11 +575,49 @@ enum RoundTask {
 }
 
 /// A group round's open secure aggregation, shared by its chunk tasks.
-struct SecureRound<'a> {
+/// The survivors' updates leave their slots for it, and the last chunk
+/// hands them back with the chunks' outputs as the group model.
+struct SecureRound {
     session: gfl_secagg::SecAggSession,
-    survivors: Vec<gfl_secagg::Survivor<'a>>,
-    /// The group model's chunks, one per [`RoundTask::SecAggChunk`].
-    chunks: Vec<Handoff<&'a mut [Scalar]>>,
+    /// `(member, id, weight, update)` per survivor, in member order.
+    survivors: Vec<(usize, gfl_secagg::ClientId, Scalar, Params)>,
+    /// One output per [`RoundTask::SecAggChunk`].
+    chunks: Vec<Mutex<[Scalar; SECAGG_CHUNK]>>,
+}
+
+impl SecureRound {
+    /// One [`SECAGG_CHUNK`]-coordinate range of the aggregation open in
+    /// `cell`, into the chunk's own output.
+    fn run_chunk(cell: &RwLock<Option<Self>>, chunk: usize, scratch: &mut WorkerScratch) {
+        let session = claim(cell.try_read());
+        let round = session.as_ref().expect("pushed with its session");
+        let mut out = claim(round.chunks[chunk].try_lock());
+        // Every update has the model's length; the last chunk is short.
+        let lo = chunk * SECAGG_CHUNK;
+        let len = SECAGG_CHUNK.min(round.survivors[0].3.len() - lo);
+        let mut survivors = recycle(std::mem::take(&mut scratch.survivors));
+        let views = round.survivors.iter();
+        survivors.extend(views.map(|&(_, id, weight, ref update)| Survivor { id, weight, update }));
+        round
+            .session
+            .aggregate_range(lo, &survivors, &mut out[..len], &mut scratch.secagg);
+        scratch.survivors = recycle(survivors);
+    }
+
+    /// After the last chunk: the outputs become `chain`'s group model and
+    /// the survivors' updates go back to their slots.
+    fn close(cell: &RwLock<Option<Self>>, chain: &GroupChain<'_>) {
+        let round = claim(cell.try_write())
+            .take()
+            .expect("pushed with its session");
+        let mut model = claim(chain.model.try_write());
+        for (range, out) in model.chunks_mut(SECAGG_CHUNK).zip(&round.chunks) {
+            range.copy_from_slice(&claim(out.try_lock())[..range.len()]);
+        }
+        for (member, _, _, update) in round.survivors {
+            chain.slot(member).buf = update;
+        }
+    }
 }
 
 /// A traced run's `GroupRound` span of one group round: from the first
@@ -634,12 +654,14 @@ struct RoundGraph<'r, 'a, S> {
     lr: Scalar,
     chains: &'a [GroupChain<'a>],
     /// Under secure aggregation, each chain's open session (else empty).
-    sessions: &'r [Handoff<Option<SecureRound<'a>>>],
+    sessions: &'r [RwLock<Option<SecureRound>>],
     /// Traced runs: each group round's span (else empty).
     spans: &'r [RoundSpan],
 }
 
-impl<'a, S: LocalUpdate> RoundGraph<'_, 'a, S> {
+impl<S: LocalUpdate> RoundGraph<'_, '_, S> {
+    /// Runs `task`. A step or chunk drops its guards before the countdown,
+    /// so the task that takes it to zero claims what they held.
     fn run(&self, scratch: &mut WorkerScratch, task: RoundTask, push: &Pusher<'_, RoundTask>) {
         match task {
             RoundTask::Step { group, k, member } => {
@@ -650,21 +672,10 @@ impl<'a, S: LocalUpdate> RoundGraph<'_, 'a, S> {
                 }
             }
             RoundTask::SecAggChunk { group, k, chunk } => {
-                let cell = &self.sessions[group];
-                {
-                    // SAFETY: the drain stored the session before it pushed
-                    // its chunks, and only the last chunk clears it; this
-                    // chunk's range is this task's alone.
-                    let round = unsafe { (*cell.get()).as_ref() }.expect("pushed with its session");
-                    let out = unsafe { &mut **round.chunks[chunk].get() };
-                    let lo = chunk * SECAGG_CHUNK;
-                    round
-                        .session
-                        .aggregate_range(lo, &round.survivors, out, &mut scratch.secagg);
-                }
-                if self.chains[group].pending.fetch_sub(1, Ordering::AcqRel) == 1 {
-                    // SAFETY: every chunk has finished: the group is ours.
-                    unsafe { *cell.get() = None };
+                SecureRound::run_chunk(&self.sessions[group], chunk, scratch);
+                let chain = &self.chains[group];
+                if chain.pending.fetch_sub(1, Ordering::AcqRel) == 1 {
+                    SecureRound::close(&self.sessions[group], chain);
                     self.close(group, k, push);
                 }
             }
@@ -679,16 +690,14 @@ impl<'a, S: LocalUpdate> RoundGraph<'_, 'a, S> {
         // thread; the push happens after the unit's simulation work is
         // complete and touches no shared simulation state.
         let step_start = obs.map(|ob| ob.now_ns());
-        // SAFETY: of group round k's tasks, only this step touches the
-        // member's slot, and the group model is rewritten only by the
-        // drain, which runs after every step of the round.
+        let (start, mut slot) = (claim(chain.model.try_read()), chain.slot(member));
         let mut unit = Unit {
             gi: chain.gi,
             client,
             k,
-            start: unsafe { &*chain.model.get() },
+            start: &start,
             cut: chain.cuts.and_then(|c| c.cut_for(k, member)),
-            slot: unsafe { &mut *chain.slots[member].get() },
+            slot: &mut slot,
         };
         self.trainer.run_unit(self, &mut unit, scratch);
         if let Some(ob) = obs {
@@ -712,17 +721,11 @@ impl<'a, S: LocalUpdate> RoundGraph<'_, 'a, S> {
         push: &Pusher<'_, RoundTask>,
     ) {
         let trainer = self.trainer;
-        let chain: &'a GroupChain<'a> = &self.chains[group];
-        // SAFETY: every step of group round k has finished and none of
-        // round k + 1 is released: this task owns the group.
-        let (model, tally, slots) = unsafe {
-            (
-                &mut *chain.model.get(),
-                &mut *chain.tally.get(),
-                Handoff::view_mut(&chain.slots),
-            )
-        };
-        for slot in slots.iter_mut() {
+        let chain = &self.chains[group];
+        let mut model = claim(chain.model.try_write());
+        let mut tally = claim(chain.tally.try_lock());
+        for member in 0..chain.group.len() {
+            let mut slot = chain.slot(member);
             if let Some(at) = slot.attack.take() {
                 tally.events.push(Event::Attack(at));
             }
@@ -738,45 +741,44 @@ impl<'a, S: LocalUpdate> RoundGraph<'_, 'a, S> {
         // rejected updates neither count as uploads nor reach the group
         // aggregate; accepted updates are clipped in place.
         if trainer.robust_agg == RobustAggRule::FlameFilter {
-            trainer.flame_filter(chain, slots, model, tally, (self.t, k), scratch);
+            trainer.flame_filter(chain, &model, &mut tally, (self.t, k), scratch);
         }
         // Line 14: group aggregation, weighted by n_i over this round's
         // survivors.
-        let n_surv: usize = chain
-            .group
-            .iter()
-            .zip(slots.iter())
-            .filter(|(_, s)| s.live)
-            .map(|(&c, _)| trainer.data.client_size(c))
-            .sum();
-        tally.uploads += slots.iter().filter(|s| s.live).count();
+        let (mut live, mut n_surv) = (0, 0);
+        for (member, &c) in chain.group.iter().enumerate() {
+            if chain.slot(member).live {
+                live += 1;
+                n_surv += trainer.data.client_size(c);
+            }
+        }
+        tally.uploads += live;
         tally.upload_samples += n_surv;
         if n_surv == 0 {
             // Every client dropped: the group model is unchanged.
         } else if trainer.config.secure_aggregation {
-            // SAFETY: as above; the chunks only read the slots.
-            let slots = unsafe { Handoff::view(&chain.slots) };
             let (round, cost) =
-                trainer.open_secure_aggregate(chain.group, slots, n_surv, model, self.t, k);
+                trainer.open_secure_aggregate(chain, n_surv, model.len(), self.t, k);
             tally.secagg_pair_masks += cost.prg_expansions;
             tally.secagg_sessions += 1;
             let chunks = round.chunks.len();
             // Relaxed: published to the chunks by the push below, as in
             // `release`.
             chain.pending.store(chunks, Ordering::Relaxed);
-            // SAFETY: no chunk of this group runs before the push below.
-            unsafe { *self.sessions[group].get() = Some(round) };
+            *claim(self.sessions[group].try_write()) = Some(round);
+            drop((model, tally));
             push.extend((0..chunks).map(|chunk| RoundTask::SecAggChunk { group, k, chunk }));
             return;
         } else if !matches!(
             trainer.robust_agg,
             RobustAggRule::Mean | RobustAggRule::FlameFilter
-        ) && slots.iter().filter(|s| s.live).count() >= 3
+        ) && live >= 3
         {
-            let survivors: Vec<Vec<Scalar>> = slots
-                .iter()
-                .filter(|s| s.live)
-                .map(|s| s.buf.clone())
+            let survivors: Vec<Vec<Scalar>> = (0..chain.group.len())
+                .filter_map(|member| {
+                    let slot = chain.slot(member);
+                    slot.live.then(|| slot.buf.clone())
+                })
                 .collect();
             *model = robust_aggregate(trainer.robust_agg, &survivors);
         } else {
@@ -784,11 +786,16 @@ impl<'a, S: LocalUpdate> RoundGraph<'_, 'a, S> {
             // over the live slots in member order — bit-identical, without
             // building the per-(group, k) weight and view vectors.
             model.fill(0.0);
-            for (&c, s) in chain.group.iter().zip(slots.iter()).filter(|(_, s)| s.live) {
-                let w = trainer.data.client_size(c) as Scalar / n_surv as Scalar;
-                ops::axpy(w, &s.buf, model);
+            for (member, &c) in chain.group.iter().enumerate() {
+                let slot = chain.slot(member);
+                if slot.live {
+                    let w = trainer.data.client_size(c) as Scalar / n_surv as Scalar;
+                    ops::axpy(w, &slot.buf, &mut model);
+                }
             }
         }
+        // The guards drop before a push releases the tasks that claim them.
+        drop((model, tally));
         self.close(group, k, push);
     }
 
@@ -1188,7 +1195,7 @@ impl Trainer {
                 pending: AtomicUsize::new(group.len()),
                 // Pooled: the group model and every slot buffer come back
                 // with warm parameter-length capacity after round one.
-                model: Handoff::new({
+                model: RwLock::new({
                     let mut gp = self.params.take_empty();
                     gp.extend_from_slice(global);
                     gp
@@ -1196,20 +1203,15 @@ impl Trainer {
                 slots: {
                     let mut slots = self.slots.take_empty();
                     slots.extend(group.iter().map(|_| {
-                        Handoff::new(Slot {
-                            buf: self.params.take_empty(),
-                            live: false,
-                            event: None,
-                            attack: None,
-                            loss: None,
-                            shard: None,
-                            derived: 0,
-                            shard_steps: 0,
+                        let buf = self.params.take_empty();
+                        Mutex::new(Slot {
+                            buf,
+                            ..Slot::default()
                         })
                     }));
                     slots
                 },
-                tally: Handoff::new(GroupTally::default()),
+                tally: Mutex::default(),
             })
             .collect();
         let obs = self.obs.as_deref();
@@ -1225,8 +1227,8 @@ impl Trainer {
                 .collect(),
             None => Vec::new(),
         };
-        let sessions: Vec<Handoff<Option<SecureRound<'_>>>> = if cfg.secure_aggregation {
-            chains.iter().map(|_| Handoff::new(None)).collect()
+        let sessions: Vec<RwLock<Option<SecureRound>>> = if cfg.secure_aggregation {
+            chains.iter().map(|_| RwLock::new(None)).collect()
         } else {
             Vec::new()
         };
@@ -1252,7 +1254,6 @@ impl Trainer {
             || self.workers.checkout(|| WorkerScratch::new(&self.model)),
             |scratch, task, push| graph.run(scratch, task, push),
         );
-        drop(sessions);
         if let (Some(ob), 0) = (obs, running) {
             // No group trained: each group round is an empty span.
             for k in 0..cfg.group_rounds {
@@ -1272,10 +1273,11 @@ impl Trainer {
                 // recycled by the round driver once aggregation is done.
                 // A shard still kept here (its member missed round K − 1)
                 // is dropped with its slot.
+                const RUN: &str = "a task's panic ends the run before its locks are read";
                 let mut slots = chain.slots;
                 let (mut shards_derived, mut shard_steps) = (0, 0);
                 for s in slots.drain(..) {
-                    let slot = s.into_inner();
+                    let slot = s.into_inner().expect(RUN);
                     shards_derived += slot.derived;
                     shard_steps += slot.shard_steps;
                     self.params.put(slot.buf);
@@ -1283,10 +1285,10 @@ impl Trainer {
                 self.slots.put(slots);
                 let mut members = self.members.take_empty();
                 members.extend_from_slice(chain.group);
-                let tally = chain.tally.into_inner();
+                let tally = chain.tally.into_inner().expect(RUN);
                 GroupOutcome {
                     group: chain.gi,
-                    params: chain.model.into_inner(),
+                    params: chain.model.into_inner().expect(RUN),
                     samples: chain.n_g,
                     train_loss: tally.loss_acc / tally.loss_n.max(1) as Scalar,
                     members,
@@ -1314,7 +1316,6 @@ impl Trainer {
     fn flame_filter(
         &self,
         chain: &GroupChain<'_>,
-        slots: &mut [Slot],
         model: &[Scalar],
         tally: &mut GroupTally,
         (t, k): (usize, usize),
@@ -1322,7 +1323,7 @@ impl Trainer {
     ) {
         let WorkerScratch { live, deltas, .. } = scratch;
         live.clear();
-        live.extend((0..slots.len()).filter(|&i| slots[i].live));
+        live.extend((0..chain.slots.len()).filter(|&i| chain.slot(i).live));
         if live.len() < 3 {
             return; // too few survivors to cluster: pass everyone through
         }
@@ -1332,15 +1333,16 @@ impl Trainer {
         let deltas = &mut deltas[..live.len()];
         for (delta, &i) in deltas.iter_mut().zip(live.iter()) {
             delta.clear();
-            delta.extend(slots[i].buf.iter().zip(model).map(|(&w, &s)| w - s));
+            delta.extend(chain.slot(i).buf.iter().zip(model).map(|(&w, &s)| w - s));
         }
         let report = gfl_defense::filter_updates(deltas, &gfl_defense::DefenseConfig::default());
         tally.defense.similarity_evals += report.cost.similarity_evals;
         tally.defense.norm_passes += report.cost.norm_passes;
         for (pos, delta) in deltas.iter().enumerate() {
             let slot_idx = live[pos];
+            let mut slot = chain.slot(slot_idx);
             if report.rejected.contains(&pos) {
-                slots[slot_idx].live = false;
+                slot.live = false;
                 let client = chain.group[slot_idx];
                 if self
                     .adversary
@@ -1360,11 +1362,7 @@ impl Trainer {
             } else {
                 // Write the clipped delta back so the weighted-mean path
                 // aggregates exactly what the defense admitted.
-                for (w, (&d, &s)) in slots[slot_idx]
-                    .buf
-                    .iter_mut()
-                    .zip(delta.iter().zip(model.iter()))
-                {
+                for (w, (&d, &s)) in slot.buf.iter_mut().zip(delta.iter().zip(model.iter())) {
                     *w = s + d;
                 }
             }
@@ -1603,36 +1601,37 @@ impl Trainer {
     /// every surviving client masks its *weighted* model (weight `n_i` over
     /// `n_surv`, the survivors' samples), the server unmasks the survivor
     /// sum — including mask recovery for clients that dropped mid-round.
-    /// The round runs as one fused pass per [`SECAGG_CHUNK`] of `out`, each
-    /// a task of its own: no step of the protocol combines two coordinates,
-    /// so the result is the same bits at any chunking and thread count.
-    /// Returns the session, its survivors and chunks, and what the
-    /// protocol's parties would have counted.
-    fn open_secure_aggregate<'a>(
+    /// The round runs as one fused pass per [`SECAGG_CHUNK`] of the
+    /// `dim`-long model, each a task of its own: no step of the protocol
+    /// combines two coordinates, so the result is the same bits at any
+    /// chunking and thread count. Returns the session, with the survivors'
+    /// updates moved out of their slots and an output per chunk, and what
+    /// the protocol's parties would have counted.
+    fn open_secure_aggregate(
         &self,
-        group: &[usize],
-        slots: &'a [Slot],
+        chain: &GroupChain<'_>,
         n_surv: usize,
-        out: &'a mut Params,
+        dim: usize,
         t: usize,
         k: usize,
-    ) -> (SecureRound<'a>, gfl_secagg::SecAggCost) {
-        let members: Vec<u32> = group.iter().map(|&c| c as u32).collect();
+    ) -> (SecureRound, gfl_secagg::SecAggCost) {
+        let ids: Vec<u32> = chain.group.iter().map(|&c| c as u32).collect();
         let session_seed =
             self.config.seed.wrapping_mul(0xA24B_AED4_963E_E407) ^ ((t as u64) << 20) ^ k as u64;
-        let session = gfl_secagg::SecAggSession::new(members, out.len(), session_seed);
-        let survivors: Vec<gfl_secagg::Survivor<'a>> = group
-            .iter()
-            .zip(slots.iter())
-            .filter(|(_, slot)| slot.live)
-            .map(|(&c, slot)| gfl_secagg::Survivor {
-                id: c as u32,
-                weight: self.data.client_size(c) as Scalar / n_surv as Scalar,
-                update: &slot.buf,
+        let session = gfl_secagg::SecAggSession::new(ids, dim, session_seed);
+        let members = chain.group.iter().enumerate();
+        let survivors: Vec<_> = members
+            .filter_map(|(member, &c)| {
+                let mut slot = chain.slot(member);
+                let weight = self.data.client_size(c) as Scalar / n_surv as Scalar;
+                slot.live
+                    .then(|| (member, c as u32, weight, std::mem::take(&mut slot.buf)))
             })
             .collect();
         let cost = session.round_cost(survivors.len());
-        let chunks = out.chunks_mut(SECAGG_CHUNK).map(Handoff::new).collect();
+        let chunks = (0..dim.div_ceil(SECAGG_CHUNK))
+            .map(|_| Mutex::new([0.0; SECAGG_CHUNK]))
+            .collect();
         let round = SecureRound {
             session,
             survivors,
@@ -2057,5 +2056,13 @@ mod tests {
         let trainer = with_config(&trainer, cfg);
         let h = trainer.run(&groups, &FedAvg, SamplingStrategy::Random);
         assert!(!h.is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "round-graph bug")]
+    fn claiming_a_held_slot_is_a_round_graph_bug() {
+        let slot = Mutex::new(Slot::default());
+        let _step = claim(slot.try_lock());
+        let _drain = claim(slot.try_lock());
     }
 }

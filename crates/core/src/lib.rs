@@ -54,6 +54,8 @@
 //! # Ok::<(), ConfigError>(())
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod checkpoint;
 pub mod cov;
 pub mod driver;

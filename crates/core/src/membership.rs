@@ -67,7 +67,7 @@ use gfl_tensor::Scalar;
 use serde::{Deserialize, Serialize};
 
 use crate::cov::group_cov;
-pub use crate::engine::form_groups_active;
+use crate::engine::form_groups_active;
 use crate::grouping::{validate_partition_of, GroupingAlgorithm, PartitionError};
 use crate::sampling::SamplingStrategy;
 use crate::Group;

@@ -199,7 +199,7 @@ fn frozen_policy_leaves_arrivals_unplaced() {
     let founders: Vec<bool> = (0..t.partition().num_clients())
         .map(|c| plan.present(c, 0))
         .collect();
-    let founding_groups = gfl_core::membership::form_groups_active(
+    let founding_groups = gfl_core::engine::form_groups_active(
         &covg(2, 1.0),
         topo,
         &t.partition().label_matrix,

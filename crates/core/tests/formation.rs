@@ -12,8 +12,8 @@
 //! `GFL_BLESS=1 cargo test -p gfl-core --test formation` rewrites the file;
 //! a diff there means formation moved a bit and needs explaining.
 
+use gfl_core::engine::form_groups_active;
 use gfl_core::grouping::VarianceGrouping;
-use gfl_core::membership::form_groups_active;
 use gfl_core::prelude::*;
 use gfl_data::{SyntheticSpec, VirtualPopulation, VirtualSpec};
 use gfl_sim::Topology;

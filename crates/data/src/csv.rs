@@ -43,7 +43,7 @@ impl From<std::io::Error> for CsvError {
 }
 
 /// Parses a dataset from any reader in last-column-label CSV form.
-pub fn read_dataset(reader: impl BufRead) -> Result<Dataset, CsvError> {
+fn read_dataset(reader: impl BufRead) -> Result<Dataset, CsvError> {
     let mut features: Vec<Scalar> = Vec::new();
     let mut raw_labels: Vec<u64> = Vec::new();
     let mut dim: Option<usize> = None;
@@ -125,24 +125,23 @@ pub fn load_dataset(path: impl AsRef<Path>) -> Result<Dataset, CsvError> {
     read_dataset(std::io::BufReader::new(file))
 }
 
-/// Writes a dataset in the same last-column-label format (round-trip
-/// partner of [`read_dataset`], used for exporting synthetic data).
-pub fn write_dataset(dataset: &Dataset, mut w: impl std::io::Write) -> std::io::Result<()> {
-    for r in 0..dataset.len() {
-        let row = dataset.features().row(r);
-        for v in row {
-            write!(w, "{v},")?;
-        }
-        writeln!(w, "{}", dataset.labels()[r])?;
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::SyntheticSpec;
     use std::io::Cursor;
+
+    /// Writes a dataset in the same last-column-label format.
+    fn write_dataset(dataset: &Dataset, mut w: impl std::io::Write) -> std::io::Result<()> {
+        for r in 0..dataset.len() {
+            let row = dataset.features().row(r);
+            for v in row {
+                write!(w, "{v},")?;
+            }
+            writeln!(w, "{}", dataset.labels()[r])?;
+        }
+        Ok(())
+    }
 
     #[test]
     fn parses_basic_csv() {

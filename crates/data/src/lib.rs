@@ -14,6 +14,8 @@
 //! * [`LabelMatrix`] — per-client label histograms `L[i][j]` (§5.1), the
 //!   only statistic the grouping algorithms are allowed to see.
 
+#![forbid(unsafe_code)]
+
 pub mod csv;
 pub mod dataset;
 pub mod feddata;
@@ -23,7 +25,7 @@ pub mod poison;
 pub mod synthetic;
 pub mod virtual_pop;
 
-pub use csv::{load_dataset, read_dataset, write_dataset};
+pub use csv::load_dataset;
 pub use dataset::{Batch, Dataset};
 pub use feddata::FedData;
 pub use label_matrix::LabelMatrix;

@@ -18,6 +18,8 @@
 //! [`sign_flip_attack`]) so the defense can be exercised end to end in the
 //! simulator's extension experiments.
 
+#![forbid(unsafe_code)]
+
 pub mod robust;
 
 use gfl_tensor::{ops, Scalar};

@@ -17,6 +17,8 @@
 //! * `paper` — the paper's full §7.2 scale (300 clients, 10⁶ budget);
 //!   tables land in `results/paper/`.
 
+#![forbid(unsafe_code)]
+
 pub mod emit;
 pub mod methods;
 pub mod registry;

@@ -29,6 +29,8 @@
 //! order, so a faulted run differs from its clean twin only through the
 //! faults themselves.
 
+#![forbid(unsafe_code)]
+
 use serde::{Deserialize, Serialize};
 
 pub mod adversary;

@@ -12,3 +12,5 @@
 //! cargo run --release --example chaos_run
 //! cargo run --release --example churn_run
 //! ```
+
+#![forbid(unsafe_code)]

@@ -16,6 +16,8 @@
 //! * [`sgd`] — SGD step and learning-rate schedules.
 //! * [`zoo`] — the paper's two task models and a tiny test model.
 
+#![forbid(unsafe_code)]
+
 pub mod conv;
 pub mod mlp;
 pub mod network;

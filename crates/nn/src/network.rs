@@ -136,12 +136,14 @@ impl Network {
                 examples: 0,
             };
         }
-        let ranges: Vec<(usize, usize)> = (0..n)
+        // Each chunk's row range, and its partial (loss, correct) filled in
+        // place.
+        let mut chunks: Vec<((usize, usize), (Scalar, usize))> = (0..n)
             .step_by(crate::EVAL_CHUNK)
-            .map(|s| (s, (s + crate::EVAL_CHUNK).min(n)))
+            .map(|s| ((s, (s + crate::EVAL_CHUNK).min(n)), (0.0, 0)))
             .collect();
-        let partials = gfl_parallel::par_map_init(
-            &ranges,
+        gfl_parallel::par_for_each_init(
+            &mut chunks,
             || {
                 let mut ws = pool.checkout(|| self.workspace());
                 if let (Network::Mlp(m), NetworkWorkspace::Mlp(w)) = (self, &mut *ws) {
@@ -149,19 +151,21 @@ impl Network {
                 }
                 ws
             },
-            |ws, &range| match (self, &mut **ws) {
-                (Network::Mlp(m), NetworkWorkspace::Mlp(w)) => {
-                    m.eval_chunk(params, features, labels, range, w)
+            |ws, _, (range, partial)| {
+                *partial = match (self, &mut **ws) {
+                    (Network::Mlp(m), NetworkWorkspace::Mlp(w)) => {
+                        m.eval_chunk(params, features, labels, *range, w)
+                    }
+                    (Network::Cnn(c), NetworkWorkspace::Cnn(w)) => {
+                        c.eval_chunk(params, features, labels, *range, w)
+                    }
+                    _ => panic!("eval pool does not match network variant"),
                 }
-                (Network::Cnn(c), NetworkWorkspace::Cnn(w)) => {
-                    c.eval_chunk(params, features, labels, range, w)
-                }
-                _ => panic!("eval pool does not match network variant"),
             },
         );
-        let (loss_sum, correct) = partials
-            .into_iter()
-            .fold((0.0f32, 0usize), |(l, c), (pl, pc)| (l + pl, c + pc));
+        let (loss_sum, correct) = chunks
+            .iter()
+            .fold((0.0f32, 0usize), |(l, c), &(_, (pl, pc))| (l + pl, c + pc));
         EvalResult {
             loss: loss_sum / n as Scalar,
             accuracy: correct as Scalar / n as Scalar,

@@ -9,9 +9,8 @@
 //! balances itself. Over slices, the helpers are flat runs, a task an item:
 //!
 //! * [`par_map`]: one output per item, in input order.
-//! * [`par_map_init`] / [`par_for_each_init`]: the same (or in place), with
-//!   worker-local state built once per participating thread (scratch
-//!   buffers, workspaces).
+//! * [`par_for_each_init`]: every item in place, with worker-local state
+//!   built once per participating thread (scratch buffers, workspaces).
 //!
 //! Every run degrades to sequential execution, in task order, when the
 //! requested parallelism is 1, there is one task, or the caller is already
@@ -33,7 +32,7 @@ pub mod stats;
 pub use fork::{worker_index, SIMD_TIER};
 pub use pool::{Checkout, Pool};
 pub use queue::{Pusher, TaskQueue};
-pub use scope::{par_for_each_init, par_map, par_map_init};
+pub use scope::{par_for_each_init, par_map};
 
 use std::num::NonZeroUsize;
 use std::sync::OnceLock;

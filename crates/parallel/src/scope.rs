@@ -15,44 +15,19 @@ use crate::queue::drain;
 /// Applies `f` to every item of `items`, returning outputs in input order.
 ///
 /// Runs on up to [`default_parallelism`] pool participants. `f` must be
-/// `Sync` because multiple workers call it concurrently.
+/// `Sync` because multiple workers call it concurrently. Each item's task
+/// fills its own output slot through [`par_for_each_init`].
 pub fn par_map<T, U, F>(items: &[T], f: F) -> Vec<U>
 where
     T: Sync,
     U: Send,
     F: Fn(&T) -> U + Sync,
 {
-    par_map_init(items, || (), |(), item| f(item))
-}
-
-/// Like [`par_map`], but each participant first builds private state with
-/// `init` and threads it through all the items it processes.
-///
-/// This is the hook for expensive per-worker resources (scratch buffers,
-/// workspaces): `init` runs once per participating thread per call, not once
-/// per item. Note the state is per-*participant*, so anything observable in
-/// the output must not depend on which items shared a state instance.
-pub fn par_map_init<T, U, S, I, F>(items: &[T], init: I, f: F) -> Vec<U>
-where
-    T: Sync,
-    U: Send,
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, &T) -> U + Sync,
-{
-    let mut out = Vec::with_capacity(items.len());
-    drain(
-        default_parallelism(),
-        items.iter().zip(out.spare_capacity_mut()).collect(),
-        init,
-        |state, (item, slot), _| {
-            slot.write(f(state, item));
-        },
-    );
-    // SAFETY: the run returned normally, so it ran every seeded task and
-    // each wrote its slot of the first `items.len()`. (A panicking item
-    // re-raises before this point and the written outputs leak.)
-    unsafe { out.set_len(items.len()) };
-    out
+    let mut out: Vec<Option<U>> = items.iter().map(|_| None).collect();
+    par_for_each_init(&mut out, || (), |(), i, slot| *slot = Some(f(&items[i])));
+    out.into_iter()
+        .map(|slot| slot.expect("the run ran every item"))
+        .collect()
 }
 
 /// Applies `f` to every element of `items` in place, in parallel, with
@@ -109,23 +84,6 @@ mod tests {
             set_default_parallelism(threads);
             assert_eq!(par_map(&items, |&x| x * x), expected, "threads={threads}");
         }
-    }
-
-    #[test]
-    fn par_map_init_matches_sequential_and_reuses_state() {
-        let items: Vec<u64> = (0..300).collect();
-        // State counts how many items this participant processed; the output
-        // must not depend on it, but init must have run at least once.
-        let out = par_map_init(
-            &items,
-            || 0u64,
-            |count, &x| {
-                *count += 1;
-                x + 1
-            },
-        );
-        let expected: Vec<u64> = items.iter().map(|&x| x + 1).collect();
-        assert_eq!(out, expected);
     }
 
     #[test]
@@ -204,24 +162,20 @@ mod tests {
                     x + 1
                 });
                 assert_eq!(mapped, items.iter().map(|&x| x + 1).collect::<Vec<_>>());
-                let inited = par_map_init(&items, Vec::<u64>::new, |seen, &x| {
-                    visit((x - seed * 100) as usize);
-                    seen.push(x);
-                    seen.len()
-                });
-                // One state threaded through every item, in index order.
-                assert_eq!(inited, (1..=16).collect::<Vec<usize>>());
                 let mut slots = items.clone();
                 par_for_each_init(
                     &mut slots,
-                    || (),
-                    |(), i, slot| {
+                    || 0,
+                    |seen, i, slot| {
                         visit(i);
-                        *slot += 1;
+                        *seen += 1;
+                        *slot = *seen;
                     },
                 );
+                // One state threaded through every item, in index order.
+                assert_eq!(slots, (1..=16).collect::<Vec<u64>>());
                 let once: Vec<usize> = (0..16).collect();
-                let expected: Vec<usize> = once.iter().chain(&once).chain(&once).copied().collect();
+                let expected: Vec<usize> = once.iter().chain(&once).copied().collect();
                 assert_eq!(order.into_inner().unwrap(), expected, "seed {seed}");
             },
         );

@@ -56,6 +56,8 @@
 //!   from `0.0` in the order given and orphaned masks cancelled dropped
 //!   member by dropped member, survivor by survivor, as `unmask_sum` does.
 
+#![forbid(unsafe_code)]
+
 use gfl_tensor::{ops, Scalar};
 use rand::{RngCore, SeedableRng};
 use rand_chacha::ChaCha8Rng;

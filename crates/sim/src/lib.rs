@@ -11,6 +11,8 @@
 //! accumulates Eq. 5, and [`topology`] models the client↔edge↔cloud
 //! hierarchy of Fig. 1.
 
+#![forbid(unsafe_code)]
+
 pub mod comm;
 pub mod cost;
 pub mod event;

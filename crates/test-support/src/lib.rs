@@ -17,6 +17,8 @@
 //! compiled against a different `gfl_core` than the one this crate links,
 //! so those keep their own fixtures.
 
+#![forbid(unsafe_code)]
+
 use std::io::Write;
 use std::sync::{Arc, Mutex};
 
