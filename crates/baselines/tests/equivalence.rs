@@ -17,7 +17,7 @@ use gfl_nn::Params;
 use gfl_test_support::{assert_bit_identical, tiny_world, twins};
 
 /// Algorithm 1 under `strategy`: the trajectory and the final model.
-fn run<S: LocalUpdate>(t: Trainer, groups: &[Group], strategy: &S) -> (RunHistory, Params) {
+fn run(t: Trainer, groups: &[Group], strategy: &dyn LocalUpdate) -> (RunHistory, Params) {
     let probs = t.sampling_probs(groups, SamplingStrategy::ESRCov);
     let plan = RunPlan {
         clock: Clock::Lockstep,

@@ -12,7 +12,7 @@ use gfl_core::driver::{Clock, Membership, RunPlan, RunState};
 use gfl_core::engine::{form_groups_per_edge, GroupFelConfig, RobustAggRule, Trainer};
 use gfl_core::grouping::GroupingAlgorithm;
 use gfl_core::history::{Event, RoundRecord};
-use gfl_core::local::FedAvg;
+use gfl_core::local::{FedAvg, LocalUpdate};
 use gfl_core::membership::{summarize_regroups, RegroupPolicy};
 use gfl_core::sampling::SamplingStrategy;
 use gfl_core::semi_async::AsyncConfig;
@@ -475,20 +475,19 @@ pub fn simulate(argv: &[String], out: &mut dyn Write) -> CmdResult {
             }
         },
     };
-    let state = match method {
-        Method::FedAvg => trainer.run_plan(&FedAvg, &plan),
-        Method::FedProx => trainer.run_plan(&FedProx { mu: cfg.mu }, &plan),
-        Method::Scaffold => {
-            let s = Scaffold::new(param_count, topology.num_clients());
-            trainer.run_plan(&s, &plan)
-        }
+    let strategy: Box<dyn LocalUpdate> = match method {
+        Method::FedAvg => Box::new(FedAvg),
+        Method::FedProx => Box::new(FedProx { mu: cfg.mu }),
+        Method::Scaffold => Box::new(Scaffold::new(param_count, topology.num_clients())),
         Method::FedNova => {
             let sizes = topology.all_samples();
             let s = FedNova::from_sizes(sizes, cfg.engine.local_rounds, cfg.engine.batch_size);
-            trainer.run_plan(&s, &plan)
+            Box::new(s)
         }
-    }
-    .map_err(|e| CommandError::Invalid(format!("regrouping failed: {e}")))?;
+    };
+    let state = trainer
+        .run_plan(strategy.as_ref(), &plan)
+        .map_err(|e| CommandError::Invalid(format!("regrouping failed: {e}")))?;
 
     // --- report ---
     write_report(out, &cfg, &state)?;

@@ -3,11 +3,14 @@
 //! thread) and must print the same stdout, write the same checkpoint and CSV
 //! bytes, and a trace that `gfl-trace diff` finds clean at every width.
 //!
-//! The five `BENCHMARK.json` workloads' flag sets (`benchmark/src/workloads.rs`,
-//! without `--metrics`, whose table carries wall-clock figures) at a shape
-//! small enough for a debug-profile test, at seeds 1 and 5 (5 at one width). The files under
-//! `tests/golden/` were written by the release binary of the commit *before*
-//! the flag table existed; every later parser has to reproduce them, byte for
+//! The golden rows are the five `BENCHMARK.json` workloads' flag sets
+//! (`benchmark/src/workloads.rs`, without `--metrics`, whose table carries
+//! wall-clock figures) at a shape small enough for a debug-profile test, at
+//! seeds 1 and 5 (5 at one width), and `dense-train` under each other
+//! `--method` at seed 1. The workloads' files under `tests/golden/` were
+//! written by the release binary of the commit *before* the flag table
+//! existed, the methods' by that of the commit before the strategy became a
+//! `&dyn LocalUpdate`; every later binary has to reproduce them, byte for
 //! byte, with `N threads` masked. `hostile-observed` also pins the bytes of
 //! its `--csv` and `--async-csv` artifacts at seed 1, and its `--checkpoint`
 //! section by section: one FNV-1a digest per top-level key and one per event
@@ -165,6 +168,19 @@ fn hostile_async_stdout_is_the_parents() {
 #[test]
 fn hostile_observed_stdout_and_artifacts_are_the_parents() {
     replay("hostile-observed");
+}
+
+/// Each local update `--method` picks (FedAvg is `dense-train`'s own row).
+#[test]
+fn dense_train_methods_stdout_is_the_parents() {
+    let (_, flags) = WORKLOADS[0];
+    for method in ["fedprox", "scaffold", "fednova"] {
+        let name = format!("dense-train.{method}.seed1");
+        let line = format!("simulate --seed 1 {flags} --method {method}");
+        table(&name, &line, &[], &WIDTHS, &|stdout, _| {
+            check(&format!("{name}.txt"), stdout.as_bytes());
+        });
+    }
 }
 
 /// Runs `gfl <line>` at each of `widths`, and asserts that each printed and

@@ -109,7 +109,7 @@ struct LockstepGate {
 impl Trainer {
     /// A fresh run: the seed-initialized model, an empty ledger priced for
     /// `strategy`, an empty history, round 0.
-    pub fn start<S: LocalUpdate>(&self, strategy: &S) -> RunState {
+    pub fn start(&self, strategy: &dyn LocalUpdate) -> RunState {
         RunState {
             params: self.model.init_params(&mut init::rng(self.config.seed)),
             ledger: self.ledger_for(strategy),
@@ -124,9 +124,9 @@ impl Trainer {
     /// configured `global_rounds` under `plan`. Callers that run a *part* of
     /// a run (a resume, a warm-up leg, a regrouping span) call
     /// [`Trainer::start`] and [`Trainer::drive`] themselves.
-    pub fn run_plan<S: LocalUpdate>(
+    pub fn run_plan(
         &self,
-        strategy: &S,
+        strategy: &dyn LocalUpdate,
         plan: &RunPlan<'_>,
     ) -> Result<RunState, PartitionError> {
         let mut state = self.start(strategy);
@@ -138,9 +138,9 @@ impl Trainer {
     /// under `plan`, advancing `state` in place; stops early once the cost
     /// budget is exhausted. Fails only if a self-healing repair cannot
     /// re-form a valid partition.
-    pub fn drive<S: LocalUpdate>(
+    pub fn drive(
         &self,
-        strategy: &S,
+        strategy: &dyn LocalUpdate,
         plan: &RunPlan<'_>,
         state: &mut RunState,
         rounds: usize,
@@ -216,9 +216,9 @@ impl Trainer {
     /// either membership: sample, train whoever is reachable, charge Eq. 5,
     /// let the clock decide what reaches Line 15, aggregate, evaluate on
     /// the cadence. Returns `true` when the cost budget is exhausted.
-    fn round<S: LocalUpdate>(
+    fn round(
         &self,
-        strategy: &S,
+        strategy: &dyn LocalUpdate,
         plan: &RunPlan<'_>,
         timing: Option<(AsyncConfig, &FaultState)>,
         state: &mut RunState,

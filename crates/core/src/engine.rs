@@ -646,9 +646,9 @@ struct Unit<'a> {
 /// One global round's task graph: every sampled group's chain, and what
 /// all its units share — global round `t`, the step size, the global model
 /// the round started from and the local update rule.
-struct RoundGraph<'r, 'a, S> {
+struct RoundGraph<'r, 'a> {
     trainer: &'a Trainer,
-    strategy: &'a S,
+    strategy: &'a dyn LocalUpdate,
     global: &'a [Scalar],
     t: usize,
     lr: Scalar,
@@ -659,7 +659,7 @@ struct RoundGraph<'r, 'a, S> {
     spans: &'r [RoundSpan],
 }
 
-impl<S: LocalUpdate> RoundGraph<'_, '_, S> {
+impl RoundGraph<'_, '_> {
     /// Runs `task`. A step or chunk drops its guards before the countdown,
     /// so the task that takes it to zero claims what they held.
     fn run(&self, scratch: &mut WorkerScratch, task: RoundTask, push: &Pusher<'_, RoundTask>) {
@@ -1068,10 +1068,10 @@ impl Trainer {
     /// strategy for the configured `T` rounds. Returns the evaluation
     /// trajectory. The convenience form of [`Trainer::run_plan`] on a
     /// lockstep, static plan.
-    pub fn run<S: LocalUpdate>(
+    pub fn run(
         &self,
         groups: &[Group],
-        strategy: &S,
+        strategy: &dyn LocalUpdate,
         sampling: SamplingStrategy,
     ) -> RunHistory {
         let probs = self.sampling_probs(groups, sampling);
@@ -1166,11 +1166,11 @@ impl Trainer {
     /// `cuts` are the event clock's straggler cuts (one [`GroupCuts`] per
     /// group, aligned with `groups`), decided in emulated time. Without
     /// them the round's cuts are lockstep's ([`Trainer::lockstep_cuts`]).
-    pub fn train_groups<S: LocalUpdate>(
+    pub fn train_groups(
         &self,
         global: &[Scalar],
         groups: &[(usize, &[usize])],
-        strategy: &S,
+        strategy: &dyn LocalUpdate,
         t: usize,
         lr: Scalar,
         cuts: Option<&[GroupCuts]>,
@@ -1373,9 +1373,9 @@ impl Trainer {
     /// the fault gates around it). Writes only `unit.slot`; every decision
     /// is a pure function of `(seed, t, k, client)`, so the outcome does
     /// not depend on which worker thread runs the unit or when.
-    fn run_unit<S: LocalUpdate>(
+    fn run_unit(
         &self,
-        round: &RoundGraph<'_, '_, S>,
+        round: &RoundGraph<'_, '_>,
         unit: &mut Unit<'_>,
         scratch: &mut WorkerScratch,
     ) {

@@ -6,7 +6,7 @@ use gfl_core::grouping::{
     CdgGrouping, CovGrouping, GroupingAlgorithm, KldGrouping, RandomGrouping,
 };
 use gfl_core::history::RunHistory;
-use gfl_core::local::FedAvg;
+use gfl_core::local::{FedAvg, LocalUpdate};
 use gfl_core::sampling::{AggregationWeighting, SamplingStrategy};
 use gfl_core::Group;
 
@@ -108,18 +108,18 @@ pub fn default_covg(world: &World) -> Vec<Group> {
 pub fn run_method(method: Method, world: &World, knobs: GroupingKnobs) -> RunHistory {
     let groups = groups_for(method, world, knobs);
     let trainer = world.trainer(world.config(AggregationWeighting::Standard));
-    match method {
+    let (strategy, sampling): (Box<dyn LocalUpdate>, _) = match method {
         // The paper's default is *biased* prioritized sampling (Line 15
         // weighting); Eq. 4/35 corrections are studied separately in the
         // `ablation_weighting` experiment.
-        Method::GroupFel => trainer.run(&groups, &FedAvg, SamplingStrategy::ESRCov),
+        Method::GroupFel => (Box::new(FedAvg), SamplingStrategy::ESRCov),
         Method::FedAvg | Method::Ouea | Method::Share => {
-            trainer.run(&groups, &FedAvg, SamplingStrategy::Random)
+            (Box::new(FedAvg), SamplingStrategy::Random)
         }
-        Method::FedProx => trainer.run(&groups, &FedProx { mu: 0.1 }, SamplingStrategy::Random),
+        Method::FedProx => (Box::new(FedProx { mu: 0.1 }), SamplingStrategy::Random),
         Method::Scaffold => {
-            let strategy = Scaffold::new(world.model.param_len(), world.partition.num_clients());
-            trainer.run(&groups, &strategy, SamplingStrategy::Random)
+            let s = Scaffold::new(world.model.param_len(), world.partition.num_clients());
+            (Box::new(s), SamplingStrategy::Random)
         }
         Method::FedClar => {
             let fc = FedClarConfig {
@@ -127,9 +127,10 @@ pub fn run_method(method: Method, world: &World, knobs: GroupingKnobs) -> RunHis
                 num_clusters: 4,
                 kmeans_iters: 10,
             };
-            FedClarRunner::run(&trainer, &groups, &fc)
+            return FedClarRunner::run(&trainer, &groups, &fc);
         }
-    }
+    };
+    trainer.run(&groups, strategy.as_ref(), sampling)
 }
 
 /// Appends one row per evaluated round: `lead`, then the record's field

@@ -213,10 +213,7 @@ fn worker_loop(rx: Receiver<Job>) {
 ///
 /// Panics in any participant are propagated to the caller after all
 /// participants have stopped.
-pub(crate) fn region<F>(width: usize, body: F)
-where
-    F: Fn(usize) + Sync,
-{
+pub(crate) fn region(width: usize, body: &(dyn Fn(usize) + Sync)) {
     if width <= 1 || in_region() {
         let _guard = RegionGuard::enter();
         body(0);
@@ -231,12 +228,11 @@ where
     let pin = (WIDTH.get(), SIMD_TIER.get());
     let region_started = std::time::Instant::now();
 
-    let wide: &(dyn Fn(usize) + Sync) = &body;
     // SAFETY: erases the borrow's lifetime. Sound because every path out of
     // this function first waits on `latch`, which counts down exactly once
     // per broadcast job after the pointee call (even on worker panic).
     let task = TaskPtr(unsafe {
-        std::mem::transmute::<&(dyn Fn(usize) + Sync), &'static (dyn Fn(usize) + Sync)>(wide)
+        std::mem::transmute::<&(dyn Fn(usize) + Sync), &'static (dyn Fn(usize) + Sync)>(body)
     });
     for participant in 1..width {
         pool.tx
@@ -274,7 +270,7 @@ mod tests {
     #[test]
     fn region_runs_every_participant_exactly_once() {
         let hits: Vec<AtomicUsize> = (0..6).map(|_| AtomicUsize::new(0)).collect();
-        region(6, |p| {
+        region(6, &|p| {
             hits[p].fetch_add(1, Ordering::SeqCst);
         });
         for (p, hit) in hits.iter().enumerate() {
@@ -285,7 +281,7 @@ mod tests {
     #[test]
     fn width_one_runs_inline() {
         let caller = std::thread::current().id();
-        region(1, |p| {
+        region(1, &|p| {
             assert_eq!(p, 0);
             assert_eq!(std::thread::current().id(), caller);
         });
@@ -294,9 +290,9 @@ mod tests {
     #[test]
     fn nested_region_degrades_to_sequential() {
         let inner_widths = Mutex::new(Vec::new());
-        region(4, |_| {
+        region(4, &|_| {
             assert!(in_region());
-            region(4, |p| {
+            region(4, &|p| {
                 inner_widths.lock().push(p);
             });
         });
@@ -311,7 +307,7 @@ mod tests {
     fn regions_are_reusable_back_to_back() {
         let total = AtomicUsize::new(0);
         for _ in 0..100 {
-            region(4, |_| {
+            region(4, &|_| {
                 total.fetch_add(1, Ordering::Relaxed);
             });
         }
@@ -321,7 +317,7 @@ mod tests {
     #[test]
     fn worker_panic_propagates_after_join() {
         let result = catch_unwind(AssertUnwindSafe(|| {
-            region(4, |p| {
+            region(4, &|p| {
                 if p == 2 {
                     panic!("boom");
                 }
@@ -331,7 +327,7 @@ mod tests {
         assert!(!in_region());
         // The pool must still be usable afterwards.
         let total = AtomicUsize::new(0);
-        region(4, |_| {
+        region(4, &|_| {
             total.fetch_add(1, Ordering::Relaxed);
         });
         assert_eq!(total.load(Ordering::SeqCst), 4);
@@ -340,7 +336,7 @@ mod tests {
     #[test]
     fn worker_index_is_stable_per_worker_and_none_on_the_caller() {
         let seen = Mutex::new(Vec::new());
-        region(4, |p| {
+        region(4, &|p| {
             let idx = worker_index();
             if p == 0 {
                 // The calling thread is a region participant, not a pool
@@ -365,7 +361,7 @@ mod tests {
     #[test]
     fn caller_panic_propagates_after_join() {
         let result = catch_unwind(AssertUnwindSafe(|| {
-            region(3, |p| {
+            region(3, &|p| {
                 if p == 0 {
                     panic!("caller boom");
                 }

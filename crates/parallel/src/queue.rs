@@ -143,7 +143,7 @@ where
     // An inline run's time is its caller's: only a fanned-out region has
     // capacity to be busy against.
     let fanned = width > 1 && !in_region();
-    region(width, |participant| {
+    region(width, &|participant| {
         let started = fanned.then(Instant::now);
         let mut parked = Duration::ZERO;
         let pusher = Pusher(&shared);
@@ -321,7 +321,7 @@ mod tests {
         let fifo = vec![1, 2, 3, 10, 11, 20, 21, 30, 31];
         let queue = TaskQueue::default();
         assert_eq!(order_of(&queue, 1), fifo);
-        region(4, |_| assert_eq!(order_of(&queue, 4), fifo));
+        region(4, &|_| assert_eq!(order_of(&queue, 4), fifo));
     }
 
     #[test]

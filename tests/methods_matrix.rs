@@ -64,13 +64,7 @@ fn fedavg_and_fedprox_complete_on_all_groupings() {
             ("FedAvg", &FedAvg as &dyn LocalUpdate),
             ("FedProx", &FedProx { mu: 0.1 } as &dyn LocalUpdate),
         ] {
-            let h = match name {
-                "FedAvg" => w.trainer().run(&groups, &FedAvg, SamplingStrategy::Random),
-                _ => w
-                    .trainer()
-                    .run(&groups, &FedProx { mu: 0.1 }, SamplingStrategy::Random),
-            };
-            let _ = strategy; // names drive dispatch above
+            let h = w.trainer().run(&groups, strategy, SamplingStrategy::Random);
             assert!(
                 h.records().last().unwrap().accuracy.is_finite(),
                 "{name} on {} diverged",
