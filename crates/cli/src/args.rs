@@ -534,11 +534,10 @@ pub const SIMULATE: Command = Command {
             flag("robust-select", Int(0), Lit("2"), "multi-krum selection size"),
         ]),
         ("OUTPUT", &[
-            flag("csv",          Text("PATH"), Absent,       "write the trajectory as CSV"),
-            flag("checkpoint",   Text("PATH"), Absent,       "write a resumable snapshot at the end"),
-            flag("trace-out",    Text("PATH"), Absent,       "stream a JSONL run trace (docs/OBSERVABILITY.md)"),
-            flag("trace-buffer", Int(0),       Lit("65536"), "max spans buffered before spilling to the trace file"),
-            flag("metrics",      Switch,       Absent,       "print the end-of-run metrics summary table"),
+            flag("csv",        Text("PATH"), Absent, "write the trajectory as CSV"),
+            flag("checkpoint", Text("PATH"), Absent, "write a resumable snapshot at the end"),
+            flag("trace-out",  Text("PATH"), Absent, "stream a JSONL run trace (docs/OBSERVABILITY.md)"),
+            flag("metrics",    Switch,       Absent, "print the end-of-run metrics summary table"),
         ]),
     ],
 };

@@ -297,7 +297,6 @@ pub struct SimulateConfig {
     async_csv: Option<String>,
     checkpoint: Option<String>,
     trace_out: Option<String>,
-    trace_buffer: usize,
     metrics: bool,
 }
 
@@ -340,7 +339,6 @@ impl SimulateConfig {
             async_csv: a.opt("async-csv")?,
             checkpoint: a.opt("checkpoint")?,
             trace_out: a.opt("trace-out")?,
-            trace_buffer: a.get("trace-buffer")?,
             metrics: a.get("metrics")?,
             data,
             engine,
@@ -422,16 +420,14 @@ pub fn simulate(argv: &[String], out: &mut dyn Write) -> CmdResult {
     // Observation is one-way: attaching a collector never changes results
     // (asserted by crates/core/tests/determinism.rs). With --trace-out the
     // collector streams spans to the file at every round barrier, keeping
-    // buffered-span memory bounded by --trace-buffer; --metrics alone only
-    // counts them.
+    // buffered-span memory bounded by `StreamConfig::default()`'s cap;
+    // --metrics alone only counts them.
     let observer = match &cfg.trace_out {
         Some(path) => Some(
             gfl_obs::TraceCollector::streaming_to(
                 std::path::Path::new(path),
                 threads,
-                gfl_obs::StreamConfig {
-                    span_buffer_cap: cfg.trace_buffer,
-                },
+                gfl_obs::StreamConfig::default(),
             )
             .map_err(|e| CommandError::Invalid(format!("cannot open trace file: {e}")))?,
         ),

@@ -1,10 +1,9 @@
 //! The binaries as processes: `gfl-trace --help` exits 0, and `gfl` exits 2
-//! naming a `GFL_SIMD` or `GFL_THREADS` value that names nothing, never 101.
+//! naming a `GFL_THREADS` value that names nothing, never 101.
 
 use std::process::Command;
 
-/// Not a tier this CPU may lack, like avx512: that depends on the machine.
-const BAD_ENV: &str = "GFL_SIMD=neon GFL_SIMD=avx9 GFL_THREADS=abc GFL_THREADS=-1 GFL_THREADS=1.5";
+const BAD_ENV: &str = "GFL_THREADS=abc GFL_THREADS=-1 GFL_THREADS=1.5";
 
 #[test]
 fn gfl_trace_help_exits_0() {

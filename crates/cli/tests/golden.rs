@@ -1,7 +1,9 @@
 //! Stdout goldens for `gfl`, and its determinism table: every row runs
 //! in-process at widths 1, 2 and 8 (`set_default_parallelism` on the calling
-//! thread) and must print the same stdout, write the same checkpoint and CSV
-//! bytes, and a trace that `gfl-trace diff` finds clean at every width.
+//! thread), then at width 2 under each other SIMD tier this CPU supports
+//! (`simd::set_tier` on the calling thread), and must print the same stdout,
+//! write the same checkpoint and CSV bytes, and a trace that `gfl-trace diff`
+//! finds clean in every run.
 //!
 //! The golden rows are the five `BENCHMARK.json` workloads' flag sets
 //! (`benchmark/src/workloads.rs`, without `--metrics`, whose table carries
@@ -26,6 +28,7 @@ use std::path::Path;
 use gfl_core::checkpoint::Checkpoint;
 use gfl_core::history::Event;
 use gfl_faults::{AttackEvent, FaultEvent};
+use gfl_tensor::simd::{self, SimdTier};
 use gfl_test_support::golden::first_divergence;
 use serde::Serialize;
 use serde_json::Value;
@@ -183,32 +186,46 @@ fn dense_train_methods_stdout_is_the_parents() {
     }
 }
 
-/// Runs `gfl <line>` at each of `widths`, and asserts that each printed and
-/// wrote what the first did; then runs the row's checks on the first's
-/// stdout (thread count and directory masked) and `outputs` directory.
+/// Runs `gfl <line>` at each of `widths`, then at width 2 under each other
+/// tier `supported_tiers()` lists, and asserts that each printed and wrote
+/// what the first did; then runs the row's checks on the first's stdout
+/// (thread count and directory masked) and `outputs` directory.
 fn table(name: &str, line: &str, outputs: &[(&str, &str)], widths: &[usize], first: Check) {
-    let run = |width: usize| {
-        let dir = std::env::temp_dir().join(format!("gfl_{}_{name}_{width}", std::process::id()));
+    let run = |width: usize, tier: SimdTier| {
+        let at = format!("width {width}, tier {}", tier.name());
+        let dir = std::env::temp_dir().join(format!(
+            "gfl_{}_{name}_{width}_{}",
+            std::process::id(),
+            tier.name()
+        ));
         std::fs::create_dir_all(&dir).unwrap();
         let mut argv: Vec<String> = line.split_whitespace().map(str::to_string).collect();
         for (flag, file) in outputs {
             argv.extend([flag.to_string(), dir.join(file).display().to_string()]);
         }
         gfl_parallel::set_default_parallelism(width);
+        let prev = simd::set_tier(tier);
         let mut out = Vec::new();
         let code = gfl_cli::run(&argv, &mut out);
+        simd::set_tier(prev);
         let stdout = String::from_utf8(out).unwrap();
-        assert_eq!(code, 0, "{name} at width {width} failed:\n{stdout}");
+        assert_eq!(code, 0, "{name} at {at} failed:\n{stdout}");
         // `wrote /tmp/…/csv` → `wrote csv`: the recording ran in its cwd.
         let stdout = mask_threads(&stdout).replace(&format!("{}/", dir.display()), "");
-        (stdout, dir)
+        (stdout, dir, at)
     };
-    let (stdout, dir) = run(widths[0]);
-    for &width in &widths[1..] {
-        let (other_stdout, other) = run(width);
+    let own = simd::active_tier();
+    let others = simd::supported_tiers().into_iter().filter(|&t| t != own);
+    let runs = widths[1..]
+        .iter()
+        .map(|&w| (w, own))
+        .chain(others.map(|t| (2, t)));
+    let (stdout, dir, _) = run(widths[0], own);
+    for (width, tier) in runs {
+        let (other_stdout, other, at) = run(width, tier);
         let same = |what: &str, a: &[u8], b: &[u8]| {
-            if let Some(at) = first_divergence(a, b) {
-                panic!("{name}: {what} at width {width}: {at}");
+            if let Some(div) = first_divergence(a, b) {
+                panic!("{name}: {what} at {at}: {div}");
             }
         };
         same("stdout", stdout.as_bytes(), other_stdout.as_bytes());
@@ -217,7 +234,7 @@ fn table(name: &str, line: &str, outputs: &[(&str, &str)], widths: &[usize], fir
             if file.ends_with(".jsonl") {
                 let argv = ["diff", a.to_str().unwrap(), b.to_str().unwrap()].map(String::from);
                 let code = gfl_cli::trace_cli::run(&argv, &mut Vec::new());
-                assert_eq!(code, 0, "{name} trace, width {width}");
+                assert_eq!(code, 0, "{name} trace at {at}");
             } else {
                 same(file, &std::fs::read(a).unwrap(), &std::fs::read(b).unwrap());
             }

@@ -316,9 +316,10 @@ fn simd_tiers_are_bit_identical_across_thread_counts() {
     // AVX-512F — whatever is present) implements the same canonical
     // 16-chain summation order, so forcing any tier must reproduce the
     // scalar run bit-for-bit, at every thread count. This is the whole-run
-    // version of the kernel-level cross-tier tests in `gfl-tensor`, and
-    // the in-process equivalent of running the suite under `GFL_SIMD=off`
-    // vs `GFL_SIMD=auto` (which CI also does).
+    // version of the kernel-level cross-tier tests in `gfl-tensor`. The CLI
+    // determinism table (`crates/cli/tests/golden.rs`) runs every row at
+    // every tier too; this case stays because CI's seed-shift job runs it
+    // under `GFL_SEED`, which the table's fixed seeds do not reach.
     let w = tiny_world(38);
     let mut baseline: Option<(RunHistory, Vec<f32>)> = None;
     for tier in gfl_tensor::simd::supported_tiers() {

@@ -14,8 +14,16 @@
 //! A mismatch prints the whole freshly computed table, so a change that
 //! *means* to move a stream can paste it back; nothing re-records by
 //! itself.
+//!
+//! Every stream draws its normals through the tier's lane kernel, so the
+//! digests are checked at every SIMD tier this CPU supports
+//! (`simd::set_tier` on the calling thread). A population's sizes and label
+//! rows draw no normal through it (their Dirichlet and size draws are the
+//! scalar `init::standard_normal`), so each population is built once and
+//! each tier redraws what does: the class means and the shards.
 
 use gfl_data::{Dataset, SyntheticSpec, VirtualPopulation, VirtualSpec};
+use gfl_tensor::{simd, Matrix};
 
 const CLIENTS: usize = 5_000;
 const SHARDS: usize = 16;
@@ -29,6 +37,15 @@ fn fnv1a(hash: &mut u64, bytes: &[u8]) {
 }
 
 const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
+
+/// Runs `check` once under each supported tier, passing the tier's name.
+fn at_every_tier(check: impl Fn(&str)) {
+    for tier in simd::supported_tiers() {
+        let prev = simd::set_tier(tier);
+        check(tier.name());
+        simd::set_tier(prev);
+    }
+}
 
 /// Labels (as `u32`) then feature bits, row-major.
 fn dataset_digest(hash: &mut u64, d: &Dataset) {
@@ -117,52 +134,66 @@ const GENERATED: [(&str, u64, u64); 6] = [
 
 #[test]
 fn populations_and_shards_are_the_parents() {
-    let fresh: Vec<_> = POPULATIONS
+    let pops: Vec<_> = POPULATIONS
         .iter()
-        .map(|&(shape, alpha, seed, ..)| {
-            let pop = VirtualPopulation::new(spec_of(shape, alpha, seed));
-            (
-                shape,
-                alpha,
-                seed,
-                population_digest(&pop),
-                shards_digest(&pop),
-            )
-        })
+        .map(|&(shape, alpha, seed, ..)| VirtualPopulation::new(spec_of(shape, alpha, seed)))
         .collect();
-    let table: String = fresh
-        .iter()
-        .map(|(shape, alpha, seed, pop, shards)| {
-            format!("    ({shape:?}, {alpha:?}, {seed}, {pop:#018x}, {shards:#018x}),\n")
-        })
-        .collect();
-    assert!(
-        fresh == POPULATIONS,
-        "population or shard streams moved; computed now:\n{table}"
-    );
+    let bits = |m: &Matrix| m.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    at_every_tier(|tier| {
+        let fresh: Vec<_> = POPULATIONS
+            .iter()
+            .zip(&pops)
+            .map(|(&(shape, alpha, seed, ..), pop)| {
+                let means = pop.spec().data.class_means_for(pop.spec().seed);
+                assert!(
+                    bits(&means) == bits(pop.means()),
+                    "class means of ({shape}, {alpha}, {seed}) moved at tier {tier}"
+                );
+                (
+                    shape,
+                    alpha,
+                    seed,
+                    population_digest(pop),
+                    shards_digest(pop),
+                )
+            })
+            .collect();
+        let table: String = fresh
+            .iter()
+            .map(|(shape, alpha, seed, pop, shards)| {
+                format!("    ({shape:?}, {alpha:?}, {seed}, {pop:#018x}, {shards:#018x}),\n")
+            })
+            .collect();
+        assert!(
+            fresh == POPULATIONS,
+            "population or shard streams moved at tier {tier}; computed now:\n{table}"
+        );
+    });
 }
 
 #[test]
 fn uniform_generator_output_is_the_parents() {
-    let mut fresh = Vec::new();
-    for (task, spec) in [
-        ("vision", SyntheticSpec::vision_like()),
-        ("speech", SyntheticSpec::speech_like()),
-    ] {
-        for seed in SEEDS {
-            let mut hash = FNV_OFFSET;
-            dataset_digest(&mut hash, &spec.generate(2_000, seed));
-            fresh.push((task, seed, hash));
+    at_every_tier(|tier| {
+        let mut fresh = Vec::new();
+        for (task, spec) in [
+            ("vision", SyntheticSpec::vision_like()),
+            ("speech", SyntheticSpec::speech_like()),
+        ] {
+            for seed in SEEDS {
+                let mut hash = FNV_OFFSET;
+                dataset_digest(&mut hash, &spec.generate(2_000, seed));
+                fresh.push((task, seed, hash));
+            }
         }
-    }
-    let table: String = fresh
-        .iter()
-        .map(|(task, seed, hash)| format!("    ({task:?}, {seed}, {hash:#018x}),\n"))
-        .collect();
-    assert!(
-        fresh == GENERATED,
-        "the interleaved generate stream moved; computed now:\n{table}"
-    );
+        let table: String = fresh
+            .iter()
+            .map(|(task, seed, hash)| format!("    ({task:?}, {seed}, {hash:#018x}),\n"))
+            .collect();
+        assert!(
+            fresh == GENERATED,
+            "the interleaved generate stream moved at tier {tier}; computed now:\n{table}"
+        );
+    });
 }
 
 /// `(seed, digests of generate(60 000, seed) and of its split_holdout(6)
@@ -216,13 +247,16 @@ fn multi_chunk_generator_output_is_the_parents() {
         fresh == GENERATED_MULTI_CHUNK,
         "the multi-chunk generate stream moved; computed now:\n{table}"
     );
-    // The halves drawn straight from the stream are the same ones.
-    for &(seed, _, train_digest, test_digest) in &GENERATED_MULTI_CHUNK {
-        let (train, test) = spec.generate_holdout(60_000, 6, seed);
-        assert_eq!(
-            (digest(&train), digest(&test)),
-            (train_digest, test_digest),
-            "generate_holdout(60 000, 6, {seed})"
-        );
-    }
+    // The halves drawn straight from the stream are the same ones, at every
+    // tier: together they hold every row of the stream.
+    at_every_tier(|tier| {
+        for &(seed, _, train_digest, test_digest) in &GENERATED_MULTI_CHUNK {
+            let (train, test) = spec.generate_holdout(60_000, 6, seed);
+            assert_eq!(
+                (digest(&train), digest(&test)),
+                (train_digest, test_digest),
+                "generate_holdout(60 000, 6, {seed}) at tier {tier}"
+            );
+        }
+    });
 }

@@ -12,7 +12,7 @@
 //! * [`simd`]: explicit `std::arch` microkernels behind the hot ops
 //!   (dot/axpy/gemm_nt/gemm_tn/backward_delta), the softmax row tails and
 //!   the Box–Muller normals kernel, runtime-dispatched across AVX-512F /
-//!   AVX2 / scalar tiers — all bit-identical, `GFL_SIMD` override.
+//!   AVX2 / scalar tiers — all bit-identical, [`simd::set_tier`] override.
 //! * [`init`]: seeded He/Xavier/uniform initializers on top of ChaCha8, so
 //!   every experiment in the paper reproduction is bit-deterministic given
 //!   its seed.
@@ -34,15 +34,10 @@ pub use matrix::{Matrix, MatrixRef};
 /// Crate-wide floating point type. The paper's workloads are f32 end-to-end.
 pub type Scalar = f32;
 
-/// Checks the two environment values every run reads, `GFL_THREADS`
-/// ([`gfl_parallel::parse_threads`]) and `GFL_SIMD`
-/// ([`simd::parse_tier`]), as the binaries do at start-up: the first that
-/// names nothing valid is the error.
+/// Checks the environment value every run reads, `GFL_THREADS`
+/// ([`gfl_parallel::parse_threads`]), as the binaries do at start-up.
 pub fn check_env() -> Result<(), gfl_parallel::EnvError> {
-    let var = |name| std::env::var(name).ok();
-    gfl_parallel::parse_threads(var("GFL_THREADS").as_deref())?;
-    simd::parse_tier(var("GFL_SIMD").as_deref())?;
-    Ok(())
+    gfl_parallel::parse_threads(std::env::var("GFL_THREADS").ok().as_deref()).map(drop)
 }
 
 /// [`check_env`] for a binary's `main`: on a value that names nothing

@@ -7,9 +7,10 @@
 //! [`dot`], [`axpy`], [`gemm_tn`] here and the forward
 //! [`crate::simd::gemm_nt`] — dispatch to explicit
 //! SIMD implementations in [`crate::simd`] (AVX-512F/AVX2,
-//! runtime-detected, `GFL_SIMD` override); every tier is bit-identical to
-//! the scalar reference by construction. [`exp`] is the one f32
-//! exponential: libm-free, FMA-free, and equal to libm's on every input.
+//! runtime-detected, [`crate::simd::set_tier`] override); every tier is
+//! bit-identical to the scalar reference by construction. [`exp`] is the
+//! one f32 exponential: libm-free, FMA-free, and equal to libm's on every
+//! input.
 
 use crate::Scalar;
 

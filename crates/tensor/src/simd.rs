@@ -109,18 +109,15 @@
 //!
 //! The active tier is a setting of the calling thread, and a pool region
 //! copies it to its participants for the region's duration (see
-//! `gfl_parallel`). A thread that set none runs the process default, read
-//! once from the `GFL_SIMD` environment variable by [`parse_tier`]:
-//! `auto` (or unset) picks the best supported tier, `off`/`scalar` forces
-//! the scalar reference, and a tier name (`avx2`, `avx512`) forces that
-//! tier; a name this CPU lacks is an error. [`set_tier`] switches the
-//! calling thread's tier — the determinism suite uses it to prove
-//! `GFL_SIMD=off` vs `auto` equality in-process, and the bench harness
-//! uses it to measure per-tier GFLOP/s — and no other thread sees it.
+//! `gfl_parallel`). A thread that set none runs the process default, the
+//! widest tier this CPU supports, detected once. [`set_tier`] is the one
+//! override: it switches the calling thread's tier, and no other thread
+//! sees it. The determinism table (`crates/cli/tests/golden.rs`) uses it
+//! to run every row under every supported tier in-process, and the bench
+//! harness to measure per-tier GFLOP/s.
 
 use std::sync::OnceLock;
 
-use gfl_parallel::EnvError;
 use rand::RngCore;
 
 use crate::Scalar;
@@ -141,7 +138,7 @@ pub enum SimdTier {
 }
 
 impl SimdTier {
-    /// Stable lower-case name, matching the `GFL_SIMD` syntax.
+    /// Stable lower-case name, as `BENCH_ROUND.json` records it.
     pub fn name(self) -> &'static str {
         match self {
             SimdTier::Scalar => "scalar",
@@ -184,39 +181,11 @@ pub fn detect_best() -> SimdTier {
     *supported_tiers().last().expect("scalar always supported")
 }
 
-/// The tier a `GFL_SIMD` value names (`None` = unset), or an error naming
-/// the value when it is no tier this CPU supports.
-pub fn parse_tier(value: Option<&str>) -> Result<SimdTier, EnvError> {
-    match value {
-        None | Some("" | "auto") => Ok(detect_best()),
-        Some("off" | "scalar") => Ok(SimdTier::Scalar),
-        Some(name) => supported_tiers()
-            .into_iter()
-            .find(|t| t.name() == name)
-            .ok_or_else(|| EnvError {
-                var: "GFL_SIMD",
-                value: name.to_string(),
-                expected: format!(
-                    "unknown or unsupported tier on this CPU (supported: auto, off{})",
-                    supported_tiers()
-                        .iter()
-                        .map(|t| format!(", {}", t.name()))
-                        .collect::<String>()
-                ),
-            }),
-    }
-}
-
-/// The tier a `GFL_SIMD` value names, panicking with [`parse_tier`]'s
-/// error when it names none.
-fn tier_named(value: Option<&str>) -> SimdTier {
-    parse_tier(value).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// The process default tier: `GFL_SIMD`, read once.
+/// The process default tier: the widest this CPU supports, detected once
+/// ([`detect_best`] builds a `Vec`, so it never runs per dispatch).
 fn default_tier() -> SimdTier {
     static DEFAULT: OnceLock<SimdTier> = OnceLock::new();
-    *DEFAULT.get_or_init(|| tier_named(std::env::var("GFL_SIMD").ok().as_deref()))
+    *DEFAULT.get_or_init(detect_best)
 }
 
 /// The tier the kernels dispatch to on the calling thread: its own
@@ -250,7 +219,7 @@ pub fn set_tier(tier: SimdTier) -> SimdTier {
 ///
 /// SAFETY: a tier is only ever active after its CPU feature was detected
 /// (`active_tier` returns a stored tier only through
-/// `SimdTier::from_u8`'s check, else the default `parse_tier` picked from
+/// `SimdTier::from_u8`'s check, else the default `detect_best` picked from
 /// `supported_tiers`), and the asserts ahead of each use establish the
 /// slice lengths the kernels index by.
 macro_rules! dispatch {
@@ -1718,37 +1687,6 @@ mod tests {
         let tiers = supported_tiers();
         assert_eq!(tiers[0], SimdTier::Scalar);
         assert_eq!(detect_best(), *tiers.last().unwrap());
-    }
-
-    #[test]
-    #[should_panic(expected = "GFL_SIMD=neon: unknown or unsupported tier")]
-    fn the_deleted_neon_tier_is_refused_by_name() {
-        tier_named(Some("neon"));
-    }
-
-    #[test]
-    fn tier_names_parse_or_name_the_bad_value() {
-        let best = detect_best();
-        for (value, want) in [
-            (None, best),
-            (Some(""), best),
-            (Some("auto"), best),
-            (Some("off"), SimdTier::Scalar),
-            (Some("scalar"), SimdTier::Scalar),
-        ] {
-            assert_eq!(parse_tier(value), Ok(want), "{value:?}");
-        }
-        for tier in supported_tiers() {
-            assert_eq!(parse_tier(Some(tier.name())), Ok(tier));
-        }
-        for bad in ["neon", "avx9", "AVX2", "neon ", "1"] {
-            let err = parse_tier(Some(bad)).expect_err(bad);
-            assert_eq!(err.var, "GFL_SIMD");
-            assert!(
-                err.to_string().starts_with(&format!("GFL_SIMD={bad}: ")),
-                "{err}"
-            );
-        }
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! A bad `GFL_SIMD` or `GFL_THREADS` is a usage error in every example, as
+//! A bad `GFL_THREADS` is a usage error in every example, as
 //! in `gfl`: exit 2 with the parser's message, not a panic (exit 101).
 //!
 //! The examples are the binaries `cargo test` builds beside this one
@@ -29,23 +29,12 @@ fn bad_env_values_exit_2_in_every_example() {
         let binary = dir
             .join(example)
             .with_extension(std::env::consts::EXE_EXTENSION);
-        for (var, value) in [("GFL_SIMD", "neon"), ("GFL_THREADS", "abc")] {
-            let out = Command::new(&binary)
-                .env_remove("GFL_SIMD")
-                .env_remove("GFL_THREADS")
-                .env(var, value)
-                .output()
-                .unwrap_or_else(|e| panic!("{}: {e}", binary.display()));
-            let stderr = String::from_utf8_lossy(&out.stderr);
-            assert_eq!(
-                out.status.code(),
-                Some(2),
-                "{example} {var}={value}: {stderr}"
-            );
-            assert!(
-                !stderr.contains("panicked"),
-                "{example} {var}={value}: {stderr}"
-            );
-        }
+        let out = Command::new(&binary)
+            .env("GFL_THREADS", "abc")
+            .output()
+            .unwrap_or_else(|e| panic!("{}: {e}", binary.display()));
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{example}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{example}: {stderr}");
     }
 }
