@@ -307,6 +307,45 @@ fn normals_section() -> serde_json::Value {
     })
 }
 
+/// Categorical label draws as the population build takes them
+/// (docs/PERF.md, "Set-up streams"), single-threaded: rows of 110 draws
+/// over 10 classes, each row a fresh wide reader and one of 64
+/// Dirichlet(0.1) mixes, counted by `init::categorical_counts`; ns per
+/// draw, keystream included, at every tier.
+fn categorical_section() -> serde_json::Value {
+    use gfl_tensor::{init, simd};
+    const ROWS: u64 = 1024;
+    const DRAWS: usize = 110;
+    let mixes: Vec<Vec<f64>> = (0..64)
+        .map(|m| init::dirichlet_symmetric(&mut init::rng(m), 0.1, 10))
+        .collect();
+    let mut columns = init::CategoricalColumns::default();
+    let mut counts = [0u32; 10];
+    let mut tiers = Vec::new();
+    for tier in simd::supported_tiers() {
+        let prev = simd::set_tier(tier);
+        let s = seconds_per_call(|| {
+            for row in 0..ROWS {
+                let mix = &mixes[row as usize % mixes.len()];
+                let mut reader = init::wide_rng(row);
+                init::categorical_counts(&mut reader, DRAWS, mix, &mut columns, &mut counts);
+            }
+            std::hint::black_box(&counts);
+        });
+        simd::set_tier(prev);
+        let ns = s / (ROWS as usize * DRAWS) as f64 * 1e9;
+        eprintln!("[{:>6}] categorical: {ns:6.2} ns per draw", tier.name());
+        tiers.push(serde_json::json!({
+            "tier": tier.name(),
+            "ns_per_draw": ns,
+        }));
+    }
+    serde_json::json!({
+        "workload": "categorical label counts in rows of 110 draws over 10 classes (Dirichlet(0.1) mixes), a fresh wide reader per row, single thread; ns per draw including the keystream (whose 16-lane fill is chosen by CPU, not by tier)",
+        "tiers": tiers,
+    })
+}
+
 /// Secure aggregation at the `secure-covg` shape (vision model, a group of
 /// ten, nobody dropped), single-threaded: the keystream fill of one mask
 /// against a plain copy of as many bytes, and one round party by party
@@ -554,6 +593,8 @@ fn main() {
 
     let normals = normals_section();
 
+    let categorical = categorical_section();
+
     let serialize = serialize_section();
 
     // Honest scaling summary: the 8-vs-1 speedup is only reported when the
@@ -590,6 +631,7 @@ fn main() {
         "nn": speech_layers,
         "secagg": secagg,
         "normals": normals,
+        "categorical": categorical,
         "serialize": serialize,
         "emulated_clock": serde_json::json!({
             "plan": "straggler_fraction 0.25, straggler_factor 8.0, jitter 0.25 (docs/ASYNC.md)",

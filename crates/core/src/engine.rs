@@ -18,7 +18,7 @@
 //! factor (§7.1: "different quadratic cost functions for each method").
 
 use gfl_data::poison::Trigger;
-use gfl_data::{ClientPartition, Dataset, FedData, LabelMatrix};
+use gfl_data::{ClientPartition, ClientScratch, Dataset, FedData, LabelMatrix};
 use gfl_defense::DefenseCost;
 use gfl_faults::{
     AdversaryPlan, AttackEvent, AttackKind, ChurnPlan, DefenseStage, FaultEvent, FaultInjector,
@@ -185,7 +185,7 @@ struct WorkerScratch {
     features: Vec<Scalar>,
     labels: Vec<usize>,
     indices: Vec<usize>,
-    mix: Vec<f64>,
+    client: ClientScratch,
     live: Vec<usize>,
     deltas: Vec<Vec<Scalar>>,
     secagg: gfl_secagg::RangeScratch,
@@ -199,7 +199,7 @@ impl WorkerScratch {
             features: Vec::new(),
             labels: Vec::new(),
             indices: Vec::new(),
-            mix: Vec::new(),
+            client: Default::default(),
             live: Vec::new(),
             deltas: Vec::new(),
             secagg: Default::default(),
@@ -1473,7 +1473,8 @@ impl Trainer {
                     } else {
                         Default::default()
                     };
-                    let mut ds = fed.shard_from_parts(client, features, labels, &mut scratch.mix);
+                    let mut ds =
+                        fed.shard_from_parts(client, features, labels, &mut scratch.client);
                     let mut poisoned = None;
                     if let Some(a) = adv.filter(|_| kind.is_some()) {
                         let classes = ds.num_classes();

@@ -9,7 +9,7 @@
 //! statistics in both representations; only the client-update boundary ever
 //! touches feature rows.
 
-use crate::{Batch, ClientPartition, Dataset, LabelMatrix, VirtualPopulation};
+use crate::{Batch, ClientPartition, ClientScratch, Dataset, LabelMatrix, VirtualPopulation};
 use gfl_tensor::{Matrix, Scalar};
 
 /// Either an eagerly materialized federation or a virtual population.
@@ -79,13 +79,13 @@ impl FedData {
     /// backing buffers: the materialized rows gathered from the pooled
     /// dataset in partition order, or the virtual shard derived
     /// ([`VirtualPopulation::shard_from_parts`], whose buffer contract this
-    /// shares; `mix` is scratch).
+    /// shares; `scratch` is the worker's).
     pub fn shard_from_parts(
         &self,
         c: usize,
         mut features: Vec<Scalar>,
         labels: Vec<usize>,
-        mix: &mut Vec<f64>,
+        scratch: &mut ClientScratch,
     ) -> Dataset {
         match self {
             FedData::Materialized { train, partition } => {
@@ -95,7 +95,7 @@ impl FedData {
                 train.batch_into(&partition.indices[c], &mut rows);
                 Dataset::new(rows.features, rows.labels, train.num_classes())
             }
-            FedData::Virtual(pop) => pop.shard_from_parts(c, features, labels, mix),
+            FedData::Virtual(pop) => pop.shard_from_parts(c, features, labels, scratch),
         }
     }
 
@@ -161,7 +161,7 @@ mod tests {
         let fed = FedData::from((data.clone(), part.clone()));
         // Dirty, oversized buffers are cleared before the gather.
         let (features, labels) = (vec![7.0; 999], vec![2; 5]);
-        let shard = fed.shard_from_parts(1, features, labels, &mut Vec::new());
+        let shard = fed.shard_from_parts(1, features, labels, &mut Default::default());
         let want = data.subset(&part.indices[1]);
         assert_eq!(shard.features(), want.features());
         assert_eq!(shard.labels(), want.labels());

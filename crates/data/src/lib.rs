@@ -32,4 +32,4 @@ pub use label_matrix::LabelMatrix;
 pub use partition::{ClientPartition, PartitionSpec};
 pub use poison::Trigger;
 pub use synthetic::SyntheticSpec;
-pub use virtual_pop::{VirtualPopulation, VirtualSpec};
+pub use virtual_pop::{ClientScratch, VirtualPopulation, VirtualSpec};

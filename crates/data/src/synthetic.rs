@@ -8,7 +8,7 @@
 
 use std::ops::Range;
 
-use gfl_tensor::init::{self, WideRng};
+use gfl_tensor::init::{self, CategoricalColumns, WideRng};
 use gfl_tensor::{Matrix, Scalar};
 use rand::Rng;
 
@@ -225,11 +225,20 @@ impl SyntheticSpec {
 
     /// Appends `n` labels drawn from `weights` into `out` — exactly the
     /// labels [`Self::generate_weighted_with_means`] would assign for the
-    /// same `(n, weights, seed)`. O(n) integer/f64 draws; never touches the
-    /// feature stream, so per-client label histograms cost no feature work.
-    pub fn weighted_labels_into(&self, n: usize, weights: &[f64], seed: u64, out: &mut Vec<usize>) {
-        out.reserve(n);
-        self.weighted_labels(n, weights, seed, |label| out.push(label));
+    /// same `(n, weights, seed)`. O(n) draws through the column kernel
+    /// ([`init::categorical_labels`], in the caller's `columns`); never
+    /// touches the feature stream, so per-client label histograms cost no
+    /// feature work.
+    pub fn weighted_labels_into(
+        &self,
+        n: usize,
+        weights: &[f64],
+        seed: u64,
+        columns: &mut CategoricalColumns,
+        out: &mut Vec<usize>,
+    ) {
+        let mut rng = self.label_stream(weights, seed);
+        init::categorical_labels(&mut rng, n, weights, columns, out);
     }
 
     /// Adds the histogram of those same `n` labels into `counts` (one slot
@@ -239,18 +248,17 @@ impl SyntheticSpec {
         n: usize,
         weights: &[f64],
         seed: u64,
+        columns: &mut CategoricalColumns,
         counts: &mut [u32],
     ) {
-        assert_eq!(counts.len(), self.num_classes, "count arity mismatch");
-        self.weighted_labels(n, weights, seed, |label| counts[label] += 1);
+        let mut rng = self.label_stream(weights, seed);
+        init::categorical_counts(&mut rng, n, weights, columns, counts);
     }
 
-    /// The salted label stream of `seed`: `n` draws from `weights`, handed
-    /// to `sink` in draw order.
-    fn weighted_labels(&self, n: usize, weights: &[f64], seed: u64, sink: impl FnMut(usize)) {
+    /// The salted label stream of `seed`, for draws from `weights`.
+    fn label_stream(&self, weights: &[f64], seed: u64) -> WideRng {
         assert_eq!(weights.len(), self.num_classes, "weight arity mismatch");
-        let mut rng = init::wide_rng(seed ^ LABEL_STREAM_SALT);
-        sample_categorical_lanes(&mut rng, n, weights, sink);
+        init::wide_rng(seed ^ LABEL_STREAM_SALT)
     }
 
     /// Split-stream weighted generation against a caller-supplied mean
@@ -268,7 +276,7 @@ impl SyntheticSpec {
         assert_eq!(means.rows(), self.num_classes, "mean arity mismatch");
         assert_eq!(means.cols(), self.feature_dim, "mean width mismatch");
         let mut labels = Vec::new();
-        self.weighted_labels_into(n, weights, seed, &mut labels);
+        self.weighted_labels_into(n, weights, seed, &mut Default::default(), &mut labels);
         let mut features = Matrix::zeros(n, self.feature_dim);
         self.fill_weighted_features(&labels, means, seed, &mut features);
         Dataset::new(features, labels, self.num_classes)
@@ -342,74 +350,6 @@ fn take_rows<'a>(rest: &mut Rows<'a>, rows: usize, dim: usize) -> Rows<'a> {
     (features, labels)
 }
 
-/// Draws of one categorical distribution taken side by side.
-const LANES: usize = 8;
-
-/// `n` draws proportional to `weights`, handed to `sink` in draw order: the
-/// scalar chain of [`sample_categorical`] — `t = u · total`, then `t -= w[i]`
-/// until `t <= 0` — run on [`LANES`] uniforms at a time.
-///
-/// Every lane performs the scalar loop's subtractions in the scalar loop's
-/// order and takes its *first* `t <= 0`, so the labels equal the scalar
-/// loop's for any weights (zero, negative, NaN, infinite), and each draw
-/// reads the one `u64` the scalar draw reads. Plain Rust over fixed-width
-/// arrays, as `cov_lanes` is; the compiler vectorises the lane loops.
-fn sample_categorical_lanes(
-    rng: &mut impl Rng,
-    n: usize,
-    weights: &[f64],
-    mut sink: impl FnMut(usize),
-) {
-    let total: f64 = weights.iter().sum();
-    if total <= 0.0 {
-        for _ in 0..n {
-            sink(rng.gen_range(0..weights.len()));
-        }
-        return;
-    }
-    let last = weights.len() - 1;
-    for start in (0..n).step_by(LANES) {
-        let width = LANES.min(n - start);
-        let mut t = [0.0f64; LANES];
-        for lane in t.iter_mut().take(width) {
-            *lane = rng.gen::<f64>() * total;
-        }
-        // A lane's label is the number of weights it outlived: 1.0 is added
-        // per weight while no `t <= 0` has been seen, nothing after.
-        let mut alive = [1.0f64; LANES];
-        let mut outlived = [0.0f64; LANES];
-        for &w in weights {
-            for l in 0..LANES {
-                t[l] -= w;
-                alive[l] = if t[l] <= 0.0 { 0.0 } else { alive[l] };
-                outlived[l] += alive[l];
-            }
-        }
-        for &count in outlived.iter().take(width) {
-            // Never hit: the scalar loop falls through to the last index.
-            sink((count as usize).min(last));
-        }
-    }
-}
-
-/// Samples an index proportional to non-negative weights, whose sum the
-/// caller passes as `total` — the scalar statement of
-/// [`sample_categorical_lanes`], kept as its oracle.
-#[cfg(test)]
-fn sample_categorical(rng: &mut impl Rng, weights: &[f64], total: f64) -> usize {
-    if total <= 0.0 {
-        return rng.gen_range(0..weights.len());
-    }
-    let mut t = rng.gen::<f64>() * total;
-    for (i, &w) in weights.iter().enumerate() {
-        t -= w;
-        if t <= 0.0 {
-            return i;
-        }
-    }
-    weights.len() - 1
-}
-
 /// The uniform generator as one serial stream — the loop the chunked
 /// [`SyntheticSpec::uniform`] replaced, kept as its oracle.
 #[cfg(test)]
@@ -432,8 +372,6 @@ fn generate_serial(spec: &SyntheticSpec, n: usize, seed: u64) -> Dataset {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
-    use rand::RngCore;
 
     fn assert_same(got: &Dataset, want: &Dataset, what: &str) {
         assert_eq!(got.labels(), want.labels(), "{what}: labels");
@@ -523,91 +461,19 @@ mod tests {
         }
     }
 
-    /// One weight: mostly ordinary, sometimes each thing a weight should
-    /// never be.
-    fn weight() -> impl Strategy<Value = f64> {
-        (0u8..16, 0.0f64..1.0).prop_map(|(kind, x)| match kind {
-            0 | 1 => 0.0,
-            2 => -x,
-            3 => f64::NAN,
-            4 => f64::INFINITY,
-            5 => f64::NEG_INFINITY,
-            6 => f64::MIN_POSITIVE * x,
-            7 => -0.0,
-            8 => x * 1e300,
-            _ => x,
-        })
-    }
-
-    /// Weight vectors of 1..=40 classes: as drawn, all zero, or zero but
-    /// for one class.
-    fn weights() -> impl Strategy<Value = Vec<f64>> {
-        (
-            proptest::collection::vec(weight(), 1..41),
-            0u8..6,
-            0usize..40,
-        )
-            .prop_map(|(mut w, shape, hot)| {
-                let hot = hot % w.len();
-                match shape {
-                    0 => w.fill(0.0),
-                    1 => {
-                        let keep = w[hot];
-                        w.fill(0.0);
-                        w[hot] = keep;
-                    }
-                    _ => {}
-                }
-                w
-            })
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(512))]
-
-        /// The lane kernel is the scalar loop, draw for draw, for any
-        /// weights and every tail length, through both sinks — and leaves
-        /// the stream where `n` scalar draws leave it.
-        #[test]
-        fn categorical_lanes_equal_the_scalar_loop(
-            w in weights(),
-            n in 0usize..301,
-            seed in 0u64..u64::MAX,
-        ) {
-            let mut scalar_rng = init::rng(seed);
-            let total: f64 = w.iter().sum();
-            let want: Vec<usize> = (0..n)
-                .map(|_| sample_categorical(&mut scalar_rng, &w, total))
-                .collect();
-
-            let mut lane_rng = init::wide_rng(seed);
-            let mut got = Vec::new();
-            sample_categorical_lanes(&mut lane_rng, n, &w, |label| got.push(label));
-            prop_assert_eq!(&got, &want);
-            prop_assert_eq!(lane_rng.next_u64(), scalar_rng.next_u64());
-
-            let mut want_counts = vec![0u32; w.len()];
-            want.iter().for_each(|&label| want_counts[label] += 1);
-            let mut counts = vec![0u32; w.len()];
-            sample_categorical_lanes(&mut init::wide_rng(seed), n, &w, |label| {
-                counts[label] += 1
-            });
-            prop_assert_eq!(counts, want_counts);
-        }
-    }
-
     #[test]
     fn label_sinks_agree_through_the_public_entry_points() {
         let spec = SyntheticSpec::vision_like();
         let mut w = [0.0; 10];
         w[3] = 0.25;
         w[7] = 0.75;
+        let mut columns = CategoricalColumns::default();
         for n in [0, 1, 7, 8, 9, 127, 128, 129, 200] {
             let mut labels = Vec::new();
-            spec.weighted_labels_into(n, &w, 41, &mut labels);
+            spec.weighted_labels_into(n, &w, 41, &mut columns, &mut labels);
             assert_eq!(labels.len(), n);
             let mut counts = [0u32; 10];
-            spec.weighted_label_counts_into(n, &w, 41, &mut counts);
+            spec.weighted_label_counts_into(n, &w, 41, &mut columns, &mut counts);
             let mut want = [0u32; 10];
             labels.iter().for_each(|&l| want[l] += 1);
             assert_eq!(counts, want, "n = {n}");
@@ -698,7 +564,7 @@ mod tests {
         let w = [0.2, 0.5, 0.3];
         let d = spec.generate_weighted(200, Some(&w), 17);
         let mut labels = Vec::new();
-        spec.weighted_labels_into(200, &w, 17, &mut labels);
+        spec.weighted_labels_into(200, &w, 17, &mut Default::default(), &mut labels);
         assert_eq!(d.labels(), &labels[..]);
     }
 
@@ -719,10 +585,10 @@ mod tests {
         // recovered incrementally without regenerating.
         let spec = SyntheticSpec::tiny();
         let w = [1.0, 2.0, 3.0];
-        let mut short = Vec::new();
-        let mut long = Vec::new();
-        spec.weighted_labels_into(40, &w, 31, &mut short);
-        spec.weighted_labels_into(90, &w, 31, &mut long);
+        let (mut short, mut long) = (Vec::new(), Vec::new());
+        let mut columns = CategoricalColumns::default();
+        spec.weighted_labels_into(40, &w, 31, &mut columns, &mut short);
+        spec.weighted_labels_into(90, &w, 31, &mut columns, &mut long);
         assert_eq!(&long[..40], &short[..]);
     }
 

@@ -41,6 +41,33 @@ const SIZE_SALT: u64 = 0x5649_5254_535A_4531; // "VIRTSZE1"
 const MIX_SALT: u64 = 0x5649_5254_4D49_5831; // "VIRTMIX1"
 const TEST_SALT: u64 = 0x5649_5254_5445_5354; // "VIRTTEST"
 
+/// Clients one task of [`VirtualPopulation::new`] builds: 22 tasks at the
+/// `scale-churn` shape (90 000 clients), 245 at 10⁶.
+const BUILD_TASK_CLIENTS: usize = 4_096;
+
+/// A worker's scratch for deriving clients — the Dirichlet mix and the
+/// label draws' columns — reused from client to client. It holds nothing
+/// a caller reads.
+#[derive(Debug, Clone, Default)]
+pub struct ClientScratch {
+    mix: Vec<f64>,
+    columns: init::CategoricalColumns,
+}
+
+impl ClientScratch {
+    /// The Dirichlet(α) label mix of the client with seed `client_seed`,
+    /// and the columns its label draws run in.
+    fn mix(
+        &mut self,
+        spec: &VirtualSpec,
+        client_seed: u64,
+    ) -> (&[f64], &mut init::CategoricalColumns) {
+        self.mix.resize(spec.data.num_classes, 0.0);
+        client_mix_into(spec, client_seed, &mut self.mix);
+        (&self.mix, &mut self.columns)
+    }
+}
+
 /// SplitMix64 finalizer — decorrelates adjacent client ids into full-width
 /// seeds before they feed the ChaCha streams.
 fn splitmix(mut x: u64) -> u64 {
@@ -123,27 +150,27 @@ impl VirtualPopulation {
         let m = spec.data.num_classes;
         let means = spec.data.class_means_for(spec.seed);
 
-        // Chunked parallel build, in place: each chunk of clients owns its
-        // range of the two final buffers. A client is a pure function of its
-        // id, so the population is the same at any thread count or chunk
+        // Parallel build in place, on tasks of `BUILD_TASK_CLIENTS` clients
+        // that the pool hands out as participants come free: each task owns
+        // its range of the two final buffers, so a descheduled worker holds
+        // one task, not a share of the build. A client is a pure function of
+        // its id, so the population is the same at any thread count or task
         // boundary.
         let mut sizes = vec![0u32; spec.num_clients];
         let mut counts = vec![0u32; spec.num_clients * m];
-        let per_chunk = spec
-            .num_clients
-            .div_ceil(gfl_parallel::default_parallelism());
-        let mut chunks: Vec<_> = sizes
-            .chunks_mut(per_chunk)
-            .zip(counts.chunks_mut(per_chunk * m))
+        let mut tasks: Vec<_> = sizes
+            .chunks_mut(BUILD_TASK_CLIENTS)
+            .zip(counts.chunks_mut(BUILD_TASK_CLIENTS * m))
             .collect();
         let spec_ref = &spec;
         gfl_parallel::par_for_each_init(
-            &mut chunks,
-            || vec![0.0f64; m],
-            |mix, chunk, (chunk_sizes, chunk_counts)| {
-                let rows = chunk_counts.chunks_exact_mut(m);
-                for (i, (size, row)) in chunk_sizes.iter_mut().zip(rows).enumerate() {
-                    *size = client_stats(spec_ref, chunk * per_chunk + i, mix, row) as u32;
+            &mut tasks,
+            ClientScratch::default,
+            |scratch, task, (task_sizes, task_counts)| {
+                let rows = task_counts.chunks_exact_mut(m);
+                for (i, (size, row)) in task_sizes.iter_mut().zip(rows).enumerate() {
+                    let c = task * BUILD_TASK_CLIENTS + i;
+                    *size = client_stats(spec_ref, c, scratch, row) as u32;
                 }
             },
         );
@@ -202,30 +229,28 @@ impl VirtualPopulation {
     /// `means[label] + N(0, noise²)`. Bitwise-deterministic in
     /// `(spec.seed, c)`.
     pub fn shard(&self, c: usize) -> Dataset {
-        self.shard_from_parts(c, Vec::new(), Vec::new(), &mut Vec::new())
+        self.shard_from_parts(c, Vec::new(), Vec::new(), &mut ClientScratch::default())
     }
 
     /// [`Self::shard`] building into caller-supplied backing buffers, so
     /// the per-round materialization of sampled clients can recycle the
     /// allocations of a worker's scratch. Pass the buffers back by
     /// destructuring the returned dataset with [`Dataset::into_parts`] and
-    /// [`Matrix::into_vec`]; `mix` is scratch for the client's label mix
-    /// and holds nothing the caller needs afterwards.
+    /// [`Matrix::into_vec`]; `scratch` is the worker's, reused from shard
+    /// to shard.
     pub fn shard_from_parts(
         &self,
         c: usize,
         mut features: Vec<Scalar>,
         mut labels: Vec<usize>,
-        mix: &mut Vec<f64>,
+        scratch: &mut ClientScratch,
     ) -> Dataset {
         let n = self.client_size(c);
         let data = &self.spec.data;
         let seed = self.client_seed(c);
-        mix.clear();
-        mix.resize(data.num_classes, 0.0);
-        client_mix_into(&self.spec, seed, mix);
+        let (mix, columns) = scratch.mix(&self.spec, seed);
         labels.clear();
-        data.weighted_labels_into(n, mix, seed, &mut labels);
+        data.weighted_labels_into(n, mix, seed, columns, &mut labels);
         features.clear();
         features.resize(n * data.feature_dim, 0.0);
         let mut matrix = Matrix::from_vec(n, data.feature_dim, features);
@@ -275,13 +300,18 @@ impl VirtualPopulation {
 }
 
 /// One client's summary derivation: returns its size and adds its label
-/// histogram into `row` (zeroed, one slot per class). `mix` is scratch of the
-/// same width, reused across clients.
-fn client_stats(spec: &VirtualSpec, c: usize, mix: &mut [f64], row: &mut [u32]) -> usize {
+/// histogram into `row` (zeroed, one slot per class).
+fn client_stats(
+    spec: &VirtualSpec,
+    c: usize,
+    scratch: &mut ClientScratch,
+    row: &mut [u32],
+) -> usize {
     let seed = client_seed(spec, c);
     let size = draw_size(spec, seed);
-    client_mix_into(spec, seed, mix);
-    spec.data.weighted_label_counts_into(size, mix, seed, row);
+    let (mix, columns) = scratch.mix(spec, seed);
+    spec.data
+        .weighted_label_counts_into(size, mix, seed, columns, row);
     size
 }
 
@@ -353,7 +383,9 @@ mod tests {
     fn shard_from_parts_recycles_buffers() {
         let pop = VirtualPopulation::new(VirtualSpec::tiny(10, 0.5, 5));
         let eager = pop.shard(4);
-        let pooled = pop.shard_from_parts(4, vec![9.0; 1000], vec![7usize; 9], &mut vec![0.5; 7]);
+        let mut scratch = ClientScratch::default();
+        pop.shard_from_parts(7, Vec::new(), Vec::new(), &mut scratch);
+        let pooled = pop.shard_from_parts(4, vec![9.0; 1000], vec![7usize; 9], &mut scratch);
         assert_eq!(eager.labels(), pooled.labels());
         assert_eq!(eager.features().as_slice(), pooled.features().as_slice());
         let (m, l) = pooled.into_parts();

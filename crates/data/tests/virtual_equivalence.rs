@@ -13,7 +13,7 @@
 //! shapes.
 
 use gfl_data::poison::label_flip;
-use gfl_data::{Trigger, VirtualPopulation, VirtualSpec};
+use gfl_data::{ClientScratch, Trigger, VirtualPopulation, VirtualSpec};
 use proptest::prelude::*;
 
 /// Arbitrary small population shapes: degenerate single-client
@@ -143,11 +143,14 @@ proptest! {
         let pop = VirtualPopulation::new(spec);
         let c = pick % pop.num_clients();
         let fresh = pop.shard(c);
+        // Scratch left behind by another client's derivation.
+        let mut scratch = ClientScratch::default();
+        pop.shard_from_parts((c + 1) % pop.num_clients(), Vec::new(), Vec::new(), &mut scratch);
         let pooled = pop.shard_from_parts(
             c,
             vec![gfl_tensor::Scalar::NAN; junk_f],
             vec![usize::MAX; junk_l],
-            &mut vec![f64::NAN; junk_l % 50],
+            &mut scratch,
         );
         prop_assert_eq!(fresh.labels(), pooled.labels());
         prop_assert_eq!(fresh.features().as_slice(), pooled.features().as_slice());

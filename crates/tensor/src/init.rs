@@ -12,6 +12,8 @@ use rand_chacha::ChaCha8Rng;
 
 use crate::{Matrix, Scalar};
 
+pub use crate::simd::categorical::{categorical_counts, categorical_labels, CategoricalColumns};
+
 /// The crate-standard deterministic RNG.
 pub type GflRng = ChaCha8Rng;
 

@@ -12,8 +12,9 @@
 //! are fast, the per-row softmax tails: [`softmax_xent_rows`] (training:
 //! logits → `(P − Y)/B` and the loss) and [`xent_argmax_rows`] (evaluation:
 //! loss and correct count).
-//! One more carries the set-up's synthetic data: [`standard_normals`],
-//! Box–Muller normals eight lanes a block.
+//! Two more carry the set-up's synthetic data: [`standard_normals`],
+//! Box–Muller normals eight lanes a block, and the categorical column
+//! passes behind `init::categorical_labels` / `categorical_counts`.
 //!
 //! # Bit-identity contract
 //!
@@ -99,6 +100,18 @@
 //!   block is drawn serially. `normals_equal_standard_normal` holds every
 //!   tier to the reference's bits, and its `_deep` copy does so on 10⁸
 //!   draws.
+//! - **categorical**: a vector lane is a *draw*. The reference is the
+//!   scalar chain `t = u·Σw`, then `t -= w[i]` until the first `t <= 0`.
+//!   The kernel converts a row's words to `t` in one pass, then makes one
+//!   pass per weight over the whole row (`t -= w`; a draw alive so far
+//!   stays alive while `!(t <= 0)` and counts the weight as outlived; an
+//!   integer sum of the live), so every draw performs its chain's
+//!   subtractions in its chain's order; its label is the number of
+//!   weights it outlived, and the counts are differences of the sums (the
+//!   argument is in `simd/categorical.rs`). Plain code over `f64` and
+//!   `u64` columns, compiled per tier; no float is summed across draws.
+//!   `categorical_columns_equal_the_scalar_chain` holds every tier to the
+//!   oracle, and its `_deep` copy does so on 10⁷ draws.
 //!
 //! **No FMA, anywhere.** A fused multiply-add rounds once where
 //! mul-then-add rounds twice, so using FMA in any tier would break
@@ -122,7 +135,10 @@ use rand::RngCore;
 
 use crate::Scalar;
 
+pub(crate) mod categorical;
 mod normals;
+
+use categorical::CategoricalColumns;
 
 /// One SIMD dispatch tier. Ordering is by capability: later tiers are
 /// wider. Every tier computes bit-identical results (see module docs).
@@ -397,6 +413,11 @@ pub(crate) fn standard_normals<R: RngCore + ?Sized>(rng: &mut R, out: &mut [Scal
     dispatch!(standard_normals(rng, out))
 }
 
+/// The active tier's passes of the categorical columns.
+fn categorical_passes(columns: &mut CategoricalColumns, n: usize, total: f64, weights: &[f64]) {
+    dispatch!(categorical_passes(columns, n, total, weights))
+}
+
 /// Every tier's vector `exp` over a slice, for the tests that hold it to
 /// libm's bits.
 #[cfg(test)]
@@ -411,6 +432,7 @@ pub(crate) mod scalar {
     use crate::ops::{self, GEMM_TILE};
     use crate::Scalar;
 
+    pub(crate) use super::categorical::passes as categorical_passes;
     pub(crate) use super::normals::fill as standard_normals;
 
     /// The row loop `Mlp::loss_and_grad` used to run. Nothing is summed
@@ -622,7 +644,7 @@ mod x86 {
     #[cfg(target_arch = "x86_64")]
     use core::arch::x86_64::*;
 
-    use super::{scalar, Dims, PanelRow, PANEL};
+    use super::{scalar, CategoricalColumns, Dims, PanelRow, PANEL};
     use crate::ops::{
         self, EXP_C, EXP_C_HI, EXP_C_LO, EXP_HI, EXP_LO, EXP_N, EXP_POLY, EXP_SHIFT, EXP_TABLE,
     };
@@ -663,6 +685,18 @@ mod x86 {
                 out: &mut [f32],
             ) -> usize {
                 scalar::standard_normals(rng, out)
+            }
+
+            /// The categorical column passes' plain lane code, compiled
+            /// for the tier.
+            #[target_feature(enable = $feature)]
+            pub(in super::super) unsafe fn categorical_passes(
+                columns: &mut CategoricalColumns,
+                n: usize,
+                total: f64,
+                weights: &[f64],
+            ) {
+                scalar::categorical_passes(columns, n, total, weights)
             }
 
             /// One vector of outputs at a time (`j0` walks the panels in

@@ -132,7 +132,7 @@ const TWO_POW_M53: u64 = 0x3ca0_0000_0000_0000;
 /// integer-to-float conversion: `(w >> 12)·2⁻⁵²` is `[1, 2)` minus one,
 /// and the dropped bit adds `2⁻⁵³`. Both terms and their sum are exact.
 #[inline(always)]
-fn uniform(w: u64) -> f64 {
+pub(super) fn uniform(w: u64) -> f64 {
     let high = f64::from_bits((w >> 12) | 1.0f64.to_bits()) - 1.0;
     high + f64::from_bits(((w >> 11) & 1) * TWO_POW_M53)
 }
