@@ -466,20 +466,7 @@ fn emulated_clock_s(rounds: usize, policy: FaultPolicy) -> f64 {
 }
 
 fn main() {
-    gfl_tensor::check_env_or_exit();
-    let mut rounds = 3usize;
-    let mut argv = std::env::args().skip(1);
-    while let Some(arg) = argv.next() {
-        match arg.as_str() {
-            "--rounds" => {
-                rounds = argv
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--rounds needs a positive integer");
-            }
-            other => panic!("unknown argument '{other}' (supported: --rounds N)"),
-        }
-    }
+    let rounds = gfl_bench::count_flag_or_exit("--rounds", 3);
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let (trainer, groups, _) = build_paper_scale(rounds);
     let param_count = trainer.model().param_len();

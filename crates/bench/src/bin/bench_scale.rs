@@ -23,9 +23,10 @@
 //! preserved, only `scale` and `formation` are replaced. Run order in CI is therefore
 //! irrelevant as long as `bench_round` runs first when both run.
 //!
-//! `GFL_SCALE_CLIENTS` overrides the population size (default 1_000_000)
-//! for quick local iteration; the emitted key names stay `*_1m` because
-//! the regress gate keys on them — the actual size is recorded alongside.
+//! Usage: `cargo run --release -p gfl-bench --bin bench_scale [-- --clients N]`.
+//! `--clients` sets the population size (default 1_000_000) for quick
+//! local iteration; the emitted key names stay `*_1m` because the regress
+//! gate keys on them — the actual size is recorded alongside.
 
 #![forbid(unsafe_code)]
 
@@ -37,11 +38,7 @@ use gfl_faults::ChurnPlan;
 use gfl_sim::Topology;
 
 fn main() {
-    gfl_tensor::check_env_or_exit();
-    let clients: usize = std::env::var("GFL_SCALE_CLIENTS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1_000_000);
+    let clients = gfl_bench::count_flag_or_exit("--clients", 1_000_000);
     let seed = 1u64;
 
     let t0 = Instant::now();

@@ -5,6 +5,32 @@
 use gfl_data::{VirtualPopulation, VirtualSpec};
 use gfl_sim::Topology;
 
+/// The one flag a snapshot binary takes, a positive count (`--rounds N`,
+/// `--clients N`), from the command line, or `default` without it. An
+/// unknown argument, or a value that is missing or not a positive whole
+/// number, prints `error: …` naming it and exits 2.
+pub fn count_flag_or_exit(flag: &str, default: usize) -> usize {
+    fn fail(message: String) -> ! {
+        eprintln!("error: {message}");
+        std::process::exit(2)
+    }
+    let mut count = default;
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
+        if arg != flag {
+            fail(format!("unknown argument `{arg}` (supported: {flag} N)"));
+        }
+        let value = args
+            .next()
+            .unwrap_or_else(|| fail(format!("{flag} needs a value")));
+        count = match value.parse() {
+            Ok(n) if n > 0 => n,
+            _ => fail(format!("{flag} {value}: expected a positive whole number")),
+        };
+    }
+    count
+}
+
 /// A `paper_vision`-shaped virtual population (α = 0.1) and its even split
 /// over `edges` edge servers — the benchmark workloads' set-up.
 pub fn virtual_world(clients: usize, edges: usize, seed: u64) -> (VirtualPopulation, Topology) {

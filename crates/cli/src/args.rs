@@ -473,7 +473,7 @@ pub const SIMULATE: Command = Command {
             flag("secure",     Switch,             Absent,      "route aggregation through real SecAgg"),
             flag("dropout",    Float(Probability), Lit("0.0"),  "per-group-round client dropout"),
             flag("threads",    Int(0),             Lit("0"),
-                 "worker threads (0 = GFL_THREADS env, else all cores); results are bit-identical for every N"),
+                 "worker threads (0 = every core); results are bit-identical for every N"),
         ]),
         ("RUNTIME (deterministic semi-async rounds; see docs/ASYNC.md)", &[
             flag("runtime", Choice(&names(&RUNTIMES)), Lit("sync"),

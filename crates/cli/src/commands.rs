@@ -387,7 +387,7 @@ impl SimulateConfig {
 /// `gfl simulate`: config, build, drive, report.
 pub fn simulate(argv: &[String], out: &mut dyn Write) -> CmdResult {
     let cfg = SimulateConfig::from_args(&parse(&args::SIMULATE, argv)?)?;
-    // --- parallelism: flag > GFL_THREADS env > autodetect ---
+    // --- parallelism: --threads N, or 0 for every core ---
     if cfg.threads > 0 {
         gfl_parallel::set_default_parallelism(cfg.threads);
     }

@@ -36,10 +36,6 @@ Run `gfl <command> --help` for the command's options.";
 /// Entry point shared by `main.rs` and tests. Returns the process exit
 /// code and prints to the given writer.
 pub fn run(argv: &[String], out: &mut dyn std::io::Write) -> i32 {
-    if let Err(e) = gfl_tensor::check_env() {
-        let _ = writeln!(out, "error: {e}");
-        return 2;
-    }
     let Some(command) = argv.first() else {
         let _ = writeln!(out, "{USAGE}");
         return 2;

@@ -71,6 +71,11 @@ pub mod theory;
 /// One group: the global client ids of its members.
 pub type Group = Vec<usize>;
 
+/// The worker width of the calling thread's runs (`0` = every core): a
+/// binary's `--threads`, for callers that do not depend on `gfl-parallel`.
+/// Results are bit-identical at every width.
+pub use gfl_parallel::set_default_parallelism;
+
 /// Convenient re-exports of the full pipeline.
 pub mod prelude {
     pub use crate::cov::group_cov;

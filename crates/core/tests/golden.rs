@@ -82,7 +82,7 @@ fn golden_attacked_histories_match() {
 fn golden_virtual_histories_match() {
     // The paper_vision-shaped virtual scenario at a CI-sized population.
     // The same trajectory shape at 10⁶ clients is pinned by
-    // `golden_virtual_million_matches` below (GFL_SCALE-gated).
+    // `golden_virtual_million_matches` below.
     for seed in GOLDEN_SEEDS {
         check_golden("virtual", seed);
     }
@@ -91,12 +91,8 @@ fn golden_virtual_histories_match() {
 #[test]
 fn golden_virtual_million_matches() {
     // The acceptance-criteria run: 10⁶ paper_vision-shaped virtual clients,
-    // a small sampled-group count, snapshot-pinned. ~30 s in debug builds,
-    // ~1 s in release, so it only runs when the scale smoke asks for it:
-    // `GFL_SCALE=1 cargo test --release -p gfl-core --test golden`.
-    if std::env::var("GFL_SCALE").ok().as_deref() != Some("1") {
-        return;
-    }
+    // a small sampled-group count, snapshot-pinned. ~2 s in debug builds
+    // (the kernel crates compile optimised there too), ~1 s in release.
     check_golden("virtual-1m", GOLDEN_SEEDS[0]);
 }
 

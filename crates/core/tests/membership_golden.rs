@@ -13,9 +13,9 @@
 //! in the 29 k events changes every hash after it.
 //!
 //! The smoke size (18 000 clients × 4 rounds) runs in tier-1, at the
-//! default worker count and again at one and at eight; `GFL_SCALE=1`
-//! adds the benchmark's full size (90 000 × 16), whose event counts are the
-//! ones `gfl simulate` prints for the workload at seed 1.
+//! default worker count and again at one and at eight; so does the
+//! benchmark's full size (90 000 × 16, ~2 s in debug), whose event counts
+//! are the ones `gfl simulate` prints for the workload at seed 1.
 
 use gfl_core::checkpoint::Checkpoint;
 use gfl_core::membership::{MembershipState, RegroupPolicy};
@@ -159,9 +159,6 @@ fn scale_churn_smoke_event_log_is_the_recording_at_one_and_eight_threads() {
 
 #[test]
 fn scale_churn_full_event_log_matches_the_rebuild_per_tick_recording() {
-    if std::env::var("GFL_SCALE").as_deref() != Ok("1") {
-        return;
-    }
     assert_eq!(
         run(90_000, 16, 1),
         Fingerprint {

@@ -1,6 +1,7 @@
 //! Every table and figure of the paper's §7 (and the repository's
 //! extensions) as rows of one registry — see DESIGN.md §3 for the index —
-//! behind one binary: `gfl-experiments list | run <id>…|all | check <id>…|all`.
+//! behind one binary: `gfl-experiments [--threads N] [--scale small|paper]
+//! list | run <id>…|all | check <id>…|all`.
 //!
 //! Every row:
 //! 1. builds a *world* (synthetic federation mirroring the paper's setup),
@@ -11,7 +12,7 @@
 //! The runner prints the tables, writes them as CSV under `results/`, and
 //! (`check`) compares a regeneration against the committed files.
 //!
-//! Scale is controlled by `GFL_SCALE`:
+//! Scale is chosen by `--scale`:
 //! * `small` (default) — a reduced federation that reproduces every *shape*
 //!   in minutes on a laptop (120 clients, 3 edges, shortened horizon).
 //! * `paper` — the paper's full §7.2 scale (300 clients, 10⁶ budget);

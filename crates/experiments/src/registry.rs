@@ -201,8 +201,9 @@ pub fn check(exps: &[&Experiment], name: ScaleName, results: &Path) -> Vec<Strin
     failures
 }
 
-/// The command line: `list`, `run <id>…|all`, `check <id>…|all`. Exit code
-/// 0, 1 (a shape failed or a table drifted) or 2 (usage).
+/// The command line: `[--threads N] [--scale small|paper]` and `list`,
+/// `run <id>…|all` or `check <id>…|all`. Exit code 0, 1 (a shape failed or
+/// a table drifted) or 2 (usage).
 pub fn main(args: &[String], results: &Path) -> u8 {
     let (code, lines) = match dispatch(args, results) {
         Ok(failures) if failures.is_empty() => return 0,
@@ -216,12 +217,31 @@ pub fn main(args: &[String], results: &Path) -> u8 {
 }
 
 /// Runs the command; `Ok` holds one line per failed experiment, `Err` a
-/// usage error.
+/// usage error. `--threads` pins the calling thread's width (0 = every
+/// core); the tables are bit-identical at every width.
 fn dispatch(args: &[String], results: &Path) -> Result<Vec<String>, String> {
-    let usage = "usage: gfl-experiments list | run <id>...|all | check <id>...|all";
-    gfl_tensor::check_env().map_err(|e| e.to_string())?;
-    let name = ScaleName::from_env()?;
-    match args.split_first() {
+    let usage = "usage: gfl-experiments [--threads N] [--scale small|paper] \
+                 list | run <id>...|all | check <id>...|all";
+    let (mut name, mut words) = (ScaleName::Small, Vec::new());
+    let mut args = args.iter();
+    while let Some(arg) = args.next() {
+        let mut value = || {
+            args.next()
+                .ok_or_else(|| format!("{arg} needs a value; {usage}"))
+        };
+        match arg.as_str() {
+            "--threads" => {
+                let threads = value()?;
+                let width = threads.parse().map_err(|_| {
+                    format!("--threads {threads}: not a whole number (0 = every core)")
+                })?;
+                gfl_core::set_default_parallelism(width);
+            }
+            "--scale" => name = ScaleName::parse(value()?)?,
+            _ => words.push(arg.clone()),
+        }
+    }
+    match words.split_first() {
         Some((list, [])) if list == "list" => {
             for exp in EXPERIMENTS {
                 let files: Vec<&str> = exp.outputs.iter().map(|o| o.file).collect();

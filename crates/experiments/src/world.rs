@@ -66,7 +66,7 @@ impl ExpScale {
     }
 }
 
-/// The value of `GFL_SCALE`: which federation size a run uses and which
+/// The value of `--scale`: which federation size a run uses and which
 /// directory holds its committed tables.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ScaleName {
@@ -77,13 +77,12 @@ pub enum ScaleName {
 }
 
 impl ScaleName {
-    /// Reads `GFL_SCALE`; unset means small, anything but `small` or
-    /// `paper` is an error.
-    pub fn from_env() -> Result<Self, String> {
-        match std::env::var("GFL_SCALE").as_deref() {
-            Err(_) | Ok("small") => Ok(Self::Small),
-            Ok("paper") => Ok(Self::Paper),
-            Ok(other) => Err(format!("GFL_SCALE={other}: expected `small` or `paper`")),
+    /// Parses a `--scale` value: `small` or `paper`.
+    pub fn parse(value: &str) -> Result<Self, String> {
+        match value {
+            "small" => Ok(Self::Small),
+            "paper" => Ok(Self::Paper),
+            other => Err(format!("--scale {other}: expected `small` or `paper`")),
         }
     }
 }
@@ -323,8 +322,13 @@ mod tests {
     }
 
     #[test]
-    fn scale_from_env_defaults_small() {
-        // (Does not set the env var to avoid cross-test interference.)
+    fn scale_names_parse_or_name_the_bad_value() {
+        assert_eq!(ScaleName::parse("small"), Ok(ScaleName::Small));
+        assert_eq!(ScaleName::parse("paper"), Ok(ScaleName::Paper));
+        for bad in ["", "Paper", "1", "nope"] {
+            let err = ScaleName::parse(bad).expect_err(bad);
+            assert!(err.starts_with(&format!("--scale {bad}: ")), "{err}");
+        }
         let s = ExpScale::small();
         assert!(s.clients < ExpScale::paper().clients);
         assert!(s.budget < ExpScale::paper().budget + 1.0);

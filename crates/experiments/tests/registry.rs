@@ -2,9 +2,7 @@
 //! parses and passes its row's shape; the rows that train nothing
 //! regenerate byte for byte; the docs quote what the tables say.
 //!
-//! Nothing here trains (a training row takes minutes unoptimised) and
-//! nothing reads `GFL_SCALE` — the scale is passed explicitly, so
-//! `GFL_SCALE=1 cargo test` (the core scale suites' switch) stays green.
+//! Nothing here trains (a training row takes minutes unoptimised).
 
 use std::collections::BTreeSet;
 use std::fs;
@@ -126,27 +124,40 @@ fn a_perturbed_cell_fails_check_naming_file_row_and_column() {
 
 #[test]
 fn an_unknown_id_and_a_bad_scale_exit_2() {
-    let exit = |scale: Option<&str>, args: &[&str]| {
+    let exit = |args: &str| {
         let mut command = Command::new(env!("CARGO_BIN_EXE_gfl-experiments"));
-        command.args(args).env_remove("GFL_SCALE");
-        if let Some(scale) = scale {
-            command.env("GFL_SCALE", scale);
-        }
-        command.output().unwrap().status.code()
+        let out = command.args(args.split(' ')).output().unwrap();
+        (
+            out.status.code(),
+            String::from_utf8_lossy(&out.stderr).into_owned(),
+        )
     };
-    assert_eq!(exit(None, &["list"]), Some(0));
-    assert_eq!(exit(Some("paper"), &["list"]), Some(0));
-    assert_eq!(exit(None, &["run", "fig2a", "nope"]), Some(2));
-    assert_eq!(exit(None, &["check", "nope"]), Some(2));
-    assert_eq!(exit(Some("nope"), &["list"]), Some(2));
-    assert_eq!(exit(Some("smoke"), &["run", "fig2a"]), Some(2));
-    assert_eq!(exit(None, &["run"]), Some(2));
-    assert_eq!(exit(None, &["regenerate", "all"]), Some(2));
-    // A GFL_THREADS value that names nothing, as in `gfl`.
-    for value in ["abc", "-1", "1.5"] {
-        let mut list = Command::new(env!("CARGO_BIN_EXE_gfl-experiments"));
-        list.arg("list").env("GFL_THREADS", value);
-        assert_eq!(list.output().unwrap().status.code(), Some(2), "{value}");
+    for args in [
+        "list",
+        "--scale paper list",
+        "--threads 1 list",
+        "list --threads 0",
+    ] {
+        assert_eq!(exit(args).0, Some(0), "{args}");
+    }
+    for (args, named) in [
+        ("run fig2a nope", "`nope`"),
+        ("check nope", "`nope`"),
+        ("--scale nope list", "--scale nope: "),
+        ("run fig2a --scale smoke", "--scale smoke: "),
+        ("--threads abc", "--threads abc: "),
+        ("--threads -1 list", "--threads -1: "),
+        ("list --threads 1.5", "--threads 1.5: "),
+        ("list --threads", "--threads needs a value"),
+        ("run", "usage: "),
+        ("regenerate all", "usage: "),
+    ] {
+        let (code, stderr) = exit(args);
+        assert_eq!(code, Some(2), "{args}: {stderr}");
+        assert!(
+            stderr.starts_with("error: ") && stderr.contains(named),
+            "{args}: {stderr}"
+        );
     }
 }
 
@@ -160,11 +171,7 @@ fn measured_blocks(doc: &str) -> (Vec<(String, ScaleName, String)>, String) {
         let (tag, after) = rest[start + 15..].split_once(" -->\n```text\n").unwrap();
         let (body, tail) = after.split_once("\n```\n<!-- /measured -->").unwrap();
         let (id, scale) = tag.split_once(' ').unwrap();
-        let scale = match scale {
-            "small" => ScaleName::Small,
-            "paper" => ScaleName::Paper,
-            other => panic!("block {id}: unknown scale {other}"),
-        };
+        let scale = ScaleName::parse(scale).unwrap_or_else(|e| panic!("block {id}: {e}"));
         blocks.push((id.to_string(), scale, body.to_string()));
         rest = tail;
     }

@@ -37,68 +37,22 @@ pub use scope::{par_for_each_init, par_map};
 use std::num::NonZeroUsize;
 use std::sync::OnceLock;
 
-/// `GFL_THREADS` environment override, read once (0 = unset).
-static ENV_THREADS: OnceLock<usize> = OnceLock::new();
-
 /// [`std::thread::available_parallelism`], asked once: std does not cache
 /// it, and each call redoes its affinity and cgroup-quota lookups (tens of
 /// microseconds, against nanoseconds for a pinned width).
 static DETECTED_THREADS: OnceLock<usize> = OnceLock::new();
 
-fn env_threads() -> usize {
-    *ENV_THREADS.get_or_init(|| {
-        parse_threads(std::env::var("GFL_THREADS").ok().as_deref())
-            .unwrap_or_else(|e| panic!("{e}"))
-    })
-}
-
-/// A `GFL_*` environment value that names nothing valid. The binaries
-/// check theirs at start-up and exit 2 with it.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct EnvError {
-    pub var: &'static str,
-    pub value: String,
-    /// What the variable accepts.
-    pub expected: String,
-}
-
-impl std::fmt::Display for EnvError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{}={}: {}", self.var, self.value, self.expected)
-    }
-}
-
-impl std::error::Error for EnvError {}
-
-/// The thread count a `GFL_THREADS` value names (`None` = unset). Unset,
-/// empty and `0` mean autodetect and parse to 0.
-pub fn parse_threads(value: Option<&str>) -> Result<usize, EnvError> {
-    let Some(value) = value.map(str::trim).filter(|v| !v.is_empty()) else {
-        return Ok(0);
-    };
-    value.parse().map_err(|_| EnvError {
-        var: "GFL_THREADS",
-        value: value.to_string(),
-        expected: "not a thread count (a whole number; 0 or unset uses every core)".into(),
-    })
-}
-
 /// Returns the default degree of parallelism used by the fork-join helpers.
 ///
 /// Resolution order: the calling thread's [`set_default_parallelism`] pin
 /// (e.g. the CLI `--threads` flag; a region's participants inherit their
-/// caller's), then the `GFL_THREADS` environment variable, then
-/// [`std::thread::available_parallelism`] as it read on the first unpinned
-/// call. Pinning keeps benchmarks comparable across machines and forces
-/// sequential execution in tests.
+/// caller's), then [`std::thread::available_parallelism`] as it read on the
+/// first unpinned call. Pinning keeps benchmarks comparable across machines
+/// and forces sequential execution in tests.
 pub fn default_parallelism() -> usize {
     let pinned = fork::WIDTH.get();
     if pinned > 0 {
         return pinned;
-    }
-    let env = env_threads();
-    if env > 0 {
-        return env;
     }
     *DETECTED_THREADS.get_or_init(|| {
         std::thread::available_parallelism()
@@ -131,30 +85,10 @@ mod tests {
 
     #[test]
     fn an_unpinned_width_is_the_detected_one_every_call() {
-        // This test's thread pins nothing; a `GFL_THREADS` the run was
-        // started with comes first.
-        let want = match env_threads() {
-            0 => std::thread::available_parallelism().map_or(1, NonZeroUsize::get),
-            env => env,
-        };
+        // This test's thread pins nothing.
+        let want = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
         for _ in 0..3 {
             assert_eq!(default_parallelism(), want);
-        }
-    }
-
-    #[test]
-    fn thread_counts_parse_or_name_the_bad_value() {
-        for (value, want) in [(None, 0), (Some(""), 0), (Some("0"), 0), (Some(" 4 "), 4)] {
-            assert_eq!(parse_threads(value), Ok(want), "{value:?}");
-        }
-        for bad in ["abc", "-1", "1.5", "2x"] {
-            let err = parse_threads(Some(bad)).expect_err(bad);
-            assert_eq!(err.var, "GFL_THREADS");
-            assert!(
-                err.to_string()
-                    .starts_with(&format!("GFL_THREADS={bad}: not a thread count")),
-                "{err}"
-            );
         }
     }
 

@@ -34,22 +34,6 @@ pub use matrix::{Matrix, MatrixRef};
 /// Crate-wide floating point type. The paper's workloads are f32 end-to-end.
 pub type Scalar = f32;
 
-/// Checks the environment value every run reads, `GFL_THREADS`
-/// ([`gfl_parallel::parse_threads`]), as the binaries do at start-up.
-pub fn check_env() -> Result<(), gfl_parallel::EnvError> {
-    gfl_parallel::parse_threads(std::env::var("GFL_THREADS").ok().as_deref()).map(drop)
-}
-
-/// [`check_env`] for a binary's `main`: on a value that names nothing
-/// valid, prints the parser's message and exits 2 before anything runs,
-/// as `gfl` and `gfl-experiments` do.
-pub fn check_env_or_exit() {
-    if let Err(e) = check_env() {
-        eprintln!("error: {e}");
-        std::process::exit(2);
-    }
-}
-
 #[cfg(test)]
 pub(crate) mod test_util {
     /// Asserts two slices are element-wise close.

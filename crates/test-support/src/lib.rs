@@ -38,12 +38,22 @@ pub use hostile::hostile_checkpoint;
 pub use scenarios::{golden_scenario, GOLDEN_SCENARIOS};
 
 /// CI's seed shift: `GFL_SEED=n` offsets every seed the seed-shifted
-/// suites use, to shake out seed-sensitive nondeterminism.
+/// suites use, to shake out seed-sensitive nondeterminism. A value that
+/// names no offset panics with [`parse_seed_offset`]'s message, so a typo
+/// never runs the suites unshifted.
 pub fn seed_offset() -> u64 {
-    std::env::var("GFL_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0)
+    parse_seed_offset(std::env::var("GFL_SEED").ok().as_deref()).unwrap_or_else(|e| panic!("{e}"))
+}
+
+/// The offset a `GFL_SEED` value names (`None` = unset): unset or empty is
+/// 0, a whole number is itself, anything else an error naming the value.
+pub fn parse_seed_offset(value: Option<&str>) -> Result<u64, String> {
+    match value {
+        None | Some("") => Ok(0),
+        Some(value) => value
+            .parse()
+            .map_err(|_| format!("GFL_SEED={value}: not a seed offset (a whole number)")),
+    }
 }
 
 /// Calls `f(threads)` with the calling thread's worker count pinned to
@@ -381,6 +391,15 @@ mod tests {
         assert_eq!(render(&tiny_world(3)), render(&tiny_world(3)));
         assert_ne!(render(&tiny_world(3)), render(&tiny_world(4)));
         assert_eq!(tiny_world(3).cfg.seed, 3 + seed_offset());
+    }
+
+    #[test]
+    fn seed_offsets_parse_or_name_the_bad_value() {
+        assert_eq!(parse_seed_offset(None), Ok(0));
+        assert_eq!(parse_seed_offset(Some("")), Ok(0));
+        assert_eq!(parse_seed_offset(Some("3")), Ok(3));
+        let err = parse_seed_offset(Some("abc")).expect_err("abc");
+        assert!(err.starts_with("GFL_SEED=abc: "), "{err}");
     }
 
     #[test]

@@ -73,7 +73,6 @@ impl GroupingAlgorithm for CoverageGrouping {
 }
 
 fn main() {
-    gfl_tensor::check_env_or_exit();
     let data = SyntheticSpec::vision_like().generate(6_000, 3);
     let (train, test) = data.split_holdout(6);
     let partition = ClientPartition::dirichlet(

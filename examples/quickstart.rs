@@ -8,7 +8,7 @@
 //! cargo run --release --example quickstart
 //! ```
 //!
-//! Set `GFL_TRACE_OUT=run.jsonl` to also stream a JSONL run trace through
+//! Pass `-- --trace-out run.jsonl` to also stream a JSONL run trace through
 //! `gfl-obs` (see docs/OBSERVABILITY.md); spans are flushed to disk at
 //! every round barrier, and the example validates the written trace by
 //! reading it back. Analyze it afterwards with `gfl-trace summarize
@@ -21,7 +21,7 @@ use gfl_nn::sgd::LrSchedule;
 use gfl_sim::{Task, Topology};
 
 fn main() {
-    gfl_tensor::check_env_or_exit();
+    let trace_out = trace_out();
     // 1. A synthetic 10-class dataset, split train/test, partitioned across
     //    60 clients with Dirichlet(0.1) label skew — heavily non-IID.
     let data = SyntheticSpec::vision_like().generate(8_000, 1);
@@ -75,7 +75,6 @@ fn main() {
     let model = gfl_nn::zoo::vision_model();
     let mut trainer =
         Trainer::try_new(config, model, (train, partition), test).expect("valid configuration");
-    let trace_out = std::env::var("GFL_TRACE_OUT").ok();
     let observer = trace_out.as_ref().map(|path| {
         // Streaming mode: spans hit the file at every round barrier, so
         // memory stays bounded and a crash loses at most the tail round.
@@ -116,5 +115,19 @@ fn main() {
             back.rounds.len(),
             back.round_coverage() * 100.0
         );
+    }
+}
+
+/// The one flag this example takes, `--trace-out PATH`; anything else is a
+/// usage error (exit 2).
+fn trace_out() -> Option<String> {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    match args.as_slice() {
+        [] => None,
+        [flag, path] if flag == "--trace-out" => Some(path.clone()),
+        _ => {
+            eprintln!("error: usage: quickstart [--trace-out PATH]");
+            std::process::exit(2)
+        }
     }
 }

@@ -18,7 +18,6 @@ use gfl_data::{ClientPartition, PartitionSpec, SyntheticSpec};
 use gfl_sim::Topology;
 
 fn main() {
-    gfl_tensor::check_env_or_exit();
     let data = SyntheticSpec::vision_like().generate(6_000, 11);
     let partition = ClientPartition::dirichlet(
         &data,
